@@ -54,6 +54,11 @@ _INT_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 #: compatibility view tests and benches already read.
 _SUB = "rack.machine"
 
+#: The index that selects a whole batch without copying it.
+_ALL = slice(None)
+#: One bulk-plan group: (region, index of its ops in the batch, device offsets).
+_Group = Tuple[Region, Union[np.ndarray, slice], np.ndarray]
+
 
 class RackMachine:
     """A simulated memory-interconnected rack."""
@@ -176,7 +181,7 @@ class RackMachine:
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, size)
         if bypass_cache:
-            self._charge_bulk(node, region, size, write=False)
+            self._charge_bulk(node, region, size)
             self._maybe_fault(region, offset, size, node_id)
             self._check_poison(region, offset, size, node_id)
             if _TEL.enabled:
@@ -224,7 +229,7 @@ class RackMachine:
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, size)
         if bypass_cache:
-            self._charge_bulk(node, region, len(data), write=True)
+            self._charge_bulk(node, region, len(data))
             self._maybe_fault(region, offset, len(data), node_id)
             region.device.clear_poison(offset, len(data))
             region.device.write(offset, data)
@@ -288,10 +293,10 @@ class RackMachine:
     # float rounding matches the sequential clock adds), and one
     # aggregated telemetry record per batch.  Whenever a batch needs the
     # sequential machinery to stay exact — fault injection armed for a
-    # touched region kind, poison in a touched window, overlapping
-    # writes, unmapped or misaligned addresses — it falls back to the
-    # single-op loop, which reproduces every observable including the
-    # op index at which an error surfaces.
+    # touched region kind, poison in a touched window, partially
+    # overlapping writes, unmapped or misaligned addresses — it falls
+    # back to the single-op loop, which reproduces every observable
+    # including the op index at which an error surfaces.
 
     def load_many(
         self,
@@ -306,6 +311,7 @@ class RackMachine:
 
         Returns one ``bytes`` per address, or a single packed buffer
         when ``concat`` is true.  Equivalent to a loop of :meth:`load`.
+        ``addrs`` may be an int64 array (used as is, no list round trip).
         """
         n = len(addrs)
         if n == 0:
@@ -316,9 +322,9 @@ class RackMachine:
             buf = self._bulk_bypass_load(node, addrs, size)
             if buf is not None:
                 return buf if concat else _split(buf, size)
-            parts = [self.load(node_id, a, size, bypass_cache=True) for a in addrs]
+            parts = [self.load(node_id, a, size, bypass_cache=True) for a in _ints(addrs)]
         else:
-            parts = self._bulk_cached_load(node, addrs, size)
+            parts = self._bulk_cached_load(node, _ints(addrs), size)
         return b"".join(parts) if concat else parts
 
     def store_many(
@@ -333,7 +339,8 @@ class RackMachine:
         """Write ``data[i]`` at ``addrs[i]`` (scatter write).
 
         ``data`` is one payload per address, or — when ``size`` is given
-        — a single packed buffer of ``len(addrs) * size`` bytes (the
+        — a single packed buffer of ``len(addrs) * size`` bytes (``bytes``
+        or a flat uint8 array, e.g. ``rows.reshape(-1)``; the
         write-side twin of ``load_many(..., concat=True)``; skips all
         per-payload bookkeeping).  Equivalent to a loop of :meth:`store`;
         per-payload batches need not share one size, though only
@@ -364,6 +371,7 @@ class RackMachine:
             node.check_alive()
             if bypass_cache and self._bulk_bypass_store(node, addrs, data):
                 return
+        addrs = _ints(addrs)
         if bypass_cache:
             for a, d in zip(addrs, data):
                 self.store(node_id, a, d, bypass_cache=True)
@@ -385,11 +393,11 @@ class RackMachine:
             self.store(node_id, dst, self.load(node_id, src, size))
             return
         node, sregion, soff = self._access(node_id, src, size)
-        self._charge_bulk(node, sregion, size, write=False)
+        self._charge_bulk(node, sregion, size)
         self._maybe_fault(sregion, soff, size, node_id)
         self._check_poison(sregion, soff, size, node_id)
         node, dregion, doff = self._access(node_id, dst, size)
-        self._charge_bulk(node, dregion, size, write=True)
+        self._charge_bulk(node, dregion, size)
         self._maybe_fault(dregion, doff, size, node_id)
         dregion.device.clear_poison(doff, size)
         dregion.device.copy_from(doff, sregion.device, soff, size)
@@ -414,7 +422,7 @@ class RackMachine:
             self.store(node_id, addr, bytes([value & 0xFF]) * size)
             return
         node, region, offset = self._access(node_id, addr, size)
-        self._charge_bulk(node, region, size, write=True)
+        self._charge_bulk(node, region, size)
         self._maybe_fault(region, offset, size, node_id)
         region.device.clear_poison(offset, size)
         region.device.fill(offset, size, value & 0xFF)
@@ -657,7 +665,7 @@ class RackMachine:
         lines.  Charged like a non-temporal store burst.
         """
         node, region, offset = self._access(node_id, addr, len(data))
-        self._charge_bulk(node, region, len(data), write=True)
+        self._charge_bulk(node, region, len(data))
         region.device.clear_poison(offset, len(data))
         region.device.write(offset, data)
         node.cache.invalidate(addr, len(data))
@@ -803,7 +811,7 @@ class RackMachine:
         first, rest_line = self._line_pair_ns(node, region)
         return first + (n_lines - 1) * rest_line
 
-    def _charge_bulk(self, node: Node, region: Region, size: int, *, write: bool) -> None:
+    def _charge_bulk(self, node: Node, region: Region, size: int) -> None:
         node.clock.advance(self._bulk_ns(node, region, size))
 
     # -- bulk internals ----------------------------------------------------------------
@@ -824,9 +832,11 @@ class RackMachine:
 
     def _bulk_plan(
         self, node: Node, addrs: Sequence[int], size: int
-    ) -> Optional[List[Tuple[Region, np.ndarray, np.ndarray]]]:
+    ) -> Optional[List[_Group]]:
         """Group a batch by region: ``[(region, op_indices, offsets)]``.
 
+        ``op_indices`` indexes the batch (``x[op_indices]``): an int64
+        array, or ``slice(None)`` when one region holds every op.
         Returns ``None`` whenever only the sequential path preserves
         exact semantics: an unmapped / foreign-local / region-straddling
         address (the error must surface at its op index, after the prior
@@ -861,8 +871,8 @@ class RackMachine:
                 base = region.base
                 if region.device.is_poisoned(lo - base, hi + size - lo):
                     return None
-                return [(region, np.arange(n, dtype=np.int64), arr - base)]
-        groups: List[Tuple[Region, np.ndarray, np.ndarray]] = []
+                return [(region, _ALL, arr - base)]
+        groups: List[_Group] = []
         matched = 0
         for region in self.address_map.regions:
             if region.owner is not None and region.owner != node.node_id:
@@ -897,8 +907,7 @@ class RackMachine:
             return None
         n = len(addrs)
         charges = np.empty(n, dtype=np.float64)
-        if len(groups) == 1 and groups[0][1].shape[0] == n:
-            # whole batch in one region: idx is the identity permutation
+        if len(groups) == 1:  # a lone group covers the batch: no reassembly
             region, _idx, offs = groups[0]
             charges.fill(self._bulk_ns(node, region, size))
             out = region.device.gather(offs, size)
@@ -943,33 +952,23 @@ class RackMachine:
         return self._bulk_scatter(node, groups, rows, size)
 
     def _bulk_scatter(
-        self,
-        node: Node,
-        groups: List[Tuple[Region, np.ndarray, np.ndarray]],
-        rows: np.ndarray,
-        size: int,
+        self, node: Node, groups: List[_Group], rows: np.ndarray, size: int
     ) -> bool:
-        """Charge and apply a planned scatter write; False = go sequential."""
+        """Charge and apply a planned scatter write; False = go sequential.
+
+        Every op charges, counts and touches the atlas; only the rows
+        :func:`_last_writers` keeps reach the device.
+        """
+        live = [_last_writers(offs, size) for _region, _idx, offs in groups]
+        if any(sel is None for sel in live):
+            return False
         n = rows.shape[0]
-        for _region, idx, offs in groups:
-            if idx.shape[0] > 1:
-                # overlapping (or duplicate) target windows must apply in
-                # op order — numpy scatter order is unspecified
-                so = np.sort(offs)
-                if int((so[1:] - so[:-1]).min()) < size:
-                    return False
         charges = np.empty(n, dtype=np.float64)
-        if len(groups) == 1 and groups[0][1].shape[0] == n:
-            # whole batch in one region: idx is the identity permutation
-            region, _idx, offs = groups[0]
-            charges.fill(self._bulk_ns(node, region, size))
+        for (region, idx, offs), sel in zip(groups, live):
+            charges[idx] = self._bulk_ns(node, region, size)
             # plan proved no poison in the window: per-op clear_poison
             # would be a no-op, so skipping it is exact
-            region.device.scatter(offs, rows)
-        else:
-            for region, idx, offs in groups:
-                charges[idx] = self._bulk_ns(node, region, size)
-                region.device.scatter(offs, rows[idx])
+            region.device.scatter(offs[sel], rows[idx][sel])
         self._advance_vec(node, charges)
         if _TEL.enabled:
             _TEL.add(node.node_id, _SUB, "bypass.store", float(n))
@@ -1092,7 +1091,7 @@ class RackMachine:
 
     def _bulk_atomic_plan(
         self, node_id: int, addrs: Sequence[int], width: int
-    ) -> Optional[Tuple[Node, List[Tuple[Region, np.ndarray, np.ndarray]]]]:
+    ) -> Optional[Tuple[Node, List[_Group]]]:
         """Plan a batched atomic; ``None`` means go sequential.
 
         On top of :meth:`_bulk_plan`'s rules, atomics also go sequential
@@ -1146,7 +1145,7 @@ class RackMachine:
         self,
         node: Node,
         addrs: Sequence[int],
-        groups: List[Tuple[Region, np.ndarray, np.ndarray]],
+        groups: List[_Group],
         width: int = 8,
     ) -> None:
         """Charge and count a vectorized atomic batch.
@@ -1159,10 +1158,10 @@ class RackMachine:
         lat = self.latency
         charges = np.empty(n, dtype=np.float64)
         n_global = 0
-        for region, idx, _offs in groups:
+        for region, idx, offs in groups:
             if region.is_global:
                 charges[idx] = lat.global_atomic_ns
-                n_global += idx.shape[0]
+                n_global += offs.shape[0]
             else:
                 charges[idx] = lat.local_atomic_ns
         self._advance_vec(node, charges)
@@ -1354,6 +1353,34 @@ class NodeContext:
 
 def _mask(width: int) -> int:
     return (1 << (8 * width)) - 1
+
+
+def _ints(addrs: Sequence[int]) -> Sequence[int]:
+    """Plain ints for the per-op loops: an address array's ``np.int64``
+    items would leak into fault logs, atlas keys and error objects."""
+    return addrs.tolist() if isinstance(addrs, np.ndarray) else addrs
+
+
+def _last_writers(offs: np.ndarray, size: int) -> Union[np.ndarray, slice, None]:
+    """Which rows of a scatter reach the device: an index into the group.
+
+    Disjoint windows all do (``slice(None)``).  Ops on one exact offset
+    overwrite each other whole, so only the last in op order survives —
+    the stable argsort keeps equal offsets in op order.  Windows that
+    overlap *partially* interleave bytes of several ops: ``None``, the
+    sequential loop applies those.
+    """
+    if offs.shape[0] < 2:
+        return _ALL
+    order = np.argsort(offs, kind="stable")
+    gaps = np.diff(offs[order])
+    if int(gaps.min()) >= size:
+        return _ALL
+    last = np.ones(order.shape[0], dtype=bool)
+    np.not_equal(gaps, 0, out=last[:-1])
+    if bool((gaps[last[:-1]] < size).any()):
+        return None
+    return order[last]
 
 
 def _split(buf: bytes, size: int) -> List[bytes]:

@@ -60,7 +60,7 @@ class PhysicalMemory:
     The store is one ``bytearray`` slab; ``slab`` is a numpy ``uint8``
     view *sharing that memory*, so byte-path operations keep their cheap
     ``bytearray`` semantics while the bulk data plane gathers/scatters
-    through vectorized fancy indexing on the same bytes.
+    whole rows of the same bytes through a strided window view.
     """
 
     def __init__(self, size: int, kind: MemoryKind, name: str = "") -> None:
@@ -117,29 +117,34 @@ class PhysicalMemory:
             return
         self._buf[dst_offset : dst_offset + size] = src.view(src_offset, size)
 
+    def _windows(self, size: int) -> np.ndarray:
+        """Every ``size``-byte window of the slab as rows of one 2-D view.
+
+        Row ``o`` aliases ``slab[o : o + size]`` (strides ``(1, 1)``), so a
+        row index moves whole ``size``-byte rows, and an offset past
+        ``len - size`` is an ``IndexError`` instead of a wrapped access.
+        """
+        return np.ndarray((self.size - size + 1, size), np.uint8, self._buf, 0, (1, 1))
+
     def gather(self, offsets: np.ndarray, size: int) -> np.ndarray:
         """Read ``size`` bytes at each offset; returns ``(n, size)`` uint8.
 
-        One vectorized fancy-index over the slab — the scatter-gather
-        primitive the bulk data plane's bypass path is built on.  Bounds
-        are the caller's job (the machine resolves regions first).
+        One row index into the slab's window view — the scatter-gather
+        primitive the bulk data plane's bypass path is built on.  Region
+        resolution is the caller's job (the machine resolves first); an
+        offset past the last valid window raises ``IndexError``.
         """
-        if size == 1:
-            return self.slab[offsets].reshape(-1, 1)
-        return self.slab[offsets[:, None] + np.arange(size, dtype=np.int64)]
+        return self._windows(size)[offsets]
 
     def scatter(self, offsets: np.ndarray, rows: np.ndarray) -> None:
-        """Write ``rows[i]`` (uint8 vectors) at ``offsets[i]``, vectorized.
+        """Write ``rows[i]`` (uint8 vectors) at ``offsets[i]``, row-wise.
 
-        Target windows must not overlap — numpy leaves duplicate
-        fancy-index assignment order unspecified, so the machine routes
+        Target windows must not overlap — numpy leaves the order of
+        repeated-index assignment unspecified, so the machine keeps only
+        the last writer of a duplicated offset and routes partially
         overlapping batches through the sequential path instead.
         """
-        size = rows.shape[1]
-        if size == 1:
-            self.slab[offsets] = rows[:, 0]
-        else:
-            self.slab[offsets[:, None] + np.arange(size, dtype=np.int64)] = rows
+        self._windows(rows.shape[1])[offsets] = rows
 
     def flip_bit(self, offset: int, bit: int) -> None:
         """Corrupt one bit in place (fault injection)."""

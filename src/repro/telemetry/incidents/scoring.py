@@ -1,6 +1,6 @@
 """Score one incident from its flight-recorder dump alone.
 
-The scorer is pure dict-walking over a ``repro.telemetry.flightrec/2``
+The scorer is pure dict-walking over a ``repro.telemetry.flightrec/3``
 snapshot — no simulator imports — so ``python -m
 repro.telemetry.incidents score DUMP.json`` works offline, on a dump
 from any run.  Four scores, per the AIOpsLab-style ops loop:

@@ -230,13 +230,14 @@ class DataPlaneBackend:
         slab, values = st.backend_state
         size = st.spec.value_size
         addrs = slab + key_idx.astype(np.int64) * size
+        is_set = ~is_get
         gets = addrs[is_get]
-        sets = addrs[~is_get]
+        sets = addrs[is_set]
         if len(gets):
-            ctx.load_many(gets.tolist(), size, bypass_cache=True, concat=True)
+            ctx.load_many(gets, size, bypass_cache=True, concat=True)
         if len(sets):
-            payload = values[key_idx[~is_get]].tobytes()
-            ctx.store_many(sets.tolist(), payload, size=size, bypass_cache=True)
+            payload = values[key_idx[is_set]].reshape(-1)
+            ctx.store_many(sets, payload, size=size, bypass_cache=True)
         return len(key_idx) * size
 
 

@@ -101,6 +101,25 @@ def _pair(seed: int, faults: FaultModel = None):
     return RackMachine(cfg), RackMachine(cfg)
 
 
+def _overlap_shapes(m: RackMachine, size: int) -> dict:
+    """Store batches whose target windows collide, by name.  Exact
+    duplicates apply last-writer-wins in the vector path; a partial
+    overlap (offset gap 0 < g < size) must take the sequential loop."""
+    g = m.global_base + 512
+    loc = m.local_base(0) + 256
+    far = [g + 4096 + i * 2 * size for i in range(5)]  # disjoint filler
+    shapes = {
+        "three_writers": [g, far[0], g, far[1], g],
+        "four_writers_only": [g] * 4,
+        "several_duplicated": [g, far[0], far[1], g, far[0], far[2], far[1], far[0]],
+        "global_and_local": [g, loc, far[0], loc, g, loc + 2 * size, g, loc],
+    }
+    if size > 1:
+        shapes["partial_overlap"] = [g, far[0], g + size // 2, far[1]]
+        shapes["partial_overlap_of_duplicate"] = [g, g, g + size - 1, g]
+    return shapes
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("bypass", [False, True])
 def test_load_many_equals_loop(seed, bypass):
@@ -145,6 +164,13 @@ def test_store_many_equals_loop(seed, bypass):
         )
         assert ra == rb
         assert _state(ma) == _state(mb)
+    size = rng.choice([1, 8, 64, 100])
+    for name, addrs in _overlap_shapes(ma, size).items():
+        data = [bytes(rng.randrange(256) for _ in range(size)) for _ in addrs]
+        ma.store_many(0, addrs, data, bypass_cache=bypass)
+        for a, d in zip(addrs, data):
+            mb.store(0, a, d, bypass_cache=bypass)
+        assert _state(ma) == _state(mb), name
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -174,11 +200,64 @@ def test_store_many_packed_equals_loop(seed, bypass):
         )
         assert ra == rb
         assert _state(ma) == _state(mb)
+    size = rng.choice([1, 8, 64, 100])
+    for name, addrs in _overlap_shapes(ma, size).items():
+        packed = bytes(rng.randrange(256) for _ in range(len(addrs) * size))
+        ma.store_many(0, addrs, packed, bypass_cache=bypass, size=size)
+        for i, a in enumerate(addrs):
+            mb.store(0, a, packed[i * size : (i + 1) * size], bypass_cache=bypass)
+        assert _state(ma) == _state(mb), name
     # arity errors: wrong packed length, bad size
     with pytest.raises(ValueError):
         ma.store_many(0, [ma.global_base], b"\x00" * 7, size=8)
     with pytest.raises(ValueError):
         ma.store_many(0, [ma.global_base], b"", size=0)
+
+
+def test_duplicate_targets_vectorize_partial_overlaps_go_sequential(monkeypatch):
+    """Which path a colliding batch takes, counted (not timed): exact
+    duplicates never reach ``RackMachine.store``; a partial overlap
+    replays every op of the batch through it."""
+    m = RackMachine(_config(0))
+    singles = []
+    real_store = RackMachine.store
+    monkeypatch.setattr(
+        RackMachine,
+        "store",
+        lambda self, *a, **kw: (singles.append(a[1]), real_store(self, *a, **kw))[1],
+    )
+    for name, addrs in _overlap_shapes(m, 64).items():
+        singles.clear()
+        m.store_many(0, addrs, bytes(len(addrs) * 64), bypass_cache=True, size=64)
+        assert singles == (addrs if name.startswith("partial") else []), name
+
+
+def test_duplicate_store_telemetry_and_atlas_match_loop():
+    """A deduplicated scatter still counts and touches every op: registry
+    counters and hot-page/line sketches equal the single-store loop's."""
+    from repro.telemetry.atlas import disable_atlas, enable_atlas
+
+    def run(bulk: bool):
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            m = RackMachine(_config(0))
+            atlas = enable_atlas(m)
+            for addrs in _overlap_shapes(m, 64).values():
+                data = [bytes([i + 1]) * 64 for i in range(len(addrs))]
+                if bulk:
+                    m.store_many(0, addrs, data, bypass_cache=True)
+                else:
+                    for a, d in zip(addrs, data):
+                        m.store(0, a, d, bypass_cache=True)
+            counters = dict(telemetry.TELEMETRY.registry.counters)
+            return counters, atlas.pages.snapshot(), atlas.lines.snapshot(), _state(m)
+        finally:
+            disable_atlas()
+            telemetry.disable()
+            telemetry.reset()
+
+    assert run(bulk=True) == run(bulk=False)
 
 
 @pytest.mark.parametrize("seed", range(4))

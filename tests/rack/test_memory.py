@@ -1,5 +1,6 @@
 """Unit tests for backing memory devices and the rack address map."""
 
+import numpy as np
 import pytest
 
 from repro.rack import (
@@ -57,6 +58,51 @@ class TestPhysicalMemory:
         assert not mem.is_poisoned(0, 10)
         mem.clear_poison(10, 4)
         assert not mem.is_poisoned(8, 8)
+
+
+class TestGatherScatter:
+    """The bulk data plane's slab primitives (row-window view)."""
+
+    def _mem(self, size=256):
+        mem = PhysicalMemory(size, MemoryKind.GLOBAL)
+        mem.write(0, bytes(range(size)))
+        return mem
+
+    @pytest.mark.parametrize("size", [1, 3, 8, 64])
+    def test_gather_reads_each_window(self, size):
+        mem = self._mem()
+        offsets = np.array([0, 1, 37, 101, 256 - size], dtype=np.int64)  # unaligned + last window
+        rows = mem.gather(offsets, size)
+        assert rows.shape == (5, size) and rows.dtype == np.uint8
+        assert [bytes(r) for r in rows] == [mem.read(int(o), size) for o in offsets]
+
+    @pytest.mark.parametrize("size", [1, 3, 8, 64])
+    def test_scatter_writes_each_window_and_nothing_else(self, size):
+        mem = self._mem()
+        offsets = np.array([256 - size, 5, 77], dtype=np.int64)
+        rows = np.arange(3 * size, dtype=np.uint8).reshape(3, size) ^ 0xA5
+        expect = bytearray(range(256))
+        for o, r in zip(offsets, rows):
+            expect[o : o + size] = bytes(r)
+        mem.scatter(offsets, rows)
+        assert mem.read(0, 256) == bytes(expect)
+
+    def test_gather_returns_a_copy(self):
+        mem = self._mem()
+        rows = mem.gather(np.array([8], dtype=np.int64), 4)
+        rows[:] = 0
+        assert mem.read(8, 4) == bytes(range(8, 12))
+
+    @pytest.mark.parametrize("size", [1, 8, 64])
+    def test_offset_past_last_window_raises_not_wraps(self, size):
+        mem = self._mem()
+        before = mem.read(0, 256)
+        past = np.array([0, 256 - size + 1], dtype=np.int64)
+        with pytest.raises(IndexError):
+            mem.gather(past, size)
+        with pytest.raises(IndexError):
+            mem.scatter(past, np.full((2, size), 0xFF, dtype=np.uint8))
+        assert mem.read(0, 256) == before  # nothing written, in or out of bounds
 
 
 class TestAddressMap:

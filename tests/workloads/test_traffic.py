@@ -205,6 +205,50 @@ class TestTenancy:
 
 
 class TestBackends:
+    def test_dataplane_batch_with_repeated_keys_issues_no_single_ops(self, monkeypatch):
+        """A hot-key batch (every key repeated many times) stays on the
+        vector path — zero single ``load``/``store`` calls, counted — and
+        leaves the slab and the node clock exactly where a loop of single
+        bypass ops leaves a twin machine."""
+        from repro.rack.machine import RackMachine
+
+        def prepared():
+            rig = build_rig()
+            eng = TrafficEngine(
+                rig.kernel,
+                [TenantSpec(name="hot", rate_rps=1e5, node=0, n_keys=8, value_size=256)],
+                seed=5,
+            )
+            st = eng.tenants["hot"]
+            slab, _values = st.backend_state
+            # blank the namespace so every SET visibly changes device bytes
+            rig.machine.fill(0, slab, 8 * 256, 0, bypass_cache=True)
+            return rig, eng.backend, st
+
+        rng = np.random.default_rng(17)
+        key_idx = rng.integers(0, 6, size=300)  # keys 6, 7 never written
+        is_get = rng.random(300) < 0.3
+
+        twin, _, twin_st = prepared()
+        slab, values = twin_st.backend_state
+        for k in key_idx[is_get]:
+            twin.machine.load(0, slab + int(k) * 256, 256, bypass_cache=True)
+        for k in key_idx[~is_get]:
+            twin.machine.store(0, slab + int(k) * 256, values[k].tobytes(), bypass_cache=True)
+
+        rig, backend, st = prepared()
+        singles = []
+        for name in ("load", "store"):
+            monkeypatch.setattr(
+                RackMachine, name, lambda *a, _n=name, **kw: singles.append(_n)
+            )
+        backend.run_batch(rig.machine.context(0), st, key_idx, is_get)
+        assert singles == []
+        assert bytes(rig.machine.global_mem._buf) == bytes(twin.machine.global_mem._buf)
+        assert rig.machine.now(0) == twin.machine.now(0)
+        written = rig.machine.global_mem.read(slab - rig.machine.global_base, 8 * 256)
+        assert written[: 6 * 256] == values[:6].tobytes() and not any(written[6 * 256 :])
+
     def test_redis_backend_serves_coalesced_batches(self):
         rig = build_rig()
         eng = TrafficEngine(
