@@ -49,8 +49,9 @@ class FrameAllocator:
 
     def format(self, ctx: NodeContext) -> "FrameAllocator":
         """Zero the bitmap (all frames free).  Call once per region."""
-        for word in range(self._n_words):
-            ctx.atomic_store(self.bitmap_base + word * 8, 0)
+        ctx.atomic_store_many(
+            range(self.bitmap_base, self.bitmap_base + self._n_words * 8, 8), 0
+        )
         # mark the tail bits beyond n_frames as allocated so they never leave
         tail_bits = self._n_words * _WORD_BITS - self.n_frames
         if tail_bits:

@@ -52,10 +52,8 @@ class EpochReclaimer:
 
     def format(self, ctx: NodeContext) -> "EpochReclaimer":
         ctx.atomic_store(self.base, 1)
-        for node in range(self.n_nodes):
-            ctx.atomic_store(self._announce_addr(node), IDLE)
-        for slot in range(self.n_pin_slots):
-            ctx.atomic_store(self._pin_addr(slot), UNPINNED)
+        ctx.atomic_store_many([self._announce_addr(n) for n in range(self.n_nodes)], IDLE)
+        ctx.atomic_store_many([self._pin_addr(s) for s in range(self.n_pin_slots)], UNPINNED)
         return self
 
     # -- read-side ------------------------------------------------------------

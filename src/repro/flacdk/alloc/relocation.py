@@ -35,9 +35,8 @@ class HandleTable:
         self.capacity = capacity
 
     def format(self, ctx: NodeContext) -> "HandleTable":
-        ctx.atomic_store(self.base, 0)
-        for i in range(1, self.capacity + 1):
-            ctx.atomic_store(self.base + i * 8, 0)
+        # cursor (slot 0) and every handle slot
+        ctx.atomic_store_many(range(self.base, self.base + (self.capacity + 1) * 8, 8), 0)
         return self
 
     def create(self, ctx: NodeContext, addr: int) -> int:

@@ -78,8 +78,7 @@ class LockedHashMap:
 
     def format(self, ctx: NodeContext) -> "LockedHashMap":
         self.lock.format(ctx)
-        for idx in range(self.capacity):
-            ctx.atomic_store(self._bucket(idx), _EMPTY)
+        ctx.atomic_store_many([self._bucket(idx) for idx in range(self.capacity)], _EMPTY)
         return self
 
     def put(self, ctx: NodeContext, key: bytes, value: bytes) -> None:

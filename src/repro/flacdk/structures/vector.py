@@ -55,8 +55,7 @@ class SharedVector:
         ctx.atomic_store(self.base, 0)
         ctx.atomic_store(self.base + 8, self.capacity)
         ctx.atomic_store(self.base + 16, self.record_size)
-        for idx in range(self.capacity):
-            ctx.atomic_store(self._slot(idx), 0)
+        ctx.atomic_store_many([self._slot(idx) for idx in range(self.capacity)], 0)
         return self
 
     def append(self, ctx: NodeContext, record: bytes) -> int:

@@ -66,8 +66,7 @@ class OperationLog:
         ctx.atomic_store(self.base + 8, 0)
         ctx.atomic_store(self.base + 16, self.capacity)
         ctx.atomic_store(self.base + 24, self.payload_capacity)
-        for idx in range(self.capacity):
-            ctx.atomic_store(self._entry_addr(idx), 0)
+        ctx.atomic_store_many([self._entry_addr(idx) for idx in range(self.capacity)], 0)
         ctx.atomic_store(self.base, _MAGIC)
         return self
 
@@ -124,8 +123,8 @@ class OperationLog:
     def reset(self, ctx: NodeContext) -> None:
         """Empty the log.  Caller must ensure every replica has applied
         all entries (see NodeReplication.compact)."""
-        for idx in range(min(self.reserved(ctx), self.capacity)):
-            ctx.atomic_store(self._entry_addr(idx), 0)
+        used = min(self.reserved(ctx), self.capacity)
+        ctx.atomic_store_many([self._entry_addr(idx) for idx in range(used)], 0)
         ctx.atomic_store(self.base + 8, 0)
 
     def _entry_addr(self, idx: int) -> int:

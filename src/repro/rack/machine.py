@@ -504,6 +504,47 @@ class RackMachine:
         self._bulk_atomic_epilogue(node, addrs, groups, width)
         return out.tolist()
 
+    def atomic_store_many(
+        self,
+        node_id: int,
+        addrs: Sequence[int],
+        values: Union[int, Sequence[int]],
+        width: int = 8,
+    ) -> None:
+        """Batched :meth:`atomic_store` (coherent scatter write).
+
+        ``values`` may be one int (broadcast — the shape of every region
+        format loop) or a parallel sequence.  Same plan, fallbacks and
+        epilogue as :meth:`atomic_load_many`; a batch the plan rejects
+        is issued as the loop of single stores it stands for.
+        """
+        n = len(addrs)
+        if n == 0:
+            return
+        scalar = isinstance(values, int)
+        if not scalar and len(values) != n:
+            raise ValueError(f"{n} addresses but {len(values)} values")
+        plan = self._bulk_atomic_plan(node_id, addrs, width)
+        if plan is not None:
+            mask = _mask(width)
+            dtype = _INT_DTYPE[width]
+            try:
+                # masked in Python: sentinels like 2**64 - 1 overflow int64
+                if scalar:
+                    v_arr = np.full(n, values & mask, dtype=dtype)
+                else:
+                    v_arr = np.array([v & mask for v in values], dtype=dtype)
+            except TypeError:
+                plan = None  # the single op raises at that value's index
+        if plan is None:
+            for a, v in zip(addrs, [values] * n if scalar else values):
+                self.atomic_store(node_id, a, v, width)
+            return
+        node, groups = plan
+        for region, idx, offs in groups:
+            region.device.scatter(offs, v_arr[idx].reshape(-1, 1).view(np.uint8))
+        self._bulk_atomic_epilogue(node, addrs, groups, width)
+
     def atomic_cas_many(
         self,
         node_id: int,
@@ -1306,6 +1347,11 @@ class NodeContext:
 
     def atomic_load_many(self, addrs: Sequence[int], width: int = 8) -> List[int]:
         return self.machine.atomic_load_many(self.node_id, addrs, width)
+
+    def atomic_store_many(
+        self, addrs: Sequence[int], values: Union[int, Sequence[int]], width: int = 8
+    ) -> None:
+        self.machine.atomic_store_many(self.node_id, addrs, values, width)
 
     # atomics
     def cas(self, addr: int, expected: int, new: int, width: int = 8) -> Tuple[bool, int]:

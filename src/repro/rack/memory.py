@@ -11,6 +11,7 @@ where only *global* memory is shared.
 
 from __future__ import annotations
 
+import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -57,16 +58,22 @@ class PhysicalMemory:
     are only as fresh as the last write-back.  Reads and writes are exact
     (no latency — the machine charges time separately).
 
-    The store is one ``bytearray`` slab; ``slab`` is a numpy ``uint8``
-    view *sharing that memory*, so byte-path operations keep their cheap
-    ``bytearray`` semantics while the bulk data plane gathers/scatters
-    whole rows of the same bytes through a strided window view.
+    The store is one anonymous ``mmap`` the size of the device; ``slab``
+    is a numpy ``uint8`` view *sharing that memory*, so byte-path
+    operations slice the mapping directly while the bulk data plane
+    gathers/scatters whole rows of the same bytes through a strided
+    window view.  Nobody in this process zeroes the bytes: the OS hands
+    out zero-filled pages on first touch, so constructing a device costs
+    one ``mmap`` call whatever its size, and only pages that were
+    actually written or read count towards resident memory.  The mapping
+    is released when the device and every view of it are gone; a forked
+    child would share these bytes with its parent, not copy them.
     """
 
     def __init__(self, size: int, kind: MemoryKind, name: str = "") -> None:
         if size <= 0:
             raise ValueError("memory size must be positive")
-        self._buf = bytearray(size)
+        self._buf = mmap.mmap(-1, size)
         #: numpy uint8 view aliasing ``_buf`` (zero-copy; never resized).
         self.slab: np.ndarray = np.frombuffer(self._buf, dtype=np.uint8)
         self.size = size
@@ -82,7 +89,7 @@ class PhysicalMemory:
 
     def read(self, offset: int, size: int) -> bytes:
         self._check(offset, size)
-        return bytes(self._buf[offset : offset + size])
+        return self._buf[offset : offset + size]  # slicing an mmap copies out bytes
 
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
@@ -111,9 +118,8 @@ class PhysicalMemory:
         self._check(dst_offset, size)
         src._check(src_offset, size)
         if src is self and dst_offset < src_offset + size and src_offset < dst_offset + size:
-            self._buf[dst_offset : dst_offset + size] = bytes(
-                self._buf[src_offset : src_offset + size]
-            )
+            snapshot = self._buf[src_offset : src_offset + size]
+            self._buf[dst_offset : dst_offset + size] = snapshot
             return
         self._buf[dst_offset : dst_offset + size] = src.view(src_offset, size)
 

@@ -13,10 +13,16 @@ picks the minimum by ``(count, key)`` — ties break on the key itself,
 never on dict iteration order or randomness — and batch offers apply in
 ascending key order.  Two same-seed runs produce byte-identical
 sketches; the sketch itself needs no seed.
+
+The minimum comes off a lazily repaired min-heap of ``(count, key)``
+(amortised O(log k) per novel key, not a scan of all k counters); it is
+the same ``(count, key)`` minimum a scan would find, which relies on
+weights being non-negative — a counter never shrinks.
 """
 
 from __future__ import annotations
 
+from heapq import heappush, heapreplace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -25,7 +31,7 @@ import numpy as np
 class SpaceSaving:
     """Top-k heavy-hitter sketch over weighted integer keys."""
 
-    __slots__ = ("k", "counts", "errors", "total")
+    __slots__ = ("k", "counts", "errors", "total", "_heap")
 
     def __init__(self, k: int = 64) -> None:
         if k <= 0:
@@ -35,10 +41,15 @@ class SpaceSaving:
         self.errors: Dict[int, float] = {}
         #: total weight offered (tracked or not) — the coverage denominator
         self.total = 0.0
+        #: min-heap of ``(count, key)`` snapshots, one per tracked key,
+        #: repaired lazily: hits only bump ``counts``, so an entry may
+        #: hold an older (never larger) count until eviction reads it
+        self._heap: List[Tuple[float, int]] = []
 
     def clear(self) -> None:
         self.counts.clear()
         self.errors.clear()
+        self._heap.clear()
         self.total = 0.0
 
     def offer(self, key: int, weight: float = 1.0) -> None:
@@ -48,17 +59,27 @@ class SpaceSaving:
         if key in counts:
             counts[key] += weight
             return
+        heap = self._heap
         if len(counts) < self.k:
             counts[key] = weight
             self.errors[key] = 0.0
+            heappush(heap, (weight, key))
             return
-        # evict the minimum — deterministic tie-break on the key itself
-        victim = min(counts.items(), key=_by_count_then_key)
-        floor = victim[1]
-        del counts[victim[0]]
-        self.errors.pop(victim[0], None)
+        # evict the minimum — deterministic tie-break on the key itself.
+        # Counts only grow, so every heap entry lower-bounds its key's
+        # live ``(count, key)``: refresh the top until it is current, and
+        # a current top is the true minimum.
+        while True:
+            seen, victim = heap[0]
+            floor = counts[victim]
+            if floor == seen:
+                break
+            heapreplace(heap, (floor, victim))
+        del counts[victim]
+        del self.errors[victim]
         counts[key] = floor + weight
         self.errors[key] = floor
+        heapreplace(heap, (floor + weight, key))
 
     def offer_many(self, keys: np.ndarray, weights: np.ndarray,
                    presorted: bool = False) -> None:
@@ -128,10 +149,6 @@ class SpaceSaving:
                 for key, count, error in self.top()
             ],
         }
-
-
-def _by_count_then_key(item: Tuple[int, float]) -> Tuple[float, int]:
-    return (item[1], item[0])
 
 
 def aggregate_addrs(

@@ -644,7 +644,7 @@ class ResilientTrafficEngine(TrafficEngine):
 
         # p99 EWMA feeds the *next* batch's hedge delay
         if hedge is not None and len(recorded):
-            batch_p99 = float(np.percentile(recorded, 99))
+            batch_p99 = _batch_p99(recorded)
             if rs.p99_ewma == 0.0:
                 rs.p99_ewma = batch_p99
             else:
@@ -886,3 +886,22 @@ class ChaosUnderLoad:
                     "shed": st.dropped_shed,
                 }
             )
+
+
+def _batch_p99(latencies: np.ndarray) -> float:
+    """``float(np.percentile(latencies, 99))`` of a non-empty finite batch.
+
+    A sort plus numpy's own linear-interpolation arithmetic (virtual index
+    ``(n - 1) * 0.99``; the upper form of the lerp from the midpoint on),
+    so the result is the same double without ``np.percentile``'s per-call
+    set-up, which dominated on the few dozen latencies a batch holds.
+    """
+    s = np.sort(latencies)
+    virtual = (s.shape[0] - 1) * 0.99
+    lo = int(virtual)
+    below = s[lo]
+    above = s[min(lo + 1, s.shape[0] - 1)]
+    gamma = virtual - lo
+    if gamma >= 0.5:
+        return float(above - (above - below) * (1 - gamma))
+    return float(below + (above - below) * gamma)

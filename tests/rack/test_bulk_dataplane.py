@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro import telemetry
-from repro.rack import RackConfig, RackMachine, UncorrectableMemoryError
+from repro.rack import NodeCrashedError, RackConfig, RackMachine, UncorrectableMemoryError
 from repro.rack.machine import RackMachine as _RM  # noqa: F401 (import sanity)
 from repro.rack.memory import MemoryError_
 from repro.rack.params import FaultModel
@@ -350,6 +350,149 @@ def test_atomic_many_with_cached_line_invalidates_like_loop():
     assert ra == rb
     assert _state(ma) == _state(mb)
     assert g & ~63 not in ma.nodes[0].cache._lines
+
+
+def _observed_stores(prepare, addrs, values, width, bulk, faults=None):
+    """Issue a batch of atomic stores with every sink on.  Returns the node-0
+    addresses that reached the single-op ``atomic_store`` and everything the
+    batch left behind: (outcome, registry counters, page sketch, line sketch,
+    machine state)."""
+    from repro.telemetry.atlas import disable_atlas, enable_atlas
+
+    singles = []
+    real = RackMachine.atomic_store
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        m = RackMachine(_config(0, faults))
+        atlas = enable_atlas(m)
+        prepare(m)
+        batch = addrs(m)
+        RackMachine.atomic_store = lambda self, *a, **kw: (
+            singles.append(a[1]), real(self, *a, **kw))[1]
+        try:
+            if bulk:
+                m.atomic_store_many(0, batch, values, width)
+            else:
+                per_op = [values] * len(batch) if isinstance(values, int) else values
+                for a, v in zip(batch, per_op):
+                    m.atomic_store(0, a, v, width)
+            outcome = "ok"
+        except (MemoryError_, ValueError, NodeCrashedError) as e:
+            outcome = (type(e).__name__, str(e))
+        counters = dict(telemetry.TELEMETRY.registry.counters)
+        return singles, (outcome, counters, atlas.pages.snapshot(), atlas.lines.snapshot(), _state(m))
+    finally:
+        RackMachine.atomic_store = real
+        disable_atlas()
+        telemetry.disable()
+        telemetry.reset()
+
+
+def _spread(m: RackMachine, width: int, n: int = 40) -> list:
+    """Unique aligned addresses over the global pool and node 0's DRAM."""
+    slots = random.Random(width).sample(range(GSIZE // width), n)
+    return [
+        (m.local_base(0) if i % 5 == 4 else m.global_base) + slot * width
+        for i, slot in enumerate(slots)
+    ]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+@pytest.mark.parametrize("per_address", [False, True], ids=["broadcast", "per-address"])
+def test_atomic_store_many_equals_loop(width, per_address):
+    """One vectorized scatter (no single op issued) equals the store loop in
+    bytes, clocks, cache state, fault log, counters and atlas sketches;
+    values wrap to the width exactly as the single op's mask does."""
+    if per_address:
+        rng = random.Random(width + 17)
+        values = [
+            rng.choice([0, -1, (1 << 64) - 1, 1 << 8 * width, rng.randrange(1 << 8 * width)])
+            for _ in range(40)
+        ]
+    else:
+        values = (1 << 64) - 1  # the reclaimer's IDLE sentinel: does not fit int64
+    args = (lambda m: None, lambda m: _spread(m, width), values, width)
+    singles, bulk = _observed_stores(*args, bulk=True)
+    assert singles == []
+    assert bulk == _observed_stores(*args, bulk=False)[1]
+    assert bulk[0] == "ok"
+
+
+def _words(*slots):
+    return lambda m: [m.global_base + 8 * i for i in slots]
+
+
+#: name: (addresses, machine preparation, fault model, error raised,
+#:        ops the loop gets through before it)
+_STORE_FALLBACKS = {
+    "duplicate": (_words(0, 1, 2, 1, 3), None, None, None, 5),
+    "misaligned": (lambda m: [m.global_base, m.global_base + 17, m.global_base + 24],
+                   None, None, "ValueError", 2),
+    "foreign": (lambda m: [m.global_base, m.global_base + 8, m.local_base(1) + 8, m.global_base + 16],
+                None, None, "ProtectionError", 3),
+    "unmapped": (lambda m: [m.global_base, m.global_base + GSIZE, m.global_base + 8],
+                 None, None, "OutOfRangeError", 2),
+    "cached_line": (_words(*range(12)), lambda m: m.load(0, m.global_base + 64, 8), None, None, 12),
+    "armed_fault": (_words(*range(64)), None,
+                    FaultModel(global_ce_rate=0.2, local_ce_rate=0.2), None, 64),
+    "poisoned_window": (_words(*range(12)), lambda m: m.global_mem.poison(8 * 5 + 3),
+                        None, "UncorrectableMemoryError", 6),
+    "dead_node": (_words(*range(4)), lambda m: m.crash_node(0), None, "NodeCrashedError", 1),
+}
+
+
+@pytest.mark.parametrize("name", _STORE_FALLBACKS)
+def test_atomic_store_many_fallbacks_equal_loop(name):
+    """Every batch the plan rejects replays as single stores: the error (if
+    any) surfaces at the same index with the same partial side effects."""
+    addrs, prepare, faults, error, n_issued = _STORE_FALLBACKS[name]
+    values = list(range(0x1100, 0x1100 + len(addrs(RackMachine(_config(0))))))
+    args = (prepare or (lambda m: None), addrs, values, 8)
+    singles, bulk = _observed_stores(*args, bulk=True, faults=faults)
+    assert (singles, bulk) == _observed_stores(*args, bulk=False, faults=faults)
+    assert len(singles) == n_issued
+    assert bulk[0] == "ok" if error is None else bulk[0][0] == error
+    if faults is not None:
+        assert bulk[4]["faults"]  # the armed model did fire
+
+
+def test_atomic_store_many_shapes():
+    m = RackMachine(_config(0))
+    g = m.global_base
+    m.atomic_store_many(0, [], 0)
+    m.atomic_store_many(0, range(g, g + 64, 8), 7)  # any sized sequence of ints
+    m.context(0).atomic_store_many([g + 64, g + 72], [1, 2], 4)
+    assert m.atomic_load_many(0, [g, g + 56, g + 64, g + 72], 4) == [7, 7, 1, 2]
+    with pytest.raises(ValueError):
+        m.atomic_store_many(0, [g, g + 8], [1])
+    with pytest.raises(ValueError):
+        m.atomic_store_many(0, [g], 0, width=3)
+
+
+def test_boot_formats_regions_with_batched_stores(monkeypatch):
+    """Counted, not timed: a rig boot keeps its single-op atomic stores to
+    header words.  The capacity-proportional format loops (5,376 of the old
+    boot's 5,454 stores were operation-log commit words) go through
+    ``atomic_store_many`` and must not quietly come back."""
+    from repro.bench.harness import build_rig
+
+    calls = {"single": 0, "batched": 0}
+    real_store, real_many = RackMachine.atomic_store, RackMachine.atomic_store_many
+
+    def single(self, *a, **kw):
+        calls["single"] += 1
+        return real_store(self, *a, **kw)
+
+    def many(self, node_id, addrs, *a, **kw):
+        calls["batched"] += len(addrs)
+        return real_many(self, node_id, addrs, *a, **kw)
+
+    monkeypatch.setattr(RackMachine, "atomic_store", single)
+    monkeypatch.setattr(RackMachine, "atomic_store_many", many)
+    build_rig()
+    assert calls["single"] < 200
+    assert calls["batched"] > 5000
 
 
 def test_copy_and_fill_equal_load_store():

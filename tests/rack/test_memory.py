@@ -1,5 +1,7 @@
 """Unit tests for backing memory devices and the rack address map."""
 
+import resource
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,10 @@ class TestPhysicalMemory:
         with pytest.raises(ValueError):
             PhysicalMemory(0, MemoryKind.GLOBAL)
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            PhysicalMemory(-4096, MemoryKind.GLOBAL)
+
     def test_flip_bit_corrupts_exactly_one_bit(self):
         mem = PhysicalMemory(8, MemoryKind.GLOBAL)
         mem.write(0, b"\x00")
@@ -58,6 +64,75 @@ class TestPhysicalMemory:
         assert not mem.is_poisoned(0, 10)
         mem.clear_poison(10, 4)
         assert not mem.is_poisoned(8, 8)
+
+
+class TestBacking:
+    """The device is an OS-zeroed, first-touch mapping: nobody memsets it,
+    yet every reader sees zeros and every mutator lands in the same bytes."""
+
+    SIZE = 1 << 24
+
+    def _readers(self, mem, off, n):
+        return {
+            "read": mem.read(off, n),
+            "view": bytes(mem.view(off, n)),
+            "slab": mem.slab[off : off + n].tobytes(),
+            "gather": mem.gather(np.array([off]), n).tobytes(),
+        }
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_fresh_device_reads_zero_everywhere(self, where):
+        mem = PhysicalMemory(self.SIZE, MemoryKind.GLOBAL)
+        off = {"first": 0, "middle": self.SIZE // 2 - 3, "last": self.SIZE - 8}[where]
+        assert self._readers(mem, off, 8) == dict.fromkeys(("read", "view", "slab", "gather"), bytes(8))
+
+    def test_every_mutator_is_seen_by_every_reader(self):
+        mem = PhysicalMemory(self.SIZE, MemoryKind.GLOBAL)
+        other = PhysicalMemory(4096, MemoryKind.LOCAL_DRAM)
+        other.write(100, b"from-other")
+        end = self.SIZE - 16
+        mem.write(end, b"0123456789abcdef")
+        mem.view(64, 4)[:] = b"view"
+        mem.fill(5000, 6, 0xAB)
+        mem.copy_from(9000, other, 100, 10)
+        mem.scatter(np.array([12000, 12008]), np.frombuffer(b"scatter!SCATTER?", np.uint8).reshape(2, 8))
+        mem.slab[13000:13004] = (1, 2, 3, 4)
+        mem.flip_bit(13000, 7)
+        expect = {
+            (end, 16): b"0123456789abcdef",
+            (64, 4): b"view",
+            (4999, 8): b"\x00" + b"\xab" * 6 + b"\x00",
+            (9000, 10): b"from-other",
+            (12000, 16): b"scatter!SCATTER?",
+            (13000, 4): b"\x81\x02\x03\x04",
+        }
+        for (off, n), want in expect.items():
+            assert self._readers(mem, off, n) == dict.fromkeys(("read", "view", "slab", "gather"), want)
+
+    @pytest.mark.parametrize("dst,src", [(104, 100), (100, 104)], ids=["forward", "backward"])
+    def test_overlapping_same_device_copy_is_read_then_write(self, dst, src):
+        mem = PhysicalMemory(4096, MemoryKind.GLOBAL)
+        mem.write(100, bytes(range(1, 33)))
+        before = mem.read(src, 24)
+        mem.copy_from(dst, mem, src, 24)
+        assert mem.read(dst, 24) == before
+
+    def test_read_returns_an_immutable_snapshot(self):
+        mem = PhysicalMemory(64, MemoryKind.GLOBAL)
+        mem.write(0, b"old")
+        got = mem.read(0, 3)
+        mem.write(0, b"new")
+        assert type(got) is bytes and got == b"old"
+
+    def test_untouched_pages_cost_no_resident_memory(self):
+        """1 GiB device, one page touched: resident growth stays far below
+        the 1 GiB an eagerly zeroed slab would pin."""
+        before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        mem = PhysicalMemory(1 << 30, MemoryKind.GLOBAL)
+        mem.write(512 << 20, b"x")
+        assert mem.read((1 << 30) - 1, 1) == b"\x00"
+        grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before_kb
+        assert grown_kb < 64 * 1024
 
 
 class TestGatherScatter:

@@ -105,6 +105,65 @@ class TestSpaceSaving:
         with pytest.raises(ValueError):
             SpaceSaving(k=0)
 
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heap_eviction_equals_scanning_for_the_minimum(self, k, seed):
+        """The heap is an index, not a policy: against a reference that scans
+        all k counters for the ``(count, key)`` minimum, every observable
+        stays identical over streams full of count ties, with ``offer``,
+        ``offer_many`` and ``clear`` interleaved."""
+
+        class Scan:  # Space-Saving as first written: evict by linear scan
+            def __init__(self):
+                self.counts, self.errors, self.total = {}, {}, 0.0
+
+            def offer(self, key, w):
+                self.total += w
+                if key in self.counts:
+                    self.counts[key] += w
+                    return
+                floor = 0.0
+                if len(self.counts) >= k:
+                    floor, victim = min((c, key_) for key_, c in self.counts.items())
+                    del self.counts[victim], self.errors[victim]
+                self.counts[key], self.errors[key] = floor + w, floor
+
+        rng = np.random.default_rng(seed)
+        sketch, ref = SpaceSaving(k), Scan()
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.01:
+                sketch.clear()
+                ref = Scan()
+            elif roll < 0.5:
+                key, w = int(rng.integers(0, 3 * k + 2)), float(rng.integers(0, 3))
+                sketch.offer(key, w)
+                ref.offer(key, w)
+            else:
+                keys = np.unique(rng.integers(0, 3 * k + 2, size=int(rng.integers(1, 40))))
+                weights = rng.integers(1, 3, size=len(keys)).astype(np.float64)
+                sketch.offer_many(keys, weights, presorted=True)
+                pairs = list(zip(keys.tolist(), weights.tolist()))
+                tracked = set(ref.counts)  # a batch counts its hits, then offers the rest
+                for key, w in sorted(pairs, key=lambda kw: kw[0] not in tracked):
+                    ref.offer(key, w)
+            assert (sketch.counts, sketch.errors, sketch.total) == (ref.counts, ref.errors, ref.total)
+        assert sketch.top() == sorted(
+            ((key, c, ref.errors[key]) for key, c in ref.counts.items()),
+            key=lambda row: (-row[1], row[0]),
+        )
+        assert [(e["key"], e["weight"], e["error"]) for e in sketch.snapshot()["entries"]] == sketch.top()
+
+    def test_clear_forgets_evictable_keys(self):
+        """A heap left behind by ``clear`` would name victims the sketch no
+        longer tracks."""
+        s = SpaceSaving(k=2)
+        s.offer(1, 1.0); s.offer(2, 1.0)
+        s.clear()
+        for key in (10, 11, 12):
+            s.offer(key, 1.0)
+        assert s.top() == [(12, 2.0, 1.0), (11, 1.0, 0.0)]
+
     def test_aggregate_addrs_scalar_and_ragged(self):
         addrs = np.array([0, 10, 4096, 4100], dtype=np.int64)
         keys, weights = aggregate_addrs(addrs, 12, 8)

@@ -16,6 +16,7 @@ from repro.workloads.resilience import (
     ResilienceSpec,
     ResilientTrafficEngine,
     RetryPolicy,
+    _batch_p99,
     default_spec,
 )
 
@@ -204,6 +205,22 @@ class TestHedging:
                                       seed=11)
         rep_base = base.run(max_requests=30_000)
         assert rep.tenants["web"]["latency_sum_ns"] < rep_base.tenants["web"]["latency_sum_ns"]
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e6, 1e9])
+    def test_batch_p99_is_numpy_percentile_bit_for_bit(self, magnitude):
+        """The hedge EWMA feeds simulated delays, so the cheap p99 must be
+        the *same double* ``np.percentile`` returns, for every batch size."""
+        rng = np.random.default_rng(int(magnitude))
+        for n in range(1, 201):
+            batches = [
+                rng.random(n) * magnitude,
+                np.round(rng.random(n) * 4) * magnitude,  # heavy ties
+                np.full(n, magnitude / 3),  # all equal
+            ]
+            for x in batches:
+                kept = x.copy()
+                assert _batch_p99(x) == float(np.percentile(x, 99)), (n, magnitude)
+                assert np.array_equal(x, kept)  # the recorded latencies stay in place
 
 
 class TestTelemetry:
