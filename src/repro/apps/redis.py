@@ -112,7 +112,7 @@ class MiniRedisServer:
                 if not commands:
                     continue
                 replies = b"".join(
-                    resp.encode_reply(self.execute(command)) for command in commands
+                    [resp.encode_reply(self.execute(command)) for command in commands]
                 )
                 transport.send(self.ctx, replies)
                 served += len(commands)
@@ -125,14 +125,14 @@ class MiniRedisServer:
             return resp.RedisError("empty command")
         self.ctx.advance(self.command_cost_ns)
         self.commands_served += 1
-        verb = command[0].upper().decode()
-        handler = getattr(self, f"_cmd_{verb.lower()}", None)
+        verb = command[0].upper()
+        handler = self._COMMANDS.get(verb)
         if handler is None:
-            return Exception(f"unknown command '{verb}'")
+            return Exception(f"unknown command '{verb.decode(errors='replace')}'")
         try:
-            return handler(*command[1:])
+            return handler(self, *command[1:])
         except TypeError:
-            return Exception(f"wrong number of arguments for '{verb}'")
+            return Exception(f"wrong number of arguments for '{verb.decode()}'")
 
     def execute_batch(self, commands: List[List[bytes]]) -> List[Any]:
         """Execute many commands back to back, no transport in between.
@@ -240,6 +240,29 @@ class MiniRedisServer:
     def _cmd_flushdb(self) -> str:
         self._data.clear()
         return "OK"
+
+    #: The whole command set, by upper-case verb.  ``execute`` looks verbs
+    #: up here and nowhere else, so no verb can reach another attribute.
+    _COMMANDS = {
+        b"PING": _cmd_ping,
+        b"SET": _cmd_set,
+        b"SETEX": _cmd_setex,
+        b"GET": _cmd_get,
+        b"DEL": _cmd_del,
+        b"EXISTS": _cmd_exists,
+        b"STRLEN": _cmd_strlen,
+        b"APPEND": _cmd_append,
+        b"INCR": _cmd_incr,
+        b"DECR": _cmd_decr,
+        b"INCRBY": _cmd_incrby,
+        b"MSET": _cmd_mset,
+        b"MGET": _cmd_mget,
+        b"EXPIRE": _cmd_expire,
+        b"TTL": _cmd_ttl,
+        b"DBSIZE": _cmd_dbsize,
+        b"KEYS": _cmd_keys,
+        b"FLUSHDB": _cmd_flushdb,
+    }
 
 
 class MiniRedisClient:

@@ -7,9 +7,11 @@ as simple strings, errors, integers, bulk strings, or arrays.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 CRLF = b"\r\n"
+#: the type byte that opens each kind of value
+_SIMPLE, _ERROR, _INTEGER, _BULK, _ARRAY = b"+-:$*"
 
 
 class RespError(Exception):
@@ -53,42 +55,67 @@ def encode_reply(value: Any) -> bytes:
 
 def decode(data: bytes) -> Tuple[Any, bytes]:
     """Decode one RESP value; returns (value, remaining bytes)."""
-    if not data:
-        raise RespError("empty buffer")
-    kind, rest = data[:1], data[1:]
-    line, rest = _take_line(rest)
-    if kind == b"+":
-        return line.decode(), rest
-    if kind == b"-":
-        message = line.decode()
-        return RedisError(message[4:] if message.startswith("ERR ") else message), rest
-    if kind == b":":
-        return int(line), rest
-    if kind == b"$":
-        length = int(line)
-        if length == -1:
-            return None, rest
-        if len(rest) < length + 2:
-            raise RespError("truncated bulk string")
-        return rest[:length], rest[length + 2 :]
-    if kind == b"*":
-        count = int(line)
+    value, pos = _decode_at(data, 0)
+    return value, data[pos:]
+
+
+def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
+    """Decode the value starting at ``data[pos]``; returns (value, offset
+    of the next one).  Walks the one buffer: only values are sliced out."""
+    try:
+        kind = data[pos]
+    except IndexError:
+        raise RespError("empty buffer") from None
+    idx = data.find(CRLF, pos + 1)
+    if idx < 0:
+        raise RespError("missing CRLF")
+    after = idx + 2
+    if kind == _BULK or kind == _ARRAY or kind == _INTEGER:
+        try:
+            number = int(data[pos + 1 : idx])
+        except ValueError:
+            raise RespError(f"not an integer: {data[pos + 1 : idx]!r}") from None
+        if kind == _BULK:
+            if number < 0:
+                if number == -1:
+                    return None, after
+                raise RespError(f"negative bulk string length {number}")
+            end = after + number
+            if data[end : end + 2] != CRLF:
+                if len(data) < end + 2:
+                    raise RespError("truncated bulk string")
+                raise RespError("bulk string not terminated by CRLF")
+            return data[after:end], end + 2
+        if kind == _INTEGER:
+            return number, after
         items: List[Any] = []
-        for _ in range(count):
-            item, rest = decode(rest)
+        for _ in range(number):
+            item, after = _decode_at(data, after)
             items.append(item)
-        return items, rest
-    raise RespError(f"unknown RESP type {kind!r}")
+        return items, after
+    if kind == _SIMPLE or kind == _ERROR:
+        try:
+            text = data[pos + 1 : idx].decode()
+        except UnicodeDecodeError:
+            raise RespError(f"simple string is not UTF-8: {data[pos + 1 : idx]!r}") from None
+        if kind == _SIMPLE:
+            return text, after
+        return RedisError(text[4:] if text.startswith("ERR ") else text), after
+    raise RespError(f"unknown RESP type {data[pos : pos + 1]!r}")
+
+
+def _command(value: Any) -> List[bytes]:
+    if not isinstance(value, list) or not all(isinstance(v, bytes) for v in value):
+        raise RespError("commands must be arrays of bulk strings")
+    return value
 
 
 def decode_command(data: bytes) -> List[bytes]:
     """Decode a client command (array of bulk strings)."""
-    value, rest = decode(data)
-    if rest:
+    value, pos = _decode_at(data, 0)
+    if pos != len(data):
         raise RespError("trailing bytes after command")
-    if not isinstance(value, list) or not all(isinstance(v, bytes) for v in value):
-        raise RespError("commands must be arrays of bulk strings")
-    return value
+    return _command(value)
 
 
 def encode_commands(commands: Iterable[Sequence[bytes]]) -> bytes:
@@ -102,27 +129,18 @@ def decode_commands(data: bytes) -> List[List[bytes]]:
     A frame holding one command decodes exactly like
     :func:`decode_command`, so unbatched clients are unaffected.
     """
-    commands: List[List[bytes]] = []
-    while data:
-        value, data = decode(data)
-        if not isinstance(value, list) or not all(isinstance(v, bytes) for v in value):
-            raise RespError("commands must be arrays of bulk strings")
-        commands.append(value)
-    return commands
+    return [_command(value) for value in _values(data)]
 
 
 def decode_replies(data: bytes) -> List[Any]:
     """Decode every reply in a frame (the server batches one frame per
     request frame, so replies arrive concatenated)."""
-    replies: List[Any] = []
-    while data:
-        value, data = decode(data)
-        replies.append(value)
-    return replies
+    return list(_values(data))
 
 
-def _take_line(data: bytes) -> Tuple[bytes, bytes]:
-    idx = data.find(CRLF)
-    if idx < 0:
-        raise RespError("missing CRLF")
-    return data[:idx], data[idx + 2 :]
+def _values(data: bytes) -> Iterator[Any]:
+    """Every value of a frame, decoded one at a time as it is asked for."""
+    pos, end = 0, len(data)
+    while pos < end:
+        value, pos = _decode_at(data, pos)
+        yield value

@@ -30,6 +30,9 @@ from .shared_buffer import PACKED_SIZE, BufferPool, BufferRef
 
 _TAG_INLINE = 0
 _TAG_BUFFER = 1
+#: the tags as the one-byte prefixes that go on the ring
+_INLINE = bytes([_TAG_INLINE])
+_BUFFER = bytes([_TAG_BUFFER])
 
 #: ring slots hold tag byte + up to this much inline payload
 INLINE_MAX = 1024
@@ -83,13 +86,13 @@ class Connection:
         self._check_open()
         ctx.advance(self.ipc.costs.syscall_ns)
         if len(data) <= INLINE_MAX:
-            ok = self._send.try_push(ctx, bytes([_TAG_INLINE]) + data)
+            ok = self._send.try_push(ctx, _INLINE + data)
             if ok and _TEL.enabled:
                 _TEL.registry.inc(ctx.node_id, _SUB, "ipc.send.inline")
             return ok
         before = ctx.now() if _TEL.enabled else 0.0
         ref = self.ipc.buffers.put(ctx, data)
-        ok = self._send.try_push(ctx, bytes([_TAG_BUFFER]) + ref.pack())
+        ok = self._send.try_push(ctx, _BUFFER + ref.pack())
         if not ok:
             self.ipc.buffers.free(ctx, ref)
         elif _TEL.enabled:
@@ -108,10 +111,9 @@ class Connection:
         raw = self._recv.try_pop(ctx)
         if raw is None:
             return None
-        tag, payload = raw[0], raw[1:]
-        if tag == _TAG_INLINE:
-            return payload
-        ref = BufferRef.unpack(payload[:PACKED_SIZE])
+        if raw[0] == _TAG_INLINE:
+            return raw[1:]
+        ref = BufferRef.unpack(raw[1 : 1 + PACKED_SIZE])
         data = self.ipc.buffers.get(ctx, ref)
         self.ipc.buffers.free(ctx, ref)
         return data
@@ -123,7 +125,7 @@ class Connection:
         self._check_open()
         ctx.advance(self.ipc.costs.syscall_ns)
         before = ctx.now() if _TEL.enabled else 0.0
-        ok = self._send.try_push(ctx, bytes([_TAG_BUFFER]) + ref.pack())
+        ok = self._send.try_push(ctx, _BUFFER + ref.pack())
         if ok and _TEL.enabled:
             reg = _TEL.registry
             reg.inc(ctx.node_id, _SUB, "ipc.send.zero_copy")
@@ -140,10 +142,9 @@ class Connection:
         raw = self._recv.try_pop(ctx)
         if raw is None:
             return None
-        tag, payload = raw[0], raw[1:]
-        if tag != _TAG_BUFFER:
+        if raw[0] != _TAG_BUFFER:
             raise IpcError("peer sent an inline message; use recv()")
-        return BufferRef.unpack(payload[:PACKED_SIZE])
+        return BufferRef.unpack(raw[1 : 1 + PACKED_SIZE])
 
     def pending(self, ctx: NodeContext) -> int:
         return self._recv.size(ctx)

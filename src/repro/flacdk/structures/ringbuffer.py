@@ -29,7 +29,10 @@ from typing import Optional
 from ...rack.machine import NodeContext
 
 _HEADER = 64
-_SLOT_META = 16
+#: slot metadata: producer timestamp (f64), payload length (u32), pad
+_META = struct.Struct("<dI4x")
+_SLOT_META = _META.size
+_LEN = struct.Struct("<I")
 
 
 class RingError(Exception):
@@ -71,8 +74,7 @@ class SpscRing:
         if tail - head >= self.capacity:
             return False
         slot = self._slot(tail)
-        meta = struct.pack("<dI4x", ctx.now(), len(payload))
-        ctx.store(slot, meta + payload)
+        ctx.store(slot, _META.pack(ctx.now(), len(payload)) + payload)
         ctx.flush(slot, _SLOT_META + len(payload))
         ctx.fence()
         ctx.atomic_store(self.base + 8, tail + 1)
@@ -88,7 +90,12 @@ class SpscRing:
             return None
         slot = self._slot(head)
         ctx.invalidate(slot, _SLOT_META)
-        ts, length = struct.unpack("<dI4x", ctx.load(slot, _SLOT_META))
+        ts, length = _META.unpack(ctx.load(slot, _SLOT_META))
+        if length > self.payload_capacity:
+            raise RingError(
+                f"slot at {slot:#x} claims {length} B, over the slot capacity "
+                f"{self.payload_capacity} (corrupt ring metadata)"
+            )
         ctx.invalidate(slot + _SLOT_META, length)
         payload = ctx.load(slot + _SLOT_META, length)
         ctx.node.clock.sync_to(ts)
@@ -102,7 +109,7 @@ class SpscRing:
             return None
         slot = self._slot(head)
         ctx.invalidate(slot + 8, 4)
-        return struct.unpack("<I", ctx.load(slot + 8, 4))[0]
+        return _LEN.unpack(ctx.load(slot + 8, 4))[0]
 
     # -- shared ------------------------------------------------------------------------
 

@@ -32,6 +32,10 @@ class EthernetLink:
             sizes.append(last)
         return sizes
 
+    def packet_count(self, size: int) -> int:
+        """``len(packetise(size))`` without building the list."""
+        return -(-size // self.spec.mtu) if size > 0 else 1
+
     def wire_ns(self, payload_bytes: int) -> float:
         """One packet's time on the wire, including headers and PHY."""
         total = payload_bytes + self.spec.header_bytes
@@ -63,12 +67,9 @@ class EthernetLink:
         if self.down:
             raise ConnectionError("link is down")
         start = max(now_ns, self.free_at_ns)
-        serialisation = sum(
-            (p + self.spec.header_bytes) / self.spec.bandwidth_bytes_per_ns
-            for p in self.packetise(size)
-        )
-        self.free_at_ns = start + serialisation
-        for payload in self.packetise(size):
-            self.packets_carried += 1
-            self.bytes_carried += payload
+        packets = self.packetise(size)
+        header, bandwidth = self.spec.header_bytes, self.spec.bandwidth_bytes_per_ns
+        self.free_at_ns = start + sum([(p + header) / bandwidth for p in packets])
+        self.packets_carried += len(packets)
+        self.bytes_carried += sum(packets)
         return self.free_at_ns + self.spec.propagation_ns

@@ -60,10 +60,12 @@ class TcpConnection:
         ctx.advance(costs.syscall_ns)
         ctx.advance(len(data) * costs.copy_ns_per_byte)  # user -> kernel
         stats.bytes_copied += len(data)
-        for _ in link.packetise(len(data)):
-            ctx.advance(costs.skb_alloc_ns + costs.tx_stack_ns)
-            stats.skbs_allocated += 1
-            stats.packets_sent += 1
+        packets = link.packet_count(len(data))
+        per_packet_ns = costs.skb_alloc_ns + costs.tx_stack_ns
+        for _ in range(packets):  # one add per packet: the clock rounds as before
+            ctx.advance(per_packet_ns)
+        stats.skbs_allocated += packets
+        stats.packets_sent += packets
         arrival = link.schedule(ctx.now(), len(data))
         self._ends[self._peer[ctx.node_id]].messages.append((bytes(data), arrival))
         stats.messages_sent += 1
@@ -81,7 +83,7 @@ class TcpConnection:
         data, arrival = buffer.messages.popleft()
         ctx.node.clock.sync_to(arrival)
         link = self.network.link_between(ctx.node_id, self._peer[ctx.node_id])
-        for _ in link.packetise(len(data)):
+        for _ in range(link.packet_count(len(data))):
             ctx.advance(costs.rx_stack_ns)
         ctx.advance(costs.wakeup_ns)
         ctx.advance(costs.syscall_ns)

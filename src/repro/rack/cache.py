@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 @dataclass
@@ -30,10 +30,12 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
 class _Line:
-    data: bytearray
-    dirty: bool = False
+    __slots__ = ("data", "dirty")
+
+    def __init__(self, data: bytearray, dirty: bool = False) -> None:
+        self.data = data
+        self.dirty = dirty
 
 
 class NodeCache:
@@ -42,13 +44,19 @@ class NodeCache:
     ``read_backing`` / ``write_backing`` are callbacks into the machine so
     the cache itself stays ignorant of the address map; they take rack
     physical addresses aligned to the line size.
+
+    Maintenance is run-granular (DESIGN.md §3): a run of consecutive
+    non-resident lines is one ``read_backing`` call, a run of consecutive
+    dirty lines one ``write_backing`` call; lines are still inserted one at
+    a time, in order.  ``read_backing`` may answer a multi-line read with
+    ``None`` to have that run fetched line by line.
     """
 
     def __init__(
         self,
         capacity_lines: int,
         line_size: int,
-        read_backing: Callable[[int, int], bytes],
+        read_backing: Callable[[int, int], Optional[bytes]],
         write_backing: Callable[[int, bytes], None],
     ) -> None:
         if capacity_lines <= 0:
@@ -66,16 +74,6 @@ class NodeCache:
 
     def line_base(self, addr: int) -> int:
         return addr & ~(self.line_size - 1)
-
-    def lines_spanning(self, addr: int, size: int) -> Iterator[int]:
-        """Yield the base address of every line touched by [addr, addr+size)."""
-        if size <= 0:
-            return
-        base = self.line_base(addr)
-        end = addr + size
-        while base < end:
-            yield base
-            base += self.line_size
 
     # -- core operations ---------------------------------------------------
 
@@ -99,23 +97,28 @@ class NodeCache:
             self._insert(base, line)
             self.stats.misses += 1
             return bytes(line.data[lo : lo + size]), 0, 1
-        out = bytearray(size)
-        out_view = memoryview(out)
+        lines = self._lines
+        end = addr + size
+        lo = addr - base
+        out = bytearray()
         hits = misses = 0
-        pos = 0
-        for base in self.lines_spanning(addr, size):
-            line, was_hit = self._get_line(base, fill_on_miss=True)
-            if was_hit:
+        while base < end:
+            line = lines.get(base)
+            if line is not None:
+                lines.move_to_end(base)
                 hits += 1
-            else:
-                misses += 1
-            lo = max(addr, base) - base
-            hi = min(addr + size, base + line_size) - base
-            out_view[pos : pos + (hi - lo)] = memoryview(line.data)[lo:hi]
-            pos += hi - lo
+                out += line.data
+                base += line_size
+                continue
+            stop = base + line_size
+            while stop < end and stop not in lines:
+                stop += line_size
+            out += self._fill(base, stop)
+            misses += (stop - base) // line_size
+            base = stop
         self.stats.hits += hits
         self.stats.misses += misses
-        return bytes(out), hits, misses
+        return bytes(out[lo : lo + size]), hits, misses
 
     def store(self, addr: int, data: bytes) -> Tuple[int, int, int]:
         """Write into the cache (write-allocate).
@@ -153,26 +156,32 @@ class NodeCache:
             line.dirty = True
             self.stats.misses += 1
             return 0, 1, 0
+        lines = self._lines
+        end = addr + size
         hits = misses = allocs = 0
-        pos = 0
         src = memoryview(data)
-        for base in self.lines_spanning(addr, size):
-            lo = max(addr, base) - base
-            hi = min(addr + size, base + line_size) - base
-            full_line = lo == 0 and hi == line_size
-            if full_line and base not in self._lines:
-                self._insert(base, _Line(bytearray(src[pos : pos + line_size]), dirty=True))
-                allocs += 1
-                pos += line_size
-                continue
-            line, was_hit = self._get_line(base, fill_on_miss=True)
-            if was_hit:
-                hits += 1
-            else:
-                misses += 1
-            line.data[lo:hi] = src[pos : pos + (hi - lo)]
-            line.dirty = True
+        pos = 0
+        for base in range(base, end, line_size):
+            lo = addr - base if base < addr else 0
+            hi = end - base if end - base < line_size else line_size
+            chunk = src[pos : pos + hi - lo]
             pos += hi - lo
+            line = lines.get(base)
+            if line is not None:
+                lines.move_to_end(base)
+                hits += 1
+            elif hi - lo == line_size:
+                self._insert(base, _Line(bytearray(chunk), dirty=True))
+                allocs += 1
+                continue
+            else:
+                # a partial line is fetched — alone, because its bytes must
+                # be in place before a later insert can evict it
+                line = _Line(bytearray(self._read_backing(base, line_size)))
+                self._insert(base, line)
+                misses += 1
+            line.data[lo:hi] = chunk
+            line.dirty = True
         self.stats.hits += hits + allocs
         self.stats.misses += misses
         return hits, misses, allocs
@@ -182,13 +191,30 @@ class NodeCache:
 
         Returns the number of lines written back.  Models ``dc cvac``.
         """
+        if size <= 0:
+            return 0
+        lines = self._lines
+        line_size = self.line_size
+        first = addr & ~(line_size - 1)
+        if addr + size <= first + line_size:
+            # fast path: one line, no run bookkeeping
+            line = lines.get(first)
+            if line is None or not line.dirty:
+                return 0
+            self._write_backing(first, bytes(line.data))
+            line.dirty = False
+            self.stats.writebacks += 1
+            return 1
         written = 0
-        for base in self.lines_spanning(addr, size):
-            line = self._lines.get(base)
+        run: List[_Line] = []
+        for base in range(first, addr + size, line_size):
+            line = lines.get(base)
             if line is not None and line.dirty:
-                self._write_backing(base, bytes(line.data))
-                line.dirty = False
-                written += 1
+                run.append(line)
+            elif run:
+                written += self._write_back(base, run)
+        if run:
+            written += self._write_back(base + line_size, run)
         self.stats.writebacks += written
         return written
 
@@ -199,10 +225,15 @@ class NodeCache:
         instruction.  Protocols that must not lose writes use
         :meth:`flush_invalidate`.
         """
-        dropped = 0
-        for base in self.lines_spanning(addr, size):
-            if self._lines.pop(base, None) is not None:
-                dropped += 1
+        if size <= 0:
+            return 0
+        lines = self._lines
+        pop = lines.pop
+        line_size = self.line_size
+        resident = len(lines)
+        for base in range(addr & ~(line_size - 1), addr + size, line_size):
+            pop(base, None)
+        dropped = resident - len(lines)
         self.stats.invalidations += dropped
         return dropped
 
@@ -243,17 +274,36 @@ class NodeCache:
 
     # -- internals -----------------------------------------------------------
 
-    def _get_line(self, base: int, fill_on_miss: bool) -> Tuple[_Line, bool]:
-        line = self._lines.get(base)
-        if line is not None:
-            self._lines.move_to_end(base)
-            return line, True
-        data = bytearray(self._read_backing(base, self.line_size))
-        line = _Line(data)
-        self._insert(base, line)
-        return line, False
+    def _fill(self, base: int, stop: int) -> bytes:
+        """Fetch the non-resident lines ``[base, stop)`` — in one backing
+        read when the backing allows — insert them in address order, and
+        return their bytes."""
+        line_size = self.line_size
+        read = self._read_backing
+        insert = self._insert
+        buf = read(base, stop - base) if stop - base > line_size else None
+        if buf is None:
+            parts = []
+            for base in range(base, stop, line_size):
+                parts.append(read(base, line_size))
+                insert(base, _Line(bytearray(parts[-1])))
+            return b"".join(parts)
+        for pos in range(0, stop - base, line_size):
+            insert(base + pos, _Line(bytearray(buf[pos : pos + line_size])))
+        return buf
+
+    def _write_back(self, stop: int, run: List[_Line]) -> int:
+        """Write the consecutive dirty lines ending at ``stop`` as one
+        backing write, mark them clean and empty ``run``."""
+        n = len(run)
+        self._write_backing(stop - n * self.line_size, b"".join([line.data for line in run]))
+        for line in run:
+            line.dirty = False
+        run.clear()
+        return n
 
     def _insert(self, base: int, line: _Line) -> None:
+        """Install a non-resident line as most recently used."""
         while len(self._lines) >= self.capacity_lines:
             victim_base, victim = self._lines.popitem(last=False)
             if victim.dirty:
@@ -261,4 +311,3 @@ class NodeCache:
                 self.stats.writebacks += 1
             self.stats.evictions += 1
         self._lines[base] = line
-        self._lines.move_to_end(base)

@@ -148,32 +148,41 @@ class FaultInjector:
         self.model = model
         self.rng = random.Random(seed)
         self.log = FaultLog()
-        self.enabled = True
+        self._enabled = True
         # Memo of scaled (ce, ue) per (is_global, path_cost): the model is
         # static after construction, so the per-hop exponentiation only
         # runs once per distinct path.  Call :meth:`model_changed` if a
         # test mutates the model in place.
         self._rate_cache: dict = {}
+        self.model_changed()
+
+    @property
+    def enabled(self) -> bool:
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = value
+        self.model_changed()
 
     def model_changed(self) -> None:
-        """Drop memoized rates after an in-place :class:`FaultModel` edit."""
+        """Drop memoized rates and re-derive :attr:`armed` after an
+        in-place :class:`FaultModel` edit (or an ``enabled`` flip)."""
         self._rate_cache.clear()
+        m = self.model
+        #: ``armed[is_global]``: can any fault fire for that region kind?
+        #: Zero base rates stay zero under any per-hop scaling, so the flag
+        #: is independent of path cost; the machine's gate reads it to skip
+        #: the per-access call without touching the seeded RNG stream (zero
+        #: rates never consumed randomness in the first place).
+        self.armed = (
+            bool(self._enabled and (m.local_ce_rate > 0 or m.local_ue_rate > 0)),
+            bool(self._enabled and (m.global_ce_rate > 0 or m.global_ue_rate > 0)),
+        )
 
     def is_noop(self, is_global: bool) -> bool:
-        """True when no fault can fire for this region kind.
-
-        Zero base rates stay zero under any per-hop scaling, so the flag
-        is independent of path cost.  Reads the live model fields — no
-        invalidation needed — and lets the machine skip the per-access
-        call entirely without touching the seeded RNG stream (zero rates
-        never consumed randomness in the first place).
-        """
-        if not self.enabled:
-            return True
-        m = self.model
-        if is_global:
-            return m.global_ce_rate <= 0 and m.global_ue_rate <= 0
-        return m.local_ce_rate <= 0 and m.local_ue_rate <= 0
+        """True when no fault can fire for this region kind."""
+        return not self.armed[is_global]
 
     def _rates(self, region: Region, path_cost: int) -> tuple:
         key = (region.owner is None, path_cost)

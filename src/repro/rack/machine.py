@@ -44,7 +44,11 @@ from . import topology as topo
 from ..telemetry import TELEMETRY as _TEL
 
 
-_INT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+#: Atomic widths: (precompiled little-endian codec, wrap mask) per byte width.
+_INT = {
+    width: (struct.Struct(fmt), (1 << (8 * width)) - 1)
+    for width, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))
+}
 _INT_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 #: Telemetry subsystem for the data plane (metric naming convention:
@@ -54,6 +58,8 @@ _INT_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 #: compatibility view tests and benches already read.
 _SUB = "rack.machine"
 
+#: What a node's TLB slot reads as before its first resolve: covers nothing.
+_TLB_EMPTY = (0, 0, None)
 #: The index that selects a whole batch without copying it.
 _ALL = slice(None)
 #: One bulk-plan group: (region, index of its ops in the batch, device offsets).
@@ -177,13 +183,14 @@ class RackMachine:
                         node.clock._now_ns += self._hit_ns
                         lo = addr - base
                         return bytes(line.data[lo : lo + size])
-        node, region, offset = self._access(node_id, addr, size)
+        node, region, offset, clean = self._access(node_id, addr, size)
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, size)
         if bypass_cache:
             self._charge_bulk(node, region, size)
-            self._maybe_fault(region, offset, size, node_id)
-            self._check_poison(region, offset, size, node_id)
+            if not clean:
+                self._maybe_fault(region, offset, size, node_id)
+                self._check_poison(region, offset, size, node_id)
             if _TEL.enabled:
                 _TEL.count(node_id, _SUB, "bypass.load")
             return region.device.read(offset, size)
@@ -225,13 +232,14 @@ class RackMachine:
                         # == _charge_cached(node, region, hits=1, misses=0)
                         node.clock._now_ns += self._hit_ns
                         return
-        node, region, offset = self._access(node_id, addr, size)
+        node, region, offset, clean = self._access(node_id, addr, size)
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, size)
         if bypass_cache:
-            self._charge_bulk(node, region, len(data))
-            self._maybe_fault(region, offset, len(data), node_id)
-            region.device.clear_poison(offset, len(data))
+            self._charge_bulk(node, region, size)
+            if not clean:
+                self._maybe_fault(region, offset, size, node_id)
+                region.device.clear_poison(offset, size)
             region.device.write(offset, data)
             if _TEL.enabled:
                 _TEL.count(node_id, _SUB, "bypass.store")
@@ -251,36 +259,36 @@ class RackMachine:
         copy of the line is invalidated so subsequent cached loads observe
         the device value.
         """
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        current = struct.unpack(fmt, region.device.read(offset, width))[0]
+        slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
+        current = codec.unpack_from(slab, offset)[0]
         swapped = current == expected
         if swapped:
-            region.device.write(offset, struct.pack(fmt, new & _mask(width)))
+            codec.pack_into(slab, offset, new & mask)
         return swapped, current
 
     def atomic_fetch_add(self, node_id: int, addr: int, delta: int, width: int = 8) -> int:
         """Atomically add ``delta`` (wrapping); returns the *old* value."""
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        current = struct.unpack(fmt, region.device.read(offset, width))[0]
-        region.device.write(offset, struct.pack(fmt, (current + delta) & _mask(width)))
+        slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
+        current = codec.unpack_from(slab, offset)[0]
+        codec.pack_into(slab, offset, (current + delta) & mask)
         return current
 
     def atomic_swap(self, node_id: int, addr: int, new: int, width: int = 8) -> int:
         """Atomically exchange; returns the old value."""
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        current = struct.unpack(fmt, region.device.read(offset, width))[0]
-        region.device.write(offset, struct.pack(fmt, new & _mask(width)))
+        slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
+        current = codec.unpack_from(slab, offset)[0]
+        codec.pack_into(slab, offset, new & mask)
         return current
 
     def atomic_load(self, node_id: int, addr: int, width: int = 8) -> int:
         """Coherent (cache-bypassing) integer load."""
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        return struct.unpack(fmt, region.device.read(offset, width))[0]
+        slab, offset, codec, _ = self._atomic_prologue(node_id, addr, width)
+        return codec.unpack_from(slab, offset)[0]
 
     def atomic_store(self, node_id: int, addr: int, value: int, width: int = 8) -> None:
         """Coherent (cache-bypassing) integer store."""
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        region.device.write(offset, struct.pack(fmt, value & _mask(width)))
+        slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
+        codec.pack_into(slab, offset, value & mask)
 
     # -- bulk data plane (DESIGN.md §10) -----------------------------------------------
     #
@@ -316,8 +324,7 @@ class RackMachine:
         n = len(addrs)
         if n == 0:
             return b"" if concat else []
-        node = self._node(node_id)
-        node.check_alive()
+        node = self._live(node_id)
         if bypass_cache:
             buf = self._bulk_bypass_load(node, addrs, size)
             if buf is not None:
@@ -357,8 +364,7 @@ class RackMachine:
                 )
             if n == 0:
                 return
-            node = self._node(node_id)
-            node.check_alive()
+            node = self._live(node_id)
             if bypass_cache and self._bulk_bypass_store_packed(node, addrs, data, size):
                 return
             data = _split(bytes(data), size)
@@ -367,8 +373,7 @@ class RackMachine:
                 raise ValueError(f"store_many got {n} addresses but {len(data)} payloads")
             if n == 0:
                 return
-            node = self._node(node_id)
-            node.check_alive()
+            node = self._live(node_id)
             if bypass_cache and self._bulk_bypass_store(node, addrs, data):
                 return
         addrs = _ints(addrs)
@@ -392,14 +397,16 @@ class RackMachine:
         if not bypass_cache:
             self.store(node_id, dst, self.load(node_id, src, size))
             return
-        node, sregion, soff = self._access(node_id, src, size)
+        node, sregion, soff, clean = self._access(node_id, src, size)
         self._charge_bulk(node, sregion, size)
-        self._maybe_fault(sregion, soff, size, node_id)
-        self._check_poison(sregion, soff, size, node_id)
-        node, dregion, doff = self._access(node_id, dst, size)
+        if not clean:
+            self._maybe_fault(sregion, soff, size, node_id)
+            self._check_poison(sregion, soff, size, node_id)
+        node, dregion, doff, clean = self._access(node_id, dst, size)
         self._charge_bulk(node, dregion, size)
-        self._maybe_fault(dregion, doff, size, node_id)
-        dregion.device.clear_poison(doff, size)
+        if not clean:
+            self._maybe_fault(dregion, doff, size, node_id)
+            dregion.device.clear_poison(doff, size)
         dregion.device.copy_from(doff, sregion.device, soff, size)
         if _TEL.enabled:
             _TEL.count(node_id, _SUB, "bypass.load")
@@ -421,10 +428,11 @@ class RackMachine:
         if not bypass_cache:
             self.store(node_id, addr, bytes([value & 0xFF]) * size)
             return
-        node, region, offset = self._access(node_id, addr, size)
+        node, region, offset, clean = self._access(node_id, addr, size)
         self._charge_bulk(node, region, size)
-        self._maybe_fault(region, offset, size, node_id)
-        region.device.clear_poison(offset, size)
+        if not clean:
+            self._maybe_fault(region, offset, size, node_id)
+            region.device.clear_poison(offset, size)
         region.device.fill(offset, size, value & 0xFF)
         if _TEL.enabled:
             _TEL.count(node_id, _SUB, "bypass.store")
@@ -456,7 +464,7 @@ class RackMachine:
         plan = self._bulk_atomic_plan(node_id, addrs, width)
         if plan is not None:
             try:
-                # int64 wrap-around then uintN truncation == ``& _mask(width)``
+                # int64 wrap-around then uintN truncation == ``& mask``
                 d_arr = np.asarray(delta_seq, dtype=np.int64)
             except (TypeError, ValueError, OverflowError):
                 plan = None
@@ -526,7 +534,7 @@ class RackMachine:
             raise ValueError(f"{n} addresses but {len(values)} values")
         plan = self._bulk_atomic_plan(node_id, addrs, width)
         if plan is not None:
-            mask = _mask(width)
+            mask = _INT[width][1]
             dtype = _INT_DTYPE[width]
             try:
                 # masked in Python: sentinels like 2**64 - 1 overflow int64
@@ -580,9 +588,9 @@ class RackMachine:
         # so range-check before comparing in the truncated domain
         in_range = e_raw >= 0
         if width < 8:
-            in_range &= e_raw <= _mask(width)
+            in_range &= e_raw <= _INT[width][1]
         e_arr = e_raw.astype(dtype)
-        v_arr = v_arr.astype(dtype)  # truncation == ``new & _mask(width)``
+        v_arr = v_arr.astype(dtype)  # truncation == ``new & mask``
         for region, idx, offs in groups:
             rows = region.device.gather(offs, width)
             vals = rows.view(dtype).ravel()
@@ -598,7 +606,7 @@ class RackMachine:
 
     def flush(self, node_id: int, addr: int, size: int) -> int:
         """Write back dirty lines (``dc cvac``); returns lines written."""
-        node, region, _ = self._access(node_id, addr, size)
+        node, region, _, _ = self._access(node_id, addr, size)
         written = node.cache.flush(addr, size)
         if written:
             self._charge_writeback(node, region, written)
@@ -606,15 +614,14 @@ class RackMachine:
 
     def invalidate(self, node_id: int, addr: int, size: int) -> int:
         """Drop cached lines without write-back (``dc ivac``)."""
-        node = self._node(node_id)
-        node.check_alive()
+        node = self._live(node_id)
         dropped = node.cache.invalidate(addr, size)
         node.clock.advance(dropped * self.latency.invalidate_line_ns)
         return dropped
 
     def flush_invalidate(self, node_id: int, addr: int, size: int) -> Tuple[int, int]:
         """Write back then drop (``dc civac``)."""
-        node, region, _ = self._access(node_id, addr, size)
+        node, region, _, _ = self._access(node_id, addr, size)
         written, dropped = node.cache.flush_invalidate(addr, size)
         if written:
             self._charge_writeback(node, region, written)
@@ -625,8 +632,7 @@ class RackMachine:
         """Write back every dirty line in the node's cache (context-switch
         and migration path).  Charged as a global-memory write burst —
         conservative when some victims are local."""
-        node = self._node(node_id)
-        node.check_alive()
+        node = self._live(node_id)
         written = node.cache.flush_all()
         if written:
             lat = self.latency
@@ -638,9 +644,7 @@ class RackMachine:
 
     def fence(self, node_id: int) -> None:
         """Full memory barrier (ordering is already strict here; cost only)."""
-        node = self._node(node_id)
-        node.check_alive()
-        node.clock.advance(self.latency.fence_ns)
+        self._live(node_id).clock.advance(self.latency.fence_ns)
 
     # -- fault management ------------------------------------------------------------------
 
@@ -705,7 +709,7 @@ class RackMachine:
         the backing device, and drops the repairing node's stale cached
         lines.  Charged like a non-temporal store burst.
         """
-        node, region, offset = self._access(node_id, addr, len(data))
+        node, region, offset, _ = self._access(node_id, addr, len(data))
         self._charge_bulk(node, region, len(data))
         region.device.clear_poison(offset, len(data))
         region.device.write(offset, data)
@@ -732,55 +736,84 @@ class RackMachine:
         except KeyError:
             raise KeyError(f"no node {node_id} in rack of {len(self.nodes)}") from None
 
-    def _access(self, node_id: int, addr: int, size: int) -> Tuple[Node, Region, int]:
-        node = self._node(node_id)
-        node.check_alive()
-        region, offset = self._resolve_fast(node_id, addr, size if size > 0 else 1)
-        return node, region, offset
+    def _live(self, node_id: int) -> Node:
+        """The node, once it is known to exist and be up."""
+        node = self.nodes.get(node_id)
+        if node is None or not node.alive:
+            self._node(node_id).check_alive()
+        return node
+
+    def _access(self, node_id: int, addr: int, size: int) -> Tuple[Node, Region, int, bool]:
+        """The one gate every single op passes (DESIGN.md §3).
+
+        Returns ``(node, region, offset, clean)``: the live issuing node,
+        the region and device offset of ``[addr, addr+size)`` — from the
+        node's one-entry TLB, or :meth:`_resolve_fast` when it misses —
+        and whether ``_maybe_fault`` and ``_check_poison`` could have any
+        effect (a fault armed for the region kind, or any poison on the
+        device); callers enter them, in that order, only when not clean.
+        """
+        node = self.nodes.get(node_id)
+        if node is None or not node.alive:  # == _live, minus its frame
+            self._node(node_id).check_alive()
+        base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
+        if (
+            base <= addr
+            and 0 < size
+            and addr + size <= end
+            and self.address_map.generation == self._tlb_gen
+        ):
+            offset = addr - base
+        else:
+            region, offset = self._resolve_fast(node_id, addr, size if size > 0 else 1)
+        clean = not (region.device.poisoned or self.faults.armed[region.owner is None])
+        return node, region, offset, clean
 
     def _resolve_fast(self, node_id: int, addr: int, size: int) -> Tuple[Region, int]:
-        """Software TLB in front of :meth:`AddressMap.resolve`.
+        """TLB miss: :meth:`AddressMap.resolve`, protection check, refill.
 
-        Memoizes the last region each node touched; only regions the node
-        may legally access are ever memoized, so a memo hit needs no
-        protection re-check.  The memo drops when the address map changes.
+        The TLB memoizes the last region each node touched; only regions
+        the node may legally access are ever memoized, so a probe hit in
+        :meth:`_access` needs no protection re-check.  Every memo drops
+        when the address map changes.
         """
-        tlb = self._tlb
         amap = self.address_map
         if amap.generation != self._tlb_gen:
-            tlb.clear()
+            self._tlb.clear()
             self._tlb_gen = amap.generation
-        entry = tlb.get(node_id)
-        if entry is not None:
-            base, end, region = entry
-            if base <= addr and addr + size <= end:
-                return region, addr - base
         region, offset = amap.resolve(addr, size)
         if region.owner is not None and region.owner != node_id:
             raise ProtectionError(
                 f"node {node_id} cannot access node {region.owner}'s local memory at {addr:#x}"
             )
-        tlb[node_id] = (region.base, region.base + region.size, region)
+        self._tlb[node_id] = (region.base, region.base + region.size, region)
         return region, offset
 
     def _atomic_prologue(self, node_id: int, addr: int, width: int):
-        if width not in _INT_FMT:
-            raise ValueError(f"atomic width must be one of {sorted(_INT_FMT)}, got {width}")
+        """Gate, charge and cache-drop of one atomic; returns
+        ``(device slab, offset, codec, wrap mask)`` for the caller's
+        read-modify-write."""
+        codec = _INT.get(width)
+        if codec is None:
+            raise ValueError(f"atomic width must be one of {sorted(_INT)}, got {width}")
         if addr % width:
             raise ValueError(f"atomic access at {addr:#x} not {width}-byte aligned")
-        node, region, offset = self._access(node_id, addr, width)
-        cost = self.latency.global_atomic_ns if region.is_global else self.latency.local_atomic_ns
-        node.clock.advance(cost)
+        node, region, offset, clean = self._access(node_id, addr, width)
+        is_global = region.owner is None
+        lat = self.latency
+        node.clock._now_ns += lat.global_atomic_ns if is_global else lat.local_atomic_ns
         if _TEL.enabled:
-            _TEL.count(
-                node_id, _SUB, "atomic.global" if region.is_global else "atomic.local"
-            )
+            _TEL.count(node_id, _SUB, "atomic.global" if is_global else "atomic.local")
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, width)
-        node.cache.invalidate(addr, width)
-        self._maybe_fault(region, offset, width, node_id)
-        self._check_poison(region, offset, width, node_id)
-        return node, region, offset, _INT_FMT[width]
+        # an aligned access of at most 8 bytes lies in exactly one line
+        cache = node.cache
+        if cache._lines.pop(addr & ~self._line_mask, None) is not None:
+            cache.stats.invalidations += 1
+        if not clean:
+            self._maybe_fault(region, offset, width, node_id)
+            self._check_poison(region, offset, width, node_id)
+        return region.device.slab, offset, codec[0], codec[1]
 
     def _path_cost(self, node_id: int, region: Region) -> Tuple[int, int]:
         if not region.is_global:
@@ -1143,7 +1176,7 @@ class RackMachine:
         """
         if width not in _INT_DTYPE:
             raise ValueError(
-                f"atomic width must be one of {sorted(_INT_FMT)}, got {width}"
+                f"atomic width must be one of {sorted(_INT)}, got {width}"
             )
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
@@ -1264,18 +1297,42 @@ class RackMachine:
         raise UncorrectableMemoryError(region.base + offset, node_id)
 
     def _make_backing_reader(self, node_id: int):
-        def read_backing(addr: int, size: int) -> bytes:
-            region, offset = self._resolve_fast(node_id, addr, size)
-            self._maybe_fault(region, offset, size, node_id)
-            self._check_poison(region, offset, size, node_id)
+        line_size = self.config.cache_line_size
+
+        def read_backing(addr: int, size: int) -> Optional[bytes]:
+            """A line, or a run of lines in one read; ``None`` for a run whose
+            per-line sequence is observable (a fault can fire, poison exists,
+            or it is not one window of one region): fill it line by line."""
+            try:
+                _, region, offset, clean = self._access(node_id, addr, size)
+            except MemoryError_:
+                if size > line_size:
+                    return None
+                raise
+            if not clean:
+                if size > line_size:
+                    return None
+                self._maybe_fault(region, offset, size, node_id)
+                self._check_poison(region, offset, size, node_id)
             return region.device.read(offset, size)
 
         return read_backing
 
     def _make_backing_writer(self, node_id: int):
+        line_size = self.config.cache_line_size
+
         def write_backing(addr: int, data: bytes) -> None:
-            region, offset = self._resolve_fast(node_id, addr, len(data))
-            region.device.clear_poison(offset, len(data))
+            """Write back a line, or a run of lines as one device write."""
+            size = len(data)
+            try:
+                _, region, offset, _ = self._access(node_id, addr, size)
+            except MemoryError_:
+                if size <= line_size:
+                    raise
+                for lo in range(0, size, line_size):  # not one window: line by line
+                    write_backing(addr + lo, data[lo : lo + line_size])
+                return
+            region.device.clear_poison(offset, size)
             region.device.write(offset, data)
 
         return write_backing
@@ -1284,11 +1341,14 @@ class RackMachine:
 class NodeContext:
     """All machine operations bound to one node — the handle software holds."""
 
-    __slots__ = ("machine", "node_id")
+    __slots__ = ("machine", "node_id", "_clock")
 
     def __init__(self, machine: RackMachine, node_id: int) -> None:
         self.machine = machine
         self.node_id = node_id
+        # a Node and its clock live as long as the machine (crash and
+        # restart keep both), so time goes to the clock directly
+        self._clock = machine.nodes[node_id].clock
 
     # data path
     def load(self, addr: int, size: int, *, bypass_cache: bool = False) -> bytes:
@@ -1384,10 +1444,10 @@ class NodeContext:
 
     # time
     def now(self) -> float:
-        return self.machine.now(self.node_id)
+        return self._clock._now_ns
 
     def advance(self, ns: float) -> float:
-        return self.machine.advance(self.node_id, ns)
+        return self._clock.advance(ns)
 
     @property
     def node(self) -> Node:
@@ -1395,10 +1455,6 @@ class NodeContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeContext(node={self.node_id})"
-
-
-def _mask(width: int) -> int:
-    return (1 << (8 * width)) - 1
 
 
 def _ints(addrs: Sequence[int]) -> Sequence[int]:

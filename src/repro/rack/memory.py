@@ -254,6 +254,12 @@ class AddressMap:
         self.generation = 0
 
     def add_region(self, region: Region) -> None:
+        if region.size > region.device.size:
+            # a resolved window must lie inside the device's buffer
+            raise ValueError(
+                f"region of {region.size} B is larger than its device "
+                f"{region.device.name!r} ({region.device.size} B)"
+            )
         for existing in self._regions:
             if region.base < existing.end and existing.base < region.end:
                 raise ValueError(

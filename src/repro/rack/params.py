@@ -117,8 +117,9 @@ class RackConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("rack needs at least one node")
-        if self.cache_line_size & (self.cache_line_size - 1):
-            raise ValueError("cache_line_size must be a power of two")
+        if self.cache_line_size & (self.cache_line_size - 1) or self.cache_line_size < 8:
+            # at least 8: an aligned 8-byte atomic lies in exactly one line
+            raise ValueError("cache_line_size must be a power of two, at least 8")
         if self.local_mem_size % self.cache_line_size:
             raise ValueError("local_mem_size must be line aligned")
         if self.global_mem_size % self.cache_line_size:

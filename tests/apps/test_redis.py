@@ -186,6 +186,22 @@ class TestServerInternals:
         reply = server.execute([b"SET", b"only-key"])
         assert isinstance(reply, Exception)
 
+    def test_hostile_verbs_get_the_unknown_command_reply(self, rack2):
+        _, c0, _, _ = rack2
+        server = MiniRedisServer(c0)
+        for verb in (b"\xff\xfe", b"", b"init__", b"_live", b"cmd_get", b"COMMANDS"):
+            reply = server.execute([verb, b"k"])
+            assert type(reply) is Exception and "unknown command" in str(reply), verb
+
+    def test_verbs_resolve_through_the_command_table_only(self, rack2):
+        _, c0, _, _ = rack2
+        server = MiniRedisServer(c0)
+        assert set(MiniRedisServer._COMMANDS) == {
+            name[5:].upper().encode() for name in vars(MiniRedisServer) if name.startswith("_cmd_")
+        }
+        assert server.execute([b"set", b"k", b"v"]) == "OK"  # verbs are case-insensitive
+        assert server.execute([b"GeT", b"k"]) == b"v"
+
     def test_command_cost_charged(self, rack2):
         _, c0, _, _ = rack2
         server = MiniRedisServer(c0, command_cost_ns=5000)

@@ -11,6 +11,7 @@ from repro.flacdk.structures import (
     LockedHashMap,
     MapFullError,
     ReplicatedDict,
+    RingError,
     SharedRadixTree,
     SharedVector,
     SpscRing,
@@ -56,6 +57,14 @@ class TestSpscRing:
         _, ctxs, _ = rig
         with pytest.raises(Exception):
             ring.try_push(ctxs[0], b"z" * 1000)
+
+    def test_corrupt_slot_length_is_refused(self, rig, ring):
+        """A length field over the slot capacity is never read past the slot."""
+        _, ctxs, _ = rig
+        ring.try_push(ctxs[0], b"fine")
+        ctxs[0].atomic_store(ring._slot(0) + 8, 257, width=4)  # capacity is 256
+        with pytest.raises(RingError, match="over the slot capacity"):
+            ring.try_pop(ctxs[1])
 
     def test_consumer_clock_after_producer(self, rig, ring):
         _, ctxs, _ = rig

@@ -22,6 +22,11 @@ class TestEthernetLink:
         assert link.packetise(4000) == [1500, 1500, 1000]
         assert link.packetise(0) == [0]
 
+    def test_packet_count_is_the_length_of_packetise(self):
+        link = EthernetLink()
+        for size in range(-1, 3 * link.spec.mtu + 2):
+            assert link.packet_count(size) == len(link.packetise(size)), size
+
     def test_wire_time_scales_with_size(self):
         link = EthernetLink()
         assert link.transfer_ns(4096) > link.transfer_ns(64)

@@ -203,8 +203,9 @@ class TestFaultsAndCrashes:
 
 class TestConfigValidation:
     def test_bad_line_size_rejected(self):
-        with pytest.raises(ValueError):
-            RackConfig(cache_line_size=48)
+        for size in (48, 4):  # not a power of two; too small for an 8-byte atomic
+            with pytest.raises(ValueError):
+                RackConfig(cache_line_size=size)
 
     def test_needs_a_node(self):
         with pytest.raises(ValueError):

@@ -222,6 +222,11 @@ class TestAddressMap:
         with pytest.raises(ValueError):
             amap.add_region(Region(base=50, size=100, device=dev, owner=None))
 
+    def test_region_larger_than_its_device_rejected(self):
+        dev = PhysicalMemory(64, MemoryKind.GLOBAL)
+        with pytest.raises(ValueError, match="larger than its device"):
+            AddressMap().add_region(Region(base=0, size=128, device=dev, owner=None))
+
     def test_local_memory_larger_than_stride_rejected(self):
         dev = PhysicalMemory(64, MemoryKind.LOCAL_DRAM)
         dev.size = LOCAL_STRIDE + 64  # pretend, without allocating 64 GiB
