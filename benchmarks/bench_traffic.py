@@ -28,13 +28,17 @@ import json
 import pathlib
 import sys
 import time
+from types import SimpleNamespace
 from typing import Dict, List
+
+import numpy as np
 
 if __name__ == "__main__" and __package__ is None:  # allow running from a checkout
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.harness import build_rig
-from repro.workloads.traffic import NaivePollingDriver, TenantSpec, TrafficEngine
+from repro.workloads.arrivals import make_process
+from repro.workloads.traffic import DataPlaneBackend, TenantSpec, TrafficEngine
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "BENCH_traffic.json"
@@ -61,6 +65,69 @@ def _tenants(n_clients_total: int) -> List[TenantSpec]:
         TenantSpec(name="batch", rate_rps=200_000.0, n_clients=per, node=1,
                    get_ratio=0.5),
     ]
+
+
+class NaivePollingDriver:
+    """Closed polling loop: every client visited every tick.
+
+    This is the architecture the event core retired, kept here as the
+    baseline: per tick, Python iterates *all* logical clients of *all*
+    tenants asking "is your next arrival due?", and due requests run one
+    substrate op each (no batching).  Cost is O(clients x ticks)
+    regardless of load — with 100k clients the interpreter burns almost
+    all of its time asking idle clients nothing.
+    """
+
+    def __init__(self, kernel, tenants: List[TenantSpec], seed: int = 0,
+                 tick_ns: float = 200_000.0) -> None:
+        self.machine = kernel.machine
+        self.tick_ns = float(tick_ns)
+        self.clients: List[dict] = []
+        backend = DataPlaneBackend(kernel)
+        for idx, spec in enumerate(tenants):
+            st = SimpleNamespace(spec=spec)  # all of a tenant's state that prepare() reads
+            backend.prepare(st)
+            slab, _ = st.backend_state
+            arrivals = make_process(
+                spec.arrival, spec.rate_rps, seed=seed * 65_537 + idx,
+                amplitude=spec.amplitude, period_s=spec.period_s, phase=spec.phase,
+            )
+            # deal the tenant's aggregate arrival stream round-robin
+            # onto its clients, each of which polls for its own next time
+            times = arrivals.next_chunk(max(4 * spec.n_clients, 4_096))
+            for c in range(spec.n_clients):
+                self.clients.append(
+                    {
+                        "spec": spec,
+                        "slab": slab,
+                        "times": times[c::spec.n_clients],
+                        "i": 0,
+                        "rng": np.random.default_rng((seed, idx, c)),
+                    }
+                )
+
+    def run_ticks(self, n_ticks: int) -> int:
+        """Poll every client for ``n_ticks``; returns requests served."""
+        served = 0
+        now = 0.0
+        for _ in range(n_ticks):
+            now += self.tick_ns
+            for client in self.clients:
+                times = client["times"]
+                i = client["i"]
+                while i < len(times) and times[i] <= now:
+                    spec = client["spec"]
+                    key = int(client["rng"].integers(0, spec.n_keys))
+                    ctx = self.machine.context(spec.node)
+                    addr = client["slab"] + key * spec.value_size
+                    if client["rng"].random() < spec.get_ratio:
+                        ctx.load(addr, spec.value_size, bypass_cache=True)
+                    else:
+                        ctx.store(addr, b"\x5a" * spec.value_size, bypass_cache=True)
+                    i += 1
+                    served += 1
+                client["i"] = i
+        return served
 
 
 def bench_engine(n_clients: int, n_requests: int, seed: int = 0) -> Dict[str, float]:

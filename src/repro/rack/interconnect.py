@@ -470,8 +470,8 @@ class Interconnect:
 
     def __init__(self, graph: Optional[nx.Graph] = None) -> None:
         self.graph = graph if graph is not None else nx.Graph()
-        self._path_cache: Dict[str, PathCost] = {}
-        self._route_cache: Dict[str, Tuple[str, ...]] = {}
+        #: per node vertex: (path cost, link ids) of its live route to gmem
+        self._routes: Dict[str, Tuple[PathCost, Tuple[str, ...]]] = {}
         #: Bumped whenever topology or link health changes; holders of
         #: path-derived memos (the machine's charge tables) compare-and-drop.
         self.generation = 0
@@ -505,8 +505,7 @@ class Interconnect:
                 capacity_bytes_per_s
             )
         self._down_links.discard(frozenset((u, v)))
-        self._path_cache.clear()
-        self._route_cache.clear()
+        self._routes.clear()
         self.generation += 1
 
     def set_link_capacity(self, u: str, v: str, bytes_per_s: float) -> None:
@@ -534,8 +533,7 @@ class Interconnect:
         else:
             self._down_links.add(frozenset((u, v)))
             self.links.note_state(link_id(u, v), up=False, now_ns=now_ns)
-        self._path_cache.clear()
-        self._route_cache.clear()
+        self._routes.clear()
         self.generation += 1
 
     def link_is_up(self, u: str, v: str) -> bool:
@@ -551,10 +549,16 @@ class Interconnect:
 
     # -- queries ---------------------------------------------------------------
 
-    def path_to_gmem(self, node_id: int) -> PathCost:
-        """Hops/switches from ``node_id`` to global memory over live links."""
+    def _route(self, node_id: int) -> Tuple[PathCost, Tuple[str, ...]]:
+        """``node_id``'s live route to global memory: its cost and link ids.
+
+        Computed once per node and dropped on any topology/health change.
+        Routing is ``nx.shortest_path`` over the live subgraph —
+        deterministic for a given insertion order, so seeded runs charge
+        identical paths.
+        """
         src = node_vertex(node_id)
-        cached = self._path_cache.get(src)
+        cached = self._routes.get(src)
         if cached is not None:
             return cached
         # with every link up (the common case) the live subgraph IS the
@@ -566,34 +570,18 @@ class Interconnect:
             path = nx.shortest_path(live, src, GMEM_VERTEX)
         except nx.NetworkXNoPath as exc:
             raise InterconnectError(f"node {node_id} cannot reach global memory") from exc
-        hops = len(path) - 1
         switches = sum(1 for v in path if self.graph.nodes[v].get("kind") == "switch")
-        cost = PathCost(hops=hops, switches=switches)
-        self._path_cache[src] = cost
-        return cost
+        links = tuple(link_id(path[i], path[i + 1]) for i in range(len(path) - 1))
+        route = self._routes[src] = (PathCost(hops=len(links), switches=switches), links)
+        return route
+
+    def path_to_gmem(self, node_id: int) -> PathCost:
+        """Hops/switches from ``node_id`` to global memory over live links."""
+        return self._route(node_id)[0]
 
     def path_links(self, node_id: int) -> Tuple[str, ...]:
-        """Canonical link ids along ``node_id``'s live route to gmem.
-
-        Cached per node and dropped on any topology/health change, like
-        :meth:`path_to_gmem`.  Routing is ``nx.shortest_path`` over the
-        live subgraph — deterministic for a given insertion order, so
-        seeded runs charge identical paths.
-        """
-        src = node_vertex(node_id)
-        cached = self._route_cache.get(src)
-        if cached is not None:
-            return cached
-        live = self.graph if not self._down_links else self._live_subgraph()
-        if src not in live or GMEM_VERTEX not in live:
-            raise InterconnectError(f"{src} or gmem not in fabric")
-        try:
-            path = nx.shortest_path(live, src, GMEM_VERTEX)
-        except nx.NetworkXNoPath as exc:
-            raise InterconnectError(f"node {node_id} cannot reach global memory") from exc
-        route = tuple(link_id(path[i], path[i + 1]) for i in range(len(path) - 1))
-        self._route_cache[src] = route
-        return route
+        """Canonical link ids along ``node_id``'s live route to gmem."""
+        return self._route(node_id)[1]
 
     def charge(
         self, vni: int, node_id: int, n_bytes: int, requests: int, now_ns: float

@@ -62,8 +62,6 @@ _SUB = "rack.machine"
 _TLB_EMPTY = (0, 0, None)
 #: The index that selects a whole batch without copying it.
 _ALL = slice(None)
-#: One bulk-plan group: (region, index of its ops in the batch, device offsets).
-_Group = Tuple[Region, Union[np.ndarray, slice], np.ndarray]
 
 
 class RackMachine:
@@ -292,19 +290,18 @@ class RackMachine:
 
     # -- bulk data plane (DESIGN.md §10) -----------------------------------------------
     #
-    # The bulk APIs are *semantically* a loop of single ops: returned
-    # bytes, charged simulated ns, cache state, fault-log contents, and
-    # telemetry counters are bit-identical to issuing each access alone.
-    # What they amortise is host CPU: one resolve per distinct region,
-    # one coalesced fault/poison pass per region, vectorized charge
-    # arithmetic (``np.add.accumulate`` is a strict left fold, so the
-    # float rounding matches the sequential clock adds), and one
-    # aggregated telemetry record per batch.  Whenever a batch needs the
-    # sequential machinery to stay exact — fault injection armed for a
-    # touched region kind, poison in a touched window, partially
-    # overlapping writes, unmapped or misaligned addresses — it falls
-    # back to the single-op loop, which reproduces every observable
-    # including the op index at which an error surfaces.
+    # Every bulk API *is* a loop of single ops: returned bytes, charged
+    # simulated ns, cache state, fault-log contents and telemetry
+    # counters are those of issuing each access alone.  The entry points
+    # with traffic — bypass ``load_many``, packed bypass ``store_many``,
+    # ``atomic_load_many`` / ``atomic_store_many`` — amortise host CPU
+    # when :meth:`_bulk_plan` finds the batch to be one clean window:
+    # one resolve, one gather/scatter, one uniform charge vector
+    # (``np.add.accumulate`` is a strict left fold, so the float rounding
+    # matches the sequential clock adds) and one aggregated telemetry
+    # record.  Everything else, and every batch the plan refuses, is the
+    # loop itself, which reproduces every observable including the op
+    # index at which an error surfaces.
 
     def load_many(
         self,
@@ -318,21 +315,24 @@ class RackMachine:
         """Read ``size`` bytes at each address (scatter-gather read).
 
         Returns one ``bytes`` per address, or a single packed buffer
-        when ``concat`` is true.  Equivalent to a loop of :meth:`load`.
+        when ``concat`` is true.  Equivalent to a loop of :meth:`load`;
+        a bypass batch that is one clean window is one gather.
         ``addrs`` may be an int64 array (used as is, no list round trip).
         """
         n = len(addrs)
         if n == 0:
             return b"" if concat else []
-        node = self._live(node_id)
-        if bypass_cache:
-            buf = self._bulk_bypass_load(node, addrs, size)
-            if buf is not None:
-                return buf if concat else _split(buf, size)
-            parts = [self.load(node_id, a, size, bypass_cache=True) for a in _ints(addrs)]
-        else:
-            parts = self._bulk_cached_load(node, _ints(addrs), size)
-        return b"".join(parts) if concat else parts
+        plan = self._bulk_plan(node_id, addrs, size) if bypass_cache else None
+        if plan is None:
+            parts = [
+                self.load(node_id, a, size, bypass_cache=bypass_cache) for a in _ints(addrs)
+            ]
+            return b"".join(parts) if concat else parts
+        region, offs = plan
+        buf = region.device.gather(offs, size).tobytes()
+        ns = self._bulk_ns(self.nodes[node_id], region, size)
+        self._bulk_epilogue(node_id, addrs, size, ns, "bypass.load")
+        return buf if concat else _split(buf, size)
 
     def store_many(
         self,
@@ -348,13 +348,16 @@ class RackMachine:
         ``data`` is one payload per address, or — when ``size`` is given
         — a single packed buffer of ``len(addrs) * size`` bytes (``bytes``
         or a flat uint8 array, e.g. ``rows.reshape(-1)``; the
-        write-side twin of ``load_many(..., concat=True)``; skips all
-        per-payload bookkeeping).  Equivalent to a loop of :meth:`store`;
-        per-payload batches need not share one size, though only
-        uniform-size bypass batches vectorize.
+        write-side twin of ``load_many(..., concat=True)``).  Equivalent
+        to a loop of :meth:`store`; a packed bypass batch that is one
+        clean window is one scatter.  Per-payload batches need not share
+        one size.
         """
         n = len(addrs)
-        if size is not None:
+        if size is None:
+            if len(data) != n:
+                raise ValueError(f"store_many got {n} addresses but {len(data)} payloads")
+        else:
             if size <= 0:
                 raise ValueError("packed store_many needs a positive size")
             if len(data) != n * size:
@@ -362,82 +365,30 @@ class RackMachine:
                     f"store_many got {n} addresses but a packed buffer of "
                     f"{len(data)} bytes (need {n * size})"
                 )
-            if n == 0:
-                return
-            node = self._live(node_id)
-            if bypass_cache and self._bulk_bypass_store_packed(node, addrs, data, size):
+            if bypass_cache and self._bulk_bypass_store(node_id, addrs, data, size):
                 return
             data = _split(bytes(data), size)
-        else:
-            if len(data) != n:
-                raise ValueError(f"store_many got {n} addresses but {len(data)} payloads")
-            if n == 0:
-                return
-            node = self._live(node_id)
-            if bypass_cache and self._bulk_bypass_store(node, addrs, data):
-                return
-        addrs = _ints(addrs)
-        if bypass_cache:
-            for a, d in zip(addrs, data):
-                self.store(node_id, a, d, bypass_cache=True)
-            return
-        self._bulk_cached_store(node, addrs, data)
+        for a, d in zip(_ints(addrs), data):
+            self.store(node_id, a, d, bypass_cache=bypass_cache)
 
     def copy(
         self, node_id: int, dst: int, src: int, size: int, *, bypass_cache: bool = False
     ) -> None:
-        """Copy ``size`` bytes from ``src`` to ``dst`` through the node.
-
-        Semantically ``store(dst, load(src, size))``; the bypass form
-        moves the bytes device-to-device as one slab slice instead of
-        materialising them in Python.
-        """
+        """Copy ``size`` bytes from ``src`` to ``dst`` through the node:
+        ``store(dst, load(src, size))``."""
         if size <= 0:
             return
-        if not bypass_cache:
-            self.store(node_id, dst, self.load(node_id, src, size))
-            return
-        node, sregion, soff, clean = self._access(node_id, src, size)
-        self._charge_bulk(node, sregion, size)
-        if not clean:
-            self._maybe_fault(sregion, soff, size, node_id)
-            self._check_poison(sregion, soff, size, node_id)
-        node, dregion, doff, clean = self._access(node_id, dst, size)
-        self._charge_bulk(node, dregion, size)
-        if not clean:
-            self._maybe_fault(dregion, doff, size, node_id)
-            dregion.device.clear_poison(doff, size)
-        dregion.device.copy_from(doff, sregion.device, soff, size)
-        if _TEL.enabled:
-            _TEL.count(node_id, _SUB, "bypass.load")
-            _TEL.count(node_id, _SUB, "bypass.store")
-        if _TEL.atlas is not None:
-            _TEL.atlas.touch(src, size)
-            _TEL.atlas.touch(dst, size)
+        data = self.load(node_id, src, size, bypass_cache=bypass_cache)
+        self.store(node_id, dst, data, bypass_cache=bypass_cache)
 
     def fill(
         self, node_id: int, addr: int, size: int, value: int, *, bypass_cache: bool = False
     ) -> None:
-        """Set ``size`` bytes at ``addr`` to ``value`` (memset).
-
-        Semantically ``store(addr, bytes([value]) * size)``; the bypass
-        form broadcasts into the device slab without building a payload.
-        """
+        """Set ``size`` bytes at ``addr`` to ``value`` (memset):
+        ``store(addr, bytes([value]) * size)``."""
         if size <= 0:
             return
-        if not bypass_cache:
-            self.store(node_id, addr, bytes([value & 0xFF]) * size)
-            return
-        node, region, offset, clean = self._access(node_id, addr, size)
-        self._charge_bulk(node, region, size)
-        if not clean:
-            self._maybe_fault(region, offset, size, node_id)
-            region.device.clear_poison(offset, size)
-        region.device.fill(offset, size, value & 0xFF)
-        if _TEL.enabled:
-            _TEL.count(node_id, _SUB, "bypass.store")
-        if _TEL.atlas is not None:
-            _TEL.atlas.touch(addr, size)
+        self.store(node_id, addr, bytes([value & 0xFF]) * size, bypass_cache=bypass_cache)
 
     def atomic_fetch_add_many(
         self,
@@ -449,68 +400,33 @@ class RackMachine:
         """Batched :meth:`atomic_fetch_add`; returns the old values.
 
         ``deltas`` may be one int (broadcast) or a parallel sequence.
-        Batches with duplicate addresses chain read-modify-writes, so
-        they take the sequential path; unique-address batches vectorize.
         """
         n = len(addrs)
-        if n == 0:
-            return []
         if isinstance(deltas, int):
-            delta_seq: Sequence[int] = [deltas] * n
-        else:
-            delta_seq = deltas
-            if len(delta_seq) != n:
-                raise ValueError(f"{n} addresses but {len(delta_seq)} deltas")
-        plan = self._bulk_atomic_plan(node_id, addrs, width)
-        if plan is not None:
-            try:
-                # int64 wrap-around then uintN truncation == ``& mask``
-                d_arr = np.asarray(delta_seq, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                plan = None
-        if plan is None:
-            return [
-                self.atomic_fetch_add(node_id, a, d, width)
-                for a, d in zip(addrs, delta_seq)
-            ]
-        node, groups = plan
-        dtype = np.dtype(_INT_DTYPE[width])
-        old = np.empty(n, dtype=dtype)
-        d_arr = d_arr.astype(dtype)
-        for region, idx, offs in groups:
-            rows = region.device.gather(offs, width)
-            vals = rows.view(dtype).ravel()
-            old[idx] = vals
-            new = vals + d_arr[idx]
-            region.device.scatter(offs, new.reshape(-1, 1).view(np.uint8))
-        self._bulk_atomic_epilogue(node, addrs, groups, width)
-        return old.tolist()
+            deltas = [deltas] * n
+        elif len(deltas) != n:
+            raise ValueError(f"{n} addresses but {len(deltas)} deltas")
+        return [self.atomic_fetch_add(node_id, a, d, width) for a, d in zip(addrs, deltas)]
 
     def atomic_load_many(
         self, node_id: int, addrs: Sequence[int], width: int = 8
     ) -> List[int]:
         """Batched :meth:`atomic_load` (coherent scatter-gather read).
 
-        The read-only member of the bulk atomics family: one plan, one
-        gather per region, charges accumulated in op order — identical
-        observables to a loop of single ``atomic_load`` calls.  Batches
-        the plan rejects (duplicates, cached lines, armed faults, ...)
-        fall back to that loop.
+        One gather when :meth:`_bulk_atomic_plan` accepts the batch —
+        identical observables to a loop of single ``atomic_load`` calls,
+        which is what a refused batch (duplicates, cached lines, armed
+        faults, ...) is issued as.
         """
-        n = len(addrs)
-        if n == 0:
+        if len(addrs) == 0:
             return []
         plan = self._bulk_atomic_plan(node_id, addrs, width)
         if plan is None:
             return [self.atomic_load(node_id, a, width) for a in addrs]
-        node, groups = plan
-        dtype = np.dtype(_INT_DTYPE[width])
-        out = np.empty(n, dtype=dtype)
-        for region, idx, offs in groups:
-            rows = region.device.gather(offs, width)
-            out[idx] = rows.view(dtype).ravel()
-        self._bulk_atomic_epilogue(node, addrs, groups, width)
-        return out.tolist()
+        region, offs = plan
+        out = region.device.gather(offs, width).view(_INT_DTYPE[width]).ravel().tolist()
+        self._bulk_atomic_epilogue(node_id, addrs, region, width)
+        return out
 
     def atomic_store_many(
         self,
@@ -548,10 +464,9 @@ class RackMachine:
             for a, v in zip(addrs, [values] * n if scalar else values):
                 self.atomic_store(node_id, a, v, width)
             return
-        node, groups = plan
-        for region, idx, offs in groups:
-            region.device.scatter(offs, v_arr[idx].reshape(-1, 1).view(np.uint8))
-        self._bulk_atomic_epilogue(node, addrs, groups, width)
+        region, offs = plan
+        region.device.scatter(offs, v_arr.reshape(-1, 1).view(np.uint8))
+        self._bulk_atomic_epilogue(node_id, addrs, region, width)
 
     def atomic_cas_many(
         self,
@@ -562,45 +477,11 @@ class RackMachine:
         width: int = 8,
     ) -> List[Tuple[bool, int]]:
         """Batched :meth:`atomic_cas`; returns ``(swapped, observed)`` pairs."""
-        n = len(addrs)
-        if len(expected) != n or len(new) != n:
+        if len(expected) != len(addrs) or len(new) != len(addrs):
             raise ValueError("atomic_cas_many needs parallel addrs/expected/new")
-        if n == 0:
-            return []
-        plan = self._bulk_atomic_plan(node_id, addrs, width)
-        if plan is not None:
-            try:
-                e_raw = np.asarray(expected, dtype=np.int64)
-                v_arr = np.asarray(new, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                plan = None
-        if plan is None:
-            return [
-                self.atomic_cas(node_id, a, e, v, width)
-                for a, e, v in zip(addrs, expected, new)
-            ]
-        node, groups = plan
-        dtype = np.dtype(_INT_DTYPE[width])
-        old = np.empty(n, dtype=dtype)
-        swapped = np.empty(n, dtype=bool)
-        # the single op compares ``expected`` *unmasked* — an expected
-        # value outside [0, 2^bits) can never match the device value —
-        # so range-check before comparing in the truncated domain
-        in_range = e_raw >= 0
-        if width < 8:
-            in_range &= e_raw <= _INT[width][1]
-        e_arr = e_raw.astype(dtype)
-        v_arr = v_arr.astype(dtype)  # truncation == ``new & mask``
-        for region, idx, offs in groups:
-            rows = region.device.gather(offs, width)
-            vals = rows.view(dtype).ravel()
-            old[idx] = vals
-            hit = in_range[idx] & (vals == e_arr[idx])
-            swapped[idx] = hit
-            result = np.where(hit, v_arr[idx], vals)
-            region.device.scatter(offs, result.reshape(-1, 1).view(np.uint8))
-        self._bulk_atomic_epilogue(node, addrs, groups, width)
-        return list(zip(swapped.tolist(), old.tolist()))
+        return [
+            self.atomic_cas(node_id, a, e, v, width) for a, e, v in zip(addrs, expected, new)
+        ]
 
     # -- cache maintenance -------------------------------------------------------------
 
@@ -890,309 +771,118 @@ class RackMachine:
 
     # -- bulk internals ----------------------------------------------------------------
 
-    def _advance_vec(self, node: Node, charges: np.ndarray) -> None:
-        """Advance the clock by ``charges`` in op order, bit-identically.
+    def _bulk_epilogue(
+        self, node_id: int, addrs: Sequence[int], size: int, ns: float, counter: str
+    ) -> None:
+        """Charge, count and atlas-touch a vectorized batch: ``len(addrs)``
+        ops of ``size`` bytes costing ``ns`` each.
 
-        ``np.add.accumulate`` is a strict left fold over float64, so the
-        final clock value reproduces the rounding of a sequential
-        ``advance`` per element exactly — the property the golden
+        The plan proved no fault, poison or error is involved, so only the
+        final clock value is observable.  ``np.add.accumulate`` is a strict
+        left fold over float64: it reproduces the rounding of that many
+        sequential ``advance(ns)`` calls exactly — the property the golden
         latency tests pin.
         """
-        acc = np.empty(charges.shape[0] + 1, dtype=np.float64)
-        acc[0] = node.clock._now_ns
-        acc[1:] = charges
+        n = len(addrs)
+        clock = self.nodes[node_id].clock
+        acc = np.full(n + 1, ns, dtype=np.float64)
+        acc[0] = clock._now_ns
         np.add.accumulate(acc, out=acc)
-        node.clock._now_ns = float(acc[-1])
+        clock._now_ns = float(acc[-1])
+        if _TEL.enabled:
+            _TEL.add(node_id, _SUB, counter, float(n))
+        if _TEL.atlas is not None:
+            _TEL.atlas.touch_many(addrs, size)
 
     def _bulk_plan(
-        self, node: Node, addrs: Sequence[int], size: int
-    ) -> Optional[List[_Group]]:
-        """Group a batch by region: ``[(region, op_indices, offsets)]``.
+        self, node_id: int, addrs: Sequence[int], size: int
+    ) -> Optional[Tuple[Region, np.ndarray]]:
+        """One window or the loop: ``(region, device offsets)``, or ``None``.
 
-        ``op_indices`` indexes the batch (``x[op_indices]``): an int64
-        array, or ``slice(None)`` when one region holds every op.
-        Returns ``None`` whenever only the sequential path preserves
-        exact semantics: an unmapped / foreign-local / region-straddling
-        address (the error must surface at its op index, after the prior
-        ops' side effects), fault injection armed for a touched region
-        kind (RNG draws and timestamps interleave per op), or poison
-        anywhere in a touched region's coalesced window (the raise
-        happens mid-batch with the clock mid-way).
+        A batch vectorizes when all of it lies in one region the live
+        issuing node may access, no fault is armed for that region kind
+        and no byte of the span it covers is poisoned.  ``None`` means
+        only the loop of single ops preserves exact semantics: a dead
+        node (the raise), not one region — multi-region, foreign-local,
+        unmapped or straddling (each op pays its own region's charge; an
+        error must surface at its op index, after the prior ops' side
+        effects) — an armed fault (RNG draws and timestamps interleave
+        per op), poison in the span (the raise happens mid-batch with the
+        clock mid-way), or addresses numpy cannot hold as an int64 vector.
         """
+        node = self.nodes.get(node_id)
+        if node is None or not node.alive or size <= 0:
+            return None
         try:
             arr = np.asarray(addrs, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
             return None
-        if arr.ndim != 1:
+        if arr.ndim != 1 or arr.shape[0] == 0:
             return None
-        n = arr.shape[0]
-        faults = self.faults
-        if n:
-            # fast path: the whole batch inside one region (the common
-            # shape).  min/max bound every address, so one resolve of the
-            # span replaces the per-region mask walk below.
-            lo = int(arr.min())
-            hi = int(arr.max())
-            try:
-                region, _ = self.address_map.resolve(lo, 1)
-            except MemoryError_:
-                return None
-            if lo >= region.base and hi + size <= region.end:
-                if region.owner is not None and region.owner != node.node_id:
-                    return None  # ProtectionError belongs to one op index
-                if not faults.is_noop(region.owner is None):
-                    return None
-                base = region.base
-                if region.device.is_poisoned(lo - base, hi + size - lo):
-                    return None
-                return [(region, _ALL, arr - base)]
-        groups: List[_Group] = []
-        matched = 0
-        for region in self.address_map.regions:
-            if region.owner is not None and region.owner != node.node_id:
-                if bool(np.any((arr >= region.base) & (arr < region.end))):
-                    return None  # ProtectionError belongs to one op index
-                continue
-            mask = (arr >= region.base) & (arr + size <= region.end)
-            idx = np.nonzero(mask)[0]
-            if idx.shape[0] == 0:
-                continue
-            matched += idx.shape[0]
-            if not faults.is_noop(region.owner is None):
-                return None
-            offs = arr[idx] - region.base
-            lo = int(offs.min())
-            span = int(offs.max()) + size - lo
-            if region.device.is_poisoned(lo, span):
-                return None
-            groups.append((region, idx, offs))
-        if matched != n:
-            return None  # some address is unmapped or straddles a region
-        return groups
-
-    def _bulk_bypass_load(
-        self, node: Node, addrs: Sequence[int], size: int
-    ) -> Optional[bytes]:
-        """Vectorized non-temporal gather; ``None`` means go sequential."""
-        if size <= 0:
-            return None
-        groups = self._bulk_plan(node, addrs, size)
-        if groups is None:
-            return None
-        n = len(addrs)
-        charges = np.empty(n, dtype=np.float64)
-        if len(groups) == 1:  # a lone group covers the batch: no reassembly
-            region, _idx, offs = groups[0]
-            charges.fill(self._bulk_ns(node, region, size))
-            out = region.device.gather(offs, size)
-        else:
-            out = np.empty((n, size), dtype=np.uint8)
-            for region, idx, offs in groups:
-                charges[idx] = self._bulk_ns(node, region, size)
-                out[idx] = region.device.gather(offs, size)
-        self._advance_vec(node, charges)
-        if _TEL.enabled:
-            _TEL.add(node.node_id, _SUB, "bypass.load", float(n))
-        if _TEL.atlas is not None:
-            _TEL.atlas.touch_many(addrs, size)
-        return out.tobytes()
-
-    def _bulk_bypass_store(
-        self, node: Node, addrs: Sequence[int], data: Sequence[bytes]
-    ) -> bool:
-        """Vectorized non-temporal scatter; False means go sequential."""
-        n = len(data)
-        size = len(data[0])
-        lens = np.fromiter(map(len, data), dtype=np.int64, count=n)
-        if size <= 0 or bool(np.any(lens != size)):
-            return False  # ragged sizes: each op charges its own burst
-        groups = self._bulk_plan(node, addrs, size)
-        if groups is None:
-            return False
-        rows = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(n, size)
-        return self._bulk_scatter(node, groups, rows, size)
-
-    def _bulk_bypass_store_packed(
-        self, node: Node, addrs: Sequence[int], packed, size: int
-    ) -> bool:
-        """Packed-buffer variant: no per-payload sizes to validate."""
-        groups = self._bulk_plan(node, addrs, size)
-        if groups is None:
-            return False
+        # min/max bound every address: one resolve of the span they cover
+        lo = int(arr.min())
+        span = int(arr.max()) + size - lo
         try:
-            rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
-        except (TypeError, ValueError, BufferError):
-            return False
-        return self._bulk_scatter(node, groups, rows, size)
+            region, offset = self.address_map.resolve(lo, span)
+        except MemoryError_:
+            return None
+        if region.owner is not None and region.owner != node_id:
+            return None  # ProtectionError belongs to one op index
+        if self.faults.armed[region.owner is None] or region.device.is_poisoned(offset, span):
+            return None
+        return region, arr - region.base
 
-    def _bulk_scatter(
-        self, node: Node, groups: List[_Group], rows: np.ndarray, size: int
-    ) -> bool:
-        """Charge and apply a planned scatter write; False = go sequential.
+    def _bulk_bypass_store(self, node_id: int, addrs: Sequence[int], packed, size: int) -> bool:
+        """Vectorized non-temporal scatter of a packed buffer; False means
+        go sequential (the plan refused, or stores overlap partially).
 
         Every op charges, counts and touches the atlas; only the rows
         :func:`_last_writers` keeps reach the device.
         """
-        live = [_last_writers(offs, size) for _region, _idx, offs in groups]
-        if any(sel is None for sel in live):
+        plan = self._bulk_plan(node_id, addrs, size)
+        if plan is None:
             return False
-        n = rows.shape[0]
-        charges = np.empty(n, dtype=np.float64)
-        for (region, idx, offs), sel in zip(groups, live):
-            charges[idx] = self._bulk_ns(node, region, size)
-            # plan proved no poison in the window: per-op clear_poison
-            # would be a no-op, so skipping it is exact
-            region.device.scatter(offs[sel], rows[idx][sel])
-        self._advance_vec(node, charges)
-        if _TEL.enabled:
-            _TEL.add(node.node_id, _SUB, "bypass.store", float(n))
-        atlas = _TEL.atlas
-        if atlas is not None:
-            # plan groups carry (region, idx, offs): reconstruct addresses
-            for region, _idx, offs in groups:
-                atlas.touch_many(region.base + offs, size)
+        region, offs = plan
+        try:
+            rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
+        except (TypeError, ValueError, BufferError):
+            return False
+        keep = _last_writers(offs, size)
+        if keep is None:
+            return False
+        # plan proved no poison in the span: per-op clear_poison would be
+        # a no-op, so skipping it is exact
+        region.device.scatter(offs[keep], rows[keep])
+        ns = self._bulk_ns(self.nodes[node_id], region, size)
+        self._bulk_epilogue(node_id, addrs, size, ns, "bypass.store")
         return True
-
-    def _bulk_cached_load(
-        self, node: Node, addrs: Sequence[int], size: int
-    ) -> List[bytes]:
-        """Fused cached-load loop: the single-op hit fast path with the
-        per-op call overhead hoisted out.  Clock, stats and telemetry
-        accumulate locally and flush whenever an op leaves the fast path
-        (miss, multi-line, dead node), so every observable matches the
-        sequential loop exactly — including the clock value any general
-        -path op reads mid-batch."""
-        out: List[bytes] = []
-        append = out.append
-        node_id = node.node_id
-        if size <= 0:
-            for a in addrs:
-                append(self.load(node_id, a, size))
-            return out
-        mask = self._line_mask
-        line_sz = mask + 1
-        hit_ns = self._hit_ns
-        cache = node.cache
-        lines = cache._lines
-        get = lines.get
-        move = lines.move_to_end
-        clock = node.clock
-        atlas = _TEL.atlas
-        hit_addrs: Optional[List[int]] = [] if atlas is not None else None
-        t = clock._now_ns
-        pend = 0
-        for a in addrs:
-            base = a & ~mask
-            if node.alive and a + size <= base + line_sz:
-                line = get(base)
-                if line is not None:
-                    move(base)
-                    pend += 1
-                    t += hit_ns
-                    if hit_addrs is not None:
-                        hit_addrs.append(a)
-                    lo = a - base
-                    append(bytes(line.data[lo : lo + size]))
-                    continue
-            if pend:
-                clock._now_ns = t
-                cache.stats.hits += pend
-                if _TEL.enabled:
-                    _TEL.add(node_id, _SUB, "cache.hit", float(pend))
-                pend = 0
-            append(self.load(node_id, a, size))
-            t = clock._now_ns
-        if pend:
-            clock._now_ns = t
-            cache.stats.hits += pend
-            if _TEL.enabled:
-                _TEL.add(node_id, _SUB, "cache.hit", float(pend))
-        if hit_addrs:
-            # misses routed through self.load fed the sketch already;
-            # hits flush as one aggregated batch (TelemetryState.add style)
-            atlas.touch_many(hit_addrs, size)
-        return out
-
-    def _bulk_cached_store(
-        self, node: Node, addrs: Sequence[int], data: Sequence[bytes]
-    ) -> None:
-        """Fused cached-store loop (see :meth:`_bulk_cached_load`)."""
-        node_id = node.node_id
-        mask = self._line_mask
-        line_sz = mask + 1
-        hit_ns = self._hit_ns
-        cache = node.cache
-        lines = cache._lines
-        get = lines.get
-        move = lines.move_to_end
-        clock = node.clock
-        atlas = _TEL.atlas
-        hit_addrs: Optional[List[int]] = [] if atlas is not None else None
-        hit_sizes: List[int] = []
-        t = clock._now_ns
-        pend = 0
-        for a, d in zip(addrs, data):
-            size = len(d)
-            base = a & ~mask
-            if 0 < size and node.alive and a + size <= base + line_sz:
-                line = get(base)
-                if line is not None:
-                    move(base)
-                    lo = a - base
-                    line.data[lo : lo + size] = d
-                    line.dirty = True
-                    pend += 1
-                    t += hit_ns
-                    if hit_addrs is not None:
-                        hit_addrs.append(a)
-                        hit_sizes.append(size)
-                    continue
-            if pend:
-                clock._now_ns = t
-                cache.stats.hits += pend
-                if _TEL.enabled:
-                    _TEL.add(node_id, _SUB, "cache.hit", float(pend))
-                pend = 0
-            self.store(node_id, a, d)
-            t = clock._now_ns
-        if pend:
-            clock._now_ns = t
-            cache.stats.hits += pend
-            if _TEL.enabled:
-                _TEL.add(node_id, _SUB, "cache.hit", float(pend))
-        if hit_addrs:
-            atlas.touch_many(hit_addrs, hit_sizes)
 
     def _bulk_atomic_plan(
         self, node_id: int, addrs: Sequence[int], width: int
-    ) -> Optional[Tuple[Node, List[_Group]]]:
+    ) -> Optional[Tuple[Region, np.ndarray]]:
         """Plan a batched atomic; ``None`` means go sequential.
 
         On top of :meth:`_bulk_plan`'s rules, atomics also go sequential
-        on a dead node (the raise), a misaligned address (the raise at
-        its index), duplicate addresses (chained read-modify-writes),
-        or any touched line resident in the issuing node's cache (the
-        per-op invalidate is observable in eviction order).
+        on a misaligned address (the raise at its index), duplicate
+        addresses (chained read-modify-writes), or any touched line
+        resident in the issuing node's cache (the per-op invalidate is
+        observable in eviction order).
         """
         if width not in _INT_DTYPE:
             raise ValueError(
                 f"atomic width must be one of {sorted(_INT)}, got {width}"
             )
-        node = self.nodes.get(node_id)
-        if node is None or not node.alive:
+        plan = self._bulk_plan(node_id, addrs, width)
+        if plan is None:
             return None
-        try:
-            arr = np.asarray(addrs, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if arr.ndim != 1:
-            return None
+        region, offs = plan
+        arr = offs + region.base
         if width > 1 and bool(np.any(arr % width)):
             return None
         srt = np.sort(arr)
         if srt.shape[0] > 1 and bool(np.any(srt[1:] == srt[:-1])):
             return None  # duplicates: chained read-modify-writes
-        lines = node.cache._lines
+        lines = self.nodes[node_id].cache._lines
         if lines:
             bases = srt & ~self._line_mask  # sorted, possibly repeated
             if bases.shape[0] > 1:
@@ -1210,42 +900,18 @@ class RackMachine:
                 for base in bases.tolist():
                     if base in lines:
                         return None
-        groups = self._bulk_plan(node, arr, width)
-        if groups is None:
-            return None
-        return node, groups
+        return plan
 
     def _bulk_atomic_epilogue(
-        self,
-        node: Node,
-        addrs: Sequence[int],
-        groups: List[_Group],
-        width: int = 8,
+        self, node_id: int, addrs: Sequence[int], region: Region, width: int
     ) -> None:
-        """Charge and count a vectorized atomic batch.
-
-        The plan proved no fault, poison, or cached line is involved, so
-        only the final clock value is observable — accumulated in op
-        order to keep float rounding identical to the sequential loop.
-        """
-        n = len(addrs)
+        """:meth:`_bulk_epilogue` of a vectorized atomic batch (the plan
+        also proved no cached line is involved)."""
         lat = self.latency
-        charges = np.empty(n, dtype=np.float64)
-        n_global = 0
-        for region, idx, offs in groups:
-            if region.is_global:
-                charges[idx] = lat.global_atomic_ns
-                n_global += offs.shape[0]
-            else:
-                charges[idx] = lat.local_atomic_ns
-        self._advance_vec(node, charges)
-        if _TEL.enabled:
-            if n_global:
-                _TEL.add(node.node_id, _SUB, "atomic.global", float(n_global))
-            if n > n_global:
-                _TEL.add(node.node_id, _SUB, "atomic.local", float(n - n_global))
-        if _TEL.atlas is not None:
-            _TEL.atlas.touch_many(addrs, width)
+        if region.owner is None:
+            self._bulk_epilogue(node_id, addrs, width, lat.global_atomic_ns, "atomic.global")
+        else:
+            self._bulk_epilogue(node_id, addrs, width, lat.local_atomic_ns, "atomic.local")
 
     def _charge_writeback(self, node: Node, region: Region, lines: int) -> None:
         if _TEL.enabled:

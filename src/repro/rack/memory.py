@@ -102,27 +102,6 @@ class PhysicalMemory:
         self._check(offset, size)
         return memoryview(self._buf)[offset : offset + size]
 
-    def fill(self, offset: int, size: int, value: int) -> None:
-        """Set ``size`` bytes to ``value`` in one slab write."""
-        self._check(offset, size)
-        self.slab[offset : offset + size] = value
-
-    def copy_from(
-        self, dst_offset: int, src: "PhysicalMemory", src_offset: int, size: int
-    ) -> None:
-        """Device-to-device copy as a single slice move (memcpy).
-
-        Overlapping same-device ranges copy through a snapshot, so the
-        result is always "read everything, then write" (memmove).
-        """
-        self._check(dst_offset, size)
-        src._check(src_offset, size)
-        if src is self and dst_offset < src_offset + size and src_offset < dst_offset + size:
-            snapshot = self._buf[src_offset : src_offset + size]
-            self._buf[dst_offset : dst_offset + size] = snapshot
-            return
-        self._buf[dst_offset : dst_offset + size] = src.view(src_offset, size)
-
     def _windows(self, size: int) -> np.ndarray:
         """Every ``size``-byte window of the slab as rows of one 2-D view.
 

@@ -73,9 +73,6 @@ class TelemetryState:
         "tracing",
         "registry",
         "trace",
-        "sampling",
-        "sampling_active",
-        "_sample_skip",
         "atlas",
     )
 
@@ -84,11 +81,6 @@ class TelemetryState:
         self.tracing = False
         self.registry = MetricsRegistry()
         self.trace = TraceBuffer()
-        #: per-subsystem event stride (see :meth:`set_sampling`)
-        self.sampling: dict = {}
-        #: hoisted ``bool(sampling)`` so the count fast path is one check
-        self.sampling_active = False
-        self._sample_skip: dict = {}
         #: the resource-attribution atlas (:mod:`repro.telemetry.atlas`),
         #: or None.  Hot paths pay one attribute check when unset, the
         #: same contract as ``enabled`` — and the atlas keeps its own
@@ -113,70 +105,28 @@ class TelemetryState:
         """Drop every recorded metric and span (switches unchanged)."""
         self.registry.clear()
         self.trace.clear()
-        self._sample_skip.clear()
         if self.atlas is not None:
             self.atlas.clear()
-        return self
-
-    # -- sampling --------------------------------------------------------------
-
-    def set_sampling(self, subsystem: Optional[str] = None, stride: int = 1) -> "TelemetryState":
-        """Decimate one subsystem's per-event counters to every
-        ``stride``-th event, recorded with weight ``stride``.
-
-        Sampling is unbiased in expectation and cuts the *host* wall
-        cost of hot instrumentation sites; it never touches simulated
-        time.  Aggregated batch records (:meth:`add`) stay exact —
-        they are already one call per batch.  ``stride=1`` restores
-        exact counting for the subsystem; no subsystem restores all.
-        """
-        if subsystem is None:
-            self.sampling.clear()
-            self._sample_skip.clear()
-        elif stride <= 1:
-            self.sampling.pop(subsystem, None)
-            self._sample_skip.pop(subsystem, None)
-        else:
-            self.sampling[subsystem] = int(stride)
-        self.sampling_active = bool(self.sampling)
         return self
 
     # -- hot-path recording helpers --------------------------------------------
 
     def count(self, node: int, subsystem: str, name: str, delta: float = 1.0) -> None:
-        """Record one event's counter delta, honouring sampling.
-
-        The per-event instrumentation call: with no sampling configured
-        (the default) this is exactly ``registry.inc`` without the
-        timestamp, so golden counter values are unchanged.
-        """
-        if self.sampling_active:
-            stride = self.sampling.get(subsystem)
-            if stride is not None:
-                skip = self._sample_skip
-                left = skip.get(subsystem, 0)
-                if left:
-                    skip[subsystem] = left - 1
-                    return
-                skip[subsystem] = stride - 1
-                delta *= stride
+        """Record one event's counter delta: ``registry.inc`` without the
+        timestamp (the per-event instrumentation call)."""
         counters = self.registry.counters
         key = (node, subsystem, name)
         counters[key] = counters.get(key, 0.0) + delta
 
     def add(self, node: int, subsystem: str, name: str, delta: float = 1.0) -> None:
-        """Record one *pre-aggregated* batch delta, never sampled.
-
-        Bulk paths call this once per batch; the value is exact by
-        construction, so decimating it would only lose information.
-        """
+        """Record one *pre-aggregated* batch delta (bulk paths call this
+        once per batch)."""
         self.registry.add((node, subsystem, name), delta)
 
     def observe_batch(self, node: int, subsystem: str, name: str, values) -> None:
         """Record a whole batch of histogram samples in one call.
 
-        Aggregated like :meth:`add` — never sampled, exact by
-        construction, and still free in simulated time.
+        Aggregated like :meth:`add`, and still free in simulated time.
         """
         self.registry.observe_batch(node, subsystem, name, values)
 

@@ -13,7 +13,6 @@ from .generators import (
 from .traffic import (
     AdmissionError,
     DataPlaneBackend,
-    NaivePollingDriver,
     RedisBackend,
     ServerlessBackend,
     TenantSpec,
@@ -49,7 +48,6 @@ __all__ = [
     "DataPlaneBackend",
     "DiurnalProcess",
     "KeyGenerator",
-    "NaivePollingDriver",
     "PoissonProcess",
     "RedisBackend",
     "Request",

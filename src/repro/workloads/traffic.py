@@ -38,9 +38,6 @@ Determinism: arrivals, key draws and op mixes are seeded per tenant;
 the event heap breaks ties by insertion order; service costs come from
 the machine's charged nanoseconds.  Same seed, same report —
 :meth:`TrafficReport.digest` is the bit the tests pin.
-
-The :class:`NaivePollingDriver` preserves the architecture this engine
-replaces (every client polled every tick) as the benchmark baseline.
 """
 
 from __future__ import annotations
@@ -56,6 +53,9 @@ from ..flacdk.arena import ArenaExhausted
 from ..rack.machine import NodeContext
 from ..telemetry import TELEMETRY as _TEL
 from .arrivals import ArrivalProcess, make_process
+
+#: Arrival timestamps pre-sampled per refill of a tenant's queue.
+_ARRIVAL_CHUNK = 4_096
 
 
 class AdmissionError(Exception):
@@ -350,18 +350,15 @@ class TrafficEngine:
         tenants: List[TenantSpec],
         seed: int = 0,
         batch_window_ns: float = 200_000.0,
-        chunk: int = 4_096,
         link_capacity_bytes_per_s: Optional[float] = None,
         backend=None,
-        events: Optional[EventCore] = None,
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
         self.kernel = kernel
         self.machine = kernel.machine
-        self.events = events if events is not None else kernel.events
+        self.events = kernel.events
         self.batch_window_ns = float(batch_window_ns)
-        self.chunk = int(chunk)
         self.backend = backend if backend is not None else DataPlaneBackend(kernel)
         self.fabric = self.machine.fabric
         self.vnis = self.machine.fabric.vnis
@@ -398,9 +395,9 @@ class TrafficEngine:
 
     def _refill(self, st: _TenantState) -> None:
         """Top up the tenant's pre-sampled arrival buffer."""
-        fresh = st.arrivals.next_chunk(self.chunk)
+        fresh = st.arrivals.next_chunk(_ARRIVAL_CHUNK)
         while len(fresh) == 0:  # thinning may reject a whole chunk
-            fresh = st.arrivals.next_chunk(self.chunk)
+            fresh = st.arrivals.next_chunk(_ARRIVAL_CHUNK)
         left = st.queue[st.pos:]
         st.queue = np.concatenate((left, fresh)) if len(left) else fresh
         st.pos = 0
@@ -673,79 +670,3 @@ class TrafficEngine:
         return TrafficReport(
             duration_ns=duration_ns, events_dispatched=events, tenants=tenants
         )
-
-
-# -- the baseline this engine replaces -----------------------------------------
-
-
-class NaivePollingDriver:
-    """Closed polling loop: every client visited every tick.
-
-    This is the architecture the event core retires, kept as the
-    benchmark baseline: per tick, Python iterates *all* logical clients
-    of *all* tenants asking "is your next arrival due?", and due
-    requests run one substrate op each (no batching).  Cost is
-    O(clients x ticks) regardless of load — with 100k clients the
-    interpreter burns almost all of its time asking idle clients
-    nothing.
-    """
-
-    def __init__(self, kernel, tenants: List[TenantSpec], seed: int = 0,
-                 tick_ns: float = 200_000.0) -> None:
-        self.kernel = kernel
-        self.machine = kernel.machine
-        self.tick_ns = float(tick_ns)
-        self.clients: List[dict] = []
-        self.served = 0
-        backend = DataPlaneBackend(kernel)
-        for idx, spec in enumerate(tenants):
-            st = _TenantState(
-                spec=spec,
-                vni=-1,
-                arrivals=make_process(
-                    spec.arrival, spec.rate_rps, seed=seed * 65_537 + idx,
-                    amplitude=spec.amplitude, period_s=spec.period_s, phase=spec.phase,
-                ),
-                rng=np.random.default_rng(seed * 92_821 + idx),
-                queue=np.empty(0, dtype=np.float64),
-            )
-            backend.prepare(st)
-            slab, _ = st.backend_state
-            # deal the tenant's aggregate arrival stream round-robin
-            # onto its clients, each of which polls for its own next time
-            times = st.arrivals.next_chunk(max(4 * spec.n_clients, 4_096))
-            for c in range(spec.n_clients):
-                mine = times[c::spec.n_clients]
-                self.clients.append(
-                    {
-                        "spec": spec,
-                        "slab": slab,
-                        "times": mine,
-                        "i": 0,
-                        "rng": np.random.default_rng((seed, idx, c)),
-                    }
-                )
-
-    def run_ticks(self, n_ticks: int) -> int:
-        """Poll every client for ``n_ticks``; returns requests served."""
-        served = 0
-        now = 0.0
-        for _ in range(n_ticks):
-            now += self.tick_ns
-            for client in self.clients:
-                times = client["times"]
-                i = client["i"]
-                while i < len(times) and times[i] <= now:
-                    spec = client["spec"]
-                    key = int(client["rng"].integers(0, spec.n_keys))
-                    ctx = self.machine.context(spec.node)
-                    addr = client["slab"] + key * spec.value_size
-                    if client["rng"].random() < spec.get_ratio:
-                        ctx.load(addr, spec.value_size, bypass_cache=True)
-                    else:
-                        ctx.store(addr, b"\x5a" * spec.value_size, bypass_cache=True)
-                    i += 1
-                    served += 1
-                client["i"] = i
-        self.served += served
-        return served

@@ -20,6 +20,7 @@ poisoned lines hit mid-batch.
 from __future__ import annotations
 
 import random
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 
@@ -214,24 +215,6 @@ def test_store_many_packed_equals_loop(seed, bypass):
         ma.store_many(0, [ma.global_base], b"", size=0)
 
 
-def test_duplicate_targets_vectorize_partial_overlaps_go_sequential(monkeypatch):
-    """Which path a colliding batch takes, counted (not timed): exact
-    duplicates never reach ``RackMachine.store``; a partial overlap
-    replays every op of the batch through it."""
-    m = RackMachine(_config(0))
-    singles = []
-    real_store = RackMachine.store
-    monkeypatch.setattr(
-        RackMachine,
-        "store",
-        lambda self, *a, **kw: (singles.append(a[1]), real_store(self, *a, **kw))[1],
-    )
-    for name, addrs in _overlap_shapes(m, 64).items():
-        singles.clear()
-        m.store_many(0, addrs, bytes(len(addrs) * 64), bypass_cache=True, size=64)
-        assert singles == (addrs if name.startswith("partial") else []), name
-
-
 def test_duplicate_store_telemetry_and_atlas_match_loop():
     """A deduplicated scatter still counts and touches every op: registry
     counters and hot-page/line sketches equal the single-store loop's."""
@@ -246,7 +229,7 @@ def test_duplicate_store_telemetry_and_atlas_match_loop():
             for addrs in _overlap_shapes(m, 64).values():
                 data = [bytes([i + 1]) * 64 for i in range(len(addrs))]
                 if bulk:
-                    m.store_many(0, addrs, data, bypass_cache=True)
+                    m.store_many(0, addrs, b"".join(data), bypass_cache=True, size=64)
                 else:
                     for a, d in zip(addrs, data):
                         m.store(0, a, d, bypass_cache=True)
@@ -300,6 +283,8 @@ def test_bulk_under_fault_injection_equals_loop(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_atomic_many_equals_loop(seed):
+    """Seeded batches of the vectorized atomics (store then load back): one
+    region or global+local, with duplicates and a misaligned address."""
     ma, mb = _pair(seed)
     rng = random.Random(seed * 11 + 5)
     g = ma.global_base
@@ -314,26 +299,16 @@ def test_atomic_many_equals_loop(seed):
             pool[-1] = pool[0]  # duplicates chain: must go sequential
         if batch == 4:
             pool[0] += 1 if width > 1 else 0  # misalignment raises at index 0
-        deltas = [rng.randrange(-300, 300) for _ in range(n)]
-        ra = _apply(lambda: ma.atomic_fetch_add_many(0, pool, deltas, width))
+        values = [rng.choice([0, -1, 255, rng.randrange(1 << 8 * width)]) for _ in range(n)]
+        ra = _apply(lambda: ma.atomic_store_many(0, pool, values, width))
         rb = _apply(
-            lambda: [mb.atomic_fetch_add(0, a, d, width) for a, d in zip(pool, deltas)]
+            lambda: _loop(lambda av: mb.atomic_store(0, av[0], av[1], width), zip(pool, values))
         )
-        if ra[0] == "err":
-            assert ra[1] == rb[1]
-        else:
-            assert ra == rb
+        assert ra == rb
         assert _state(ma) == _state(mb)
-        exp = [rng.choice([0, 1, -1, 255, rng.randrange(1 << 8 * width)]) for _ in range(n)]
-        new = [rng.randrange(1 << 8 * width) for _ in range(n)]
-        ra = _apply(lambda: ma.atomic_cas_many(0, pool, exp, new, width))
-        rb = _apply(
-            lambda: [mb.atomic_cas(0, a, e, v, width) for a, e, v in zip(pool, exp, new)]
-        )
-        if ra[0] == "err":
-            assert ra[1] == rb[1]
-        else:
-            assert ra == rb
+        ra = _apply(lambda: ma.atomic_load_many(0, pool, width))
+        rb = _apply(lambda: [mb.atomic_load(0, a, width) for a in pool])
+        assert ra == rb
         assert _state(ma) == _state(mb)
 
 
@@ -345,22 +320,53 @@ def test_atomic_many_with_cached_line_invalidates_like_loop():
     for m in (ma, mb):
         m.load(0, g, 8)  # cache the line the atomics will hit
     addrs = [g, g + 8, g + 16]
-    ra = ma.atomic_fetch_add_many(0, addrs, 1)
-    rb = [mb.atomic_fetch_add(0, a, 1) for a in addrs]
+    ra = ma.atomic_load_many(0, addrs)
+    rb = [mb.atomic_load(0, a) for a in addrs]
     assert ra == rb
     assert _state(ma) == _state(mb)
     assert g & ~63 not in ma.nodes[0].cache._lines
 
 
-def _observed_stores(prepare, addrs, values, width, bulk, faults=None):
-    """Issue a batch of atomic stores with every sink on.  Returns the node-0
-    addresses that reached the single-op ``atomic_store`` and everything the
-    batch left behind: (outcome, registry counters, page sketch, line sketch,
+#: the entry points that keep a vector path, by the single op they stand for
+_KINDS = ("load", "store", "atomic_load", "atomic_store")
+
+
+def _issue(m, kind, batch, values, width, bulk):
+    """One node-0 batch through entry point ``kind``: its bulk form, or the
+    loop of single ops it stands for.  ``values`` feeds the atomic stores;
+    plain stores write payload ``i`` = byte ``i + 1`` repeated."""
+    if kind == "load":
+        if bulk:
+            return m.load_many(0, batch, width, bypass_cache=True)
+        return [m.load(0, a, width, bypass_cache=True) for a in batch]
+    if kind == "atomic_load":
+        if bulk:
+            return m.atomic_load_many(0, batch, width)
+        return [m.atomic_load(0, a, width) for a in batch]
+    if kind == "store":
+        payloads = [bytes([i + 1 & 0xFF]) * width for i in range(len(batch))]
+        if bulk:
+            return m.store_many(0, batch, b"".join(payloads), bypass_cache=True, size=width)
+        return _loop(lambda ad: m.store(0, ad[0], ad[1], bypass_cache=True), zip(batch, payloads))
+    if bulk:
+        return m.atomic_store_many(0, batch, values, width)
+    per_op = [values] * len(batch) if isinstance(values, int) else values
+    return _loop(lambda av: m.atomic_store(0, av[0], av[1], width), zip(batch, per_op))
+
+
+def _observed(kind, prepare, addrs, values, width, bulk, faults=None):
+    """Issue one batch (see :func:`_issue`) with every sink on.  Returns the
+    ``(op, address)`` of every single op it reached and everything the batch
+    left behind: (outcome, registry counters, page sketch, line sketch,
     machine state)."""
     from repro.telemetry.atlas import disable_atlas, enable_atlas
 
     singles = []
-    real = RackMachine.atomic_store
+    real = {op: getattr(RackMachine, op) for op in _KINDS}
+
+    def counted(op):
+        return lambda self, *a, **kw: (singles.append((op, a[1])), real[op](self, *a, **kw))[1]
+
     telemetry.reset()
     telemetry.enable()
     try:
@@ -368,34 +374,26 @@ def _observed_stores(prepare, addrs, values, width, bulk, faults=None):
         atlas = enable_atlas(m)
         prepare(m)
         batch = addrs(m)
-        RackMachine.atomic_store = lambda self, *a, **kw: (
-            singles.append(a[1]), real(self, *a, **kw))[1]
+        for op in _KINDS:
+            setattr(RackMachine, op, counted(op))
         try:
-            if bulk:
-                m.atomic_store_many(0, batch, values, width)
-            else:
-                per_op = [values] * len(batch) if isinstance(values, int) else values
-                for a, v in zip(batch, per_op):
-                    m.atomic_store(0, a, v, width)
-            outcome = "ok"
-        except (MemoryError_, ValueError, NodeCrashedError) as e:
+            outcome = ("ok", _issue(m, kind, batch, values, width, bulk))
+        except (MemoryError_, ValueError, TypeError, NodeCrashedError) as e:
             outcome = (type(e).__name__, str(e))
         counters = dict(telemetry.TELEMETRY.registry.counters)
         return singles, (outcome, counters, atlas.pages.snapshot(), atlas.lines.snapshot(), _state(m))
     finally:
-        RackMachine.atomic_store = real
+        for op in _KINDS:
+            setattr(RackMachine, op, real[op])
         disable_atlas()
         telemetry.disable()
         telemetry.reset()
 
 
 def _spread(m: RackMachine, width: int, n: int = 40) -> list:
-    """Unique aligned addresses over the global pool and node 0's DRAM."""
+    """Unique aligned addresses over the global pool."""
     slots = random.Random(width).sample(range(GSIZE // width), n)
-    return [
-        (m.local_base(0) if i % 5 == 4 else m.global_base) + slot * width
-        for i, slot in enumerate(slots)
-    ]
+    return [m.global_base + slot * width for slot in slots]
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -412,11 +410,11 @@ def test_atomic_store_many_equals_loop(width, per_address):
         ]
     else:
         values = (1 << 64) - 1  # the reclaimer's IDLE sentinel: does not fit int64
-    args = (lambda m: None, lambda m: _spread(m, width), values, width)
-    singles, bulk = _observed_stores(*args, bulk=True)
+    args = ("atomic_store", lambda m: None, lambda m: _spread(m, width), values, width)
+    singles, bulk = _observed(*args, bulk=True)
     assert singles == []
-    assert bulk == _observed_stores(*args, bulk=False)[1]
-    assert bulk[0] == "ok"
+    assert bulk == _observed(*args, bulk=False)[1]
+    assert bulk[0][0] == "ok"
 
 
 def _words(*slots):
@@ -448,13 +446,71 @@ def test_atomic_store_many_fallbacks_equal_loop(name):
     any) surfaces at the same index with the same partial side effects."""
     addrs, prepare, faults, error, n_issued = _STORE_FALLBACKS[name]
     values = list(range(0x1100, 0x1100 + len(addrs(RackMachine(_config(0))))))
-    args = (prepare or (lambda m: None), addrs, values, 8)
-    singles, bulk = _observed_stores(*args, bulk=True, faults=faults)
-    assert (singles, bulk) == _observed_stores(*args, bulk=False, faults=faults)
+    args = ("atomic_store", prepare or (lambda m: None), addrs, values, 8)
+    singles, bulk = _observed(*args, bulk=True, faults=faults)
+    assert (singles, bulk) == _observed(*args, bulk=False, faults=faults)
     assert len(singles) == n_issued
-    assert bulk[0] == "ok" if error is None else bulk[0][0] == error
+    assert bulk[0][0] == (error or "ok")
     if faults is not None:
         assert bulk[4]["faults"]  # the armed model did fire
+
+
+_PLAIN = ("load", "store")
+_ATOMIC = ("atomic_load", "atomic_store")
+
+
+class _Row(NamedTuple):
+    kinds: tuple  # entry points the row applies to
+    addrs: Callable  # machine -> batch addresses
+    prepare: Callable = lambda m: None
+    faults: Optional[FaultModel] = None
+    values: Optional[list] = None  # atomic-store operands (default: distinct ints)
+    loops: bool = True  # not one clean window: replays as the loop
+
+
+#: One row per reason a batch is not one clean window (DESIGN.md §10), then
+#: the rows that are.
+_TAXONOMY = {
+    "dead_node": _Row(_KINDS, _words(*range(4)), lambda m: m.crash_node(0)),
+    "multi_region": _Row(
+        _KINDS, lambda m: [m.global_base, m.local_base(0) + 8, m.global_base + 16]),
+    "foreign_local": _Row(
+        _KINDS, lambda m: [m.global_base, m.local_base(1) + 8, m.global_base + 16]),
+    "unmapped": _Row(_KINDS, lambda m: [m.global_base, m.global_base + GSIZE, m.global_base + 8]),
+    "straddling": _Row(_PLAIN, lambda m: [m.global_base, m.global_base + GSIZE - 4]),
+    "armed_fault": _Row(
+        _KINDS, _words(*range(64)), faults=FaultModel(global_ce_rate=0.2, local_ce_rate=0.2)),
+    "poison_in_span": _Row(_KINDS, _words(*range(12)), lambda m: m.global_mem.poison(8 * 5 + 3)),
+    "address_numpy_cannot_hold": _Row(
+        _KINDS, lambda m: [m.global_base, 1 << 70, m.global_base + 8]),
+    "partial_overlap": _Row(
+        ("store",), lambda m: [m.global_base, m.global_base + 64, m.global_base + 4]),
+    "value_numpy_cannot_hold": _Row(("atomic_store",), _words(0, 1, 2), values=[1, None, 3]),
+    "duplicate": _Row(_ATOMIC, _words(0, 1, 2, 1, 3)),
+    "misaligned": _Row(_ATOMIC, lambda m: [m.global_base, m.global_base + 17, m.global_base + 24]),
+    "issuer_cached": _Row(_ATOMIC, _words(*range(12)), lambda m: m.load(0, m.global_base + 64, 8)),
+    "one_region_exact_duplicates": _Row(_PLAIN, _words(0, 1, 0, 2, 0), loops=False),
+    "one_region_unique": _Row(_KINDS, _words(*range(12)), loops=False),
+    "one_region_unique_local": _Row(
+        _KINDS, lambda m: [m.local_base(0) + 8 * i for i in range(12)], loops=False),
+}
+
+
+@pytest.mark.parametrize("name", _TAXONOMY)
+def test_one_window_or_the_loop(name):
+    """Which path a batch takes, counted (not timed), for every entry point
+    with a vector path: a batch that is not one clean window replays as the
+    loop of single ops — same ops reached in the same order, same outcome,
+    same state — and a batch that is one issues no single op at all."""
+    row = _TAXONOMY[name]
+    n = len(row.addrs(RackMachine(_config(0))))
+    values = row.values or list(range(0x1100, 0x1100 + n))
+    for kind in row.kinds:
+        args = (kind, row.prepare, row.addrs, values, 8)
+        singles, bulk = _observed(*args, bulk=True, faults=row.faults)
+        looped, loop = _observed(*args, bulk=False, faults=row.faults)
+        assert bulk == loop, kind
+        assert looped and singles == (looped if row.loops else []), kind
 
 
 def test_atomic_store_many_shapes():
@@ -495,37 +551,9 @@ def test_boot_formats_regions_with_batched_stores(monkeypatch):
     assert calls["batched"] > 5000
 
 
-def test_copy_and_fill_equal_load_store():
-    ma, mb = _pair(0)
-    g = ma.global_base
-    blob = bytes(range(256)) * 16
-    for m in (ma, mb):
-        m.store(0, g, blob, bypass_cache=True)
-    ma.copy(0, g + 8192, g, len(blob), bypass_cache=True)
-    mb.store(0, g + 8192, mb.load(0, g, len(blob), bypass_cache=True), bypass_cache=True)
-    assert ma.now(0) == mb.now(0)
-    assert ma.load(0, g + 8192, len(blob), bypass_cache=True) == blob
-    mb.load(0, g + 8192, len(blob), bypass_cache=True)  # keep clocks in step
-    ma.fill(0, g + 4096, 1024, 0xAB, bypass_cache=True)
-    mb.store(0, g + 4096, b"\xab" * 1024, bypass_cache=True)
-    assert _state(ma) == _state(mb)
-    # overlapping same-device copy behaves as read-then-write
-    ma.copy(0, g + 16, g, 256, bypass_cache=True)
-    assert ma.load(0, g + 16, 256, bypass_cache=True) == blob[:256]
-    mb.copy(0, g + 16, g, 256, bypass_cache=True)
-    mb.load(0, g + 16, 256, bypass_cache=True)
-    # cached variants route through the cached load/store pair
-    ma.copy(0, g + 20480, g + 8192, 128)
-    mb.store(0, g + 20480, mb.load(0, g + 8192, 128))
-    assert _state(ma) == _state(mb)
-    ma.fill(0, g + 21504, 64, 0x11)
-    mb.store(0, g + 21504, b"\x11" * 64)
-    assert _state(ma) == _state(mb)
-
-
 def test_bulk_telemetry_counters_match_loop():
     """Aggregated batch records must land on exactly the counter values
-    the single-op loop produces (sampling off: exact by construction)."""
+    the single-op loop produces."""
     telemetry.reset()
     telemetry.enable()
     try:
@@ -541,7 +569,7 @@ def test_bulk_telemetry_counters_match_loop():
         assert dict(reg.counters) == a_ctrs
         reg.clear()
         ma.load_many(0, addrs, 8)  # cold: misses
-        ma.load_many(0, addrs, 8)  # warm: fused hit loop
+        ma.load_many(0, addrs, 8)  # warm: hits
         a_ctrs = dict(reg.counters)
         reg.clear()
         for _ in range(2):
@@ -549,32 +577,6 @@ def test_bulk_telemetry_counters_match_loop():
                 mb.load(0, a, 8)
         assert dict(reg.counters) == a_ctrs
     finally:
-        telemetry.disable()
-        telemetry.reset()
-
-
-def test_per_subsystem_sampling_decimates_unbiased():
-    """``set_sampling(sub, s)`` records every s-th event with weight s:
-    totals stay unbiased while hot sites skip most registry work."""
-    telemetry.reset()
-    telemetry.enable()
-    tel = telemetry.TELEMETRY
-    try:
-        tel.set_sampling("rack.machine", 8)
-        assert tel.sampling_active
-        m = RackMachine(_config(0))
-        g = m.global_base
-        m.load(0, g, 8)  # miss: 2 events (cache.miss + cache.remote_fetch)
-        for _ in range(798):
-            m.load(0, g, 8)  # hits: 798 events -> 800 total, stride-aligned
-        reg = tel.registry
-        total = sum(
-            v for (_n, sub, _name), v in reg.counters.items() if sub == "rack.machine"
-        )
-        assert total == 800  # decimation weights exactly compensate
-        assert m.nodes[0].cache.stats.hits == 798  # sim state untouched
-    finally:
-        tel.set_sampling(None)
         telemetry.disable()
         telemetry.reset()
 

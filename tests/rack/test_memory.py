@@ -88,34 +88,20 @@ class TestBacking:
 
     def test_every_mutator_is_seen_by_every_reader(self):
         mem = PhysicalMemory(self.SIZE, MemoryKind.GLOBAL)
-        other = PhysicalMemory(4096, MemoryKind.LOCAL_DRAM)
-        other.write(100, b"from-other")
         end = self.SIZE - 16
         mem.write(end, b"0123456789abcdef")
         mem.view(64, 4)[:] = b"view"
-        mem.fill(5000, 6, 0xAB)
-        mem.copy_from(9000, other, 100, 10)
         mem.scatter(np.array([12000, 12008]), np.frombuffer(b"scatter!SCATTER?", np.uint8).reshape(2, 8))
         mem.slab[13000:13004] = (1, 2, 3, 4)
         mem.flip_bit(13000, 7)
         expect = {
             (end, 16): b"0123456789abcdef",
             (64, 4): b"view",
-            (4999, 8): b"\x00" + b"\xab" * 6 + b"\x00",
-            (9000, 10): b"from-other",
             (12000, 16): b"scatter!SCATTER?",
             (13000, 4): b"\x81\x02\x03\x04",
         }
         for (off, n), want in expect.items():
             assert self._readers(mem, off, n) == dict.fromkeys(("read", "view", "slab", "gather"), want)
-
-    @pytest.mark.parametrize("dst,src", [(104, 100), (100, 104)], ids=["forward", "backward"])
-    def test_overlapping_same_device_copy_is_read_then_write(self, dst, src):
-        mem = PhysicalMemory(4096, MemoryKind.GLOBAL)
-        mem.write(100, bytes(range(1, 33)))
-        before = mem.read(src, 24)
-        mem.copy_from(dst, mem, src, 24)
-        assert mem.read(dst, 24) == before
 
     def test_read_returns_an_immutable_snapshot(self):
         mem = PhysicalMemory(64, MemoryKind.GLOBAL)
