@@ -8,8 +8,6 @@
    global to node-local memory.
 """
 
-import pytest
-
 from repro.bench import Table, build_rig
 from repro.flacdk.alloc import (
     HandleTable,
@@ -90,9 +88,8 @@ def run_tiering():
     return before_ns, after_ns, moves
 
 
-@pytest.mark.benchmark(group="allocator")
-def test_alloc_scaling(benchmark, emit):
-    costs = benchmark.pedantic(run_alloc_scaling, rounds=1, iterations=1)
+def test_alloc_scaling(emit):
+    costs = run_alloc_scaling()
     table = Table("E9a — shared heap alloc+free wall cost (us/op)", ["nodes", "cost (us)"])
     for n, ns in costs.items():
         table.add_row(n, ns / 1000)
@@ -101,9 +98,8 @@ def test_alloc_scaling(benchmark, emit):
     assert costs[8] < costs[1] * 3
 
 
-@pytest.mark.benchmark(group="allocator")
-def test_hot_cold_packing(benchmark, emit):
-    packed_lines, naive_lines = benchmark.pedantic(run_packing, rounds=1, iterations=1)
+def test_hot_cold_packing(emit):
+    packed_lines, naive_lines = run_packing()
     emit(
         "E9b_packing",
         f"hot trace touches {packed_lines} lines packed vs {naive_lines} address-ordered "
@@ -112,9 +108,8 @@ def test_hot_cold_packing(benchmark, emit):
     assert packed_lines * 2 <= naive_lines
 
 
-@pytest.mark.benchmark(group="allocator")
-def test_tiering_promotion(benchmark, emit):
-    before_ns, after_ns, moves = benchmark.pedantic(run_tiering, rounds=1, iterations=1)
+def test_tiering_promotion(emit):
+    before_ns, after_ns, moves = run_tiering()
     emit(
         "E9c_tiering",
         f"256 B hot-object access: {before_ns / 1000:.2f} us in global memory -> "
@@ -125,11 +120,10 @@ def test_tiering_promotion(benchmark, emit):
     assert after_ns < before_ns
 
 
-@pytest.mark.benchmark(group="allocator")
-def test_fragmentation_reuse(benchmark, emit):
+def test_fragmentation_reuse(emit):
     """Free lists bound fragmentation: churn reuses blocks, the bump
     cursor stays put."""
-    rig = benchmark.pedantic(build_rig, rounds=1, iterations=1)
+    rig = build_rig()
     heap = SharedHeap(rig.kernel.arena.take(1 << 21), 1 << 21).format(rig.c0)
     addrs = [heap.alloc(rig.c0, 200) for _ in range(50)]
     for addr in addrs:

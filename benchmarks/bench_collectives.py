@@ -9,8 +9,6 @@ ring hop.
 """
 
 import numpy as np
-import pytest
-
 from repro.apps.collectives import SharedMemoryCollectives, TcpCollectives
 from repro.bench import Table, build_rig
 from repro.net import TcpNetwork
@@ -63,9 +61,8 @@ def run_allreduces():
     return results
 
 
-@pytest.mark.benchmark(group="collectives")
-def test_broadcast(benchmark, emit):
-    results = benchmark.pedantic(run_broadcasts, rounds=1, iterations=1)
+def test_broadcast(emit):
+    results = run_broadcasts()
     table = Table(
         "E12a — broadcast to 4 ranks (2 per node)",
         ["payload", "strategy", "makespan (us)", "wire bytes"],
@@ -87,9 +84,8 @@ def test_broadcast(benchmark, emit):
     assert gains[262144] > gains[4096]  # the gap widens with payload
 
 
-@pytest.mark.benchmark(group="collectives")
-def test_allreduce(benchmark, emit):
-    results = benchmark.pedantic(run_allreduces, rounds=1, iterations=1)
+def test_allreduce(emit):
+    results = run_allreduces()
     table = Table(
         "E12b — allreduce (sum) across 4 ranks",
         ["vector", "strategy", "makespan (us)", "wire bytes"],

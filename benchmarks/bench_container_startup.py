@@ -7,8 +7,6 @@ improvement from sharing, with hot < FlacOS because the shared path
 still downloads the manifest.
 """
 
-import pytest
-
 from repro.apps.containers import ContainerRuntime, Registry, pytorch_image
 from repro.bench import Table, build_rig, check_ratio
 from repro.rack import rendezvous
@@ -32,11 +30,8 @@ def run_startup_experiment():
     return cold, shared, shared_elapsed_s, hot
 
 
-@pytest.mark.benchmark(group="container-startup")
-def test_container_startup(benchmark, emit):
-    cold, shared, shared_s, hot = benchmark.pedantic(
-        run_startup_experiment, rounds=1, iterations=1
-    )
+def test_container_startup(emit):
+    cold, shared, shared_s, hot = run_startup_experiment()
     table = Table(
         "§4.2 container startup — 4 GB PyTorch image",
         ["path", "measured (s)", "paper (s)", "manifest (s)", "pull (s)",
@@ -71,8 +66,7 @@ def test_container_startup(benchmark, emit):
     assert ok, message
 
 
-@pytest.mark.benchmark(group="container-startup")
-def test_container_startup_on_pmem_platform(benchmark, emit):
+def test_container_startup_on_pmem_platform(emit):
     """The paper's *simulated platform*: VMs sharing persistent memory.
 
     Same experiment on a rack whose global pool is PMEM — the ordering
@@ -82,24 +76,20 @@ def test_container_startup_on_pmem_platform(benchmark, emit):
     from repro.core.kernel import FlacOS
     from repro.rack import RackConfig, RackMachine
 
-    def run():
-        machine = RackMachine(
-            RackConfig(n_nodes=2, global_mem_size=1 << 26, global_kind="pmem")
-        )
-        kernel = FlacOS.boot(machine)
-        c0, c1 = machine.context(0), machine.context(1)
-        registry = Registry()
-        registry.push(pytorch_image())
-        runtime = ContainerRuntime(kernel.fs, registry)
-        cold = runtime.start(c0, "pytorch:2.1")
-        rendezvous(c0.node.clock, c1.node.clock)
-        t0 = c1.now()
-        shared = runtime.start(c1, "pytorch:2.1")
-        shared_s = (c1.now() - t0) / 1e9
-        hot = runtime.start(c1, "pytorch:2.1")
-        return cold, shared_s, hot
-
-    cold, shared_s, hot = benchmark.pedantic(run, rounds=1, iterations=1)
+    machine = RackMachine(
+        RackConfig(n_nodes=2, global_mem_size=1 << 26, global_kind="pmem")
+    )
+    kernel = FlacOS.boot(machine)
+    c0, c1 = machine.context(0), machine.context(1)
+    registry = Registry()
+    registry.push(pytorch_image())
+    runtime = ContainerRuntime(kernel.fs, registry)
+    cold = runtime.start(c0, "pytorch:2.1")
+    rendezvous(c0.node.clock, c1.node.clock)
+    t0 = c1.now()
+    shared = runtime.start(c1, "pytorch:2.1")
+    shared_s = (c1.now() - t0) / 1e9
+    hot = runtime.start(c1, "pytorch:2.1")
     improvement = cold.total_s / shared_s
     emit(
         "E2b_container_startup_pmem",

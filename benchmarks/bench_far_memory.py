@@ -15,8 +15,6 @@ access pattern that defeats the resident-set LRU.
 """
 
 import numpy as np
-import pytest
-
 from repro.bench import Table, build_rig
 from repro.core.memory import PAGE_SIZE, Placement
 from repro.core.memory.swap import SwapBackedMemory
@@ -68,11 +66,8 @@ def run_all():
     return swap_ns, swap_stats, zswap_ns, zswap_stats, global_ns, faults
 
 
-@pytest.mark.benchmark(group="far-memory")
-def test_far_memory_tiers(benchmark, emit):
-    swap_ns, swap_stats, zswap_ns, zswap_stats, global_ns, faults = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+def test_far_memory_tiers(emit):
+    swap_ns, swap_stats, zswap_ns, zswap_stats, global_ns, faults = run_all()
     table = Table(
         "E11 — 3x-over-budget working set, random touches (per-touch cost)",
         ["memory service", "cost (us)", "major faults", "device I/O"],

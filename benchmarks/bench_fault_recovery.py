@@ -11,8 +11,6 @@ Three measurements:
    operation (the price of the protection).
 """
 
-import pytest
-
 from repro.bench import Table, build_rig
 from repro.chaos import CampaignRunner, ChaosCampaign, boxes_recovered, event, survivor_liveness
 from repro.core.fault import (
@@ -108,11 +106,8 @@ def run_recovery_modes():
     return results
 
 
-@pytest.mark.benchmark(group="fault")
-def test_blast_radius(benchmark, emit):
-    vertical_radius, vertical_ns, horizontal_radius, horizontal_ns = benchmark.pedantic(
-        run_blast_radius, rounds=1, iterations=1
-    )
+def test_blast_radius(emit):
+    vertical_radius, vertical_ns, horizontal_radius, horizontal_ns = run_blast_radius()
     table = Table(
         "E6a — blast radius of one uncorrectable error (6 apps on the rack)",
         ["isolation", "apps recovered", "recovery time (us)"],
@@ -129,9 +124,8 @@ def test_blast_radius(benchmark, emit):
     assert vertical_ns < horizontal_ns
 
 
-@pytest.mark.benchmark(group="fault")
-def test_recovery_modes(benchmark, emit):
-    results = benchmark.pedantic(run_recovery_modes, rounds=1, iterations=1)
+def test_recovery_modes(emit):
+    results = run_recovery_modes()
     table = Table(
         "E6b — recovery by redundancy mode (node crash, 4-page app)",
         ["mode", "normal-op overhead (us)", "recovery (us)", "pages restored", "state intact"],
@@ -151,10 +145,9 @@ def test_recovery_modes(benchmark, emit):
     assert results["NONE (restart)"]["overhead_ns"] < results["REPLICATE"]["overhead_ns"]
 
 
-@pytest.mark.benchmark(group="fault")
-def test_incremental_replication_overhead(benchmark, emit):
+def test_incremental_replication_overhead(emit):
     """REPLICATE's steady-state cost: only dirtied pages cross at barriers."""
-    rig = benchmark.pedantic(build_rig, rounds=1, iterations=1)
+    rig = build_rig()
     manager = rig.kernel.boxes
     box = manager.create_box(rig.c0, "svc", criticality=2)
     va = box.aspace.mmap(rig.c0, 16 * PAGE_SIZE)
@@ -273,12 +266,8 @@ def run_self_healing(heal):
     }
 
 
-@pytest.mark.benchmark(group="fault")
-def test_self_healing_chaos(benchmark, emit):
-    def both():
-        return run_self_healing(heal=True), run_self_healing(heal=False)
-
-    healed, baseline = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_self_healing_chaos(emit):
+    healed, baseline = run_self_healing(heal=True), run_self_healing(heal=False)
     table = Table(
         "E6d — self-healing under a chaos campaign (2 UE storms + correlated lines, "
         f"{N_APPS} replicated apps)",

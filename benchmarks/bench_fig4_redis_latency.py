@@ -9,8 +9,6 @@ asserts the measured ratios fall in (a tolerance band around) it.
 
 import statistics
 
-import pytest
-
 from repro.apps.redis import connect_over_flacos, connect_over_tcp
 from repro.bench import Table, build_rig, check_ratio
 from repro.net import TcpNetwork
@@ -49,9 +47,8 @@ def run_figure4():
     return rows
 
 
-@pytest.mark.benchmark(group="fig4")
-def test_fig4_redis_latency(benchmark, emit):
-    rows = benchmark.pedantic(run_figure4, rounds=1, iterations=1)
+def test_fig4_redis_latency(emit):
+    rows = run_figure4()
     table = Table(
         "Figure 4 — Redis request latency (client node 0 -> server node 1)",
         ["size (B)", "op", "networking (us)", "FlacOS (us)", "reduction"],
@@ -80,17 +77,12 @@ def run_pipelined(kind: str, batch: int = 100):
     return ns / batch
 
 
-@pytest.mark.benchmark(group="fig4")
-def test_fig4_pipelined_throughput(benchmark, emit):
+def test_fig4_pipelined_throughput(emit):
     """Beyond the figure: pipelining is the usual counter-argument to
     per-request latency comparisons ("just batch!").  Batching amortises
     the network's round trips but not its per-byte copies and per-packet
     processing — FlacOS still wins, by less."""
-
-    def run():
-        return run_pipelined("flacos"), run_pipelined("tcp")
-
-    flacos_ns, tcp_ns = benchmark.pedantic(run, rounds=1, iterations=1)
+    flacos_ns, tcp_ns = run_pipelined("flacos"), run_pipelined("tcp")
     emit(
         "E1b_fig4_pipelined",
         f"pipelined (batch 100, 64 B SETs): FlacOS {flacos_ns / 1000:.2f} us/op, "

@@ -7,8 +7,6 @@ eliminates transfer entirely — cost is flat-ish in size because only
 cache-line traffic scales, not copies + packets.
 """
 
-import pytest
-
 from repro.apps.redis import connect_over_flacos  # noqa: F401 (documented sibling)
 from repro.bench import Table, build_rig
 from repro.net import RdmaNetwork, TcpNetwork
@@ -102,9 +100,8 @@ def run_all():
     return {label: {size: fn(size) for size in SIZES} for label, fn in TRANSPORTS.items()}
 
 
-@pytest.mark.benchmark(group="ipc")
-def test_transport_latency_by_size(benchmark, emit):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_transport_latency_by_size(emit):
+    results = run_all()
     table = Table(
         "E5 — one-way message cost by transport (us, sender+receiver CPU)",
         ["transport"] + [f"{s} B" for s in SIZES],
@@ -140,11 +137,10 @@ def test_transport_latency_by_size(benchmark, emit):
     assert tcp_growth > flacos_growth
 
 
-@pytest.mark.benchmark(group="ipc")
-def test_descriptor_handoff_is_size_independent(benchmark, emit):
+def test_descriptor_handoff_is_size_independent():
     """The true zero-copy win: handing a buffer to a peer that reads only
     the header costs the same whether the payload is 1 KiB or 512 KiB."""
-    rig = benchmark.pedantic(build_rig, rounds=1, iterations=1)
+    rig = build_rig()
     ipc = rig.kernel.ipc
     listener = ipc.listen(rig.c1, "e5d")
     client = ipc.connect(rig.c0, "e5d")

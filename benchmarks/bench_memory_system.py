@@ -9,8 +9,6 @@ Measures the memory system's characteristic costs:
 4. page deduplication capacity savings across address spaces.
 """
 
-import pytest
-
 from repro.bench import Table, build_rig
 from repro.core.memory import PAGE_SIZE, Placement
 
@@ -112,9 +110,8 @@ def run_dedup():
     return used_before, used_after, merged, others_intact
 
 
-@pytest.mark.benchmark(group="memory")
-def test_translation_paths(benchmark, emit):
-    tlb_hit, walk, fault = benchmark.pedantic(run_translation_paths, rounds=1, iterations=1)
+def test_translation_paths(emit):
+    tlb_hit, walk, fault = run_translation_paths()
     table = Table(
         "E8a — translation path costs (8 B access)",
         ["path", "cost (us)"],
@@ -130,9 +127,8 @@ def test_translation_paths(benchmark, emit):
     assert tlb_hit < walk < fault
 
 
-@pytest.mark.benchmark(group="memory")
-def test_rack_wide_sharing(benchmark, emit):
-    per_page_ns, faults = benchmark.pedantic(run_rack_sharing, rounds=1, iterations=1)
+def test_rack_wide_sharing(emit):
+    per_page_ns, faults = run_rack_sharing()
     emit(
         "E8b_rack_sharing",
         f"remote node reads a shared address space at {per_page_ns / 1000:.2f} us/page "
@@ -142,9 +138,8 @@ def test_rack_wide_sharing(benchmark, emit):
     assert faults == N_PAGES  # only the writer faulted; the reader reused PTEs
 
 
-@pytest.mark.benchmark(group="memory")
-def test_shootdown_scaling(benchmark, emit):
-    costs = benchmark.pedantic(run_shootdown_scaling, rounds=1, iterations=1)
+def test_shootdown_scaling(emit):
+    costs = run_shootdown_scaling()
     table = Table("E8c — unmap + rack-wide TLB shootdown", ["nodes", "cost (us)"])
     for n, ns in costs.items():
         table.add_row(n, ns / 1000)
@@ -152,9 +147,8 @@ def test_shootdown_scaling(benchmark, emit):
     assert costs[8] > costs[2]  # more responders, more doorbell traffic
 
 
-@pytest.mark.benchmark(group="memory")
-def test_dedup_savings(benchmark, emit):
-    used_before, used_after, merged, others_intact = benchmark.pedantic(run_dedup, rounds=1, iterations=1)
+def test_dedup_savings(emit):
+    used_before, used_after, merged, others_intact = run_dedup()
     emit(
         "E8d_dedup",
         f"4 address spaces, 8 frames: dedup merged {merged} duplicates, "

@@ -6,8 +6,6 @@ any node loaded it (latency win); the per-node baseline duplicates
 pages and always misses on a node's first touch.
 """
 
-import pytest
-
 from repro.bench import Table, build_rig
 from repro.core.fs import FlacFS, PAGE_SIZE, PrivateCacheFS
 from repro.flacdk.arena import Arena
@@ -71,9 +69,8 @@ def run_all():
     return {n: (run_shared(n), run_private(n)) for n in (2, 4, 8)}
 
 
-@pytest.mark.benchmark(group="page-cache")
-def test_shared_vs_private_page_cache(benchmark, emit):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_shared_vs_private_page_cache(emit):
+    results = run_all()
     table = Table(
         "E4 — page cache: shared (FlacFS) vs per-node private",
         ["nodes", "cache", "rack footprint (KiB)", "device loads", "reader latency (us)"],
@@ -97,10 +94,9 @@ def test_shared_vs_private_page_cache(benchmark, emit):
         assert shared["mean_read_ns"] < private["mean_read_ns"]
 
 
-@pytest.mark.benchmark(group="page-cache")
-def test_footprint_scales_with_nodes_only_for_private(benchmark, emit):
+def test_footprint_scales_with_nodes_only_for_private():
     """Shared footprint is flat in node count; private grows linearly."""
-    shared = benchmark.pedantic(lambda: {n: run_shared(n)["footprint"] for n in (2, 8)}, rounds=1, iterations=1)
+    shared = {n: run_shared(n)["footprint"] for n in (2, 8)}
     private = {n: run_private(n)["footprint"] for n in (2, 8)}
     assert shared[8] == shared[2]
     assert private[8] > private[2] * 3

@@ -10,8 +10,6 @@ The three pain points the paper's customers report, measured:
    rack-wide runtime sharing.
 """
 
-import pytest
-
 from repro.apps.containers import (
     ContainerRuntime,
     ImageSpec,
@@ -102,9 +100,8 @@ def run_density():
     }
 
 
-@pytest.mark.benchmark(group="serverless")
-def test_startup_paths(benchmark, emit):
-    cold, shared, warm = benchmark.pedantic(run_startup_paths, rounds=1, iterations=1)
+def test_startup_paths(emit):
+    cold, shared, warm = run_startup_paths()
     table = Table(
         "E7a — serverless sandbox startup by path",
         ["path", "startup (ms)", "invocation total (ms)"],
@@ -120,9 +117,8 @@ def test_startup_paths(benchmark, emit):
     assert cold.startup_ns > shared.startup_ns > warm.startup_ns == 0.0
 
 
-@pytest.mark.benchmark(group="serverless")
-def test_chain_transport(benchmark, emit):
-    flacos = benchmark.pedantic(lambda: run_chain("flacos"), rounds=1, iterations=1)
+def test_chain_transport(emit):
+    flacos = run_chain("flacos")
     tcp = run_chain("tcp")
     table = Table(
         "E7b — 3-stage chain across nodes (16 KiB payloads)",
@@ -139,9 +135,8 @@ def test_chain_transport(benchmark, emit):
     assert flacos.total_ns < tcp.total_ns
 
 
-@pytest.mark.benchmark(group="serverless")
-def test_density(benchmark, emit):
-    results = benchmark.pedantic(run_density, rounds=1, iterations=1)
+def test_density(emit):
+    results = run_density()
     table = Table(
         "E7c — sandboxes per memory budget (256 MiB runtime, 32 MiB private)",
         ["budget (GiB)", "FlacOS shared runtime", "private runtimes", "gain"],

@@ -13,8 +13,6 @@ over TCP with serialisation.  The structural claims:
   the communication savings repay.
 """
 
-import pytest
-
 from repro.apps.shuffle import run_shuffle_job
 from repro.bench import Table, build_rig
 from repro.workloads import KeyGenerator, ValueGenerator
@@ -60,9 +58,8 @@ def run_all():
     return {size: run_pair(size) for size in VALUE_SIZES}
 
 
-@pytest.mark.benchmark(group="shuffle")
-def test_shuffle_strategies(benchmark, emit):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_shuffle_strategies(emit):
+    results = run_all()
     table = Table(
         "E10 — MapReduce shuffle: FlacFS vs TCP (4 mappers, 4 partitions, 800 records)",
         ["value size", "strategy", "map (us)", "reduce (us)", "total (us)", "wire bytes"],

@@ -12,8 +12,6 @@ RCU) or to one mailbox per client (delegation), so read-mostly
 workloads run at local speed.
 """
 
-import pytest
-
 from repro.bench import Table, build_rig
 from repro.flacdk.alloc import EpochReclaimer, SharedHeap
 from repro.flacdk.sync import (
@@ -180,9 +178,8 @@ def run_all():
     return {label: {n: method(n) for n in NODE_COUNTS} for label, method in METHODS.items()}
 
 
-@pytest.mark.benchmark(group="sync")
-def test_sync_methods(benchmark, emit):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_sync_methods(emit):
+    results = run_all()
     table = Table(
         "E3 — 90/10 read/write mix: wall makespan per op (us)",
         ["method"] + [f"{n} nodes" for n in NODE_COUNTS],
@@ -209,10 +206,9 @@ def test_sync_methods(benchmark, emit):
         assert lock_free_best < results["spinlock (strawman)"][n]
 
 
-@pytest.mark.benchmark(group="sync")
-def test_replication_reads_are_local(benchmark):
+def test_replication_reads_are_local():
     """The replication family's common path: reads touch no shared memory."""
-    rig, ctxs, arena = benchmark.pedantic(lambda: _rig(2), rounds=1, iterations=1)
+    rig, ctxs, arena = _rig(2)
     log = OperationLog(arena.take(OperationLog.region_size(64)), 64).format(ctxs[0])
     nr = NodeReplication(log, factory=lambda: [0], apply_fn=_apply_add)
     nr.replica(ctxs[1]).execute(ctxs[1], 5)

@@ -10,8 +10,6 @@ pattern for fault counts.
 
 import statistics
 
-import pytest
-
 from repro.apps.redis import connect_over_flacos
 from repro.bench import Table, build_rig
 from repro.rack import FaultModel, RackConfig, RackMachine
@@ -51,9 +49,8 @@ def run_all():
     }
 
 
-@pytest.mark.benchmark(group="topology")
-def test_topology_sensitivity(benchmark, emit):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_topology_sensitivity(emit):
+    results = run_all()
     table = Table(
         "E14 — fabric topology: latency AND fault surface (§2.2)",
         ["topology", "path", "Redis SET (us)", "CEs per 2000 accesses"],

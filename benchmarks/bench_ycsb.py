@@ -10,8 +10,6 @@ paper measured.
 
 import statistics
 
-import pytest
-
 from repro.apps.redis import connect_over_flacos, connect_over_tcp
 from repro.bench import Table, build_rig
 from repro.net import TcpNetwork
@@ -46,9 +44,8 @@ def run_all():
     }
 
 
-@pytest.mark.benchmark(group="ycsb")
-def test_ycsb_mixes(benchmark, emit):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_ycsb_mixes(emit):
+    results = run_all()
     table = Table(
         "E13 — YCSB mixes, mean command latency (zipfian keys, 256 B values)",
         ["workload", "TCP (us)", "FlacOS (us)", "reduction"],

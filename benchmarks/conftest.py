@@ -1,10 +1,15 @@
-"""Shared infrastructure for the benchmark suite.
+"""Shared infrastructure for the paper-figure experiments (E1..E14).
 
 Every bench renders its table(s) with the harness and *emits* them:
-printed to stdout (visible with ``pytest -s``) and written under
-``benchmarks/results/`` so a run leaves the regenerated rows on disk.
+printed to stdout (visible with ``pytest -s``) and regenerated under
+``benchmarks/results/``.  The checked-in files are derived output, not
+hand-kept pins: an emit whose text differs from the bytes on disk (a
+missing file counts) rewrites the file and fails the test naming it, so
+a failing run leaves the new table to review and commit, and the next
+run passes.
 """
 
+import functools
 import pathlib
 
 import pytest
@@ -12,12 +17,21 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+def emit_into(results_dir: pathlib.Path, name: str, text: str) -> None:
+    print("\n" + text)
+    path = results_dir / f"{name}.txt"
+    fresh = (text + "\n").encode("utf-8")
+    if path.exists() and path.read_bytes() == fresh:
+        return
+    results_dir.mkdir(exist_ok=True)
+    path.write_bytes(fresh)
+    pytest.fail(
+        f"{path} did not match what the code prints and was regenerated: "
+        "review the diff and commit it",
+        pytrace=False,
+    )
+
+
 @pytest.fixture(scope="session")
 def emit():
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _emit(name: str, text: str) -> None:
-        print("\n" + text)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-    return _emit
+    return functools.partial(emit_into, RESULTS_DIR)

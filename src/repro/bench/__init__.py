@@ -1,5 +1,5 @@
 """Benchmark harness shared by everything under ``benchmarks/``."""
 
-from .harness import Rig, Series, Table, build_rig, check_ratio, summarize_speedups
+from .harness import Rig, Table, build_rig, check_ratio
 
-__all__ = ["Rig", "Series", "Table", "build_rig", "check_ratio", "summarize_speedups"]
+__all__ = ["Rig", "Table", "build_rig", "check_ratio"]

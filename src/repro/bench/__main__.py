@@ -1,8 +1,9 @@
 """Run the full experiment suite from the command line.
 
-``python -m repro.bench`` executes every benchmark under ``benchmarks/``
-with pytest-benchmark, prints the regenerated tables, and leaves the
-rows in ``benchmarks/results/``.  Options:
+``python -m repro.bench`` runs the paper-figure experiments E1..E14 under
+``benchmarks/`` with pytest, prints the regenerated tables, and leaves
+the rows in ``benchmarks/results/``; an experiment whose table no longer
+matches the checked-in file fails, naming the file it rewrote.  Options:
 
     python -m repro.bench              # everything
     python -m repro.bench E1 E2        # just the named experiments
@@ -53,7 +54,7 @@ def main(argv: list) -> int:
     targets = [str(benchmarks_dir / _EXPERIMENTS[w][0]) for w in wanted]
     command = [
         sys.executable, "-m", "pytest", *targets,
-        "--benchmark-only", "-q", "-s", "-p", "no:cacheprovider",
+        "-q", "-s", "-p", "no:cacheprovider",
     ]
     print("running:", " ".join(wanted))
     result = subprocess.run(command)

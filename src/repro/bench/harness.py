@@ -3,25 +3,16 @@ and series the paper's tables and figures report.
 
 Every benchmark in ``benchmarks/`` goes through this module so output
 formatting and rig construction stay uniform.  Latencies are *simulated*
-nanoseconds from the rack's clocks, not host time — pytest-benchmark
-wraps the runs for host-side timing, but the reproduced numbers are the
-simulated ones printed here.
+nanoseconds from the rack's clocks, not host time.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from ..core.kernel import FlacOS
 from ..rack import RackConfig, RackMachine
-from ..telemetry import TELEMETRY
-
-#: Schema tag for ``BENCH_*.json`` files written by :func:`emit_bench_metrics`.
-BENCH_METRICS_SCHEMA = "repro.bench.metrics/1"
 
 
 @dataclass
@@ -68,32 +59,6 @@ def build_rig(
         )
     )
     return Rig(machine=machine, kernel=FlacOS.boot(machine))
-
-
-@dataclass
-class Series:
-    """One measured latency series."""
-
-    label: str
-    samples_ns: List[float] = field(default_factory=list)
-
-    def add(self, ns: float) -> None:
-        self.samples_ns.append(ns)
-
-    @property
-    def mean_us(self) -> float:
-        return statistics.mean(self.samples_ns) / 1000 if self.samples_ns else float("nan")
-
-    @property
-    def p50_us(self) -> float:
-        return statistics.median(self.samples_ns) / 1000 if self.samples_ns else float("nan")
-
-    @property
-    def p99_us(self) -> float:
-        if not self.samples_ns:
-            return float("nan")
-        ordered = sorted(self.samples_ns)
-        return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))] / 1000
 
 
 class Table:
@@ -156,37 +121,3 @@ def check_ratio(
         f"-> {verdict} tolerance band [{lo:.2f}, {hi:.2f}]x"
     )
     return ok, message
-
-
-def summarize_speedups(pairs: Dict[str, Tuple[float, float]]) -> Table:
-    """pairs: label -> (baseline_ns, flacos_ns)."""
-    table = Table("speedups", ["case", "baseline (us)", "flacos (us)", "speedup"])
-    for label, (baseline, flacos) in pairs.items():
-        table.add_row(label, baseline / 1000, flacos / 1000, f"{baseline / flacos:.2f}x")
-    return table
-
-
-def emit_bench_metrics(
-    bench: str,
-    data: dict,
-    path: Optional[pathlib.Path] = None,
-    include_telemetry: bool = True,
-) -> pathlib.Path:
-    """Write ``BENCH_<bench>.json`` next to the repo root.
-
-    Uniform dump hook for every benchmark: ``data`` is the bench's own
-    result payload; when telemetry is enabled the current registry
-    snapshot rides along so a bench run doubles as a metrics capture.
-    Returns the path written.
-    """
-    if path is None:
-        # src/repro/bench/harness.py -> repo root is four parents up
-        path = pathlib.Path(__file__).resolve().parents[3] / f"BENCH_{bench}.json"
-    report = {
-        "schema": BENCH_METRICS_SCHEMA,
-        "bench": bench,
-        "data": data,
-        "telemetry": TELEMETRY.registry.snapshot() if TELEMETRY.enabled else None,
-    }
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path

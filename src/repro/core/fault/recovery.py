@@ -100,12 +100,11 @@ class FaultRecoveryCoordinator:
         if not _TEL.enabled:
             return
         reg = _TEL.registry
-        now = ctx.now()
-        reg.inc(ctx.node_id, _SUB, "box.incident", now_ns=now)
-        reg.inc(ctx.node_id, _SUB, "box.recovered", len(report.recoveries), now_ns=now)
+        reg.inc(ctx.node_id, _SUB, "box.incident")
+        reg.inc(ctx.node_id, _SUB, "box.recovered", len(report.recoveries))
         reg.inc(
             ctx.node_id, _SUB, "box.pages_restored",
-            sum(r.pages_restored for r in report.recoveries), now_ns=now,
+            sum(r.pages_restored for r in report.recoveries),
         )
         for recovery in report.recoveries:
             reg.observe(ctx.node_id, _SUB, "box.recovery_ns", recovery.duration_ns)

@@ -61,7 +61,7 @@ class MetadataJournal:
             self._record = record
         if _TEL.enabled:
             reg = _TEL.registry
-            reg.inc(ctx.node_id, "core.fs", "journal.commit", now_ns=ctx.now())
+            reg.inc(ctx.node_id, "core.fs", "journal.commit")
             reg.observe(ctx.node_id, "core.fs", "journal.blob_bytes", len(blob))
         return record
 

@@ -293,10 +293,7 @@ class SharedPageCache:
         if _TEL.enabled:
             reg = _TEL.registry
             reg.inc(ctx.node_id, _SUB, "page_cache.writeback_pages", cleaned)
-            reg.observe(
-                ctx.node_id, _SUB, "page_cache.writeback_batch", cleaned,
-                now_ns=ctx.now(),
-            )
+            reg.observe(ctx.node_id, _SUB, "page_cache.writeback_batch", cleaned)
         return cleaned
 
     def _note_dirty(self, file_id: int, page_idx: int) -> None:

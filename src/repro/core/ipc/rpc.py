@@ -196,10 +196,7 @@ class RpcSystem:
                 ctx.advance(self.costs.addr_space_switch_ns)  # migrate back
                 reg = _TEL.registry
                 reg.inc(ctx.node_id, _SUB, "rpc.calls")
-                reg.observe(
-                    ctx.node_id, _SUB, "rpc.migration_ns", ctx.now() - before,
-                    now_ns=ctx.now(),
-                )
+                reg.observe(ctx.node_id, _SUB, "rpc.migration_ns", ctx.now() - before)
             return self._check_timeout(ctx, name, effective, result)
 
     def _check_timeout(

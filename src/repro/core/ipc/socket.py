@@ -98,10 +98,7 @@ class Connection:
         elif _TEL.enabled:
             reg = _TEL.registry
             reg.inc(ctx.node_id, _SUB, "ipc.send.zero_copy")
-            reg.observe(
-                ctx.node_id, _SUB, "ipc.zero_copy_send_ns", ctx.now() - before,
-                now_ns=ctx.now(),
-            )
+            reg.observe(ctx.node_id, _SUB, "ipc.zero_copy_send_ns", ctx.now() - before)
         return ok
 
     def recv(self, ctx: NodeContext) -> Optional[bytes]:
@@ -129,10 +126,7 @@ class Connection:
         if ok and _TEL.enabled:
             reg = _TEL.registry
             reg.inc(ctx.node_id, _SUB, "ipc.send.zero_copy")
-            reg.observe(
-                ctx.node_id, _SUB, "ipc.zero_copy_send_ns", ctx.now() - before,
-                now_ns=ctx.now(),
-            )
+            reg.observe(ctx.node_id, _SUB, "ipc.zero_copy_send_ns", ctx.now() - before)
         return ok
 
     def recv_buffer(self, ctx: NodeContext) -> Optional[BufferRef]:

@@ -69,7 +69,7 @@ class PageDeduper:
         self.stats.bytes_saved += merged * PAGE_SIZE
         if _TEL.enabled:
             reg = _TEL.registry
-            reg.inc(ctx.node_id, "core.memory", "dedup.scans", now_ns=ctx.now())
+            reg.inc(ctx.node_id, "core.memory", "dedup.scans")
             reg.inc(ctx.node_id, "core.memory", "dedup.merged", merged)
             reg.inc(ctx.node_id, "core.memory", "dedup.bytes_saved", merged * PAGE_SIZE)
         return merged

@@ -133,9 +133,7 @@ class TlbShootdown:
         # the initiator acks itself immediately (it flushes its own TLB)
         ctx.atomic_store(self._ack_addr(ctx.node_id), gen)
         if _TEL.enabled:
-            _TEL.registry.inc(
-                ctx.node_id, _SUB, "tlb.shootdown.requested", now_ns=ctx.now()
-            )
+            _TEL.registry.inc(ctx.node_id, _SUB, "tlb.shootdown.requested")
         return gen
 
     def acked_by_all(self, ctx: NodeContext, gen: int, alive_nodes: Optional[List[int]] = None) -> bool:
@@ -162,9 +160,7 @@ class TlbShootdown:
                 tlb.invalidate(ctx, asid, vpn << 12)
         tlb.stats.shootdowns_served += 1
         if _TEL.enabled:
-            _TEL.registry.inc(
-                ctx.node_id, _SUB, "tlb.shootdown.served", now_ns=ctx.now()
-            )
+            _TEL.registry.inc(ctx.node_id, _SUB, "tlb.shootdown.served")
         ctx.atomic_store(self._ack_addr(ctx.node_id), gen)
         return True
 

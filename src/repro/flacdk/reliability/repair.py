@@ -146,7 +146,7 @@ class RepairCoordinator:
             record = self._repair(ctx, rack_addr)
         if _TEL.enabled:
             reg = _TEL.registry
-            reg.inc(ctx.node_id, _SUB, "repair.attempt", now_ns=ctx.now())
+            reg.inc(ctx.node_id, _SUB, "repair.attempt")
             reg.inc(ctx.node_id, _SUB, "repair.ok" if record.ok else "repair.fail")
             reg.inc(ctx.node_id, _SUB, f"repair.source.{record.source}")
         return record

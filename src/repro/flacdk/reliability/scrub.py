@@ -101,13 +101,12 @@ class MemoryScrubber:
             self._feed_predictor_and_evacuate(ctx)
         if _TEL.enabled:
             reg = _TEL.registry
-            now = ctx.now()
-            reg.inc(ctx.node_id, _SUB, "scrub.windows", now_ns=now)
+            reg.inc(ctx.node_id, _SUB, "scrub.windows")
             if pages:
                 reg.inc(ctx.node_id, _SUB, "scrub.latent_pages", len(pages))
-            reg.set_gauge(ctx.node_id, _SUB, "scrub.bytes_scanned", self.stats.bytes_scanned, now_ns=now)
-            reg.set_gauge(ctx.node_id, _SUB, "scrub.passes", self.stats.passes, now_ns=now)
-            reg.set_gauge(ctx.node_id, _SUB, "scrub.evacuated", self.stats.evacuated, now_ns=now)
+            reg.set_gauge(ctx.node_id, _SUB, "scrub.bytes_scanned", self.stats.bytes_scanned)
+            reg.set_gauge(ctx.node_id, _SUB, "scrub.passes", self.stats.passes)
+            reg.set_gauge(ctx.node_id, _SUB, "scrub.evacuated", self.stats.evacuated)
         return pages
 
     def full_pass(self, ctx: NodeContext) -> List[int]:

@@ -84,7 +84,6 @@ class FaultLog:
                 event.node_id if event.node_id is not None else -1,
                 _SUB,
                 f"fault.{event.kind.value}",
-                now_ns=event.time_ns,
             )
         for listener in self._listeners:
             listener(event)

@@ -122,6 +122,13 @@ class VniTable:
         self._check(vni)
         return self._names[vni]
 
+    def label_of(self, vni: int) -> str:
+        """Tenant name for reports: ``vni:<n>`` where no tenant holds ``vni``."""
+        try:
+            return self.name_of(vni)
+        except VniError:
+            return f"vni:{vni}"
+
     def __len__(self) -> int:
         return len(self._names)
 

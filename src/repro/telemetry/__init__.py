@@ -6,7 +6,7 @@ single node's counters explain a latency.  This package is that layer:
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` of counters,
   gauges and fixed log-bucket histograms keyed ``(node, subsystem,
-  name)``, timestamped off the simulated ``rack.clock``;
+  name)``;
 * :func:`span` tracing that records cause-linked trees and exports
   Chrome ``trace_event`` JSON plus a flamegraph-style text summary;
 * a dashboard renderer (``python -m repro.telemetry run.json``).
@@ -112,8 +112,8 @@ class TelemetryState:
     # -- hot-path recording helpers --------------------------------------------
 
     def count(self, node: int, subsystem: str, name: str, delta: float = 1.0) -> None:
-        """Record one event's counter delta: ``registry.inc`` without the
-        timestamp (the per-event instrumentation call)."""
+        """Record one event's counter delta: ``registry.inc`` minus one
+        call (the per-event instrumentation call)."""
         counters = self.registry.counters
         key = (node, subsystem, name)
         counters[key] = counters.get(key, 0.0) + delta
@@ -122,13 +122,6 @@ class TelemetryState:
         """Record one *pre-aggregated* batch delta (bulk paths call this
         once per batch)."""
         self.registry.add((node, subsystem, name), delta)
-
-    def observe_batch(self, node: int, subsystem: str, name: str, values) -> None:
-        """Record a whole batch of histogram samples in one call.
-
-        Aggregated like :meth:`add`, and still free in simulated time.
-        """
-        self.registry.observe_batch(node, subsystem, name, values)
 
     # -- tenant scoping --------------------------------------------------------
 

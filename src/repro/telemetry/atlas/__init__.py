@@ -21,7 +21,7 @@ Four pieces:
   saturated-byte shares, queueing-delay blame, time-to-saturation.
 * **surfaces** — :meth:`Atlas.snapshot` (JSON), dashboard panels
   (:mod:`.render`), ``python -m repro.telemetry.atlas`` CLI, flight-
-  recorder v3 tails, and a saturation SLO for the health engine.
+  recorder tails, and a saturation SLO for the health engine.
 
 Determinism contract: the atlas never advances a simulated clock, never
 touches the metrics registry (so registry digests are identical with
@@ -278,10 +278,7 @@ class Atlas:
             # label per-link VNI rows with tenant names for offline readers
             for row in links["links"]:
                 for vrow in row["vnis"]:
-                    try:
-                        vrow["tenant"] = fabric.vnis.name_of(vrow["vni"])
-                    except Exception:
-                        vrow["tenant"] = f"vni:{vrow['vni']}"
+                    vrow["tenant"] = fabric.vnis.label_of(vrow["vni"])
             snap["links"] = links
             snap["vnis"] = fabric.vnis.snapshot(now_ns)
             snap["blame"] = {

@@ -24,13 +24,6 @@ from typing import Dict, List, Optional
 from ...rack.interconnect import Interconnect, link_endpoints
 
 
-def _tenant_of(fabric: Interconnect, vni: int) -> str:
-    try:
-        return fabric.vnis.name_of(vni)
-    except Exception:
-        return f"vni:{vni}"
-
-
 def link_blame(fabric: Interconnect) -> List[dict]:
     """Per-link saturated-byte shares, tenant-labelled, links sorted.
 
@@ -50,7 +43,7 @@ def link_blame(fabric: Interconnect) -> List[dict]:
             "saturated_windows": s.saturated_windows,
             "tenants": [
                 {
-                    "tenant": _tenant_of(fabric, vni),
+                    "tenant": fabric.vnis.label_of(vni),
                     "vni": vni,
                     "saturated_bytes": s.vni_saturated_bytes.get(vni, 0),
                     "share": round(share, 6),
@@ -81,7 +74,7 @@ def tenant_blame(
     for link in fabric.links.links():
         s = fabric.links.get(link)
         for vni, sat in sorted(s.vni_saturated_bytes.items()):
-            name = _tenant_of(fabric, vni)
+            name = fabric.vnis.label_of(vni)
             row = per_tenant.setdefault(
                 name, {"tenant": name, "vni": vni, "saturated_bytes": 0}
             )

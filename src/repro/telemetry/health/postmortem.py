@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .recorder import ACCEPTED_SCHEMAS
+from .recorder import check_schema
 
 _REL = "reliability"
 
@@ -148,8 +148,7 @@ def _fault_tail_counts(data: dict) -> List[str]:
 
 def render_postmortem(data: dict) -> str:
     """The full postmortem report for one flight-recorder dump."""
-    if data.get("schema") not in ACCEPTED_SCHEMAS:
-        raise ValueError(f"not a flight-recorder dump (schema={data.get('schema')!r})")
+    check_schema(data)
     out: List[str] = []
     out.append("=" * 72)
     out.append(f"FLIGHT RECORDER POSTMORTEM — {data['reason']}")
@@ -172,7 +171,7 @@ def render_postmortem(data: dict) -> str:
         out.append("")
         out.append(f"-- span tail ({len(spans)} spans) --")
         for row in spans[-16:]:
-            # v1 rows have 5 fields; v2 appends an args dict
+            # a row may end without its args dict
             name, node, start_ns, end_ns, parent_id = row[:5]
             args = row[5] if len(row) > 5 else {}
             nested = "  +- " if parent_id is not None else "  "

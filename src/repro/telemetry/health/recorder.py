@@ -24,23 +24,24 @@ from .anomaly import Anomaly
 from .slo import Alert
 from .windows import WindowFrame
 
-#: Schema tag for flight-recorder dumps.  ``/2`` adds circuit-breaker
-#: transition tails, per-tenant resilience-counter tails, predictor
-#: boost records, and span args (the mitigation-side black box the
-#: incident scorer reads); ``/3`` adds the attribution-atlas tails —
+#: Schema tag for flight-recorder dumps, and the only one that loads:
+#: health history (windows, alerts, anomalies, incidents, span and fault
+#: tails), the mitigation-side black box the incident scorer reads
+#: (circuit-breaker transitions, per-tenant resilience-counter samples,
+#: predictor boosts, span args) and the attribution-atlas tails —
 #: per-link fabric accounting (``atlas_links``, with saturated-byte
 #: blame shares and down timestamps) and the hot-page sketch rows
-#: (``atlas_pages``) — so the scorer can localise link flaps and
-#: congestion culprits; ``/1`` and ``/2`` dumps still load.
+#: (``atlas_pages``).
 FLIGHT_SCHEMA = "repro.telemetry.flightrec/3"
 
-#: Dump schemas :meth:`FlightRecorder.from_snapshot` / :func:`load_dump`
-#: accept.  Older dumps simply have empty tails for the newer sections.
-ACCEPTED_SCHEMAS = (
-    "repro.telemetry.flightrec/1",
-    "repro.telemetry.flightrec/2",
-    FLIGHT_SCHEMA,
-)
+
+def check_schema(data: dict, where: str = "") -> dict:
+    """``data`` if it is a :data:`FLIGHT_SCHEMA` dump, else ``ValueError``."""
+    if data.get("schema") != FLIGHT_SCHEMA:
+        raise ValueError(
+            f"{where}not a flight-recorder dump (schema={data.get('schema')!r})"
+        )
+    return data
 
 
 class FlightRecorder:
@@ -152,15 +153,8 @@ class FlightRecorder:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "FlightRecorder":
-        """Rebuild a recorder from a dump (postmortem / round-trip path).
-
-        Accepts every schema in :data:`ACCEPTED_SCHEMAS`; a v1 dump
-        loads with empty breaker/resilience/boost tails.
-        """
-        if data.get("schema") not in ACCEPTED_SCHEMAS:
-            raise ValueError(
-                f"not a flight-recorder dump (schema={data.get('schema')!r})"
-            )
+        """Rebuild a recorder from a dump (postmortem / round-trip path)."""
+        check_schema(data)
         rec = cls()
         for fdict in data.get("windows", []):
             rec.frames.append(WindowFrame.from_dict(fdict))
@@ -212,7 +206,7 @@ class FlightRecorder:
 
         Always populated when a machine is given — per-link charging is
         unconditional on the fabric, no atlas needs to be enabled — so
-        every v3 dump carries link-level blame raw material.
+        every dump carries link-level blame raw material.
         """
         fabric = getattr(machine, "fabric", None) if machine is not None else None
         if fabric is None:
@@ -221,14 +215,10 @@ class FlightRecorder:
         table = fabric.links
         for link in table.links():
             s = table.get(link)
-            shares = table.saturated_share(link)
-            blame = []
-            for vni, share in sorted(shares.items()):
-                try:
-                    tenant = fabric.vnis.name_of(vni)
-                except Exception:
-                    tenant = f"vni:{vni}"
-                blame.append({"vni": vni, "tenant": tenant, "share": round(share, 6)})
+            blame = [
+                {"vni": vni, "tenant": fabric.vnis.label_of(vni), "share": round(share, 6)}
+                for vni, share in sorted(table.saturated_share(link).items())
+            ]
             rows.append(
                 {
                     "link": link,
@@ -245,7 +235,7 @@ class FlightRecorder:
 
     def _atlas_page_tail(self, limit: int = 32) -> List[dict]:
         """Hot-page sketch rows when an atlas is enabled, else the
-        static tail a loaded dump carried (empty for v1/v2 dumps)."""
+        static tail a loaded dump carried."""
         from .. import TELEMETRY
 
         atlas = TELEMETRY.atlas
@@ -263,9 +253,4 @@ def _jsonable(value):
 
 def load_dump(path: Union[str, pathlib.Path]) -> dict:
     """Read and schema-check a flight-recorder dump file."""
-    data = json.loads(pathlib.Path(path).read_text())
-    if data.get("schema") not in ACCEPTED_SCHEMAS:
-        raise ValueError(
-            f"{path}: not a flight-recorder dump (schema={data.get('schema')!r})"
-        )
-    return data
+    return check_schema(json.loads(pathlib.Path(path).read_text()), f"{path}: ")

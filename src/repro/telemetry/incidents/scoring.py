@@ -9,7 +9,7 @@ from any run.  Four scores, per the AIOpsLab-style ops loop:
   (rack-wide, or scoped to a ground-truth node);
 * **localization** — precision/recall/F1 of the blame set (scoped
   alerts + anomalies, breaker opens, predictor boost pages, failed
-  request-path spans, and — in ``/3`` dumps — the atlas link tail's
+  request-path spans, and the atlas link tail's
   down-stamped links, resolved to their node endpoints) against the
   injected fault sites;
 * **MTTM** — injection to the end of the last availability-degraded
@@ -86,7 +86,7 @@ def blame_set(dump: dict, t0: float) -> Set[str]:
                 blame.add(f"page:{int(page):#x}")
     for row in dump.get("spans", []):
         if len(row) < 6:
-            continue  # v1 tail: no args, nothing attributable
+            continue  # no args, nothing attributable
         name, _node, start_ns, _end_ns, _parent, args = row[:6]
         if start_ns < t0:
             continue
@@ -94,7 +94,7 @@ def blame_set(dump: dict, t0: float) -> Set[str]:
             target = args.get("target")
             if target is not None:
                 blame.add(f"node:{int(target)}")
-    # /3 dumps: the fabric's own per-link ledger stamps the simulated
+    # the fabric's own per-link ledger stamps the simulated
     # time of every link-down — resolve flapped links to their node
     # endpoints (``link_down`` fault events carry no node id, so this
     # is what localises a severed port)

@@ -16,17 +16,13 @@ kinds cover the substrate:
 Nothing here advances a simulated clock: recording a metric is free in
 simulated time (the instrumentation-overhead budget is *host* CPU only,
 and the data plane guards every call behind one attribute check).
-Timestamps, where kept, are read from the caller's simulated
-``rack.clock`` and stored for the dashboard — never fed back into
-latency accounting.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -170,93 +166,52 @@ class MetricsRegistry:
     """All metrics of one run, keyed ``(node, subsystem, name)``.
 
     Instrumentation sites call :meth:`inc` / :meth:`set_gauge` /
-    :meth:`observe`; exporters call :meth:`snapshot`.  ``last_update_ns``
-    (when a site passes its simulated clock) is kept per key for the
-    dashboard's "as of" column and never used for accounting.
+    :meth:`observe`; exporters call :meth:`snapshot`.
     """
 
     def __init__(self) -> None:
         self.counters: Dict[MetricKey, float] = {}
         self.gauges: Dict[MetricKey, float] = {}
         self.histograms: Dict[MetricKey, Histogram] = {}
-        self.last_update_ns: Dict[MetricKey, float] = {}
 
     # -- write side ------------------------------------------------------------
 
-    def inc(
-        self,
-        node: int,
-        subsystem: str,
-        name: str,
-        delta: float = 1.0,
-        now_ns: Optional[float] = None,
-    ) -> None:
+    def inc(self, node: int, subsystem: str, name: str, delta: float = 1.0) -> None:
         key = (node, subsystem, name)
         self.counters[key] = self.counters.get(key, 0.0) + delta
-        if now_ns is not None:
-            self.last_update_ns[key] = now_ns
 
     def add(self, key: MetricKey, delta: float = 1.0) -> None:
         """Bulk-increment a counter by a prebuilt key.
 
         The batch-path form of :meth:`inc`: one dict lookup per batch
-        instead of one per op, no key tuple rebuilt, no timestamp.
+        instead of one per op, no key tuple rebuilt.
         Counter deltas are small integers well inside float53, so one
         aggregated add lands on exactly the value ``n`` unit incs would.
         """
         self.counters[key] = self.counters.get(key, 0.0) + delta
 
-    def set_gauge(
-        self,
-        node: int,
-        subsystem: str,
-        name: str,
-        value: float,
-        now_ns: Optional[float] = None,
-    ) -> None:
-        key = (node, subsystem, name)
-        self.gauges[key] = value
-        if now_ns is not None:
-            self.last_update_ns[key] = now_ns
+    def set_gauge(self, node: int, subsystem: str, name: str, value: float) -> None:
+        self.gauges[(node, subsystem, name)] = value
 
-    def observe(
-        self,
-        node: int,
-        subsystem: str,
-        name: str,
-        value: float,
-        now_ns: Optional[float] = None,
-    ) -> None:
+    def observe(self, node: int, subsystem: str, name: str, value: float) -> None:
         key = (node, subsystem, name)
         hist = self.histograms.get(key)
         if hist is None:
             hist = self.histograms[key] = Histogram()
         hist.observe(value)
-        if now_ns is not None:
-            self.last_update_ns[key] = now_ns
 
-    def observe_batch(
-        self,
-        node: int,
-        subsystem: str,
-        name: str,
-        values,
-        now_ns: Optional[float] = None,
-    ) -> None:
+    def observe_batch(self, node: int, subsystem: str, name: str, values) -> None:
         """Vectorized :meth:`observe` over a whole batch of values."""
         key = (node, subsystem, name)
         hist = self.histograms.get(key)
         if hist is None:
             hist = self.histograms[key] = Histogram()
         hist.observe_batch(values)
-        if now_ns is not None:
-            self.last_update_ns[key] = now_ns
 
     def clear(self) -> None:
         self.counters.clear()
         self.gauges.clear()
         self.histograms.clear()
-        self.last_update_ns.clear()
 
     # -- read side -------------------------------------------------------------
 
@@ -308,9 +263,6 @@ class MetricsRegistry:
                 [k[0], k[1], k[2], h.to_dict()]
                 for k, h in sorted(self.histograms.items())
             ],
-            "last_update_ns": [
-                [k[0], k[1], k[2], t] for k, t in sorted(self.last_update_ns.items())
-            ],
         }
 
     @classmethod
@@ -322,8 +274,6 @@ class MetricsRegistry:
             reg.gauges[(node, subsystem, name)] = value
         for node, subsystem, name, hdict in data.get("histograms", []):
             reg.histograms[(node, subsystem, name)] = Histogram.from_dict(hdict)
-        for node, subsystem, name, t in data.get("last_update_ns", []):
-            reg.last_update_ns[(node, subsystem, name)] = t
         return reg
 
     # -- determinism digest ----------------------------------------------------
@@ -362,20 +312,7 @@ class MetricsRegistry:
         }
 
 
-def merge_keys(*key_iters: Iterable[MetricKey]) -> List[MetricKey]:
-    """Sorted union of metric keys (dashboard helper)."""
-    merged = set()
-    for keys in key_iters:
-        merged.update(keys)
-    return sorted(merged)
-
-
 def rate(hits: float, misses: float) -> float:
     total = hits + misses
     return hits / total if total else 0.0
 
-
-def find_bucket_bound(value: float) -> float:
-    """Smallest fixed bucket bound >= value (axis-labelling helper)."""
-    idx = bisect_left(list(BUCKET_BOUNDS), value)
-    return BUCKET_BOUNDS[min(idx, len(BUCKET_BOUNDS) - 1)]

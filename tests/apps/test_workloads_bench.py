@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import Series, Table, build_rig, check_ratio, summarize_speedups
+from repro.bench import Table, build_rig, check_ratio
 from repro.workloads import KeyGenerator, RequestStream, ValueGenerator, popularity_histogram
 
 
@@ -98,14 +98,6 @@ class TestHarness:
         rig.kernel.fs.write(rig.c0, fd, 0, b"boot ok")
         assert rig.kernel.fs.read(rig.c1, rig.kernel.fs.open(rig.c1, "/t"), 0, 7) == b"boot ok"
 
-    def test_series_stats(self):
-        series = Series("s")
-        for v in (1000, 2000, 3000):
-            series.add(v)
-        assert series.mean_us == pytest.approx(2.0)
-        assert series.p50_us == pytest.approx(2.0)
-        assert series.p99_us == pytest.approx(3.0)
-
     def test_table_rendering(self):
         table = Table("demo", ["a", "b"])
         table.add_row("x", 1.5)
@@ -119,7 +111,3 @@ class TestHarness:
         assert ok
         ok, message = check_ratio("t", 10.0, 1.75, 2.4)
         assert not ok and "OUTSIDE" in message
-
-    def test_summarize_speedups(self):
-        table = summarize_speedups({"case": (2000.0, 1000.0)})
-        assert "2.00x" in table.render()

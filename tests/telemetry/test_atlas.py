@@ -31,7 +31,6 @@ from repro.telemetry.atlas import (
 from repro.telemetry.atlas.__main__ import main as atlas_main
 from repro.telemetry.health import SLOEngine, WindowAggregator
 from repro.telemetry.health.recorder import (
-    ACCEPTED_SCHEMAS,
     FLIGHT_SCHEMA,
     FlightRecorder,
 )
@@ -423,12 +422,6 @@ class TestFlightRecorderV3:
         dump = rec.snapshot("rt", 123.0, machine=rig.machine)
         again = FlightRecorder.from_snapshot(dump).snapshot("rt", 123.0)
         assert json.dumps(again, sort_keys=True) == json.dumps(dump, sort_keys=True)
-
-    def test_older_schemas_still_load(self):
-        for schema in ACCEPTED_SCHEMAS[:-1]:
-            rec = FlightRecorder.from_snapshot({"schema": schema})
-            dump = rec.snapshot("old", 0.0)
-            assert dump["atlas_links"] == [] and dump["atlas_pages"] == []
 
 
 class TestLinkBlameScoring:

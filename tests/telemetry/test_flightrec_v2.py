@@ -1,5 +1,5 @@
-"""Flight recorder v2: breaker/resilience/boost tails, round-trip,
-byte-identity, and v1 backward compatibility."""
+"""Flight recorder: breaker/resilience/boost tails, round-trip,
+byte-identity, and the one accepted schema."""
 
 import json
 
@@ -9,8 +9,8 @@ from repro import telemetry
 from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
 from repro.telemetry import TELEMETRY
+from repro.telemetry.health.postmortem import render_postmortem
 from repro.telemetry.health.recorder import (
-    ACCEPTED_SCHEMAS,
     FLIGHT_SCHEMA,
     FlightRecorder,
     load_dump,
@@ -116,7 +116,7 @@ class TestDeterminism:
 class TestBackwardCompat:
     def _v1(self):
         return {
-            "schema": "repro.telemetry.flightrec/1",
+            "schema": FLIGHT_SCHEMA,
             "reason": "old",
             "at_ns": 1000.0,
             "windows": [],
@@ -128,15 +128,26 @@ class TestBackwardCompat:
         }
 
     def test_v1_accepted_with_empty_new_tails(self):
-        assert "repro.telemetry.flightrec/1" in ACCEPTED_SCHEMAS
+        """A dump carrying only the original sections loads; the tag decides."""
         rec = FlightRecorder.from_snapshot(self._v1())
         assert not rec.breaker_events
         assert not rec.resilience_samples
         assert not rec.boosts
         snap = rec.snapshot("old", 1000.0)
-        assert snap["schema"] == FLIGHT_SCHEMA  # re-snapshot upgrades
+        assert snap["schema"] == FLIGHT_SCHEMA
         assert snap["breakers"] == snap["resilience"] == snap["boosts"] == []
         assert snap["spans"] == [["chaos.step", 0, 0.0, 10.0, None]]
+
+    def test_older_schema_tag_refused(self, tmp_path):
+        old = dict(self._v1(), schema="repro.telemetry.flightrec/2")
+        with pytest.raises(ValueError, match="not a flight-recorder dump"):
+            FlightRecorder.from_snapshot(old)
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(old))
+        with pytest.raises(ValueError, match="not a flight-recorder dump"):
+            load_dump(path)
+        with pytest.raises(ValueError, match="not a flight-recorder dump"):
+            render_postmortem(old)
 
     def test_unknown_schema_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not a flight-recorder dump"):

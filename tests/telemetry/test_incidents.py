@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.telemetry.dashboard import render_incident_timeline
+from repro.telemetry.health.recorder import FLIGHT_SCHEMA
 from repro.telemetry.incidents import (
     blame_set,
     get_scenario,
@@ -108,6 +109,27 @@ class TestDetectionArms:
         assert truth_on == truth_off
 
 
+class TestEveryScenario:
+    """The whole catalogue, not just the smoke scenario: what the retired
+    ``bench_incidents`` full mode gated and CI never ran."""
+
+    @pytest.mark.parametrize("name", list(scenarios()))
+    def test_detection_detects_localises_replays_and_beats_off(self, name):
+        scenario = get_scenario(name)
+        on = run_scenario(scenario, detection=True)
+        replay = run_scenario(scenario, detection=True)
+        off = run_scenario(scenario, detection=False)
+        assert on.score["mttd_ns"] is not None
+        assert on.score["localization"]["recall"] > 0.0
+        assert on.journal == replay.journal
+        assert on.report.digest == replay.report.digest
+        assert (json.dumps(on.dump, sort_keys=True)
+                == json.dumps(replay.dump, sort_keys=True))
+        assert on.score == replay.score
+        assert off.score["mttm_ns"] > on.score["mttm_ns"]
+        assert off.score["blast_radius"]["requests_lost"] > 0
+
+
 class TestTracing:
     def test_chrome_trace_exports_and_validates(self, ue_storm_on):
         n = validate_chrome_trace(
@@ -127,7 +149,7 @@ class TestTracing:
 class TestScoringUnits:
     def _dump(self):
         return {
-            "schema": "repro.telemetry.flightrec/2",
+            "schema": FLIGHT_SCHEMA,
             "reason": "unit",
             "at_ns": 4e6,
             "windows": [
@@ -198,7 +220,7 @@ class TestScoringUnits:
         assert blast["degraded_windows"] == 1
 
     def test_empty_dump_scores_clean(self):
-        score = score_dump({"schema": "repro.telemetry.flightrec/2",
+        score = score_dump({"schema": FLIGHT_SCHEMA,
                             "reason": "x", "at_ns": 0.0})
         assert score["t0_ns"] is None
         assert score["mttd_ns"] is None

@@ -13,13 +13,14 @@ import pytest
 
 from repro.telemetry.health.__main__ import main as health_main
 from repro.telemetry.health.postmortem import render_postmortem
+from repro.telemetry.health.recorder import FLIGHT_SCHEMA
 
 pytestmark = pytest.mark.health
 
 
 def _dump() -> dict:
     return {
-        "schema": "repro.telemetry.flightrec/2",
+        "schema": FLIGHT_SCHEMA,
         "reason": "test:golden",
         "at_ns": 2_500_000.0,
         "windows": [
@@ -147,7 +148,7 @@ class TestGoldenSections:
         lines = report.splitlines()
         assert lines[1] == "FLIGHT RECORDER POSTMORTEM — test:golden"
         assert lines[2] == ("dumped at     2500.000us simulated "
-                            "(repro.telemetry.flightrec/2)")
+                            f"({FLIGHT_SCHEMA})")
 
     def test_fault_log_tail_counts(self):
         report = render_postmortem(_dump())
@@ -158,7 +159,6 @@ class TestGoldenSections:
 class TestV1Dump:
     def test_v1_renders_without_v2_sections(self):
         dump = _dump()
-        dump["schema"] = "repro.telemetry.flightrec/1"
         for key in ("breakers", "boosts", "resilience"):
             del dump[key]
         dump["spans"] = [row[:5] for row in dump["spans"]]

@@ -96,13 +96,12 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.inc(0, "core.fs", "page_cache.hit")
         reg.inc(0, "core.fs", "page_cache.hit", 4)
-        reg.set_gauge(1, "reliability", "scrub.passes", 3, now_ns=10.0)
+        reg.set_gauge(1, "reliability", "scrub.passes", 3)
         reg.observe(0, "core.ipc", "rpc.migration_ns", 123.0)
         assert reg.counter(0, "core.fs", "page_cache.hit") == 5
         assert reg.counter(9, "core.fs", "page_cache.hit") == 0
         assert reg.gauges[(1, "reliability", "scrub.passes")] == 3
         assert reg.histogram(0, "core.ipc", "rpc.migration_ns").count == 1
-        assert reg.last_update_ns[(1, "reliability", "scrub.passes")] == 10.0
 
     def test_counter_total_sums_across_nodes(self):
         reg = MetricsRegistry()
@@ -121,7 +120,7 @@ class TestRegistry:
 
     def test_snapshot_round_trip_and_json_stability(self):
         reg = MetricsRegistry()
-        reg.inc(1, "a", "c1", 2, now_ns=5.0)
+        reg.inc(1, "a", "c1", 2)
         reg.set_gauge(0, "b", "g1", 7.5)
         reg.observe(0, "a", "h1", 42.0)
         snap = json.loads(json.dumps(reg.snapshot()))
