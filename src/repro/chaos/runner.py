@@ -71,6 +71,28 @@ def render_fault_log(log: FaultLog) -> str:
     return "\n".join(lines)
 
 
+class JournalTail:
+    """How every chaos journal ends: the digest of the registry counters
+    the run moved (telemetry on), then the fault log.
+
+    Opened *before* the run so the digest covers only this run's
+    monotone deltas — deterministic even when the global registry
+    carries metrics from earlier runs in the process.
+    """
+
+    def __init__(self, machine: RackMachine) -> None:
+        self.machine = machine
+        self._baseline = _TEL.registry.counter_baseline() if _TEL.enabled else None
+
+    def lines(self) -> List[str]:
+        lines = []
+        if self._baseline is not None:
+            lines.append(f"telemetry digest={_TEL.registry.delta_digest(self._baseline)}")
+        lines.append("-- fault log --")
+        lines.append(render_fault_log(self.machine.faults.log))
+        return lines
+
+
 class CampaignRunner:
     """Drives one :class:`~repro.chaos.schedule.ChaosCampaign`.
 
@@ -126,10 +148,7 @@ class CampaignRunner:
         pending = list(campaign.events)
         report = CampaignReport(campaign=campaign.name, seed=campaign.seed, steps_run=0)
         lines = [f"campaign={campaign.name} seed={campaign.seed} steps={steps}"]
-        # Counter baseline: the digest below covers only this run's
-        # monotone deltas, so it is deterministic even when the global
-        # registry carries metrics from earlier runs in the process.
-        tel_baseline = _TEL.registry.counter_baseline() if _TEL.enabled else None
+        tail = JournalTail(self.machine)
 
         for step in range(steps):
             ctx = self._alive_ctx()
@@ -168,10 +187,7 @@ class CampaignRunner:
         finally:
             self.machine.faults.enabled = was_enabled
 
-        if tel_baseline is not None:
-            lines.append(f"telemetry digest={_TEL.registry.delta_digest(tel_baseline)}")
-        lines.append("-- fault log --")
-        lines.append(render_fault_log(self.machine.faults.log))
+        lines.extend(tail.lines())
         report.journal = "\n".join(lines) + "\n"
         return report
 

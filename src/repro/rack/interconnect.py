@@ -57,17 +57,68 @@ class PathCost:
     switches: int
 
 
-@dataclass
-class VniStats:
-    """Lifetime accounting for one VNI (tenant)."""
+class _Meter:
+    """Traffic meter in simulated time: lifetime bytes and requests, and
+    a windowed byte rate.
 
-    bytes: int = 0
-    requests: int = 0
-    dropped: int = 0
-    #: windowed rate state (see :meth:`VniTable.charge`)
-    window_start_ns: float = 0.0
-    window_bytes: int = 0
-    rate_bytes_per_s: float = 0.0
+    Bytes accumulate in an open window; the first :meth:`add` at or past
+    ``window_ns`` after the window opened closes it — the closed
+    window's bytes over its *actual* span become ``rate_bytes_per_s`` —
+    and opens the next at ``now_ns``.  Each VNI, the fabric aggregate
+    and every link is one of these.
+    """
+
+    def __init__(self, window_start_ns: float = 0.0) -> None:
+        self.bytes = 0
+        self.requests = 0
+        self.window_start_ns = window_start_ns
+        self.window_bytes = 0
+        #: rate of the last *completed* window
+        self.rate_bytes_per_s = 0.0
+
+    def add(
+        self, n_bytes: int, requests: int, now_ns: float, window_ns: float
+    ) -> Optional[int]:
+        """Account traffic at ``now_ns``.  When that closes a window,
+        returns the closed window's bytes (else ``None``), so an owner
+        can bank per-window state before the next window fills."""
+        closed = None
+        elapsed = now_ns - self.window_start_ns
+        if elapsed >= window_ns and elapsed > 0:
+            closed = self.window_bytes
+            self.rate_bytes_per_s = closed * 1e9 / elapsed
+            self.window_start_ns = now_ns
+            self.window_bytes = 0
+        self.bytes += n_bytes
+        self.window_bytes += n_bytes
+        self.requests += requests
+        return closed
+
+    def rate(self, now_ns: Optional[float], window_ns: float) -> float:
+        """The current byte rate, decayed against ``now_ns``.
+
+        Without ``now_ns`` this is the last *completed* window's rate —
+        which, during silence, reports the final busy window forever.
+        With ``now_ns``, once more than a window has elapsed since the
+        window opened, the completed rate is stale and the *open*
+        window's own bytes-over-elapsed becomes the estimate: still the
+        true rate mid-burst, and decaying smoothly to zero through a
+        silence — so headroom and admission never police ghosts.
+        """
+        if now_ns is None:
+            return self.rate_bytes_per_s
+        elapsed = now_ns - self.window_start_ns
+        if elapsed < window_ns or elapsed <= 0:
+            return self.rate_bytes_per_s
+        return self.window_bytes * 1e9 / elapsed
+
+
+class VniStats(_Meter):
+    """One VNI's meter, plus the requests refused admission under it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dropped = 0
 
 
 class VniTable:
@@ -144,14 +195,7 @@ class VniTable:
         """
         self._check(vni)
         for s in (self.stats[vni], self._agg):
-            elapsed = now_ns - s.window_start_ns
-            if elapsed >= self.window_ns and elapsed > 0:
-                s.rate_bytes_per_s = s.window_bytes * 1e9 / elapsed
-                s.window_start_ns = now_ns
-                s.window_bytes = 0
-            s.bytes += n_bytes
-            s.window_bytes += n_bytes
-            s.requests += requests
+            s.add(n_bytes, requests, now_ns, self.window_ns)
         # dropped is per-VNI only; aggregate drops derive from the sum
 
     def drop(self, vni: int, requests: int) -> None:
@@ -161,39 +205,21 @@ class VniTable:
 
     # -- policy queries --------------------------------------------------------
 
-    def _rate(self, s: VniStats, now_ns: Optional[float]) -> float:
-        """``s``'s current byte rate, decayed against ``now_ns``.
-
-        Without ``now_ns`` this is the last *completed* window's rate —
-        which, during silence, reports the final busy window forever.
-        With ``now_ns``, once more than a window has elapsed since the
-        window opened, the completed rate is stale and the *open*
-        window's own bytes-over-elapsed becomes the estimate: still the
-        true rate mid-burst, and decaying smoothly to zero through a
-        silence — so headroom and admission never police ghosts.
-        """
-        if now_ns is None:
-            return s.rate_bytes_per_s
-        elapsed = now_ns - s.window_start_ns
-        if elapsed < self.window_ns or elapsed <= 0:
-            return s.rate_bytes_per_s
-        return s.window_bytes * 1e9 / elapsed
-
     def rate_bytes_per_s(
         self, vni: Optional[int] = None, now_ns: Optional[float] = None
     ) -> float:
         """Current byte rate for one VNI (or aggregate); pass ``now_ns``
-        to decay stale windows (see :meth:`_rate`)."""
+        to decay stale windows (see :meth:`_Meter.rate`)."""
         if vni is None:
-            return self._rate(self._agg, now_ns)
+            return self._agg.rate(now_ns, self.window_ns)
         self._check(vni)
-        return self._rate(self.stats[vni], now_ns)
+        return self.stats[vni].rate(now_ns, self.window_ns)
 
     def utilisation(self, now_ns: Optional[float] = None) -> float:
         """Aggregate windowed rate over fabric capacity (inf capacity -> 0)."""
         if self.capacity_bytes_per_s == float("inf"):
             return 0.0
-        return self._rate(self._agg, now_ns) / self.capacity_bytes_per_s
+        return self._agg.rate(now_ns, self.window_ns) / self.capacity_bytes_per_s
 
     def saturated(self, now_ns: Optional[float] = None) -> bool:
         return self.utilisation(now_ns) >= 1.0
@@ -224,7 +250,7 @@ class VniTable:
                 "bytes": self._agg.bytes,
                 "requests": self._agg.requests,
                 "dropped": sum(s.dropped for s in self.stats),
-                "rate_bytes_per_s": round(self._rate(self._agg, now_ns), 3),
+                "rate_bytes_per_s": round(self._agg.rate(now_ns, self.window_ns), 3),
                 "utilisation": round(self.utilisation(now_ns), 6),
             },
             "vnis": [
@@ -235,7 +261,7 @@ class VniTable:
                     "bytes": s.bytes,
                     "requests": s.requests,
                     "dropped": s.dropped,
-                    "rate_bytes_per_s": round(self._rate(s, now_ns), 3),
+                    "rate_bytes_per_s": round(s.rate(now_ns, self.window_ns), 3),
                 }
                 for vni, s in enumerate(self.stats)
             ],
@@ -246,33 +272,19 @@ class VniTable:
             raise VniError(f"no VNI {vni} (have {len(self._names)})")
 
 
-class _LinkState:
-    """Windowed per-VNI accounting for one fabric link.
-
-    Mirrors the :class:`VniStats` window machinery, but per link *and*
-    per VNI: the aggregate window rolls exactly like a VNI window, and
-    when a completed window's rate met or exceeded the link's capacity,
-    every VNI's bytes in that window are banked as *saturated bytes* —
-    the raw material of contention blame ("of the bytes moved while
-    this link was saturated, whose were they?").
+class _LinkState(_Meter):
+    """One fabric link's meter, plus what is link-specific: bytes *per
+    VNI* (lifetime and in the open window) and saturation banking — when
+    a completed window's rate met or exceeded the link's capacity, every
+    VNI's bytes in that window are banked as *saturated bytes*, the raw
+    material of contention blame ("of the bytes moved while this link
+    was saturated, whose were they?").
     """
 
-    __slots__ = (
-        "link", "capacity_bytes_per_s", "bytes", "requests",
-        "window_start_ns", "window_bytes", "rate_bytes_per_s",
-        "vni_bytes", "vni_requests", "vni_window_bytes",
-        "vni_saturated_bytes", "saturated_bytes", "saturated_windows",
-        "rates", "downs",
-    )
-
     def __init__(self, link: str, window_start_ns: float = 0.0) -> None:
+        super().__init__(window_start_ns)
         self.link = link
         self.capacity_bytes_per_s = float("inf")
-        self.bytes = 0
-        self.requests = 0
-        self.window_start_ns = window_start_ns
-        self.window_bytes = 0
-        self.rate_bytes_per_s = 0.0
         self.vni_bytes: Dict[int, int] = {}
         self.vni_requests: Dict[int, int] = {}
         self.vni_window_bytes: Dict[int, int] = {}
@@ -305,20 +317,11 @@ class LinkTable:
     def __len__(self) -> int:
         return len(self._links)
 
-    def __bool__(self) -> bool:
-        return bool(self._links)
-
     def get(self, link: str) -> Optional[_LinkState]:
         return self._links.get(link)
 
     def links(self) -> List[str]:
         return sorted(self._links)
-
-    def _state(self, link: str, now_ns: float) -> _LinkState:
-        s = self._links.get(link)
-        if s is None:
-            s = self._links[link] = _LinkState(link, window_start_ns=now_ns)
-        return s
 
     def charge(
         self,
@@ -330,26 +333,24 @@ class LinkTable:
         capacity_bytes_per_s: float = float("inf"),
     ) -> None:
         """Account one batch's traffic on one link for one VNI."""
-        s = self._state(link, now_ns)
+        s = self._links.get(link)
+        if s is None:
+            s = self._links[link] = _LinkState(link, window_start_ns=now_ns)
         s.capacity_bytes_per_s = capacity_bytes_per_s
-        elapsed = now_ns - s.window_start_ns
-        if elapsed >= self.window_ns and elapsed > 0:
-            self._roll(s, elapsed, now_ns)
-        s.bytes += n_bytes
-        s.window_bytes += n_bytes
-        s.requests += requests
+        closed = s.add(n_bytes, requests, now_ns, self.window_ns)
+        if closed is not None:
+            self._bank(s, closed, now_ns)
         s.vni_bytes[vni] = s.vni_bytes.get(vni, 0) + n_bytes
         s.vni_requests[vni] = s.vni_requests.get(vni, 0) + requests
         s.vni_window_bytes[vni] = s.vni_window_bytes.get(vni, 0) + n_bytes
 
-    def _roll(self, s: _LinkState, elapsed: float, now_ns: float) -> None:
-        """Close one completed window: publish its rate, bank saturated
-        bytes per VNI if it ran at/over capacity, open the next."""
-        rate = s.window_bytes * 1e9 / elapsed
-        s.rate_bytes_per_s = rate
+    def _bank(self, s: _LinkState, closed_bytes: int, now_ns: float) -> None:
+        """One window just closed: keep its rate for the slope, and bank
+        its bytes per VNI as saturated if it ran at/over capacity."""
+        rate = s.rate_bytes_per_s
         s.rates.append((now_ns, rate))
         if rate >= s.capacity_bytes_per_s:
-            s.saturated_bytes += s.window_bytes
+            s.saturated_bytes += closed_bytes
             s.saturated_windows += 1
             for vni in sorted(s.vni_window_bytes):
                 s.vni_saturated_bytes[vni] = (
@@ -357,14 +358,13 @@ class LinkTable:
                 )
             if _TEL.enabled:
                 _TEL.add(RACK_WIDE, "fabric", "link.saturated_window", 1.0)
-        s.window_start_ns = now_ns
-        s.window_bytes = 0
         s.vni_window_bytes.clear()
 
     def note_state(self, link: str, up: bool, now_ns: float) -> None:
         """Record a link health transition (downs feed flap forensics)."""
         if not up:
-            self._state(link, now_ns).downs.append(now_ns)
+            s = self._links.setdefault(link, _LinkState(link, window_start_ns=now_ns))
+            s.downs.append(now_ns)
 
     # -- queries ---------------------------------------------------------------
 
@@ -372,12 +372,7 @@ class LinkTable:
         s = self._links.get(link)
         if s is None:
             return 0.0
-        if now_ns is None:
-            return s.rate_bytes_per_s
-        elapsed = now_ns - s.window_start_ns
-        if elapsed < self.window_ns or elapsed <= 0:
-            return s.rate_bytes_per_s
-        return s.window_bytes * 1e9 / elapsed
+        return s.rate(now_ns, self.window_ns)
 
     def utilisation(self, link: str, now_ns: Optional[float] = None) -> float:
         s = self._links.get(link)
@@ -605,14 +600,10 @@ class Interconnect:
             route = self.path_links(node_id)
         except InterconnectError:
             return
-        graph_edges = self.graph.edges
-        default_cap = self.vnis.capacity_bytes_per_s
         for link in route:
-            u, v = link_endpoints(link)
-            cap = graph_edges[u, v].get("capacity_bytes_per_s")
             self.links.charge(
                 link, vni, n_bytes, requests, now_ns,
-                capacity_bytes_per_s=float(cap) if cap is not None else default_cap,
+                capacity_bytes_per_s=self.link_capacity(*link_endpoints(link)),
             )
 
     def reachable(self, node_id: int) -> bool:

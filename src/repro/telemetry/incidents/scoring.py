@@ -143,7 +143,6 @@ def _availability_by_window(dump: dict) -> List[Tuple[float, float, float]]:
 def _blast_radius(dump: dict, t0: float) -> dict:
     tenants: Set[str] = set()
     lost = 0.0
-    degraded = 0
     for frame in dump.get("windows", []):
         if float(frame["end_ns"]) <= t0:
             continue
@@ -151,8 +150,7 @@ def _blast_radius(dump: dict, t0: float) -> dict:
             if sub.startswith(_TENANT_PREFIX) and name == _BAD and value > 0:
                 tenants.add(sub[len(_TENANT_PREFIX):])
                 lost += value
-    return {"tenants": sorted(tenants), "requests_lost": lost,
-            "degraded_windows": degraded}
+    return {"tenants": sorted(tenants), "requests_lost": lost}
 
 
 def score_dump(

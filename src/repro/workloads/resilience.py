@@ -45,13 +45,26 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..chaos.runner import CampaignRunner, render_fault_log
+from ..chaos.runner import CampaignRunner, JournalTail
 from ..core.backoff import BackoffPolicy
 from ..core.events import EventCore
 from ..rack.interconnect import InterconnectError
 from ..rack.node import NodeCrashedError
 from ..telemetry import TELEMETRY as _TEL
-from .traffic import TrafficEngine, TrafficReport, _TenantState
+from .traffic import (
+    ARRIVAL,
+    FAILED,
+    FAILOVERS,
+    HEDGE_WINS,
+    HEDGES,
+    REQUEST_PATH,
+    RETRIES,
+    SHED,
+    TIMED_OUT,
+    TrafficEngine,
+    TrafficReport,
+    _TenantState,
+)
 
 #: exceptions that mean "the target cannot serve" (retryable/failover)
 FAILURES = (NodeCrashedError, InterconnectError)
@@ -146,15 +159,6 @@ class ResilienceSpec:
     #: connect-timeout analogue) before failing over or retrying
     failure_detect_ns: float = 20_000.0
 
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.deadline_ns is not None
-            or self.retry is not None
-            or self.hedge is not None
-            or self.breaker is not None
-        )
-
 
 #: count-losses-only spec: no deadlines, retries, hedges, or breakers
 DISABLED = ResilienceSpec()
@@ -203,20 +207,23 @@ class CircuitBreaker:
         self.opens = 0
         self._probing = False
 
-    def _line(self, prev: str, now_ns: float, reason: str) -> str:
-        return (
-            f"breaker tenant={self.tenant} target={self.target} "
-            f"{prev}->{self.state} t={now_ns:.1f} reason={reason}"
-        )
+    def _transition(self, prev: str, now_ns: float, reason: str) -> dict:
+        """The record of the transition just made (``prev`` → ``state``).
 
-    def _open(self, now_ns: float, reason: str) -> str:
+        ``t_ns`` is kept at the journal's 0.1 ns resolution, so a dump
+        and a journal line (:func:`render_transition`) name one instant.
+        """
+        return {"tenant": self.tenant, "target": self.target, "from": prev,
+                "to": self.state, "t_ns": round(now_ns, 1), "reason": reason}
+
+    def _open(self, now_ns: float, reason: str) -> dict:
         prev = self.state
         self.state = self.OPEN
         self.opened_at_ns = now_ns
         self.opens += 1
         self.window.clear()
         self._probing = False
-        return self._line(prev, now_ns, reason)
+        return self._transition(prev, now_ns, reason)
 
     def allow(self, now_ns: float) -> bool:
         """May a batch be routed at this target right now?"""
@@ -233,15 +240,15 @@ class CircuitBreaker:
         self._probing = True
         return True
 
-    def record(self, now_ns: float, ok: bool) -> Optional[str]:
-        """Feed one batch outcome; returns a transition line or None."""
+    def record(self, now_ns: float, ok: bool) -> Optional[dict]:
+        """Feed one batch outcome; returns a transition record or None."""
         if self.state == self.HALF_OPEN:
             if ok:
                 prev = self.state
                 self.state = self.CLOSED
                 self.window.clear()
                 self._probing = False
-                return self._line(prev, now_ns, "probe-ok")
+                return self._transition(prev, now_ns, "probe-ok")
             return self._open(now_ns, "probe-failed")
         if self.state == self.OPEN:
             return None
@@ -252,11 +259,21 @@ class CircuitBreaker:
                 return self._open(now_ns, "error-rate")
         return None
 
-    def trip(self, now_ns: float, reason: str) -> Optional[str]:
+    def trip(self, now_ns: float, reason: str) -> Optional[dict]:
         """Force open on external evidence; no-op when already open."""
         if self.state == self.OPEN:
             return None
         return self._open(now_ns, reason)
+
+
+def render_transition(record: dict) -> str:
+    """A breaker transition record as its journal line — the format the
+    chaos journals and the flight recorder's postmortem are pinned on."""
+    return (
+        f"breaker tenant={record['tenant']} target={record['target']} "
+        f"{record['from']}->{record['to']} t={record['t_ns']:.1f} "
+        f"reason={record['reason']}"
+    )
 
 
 # -- per-tenant runtime state --------------------------------------------------
@@ -277,6 +294,7 @@ class _ResilienceState:
     p99_ewma: float = 0.0
 
 
+@dataclass(eq=False)
 class _HedgeOp:
     """One in-flight hedge: a primary result racing a replica duplicate.
 
@@ -289,37 +307,27 @@ class _HedgeOp:
     completions; recorded latencies are patched in place.
     """
 
-    __slots__ = ("engine", "st", "rs", "latency_arr", "idx", "arrivals",
-                 "key_idx", "is_get", "primary_latency", "fire_ns",
-                 "ev_primary", "ev_hedge", "done", "parent_span")
-
-    def __init__(self, engine, st, rs, latency_arr, idx, arrivals,
-                 key_idx, is_get, primary_latency, fire_ns,
-                 parent_span=None) -> None:
-        self.engine = engine
-        self.st = st
-        self.rs = rs
-        self.latency_arr = latency_arr
-        self.idx = idx
-        self.arrivals = arrivals
-        self.key_idx = key_idx
-        self.is_get = is_get
-        self.primary_latency = primary_latency
-        self.fire_ns = fire_ns
-        self.ev_primary = None
-        self.ev_hedge = None
-        self.done = False
-        #: span id of the batch that launched the hedge — fire() runs
-        #: later from the event heap with an empty span stack, so the
-        #: causal link must be carried explicitly
-        self.parent_span = parent_span
+    engine: "ResilientTrafficEngine"
+    st: _TenantState
+    rs: "_ResilienceState"
+    #: the batch's recorded latencies — patched in place where the hedge wins
+    latency_arr: np.ndarray
+    #: the hedged requests: their positions in ``latency_arr``, arrivals, draws
+    idx: np.ndarray
+    arrivals: np.ndarray
+    key_idx: np.ndarray
+    is_get: np.ndarray
+    fire_ns: float
+    #: span id of the batch that launched the hedge (see ``_attempt``)
+    parent_span: Optional[int]
+    ev_primary: Optional[object] = None
+    ev_hedge: Optional[object] = None
+    done: bool = False
 
     def _finish(self) -> None:
         self.done = True
-        if self.ev_primary is not None:
-            EventCore.cancel(self.ev_primary)
-        if self.ev_hedge is not None:
-            EventCore.cancel(self.ev_hedge)
+        EventCore.cancel(self.ev_primary)
+        EventCore.cancel(self.ev_hedge)
         self.engine._hedge_ops.discard(self)
 
     def primary_wins(self) -> None:
@@ -337,50 +345,30 @@ class _HedgeOp:
         replica = rs.spec.replica_node
         now = engine.events.now_ns
         k = len(self.idx)
-        ctx = engine.machine.context(replica)
-        before = ctx.now()
-        sp = None
-        if _TEL.tracing:
-            # explicit parent: the batch span closed long ago and the
-            # stack is empty at event dispatch — without the carried id
-            # the hedge would orphan into its own root (the span-context
-            # propagation bug this parameter fixes)
-            sp = _TEL.trace.begin(
-                "traffic.hedge", replica, max(before, self.fire_ns),
-                parent_id=self.parent_span,
-                tenant=st.spec.name, target=replica, n=k, outcome="failed",
-            )
         try:
-            try:
-                n_bytes = engine.backend.run_batch(ctx, st, self.key_idx, self.is_get)
-            except FAILURES:
-                engine._breaker_outcome(rs, replica, now, ok=False)
-                return  # primary result stands
-            if sp is not None:
-                _TEL.trace.annotate(sp, outcome="ok")
-        finally:
-            if sp is not None:
-                _TEL.trace.end(sp, ctx.now())
-        charged = ctx.now() - before
+            n_bytes, charged = engine._attempt(
+                st, self.key_idx, self.is_get, replica, span="traffic.hedge",
+                parent=self.parent_span, not_before_ns=self.fire_ns, n=k,
+            )
+        except FAILURES:
+            engine._breaker_outcome(rs, replica, now, ok=False)
+            return  # primary result stands
         engine._breaker_outcome(rs, replica, now, ok=True)
         svc = max(1.0, charged / k)
         start = max(self.fire_ns, rs.busy_by_node.get(replica, 0.0))
         completion = start + svc * np.arange(1, k + 1, dtype=np.float64)
         rs.busy_by_node[replica] = float(completion[-1])
         hedge_latency = completion - self.arrivals
-        wins = hedge_latency < self.primary_latency
+        wins = hedge_latency < self.latency_arr[self.idx]
         n_wins = int(wins.sum())
         # hedge traffic rides the replica's fabric path, not the primary's
         engine.fabric.charge(st.vni, replica, n_bytes, 0, now)
         if n_wins:
-            st.hedge_wins += n_wins
             won_idx = self.idx[wins]
             delta = hedge_latency[wins] - self.latency_arr[won_idx]
             self.latency_arr[won_idx] = hedge_latency[wins]
             st.latency_sum_ns += float(delta.sum())
-            if _TEL.enabled:
-                _TEL.tenant_add(st.spec.node, st.spec.name,
-                                "resilience.hedge_wins", n_wins)
+            engine._count(st, HEDGE_WINS, n_wins)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -412,11 +400,6 @@ class ResilientTrafficEngine(TrafficEngine):
     ) -> None:
         super().__init__(kernel, tenants, **kwargs)
         self._rstate: Dict[str, _ResilienceState] = {}
-        #: breaker transition lines in occurrence order (journal fodder)
-        self.breaker_log: List[str] = []
-        #: the same transitions, structured (flight-recorder fodder):
-        #: dicts with tenant/target/from/to/t_ns/reason
-        self.breaker_events: List[dict] = []
         self._hedge_ops: set = set()
         for name, st in self.tenants.items():
             if isinstance(resilience, dict):
@@ -453,26 +436,13 @@ class ResilientTrafficEngine(TrafficEngine):
 
     # -- breaker plumbing ------------------------------------------------------
 
-    def _log_breaker(self, st: _TenantState, line: Optional[str]) -> None:
-        if line is None:
+    def _note_transition(self, st: _TenantState, record: Optional[dict]) -> None:
+        """Keep a breaker's transition record (``None``: it did not move)."""
+        if record is None:
             return
-        self.breaker_log.append(line)
-        # the line format is the stable journal contract; parse it back
-        # into a structured event rather than threading a second payload
-        # through every transition site
-        parts = line.split()
-        prev, _, state = parts[3].partition("->")
-        self.breaker_events.append(
-            {
-                "tenant": parts[1][len("tenant="):],
-                "target": int(parts[2][len("target="):]),
-                "from": prev,
-                "to": state,
-                "t_ns": float(parts[4][len("t="):]),
-                "reason": parts[5][len("reason="):],
-            }
-        )
-        if _TEL.enabled and "->open" in line:
+        self.breaker_events.append(record)
+        self.breaker_log.append(render_transition(record))
+        if _TEL.enabled and record["to"] == CircuitBreaker.OPEN:
             _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.breaker_opens")
 
     def _breaker_outcome(
@@ -480,17 +450,19 @@ class ResilientTrafficEngine(TrafficEngine):
     ) -> None:
         br = rs.breakers.get(target)
         if br is not None:
-            st = self.tenants[br.tenant]
-            self._log_breaker(st, br.record(now_ns, ok))
+            self._note_transition(self.tenants[br.tenant], br.record(now_ns, ok))
+
+    def _trip(self, node: int, now_ns: float, reason: str, names) -> None:
+        """Force open the breaker each of ``names`` holds on ``node``."""
+        for name in names:
+            br = self._rstate[name].breakers.get(node)
+            if br is not None:
+                self._note_transition(self.tenants[name], br.trip(now_ns, reason))
 
     def _on_node_crash(self, node_id: int, now_ns: float) -> None:
-        """Machine crash hook: fail fast — open the breaker immediately
+        """Machine crash hook: fail fast — open the breakers immediately
         instead of waiting for an error-rate window to fill."""
-        for name in self.tenants:
-            rs = self._rstate[name]
-            br = rs.breakers.get(node_id)
-            if br is not None:
-                self._log_breaker(self.tenants[name], br.trip(now_ns, "node-crash"))
+        self._trip(node_id, now_ns, "node-crash", self.tenants)
 
     def feed_health_alerts(self, health) -> None:
         """Trip breakers from the health engine's active SLO burn alerts
@@ -498,13 +470,7 @@ class ResilientTrafficEngine(TrafficEngine):
         if health is None:
             return
         for (objective, node), _alert in sorted(health.slo.active.items()):
-            for name in sorted(self.tenants):
-                rs = self._rstate[name]
-                br = rs.breakers.get(node)
-                if br is not None:
-                    self._log_breaker(
-                        self.tenants[name], br.trip(self.events.now_ns, f"slo:{objective}")
-                    )
+            self._trip(node, self.events.now_ns, f"slo:{objective}", sorted(self.tenants))
 
     def _route(self, rs: _ResilienceState, now_ns: float) -> Optional[int]:
         """First candidate target whose breaker admits traffic."""
@@ -517,60 +483,69 @@ class ResilientTrafficEngine(TrafficEngine):
     # -- the overridden seam ---------------------------------------------------
 
     def _run_admitted(self, st, arrivals, key_idx, is_get) -> None:
+        """The base sequence with each configured policy's step in place:
+        route → attempt loop → queue model → deadline → record → hedge.
+        A spec with every policy off takes every step's policy-free
+        branch — the base engine's floats, with faults counted as
+        losses instead of unwinding the run."""
         rs = self._rstate[st.spec.name]
         spec = rs.spec
-        if not spec.enabled:
-            # disabled spec: base path verbatim (bit-identical floats),
-            # faults downgraded from run-enders to counted losses
-            try:
-                super()._run_admitted(st, arrivals, key_idx, is_get)
-            except FAILURES:
-                self._fail_batch(st, len(arrivals))
-            return
-        self._run_resilient(st, rs, arrivals, key_idx, is_get)
-
-    def _fail_batch(self, st: _TenantState, n: int, shed: bool = False) -> None:
-        if shed:
-            st.dropped_shed += n
-        else:
-            st.failed += n
-        self.vnis.drop(st.vni, n)
-        if _TEL.enabled:
-            name = "resilience.shed" if shed else "resilience.failed"
-            _TEL.tenant_add(st.spec.node, st.spec.name, name, n)
-            # aggregate loss counter: the availability SLO and the
-            # incident scorer read exactly one "bad" series per tenant
-            _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.lost", n)
-
-    def _run_resilient(self, st, rs, arrivals, key_idx, is_get) -> None:
-        spec = rs.spec
-        retry = spec.retry
         n = len(arrivals)
         now = self.events.now_ns
-        tel = _TEL.enabled
-        if retry is not None:
-            rs.tokens = min(float(retry.burst), rs.tokens + retry.budget_ratio * n)
-
-        # -- route + attempt loop (batch granularity: node/link failures
-        #    take out the whole batch's target at once) ----------------
+        if spec.retry is not None:
+            rs.tokens = min(float(spec.retry.burst),
+                            rs.tokens + spec.retry.budget_ratio * n)
         target = self._route(rs, now)
         if target is None:
             # degraded mode: every target's breaker is open — shed at
             # the admission path instead of queueing doomed work
-            self._fail_batch(st, n, shed=True)
+            self._count(st, SHED, n)
             return
-        penalty = 0.0  # detection + backoff time the batch head absorbs
+        served = self._attempt_loop(st, rs, key_idx, is_get, target, now)
+        if served is None:
+            return
+        target, n_bytes, charged, penalty = served
+        # queue model on the serving target: each target is its own single
+        # server (the primary's is the base engine's), and it could not
+        # start before detection + backoff ended
+        busy = rs.busy_by_node.get(
+            target, st.busy_until_ns if target == st.spec.node else 0.0
+        )
+        if penalty:
+            busy = max(busy, float(arrivals[0])) + penalty
+        latency = self._queue_model(st, arrivals, charged, busy)
+        rs.busy_by_node[target] = st.busy_until_ns
+        if spec.deadline_ns is not None:
+            ok = self._enforce_deadline(st, latency, spec.deadline_ns)
+            if ok is not None:
+                arrivals, latency = arrivals[ok], latency[ok]
+                key_idx, is_get = key_idx[ok], is_get[ok]
+                if len(arrivals) == 0:
+                    return
+        self._record(st, arrivals, latency, n_bytes)
+        if spec.hedge is not None:
+            self._hedge(st, rs, arrivals, key_idx, is_get, target, now)
+
+    def _attempt_loop(self, st, rs, key_idx, is_get, target, now):
+        """Attempt the batch on ``target``, then — while the retry policy,
+        its token bucket and the breakers allow — on whatever
+        :meth:`_route` offers next (batch granularity: a node or link
+        failure takes out the whole batch's target at once).
+
+        Returns ``(serving target, n_bytes, charged_ns, penalty_ns)``;
+        ``penalty_ns`` is the detection + backoff time the batch head
+        absorbed.  ``None`` means the batch was lost, and counted.
+        """
+        spec = rs.spec
+        retry = spec.retry
+        n = len(key_idx)
+        penalty = 0.0
         attempt = 0
         while True:
-            ctx = self.machine.context(target)
-            before = ctx.now()
             try:
-                n_bytes = self._traced_attempt(
-                    ctx, st, key_idx, is_get, target=target, attempt=attempt
+                n_bytes, charged = self._attempt(
+                    st, key_idx, is_get, target, attempt=attempt
                 )
-                charged = ctx.now() - before
-                self._breaker_outcome(rs, target, now, ok=True)
-                break
             except FAILURES:
                 self._breaker_outcome(rs, target, now, ok=False)
                 penalty += spec.failure_detect_ns
@@ -581,74 +556,43 @@ class ResilientTrafficEngine(TrafficEngine):
                 )
                 next_target = self._route(rs, now) if can_retry else None
                 if next_target is None:
-                    self._fail_batch(st, n)
-                    return
+                    self._count(st, FAILED, n)
+                    return None
                 rs.tokens -= n
                 penalty += retry.backoff.delay_ns(attempt, st.spec.name, target)
-                st.retries += n
-                if tel:
-                    _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.retries", n)
+                self._count(st, RETRIES, n)
                 attempt += 1
                 target = next_target
-
-        if target != st.spec.node:
-            st.failovers += n
-            if tel:
-                _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.failovers", n)
-
-        # -- queue model on the serving target ------------------------
-        svc_actual = max(1.0, charged / n)
-        st.svc_est_ns = svc_actual
-        busy = rs.busy_by_node.get(target, st.busy_until_ns if target == st.spec.node else 0.0)
-        if penalty:
-            # the server could not start before detection + backoff ended
-            busy = max(busy, float(arrivals[0])) + penalty
-        completion = self._completions(arrivals, svc_actual, busy)
-        rs.busy_by_node[target] = float(completion[-1])
-        st.busy_until_ns = float(completion[-1])
-        latency = completion - arrivals
-
-        # -- deadline: overruns are charged-but-lost ------------------
-        if spec.deadline_ns is not None:
-            ok = latency <= spec.deadline_ns
-            n_late = int(n - ok.sum())
-            if n_late:
-                st.timed_out += n_late
-                st.failed += n_late
-                self.vnis.drop(st.vni, n_late)
-                if tel:
-                    _TEL.tenant_add(st.spec.node, st.spec.name,
-                                    "resilience.timed_out", n_late)
-                    _TEL.tenant_add(st.spec.node, st.spec.name,
-                                    "resilience.lost", n_late)
-                arrivals = arrivals[ok]
-                latency = latency[ok]
-                key_idx = key_idx[ok]
-                is_get = is_get[ok]
-                if len(arrivals) == 0:
-                    return
-
-        self._record(st, arrivals, latency, n_bytes)
-        recorded = st.latencies[-1]
-
-        # -- hedging: duplicate the predicted tail to the replica -----
-        hedge = spec.hedge
-        replica = spec.replica_node
-        if (
-            hedge is not None
-            and replica is not None
-            and replica in rs.targets
-            and replica != target
-        ):
-            self._launch_hedge(st, rs, recorded, arrivals, key_idx, is_get, now)
-
-        # p99 EWMA feeds the *next* batch's hedge delay
-        if hedge is not None and len(recorded):
-            batch_p99 = _batch_p99(recorded)
-            if rs.p99_ewma == 0.0:
-                rs.p99_ewma = batch_p99
             else:
-                rs.p99_ewma += hedge.alpha * (batch_p99 - rs.p99_ewma)
+                self._breaker_outcome(rs, target, now, ok=True)
+                if target != st.spec.node:
+                    self._count(st, FAILOVERS, n)
+                return target, n_bytes, charged, penalty
+
+    def _enforce_deadline(self, st, latency, deadline_ns) -> Optional[np.ndarray]:
+        """Count the requests that blew their budget — charged but lost.
+        Returns the mask of those that made it, ``None`` when all did."""
+        ok = latency <= deadline_ns
+        n_late = int(len(latency) - ok.sum())
+        if not n_late:
+            return None
+        self._count(st, TIMED_OUT, n_late)
+        return ok
+
+    def _hedge(self, st, rs, arrivals, key_idx, is_get, target, now) -> None:
+        """Duplicate the batch's predicted tail to the replica (when there
+        is one that did not just serve it), then fold the batch's p99
+        into the EWMA that sets the *next* batch's hedge delay."""
+        hedge = rs.spec.hedge
+        recorded = st.latencies[-1]
+        replica = rs.spec.replica_node
+        if replica is not None and replica in rs.targets and replica != target:
+            self._launch_hedge(st, rs, recorded, arrivals, key_idx, is_get, now)
+        batch_p99 = _batch_p99(recorded)
+        if rs.p99_ewma == 0.0:
+            rs.p99_ewma = batch_p99
+        else:
+            rs.p99_ewma += hedge.alpha * (batch_p99 - rs.p99_ewma)
 
     def _launch_hedge(self, st, rs, recorded, arrivals, key_idx, is_get, now) -> None:
         hedge = rs.spec.hedge
@@ -667,9 +611,7 @@ class ResilientTrafficEngine(TrafficEngine):
             over = over[order[:cap]]
             over.sort()
         k = len(over)
-        st.hedges += k
-        if _TEL.enabled:
-            _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.hedges", k)
+        self._count(st, HEDGES, k)
         arr_sub = arrivals[over]
         parent = None
         if _TEL.tracing:
@@ -684,11 +626,10 @@ class ResilientTrafficEngine(TrafficEngine):
             arrivals=arr_sub,
             key_idx=key_idx[over],
             is_get=is_get[over],
-            primary_latency=recorded[over].copy(),
             fire_ns=max(now, float(arr_sub[0]) + delay),
             parent_span=parent,
         )
-        primary_done = float(np.max(arr_sub + op.primary_latency))
+        primary_done = float(np.max(arr_sub + recorded[over]))
         # primary scheduled first: on a tie the response already in
         # hand wins and the duplicate is never sent
         op.ev_primary = self.events.at(primary_done, op.primary_wins)
@@ -766,7 +707,7 @@ class ChaosUnderLoad:
         self._runner = CampaignRunner(kernel.machine, kernel, health=self.health)
         # flight-recorder sync cursors (see sync_recorder)
         self._breaker_synced = 0
-        self._res_last: Dict[str, tuple] = {}
+        self._res_last: Dict[str, dict] = {}
 
     def run(
         self,
@@ -779,8 +720,8 @@ class ChaosUnderLoad:
             f"seed={self.campaign.seed}"
         ]
         fired: List[str] = []
-        tel_baseline = _TEL.registry.counter_baseline() if _TEL.enabled else None
-        breaker_mark = len(getattr(self.engine, "breaker_log", []))
+        tail = JournalTail(self.kernel.machine)
+        breaker_mark = len(self.engine.breaker_log)
 
         def _sink(line: str) -> None:
             lines.append(f"t={self.events.now_ns:.1f} {line}")
@@ -811,23 +752,17 @@ class ChaosUnderLoad:
             self.kernel.stop_patrols()
             for ev in chaos_events:
                 EventCore.cancel(ev)
-        if hasattr(self.engine, "finalize"):
-            self.engine.finalize()
+        self.engine.finalize()
         self.sync_recorder()
         unfired = len(self.campaign.events) - len(fired)
         if unfired:
             lines.append(f"unfired={unfired}")
-        breakers = list(getattr(self.engine, "breaker_log", [])[breaker_mark:])
+        breakers = self.engine.breaker_log[breaker_mark:]
         if breakers:
             lines.append("-- breaker transitions --")
             lines.extend(breakers)
         lines.append(f"traffic digest={report.digest()}")
-        if tel_baseline is not None:
-            lines.append(
-                f"telemetry digest={_TEL.registry.delta_digest(tel_baseline)}"
-            )
-        lines.append("-- fault log --")
-        lines.append(render_fault_log(self.kernel.machine.faults.log))
+        lines.extend(tail.lines())
         return ChaosLoadReport(
             campaign=self.campaign.name,
             seed=self.campaign.seed,
@@ -839,9 +774,7 @@ class ChaosUnderLoad:
 
     def _control_tick(self) -> None:
         """Feed health alerts into the engine's breakers each period."""
-        feed = getattr(self.engine, "feed_health_alerts", None)
-        if feed is not None and self.health is not None:
-            feed(self.health)
+        self.engine.feed_health_alerts(self.health)
         self.sync_recorder()
 
     def sync_recorder(self) -> None:
@@ -855,37 +788,19 @@ class ChaosUnderLoad:
         if self.health is None:
             return
         rec = self.health.recorder
-        events = getattr(self.engine, "breaker_events", None)
-        if events is not None:
-            for event in events[self._breaker_synced:]:
-                rec.record_breaker(event)
-            self._breaker_synced = len(events)
+        events = self.engine.breaker_events
+        for event in events[self._breaker_synced:]:
+            rec.record_breaker(event)
+        self._breaker_synced = len(events)
         now = self.events.now_ns
+        sampled = ARRIVAL + REQUEST_PATH
         for name in sorted(self.engine.tenants):
-            st = self.engine.tenants[name]
-            sample = (
-                st.offered, st.admitted, st.failed, st.timed_out,
-                st.retries, st.hedges, st.hedge_wins, st.failovers,
-                st.dropped_shed,
-            )
+            counts = self.engine.tenants[name].counts
+            sample = {o.name: counts[o.counter] for o in sampled}
             if self._res_last.get(name) == sample:
                 continue
             self._res_last[name] = sample
-            rec.record_resilience(
-                {
-                    "t_ns": now,
-                    "tenant": name,
-                    "offered": st.offered,
-                    "admitted": st.admitted,
-                    "failed": st.failed,
-                    "timed_out": st.timed_out,
-                    "retries": st.retries,
-                    "hedges": st.hedges,
-                    "hedge_wins": st.hedge_wins,
-                    "failovers": st.failovers,
-                    "shed": st.dropped_shed,
-                }
-            )
+            rec.record_resilience({"t_ns": now, "tenant": name, **sample})
 
 
 def _batch_p99(latencies: np.ndarray) -> float:

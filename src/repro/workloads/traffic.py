@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..core.events import EventCore
 from ..flacdk.arena import ArenaExhausted
 from ..rack.machine import NodeContext
-from ..telemetry import TELEMETRY as _TEL
+from ..telemetry import STACK_PARENT, TELEMETRY as _TEL
 from .arrivals import ArrivalProcess, make_process
 
 #: Arrival timestamps pre-sampled per refill of a tenant's queue.
@@ -66,11 +65,13 @@ class AdmissionError(Exception):
 class TenantSpec:
     """One tenant's offered load and placement.
 
-    ``rate_rps`` is the *aggregate* offered rate over the tenant's
-    ``n_clients`` logical clients (open-loop: arrivals do not wait for
-    completions).  ``weight`` is the tenant's VNI fair-share weight on
-    the fabric; ``max_backlog_ns`` bounds how long a request may queue
-    behind the tenant's server before admission control sheds it.
+    ``rate_rps`` is the *aggregate* offered rate of the tenant's fleet
+    (open-loop: arrivals do not wait for completions).  ``n_clients``
+    is descriptive — how many logical clients that rate stands for — and
+    does not influence arrivals.  ``weight`` is the tenant's VNI
+    fair-share weight on the fabric; ``max_backlog_ns`` bounds how long
+    a request may queue behind the tenant's server before admission
+    control sheds it.
     """
 
     name: str
@@ -88,6 +89,55 @@ class TenantSpec:
     max_backlog_ns: float = 2e6
 
 
+# -- the outcome ledger ----------------------------------------------------------
+
+#: the one "bad" series per tenant: every request-path loss feeds it, and
+#: the availability SLO and the incident scorer read nothing else
+LOST_SERIES = "resilience.lost"
+
+
+class Outcome(NamedTuple):
+    """One row of the per-tenant outcome ledger (DESIGN §11).
+
+    Everything that is known about an outcome is in its row; the only
+    writer is :meth:`TrafficEngine._count`, and reports, digests and
+    flight-recorder samples read the rows by iteration.
+    """
+
+    #: the outcome; also its key in the flight recorder's resilience sample
+    name: str
+    #: key in ``_TenantState.counts`` and in ``TrafficReport.tenants[...]``
+    counter: str
+    #: every ``traffic/<tenant>`` registry series one count feeds
+    series: Tuple[str, ...]
+    #: the fabric refused or lost the request: one VNI drop per count
+    drop: bool = False
+    #: a sub-count: also bumps this row's *counter* (not its series) — a
+    #: timed-out request is a failed request that says why
+    within: Optional["Outcome"] = None
+
+
+OFFERED = Outcome("offered", "offered", ("requests",))
+ADMITTED = Outcome("admitted", "admitted", ("admitted",))
+BACKLOG = Outcome("backlog", "dropped_backlog", ("dropped.backlog",), drop=True)
+LINK = Outcome("link", "dropped_link", ("dropped.link",), drop=True)
+FAILED = Outcome("failed", "failed", ("resilience.failed", LOST_SERIES), drop=True)
+TIMED_OUT = Outcome("timed_out", "timed_out", ("resilience.timed_out", LOST_SERIES),
+                    drop=True, within=FAILED)
+RETRIES = Outcome("retries", "retries", ("resilience.retries",))
+HEDGES = Outcome("hedges", "hedges", ("resilience.hedges",))
+HEDGE_WINS = Outcome("hedge_wins", "hedge_wins", ("resilience.hedge_wins",))
+FAILOVERS = Outcome("failovers", "failovers", ("resilience.failovers",))
+SHED = Outcome("shed", "dropped_shed", ("resilience.shed", LOST_SERIES), drop=True)
+
+#: arrival bookkeeping; admission refusals (their sum is the report's
+#: derived ``dropped``); what the request path did with an admitted batch
+ARRIVAL = (OFFERED, ADMITTED)
+ADMISSION = (BACKLOG, LINK)
+REQUEST_PATH = (FAILED, TIMED_OUT, RETRIES, HEDGES, HEDGE_WINS, FAILOVERS, SHED)
+LEDGER = ARRIVAL + ADMISSION + REQUEST_PATH
+
+
 @dataclass
 class _TenantState:
     """Everything the engine tracks per tenant between wakes."""
@@ -103,26 +153,15 @@ class _TenantState:
     busy_until_ns: float = 0.0
     #: per-request service estimate used for the *next* batch's queue math
     svc_est_ns: float = 1_000.0
-    next_client: int = 0
-    offered: int = 0
-    admitted: int = 0
-    dropped_backlog: int = 0
-    dropped_link: int = 0
-    #: resilience outcomes — stay zero under the base engine; the
-    #: resilient engine (:mod:`repro.workloads.resilience`) fills them
-    failed: int = 0
-    timed_out: int = 0
-    retries: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    failovers: int = 0
-    dropped_shed: int = 0
+    #: one count per :data:`LEDGER` row, keyed by ``Outcome.counter``
+    counts: Dict[str, int] = field(
+        default_factory=lambda: {o.counter: 0 for o in LEDGER}
+    )
     latency_sum_ns: float = 0.0
     #: total queueing delay suffered (latency beyond pure service time) —
     #: the victim side of the atlas's contention-blame ledger
     queue_delay_ns: float = 0.0
     latencies: List[np.ndarray] = field(default_factory=list)
-    wake: Optional[object] = None
     backend_state: object = None
 
 
@@ -134,21 +173,24 @@ class TrafficReport:
     events_dispatched: int
     tenants: Dict[str, dict]
 
+    def _total(self, key: str) -> int:
+        return sum(t[key] for t in self.tenants.values())
+
     @property
     def total_requests(self) -> int:
-        return sum(t["offered"] for t in self.tenants.values())
+        return self._total(OFFERED.counter)
 
     @property
     def total_admitted(self) -> int:
-        return sum(t["admitted"] for t in self.tenants.values())
+        return self._total(ADMITTED.counter)
 
     @property
     def total_dropped(self) -> int:
-        return sum(t["dropped"] for t in self.tenants.values())
+        return self._total("dropped")
 
     @property
     def total_failed(self) -> int:
-        return sum(t["failed"] + t["dropped_shed"] for t in self.tenants.values())
+        return self._total(FAILED.counter) + self._total(SHED.counter)
 
     @property
     def availability(self) -> float:
@@ -168,11 +210,11 @@ class TrafficReport:
         lines = []
         for name in sorted(self.tenants):
             t = self.tenants[name]
+            arrival = " ".join(str(t[o.counter]) for o in ARRIVAL)
+            request_path = " ".join(str(t[o.counter]) for o in REQUEST_PATH)
             lines.append(
-                f"{name} {t['offered']} {t['admitted']} {t['dropped']} "
-                f"{t['latency_sum_ns']:.3f} {t['busy_until_ns']:.3f} "
-                f"{t['failed']} {t['timed_out']} {t['retries']} {t['hedges']} "
-                f"{t['hedge_wins']} {t['failovers']} {t['dropped_shed']}"
+                f"{name} {arrival} {t['dropped']} "
+                f"{t['latency_sum_ns']:.3f} {t['busy_until_ns']:.3f} {request_path}"
             )
         lines.append(f"duration {self.duration_ns:.3f}")
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -365,7 +407,10 @@ class TrafficEngine:
         if link_capacity_bytes_per_s is not None:
             self.vnis.capacity_bytes_per_s = float(link_capacity_bytes_per_s)
         self.tenants: Dict[str, _TenantState] = {}
-        self._stop_at_requests: Optional[int] = None
+        #: breaker transitions in occurrence order, as journal lines and as
+        #: records; the base engine has no breakers, so both stay empty
+        self.breaker_log: List[str] = []
+        self.breaker_events: List[dict] = []
         start_ns = self.events.now_ns
         for idx, spec in enumerate(tenants):
             if spec.node not in self.machine.nodes:
@@ -411,7 +456,7 @@ class TrafficEngine:
         """Schedule the tenant's next wake: first pending arrival plus
         one batch window (so the wake serves a whole window's worth)."""
         when = self._next_arrival(st) + self.batch_window_ns
-        st.wake = self.events.at(when, lambda s=st: self._wake(s), node=st.spec.node)
+        self.events.at(when, lambda s=st: self._wake(s), node=st.spec.node)
 
     def _wake(self, st: _TenantState) -> None:
         now = self.events.now_ns
@@ -419,8 +464,6 @@ class TrafficEngine:
         # buffer until it provably covers the window)
         while st.queue[len(st.queue) - 1] <= now:
             self._refill(st)
-            st.queue = st.queue[st.pos:]
-            st.pos = 0
         end = int(np.searchsorted(st.queue, now, side="right"))
         batch = st.queue[st.pos:end]
         st.pos = end
@@ -430,24 +473,30 @@ class TrafficEngine:
 
     # -- the per-batch pipeline ------------------------------------------------
 
+    def _count(self, st: _TenantState, outcome: Outcome, n: int) -> None:
+        """The ledger's one writer: ``n`` requests of ``st`` met ``outcome``."""
+        counts = st.counts
+        counts[outcome.counter] += n
+        if outcome.within is not None:
+            counts[outcome.within.counter] += n
+        if outcome.drop:
+            self.vnis.drop(st.vni, n)
+        if _TEL.enabled:
+            spec = st.spec
+            for series in outcome.series:
+                _TEL.tenant_add(spec.node, spec.name, series, n)
+
     def _serve(self, st: _TenantState, arrivals: np.ndarray) -> None:
         spec = st.spec
         n = len(arrivals)
-        st.offered += n
-        st.next_client = (st.next_client + n) % max(1, spec.n_clients)
-        tel = _TEL.enabled
-        if tel:
-            _TEL.tenant_add(spec.node, spec.name, "requests", n)
+        self._count(st, OFFERED, n)
 
         # link guard: fabric saturated AND this tenant past its fair
         # share -> shed the whole batch before it touches the substrate
         # (now-aware so a long-idle fabric never sheds on a stale rate)
         now = self.events.now_ns
         if self.vnis.saturated(now) and self.vnis.over_share(st.vni, now):
-            st.dropped_link += n
-            self.vnis.drop(st.vni, n)
-            if tel:
-                _TEL.tenant_add(spec.node, spec.name, "dropped.link", n)
+            self._count(st, LINK, n)
             return
 
         # backlog bound (pessimistic admission): waits computed against
@@ -458,10 +507,7 @@ class TrafficEngine:
         keep = wait <= spec.max_backlog_ns
         n_drop = int(n - keep.sum())
         if n_drop:
-            st.dropped_backlog += n_drop
-            self.vnis.drop(st.vni, n_drop)
-            if tel:
-                _TEL.tenant_add(spec.node, spec.name, "dropped.backlog", n_drop)
+            self._count(st, BACKLOG, n_drop)
             arrivals = arrivals[keep]
             n = len(arrivals)
             if n == 0:
@@ -479,7 +525,6 @@ class TrafficEngine:
             # request walks back to the node that dropped it.  Tracing
             # reads clocks, never advances them — simulated outcomes
             # are bit-identical either way.
-            now = self.events.now_ns
             sp = _TEL.trace.begin(
                 "traffic.batch", spec.node, now, tenant=spec.name, n=n
             )
@@ -487,8 +532,6 @@ class TrafficEngine:
                 self._run_admitted(st, arrivals, key_idx, is_get)
             finally:
                 _TEL.trace.end(sp, max(now, st.busy_until_ns))
-        if self._stop_at_requests is not None and self._total_offered() >= self._stop_at_requests:
-            self._halt()
 
     @staticmethod
     def _completions(
@@ -508,53 +551,68 @@ class TrafficEngine:
         key_idx: np.ndarray,
         is_get: np.ndarray,
     ) -> None:
-        """Execute one admitted batch and record its outcomes.
+        """Execute one admitted batch and record its outcomes: attempt on
+        the tenant's node → queue model → record.
 
-        The fault-tolerant engine overrides this seam — everything
-        upstream (arrival bookkeeping, link guard, backlog bound, RNG
-        draws) is shared, so with resilience disabled the two engines
-        produce bit-identical reports.
+        The fault-tolerant engine's override is this sequence with its
+        policies' steps in between — everything upstream (arrival
+        bookkeeping, link guard, backlog bound, RNG draws) is shared, so
+        with every policy off the two engines produce bit-identical
+        reports on a healthy rack (a fault unwinds this one).
         """
-        n = len(arrivals)
-        ctx = self.machine.context(st.spec.node)
-        before = ctx.now()
-        n_bytes = self._traced_attempt(ctx, st, key_idx, is_get,
-                                       target=st.spec.node, attempt=0)
-        charged = ctx.now() - before
-        svc_actual = max(1.0, charged / n)
-        st.svc_est_ns = svc_actual
+        n_bytes, charged = self._attempt(st, key_idx, is_get, st.spec.node, attempt=0)
+        latency = self._queue_model(st, arrivals, charged, st.busy_until_ns)
+        self._record(st, arrivals, latency, n_bytes)
 
-        # completion over the admitted batch with the *measured* cost
-        completion = self._completions(arrivals, svc_actual, st.busy_until_ns)
-        st.busy_until_ns = float(completion[-1])
-        self._record(st, arrivals, completion - arrivals, n_bytes)
-
-    def _traced_attempt(
+    def _attempt(
         self,
-        ctx: NodeContext,
         st: _TenantState,
         key_idx: np.ndarray,
         is_get: np.ndarray,
         target: int,
-        attempt: int,
-    ) -> int:
-        """One backend execution attempt, wrapped in a ``traffic.attempt``
-        span when tracing is on.  The span carries the target node and
-        outcome, so a trace walks a failed request back to the node (or
-        severed link) that refused it.  Exceptions propagate unchanged."""
+        span: str = "traffic.attempt",
+        parent=STACK_PARENT,
+        not_before_ns: float = 0.0,
+        **span_args,
+    ) -> Tuple[int, float]:
+        """Run the batch on ``target`` once: ``(n_bytes, charged_ns)``, or
+        whatever the substrate raised (a crashed node, a severed link).
+
+        With tracing on the attempt is one span carrying the target node
+        and the outcome, so a trace walks a failed request back to the
+        node (or link) that refused it.  ``parent`` is for an attempt
+        whose causal parent has already closed: a hedge duplicate fires
+        from the event heap with an empty span stack and must chain to
+        the batch that launched it, not orphan into its own root.
+        """
+        ctx = self.machine.context(target)
+        before = ctx.now()
         if not _TEL.tracing:
-            return self.backend.run_batch(ctx, st, key_idx, is_get)
+            n_bytes = self.backend.run_batch(ctx, st, key_idx, is_get)
+            return n_bytes, ctx.now() - before
         trace = _TEL.trace
         sp = trace.begin(
-            "traffic.attempt", target, ctx.now(),
-            tenant=st.spec.name, target=target, attempt=attempt, outcome="failed",
+            span, target, max(before, not_before_ns), parent_id=parent,
+            tenant=st.spec.name, target=target, outcome="failed", **span_args,
         )
         try:
             n_bytes = self.backend.run_batch(ctx, st, key_idx, is_get)
             trace.annotate(sp, outcome="ok")
-            return n_bytes
         finally:
             trace.end(sp, ctx.now())
+        return n_bytes, ctx.now() - before
+
+    def _queue_model(
+        self, st: _TenantState, arrivals: np.ndarray, charged_ns: float, busy_ns: float
+    ) -> np.ndarray:
+        """Latencies of the batch behind a server that frees at
+        ``busy_ns``, at the *measured* per-request cost (which becomes
+        the next batch's admission estimate)."""
+        svc = max(1.0, charged_ns / len(arrivals))
+        st.svc_est_ns = svc
+        completion = self._completions(arrivals, svc, busy_ns)
+        st.busy_until_ns = float(completion[-1])
+        return completion - arrivals
 
     def _record(
         self,
@@ -565,7 +623,6 @@ class TrafficEngine:
     ) -> None:
         spec = st.spec
         n = len(arrivals)
-        st.admitted += n
         st.latency_sum_ns += float(np.add.accumulate(latency)[-1])
         st.latencies.append(latency)
         # charged along the actual routed path: aggregate VNI accounting
@@ -575,8 +632,8 @@ class TrafficEngine:
         # time: the contention signal the atlas attributes to culprits
         wait = float(np.maximum(latency - st.svc_est_ns, 0.0).sum())
         st.queue_delay_ns += wait
+        self._count(st, ADMITTED, n)
         if _TEL.enabled:
-            _TEL.tenant_add(spec.node, spec.name, "admitted", n)
             _TEL.tenant_add(spec.node, spec.name, "bytes", n_bytes)
             _TEL.tenant_add(spec.node, spec.name, "queue_delay_ns", wait)
             _TEL.tenant_observe_batch(spec.node, spec.name, "latency_ns", latency)
@@ -585,13 +642,16 @@ class TrafficEngine:
             atlas.note_queue_delay(spec.name, wait)
 
     def _total_offered(self) -> int:
-        return sum(st.offered for st in self.tenants.values())
+        return sum(st.counts[OFFERED.counter] for st in self.tenants.values())
 
-    def _halt(self) -> None:
-        for st in self.tenants.values():
-            if st.wake is not None:
-                EventCore.cancel(st.wake)
-                st.wake = None
+    # -- what a fault-tolerant engine fills in ----------------------------------
+
+    def feed_health_alerts(self, health) -> None:
+        """Out-of-band evidence for breakers; the base engine has none."""
+
+    def finalize(self) -> None:
+        """Resolve in-flight work before a report is treated as final;
+        the base engine leaves nothing in flight."""
 
     # -- driving ----------------------------------------------------------------
 
@@ -612,28 +672,16 @@ class TrafficEngine:
         start = self.events.now_ns
         started = self.events.dispatched
         deadline = start + duration_ns if duration_ns is not None else None
-        self._stop_at_requests = (
-            self._total_offered() + max_requests if max_requests is not None else None
-        )
-        try:
-            while True:
-                if deadline is not None and (
-                    self.events.peek_ns() is None or self.events.peek_ns() > deadline
-                ):
-                    break
-                if (
-                    self._stop_at_requests is not None
-                    and self._total_offered() >= self._stop_at_requests
-                ):
-                    break
-                if not self.events.step():
-                    break
-        finally:
-            self._stop_at_requests = None
-            # keep the loop armed for a subsequent run() call
-            for st in self.tenants.values():
-                if st.wake is None:
-                    self._arm(st)
+        stop_at = self._total_offered() + max_requests if max_requests is not None else None
+        while True:
+            if deadline is not None and (
+                self.events.peek_ns() is None or self.events.peek_ns() > deadline
+            ):
+                break
+            if stop_at is not None and self._total_offered() >= stop_at:
+                break
+            if not self.events.step():
+                break
         if deadline is not None and deadline > self.events.now_ns:
             self.events.now_ns = deadline
         return self.report(duration_ns=self.events.now_ns - start,
@@ -647,19 +695,11 @@ class TrafficEngine:
                 if st.latencies
                 else np.empty(0, dtype=np.float64)
             )
+            counts = st.counts
             tenants[name] = {
-                "offered": st.offered,
-                "admitted": st.admitted,
-                "dropped": st.dropped_backlog + st.dropped_link,
-                "dropped_backlog": st.dropped_backlog,
-                "dropped_link": st.dropped_link,
-                "failed": st.failed,
-                "timed_out": st.timed_out,
-                "retries": st.retries,
-                "hedges": st.hedges,
-                "hedge_wins": st.hedge_wins,
-                "failovers": st.failovers,
-                "dropped_shed": st.dropped_shed,
+                **{o.counter: counts[o.counter] for o in ARRIVAL},
+                "dropped": sum(counts[o.counter] for o in ADMISSION),
+                **{o.counter: counts[o.counter] for o in ADMISSION + REQUEST_PATH},
                 "latency_sum_ns": st.latency_sum_ns,
                 "queue_delay_ns": st.queue_delay_ns,
                 "busy_until_ns": st.busy_until_ns,

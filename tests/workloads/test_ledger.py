@@ -1,0 +1,178 @@
+"""The outcome ledger: every sink that reports a per-tenant outcome —
+report, registry series, VNI drop count, flight-recorder sample — agrees
+with every other, for every engine, on healthy and faulty racks."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.telemetry as tel
+from repro.bench.harness import build_rig
+from repro.chaos.schedule import ChaosCampaign, event
+from repro.workloads import TenantSpec, TrafficEngine
+from repro.workloads.resilience import (
+    DISABLED,
+    FAILURES,
+    BreakerPolicy,
+    ChaosUnderLoad,
+    CircuitBreaker,
+    ResilienceSpec,
+    ResilientTrafficEngine,
+    RetryPolicy,
+    default_spec,
+    render_transition,
+)
+from repro.workloads.traffic import (
+    ARRIVAL,
+    BACKLOG,
+    FAILED,
+    LEDGER,
+    LINK,
+    LOST_SERIES,
+    REQUEST_PATH,
+    SHED,
+    TIMED_OUT,
+)
+
+pytestmark = pytest.mark.resilience
+
+ENGINES = {
+    "base": None,
+    "disabled": DISABLED,
+    "default": default_spec(replica_node=1),
+    # tight enough that a share of every batch blows its budget
+    "deadline-only": ResilienceSpec(deadline_ns=600.0),
+    # nowhere to fail over to: once the breaker opens, batches are shed
+    "no-replica": ResilienceSpec(breaker=BreakerPolicy(cooldown_ns=1e15),
+                                 retry=RetryPolicy()),
+}
+# a run is ~3 simulated ms, so these land mid-run
+FAULTS = {
+    "healthy": (),
+    "node-crash": (event("node_crash", at_ns=1.5e6, node=0),),
+    "link-flap": (event("link_down", at_ns=0.5e6, node=0),
+                  event("link_up", at_ns=1.5e6, node=0)),
+}
+
+
+def _tenants():
+    # "batch" offers more than its server clears, so the backlog bound
+    # sheds and the survivors queue long enough to be hedged
+    return [TenantSpec(name="web", rate_rps=200_000.0, node=0, n_keys=256,
+                       max_backlog_ns=5e6),
+            TenantSpec(name="batch", rate_rps=4_000_000.0, node=0, n_keys=256,
+                       get_ratio=0.5, max_backlog_ns=300_000.0)]
+
+
+def _run(engine, fault, seed):
+    """(engine, report or None when a fault unwound the base engine, recorder)"""
+    rig = build_rig(n_nodes=2)
+    rig.kernel.attach_health()
+    spec = ENGINES[engine]
+    if spec is None:
+        eng = TrafficEngine(rig.kernel, _tenants(), seed=seed)
+    else:
+        eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=spec, seed=seed)
+    campaign = ChaosCampaign(name=fault, seed=seed, events=FAULTS[fault])
+    try:
+        report = ChaosUnderLoad(rig.kernel, eng, campaign).run(max_requests=12_000).traffic
+    except FAILURES:
+        assert spec is None and fault != "healthy"  # only the base engine unwinds
+        report = None
+    return eng, report, rig.kernel.health.recorder
+
+
+def _expected_series(t):
+    """Today's series, spelled out: what each ``traffic/<tenant>`` counter
+    must read for the report row ``t`` (absent and 0 are the same)."""
+    return {
+        "requests": t["offered"],
+        "admitted": t["admitted"],
+        "dropped.backlog": t["dropped_backlog"],
+        "dropped.link": t["dropped_link"],
+        # a timed-out request is inside `failed` but has its own series
+        "resilience.failed": t["failed"] - t["timed_out"],
+        "resilience.timed_out": t["timed_out"],
+        "resilience.retries": t["retries"],
+        "resilience.hedges": t["hedges"],
+        "resilience.hedge_wins": t["hedge_wins"],
+        "resilience.failovers": t["failovers"],
+        "resilience.shed": t["dropped_shed"],
+        "resilience.lost": t["failed"] + t["dropped_shed"],
+    }
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_every_sink_agrees_with_the_report(engine, fault, seed):
+    tel.enable()
+    tel.reset()
+    try:
+        eng, report, recorder = _run(engine, fault, seed)
+        series = dict(tel.TELEMETRY.registry.counters)
+    finally:
+        tel.reset()
+        tel.disable()
+    unwound = report is None
+    tenants = (report or eng.report()).tenants
+    for name, t in tenants.items():
+        # (i) conservation: an offered request ends in exactly one place —
+        # bar the one batch in flight when a fault unwinds the base engine
+        ended = t["admitted"] + t["dropped"] + t["failed"] + t["dropped_shed"]
+        assert t["offered"] >= ended if unwound else t["offered"] == ended
+        assert t["dropped"] == t["dropped_backlog"] + t["dropped_link"]
+        assert t["timed_out"] <= t["failed"]
+
+        # (ii) every registry series reads what the report reads, and the
+        # ledger's rows name exactly these series for exactly these counters
+        node, sub = eng.tenants[name].spec.node, tel.tenant_subsystem(name)
+        expected = _expected_series(t)
+        for metric, value in expected.items():
+            assert series.get((node, sub, metric), 0) == value, metric
+        assert {s for o in LEDGER for s in o.series} == set(expected)
+        for row in LEDGER:
+            inner = sum(t[o.counter] for o in LEDGER if o.within is row)
+            assert expected[row.series[0]] == t[row.counter] - inner
+            assert (LOST_SERIES in row.series) == (row in (FAILED, TIMED_OUT, SHED))
+
+        # (iii) the fabric's drop count: every refusal and loss, once
+        assert eng.vnis.stats[t["vni"]].dropped == (
+            t["dropped_backlog"] + t["dropped_link"] + t["failed"] + t["dropped_shed"]
+        )
+        assert [o for o in LEDGER if o.drop] == [BACKLOG, LINK, FAILED, TIMED_OUT, SHED]
+
+        # (iv) the last flight-recorder sample is the report
+        if not unwound:
+            last = [s for s in recorder.resilience_samples if s["tenant"] == name][-1]
+            assert {k: v for k, v in last.items() if k not in ("t_ns", "tenant")} == {
+                o.name: t[o.counter] for o in ARRIVAL + REQUEST_PATH
+            }
+            assert list(last) == ["t_ns", "tenant", "offered", "admitted", "failed",
+                                  "timed_out", "retries", "hedges", "hedge_wins",
+                                  "failovers", "shed"]
+    if not unwound:  # every breaker transition reached the recorder, as is
+        assert list(recorder.breaker_events) == eng.breaker_events
+    if engine == "deadline-only":
+        assert sum(t["timed_out"] for t in tenants.values()) > 0
+    assert sum(t["dropped_backlog"] for t in tenants.values()) > 0
+
+
+def test_transition_record_renders_to_the_journal_line():
+    br = CircuitBreaker(BreakerPolicy(window=4, min_volume=2, failure_threshold=0.5,
+                                      cooldown_ns=1_000.0), "web", 0)
+    br.record(0.0, ok=False)
+    opened = br.record(310_000.04, ok=False)
+    assert opened == {"tenant": "web", "target": 0, "from": "closed", "to": "open",
+                      "t_ns": 310_000.0, "reason": "error-rate"}
+    assert render_transition(opened) == (
+        "breaker tenant=web target=0 closed->open t=310000.0 reason=error-rate"
+    )
+    assert br.allow(312_000.0)
+    assert render_transition(br.record(312_500.25, ok=True)) == (
+        "breaker tenant=web target=0 half-open->closed t=312500.2 reason=probe-ok"
+    )
+    assert render_transition(br.trip(400_000.0, "slo:availability")) == (
+        "breaker tenant=web target=0 closed->open t=400000.0 reason=slo:availability"
+    )

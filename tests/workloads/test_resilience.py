@@ -72,8 +72,8 @@ class TestCircuitBreaker:
         for _ in range(2):
             assert br.record(0.0, ok=True) is None
         assert br.record(0.0, ok=False) is None
-        line = br.record(0.0, ok=False)  # 2/4 failures -> threshold
-        assert line is not None and "closed->open" in line
+        moved = br.record(0.0, ok=False)  # 2/4 failures -> threshold
+        assert moved is not None and (moved["from"], moved["to"]) == ("closed", "open")
         assert not br.allow(1.0)
 
     def test_cooldown_then_half_open_probe(self):
@@ -81,11 +81,13 @@ class TestCircuitBreaker:
                             cooldown_ns=1_000.0)
         br = CircuitBreaker(pol, "t", 0)
         br.record(0.0, ok=False)
-        assert "closed->open" in br.record(0.0, ok=False)
+        moved = br.record(0.0, ok=False)
+        assert (moved["from"], moved["to"]) == ("closed", "open")
         assert not br.allow(500.0)          # cooling down
         assert br.allow(1_500.0)            # one probe admitted
         assert not br.allow(1_500.0)        # second concurrent probe refused
-        assert "half-open->closed" in br.record(1_600.0, ok=True)
+        moved = br.record(1_600.0, ok=True)
+        assert (moved["from"], moved["to"]) == ("half-open", "closed")
         assert br.allow(1_700.0)
 
     def test_failed_probe_reopens(self):
@@ -95,14 +97,16 @@ class TestCircuitBreaker:
         br.record(0.0, ok=False)
         br.record(0.0, ok=False)
         assert br.allow(1_500.0)
-        assert "half-open->open" in br.record(1_600.0, ok=False)
+        moved = br.record(1_600.0, ok=False)
+        assert (moved["from"], moved["to"]) == ("half-open", "open")
         assert not br.allow(1_700.0)
         assert br.opens == 2
 
     def test_trip_forces_open(self):
         br = CircuitBreaker(BreakerPolicy(), "t", 0)
-        line = br.trip(42.0, "node-crash")
-        assert "closed->open" in line and "node-crash" in line
+        moved = br.trip(42.0, "node-crash")
+        assert (moved["from"], moved["to"]) == ("closed", "open")
+        assert moved["reason"] == "node-crash"
         assert br.trip(43.0, "again") is None  # already open
 
 
