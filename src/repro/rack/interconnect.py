@@ -194,8 +194,9 @@ class VniTable:
         therefore decay the rate on the next charge.
         """
         self._check(vni)
-        for s in (self.stats[vni], self._agg):
-            s.add(n_bytes, requests, now_ns, self.window_ns)
+        window_ns = self.window_ns
+        self.stats[vni].add(n_bytes, requests, now_ns, window_ns)
+        self._agg.add(n_bytes, requests, now_ns, window_ns)
         # dropped is per-VNI only; aggregate drops derive from the sum
 
     def drop(self, vni: int, requests: int) -> None:
@@ -472,8 +473,8 @@ class Interconnect:
 
     def __init__(self, graph: Optional[nx.Graph] = None) -> None:
         self.graph = graph if graph is not None else nx.Graph()
-        #: per node vertex: (path cost, link ids) of its live route to gmem
-        self._routes: Dict[str, Tuple[PathCost, Tuple[str, ...]]] = {}
+        #: per node vertex: its live route to gmem (see :meth:`_route`)
+        self._routes: Dict[str, Tuple[PathCost, Tuple[str, ...], Tuple[dict, ...]]] = {}
         #: Bumped whenever topology or link health changes; holders of
         #: path-derived memos (the machine's charge tables) compare-and-drop.
         self.generation = 0
@@ -551,13 +552,16 @@ class Interconnect:
 
     # -- queries ---------------------------------------------------------------
 
-    def _route(self, node_id: int) -> Tuple[PathCost, Tuple[str, ...]]:
-        """``node_id``'s live route to global memory: its cost and link ids.
+    def _route(self, node_id: int) -> Tuple[PathCost, Tuple[str, ...], Tuple[dict, ...]]:
+        """``node_id``'s live route to global memory: its cost, its link
+        ids, and each link's edge-attribute dict.
 
         Computed once per node and dropped on any topology/health change.
         Routing is ``nx.shortest_path`` over the live subgraph —
         deterministic for a given insertion order, so seeded runs charge
-        identical paths.
+        identical paths.  The attribute dicts are the graph's own, which
+        :meth:`set_link_capacity` writes into: a cached route always
+        charges against the capacity in force.
         """
         src = node_vertex(node_id)
         cached = self._routes.get(src)
@@ -573,8 +577,11 @@ class Interconnect:
         except nx.NetworkXNoPath as exc:
             raise InterconnectError(f"node {node_id} cannot reach global memory") from exc
         switches = sum(1 for v in path if self.graph.nodes[v].get("kind") == "switch")
-        links = tuple(link_id(path[i], path[i + 1]) for i in range(len(path) - 1))
-        route = self._routes[src] = (PathCost(hops=len(links), switches=switches), links)
+        hops = list(zip(path, path[1:]))
+        links = tuple(link_id(u, v) for u, v in hops)
+        edges = tuple(self.graph.edges[u, v] for u, v in hops)
+        cost = PathCost(hops=len(links), switches=switches)
+        route = self._routes[src] = (cost, links, edges)
         return route
 
     def path_to_gmem(self, node_id: int) -> PathCost:
@@ -597,14 +604,15 @@ class Interconnect:
         """
         self.vnis.charge(vni, n_bytes, requests, now_ns)
         try:
-            route = self.path_links(node_id)
+            _, links, edges = self._route(node_id)
         except InterconnectError:
             return
-        for link in route:
-            self.links.charge(
-                link, vni, n_bytes, requests, now_ns,
-                capacity_bytes_per_s=self.link_capacity(*link_endpoints(link)),
-            )
+        charge = self.links.charge
+        fabric_cap = self.vnis.capacity_bytes_per_s
+        for link, attrs in zip(links, edges):
+            cap = attrs.get("capacity_bytes_per_s")  # as :meth:`link_capacity`
+            charge(link, vni, n_bytes, requests, now_ns,
+                   fabric_cap if cap is None else float(cap))
 
     def reachable(self, node_id: int) -> bool:
         try:

@@ -1141,7 +1141,8 @@ def _last_writers(offs: np.ndarray, size: int) -> Union[np.ndarray, slice, None]
     if offs.shape[0] < 2:
         return _ALL
     order = np.argsort(offs, kind="stable")
-    gaps = np.diff(offs[order])
+    ranked = offs[order]
+    gaps = ranked[1:] - ranked[:-1]
     if int(gaps.min()) >= size:
         return _ALL
     last = np.ones(order.shape[0], dtype=bool)

@@ -254,7 +254,7 @@ class CircuitBreaker:
             return None
         self.window.append(ok)
         if len(self.window) >= self.policy.min_volume:
-            failures = sum(1 for o in self.window if not o)
+            failures = self.window.count(False)
             if failures / len(self.window) >= self.policy.failure_threshold:
                 return self._open(now_ns, "error-rate")
         return None
@@ -585,18 +585,23 @@ class ResilientTrafficEngine(TrafficEngine):
         into the EWMA that sets the *next* batch's hedge delay."""
         hedge = rs.spec.hedge
         recorded = st.latencies[-1]
+        # one sort serves both questions: its maximum says whether any
+        # request is past the hedge delay at all, its tail is the p99
+        ranked = recorded.copy()
+        ranked.sort()
         replica = rs.spec.replica_node
         if replica is not None and replica in rs.targets and replica != target:
-            self._launch_hedge(st, rs, recorded, arrivals, key_idx, is_get, now)
-        batch_p99 = _batch_p99(recorded)
+            delay = max(hedge.min_delay_ns, rs.p99_ewma * hedge.multiplier)
+            if ranked[-1] > delay:
+                self._launch_hedge(st, rs, recorded, arrivals, key_idx, is_get, now, delay)
+        batch_p99 = _ranked_p99(ranked)
         if rs.p99_ewma == 0.0:
             rs.p99_ewma = batch_p99
         else:
             rs.p99_ewma += hedge.alpha * (batch_p99 - rs.p99_ewma)
 
-    def _launch_hedge(self, st, rs, recorded, arrivals, key_idx, is_get, now) -> None:
+    def _launch_hedge(self, st, rs, recorded, arrivals, key_idx, is_get, now, delay) -> None:
         hedge = rs.spec.hedge
-        delay = max(hedge.min_delay_ns, rs.p99_ewma * hedge.multiplier)
         # only requests still queued are worth duplicating: a batch wake
         # serves a window retroactively, so predicted completions in the
         # past already "responded" and the primary wins by definition
@@ -804,14 +809,19 @@ class ChaosUnderLoad:
 
 
 def _batch_p99(latencies: np.ndarray) -> float:
-    """``float(np.percentile(latencies, 99))`` of a non-empty finite batch.
+    """``float(np.percentile(latencies, 99))`` of a non-empty finite batch
+    — the same double, which the tests hold it to: it feeds the hedge delay."""
+    return _ranked_p99(np.sort(latencies))
 
-    A sort plus numpy's own linear-interpolation arithmetic (virtual index
+
+def _ranked_p99(s: np.ndarray) -> float:
+    """:func:`_batch_p99` of latencies already sorted ascending.
+
+    numpy's own linear-interpolation arithmetic (virtual index
     ``(n - 1) * 0.99``; the upper form of the lerp from the midpoint on),
-    so the result is the same double without ``np.percentile``'s per-call
-    set-up, which dominated on the few dozen latencies a batch holds.
+    without ``np.percentile``'s per-call set-up, which dominated on the few
+    dozen latencies a batch holds.
     """
-    s = np.sort(latencies)
     virtual = (s.shape[0] - 1) * 0.99
     lo = int(virtual)
     below = s[lo]

@@ -32,7 +32,8 @@ service time later.  The recurrence is computed vectorized (a running
 max over ``arrival_i - svc*i``), with the drop pass applied against the
 undropped queue (pessimistic admission) and latencies recomputed over
 the survivors — two numpy passes, no per-request Python, and survivor
-waits are bounded by construction.
+waits are bounded by construction.  The drop pass runs only where a
+scalar bound (head wait + ``svc*n``) cannot prove the batch clear.
 
 Determinism: arrivals, key draws and op mixes are seeded per tenant;
 the event heap breaks ties by insertion order; service costs come from
@@ -43,6 +44,7 @@ the machine's charged nanoseconds.  Same seed, same report —
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -55,6 +57,11 @@ from .arrivals import ArrivalProcess, make_process
 
 #: Arrival timestamps pre-sampled per refill of a tenant's queue.
 _ARRIVAL_CHUNK = 4_096
+
+#: 0.0, 1.0, 2.0, ... — request indices for the queue kernel: ``_ramp[:n]``
+#: is ``k``, ``_ramp[1:n + 1]`` is ``k + 1.0``, and no batch builds an ``arange``
+#: (``_completions`` regrows it for a batch that would not fit)
+_ramp = np.arange(2 * _ARRIVAL_CHUNK, dtype=np.float64)
 
 
 class AdmissionError(Exception):
@@ -87,6 +94,18 @@ class TenantSpec:
     value_size: int = 64
     weight: float = 1.0
     max_backlog_ns: float = 2e6
+
+    def __post_init__(self) -> None:
+        # refused here, by name, instead of surfacing batches later as a NaN
+        # event time, a mix no draw can produce, or 100% silent shedding
+        for name, legal, ok in (
+            ("rate_rps", "finite and > 0", 0 < self.rate_rps < math.inf),
+            ("get_ratio", "in [0,1]", 0.0 <= self.get_ratio <= 1.0),
+            ("max_backlog_ns", ">= 0 (inf: never shed)", self.max_backlog_ns >= 0.0),
+        ):
+            if not ok:  # every comparison is False for NaN
+                raise ValueError(f"tenant {self.name!r}: {name} must be {legal}, "
+                                 f"got {getattr(self, name)}")
 
 
 # -- the outcome ledger ----------------------------------------------------------
@@ -271,16 +290,15 @@ class DataPlaneBackend:
     ) -> int:
         slab, values = st.backend_state
         size = st.spec.value_size
-        addrs = slab + key_idx.astype(np.int64) * size
-        is_set = ~is_get
-        gets = addrs[is_get]
-        sets = addrs[is_set]
+        keys = key_idx.astype(np.int64, copy=False)
+        gets = keys[is_get]
         if len(gets):
-            ctx.load_many(gets, size, bypass_cache=True, concat=True)
-        if len(sets):
-            payload = values[key_idx[is_set]].reshape(-1)
-            ctx.store_many(sets, payload, size=size, bypass_cache=True)
-        return len(key_idx) * size
+            ctx.load_many(slab + gets * size, size, bypass_cache=True, concat=True)
+        if len(gets) < len(keys):
+            sets = keys[~is_get]
+            payload = values[sets].reshape(-1)
+            ctx.store_many(slab + sets * size, payload, size=size, bypass_cache=True)
+        return len(keys) * size
 
 
 class RedisBackend:
@@ -407,6 +425,8 @@ class TrafficEngine:
         if link_capacity_bytes_per_s is not None:
             self.vnis.capacity_bytes_per_s = float(link_capacity_bytes_per_s)
         self.tenants: Dict[str, _TenantState] = {}
+        #: Σ tenant ``offered``, kept running (``run`` stops on it per event)
+        self.total_offered = 0
         #: breaker transitions in occurrence order, as journal lines and as
         #: records; the base engine has no breakers, so both stay empty
         self.breaker_log: List[str] = []
@@ -447,15 +467,12 @@ class TrafficEngine:
         st.queue = np.concatenate((left, fresh)) if len(left) else fresh
         st.pos = 0
 
-    def _next_arrival(self, st: _TenantState) -> float:
-        if st.pos >= len(st.queue):
-            self._refill(st)
-        return float(st.queue[st.pos])
-
     def _arm(self, st: _TenantState) -> None:
         """Schedule the tenant's next wake: first pending arrival plus
         one batch window (so the wake serves a whole window's worth)."""
-        when = self._next_arrival(st) + self.batch_window_ns
+        if st.pos >= len(st.queue):
+            self._refill(st)
+        when = float(st.queue[st.pos]) + self.batch_window_ns
         self.events.at(when, lambda s=st: self._wake(s), node=st.spec.node)
 
     def _wake(self, st: _TenantState) -> None:
@@ -464,7 +481,7 @@ class TrafficEngine:
         # buffer until it provably covers the window)
         while st.queue[len(st.queue) - 1] <= now:
             self._refill(st)
-        end = int(np.searchsorted(st.queue, now, side="right"))
+        end = int(st.queue.searchsorted(now, side="right"))
         batch = st.queue[st.pos:end]
         st.pos = end
         if len(batch):
@@ -490,6 +507,7 @@ class TrafficEngine:
         spec = st.spec
         n = len(arrivals)
         self._count(st, OFFERED, n)
+        self.total_offered += n
 
         # link guard: fabric saturated AND this tenant past its fair
         # share -> shed the whole batch before it touches the substrate
@@ -499,15 +517,10 @@ class TrafficEngine:
             self._count(st, LINK, n)
             return
 
-        # backlog bound (pessimistic admission): waits computed against
-        # the undropped queue; anything over the bound is shed
         svc = max(1.0, st.svc_est_ns)
-        completion = self._completions(arrivals, svc, st.busy_until_ns)
-        wait = completion - svc - arrivals
-        keep = wait <= spec.max_backlog_ns
-        n_drop = int(n - keep.sum())
-        if n_drop:
-            self._count(st, BACKLOG, n_drop)
+        keep = self._backlog_keep(arrivals, svc, st.busy_until_ns, spec.max_backlog_ns)
+        if keep is not None:
+            self._count(st, BACKLOG, n - int(keep.sum()))
             arrivals = arrivals[keep]
             n = len(arrivals)
             if n == 0:
@@ -533,16 +546,46 @@ class TrafficEngine:
             finally:
                 _TEL.trace.end(sp, max(now, st.busy_until_ns))
 
+    @classmethod
+    def _backlog_keep(
+        cls, arrivals: np.ndarray, svc: float, busy_until_ns: float, max_backlog_ns: float
+    ) -> Optional[np.ndarray]:
+        """The backlog bound (pessimistic admission): the mask of requests
+        whose wait behind the *undropped* queue is within ``max_backlog_ns``,
+        or ``None`` when that is all of them.
+
+        Arrivals are sorted, so no wait exceeds the head's plus
+        ``svc * (n - 1)``: a batch whose bound on that clears the limit with
+        ``svc + 1`` ns to spare (far above float rounding) provably sheds
+        nothing, and the per-request pass runs only where it can find work.
+        """
+        n = len(arrivals)
+        head_wait = max(busy_until_ns - float(arrivals[0]), 0.0)
+        if head_wait + svc * n < max_backlog_ns - 1.0:
+            return None
+        completion = cls._completions(arrivals, svc, busy_until_ns)
+        wait = completion - svc - arrivals
+        keep = wait <= max_backlog_ns
+        return None if keep.all() else keep
+
     @staticmethod
     def _completions(
         arrivals: np.ndarray, svc: float, busy_until_ns: float
     ) -> np.ndarray:
         """Single-server completion times: request ``i`` starts at
-        ``max(arrival_i, completion_{i-1})``, runs ``svc`` ns."""
-        k = np.arange(len(arrivals), dtype=np.float64)
-        adj = arrivals - svc * k
-        adj[0] = max(adj[0], busy_until_ns)
-        return np.maximum.accumulate(adj) + svc * (k + 1.0)
+        ``max(arrival_i, completion_{i-1})``, runs ``svc`` ns — the float
+        operations of ``maximum.accumulate(arrivals - svc*k) + svc*(k + 1)``
+        in that order, in one fresh buffer."""
+        global _ramp
+        n = len(arrivals)
+        if n >= len(_ramp):
+            _ramp = np.arange(2 * n, dtype=np.float64)
+        out = svc * _ramp[:n]
+        np.subtract(arrivals, out, out=out)
+        out[0] = max(out[0], busy_until_ns)
+        np.maximum.accumulate(out, out=out)
+        out += svc * _ramp[1 : n + 1]
+        return out
 
     def _run_admitted(
         self,
@@ -630,7 +673,9 @@ class TrafficEngine:
         self.fabric.charge(st.vni, spec.node, n_bytes, n, self.events.now_ns)
         # queueing delay = latency beyond the batch's measured service
         # time: the contention signal the atlas attributes to culprits
-        wait = float(np.maximum(latency - st.svc_est_ns, 0.0).sum())
+        over = latency - st.svc_est_ns
+        np.maximum(over, 0.0, out=over)
+        wait = float(np.add.reduce(over))
         st.queue_delay_ns += wait
         self._count(st, ADMITTED, n)
         if _TEL.enabled:
@@ -640,9 +685,6 @@ class TrafficEngine:
         atlas = _TEL.atlas
         if atlas is not None:
             atlas.note_queue_delay(spec.name, wait)
-
-    def _total_offered(self) -> int:
-        return sum(st.counts[OFFERED.counter] for st in self.tenants.values())
 
     # -- what a fault-tolerant engine fills in ----------------------------------
 
@@ -672,13 +714,13 @@ class TrafficEngine:
         start = self.events.now_ns
         started = self.events.dispatched
         deadline = start + duration_ns if duration_ns is not None else None
-        stop_at = self._total_offered() + max_requests if max_requests is not None else None
+        stop_at = self.total_offered + max_requests if max_requests is not None else None
         while True:
-            if deadline is not None and (
-                self.events.peek_ns() is None or self.events.peek_ns() > deadline
-            ):
-                break
-            if stop_at is not None and self._total_offered() >= stop_at:
+            if deadline is not None:
+                next_ns = self.events.peek_ns()
+                if next_ns is None or next_ns > deadline:
+                    break
+            if stop_at is not None and self.total_offered >= stop_at:
                 break
             if not self.events.step():
                 break

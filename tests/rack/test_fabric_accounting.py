@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.rack.interconnect import (
+    GMEM_VERTEX,
     Interconnect,
     InterconnectError,
     LinkTable,
@@ -291,3 +292,50 @@ class TestRoutedCharging:
         # unset links fall back to the rack-wide VNI capacity
         fab.vnis.capacity_bytes_per_s = 3e9
         assert fab.link_capacity("node:0", "gmem") == 3e9
+
+    def _charged_route(self, fab, vni):
+        """Charge node 0 once at t=0 (which caches its route); its links."""
+        fab.charge(vni, 0, 1000, 1, 0.0)
+        return fab.path_links(0)
+
+    def test_cached_route_charges_against_the_capacity_in_force(self):
+        """The charge plan caches each link's edge attributes, not a
+        capacity: a ``set_link_capacity`` after the route was cached is
+        what the next window is banked against."""
+        fab = topology.build("single_switch", 2)
+        vni = fab.vnis.register("t")
+        port, trunk = (fab.links.get(link) for link in self._charged_route(fab, vni))
+        assert port.capacity_bytes_per_s == trunk.capacity_bytes_per_s == float("inf")
+        # 1000 B in the first 1 ms window is 1e6 B/s: exactly the port's new capacity
+        fab.set_link_capacity("node:0", "switch:0", 1e6)
+        fab.charge(vni, 0, 1000, 1, MS)
+        assert (port.saturated_windows, trunk.saturated_windows) == (1, 0)
+        assert port.saturated_bytes == 1000
+        # raised again: the same load no longer saturates it
+        fab.set_link_capacity("node:0", "switch:0", 1e9)
+        fab.charge(vni, 0, 1, 1, 2 * MS)
+        assert port.saturated_windows == 1 and port.capacity_bytes_per_s == 1e9
+        # and the fabric-wide default stays live for links without their own
+        fab.vnis.capacity_bytes_per_s = 1.0
+        fab.charge(vni, 0, 1, 1, 3 * MS)
+        assert (port.saturated_windows, trunk.saturated_windows) == (1, 1)
+
+    def test_link_flap_rebuilds_the_charge_plan(self):
+        fab = topology.build("single_switch", 2, link_capacity_bytes_per_s=2e9)
+        fab.link("node:0", GMEM_VERTEX, capacity_bytes_per_s=5e9)  # a one-hop shortcut
+        vni = fab.vnis.register("t")
+        direct = link_id("node:0", GMEM_VERTEX)
+        assert self._charged_route(fab, vni) == (direct,)
+        fab.set_link_state("node:0", GMEM_VERTEX, False, now_ns=1.0)
+        fab.charge(vni, 0, 10, 1, 2.0)
+        detour = fab.path_links(0)
+        assert detour == (link_id("node:0", "switch:0"), link_id("switch:0", GMEM_VERTEX))
+        assert fab.links.get(direct).bytes == 1000
+        for link in detour:
+            assert fab.links.get(link).bytes == 10
+            assert fab.links.get(link).capacity_bytes_per_s == 2e9
+        fab.set_link_state("node:0", GMEM_VERTEX, True, now_ns=3.0)
+        fab.charge(vni, 0, 5, 1, 4.0)
+        assert fab.links.get(direct).bytes == 1005
+        assert fab.links.get(direct).capacity_bytes_per_s == 5e9
+        assert [fab.links.get(link).bytes for link in detour] == [10, 10]

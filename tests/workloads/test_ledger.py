@@ -152,7 +152,12 @@ def test_every_sink_agrees_with_the_report(engine, fault, seed):
             assert list(last) == ["t_ns", "tenant", "offered", "admitted", "failed",
                                   "timed_out", "retries", "hedges", "hedge_wins",
                                   "failovers", "shed"]
-    if not unwound:  # every breaker transition reached the recorder, as is
+    # (v) the engine's running total — what run(max_requests=) stops on —
+    # has one writer beside the OFFERED count, so it is the tenants' sum
+    assert eng.total_offered == sum(t["offered"] for t in tenants.values())
+    if not unwound:
+        assert eng.total_offered >= 12_000  # the run stopped on it
+        # every breaker transition reached the recorder, as is
         assert list(recorder.breaker_events) == eng.breaker_events
     if engine == "deadline-only":
         assert sum(t["timed_out"] for t in tenants.values()) > 0

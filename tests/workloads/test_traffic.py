@@ -163,6 +163,33 @@ class TestAdmission:
             )
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("get_ratio", 1.5),                 # a mix no draw can produce
+        ("get_ratio", -0.1),
+        ("get_ratio", float("nan")),
+        ("max_backlog_ns", -1.0),           # used to shed 100% of traffic, silently
+        ("max_backlog_ns", float("nan")),
+        ("rate_rps", float("nan")),         # used to reach the heap: "event time is NaN"
+        ("rate_rps", float("inf")),
+        ("rate_rps", 0.0),
+        ("rate_rps", -5.0),
+    ])
+    def test_hostile_spec_is_refused_naming_tenant_and_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"tenant 'evil': {field} "):
+            TenantSpec(**{"name": "evil", "rate_rps": 1_000.0, field: value})
+
+    def test_infinite_backlog_bound_is_legal_and_never_sheds(self):
+        rig = build_rig()
+        eng = TrafficEngine(
+            rig.kernel,
+            [TenantSpec(name="hot", rate_rps=20_000_000.0, node=0,
+                        max_backlog_ns=float("inf"))],
+            seed=3, batch_window_ns=200_000.0,
+        )
+        t = eng.run(max_requests=10_000).tenants["hot"]
+        assert t["dropped"] == 0 and t["admitted"] == t["offered"]
+
+
 class TestTenancy:
     def test_per_tenant_metrics_and_dashboard(self):
         tel.enable()
