@@ -9,11 +9,10 @@ access.  Paths are recomputed lazily when topology changes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..telemetry import RACK_WIDE, TELEMETRY as _TEL
 
@@ -468,87 +467,168 @@ class LinkTable:
         return {"window_ns": self.window_ns, "links": links}
 
 
+class FabricGraph:
+    """The fabric's own graph: vertices in the order they were added,
+    links in the order they were cabled.
+
+    ``adj[u][v]`` and ``adj[v][u]`` are *one* attribute dict (``up``, and
+    ``capacity_bytes_per_s`` where the link overrides the fabric's), so a
+    write through either direction reaches every holder of that dict —
+    the routes :meth:`Interconnect._route` caches included.
+    """
+
+    __slots__ = ("kinds", "adj")
+
+    def __init__(self) -> None:
+        #: vertex -> "node" / "switch" / "gmem"
+        self.kinds: Dict[str, str] = {}
+        #: vertex -> {neighbour: the link's attribute dict}
+        self.adj: Dict[str, Dict[str, dict]] = {}
+
+    def add_vertex(self, vertex: str, kind: str) -> None:
+        self.kinds[vertex] = kind
+        self.adj.setdefault(vertex, {})
+
+    def add_edge(self, u: str, v: str) -> dict:
+        """Cable ``u`` to ``v`` and return the link's attribute dict, marked
+        up.  Re-cabling keeps the dict (and its place in cabling order)."""
+        attrs = self.adj[u].get(v)
+        if attrs is None:
+            attrs = self.adj[u][v] = self.adj[v][u] = {}
+        attrs["up"] = True
+        return attrs
+
+    def edge(self, u: str, v: str) -> dict:
+        try:
+            return self.adj[u][v]
+        except KeyError:
+            raise KeyError(f"no link {u} <-> {v}") from None
+
+    def neighbors(self, vertex: str) -> List[str]:
+        """``vertex``'s neighbours, earliest-cabled first (down links too)."""
+        return list(self.adj[vertex])
+
+    def vertices(self, kind: str) -> List[str]:
+        return [v for v, k in self.kinds.items() if k == kind]
+
+    def edges(self) -> List[Tuple[str, str, dict]]:
+        """Every link once, as ``(u, v, attrs)`` with ``u < v`` (a link
+        sits under both its endpoints; keep the copy under the smaller)."""
+        return [
+            (u, v, attrs)
+            for u, nbrs in self.adj.items() for v, attrs in nbrs.items() if u < v
+        ]
+
+    def shortest_path(self, src: str, dst: str) -> Optional[List[str]]:
+        """The route from ``src`` to ``dst`` over links that are up, or
+        ``None`` when there is none.
+
+        The routing rule, in full: fewest hops; among routes of equal
+        length, the earliest-cabled link at each vertex, decided outward
+        from ``src``.  A breadth-first search that scans each vertex's
+        links in cabling order and keeps the first parent it finds is
+        that rule — a level is discovered in the order of the routes
+        leading to it, so the first parent lies on the first route.
+        """
+        adj = self.adj
+        parent: Dict[str, Optional[str]] = {src: None}
+        frontier = [src]
+        while frontier and dst not in parent:
+            reached = []
+            for u in frontier:
+                for v, attrs in adj[u].items():
+                    if attrs["up"] and v not in parent:
+                        parent[v] = u
+                        reached.append(v)
+            frontier = reached
+        if dst not in parent:
+            return None
+        path = [dst]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path
+
+
+def _checked_capacity(u: str, v: str, bytes_per_s: float) -> float:
+    capacity = float(bytes_per_s)
+    if not (math.isfinite(capacity) and capacity > 0.0):
+        raise ValueError(
+            f"link {link_id(u, v)}: capacity must be a finite number of "
+            f"bytes/s above zero, got {bytes_per_s!r}"
+        )
+    return capacity
+
+
 class Interconnect:
     """A fabric graph with per-link health and cached path costs."""
 
-    def __init__(self, graph: Optional[nx.Graph] = None) -> None:
-        self.graph = graph if graph is not None else nx.Graph()
+    def __init__(self) -> None:
+        self.graph = FabricGraph()
         #: per node vertex: its live route to gmem (see :meth:`_route`)
         self._routes: Dict[str, Tuple[PathCost, Tuple[str, ...], Tuple[dict, ...]]] = {}
         #: Bumped whenever topology or link health changes; holders of
         #: path-derived memos (the machine's charge tables) compare-and-drop.
         self.generation = 0
-        self._down_links: set = set()
         #: per-tenant traffic tags (VNI accounting + admission policy)
         self.vnis = VniTable()
         #: per-link, per-VNI accounting (the attribution atlas substrate)
         self.links = LinkTable()
-        if graph is not None:
-            for u, v, attrs in graph.edges(data=True):
-                if not attrs.get("up", True):
-                    self._down_links.add(frozenset((u, v)))
 
     # -- construction --------------------------------------------------------
 
     def add_node_port(self, node_id: int) -> None:
-        self.graph.add_node(node_vertex(node_id), kind="node")
+        self.graph.add_vertex(node_vertex(node_id), "node")
 
     def add_switch(self, switch_id: int) -> None:
-        self.graph.add_node(switch_vertex(switch_id), kind="switch")
+        self.graph.add_vertex(switch_vertex(switch_id), "switch")
 
     def add_gmem(self) -> None:
-        self.graph.add_node(GMEM_VERTEX, kind="gmem")
+        self.graph.add_vertex(GMEM_VERTEX, "gmem")
 
     def link(
         self, u: str, v: str, capacity_bytes_per_s: Optional[float] = None
     ) -> None:
-        self.graph.add_edge(u, v, up=True)
-        if capacity_bytes_per_s is not None:
-            self.graph.edges[u, v]["capacity_bytes_per_s"] = float(
-                capacity_bytes_per_s
-            )
-        self._down_links.discard(frozenset((u, v)))
+        """Cable ``u`` to ``v``; ``capacity_bytes_per_s=None`` inherits the
+        fabric-wide capacity (see :meth:`link_capacity`)."""
+        for end in (u, v):
+            if end not in self.graph.kinds:
+                raise InterconnectError(
+                    f"cannot link {u} <-> {v}: {end!r} was never added to the fabric"
+                )
+        if capacity_bytes_per_s is None:
+            self.graph.add_edge(u, v)
+        else:  # checked before the link exists: a refused spec changes nothing
+            capacity = _checked_capacity(u, v, capacity_bytes_per_s)
+            self.graph.add_edge(u, v)["capacity_bytes_per_s"] = capacity
         self._routes.clear()
         self.generation += 1
 
     def set_link_capacity(self, u: str, v: str, bytes_per_s: float) -> None:
         """Override one link's capacity (defaults to the VNI table's)."""
-        if not self.graph.has_edge(u, v):
-            raise KeyError(f"no link {u} <-> {v}")
-        self.graph.edges[u, v]["capacity_bytes_per_s"] = float(bytes_per_s)
+        self.graph.edge(u, v)["capacity_bytes_per_s"] = _checked_capacity(
+            u, v, bytes_per_s
+        )
 
     def link_capacity(self, u: str, v: str) -> float:
         """A link's effective capacity: its own override, else the
         fabric-wide capacity the VNI table polices against."""
-        cap = self.graph.edges[u, v].get("capacity_bytes_per_s")
-        return float(cap) if cap is not None else self.vnis.capacity_bytes_per_s
+        cap = self.graph.edge(u, v).get("capacity_bytes_per_s")
+        return cap if cap is not None else self.vnis.capacity_bytes_per_s
 
     # -- health ---------------------------------------------------------------
 
     def set_link_state(
         self, u: str, v: str, up: bool, now_ns: float = 0.0
     ) -> None:
-        if not self.graph.has_edge(u, v):
-            raise KeyError(f"no link {u} <-> {v}")
-        self.graph.edges[u, v]["up"] = up
-        if up:
-            self._down_links.discard(frozenset((u, v)))
-        else:
-            self._down_links.add(frozenset((u, v)))
+        self.graph.edge(u, v)["up"] = up
+        if not up:
             self.links.note_state(link_id(u, v), up=False, now_ns=now_ns)
         self._routes.clear()
         self.generation += 1
 
     def link_is_up(self, u: str, v: str) -> bool:
-        return bool(self.graph.edges[u, v].get("up", True))
-
-    def _live_subgraph(self) -> nx.Graph:
-        live = nx.Graph()
-        live.add_nodes_from(self.graph.nodes(data=True))
-        for u, v, attrs in self.graph.edges(data=True):
-            if attrs.get("up", True):
-                live.add_edge(u, v)
-        return live
+        return bool(self.graph.edge(u, v)["up"])
 
     # -- queries ---------------------------------------------------------------
 
@@ -557,9 +637,9 @@ class Interconnect:
         ids, and each link's edge-attribute dict.
 
         Computed once per node and dropped on any topology/health change.
-        Routing is ``nx.shortest_path`` over the live subgraph —
-        deterministic for a given insertion order, so seeded runs charge
-        identical paths.  The attribute dicts are the graph's own, which
+        Routing is :meth:`FabricGraph.shortest_path` — a stated rule over
+        cabling order, so seeded runs charge identical paths.  The
+        attribute dicts are the graph's own, which
         :meth:`set_link_capacity` writes into: a cached route always
         charges against the capacity in force.
         """
@@ -567,19 +647,16 @@ class Interconnect:
         cached = self._routes.get(src)
         if cached is not None:
             return cached
-        # with every link up (the common case) the live subgraph IS the
-        # main graph — skip the rebuild and query it directly
-        live = self.graph if not self._down_links else self._live_subgraph()
-        if src not in live or GMEM_VERTEX not in live:
+        graph = self.graph
+        if src not in graph.kinds or GMEM_VERTEX not in graph.kinds:
             raise InterconnectError(f"{src} or gmem not in fabric")
-        try:
-            path = nx.shortest_path(live, src, GMEM_VERTEX)
-        except nx.NetworkXNoPath as exc:
-            raise InterconnectError(f"node {node_id} cannot reach global memory") from exc
-        switches = sum(1 for v in path if self.graph.nodes[v].get("kind") == "switch")
+        path = graph.shortest_path(src, GMEM_VERTEX)
+        if path is None:
+            raise InterconnectError(f"node {node_id} cannot reach global memory")
+        switches = sum(1 for v in path if graph.kinds[v] == "switch")
         hops = list(zip(path, path[1:]))
         links = tuple(link_id(u, v) for u, v in hops)
-        edges = tuple(self.graph.edges[u, v] for u, v in hops)
+        edges = tuple(graph.adj[u][v] for u, v in hops)
         cost = PathCost(hops=len(links), switches=switches)
         route = self._routes[src] = (cost, links, edges)
         return route
@@ -623,12 +700,12 @@ class Interconnect:
 
     def describe(self) -> str:
         """Human-readable fabric summary (examples / debugging)."""
-        nodes = [v for v, d in self.graph.nodes(data=True) if d.get("kind") == "node"]
-        switches = [v for v, d in self.graph.nodes(data=True) if d.get("kind") == "switch"]
-        down = [(u, v) for u, v, d in self.graph.edges(data=True) if not d.get("up", True)]
+        nodes = self.graph.vertices("node")
+        edges = self.graph.edges()
+        down = sum(1 for _u, _v, attrs in edges if not attrs["up"])
         lines = [
-            f"fabric: {len(nodes)} node ports, {len(switches)} switches, "
-            f"{self.graph.number_of_edges()} links ({len(down)} down)"
+            f"fabric: {len(nodes)} node ports, {len(self.graph.vertices('switch'))} "
+            f"switches, {len(edges)} links ({down} down)"
         ]
         for node in sorted(nodes):
             nid = int(node.split(":")[1])

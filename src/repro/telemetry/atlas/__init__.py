@@ -76,15 +76,24 @@ class Atlas:
     data plane within budget.  Drains happen at deterministic points
     (same seed → same buffer contents → same fold), so snapshots stay
     byte-identical across same-seed runs.
+
+    A drain folds *pages* at once — the flight recorder reads them at
+    every dump — but only parks each chunk's per-line aggregate; the
+    line sketch is folded when something reads :attr:`lines`
+    (:meth:`hot_lines`, :meth:`snapshot`), from the same aggregates in
+    the same order, so it is the sketch an eager fold would have built.
+    A run that never reads it (every benchmark workload) never pays its
+    evictions.  Parked entries are bounded by ``_DRAIN_ELEMS`` too.
     """
 
     __slots__ = (
         "_pages", "_lines", "queue_delay_ns", "machine", "fabric",
         "_global_base", "_page_shift", "_line_shift",
-        "_pending", "_pending_elems",
+        "_pending", "_pending_elems", "_parked_lines", "_parked_elems",
     )
 
-    #: auto-drain threshold (buffered addresses) — bounds buffer memory
+    #: auto-drain threshold (buffered addresses, and parked distinct
+    #: lines) — bounds buffer memory
     _DRAIN_ELEMS = 1 << 18
 
     def __init__(
@@ -100,6 +109,9 @@ class Atlas:
         self._lines = SpaceSaving(line_k)
         self._pending: list = []
         self._pending_elems = 0
+        #: drained ``(line_keys, line_weights)`` aggregates awaiting a reader
+        self._parked_lines: list = []
+        self._parked_elems = 0
         #: per-tenant queueing delay suffered (ns), fed by the engine
         self.queue_delay_ns: Dict[str, float] = {}
         self.machine = machine
@@ -145,7 +157,8 @@ class Atlas:
             self._drain()
 
     def _drain(self) -> None:
-        """Fold the buffered access stream into the sketches.
+        """Fold the buffered access stream into the page sketch and park
+        its line aggregate for :meth:`_fold_lines`.
 
         The whole buffer is aggregated as one multiset (per distinct
         line, then pages coarsened from the line groups) before a
@@ -187,7 +200,7 @@ class Atlas:
             # instead of re-scanning every address
             line_keys, line_weights = aggregate_addrs(
                 arr, self._line_shift, weights)
-            self._lines.offer_many(line_keys, line_weights, presorted=True)
+            self._park_lines(line_keys, line_weights)
             page_buckets = line_keys >> (self._page_shift - self._line_shift)
             starts = np.flatnonzero(np.diff(page_buckets)) + 1
             if len(starts):
@@ -201,8 +214,20 @@ class Atlas:
         else:
             keys, w = aggregate_addrs(arr, self._page_shift, weights)
             self._pages.offer_many(keys, w, presorted=True)
-            keys, w = aggregate_addrs(arr, self._line_shift, weights)
-            self._lines.offer_many(keys, w, presorted=True)
+            self._park_lines(*aggregate_addrs(arr, self._line_shift, weights))
+
+    def _park_lines(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        self._parked_lines.append((keys, weights))
+        self._parked_elems += len(keys)
+        if self._parked_elems > self._DRAIN_ELEMS:
+            self._fold_lines()
+
+    def _fold_lines(self) -> None:
+        """Offer the parked line aggregates, oldest drain first."""
+        parked, self._parked_lines = self._parked_lines, []
+        self._parked_elems = 0
+        for keys, weights in parked:
+            self._lines.offer_many(keys, weights, presorted=True)
 
     @property
     def pages(self) -> SpaceSaving:
@@ -214,6 +239,7 @@ class Atlas:
     def lines(self) -> SpaceSaving:
         """The hot-line sketch, with any pending accesses folded in."""
         self._drain()
+        self._fold_lines()
         return self._lines
 
     def note_queue_delay(self, tenant: str, delta_ns: float) -> None:
@@ -223,6 +249,8 @@ class Atlas:
     def clear(self) -> None:
         self._pending.clear()
         self._pending_elems = 0
+        self._parked_lines.clear()
+        self._parked_elems = 0
         self._pages.clear()
         self._lines.clear()
         self.queue_delay_ns.clear()

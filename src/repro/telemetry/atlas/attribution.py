@@ -132,11 +132,7 @@ def node_headroom(
     """Per-node-port headroom: each node's view is its first routed link
     (the port it drains through), so a saturated port pins the node."""
     rows: List[dict] = []
-    nodes = sorted(
-        int(v.split(":")[1])
-        for v, d in fabric.graph.nodes(data=True)
-        if d.get("kind") == "node"
-    )
+    nodes = sorted(int(v.split(":")[1]) for v in fabric.graph.vertices("node"))
     for node_id in nodes:
         try:
             route = fabric.path_links(node_id)

@@ -278,8 +278,8 @@ class DataPlaneBackend:
         ).reshape(spec.n_keys, spec.value_size)
         ctx = self.kernel.machine.context(spec.node)
         ctx.store_many(
-            [slab + k * spec.value_size for k in range(spec.n_keys)],
-            values.tobytes(),
+            slab + np.arange(spec.n_keys, dtype=np.int64) * spec.value_size,
+            values.reshape(-1),
             size=spec.value_size,
             bypass_cache=True,
         )

@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.telemetry as tel
 from repro.bench.harness import build_rig
@@ -250,6 +252,85 @@ class TestAtlasIngestion:
         assert atlas.pages.total == 0.0
         assert atlas.queue_delay_ns == {}
         assert TELEMETRY.atlas is atlas  # reset clears, never detaches
+
+
+
+# -- lines fold on read --------------------------------------------------------
+
+
+class _SmallAtlas(Atlas):
+    """Tiny sketches and a tiny buffer bound, so a few dozen touches evict,
+    auto-drain and overflow the parked-lines bound."""
+
+    _DRAIN_ELEMS = 24
+
+    def __init__(self):
+        super().__init__(page_k=3, line_k=4)
+
+
+class _EagerAtlas(_SmallAtlas):
+    """The reference: lines folded inside ``_drain``, chunk by chunk."""
+
+    def _park_lines(self, keys, weights):
+        self._lines.offer_many(keys, weights, presorted=True)
+
+
+_line = st.integers(min_value=-2, max_value=400)  # below 0: a local address
+_ops = st.one_of(
+    st.tuples(st.just("touch"), _line, st.sampled_from([8, 64])),
+    st.tuples(st.just("touch_many"), st.lists(_line, max_size=40), st.sampled_from([8, 64])),
+    st.tuples(st.just("touch_ragged"), st.lists(st.tuples(_line, st.integers(1, 64)), min_size=1, max_size=40)),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("hot_pages")),
+    st.tuples(st.just("lines")),
+)
+
+
+def _apply(atlas, op):
+    kind, *args = op
+    if kind == "touch":
+        atlas.touch(GLOBAL_BASE + args[0] * 64, args[1])
+    elif kind == "touch_many":
+        atlas.touch_many([GLOBAL_BASE + i * 64 for i in args[0]], args[1])
+    elif kind == "touch_ragged":
+        atlas.touch_many([GLOBAL_BASE + i * 64 for i, _ in args[0]], [n for _, n in args[0]])
+    elif kind == "drain":
+        atlas._drain()
+    elif kind == "hot_pages":
+        return atlas.hot_pages()
+    else:
+        return atlas.hot_lines(), atlas.lines.total
+    return None
+
+
+class TestLinesFoldOnRead:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ops, max_size=30))
+    def test_any_interleaving_snapshots_as_an_eager_fold_would(self, ops):
+        lazy, eager = _SmallAtlas(), _EagerAtlas()
+        for op in ops:
+            assert _apply(lazy, op) == _apply(eager, op)
+            assert lazy._parked_elems == sum(len(keys) for keys, _ in lazy._parked_lines)
+            assert lazy._parked_elems <= lazy._DRAIN_ELEMS
+        assert json.dumps(lazy.snapshot(0.0), sort_keys=True) == json.dumps(
+            eager.snapshot(0.0), sort_keys=True
+        )
+
+    def test_reading_pages_leaves_the_lines_parked(self):
+        atlas = Atlas()
+        atlas.touch_many([GLOBAL_BASE + i * 64 for i in range(200)], 64)
+        assert atlas.hot_pages() and atlas.pages.total == 200 * 64
+        assert atlas._lines.total == 0.0 and atlas._parked_elems == 200
+        assert atlas.lines.total == 200 * 64 and not atlas._parked_lines
+
+    def test_clear_drops_parked_folds(self):
+        atlas = Atlas()
+        atlas.touch_many([GLOBAL_BASE + i * 64 for i in range(200)], 64)
+        atlas._drain()
+        assert atlas._parked_lines
+        atlas.clear()
+        assert not atlas._parked_lines and atlas._parked_elems == 0
+        assert atlas.lines.total == 0.0 and atlas.hot_lines() == []
 
 
 # -- the zero-simulated-ns contract --------------------------------------------

@@ -1,20 +1,32 @@
-"""A host-cost budget that does not depend on the host: Python calls made
-*by this repository's code* during one smoke-scale rep of the benchmark's
-``chaos-quiet`` workload (the crash-storm campaign, 3 tenants, resilient
-engine, 20,020 offered requests in 738 events — small batches, so the
-fixed cost of a batch is the whole cost).
+"""Host-cost budgets that do not depend on the host.
 
-``cProfile`` counts repeat exactly from run to run, and counting only
-frames whose code lives under ``src/repro/`` keeps numpy's internals out
-of the number.  55,243 before the batch path was trimmed to what a batch
-uses (EXPERIMENTS E26), 48,347 after; a change that re-adds a per-batch
-pass fails here instead of waiting for a ±7% wall-clock number to notice.
+**Calls.**  Python calls made *by this repository's code* during one
+smoke-scale rep of a benchmark workload.  ``cProfile`` counts repeat
+exactly from run to run, and counting only frames whose code lives under
+``src/repro/`` keeps numpy's internals out of the number.
+
+* ``chaos-quiet`` (the crash-storm campaign, 3 tenants, resilient engine,
+  20,020 offered requests in 738 events — small batches, so the fixed cost
+  of a batch is the whole cost): 55,243 before the batch path was trimmed
+  to what a batch uses (EXPERIMENTS E26), 48,353 now; a change that re-adds
+  a per-batch pass fails here instead of waiting for a ±7% wall-clock
+  number to notice.
+* ``incidents-observed`` (first scenario, every telemetry sink on): 72,348
+  while each atlas drain folded the line sketch nobody read (7,191 evicting
+  ``SpaceSaving.offer`` calls), 65,534 with lines folded on read (E27).
+
+**Imports.**  A benchmark process must not load ``networkx`` or ``scipy``:
+the fabric graph is ours (E27: 15 MB of every workload's resident set and
+0.1+ s of start-up when it was not), and a transitive import would bring
+both back without any test noticing.
 """
 
 import cProfile
 import importlib.util
+import os
 import pathlib
 import pstats
+import subprocess
 import sys
 
 import pytest
@@ -27,19 +39,18 @@ PERF = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 SRC = str(pathlib.Path(repro.__file__).resolve().parent) + "/"
 SMOKE_SCALE = 10  # benchmarks/perf/run.py --smoke
 
-CEILING = 50_000
 
-
-def _chaos_quiet():
+def _workload(name):
     spec = importlib.util.spec_from_file_location("perf_workloads", PERF / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
-    return module.WORKLOADS["chaos-quiet"]
+    return module.WORKLOADS[name]
 
 
-def test_chaos_quiet_rep_stays_inside_its_call_budget():
-    workload = _chaos_quiet()
+def _one_smoke_rep(name):
+    """``(outcome, calls under src/repro)`` of one rep after one warm-up."""
+    workload = _workload(name)
     workload.run(workload.setup(0, SMOKE_SCALE))  # warm-up: imports, lazy set-up
     state = workload.setup(0, SMOKE_SCALE)
     profile = cProfile.Profile()
@@ -49,14 +60,51 @@ def test_chaos_quiet_rep_stays_inside_its_call_budget():
     finally:
         profile.disable()
     assert not outcome.problems
-    assert (outcome.offered, outcome.detail["events_dispatched"]) == (20_020, 738)
     calls = sum(
         n_calls
         for (filename, _line, _name), (_prim, n_calls, *_)
         in pstats.Stats(profile).stats.items()
         if filename.startswith(SRC)
     )
-    assert calls <= CEILING, (
+    return outcome, calls
+
+
+def test_chaos_quiet_rep_stays_inside_its_call_budget():
+    outcome, calls = _one_smoke_rep("chaos-quiet")
+    assert (outcome.offered, outcome.detail["events_dispatched"]) == (20_020, 738)
+    assert calls <= 50_000, (
         f"{calls:,} Python calls under src/repro for one chaos-quiet smoke rep "
-        f"(ceiling {CEILING:,}): a per-batch pass came back"
+        f"(ceiling 50,000): a per-batch pass came back"
     )
+
+
+def test_incidents_observed_rep_stays_inside_its_call_budget():
+    outcome, calls = _one_smoke_rep("incidents-observed")
+    assert outcome.offered == 6_065
+    assert calls <= 68_800, (
+        f"{calls:,} Python calls under src/repro for one incidents-observed smoke "
+        f"rep (ceiling 68,800): an observation cost nobody reads came back"
+    )
+
+
+_GUARD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import repro.bench.harness as harness
+harness.build_rig()
+import workloads
+workload = workloads.WORKLOADS["chaos-quiet"]
+outcome = workload.run(workload.setup(0, int(sys.argv[2])))
+assert not outcome.problems, outcome.problems
+print(",".join(m for m in ("networkx", "scipy") if m in sys.modules))
+"""
+
+
+def test_a_benchmark_process_loads_neither_networkx_nor_scipy():
+    done = subprocess.run(
+        [sys.executable, "-c", _GUARD, str(PERF), str(SMOKE_SCALE)],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(SRC).parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "", f"a chaos-quiet process imported {done.stdout.strip()}"
