@@ -30,6 +30,8 @@ from __future__ import annotations
 import struct
 from typing import Iterator, Optional, Tuple
 
+import numpy as np
+
 from ...rack.machine import NodeContext
 
 _MAGIC = 0x10C_0F_0B5
@@ -66,7 +68,7 @@ class OperationLog:
         ctx.atomic_store(self.base + 8, 0)
         ctx.atomic_store(self.base + 16, self.capacity)
         ctx.atomic_store(self.base + 24, self.payload_capacity)
-        ctx.atomic_store_many([self._entry_addr(idx) for idx in range(self.capacity)], 0)
+        ctx.atomic_store_many(self._entry_addrs(self.capacity), 0)
         ctx.atomic_store(self.base, _MAGIC)
         return self
 
@@ -124,11 +126,15 @@ class OperationLog:
         """Empty the log.  Caller must ensure every replica has applied
         all entries (see NodeReplication.compact)."""
         used = min(self.reserved(ctx), self.capacity)
-        ctx.atomic_store_many([self._entry_addr(idx) for idx in range(used)], 0)
+        ctx.atomic_store_many(self._entry_addrs(used), 0)
         ctx.atomic_store(self.base + 8, 0)
 
     def _entry_addr(self, idx: int) -> int:
         return self.base + _HEADER + idx * self.entry_size
+
+    def _entry_addrs(self, n: int) -> np.ndarray:
+        """The first ``n`` entries' commit words, as one address vector."""
+        return self.base + _HEADER + np.arange(n, dtype=np.int64) * self.entry_size
 
 
 def _read_fresh(ctx: NodeContext, addr: int, size: int) -> bytes:

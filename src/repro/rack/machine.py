@@ -60,8 +60,64 @@ _SUB = "rack.machine"
 
 #: What a node's TLB slot reads as before its first resolve: covers nothing.
 _TLB_EMPTY = (0, 0, None)
-#: The index that selects a whole batch without copying it.
-_ALL = slice(None)
+#: The clock fold of :meth:`RackMachine._bulk_epilogue`, reused across
+#: batches and regrown for one that would not fit.
+_fold = np.empty(4_097, dtype=np.float64)
+
+
+class SlotRef:
+    """Slots ``idx`` of ``window``: made by :meth:`SlotWindow.at`, accepted
+    wherever ``load_many`` / ``store_many`` take addresses."""
+
+    __slots__ = ("window", "idx")
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def addrs(self) -> np.ndarray:
+        """Physical addresses, for the loop of single ops and the atlas."""
+        return self.window.base + self.idx * self.window.size
+
+
+class SlotWindow:
+    """``n`` consecutive ``size``-byte slots at physical ``base``, resolved
+    once per ``AddressMap.generation`` to ``region``, device ``offset`` and
+    ``slots`` (:func:`_slots` of exactly those bytes); ``region`` is ``None``
+    while the span is not one mapped window.  ``stamp`` is the scatter's
+    last-writer scratch, all -1 between calls.  (DESIGN.md §10)"""
+
+    __slots__ = ("address_map", "base", "n", "size", "stamp",
+                 "generation", "region", "offset", "slots")
+
+    def __init__(self, address_map: AddressMap, base: int, n: int, size: int) -> None:
+        if n < 1 or size < 1:
+            raise ValueError(f"a slot window needs n >= 1 and size >= 1, got n={n} size={size}")
+        self.address_map, self.base, self.n, self.size = address_map, base, n, size
+        self.stamp = np.full(n, -1, dtype=np.int64)
+        self.resolve()
+
+    def resolve(self) -> None:
+        amap, span = self.address_map, self.n * self.size
+        self.generation = amap.generation
+        try:
+            self.region, self.offset = amap.resolve(self.base, span)
+            self.slots = _slots(self.region.device, self.offset, span, self.size)
+        except MemoryError_:
+            self.region = self.offset = self.slots = None
+
+    def at(self, idx) -> SlotRef:
+        """A reference to slots ``idx`` (one int64 vector, repeats allowed).
+        numpy would wrap a negative index into the window's last slots, so
+        the bounds check is the *unsigned* maximum: an index outside
+        ``[0, n)`` is an ``IndexError`` here, before any op is issued."""
+        ref = SlotRef()
+        ref.window = self
+        ref.idx = idx = np.asarray(idx, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ValueError("slot indices must be one vector")
+        if len(idx) and int(idx.view(np.uint64).max()) >= self.n:
+            raise IndexError(f"slot index outside window of {self.n} slots at {self.base:#x}")
+        return ref
 
 
 class RackMachine:
@@ -293,15 +349,15 @@ class RackMachine:
     # Every bulk API *is* a loop of single ops: returned bytes, charged
     # simulated ns, cache state, fault-log contents and telemetry
     # counters are those of issuing each access alone.  The entry points
-    # with traffic — bypass ``load_many``, packed bypass ``store_many``,
-    # ``atomic_load_many`` / ``atomic_store_many`` — amortise host CPU
-    # when :meth:`_bulk_plan` finds the batch to be one clean window:
-    # one resolve, one gather/scatter, one uniform charge vector
-    # (``np.add.accumulate`` is a strict left fold, so the float rounding
-    # matches the sequential clock adds) and one aggregated telemetry
-    # record.  Everything else, and every batch the plan refuses, is the
-    # loop itself, which reproduces every observable including the op
-    # index at which an error surfaces.
+    # with traffic — bypass ``load_many``, packed bypass ``store_many`` on a
+    # held :class:`SlotWindow`, ``atomic_load_many`` / ``atomic_store_many``
+    # — amortise host CPU when :meth:`_bulk_plan` finds the batch to be
+    # slots of one clean window: one gather/scatter of slots, one uniform
+    # charge vector (``np.add.accumulate`` is a strict left fold, so the
+    # float rounding matches the sequential clock adds) and one aggregated
+    # telemetry record.  Everything else, and every batch the plan refuses,
+    # is the loop itself, which reproduces every observable including the
+    # op index at which an error surfaces.
 
     def load_many(
         self,
@@ -317,7 +373,8 @@ class RackMachine:
         Returns one ``bytes`` per address, or a single packed buffer
         when ``concat`` is true.  Equivalent to a loop of :meth:`load`;
         a bypass batch that is one clean window is one gather.
-        ``addrs`` may be an int64 array (used as is, no list round trip).
+        ``addrs`` may be an int64 array (used as is, no list round trip)
+        or a :class:`SlotRef` into a held window (nothing to resolve).
         """
         n = len(addrs)
         if n == 0:
@@ -328,8 +385,8 @@ class RackMachine:
                 self.load(node_id, a, size, bypass_cache=bypass_cache) for a in _ints(addrs)
             ]
             return b"".join(parts) if concat else parts
-        region, offs = plan
-        buf = region.device.gather(offs, size).tobytes()
+        region, slots, idx = plan
+        buf = slots.take(idx).tobytes()
         ns = self._bulk_ns(self.nodes[node_id], region, size)
         self._bulk_epilogue(node_id, addrs, size, ns, "bypass.load")
         return buf if concat else _split(buf, size)
@@ -349,9 +406,9 @@ class RackMachine:
         — a single packed buffer of ``len(addrs) * size`` bytes (``bytes``
         or a flat uint8 array, e.g. ``rows.reshape(-1)``; the
         write-side twin of ``load_many(..., concat=True)``).  Equivalent
-        to a loop of :meth:`store`; a packed bypass batch that is one
-        clean window is one scatter.  Per-payload batches need not share
-        one size.
+        to a loop of :meth:`store`; a packed bypass batch on a
+        :class:`SlotRef` whose window is clean is one scatter.  Per-payload
+        batches need not share one size.
         """
         n = len(addrs)
         if size is None:
@@ -365,7 +422,8 @@ class RackMachine:
                     f"store_many got {n} addresses but a packed buffer of "
                     f"{len(data)} bytes (need {n * size})"
                 )
-            if bypass_cache and self._bulk_bypass_store(node_id, addrs, data, size):
+            held = bypass_cache and type(addrs) is SlotRef
+            if held and self._bulk_bypass_store(node_id, addrs, data, size):
                 return
             data = _split(bytes(data), size)
         for a, d in zip(_ints(addrs), data):
@@ -423,8 +481,8 @@ class RackMachine:
         plan = self._bulk_atomic_plan(node_id, addrs, width)
         if plan is None:
             return [self.atomic_load(node_id, a, width) for a in addrs]
-        region, offs = plan
-        out = region.device.gather(offs, width).view(_INT_DTYPE[width]).ravel().tolist()
+        region, slots, idx = plan
+        out = slots.take(idx).view(_INT_DTYPE[width]).tolist()
         self._bulk_atomic_epilogue(node_id, addrs, region, width)
         return out
 
@@ -464,8 +522,8 @@ class RackMachine:
             for a, v in zip(addrs, [values] * n if scalar else values):
                 self.atomic_store(node_id, a, v, width)
             return
-        region, offs = plan
-        region.device.scatter(offs, v_arr.reshape(-1, 1).view(np.uint8))
+        region, slots, idx = plan
+        slots[idx] = v_arr.view(slots.dtype)  # the plan proved idx unique
         self._bulk_atomic_epilogue(node_id, addrs, region, width)
 
     def atomic_cas_many(
@@ -783,83 +841,117 @@ class RackMachine:
         sequential ``advance(ns)`` calls exactly — the property the golden
         latency tests pin.
         """
+        global _fold
         n = len(addrs)
+        if n >= len(_fold):
+            _fold = np.empty(2 * n, dtype=np.float64)
         clock = self.nodes[node_id].clock
-        acc = np.full(n + 1, ns, dtype=np.float64)
+        acc = _fold[: n + 1]
+        acc.fill(ns)
         acc[0] = clock._now_ns
         np.add.accumulate(acc, out=acc)
         clock._now_ns = float(acc[-1])
         if _TEL.enabled:
             _TEL.add(node_id, _SUB, counter, float(n))
         if _TEL.atlas is not None:
-            _TEL.atlas.touch_many(addrs, size)
+            _TEL.atlas.touch_many(addrs.addrs() if type(addrs) is SlotRef else addrs, size)
 
     def _bulk_plan(
-        self, node_id: int, addrs: Sequence[int], size: int
-    ) -> Optional[Tuple[Region, np.ndarray]]:
-        """One window or the loop: ``(region, device offsets)``, or ``None``.
+        self, node_id: int, addrs: Union[Sequence[int], SlotRef], size: int
+    ) -> Optional[Tuple[Region, np.ndarray, np.ndarray]]:
+        """One window or the loop: ``(region, slots, idx)``, or ``None``.
 
-        A batch vectorizes when all of it lies in one region the live
-        issuing node may access, no fault is armed for that region kind
-        and no byte of the span it covers is poisoned.  ``None`` means
-        only the loop of single ops preserves exact semantics: a dead
-        node (the raise), not one region — multi-region, foreign-local,
-        unmapped or straddling (each op pays its own region's charge; an
-        error must surface at its op index, after the prior ops' side
-        effects) — an armed fault (RNG draws and timestamps interleave
-        per op), poison in the span (the raise happens mid-batch with the
-        clock mid-way), or addresses numpy cannot hold as an int64 vector.
+        A batch vectorizes when it is items ``idx`` of ``slots`` (device
+        bytes as ``size``-byte items) in one region the live issuing node
+        may access, with no fault armed for that region kind and no
+        poisoned byte in the window.  A :class:`SlotRef` carries its window:
+        nothing is looked up, and the poison query covers the whole held
+        window (a superset of the batch's span: it can only choose the loop
+        more often).  An address vector is resolved here: the span its
+        min/max bound, every address whole slots above the lowest.
+
+        ``None`` means only the loop of single ops preserves exact
+        semantics: a dead node (the raise), not one region (each op pays
+        its own region's charge; an error must surface at its op index,
+        after the prior ops' side effects), an armed fault (RNG draws and
+        timestamps interleave per op), poison in the window (the raise
+        happens mid-batch with the clock mid-way), not slots of one table
+        (a size other than the window's, addresses a fraction of a slot
+        apart), or addresses numpy cannot hold as an int64 vector.
         """
         node = self.nodes.get(node_id)
         if node is None or not node.alive or size <= 0:
             return None
-        try:
-            arr = np.asarray(addrs, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if arr.ndim != 1 or arr.shape[0] == 0:
-            return None
-        # min/max bound every address: one resolve of the span they cover
-        lo = int(arr.min())
-        span = int(arr.max()) + size - lo
-        try:
-            region, offset = self.address_map.resolve(lo, span)
-        except MemoryError_:
-            return None
+        if type(addrs) is SlotRef:
+            window, idx = addrs.window, addrs.idx
+            if window.generation != window.address_map.generation:
+                window.resolve()
+            region, offset, slots = window.region, window.offset, window.slots
+            if region is None or size != window.size or len(idx) == 0:
+                return None
+            span = slots.nbytes
+        else:
+            try:
+                arr = np.asarray(addrs, dtype=np.int64)
+            except (TypeError, ValueError, OverflowError):
+                return None
+            if arr.ndim != 1 or arr.shape[0] == 0:
+                return None
+            lo = int(arr.min())
+            span = int(arr.max()) + size - lo
+            try:
+                region, offset = self.address_map.resolve(lo, span)
+            except MemoryError_:
+                return None
+            idx, within = np.divmod(arr - lo, size)
+            if within.any():
+                return None
+            slots = _slots(region.device, offset, span, size)
         if region.owner is not None and region.owner != node_id:
             return None  # ProtectionError belongs to one op index
-        if self.faults.armed[region.owner is None] or region.device.is_poisoned(offset, span):
+        device = region.device
+        if self.faults.armed[region.owner is None] or (
+            device.poisoned and device.is_poisoned(offset, span)
+        ):
             return None
-        return region, arr - region.base
+        return region, slots, idx
 
-    def _bulk_bypass_store(self, node_id: int, addrs: Sequence[int], packed, size: int) -> bool:
-        """Vectorized non-temporal scatter of a packed buffer; False means
-        go sequential (the plan refused, or stores overlap partially).
+    def _bulk_bypass_store(self, node_id: int, ref: SlotRef, packed, size: int) -> bool:
+        """Vectorized non-temporal scatter of a packed buffer into slots of
+        a held window; False means go sequential (the plan refused).
 
-        Every op charges, counts and touches the atlas; only the rows
-        :func:`_last_writers` keeps reach the device.
+        Every op charges, counts and touches the atlas; only the last
+        writer of each slot reaches the device.  Slots coincide or are
+        disjoint, so that is the highest op index stamped on the slot:
+        ``np.maximum.at`` is specified for repeated indices, and every
+        writer of a slot then writes that op's payload, so the order numpy
+        assigns repeats in cannot matter.
         """
-        plan = self._bulk_plan(node_id, addrs, size)
+        plan = self._bulk_plan(node_id, ref, size)
         if plan is None:
             return False
-        region, offs = plan
+        region, slots, idx = plan
         try:
-            rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
+            payload = np.frombuffer(packed, dtype=slots.dtype)
         except (TypeError, ValueError, BufferError):
             return False
-        keep = _last_writers(offs, size)
-        if keep is None:
-            return False
-        # plan proved no poison in the span: per-op clear_poison would be
+        stamp = ref.window.stamp
+        order = np.arange(len(idx))
+        np.maximum.at(stamp, idx, order)
+        last = stamp.take(idx)
+        stamp[idx] = -1
+        if np.count_nonzero(last != order):  # no repeat (a preload): no copy either
+            payload = payload.take(last)
+        # plan proved no poison in the window: per-op clear_poison would be
         # a no-op, so skipping it is exact
-        region.device.scatter(offs[keep], rows[keep])
+        slots[idx] = payload
         ns = self._bulk_ns(self.nodes[node_id], region, size)
-        self._bulk_epilogue(node_id, addrs, size, ns, "bypass.store")
+        self._bulk_epilogue(node_id, ref, size, ns, "bypass.store")
         return True
 
     def _bulk_atomic_plan(
         self, node_id: int, addrs: Sequence[int], width: int
-    ) -> Optional[Tuple[Region, np.ndarray]]:
+    ) -> Optional[Tuple[Region, np.ndarray, np.ndarray]]:
         """Plan a batched atomic; ``None`` means go sequential.
 
         On top of :meth:`_bulk_plan`'s rules, atomics also go sequential
@@ -872,13 +964,15 @@ class RackMachine:
             raise ValueError(
                 f"atomic width must be one of {sorted(_INT)}, got {width}"
             )
-        plan = self._bulk_plan(node_id, addrs, width)
+        try:
+            arr = np.asarray(addrs, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        plan = self._bulk_plan(node_id, arr, width)
         if plan is None:
             return None
-        region, offs = plan
-        arr = offs + region.base
-        if width > 1 and bool(np.any(arr % width)):
-            return None
+        if int(arr[0]) % width:
+            return None  # the plan's slots are whole widths apart: one misaligned, all are
         srt = np.sort(arr)
         if srt.shape[0] > 1 and bool(np.any(srt[1:] == srt[:-1])):
             return None  # duplicates: chained read-modify-writes
@@ -1123,33 +1217,20 @@ class NodeContext:
         return f"NodeContext(node={self.node_id})"
 
 
-def _ints(addrs: Sequence[int]) -> Sequence[int]:
+def _ints(addrs: Union[Sequence[int], SlotRef]) -> Sequence[int]:
     """Plain ints for the per-op loops: an address array's ``np.int64``
     items would leak into fault logs, atlas keys and error objects."""
+    if type(addrs) is SlotRef:
+        addrs = addrs.addrs()
     return addrs.tolist() if isinstance(addrs, np.ndarray) else addrs
 
 
-def _last_writers(offs: np.ndarray, size: int) -> Union[np.ndarray, slice, None]:
-    """Which rows of a scatter reach the device: an index into the group.
-
-    Disjoint windows all do (``slice(None)``).  Ops on one exact offset
-    overwrite each other whole, so only the last in op order survives —
-    the stable argsort keeps equal offsets in op order.  Windows that
-    overlap *partially* interleave bytes of several ops: ``None``, the
-    sequential loop applies those.
-    """
-    if offs.shape[0] < 2:
-        return _ALL
-    order = np.argsort(offs, kind="stable")
-    ranked = offs[order]
-    gaps = ranked[1:] - ranked[:-1]
-    if int(gaps.min()) >= size:
-        return _ALL
-    last = np.ones(order.shape[0], dtype=bool)
-    np.not_equal(gaps, 0, out=last[:-1])
-    if bool((gaps[last[:-1]] < size).any()):
-        return None
-    return order[last]
+def _slots(device: PhysicalMemory, offset: int, span: int, size: int) -> np.ndarray:
+    """``span`` device bytes at ``offset`` as items of ``size`` opaque bytes:
+    ``take`` gathers and indexed assignment scatters whole items, on a
+    contiguous view (``take`` on the device's overlapping-stride
+    ``_windows`` table would first copy the device)."""
+    return device.slab[offset : offset + span].view(np.dtype((np.void, size)))
 
 
 def _split(buf: bytes, size: int) -> List[bytes]:

@@ -51,7 +51,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..flacdk.arena import ArenaExhausted
-from ..rack.machine import NodeContext
+from ..rack.machine import NodeContext, SlotWindow
 from ..telemetry import STACK_PARENT, TELEMETRY as _TEL
 from .arrivals import ArrivalProcess, make_process
 
@@ -102,10 +102,16 @@ class TenantSpec:
             ("rate_rps", "finite and > 0", 0 < self.rate_rps < math.inf),
             ("get_ratio", "in [0,1]", 0.0 <= self.get_ratio <= 1.0),
             ("max_backlog_ns", ">= 0 (inf: never shed)", self.max_backlog_ns >= 0.0),
+            ("n_keys", "an integer >= 1", _whole(self.n_keys)),
+            ("value_size", "an integer >= 1", _whole(self.value_size)),
         ):
             if not ok:  # every comparison is False for NaN
                 raise ValueError(f"tenant {self.name!r}: {name} must be {legal}, "
                                  f"got {getattr(self, name)}")
+
+
+def _whole(value) -> bool:
+    return isinstance(value, (int, np.integer)) and value >= 1
 
 
 # -- the outcome ledger ----------------------------------------------------------
@@ -246,9 +252,12 @@ class DataPlaneBackend:
     """Requests are bulk loads/stores against a per-tenant memory slab.
 
     Each tenant gets ``n_keys * value_size`` bytes of global memory
-    (its namespace); key ``k`` lives at ``slab + k*value_size``.  A
-    batch becomes one ``load_many`` for the GETs and one packed
-    ``store_many`` for the SETs — the PR-6 vectorized paths.
+    (its namespace); key ``k`` lives at ``slab + k*value_size``.  The
+    slab is mapped once and never moves, so the tenant holds it as one
+    resolved :class:`~repro.rack.machine.SlotWindow`: the preload and
+    every batch — one ``load_many`` for the GETs, one packed
+    ``store_many`` for the SETs — name slots of it, and nothing is
+    looked up per batch.
     """
 
     #: the slab lives in *global* memory, so any live node can serve the
@@ -257,6 +266,8 @@ class DataPlaneBackend:
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
+        #: tenant name -> the window over its slab
+        self.windows: Dict[str, SlotWindow] = {}
 
     def prepare(self, st: _TenantState) -> None:
         spec = st.spec
@@ -268,17 +279,17 @@ class DataPlaneBackend:
                 f"({spec.n_keys}x{spec.value_size}B)"
             ) from exc
         # deterministic per-key content, preloaded so GETs always hit data
-        blocks = [
+        blocks = np.frombuffer(b"".join(
             hashlib.blake2b(b"%s:%d" % (spec.name.encode(), k), digest_size=8).digest()
             for k in range(spec.n_keys)
-        ]
+        ), dtype=np.uint8).reshape(spec.n_keys, 8)
         reps = (spec.value_size + 7) // 8
-        values = np.frombuffer(
-            b"".join((blk * reps)[: spec.value_size] for blk in blocks), dtype=np.uint8
-        ).reshape(spec.n_keys, spec.value_size)
-        ctx = self.kernel.machine.context(spec.node)
-        ctx.store_many(
-            slab + np.arange(spec.n_keys, dtype=np.int64) * spec.value_size,
+        values = np.ascontiguousarray(np.tile(blocks, (1, reps))[:, : spec.value_size])
+        machine = self.kernel.machine
+        window = SlotWindow(machine.address_map, slab, spec.n_keys, spec.value_size)
+        self.windows[spec.name] = window
+        machine.context(spec.node).store_many(
+            window.at(np.arange(spec.n_keys)),
             values.reshape(-1),
             size=spec.value_size,
             bypass_cache=True,
@@ -288,17 +299,16 @@ class DataPlaneBackend:
     def run_batch(
         self, ctx: NodeContext, st: _TenantState, key_idx: np.ndarray, is_get: np.ndarray
     ) -> int:
-        slab, values = st.backend_state
-        size = st.spec.value_size
-        keys = key_idx.astype(np.int64, copy=False)
-        gets = keys[is_get]
+        window = self.windows[st.spec.name]
+        size = window.size
+        gets = key_idx[is_get]
         if len(gets):
-            ctx.load_many(slab + gets * size, size, bypass_cache=True, concat=True)
-        if len(gets) < len(keys):
-            sets = keys[~is_get]
-            payload = values[sets].reshape(-1)
-            ctx.store_many(slab + sets * size, payload, size=size, bypass_cache=True)
-        return len(keys) * size
+            ctx.load_many(window.at(gets), size, bypass_cache=True, concat=True)
+        if len(gets) < len(key_idx):
+            sets = key_idx[~is_get]
+            payload = st.backend_state[1].take(sets, axis=0).reshape(-1)
+            ctx.store_many(window.at(sets), payload, size=size, bypass_cache=True)
+        return len(key_idx) * size
 
 
 class RedisBackend:
@@ -737,6 +747,8 @@ class TrafficEngine:
                 if st.latencies
                 else np.empty(0, dtype=np.float64)
             )
+            # one partition serves both quantiles
+            p50, p99 = map(float, np.percentile(lat, (50, 99))) if len(lat) else (0.0, 0.0)
             counts = st.counts
             tenants[name] = {
                 **{o.counter: counts[o.counter] for o in ARRIVAL},
@@ -745,8 +757,8 @@ class TrafficEngine:
                 "latency_sum_ns": st.latency_sum_ns,
                 "queue_delay_ns": st.queue_delay_ns,
                 "busy_until_ns": st.busy_until_ns,
-                "p50_ns": float(np.percentile(lat, 50)) if len(lat) else 0.0,
-                "p99_ns": float(np.percentile(lat, 99)) if len(lat) else 0.0,
+                "p50_ns": p50,
+                "p99_ns": p99,
                 "vni": st.vni,
             }
         return TrafficReport(

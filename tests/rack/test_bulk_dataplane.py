@@ -15,6 +15,12 @@ must match a loop of single ops in *every* observable:
 Batches deliberately include region-straddling addresses (errors must
 surface at the same op index with the same partial side effects) and
 poisoned lines hit mid-batch.
+
+The second half holds the slot form — ``load_many`` / packed
+``store_many`` on a :class:`SlotRef` into a held :class:`SlotWindow` —
+to the same reference: Hypothesis-drawn windows, index batches with
+repeats and payloads against the loop of single ops on a twin machine,
+and one table of the batches a held window hands to that loop.
 """
 
 from __future__ import annotations
@@ -22,12 +28,16 @@ from __future__ import annotations
 import random
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.rack import NodeCrashedError, RackConfig, RackMachine, UncorrectableMemoryError
-from repro.rack.machine import RackMachine as _RM  # noqa: F401 (import sanity)
-from repro.rack.memory import MemoryError_
+from repro.rack import machine as machine_module
+from repro.rack.machine import SlotWindow
+from repro.rack.memory import MemoryError_, MemoryKind, PhysicalMemory, Region
 from repro.rack.params import FaultModel
 
 LINE = 64
@@ -64,6 +74,7 @@ def _state(m: RackMachine) -> dict:
     out["faults"] = [
         (e.kind.value, e.addr, e.node_id, e.time_ns) for e in m.faults.log.events()
     ]
+    out["rng"] = m.faults.rng.getstate()
     return out
 
 
@@ -103,9 +114,9 @@ def _pair(seed: int, faults: FaultModel = None):
 
 
 def _overlap_shapes(m: RackMachine, size: int) -> dict:
-    """Store batches whose target windows collide, by name.  Exact
-    duplicates apply last-writer-wins in the vector path; a partial
-    overlap (offset gap 0 < g < size) must take the sequential loop."""
+    """Store batches whose target windows collide, by name: exact
+    duplicates (the last writer in op order wins) and partial overlaps
+    (offset gap 0 < g < size: bytes of several ops interleave)."""
     g = m.global_base + 512
     loc = m.local_base(0) + 256
     far = [g + 4096 + i * 2 * size for i in range(5)]  # disjoint filler
@@ -327,7 +338,10 @@ def test_atomic_many_with_cached_line_invalidates_like_loop():
     assert g & ~63 not in ma.nodes[0].cache._lines
 
 
-#: the entry points that keep a vector path, by the single op they stand for
+#: the address-form entry points of the bypass plane, by the single op they
+#: stand for.  Three keep a vector path; a packed ``store`` given addresses
+#: is the loop whatever the batch (DESIGN §10's census: no caller outside
+#: tests) — the vector store is the slot form, in the second half of this file
 _KINDS = ("load", "store", "atomic_load", "atomic_store")
 
 
@@ -355,10 +369,19 @@ def _issue(m, kind, batch, values, width, bulk):
 
 
 def _observed(kind, prepare, addrs, values, width, bulk, faults=None):
-    """Issue one batch (see :func:`_issue`) with every sink on.  Returns the
-    ``(op, address)`` of every single op it reached and everything the batch
-    left behind: (outcome, registry counters, page sketch, line sketch,
-    machine state)."""
+    """Issue one batch (see :func:`_issue`) under :func:`_watched`."""
+    return _watched(
+        lambda m: (prepare(m), addrs(m))[1],
+        lambda m, batch: _issue(m, kind, batch, values, width, bulk),
+        faults,
+    )
+
+
+def _watched(prepare, issue, faults=None):
+    """``issue(m, prepare(m))`` on a fresh machine with every sink on.
+    Returns the ``(op, address)`` of every single op ``issue`` reached and
+    everything it left behind: (outcome, registry counters, page sketch,
+    line sketch, machine state)."""
     from repro.telemetry.atlas import disable_atlas, enable_atlas
 
     singles = []
@@ -372,12 +395,11 @@ def _observed(kind, prepare, addrs, values, width, bulk, faults=None):
     try:
         m = RackMachine(_config(0, faults))
         atlas = enable_atlas(m)
-        prepare(m)
-        batch = addrs(m)
+        prepared = prepare(m)
         for op in _KINDS:
             setattr(RackMachine, op, counted(op))
         try:
-            outcome = ("ok", _issue(m, kind, batch, values, width, bulk))
+            outcome = ("ok", issue(m, prepared))
         except (MemoryError_, ValueError, TypeError, NodeCrashedError) as e:
             outcome = (type(e).__name__, str(e))
         counters = dict(telemetry.TELEMETRY.registry.counters)
@@ -490,6 +512,7 @@ _TAXONOMY = {
     "misaligned": _Row(_ATOMIC, lambda m: [m.global_base, m.global_base + 17, m.global_base + 24]),
     "issuer_cached": _Row(_ATOMIC, _words(*range(12)), lambda m: m.load(0, m.global_base + 64, 8)),
     "one_region_exact_duplicates": _Row(_PLAIN, _words(0, 1, 0, 2, 0), loops=False),
+    "a_fraction_of_a_slot_apart": _Row(("load",), lambda m: [m.global_base, m.global_base + 4]),
     "one_region_unique": _Row(_KINDS, _words(*range(12)), loops=False),
     "one_region_unique_local": _Row(
         _KINDS, lambda m: [m.local_base(0) + 8 * i for i in range(12)], loops=False),
@@ -498,10 +521,11 @@ _TAXONOMY = {
 
 @pytest.mark.parametrize("name", _TAXONOMY)
 def test_one_window_or_the_loop(name):
-    """Which path a batch takes, counted (not timed), for every entry point
-    with a vector path: a batch that is not one clean window replays as the
-    loop of single ops — same ops reached in the same order, same outcome,
-    same state — and a batch that is one issues no single op at all."""
+    """Which path a batch takes, counted (not timed), for every address-form
+    entry point: a batch that is not one clean window replays as the loop of
+    single ops — same ops reached in the same order, same outcome, same
+    state — and a batch that is one issues no single op at all (the packed
+    store excepted: given addresses it is always the loop)."""
     row = _TAXONOMY[name]
     n = len(row.addrs(RackMachine(_config(0))))
     values = row.values or list(range(0x1100, 0x1100 + n))
@@ -510,7 +534,7 @@ def test_one_window_or_the_loop(name):
         singles, bulk = _observed(*args, bulk=True, faults=row.faults)
         looped, loop = _observed(*args, bulk=False, faults=row.faults)
         assert bulk == loop, kind
-        assert looped and singles == (looped if row.loops else []), kind
+        assert looped and singles == (looped if row.loops or kind == "store" else []), kind
 
 
 def test_atomic_store_many_shapes():
@@ -600,3 +624,235 @@ def test_load_many_concat_and_empty():
         m.atomic_fetch_add_many(0, [g], [1, 2])
     with pytest.raises(ValueError):
         m.atomic_cas_many(0, [g, g + 8], [1], [2, 3])
+
+
+# -- the slot form: slots of a held window -------------------------------------------
+
+
+def _window(m: RackMachine, n: int, size: int, owner: Optional[int] = None) -> SlotWindow:
+    """``n`` slots of ``size`` bytes in the global pool, or in node
+    ``owner``'s local memory, a little way in where they fit."""
+    region_base = m.global_base if owner is None else m.local_base(owner)
+    return SlotWindow(m.address_map, region_base + min(192, GSIZE - n * size), n, size)
+
+
+def _payload(seed: int, n: int, size: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 256, (n, size), dtype=np.uint8)
+
+
+def _slot_call(m, window, op, idx, seed, slot_form, node=0, size=None):
+    """One bypass batch on slots ``idx``: through the held window, or as the
+    loop of single ops it stands for."""
+    size = window.size if size is None else size
+    if slot_form:
+        if op == "load":
+            return m.load_many(node, window.at(idx), size, bypass_cache=True, concat=True)
+        packed = _payload(seed, len(idx), size).reshape(-1)
+        return m.store_many(node, window.at(idx), packed, size=size, bypass_cache=True)
+    addrs = [window.base + i * window.size for i in idx]
+    if op == "load":
+        return b"".join(m.load(node, a, size, bypass_cache=True) for a in addrs)
+    for a, row in zip(addrs, _payload(seed, len(idx), size)):
+        m.store(node, a, row.tobytes(), bypass_cache=True)
+
+
+@st.composite
+def _slot_scripts(draw):
+    n = draw(st.integers(1, 64))
+    size = draw(st.sampled_from([1, 8, 64, 1024]))
+    calls = st.tuples(
+        st.sampled_from(["load", "store"]),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=48),  # repeats wanted
+        st.integers(0, 2**31),
+    )
+    return n, size, draw(st.sampled_from([None, 0])), draw(st.lists(calls, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_slot_scripts())
+def test_slot_form_equals_the_loop_of_single_ops(script):
+    """Random windows (global and node-local), index batches with repeats and
+    payloads, every sink on: bytes returned and stored, the issuing node's
+    clock, cache state, fault log, RNG position, registry counters and atlas
+    sketches equal the loop's on a twin machine — with no single op issued
+    and the last-writer stamp back to all -1 after every call."""
+    n, size, owner, calls = script
+
+    def prepare(m):
+        window = _window(m, n, size, owner)
+        m.store(0, window.base, b"\x5a", bypass_cache=False)  # a dirty cached line to leave alone
+        return window
+
+    def run(m, window, slot_form):
+        out = []
+        for op, idx, seed in calls:
+            out.append(_slot_call(m, window, op, idx, seed, slot_form))
+            assert (window.stamp == -1).all()
+        return out
+
+    singles, slot = _watched(prepare, lambda m, w: run(m, w, True))
+    assert singles == []
+    assert slot == _watched(prepare, lambda m, w: run(m, w, False))[1]
+    assert slot[0][0] == "ok"
+
+
+def _poison_slot(k):
+    return lambda m, w: w.region.device.poison(w.offset + k * w.size + 3)
+
+
+def _map_another_region(m, w):
+    m.address_map.add_region(Region(
+        base=m.global_base + (1 << 38), size=4096,
+        device=PhysicalMemory(4096, MemoryKind.GLOBAL), owner=None))
+
+
+class _Held(NamedTuple):
+    single_loads: int  # single ops a load batch on slots _IDX issues
+    single_stores: int  # ... and a store batch
+    error: Optional[str] = None  # what the load batch raises
+    store_error: Optional[str] = None
+    prepare: Callable = lambda m, w: None
+    faults: Optional[FaultModel] = None
+    owner: Optional[int] = None  # the window's region: global, or a node's local memory
+    size: int = 8  # access size (the window's slots are 8 bytes)
+    idx: tuple = (4, 1, 7, 1, 9, 4, 4)
+
+
+#: Every batch a held window hands to the loop of single ops (DESIGN.md §10),
+#: with the count of single ops issued, then the ones it keeps.
+_HELD = {
+    "dead_node": _Held(1, 1, "NodeCrashedError", "NodeCrashedError",
+                       prepare=lambda m, w: m.crash_node(0)),
+    "armed_fault": _Held(7, 7, faults=FaultModel(global_ce_rate=0.2, local_ce_rate=0.2)),
+    # loads raise at the first op on slot 7 (index 2); stores clear poison per op
+    "poison_in_the_batch": _Held(3, 7, "UncorrectableMemoryError", prepare=_poison_slot(7)),
+    "poison_elsewhere_in_the_window": _Held(7, 7, prepare=_poison_slot(30)),
+    "node_local_window_from_another_node": _Held(1, 1, "ProtectionError", "ProtectionError",
+                                                 owner=1),
+    "size_other_than_the_slot_size": _Held(7, 7, size=4),
+    "empty_batch": _Held(0, 0, idx=()),
+    "clean": _Held(0, 0),
+    "clean_node_local": _Held(0, 0, owner=0),
+    "poison_outside_the_window": _Held(
+        0, 0, prepare=lambda m, w: w.region.device.poison(w.offset + w.n * w.size)),
+    "region_mapped_between_two_batches": _Held(0, 0, prepare=_map_another_region),
+}
+
+
+@pytest.mark.parametrize("name", _HELD)
+def test_held_window_or_the_loop(name):
+    """The held window's refusals, counted: each replays as the loop of
+    single ops with the same ops reached, outcome and state; a clean window
+    issues none — also right after the address map's generation moved."""
+    row = _HELD[name]
+    for op, n_singles, error in (("load", row.single_loads, row.error),
+                                 ("store", row.single_stores, row.store_error)):
+        def prepare(m):
+            window = _window(m, 32, 8, row.owner)
+            _slot_call(m, window, "store", range(32), 5, True, node=row.owner or 0)
+            row.prepare(m, window)
+            return window
+
+        def issue(slot_form):
+            return lambda m, w: _slot_call(m, w, op, row.idx, 11, slot_form, size=row.size)
+
+        singles, slot = _watched(prepare, issue(True), row.faults)
+        looped, loop = _watched(prepare, issue(False), row.faults)
+        assert slot == loop, op
+        assert len(singles) == n_singles and singles == (looped if n_singles else []), op
+        assert slot[0][0] == (error or "ok"), op
+        if row.faults is not None:
+            assert slot[4]["faults"]  # the armed model did fire
+
+
+def test_moved_address_map_re_resolves_the_held_window():
+    m = RackMachine(_config(0))
+    window = _window(m, 16, 64)
+    generation, slots = window.generation, window.slots
+    _map_another_region(m, window)
+    m.store_many(0, window.at([3, 3]), _payload(1, 2, 64).reshape(-1), size=64, bypass_cache=True)
+    assert window.generation == m.address_map.generation == generation + 1
+    assert window.slots is not slots and window.slots.tobytes() == slots.tobytes()
+    assert m.load(0, window.base + 3 * 64, 64, bypass_cache=True) == _payload(1, 2, 64)[1].tobytes()
+
+
+def test_unmapped_window_is_the_loop_that_raises():
+    m = RackMachine(_config(0))
+    window = SlotWindow(m.address_map, m.global_base + GSIZE - 64, 16, 8)  # runs off the pool
+    assert window.region is None
+    with pytest.raises(MemoryError_):
+        m.load_many(0, window.at([0, 15]), 8, bypass_cache=True)
+    assert m.now(0) > 0  # slot 0 is mapped: the loop got through it first
+
+
+@pytest.mark.parametrize("bad", [32, -1, 1 << 40, -(1 << 40)])
+def test_slot_index_outside_the_window_is_an_index_error(bad):
+    """numpy would wrap -1 to the window's last slot and read past a short
+    table only when it is the device's end: refused before any op is issued."""
+    m = RackMachine(_config(0))
+    window = _window(m, 32, 8)
+    _slot_call(m, window, "store", range(32), 5, True)
+    before = _state(m)
+    with pytest.raises(IndexError):
+        m.load_many(0, window.at([0, bad, 1]), 8, bypass_cache=True)
+    with pytest.raises(IndexError):
+        m.store_many(0, window.at([bad]), b"\xff" * 8, size=8, bypass_cache=True)
+    assert _state(m) == before
+    with pytest.raises(ValueError):
+        window.at([[0, 1], [2, 3]])
+
+
+@pytest.mark.parametrize("n, size", [(0, 8), (-4, 8), (4, 0), (-4, -64)])
+def test_slot_window_refuses_an_empty_or_negative_shape(n, size):
+    m = RackMachine(_config(0))
+    with pytest.raises(ValueError, match="slot window"):
+        SlotWindow(m.address_map, m.global_base, n, size)
+
+
+def test_held_window_and_addresses_agree_on_one_batch():
+    """The two ways to obtain a plan, on the same slots: same bytes back,
+    same bytes stored, same clock, same everything else."""
+    ma, mb = _pair(0)
+    idx = [9, 2, 9, 30, 0, 2, 9]
+    packed = _payload(3, len(idx), 64).reshape(-1)
+    out = []
+    for m, held in ((ma, True), (mb, False)):
+        window = _window(m, 32, 64)
+        addrs = window.at(idx).addrs()
+        assert addrs.tolist() == [window.base + i * 64 for i in idx]
+        batch = window.at(idx) if held else addrs
+        m.store_many(0, batch, packed, size=64, bypass_cache=True)
+        out.append(m.load_many(0, batch, 64, bypass_cache=True))
+    assert out[0] == out[1] and out[0][0] == out[0][2] == packed[6 * 64 :].tobytes()
+    assert _state(ma) == _state(mb)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 10_000])
+def test_reused_fold_buffer_is_the_fresh_left_fold(n, monkeypatch):
+    """The epilogue's clock fold in the module's reused buffer (regrown past
+    4,096 ops) is ``np.full`` + ``np.add.accumulate``, float for float."""
+    monkeypatch.setattr(machine_module, "_fold", np.empty(4_097, dtype=np.float64))
+    m = RackMachine(_config(0))
+    ns, start = 340.0 + 1.0 / 3.0, 2439678.6666666665
+    for _ in range(2):  # the second call folds over the first call's leftovers
+        m.nodes[0].clock._now_ns = start
+        m._bulk_epilogue(0, range(n), 8, ns, "bypass.load")
+        fresh = np.full(n + 1, ns, dtype=np.float64)
+        fresh[0] = start
+        assert m.now(0) == float(np.add.accumulate(fresh)[-1])
+    if n <= 2:
+        assert m.now(0) == sum([ns] * n, start)
+
+
+def test_empty_slot_batch_leaves_no_trace():
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        m = RackMachine(_config(0))
+        window = _window(m, 4, 8)
+        m.store_many(0, window.at([]), b"", size=8, bypass_cache=True)
+        assert m.load_many(0, window.at([]), 8, bypass_cache=True, concat=True) == b""
+        assert not telemetry.TELEMETRY.registry.counters and m.now(0) == 0.0
+    finally:
+        telemetry.disable()
+        telemetry.reset()

@@ -8,12 +8,21 @@ exactly from run to run, and counting only frames whose code lives under
 * ``chaos-quiet`` (the crash-storm campaign, 3 tenants, resilient engine,
   20,020 offered requests in 738 events — small batches, so the fixed cost
   of a batch is the whole cost): 55,243 before the batch path was trimmed
-  to what a batch uses (EXPERIMENTS E26), 48,353 now; a change that re-adds
+  to what a batch uses (EXPERIMENTS E26), 48,353 after, 46,478 with a tenant's
+  slab held as one resolved window (E28); a change that re-adds
   a per-batch pass fails here instead of waiting for a ±7% wall-clock
   number to notice.
 * ``incidents-observed`` (first scenario, every telemetry sink on): 72,348
   while each atlas drain folded the line sketch nobody read (7,191 evicting
-  ``SpaceSaving.offer`` calls), 65,534 with lines folded on read (E27).
+  ``SpaceSaving.offer`` calls), 65,534 with lines folded on read (E27),
+  60,582 now (E28).
+
+**numpy passes.**  The same profile, read for C-level numpy calls, on
+one smoke ``traffic-read`` rep (4 tenants, 100,257 offered requests in 245
+batches): a tenant's slab is a window resolved once (EXPERIMENTS E28), so
+a batch sorts nothing — ``ndarray.argsort`` 245 → 0 — and reduces only
+its index bound and the engine's own sums — ``ufunc.reduce`` 1,968 → 996.
+A per-batch min/max or last-writer sort coming back is +245 or more.
 
 **Imports.**  A benchmark process must not load ``networkx`` or ``scipy``:
 the fabric graph is ours (E27: 15 MB of every workload's resident set and
@@ -50,6 +59,14 @@ def _workload(name):
 
 def _one_smoke_rep(name):
     """``(outcome, calls under src/repro)`` of one rep after one warm-up."""
+    outcome, stats = _profiled_smoke_rep(name)
+    calls = sum(n_calls for (filename, _line, _name), (_prim, n_calls, *_) in stats.items()
+                if filename.startswith(SRC))
+    return outcome, calls
+
+
+def _profiled_smoke_rep(name):
+    """``(outcome, pstats rows)`` of one rep after one warm-up."""
     workload = _workload(name)
     workload.run(workload.setup(0, SMOKE_SCALE))  # warm-up: imports, lazy set-up
     state = workload.setup(0, SMOKE_SCALE)
@@ -60,13 +77,7 @@ def _one_smoke_rep(name):
     finally:
         profile.disable()
     assert not outcome.problems
-    calls = sum(
-        n_calls
-        for (filename, _line, _name), (_prim, n_calls, *_)
-        in pstats.Stats(profile).stats.items()
-        if filename.startswith(SRC)
-    )
-    return outcome, calls
+    return outcome, pstats.Stats(profile).stats
 
 
 def test_chaos_quiet_rep_stays_inside_its_call_budget():
@@ -84,6 +95,22 @@ def test_incidents_observed_rep_stays_inside_its_call_budget():
     assert calls <= 68_800, (
         f"{calls:,} Python calls under src/repro for one incidents-observed smoke "
         f"rep (ceiling 68,800): an observation cost nobody reads came back"
+    )
+
+
+def test_traffic_read_rep_sorts_nothing_and_reduces_once_per_reference():
+    outcome, stats = _profiled_smoke_rep("traffic-read")
+    assert outcome.offered == 100_257
+
+    def builtin(method):  # C-level calls: cProfile files them under "~"
+        return sum(n_calls for (filename, _line, name), (_prim, n_calls, *_) in stats.items()
+                   if filename == "~" and method in name)
+
+    assert builtin("'argsort' of 'numpy.ndarray'") == 0, "a per-batch sort came back"
+    reduces = builtin("'reduce' of 'numpy.ufunc'")
+    assert reduces <= 1_045, (
+        f"{reduces:,} ufunc.reduce calls for one traffic-read smoke rep (996 when "
+        f"written, 1,968 before the held window): a per-batch min/max came back"
     )
 
 

@@ -128,6 +128,47 @@ class TestFailover:
         # the crash hook tripped the primary's breakers immediately
         assert any("node-crash" in line for line in eng.breaker_log)
 
+    def test_replica_serves_batches_through_the_tenants_own_window(self, monkeypatch):
+        """The slab is global memory, so the replica's attempts name slots of
+        the same held window the primary used: no single op, no second
+        resolution, and the slab still reads back as the stored values."""
+        from repro.rack.machine import RackMachine, SlotRef
+
+        rig = build_rig(n_nodes=2)
+        eng = ResilientTrafficEngine(
+            rig.kernel, _tenants(), resilience=default_spec(replica_node=1), seed=7,
+        )
+        windows = dict(eng.backend.windows)
+        generations = {name: w.generation for name, w in windows.items()}
+        seen = []  # (entry point, issuing node, the window named) per bulk call
+        singles = []
+        for name in ("load_many", "store_many", "load", "store"):
+            real = getattr(RackMachine, name)
+
+            def spy(self, node_id, addrs, *a, _real=real, _name=name, **kw):
+                if _name.endswith("_many"):
+                    assert type(addrs) is SlotRef
+                    seen.append((_name, node_id, addrs.window))
+                else:
+                    singles.append((_name, node_id))
+                return _real(self, node_id, addrs, *a, **kw)
+
+            monkeypatch.setattr(RackMachine, name, spy)
+        eng.run(max_requests=2_000)
+        rig.machine.crash_node(0)
+        rep = eng.run(max_requests=10_000)
+        assert sum(t["failovers"] for t in rep.tenants.values()) > 0
+        on_replica = [(name, window) for name, node, window in seen if node == 1]
+        assert {name for name, _ in on_replica} == {"load_many", "store_many"}
+        assert {id(w) for _, w in on_replica} == {id(w) for w in windows.values()}
+        assert eng.backend.windows == windows  # held, not rebuilt per attempt
+        assert {name: w.generation for name, w in windows.items()} == generations
+        # a batch sent to the dead primary is one raising single op; the replica issues none
+        assert singles and all(node == 0 for _, node in singles)
+        for name, st in eng.tenants.items():
+            slab, values = st.backend_state
+            assert windows[name].slots.tobytes() == values.tobytes()
+
     def test_degraded_mode_sheds_when_no_target_routable(self):
         rig = build_rig(n_nodes=2)
         spec = ResilienceSpec(breaker=BreakerPolicy(cooldown_ns=1e15),

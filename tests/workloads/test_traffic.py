@@ -173,6 +173,12 @@ class TestAdmission:
         ("rate_rps", float("inf")),
         ("rate_rps", 0.0),
         ("rate_rps", -5.0),
+        ("n_keys", 0),                      # used to be the arena's "region size must be positive"
+        ("n_keys", -4),
+        ("n_keys", 1.5),                    # used to be a bare TypeError inside prepare
+        ("value_size", 0),
+        ("value_size", -64),                # with n_keys=-4 the product was positive: accepted
+        ("value_size", 64.0),
     ])
     def test_hostile_spec_is_refused_naming_tenant_and_field(self, field, value):
         with pytest.raises(ValueError, match=rf"tenant 'evil': {field} "):
