@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, List, Optional, Tuple
 
 
@@ -31,11 +32,13 @@ class CacheStats:
 
 
 class _Line:
+    """One resident line: ``data`` (a bytearray) and ``dirty``; built by
+    :meth:`NodeCache._insert` (no ``__init__``: a fill costs no frame)."""
+
     __slots__ = ("data", "dirty")
 
-    def __init__(self, data: bytearray, dirty: bool = False) -> None:
-        self.data = data
-        self.dirty = dirty
+
+_DATA = attrgetter("data")
 
 
 class NodeCache:
@@ -78,28 +81,22 @@ class NodeCache:
     # -- core operations ---------------------------------------------------
 
     def load(self, addr: int, size: int) -> Tuple[bytes, int, int]:
-        """Read through the cache.  Returns ``(data, hits, misses)``."""
+        """Read through the cache.  Returns ``(data, hits, misses)``.
+
+        A resident line is a hit (and becomes most recently used); a run of
+        absent lines is one backing read, or — when the reader answers
+        ``None`` — one read per line, installed in address order."""
         if size <= 0:
             return b"", 0, 0
-        line_size = self.line_size
+        lines, line_size = self._lines, self.line_size
+        read, insert = self._read_backing, self._insert
         base = addr & ~(line_size - 1)
-        if addr + size <= base + line_size:
-            # fast path: the overwhelmingly common single-line access —
-            # one dict probe, one move_to_end, one slice.
-            lines = self._lines
-            line = lines.get(base)
-            lo = addr - base
-            if line is not None:
-                lines.move_to_end(base)
-                self.stats.hits += 1
-                return bytes(line.data[lo : lo + size]), 1, 0
-            line = _Line(bytearray(self._read_backing(base, line_size)))
-            self._insert(base, line)
-            self.stats.misses += 1
-            return bytes(line.data[lo : lo + size]), 0, 1
-        lines = self._lines
         end = addr + size
-        lo = addr - base
+        line = lines.get(base)
+        if line is not None and end <= base + line_size:  # a hit on one line: the common case
+            lines.move_to_end(base)
+            self.stats.hits += 1
+            return bytes(line.data[addr - base : end - base]), 1, 0
         out = bytearray()
         hits = misses = 0
         while base < end:
@@ -113,11 +110,21 @@ class NodeCache:
             stop = base + line_size
             while stop < end and stop not in lines:
                 stop += line_size
-            out += self._fill(base, stop)
             misses += (stop - base) // line_size
+            buf = read(base, stop - base) if stop - base > line_size else None
+            if buf is None:
+                for base in range(base, stop, line_size):
+                    buf = read(base, line_size)
+                    insert(base, bytearray(buf), False)
+                    out += buf
+            else:
+                for pos in range(0, stop - base, line_size):
+                    insert(base + pos, bytearray(buf[pos : pos + line_size]), False)
+                out += buf
             base = stop
         self.stats.hits += hits
         self.stats.misses += misses
+        lo = addr & (line_size - 1)
         return bytes(out[lo : lo + size]), hits, misses
 
     def store(self, addr: int, data: bytes) -> Tuple[int, int, int]:
@@ -132,32 +139,16 @@ class NodeCache:
         size = len(data)
         if size <= 0:
             return 0, 0, 0
-        line_size = self.line_size
-        base = addr & ~(line_size - 1)
-        if addr + size <= base + line_size:
-            # fast path: single-line store (hit, full-line allocate, or
-            # partial-line fetch) without the generator machinery.
-            lines = self._lines
-            line = lines.get(base)
-            lo = addr - base
-            if line is not None:
-                lines.move_to_end(base)
-                line.data[lo : lo + size] = data
-                line.dirty = True
-                self.stats.hits += 1
-                return 1, 0, 0
-            if size == line_size:  # lo == 0 implied by the span check
-                self._insert(base, _Line(bytearray(data), dirty=True))
-                self.stats.hits += 1  # allocs are charged like hits
-                return 0, 0, 1
-            line = _Line(bytearray(self._read_backing(base, line_size)))
-            self._insert(base, line)
-            line.data[lo : lo + size] = data
-            line.dirty = True
-            self.stats.misses += 1
-            return 0, 1, 0
-        lines = self._lines
+        lines, line_size = self._lines, self.line_size
         end = addr + size
+        base = addr & ~(line_size - 1)
+        line = lines.get(base)
+        if line is not None and end <= base + line_size:  # a hit on one line: the common case
+            lines.move_to_end(base)
+            line.data[addr - base : end - base] = data
+            line.dirty = True
+            self.stats.hits += 1
+            return 1, 0, 0
         hits = misses = allocs = 0
         src = memoryview(data)
         pos = 0
@@ -171,14 +162,13 @@ class NodeCache:
                 lines.move_to_end(base)
                 hits += 1
             elif hi - lo == line_size:
-                self._insert(base, _Line(bytearray(chunk), dirty=True))
+                self._insert(base, bytearray(chunk), True)
                 allocs += 1
                 continue
             else:
                 # a partial line is fetched — alone, because its bytes must
                 # be in place before a later insert can evict it
-                line = _Line(bytearray(self._read_backing(base, line_size)))
-                self._insert(base, line)
+                line = self._insert(base, bytearray(self._read_backing(base, line_size)), False)
                 misses += 1
             line.data[lo:hi] = chunk
             line.dirty = True
@@ -187,17 +177,17 @@ class NodeCache:
         return hits, misses, allocs
 
     def flush(self, addr: int, size: int) -> int:
-        """Write back dirty lines in range, keeping them valid and clean.
+        """Write back dirty lines in range, keeping them valid and clean;
+        each run of consecutive dirty lines is one backing write.
 
         Returns the number of lines written back.  Models ``dc cvac``.
         """
         if size <= 0:
             return 0
-        lines = self._lines
-        line_size = self.line_size
+        lines, line_size = self._lines, self.line_size
+        end = addr + size
         first = addr & ~(line_size - 1)
-        if addr + size <= first + line_size:
-            # fast path: one line, no run bookkeeping
+        if end <= first + line_size:  # one line: the common case
             line = lines.get(first)
             if line is None or not line.dirty:
                 return 0
@@ -207,14 +197,17 @@ class NodeCache:
             return 1
         written = 0
         run: List[_Line] = []
-        for base in range(first, addr + size, line_size):
-            line = lines.get(base)
+        # one base past the span closes the last run
+        for base in range(first, end + line_size, line_size):
+            line = lines.get(base) if base < end else None
             if line is not None and line.dirty:
                 run.append(line)
             elif run:
-                written += self._write_back(base, run)
-        if run:
-            written += self._write_back(base + line_size, run)
+                self._write_backing(base - len(run) * line_size, b"".join(map(_DATA, run)))
+                for line in run:
+                    line.dirty = False
+                written += len(run)
+                run = []
         self.stats.writebacks += written
         return written
 
@@ -272,42 +265,24 @@ class NodeCache:
     def resident_lines(self) -> int:
         return len(self._lines)
 
+    def holds_any(self, addrs) -> bool:
+        """Whether the line of any address in ``addrs`` (an int64 array) is
+        resident — one C-level set test, however many addresses."""
+        lines = self._lines
+        return bool(lines) and not lines.keys().isdisjoint(
+            (addrs & ~(self.line_size - 1)).tolist()
+        )
+
     # -- internals -----------------------------------------------------------
 
-    def _fill(self, base: int, stop: int) -> bytes:
-        """Fetch the non-resident lines ``[base, stop)`` — in one backing
-        read when the backing allows — insert them in address order, and
-        return their bytes."""
-        line_size = self.line_size
-        read = self._read_backing
-        insert = self._insert
-        buf = read(base, stop - base) if stop - base > line_size else None
-        if buf is None:
-            parts = []
-            for base in range(base, stop, line_size):
-                parts.append(read(base, line_size))
-                insert(base, _Line(bytearray(parts[-1])))
-            return b"".join(parts)
-        for pos in range(0, stop - base, line_size):
-            insert(base + pos, _Line(bytearray(buf[pos : pos + line_size])))
-        return buf
-
-    def _write_back(self, stop: int, run: List[_Line]) -> int:
-        """Write the consecutive dirty lines ending at ``stop`` as one
-        backing write, mark them clean and empty ``run``."""
-        n = len(run)
-        self._write_backing(stop - n * self.line_size, b"".join([line.data for line in run]))
-        for line in run:
-            line.dirty = False
-        run.clear()
-        return n
-
-    def _insert(self, base: int, line: _Line) -> None:
-        """Install a non-resident line as most recently used."""
+    def _insert(self, base: int, data: bytearray, dirty: bool) -> _Line:
+        """Install a non-resident line as most recently used; returns it."""
         while len(self._lines) >= self.capacity_lines:
             victim_base, victim = self._lines.popitem(last=False)
             if victim.dirty:
                 self._write_backing(victim_base, bytes(victim.data))
                 self.stats.writebacks += 1
             self.stats.evictions += 1
-        self._lines[base] = line
+        line = self._lines[base] = _Line()
+        line.data, line.dirty = data, dirty
+        return line

@@ -165,10 +165,12 @@ class FaultInjector:
         self.model_changed()
 
     def model_changed(self) -> None:
-        """Drop memoized rates and re-derive :attr:`armed` after an
-        in-place :class:`FaultModel` edit (or an ``enabled`` flip)."""
-        self._rate_cache.clear()
+        """Re-check the model, drop memoized rates and re-derive
+        :attr:`armed` after an in-place :class:`FaultModel` edit (or an
+        ``enabled`` flip)."""
         m = self.model
+        m.validate()
+        self._rate_cache.clear()
         #: ``armed[is_global]``: can any fault fire for that region kind?
         #: Zero base rates stay zero under any per-hop scaling, so the flag
         #: is independent of path cost; the machine's gate reads it to skip

@@ -21,6 +21,7 @@ Hardware contract reproduced from the paper (§2.1):
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,15 +53,12 @@ _INT = {
 _INT_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 #: Telemetry subsystem for the data plane (metric naming convention:
-#: DESIGN.md §8).  Cache hit/miss accounting is routed through these
-#: counters *symmetrically* — fast-path hits and general-path hits and
-#: misses all land here — while ``NodeCache.stats`` stays as the
-#: compatibility view tests and benches already read.
+#: DESIGN.md §8); each op kind records in one place (DESIGN.md §3).
 _SUB = "rack.machine"
 
 #: What a node's TLB slot reads as before its first resolve: covers nothing.
 _TLB_EMPTY = (0, 0, None)
-#: The clock fold of :meth:`RackMachine._bulk_epilogue`, reused across
+#: The batch clock fold of :meth:`RackMachine._charge`, reused across
 #: batches and regrown for one that would not fit.
 _fold = np.empty(4_097, dtype=np.float64)
 
@@ -136,8 +134,8 @@ class RackMachine:
             cache = NodeCache(
                 cfg.cache_lines,
                 cfg.cache_line_size,
-                read_backing=self._make_backing_reader(node_id),
-                write_backing=self._make_backing_writer(node_id),
+                read_backing=partial(self._read_backing, node_id),
+                write_backing=self._write_backing,
             )
             self.nodes[node_id] = Node(node_id, cfg.cores_per_node, dev, cache)
         self.address_map: AddressMap = build_address_map(local_devices, self.global_mem)
@@ -145,15 +143,15 @@ class RackMachine:
         self.faults = FaultInjector(cfg.faults, seed=cfg.seed)
         self.latency = cfg.latency
         self.line_size = cfg.cache_line_size
-        # -- data-plane fast path state (see DESIGN.md) --------------------
-        # Hoisted constants: the line mask and hit charge never change for
-        # a built machine (LatencyModel is fixed at construction).
+        # -- data-plane state (see DESIGN.md §3) ----------------------------
         self._line_mask = cfg.cache_line_size - 1
-        self._hit_ns = cfg.latency.cache_hit_ns
         # Software TLB: per-node memo of the last region resolved, dropped
         # when the address map's generation moves.
         self._tlb: Dict[int, Tuple[int, int, Region]] = {}
         self._tlb_gen = self.address_map.generation
+        # (region, clean) from the gate of the op now calling a node's cache:
+        # its backing reader and writer act under it instead of gating again.
+        self._verdict: Tuple[Region, bool] = (self.address_map.regions[-1], False)
         # Charge table: (first_line_ns, rest_line_ns) per (node, region),
         # dropped when the fabric's generation moves (link/topology change).
         self._charge_memo: Dict[Tuple[int, int], Tuple[float, float]] = {}
@@ -213,44 +211,7 @@ class RackMachine:
 
     def load(self, node_id: int, addr: int, size: int, *, bypass_cache: bool = False) -> bytes:
         """Read ``size`` bytes at physical ``addr`` through the node's cache."""
-        if not bypass_cache and 0 < size:
-            # fast path: single-line cache hit.  A resident line proves the
-            # address resolved and passed protection when it was filled, so
-            # no resolve, no fault roll, and a hits-only charge — identical
-            # observables to the general path, an order less Python.
-            node = self.nodes.get(node_id)
-            if node is not None and node.alive:
-                mask = self._line_mask
-                base = addr & ~mask
-                if addr + size <= base + mask + 1:
-                    cache = node.cache
-                    lines = cache._lines
-                    line = lines.get(base)
-                    if line is not None:
-                        lines.move_to_end(base)
-                        cache.stats.hits += 1
-                        if _TEL.enabled:
-                            _TEL.count(node_id, _SUB, "cache.hit")
-                        if _TEL.atlas is not None:
-                            _TEL.atlas.touch(addr, size)
-                        # == _charge_cached(node, region, hits=1, misses=0)
-                        node.clock._now_ns += self._hit_ns
-                        lo = addr - base
-                        return bytes(line.data[lo : lo + size])
-        node, region, offset, clean = self._access(node_id, addr, size)
-        if _TEL.atlas is not None:
-            _TEL.atlas.touch(addr, size)
-        if bypass_cache:
-            self._charge_bulk(node, region, size)
-            if not clean:
-                self._maybe_fault(region, offset, size, node_id)
-                self._check_poison(region, offset, size, node_id)
-            if _TEL.enabled:
-                _TEL.count(node_id, _SUB, "bypass.load")
-            return region.device.read(offset, size)
-        data, hits, misses = node.cache.load(addr, size)
-        self._charge_cached(node, region, hits, misses)
-        return data
+        return self._plain(node_id, addr, size, None, bypass_cache)
 
     def store(
         self, node_id: int, addr: int, data: bytes, *, bypass_cache: bool = False
@@ -262,45 +223,55 @@ class RackMachine:
         that go straight to the device (still leaving any stale cached
         copy in place — callers must invalidate if they mix modes).
         """
-        size = len(data)
-        if not bypass_cache and 0 < size:
-            # fast path: single-line cache hit (see load)
-            node = self.nodes.get(node_id)
-            if node is not None and node.alive:
-                mask = self._line_mask
-                base = addr & ~mask
-                if addr + size <= base + mask + 1:
-                    cache = node.cache
-                    lines = cache._lines
-                    line = lines.get(base)
-                    if line is not None:
-                        lines.move_to_end(base)
-                        lo = addr - base
-                        line.data[lo : lo + size] = data
-                        line.dirty = True
-                        cache.stats.hits += 1
-                        if _TEL.enabled:
-                            _TEL.count(node_id, _SUB, "cache.hit")
-                        if _TEL.atlas is not None:
-                            _TEL.atlas.touch(addr, size)
-                        # == _charge_cached(node, region, hits=1, misses=0)
-                        node.clock._now_ns += self._hit_ns
-                        return
+        self._plain(node_id, addr, len(data), data, bypass_cache)
+
+    def _plain(
+        self, node_id: int, addr: int, size: int, data: Optional[bytes], bypass: bool
+    ) -> Optional[bytes]:
+        """One plain load (``data is None``) or store: the gate, then the
+        node's cache — which answers a hit — or, ``bypass``, the device.
+
+        Its record is the atlas touch right after the gate (an op that
+        raises later, on poison, has touched) and the counters once the
+        op has completed; the cached charge comes after both."""
         node, region, offset, clean = self._access(node_id, addr, size)
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, size)
-        if bypass_cache:
-            self._charge_bulk(node, region, size)
+        loading = data is None
+        if bypass:
+            self._charge(node, 0, 0.0, region, -(-size // self.line_size) or 1)
+            device = region.device
             if not clean:
                 self._maybe_fault(region, offset, size, node_id)
-                region.device.clear_poison(offset, size)
-            region.device.write(offset, data)
-            if _TEL.enabled:
-                _TEL.count(node_id, _SUB, "bypass.store")
-            return
-        hits, misses, allocs = node.cache.store(addr, data)
-        # full-line allocations never fetch: charged like hits
-        self._charge_cached(node, region, hits + allocs, misses)
+                if loading:
+                    self._check_poison(region, offset, size, node_id)
+                else:
+                    device.clear_poison(offset, size)
+            if loading:
+                data = device.read(offset, size)
+            else:
+                device.write(offset, data)
+        else:
+            self._verdict = region, clean  # what the cache's fills act under
+            if loading:
+                data, hits, misses = node.cache.load(addr, size)
+            else:
+                hits, misses, allocs = node.cache.store(addr, data)
+                hits += allocs  # full-line allocations never fetch: charged like hits
+        if _TEL.enabled:
+            if bypass:
+                _TEL.count(node_id, _SUB, "bypass.load" if loading else "bypass.store")
+            else:
+                if hits:
+                    _TEL.count(node_id, _SUB, "cache.hit", hits)
+                if misses:
+                    _TEL.count(node_id, _SUB, "cache.miss", misses)
+                    if region.owner is None:
+                        _TEL.count(node_id, _SUB, "cache.remote_fetch", misses)
+        if not bypass:
+            lat = self.latency
+            self._charge(node, hits, lat.cache_hit_ns, region, misses, lat.cache_miss_overhead_ns)
+        return data if loading else None
 
     # -- atomics ---------------------------------------------------------------------
 
@@ -387,8 +358,7 @@ class RackMachine:
             return b"".join(parts) if concat else parts
         region, slots, idx = plan
         buf = slots.take(idx).tobytes()
-        ns = self._bulk_ns(self.nodes[node_id], region, size)
-        self._bulk_epilogue(node_id, addrs, size, ns, "bypass.load")
+        self._bulk_epilogue(node_id, addrs, size, region, "bypass.load")
         return buf if concat else _split(buf, size)
 
     def store_many(
@@ -483,7 +453,7 @@ class RackMachine:
             return [self.atomic_load(node_id, a, width) for a in addrs]
         region, slots, idx = plan
         out = slots.take(idx).view(_INT_DTYPE[width]).tolist()
-        self._bulk_atomic_epilogue(node_id, addrs, region, width)
+        self._bulk_epilogue(node_id, addrs, width, region)
         return out
 
     def atomic_store_many(
@@ -524,7 +494,7 @@ class RackMachine:
             return
         region, slots, idx = plan
         slots[idx] = v_arr.view(slots.dtype)  # the plan proved idx unique
-        self._bulk_atomic_epilogue(node_id, addrs, region, width)
+        self._bulk_epilogue(node_id, addrs, width, region)
 
     def atomic_cas_many(
         self,
@@ -545,32 +515,24 @@ class RackMachine:
 
     def flush(self, node_id: int, addr: int, size: int) -> int:
         """Write back dirty lines (``dc cvac``); returns lines written."""
-        node, region, _, _ = self._access(node_id, addr, size)
-        written = node.cache.flush(addr, size)
-        if written:
-            self._charge_writeback(node, region, written)
-        return written
+        return self._write_back(node_id, addr, size, False)[0]
 
     def invalidate(self, node_id: int, addr: int, size: int) -> int:
         """Drop cached lines without write-back (``dc ivac``)."""
         node = self._live(node_id)
         dropped = node.cache.invalidate(addr, size)
-        node.clock.advance(dropped * self.latency.invalidate_line_ns)
+        self._charge(node, dropped, self.latency.invalidate_line_ns)
         return dropped
 
     def flush_invalidate(self, node_id: int, addr: int, size: int) -> Tuple[int, int]:
         """Write back then drop (``dc civac``)."""
-        node, region, _, _ = self._access(node_id, addr, size)
-        written, dropped = node.cache.flush_invalidate(addr, size)
-        if written:
-            self._charge_writeback(node, region, written)
-        node.clock.advance(dropped * self.latency.invalidate_line_ns)
-        return written, dropped
+        return self._write_back(node_id, addr, size, True)
 
     def flush_all(self, node_id: int) -> int:
         """Write back every dirty line in the node's cache (context-switch
-        and migration path).  Charged as a global-memory write burst —
-        conservative when some victims are local."""
+        and migration path).  Charged as a DRAM global-memory write burst
+        whatever the victims' media — conservative when some are local,
+        cheap when the pool is PMEM (DESIGN.md §3)."""
         node = self._live(node_id)
         written = node.cache.flush_all()
         if written:
@@ -578,12 +540,30 @@ class RackMachine:
             cost = self.fabric.path_to_gmem(node_id)
             first = lat.device_ns(is_global=True, hops=cost.hops, switches=cost.switches)
             rest = (written - 1) * lat.pipelined_line_ns(self.line_size, is_global=True)
-            node.clock.advance(first + rest + written * lat.writeback_line_ns)
+            self._charge(node, 1, first + rest + written * lat.writeback_line_ns)
         return written
 
     def fence(self, node_id: int) -> None:
         """Full memory barrier (ordering is already strict here; cost only)."""
-        self._live(node_id).clock.advance(self.latency.fence_ns)
+        self._charge(self._live(node_id), 1, self.latency.fence_ns)
+
+    def _write_back(self, node_id: int, addr: int, size: int, drop: bool) -> Tuple[int, int]:
+        """``flush`` (``drop`` false) or ``flush_invalidate``: the gate, the
+        cache's write-backs — its record and charge — then any drop's charge."""
+        node, region, _, clean = self._access(node_id, addr, size)
+        self._verdict = region, clean  # what the cache's write-backs act under
+        cache = node.cache
+        if drop:
+            written, dropped = cache.flush_invalidate(addr, size)
+        else:
+            written, dropped = cache.flush(addr, size), 0
+        lat = self.latency
+        if written:
+            self._tally(node_id, "cache.writeback_lines", written)
+            self._charge(node, 0, 0.0, region, written, lat.writeback_line_ns)
+        if drop:
+            self._charge(node, dropped, lat.invalidate_line_ns)
+        return written, dropped
 
     # -- fault management ------------------------------------------------------------------
 
@@ -649,7 +629,7 @@ class RackMachine:
         lines.  Charged like a non-temporal store burst.
         """
         node, region, offset, _ = self._access(node_id, addr, len(data))
-        self._charge_bulk(node, region, len(data))
+        self._charge(node, 0, 0.0, region, -(-len(data) // self.line_size) or 1)
         region.device.clear_poison(offset, len(data))
         region.device.write(offset, data)
         node.cache.invalidate(addr, len(data))
@@ -729,7 +709,7 @@ class RackMachine:
         return region, offset
 
     def _atomic_prologue(self, node_id: int, addr: int, width: int):
-        """Gate, charge and cache-drop of one atomic; returns
+        """Gate, charge, record and cache-drop of one atomic; returns
         ``(device slab, offset, codec, wrap mask)`` for the caller's
         read-modify-write."""
         codec = _INT.get(width)
@@ -740,12 +720,14 @@ class RackMachine:
         node, region, offset, clean = self._access(node_id, addr, width)
         is_global = region.owner is None
         lat = self.latency
-        node.clock._now_ns += lat.global_atomic_ns if is_global else lat.local_atomic_ns
+        self._charge(node, 1, lat.global_atomic_ns if is_global else lat.local_atomic_ns)
         if _TEL.enabled:
             _TEL.count(node_id, _SUB, "atomic.global" if is_global else "atomic.local")
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, width)
-        # an aligned access of at most 8 bytes lies in exactly one line
+        # an aligned access of at most 8 bytes lies in exactly one line; the
+        # drop is the one cache-line touch the machine makes itself (a
+        # NodeCache call here would be a frame on every atomic)
         cache = node.cache
         if cache._lines.pop(addr & ~self._line_mask, None) is not None:
             cache.stats.invalidations += 1
@@ -760,97 +742,85 @@ class RackMachine:
         cost = self.fabric.path_to_gmem(node_id)
         return cost.hops, cost.switches
 
-    def _is_pmem(self, region: Region) -> bool:
-        return region.device.kind is MemoryKind.PMEM
-
-    def _first_line_ns(self, node: Node, region: Region) -> float:
-        hops, switches = self._path_cost(node.node_id, region)
-        ns = self.latency.device_ns(is_global=region.is_global, hops=hops, switches=switches)
-        if self._is_pmem(region):
-            ns += self.latency.pmem_extra_ns
-        return ns
-
-    def _rest_line_ns(self, region: Region) -> float:
-        if self._is_pmem(region):
-            return self.line_size / self.latency.pmem_bw_bytes_per_ns
-        return self.latency.pipelined_line_ns(self.line_size, is_global=region.is_global)
-
-    def _line_pair_ns(self, node: Node, region: Region) -> Tuple[float, float]:
-        """Memoized ``(first_line_ns, rest_line_ns)`` for one (node, region).
-
-        Both values depend only on the latency model, the region's kind,
-        and the node's fabric path, so they are computed once and reused
-        until the fabric's generation moves (link or topology change).
-        """
-        if self.fabric.generation != self._charge_gen:
-            self._charge_memo.clear()
-            self._charge_gen = self.fabric.generation
-        key = (node.node_id, region.base)
-        pair = self._charge_memo.get(key)
-        if pair is None:
-            pair = (self._first_line_ns(node, region), self._rest_line_ns(region))
-            self._charge_memo[key] = pair
-        return pair
-
-    def _charge_cached(self, node: Node, region: Region, hits: int, misses: int) -> None:
-        if _TEL.enabled and (hits or misses):
-            if hits:
-                _TEL.count(node.node_id, _SUB, "cache.hit", hits)
-            if misses:
-                _TEL.count(node.node_id, _SUB, "cache.miss", misses)
-                if region.is_global:
-                    _TEL.count(node.node_id, _SUB, "cache.remote_fetch", misses)
-        lat = self.latency
-        ns = hits * lat.cache_hit_ns
-        if misses:
-            first, rest = self._line_pair_ns(node, region)
-            ns += first
-            ns += (misses - 1) * rest
-            ns += misses * lat.cache_miss_overhead_ns
-        node.clock.advance(ns)
-
-    def _bulk_ns(self, node: Node, region: Region, size: int) -> float:
-        """Charge of one non-temporal (cache-bypassing) burst.
-
-        Loads and stores are symmetric: the first line pays full device
-        latency, the rest pay bandwidth.  ``writeback_line_ns`` is *not*
-        charged here — that cost models writing back lines that were
-        cached, and a bypass access to a region that was never cached
-        has no such lines; charging it double-counted the per-line
-        transfer already covered by the bandwidth term (the old
-        ``bypass_store_4k`` vs ``bypass_load_4k`` asymmetry).
-        """
-        n_lines = max(1, (size + self.line_size - 1) // self.line_size)
-        first, rest_line = self._line_pair_ns(node, region)
-        return first + (n_lines - 1) * rest_line
-
-    def _charge_bulk(self, node: Node, region: Region, size: int) -> None:
-        node.clock.advance(self._bulk_ns(node, region, size))
-
-    # -- bulk internals ----------------------------------------------------------------
-
-    def _bulk_epilogue(
-        self, node_id: int, addrs: Sequence[int], size: int, ns: float, counter: str
+    def _charge(
+        self,
+        node: Node,
+        hits: int,
+        hit_ns: float,
+        region: Optional[Region] = None,
+        lines: int = 0,
+        extra: float = 0.0,
+        ops: int = 1,
     ) -> None:
-        """Charge, count and atlas-touch a vectorized batch: ``len(addrs)``
-        ops of ``size`` bytes costing ``ns`` each.
-
-        The plan proved no fault, poison or error is involved, so only the
-        final clock value is observable.  ``np.add.accumulate`` is a strict
-        left fold over float64: it reproduces the rounding of that many
-        sequential ``advance(ns)`` calls exactly — the property the golden
-        latency tests pin.
+        """The machine's one clock door (DESIGN.md §3): ``ops`` times
+        ``hits·hit_ns + first + (lines−1)·rest + lines·extra``, added left to
+        right in that order and, for a batch, folded by ``np.add.accumulate``
+        (a strict left fold), so clocks are bit for bit the single adds the
+        goldens pin.  ``first`` / ``rest`` are one line's device latency and
+        each further line's bandwidth cost for ``node`` reaching ``region``,
+        memoized until the fabric's generation moves.  No negative check:
+        every term is a validated :class:`LatencyModel` field or a count.
         """
+        ns = hits * hit_ns
+        if lines:
+            fabric, memo = self.fabric, self._charge_memo
+            if fabric.generation != self._charge_gen:
+                memo.clear()
+                self._charge_gen = fabric.generation
+            key = (node.node_id, region.base)
+            pair = memo.get(key)
+            if pair is None:
+                lat, is_global = self.latency, region.owner is None
+                hops, switches = self._path_cost(node.node_id, region)
+                first = lat.device_ns(is_global=is_global, hops=hops, switches=switches)
+                if region.device.kind is MemoryKind.PMEM:
+                    pair = (first + lat.pmem_extra_ns, self.line_size / lat.pmem_bw_bytes_per_ns)
+                else:
+                    pair = (first, lat.pipelined_line_ns(self.line_size, is_global=is_global))
+                memo[key] = pair
+            first, rest = pair
+            ns += first
+            ns += (lines - 1) * rest
+            ns += lines * extra
+        clock = node.clock
+        if ops == 1:
+            clock._now_ns += ns
+            return
         global _fold
-        n = len(addrs)
-        if n >= len(_fold):
-            _fold = np.empty(2 * n, dtype=np.float64)
-        clock = self.nodes[node_id].clock
-        acc = _fold[: n + 1]
+        if ops >= len(_fold):
+            _fold = np.empty(2 * ops, dtype=np.float64)
+        acc = _fold[: ops + 1]
         acc.fill(ns)
         acc[0] = clock._now_ns
         np.add.accumulate(acc, out=acc)
         clock._now_ns = float(acc[-1])
+
+    def _tally(self, node_id: int, name: str, n: int = 1) -> None:
+        """The record of an op off the hot path — a write-back, a fault."""
+        if _TEL.enabled:
+            _TEL.count(node_id, _SUB, name, n)
+
+    # -- bulk internals ----------------------------------------------------------------
+
+    def _bulk_epilogue(
+        self,
+        node_id: int,
+        addrs: Sequence[int],
+        size: int,
+        region: Region,
+        counter: Optional[str] = None,
+    ) -> None:
+        """Charge, count and atlas-touch a vectorized batch of ``len(addrs)``
+        ops of ``size`` bytes in ``region``: bypass bursts named ``counter``,
+        or atomics (``counter`` None).  The plan proved no fault, poison or
+        error is involved, so only the final clock value is observable."""
+        n, lat, node = len(addrs), self.latency, self.nodes[node_id]
+        if counter is None:
+            is_global = region.owner is None
+            counter = "atomic.global" if is_global else "atomic.local"
+            self._charge(node, 1, lat.global_atomic_ns if is_global else lat.local_atomic_ns, ops=n)
+        else:
+            self._charge(node, 0, 0.0, region, -(-size // self.line_size), 0.0, n)
         if _TEL.enabled:
             _TEL.add(node_id, _SUB, counter, float(n))
         if _TEL.atlas is not None:
@@ -867,17 +837,17 @@ class RackMachine:
         poisoned byte in the window.  A :class:`SlotRef` carries its window:
         nothing is looked up, and the poison query covers the whole held
         window (a superset of the batch's span: it can only choose the loop
-        more often).  An address vector is resolved here: the span its
+        more often).  An address vector goes through the gate: the span its
         min/max bound, every address whole slots above the lowest.
 
         ``None`` means only the loop of single ops preserves exact
-        semantics: a dead node (the raise), not one region (each op pays
-        its own region's charge; an error must surface at its op index,
-        after the prior ops' side effects), an armed fault (RNG draws and
-        timestamps interleave per op), poison in the window (the raise
-        happens mid-batch with the clock mid-way), not slots of one table
-        (a size other than the window's, addresses a fraction of a slot
-        apart), or addresses numpy cannot hold as an int64 vector.
+        semantics: a dead node (the raise), not one region the node may
+        touch (each op pays its own region's charge; an error must surface
+        at its op index, after the prior ops' side effects), an armed fault
+        (RNG draws and timestamps interleave per op), poison in the window
+        (the raise happens mid-batch with the clock mid-way), not slots of
+        one table (a size other than the window's, addresses a fraction of
+        a slot apart), or addresses numpy cannot hold as an int64 vector.
         """
         node = self.nodes.get(node_id)
         if node is None or not node.alive or size <= 0:
@@ -889,6 +859,8 @@ class RackMachine:
             region, offset, slots = window.region, window.offset, window.slots
             if region is None or size != window.size or len(idx) == 0:
                 return None
+            if region.owner is not None and region.owner != node_id:
+                return None  # ProtectionError belongs to one op index
             span = slots.nbytes
         else:
             try:
@@ -900,15 +872,13 @@ class RackMachine:
             lo = int(arr.min())
             span = int(arr.max()) + size - lo
             try:
-                region, offset = self.address_map.resolve(lo, span)
+                _, region, offset, _ = self._access(node_id, lo, span)
             except MemoryError_:
-                return None
+                return None  # the raise belongs to one op index
             idx, within = np.divmod(arr - lo, size)
             if within.any():
                 return None
             slots = _slots(region.device, offset, span, size)
-        if region.owner is not None and region.owner != node_id:
-            return None  # ProtectionError belongs to one op index
         device = region.device
         if self.faults.armed[region.owner is None] or (
             device.poisoned and device.is_poisoned(offset, span)
@@ -945,8 +915,7 @@ class RackMachine:
         # plan proved no poison in the window: per-op clear_poison would be
         # a no-op, so skipping it is exact
         slots[idx] = payload
-        ns = self._bulk_ns(self.nodes[node_id], region, size)
-        self._bulk_epilogue(node_id, ref, size, ns, "bypass.store")
+        self._bulk_epilogue(node_id, ref, size, region, "bypass.store")
         return True
 
     def _bulk_atomic_plan(
@@ -976,43 +945,9 @@ class RackMachine:
         srt = np.sort(arr)
         if srt.shape[0] > 1 and bool(np.any(srt[1:] == srt[:-1])):
             return None  # duplicates: chained read-modify-writes
-        lines = self.nodes[node_id].cache._lines
-        if lines:
-            bases = srt & ~self._line_mask  # sorted, possibly repeated
-            if bases.shape[0] > 1:
-                keep = np.empty(bases.shape[0], dtype=bool)
-                keep[0] = True
-                np.not_equal(bases[1:], bases[:-1], out=keep[1:])
-                bases = bases[keep]
-            # membership test over the smaller side
-            if len(lines) < bases.shape[0]:
-                base_set = set(bases.tolist())
-                for cached in lines:
-                    if cached in base_set:
-                        return None
-            else:
-                for base in bases.tolist():
-                    if base in lines:
-                        return None
+        if self.nodes[node_id].cache.holds_any(arr):
+            return None
         return plan
-
-    def _bulk_atomic_epilogue(
-        self, node_id: int, addrs: Sequence[int], region: Region, width: int
-    ) -> None:
-        """:meth:`_bulk_epilogue` of a vectorized atomic batch (the plan
-        also proved no cached line is involved)."""
-        lat = self.latency
-        if region.owner is None:
-            self._bulk_epilogue(node_id, addrs, width, lat.global_atomic_ns, "atomic.global")
-        else:
-            self._bulk_epilogue(node_id, addrs, width, lat.local_atomic_ns, "atomic.local")
-
-    def _charge_writeback(self, node: Node, region: Region, lines: int) -> None:
-        if _TEL.enabled:
-            _TEL.count(node.node_id, _SUB, "cache.writeback_lines", lines)
-        first, rest_line = self._line_pair_ns(node, region)
-        rest = (lines - 1) * rest_line
-        node.clock.advance(first + rest + lines * self.latency.writeback_line_ns)
 
     def _maybe_fault(self, region: Region, offset: int, size: int, node_id: int) -> None:
         faults = self.faults
@@ -1039,63 +974,62 @@ class RackMachine:
                 victims = device.poisoned_in(offset, size)
                 if not victims:
                     return
-                if _TEL.enabled:
-                    _TEL.count(node_id, _SUB, "fault.retry")
+                self._tally(node_id, "fault.retry")
                 self._in_repair = True
                 try:
                     repaired = handler(region.base + victims[0], node_id)
                 finally:
                     self._in_repair = False
                 if node is not None:
-                    node.clock.advance(self.repair_backoff_ns * attempt)
+                    self._charge(node, attempt, self.repair_backoff_ns)
                 if not repaired:
                     break
             if not device.is_poisoned(offset, size):
                 return
-        if _TEL.enabled:
-            _TEL.count(node_id, _SUB, "fault.ue_raised")
+        self._tally(node_id, "fault.ue_raised")
         raise UncorrectableMemoryError(region.base + offset, node_id)
 
-    def _make_backing_reader(self, node_id: int):
-        line_size = self.config.cache_line_size
-
-        def read_backing(addr: int, size: int) -> Optional[bytes]:
-            """A line, or a run of lines in one read; ``None`` for a run whose
-            per-line sequence is observable (a fault can fire, poison exists,
-            or it is not one window of one region): fill it line by line."""
+    def _read_backing(self, node_id: int, addr: int, size: int) -> Optional[bytes]:
+        """``node_id``'s cache fetching a line, or a run of lines in one read,
+        under the verdict of the gate its op passed; ``None`` for a run whose
+        per-line sequence is observable (a fault can fire, poison exists, or
+        it is not one window of one region): fill it line by line."""
+        region, clean = self._verdict
+        offset = addr - region.base
+        if offset < 0 or offset + size > region.size:
+            # not under that verdict: a line past the end of a region that is
+            # not line aligned, or a repair handler's own accesses in between
             try:
                 _, region, offset, clean = self._access(node_id, addr, size)
             except MemoryError_:
-                if size > line_size:
+                if size > self.line_size:
                     return None
                 raise
-            if not clean:
-                if size > line_size:
-                    return None
-                self._maybe_fault(region, offset, size, node_id)
-                self._check_poison(region, offset, size, node_id)
-            return region.device.read(offset, size)
+        if not clean:
+            if size > self.line_size:
+                return None
+            self._maybe_fault(region, offset, size, node_id)
+            self._check_poison(region, offset, size, node_id)
+        return region.device.read(offset, size)
 
-        return read_backing
-
-    def _make_backing_writer(self, node_id: int):
-        line_size = self.config.cache_line_size
-
-        def write_backing(addr: int, data: bytes) -> None:
-            """Write back a line, or a run of lines as one device write."""
-            size = len(data)
+    def _write_backing(self, addr: int, data: bytes) -> None:
+        """Write back a line, or a run of lines as one device write.  A
+        write-back rolls no dice and needs no gate — a resident line passed
+        one when it was filled — so only where its bytes live is looked up."""
+        size = len(data)
+        region = self._verdict[0]
+        offset = addr - region.base
+        if offset < 0 or offset + size > region.size:  # a victim elsewhere
             try:
-                _, region, offset, _ = self._access(node_id, addr, size)
+                region, offset = self.address_map.resolve(addr, size)
             except MemoryError_:
-                if size <= line_size:
+                if size <= self.line_size:
                     raise
-                for lo in range(0, size, line_size):  # not one window: line by line
-                    write_backing(addr + lo, data[lo : lo + line_size])
+                for lo in range(0, size, self.line_size):  # not one window: line by line
+                    self._write_backing(addr + lo, data[lo : lo + self.line_size])
                 return
-            region.device.clear_poison(offset, size)
-            region.device.write(offset, data)
-
-        return write_backing
+        region.device.clear_poison(offset, size)
+        region.device.write(offset, data)
 
 
 class NodeContext:

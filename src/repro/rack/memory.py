@@ -60,9 +60,9 @@ class PhysicalMemory:
 
     The store is one anonymous ``mmap`` the size of the device; ``slab``
     is a numpy ``uint8`` view *sharing that memory*, so byte-path
-    operations slice the mapping directly while the bulk data plane
-    gathers/scatters whole rows of the same bytes through a strided
-    window view.  Nobody in this process zeroes the bytes: the OS hands
+    operations slice the mapping directly while the bulk data plane and
+    the atomics move whole slots and words of the same bytes through views
+    of ``slab``.  Nobody in this process zeroes the bytes: the OS hands
     out zero-filled pages on first touch, so constructing a device costs
     one ``mmap`` call whatever its size, and only pages that were
     actually written or read count towards resident memory.  The mapping
@@ -94,42 +94,6 @@ class PhysicalMemory:
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
         self._buf[offset : offset + len(data)] = data
-
-    # -- bulk slab operations (the vectorized data plane) -------------------
-
-    def view(self, offset: int, size: int) -> memoryview:
-        """Zero-copy read/write window into the slab."""
-        self._check(offset, size)
-        return memoryview(self._buf)[offset : offset + size]
-
-    def _windows(self, size: int) -> np.ndarray:
-        """Every ``size``-byte window of the slab as rows of one 2-D view.
-
-        Row ``o`` aliases ``slab[o : o + size]`` (strides ``(1, 1)``), so a
-        row index moves whole ``size``-byte rows, and an offset past
-        ``len - size`` is an ``IndexError`` instead of a wrapped access.
-        """
-        return np.ndarray((self.size - size + 1, size), np.uint8, self._buf, 0, (1, 1))
-
-    def gather(self, offsets: np.ndarray, size: int) -> np.ndarray:
-        """Read ``size`` bytes at each offset; returns ``(n, size)`` uint8.
-
-        One row index into the slab's window view — the scatter-gather
-        primitive the bulk data plane's bypass path is built on.  Region
-        resolution is the caller's job (the machine resolves first); an
-        offset past the last valid window raises ``IndexError``.
-        """
-        return self._windows(size)[offsets]
-
-    def scatter(self, offsets: np.ndarray, rows: np.ndarray) -> None:
-        """Write ``rows[i]`` (uint8 vectors) at ``offsets[i]``, row-wise.
-
-        Target windows must not overlap — numpy leaves the order of
-        repeated-index assignment unspecified, so the machine keeps only
-        the last writer of a duplicated offset and routes partially
-        overlapping batches through the sequential path instead.
-        """
-        self._windows(rows.shape[1])[offsets] = rows
 
     def flip_bit(self, offset: int, bit: int) -> None:
         """Corrupt one bit in place (fault injection)."""

@@ -10,7 +10,20 @@ interconnected memory 250-400 ns, switched paths higher).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
+
+
+def _refuse_unless(ok: bool, owner: object, name: str, want: str) -> None:
+    """A typed refusal naming the class, the field and the value."""
+    if not ok:
+        value = getattr(owner, name)
+        raise ValueError(f"{type(owner).__name__}.{name} must be {want}, got {value!r}")
+
+
+def _finite(value: object) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -56,6 +69,16 @@ class LatencyModel:
     #: Streaming bandwidth of persistent global memory (~8 GB/s).
     pmem_bw_bytes_per_ns: float = 8.0
 
+    def __post_init__(self) -> None:
+        # every charge adds these as they are: a negative or NaN one would
+        # run a clock backwards or poison it, a bandwidth of 0 divide by it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_bw_bytes_per_ns"):
+                _refuse_unless(_finite(value) and value > 0, self, f.name, "a finite number > 0")
+            else:
+                _refuse_unless(_finite(value) and value >= 0, self, f.name, "a finite number >= 0")
+
     def device_ns(self, *, is_global: bool, hops: int, switches: int) -> float:
         """Latency of one uncached access to a backing device."""
         if is_global:
@@ -90,6 +113,21 @@ class FaultModel:
     #: Probability an injected error corrupts a full line rather than a bit.
     line_corruption_ratio: float = 0.1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Refuse a rate or ratio outside [0, 1] and a per-hop multiplier that
+        is not a finite number >= 0 — at construction, and again from
+        :meth:`FaultInjector.model_changed` after an in-place edit."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "per_hop_multiplier":
+                _refuse_unless(_finite(value) and value >= 0, self, f.name, "a finite number >= 0")
+            else:
+                ok = _finite(value) and 0 <= value <= 1
+                _refuse_unless(ok, self, f.name, "a probability in [0, 1]")
+
 
 @dataclass
 class RackConfig:
@@ -115,8 +153,11 @@ class RackConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError("rack needs at least one node")
+        for name in ("n_nodes", "cores_per_node", "local_mem_size", "global_mem_size",
+                     "cache_line_size", "cache_lines"):
+            value = getattr(self, name)
+            ok = isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+            _refuse_unless(ok, self, name, "an integer >= 1")
         if self.cache_line_size & (self.cache_line_size - 1) or self.cache_line_size < 8:
             # at least 8: an aligned 8-byte atomic lies in exactly one line
             raise ValueError("cache_line_size must be a power of two, at least 8")

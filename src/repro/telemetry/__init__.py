@@ -18,10 +18,11 @@ The substrate's data plane is instrumented at its load-bearing paths
 (``rack.machine`` cache hits/misses, ``core.memory`` walks and
 shootdowns, ``core.fs`` page-cache and journal, ``core.ipc`` RPC,
 ``flacdk.reliability`` repair/scrub, chaos).  Every hook is guarded by
-**one attribute check** on the module-level :data:`TELEMETRY` state::
+**one attribute check** on the module-level :data:`TELEMETRY` state, as
+the machine records a cached access once it completes::
 
     if _TEL.enabled:
-        _TEL.registry.inc(node_id, "rack.machine", "cache.hit")
+        _TEL.count(node_id, "rack.machine", "cache.hit", hits)
 
 With telemetry disabled (the default) the data-plane fast path keeps its
 golden latencies (``tests/rack/test_golden_latency.py``); enabled or

@@ -829,14 +829,14 @@ def test_held_window_and_addresses_agree_on_one_batch():
 
 @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 10_000])
 def test_reused_fold_buffer_is_the_fresh_left_fold(n, monkeypatch):
-    """The epilogue's clock fold in the module's reused buffer (regrown past
+    """The charge's batch fold in the module's reused buffer (regrown past
     4,096 ops) is ``np.full`` + ``np.add.accumulate``, float for float."""
     monkeypatch.setattr(machine_module, "_fold", np.empty(4_097, dtype=np.float64))
     m = RackMachine(_config(0))
     ns, start = 340.0 + 1.0 / 3.0, 2439678.6666666665
     for _ in range(2):  # the second call folds over the first call's leftovers
         m.nodes[0].clock._now_ns = start
-        m._bulk_epilogue(0, range(n), 8, ns, "bypass.load")
+        m._charge(m.nodes[0], 1, ns, ops=n)
         fresh = np.full(n + 1, ns, dtype=np.float64)
         fresh[0] = start
         assert m.now(0) == float(np.add.accumulate(fresh)[-1])

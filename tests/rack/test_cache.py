@@ -1,12 +1,10 @@
 """Unit and property tests for the non-coherent write-back cache."""
 
-from collections import OrderedDict
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rack.cache import CacheStats, NodeCache
+from repro.rack.cache import NodeCache
 
 
 class Backing:
@@ -214,121 +212,12 @@ def test_flush_all_makes_backing_match_shadow(writes):
     assert backing.buf == shadow
 
 
-# -- run-granular maintenance against a per-line reference ----------------------
-
-
-class PerLineCache:
-    """The line-at-a-time loops the run-granular cache replaced, kept as
-    the reference: one ``_get_line`` and one backing call per 64 B line."""
-
-    def __init__(self, capacity_lines, line_size, backing):
-        self.capacity, self.line_size, self.backing = capacity_lines, line_size, backing
-        self.lines = OrderedDict()  # base -> [bytearray, dirty]
-        self.stats = CacheStats()
-
-    def _spanning(self, addr, size):
-        return range(addr & ~(self.line_size - 1), addr + size, self.line_size) if size > 0 else ()
-
-    def _insert(self, base, line):
-        while len(self.lines) >= self.capacity:
-            victim_base, (data, dirty) = self.lines.popitem(last=False)
-            if dirty:
-                self.backing.write(victim_base, bytes(data))
-                self.stats.writebacks += 1
-            self.stats.evictions += 1
-        self.lines[base] = line
-
-    def _get_line(self, base):
-        line = self.lines.get(base)
-        if line is not None:
-            self.lines.move_to_end(base)
-            return line, True
-        line = [bytearray(self.backing.read(base, self.line_size)), False]
-        self._insert(base, line)
-        return line, False
-
-    def load(self, addr, size):
-        out, hits, misses = bytearray(), 0, 0
-        for base in self._spanning(addr, size):
-            line, was_hit = self._get_line(base)
-            hits, misses = hits + was_hit, misses + (not was_hit)
-            out += line[0][max(addr, base) - base : min(addr + size, base + self.line_size) - base]
-        self.stats.hits += hits
-        self.stats.misses += misses
-        return bytes(out), hits, misses
-
-    def store(self, addr, data):
-        hits = misses = allocs = pos = 0
-        for base in self._spanning(addr, len(data)):
-            lo = max(addr, base) - base
-            hi = min(addr + len(data), base + self.line_size) - base
-            if hi - lo == self.line_size and base not in self.lines:
-                self._insert(base, [bytearray(data[pos : pos + hi]), True])
-                allocs += 1
-            else:
-                line, was_hit = self._get_line(base)
-                hits, misses = hits + was_hit, misses + (not was_hit)
-                line[0][lo:hi] = data[pos : pos + hi - lo]
-                line[1] = True
-            pos += hi - lo
-        self.stats.hits += hits + allocs
-        self.stats.misses += misses
-        return hits, misses, allocs
-
-    def flush(self, addr, size):
-        written = 0
-        for base in self._spanning(addr, size):
-            line = self.lines.get(base)
-            if line is not None and line[1]:
-                self.backing.write(base, bytes(line[0]))
-                line[1] = False
-                written += 1
-        self.stats.writebacks += written
-        return written
-
-    def invalidate(self, addr, size):
-        dropped = sum(self.lines.pop(base, None) is not None for base in self._spanning(addr, size))
-        self.stats.invalidations += dropped
-        return dropped
-
-    def flush_invalidate(self, addr, size):
-        return self.flush(addr, size), self.invalidate(addr, size)
-
-
-_SPAN_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["load", "store", "flush", "invalidate", "flush_invalidate"]),
-        st.integers(min_value=0, max_value=2500),
-        st.integers(min_value=0, max_value=900),
-    ),
-    max_size=30,
-)
-
-
-@pytest.mark.parametrize("capacity", [1, 2, 8, 512])
-@settings(max_examples=40, deadline=None)
-@given(ops=_SPAN_OPS)
-def test_run_granular_cache_equals_per_line_reference(capacity, ops):
-    """Unaligned multi-line spans, with evictions and dirty victims inside a
-    span at the small capacities: after every op the cache and the per-line
-    reference agree on what they returned, every counter, which lines are
-    resident in which LRU order, which are dirty, and the backing bytes."""
-    cache, backing = make_cache(capacity_lines=capacity, line_size=64)
-    ref_backing = Backing()
-    for dev in (backing, ref_backing):
-        dev.buf[:] = bytes(i * 7 % 251 for i in range(len(dev.buf)))
-    ref = PerLineCache(capacity, 64, ref_backing)
-    for i, (op, addr, size) in enumerate(ops):
-        if op == "store":
-            args = (addr, bytes((i + j) % 256 for j in range(size)))
-        else:
-            args = (addr, size)
-        assert getattr(cache, op)(*args) == getattr(ref, op)(*args), (i, op, addr, size)
-        assert cache.stats == ref.stats
-        assert [(b, bytes(l.data), l.dirty) for b, l in cache._lines.items()] == [
-            (b, bytes(data), dirty) for b, (data, dirty) in ref.lines.items()
-        ]
-        assert backing.buf == ref_backing.buf
+# -- run-granular maintenance: backing calls per run ---------------------------
+#
+# What the cache returns, counts and leaves resident for any op sequence is
+# checked against the line-at-a-time reference rack
+# (tests/reference/test_reference_rack.py); what is left here is what that
+# model cannot see — how many backing calls a run takes.
 
 
 def test_refill_after_invalidate_is_one_backing_read():

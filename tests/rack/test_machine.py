@@ -3,12 +3,17 @@
 import pytest
 
 from repro.rack import (
+    FaultInjector,
+    FaultModel,
+    LatencyModel,
     NodeCrashedError,
     ProtectionError,
     RackConfig,
     RackMachine,
     UncorrectableMemoryError,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestIncoherence:
@@ -142,6 +147,21 @@ class TestLatency:
         bulk = machine.now(0) - before
         assert bulk < 64 * one_line  # far cheaper than 64 independent misses
 
+    @pytest.mark.parametrize("n_lines", [1, 2, 7])
+    @pytest.mark.parametrize("topology", ["dual_direct", "single_switch"])
+    def test_flush_all_charges_what_flush_charges_on_a_dram_pool(self, n_lines, topology):
+        """``flush_all`` prices its write-backs at DRAM-global rates whatever
+        the pool (DESIGN.md §3); on a DRAM pool that must be, float for
+        float, what ``flush`` charges for the same dirty lines."""
+        clocks = []
+        for whole in (True, False):
+            m = RackMachine(RackConfig(n_nodes=2, topology=topology))
+            g = m.global_base + 4096
+            m.store(0, g, bytes(range(64)) * n_lines)  # whole lines: dirty, never fetched
+            assert (m.flush_all(0) if whole else m.flush(0, g, 64 * n_lines)) == n_lines
+            clocks.append(m.now(0))
+        assert clocks[0] == clocks[1]
+
     def test_advance_charges_software_time(self, machine):
         machine.advance(0, 1000)
         assert machine.now(0) == pytest.approx(1000)
@@ -210,6 +230,41 @@ class TestConfigValidation:
     def test_needs_a_node(self):
         with pytest.raises(ValueError):
             RackConfig(n_nodes=0)
+
+    @pytest.mark.parametrize("cls, field, value", [
+        # a cached hit would move a clock backwards (322.0 -> 321.0)
+        (LatencyModel, "cache_hit_ns", -1.0),
+        # clocks would silently become NaN
+        (LatencyModel, "global_atomic_ns", NAN),
+        (LatencyModel, "hop_ns", NAN),
+        # refused only at the first charge, as "negative time: -928.0"
+        (LatencyModel, "global_base_ns", -1000),
+        (LatencyModel, "switch_ns", INF),
+        (LatencyModel, "fence_ns", "8"),
+        (LatencyModel, "global_bw_bytes_per_ns", 0.0),
+        (LatencyModel, "pmem_bw_bytes_per_ns", -8.0),
+        (FaultModel, "global_ue_rate", 2.0),
+        (FaultModel, "local_ce_rate", -0.1),
+        (FaultModel, "line_corruption_ratio", NAN),
+        (FaultModel, "per_hop_multiplier", -1.5),
+        (FaultModel, "per_hop_multiplier", INF),
+        # a bare TypeError from range() before
+        (RackConfig, "n_nodes", 2.5),
+        (RackConfig, "n_nodes", 0),
+        (RackConfig, "cores_per_node", "320"),
+        (RackConfig, "cache_lines", 0),
+        (RackConfig, "global_mem_size", -4096),
+        (RackConfig, "local_mem_size", True),
+    ])
+    def test_hostile_field_is_a_value_error_naming_it(self, cls, field, value):
+        with pytest.raises(ValueError, match=rf"{cls.__name__}\.{field} must be .*, got {value!r}"):
+            cls(**{field: value})
+
+    def test_fault_model_edited_in_place_is_checked_again(self):
+        injector = FaultInjector(FaultModel(global_ce_rate=0.1))
+        injector.model.global_ue_rate = 2.0
+        with pytest.raises(ValueError, match=r"FaultModel\.global_ue_rate .*, got 2\.0"):
+            injector.model_changed()
 
     def test_unknown_node_rejected(self, machine):
         with pytest.raises(KeyError):

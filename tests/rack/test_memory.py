@@ -13,6 +13,7 @@ from repro.rack import (
     PhysicalMemory,
     Region,
 )
+from repro.rack.machine import _slots
 from repro.rack.memory import AddressMap, build_address_map
 
 
@@ -73,35 +74,30 @@ class TestBacking:
     SIZE = 1 << 24
 
     def _readers(self, mem, off, n):
-        return {
-            "read": mem.read(off, n),
-            "view": bytes(mem.view(off, n)),
-            "slab": mem.slab[off : off + n].tobytes(),
-            "gather": mem.gather(np.array([off]), n).tobytes(),
-        }
+        return {"read": mem.read(off, n), "slab": mem.slab[off : off + n].tobytes()}
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_fresh_device_reads_zero_everywhere(self, where):
         mem = PhysicalMemory(self.SIZE, MemoryKind.GLOBAL)
         off = {"first": 0, "middle": self.SIZE // 2 - 3, "last": self.SIZE - 8}[where]
-        assert self._readers(mem, off, 8) == dict.fromkeys(("read", "view", "slab", "gather"), bytes(8))
+        assert self._readers(mem, off, 8) == dict.fromkeys(("read", "slab"), bytes(8))
 
     def test_every_mutator_is_seen_by_every_reader(self):
         mem = PhysicalMemory(self.SIZE, MemoryKind.GLOBAL)
         end = self.SIZE - 16
         mem.write(end, b"0123456789abcdef")
-        mem.view(64, 4)[:] = b"view"
-        mem.scatter(np.array([12000, 12008]), np.frombuffer(b"scatter!SCATTER?", np.uint8).reshape(2, 8))
+        mem.slab[64:68] = np.frombuffer(b"slab", np.uint8)
+        mem.slab[12000:12016].view("V8")[:] = np.frombuffer(b"slotted!SLOTTED?", "V8")
         mem.slab[13000:13004] = (1, 2, 3, 4)
         mem.flip_bit(13000, 7)
         expect = {
             (end, 16): b"0123456789abcdef",
-            (64, 4): b"view",
-            (12000, 16): b"scatter!SCATTER?",
+            (64, 4): b"slab",
+            (12000, 16): b"slotted!SLOTTED?",
             (13000, 4): b"\x81\x02\x03\x04",
         }
         for (off, n), want in expect.items():
-            assert self._readers(mem, off, n) == dict.fromkeys(("read", "view", "slab", "gather"), want)
+            assert self._readers(mem, off, n) == dict.fromkeys(("read", "slab"), want)
 
     def test_read_returns_an_immutable_snapshot(self):
         mem = PhysicalMemory(64, MemoryKind.GLOBAL)
@@ -122,47 +118,50 @@ class TestBacking:
 
 
 class TestGatherScatter:
-    """The bulk data plane's slab primitives (row-window view)."""
+    """The bulk data plane's gather and scatter on a device: ``take`` and
+    indexed assignment on the slot view of a span (``machine._slots``, items
+    of ``size`` opaque bytes), which replaced the row-window
+    ``PhysicalMemory.gather`` / ``scatter``."""
 
-    def _mem(self, size=256):
-        mem = PhysicalMemory(size, MemoryKind.GLOBAL)
-        mem.write(0, bytes(range(size)))
-        return mem
+    def _slots(self, size):
+        mem = PhysicalMemory(256, MemoryKind.GLOBAL)
+        mem.write(0, bytes(range(256)))
+        n = 256 // size
+        return mem, n, _slots(mem, 0, n * size, size)
 
     @pytest.mark.parametrize("size", [1, 3, 8, 64])
     def test_gather_reads_each_window(self, size):
-        mem = self._mem()
-        offsets = np.array([0, 1, 37, 101, 256 - size], dtype=np.int64)  # unaligned + last window
-        rows = mem.gather(offsets, size)
-        assert rows.shape == (5, size) and rows.dtype == np.uint8
-        assert [bytes(r) for r in rows] == [mem.read(int(o), size) for o in offsets]
+        mem, n, slots = self._slots(size)
+        idx = np.array([0, 1, n // 3, n - 1, 1], dtype=np.int64)  # repeats, the last slot
+        want = [mem.read(i * size, size) for i in idx.tolist()]
+        assert [bytes(row) for row in slots.take(idx)] == want
 
     @pytest.mark.parametrize("size", [1, 3, 8, 64])
     def test_scatter_writes_each_window_and_nothing_else(self, size):
-        mem = self._mem()
-        offsets = np.array([256 - size, 5, 77], dtype=np.int64)
-        rows = np.arange(3 * size, dtype=np.uint8).reshape(3, size) ^ 0xA5
+        mem, n, slots = self._slots(size)
+        idx = [n - 1, 0, n // 2]
+        payload = (np.arange(3 * size, dtype=np.uint8) ^ 0xA5).tobytes()
         expect = bytearray(range(256))
-        for o, r in zip(offsets, rows):
-            expect[o : o + size] = bytes(r)
-        mem.scatter(offsets, rows)
+        for k, i in enumerate(idx):
+            expect[i * size : (i + 1) * size] = payload[k * size : (k + 1) * size]
+        slots[np.array(idx)] = np.frombuffer(payload, dtype=slots.dtype)
         assert mem.read(0, 256) == bytes(expect)
 
     def test_gather_returns_a_copy(self):
-        mem = self._mem()
-        rows = mem.gather(np.array([8], dtype=np.int64), 4)
-        rows[:] = 0
-        assert mem.read(8, 4) == bytes(range(8, 12))
+        mem, _, slots = self._slots(4)
+        rows = slots.take(np.array([2, 3]))
+        rows.view(np.uint8)[:] = 0
+        assert mem.read(8, 8) == bytes(range(8, 16))
 
     @pytest.mark.parametrize("size", [1, 8, 64])
     def test_offset_past_last_window_raises_not_wraps(self, size):
-        mem = self._mem()
+        mem, n, slots = self._slots(size)
         before = mem.read(0, 256)
-        past = np.array([0, 256 - size + 1], dtype=np.int64)
+        past = np.array([0, n], dtype=np.int64)
         with pytest.raises(IndexError):
-            mem.gather(past, size)
+            slots.take(past)
         with pytest.raises(IndexError):
-            mem.scatter(past, np.full((2, size), 0xFF, dtype=np.uint8))
+            slots[past] = np.zeros(2, dtype=slots.dtype)
         assert mem.read(0, 256) == before  # nothing written, in or out of bounds
 
 

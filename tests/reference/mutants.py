@@ -1,0 +1,80 @@
+"""Mutation check of the reference-rack oracle: each mutant below must be
+caught by ``tests/reference/test_reference_rack.py`` within its tier-1 budget.
+
+    PYTHONPATH=src python tests/reference/mutants.py
+
+A mutant is one source edit of one method, patched into the imported class
+in memory; the state machine then runs with the test's own settings, minus
+shrinking.  Exits non-zero if any survive: an oracle gone blind fails here.
+"""
+
+import inspect
+import pathlib
+import sys
+import textwrap
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
+
+from hypothesis import Phase, settings  # noqa: E402
+from hypothesis.stateful import run_state_machine_as_test  # noqa: E402
+
+from repro.rack.cache import NodeCache  # noqa: E402
+from repro.rack.machine import RackMachine  # noqa: E402
+from tests.reference.test_reference_rack import RackVsReference  # noqa: E402
+
+M, C = RackMachine, NodeCache
+#: (what it breaks, class, method, source text, replacement); each is caught
+#: under at least 9 of 10 random seeds at this budget, and by the test's own run.
+MUTANTS = [
+    ("drop the write-back charge", M, "_write_back", "written, lat.writeback_line_ns)", "written, 0.0)"),
+    ("skip move_to_end on a load hit", C, "load",
+     "lines.move_to_end(base)\n        self.stats.hits += 1", "self.stats.hits += 1"),
+    ("skip move_to_end on a store hit", C, "store", "lines.move_to_end(base)\n        line", "line"),
+    ("skip the atomic's line drop", M, "_atomic_prologue",
+     "cache._lines.pop(addr & ~self._line_mask, None)", "None"),
+    ("charge a hit as a miss", M, "_plain",
+     "self._charge(node, hits, lat.cache_hit_ns, region, misses,",
+     "self._charge(node, 0, 0.0, region, hits + misses,"),
+    ("reorder the charge's float additions", M, "_charge",
+     "ns += (lines - 1) * rest\n        ns += lines * extra",
+     "ns += lines * extra\n        ns += (lines - 1) * rest"),
+    ("fill a node's TLB before its protection check", M, "_resolve_fast",
+     "region, offset = amap.resolve(addr, size)\n",
+     "region, offset = amap.resolve(addr, size)\n"
+     "    self._tlb[node_id] = (region.base, region.base + region.size, region)\n"),
+    ("evict the most recent line", C, "_insert", "popitem(last=False)", "popitem(last=True)"),
+]
+
+
+def mutate(cls, name, old, new):
+    """Patch ``cls.name`` with ``old`` replaced by ``new``; returns the original."""
+    original = cls.__dict__[name]
+    source = textwrap.dedent(inspect.getsource(original))
+    if source.count(old) != 1:
+        raise SystemExit(f"{cls.__name__}.{name} does not contain {old!r} exactly once")
+    scope, code = {}, compile(source.replace(old, new), inspect.getsourcefile(original), "exec")
+    exec(code, vars(sys.modules[original.__module__]), scope)
+    setattr(cls, name, scope[name])
+    return original
+
+
+def main() -> int:
+    budget = settings(RackVsReference.TestCase.settings, phases=[Phase.generate])
+    survivors = []
+    for label, cls, name, old, new in MUTANTS:
+        original = mutate(cls, name, old, new)
+        try:
+            run_state_machine_as_test(RackVsReference, settings=budget)
+        except Exception as caught:  # the oracle disagreed: killed
+            print(f"killed    {label} ({type(caught).__name__})")
+        else:
+            survivors.append(label)
+            print(f"SURVIVED  {label}")
+        finally:
+            setattr(cls, name, original)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,12 @@ exactly from run to run, and counting only frames whose code lives under
 * ``incidents-observed`` (first scenario, every telemetry sink on): 72,348
   while each atlas drain folded the line sketch nobody read (7,191 evicting
   ``SpaceSaving.offer`` calls), 65,534 with lines folded on read (E27),
-  60,582 now (E28).
+  60,582 after E28, 60,198 now (E29).
+* ``redis-closed`` (the Fig. 4 path, 1,200 closed-loop requests, single ops
+  only): 212,302 while a cached miss passed the gate twice and a line burst
+  was priced by a chain of charge helpers, 209,465 with one gate and one
+  charge (E29); a re-gate costs ~2,700 calls here, a returning charge helper
+  ~4,000.
 
 **numpy passes.**  The same profile, read for C-level numpy calls, on
 one smoke ``traffic-read`` rep (4 tenants, 100,257 offered requests in 245
@@ -95,6 +100,15 @@ def test_incidents_observed_rep_stays_inside_its_call_budget():
     assert calls <= 68_800, (
         f"{calls:,} Python calls under src/repro for one incidents-observed smoke "
         f"rep (ceiling 68,800): an observation cost nobody reads came back"
+    )
+
+
+def test_redis_closed_rep_stays_inside_its_call_budget():
+    outcome, calls = _one_smoke_rep("redis-closed")
+    assert outcome.offered == 1_200
+    assert calls <= 211_500, (
+        f"{calls:,} Python calls under src/repro for one redis-closed smoke rep "
+        f"(ceiling 211,500): a second gate or a charge helper came back"
     )
 
 
