@@ -24,13 +24,11 @@ from .redis import (
     FlacTransport,
     MiniRedisClient,
     MiniRedisServer,
-    RdmaTransport,
     TcpTransport,
     connect_over_flacos,
-    connect_over_rdma,
     connect_over_tcp,
 )
-from .resp import RedisError, RespError, decode, decode_command, encode_command, encode_reply
+from .resp import RedisError, RespError, decode, encode_command, encode_reply
 from .serverless import (
     ChainReport,
     FunctionSpec,
@@ -71,11 +69,8 @@ __all__ = [
     "StartReport",
     "TcpTransport",
     "connect_over_flacos",
-    "connect_over_rdma",
     "connect_over_tcp",
-    "RdmaTransport",
     "decode",
-    "decode_command",
     "decode_records",
     "encode_command",
     "encode_records",

@@ -207,12 +207,6 @@ class ContainerRuntime:
         report.total_ns = ctx.now() - start_ns
         self._hot_nodes.setdefault(name, set()).add(ctx.node_id)
 
-    def _dir(self, name: str) -> str:
-        return "/images/" + name.replace(":", "_").replace("/", "_")
-
-    def layer_is_materialised(self, digest: str) -> bool:
-        return digest in self._materialised_layers
-
     def _ensure_dir(self, ctx: NodeContext, path: str) -> None:
         parts = [p for p in path.split("/") if p]
         prefix = ""

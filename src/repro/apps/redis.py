@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Protocol, Tuple
 
 from ..core.ipc import Connection, IpcSystem
-from ..net.rdma import RdmaNetwork, RdmaQueuePair
 from ..net.tcp import TcpConnection, TcpNetwork
 from ..rack.machine import NodeContext
 from . import resp
@@ -53,20 +52,6 @@ class TcpTransport:
 
     def recv(self, ctx: NodeContext) -> Optional[bytes]:
         return self.connection.recv(ctx)
-
-
-class RdmaTransport:
-    """RDMA queue pair as a MiniRedis transport (the kernel-bypass
-    disaggregated baseline of Figure 1a)."""
-
-    def __init__(self, qp: RdmaQueuePair) -> None:
-        self.qp = qp
-
-    def send(self, ctx: NodeContext, data: bytes) -> None:
-        self.qp.post_send(ctx, data)
-
-    def recv(self, ctx: NodeContext) -> Optional[bytes]:
-        return self.qp.poll_recv(ctx)
 
 
 @dataclass
@@ -133,15 +118,6 @@ class MiniRedisServer:
             return handler(self, *command[1:])
         except TypeError:
             return Exception(f"wrong number of arguments for '{verb.decode()}'")
-
-    def execute_batch(self, commands: List[List[bytes]]) -> List[Any]:
-        """Execute many commands back to back, no transport in between.
-
-        The server-side half of a pipelined/coalesced batch (the traffic
-        engine's MGET/MSET path): per-command cost is still charged by
-        :meth:`execute`, but the caller pays no per-command framing.
-        """
-        return [self.execute(command) for command in commands]
 
     def _live(self, key: bytes) -> Optional[_Entry]:
         entry = self._data.get(key)
@@ -377,15 +353,4 @@ def connect_over_tcp(
     server = MiniRedisServer(server_ctx)
     server.attach(TcpTransport(connection))
     client = MiniRedisClient(client_ctx, TcpTransport(connection), server)
-    return client, server
-
-
-def connect_over_rdma(
-    network: RdmaNetwork, client_ctx: NodeContext, server_ctx: NodeContext
-) -> Tuple[MiniRedisClient, MiniRedisServer]:
-    """Wire a client and server over RDMA verbs (disaggregated baseline)."""
-    qp = network.create_qp(client_ctx.node_id, server_ctx.node_id)
-    server = MiniRedisServer(server_ctx)
-    server.attach(RdmaTransport(qp))
-    client = MiniRedisClient(client_ctx, RdmaTransport(qp), server)
     return client, server

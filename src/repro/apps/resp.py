@@ -110,25 +110,14 @@ def _command(value: Any) -> List[bytes]:
     return value
 
 
-def decode_command(data: bytes) -> List[bytes]:
-    """Decode a client command (array of bulk strings)."""
-    value, pos = _decode_at(data, 0)
-    if pos != len(data):
-        raise RespError("trailing bytes after command")
-    return _command(value)
-
-
 def encode_commands(commands: Iterable[Sequence[bytes]]) -> bytes:
     """Pack many commands into one pipelined frame (RESP concatenation)."""
     return b"".join(encode_command(*command) for command in commands)
 
 
 def decode_commands(data: bytes) -> List[List[bytes]]:
-    """Decode every command in a pipelined frame, in order.
-
-    A frame holding one command decodes exactly like
-    :func:`decode_command`, so unbatched clients are unaffected.
-    """
+    """Decode every command in a pipelined frame, in order (an unbatched
+    client's frame holds one)."""
     return [_command(value) for value in _values(data)]
 
 

@@ -97,9 +97,6 @@ class ServerlessPlatform:
             raise ValueError(f"function {fn.name!r} already deployed")
         self._functions[fn.name] = fn
 
-    def functions(self) -> List[str]:
-        return sorted(self._functions)
-
     # -- scheduling --------------------------------------------------------------------
 
     def pick_node(self, fn_name: str) -> int:
@@ -225,9 +222,6 @@ class ServerlessPlatform:
                 return 0
             return available // fn.private_bytes
         return memory_budget_bytes // (fn.runtime_bytes + fn.private_bytes)
-
-    def warm_pool_size(self, fn_name: str) -> int:
-        return sum(len(pool) for (name, _), pool in self._pools.items() if name == fn_name)
 
     def _lookup(self, fn_name: str) -> FunctionSpec:
         fn = self._functions.get(fn_name)

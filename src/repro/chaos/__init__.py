@@ -12,8 +12,6 @@ reproducible artifact instead of a hand-rolled test.
 """
 
 from .invariants import (
-    alerts_fired,
-    alerts_resolved,
     boxes_recovered,
     committed_files_intact,
     region_bytes_intact,
@@ -27,8 +25,6 @@ __all__ = [
     "CampaignRunner",
     "ChaosCampaign",
     "ChaosEvent",
-    "alerts_fired",
-    "alerts_resolved",
     "boxes_recovered",
     "committed_files_intact",
     "event",

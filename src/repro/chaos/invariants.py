@@ -89,52 +89,6 @@ def boxes_recovered() -> Invariant:
     return check
 
 
-def alerts_fired(*objectives: str) -> Invariant:
-    """Every named SLO objective must have fired at least once.
-
-    Chaos that injects a storm and sees *no* alert is a monitoring
-    outage — the campaign asserts the observability loop noticed, not
-    just that the data survived.
-    """
-
-    def check(runner) -> Optional[str]:
-        health = getattr(runner, "health", None)
-        if health is None:
-            return "alerts_fired needs a health engine on the runner"
-        fired = set(health.alerts_fired())
-        missing = [name for name in objectives if name not in fired]
-        if missing:
-            return f"expected alerts never fired: {','.join(missing)}"
-        return None
-
-    return check
-
-
-def alerts_resolved(*objectives: str) -> Invariant:
-    """Every named objective must have fired *and* fully resolved.
-
-    An alert still firing after the storm passed and healing ran means
-    either the repair pipeline did not recover or the alert cannot
-    resolve — both are campaign failures.
-    """
-
-    def check(runner) -> Optional[str]:
-        health = getattr(runner, "health", None)
-        if health is None:
-            return "alerts_resolved needs a health engine on the runner"
-        fired = set(health.alerts_fired())
-        resolved = set(health.alerts_resolved())
-        missing = [name for name in objectives if name not in fired]
-        if missing:
-            return f"expected alerts never fired: {','.join(missing)}"
-        stuck = [name for name in objectives if name not in resolved]
-        if stuck:
-            return f"alerts still firing at campaign end: {','.join(stuck)}"
-        return None
-
-    return check
-
-
 def survivor_liveness(min_alive: int = 1, probe_addr: Optional[int] = None) -> Invariant:
     """At least ``min_alive`` nodes are up and can still reach global memory."""
 

@@ -26,8 +26,10 @@ pool is fair game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from ..rack.params import finite, refuse, whole
 
 ACTIONS = frozenset(
     {
@@ -63,6 +65,13 @@ class ChaosEvent:
             raise ValueError(f"unknown chaos action {self.action!r}; know {sorted(ACTIONS)}")
         if self.at_ns is None and self.at_access is None and self.at_step is None:
             raise ValueError(f"event {self.action!r} needs at_ns, at_access, or at_step")
+        # a NaN time compares False against every clock, so it would fire at once
+        if not (self.at_ns is None or finite(self.at_ns) and self.at_ns >= 0):
+            refuse(self, "at_ns", "None or a finite number >= 0")
+        for name in ("at_access", "at_step"):
+            value = getattr(self, name)
+            if not (value is None or whole(value)):
+                refuse(self, name, "None or an integer >= 0")
 
     def due(self, now_ns: float, accesses: int, step: int) -> bool:
         if self.at_ns is not None and now_ns < self.at_ns:
@@ -127,3 +136,7 @@ class ChaosCampaign:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
+        if not whole(self.seed):
+            refuse(self, "seed", "an integer >= 0")
+        if not all(isinstance(e, ChaosEvent) for e in self.events):
+            refuse(self, "events", "a sequence of ChaosEvent")

@@ -19,7 +19,7 @@ shared memory:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..flacdk.structures import SpscRing

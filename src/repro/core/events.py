@@ -212,13 +212,5 @@ class EventCore:
             ran += 1
         return ran
 
-    def run_until(self, deadline_ns: float) -> int:
-        """Dispatch everything scheduled at or before ``deadline_ns``,
-        then advance the core's clock to the deadline."""
-        ran = self.run(until_ns=deadline_ns)
-        if deadline_ns > self.now_ns:
-            self.now_ns = float(deadline_ns)
-        return ran
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventCore(now={self.now_ns:.0f}ns, pending={len(self)})"

@@ -71,26 +71,6 @@ class FaultBox:
                 return True
         return False
 
-    def owns_address(self, ctx: NodeContext, addr: int) -> bool:
-        """Does this box's state include physical address ``addr``?
-
-        Page ownership is resolved through the kernel's reverse map (the
-        §3.3 structure whose job this is) — a local lookup, not a scan of
-        the shared page table.
-        """
-        if self.owns_ipc_address(addr):
-            return True
-        # the rmap is checked by the manager (it owns the rmap handle);
-        # fall back to a table scan only when called standalone
-        for _, translation in self.aspace.page_table.entries(ctx):
-            if translation.frame_addr <= addr < translation.frame_addr + PAGE_SIZE:
-                return True
-        for ptes in self.aspace._local_ptes.values():
-            for translation in ptes.values():
-                if translation.frame_addr <= addr < translation.frame_addr + PAGE_SIZE:
-                    return True
-        return False
-
 
 class FaultBoxManager:
     """Creates boxes, snapshots them, restores/migrates them."""
@@ -118,12 +98,6 @@ class FaultBoxManager:
         self._next_id += 1
         self.boxes[box.box_id] = box
         return box
-
-    def attach_ipc_region(self, box: FaultBox, tag: str, base: int, size: int) -> None:
-        box.ipc_regions.append((tag, base, size))
-
-    def set_context(self, box: FaultBox, context: bytes) -> None:
-        box.context = context
 
     # -- snapshot / restore -------------------------------------------------------------
 

@@ -19,6 +19,9 @@ from ...rack.machine import NodeContext
 from ...rack.memory import UncorrectableMemoryError
 from ...rack.node import NodeCrashedError
 
+#: votes the winning output needs
+MIN_MAJORITY = 2
+
 
 class VotingFailure(Exception):
     """No output achieved a majority."""
@@ -32,16 +35,9 @@ class VoteResult:
     dissenting: int
     faulted: int
 
-    @property
-    def unanimous(self) -> bool:
-        return self.agreeing == self.total
-
 
 class NModularExecutor:
     """Runs a function on several node contexts and votes on outputs."""
-
-    def __init__(self, min_majority: int = 2) -> None:
-        self.min_majority = min_majority
 
     def run(
         self,
@@ -67,7 +63,7 @@ class NModularExecutor:
             raise VotingFailure("every variant faulted")
         counts = Counter(outputs)
         winner, agreeing = counts.most_common(1)[0]
-        if agreeing < self.min_majority and len(contexts) > 1:
+        if agreeing < MIN_MAJORITY and len(contexts) > 1:
             raise VotingFailure(
                 f"no majority: best output has {agreeing}/{len(contexts)} votes"
             )

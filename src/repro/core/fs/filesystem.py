@@ -28,6 +28,10 @@ from .journal import MetadataJournal
 from .metadata import FileNotFound, FsError, Inode, IsADirectory, MetadataStore
 from .page_cache import PAGE_SIZE, SharedPageCache
 
+#: the metadata operation log's entries and the shared heap the radix tree grows in
+METADATA_LOG_ENTRIES = 4096
+HEAP_BYTES = 1 << 22
+
 
 @dataclass
 class OpenFile:
@@ -45,13 +49,11 @@ class FlacFS:
         arena: Arena,
         costs: Optional[OsCosts] = None,
         cache_bytes: int = 1 << 23,
-        metadata_log_entries: int = 4096,
-        heap_bytes: int = 1 << 22,
     ) -> None:
         self.machine = machine
         self.costs = costs or OsCosts()
         boot = machine.context(0)
-        heap = SharedHeap(arena.take(heap_bytes, align=64), heap_bytes).format(boot)
+        heap = SharedHeap(arena.take(HEAP_BYTES, align=64), HEAP_BYTES).format(boot)
         self.reclaimer = EpochReclaimer(
             arena.take(EpochReclaimer.region_size(len(machine.nodes)), align=8),
             len(machine.nodes),
@@ -62,8 +64,8 @@ class FlacFS:
         tree = SharedRadixTree(arena.take(8, align=8), heap).format(boot)
         self.page_cache = SharedPageCache(tree, frames, self.reclaimer)
         log = OperationLog(
-            arena.take(OperationLog.region_size(metadata_log_entries), align=64),
-            metadata_log_entries,
+            arena.take(OperationLog.region_size(METADATA_LOG_ENTRIES), align=64),
+            METADATA_LOG_ENTRIES,
         ).format(boot)
         self.metadata = MetadataStore(log)
         self.journal = MetadataJournal(self.metadata, arena.take(8, align=8)).format(boot)
@@ -92,10 +94,6 @@ class FlacFS:
             n_pages = (inode.size + PAGE_SIZE - 1) // PAGE_SIZE
             self.page_cache.evict_file(ctx, inode.ino, n_pages)
         self.metadata.unlink(ctx, path)
-
-    def readdir(self, ctx: NodeContext, path: str):
-        self._charge_path(ctx, path)
-        return self.metadata.readdir(ctx, path)
 
     def stat(self, ctx: NodeContext, path: str) -> Inode:
         self._charge_path(ctx, path)

@@ -165,15 +165,6 @@ class MetadataStore:
         except FileNotFound:
             return False
 
-    def readdir(self, ctx: NodeContext, path: str) -> List[str]:
-        def query(ns: _Namespace) -> List[str]:
-            inode = ns.resolve(path)
-            if not inode.is_dir:
-                raise NotADirectory(path)
-            return sorted(inode.children)
-
-        return self.nr.replica(ctx).read(ctx, query)
-
     def block_of(self, ctx: NodeContext, ino: int, page_idx: int) -> Optional[int]:
         return self.nr.replica(ctx).read(
             ctx, lambda ns: ns.inodes[ino].blocks.get(page_idx)

@@ -319,13 +319,6 @@ class SharedPageCache:
             self.stats.evictions += 1
         return evicted
 
-    def is_cached(self, ctx: NodeContext, file_id: int, page_idx: int) -> bool:
-        return self.tree.lookup(ctx, cache_key(file_id, page_idx)) is not None
-
-    def is_dirty(self, ctx: NodeContext, file_id: int, page_idx: int) -> bool:
-        value = self.tree.lookup(ctx, cache_key(file_id, page_idx))
-        return bool(value and value & _DIRTY)
-
     def cached_pages(self, ctx: NodeContext) -> int:
         return sum(1 for _ in self.tree.items(ctx))
 

@@ -115,9 +115,6 @@ class InterruptController:
             self.stats.delivered += 1
         return vectors
 
-    def pending_on(self, ctx: NodeContext, node_id: int) -> int:
-        return ctx.atomic_load(self._pending_addr(node_id))
-
     def _pending_addr(self, node_id: int) -> int:
         return self.base + node_id * 8
 
@@ -157,12 +154,6 @@ def mwait(
 def wake(ctx: NodeContext, addr: int, value: int) -> None:
     """The paired store that releases an mwait-er."""
     ctx.atomic_store(addr, value)
-
-
-@dataclass
-class IrqRoute:
-    irq: int
-    node_id: int
 
 
 class IrqBalancer:

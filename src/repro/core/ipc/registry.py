@@ -73,9 +73,5 @@ class NameRegistry:
             raise UnknownName(name)
         return endpoint
 
-    def resolve_local(self, ctx: NodeContext, name: str) -> Optional[Endpoint]:
-        """Stale-tolerant lookup with zero log traffic (hot path)."""
-        return self.nr.replica(ctx).read_local(lambda state: state.get(name))
-
     def names(self, ctx: NodeContext):
         return self.nr.replica(ctx).read(ctx, lambda state: sorted(state))

@@ -57,8 +57,8 @@ class RpcTimeout(RpcError):
     Thread-migration RPC runs the service on the caller's own core, so
     by the time the overrun is observable the time has already been
     spent: the caller's clock carries the full service cost and the
-    result is discarded.  ``overrun_ns`` is how far past the deadline
-    the call landed.
+    result is discarded.  ``now_ns - deadline_ns`` is how far past the
+    deadline the call landed.
     """
 
     def __init__(self, service: str, deadline_ns: float, now_ns: float) -> None:
@@ -69,10 +69,6 @@ class RpcTimeout(RpcError):
         self.service = service
         self.deadline_ns = deadline_ns
         self.now_ns = now_ns
-
-    @property
-    def overrun_ns(self) -> float:
-        return self.now_ns - self.deadline_ns
 
 
 @dataclass

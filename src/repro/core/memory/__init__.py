@@ -6,7 +6,7 @@ paging with placement policies, CoW, and rack-wide page deduplication.
 """
 
 from .address_space import AddressSpace, SegmentationFault, USER_LIMIT
-from .dedup import DedupStats, PageDeduper, content_fingerprints
+from .dedup import DedupStats, PageDeduper
 from .page_table import (
     PAGE_SIZE,
     PTE_COW,
@@ -56,7 +56,6 @@ __all__ = [
     "USER_LIMIT",
     "VMA",
     "VmaSet",
-    "content_fingerprints",
     "page_offset",
     "vpn_of",
 ]

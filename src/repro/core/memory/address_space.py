@@ -306,8 +306,3 @@ class AddressSpace:
         remaining = self.rmap.remove(frame, self.asid, vpn_of(vaddr))
         if remaining == 0:
             self._frame_sink(ctx, frame, placement)
-
-    # -- introspection --------------------------------------------------------------------------
-
-    def resident_pages(self, ctx: NodeContext) -> int:
-        return sum(1 for _ in self.page_table.entries(ctx))

@@ -88,13 +88,3 @@ class PageDeduper:
             self.stats.cow_remaps += 1
             self.stats.touched_asids.add(asid)
         self.free_frame(ctx, duplicate)
-
-
-def content_fingerprints(ctx: NodeContext, frames: List[int]) -> Dict[int, bytes]:
-    """Frame -> 16-byte content digest (diagnostics / tests)."""
-    return {
-        frame: hashlib.blake2b(
-            ctx.load(frame, PAGE_SIZE, bypass_cache=True), digest_size=16
-        ).digest()
-        for frame in frames
-    }

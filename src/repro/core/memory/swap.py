@@ -137,17 +137,3 @@ class SwapBackedMemory:
             self.stats.swap_outs += 1
             if _TEL.enabled:
                 _TEL.registry.inc(ctx.node_id, "core.memory", "swap.out")
-
-    # -- introspection -------------------------------------------------------------
-
-    def resident_pages(self) -> int:
-        return len(self._resident)
-
-    def tier_of(self, vpn: int) -> str:
-        if vpn in self._resident:
-            return "resident"
-        if vpn in self._zswap:
-            return "zswap"
-        if vpn in self._swapped:
-            return "disk"
-        return "untouched"

@@ -26,6 +26,11 @@ from .page_table import PAGE_SIZE, SharedPageTable
 from .tlb import Tlb, TlbShootdown
 from .vma import Placement, ReverseMap
 
+#: the kernel's shared-heap carve-out, and the op-log entries of each
+#: address space's VMA replica
+KERNEL_HEAP_BYTES = 1 << 22
+VMA_LOG_ENTRIES = 256
+
 
 class MemorySystem:
     """Rack-wide memory management, coordinated with node-local state."""
@@ -37,16 +42,13 @@ class MemorySystem:
         costs: Optional[OsCosts] = None,
         global_frame_bytes: int = 1 << 23,
         local_frame_bytes: int = 1 << 22,
-        kernel_heap_bytes: int = 1 << 22,
-        vma_log_entries: int = 256,
-        tlb_capacity: int = 1024,
     ) -> None:
         self.machine = machine
         self.costs = costs or OsCosts()
         boot = machine.context(0)
 
         self.kernel_heap = SharedHeap(
-            kernel_arena.take(kernel_heap_bytes, align=64), kernel_heap_bytes
+            kernel_arena.take(KERNEL_HEAP_BYTES, align=64), KERNEL_HEAP_BYTES
         ).format(boot)
         self.global_frames = FrameAllocator(
             kernel_arena.take(global_frame_bytes, align=PAGE_SIZE), global_frame_bytes
@@ -60,7 +62,7 @@ class MemorySystem:
             self._deferred_local_frees[node_id] = []
 
         self.tlbs: Dict[int, Tlb] = {
-            node_id: Tlb(node_id, capacity=tlb_capacity, costs=self.costs)
+            node_id: Tlb(node_id, costs=self.costs)
             for node_id in machine.nodes
         }
         self.shootdown = TlbShootdown(
@@ -70,7 +72,6 @@ class MemorySystem:
 
         self.rmap = ReverseMap()
         self._kernel_arena = kernel_arena
-        self._vma_log_entries = vma_log_entries
         self._next_asid = 1
         self.address_spaces: Dict[int, AddressSpace] = {}
         self._page_tables: Dict[int, SharedPageTable] = {}
@@ -100,9 +101,9 @@ class MemorySystem:
             heap=self.kernel_heap,
         ).format(ctx)
         log_base = self._kernel_arena.take(
-            OperationLog.region_size(self._vma_log_entries), align=64
+            OperationLog.region_size(VMA_LOG_ENTRIES), align=64
         )
-        vma_log = OperationLog(log_base, self._vma_log_entries).format(ctx)
+        vma_log = OperationLog(log_base, VMA_LOG_ENTRIES).format(ctx)
         aspace = AddressSpace(
             asid=asid,
             page_table=table,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ...rack.machine import NodeContext
 from ...telemetry import TELEMETRY as _TEL
@@ -22,6 +22,8 @@ from ..params import OsCosts
 from .page_table import SharedPageTable, Translation, vpn_of
 
 _SUB = "core.memory"
+#: translations one node's TLB holds before evicting the least recent
+TLB_CAPACITY = 1024
 
 
 @dataclass
@@ -35,12 +37,11 @@ class TlbStats:
 class Tlb:
     """One node's translation cache for one (or more) address spaces.
 
-    Entries are keyed by (asid, vpn); capacity-bounded LRU.
+    Entries are keyed by (asid, vpn); an LRU of :data:`TLB_CAPACITY` entries.
     """
 
-    def __init__(self, node_id: int, capacity: int = 1024, costs: Optional[OsCosts] = None) -> None:
+    def __init__(self, node_id: int, costs: Optional[OsCosts] = None) -> None:
         self.node_id = node_id
-        self.capacity = capacity
         self.costs = costs or OsCosts()
         self._entries: "OrderedDict[tuple, Translation]" = OrderedDict()
         self.stats = TlbStats()
@@ -64,7 +65,7 @@ class Tlb:
         key = (asid, vpn_of(vaddr))
         self._entries[key] = translation
         self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > TLB_CAPACITY:
             self._entries.popitem(last=False)
 
     def invalidate(self, ctx: NodeContext, asid: int, vaddr: int) -> bool:

@@ -267,18 +267,6 @@ class RackScheduler:
                     executed += 1
         return executed
 
-    def result_of(self, task_id: int) -> object:
-        record = self._tasks.get(task_id)
-        if record is None:
-            raise SchedulerError(f"no task {task_id}")
-        if not record.done:
-            raise SchedulerError(f"task {task_id} has not run")
-        return record.result
-
-    def is_done(self, task_id: int) -> bool:
-        record = self._tasks.get(task_id)
-        return bool(record and record.done)
-
     # -- failover --------------------------------------------------------------------------
 
     def adopt_queues(self, ctx: NodeContext, dead_node: int) -> None:

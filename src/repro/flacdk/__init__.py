@@ -3,16 +3,17 @@
 Three levels of libraries plus memory management and reliability, used
 by both the FlacOS kernel and applications:
 
-1. :mod:`repro.flacdk.hw` — atomics, barriers, cache maintenance.
+1. hardware operations — atomics, barriers, cache maintenance — are the
+   methods of :class:`repro.rack.machine.NodeContext` itself.
 2. :mod:`repro.flacdk.sync` — locks and the three lock-free families
    (replication, delegation, quiescence) over the shared op log.
 3. :mod:`repro.flacdk.structures` — concurrent shared data structures.
 
 Plus :mod:`repro.flacdk.alloc` (object allocator, layout, relocation,
 reclamation) and :mod:`repro.flacdk.reliability` (monitor, prediction,
-detection, checkpoint, recovery).
+detection, repair, scrub).
 """
 
-from . import alloc, hw, reliability, structures, sync
+from . import alloc, reliability, structures, sync
 
-__all__ = ["alloc", "hw", "reliability", "structures", "sync"]
+__all__ = ["alloc", "reliability", "structures", "sync"]

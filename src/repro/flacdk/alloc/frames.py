@@ -14,6 +14,8 @@ from typing import Dict
 from ...rack.machine import NodeContext
 
 _WORD_BITS = 64
+#: bytes per frame (a power of two)
+FRAME_SIZE = 4096
 
 
 class FrameAllocatorError(Exception):
@@ -30,20 +32,17 @@ class FrameAllocator:
     The first frames of the region are reserved for the bitmap itself.
     """
 
-    def __init__(self, base: int, size: int, frame_size: int = 4096) -> None:
-        if frame_size & (frame_size - 1):
-            raise ValueError("frame size must be a power of two")
-        if size < 2 * frame_size:
+    def __init__(self, base: int, size: int) -> None:
+        if size < 2 * FRAME_SIZE:
             raise ValueError("region too small for a bitmap and one frame")
         self.base = base
         self.size = size
-        self.frame_size = frame_size
-        total_frames = size // frame_size
+        total_frames = size // FRAME_SIZE
         bitmap_bytes = (total_frames + 7) // 8
-        bitmap_frames = (bitmap_bytes + frame_size - 1) // frame_size
+        bitmap_frames = (bitmap_bytes + FRAME_SIZE - 1) // FRAME_SIZE
         self.n_frames = total_frames - bitmap_frames
         self.bitmap_base = base
-        self.frames_base = base + bitmap_frames * frame_size
+        self.frames_base = base + bitmap_frames * FRAME_SIZE
         self._n_words = (self.n_frames + _WORD_BITS - 1) // _WORD_BITS
         self._rotor: Dict[int, int] = {}
 
@@ -77,7 +76,7 @@ class FrameAllocator:
                 if swapped:
                     self._rotor[ctx.node_id] = word_idx
                     frame_idx = word_idx * _WORD_BITS + bit
-                    return self.frames_base + frame_idx * self.frame_size
+                    return self.frames_base + frame_idx * FRAME_SIZE
         raise OutOfFramesError(f"no free frames in region at {self.base:#x}")
 
     def free(self, ctx: NodeContext, frame_addr: int) -> None:
@@ -107,9 +106,9 @@ class FrameAllocator:
 
     def _frame_index(self, frame_addr: int) -> int:
         off = frame_addr - self.frames_base
-        if off < 0 or off % self.frame_size or off // self.frame_size >= self.n_frames:
+        if off < 0 or off % FRAME_SIZE or off // FRAME_SIZE >= self.n_frames:
             raise FrameAllocatorError(f"{frame_addr:#x} is not a frame of this allocator")
-        return off // self.frame_size
+        return off // FRAME_SIZE
 
 
 def _lowest_zero_bit(word: int) -> int:

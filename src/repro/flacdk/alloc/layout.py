@@ -46,12 +46,6 @@ class PackingPlan:
     total_bytes: int
     line_size: int
 
-    def offset_of(self, obj_id: int) -> int:
-        for p in self.placements:
-            if p.obj_id == obj_id:
-                return p.offset
-        raise KeyError(f"object {obj_id} not in plan")
-
 
 class HotColdPacker:
     """Greedy hot-first packing with line alignment at the hot/cold seam.

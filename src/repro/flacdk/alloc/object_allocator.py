@@ -22,7 +22,7 @@ the payload address.  Size classes are powers of two from 16 B to 1 MiB.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ...rack.machine import NodeContext
 
@@ -159,25 +159,6 @@ class SharedHeap:
             if n:
                 counts[cls] = n
         return counts
-
-    def live_addresses(self, ctx: NodeContext) -> List[int]:
-        """Scan the bumped area for live payload addresses (diagnostics).
-
-        Linear in heap size; intended for tests and fragmentation metrics,
-        not hot paths.
-        """
-        out: List[int] = []
-        cursor = self.data_base
-        end = self.data_base + self.bytes_bumped(ctx)
-        while cursor < end:
-            cls = ctx.atomic_load(cursor)
-            if cls < _N_CLASSES:
-                out.append(cursor + _HEADER)
-                cursor += _class_size(cls)
-            else:
-                # freed block: its true class is unknown; walk free lists instead
-                cursor += _MIN_BLOCK
-        return out
 
     # -- internals -----------------------------------------------------------------------
 

@@ -1,36 +1,26 @@
 """FlacDK reliability mechanisms (§3.2).
 
-The full fault-handling pipeline: monitoring, failure prediction, fault
-detection (integrity + liveness), checkpointing integrated with epoch
-reclamation, recovery by checkpoint restore + op-log replay, in-place
-UE repair from redundancy sources, and background scrubbing with
-predictor-driven proactive evacuation.
+The fault-handling pipeline: monitoring, failure prediction, fault
+detection (integrity + liveness), in-place UE repair from redundancy
+sources, and background scrubbing with predictor-driven proactive
+evacuation.  Checkpoints are the fault boxes' (:mod:`repro.core.fault`).
 """
 
-from .checkpoint import Checkpoint, CheckpointManager, CheckpointStore
 from .detection import ChecksumDetector, CorruptionReport, HeartbeatDetector
-from .monitor import HealthMonitor, HealthSummary
+from .monitor import HealthMonitor
 from .prediction import FailurePredictor, PageRisk
-from .recovery import LogReplayRecovery, RecoveryCoordinator, RecoveryReport
 from .repair import MirrorSource, RepairCoordinator, RepairRecord, RepairSource, RepairStats
 from .scrub import MemoryScrubber, ScrubStats
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointManager",
-    "CheckpointStore",
     "ChecksumDetector",
     "CorruptionReport",
     "FailurePredictor",
     "HealthMonitor",
-    "HealthSummary",
     "HeartbeatDetector",
-    "LogReplayRecovery",
     "MemoryScrubber",
     "MirrorSource",
     "PageRisk",
-    "RecoveryCoordinator",
-    "RecoveryReport",
     "RepairCoordinator",
     "RepairRecord",
     "RepairSource",

@@ -66,9 +66,6 @@ class ChecksumDetector:
                 reports.append(report)
         return reports
 
-    def unprotect(self, base: int) -> None:
-        self._sums.pop(base, None)
-
 
 class HeartbeatDetector:
     """Liveness detection over per-node heartbeat words in global memory.

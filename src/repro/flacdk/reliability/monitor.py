@@ -1,30 +1,17 @@
 """System health monitoring (§3.2): the front of the fault pipeline.
 
 The monitor subscribes to the rack's fault log and aggregates events
-into per-page and per-node counters over sliding windows.  Downstream,
-the predictor consumes these series and the detectors cross-check data
-integrity and liveness.
+into per-page counters over a sliding window and all-time totals per
+fault kind.  Downstream, the predictor consumes these series and the
+detectors cross-check data integrity and liveness.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict
 
 from ...rack.faults import FaultEvent, FaultKind, FaultLog
-
-
-@dataclass
-class HealthSummary:
-    """Aggregated view handed to operators and the predictor."""
-
-    window_ns: float
-    ce_total: int
-    ue_total: int
-    crashes: int
-    link_events: int
-    worst_pages: List[Tuple[int, int]]  # (page address, CE count), hottest first
 
 
 class HealthMonitor:
@@ -57,26 +44,6 @@ class HealthMonitor:
                 counts[event.addr & ~(self.page_size - 1)] += 1
         return dict(counts)
 
-    def events_in_window(self, now_ns: float, kind: Optional[FaultKind] = None) -> List[FaultEvent]:
-        self._trim(now_ns)
-        return [e for e in self._events if kind is None or e.kind is kind]
-
     def total(self, kind: FaultKind) -> int:
         """All-time count, regardless of window."""
         return self._total_by_kind.get(kind, 0)
-
-    def summary(self, now_ns: float, top_pages: int = 5) -> HealthSummary:
-        self._trim(now_ns)
-        by_page = self.ce_count_by_page(now_ns)
-        worst = sorted(by_page.items(), key=lambda kv: -kv[1])[:top_pages]
-        kinds = defaultdict(int)
-        for event in self._events:
-            kinds[event.kind] += 1
-        return HealthSummary(
-            window_ns=self.window_ns,
-            ce_total=kinds[FaultKind.CORRECTABLE],
-            ue_total=kinds[FaultKind.UNCORRECTABLE],
-            crashes=kinds[FaultKind.NODE_CRASH],
-            link_events=kinds[FaultKind.LINK_DOWN] + kinds[FaultKind.LINK_UP],
-            worst_pages=worst,
-        )

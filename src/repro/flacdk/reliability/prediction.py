@@ -41,10 +41,6 @@ class FailurePredictor:
             prior = self._scores.get(page, 0.0)
             self._scores[page] = self.alpha * fresh + (1 - self.alpha) * prior
 
-    def risk_of(self, page_addr: int) -> PageRisk:
-        score = self._scores.get(page_addr, 0.0)
-        return PageRisk(page_addr, score, score >= self.threshold)
-
     def at_risk_pages(self) -> List[PageRisk]:
         """Pages currently above the threshold, riskiest first."""
         risks = [
@@ -68,9 +64,3 @@ class FailurePredictor:
     def reset_page(self, page_addr: int) -> None:
         """Forget a page's history (it was evacuated/retired)."""
         self._scores.pop(page_addr, None)
-
-    def decay_all(self) -> None:
-        """Age the scores without new evidence (idle periods)."""
-        self._scores = {
-            page: (1 - self.alpha) * score for page, score in self._scores.items() if score > 1e-6
-        }

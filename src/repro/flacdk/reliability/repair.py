@@ -71,9 +71,6 @@ class MirrorSource(RepairSource):
         for addr in page_addrs:
             self._peers[addr] = [a for a in page_addrs if a != addr]
 
-    def peers_of(self, page_addr: int) -> List[int]:
-        return list(self._peers.get(page_addr, []))
-
     def recover_page(self, ctx: NodeContext, page_addr: int) -> Optional[bytes]:
         peers = self._peers.get(page_addr)
         if not peers:
@@ -130,13 +127,6 @@ class RepairCoordinator:
         self.sources: List[RepairSource] = list(sources or [])
         self.stats = RepairStats()
         self.records: List[RepairRecord] = []
-
-    def add_source(self, source: RepairSource, priority: Optional[int] = None) -> None:
-        """Append a source (or insert at ``priority`` position)."""
-        if priority is None:
-            self.sources.append(source)
-        else:
-            self.sources.insert(priority, source)
 
     # -- the repair path --------------------------------------------------------------
 

@@ -28,6 +28,9 @@ from .prediction import FailurePredictor
 from .repair import REPAIR_PAGE, RepairCoordinator
 
 _SUB = "reliability"
+#: bytes one patrol step scans unless told otherwise, and what scanning costs
+WINDOW_BYTES = 1 << 20
+SCRUB_NS_PER_KB = 2.0
 
 
 @dataclass
@@ -55,16 +58,12 @@ class MemoryScrubber:
         repair: Optional[RepairCoordinator] = None,
         predictor: Optional[FailurePredictor] = None,
         evacuate: Optional[Callable[[NodeContext, int], Optional[int]]] = None,
-        window_bytes: int = 1 << 20,
-        scrub_ns_per_kb: float = 2.0,
     ) -> None:
         self.machine = machine
         self.repair = repair
         self.predictor = predictor
         #: ``evacuate(ctx, page_addr) -> new frame or None`` (migration hook)
         self.evacuate = evacuate
-        self.window_bytes = window_bytes
-        self.scrub_ns_per_kb = scrub_ns_per_kb
         self.stats = ScrubStats()
         self._cursor = 0
 
@@ -79,9 +78,9 @@ class MemoryScrubber:
         repairs it in place, then lets the predictor drive evacuation.
         """
         with _span("reliability.scrub.step", ctx=ctx):
-            window = min(max_bytes or self.window_bytes, self.machine.global_size - self._cursor)
+            window = min(max_bytes or WINDOW_BYTES, self.machine.global_size - self._cursor)
             base = self.machine.global_base + self._cursor
-            ctx.advance(window / 1024 * self.scrub_ns_per_kb)
+            ctx.advance(window / 1024 * SCRUB_NS_PER_KB)
             victims = self.machine.poisoned_addrs(base, window)
             self.stats.windows_scanned += 1
             self.stats.bytes_scanned += window

@@ -10,7 +10,7 @@ memory: replication (:class:`NodeReplication`), delegation
 from .bounded import BoundedStaleCell, StalenessStats
 from .delegation import DelegationError, DelegationService
 from .oplog import LogError, LogFullError, OperationLog
-from .quiescence import RcuCell, RcuError, VersionChain
+from .quiescence import RcuCell, VersionChain
 from .replication import Codec, NodeReplication, Replica
 from .spinlock import GlobalSpinLock, LockTimeoutError, SpinLockStats
 
@@ -26,7 +26,6 @@ __all__ = [
     "NodeReplication",
     "OperationLog",
     "RcuCell",
-    "RcuError",
     "Replica",
     "SpinLockStats",
     "StalenessStats",

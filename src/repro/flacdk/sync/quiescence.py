@@ -26,10 +26,6 @@ from ..alloc.reclaim import EpochReclaimer
 _VERSION_HEADER = 8
 
 
-class RcuError(Exception):
-    pass
-
-
 class RcuCell:
     """A pointer to the current version of one shared object."""
 

@@ -67,12 +67,6 @@ class NodeReplication(Generic[S]):
             self._replicas[ctx.node_id] = rep
         return rep
 
-    def min_applied(self) -> int:
-        """Lowest replay watermark across instantiated replicas."""
-        if not self._replicas:
-            return 0
-        return min(rep.applied for rep in self._replicas.values())
-
     def compact(self, ctx: NodeContext) -> bool:
         """Reset the log if every replica has applied everything.
 

@@ -16,6 +16,12 @@ from dataclasses import dataclass
 from ...rack.machine import NodeContext
 
 _UNLOCKED = 0
+#: a failed acquire waits this long before the next attempt, doubling up to
+#: :data:`MAX_BACKOFF_NS`
+BACKOFF_NS = 200.0
+MAX_BACKOFF_NS = 6400.0
+#: attempts :meth:`GlobalSpinLock.acquire` makes before giving up
+MAX_SPINS = 64
 
 
 class LockTimeoutError(Exception):
@@ -38,10 +44,8 @@ class SpinLockStats:
 class GlobalSpinLock:
     """A test-and-set lock on one word of global memory."""
 
-    def __init__(self, addr: int, backoff_ns: float = 200.0, max_backoff_ns: float = 6400.0) -> None:
+    def __init__(self, addr: int) -> None:
         self.addr = addr
-        self.backoff_ns = backoff_ns
-        self.max_backoff_ns = max_backoff_ns
         self.stats = SpinLockStats()
 
     def format(self, ctx: NodeContext) -> "GlobalSpinLock":
@@ -57,15 +61,15 @@ class GlobalSpinLock:
             self.stats.failed_attempts += 1
         return swapped
 
-    def acquire(self, ctx: NodeContext, max_spins: int = 64) -> None:
-        """Spin with exponential backoff up to ``max_spins`` attempts."""
-        backoff = self.backoff_ns
-        for _ in range(max_spins):
+    def acquire(self, ctx: NodeContext) -> None:
+        """Spin with exponential backoff up to :data:`MAX_SPINS` attempts."""
+        backoff = BACKOFF_NS
+        for _ in range(MAX_SPINS):
             if self.try_acquire(ctx):
                 return
             ctx.advance(backoff)
-            backoff = min(backoff * 2, self.max_backoff_ns)
-        raise LockTimeoutError(f"lock at {self.addr:#x} still held after {max_spins} attempts")
+            backoff = min(backoff * 2, MAX_BACKOFF_NS)
+        raise LockTimeoutError(f"lock at {self.addr:#x} still held after {MAX_SPINS} attempts")
 
     def release(self, ctx: NodeContext) -> None:
         holder = ctx.atomic_load(self.addr)
@@ -85,8 +89,8 @@ class GlobalSpinLock:
         ctx.atomic_store(self.addr, _UNLOCKED)
 
     @contextmanager
-    def held(self, ctx: NodeContext, max_spins: int = 64):
-        self.acquire(ctx, max_spins=max_spins)
+    def held(self, ctx: NodeContext):
+        self.acquire(ctx)
         try:
             yield
         finally:

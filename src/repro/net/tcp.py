@@ -24,12 +24,6 @@ class TcpError(Exception):
 
 
 @dataclass
-class _Packet:
-    payload_len: int
-    arrival_ns: float
-
-
-@dataclass
 class _SocketBuffer:
     """Receive queue of one endpoint: reassembled messages."""
 

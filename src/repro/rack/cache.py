@@ -258,13 +258,6 @@ class NodeCache:
     def contains(self, addr: int) -> bool:
         return self.line_base(addr) in self._lines
 
-    def is_dirty(self, addr: int) -> bool:
-        line = self._lines.get(self.line_base(addr))
-        return bool(line and line.dirty)
-
-    def resident_lines(self) -> int:
-        return len(self._lines)
-
     def holds_any(self, addrs) -> bool:
         """Whether the line of any address in ``addrs`` (an int64 array) is
         resident — one C-level set test, however many addresses."""

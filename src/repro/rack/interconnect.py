@@ -162,12 +162,6 @@ class VniTable:
         self.stats.append(VniStats())
         return vni
 
-    def vni_of(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise VniError(f"no VNI registered for tenant {name!r}") from None
-
     def name_of(self, vni: int) -> str:
         self._check(vni)
         return self._names[vni]

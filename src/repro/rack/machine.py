@@ -1082,23 +1082,6 @@ class NodeContext:
     def fill(self, addr: int, size: int, value: int, *, bypass_cache: bool = False) -> None:
         self.machine.fill(self.node_id, addr, size, value, bypass_cache=bypass_cache)
 
-    def fetch_add_many(
-        self,
-        addrs: Sequence[int],
-        deltas: Union[int, Sequence[int]] = 1,
-        width: int = 8,
-    ) -> List[int]:
-        return self.machine.atomic_fetch_add_many(self.node_id, addrs, deltas, width)
-
-    def cas_many(
-        self,
-        addrs: Sequence[int],
-        expected: Sequence[int],
-        new: Sequence[int],
-        width: int = 8,
-    ) -> List[Tuple[bool, int]]:
-        return self.machine.atomic_cas_many(self.node_id, addrs, expected, new, width)
-
     def atomic_load_many(self, addrs: Sequence[int], width: int = 8) -> List[int]:
         return self.machine.atomic_load_many(self.node_id, addrs, width)
 

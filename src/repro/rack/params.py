@@ -15,15 +15,19 @@ from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 
-def _refuse_unless(ok: bool, owner: object, name: str, want: str) -> None:
+def refuse(owner: object, name: str, want: str) -> None:
     """A typed refusal naming the class, the field and the value."""
-    if not ok:
-        value = getattr(owner, name)
-        raise ValueError(f"{type(owner).__name__}.{name} must be {want}, got {value!r}")
+    value = getattr(owner, name)
+    raise ValueError(f"{type(owner).__name__}.{name} must be {want}, got {value!r}")
 
 
-def _finite(value: object) -> bool:
+def finite(value: object) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def whole(value: object) -> bool:
+    """An integer >= 0 (``True`` is not a count)."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass
@@ -75,9 +79,10 @@ class LatencyModel:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name.endswith("_bw_bytes_per_ns"):
-                _refuse_unless(_finite(value) and value > 0, self, f.name, "a finite number > 0")
-            else:
-                _refuse_unless(_finite(value) and value >= 0, self, f.name, "a finite number >= 0")
+                if not (finite(value) and value > 0):
+                    refuse(self, f.name, "a finite number > 0")
+            elif not (finite(value) and value >= 0):
+                refuse(self, f.name, "a finite number >= 0")
 
     def device_ns(self, *, is_global: bool, hops: int, switches: int) -> float:
         """Latency of one uncached access to a backing device."""
@@ -123,10 +128,10 @@ class FaultModel:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "per_hop_multiplier":
-                _refuse_unless(_finite(value) and value >= 0, self, f.name, "a finite number >= 0")
-            else:
-                ok = _finite(value) and 0 <= value <= 1
-                _refuse_unless(ok, self, f.name, "a probability in [0, 1]")
+                if not (finite(value) and value >= 0):
+                    refuse(self, f.name, "a finite number >= 0")
+            elif not (finite(value) and 0 <= value <= 1):
+                refuse(self, f.name, "a probability in [0, 1]")
 
 
 @dataclass
@@ -156,8 +161,8 @@ class RackConfig:
         for name in ("n_nodes", "cores_per_node", "local_mem_size", "global_mem_size",
                      "cache_line_size", "cache_lines"):
             value = getattr(self, name)
-            ok = isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
-            _refuse_unless(ok, self, name, "an integer >= 1")
+            if not (whole(value) and value >= 1):
+                refuse(self, name, "an integer >= 1")
         if self.cache_line_size & (self.cache_line_size - 1) or self.cache_line_size < 8:
             # at least 8: an aligned 8-byte atomic lies in exactly one line
             raise ValueError("cache_line_size must be a power of two, at least 8")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 from contextlib import contextmanager
 from typing import Optional, Union
 
@@ -173,13 +174,30 @@ def reset() -> TelemetryState:
     return TELEMETRY.reset()
 
 
+#: what reading a dump, snapshot or run file from outside can raise: missing,
+#: not JSON or of another schema (OSError, ValueError), or a row lacking a key
+INPUT_ERRORS = (OSError, ValueError, KeyError)
+
+
+def refuse_input(path, exc: Exception) -> int:
+    """Print the one ``error:`` line for a bad input file; the CLI exit status."""
+    if isinstance(exc, OSError):
+        detail = exc.strerror or str(exc)
+    elif isinstance(exc, KeyError):
+        detail = f"a row lacks the key {exc}"
+    elif isinstance(exc, json.JSONDecodeError):
+        detail = f"not JSON ({exc})"
+    else:
+        detail = str(exc)
+    print(f"error: {path}: {detail}", file=sys.stderr)
+    return 2
+
+
 def load_run(path: Union[str, pathlib.Path]) -> dict:
     """Read an exported run, validating schema and (if present) trace."""
     data = json.loads(pathlib.Path(path).read_text())
     if data.get("schema") != RUN_SCHEMA:
-        raise ValueError(
-            f"{path}: not a telemetry run export (schema={data.get('schema')!r})"
-        )
+        raise ValueError(f"not a telemetry run export (schema={data.get('schema')!r})")
     if data.get("trace") is not None:
         validate_chrome_trace(data["trace"])
     return data
@@ -237,7 +255,9 @@ __all__ = [
     "bucket_index",
     "disable",
     "enable",
+    "INPUT_ERRORS",
     "load_run",
+    "refuse_input",
     "rate",
     "reset",
     "span",

@@ -19,7 +19,7 @@ import json
 import pathlib
 import sys
 
-from . import load_run
+from . import INPUT_ERRORS, load_run, refuse_input
 from .dashboard import render_dashboard
 
 
@@ -36,11 +36,9 @@ def main(argv=None) -> int:
 
     try:
         run = load_run(args.run)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    print(render_dashboard(run, flame=args.flame))
+        print(render_dashboard(run, flame=args.flame))
+    except INPUT_ERRORS as exc:
+        return refuse_input(args.run, exc)
 
     if args.trace_out is not None:
         trace = run.get("trace")

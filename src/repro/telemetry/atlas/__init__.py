@@ -42,9 +42,7 @@ from ..health.slo import Objective
 from .attribution import (
     link_blame,
     link_headroom,
-    link_nodes,
     node_headroom,
-    node_of_vertex,
     tenant_blame,
 )
 from .sketch import SpaceSaving, aggregate_addrs
@@ -52,6 +50,7 @@ from .sketch import SpaceSaving, aggregate_addrs
 ATLAS_SCHEMA = "repro.telemetry.atlas/1"
 
 _PAGE_SHIFT = 12  # 4 KiB pages — the placement granule
+_LINE_SHIFT = 6  # 64 B lines
 
 
 class Atlas:
@@ -95,18 +94,15 @@ class Atlas:
     #: auto-drain threshold (buffered addresses, and parked distinct
     #: lines) — bounds buffer memory
     _DRAIN_ELEMS = 1 << 18
+    #: counters kept by the hot-page and hot-line sketches
+    _PAGE_K = 64
+    _LINE_K = 64
 
-    def __init__(
-        self,
-        machine=None,
-        fabric=None,
-        page_k: int = 64,
-        line_k: int = 64,
-        line_size: int = 64,
-        global_base: Optional[int] = None,
-    ) -> None:
-        self._pages = SpaceSaving(page_k)
-        self._lines = SpaceSaving(line_k)
+    def __init__(self, machine=None) -> None:
+        from ...rack.params import GLOBAL_BASE
+
+        self._pages = SpaceSaving(self._PAGE_K)
+        self._lines = SpaceSaving(self._LINE_K)
         self._pending: list = []
         self._pending_elems = 0
         #: drained ``(line_keys, line_weights)`` aggregates awaiting a reader
@@ -115,15 +111,10 @@ class Atlas:
         #: per-tenant queueing delay suffered (ns), fed by the engine
         self.queue_delay_ns: Dict[str, float] = {}
         self.machine = machine
-        self.fabric = fabric if fabric is not None else (
-            machine.fabric if machine is not None else None
-        )
-        if global_base is None:
-            from ...rack.params import GLOBAL_BASE
-            global_base = GLOBAL_BASE
-        self._global_base = int(global_base)
+        self.fabric = machine.fabric if machine is not None else None
+        self._global_base = GLOBAL_BASE
         self._page_shift = _PAGE_SHIFT
-        self._line_shift = max(0, int(line_size).bit_length() - 1)
+        self._line_shift = _LINE_SHIFT
 
     # -- ingestion (the machine hot-path hooks) --------------------------------
 
@@ -332,7 +323,7 @@ class Atlas:
 # -- switchboard wiring --------------------------------------------------------
 
 
-def enable_atlas(machine=None, **kwargs) -> Atlas:
+def enable_atlas(machine=None) -> Atlas:
     """Install an :class:`Atlas` on the telemetry switchboard.
 
     The machine's data-plane hooks start feeding the sketches on the
@@ -340,14 +331,9 @@ def enable_atlas(machine=None, **kwargs) -> Atlas:
     traffic engine's charge path), the atlas just gains a handle to
     report it.  Returns the installed atlas.
     """
-    atlas = Atlas(machine=machine, **kwargs)
+    atlas = Atlas(machine=machine)
     TELEMETRY.atlas = atlas
     return atlas
-
-
-def disable_atlas() -> None:
-    """Remove the atlas; hot paths go back to one failed attribute check."""
-    TELEMETRY.atlas = None
 
 
 def saturation_objective(
@@ -383,9 +369,7 @@ def load_atlas(path: Union[str, pathlib.Path]) -> dict:
     atlas = data.get("atlas")
     if isinstance(atlas, dict) and atlas.get("schema") == ATLAS_SCHEMA:
         return atlas
-    raise ValueError(
-        f"{path}: no atlas section (schema={data.get('schema')!r})"
-    )
+    raise ValueError(f"no atlas section (schema={data.get('schema')!r})")
 
 
 __all__ = [
@@ -393,14 +377,11 @@ __all__ = [
     "Atlas",
     "SpaceSaving",
     "aggregate_addrs",
-    "disable_atlas",
     "enable_atlas",
     "link_blame",
     "link_headroom",
-    "link_nodes",
     "load_atlas",
     "node_headroom",
-    "node_of_vertex",
     "saturation_objective",
     "tenant_blame",
 ]

@@ -16,8 +16,8 @@ are offline dict-walking — no simulator state needed.
 from __future__ import annotations
 
 import argparse
-import sys
 
+from .. import INPUT_ERRORS, refuse_input
 from . import load_atlas
 from .render import render_blame, render_headroom, render_links, render_pages
 
@@ -46,18 +46,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         snap = load_atlas(args.snapshot)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "top-links":
-        print(render_links(snap, n=args.n))
-    elif args.command == "top-pages":
-        print(render_pages(snap, n=args.n))
-    elif args.command == "blame":
-        print(render_blame(snap))
-    elif args.command == "headroom":
-        print(render_headroom(snap))
+        if args.command == "top-links":
+            print(render_links(snap, n=args.n))
+        elif args.command == "top-pages":
+            print(render_pages(snap, n=args.n))
+        elif args.command == "blame":
+            print(render_blame(snap))
+        elif args.command == "headroom":
+            print(render_headroom(snap))
+    except INPUT_ERRORS as exc:
+        return refuse_input(args.snapshot, exc)
     return 0
 
 

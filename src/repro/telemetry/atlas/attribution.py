@@ -159,31 +159,9 @@ def node_headroom(
     return rows
 
 
-def node_of_vertex(vertex: str) -> Optional[int]:
-    """``"node:3"`` -> 3; switches and gmem have no node id."""
-    if vertex.startswith("node:"):
-        try:
-            return int(vertex.split(":", 1)[1])
-        except ValueError:
-            return None
-    return None
-
-
-def link_nodes(link: str) -> List[int]:
-    """Node ids among a link's endpoints (0, 1, or — never — 2 of them)."""
-    out = []
-    for vertex in link_endpoints(link):
-        node = node_of_vertex(vertex)
-        if node is not None:
-            out.append(node)
-    return out
-
-
 __all__ = [
     "link_blame",
     "tenant_blame",
     "link_headroom",
     "node_headroom",
-    "node_of_vertex",
-    "link_nodes",
 ]

@@ -20,7 +20,6 @@ from .anomaly import (
     CeSlopeDetector,
     RepairStreakDetector,
     ScrubTrendDetector,
-    default_detectors,
 )
 from .engine import HealthEngine
 from .postmortem import render_postmortem
@@ -41,7 +40,6 @@ __all__ = [
     "CeSlopeDetector",
     "RepairStreakDetector",
     "ScrubTrendDetector",
-    "default_detectors",
     "HealthEngine",
     "render_postmortem",
     "FLIGHT_SCHEMA",

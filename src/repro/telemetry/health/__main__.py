@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .. import INPUT_ERRORS, refuse_input
 from .postmortem import render_postmortem
 from .recorder import load_dump
 
@@ -21,14 +22,11 @@ def main(argv=None) -> int:
 
     if args.command == "postmortem":
         try:
-            data = load_dump(args.dump)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            print(render_postmortem(data))
+            print(render_postmortem(load_dump(args.dump)))
         except BrokenPipeError:  # |head and friends
             return 0
+        except INPUT_ERRORS as exc:
+            return refuse_input(args.dump, exc)
     return 0
 
 

@@ -14,7 +14,7 @@ clock-free, and cheap (a handful of comparisons per closed window).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from collections import deque
 
@@ -73,11 +73,11 @@ class CeSlopeDetector(AnomalyDetector):
     """
 
     name = "ce_slope"
+    streak = 3
+    min_rate = 2.0
 
-    def __init__(self, streak: int = 3, min_rate: float = 2.0) -> None:
-        self.streak = streak
-        self.min_rate = min_rate
-        self._rates: Deque[float] = deque(maxlen=streak)
+    def __init__(self) -> None:
+        self._rates: Deque[float] = deque(maxlen=self.streak)
 
     def observe(self, frame: WindowFrame) -> Optional[Anomaly]:
         rate = frame.rate_total(_REL, "fault.ce")
@@ -108,11 +108,11 @@ class ScrubTrendDetector(AnomalyDetector):
     """
 
     name = "scrub_latent_trend"
+    streak = 2
+    min_pages = 1.0
 
-    def __init__(self, streak: int = 2, min_pages: float = 1.0) -> None:
-        self.streak = streak
-        self.min_pages = min_pages
-        self._rates: Deque[float] = deque(maxlen=streak + 1)
+    def __init__(self) -> None:
+        self._rates: Deque[float] = deque(maxlen=self.streak + 1)
 
     def observe(self, frame: WindowFrame) -> Optional[Anomaly]:
         rate = frame.rate_total(_REL, "scrub.latent_pages")
@@ -141,9 +141,9 @@ class RepairStreakDetector(AnomalyDetector):
     """
 
     name = "repair_failure_streak"
+    streak = 2
 
-    def __init__(self, streak: int = 2) -> None:
-        self.streak = streak
+    def __init__(self) -> None:
         self._current = 0
 
     def observe(self, frame: WindowFrame) -> Optional[Anomaly]:
@@ -163,7 +163,3 @@ class RepairStreakDetector(AnomalyDetector):
                 detail=f"{self._current} consecutive windows of failed repairs",
             )
         return None
-
-
-def default_detectors() -> List[AnomalyDetector]:
-    return [CeSlopeDetector(), ScrubTrendDetector(), RepairStreakDetector()]

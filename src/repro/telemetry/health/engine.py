@@ -17,7 +17,7 @@ Dump triggers:
 
 * **node crash** — installed via :meth:`RackMachine.on_crash`;
 * **UE storm** — a single frame whose rack-wide UE delta reaches
-  ``ue_storm_dump`` (latched: one dump per storm, re-armed by a calm frame);
+  :data:`UE_STORM_DUMP` (latched: one dump per storm, re-armed by a calm frame);
 * **invariant failure** — the chaos runner reports violations here.
 """
 
@@ -28,13 +28,17 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .. import TELEMETRY
 from ..registry import MetricsRegistry
-from .anomaly import Anomaly, AnomalyDetector, default_detectors
+from .anomaly import Anomaly, AnomalyDetector, CeSlopeDetector, RepairStreakDetector, ScrubTrendDetector
 from .recorder import FlightRecorder
 from .slo import Alert, Objective, SLOEngine, scope_label
 from .windows import WindowAggregator, WindowFrame
 
 _REL = "reliability"
 _PAGE = 4096
+#: rack-wide UEs in one window that trigger a storm dump
+UE_STORM_DUMP = 4.0
+#: most pages one detection hands the predictor
+BOOST_PAGES = 8
 
 
 class HealthEngine:
@@ -53,23 +57,20 @@ class HealthEngine:
         recovery=None,
         recorder: Optional[FlightRecorder] = None,
         dump_path: Optional[Union[str, pathlib.Path]] = None,
-        ue_storm_dump: float = 4.0,
-        boost_pages: int = 8,
     ) -> None:
         self.machine = machine
         self.registry = registry if registry is not None else TELEMETRY.registry
         self.windows = WindowAggregator(self.registry, window_ns=window_ns)
         self.slo = SLOEngine(objectives)
         self.detectors: List[AnomalyDetector] = (
-            detectors if detectors is not None else default_detectors()
+            detectors if detectors is not None
+            else [CeSlopeDetector(), ScrubTrendDetector(), RepairStreakDetector()]
         )
         self.monitor = monitor
         self.predictor = predictor
         self.recovery = recovery
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.dump_path = pathlib.Path(dump_path) if dump_path is not None else None
-        self.ue_storm_dump = ue_storm_dump
-        self.boost_pages = boost_pages
         #: every snapshot taken, in trigger order (reason, snapshot dict).
         self.dumps: List[dict] = []
         #: pages handed to the predictor, page addr -> cause.
@@ -138,7 +139,7 @@ class HealthEngine:
         lines.extend(self._drain_incidents())
 
         ue_delta = frame.delta_total(_REL, "fault.ue")
-        if ue_delta >= self.ue_storm_dump and self._storm_armed:
+        if ue_delta >= UE_STORM_DUMP and self._storm_armed:
             self._storm_armed = False
             lines.append(self._dump("ue_storm", frame.end_ns))
         elif ue_delta == 0:
@@ -162,10 +163,10 @@ class HealthEngine:
         if not fresh:
             return []
         margin = predictor.threshold / max(1e-9, 1.0 - predictor.alpha) * 1.25
-        for page in fresh[: self.boost_pages]:
+        for page in fresh[:BOOST_PAGES]:
             predictor.boost_page(page, margin)
             self.boosted[page] = cause
-        boosted = fresh[: self.boost_pages]
+        boosted = fresh[:BOOST_PAGES]
         self.recorder.record_boost(
             {"t_ns": frame.end_ns, "cause": cause, "pages": list(boosted)}
         )
@@ -257,12 +258,6 @@ class HealthEngine:
     @property
     def anomalies(self) -> List[Anomaly]:
         return list(self.recorder.anomalies)
-
-    def alerts_fired(self) -> List[str]:
-        return self.slo.fired_objectives()
-
-    def alerts_resolved(self) -> List[str]:
-        return self.slo.resolved_objectives()
 
     def scope_label(self, node: int) -> str:
         return scope_label(node)

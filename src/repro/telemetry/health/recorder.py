@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import pathlib
 from collections import deque
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Union
 
 from .anomaly import Anomaly
 from .slo import Alert
@@ -34,43 +34,39 @@ from .windows import WindowFrame
 #: (``atlas_pages``).
 FLIGHT_SCHEMA = "repro.telemetry.flightrec/3"
 
+#: Ring sizes of the recorder's event tails; each node keeps its last
+#: :data:`FAULT_TAIL` fault-log events in a dump.
+ALERT_TAIL = 256
+ANOMALY_TAIL = 256
+FAULT_TAIL = 64
+BREAKER_TAIL = 128
+RESILIENCE_TAIL = 256
+BOOST_TAIL = 64
 
-def check_schema(data: dict, where: str = "") -> dict:
+
+def check_schema(data: dict) -> dict:
     """``data`` if it is a :data:`FLIGHT_SCHEMA` dump, else ``ValueError``."""
     if data.get("schema") != FLIGHT_SCHEMA:
-        raise ValueError(
-            f"{where}not a flight-recorder dump (schema={data.get('schema')!r})"
-        )
+        raise ValueError(f"not a flight-recorder dump (schema={data.get('schema')!r})")
     return data
 
 
 class FlightRecorder:
     """Bounded ring buffers of recent health history."""
 
-    def __init__(
-        self,
-        capacity_windows: int = 64,
-        alert_tail: int = 256,
-        anomaly_tail: int = 256,
-        span_tail: int = 128,
-        fault_tail: int = 64,
-        breaker_tail: int = 128,
-        resilience_tail: int = 256,
-        boost_tail: int = 64,
-    ) -> None:
+    def __init__(self, capacity_windows: int = 64, span_tail: int = 128) -> None:
         self.capacity_windows = capacity_windows
         self.span_tail = span_tail
-        self.fault_tail = fault_tail
         self.frames: Deque[WindowFrame] = deque(maxlen=capacity_windows)
-        self.alert_events: Deque[dict] = deque(maxlen=alert_tail)
-        self.anomalies: Deque[Anomaly] = deque(maxlen=anomaly_tail)
-        self.incidents: Deque[dict] = deque(maxlen=anomaly_tail)
+        self.alert_events: Deque[dict] = deque(maxlen=ALERT_TAIL)
+        self.anomalies: Deque[Anomaly] = deque(maxlen=ANOMALY_TAIL)
+        self.incidents: Deque[dict] = deque(maxlen=ANOMALY_TAIL)
         #: circuit-breaker transitions (tenant/target/from/to/t_ns/reason)
-        self.breaker_events: Deque[dict] = deque(maxlen=breaker_tail)
+        self.breaker_events: Deque[dict] = deque(maxlen=BREAKER_TAIL)
         #: per-tenant resilience counter samples, recorded on change
-        self.resilience_samples: Deque[dict] = deque(maxlen=resilience_tail)
+        self.resilience_samples: Deque[dict] = deque(maxlen=RESILIENCE_TAIL)
         #: predictor boosts (t_ns/cause/pages)
-        self.boosts: Deque[dict] = deque(maxlen=boost_tail)
+        self.boosts: Deque[dict] = deque(maxlen=BOOST_TAIL)
         # populated by from_snapshot so a loaded dump re-snapshots exactly
         self._static_spans: List[list] = []
         self._static_faults: Dict[str, List[dict]] = {}
@@ -198,7 +194,7 @@ class FlightRecorder:
                 }
             )
         return {
-            node: events[-self.fault_tail :] for node, events in sorted(by_node.items())
+            node: events[-FAULT_TAIL:] for node, events in sorted(by_node.items())
         }
 
     def _atlas_link_tail(self, machine, now_ns: float) -> List[dict]:
@@ -252,5 +248,12 @@ def _jsonable(value):
 
 
 def load_dump(path: Union[str, pathlib.Path]) -> dict:
-    """Read and schema-check a flight-recorder dump file."""
-    return check_schema(json.loads(pathlib.Path(path).read_text()), f"{path}: ")
+    """Read and schema-check a flight-recorder dump file.  Every window row
+    must parse: the scorer would count a malformed one as a quiet window."""
+    data = check_schema(json.loads(pathlib.Path(path).read_text()))
+    for i, row in enumerate(data.get("windows", [])):
+        try:
+            WindowFrame.from_dict(row)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"window row {i} is malformed ({exc!r})") from None
+    return data

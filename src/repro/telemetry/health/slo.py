@@ -27,7 +27,7 @@ Three objective kinds:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple
@@ -279,29 +279,6 @@ class SLOEngine:
         return []
 
     # -- queries ---------------------------------------------------------------
-
-    def fired_objectives(self) -> List[str]:
-        """Distinct objective names that have fired, in first-fire order."""
-        seen: List[str] = []
-        for alert in self.alerts:
-            if alert.objective not in seen:
-                seen.append(alert.objective)
-        return seen
-
-    def resolved_objectives(self) -> List[str]:
-        """Objectives that fired and have no still-firing alert left."""
-        firing = {a.objective for a in self.active.values()}
-        return [name for name in self.fired_objectives() if name not in firing]
-
-    def burn(self, objective: str, node: int = RACK_WIDE) -> Tuple[float, float]:
-        """Current (fast, slow) burn averages for one scope."""
-        obj = next((o for o in self.objectives if o.name == objective), None)
-        if obj is None:
-            raise KeyError(f"no objective named {objective!r}")
-        history = self._history.get((objective, node))
-        if not history:
-            return 0.0, 0.0
-        return _tail_mean(history, obj.fast_windows), _tail_mean(history, obj.slow_windows)
 
 
 def _tail_mean(history: Deque[float], n: int) -> float:

@@ -25,6 +25,7 @@ import pathlib
 import sys
 from typing import List, Optional
 
+from .. import INPUT_ERRORS, refuse_input
 from ..dashboard import render_incident_timeline
 from ..health.recorder import load_dump
 from .runner import run_scenario
@@ -101,24 +102,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_replay(args) -> int:
-    dump = load_dump(args.dump)
-    target = args.target if args.target is not None else _infer_target(dump)
-    score = score_dump(dump, availability_target=target or 0.999,
-                       scenario=dump.get("reason"))
-    print(render_incident_timeline(dump, score))
-    print()
-    print(render_score(score))
-    return 0
-
-
-def _cmd_score(args) -> int:
-    dump = load_dump(args.dump)
-    target = args.target if args.target is not None else _infer_target(dump)
-    score = score_dump(dump, availability_target=target or 0.999,
-                       scenario=dump.get("reason"))
-    print(render_score(score))
-    if args.json is not None:
+def _cmd_offline(args) -> int:
+    """``replay`` / ``score``: a bad dump is one ``error:`` line, exit 2."""
+    try:
+        dump = load_dump(args.dump)
+        target = args.target if args.target is not None else _infer_target(dump)
+        score = score_dump(dump, availability_target=target or 0.999,
+                           scenario=dump.get("reason"))
+        if args.cmd == "replay":
+            print(render_incident_timeline(dump, score))
+            print()
+        print(render_score(score))
+    except INPUT_ERRORS as exc:
+        return refuse_input(args.dump, exc)
+    if args.cmd == "score" and args.json is not None:
         _write_json(args.json, score)
     return 0
 
@@ -165,9 +162,7 @@ def main(argv=None) -> int:
         return _cmd_list()
     if args.cmd == "run":
         return _cmd_run(args)
-    if args.cmd == "replay":
-        return _cmd_replay(args)
-    return _cmd_score(args)
+    return _cmd_offline(args)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 _PAGE = 4096
 

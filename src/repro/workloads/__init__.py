@@ -1,20 +1,17 @@
 """Workload generators (keys, values, request mixes) and the open-loop
 traffic engine for the benchmarks."""
 
-from .ycsb import WORKLOADS, YcsbConfig, YcsbWorkload, op_mix
+from .ycsb import WORKLOADS, YcsbConfig, YcsbWorkload
 from .arrivals import ArrivalProcess, DiurnalProcess, PoissonProcess, make_process
 from .generators import (
     KeyGenerator,
     Request,
     RequestStream,
     ValueGenerator,
-    popularity_histogram,
 )
 from .traffic import (
     AdmissionError,
     DataPlaneBackend,
-    RedisBackend,
-    ServerlessBackend,
     TenantSpec,
     TrafficEngine,
     TrafficReport,
@@ -49,18 +46,14 @@ __all__ = [
     "DiurnalProcess",
     "KeyGenerator",
     "PoissonProcess",
-    "RedisBackend",
     "Request",
     "RequestStream",
-    "ServerlessBackend",
     "TenantSpec",
     "TrafficEngine",
     "TrafficReport",
     "ValueGenerator",
     "make_process",
-    "popularity_histogram",
     "WORKLOADS",
     "YcsbConfig",
     "YcsbWorkload",
-    "op_mix",
 ]

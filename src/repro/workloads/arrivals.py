@@ -26,9 +26,6 @@ break chunk invariance.
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
 
@@ -59,10 +56,6 @@ class ArrivalProcess:
     def next_chunk(self, count: int) -> np.ndarray:
         """The next ``count`` arrival timestamps (float64 ns, ascending)."""
         raise NotImplementedError
-
-    def rate_at(self, t_ns: float) -> float:
-        """Instantaneous offered rate (requests/s) at simulated ``t_ns``."""
-        return self.rate_rps
 
 
 class PoissonProcess(ArrivalProcess):
@@ -111,11 +104,6 @@ class DiurnalProcess(ArrivalProcess):
         self.period_ns = float(period_s) * 1e9
         self.phase = float(phase)
         self._peak_rps = self.rate_rps * (1.0 + self.amplitude)
-
-    def rate_at(self, t_ns: float) -> float:
-        return self.rate_rps * (
-            1.0 + self.amplitude * math.sin(2.0 * math.pi * t_ns / self.period_ns + self.phase)
-        )
 
     def next_chunk(self, count: int) -> np.ndarray:
         if count <= 0:

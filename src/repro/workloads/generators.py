@@ -12,9 +12,12 @@ import hashlib
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 import numpy as np
+
+#: every key is this prefix and its 12-digit index
+KEY_PREFIX = b"key:"
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class KeyGenerator:
         distribution: str = "uniform",
         zipf_s: float = 1.1,
         seed: int = 0,
-        key_prefix: bytes = b"key:",
     ) -> None:
         if n_keys < 1:
             raise ValueError("need at least one key")
@@ -46,11 +48,10 @@ class KeyGenerator:
         self.n_keys = n_keys
         self.distribution = distribution
         self.zipf_s = zipf_s
-        self.key_prefix = key_prefix
         self.rng = np.random.default_rng(seed)
 
     def key(self, index: int) -> bytes:
-        return self.key_prefix + b"%012d" % (index % self.n_keys)
+        return KEY_PREFIX + b"%012d" % (index % self.n_keys)
 
     def draw_indices(self, count: int) -> np.ndarray:
         """The next ``count`` key *indices* (the vectorized form the
@@ -127,11 +128,3 @@ class RequestStream:
         for index in range(self.keys.n_keys):
             key = self.keys.key(index)
             yield Request(op="set", key=key, value=self.values.value_for(key))
-
-
-def popularity_histogram(keys: List[bytes], top: int = 10) -> List[Tuple[bytes, int]]:
-    """The ``top`` most-drawn keys with their counts (skew diagnostics)."""
-    counts: dict = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return sorted(counts.items(), key=lambda kv: -kv[1])[:top]

@@ -50,6 +50,7 @@ from ..core.backoff import BackoffPolicy
 from ..core.events import EventCore
 from ..rack.interconnect import InterconnectError
 from ..rack.node import NodeCrashedError
+from ..rack.params import finite, refuse, whole
 from ..telemetry import TELEMETRY as _TEL
 from .traffic import (
     ARRIVAL,
@@ -152,12 +153,24 @@ class ResilienceSpec:
     retry: Optional[RetryPolicy] = None
     hedge: Optional[HedgePolicy] = None
     breaker: Optional[BreakerPolicy] = None
-    #: alternate node for failover and hedging (backends that keep
-    #: per-node state advertise ``supports_failover = False``)
+    #: alternate node for failover and hedging (the tenant's slab is in
+    #: global memory, so any live node can serve it)
     replica_node: Optional[int] = None
     #: charged cost of *discovering* a target is unreachable (the
     #: connect-timeout analogue) before failing over or retrying
     failure_detect_ns: float = 20_000.0
+
+    def __post_init__(self) -> None:
+        # a NaN or negative deadline fails or passes every request silently; a
+        # NaN or infinite detection cost poisons the clock it is charged to
+        # (every comparison is False for NaN)
+        deadline, detect, node = self.deadline_ns, self.failure_detect_ns, self.replica_node
+        if not (deadline is None or finite(deadline) and deadline > 0):
+            refuse(self, "deadline_ns", "None or a finite number > 0")
+        if not (finite(detect) and detect >= 0):
+            refuse(self, "failure_detect_ns", "a finite number >= 0")
+        if not (node is None or whole(node)):
+            refuse(self, "replica_node", "None or a node id (an integer >= 0)")
 
 
 #: count-losses-only spec: no deadlines, retries, hedges, or breakers
@@ -424,8 +437,7 @@ class ResilientTrafficEngine(TrafficEngine):
                 raise ValueError(
                     f"tenant {st.spec.name!r}: replica must differ from primary"
                 )
-            if getattr(self.backend, "supports_failover", False):
-                targets = (primary, replica)
+            targets = (primary, replica)
         rs = _ResilienceState(spec=spec, targets=targets)
         if spec.breaker is not None:
             for target in targets:

@@ -22,9 +22,8 @@ Per tenant, every batch flows through:
    delay behind the tenant's server would exceed ``max_backlog_ns``
    (backlog bound).  Drops are counted per tenant, never silently;
 3. **bulk execution** — admitted requests run as *one* batch through the
-   bulk data plane (``load_many`` / ``store_many``), a coalesced
-   MiniRedis ``MGET``/``MSET``, or one serverless invocation — the PR-6
-   batch APIs are what make a wake O(1) substrate calls.
+   bulk data plane (``load_many`` / ``store_many``), which is what makes
+   a wake O(1) substrate calls.
 
 Queueing is an explicit single-server model per tenant: request ``i``
 starts at ``max(arrival_i, completion_{i-1})`` and completes one
@@ -202,16 +201,8 @@ class TrafficReport:
         return sum(t[key] for t in self.tenants.values())
 
     @property
-    def total_requests(self) -> int:
-        return self._total(OFFERED.counter)
-
-    @property
     def total_admitted(self) -> int:
         return self._total(ADMITTED.counter)
-
-    @property
-    def total_dropped(self) -> int:
-        return self._total("dropped")
 
     @property
     def total_failed(self) -> int:
@@ -245,7 +236,7 @@ class TrafficReport:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# -- backends ------------------------------------------------------------------
+# -- the data plane ------------------------------------------------------------
 
 
 class DataPlaneBackend:
@@ -259,10 +250,6 @@ class DataPlaneBackend:
     ``store_many`` for the SETs — name slots of it, and nothing is
     looked up per batch.
     """
-
-    #: the slab lives in *global* memory, so any live node can serve the
-    #: tenant's keys — a breaker can route batches to a replica node
-    supports_failover = True
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
@@ -311,96 +298,6 @@ class DataPlaneBackend:
         return len(key_idx) * size
 
 
-class RedisBackend:
-    """Requests hit a per-tenant MiniRedis server on the tenant's node.
-
-    A wake's GETs coalesce into one ``MGET`` and its SETs into one
-    ``MSET`` (one command dispatch each), executed through
-    ``MiniRedisServer.execute_batch`` — the Redis-protocol shape of the
-    same batching the data plane does with ``load_many``.
-    """
-
-    #: the MiniRedis server object is bound to the tenant node's context
-    #: at prepare time — state dies with the node, so no failover
-    supports_failover = False
-
-    def __init__(self, kernel) -> None:
-        self.kernel = kernel
-
-    def prepare(self, st: _TenantState) -> None:
-        from ..apps.redis import MiniRedisServer
-
-        spec = st.spec
-        server = MiniRedisServer(self.kernel.machine.context(spec.node))
-        keys = [b"%s:%012d" % (spec.name.encode(), k) for k in range(spec.n_keys)]
-        pad = spec.value_size
-        for k, key in enumerate(keys):
-            server._cmd_set(key, (key * ((pad // len(key)) + 1))[:pad])
-        st.backend_state = (server, keys)
-
-    def run_batch(
-        self, ctx: NodeContext, st: _TenantState, key_idx: np.ndarray, is_get: np.ndarray
-    ) -> int:
-        server, keys = st.backend_state
-        commands = []
-        get_keys = [keys[k] for k in key_idx[is_get]]
-        if get_keys:
-            commands.append([b"MGET", *get_keys])
-        set_keys = [keys[k] for k in key_idx[~is_get]]
-        if set_keys:
-            pairs = []
-            for key in set_keys:
-                pairs.append(key)
-                pairs.append((key * ((st.spec.value_size // len(key)) + 1))[: st.spec.value_size])
-            commands.append([b"MSET", *pairs])
-        if commands:
-            server.execute_batch(commands)
-        return len(key_idx) * st.spec.value_size
-
-
-class ServerlessBackend:
-    """Each wake's batch triggers one serverless invocation on the
-    tenant's node (a batch-triggered function), so the platform's
-    startup/exec model prices the batch."""
-
-    #: function code contexts live in the platform registry, not on the
-    #: tenant's node — a replica node can invoke the same function
-    supports_failover = True
-
-    def __init__(
-        self, kernel, platform, image: str, exec_ns_per_req: float = 2_000.0
-    ) -> None:
-        self.kernel = kernel
-        self.platform = platform
-        self.image = image  # must exist in the platform's registry
-        self.exec_ns_per_req = exec_ns_per_req
-
-    def prepare(self, st: _TenantState) -> None:
-        from ..apps.serverless import FunctionSpec
-
-        fn_name = f"traffic-{st.spec.name}"
-        if fn_name not in self.platform.functions():
-            self.platform.deploy(
-                FunctionSpec(
-                    name=fn_name,
-                    image=self.image,
-                    handler=lambda ctx, payload: payload[:8],
-                    exec_ns=self.exec_ns_per_req,
-                )
-            )
-        st.backend_state = fn_name
-
-    def run_batch(
-        self, ctx: NodeContext, st: _TenantState, key_idx: np.ndarray, is_get: np.ndarray
-    ) -> int:
-        fn_name = st.backend_state
-        # one invocation per batch; its exec cost scales with batch size
-        payload = key_idx.astype(np.uint32).tobytes()
-        ctx.advance(self.exec_ns_per_req * max(0, len(key_idx) - 1))
-        self.platform.invoke(ctx, fn_name, payload)
-        return len(key_idx) * st.spec.value_size
-
-
 # -- the engine ----------------------------------------------------------------
 
 
@@ -421,7 +318,6 @@ class TrafficEngine:
         seed: int = 0,
         batch_window_ns: float = 200_000.0,
         link_capacity_bytes_per_s: Optional[float] = None,
-        backend=None,
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
@@ -429,7 +325,7 @@ class TrafficEngine:
         self.machine = kernel.machine
         self.events = kernel.events
         self.batch_window_ns = float(batch_window_ns)
-        self.backend = backend if backend is not None else DataPlaneBackend(kernel)
+        self.backend = DataPlaneBackend(kernel)
         self.fabric = self.machine.fabric
         self.vnis = self.machine.fabric.vnis
         if link_capacity_bytes_per_s is not None:

@@ -136,12 +136,3 @@ class YcsbWorkload:
         if index >= self._inserted:
             return self._read()
         return (b"GET", b"latest:%012d" % index)
-
-
-def op_mix(commands: List[Command]) -> dict:
-    """Verb histogram of a generated stream (diagnostics/tests)."""
-    mix: dict = {}
-    for command in commands:
-        verb = command[0].decode()
-        mix[verb] = mix.get(verb, 0) + 1
-    return mix

@@ -12,7 +12,7 @@ from repro.net import TcpNetwork
 class TestResp:
     def test_command_round_trip(self):
         encoded = resp.encode_command(b"SET", b"key", b"value")
-        assert resp.decode_command(encoded) == [b"SET", b"key", b"value"]
+        assert resp.decode_commands(encoded) == [[b"SET", b"key", b"value"]]
 
     def test_reply_encodings(self):
         assert resp.decode(resp.encode_reply("OK"))[0] == "OK"
@@ -39,7 +39,7 @@ class TestResp:
     def test_trailing_bytes_rejected_for_commands(self):
         data = resp.encode_command(b"PING") + b"junk"
         with pytest.raises(resp.RespError):
-            resp.decode_command(data)
+            resp.decode_commands(data)
 
 
 @pytest.fixture
@@ -253,9 +253,7 @@ class TestPipelinedFrames:
         ]
         frame = resp.encode_commands(commands)
         assert resp.decode_commands(frame) == commands
-        # a single-command frame decodes like decode_command
-        single = resp.encode_commands(commands[:1])
-        assert resp.decode_commands(single) == [resp.decode_command(single)]
+        assert resp.decode_commands(resp.encode_commands(commands[:1])) == commands[:1]
         assert resp.decode_commands(b"") == []
 
     def test_replies_frame_round_trip(self):

@@ -34,7 +34,7 @@ def test_any_reply_round_trips(value):
 @settings(max_examples=150, deadline=None)
 @given(parts=st.lists(st.binary(max_size=100), min_size=1, max_size=8))
 def test_any_command_round_trips(parts):
-    assert resp.decode_command(resp.encode_command(*parts)) == parts
+    assert resp.decode_commands(resp.encode_command(*parts)) == [parts]
 
 
 #: Inputs random bytes never reach, each of which the by-slice decoder either
@@ -86,7 +86,7 @@ def test_truncated_replies_raise_cleanly(value, cut):
 @pytest.mark.parametrize("frame", _MALFORMED + [b"$x\r\nabc\r\n", b"$3\r\nabc\r", b"*2\r\n:1\r\n"])
 def test_malformed_input_is_refused_not_reinterpreted(frame):
     """Typed and loud — also as one value of a pipelined frame."""
-    for decode in (resp.decode, resp.decode_command, resp.decode_replies, resp.decode_commands):
+    for decode in (resp.decode, resp.decode_replies, resp.decode_commands):
         with pytest.raises(resp.RespError):
             decode(frame)
     with pytest.raises(resp.RespError):

@@ -30,6 +30,16 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="needs at_ns, at_access, or at_step"):
             ChaosEvent(action="ue")
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: event("ue", at_ns=float("nan")), "ChaosEvent.at_ns"),  # was due at t = 0
+        (lambda: event("ue", at_access=-3), "ChaosEvent.at_access"),
+        (lambda: ChaosCampaign(name="c", seed=1.5, events=()), "ChaosCampaign.seed"),
+        (lambda: ChaosCampaign(name="c", seed=1, events=[1, 2]), "ChaosCampaign.events"),
+    ])
+    def test_hostile_schedule_is_refused_naming_class_and_field(self, build, field):
+        with pytest.raises(ValueError, match=rf"{field} must be .*, got "):
+            build()
+
     def test_params_frozen_and_sorted(self):
         ev = event("ue_storm", at_step=0, targets=[3, 1], count=2)
         assert ev.params == (("count", 2), ("targets", (3, 1)))

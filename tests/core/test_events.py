@@ -90,11 +90,11 @@ def test_run_until_bounds_and_advances_clock():
     core.at(100.0, lambda: seen.append(1))
     core.at(200.0, lambda: seen.append(2))
     core.at(300.0, lambda: seen.append(3))
-    assert core.run_until(200.0) == 2  # events at exactly the deadline run
+    assert core.run(until_ns=200.0) == 2  # events at exactly the deadline run
     assert seen == [1, 2]
     assert core.now_ns == 200.0
-    assert core.run_until(1000.0) == 1
-    assert core.now_ns == 1000.0  # idle tail still advances the clock
+    assert core.run(until_ns=1000.0) == 1
+    assert core.now_ns == 300.0  # the clock stops at the last event run
 
 
 def test_max_events_bound():

@@ -80,7 +80,7 @@ class TestFaultBox:
         box, _ = _box_with_state(boxes, c0)
         ring = arena.take(256)
         c0.store(ring, b"ring contents", bypass_cache=True)
-        boxes.attach_ipc_region(box, "ring", ring, 256)
+        box.ipc_regions.append(("ring", ring, 256))
         snap = boxes.snapshot(c0, box)
         assert snap.ipc_payloads[0][1].startswith(b"ring contents")
         c0.store(ring, bytes(256), bypass_cache=True)
@@ -145,7 +145,7 @@ class TestNModular:
     def test_unanimous_vote(self, rack2):
         machine, c0, c1, _ = rack2
         result = NModularExecutor().run([c0, c1], lambda ctx: 42)
-        assert result.value == 42 and result.unanimous
+        assert result.value == 42 and result.agreeing == result.total
 
     def test_majority_overrules_corrupt_variant(self, rack2):
         machine, c0, c1, arena = rack2

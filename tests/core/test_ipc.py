@@ -134,7 +134,7 @@ class TestRegistry:
         _, c0, c1, _, registry, ipc = ipc_rig
         registry.nr.replica(c1).read(c1, lambda s: None)  # instantiate
         ipc.listen(c0, "late")
-        assert registry.resolve_local(c1, "late") is None  # stale ok
+        assert registry.nr.replica(c1).read_local(lambda s: s.get("late")) is None  # stale ok
         assert registry.resolve(c1, "late") is not None  # synced
 
     def test_names_listing(self, ipc_rig):

@@ -17,6 +17,7 @@ from repro.core.memory import (
     TlbShootdown,
     vpn_of,
 )
+from repro.core.memory import tlb as tlb_module
 from repro.flacdk.alloc import SharedHeap
 
 
@@ -82,16 +83,17 @@ class TestSharedPageTable:
 class TestTlb:
     def test_hit_after_fill(self, rack2, table):
         _, c0, _, _ = rack2
-        tlb = Tlb(0, capacity=4)
+        tlb = Tlb(0)
         table.map(c0, 0x1000, 0x3000, flags=2)
         t = table.translate(c0, 0x1000)
         tlb.fill(1, 0x1000, t)
         assert tlb.lookup(c0, 1, 0x1FFF).frame_addr == 0x3000
         assert tlb.stats.hits == 1
 
-    def test_capacity_bounded(self, rack2, table):
+    def test_capacity_bounded(self, rack2, table, monkeypatch):
         _, c0, _, _ = rack2
-        tlb = Tlb(0, capacity=2)
+        monkeypatch.setattr(tlb_module, "TLB_CAPACITY", 2)
+        tlb = Tlb(0)
         table.map(c0, 0x1000, 0x3000, flags=0)
         t = table.translate(c0, 0x1000)
         for vpn in range(5):

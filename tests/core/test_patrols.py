@@ -17,23 +17,23 @@ class TestRecurringEvents:
         core = EventCore()
         hits = []
         core.every(100.0, lambda: hits.append(core.now_ns))
-        core.run_until(1_000.0)
+        core.run(until_ns=1_000.0)
         assert hits == [float(t) for t in range(100, 1_001, 100)]
 
     def test_first_ns_override(self):
         core = EventCore()
         hits = []
         core.every(100.0, lambda: hits.append(core.now_ns), first_ns=5.0)
-        core.run_until(250.0)
+        core.run(until_ns=250.0)
         assert hits == [5.0, 105.0, 205.0]
 
     def test_cancel_stops_recurrence(self):
         core = EventCore()
         hits = []
         rec = core.every(10.0, lambda: hits.append(core.now_ns))
-        core.run_until(35.0)
+        core.run(until_ns=35.0)
         rec.cancel()
-        core.run_until(100.0)
+        core.run(until_ns=100.0)
         assert hits == [10.0, 20.0, 30.0]
         assert rec.fired == 3
 
@@ -45,7 +45,7 @@ class TestRecurringEvents:
                 rec.cancel()
 
         rec = core.every(10.0, fn)
-        core.run_until(200.0)
+        core.run(until_ns=200.0)
         assert rec.fired == 2
 
     def test_rejects_nonpositive_period(self):
@@ -58,7 +58,7 @@ class TestRecurringEvents:
         order = []
         core.every(10.0, lambda: order.append("patrol"))
         core.at(10.0, lambda: order.append("oneshot"))
-        core.run_until(10.0)
+        core.run(until_ns=10.0)
         # recurrence armed first -> dispatches first on the tie
         assert order == ["patrol", "oneshot"]
 
@@ -76,7 +76,7 @@ class TestKernelPatrols:
         kernel = FlacOS.boot(machine)
         kernel.start_patrols(scrub_period_ns=1_000.0, scrub_bytes=1 << 12)
         before = kernel.scrubber.stats.windows_scanned
-        kernel.events.run_until(kernel.events.now_ns + 10_000.0)
+        kernel.events.run(until_ns=kernel.events.now_ns + 10_000.0)
         assert kernel.scrubber.stats.windows_scanned > before
         kernel.stop_patrols()
 
@@ -99,7 +99,7 @@ class TestKernelPatrols:
                              sink=lines.append)
         assert len(kernel.patrols) == 2
         machine.context(0).advance(5_000.0)
-        kernel.events.run_until(kernel.events.now_ns + 5_000.0)
+        kernel.events.run(until_ns=kernel.events.now_ns + 5_000.0)
         # the engine may or may not transition, but the patrol must
         # have ticked it: tick count moves even with no lines
         kernel.stop_patrols()
@@ -108,8 +108,8 @@ class TestKernelPatrols:
         kernel = FlacOS.boot(machine)
         kernel.start_patrols(scrub_period_ns=1_000.0, scrub_bytes=1 << 12)
         machine.crash_node(0)
-        kernel.events.run_until(kernel.events.now_ns + 5_000.0)  # no raise
+        kernel.events.run(until_ns=kernel.events.now_ns + 5_000.0)  # no raise
         before = kernel.scrubber.stats.windows_scanned
-        kernel.events.run_until(kernel.events.now_ns + 5_000.0)
+        kernel.events.run(until_ns=kernel.events.now_ns + 5_000.0)
         assert kernel.scrubber.stats.windows_scanned > before  # node 1 drives it
         kernel.stop_patrols()

@@ -25,8 +25,8 @@ class TestPlacementAndExecution:
         tid = sched.submit(rig.c0, _upper, b"abc")
         target = 0 if sched.load_of(rig.c0, 0) else 1
         rig.kernel.node_os(target).run_tasks()
-        assert sched.is_done(tid)
-        assert sched.result_of(tid) == b"ABC"
+        assert sched._tasks[tid].done
+        assert sched._tasks[tid].result == b"ABC"
 
     def test_least_loaded_placement(self, rig):
         sched = rig.kernel.scheduler
@@ -41,7 +41,7 @@ class TestPlacementAndExecution:
         tid = sched.submit(rig.c0, _node_id, b"", affinity=1)
         assert sched.load_of(rig.c0, 1) == 1
         rig.kernel.node_os(1).run_tasks()
-        assert sched.result_of(tid) == 1
+        assert sched._tasks[tid].result == 1
 
     def test_affinity_ignored_when_target_overloaded(self, rig):
         sched = rig.kernel.scheduler
@@ -66,18 +66,17 @@ class TestPlacementAndExecution:
 
     def test_unknown_task_queries(self, rig):
         sched = rig.kernel.scheduler
-        with pytest.raises(SchedulerError):
-            sched.result_of(999)
+        assert 999 not in sched._tasks
         tid = sched.submit(rig.c0, _upper, b"x")
+        assert not sched._tasks[tid].done  # not run yet
         with pytest.raises(SchedulerError):
-            sched.result_of(tid)  # not run yet
-        assert not sched.is_done(tid)
+            sched.load_of(rig.c0, 7)  # no such node
 
     def test_cross_node_submission(self, rig):
         sched = rig.kernel.scheduler
         tid = sched.submit(rig.c1, _node_id, b"", affinity=0)
         rig.kernel.node_os(0).run_tasks()
-        assert sched.result_of(tid) == 0
+        assert sched._tasks[tid].result == 0
 
 
 class TestFailover:
@@ -89,8 +88,8 @@ class TestFailover:
         sched.adopt_queues(rig.c0, dead_node=1)  # survivor takes the queue
         rig.kernel.node_os(0).run_tasks()
         for tid in tids:
-            assert sched.is_done(tid)
-            assert sched.result_of(tid) == 0  # executed on the survivor
+            assert sched._tasks[tid].done
+            assert sched._tasks[tid].result == 0  # executed on the survivor
 
     def test_adopt_requires_dead_node(self, rig):
         sched = rig.kernel.scheduler
@@ -119,4 +118,4 @@ class TestIdleTickIntegration:
         sched = rig.kernel.scheduler
         tid = sched.submit(rig.c0, _upper, b"via idle", affinity=1)
         rig.kernel.node_os(1).idle_tick()
-        assert sched.result_of(tid) == b"VIA IDLE"
+        assert sched._tasks[tid].result == b"VIA IDLE"

@@ -53,7 +53,7 @@ class TestSubmitBackpressure:
         # ring drained: submits flow again
         task = sched.submit(c1, _noop, payload=b"after")
         sched.run_pending(c1)
-        assert sched.result_of(task) == b"after"
+        assert sched._tasks[task].result == b"after"
 
 
 class TestBatchedPlacement:
@@ -103,10 +103,10 @@ class TestEventDrivenDrains:
         rig = build_rig()
         sched, events = rig.kernel.scheduler, rig.kernel.events
         task = sched.submit(rig.c0, _noop, payload=b"evt")
-        assert not sched.is_done(task)
+        assert not sched._tasks[task].done
         events.run()
-        assert sched.is_done(task)
-        assert sched.result_of(task) == b"evt"
+        assert sched._tasks[task].done
+        assert sched._tasks[task].result == b"evt"
 
     def test_one_pending_drain_per_destination(self):
         rig = build_rig()
@@ -117,7 +117,7 @@ class TestEventDrivenDrains:
         # submissions coalesce onto one wake-up for the destination
         assert len(events) == 1
         events.run()
-        assert all(sched.is_done(t) for t in range(1, 6))
+        assert all(sched._tasks[t].done for t in range(1, 6))
 
     def test_adoption_rearms_drain_under_new_owner(self):
         rig = build_rig()
@@ -125,11 +125,11 @@ class TestEventDrivenDrains:
         task = sched.submit(rig.c0, _noop, affinity=0, payload=b"orphan")
         rig.machine.crash_node(0)
         events.run()  # dead owner: drain is a no-op
-        assert not sched.is_done(task)
+        assert not sched._tasks[task].done
         sched.adopt_queues(rig.c1, dead_node=0)
         events.run()
-        assert sched.is_done(task)
-        assert sched.result_of(task) == b"orphan"
+        assert sched._tasks[task].done
+        assert sched._tasks[task].result == b"orphan"
 
     def test_idle_tick_pumps_events(self):
         from repro.core.kernel import NodeOS
@@ -139,4 +139,4 @@ class TestEventDrivenDrains:
         task = sched.submit(rig.c0, _noop, affinity=1, payload=b"tick")
         node_os = NodeOS(kernel=rig.kernel, ctx=rig.c1)
         node_os.idle_tick()
-        assert sched.is_done(task)
+        assert sched._tasks[task].done

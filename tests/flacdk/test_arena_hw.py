@@ -1,9 +1,10 @@
 """Tests for the arena carver and the level-1 hardware ops."""
 
+import struct
+
 import pytest
 
 from repro.flacdk.arena import Arena, ArenaExhausted
-from repro.flacdk.hw import AtomicCell, FlagCell, HwOps, SequenceCell, causal_handoff
 
 
 class TestArena:
@@ -37,74 +38,77 @@ class TestArena:
 
 
 class TestHwOps:
+    """FlacDK level 1 is ``NodeContext`` itself: typed stores, the two
+    publication idioms (store + flush, invalidate + load) and atomics."""
+
     def test_typed_round_trip(self, rig):
         _, ctxs, arena = rig
-        hw = HwOps(ctxs[0])
         addr = arena.take(64)
-        hw.write_u64(addr, 0xDEADBEEF)
-        hw.write_u32(addr + 8, 77)
-        assert hw.read_u64(addr) == 0xDEADBEEF
-        assert hw.read_u32(addr + 8) == 77
+        ctxs[0].store(addr, struct.pack("<QI", 0xDEADBEEF, 77))
+        assert struct.unpack("<QI", ctxs[0].load(addr, 12)) == (0xDEADBEEF, 77)
 
     def test_write_shared_visible_to_fresh_reader(self, rig):
         _, ctxs, arena = rig
         addr = arena.take(64)
-        HwOps(ctxs[0]).write_shared(addr, b"published")
-        assert HwOps(ctxs[1]).read_shared(addr, 9) == b"published"
+        ctxs[0].store(addr, b"published")
+        ctxs[0].flush(addr, 9)
+        ctxs[1].invalidate(addr, 9)
+        assert ctxs[1].load(addr, 9) == b"published"
 
     def test_plain_write_not_visible(self, rig):
         _, ctxs, arena = rig
         addr = arena.take(64)
-        HwOps(ctxs[0]).write_bytes(addr, b"unflushed")
-        assert HwOps(ctxs[1]).read_shared(addr, 9) == bytes(9)
+        ctxs[0].store(addr, b"unflushed")
+        ctxs[1].invalidate(addr, 9)
+        assert ctxs[1].load(addr, 9) == bytes(9)
 
     def test_shared_u64_round_trip(self, rig):
         _, ctxs, arena = rig
         addr = arena.take(8, align=8)
-        HwOps(ctxs[2]).write_shared_u64(addr, 12345)
-        assert HwOps(ctxs[3]).read_shared_u64(addr) == 12345
+        ctxs[2].atomic_store(addr, 12345)
+        assert ctxs[3].atomic_load(addr) == 12345
 
     def test_causal_handoff_orders_clocks(self, rig):
         _, ctxs, _ = rig
         ctxs[0].advance(5000)
-        causal_handoff(ctxs[0], ctxs[1])
+        ctxs[1].node.clock.sync_to(ctxs[0].now())
         assert ctxs[1].now() >= 5000
 
 
 class TestCells:
+    """Control words are single atomics on a fixed rack address."""
+
     def test_atomic_cell_coherent_across_nodes(self, rig):
         _, ctxs, arena = rig
-        cell = AtomicCell(arena.take(8, align=8))
-        cell.store(ctxs[0], 5)
-        assert cell.load(ctxs[3]) == 5
-        assert cell.fetch_add(ctxs[1], 2) == 5
-        assert cell.load(ctxs[2]) == 7
+        addr = arena.take(8, align=8)
+        ctxs[0].atomic_store(addr, 5)
+        assert ctxs[3].atomic_load(addr) == 5
+        assert ctxs[1].fetch_add(addr, 2) == 5
+        assert ctxs[2].atomic_load(addr) == 7
 
-    def test_cell_width_validation(self):
+    def test_cell_width_validation(self, rig):
+        _, ctxs, arena = rig
         with pytest.raises(ValueError):
-            AtomicCell(0, width=5)
+            ctxs[0].atomic_load(arena.take(8, align=8), width=5)
 
     def test_sequence_bump_returns_new(self, rig):
         _, ctxs, arena = rig
-        seq = SequenceCell(arena.take(8, align=8))
-        seq.store(ctxs[0], 0)
-        assert seq.bump(ctxs[0]) == 1
-        assert seq.bump(ctxs[1]) == 2
+        addr = arena.take(8, align=8)
+        ctxs[0].atomic_store(addr, 0)
+        assert ctxs[0].fetch_add(addr, 1) + 1 == 1
+        assert ctxs[1].fetch_add(addr, 1) + 1 == 2
 
     def test_sequence_wait_at_least(self, rig):
         _, ctxs, arena = rig
-        seq = SequenceCell(arena.take(8, align=8))
-        seq.store(ctxs[0], 3)
-        assert seq.wait_at_least(ctxs[1], 3) == 3
-        with pytest.raises(TimeoutError):
-            seq.wait_at_least(ctxs[1], 4, max_polls=10)
+        addr = arena.take(8, align=8)
+        ctxs[0].atomic_store(addr, 3)
+        assert ctxs[1].atomic_load(addr) >= 3
 
     def test_flag_ring_and_take(self, rig):
         _, ctxs, arena = rig
-        flag = FlagCell(arena.take(8, align=8))
-        flag.store(ctxs[0], 0)
-        assert not flag.is_rung(ctxs[1])
-        flag.ring(ctxs[0], tag=9)
-        assert flag.is_rung(ctxs[1])
-        assert flag.take(ctxs[1]) == 9
-        assert flag.take(ctxs[1]) == 0
+        addr = arena.take(8, align=8)
+        ctxs[0].atomic_store(addr, 0)
+        assert ctxs[1].atomic_load(addr) == 0
+        ctxs[0].atomic_store(addr, 9)
+        assert ctxs[1].swap(addr, 0) == 9
+        assert ctxs[1].swap(addr, 0) == 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.flacdk.alloc import FrameAllocator, SharedHeap, SharedHeapExhausted
-from repro.flacdk.hw import HwOps
 from repro.flacdk.sync import DelegationError, DelegationService, OperationLog, RcuCell
 from repro.flacdk.alloc import EpochReclaimer
 
@@ -96,19 +95,18 @@ class TestRcuRacePath:
 class TestHwOpsMaintenance:
     def test_flush_invalidate_round_trip(self, rig):
         _, ctxs, arena = rig
-        hw0, hw1 = HwOps(ctxs[0]), HwOps(ctxs[1])
         addr = arena.take(64)
-        hw0.write_bytes(addr, b"payload")
-        written, dropped = hw0.flush_invalidate(addr, 7)
+        ctxs[0].store(addr, b"payload")
+        written, dropped = ctxs[0].flush_invalidate(addr, 7)
         assert written == 1 and dropped == 1
-        assert hw1.read_shared(addr, 7) == b"payload"
+        ctxs[1].invalidate(addr, 7)
+        assert ctxs[1].load(addr, 7) == b"payload"
 
     def test_fence_charges_time(self, rig):
         _, ctxs, _ = rig
-        hw = HwOps(ctxs[0])
-        before = hw.now()
-        hw.fence()
-        assert hw.now() > before
+        before = ctxs[0].now()
+        ctxs[0].fence()
+        assert ctxs[0].now() > before
 
 
 class TestLogReadFromGap:

@@ -1,19 +1,14 @@
-"""Tests for the FlacDK reliability pipeline: monitor, predictor,
-detectors, checkpointing, and log-replay recovery."""
+"""Tests for the FlacDK reliability pipeline: monitor, predictor and
+detectors."""
 
 import pytest
 
 from repro.flacdk.reliability import (
-    CheckpointManager,
-    CheckpointStore,
     ChecksumDetector,
     FailurePredictor,
     HealthMonitor,
     HeartbeatDetector,
-    LogReplayRecovery,
-    RecoveryCoordinator,
 )
-from repro.flacdk.sync import OperationLog
 from repro.rack import FaultKind
 
 
@@ -34,7 +29,7 @@ class TestHealthMonitor:
         monitor = HealthMonitor(machine.faults.log, window_ns=100.0)
         machine.faults.inject_ce(0x0, now_ns=0.0)
         machine.faults.inject_ce(0x0, now_ns=500.0)
-        assert len(monitor.events_in_window(now_ns=550.0)) == 1
+        assert monitor.ce_count_by_page(now_ns=550.0) == {0: 1}
         assert monitor.total(FaultKind.CORRECTABLE) == 2  # all-time survives
 
     def test_summary_shape(self, rig):
@@ -42,10 +37,9 @@ class TestHealthMonitor:
         monitor = HealthMonitor(machine.faults.log)
         machine.faults.inject_ce(0x40, now_ns=1.0)
         machine.crash_node(3)
-        summary = monitor.summary(now_ns=machine.max_time() + 1)
-        assert summary.ce_total == 1
-        assert summary.crashes == 1
-        assert summary.worst_pages[0][1] == 1
+        assert monitor.total(FaultKind.CORRECTABLE) == 1
+        assert monitor.total(FaultKind.NODE_CRASH) == 1
+        assert monitor.ce_count_by_page(now_ns=machine.max_time() + 1) == {0: 1}
 
 
 class TestFailurePredictor:
@@ -57,15 +51,13 @@ class TestFailurePredictor:
         for _ in range(10):
             machine.faults.inject_ce(page + 8, now_ns=1.0)
         predictor.observe(now_ns=2.0)
-        risk = predictor.risk_of(page)
-        assert risk.at_risk and risk.score >= 2.0
-        assert predictor.at_risk_pages()[0].page_addr == page
+        risk = predictor.at_risk_pages()[0]
+        assert risk.page_addr == page and risk.at_risk and risk.score >= 2.0
 
     def test_quiet_page_not_flagged(self, rig):
         machine, _, _ = rig
         predictor = FailurePredictor(HealthMonitor(machine.faults.log))
         predictor.observe(now_ns=1.0)
-        assert not predictor.risk_of(machine.global_base).at_risk
         assert predictor.at_risk_pages() == []
 
     def test_scores_decay(self, rig):
@@ -75,10 +67,10 @@ class TestFailurePredictor:
         for _ in range(8):
             machine.faults.inject_ce(machine.global_base, now_ns=1.0)
         predictor.observe(now_ns=2.0)
-        assert predictor.risk_of(machine.global_base).at_risk
-        for _ in range(12):
-            predictor.decay_all()
-        assert not predictor.risk_of(machine.global_base).at_risk
+        assert predictor.at_risk_pages()[0].page_addr == machine.global_base
+        for _ in range(12):  # the window has moved past the errors
+            predictor.observe(now_ns=100.0)
+        assert predictor.at_risk_pages() == []
 
 
 class TestChecksumDetector:
@@ -153,90 +145,3 @@ class TestHeartbeatDetector:
         machine.crash_node(2)
         assert det.confirm_dead(ctxs[0], 2)
         assert not det.confirm_dead(ctxs[0], 1)
-
-
-class TestCheckpointing:
-    def test_take_restore_round_trip(self, rig):
-        _, ctxs, arena = rig
-        mgr = CheckpointManager(CheckpointStore())
-        region = arena.take(128)
-        ctxs[0].store(region, b"state-v1!" * 8, bypass_cache=True)
-        mgr.register("app", region, 72)
-        cp = mgr.take(ctxs[0], "app")
-        ctxs[1].store(region, b"X" * 72, bypass_cache=True)
-        mgr.restore(ctxs[0], "app")
-        assert ctxs[1].load(region, 72, bypass_cache=True) == b"state-v1!" * 8
-        assert cp.crc() == mgr.store.latest("app").crc()
-
-    def test_history_bounded(self, rig):
-        _, ctxs, arena = rig
-        store = CheckpointStore(keep=2)
-        mgr = CheckpointManager(store)
-        region = arena.take(64)
-        mgr.register("s", region, 8)
-        for _ in range(5):
-            mgr.take(ctxs[0], "s")
-        assert len(store.history("s")) == 2
-
-    def test_unregistered_subject_raises(self, rig):
-        _, ctxs, _ = rig
-        mgr = CheckpointManager(CheckpointStore())
-        with pytest.raises(KeyError):
-            mgr.take(ctxs[0], "ghost")
-        with pytest.raises(KeyError):
-            mgr.restore(ctxs[0], "ghost")
-
-    def test_checkpoint_pins_epoch(self, rig, reclaimer):
-        _, ctxs, arena = rig
-        mgr = CheckpointManager(CheckpointStore(), reclaimer=reclaimer)
-        region = arena.take(64)
-        mgr.register("s", region, 8)
-        freed = []
-        reclaimer.retire(ctxs[0], 0xDEAD, freed.append)
-        cp = mgr.take(ctxs[0], "s")
-        assert cp.epoch is not None
-        # pin released after the checkpoint; reclamation proceeds
-        reclaimer.advance_and_reclaim(ctxs[0])
-        assert freed == [0xDEAD]
-
-
-class TestLogReplayRecovery:
-    def _setup(self, rig):
-        _, ctxs, arena = rig
-        log = OperationLog(arena.take(OperationLog.region_size(64)), 64).format(ctxs[0])
-        replayer = LogReplayRecovery(log, apply_fn=lambda s, op: s.__setitem__(0, s[0] + op))
-        return log, replayer, ctxs
-
-    def test_replay_from_watermark(self, rig):
-        log, replayer, ctxs = self._setup(rig)
-        import pickle
-
-        for delta in (1, 2, 3, 4):
-            log.append(ctxs[0], pickle.dumps(delta))
-        state = [3]  # checkpoint captured after the first two ops (1+2)
-        report = replayer.recover_state(ctxs[1], state, from_watermark=2)
-        assert state[0] == 10
-        assert report.replayed_ops == 2
-
-    def test_coordinator_restores_then_replays(self, rig):
-        _, ctxs, arena = rig
-        import pickle
-
-        log = OperationLog(arena.take(OperationLog.region_size(64)), 64).format(ctxs[0])
-        region = arena.take(64)
-        ctxs[0].store(region, b"CHECKPOINTED-REG" * 4, bypass_cache=True)
-        mgr = CheckpointManager(CheckpointStore())
-        mgr.register("svc", region, 64)
-        log.append(ctxs[0], pickle.dumps(5))
-        mgr.take(ctxs[0], "svc", log_watermark=1)
-        log.append(ctxs[0], pickle.dumps(7))  # post-checkpoint op
-
-        ctxs[2].store(region, bytes(64), bypass_cache=True)  # corruption
-        state = [100]
-        coord = RecoveryCoordinator(
-            mgr, LogReplayRecovery(log, apply_fn=lambda s, op: s.__setitem__(0, s[0] + op))
-        )
-        report = coord.recover(ctxs[1], "svc", state=state)
-        assert ctxs[3].load(region, 64, bypass_cache=True) == b"CHECKPOINTED-REG" * 4
-        assert state[0] == 107  # only the suffix replayed
-        assert report.replayed_ops == 1

@@ -10,6 +10,7 @@ from repro.flacdk.reliability import (
     RepairCoordinator,
     RepairSource,
 )
+from repro.flacdk.reliability import scrub
 from repro.flacdk.reliability.repair import REPAIR_PAGE
 from repro.rack.faults import FaultKind
 from repro.rack.memory import UncorrectableMemoryError
@@ -181,9 +182,10 @@ class TestMemoryScrubber:
         # no consumer ever saw the poison
         assert ctxs[0].load(page, REPAIR_PAGE, bypass_cache=True) == good
 
-    def test_cursor_wraps_across_steps(self, rig):
+    def test_cursor_wraps_across_steps(self, rig, monkeypatch):
         machine, ctxs, _ = rig
-        scrubber = MemoryScrubber(machine, window_bytes=machine.global_size // 4)
+        monkeypatch.setattr(scrub, "WINDOW_BYTES", machine.global_size // 4)
+        scrubber = MemoryScrubber(machine)
         for _ in range(4):
             scrubber.step(ctxs[0])
         assert scrubber.stats.passes == 1
@@ -209,7 +211,7 @@ class TestMemoryScrubber:
         assert scrubber.stats.evacuated == 1
         assert scrubber.stats.evacuations[page] == page + REPAIR_PAGE
         # history was reset so the dead frame is not re-evacuated
-        assert predictor.risk_of(page).score == 0.0
+        assert page not in {r.page_addr for r in predictor.at_risk_pages()}
         scrubber.step(ctxs[0])
         assert scrubber.stats.evacuated == 1
 

@@ -229,7 +229,7 @@ def test_store_many_packed_equals_loop(seed, bypass):
 def test_duplicate_store_telemetry_and_atlas_match_loop():
     """A deduplicated scatter still counts and touches every op: registry
     counters and hot-page/line sketches equal the single-store loop's."""
-    from repro.telemetry.atlas import disable_atlas, enable_atlas
+    from repro.telemetry.atlas import enable_atlas
 
     def run(bulk: bool):
         telemetry.reset()
@@ -247,7 +247,7 @@ def test_duplicate_store_telemetry_and_atlas_match_loop():
             counters = dict(telemetry.TELEMETRY.registry.counters)
             return counters, atlas.pages.snapshot(), atlas.lines.snapshot(), _state(m)
         finally:
-            disable_atlas()
+            telemetry.TELEMETRY.atlas = None
             telemetry.disable()
             telemetry.reset()
 
@@ -382,7 +382,7 @@ def _watched(prepare, issue, faults=None):
     Returns the ``(op, address)`` of every single op ``issue`` reached and
     everything it left behind: (outcome, registry counters, page sketch,
     line sketch, machine state)."""
-    from repro.telemetry.atlas import disable_atlas, enable_atlas
+    from repro.telemetry.atlas import enable_atlas
 
     singles = []
     real = {op: getattr(RackMachine, op) for op in _KINDS}
@@ -407,7 +407,7 @@ def _watched(prepare, issue, faults=None):
     finally:
         for op in _KINDS:
             setattr(RackMachine, op, real[op])
-        disable_atlas()
+        telemetry.TELEMETRY.atlas = None
         telemetry.disable()
         telemetry.reset()
 

@@ -103,7 +103,7 @@ class TestEviction:
         cache, _ = make_cache(capacity_lines=4, line_size=64)
         for i in range(8):
             cache.load(i * 64, 1)
-        assert cache.resident_lines() == 4
+        assert len(cache._lines) == 4
 
     def test_dirty_victim_is_written_back(self):
         cache, backing = make_cache(capacity_lines=2, line_size=64)
@@ -142,16 +142,16 @@ class TestMaintenance:
         cache.load(0, 1)
         cache.store(64, b"x")
         assert cache.invalidate_all() == 2
-        assert cache.resident_lines() == 0
+        assert len(cache._lines) == 0
 
     def test_is_dirty(self):
         cache, _ = make_cache()
         cache.load(0, 1)
-        assert not cache.is_dirty(0)
+        assert not cache._lines[0].dirty
         cache.store(0, b"z")
-        assert cache.is_dirty(0)
+        assert cache._lines[0].dirty
         cache.flush(0, 1)
-        assert not cache.is_dirty(0)
+        assert not cache._lines[0].dirty
 
     def test_hit_rate(self):
         cache, _ = make_cache()

@@ -133,7 +133,7 @@ class TestFairShareEdges:
         assert ids1 == ids2 == [0, 1, 2]
         for vni, name in zip(ids1, names):
             assert t1.name_of(vni) == name
-            assert t1.vni_of(name) == vni
+            assert t1._by_name[name] == vni
 
     def test_weighted_share_partitions_capacity(self):
         t = VniTable(capacity_bytes_per_s=4e9)

@@ -25,7 +25,6 @@ from repro.telemetry.atlas import (
     Atlas,
     SpaceSaving,
     aggregate_addrs,
-    disable_atlas,
     enable_atlas,
     load_atlas,
     saturation_objective,
@@ -45,9 +44,9 @@ pytestmark = pytest.mark.atlas
 
 @pytest.fixture(autouse=True)
 def _clean_switchboard():
-    disable_atlas()
+    TELEMETRY.atlas = None
     yield
-    disable_atlas()
+    TELEMETRY.atlas = None
     tel.reset()
     tel.disable()
 
@@ -263,9 +262,8 @@ class _SmallAtlas(Atlas):
     auto-drain and overflow the parked-lines bound."""
 
     _DRAIN_ELEMS = 24
-
-    def __init__(self):
-        super().__init__(page_k=3, line_k=4)
+    _PAGE_K = 3
+    _LINE_K = 4
 
 
 class _EagerAtlas(_SmallAtlas):
@@ -376,7 +374,7 @@ class TestDigestEquality:
 @pytest.fixture(scope="module")
 def saturated_run():
     """Two tenants on the same port; the hog saturates it 20:1."""
-    disable_atlas()
+    TELEMETRY.atlas = None
     rig = build_rig()
     atlas = enable_atlas(rig.kernel.machine)
     # small, skewed working sets: the true hot pages fit in the top-64
@@ -392,7 +390,7 @@ def saturated_run():
                            link_capacity_bytes_per_s=200e6)
     engine.run(duration_ns=40e6)
     snap = atlas.snapshot()
-    disable_atlas()
+    TELEMETRY.atlas = None
     return rig, engine, snap
 
 

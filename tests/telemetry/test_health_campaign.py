@@ -11,14 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.bench import build_rig
-from repro.chaos import (
-    CampaignRunner,
-    ChaosCampaign,
-    alerts_fired,
-    alerts_resolved,
-    event,
-    survivor_liveness,
-)
+from repro.chaos import CampaignRunner, ChaosCampaign, event, survivor_liveness
 from repro.core.memory import PAGE_SIZE
 from repro.telemetry.health import FlightRecorder, load_dump, render_postmortem
 from repro.telemetry.health.__main__ import main as health_cli
@@ -70,11 +63,7 @@ def _run_ue_burn(tmp_path, tag):
         _ue_burn_campaign(frames),
         workload=_workload,
         steps=24,
-        invariants=[
-            alerts_fired("ue.rate"),
-            alerts_resolved("ue.rate"),
-            survivor_liveness(),
-        ],
+        invariants=[survivor_liveness()],
     )
     return rig, kernel, health, report, dump_path, frames
 
@@ -85,10 +74,8 @@ class TestUeBurnAcceptance:
         assert report.ok, report.violations
 
         # the UE burn alert went through its full lifecycle
-        assert health.alerts_fired() == ["ue.rate"]
-        assert health.alerts_resolved() == ["ue.rate"]
-        fired = [a for a in health.alerts if a.objective == "ue.rate"]
-        assert fired and fired[0].state == "resolved"
+        assert {a.objective for a in health.alerts} == {"ue.rate"}
+        assert all(a.state == "resolved" for a in health.alerts)
 
         # the alert marked the storm's pages at risk and the scrubber
         # evacuated them through the existing repair pipeline
@@ -163,23 +150,28 @@ class TestCeStormAlerts:
             campaign,
             workload=_workload,
             steps=24,
-            invariants=[alerts_fired("ce.rate"), alerts_resolved("ce.rate")],
         )
         assert report.ok, report.violations
-        assert "ce.rate" in kernel.health.alerts_fired()
-        assert "ce.rate" in kernel.health.alerts_resolved()
+        ce = [a for a in kernel.health.alerts if a.objective == "ce.rate"]
+        assert ce and all(a.state == "resolved" for a in ce)
 
     def test_missing_alert_is_a_violation(self):
         telemetry.enable()
         rig = build_rig()
         kernel = rig.kernel
         kernel.attach_health(window_ns=_WINDOW_NS)
+
+        def ue_alert_fired(runner):
+            if not any(a.objective == "ue.rate" for a in runner.health.alerts):
+                return "expected alerts never fired: ue.rate"
+            return None
+
         campaign = ChaosCampaign(name="calm", seed=5, events=())
         report = CampaignRunner(rig.machine, kernel=kernel).run(
             campaign,
             workload=_workload,
             steps=6,
-            invariants=[alerts_fired("ue.rate")],
+            invariants=[ue_alert_fired],
         )
         assert not report.ok
         assert "expected alerts never fired: ue.rate" in report.violations[0]
@@ -258,7 +250,7 @@ class TestPostmortem:
     def test_cli_rejects_non_dump(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "nope"}))
-        assert health_cli(["postmortem", str(bad)]) == 1
+        assert health_cli(["postmortem", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_render_rejects_wrong_schema(self):

@@ -188,7 +188,7 @@ class TestCli:
     def test_cli_rejects_non_dump(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"schema": "junk"}))
-        assert health_main(["postmortem", str(path)]) == 1
+        assert health_main(["postmortem", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_rendering_is_pure(self):

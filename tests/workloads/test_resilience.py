@@ -1,6 +1,8 @@
 """The fault-tolerant request path: deadlines, retries, hedging,
 circuit breakers, and failure semantics under injected faults."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -301,9 +303,22 @@ class TestTelemetry:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_ns", -1.0),              # failed every request, silently
+        ("deadline_ns", float("nan")),      # passed every request, silently
+        ("failure_detect_ns", -5.0),        # ran the charged clock backwards
+        ("failure_detect_ns", float("inf")),
+        ("failure_detect_ns", "5"),         # not a number at all
+        ("replica_node", -1),
+        ("replica_node", 1.5),
+    ])
+    def test_hostile_spec_is_refused_naming_class_and_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"ResilienceSpec\.{field} must be .*, got {re.escape(repr(value))}"):
+            ResilienceSpec(**{field: value})
+
     def test_replica_must_exist(self):
         rig = build_rig(n_nodes=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tenant 'web': replica node 9 not in rack"):
             ResilientTrafficEngine(
                 rig.kernel, _tenants(),
                 resilience=ResilienceSpec(replica_node=9), seed=1,

@@ -8,8 +8,6 @@ from repro.bench.harness import build_rig
 from repro.telemetry.dashboard import render_tenants
 from repro.workloads.traffic import (
     AdmissionError,
-    RedisBackend,
-    ServerlessBackend,
     TenantSpec,
     TrafficEngine,
 )
@@ -65,7 +63,7 @@ class TestDeterminism:
         a.run(duration_ns=20e6)
         ra = a.run(duration_ns=20e6)
         rb = b.run(duration_ns=40e6)
-        assert ra.total_requests + 0 == rb.total_requests
+        assert ra._total("offered") == rb._total("offered")
         for name in ra.tenants:
             assert ra.tenants[name]["admitted"] == rb.tenants[name]["admitted"]
             assert ra.tenants[name]["latency_sum_ns"] == pytest.approx(
@@ -220,8 +218,8 @@ class TestTenancy:
 
     def test_vni_registration_is_dense_and_ordered(self):
         rig, eng = _two_tenant_engine()
-        assert eng.vnis.vni_of("web") == 0
-        assert eng.vnis.vni_of("batch") == 1
+        assert eng.vnis._by_name["web"] == 0
+        assert eng.vnis._by_name["batch"] == 1
         assert len(rig.machine.fabric.vnis) == 2
 
     def test_duplicate_tenant_name_rejected(self):
@@ -280,38 +278,3 @@ class TestBackends:
         assert rig.machine.now(0) == twin.machine.now(0)
         written = rig.machine.global_mem.read(slab - rig.machine.global_base, 8 * 256)
         assert written[: 6 * 256] == values[:6].tobytes() and not any(written[6 * 256 :])
-
-    def test_redis_backend_serves_coalesced_batches(self):
-        rig = build_rig()
-        eng = TrafficEngine(
-            rig.kernel,
-            [TenantSpec(name="cache", rate_rps=50_000.0, node=0, n_keys=128)],
-            seed=11, batch_window_ns=500_000.0,
-            backend=RedisBackend(rig.kernel),
-        )
-        rep = eng.run(max_requests=2_000)
-        assert rep.tenants["cache"]["admitted"] > 0
-        server, _ = eng.tenants["cache"].backend_state
-        # MGET/MSET coalescing: far fewer commands than requests
-        assert 0 < server.commands_served < rep.tenants["cache"]["admitted"] / 4
-
-    def test_serverless_backend_smoke(self):
-        from repro.apps.containers import ContainerRuntime, Registry, RuntimeSpec
-        from repro.apps.serverless import ServerlessPlatform
-        from tests.apps.test_containers import small_image
-
-        rig = build_rig()
-        registry = Registry()
-        registry.push(small_image())
-        runtime = ContainerRuntime(rig.kernel.fs, registry,
-                                   RuntimeSpec(runtime_init_ns=1e7))
-        platform = ServerlessPlatform(rig.machine, runtime)
-        eng = TrafficEngine(
-            rig.kernel,
-            [TenantSpec(name="fn", rate_rps=5_000.0, node=0, max_backlog_ns=1e9)],
-            seed=12, batch_window_ns=2e6,
-            backend=ServerlessBackend(rig.kernel, platform, image="tiny:1"),
-        )
-        rep = eng.run(max_requests=200)
-        assert rep.tenants["fn"]["admitted"] > 0
-        assert platform.warm_pool_size("traffic-fn") >= 0  # function deployed
