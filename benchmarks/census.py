@@ -2,8 +2,9 @@
 
 Roots: the ``E<n>`` tables of ``benchmarks/bench_*.py``, ``benchmarks/perf/*.py``, the ``__main__``
 CLIs and ``boot`` (module-level code, ``FlacOS.boot``).  Reach follows, by name, the identifiers a
-reached body uses, string literals and ``getattr`` f-string heads included; tests, examples,
-re-exports, docstrings and return annotations reach nothing.  ``pytest benchmarks/census.py``
+reached body uses, string literals and ``getattr`` f-string heads included; ``X.attr`` with ``X`` a
+class of ``src/`` reaches that class's ``attr`` only.  Tests, examples, re-exports, docstrings and
+return annotations reach nothing.  ``pytest benchmarks/census.py``
 writes ``results/census.txt``, failing on an unreached public name or a stale kept one.
 """
 
@@ -28,12 +29,12 @@ _KEPT = {
         HandleTable.destroy ChecksumDetector HeartbeatDetector MirrorSource.register_group
         MemoryScrubber.full_pass EthernetLink RdmaError RdmaQueuePair FaultInjector.inject_bitflip
         PhysicalMemory.flip_bit Interconnect.set_link_capacity Interconnect.link_capacity Interconnect.describe
-        RackMachine.power_cycle saturation_objective RequestStream YcsbWorkload.run_phase_batched""",
+        RackMachine.power_cycle RequestStream YcsbWorkload.run_phase_batched""",
 }
 KEPT = {name: item for item, names in _KEPT.items() for name in names.split()}
 
 
-def _uses(nodes) -> set:
+def _uses(nodes, classes=frozenset()) -> set:
     out, todo = set(), list(nodes)
     while todo:
         n = todo.pop()
@@ -41,7 +42,9 @@ def _uses(nodes) -> set:
             continue  # a docstring
         todo += [v for f, value in ast.iter_fields(n) if f != "returns"
                  for v in (value if isinstance(value, list) else [value])]
-        if isinstance(n, (ast.Name, ast.Attribute)):
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in classes:
+            out.add(f"{n.value.id}.{n.attr}")
+        elif isinstance(n, (ast.Name, ast.Attribute)):
             out.add(getattr(n, "id", None) or n.attr)
         elif isinstance(n, ast.Constant) and all(p.isidentifier() for p in str(n.value).split(".")):
             out.update(str(n.value).split("."))
@@ -55,14 +58,15 @@ def _uses(nodes) -> set:
 def scan(src: pathlib.Path, bench: pathlib.Path):
     """(name -> [uses of each def so named], root -> names used, module -> (§, [its defs]))."""
     defs, roots, modules = {}, {}, {}
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    classes = {s.name for tree in trees.values() for s in tree.body if isinstance(s, ast.ClassDef)}
     for path in sorted(bench.glob("bench_*.py")):
         for exp in set(re.findall(r'emit\(\s*"(E\d+)', path.read_text())):
-            roots.setdefault(exp, set()).update(_uses([ast.parse(path.read_text())]))
+            roots.setdefault(exp, set()).update(_uses([ast.parse(path.read_text())], classes))
     roots = {e: roots[e] for e in sorted(roots, key=lambda e: int(e[1:]))}
-    roots["perf"] = _uses(ast.parse(p.read_text()) for p in sorted((bench / "perf").glob("*.py")))
-    roots["cli"], roots["boot"] = set(), {"FlacOS", "boot"}
-    for path in sorted(src.rglob("*.py")):
-        tree = ast.parse(path.read_text())
+    roots["perf"] = _uses((ast.parse(p.read_text()) for p in sorted((bench / "perf").glob("*.py"))), classes)
+    roots["cli"], roots["boot"] = set(), {"FlacOS", "boot", "FlacOS.boot"}
+    for path, tree in trees.items():
         sec = re.search(r"§\s*\d+(\.\d+)*", ast.get_docstring(tree) or "")
         entries = []  # (name, the nodes its definition uses)
         top = "cli" if path.name == "__main__.py" else "boot"  # whose module-level code this is
@@ -74,9 +78,11 @@ def scan(src: pathlib.Path, bench: pathlib.Path):
                 own = [s for s in stmt.bases + stmt.keywords + stmt.decorator_list + stmt.body if s not in methods]
                 entries += [(stmt.name, own)] + [(f"{stmt.name}.{s.name}", [s]) for s in methods]
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):  # an __all__ list uses nothing
-                roots[top] |= set() if "__all__" in _uses(getattr(stmt, "targets", [])) else _uses([stmt])
+                roots[top] |= set() if "__all__" in _uses(getattr(stmt, "targets", [])) else _uses([stmt], classes)
         for name, nodes in entries:
-            defs.setdefault(name.split(".")[-1], []).append(_uses(nodes))
+            uses = _uses(nodes, classes)
+            for key in {name, name.split(".")[-1]}:  # a method is reached by name or as Class.name
+                defs.setdefault(key, []).append(uses)
         modules[".".join(path.relative_to(src.parent).with_suffix("").parts)] = (
             sec.group(0).replace(" ", "") if sec else "—", [name for name, _ in entries])
     return defs, roots, modules
@@ -102,12 +108,12 @@ def census(src=ROOT / "src" / "repro", bench=ROOT / "benchmarks"):
     anywhere = reach(base | set(kept.values()), defs)
     rows, orphans = [("module", "§", "reached by", "kept")], []
     for mod, (sec, names) in modules.items():
-        last = {n.split(".")[-1] for n in names}
+        last = {n.split(".")[-1] for n in names} | set(names)
         by = [label for label in roots if last & (seen[label] - (seen["boot"] if label != "boot" else set()))]
-        orphans += [f"{mod}.{n}" for n in names if n.split(".")[-1] not in anywhere and "._" not in f".{n}"]
+        orphans += [f"{mod}.{n}" for n in names if not {n, n.split(".")[-1]} & anywhere and "._" not in f".{n}"]
         rows.append((mod, sec, " ".join(by) or "-", " ".join(f"{n} ({KEPT[n]})" for n in names if n in KEPT)))
     orphans += [f"kept but reached or gone: {k}" for k in KEPT
-                if all(kept[n] in base for n in kept if k in (n, n.split(".")[0]))]
+                if all({n, kept[n]} & base for n in kept if k in (n, n.split(".")[0]))]
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths + [0])).rstrip() for r in rows]
     lines.append(f"\n{len(modules)} modules, {len(KEPT)} kept names; unreached public names: {len(orphans)}")

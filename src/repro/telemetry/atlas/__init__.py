@@ -13,15 +13,15 @@ Four pieces:
   (:class:`~repro.rack.interconnect.LinkTable`); the traffic engine
   charges every batch along its actual routed path via
   :meth:`~repro.rack.interconnect.Interconnect.charge`.
-* **hot-page / hot-line sketches** — :class:`.sketch.SpaceSaving`
-  top-k, fed from the machine's single-op and bulk data paths behind
+* **hot-page sketch** — :class:`.sketch.SpaceSaving` top-k over 4 KiB
+  global pages, fed from the machine's single-op and bulk data paths behind
   one ``_TEL.atlas is not None`` check (the ``TelemetryState.add``
   convention: bulk paths offer one aggregated call per batch).
 * **blame / headroom** — :mod:`.attribution`: per-(tenant, link)
   saturated-byte shares, queueing-delay blame, time-to-saturation.
 * **surfaces** — :meth:`Atlas.snapshot` (JSON), dashboard panels
-  (:mod:`.render`), ``python -m repro.telemetry.atlas`` CLI, flight-
-  recorder tails, and a saturation SLO for the health engine.
+  (:mod:`.render`), ``python -m repro.telemetry.atlas`` CLI, and
+  flight-recorder tails.
 
 Determinism contract: the atlas never advances a simulated clock, never
 touches the metrics registry (so registry digests are identical with
@@ -38,7 +38,6 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from .. import TELEMETRY
-from ..health.slo import Objective
 from .attribution import (
     link_blame,
     link_headroom,
@@ -50,71 +49,52 @@ from .sketch import SpaceSaving, aggregate_addrs
 ATLAS_SCHEMA = "repro.telemetry.atlas/1"
 
 _PAGE_SHIFT = 12  # 4 KiB pages — the placement granule
-_LINE_SHIFT = 6  # 64 B lines
 
 
 class Atlas:
-    """The attribution state: sketches + queue-delay ledger + fabric ref.
+    """The attribution state: page sketch + queue-delay ledger + fabric ref.
 
     Per-link accounting lives on the fabric (it must survive atlas
     on/off toggles and is charged unconditionally by the traffic
     engine); the atlas holds what only exists when attribution is
-    *enabled* — the address sketches and the per-tenant queueing-delay
+    *enabled* — the hot-page sketch and the per-tenant queueing-delay
     ledger — plus the fabric handle that lets :meth:`snapshot` join
     the two into one report.
 
     Ingestion is deferred: the data-plane hooks (:meth:`touch`,
     :meth:`touch_many`) only append to a pending buffer — an O(1)
     list append plus, for bulk batches, one defensive array copy — and
-    the buffered stream is folded into the sketches lazily when a
-    query (:attr:`pages`, :attr:`lines`, :meth:`hot_pages`,
-    :meth:`snapshot`) needs them, or when the buffer crosses
-    ``_DRAIN_ELEMS``.  Folding whole chunks at once amortises the
-    per-call numpy fixed costs across hundreds of batches, which is
-    what keeps the attribution wall-clock overhead on the simulated
-    data plane within budget.  Drains happen at deterministic points
+    the buffered stream is folded into the sketch lazily when a query
+    (:attr:`pages`, :meth:`hot_pages`, :meth:`snapshot`) needs it, or
+    when the buffer crosses ``_DRAIN_ELEMS``.  Folding whole chunks at
+    once amortises the per-call numpy fixed costs across hundreds of
+    batches, which is what keeps the attribution wall-clock overhead on
+    the simulated data plane within budget.  Drains happen at deterministic points
     (same seed → same buffer contents → same fold), so snapshots stay
     byte-identical across same-seed runs.
-
-    A drain folds *pages* at once — the flight recorder reads them at
-    every dump — but only parks each chunk's per-line aggregate; the
-    line sketch is folded when something reads :attr:`lines`
-    (:meth:`hot_lines`, :meth:`snapshot`), from the same aggregates in
-    the same order, so it is the sketch an eager fold would have built.
-    A run that never reads it (every benchmark workload) never pays its
-    evictions.  Parked entries are bounded by ``_DRAIN_ELEMS`` too.
     """
 
     __slots__ = (
-        "_pages", "_lines", "queue_delay_ns", "machine", "fabric",
-        "_global_base", "_page_shift", "_line_shift",
-        "_pending", "_pending_elems", "_parked_lines", "_parked_elems",
+        "_pages", "queue_delay_ns", "machine", "fabric",
+        "_global_base", "_pending", "_pending_elems",
     )
 
-    #: auto-drain threshold (buffered addresses, and parked distinct
-    #: lines) — bounds buffer memory
+    #: auto-drain threshold (buffered addresses) — bounds buffer memory
     _DRAIN_ELEMS = 1 << 18
-    #: counters kept by the hot-page and hot-line sketches
+    #: counters kept by the hot-page sketch
     _PAGE_K = 64
-    _LINE_K = 64
 
     def __init__(self, machine=None) -> None:
         from ...rack.params import GLOBAL_BASE
 
         self._pages = SpaceSaving(self._PAGE_K)
-        self._lines = SpaceSaving(self._LINE_K)
         self._pending: list = []
         self._pending_elems = 0
-        #: drained ``(line_keys, line_weights)`` aggregates awaiting a reader
-        self._parked_lines: list = []
-        self._parked_elems = 0
         #: per-tenant queueing delay suffered (ns), fed by the engine
         self.queue_delay_ns: Dict[str, float] = {}
         self.machine = machine
         self.fabric = machine.fabric if machine is not None else None
         self._global_base = GLOBAL_BASE
-        self._page_shift = _PAGE_SHIFT
-        self._line_shift = _LINE_SHIFT
 
     # -- ingestion (the machine hot-path hooks) --------------------------------
 
@@ -148,13 +128,13 @@ class Atlas:
             self._drain()
 
     def _drain(self) -> None:
-        """Fold the buffered access stream into the page sketch and park
-        its line aggregate for :meth:`_fold_lines`.
+        """Fold the buffered access stream into the page sketch.
 
-        The whole buffer is aggregated as one multiset (per distinct
-        line, then pages coarsened from the line groups) before a
-        single ascending-key offer pass per sketch — deterministic, and
-        two orders of magnitude cheaper than per-batch folding."""
+        The whole buffer is aggregated as one multiset of byte weights
+        per distinct page before a single ascending-key offer pass —
+        deterministic, and two orders of magnitude cheaper than
+        per-batch folding.  The weights are whole byte counts, so the
+        per-page sums are exact in any order."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
@@ -184,54 +164,14 @@ class Atlas:
             arr, weights = arr[mask], weights[mask]
             if not len(arr):
                 return
-        if self._line_shift <= self._page_shift:
-            # pages coarsen lines: scan the stream once for the line
-            # aggregation, then collapse the (far smaller, already
-            # sorted) distinct-line set into page groups with reduceat
-            # instead of re-scanning every address
-            line_keys, line_weights = aggregate_addrs(
-                arr, self._line_shift, weights)
-            self._park_lines(line_keys, line_weights)
-            page_buckets = line_keys >> (self._page_shift - self._line_shift)
-            starts = np.flatnonzero(np.diff(page_buckets)) + 1
-            if len(starts):
-                starts = np.concatenate(([0], starts))
-                page_keys = page_buckets[starts]
-                page_weights = np.add.reduceat(line_weights, starts)
-            else:
-                page_keys = page_buckets[:1]
-                page_weights = np.asarray([line_weights.sum()])
-            self._pages.offer_many(page_keys, page_weights, presorted=True)
-        else:
-            keys, w = aggregate_addrs(arr, self._page_shift, weights)
-            self._pages.offer_many(keys, w, presorted=True)
-            self._park_lines(*aggregate_addrs(arr, self._line_shift, weights))
-
-    def _park_lines(self, keys: np.ndarray, weights: np.ndarray) -> None:
-        self._parked_lines.append((keys, weights))
-        self._parked_elems += len(keys)
-        if self._parked_elems > self._DRAIN_ELEMS:
-            self._fold_lines()
-
-    def _fold_lines(self) -> None:
-        """Offer the parked line aggregates, oldest drain first."""
-        parked, self._parked_lines = self._parked_lines, []
-        self._parked_elems = 0
-        for keys, weights in parked:
-            self._lines.offer_many(keys, weights, presorted=True)
+        keys, w = aggregate_addrs(arr, _PAGE_SHIFT, weights)
+        self._pages.offer_many(keys, w, presorted=True)
 
     @property
     def pages(self) -> SpaceSaving:
         """The hot-page sketch, with any pending accesses folded in."""
         self._drain()
         return self._pages
-
-    @property
-    def lines(self) -> SpaceSaving:
-        """The hot-line sketch, with any pending accesses folded in."""
-        self._drain()
-        self._fold_lines()
-        return self._lines
 
     def note_queue_delay(self, tenant: str, delta_ns: float) -> None:
         """Bank queueing delay a tenant's batch suffered (victim ledger)."""
@@ -240,10 +180,7 @@ class Atlas:
     def clear(self) -> None:
         self._pending.clear()
         self._pending_elems = 0
-        self._parked_lines.clear()
-        self._parked_elems = 0
         self._pages.clear()
-        self._lines.clear()
         self.queue_delay_ns.clear()
 
     # -- reporting -------------------------------------------------------------
@@ -252,23 +189,12 @@ class Atlas:
         """Top hot pages as JSON-ready rows, heaviest first."""
         return [
             {
-                "page": key << self._page_shift,
-                "addr": f"{key << self._page_shift:#x}",
+                "page": key << _PAGE_SHIFT,
+                "addr": f"{key << _PAGE_SHIFT:#x}",
                 "bytes": weight,
                 "error": error,
             }
             for key, weight, error in self.pages.top(n)
-        ]
-
-    def hot_lines(self, n: Optional[int] = None) -> list:
-        return [
-            {
-                "line": key << self._line_shift,
-                "addr": f"{key << self._line_shift:#x}",
-                "bytes": weight,
-                "error": error,
-            }
-            for key, weight, error in self.lines.top(n)
         ]
 
     def snapshot(self, now_ns: Optional[float] = None) -> dict:
@@ -281,13 +207,10 @@ class Atlas:
             "at_ns": now_ns,
             "sketch": {
                 "page_k": self.pages.k,
-                "line_k": self.lines.k,
                 "page_coverage": round(self.pages.guaranteed_fraction(), 6),
-                "line_coverage": round(self.lines.guaranteed_fraction(), 6),
                 "total_bytes": self.pages.total,
             },
             "pages": self.hot_pages(),
-            "lines": self.hot_lines(),
             "queue_delay_ns": {
                 t: round(v, 3) for t, v in sorted(self.queue_delay_ns.items())
             },
@@ -336,31 +259,6 @@ def enable_atlas(machine=None) -> Atlas:
     return atlas
 
 
-def saturation_objective(
-    budget_per_window: float = 0.5,
-    fast_burn: float = 2.0,
-    slow_burn: float = 1.0,
-) -> Objective:
-    """The headroom SLO: saturated link-windows are budget burn.
-
-    The fabric banks one ``fabric/link.saturated_window`` count each
-    time any link closes a window at/over capacity (see
-    :meth:`~repro.rack.interconnect.LinkTable._roll`), so this fires
-    while headroom is exhausted — feed it to the health engine
-    alongside :func:`~repro.telemetry.health.slo.default_objectives`.
-    """
-    return Objective(
-        name="fabric.saturation",
-        kind="rate",
-        subsystem="fabric",
-        metric="link.saturated_window",
-        budget_per_window=budget_per_window,
-        per_node=False,
-        fast_burn=fast_burn,
-        slow_burn=slow_burn,
-    )
-
-
 def load_atlas(path: Union[str, pathlib.Path]) -> dict:
     """Read an atlas snapshot *or* a telemetry run export carrying one."""
     data = json.loads(pathlib.Path(path).read_text())
@@ -382,6 +280,5 @@ __all__ = [
     "link_headroom",
     "load_atlas",
     "node_headroom",
-    "saturation_objective",
     "tenant_blame",
 ]

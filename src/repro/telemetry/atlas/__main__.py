@@ -22,6 +22,17 @@ from . import load_atlas
 from .render import render_blame, render_headroom, render_links, render_pages
 
 
+def _rows(text: str) -> int:
+    """``-n``: a row limit, a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry.atlas",
@@ -31,11 +42,11 @@ def main(argv=None) -> int:
 
     p_links = sub.add_parser("top-links", help="busiest fabric links")
     p_links.add_argument("snapshot")
-    p_links.add_argument("-n", type=int, default=None, help="row limit")
+    p_links.add_argument("-n", type=_rows, default=None, help="row limit")
 
     p_pages = sub.add_parser("top-pages", help="hottest global pages")
     p_pages.add_argument("snapshot")
-    p_pages.add_argument("-n", type=int, default=16, help="row limit")
+    p_pages.add_argument("-n", type=_rows, default=16, help="row limit")
 
     p_blame = sub.add_parser("blame", help="contention attribution")
     p_blame.add_argument("snapshot")

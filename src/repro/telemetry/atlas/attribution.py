@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ...rack.interconnect import Interconnect, link_endpoints
+from ...rack.interconnect import Interconnect, InterconnectError, link_endpoints
 
 
 def link_blame(fabric: Interconnect) -> List[dict]:
@@ -136,7 +136,7 @@ def node_headroom(
     for node_id in nodes:
         try:
             route = fabric.path_links(node_id)
-        except Exception:
+        except InterconnectError:  # no live route to global memory
             rows.append({
                 "node": node_id, "port": None, "utilisation": None,
                 "rate_bytes_per_s": 0.0, "time_to_saturation_s": None,
@@ -157,11 +157,3 @@ def node_headroom(
             "reachable": True,
         })
     return rows
-
-
-__all__ = [
-    "link_blame",
-    "tenant_blame",
-    "link_headroom",
-    "node_headroom",
-]

@@ -1,4 +1,4 @@
-"""Deterministic Space-Saving top-k sketches for hot-page/hot-line tracking.
+"""Deterministic Space-Saving top-k sketches for hot-page tracking.
 
 Metwally et al.'s Space-Saving algorithm tracks the heaviest keys of a
 stream in O(k) memory: a hit increments its counter; a novel key either
@@ -134,21 +134,6 @@ class SpaceSaving:
             return 0.0
         floor = sum(c - self.errors.get(k, 0.0) for k, c in self.counts.items())
         return min(1.0, floor / self.total)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def snapshot(self) -> dict:
-        """JSON-ready dump: rows heaviest-first, coverage floor included."""
-        return {
-            "k": self.k,
-            "total_weight": self.total,
-            "coverage": round(self.guaranteed_fraction(), 6),
-            "entries": [
-                {"key": key, "weight": count, "error": error}
-                for key, count, error in self.top()
-            ],
-        }
 
 
 def aggregate_addrs(

@@ -12,7 +12,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from . import TENANT_PREFIX
-from .registry import Histogram, MetricsRegistry, RACK_WIDE, rate
+from .health import recorder as rec
+from .health.slo import scope_label
+from .registry import MetricsRegistry, merged_histogram, rate
 
 
 def _fmt(value: float) -> str:
@@ -56,34 +58,12 @@ class _Grid:
         return "\n".join(out)
 
 
-def _node_label(node: int) -> str:
-    return "rack" if node == RACK_WIDE else f"node{node}"
-
-
 def _per_node(reg: MetricsRegistry, subsystem: str, name: str) -> Dict[int, float]:
     return {
         n: v
         for (n, s, m), v in reg.counters.items()
         if s == subsystem and m == name
     }
-
-
-def _hist_union(
-    reg: MetricsRegistry, subsystem: str, name: str
-) -> Optional[Histogram]:
-    merged: Optional[Histogram] = None
-    for (n, s, m), h in reg.histograms.items():
-        if s != subsystem or m != name:
-            continue
-        if merged is None:
-            merged = Histogram()
-        merged.count += h.count
-        merged.total += h.total
-        merged.min_value = min(merged.min_value, h.min_value)
-        merged.max_value = max(merged.max_value, h.max_value)
-        for i, c in enumerate(h.buckets):
-            merged.buckets[i] += c
-    return merged
 
 
 def render_headline(reg: MetricsRegistry) -> str:
@@ -111,7 +91,7 @@ def render_headline(reg: MetricsRegistry) -> str:
             else "-"
         )
         grid.add(
-            _node_label(node),
+            scope_label(node),
             _pct(rate(cache_hits.get(node, 0.0), cache_misses.get(node, 0.0))
                  if (node in cache_hits or node in cache_misses) else float("nan")),
             _pct(rate(tlb_hits.get(node, 0.0), tlb_misses.get(node, 0.0))
@@ -132,8 +112,8 @@ def render_headline(reg: MetricsRegistry) -> str:
     rel.add(_fmt(ce), _fmt(ue), _fmt(repairs), _fmt(failed))
     lines.append(rel.render())
 
-    rpc_all = _hist_union(reg, "core.ipc", "rpc.migration_ns")
-    zc_all = _hist_union(reg, "core.ipc", "ipc.zero_copy_send_ns")
+    rpc_all = merged_histogram(reg.histograms, "core.ipc", "rpc.migration_ns")
+    zc_all = merged_histogram(reg.histograms, "core.ipc", "ipc.zero_copy_send_ns")
     if rpc_all or zc_all:
         ipc = _Grid("ipc latency (simulated ns)",
                     ["path", "count", "mean", "p50", "p99", "max"])
@@ -165,7 +145,7 @@ def render_tenants(reg: MetricsRegistry) -> str:
         d_backlog = reg.counter_total(sub, "dropped.backlog")
         d_link = reg.counter_total(sub, "dropped.link")
         n_bytes = reg.counter_total(sub, "bytes")
-        lat = _hist_union(reg, sub, "latency_ns")
+        lat = merged_histogram(reg.histograms, sub, "latency_ns")
         grid.add(
             tenant,
             _fmt(requests),
@@ -235,11 +215,15 @@ def render_subsystems(reg: MetricsRegistry) -> str:
         if not names:
             continue
         nodes = sorted({n for cells in names.values() for n in cells})
-        grid = _Grid(subsystem, ["metric", "kind"] + [_node_label(n) for n in nodes])
+        grid = _Grid(subsystem, ["metric", "kind"] + [scope_label(n) for n in nodes])
         for (kind, name), cells in sorted(names.items(), key=lambda kv: kv[0][1]):
             grid.add(name, kind, *[cells.get(n, "-") for n in nodes])
         sections.append(grid.render())
     return "\n\n".join(sections) if sections else "(no metrics recorded)"
+
+
+#: fault kinds the incident timeline marks as injections
+_INJECTIONS = ("ue", "ce", "link_down", "node_crash", "node_restart")
 
 
 def render_incident_timeline(dump: dict, score: Optional[dict] = None) -> str:
@@ -247,38 +231,27 @@ def render_incident_timeline(dump: dict, score: Optional[dict] = None) -> str:
 
     One chronological table — injection marks, alert fire/resolve,
     breaker transitions, predictor boosts — with the recovery point
-    (injection + MTTM) appended when a score card is supplied.  Pure
-    dict-walking, so it renders loaded dumps offline.
+    (injection + MTTM) appended when a score card is supplied.  Reads only
+    the dump, so it renders loaded dumps offline.
     """
     rows: List[Tuple[float, int, str, str]] = []
-    for node, tail in sorted(dump.get("fault_tail", {}).items()):
-        for ev in tail:
-            if ev["kind"] in ("ue", "ce", "link_down", "node_crash", "node_restart"):
-                where = "rack" if node == "-1" else f"node{node}"
-                rows.append(
-                    (ev["time_ns"], 0, f"INJECT {ev['kind']}",
-                     f"[{where}] {ev.get('detail') or ''}".rstrip())
-                )
-    for alert in dump.get("alerts", []):
-        if alert.get("event") == "firing":
-            rows.append(
-                (alert["fired_ns"], 1, "ALERT fired",
-                 f"{alert['objective']} [{_node_label(alert['node'])}]")
-            )
-        else:
-            rows.append(
-                (alert.get("resolved_ns") or alert["fired_ns"], 2,
-                 "ALERT resolved",
-                 f"{alert['objective']} [{_node_label(alert['node'])}]")
-            )
-    for ev in dump.get("breakers", []):
-        rows.append(
-            (ev["t_ns"], 3, f"BREAKER {ev['from']}->{ev['to']}",
-             f"{ev['tenant']}@node{ev['target']} reason={ev['reason']}")
-        )
-    for boost in dump.get("boosts", []):
-        pages = ",".join(f"{p:#x}" for p in boost.get("pages", []))
-        rows.append((boost["t_ns"], 4, "BOOST", f"cause={boost['cause']} pages={pages}"))
+    for event in rec.dump_events(dump):
+        row = event.fields
+        if event.kind == rec.FAULT and row["kind"] in _INJECTIONS:
+            rows.append((event.t_ns, 0, f"INJECT {row['kind']}",
+                         f"[{scope_label(event.node)}] {row.get('detail') or ''}".rstrip()))
+        elif event.kind == rec.ALERT_FIRED:
+            rows.append((event.t_ns, 1, "ALERT fired",
+                         f"{row['objective']} [{scope_label(event.node)}]"))
+        elif event.kind == rec.ALERT_RESOLVED:
+            rows.append((event.t_ns, 2, "ALERT resolved",
+                         f"{row['objective']} [{scope_label(event.node)}]"))
+        elif event.kind == rec.BREAKER:
+            rows.append((event.t_ns, 3, f"BREAKER {row['from']}->{row['to']}",
+                         f"{row['tenant']}@node{row['target']} reason={row['reason']}"))
+        elif event.kind == rec.BOOST:
+            pages = ",".join(f"{p:#x}" for p in row.get("pages", []))
+            rows.append((event.t_ns, 4, "BOOST", f"cause={row['cause']} pages={pages}"))
     if score is not None and score.get("t0_ns") is not None:
         t0 = score["t0_ns"]
         if score.get("mttd_ns") is not None:
@@ -288,7 +261,7 @@ def render_incident_timeline(dump: dict, score: Optional[dict] = None) -> str:
             rows.append((t0 + score["mttm_ns"], 6, "RECOVERED",
                          f"MTTM={score['mttm_ns'] / 1e6:.3f}ms "
                          f"target={score['availability_target']}"))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    rows.sort()
     grid = _Grid(
         f"incident timeline — {dump.get('reason', '?')}",
         ["t (us)", "event", "detail"],

@@ -32,7 +32,7 @@ from .slo import (
     default_objectives,
     scope_label,
 )
-from .windows import WindowAggregator, WindowFrame, WindowHist
+from .windows import WindowAggregator, WindowFrame
 
 __all__ = [
     "Anomaly",
@@ -53,5 +53,4 @@ __all__ = [
     "scope_label",
     "WindowAggregator",
     "WindowFrame",
-    "WindowHist",
 ]

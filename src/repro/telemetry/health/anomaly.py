@@ -49,10 +49,6 @@ class Anomaly:
             "detail": self.detail,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Anomaly":
-        return cls(**data)
-
 
 class AnomalyDetector:
     """Interface: fold one closed frame, maybe emit an anomaly."""

@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .. import TELEMETRY
 from ..registry import MetricsRegistry
-from .anomaly import Anomaly, AnomalyDetector, CeSlopeDetector, RepairStreakDetector, ScrubTrendDetector
+from .anomaly import AnomalyDetector, CeSlopeDetector, RepairStreakDetector, ScrubTrendDetector
 from .recorder import FlightRecorder
-from .slo import Alert, Objective, SLOEngine, scope_label
+from .slo import Alert, Objective, SLOEngine
 from .windows import WindowAggregator, WindowFrame
 
 _REL = "reliability"
@@ -254,10 +254,3 @@ class HealthEngine:
     @property
     def alerts(self) -> List[Alert]:
         return self.slo.alerts
-
-    @property
-    def anomalies(self) -> List[Anomaly]:
-        return list(self.recorder.anomalies)
-
-    def scope_label(self, node: int) -> str:
-        return scope_label(node)

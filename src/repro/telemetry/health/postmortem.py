@@ -6,17 +6,22 @@ it into one chronological story — "CE rate started climbing at 2.1 ms,
 the burn alert fired at 2.4 ms, evacuation began, the node crashed at
 3.0 ms" — which is what an operator actually wants after a crash.
 
-Pure string building over the dump dict; no simulator imports, so the
-CLI works on a dump file alone.
+Pure string building over the recorder's two views of the dump; no
+simulator imports, so the CLI works on a dump file alone.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from .recorder import check_schema
+from . import recorder as rec
+from .slo import scope_label
+from .windows import WindowFrame
 
 _REL = "reliability"
+
+#: timeline faults: the topology changes (memory faults are counted below)
+_TIMELINE_FAULTS = ("node_crash", "link_down", "link_up")
 
 
 def _fmt_ns(ns: float) -> str:
@@ -24,173 +29,123 @@ def _fmt_ns(ns: float) -> str:
     return f"{ns / 1000.0:12.3f}us"
 
 
-def _scope(node: int) -> str:
-    return "rack" if node == -1 else f"node{node}"
+def _timeline_line(event: rec.DumpEvent):
+    """``(sort_rank, text)`` of one timeline event, or None to leave it out."""
+    row, scope = event.fields, scope_label(event.node)
+    if event.kind == rec.ALERT_FIRED:
+        return 1, (f"ALERT fired    {row['objective']} [{scope}] "
+                   f"id={row['alert_id']} fast={row['fast_burn']:.2f} "
+                   f"slow={row['slow_burn']:.2f}")
+    if event.kind == rec.ALERT_RESOLVED:
+        return 2, f"ALERT resolved {row['objective']} [{scope}] id={row['alert_id']}"
+    if event.kind == rec.ANOMALY:
+        return 0, (f"ANOMALY        {row['detector']} [{scope}] "
+                   f"severity={row['severity']:.2f} {row.get('detail', '')}".rstrip())
+    if event.kind == rec.INCIDENT:
+        boxes = ",".join(str(r["box_id"]) for r in row.get("recoveries", [])) or "-"
+        return 3, (f"INCIDENT       kind={row['kind']} "
+                   f"blast={row['blast_radius']}/{row['total_boxes']} boxes={boxes}")
+    if event.kind == rec.FAULT and row["kind"] in _TIMELINE_FAULTS:
+        return 4, (f"FAULT          {row['kind']} [node{event.node}] "
+                   f"{row.get('detail', '')}".rstrip())
+    if event.kind == rec.BREAKER:
+        return 5, (f"BREAKER        {row['tenant']}@node{row['target']} "
+                   f"{row['from']}->{row['to']} reason={row['reason']}")
+    if event.kind == rec.BOOST:
+        pages = ",".join(f"{p:#x}" for p in row.get("pages", []))
+        return 6, f"BOOST          cause={row['cause']} pages={pages}"
+    return None
 
 
-def _window_counter(frame: dict, subsystem: str, name: str) -> float:
-    return sum(
-        value
-        for f_node, f_sub, f_name, value in frame.get("counters", [])
-        if f_sub == subsystem and f_name == name
-    )
-
-
-def _window_gauge(frame: dict, subsystem: str, name: str) -> float:
-    return sum(
-        value
-        for f_node, f_sub, f_name, value in frame.get("gauges", [])
-        if f_sub == subsystem and f_name == name
-    )
-
-
-def _timeline_events(data: dict) -> List[tuple]:
+def _timeline(data: dict, events: List[rec.DumpEvent]) -> List[tuple]:
     """(time_ns, sort_rank, text) for every recorded state change."""
-    events: List[tuple] = []
-    for alert in data.get("alerts", []):
-        if alert.get("event") == "firing":
-            events.append(
-                (
-                    alert["fired_ns"],
-                    1,
-                    f"ALERT fired    {alert['objective']} [{_scope(alert['node'])}] "
-                    f"id={alert['alert_id']} fast={alert['fast_burn']:.2f} "
-                    f"slow={alert['slow_burn']:.2f}",
-                )
-            )
-        else:
-            events.append(
-                (
-                    alert.get("resolved_ns") or alert["fired_ns"],
-                    2,
-                    f"ALERT resolved {alert['objective']} [{_scope(alert['node'])}] "
-                    f"id={alert['alert_id']}",
-                )
-            )
-    for anomaly in data.get("anomalies", []):
-        events.append(
-            (
-                anomaly["at_ns"],
-                0,
-                f"ANOMALY        {anomaly['detector']} [{_scope(anomaly['node'])}] "
-                f"severity={anomaly['severity']:.2f} {anomaly.get('detail', '')}".rstrip(),
-            )
-        )
-    for incident in data.get("incidents", []):
-        boxes = ",".join(str(r["box_id"]) for r in incident.get("recoveries", [])) or "-"
-        events.append(
-            (
-                incident["at_ns"],
-                3,
-                f"INCIDENT       kind={incident['kind']} "
-                f"blast={incident['blast_radius']}/{incident['total_boxes']} boxes={boxes}",
-            )
-        )
-    for node, tail in sorted(data.get("fault_tail", {}).items()):
-        for event in tail:
-            if event["kind"] in ("node_crash", "link_down", "link_up"):
-                events.append(
-                    (
-                        event["time_ns"],
-                        4,
-                        f"FAULT          {event['kind']} [node{node}] "
-                        f"{event.get('detail', '')}".rstrip(),
-                    )
-                )
-    for event in data.get("breakers", []):
-        events.append(
-            (
-                event["t_ns"],
-                5,
-                f"BREAKER        {event['tenant']}@node{event['target']} "
-                f"{event['from']}->{event['to']} reason={event['reason']}",
-            )
-        )
-    for boost in data.get("boosts", []):
-        pages = ",".join(f"{p:#x}" for p in boost.get("pages", []))
-        events.append(
-            (
-                boost["t_ns"],
-                6,
-                f"BOOST          cause={boost['cause']} pages={pages}",
-            )
-        )
-    events.append((data["at_ns"], 7, f"DUMP           reason={data['reason']}"))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    return events
+    timeline = []
+    for event in events:
+        line = _timeline_line(event)
+        if line is not None:
+            timeline.append((event.t_ns, *line))
+    timeline.append((data["at_ns"], 7, f"DUMP           reason={data['reason']}"))
+    timeline.sort()
+    return timeline
 
 
-def _window_table(data: dict) -> List[str]:
+def _window_table(frames: List[WindowFrame]) -> List[str]:
     lines = ["window    span          ce      ue  repair.ok  repair.fail  evac"]
-    for frame in data.get("windows", []):
+    for frame in frames:
+        evacuated = sum(v for (_node, sub, name), v in frame.gauges.items()
+                        if sub == _REL and name == "scrub.evacuated")
         lines.append(
-            f"{frame['index']:>6}  {_fmt_ns(frame['start_ns'])} "
-            f"{_window_counter(frame, _REL, 'fault.ce'):>7.0f} "
-            f"{_window_counter(frame, _REL, 'fault.ue'):>7.0f} "
-            f"{_window_counter(frame, _REL, 'repair.ok'):>10.0f} "
-            f"{_window_counter(frame, _REL, 'repair.fail'):>12.0f} "
-            f"{_window_gauge(frame, _REL, 'scrub.evacuated'):>5.0f}"
+            f"{frame.index:>6}  {_fmt_ns(frame.start_ns)} "
+            f"{frame.delta_total(_REL, 'fault.ce'):>7.0f} "
+            f"{frame.delta_total(_REL, 'fault.ue'):>7.0f} "
+            f"{frame.delta_total(_REL, 'repair.ok'):>10.0f} "
+            f"{frame.delta_total(_REL, 'repair.fail'):>12.0f} "
+            f"{evacuated:>5.0f}"
         )
     return lines
 
 
-def _fault_tail_counts(data: dict) -> List[str]:
+def _fault_tail_counts(events: List[rec.DumpEvent]) -> List[str]:
+    by_node: Dict[int, Dict[str, int]] = {}
+    for event in events:
+        if event.kind == rec.FAULT:
+            kinds = by_node.setdefault(event.node, {})
+            kinds[event.fields["kind"]] = kinds.get(event.fields["kind"], 0) + 1
     lines = []
-    for node, tail in sorted(data.get("fault_tail", {}).items()):
-        by_kind: Dict[str, int] = {}
-        for event in tail:
-            by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
+    # in the order the dump's string node keys sort ("-1", "0", "1", "10", "2")
+    for node, by_kind in sorted(by_node.items(), key=lambda item: str(item[0])):
         counts = " ".join(f"{kind}={n}" for kind, n in sorted(by_kind.items()))
-        label = "rack" if node == "-1" else f"node{node}"
-        lines.append(f"{label:>8}: {len(tail)} recent events ({counts})")
+        lines.append(f"{scope_label(node):>8}: {sum(by_kind.values())} "
+                     f"recent events ({counts})")
     return lines
 
 
 def render_postmortem(data: dict) -> str:
     """The full postmortem report for one flight-recorder dump."""
-    check_schema(data)
+    rec.check_schema(data)
+    events = rec.dump_events(data)
     out: List[str] = []
     out.append("=" * 72)
     out.append(f"FLIGHT RECORDER POSTMORTEM — {data['reason']}")
     out.append(f"dumped at {_fmt_ns(data['at_ns'])} simulated ({data['schema']})")
     out.append("=" * 72)
 
-    windows = data.get("windows", [])
+    frames = rec.dump_frames(data)
     out.append("")
-    out.append(f"-- windows ({len(windows)} recorded) --")
-    out.extend(_window_table(data))
+    out.append(f"-- windows ({len(frames)} recorded) --")
+    out.extend(_window_table(frames))
 
     out.append("")
-    events = _timeline_events(data)
-    out.append(f"-- degradation timeline ({len(events)} events) --")
-    for time_ns, _, text in events:
+    timeline = _timeline(data, events)
+    out.append(f"-- degradation timeline ({len(timeline)} events) --")
+    for time_ns, _, text in timeline:
         out.append(f"{_fmt_ns(time_ns)}  {text}")
 
-    spans = data.get("spans", [])
+    spans = sorted((e for e in events if e.kind == rec.SPAN),
+                   key=lambda e: e.fields["seq"])
     if spans:
         out.append("")
         out.append(f"-- span tail ({len(spans)} spans) --")
-        for row in spans[-16:]:
-            # a row may end without its args dict
-            name, node, start_ns, end_ns, parent_id = row[:5]
-            args = row[5] if len(row) > 5 else {}
-            nested = "  +- " if parent_id is not None else "  "
+        for span in spans[-16:]:
+            row = span.fields
+            nested = "  +- " if row["parent_id"] is not None else "  "
             suffix = ""
-            if args:
-                kv = " ".join(f"{k}={args[k]}" for k in sorted(args))
+            if row["args"]:
+                kv = " ".join(f"{k}={row['args'][k]}" for k in sorted(row["args"]))
                 suffix = f"  {{{kv}}}"
             out.append(
-                f"{_fmt_ns(start_ns)}{nested}{name} [node{node}] "
-                f"{end_ns - start_ns:.0f}ns{suffix}"
+                f"{_fmt_ns(span.t_ns)}{nested}{row['name']} [node{span.node}] "
+                f"{row['end_ns'] - span.t_ns:.0f}ns{suffix}"
             )
 
-    samples = data.get("resilience", [])
+    samples = [e for e in events if e.kind == rec.RESILIENCE]
     if samples:
         out.append("")
         out.append(f"-- resilience tail ({len(samples)} samples) --")
-        for s in samples[-8:]:
+        for sample in samples[-8:]:
+            s = sample.fields
             out.append(
-                f"{_fmt_ns(s['t_ns'])}  {s['tenant']}: "
+                f"{_fmt_ns(sample.t_ns)}  {s['tenant']}: "
                 f"offered={s['offered']} admitted={s['admitted']} "
                 f"failed={s['failed']} timed_out={s['timed_out']} "
                 f"retries={s['retries']} hedges={s['hedges']} "
@@ -199,7 +154,7 @@ def render_postmortem(data: dict) -> str:
 
     out.append("")
     out.append("-- fault log tail --")
-    tail_lines = _fault_tail_counts(data)
+    tail_lines = _fault_tail_counts(events)
     out.extend(tail_lines if tail_lines else ["  (empty)"])
     out.append("")
     return "\n".join(out)

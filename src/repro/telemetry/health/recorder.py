@@ -11,6 +11,11 @@ postmortem``) reads after the fact.
 Snapshots are deterministic: every field is simulated-time data, keys
 are sorted, and serialisation uses ``sort_keys`` — two same-seed runs
 produce byte-identical dumps.
+
+This module is the only one that knows the dump's layout.  Readers (the
+postmortem, the incident scorer, the dashboard's incident timeline) see a
+dump through two views: :func:`dump_frames` parses its window rows, and
+:func:`dump_events` lists every other dated row, oldest first.
 """
 
 from __future__ import annotations
@@ -18,20 +23,18 @@ from __future__ import annotations
 import json
 import pathlib
 from collections import deque
-from typing import Deque, Dict, List, Union
+from operator import itemgetter
+from typing import Deque, Dict, List, NamedTuple, Union
 
+from ..registry import RACK_WIDE
 from .anomaly import Anomaly
 from .slo import Alert
 from .windows import WindowFrame
 
 #: Schema tag for flight-recorder dumps, and the only one that loads:
-#: health history (windows, alerts, anomalies, incidents, span and fault
-#: tails), the mitigation-side black box the incident scorer reads
-#: (circuit-breaker transitions, per-tenant resilience-counter samples,
-#: predictor boosts, span args) and the attribution-atlas tails —
-#: per-link fabric accounting (``atlas_links``, with saturated-byte
-#: blame shares and down timestamps) and the hot-page sketch rows
-#: (``atlas_pages``).
+#: health history, the mitigation-side black box (breaker transitions,
+#: resilience-counter samples, predictor boosts) and the attribution-atlas
+#: tails (per-link fabric accounting with down stamps, hot pages).
 FLIGHT_SCHEMA = "repro.telemetry.flightrec/3"
 
 #: Ring sizes of the recorder's event tails; each node keeps its last
@@ -42,6 +45,18 @@ FAULT_TAIL = 64
 BREAKER_TAIL = 128
 RESILIENCE_TAIL = 256
 BOOST_TAIL = 64
+
+#: :attr:`DumpEvent.kind` values, one per dated dump row
+ALERT_FIRED = "alert.fired"
+ALERT_RESOLVED = "alert.resolved"
+ANOMALY = "anomaly"
+INCIDENT = "incident"
+FAULT = "fault"
+BREAKER = "breaker"
+BOOST = "boost"
+RESILIENCE = "resilience"
+SPAN = "span"
+LINK_DOWN = "link.down"
 
 
 def check_schema(data: dict) -> dict:
@@ -55,7 +70,6 @@ class FlightRecorder:
     """Bounded ring buffers of recent health history."""
 
     def __init__(self, capacity_windows: int = 64, span_tail: int = 128) -> None:
-        self.capacity_windows = capacity_windows
         self.span_tail = span_tail
         self.frames: Deque[WindowFrame] = deque(maxlen=capacity_windows)
         self.alert_events: Deque[dict] = deque(maxlen=ALERT_TAIL)
@@ -67,11 +81,6 @@ class FlightRecorder:
         self.resilience_samples: Deque[dict] = deque(maxlen=RESILIENCE_TAIL)
         #: predictor boosts (t_ns/cause/pages)
         self.boosts: Deque[dict] = deque(maxlen=BOOST_TAIL)
-        # populated by from_snapshot so a loaded dump re-snapshots exactly
-        self._static_spans: List[list] = []
-        self._static_faults: Dict[str, List[dict]] = {}
-        self._static_atlas_links: List[dict] = []
-        self._static_atlas_pages: List[dict] = []
 
     # -- recording -------------------------------------------------------------
 
@@ -112,10 +121,9 @@ class FlightRecorder:
     ) -> dict:
         """The black box as one JSON-ready dict.
 
-        ``machine`` contributes the per-node fault-log tail and ``trace``
-        (a :class:`~repro.telemetry.spans.TraceBuffer`) the span tail;
-        either may be omitted (a recorder rebuilt by
-        :meth:`from_snapshot` replays the tails it was loaded with).
+        ``machine`` contributes the per-node fault-log and fabric-link
+        tails and ``trace`` (a :class:`~repro.telemetry.spans.TraceBuffer`)
+        the span tail; either may be omitted, leaving its tails empty.
         """
         return {
             "schema": FLIGHT_SCHEMA,
@@ -147,41 +155,22 @@ class FlightRecorder:
         path.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
         return path
 
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "FlightRecorder":
-        """Rebuild a recorder from a dump (postmortem / round-trip path)."""
-        check_schema(data)
-        rec = cls()
-        for fdict in data.get("windows", []):
-            rec.frames.append(WindowFrame.from_dict(fdict))
-        rec.alert_events.extend(data.get("alerts", []))
-        for adict in data.get("anomalies", []):
-            rec.anomalies.append(Anomaly.from_dict(adict))
-        rec.incidents.extend(data.get("incidents", []))
-        rec.breaker_events.extend(data.get("breakers", []))
-        rec.resilience_samples.extend(data.get("resilience", []))
-        rec.boosts.extend(data.get("boosts", []))
-        rec._static_spans = list(data.get("spans", []))
-        rec._static_faults = dict(data.get("fault_tail", {}))
-        rec._static_atlas_links = list(data.get("atlas_links", []))
-        rec._static_atlas_pages = list(data.get("atlas_pages", []))
-        return rec
-
     # -- tails -----------------------------------------------------------------
 
     def _span_tail(self, trace) -> List[list]:
-        if trace is None or not getattr(trace, "spans", None):
-            return self._static_spans
-        tail = trace.spans[-self.span_tail :]
+        """The last spans, their args coerced to values JSON round-trips exactly."""
+        if trace is None:
+            return []
         return [
             [s.name, s.node, s.start_ns, s.end_ns, s.parent_id,
-             {k: _jsonable(v) for k, v in s.args}]
-            for s in tail
+             {k: v if v is None or isinstance(v, (bool, int, float, str)) else str(v)
+              for k, v in s.args}]
+            for s in trace.spans[-self.span_tail :]
         ]
 
     def _fault_log_tail(self, machine) -> Dict[str, List[dict]]:
         if machine is None:
-            return self._static_faults
+            return {}
         by_node: Dict[str, List[dict]] = {}
         for event in machine.faults.log.events():
             node = event.node_id if event.node_id is not None else -1
@@ -204,9 +193,9 @@ class FlightRecorder:
         unconditional on the fabric, no atlas needs to be enabled — so
         every dump carries link-level blame raw material.
         """
-        fabric = getattr(machine, "fabric", None) if machine is not None else None
-        if fabric is None:
-            return self._static_atlas_links
+        if machine is None:
+            return []
+        fabric = machine.fabric
         rows: List[dict] = []
         table = fabric.links
         for link in table.links():
@@ -230,30 +219,88 @@ class FlightRecorder:
         return rows
 
     def _atlas_page_tail(self, limit: int = 32) -> List[dict]:
-        """Hot-page sketch rows when an atlas is enabled, else the
-        static tail a loaded dump carried."""
+        """Hot-page sketch rows when an atlas is enabled."""
         from .. import TELEMETRY
 
         atlas = TELEMETRY.atlas
-        if atlas is None:
-            return self._static_atlas_pages
-        return atlas.hot_pages(limit)
-
-
-def _jsonable(value):
-    """Span-arg values coerced to something JSON round-trips exactly."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
+        return [] if atlas is None else atlas.hot_pages(limit)
 
 
 def load_dump(path: Union[str, pathlib.Path]) -> dict:
-    """Read and schema-check a flight-recorder dump file.  Every window row
-    must parse: the scorer would count a malformed one as a quiet window."""
+    """Read and schema-check a flight-recorder dump file whose every window
+    row parses."""
     data = check_schema(json.loads(pathlib.Path(path).read_text()))
-    for i, row in enumerate(data.get("windows", [])):
+    dump_frames(data)
+    return data
+
+
+# -- the read side -------------------------------------------------------------
+
+
+class DumpEvent(NamedTuple):
+    """One dated dump row.  ``fields`` is the row itself; a span's list row
+    becomes ``name``/``end_ns``/``parent_id``/``args`` plus ``seq``, its
+    place in the span tail (the tail is in end order, not start order)."""
+
+    t_ns: float
+    kind: str
+    node: int
+    fields: dict
+
+
+def dump_frames(dump: dict) -> List[WindowFrame]:
+    """The dump's window rows, oldest first.  A malformed row is a
+    ``ValueError`` naming it: the scorer would count it as a quiet window."""
+    frames = []
+    for i, row in enumerate(dump.get("windows", [])):
         try:
-            WindowFrame.from_dict(row)
+            frames.append(WindowFrame.from_dict(row))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"window row {i} is malformed ({exc!r})") from None
-    return data
+    return frames
+
+
+def dump_events(dump: dict) -> List[DumpEvent]:
+    """Every dated row of ``dump`` but its windows, oldest first.
+
+    Rows of one instant keep their order within a section.  A resolved
+    alert is dated by its resolution (its firing, if it has none); a fault
+    carries the node its tail is filed under; a fabric link yields one
+    :data:`LINK_DOWN` per down stamp and node endpoint.
+    """
+    events: List[DumpEvent] = []
+    add = events.append
+    for row in dump.get("alerts", []):
+        if row.get("event") == "firing":
+            add(DumpEvent(float(row["fired_ns"]), ALERT_FIRED, row["node"], row))
+        else:
+            t_ns = row.get("resolved_ns") or row["fired_ns"]
+            add(DumpEvent(float(t_ns), ALERT_RESOLVED, row["node"], row))
+    for row in dump.get("anomalies", []):
+        add(DumpEvent(float(row["at_ns"]), ANOMALY, row["node"], row))
+    for row in dump.get("incidents", []):
+        add(DumpEvent(float(row["at_ns"]), INCIDENT, RACK_WIDE, row))
+    for node, tail in dump.get("fault_tail", {}).items():
+        for row in tail:
+            add(DumpEvent(float(row["time_ns"]), FAULT, int(node), row))
+    for row in dump.get("breakers", []):
+        add(DumpEvent(float(row["t_ns"]), BREAKER, int(row["target"]), row))
+    for row in dump.get("boosts", []):
+        add(DumpEvent(float(row["t_ns"]), BOOST, RACK_WIDE, row))
+    for row in dump.get("resilience", []):
+        add(DumpEvent(float(row["t_ns"]), RESILIENCE, RACK_WIDE, row))
+    for seq, row in enumerate(dump.get("spans", [])):
+        name, node, start_ns, end_ns, parent_id = row[:5]
+        args = row[5] if len(row) > 5 else {}  # a row may end without its args
+        add(DumpEvent(float(start_ns), SPAN, node, {
+            "name": name, "end_ns": end_ns, "parent_id": parent_id,
+            "args": args, "seq": seq,
+        }))
+    for row in dump.get("atlas_links", []):
+        ends = [int(v[5:]) for v in str(row.get("link", "")).split("|")
+                if v.startswith("node:")]
+        for down in row.get("downs", []):
+            for node in ends:
+                add(DumpEvent(float(down), LINK_DOWN, node, row))
+    events.sort(key=itemgetter(0))
+    return events

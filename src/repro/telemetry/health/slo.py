@@ -32,7 +32,7 @@ from hashlib import sha256
 from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..registry import RACK_WIDE
+from ..registry import RACK_WIDE, merged_histogram
 from .windows import WindowFrame
 
 KINDS = ("ratio", "latency", "rate")
@@ -117,10 +117,6 @@ class Alert:
             "resolved_window": self.resolved_window,
             "resolved_ns": self.resolved_ns,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Alert":
-        return cls(**data)
 
 
 def alert_id(objective: str, node: int, fired_window: int) -> str:
@@ -227,7 +223,7 @@ class SLOEngine:
                         continue
                     if hist.count:
                         samples[node] = hist.fraction_above(obj.threshold_ns) / obj.budget
-            merged = frame.hist_merged(obj.subsystem, obj.metric)
+            merged = merged_histogram(frame.hists, obj.subsystem, obj.metric)
             if merged is not None and merged.count:
                 samples[RACK_WIDE] = merged.fraction_above(obj.threshold_ns) / obj.budget
         else:  # rate
@@ -277,8 +273,6 @@ class SLOEngine:
             del self.active[key]
             return [active]
         return []
-
-    # -- queries ---------------------------------------------------------------
 
 
 def _tail_mean(history: Deque[float], n: int) -> float:

@@ -16,68 +16,14 @@ same metrics at the same simulated instants produce identical frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..registry import Histogram, MetricKey, MetricsRegistry, N_BUCKETS
 
-
-@dataclass
-class WindowHist:
-    """One histogram's delta over a window: count, sum, bucket deltas.
-
-    Exact per-window min/max cannot be recovered from cumulative state,
-    so quantiles clamp to the bounds of the occupied delta buckets —
-    the same one-power-of-two accuracy the registry histograms give.
-    """
-
-    count: int
-    total: float
-    buckets: List[int]
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {q}")
-        if not self.count:
-            return 0.0
-        rank = max(1, int(q * self.count + 0.999999))
-        seen = 0
-        for idx, n in enumerate(self.buckets):
-            seen += n
-            if seen >= rank:
-                return Histogram._bucket_midpoint(idx)
-        return Histogram._bucket_midpoint(N_BUCKETS - 1)
-
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of window samples whose bucket lies above ``threshold``.
-
-        A bucket counts as "above" when its lower bound is >= the
-        threshold, so the answer is conservative (never over-reports
-        violations) and deterministic.
-        """
-        if not self.count:
-            return 0.0
-        above = 0
-        for idx, n in enumerate(self.buckets):
-            if not n:
-                continue
-            lower = 0.0 if idx == 0 else float(1 << (idx - 1))
-            if lower >= threshold:
-                above += n
-        return above / self.count
-
-    def to_list(self) -> list:
-        return [self.count, self.total, {str(i): n for i, n in enumerate(self.buckets) if n}]
-
-    @classmethod
-    def from_list(cls, data: list) -> "WindowHist":
-        buckets = [0] * N_BUCKETS
-        for idx, n in (data[2] or {}).items():
-            buckets[int(idx)] = int(n)
-        return cls(count=int(data[0]), total=float(data[1]), buckets=buckets)
+#: A window delta's sample bounds: exact per-window min/max cannot be
+#: recovered from cumulative state, so quantiles are bucket midpoints —
+#: the same one-power-of-two accuracy the registry histograms give.
+_UNBOUNDED = {"min_value": float("-inf"), "max_value": float("inf")}
 
 
 @dataclass
@@ -88,7 +34,8 @@ class WindowFrame:
     (``start_ns = index * window_ns``); ``windows`` is how many grid
     slots the frame spans (> 1 when the clock jumped several windows
     between ticks).  Rates are normalised per single window so a long
-    frame does not masquerade as a burst.
+    frame does not masquerade as a burst.  A row of ``hists`` keeps the
+    delta as ``[count, total, {bucket: n}]``.
     """
 
     index: int
@@ -97,7 +44,7 @@ class WindowFrame:
     windows: int
     counters: Dict[MetricKey, float] = field(default_factory=dict)
     gauges: Dict[MetricKey, float] = field(default_factory=dict)
-    hists: Dict[MetricKey, WindowHist] = field(default_factory=dict)
+    hists: Dict[MetricKey, Histogram] = field(default_factory=dict)
 
     # -- per-window queries ----------------------------------------------------
     #
@@ -114,16 +61,9 @@ class WindowFrame:
             self._metric_index = index
         return index
 
-    def delta(self, node: int, subsystem: str, name: str) -> float:
-        return self.counters.get((node, subsystem, name), 0.0)
-
     def delta_total(self, subsystem: str, name: str) -> float:
         """Sum of one counter's delta across every node."""
         return sum(self.per_node(subsystem, name).values())
-
-    def rate(self, node: int, subsystem: str, name: str) -> float:
-        """Counter delta normalised to events per single window."""
-        return self.delta(node, subsystem, name) / self.windows
 
     def rate_total(self, subsystem: str, name: str) -> float:
         return self.delta_total(subsystem, name) / self.windows
@@ -131,22 +71,6 @@ class WindowFrame:
     def per_node(self, subsystem: str, name: str) -> Dict[int, float]:
         """Node -> delta for one counter (shared index dict: treat as read-only)."""
         return self._by_metric().get((subsystem, name), {})
-
-    def hist(self, node: int, subsystem: str, name: str) -> Optional[WindowHist]:
-        return self.hists.get((node, subsystem, name))
-
-    def hist_merged(self, subsystem: str, name: str) -> Optional[WindowHist]:
-        merged: Optional[WindowHist] = None
-        for (n, s, m), h in self.hists.items():
-            if s != subsystem or m != name:
-                continue
-            if merged is None:
-                merged = WindowHist(0, 0.0, [0] * N_BUCKETS)
-            merged.count += h.count
-            merged.total += h.total
-            for i, c in enumerate(h.buckets):
-                merged.buckets[i] += c
-        return merged
 
     # -- export (flight recorder / postmortem) ---------------------------------
 
@@ -159,7 +83,9 @@ class WindowFrame:
             "counters": [[k[0], k[1], k[2], v] for k, v in sorted(self.counters.items())],
             "gauges": [[k[0], k[1], k[2], v] for k, v in sorted(self.gauges.items())],
             "hists": [
-                [k[0], k[1], k[2], h.to_list()] for k, h in sorted(self.hists.items())
+                [k[0], k[1], k[2],
+                 [h.count, h.total, {str(i): n for i, n in enumerate(h.buckets) if n}]]
+                for k, h in sorted(self.hists.items())
             ],
         }
 
@@ -175,8 +101,12 @@ class WindowFrame:
             frame.counters[(node, sub, name)] = v
         for node, sub, name, v in data.get("gauges", []):
             frame.gauges[(node, sub, name)] = v
-        for node, sub, name, hlist in data.get("hists", []):
-            frame.hists[(node, sub, name)] = WindowHist.from_list(hlist)
+        for node, sub, name, (count, total, sparse) in data.get("hists", []):
+            buckets = [0] * N_BUCKETS
+            for idx, n in (sparse or {}).items():
+                buckets[int(idx)] = int(n)
+            frame.hists[(node, sub, name)] = Histogram(
+                count=int(count), total=float(total), buckets=buckets, **_UNBOUNDED)
         return frame
 
 
@@ -194,7 +124,6 @@ class WindowAggregator:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.registry = registry
         self.window_ns = window_ns
-        self.frames_closed = 0
         self._open_index: Optional[int] = None
         self._base_counters: Dict[MetricKey, float] = {}
         self._base_hists: Dict[MetricKey, Tuple[int, float, Tuple[int, ...]]] = {}
@@ -214,7 +143,6 @@ class WindowAggregator:
         frame = self._close(self._open_index, w)
         self._open_index = w
         self._capture_baseline()
-        self.frames_closed += 1
         return frame
 
     # -- internals -------------------------------------------------------------
@@ -250,5 +178,6 @@ class WindowAggregator:
                 buckets = list(hist.buckets)
             else:
                 buckets = [n - b_buckets[i] for i, n in enumerate(hist.buckets)]
-            frame.hists[key] = WindowHist(d_count, hist.total - b_total, buckets)
+            frame.hists[key] = Histogram(
+                count=d_count, total=hist.total - b_total, buckets=buckets, **_UNBOUNDED)
         return frame

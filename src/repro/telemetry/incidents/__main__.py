@@ -44,6 +44,17 @@ def _infer_target(dump: dict) -> Optional[float]:
         return None
 
 
+def _target(text: str) -> float:
+    """``--target``: an availability target, a number in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value <= 1.0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+    return value
+
+
 def _write_json(path: pathlib.Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
@@ -107,7 +118,7 @@ def _cmd_offline(args) -> int:
     try:
         dump = load_dump(args.dump)
         target = args.target if args.target is not None else _infer_target(dump)
-        score = score_dump(dump, availability_target=target or 0.999,
+        score = score_dump(dump, availability_target=0.999 if target is None else target,
                            scenario=dump.get("reason"))
         if args.cmd == "replay":
             print(render_incident_timeline(dump, score))
@@ -147,12 +158,12 @@ def main(argv=None) -> int:
     p_replay = sub.add_parser(
         "replay", help="render a dump into the scored incident timeline")
     p_replay.add_argument("dump", type=pathlib.Path)
-    p_replay.add_argument("--target", type=float, default=None,
+    p_replay.add_argument("--target", type=_target, default=None,
                           help="availability target (default: from scenario)")
 
     p_score = sub.add_parser("score", help="score a dump offline")
     p_score.add_argument("dump", type=pathlib.Path)
-    p_score.add_argument("--target", type=float, default=None,
+    p_score.add_argument("--target", type=_target, default=None,
                          help="availability target (default: from scenario)")
     p_score.add_argument("--json", type=pathlib.Path, default=None,
                          help="write the score card here")

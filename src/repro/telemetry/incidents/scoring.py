@@ -1,7 +1,7 @@
 """Score one incident from its flight-recorder dump alone.
 
-The scorer is pure dict-walking over a ``repro.telemetry.flightrec/3``
-snapshot — no simulator imports — so ``python -m
+The scorer reads a ``repro.telemetry.flightrec/3`` snapshot through the
+recorder's frame and event views — no simulator imports — so ``python -m
 repro.telemetry.incidents score DUMP.json`` works offline, on a dump
 from any run.  Four scores, per the AIOpsLab-style ops loop:
 
@@ -27,6 +27,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
+from ..health import recorder as rec
+from ..health.windows import WindowFrame
+
 _PAGE = 4096
 
 #: fault kinds that constitute an injected incident (repairs and link
@@ -37,6 +40,9 @@ GROUND_TRUTH_KINDS = ("ce", "link_down", "node_crash", "ue")
 _GOOD = "admitted"
 _BAD = "resilience.lost"
 _TENANT_PREFIX = "traffic/"
+
+#: request-path spans whose failed outcome blames their target node
+_ATTEMPTS = ("traffic.attempt", "traffic.hedge")
 
 
 def ground_truth(dump: dict) -> Tuple[Optional[float], Set[str]]:
@@ -49,85 +55,57 @@ def ground_truth(dump: dict) -> Tuple[Optional[float], Set[str]]:
     """
     t0: Optional[float] = None
     sites: Set[str] = set()
-    for node_str, tail in dump.get("fault_tail", {}).items():
-        node = int(node_str)
-        for ev in tail:
-            if ev["kind"] not in GROUND_TRUTH_KINDS:
-                continue
-            t = float(ev["time_ns"])
-            t0 = t if t0 is None else min(t0, t)
-            if ev["kind"] in ("link_down", "node_crash"):
-                if node >= 0:
-                    sites.add(f"node:{node}")
-            else:  # ue / ce
-                if ev.get("addr") is not None:
-                    sites.add(f"page:{int(ev['addr']) & ~(_PAGE - 1):#x}")
-                if node >= 0:
-                    sites.add(f"node:{node}")
+    for event in rec.dump_events(dump):
+        row = event.fields
+        if event.kind != rec.FAULT or row["kind"] not in GROUND_TRUTH_KINDS:
+            continue
+        t0 = event.t_ns if t0 is None else min(t0, event.t_ns)
+        if row["kind"] not in ("link_down", "node_crash") and row.get("addr") is not None:
+            sites.add(f"page:{int(row['addr']) & ~(_PAGE - 1):#x}")
+        if event.node >= 0:
+            sites.add(f"node:{event.node}")
     return t0, sites
 
 
 def blame_set(dump: dict, t0: float) -> Set[str]:
-    """Everything the detection/mitigation stack pointed at after ``t0``."""
+    """Everything the detection/mitigation stack pointed at after ``t0``:
+    scoped alerts and anomalies, breaker opens, boosted pages, failed
+    request attempts' targets, and the endpoints of links that went down
+    (``link_down`` faults carry no node id, so this is what localises a
+    severed port)."""
     blame: Set[str] = set()
-    for alert in dump.get("alerts", []):
-        if alert.get("event") == "firing" and alert["fired_ns"] >= t0:
-            if alert["node"] >= 0:
-                blame.add(f"node:{alert['node']}")
-    for anomaly in dump.get("anomalies", []):
-        if anomaly["at_ns"] >= t0 and anomaly["node"] >= 0:
-            blame.add(f"node:{anomaly['node']}")
-    for ev in dump.get("breakers", []):
-        if ev["to"] == "open" and ev["t_ns"] >= t0:
-            blame.add(f"node:{ev['target']}")
-    for boost in dump.get("boosts", []):
-        if boost["t_ns"] >= t0:
-            for page in boost.get("pages", []):
-                blame.add(f"page:{int(page):#x}")
-    for row in dump.get("spans", []):
-        if len(row) < 6:
-            continue  # no args, nothing attributable
-        name, _node, start_ns, _end_ns, _parent, args = row[:6]
-        if start_ns < t0:
+    for event in rec.dump_events(dump):
+        if event.t_ns < t0:
             continue
-        if name in ("traffic.attempt", "traffic.hedge") and args.get("outcome") == "failed":
-            target = args.get("target")
-            if target is not None:
-                blame.add(f"node:{int(target)}")
-    # the fabric's own per-link ledger stamps the simulated
-    # time of every link-down — resolve flapped links to their node
-    # endpoints (``link_down`` fault events carry no node id, so this
-    # is what localises a severed port)
-    for row in dump.get("atlas_links", []):
-        if any(down >= t0 for down in row.get("downs", [])):
-            for vertex in str(row.get("link", "")).split("|"):
-                if vertex.startswith("node:"):
-                    blame.add(vertex)
+        kind, row = event.kind, event.fields
+        if kind in (rec.ALERT_FIRED, rec.ANOMALY, rec.LINK_DOWN) and event.node >= 0:
+            blame.add(f"node:{event.node}")
+        elif kind == rec.BREAKER and row["to"] == "open":
+            blame.add(f"node:{event.node}")
+        elif kind == rec.BOOST:
+            blame.update(f"page:{int(page):#x}" for page in row.get("pages", []))
+        elif (kind == rec.SPAN and row["name"] in _ATTEMPTS
+              and row["args"].get("outcome") == "failed"
+              and row["args"].get("target") is not None):
+            blame.add(f"node:{int(row['args']['target'])}")
     return blame
 
 
 def _detection_times(dump: dict, t0: float, truth: Set[str]) -> List[float]:
     """Times of *correct* detections: rack-wide or truth-scoped."""
-    times: List[float] = []
-    for alert in dump.get("alerts", []):
-        if alert.get("event") != "firing" or alert["fired_ns"] < t0:
-            continue
-        if alert["node"] < 0 or f"node:{alert['node']}" in truth:
-            times.append(float(alert["fired_ns"]))
-    for anomaly in dump.get("anomalies", []):
-        if anomaly["at_ns"] < t0:
-            continue
-        if anomaly["node"] < 0 or f"node:{anomaly['node']}" in truth:
-            times.append(float(anomaly["at_ns"]))
-    return times
+    return [
+        event.t_ns for event in rec.dump_events(dump)
+        if event.kind in (rec.ALERT_FIRED, rec.ANOMALY) and event.t_ns >= t0
+        and (event.node < 0 or f"node:{event.node}" in truth)
+    ]
 
 
-def _availability_by_window(dump: dict) -> List[Tuple[float, float, float]]:
+def _availability_by_window(frames: List[WindowFrame]) -> List[Tuple[float, float, float]]:
     """(end_ns, availability, lost) per window frame that saw traffic."""
     rows: List[Tuple[float, float, float]] = []
-    for frame in dump.get("windows", []):
+    for frame in frames:
         good = bad = 0.0
-        for _node, sub, name, value in frame.get("counters", []):
+        for (_node, sub, name), value in frame.counters.items():
             if not sub.startswith(_TENANT_PREFIX):
                 continue
             if name == _GOOD:
@@ -136,17 +114,17 @@ def _availability_by_window(dump: dict) -> List[Tuple[float, float, float]]:
                 bad += value
         if good + bad <= 0:
             continue
-        rows.append((float(frame["end_ns"]), good / (good + bad), bad))
+        rows.append((frame.end_ns, good / (good + bad), bad))
     return rows
 
 
-def _blast_radius(dump: dict, t0: float) -> dict:
+def _blast_radius(frames: List[WindowFrame], t0: float) -> dict:
     tenants: Set[str] = set()
     lost = 0.0
-    for frame in dump.get("windows", []):
-        if float(frame["end_ns"]) <= t0:
+    for frame in frames:
+        if frame.end_ns <= t0:
             continue
-        for _node, sub, name, value in frame.get("counters", []):
+        for (_node, sub, name), value in frame.counters.items():
             if sub.startswith(_TENANT_PREFIX) and name == _BAD and value > 0:
                 tenants.add(sub[len(_TENANT_PREFIX):])
                 lost += value
@@ -186,7 +164,8 @@ def score_dump(
         if precision + recall > 0 else 0.0
     )
 
-    rows = _availability_by_window(dump)
+    frames = rec.dump_frames(dump)
+    rows = _availability_by_window(frames)
     degraded = [
         (end_ns, avail) for end_ns, avail, _lost in rows
         if end_ns > t0 and avail < availability_target
@@ -195,7 +174,7 @@ def score_dump(
     post = [(end_ns, avail) for end_ns, avail, _ in rows if end_ns > t0]
     recovered = (not post) or post[-1][1] >= availability_target
 
-    blast = _blast_radius(dump, t0)
+    blast = _blast_radius(frames, t0)
     blast["degraded_windows"] = len(degraded)
 
     return {

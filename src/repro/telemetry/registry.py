@@ -129,6 +129,24 @@ class Histogram:
                 return min(max(rep, self.min_value), self.max_value)
         return self.max_value
 
+    def fraction_above(self, threshold: float) -> float:
+        """Fraction of samples whose bucket lies above ``threshold``.
+
+        A bucket counts as "above" when its lower bound is >= the
+        threshold, so the answer is conservative (never over-reports
+        violations) and deterministic.
+        """
+        if not self.count:
+            return 0.0
+        above = 0
+        for idx, n in enumerate(self.buckets):
+            if not n:
+                continue
+            lower = 0.0 if idx == 0 else float(1 << (idx - 1))
+            if lower >= threshold:
+                above += n
+        return above / self.count
+
     @staticmethod
     def _bucket_midpoint(idx: int) -> float:
         if idx == 0:
@@ -160,6 +178,26 @@ class Histogram:
         for idx, n in (data.get("buckets") or {}).items():
             h.buckets[int(idx)] = int(n)
         return h
+
+
+def merged_histogram(
+    hists: Dict[MetricKey, Histogram], subsystem: str, name: str
+) -> Optional[Histogram]:
+    """Every node's ``subsystem``/``name`` histogram in ``hists`` folded
+    into one, or None when no node has one."""
+    merged: Optional[Histogram] = None
+    for (_node, s, m), h in hists.items():
+        if s != subsystem or m != name:
+            continue
+        if merged is None:
+            merged = Histogram()
+        merged.count += h.count
+        merged.total += h.total
+        merged.min_value = min(merged.min_value, h.min_value)
+        merged.max_value = max(merged.max_value, h.max_value)
+        for i, c in enumerate(h.buckets):
+            merged.buckets[i] += c
+    return merged
 
 
 class MetricsRegistry:

@@ -29,11 +29,22 @@ def test_census_names_a_planted_orphan(tmp_path):
     src = tmp_path / "repro"
     shutil.copytree(census.ROOT / "src" / "repro", src)
     before = set(census.census(src=src, bench=BENCHMARKS)[1])
-    with open(src / "core" / "sched.py", "a") as fh:
-        fh.write("\n\ndef planted_orphan():\n    return RackScheduler\n")
-    text, orphans = census.census(src=src, bench=BENCHMARKS)
-    assert set(orphans) - before == {"repro.core.sched.planted_orphan"}
-    assert "  repro.core.sched.planted_orphan" in text.splitlines()
+    plants = [  # (code appended to core/sched.py, the orphans it adds)
+        ("def planted_orphan():\n    return RackScheduler\n",
+         {"repro.core.sched.planted_orphan"}),
+        # Class.attr reaches that class's attr, not a same-named method elsewhere
+        ("class Planted:\n    def twin(self):\n        pass\n\n\n"
+         "class PlantedTwin:\n    def twin(self):\n        pass\n\n\n"
+         "_PLANTED = (Planted.twin, PlantedTwin)\n",
+         {"repro.core.sched.PlantedTwin.twin"}),
+    ]
+    for code, planted in plants:
+        with open(src / "core" / "sched.py", "a") as fh:
+            fh.write("\n\n" + code)
+        text, orphans = census.census(src=src, bench=BENCHMARKS)
+        assert set(orphans) - before == planted
+        assert {f"  {name}" for name in planted} <= set(text.splitlines())
+        before = set(orphans)
 
 
 def test_emit_passes_on_identical_text_and_regenerates_then_fails_on_drift(tmp_path):

@@ -245,7 +245,7 @@ def test_duplicate_store_telemetry_and_atlas_match_loop():
                     for a, d in zip(addrs, data):
                         m.store(0, a, d, bypass_cache=True)
             counters = dict(telemetry.TELEMETRY.registry.counters)
-            return counters, atlas.pages.snapshot(), atlas.lines.snapshot(), _state(m)
+            return counters, atlas.hot_pages(), atlas.pages.total, _state(m)
         finally:
             telemetry.TELEMETRY.atlas = None
             telemetry.disable()
@@ -403,7 +403,7 @@ def _watched(prepare, issue, faults=None):
         except (MemoryError_, ValueError, TypeError, NodeCrashedError) as e:
             outcome = (type(e).__name__, str(e))
         counters = dict(telemetry.TELEMETRY.registry.counters)
-        return singles, (outcome, counters, atlas.pages.snapshot(), atlas.lines.snapshot(), _state(m))
+        return singles, (outcome, counters, atlas.hot_pages(), atlas.pages.total, _state(m))
     finally:
         for op in _KINDS:
             setattr(RackMachine, op, real[op])

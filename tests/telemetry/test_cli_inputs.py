@@ -86,3 +86,23 @@ def test_dashboard_trace_out_writes_the_trace_or_refuses(traced, tmp_path, capsy
     else:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: run has no trace")
+
+
+@pytest.mark.parametrize("cli, argv", [
+    ("score", ["--target", "0"]),     # was scored against 0.999
+    ("score", ["--target", "nan"]),   # was "MTTM 0.000 ms" beside "recovered: False"
+    ("score", ["--target", "-1"]),    # was "recovered: True" with requests lost
+    ("score", ["--target", "inf"]),
+    ("atlas", ["-n", "-1"]),          # was the busiest links but the last
+    ("atlas", ["-n", "0"]),
+])
+def test_hostile_argument_is_one_argparse_error(cli, argv, tmp_path, capsys):
+    main, command, build, _schema = CLIS[cli]
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(build(False)))
+    with pytest.raises(SystemExit) as exit_:
+        main(command + [str(path)] + argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1
+    assert f"error: argument {argv[0]}: must be" in err

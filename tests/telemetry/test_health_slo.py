@@ -4,7 +4,6 @@ deterministic alert identity, and the anomaly detectors."""
 import pytest
 
 from repro.telemetry.health import (
-    Alert,
     CeSlopeDetector,
     Objective,
     RepairStreakDetector,
@@ -58,13 +57,6 @@ class TestAlertIdentity:
         assert alert_id("ue.rate", RACK_WIDE, 7) != alert_id("ue.rate", 0, 7)
         assert alert_id("ue.rate", RACK_WIDE, 7) != alert_id("ue.rate", RACK_WIDE, 8)
         assert len(alert_id("a", -1, 0)) == 12
-
-    def test_alert_dict_round_trip(self):
-        a = Alert(
-            alert_id="abc", objective="ue.rate", node=RACK_WIDE,
-            fired_window=3, fired_ns=3000.0, fast_burn=4.0, slow_burn=2.0,
-        )
-        assert Alert.from_dict(a.to_dict()) == a
 
 
 class TestBurnRateLifecycle:

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from repro.telemetry.health import WindowAggregator, WindowFrame, WindowHist
-from repro.telemetry.registry import N_BUCKETS, RACK_WIDE, MetricsRegistry
+from repro.telemetry.health import WindowAggregator, WindowFrame
+from repro.telemetry.registry import RACK_WIDE, Histogram, MetricsRegistry
 
 
 @pytest.fixture
@@ -18,7 +18,6 @@ class TestAggregator:
     def test_first_tick_anchors_no_frame(self, reg):
         agg = WindowAggregator(reg, window_ns=1000.0)
         assert agg.tick(150.0) is None
-        assert agg.frames_closed == 0
 
     def test_same_window_ticks_are_free(self, reg):
         agg = WindowAggregator(reg, window_ns=1000.0)
@@ -35,7 +34,7 @@ class TestAggregator:
         assert frame is not None
         assert frame.index == 0 and frame.windows == 1
         assert frame.start_ns == 0.0 and frame.end_ns == 1000.0
-        assert frame.delta(0, "s", "c") == 3
+        assert frame.counters[(0, "s", "c")] == 3
         assert frame.delta_total("s", "c") == 5
         # next window sees only new increments
         reg.inc(0, "s", "c", 4)
@@ -57,13 +56,13 @@ class TestAggregator:
         for v in (4.0, 4.0, 1000.0):
             reg.observe(0, "s", "lat", v)
         frame = agg.tick(1500.0)
-        h = frame.hist(0, "s", "lat")
+        h = frame.hists[(0, "s", "lat")]
         assert h.count == 3
         assert h.total == 1008.0
         # only this window's samples appear in the next frame
         reg.observe(0, "s", "lat", 2.0)
         frame2 = agg.tick(2500.0)
-        assert frame2.hist(0, "s", "lat").count == 1
+        assert frame2.hists[(0, "s", "lat")].count == 1
 
     def test_rejects_nonpositive_window(self, reg):
         with pytest.raises(ValueError, match="window_ns"):
@@ -90,15 +89,16 @@ class TestAggregator:
 
 
 class TestWindowHist:
-    def _hist(self, values):
-        h = WindowHist(0, 0.0, [0] * N_BUCKETS)
-        from repro.telemetry.registry import bucket_index
+    """A frame's histogram deltas are registry histograms without sample
+    bounds: quantiles are bucket midpoints."""
 
+    def _hist(self, values):
+        reg = MetricsRegistry()
+        agg = WindowAggregator(reg, window_ns=1000.0)
+        agg.tick(0.0)
         for v in values:
-            h.count += 1
-            h.total += v
-            h.buckets[bucket_index(v)] += 1
-        return h
+            reg.observe(0, "s", "lat", v)
+        return agg.tick(1000.0).hists[(0, "s", "lat")]
 
     def test_percentile_validates_quantile(self):
         h = self._hist([4.0])
@@ -107,8 +107,9 @@ class TestWindowHist:
                 h.percentile(bad)
 
     def test_percentile_empty_is_zero(self):
-        h = WindowHist(0, 0.0, [0] * N_BUCKETS)
-        assert h.percentile(0.99) == 0.0
+        assert Histogram().percentile(0.99) == 0.0
+        # a window delta's quantile is its bucket's midpoint, unclamped
+        assert self._hist([300.0]).percentile(0.5) == (256.0 * 512.0) ** 0.5
 
     def test_fraction_above_is_conservative(self):
         h = self._hist([2.0, 2.0, 1024.0, 4096.0])
@@ -121,10 +122,12 @@ class TestWindowHist:
 
     def test_list_round_trip(self):
         h = self._hist([2.0, 300.0, 300.0])
-        h2 = WindowHist.from_list(json.loads(json.dumps(h.to_list())))
-        assert h2.count == h.count
-        assert h2.total == h.total
-        assert h2.buckets == h.buckets
+        frame = WindowFrame(index=0, start_ns=0.0, end_ns=1.0, windows=1,
+                            hists={(0, "s", "lat"): h})
+        row = json.loads(json.dumps(frame.to_dict()))["hists"][0]
+        assert row == [0, "s", "lat", [3, 602.0, {"1": 1, "9": 2}]]
+        h2 = WindowFrame.from_dict({**frame.to_dict(), "hists": [row]}).hists[(0, "s", "lat")]
+        assert h2 == h
 
 
 class TestFrameRoundTrip:
@@ -140,5 +143,5 @@ class TestFrameRoundTrip:
         assert frame2.index == frame.index
         assert frame2.counters == frame.counters
         assert frame2.gauges == frame.gauges
-        assert frame2.hist(0, "s", "lat").count == 1
+        assert frame2.hists[(0, "s", "lat")].count == 1
         assert frame2.to_dict() == frame.to_dict()
