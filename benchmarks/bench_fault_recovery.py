@@ -241,7 +241,7 @@ def run_self_healing(heal):
 
     rig.align()
     t_start = rig.machine.max_time()
-    runner = CampaignRunner(rig.machine, kernel=kernel)
+    runner = CampaignRunner(kernel)
     report = runner.run(
         campaign,
         workload=workload,

@@ -19,11 +19,11 @@ _KEPT = {
     "item 2": "RackMachine.flush_all", "item 6": "ReplicatedDict DelegatedDict",
     "item 5": "OperationLog SpscRing LockedHashMap SharedVector GlobalSpinLock BoundedStaleCell VersionChain",
     "item 7": "disable TelemetryState.export_json Atlas.export_json",
-    "pending deletion": """committed_files_intact region_bytes_intact BackoffExhausted DtNode BootRom.discover unflatten
+    "pending deletion": """BackoffExhausted DtNode BootRom.discover unflatten
         SharedDevice DeviceRegistry.listing AggregatedVolume CheckpointSchedule FlacFS.rename FlacFS.remount
-        FlacFS.writeback_daemon_step MetadataJournal MetadataStore.rename MwaitTimeout mwait wake
-        IrqBalancer.raise_irq ProcessMigrator.migrate RpcSystem.unregister RpcSystem.call_with_retry NodeOS
-        FlacOS.node_os SharedPageTable.set_flags RackScheduler.adopt_queues SharedPageTable.bump_generation
+        MetadataJournal MetadataStore.rename MwaitTimeout mwait wake
+        IrqBalancer.raise_irq ProcessMigrator.migrate RpcSystem.unregister RpcSystem.call_with_retry
+        SharedPageTable.set_flags RackScheduler.adopt_queues SharedPageTable.bump_generation
         MemorySystem.destroy_address_space FrameAllocator.is_allocated HotColdPacker.hot_line_count
         SharedHeap.check_formatted SharedHeap.free_blocks EpochReclaimer.pin EpochReclaimer.unpin
         HandleTable.destroy ChecksumDetector HeartbeatDetector MirrorSource.register_group

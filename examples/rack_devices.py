@@ -32,7 +32,7 @@ def main() -> None:
     tickles = []
     kernel.interrupts.register(1, 5, lambda ctx, v: tickles.append(v))
     kernel.interrupts.send_ipi(rig.c0, target_node=1, vector=5)
-    kernel.node_os(1).poll_interrupts()
+    kernel.interrupts.poll(rig.c1)
     print(f"node 0 -> node 1 vector 5: handler saw {tickles}")
 
     print("\n== irq balancing ==")

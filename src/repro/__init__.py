@@ -24,7 +24,7 @@ Quickstart::
     print(kernel.fs.read(c1, kernel.fs.open(c1, "/hello"), 0, 16))
 """
 
-from .core import FlacOS, NodeOS, OsCosts
+from .core import FlacOS, OsCosts
 from .rack import LatencyModel, RackConfig, RackMachine
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FlacOS",
     "LatencyModel",
-    "NodeOS",
     "OsCosts",
     "RackConfig",
     "RackMachine",

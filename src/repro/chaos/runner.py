@@ -1,7 +1,7 @@
 """The campaign runner: applies a chaos schedule against a live rack.
 
-The runner interleaves workload steps with due chaos events, optionally
-gives the self-healing pipeline a turn after each step, evaluates the
+The runner interleaves workload steps with due chaos events, gives the
+kernel's daemons a turn on its event heap after each step, evaluates the
 campaign's invariants at the end (with fault injection masked so the
 checks themselves cannot mutate the rack), and emits a deterministic
 journal: same (campaign, workload, rig seed) ⇒ byte-identical journal
@@ -23,6 +23,8 @@ from ..telemetry import TELEMETRY as _TEL, span as _span
 
 _PAGE = 4096
 _LINE = 64
+#: bytes the scrubber walks after each workload step
+SCRUB_BYTES_PER_STEP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,29 +96,21 @@ class JournalTail:
 
 
 class CampaignRunner:
-    """Drives one :class:`~repro.chaos.schedule.ChaosCampaign`.
+    """Drives one :class:`~repro.chaos.schedule.ChaosCampaign` on a kernel.
 
     ``workload(step, ctx)`` is called once per step with the step index
-    and a context on the campaign's driver node; chaos events whose
-    trigger has come due fire right after, in schedule order.  When a
-    kernel with a scrubber is attached and ``heal`` is on, the scrubber
-    gets one bounded step per workload step — detect-before-consume.
+    and a context on the lowest-numbered live node; chaos events whose
+    trigger has come due fire right after, in schedule order.  Then the
+    daemons take their turn as events on ``kernel.events``: with ``heal``
+    on, the scrubber walks :data:`SCRUB_BYTES_PER_STEP`
+    (detect-before-consume), and an attached health engine ticks,
+    journaling its transitions and, at the end, invariant violations.
     """
 
-    def __init__(
-        self,
-        machine: RackMachine,
-        kernel=None,
-        driver_node: int = 0,
-        health=None,
-    ) -> None:
-        self.machine = machine
+    def __init__(self, kernel) -> None:
         self.kernel = kernel
-        self.driver_node = driver_node
-        #: Optional :class:`~repro.telemetry.health.HealthEngine`; when
-        #: set, it is ticked after every step (journaling its transitions)
-        #: and told about invariant violations so it dumps the black box.
-        self.health = health if health is not None else getattr(kernel, "health", None)
+        self.machine = kernel.machine
+        self.health = kernel.health
 
     # -- observables used as triggers --------------------------------------------
 
@@ -124,14 +118,6 @@ class CampaignRunner:
         return sum(
             n.cache.stats.hits + n.cache.stats.misses for n in self.machine.nodes.values()
         )
-
-    def _alive_ctx(self):
-        if self.machine.nodes[self.driver_node].alive:
-            return self.machine.context(self.driver_node)
-        for node_id, node in sorted(self.machine.nodes.items()):
-            if node.alive:
-                return self.machine.context(node_id)
-        return None
 
     # -- the run loop -------------------------------------------------------------
 
@@ -142,7 +128,6 @@ class CampaignRunner:
         steps: int = 32,
         invariants: Sequence[Callable[["CampaignRunner"], Optional[str]]] = (),
         heal: bool = True,
-        scrub_bytes_per_step: int = 1 << 20,
     ) -> CampaignReport:
         rng = random.Random(campaign.seed)
         pending = list(campaign.events)
@@ -151,7 +136,7 @@ class CampaignRunner:
         tail = JournalTail(self.machine)
 
         for step in range(steps):
-            ctx = self._alive_ctx()
+            ctx = self.kernel.alive_context()
             if ctx is None:
                 lines.append(f"step={step} halt=no-survivors")
                 break
@@ -169,7 +154,7 @@ class CampaignRunner:
                 fired = FiredEvent(step=step, at_ns=now, action=ev.action, detail=detail)
                 report.fired.append(fired)
                 lines.append(fired.line())
-            self._background_turn(ctx, step, heal, scrub_bytes_per_step, lines)
+            self._background_turn(ctx, step, heal, lines)
             report.steps_run = step + 1
 
         # Invariants run with injection masked: a probe read must not
@@ -191,40 +176,23 @@ class CampaignRunner:
         report.journal = "\n".join(lines) + "\n"
         return report
 
-    def _background_turn(self, ctx, step: int, heal: bool,
-                         scrub_bytes: int, lines: List[str]) -> None:
-        """Give the background daemons their turn after a workload step.
-
-        With a kernel event core available, the scrubber quantum and the
-        health tick are *events on the shared heap* — the same heap that
-        chaos-under-load campaigns and the traffic engine pump — rather
-        than direct per-step calls.  Dispatch order (heal, then health)
-        is the insertion order, so journals are unchanged.  Without a
-        kernel core (machine-only runners) the calls stay direct.
-        """
-        events = getattr(self.kernel, "events", None)
+    def _background_turn(self, ctx, step: int, heal: bool, lines: List[str]) -> None:
+        """The scrubber quantum, then the health tick, as events on the
+        kernel's heap, dispatched at its current time in that order."""
+        events = self.kernel.events
 
         def _heal() -> None:
-            if heal and ctx is not None:
-                self._heal_step(ctx, scrub_bytes)
+            if heal:
+                self.kernel.scrubber.step(ctx, max_bytes=SCRUB_BYTES_PER_STEP)
 
         def _health() -> None:
             if self.health is not None:
                 for health_line in self.health.tick(self.machine.max_time()):
                     lines.append(f"step={step} {health_line}")
 
-        if events is None:
-            _heal()
-            _health()
-            return
         events.at(events.now_ns, _heal)
         events.at(events.now_ns, _health)
         events.run(until_ns=events.now_ns)
-
-    def _heal_step(self, ctx, scrub_bytes: int) -> None:
-        scrubber = getattr(self.kernel, "scrubber", None)
-        if scrubber is not None:
-            scrubber.step(ctx, max_bytes=scrub_bytes)
 
     # -- applying events -----------------------------------------------------------
 
@@ -284,12 +252,12 @@ class CampaignRunner:
         return f"base={base:#x} lines={lines} stride={stride}"
 
     def _do_link_down(self, ev, rng) -> str:
-        node = ev.param("node", self.driver_node)
+        node = ev.param("node", 0)
         self.machine.sever_node_link(node, up=False)
         return f"node={node}"
 
     def _do_link_up(self, ev, rng) -> str:
-        node = ev.param("node", self.driver_node)
+        node = ev.param("node", 0)
         self.machine.sever_node_link(node, up=True)
         return f"node={node}"
 

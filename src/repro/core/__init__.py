@@ -6,12 +6,11 @@ simulated rack.
 """
 
 from . import boot, devices, fault, fs, interrupts, ipc, memory, sched
-from .kernel import FlacOS, NodeOS
+from .kernel import FlacOS
 from .params import OsCosts
 
 __all__ = [
     "FlacOS",
-    "NodeOS",
     "OsCosts",
     "boot",
     "devices",

@@ -152,8 +152,10 @@ class EventCore:
         yet?", the daemon is woken exactly when it is.  The handle's
         :meth:`RecurringEvent.cancel` stops the recurrence.
         """
-        if period_ns <= 0:
-            raise EventCoreError(f"recurring period must be positive, got {period_ns}")
+        if not 0 < period_ns < float("inf"):  # NaN fails too
+            raise EventCoreError(
+                f"recurring period must be finite and positive, got {period_ns}"
+            )
         rec = RecurringEvent(self, float(period_ns), fn, node)
         start = first_ns if first_ns is not None else self.now_ns + period_ns
         rec._ev = self.at(start, rec._fire, node=node)

@@ -201,10 +201,6 @@ class FlacFS:
         ctx.advance(self.costs.syscall_ns)
         return self.page_cache.writeback(ctx, self._store_page)
 
-    def writeback_daemon_step(self, ctx: NodeContext, limit: int = 64) -> int:
-        """The asynchronous half: run from a daemon/idle context."""
-        return self.page_cache.writeback(ctx, self._store_page, limit=limit)
-
     def remount(self, ctx: NodeContext) -> int:
         """Rebuild this node's metadata replica from the shared log.
 

@@ -11,8 +11,8 @@ cases of a *shared* cache:
 * **multi-version updates** — an updater never mutates a page that other
   nodes may be reading mid-line; it writes a fresh frame and CASes the
   tree slot, retiring the old frame through epoch reclamation;
-* **asynchronous write-back** — dirty pages are queued and flushed to
-  the block device by an explicit daemon step, off the critical path.
+* **deferred write-back** — dirty pages are queued and flushed to the
+  block device by ``fsync``, off the write path.
 
 Dirty state is kept *in the tree value*: frame addresses are page
 aligned, so bit 0 of the value is the dirty flag — updated with CAS,
@@ -258,26 +258,19 @@ class SharedPageCache:
                 written += 1
         return written
 
-    # -- write-back daemon ---------------------------------------------------------------
+    # -- write-back ----------------------------------------------------------------------
 
     def writeback(
-        self,
-        ctx: NodeContext,
-        store: Callable[[NodeContext, int, int, bytes], None],
-        limit: Optional[int] = None,
+        self, ctx: NodeContext, store: Callable[[NodeContext, int, int, bytes], None]
     ) -> int:
         """Flush dirty pages through ``store(ctx, file_id, page_idx, bytes)``.
 
-        This is the asynchronous half: callers run it from a daemon
-        context, not from the write path.  Returns pages cleaned.
+        Returns pages cleaned.
         """
         cleaned = 0
         pending = self._dirty_hint
         self._dirty_hint = []
         for file_id, page_idx in pending:
-            if limit is not None and cleaned >= limit:
-                self._dirty_hint.append((file_id, page_idx))
-                continue
             key = cache_key(file_id, page_idx)
             value = self.tree.lookup(ctx, key)
             if value is None or not value & _DIRTY:

@@ -11,13 +11,14 @@ attributes mirror Figure 2:
 * ``boxes``   — §3.6 fault boxes; ``recovery`` — the coordinator;
   plus monitor/predictor from FlacDK
 
-Each node also runs a local OS instance (``node_os``) exposing the
-per-node view — the "coordination" half of the design.
+The per-node half of the design lives where each subsystem keeps it
+(``memory.tlbs[node]``, FlacFS's metadata replicas, the node caches).
+Background work — scrub patrols, health ticks, scheduler drains — runs
+off one heap, ``events``, and nothing polls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..flacdk.alloc import FrameAllocator
@@ -53,54 +54,8 @@ from .events import EventCore
 from .params import OsCosts
 from .sched import RackScheduler
 
-
-@dataclass
-class NodeOS:
-    """The local OS instance running on one node (coordinated half)."""
-
-    kernel: "FlacOS"
-    ctx: NodeContext
-
-    @property
-    def node_id(self) -> int:
-        return self.ctx.node_id
-
-    def heartbeat(self) -> None:
-        self.kernel.heartbeats.beat(self.ctx)
-
-    def service_shootdowns(self) -> bool:
-        """Safe-point duty: ack any pending TLB shootdown."""
-        return self.kernel.memory.shootdown.service(
-            self.ctx, self.kernel.memory.tlbs[self.node_id]
-        )
-
-    def poll_interrupts(self):
-        """Drain pending rack-wide IPIs for this node."""
-        return self.kernel.interrupts.poll(self.ctx)
-
-    def run_tasks(self, max_tasks: int = 64) -> int:
-        """Drain and run tasks the rack scheduler queued to this node."""
-        return self.kernel.scheduler.run_pending(self.ctx, max_tasks=max_tasks)
-
-    def idle_tick(self) -> None:
-        """What the idle loop does: safe-point duties + background work."""
-        self.service_shootdowns()
-        self.poll_interrupts()
-        # pump the discrete-event core up to the rack's frontier so
-        # event-driven subsystems (scheduler drains, traffic wake-ups)
-        # make progress even under a purely tick-driven caller
-        self.kernel.events.run(until_ns=self.kernel.machine.max_time())
-        self.run_tasks(max_tasks=16)
-        self.heartbeat()
-        self.kernel.fs.writeback_daemon_step(self.ctx, limit=16)
-        self.kernel.fs.reclaimer.advance_and_reclaim(self.ctx)
-        # patrol scrub: node 0 walks one window of global memory per tick
-        # so latent poison is found/repaired before a consumer trips on
-        # it.  When the kernel's patrols run on the event heap
-        # (start_patrols), the tick-driven copy stands down — one loop,
-        # one heap.
-        if self.node_id == 0 and not self.kernel.patrols:
-            self.kernel.scrubber.step(self.ctx, max_bytes=1 << 18)
+#: bytes the scrub patrol walks per period
+SCRUB_BYTES = 1 << 18
 
 
 class FlacOS:
@@ -193,26 +148,21 @@ class FlacOS:
         self.devices = DeviceRegistry(self.registry, self.ipc.buffers)
         self.bootrom = BootRom(self.arena.take(1 << 16, align=64))
         self.bootrom.publish(boot_ctx, rack_description(machine))
+        #: rack-wide discrete-event core; subsystems register wake-ups
+        #: instead of being polled every tick
+        self.events = EventCore(machine)
         self.scheduler = RackScheduler(
             machine,
+            self.events,
             self.arena.take(RackScheduler.ctrl_size(len(machine.nodes)), align=8),
             ring_alloc=self.ipc.heap.alloc,
             costs=self.costs,
         )
-        #: rack-wide discrete-event core; subsystems register wake-ups
-        #: instead of being polled every tick
-        self.events = EventCore(machine)
-        self.scheduler.bind_events(self.events)
 
         # active health (repro.telemetry.health); opt-in via attach_health
         self.health = None
-        #: recurring EventCore handles armed by start_patrols (empty ->
-        #: the tick-driven loops in NodeOS.idle_tick keep running)
+        #: recurring EventCore handles armed by start_patrols
         self.patrols: list = []
-
-        self._node_os: Dict[int, NodeOS] = {
-            node_id: NodeOS(self, machine.context(node_id)) for node_id in machine.nodes
-        }
 
     @classmethod
     def boot(cls, machine: RackMachine, costs: Optional[OsCosts] = None) -> "FlacOS":
@@ -235,61 +185,46 @@ class FlacOS:
             self.health = HealthEngine(self.machine, **kwargs).install()
         return self.health
 
-    def start_patrols(
-        self,
-        scrub_period_ns: float = 1e6,
-        scrub_bytes: int = 1 << 18,
-        health_period_ns: Optional[float] = None,
-        sink=None,
-    ) -> list:
-        """Move the polled daemon loops onto the discrete-event heap.
+    def start_patrols(self, period_ns: float, sink=None) -> list:
+        """Arm the kernel daemons as recurring events on ``events``.
 
-        Arms recurring :class:`~repro.core.events.EventCore` events for
-        the scrubber patrol (one window every ``scrub_period_ns``,
-        driven from the lowest-numbered live node) and — when a health
-        engine is attached and ``health_period_ns`` is set — health
-        ticks.  While armed, ``NodeOS.idle_tick`` stops its per-tick
-        scrub call, so a campaign runs every actor off one heap.
-
-        ``sink(line)`` receives each health-transition line (the chaos
-        journal hook).  Idempotent; returns the recurring handles.
+        Every ``period_ns`` the scrubber patrols :data:`SCRUB_BYTES` of
+        global memory from the lowest-numbered live node; when a health
+        engine is attached, it ticks at the same period and
+        ``sink(line)`` receives each transition line (the chaos journal
+        hook).  Idempotent; returns the recurring handles.
         """
         if self.patrols:
             return self.patrols
 
         def _scrub_patrol() -> None:
-            ctx = self._alive_context()
+            ctx = self.alive_context()
             if ctx is not None:
-                self.scrubber.step(ctx, max_bytes=scrub_bytes)
+                self.scrubber.step(ctx, max_bytes=SCRUB_BYTES)
 
-        self.patrols.append(self.events.every(scrub_period_ns, _scrub_patrol))
-        if health_period_ns is not None:
+        self.patrols.append(self.events.every(period_ns, _scrub_patrol))
+        if self.health is not None:
 
             def _health_tick() -> None:
-                if self.health is None:
-                    return
                 for line in self.health.tick(self.machine.max_time()):
                     if sink is not None:
                         sink(line)
 
-            self.patrols.append(self.events.every(health_period_ns, _health_tick))
+            self.patrols.append(self.events.every(period_ns, _health_tick))
         return self.patrols
 
     def stop_patrols(self) -> None:
-        """Cancel event-heap patrols; idle_tick's polled loops resume."""
+        """Cancel the recurring patrols."""
         for handle in self.patrols:
             handle.cancel()
         self.patrols.clear()
 
-    def _alive_context(self) -> Optional[NodeContext]:
+    def alive_context(self) -> Optional[NodeContext]:
         """A context on the lowest-numbered live node, or None."""
         for node_id, node in sorted(self.machine.nodes.items()):
             if node.alive:
                 return self.machine.context(node_id)
         return None
-
-    def node_os(self, node_id: int) -> NodeOS:
-        return self._node_os[node_id]
 
     def context(self, node_id: int) -> NodeContext:
         return self.machine.context(node_id)

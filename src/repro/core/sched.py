@@ -21,12 +21,11 @@ Two scale-out behaviours layered on the original design:
   nothing does it raise :class:`SchedulerBackpressure`, so the
   submitter observes saturation as latency first and an explicit
   signal second, never a bare crash;
-* **event-driven drains** — bound to a
-  :class:`~repro.core.events.EventCore`, every submission schedules a
-  drain wake-up for the destination's queue owner instead of relying
-  on each node polling ``run_pending`` every tick.  Unpumped cores
-  change nothing (manual drains still work), so closed-loop callers
-  are unaffected.
+* **event-driven drains** — every submission schedules a drain
+  wake-up for the destination's queue owner on the kernel's
+  :class:`~repro.core.events.EventCore`, :data:`DISPATCH_NS` after the
+  later of the core's and the owner's clocks (the IPI delivery cost),
+  instead of each node polling ``run_pending``.
 """
 
 from __future__ import annotations
@@ -39,10 +38,13 @@ from ..flacdk.structures import SpscRing
 from ..rack.machine import NodeContext, RackMachine
 from ..telemetry import TELEMETRY as _TEL
 from .backoff import BackoffPolicy
+from .events import EventCore
 from .params import OsCosts
 
 _RING_SLOTS = 32
 _SLOT_BYTES = 24  # task id + payload length + inline payload offset
+#: simulated delay between a submission and its drain wake-up
+DISPATCH_NS = 2_000.0
 
 #: Telemetry subsystem for scheduler events.
 _SUB = "core.sched"
@@ -91,11 +93,13 @@ class RackScheduler:
     def __init__(
         self,
         machine: RackMachine,
+        events: EventCore,
         ctrl_base: int,
         ring_alloc: Callable[[NodeContext, int], int],
         costs: Optional[OsCosts] = None,
     ) -> None:
         self.machine = machine
+        self._events = events
         self.costs = costs or OsCosts()
         #: shared retry shape (repro.core.backoff): exact exponential,
         #: no jitter — the historical submit behaviour, now one policy
@@ -128,38 +132,21 @@ class RackScheduler:
         self._next_task = 1
         #: dst -> node currently draining dst's queues (normally dst itself)
         self._queue_owner: Dict[int, int] = {n: n for n in range(self.n_nodes)}
-        #: event-core wiring (bind_events): pending drain wake-ups per dst
-        self._events = None
-        self._dispatch_ns = 2_000.0
+        #: destinations with a drain wake-up already on the heap
         self._drain_pending: Set[int] = set()
 
     @staticmethod
     def ctrl_size(n_nodes: int) -> int:
         return 8 * n_nodes
 
-    # -- event-core integration ------------------------------------------------------
-
-    def bind_events(self, events, dispatch_ns: float = 2_000.0) -> "RackScheduler":
-        """Run drains under a discrete-event core.
-
-        After binding, every submission schedules (at most one per
-        destination) a drain event for the queue's owner ``dispatch_ns``
-        after the later of the core's and the owner's clocks — the IPI
-        delivery cost of the wake-up.  The core must be *pumped*
-        (``events.run(...)``) for drains to fire; manual
-        :meth:`run_pending` calls remain valid and simply leave less
-        for the event to do.
-        """
-        self._events = events
-        self._dispatch_ns = float(dispatch_ns)
-        return self
+    # -- event-driven drains ---------------------------------------------------------
 
     def _notify(self, target: int) -> None:
-        """Schedule an event-driven drain of ``target``'s queues."""
-        if self._events is None or target in self._drain_pending:
+        """Schedule (at most one pending) drain of ``target``'s queues."""
+        if target in self._drain_pending:
             return
         owner = self._queue_owner[target]
-        when = max(self._events.now_ns, self.machine.now(owner)) + self._dispatch_ns
+        when = max(self._events.now_ns, self.machine.now(owner)) + DISPATCH_NS
         self._drain_pending.add(target)
         self._events.at(when, lambda t=target: self._drain_event(t), node=owner)
 
@@ -281,7 +268,7 @@ class RackScheduler:
         # re-arm the event-driven drain under the new owner: the old
         # owner's pending wake-up (if any) died with it
         self._drain_pending.discard(dead_node)
-        if self._events is not None and self.load_of(ctx, dead_node) > 0:
+        if self.load_of(ctx, dead_node) > 0:
             self._notify(dead_node)
 
     def _served_queues(self, node_id: int) -> List[int]:

@@ -72,7 +72,7 @@ class MemoryScrubber:
     def step(self, ctx: NodeContext, max_bytes: Optional[int] = None) -> List[int]:
         """Scan the next window; returns the poisoned pages it found.
 
-        Runs from an idle/daemon context.  Each step costs simulated
+        Runs as a kernel patrol event.  Each step costs simulated
         time proportional to the bytes patrolled, finds latent poison
         via the machine's scrub query (no fault dice, no data reads),
         repairs it in place, then lets the predictor drive evacuation.

@@ -89,8 +89,7 @@ def run_scenario(
             crash_detection=detection,
         )
         cul = ChaosUnderLoad(
-            rig.kernel, engine, scenario.campaign,
-            health=health, control_period_ns=scenario.window_ns,
+            rig.kernel, engine, scenario.campaign, control_period_ns=scenario.window_ns
         )
         report = cul.run(duration_ns=scenario.horizon_ns)
         # close any window still open at the horizon, then mirror the

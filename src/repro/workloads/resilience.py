@@ -703,9 +703,7 @@ class ChaosUnderLoad:
         kernel,
         engine: TrafficEngine,
         campaign,
-        health=None,
         control_period_ns: float = 1e6,
-        scrub_bytes: int = 1 << 18,
     ) -> None:
         for ev in campaign.events:
             if ev.at_ns is None:
@@ -713,15 +711,16 @@ class ChaosUnderLoad:
                     f"chaos-under-load needs at_ns triggers; event "
                     f"{ev.action!r} has {ev.trigger_str()!r}"
                 )
+        self.control_period_ns = control_period_ns
+        if not (finite(control_period_ns) and control_period_ns > 0):
+            refuse(self, "control_period_ns", "a finite number > 0")
         self.kernel = kernel
         self.engine = engine
         self.campaign = campaign
-        self.health = health if health is not None else getattr(kernel, "health", None)
-        self.control_period_ns = float(control_period_ns)
-        self.scrub_bytes = int(scrub_bytes)
-        self.events = engine.events
+        self.health = kernel.health
+        self.events = kernel.events
         # reuse the step-runner's action handlers + seeded RNG contract
-        self._runner = CampaignRunner(kernel.machine, kernel, health=self.health)
+        self._runner = CampaignRunner(kernel)
         # flight-recorder sync cursors (see sync_recorder)
         self._breaker_synced = 0
         self._res_last: Dict[str, dict] = {}
@@ -753,12 +752,7 @@ class ChaosUnderLoad:
 
             chaos_events.append(self.events.at(ev.at_ns, _fire))
 
-        self.kernel.start_patrols(
-            scrub_period_ns=self.control_period_ns,
-            scrub_bytes=self.scrub_bytes,
-            health_period_ns=self.control_period_ns if self.health is not None else None,
-            sink=_sink,
-        )
+        self.kernel.start_patrols(self.control_period_ns, sink=_sink)
         control = self.events.every(self.control_period_ns, self._control_tick)
         try:
             report = self.engine.run(

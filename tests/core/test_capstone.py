@@ -30,7 +30,6 @@ def test_a_day_in_the_rack():
     for node in (0, 1):
         desc = kernel.bootrom.discover(kernel.context(node))
         assert desc.get_u64("#nodes") == 2
-        kernel.node_os(node).idle_tick()
 
     # --- a Redis cache comes up ------------------------------------------------
     redis_client, redis_server = connect_over_flacos(kernel.ipc, rig.c0, rig.c1)
@@ -93,7 +92,6 @@ def test_a_day_in_the_rack():
     # --- night: node 0 returns and rejoins cleanly ----------------------------------
     rig.machine.restart_node(0)
     c0_new = rig.machine.context(0)
-    kernel.node_os(0).idle_tick()
     # the restarted node reads the still-cached image layer without a pull
     layer_path = "/layers/" + ("sha256:aa" * 16).replace(":", "_")
     loads_before = kernel.fs.page_cache.stats.loads_from_device

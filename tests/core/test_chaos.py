@@ -81,7 +81,6 @@ class TestNodeCrashMidWorkload:
         rig.machine.crash_node(0)
         rig.machine.restart_node(0)
         c0 = rig.machine.context(0)
-        kernel.node_os(0).idle_tick()  # rejoin duties
         fd0 = kernel.fs.open(c0, "/shared")
         assert kernel.fs.read(c0, fd0, 0, 24) == b"written while 0 was down"
 

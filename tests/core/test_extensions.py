@@ -63,7 +63,7 @@ class TestIpi:
 
     def test_poll_via_node_os(self, rig):
         rig.kernel.interrupts.send_ipi(rig.c0, 1, 11)
-        assert rig.kernel.node_os(1).poll_interrupts() == [11]
+        assert rig.kernel.interrupts.poll(rig.c1) == [11]
 
 
 class TestMwait:

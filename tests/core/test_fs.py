@@ -172,14 +172,6 @@ class TestPageCacheMechanics:
         fs.reclaimer.advance_and_reclaim(c1)
         assert fs.read(c0, fd, 0, 2) == b"v2"
 
-    def test_writeback_daemon_respects_limit(self, rack2, fs):
-        _, c0, _, _ = rack2
-        fd = fs.open(c0, "/many", create=True)
-        for page in range(6):
-            fs.write(c0, fd, page * PAGE_SIZE, b"p%d" % page)
-        assert fs.writeback_daemon_step(c0, limit=4) == 4
-        assert fs.writeback_daemon_step(c0, limit=4) == 2
-
     def test_unlink_evicts_cached_pages(self, rack2, fs):
         _, c0, _, _ = rack2
         fd = fs.open(c0, "/bye", create=True)

@@ -22,14 +22,6 @@ class TestBootShape:
         ):
             assert hasattr(kernel, attribute), attribute
 
-    def test_node_os_per_node(self, rig):
-        assert rig.kernel.node_os(0).node_id == 0
-        assert rig.kernel.node_os(1).node_id == 1
-
-    def test_idle_tick_runs_clean(self, rig):
-        for node_id in (0, 1):
-            rig.kernel.node_os(node_id).idle_tick()
-
 
 class TestCrossSubsystem:
     def test_fs_write_ipc_notify_read(self, rig):
@@ -86,8 +78,8 @@ class TestCrossSubsystem:
 
     def test_heartbeats_through_idle_ticks(self, rig):
         kernel = rig.kernel
-        for node_id in (0, 1):
-            kernel.node_os(node_id).idle_tick()
+        for ctx in (rig.c0, rig.c1):
+            kernel.heartbeats.beat(ctx)
         rendezvous(rig.c0.node.clock, rig.c1.node.clock)
         assert kernel.heartbeats.suspected_dead(rig.c0) == []
         rig.machine.crash_node(1)

@@ -1,9 +1,9 @@
 """Recurring events and event-heap daemon patrols.
 
-The polled loops (scrubber patrol, health ticks) move onto the
+The kernel daemons (scrubber patrol, health ticks) run on the
 discrete-event heap via :meth:`EventCore.every` and
 :meth:`FlacOS.start_patrols`; these tests pin the recurrence mechanics
-and the handoff from per-tick polling.
+and the patrols.
 """
 
 import pytest
@@ -50,8 +50,11 @@ class TestRecurringEvents:
 
     def test_rejects_nonpositive_period(self):
         core = EventCore()
-        with pytest.raises(EventCoreError):
-            core.every(0.0, lambda: None)
+        # a NaN period failed only at dispatch; an infinite one never fired
+        for period in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(EventCoreError, match=f"got {period}"):
+                core.every(period, lambda: None)
+        assert len(core) == 0
 
     def test_interleaves_with_one_shot_events_deterministically(self):
         core = EventCore()
@@ -66,37 +69,29 @@ class TestRecurringEvents:
 class TestKernelPatrols:
     def test_start_patrols_is_idempotent(self, machine):
         kernel = FlacOS.boot(machine)
-        handles = kernel.start_patrols(scrub_period_ns=1_000.0)
-        assert kernel.start_patrols() is handles
+        handles = kernel.start_patrols(1_000.0)
+        assert kernel.start_patrols(5_000.0) is handles
         assert len(kernel.patrols) == 1  # no health engine attached
         kernel.stop_patrols()
         assert kernel.patrols == []
+        kernel.attach_health()
+        kernel.start_patrols(2_000.0)  # scrub + health, one period
+        assert [h.period_ns for h in kernel.patrols] == [2_000.0, 2_000.0]
+        kernel.stop_patrols()
 
     def test_scrub_patrol_runs_off_the_heap(self, machine):
         kernel = FlacOS.boot(machine)
-        kernel.start_patrols(scrub_period_ns=1_000.0, scrub_bytes=1 << 12)
+        kernel.start_patrols(1_000.0)
         before = kernel.scrubber.stats.windows_scanned
         kernel.events.run(until_ns=kernel.events.now_ns + 10_000.0)
         assert kernel.scrubber.stats.windows_scanned > before
         kernel.stop_patrols()
 
-    def test_idle_tick_skips_scrub_while_patrols_armed(self, machine):
-        kernel = FlacOS.boot(machine)
-        node0 = kernel.node_os(0)
-        kernel.start_patrols(scrub_period_ns=1e15)  # effectively never
-        before = kernel.scrubber.stats.windows_scanned
-        node0.idle_tick()
-        assert kernel.scrubber.stats.windows_scanned == before  # patrol owns it
-        kernel.stop_patrols()
-        node0.idle_tick()
-        assert kernel.scrubber.stats.windows_scanned > before  # polling resumed
-
     def test_health_patrol_forwards_lines_to_sink(self, machine):
         kernel = FlacOS.boot(machine)
         kernel.attach_health()
         lines = []
-        kernel.start_patrols(scrub_period_ns=1_000.0, health_period_ns=1_000.0,
-                             sink=lines.append)
+        kernel.start_patrols(1_000.0, sink=lines.append)
         assert len(kernel.patrols) == 2
         machine.context(0).advance(5_000.0)
         kernel.events.run(until_ns=kernel.events.now_ns + 5_000.0)
@@ -106,7 +101,7 @@ class TestKernelPatrols:
 
     def test_patrol_survives_driver_node_crash(self, machine):
         kernel = FlacOS.boot(machine)
-        kernel.start_patrols(scrub_period_ns=1_000.0, scrub_bytes=1 << 12)
+        kernel.start_patrols(1_000.0)
         machine.crash_node(0)
         kernel.events.run(until_ns=kernel.events.now_ns + 5_000.0)  # no raise
         before = kernel.scrubber.stats.windows_scanned

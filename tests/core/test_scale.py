@@ -78,7 +78,7 @@ class TestEightNodeKernel:
         loads = [sched.load_of(ctxs[0], n) for n in range(8)]
         assert all(load == 2 for load in loads)
         for node in range(8):
-            rig8.kernel.node_os(node).run_tasks()
+            sched.run_pending(ctxs[node])
         assert all(sched.load_of(ctxs[0], n) == 0 for n in range(8))
 
     def test_broadcast_ipi_reaches_seven(self, rig8):

@@ -24,7 +24,7 @@ class TestPlacementAndExecution:
         sched = rig.kernel.scheduler
         tid = sched.submit(rig.c0, _upper, b"abc")
         target = 0 if sched.load_of(rig.c0, 0) else 1
-        rig.kernel.node_os(target).run_tasks()
+        sched.run_pending(rig.machine.context(target))
         assert sched._tasks[tid].done
         assert sched._tasks[tid].result == b"ABC"
 
@@ -40,7 +40,7 @@ class TestPlacementAndExecution:
         sched = rig.kernel.scheduler
         tid = sched.submit(rig.c0, _node_id, b"", affinity=1)
         assert sched.load_of(rig.c0, 1) == 1
-        rig.kernel.node_os(1).run_tasks()
+        sched.run_pending(rig.c1)
         assert sched._tasks[tid].result == 1
 
     def test_affinity_ignored_when_target_overloaded(self, rig):
@@ -54,14 +54,14 @@ class TestPlacementAndExecution:
         sched = rig.kernel.scheduler
         sched.submit(rig.c0, _upper, b"x", affinity=0)
         assert sched.load_of(rig.c1, 0) == 1
-        rig.kernel.node_os(0).run_tasks()
+        sched.run_pending(rig.c0)
         assert sched.load_of(rig.c1, 0) == 0
 
     def test_execution_charges_task_cost(self, rig):
         sched = rig.kernel.scheduler
         sched.submit(rig.c0, _upper, b"x", cost_ns=5e6, affinity=1)
         before = rig.c1.now()
-        rig.kernel.node_os(1).run_tasks()
+        sched.run_pending(rig.c1)
         assert rig.c1.now() - before >= 5e6
 
     def test_unknown_task_queries(self, rig):
@@ -75,7 +75,7 @@ class TestPlacementAndExecution:
     def test_cross_node_submission(self, rig):
         sched = rig.kernel.scheduler
         tid = sched.submit(rig.c1, _node_id, b"", affinity=0)
-        rig.kernel.node_os(0).run_tasks()
+        sched.run_pending(rig.c0)
         assert sched._tasks[tid].result == 0
 
 
@@ -86,7 +86,7 @@ class TestFailover:
         tids = [sched.submit(rig.c0, _node_id, b"", affinity=1) for _ in range(3)]
         rig.machine.crash_node(1)
         sched.adopt_queues(rig.c0, dead_node=1)  # survivor takes the queue
-        rig.kernel.node_os(0).run_tasks()
+        sched.run_pending(rig.c0)
         for tid in tids:
             assert sched._tasks[tid].done
             assert sched._tasks[tid].result == 0  # executed on the survivor
@@ -111,11 +111,3 @@ class TestFailover:
         rig.machine.crash_node(0)
         with pytest.raises(Exception):
             sched.submit(rig.c0, _upper, b"x")
-
-
-class TestIdleTickIntegration:
-    def test_idle_tick_drains_tasks(self, rig):
-        sched = rig.kernel.scheduler
-        tid = sched.submit(rig.c0, _upper, b"via idle", affinity=1)
-        rig.kernel.node_os(1).idle_tick()
-        assert sched._tasks[tid].result == b"VIA IDLE"

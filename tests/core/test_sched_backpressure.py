@@ -14,7 +14,6 @@ class TestSubmitBackpressure:
     def test_full_ring_backpressures_instead_of_crashing(self):
         rig = build_rig()
         sched = rig.kernel.scheduler
-        sched._events = None  # isolate: no event-driven drains
         rig.machine.crash_node(0)
         c1 = rig.c1
         # every submit now targets node 1's own ring (the only live node)
@@ -43,7 +42,6 @@ class TestSubmitBackpressure:
     def test_backpressure_clears_after_drain(self):
         rig = build_rig()
         sched = rig.kernel.scheduler
-        sched._events = None
         rig.machine.crash_node(0)
         c1 = rig.c1
         with pytest.raises(SchedulerBackpressure):
@@ -130,13 +128,3 @@ class TestEventDrivenDrains:
         events.run()
         assert sched._tasks[task].done
         assert sched._tasks[task].result == b"orphan"
-
-    def test_idle_tick_pumps_events(self):
-        from repro.core.kernel import NodeOS
-
-        rig = build_rig()
-        sched = rig.kernel.scheduler
-        task = sched.submit(rig.c0, _noop, affinity=1, payload=b"tick")
-        node_os = NodeOS(kernel=rig.kernel, ctx=rig.c1)
-        node_os.idle_tick()
-        assert sched._tasks[task].done

@@ -78,7 +78,7 @@ class TestSelfHealingPipeline:
                 except UncorrectableMemoryError as exc:
                     surfaced.append(exc)
 
-        runner = CampaignRunner(rig.machine, kernel=kernel)
+        runner = CampaignRunner(kernel)
         report = runner.run(
             campaign,
             workload=workload,

@@ -38,7 +38,7 @@ def _campaign_run(tmp_path, name="run.json"):
         kernel.fs.read(ctx, kernel.fs.open(ctx, "/ci-data"), 0, 1024)
         ctx.advance(500.0)
 
-    report = CampaignRunner(rig.machine, kernel=kernel).run(
+    report = CampaignRunner(kernel).run(
         campaign, workload=workload, steps=8, invariants=[survivor_liveness()]
     )
     out = telemetry.TELEMETRY.export_json(

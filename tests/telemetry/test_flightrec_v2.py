@@ -53,7 +53,7 @@ def _dump(seed=7, path=None):
         eng = ResilientTrafficEngine(rig.kernel, _tenants(),
                                      resilience=default_spec(replica_node=1),
                                      seed=seed)
-        cul = ChaosUnderLoad(rig.kernel, eng, _campaign(), health=health)
+        cul = ChaosUnderLoad(rig.kernel, eng, _campaign())
         cul.run(duration_ns=25e6)
         health.tick(rig.machine.max_time())
         cul.sync_recorder()

@@ -60,7 +60,7 @@ def _run_ue_burn(tmp_path, tag):
     rig, kernel, frames = _rig_with_replicated_box()
     dump_path = tmp_path / f"dump-{tag}.json"
     health = kernel.attach_health(window_ns=_WINDOW_NS, dump_path=dump_path)
-    report = CampaignRunner(rig.machine, kernel=kernel).run(
+    report = CampaignRunner(kernel).run(
         _ue_burn_campaign(frames),
         workload=_workload,
         steps=24,
@@ -126,7 +126,7 @@ class TestUeBurnAcceptance:
             fd = kernel.fs.open(rig.c0, "/data", create=True)
             kernel.fs.write(rig.c0, fd, 0, b"payload " * 256)
             campaign = ChaosCampaign(name="calm", seed=3, events=())
-            CampaignRunner(rig.machine, kernel=kernel).run(
+            CampaignRunner(kernel).run(
                 campaign, workload=_workload, steps=16
             )
             clocks.append({n: rig.machine.now(n) for n in rig.machine.nodes})
@@ -147,7 +147,7 @@ class TestCeStormAlerts:
                 event("ce_storm", at_step=2, count=24, node=1),
             ),
         )
-        report = CampaignRunner(rig.machine, kernel=kernel).run(
+        report = CampaignRunner(kernel).run(
             campaign,
             workload=_workload,
             steps=24,
@@ -168,7 +168,7 @@ class TestCeStormAlerts:
             return None
 
         campaign = ChaosCampaign(name="calm", seed=5, events=())
-        report = CampaignRunner(rig.machine, kernel=kernel).run(
+        report = CampaignRunner(kernel).run(
             campaign,
             workload=_workload,
             steps=6,

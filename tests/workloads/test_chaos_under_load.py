@@ -118,6 +118,16 @@ class TestCampaignMechanics:
         with pytest.raises(ValueError):
             ChaosUnderLoad(rig.kernel, eng, camp)
 
+    def test_control_period_that_would_disarm_is_refused(self):
+        rig = build_rig(n_nodes=2)
+        eng = TrafficEngine(rig.kernel, _tenants(), seed=1)
+        # inf armed no health tick, breaker feed or scrub; NaN failed mid-run
+        for period in (float("nan"), float("inf"), 0, -1):
+            with pytest.raises(ValueError, match=rf"ChaosUnderLoad\.control_period_ns "
+                                                 rf"must be .*, got {period!r}"):
+                ChaosUnderLoad(rig.kernel, eng, _crash_campaign(), control_period_ns=period)
+        assert rig.kernel.events.dispatched == 0
+
     def test_works_with_base_engine_too(self):
         """The runner composes with the plain engine (no resilience
         plumbing): a campaign with only link flaps on a non-tenant node
