@@ -18,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 _KEPT = {
     "item 2": "RackMachine.flush_all", "item 6": "ReplicatedDict DelegatedDict",
     "item 5": "OperationLog SpscRing LockedHashMap SharedVector GlobalSpinLock BoundedStaleCell VersionChain",
-    "item 7": "disable TelemetryState.export_json Atlas.export_json",
+    "item 7": "disable TelemetryState.export_json",
     "pending deletion": """BackoffExhausted DtNode BootRom.discover unflatten
         SharedDevice DeviceRegistry.listing AggregatedVolume CheckpointSchedule FlacFS.rename FlacFS.remount
         MetadataJournal MetadataStore.rename MwaitTimeout mwait wake
@@ -28,7 +28,7 @@ _KEPT = {
         SharedHeap.check_formatted SharedHeap.free_blocks EpochReclaimer.pin EpochReclaimer.unpin
         HandleTable.destroy ChecksumDetector HeartbeatDetector MirrorSource.register_group
         MemoryScrubber.full_pass EthernetLink RdmaError RdmaQueuePair FaultInjector.inject_bitflip
-        PhysicalMemory.flip_bit Interconnect.set_link_capacity Interconnect.link_capacity Interconnect.describe
+        PhysicalMemory.flip_bit Interconnect.set_link_capacity Interconnect.link_capacity
         RackMachine.power_cycle RequestStream YcsbWorkload.run_phase_batched""",
 }
 KEPT = {name: item for item, names in _KEPT.items() for name in names.split()}

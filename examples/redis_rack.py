@@ -8,6 +8,7 @@ TCP stack, and prints the per-request latencies side by side.
 Run:  python examples/redis_rack.py
       python examples/redis_rack.py --telemetry run.json   # then:
       python -m repro.telemetry run.json
+      python -m repro.telemetry.atlas top-pages run.json
 """
 
 import argparse
@@ -17,6 +18,7 @@ from repro import telemetry
 from repro.apps.redis import connect_over_flacos, connect_over_tcp
 from repro.bench import build_rig
 from repro.net import TcpNetwork
+from repro.telemetry.atlas import enable_atlas
 from repro.workloads import KeyGenerator, ValueGenerator
 
 
@@ -63,6 +65,8 @@ def main() -> None:
 
     # and a few commands beyond GET/SET, over FlacOS
     rig = build_rig()
+    if opts.telemetry:  # the run export gains an atlas section
+        enable_atlas(rig.machine)
     client, _ = connect_over_flacos(rig.kernel.ipc, rig.c0, rig.c1)
     print("\nassorted commands over FlacOS IPC:")
     print("  INCR counter ->", client.request(b"INCR", b"counter"))

@@ -36,16 +36,14 @@ def switch_vertex(switch_id: int) -> str:
 
 GMEM_VERTEX = "gmem"
 
+#: Span of one accounting window (simulated ns): every VNI and link meter
+#: publishes its byte rate once a window's worth of time has elapsed.
+WINDOW_NS = 1e6
+
 
 def link_id(u: str, v: str) -> str:
     """Canonical name for the (undirected) link between two vertices."""
     return f"{u}|{v}" if u <= v else f"{v}|{u}"
-
-
-def link_endpoints(link: str) -> Tuple[str, str]:
-    """Inverse of :func:`link_id`."""
-    u, _, v = link.partition("|")
-    return u, v
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class _Meter:
     a windowed byte rate.
 
     Bytes accumulate in an open window; the first :meth:`add` at or past
-    ``window_ns`` after the window opened closes it — the closed
+    :data:`WINDOW_NS` after the window opened closes it — the closed
     window's bytes over its *actual* span become ``rate_bytes_per_s`` —
     and opens the next at ``now_ns``.  Each VNI, the fabric aggregate
     and every link is one of these.
@@ -75,15 +73,13 @@ class _Meter:
         #: rate of the last *completed* window
         self.rate_bytes_per_s = 0.0
 
-    def add(
-        self, n_bytes: int, requests: int, now_ns: float, window_ns: float
-    ) -> Optional[int]:
+    def add(self, n_bytes: int, requests: int, now_ns: float) -> Optional[int]:
         """Account traffic at ``now_ns``.  When that closes a window,
         returns the closed window's bytes (else ``None``), so an owner
         can bank per-window state before the next window fills."""
         closed = None
         elapsed = now_ns - self.window_start_ns
-        if elapsed >= window_ns and elapsed > 0:
+        if elapsed >= WINDOW_NS and elapsed > 0:
             closed = self.window_bytes
             self.rate_bytes_per_s = closed * 1e9 / elapsed
             self.window_start_ns = now_ns
@@ -93,7 +89,7 @@ class _Meter:
         self.requests += requests
         return closed
 
-    def rate(self, now_ns: Optional[float], window_ns: float) -> float:
+    def rate(self, now_ns: Optional[float]) -> float:
         """The current byte rate, decayed against ``now_ns``.
 
         Without ``now_ns`` this is the last *completed* window's rate —
@@ -107,7 +103,7 @@ class _Meter:
         if now_ns is None:
             return self.rate_bytes_per_s
         elapsed = now_ns - self.window_start_ns
-        if elapsed < window_ns or elapsed <= 0:
+        if elapsed < WINDOW_NS or elapsed <= 0:
             return self.rate_bytes_per_s
         return self.window_bytes * 1e9 / elapsed
 
@@ -136,10 +132,8 @@ class VniTable:
     can sit on the hot path without perturbing golden latencies.
     """
 
-    def __init__(self, capacity_bytes_per_s: float = float("inf"),
-                 window_ns: float = 1e6) -> None:
+    def __init__(self, capacity_bytes_per_s: float = float("inf")) -> None:
         self.capacity_bytes_per_s = float(capacity_bytes_per_s)
-        self.window_ns = float(window_ns)
         self._by_name: Dict[str, int] = {}
         self._names: List[str] = []
         self._weights: List[float] = []
@@ -162,16 +156,10 @@ class VniTable:
         self.stats.append(VniStats())
         return vni
 
-    def name_of(self, vni: int) -> str:
-        self._check(vni)
-        return self._names[vni]
-
     def label_of(self, vni: int) -> str:
         """Tenant name for reports: ``vni:<n>`` where no tenant holds ``vni``."""
-        try:
-            return self.name_of(vni)
-        except VniError:
-            return f"vni:{vni}"
+        names = self._names
+        return names[vni] if 0 <= vni < len(names) else f"vni:{vni}"
 
     def __len__(self) -> int:
         return len(self._names)
@@ -187,9 +175,8 @@ class VniTable:
         therefore decay the rate on the next charge.
         """
         self._check(vni)
-        window_ns = self.window_ns
-        self.stats[vni].add(n_bytes, requests, now_ns, window_ns)
-        self._agg.add(n_bytes, requests, now_ns, window_ns)
+        self.stats[vni].add(n_bytes, requests, now_ns)
+        self._agg.add(n_bytes, requests, now_ns)
         # dropped is per-VNI only; aggregate drops derive from the sum
 
     def drop(self, vni: int, requests: int) -> None:
@@ -205,15 +192,15 @@ class VniTable:
         """Current byte rate for one VNI (or aggregate); pass ``now_ns``
         to decay stale windows (see :meth:`_Meter.rate`)."""
         if vni is None:
-            return self._agg.rate(now_ns, self.window_ns)
+            return self._agg.rate(now_ns)
         self._check(vni)
-        return self.stats[vni].rate(now_ns, self.window_ns)
+        return self.stats[vni].rate(now_ns)
 
     def utilisation(self, now_ns: Optional[float] = None) -> float:
         """Aggregate windowed rate over fabric capacity (inf capacity -> 0)."""
         if self.capacity_bytes_per_s == float("inf"):
             return 0.0
-        return self._agg.rate(now_ns, self.window_ns) / self.capacity_bytes_per_s
+        return self._agg.rate(now_ns) / self.capacity_bytes_per_s
 
     def saturated(self, now_ns: Optional[float] = None) -> bool:
         return self.utilisation(now_ns) >= 1.0
@@ -229,37 +216,6 @@ class VniTable:
     def over_share(self, vni: int, now_ns: Optional[float] = None) -> bool:
         """Is ``vni`` running past its weighted share of the fabric?"""
         return self.rate_bytes_per_s(vni, now_ns) > self.fair_share_bytes_per_s(vni)
-
-    def snapshot(self, now_ns: Optional[float] = None) -> dict:
-        """Deterministic JSON-ready accounting dump (sorted by VNI).
-
-        The ``aggregate`` row carries the totals every consumer used to
-        recompute: lifetime bytes/requests across VNIs, total drops
-        (derived — drops are only ever counted per VNI), and the current
-        aggregate utilisation.
-        """
-        return {
-            "capacity_bytes_per_s": self.capacity_bytes_per_s,
-            "aggregate": {
-                "bytes": self._agg.bytes,
-                "requests": self._agg.requests,
-                "dropped": sum(s.dropped for s in self.stats),
-                "rate_bytes_per_s": round(self._agg.rate(now_ns, self.window_ns), 3),
-                "utilisation": round(self.utilisation(now_ns), 6),
-            },
-            "vnis": [
-                {
-                    "vni": vni,
-                    "tenant": self._names[vni],
-                    "weight": self._weights[vni],
-                    "bytes": s.bytes,
-                    "requests": s.requests,
-                    "dropped": s.dropped,
-                    "rate_bytes_per_s": round(s.rate(now_ns, self.window_ns), 3),
-                }
-                for vni, s in enumerate(self.stats)
-            ],
-        }
 
     def _check(self, vni: int) -> None:
         if not 0 <= vni < len(self._names):
@@ -280,7 +236,6 @@ class _LinkState(_Meter):
         self.link = link
         self.capacity_bytes_per_s = float("inf")
         self.vni_bytes: Dict[int, int] = {}
-        self.vni_requests: Dict[int, int] = {}
         self.vni_window_bytes: Dict[int, int] = {}
         self.vni_saturated_bytes: Dict[int, int] = {}
         self.saturated_bytes = 0
@@ -301,11 +256,10 @@ class LinkTable:
     already resolved to a routed path, so every byte lands on the exact
     links it traversed.  Pure counter state: charging never advances a
     clock, iteration orders are deterministic, and two same-seed runs
-    produce byte-identical snapshots.
+    produce byte-identical rows (:meth:`Interconnect.link_rows` reads them).
     """
 
-    def __init__(self, window_ns: float = 1e6) -> None:
-        self.window_ns = float(window_ns)
+    def __init__(self) -> None:
         self._links: Dict[str, _LinkState] = {}
 
     def __len__(self) -> int:
@@ -331,11 +285,10 @@ class LinkTable:
         if s is None:
             s = self._links[link] = _LinkState(link, window_start_ns=now_ns)
         s.capacity_bytes_per_s = capacity_bytes_per_s
-        closed = s.add(n_bytes, requests, now_ns, self.window_ns)
+        closed = s.add(n_bytes, requests, now_ns)
         if closed is not None:
             self._bank(s, closed, now_ns)
         s.vni_bytes[vni] = s.vni_bytes.get(vni, 0) + n_bytes
-        s.vni_requests[vni] = s.vni_requests.get(vni, 0) + requests
         s.vni_window_bytes[vni] = s.vni_window_bytes.get(vni, 0) + n_bytes
 
     def _bank(self, s: _LinkState, closed_bytes: int, now_ns: float) -> None:
@@ -359,106 +312,6 @@ class LinkTable:
         if not up:
             s = self._links.setdefault(link, _LinkState(link, window_start_ns=now_ns))
             s.downs.append(now_ns)
-
-    # -- queries ---------------------------------------------------------------
-
-    def rate_bytes_per_s(self, link: str, now_ns: Optional[float] = None) -> float:
-        s = self._links.get(link)
-        if s is None:
-            return 0.0
-        return s.rate(now_ns, self.window_ns)
-
-    def utilisation(self, link: str, now_ns: Optional[float] = None) -> float:
-        s = self._links.get(link)
-        if s is None or s.capacity_bytes_per_s == float("inf"):
-            return 0.0
-        return self.rate_bytes_per_s(link, now_ns) / s.capacity_bytes_per_s
-
-    def saturated_share(self, link: str) -> Dict[int, float]:
-        """Each VNI's share of the bytes this link moved while saturated."""
-        s = self._links.get(link)
-        if s is None or s.saturated_bytes <= 0:
-            return {}
-        total = float(s.saturated_bytes)
-        return {
-            vni: b / total for vni, b in sorted(s.vni_saturated_bytes.items())
-        }
-
-    def bottleneck(self) -> Optional[str]:
-        """The link that moved the most saturated bytes (None if none)."""
-        best: Optional[str] = None
-        best_bytes = 0
-        for link in sorted(self._links):
-            sat = self._links[link].saturated_bytes
-            if sat > best_bytes:
-                best, best_bytes = link, sat
-        return best
-
-    def slope_bytes_per_s2(self, link: str) -> float:
-        """Rate-of-change of the link's windowed rate (bytes/s per s)."""
-        s = self._links.get(link)
-        if s is None or len(s.rates) < 2:
-            return 0.0
-        (t0, r0), (t1, r1) = s.rates[0], s.rates[-1]
-        if t1 <= t0:
-            return 0.0
-        return (r1 - r0) * 1e9 / (t1 - t0)
-
-    def time_to_saturation_s(
-        self, link: str, now_ns: Optional[float] = None
-    ) -> Optional[float]:
-        """Seconds until this link hits capacity at the current slope.
-
-        ``None`` means "never on current trend" (no capacity, no slope,
-        or rate falling); ``0.0`` means already saturated.
-        """
-        s = self._links.get(link)
-        if s is None or s.capacity_bytes_per_s == float("inf"):
-            return None
-        rate = self.rate_bytes_per_s(link, now_ns)
-        if rate >= s.capacity_bytes_per_s:
-            return 0.0
-        slope = self.slope_bytes_per_s2(link)
-        if slope <= 0:
-            return None
-        return (s.capacity_bytes_per_s - rate) / slope
-
-    def snapshot(self, now_ns: Optional[float] = None) -> dict:
-        """Deterministic JSON-ready dump, links sorted by id."""
-        links = []
-        for link in sorted(self._links):
-            s = self._links[link]
-            cap = s.capacity_bytes_per_s
-            tts = self.time_to_saturation_s(link, now_ns)
-            links.append({
-                "link": link,
-                "capacity_bytes_per_s": None if cap == float("inf") else cap,
-                "bytes": s.bytes,
-                "requests": s.requests,
-                "rate_bytes_per_s": round(self.rate_bytes_per_s(link, now_ns), 3),
-                "utilisation": round(self.utilisation(link, now_ns), 6),
-                "saturated_bytes": s.saturated_bytes,
-                "saturated_windows": s.saturated_windows,
-                "downs": list(s.downs),
-                "history": [[t, round(r, 3)] for t, r in s.rates],
-                "time_to_saturation_s": (
-                    None if tts is None else round(tts, 6)
-                ),
-                "vnis": [
-                    {
-                        "vni": vni,
-                        "bytes": s.vni_bytes[vni],
-                        "requests": s.vni_requests.get(vni, 0),
-                        "saturated_bytes": s.vni_saturated_bytes.get(vni, 0),
-                        "saturated_share": round(
-                            s.vni_saturated_bytes.get(vni, 0)
-                            / max(1, s.saturated_bytes), 6
-                        ),
-                    }
-                    for vni in sorted(s.vni_bytes)
-                ],
-            })
-        return {"window_ns": self.window_ns, "links": links}
 
 
 class FabricGraph:
@@ -501,9 +354,6 @@ class FabricGraph:
     def neighbors(self, vertex: str) -> List[str]:
         """``vertex``'s neighbours, earliest-cabled first (down links too)."""
         return list(self.adj[vertex])
-
-    def vertices(self, kind: str) -> List[str]:
-        return [v for v, k in self.kinds.items() if k == kind]
 
     def edges(self) -> List[Tuple[str, str, dict]]:
         """Every link once, as ``(u, v, attrs)`` with ``u < v`` (a link
@@ -621,9 +471,6 @@ class Interconnect:
         self._routes.clear()
         self.generation += 1
 
-    def link_is_up(self, u: str, v: str) -> bool:
-        return bool(self.graph.edge(u, v)["up"])
-
     # -- queries ---------------------------------------------------------------
 
     def _route(self, node_id: int) -> Tuple[PathCost, Tuple[str, ...], Tuple[dict, ...]]:
@@ -692,20 +539,51 @@ class Interconnect:
         except InterconnectError:
             return False
 
-    def describe(self) -> str:
-        """Human-readable fabric summary (examples / debugging)."""
-        nodes = self.graph.vertices("node")
-        edges = self.graph.edges()
-        down = sum(1 for _u, _v, attrs in edges if not attrs["up"])
-        lines = [
-            f"fabric: {len(nodes)} node ports, {len(self.graph.vertices('switch'))} "
-            f"switches, {len(edges)} links ({down} down)"
-        ]
-        for node in sorted(nodes):
-            nid = int(node.split(":")[1])
-            try:
-                cost = self.path_to_gmem(nid)
-                lines.append(f"  {node} -> gmem: {cost.hops} hops, {cost.switches} switches")
-            except InterconnectError:
-                lines.append(f"  {node} -> gmem: UNREACHABLE")
-        return "\n".join(lines)
+    def link_rows(self, now_ns: Optional[float] = None) -> List[dict]:
+        """Every per-link fact at ``now_ns``, one JSON-ready row per link
+        sorted by id — the one place they are computed and rounded.  The
+        flight recorder's link tail, the atlas export and the atlas views
+        are projections of these rows.
+
+        The rate is :meth:`_Meter.rate` (decayed against ``now_ns``); an
+        infinite capacity reads ``None``, as does a time to saturation that
+        never comes on the current slope (``0.0``: saturated now).  Each
+        tenant's ``share`` is its part of the bytes the link moved during
+        saturated windows.
+        """
+        label = self.vnis.label_of
+        rows = []
+        for link in self.links.links():
+            s = self.links.get(link)
+            cap = s.capacity_bytes_per_s
+            rate = s.rate(now_ns)
+            util, tts = 0.0, None
+            if cap != float("inf"):
+                util = rate / cap
+                if rate >= cap:
+                    tts = 0.0
+                elif len(s.rates) >= 2:
+                    (t0, r0), (t1, r1) = s.rates[0], s.rates[-1]
+                    slope = (r1 - r0) * 1e9 / (t1 - t0) if t1 > t0 else 0.0
+                    if slope > 0:
+                        tts = round((cap - rate) / slope, 6)
+            sat, vni_sat = s.saturated_bytes, s.vni_saturated_bytes
+            rows.append({
+                "link": link,
+                "capacity_bytes_per_s": None if cap == float("inf") else cap,
+                "bytes": s.bytes,
+                "requests": s.requests,
+                "rate_bytes_per_s": round(rate, 3),
+                "utilisation": round(util, 6),
+                "saturated_bytes": sat,
+                "saturated_windows": s.saturated_windows,
+                "time_to_saturation_s": tts,
+                "downs": list(s.downs),
+                "tenants": [
+                    {"vni": vni, "tenant": label(vni), "bytes": n_bytes,
+                     "saturated_bytes": vni_sat.get(vni, 0),
+                     "share": round(vni_sat.get(vni, 0) / sat, 6) if sat else 0.0}
+                    for vni, n_bytes in sorted(s.vni_bytes.items())
+                ],
+            })
+        return rows

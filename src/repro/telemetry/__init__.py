@@ -194,12 +194,19 @@ def refuse_input(path, exc: Exception) -> int:
 
 
 def load_run(path: Union[str, pathlib.Path]) -> dict:
-    """Read an exported run, validating schema and (if present) trace."""
+    """Read an exported run, validating schema and (if present) trace and
+    atlas section."""
     data = json.loads(pathlib.Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"not a JSON object (a {type(data).__name__})")
     if data.get("schema") != RUN_SCHEMA:
         raise ValueError(f"not a telemetry run export (schema={data.get('schema')!r})")
     if data.get("trace") is not None:
         validate_chrome_trace(data["trace"])
+    if data.get("atlas") is not None:
+        from .atlas import check_atlas  # the atlas package imports this one
+
+        check_atlas(data["atlas"])
     return data
 
 

@@ -12,16 +12,19 @@ Four pieces:
 * **per-link accounting** — lives in the fabric itself
   (:class:`~repro.rack.interconnect.LinkTable`); the traffic engine
   charges every batch along its actual routed path via
-  :meth:`~repro.rack.interconnect.Interconnect.charge`.
+  :meth:`~repro.rack.interconnect.Interconnect.charge`, and
+  :meth:`~repro.rack.interconnect.Interconnect.link_rows` turns it into
+  one row per link.
 * **hot-page sketch** — :class:`.sketch.SpaceSaving` top-k over 4 KiB
   global pages, fed from the machine's single-op and bulk data paths behind
   one ``_TEL.atlas is not None`` check (the ``TelemetryState.add``
   convention: bulk paths offer one aggregated call per batch).
-* **blame / headroom** — :mod:`.attribution`: per-(tenant, link)
-  saturated-byte shares, queueing-delay blame, time-to-saturation.
-* **surfaces** — :meth:`Atlas.snapshot` (JSON), dashboard panels
-  (:mod:`.render`), ``python -m repro.telemetry.atlas`` CLI, and
-  flight-recorder tails.
+* **blame / headroom** — :mod:`.attribution`: views over the snapshot —
+  saturated links, the per-tenant contention ledger, node ports.
+* **surfaces** — :meth:`Atlas.snapshot`, exported as the ``atlas``
+  section of a telemetry run (:meth:`TelemetryState.export_json`);
+  dashboard panels (:mod:`.render`), ``python -m repro.telemetry.atlas``
+  CLI, and flight-recorder tails.
 
 Determinism contract: the atlas never advances a simulated clock, never
 touches the metrics registry (so registry digests are identical with
@@ -31,22 +34,16 @@ in deterministic order — same seed, byte-identical snapshot.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .. import TELEMETRY
-from .attribution import (
-    link_blame,
-    link_headroom,
-    node_headroom,
-    tenant_blame,
-)
+from .. import TELEMETRY, load_run
+from .attribution import node_ports, saturated_links, tenant_ledger
 from .sketch import SpaceSaving, aggregate_addrs
 
-ATLAS_SCHEMA = "repro.telemetry.atlas/1"
+ATLAS_SCHEMA = "repro.telemetry.atlas/2"
 
 _PAGE_SHIFT = 12  # 4 KiB pages — the placement granule
 
@@ -198,11 +195,14 @@ class Atlas:
         ]
 
     def snapshot(self, now_ns: Optional[float] = None) -> dict:
-        """The whole attribution picture as one JSON-ready dict."""
+        """The whole attribution picture as one JSON-ready dict: the page
+        sketch, the queue-delay ledger, the fabric's link rows
+        (:meth:`~repro.rack.interconnect.Interconnect.link_rows`) and each
+        node's port — its first routed link, ``None`` when severed."""
         if now_ns is None and self.machine is not None:
             now_ns = self.machine.max_time()
         fabric = self.fabric
-        snap = {
+        return {
             "schema": ATLAS_SCHEMA,
             "at_ns": now_ns,
             "sketch": {
@@ -214,33 +214,13 @@ class Atlas:
             "queue_delay_ns": {
                 t: round(v, 3) for t, v in sorted(self.queue_delay_ns.items())
             },
+            "links": [] if fabric is None else fabric.link_rows(now_ns),
+            "nodes": [] if fabric is None else [
+                {"node": node,
+                 "port": fabric.path_links(node)[0] if fabric.reachable(node) else None}
+                for node in sorted(self.machine.nodes)
+            ],
         }
-        if fabric is not None:
-            links = fabric.links.snapshot(now_ns)
-            # label per-link VNI rows with tenant names for offline readers
-            for row in links["links"]:
-                for vrow in row["vnis"]:
-                    vrow["tenant"] = fabric.vnis.label_of(vrow["vni"])
-            snap["links"] = links
-            snap["vnis"] = fabric.vnis.snapshot(now_ns)
-            snap["blame"] = {
-                "links": link_blame(fabric),
-                "tenants": tenant_blame(fabric, self.queue_delay_ns),
-            }
-            snap["headroom"] = {
-                "links": link_headroom(fabric, now_ns),
-                "nodes": node_headroom(fabric, now_ns),
-            }
-        return snap
-
-    def export_json(
-        self, path: Union[str, pathlib.Path], now_ns: Optional[float] = None
-    ) -> pathlib.Path:
-        path = pathlib.Path(path)
-        path.write_text(
-            json.dumps(self.snapshot(now_ns), indent=2, sort_keys=True) + "\n"
-        )
-        return path
 
 
 # -- switchboard wiring --------------------------------------------------------
@@ -259,15 +239,60 @@ def enable_atlas(machine=None) -> Atlas:
     return atlas
 
 
+#: What each field of a snapshot holds, as ``(types, their name)``: a dict
+#: spec is an object with those fields (``"*"``: any key), a list spec a list.
+_NUM = ((int, float), "a number")
+_NUM_OR_NULL = ((int, float, type(None)), "a number or null")
+_STR = ((str,), "a string")
+_SNAPSHOT = {
+    "at_ns": _NUM_OR_NULL,
+    "sketch": {"page_k": _NUM, "page_coverage": _NUM, "total_bytes": _NUM},
+    "pages": [{"addr": _STR, "bytes": _NUM, "error": _NUM}],
+    "queue_delay_ns": {"*": _NUM},
+    "links": [{
+        "link": _STR, "capacity_bytes_per_s": _NUM_OR_NULL, "bytes": _NUM,
+        "requests": _NUM, "rate_bytes_per_s": _NUM, "utilisation": _NUM,
+        "saturated_bytes": _NUM, "saturated_windows": _NUM,
+        "time_to_saturation_s": _NUM_OR_NULL, "downs": [_NUM],
+        "tenants": [{"vni": _NUM, "tenant": _STR, "bytes": _NUM,
+                     "saturated_bytes": _NUM, "share": _NUM}],
+    }],
+    "nodes": [{"node": _NUM, "port": ((str, type(None)), "a string or null")}],
+}
+
+
+def _check(value, spec, where: str) -> None:
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object, got {value!r}")
+        fields = [(key, spec["*"]) for key in value] if "*" in spec else spec.items()
+        for key, field in fields:
+            _check(value[key], field, f"{where}.{key}")
+    elif isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{where}[{i}]")
+    elif not isinstance(value, spec[0]):
+        raise ValueError(f"{where} must be {spec[1]}, got {value!r}")
+
+
+def check_atlas(snap) -> dict:
+    """``snap`` if it is an :data:`ATLAS_SCHEMA` snapshot with every field
+    of its type, else ``ValueError`` (``KeyError`` for a missing field)."""
+    schema = snap.get("schema") if isinstance(snap, dict) else None
+    if schema != ATLAS_SCHEMA:
+        raise ValueError(f"no atlas section (schema={schema!r})")
+    _check(snap, _SNAPSHOT, "atlas")
+    return snap
+
+
 def load_atlas(path: Union[str, pathlib.Path]) -> dict:
-    """Read an atlas snapshot *or* a telemetry run export carrying one."""
-    data = json.loads(pathlib.Path(path).read_text())
-    if data.get("schema") == ATLAS_SCHEMA:
-        return data
-    atlas = data.get("atlas")
-    if isinstance(atlas, dict) and atlas.get("schema") == ATLAS_SCHEMA:
-        return atlas
-    raise ValueError(f"no atlas section (schema={data.get('schema')!r})")
+    """The atlas section of a telemetry run export (:func:`load_run` checks it)."""
+    atlas = load_run(path).get("atlas")
+    if atlas is None:
+        raise ValueError("no atlas section (the run was exported without one)")
+    return atlas
 
 
 __all__ = [
@@ -275,10 +300,10 @@ __all__ = [
     "Atlas",
     "SpaceSaving",
     "aggregate_addrs",
+    "check_atlas",
     "enable_atlas",
-    "link_blame",
-    "link_headroom",
     "load_atlas",
-    "node_headroom",
-    "tenant_blame",
+    "node_ports",
+    "saturated_links",
+    "tenant_ledger",
 ]

@@ -2,15 +2,15 @@
 
 ::
 
-    python -m repro.telemetry.atlas top-links  SNAP.json [-n 10]
-    python -m repro.telemetry.atlas top-pages  SNAP.json [-n 10]
-    python -m repro.telemetry.atlas blame      SNAP.json
-    python -m repro.telemetry.atlas headroom   SNAP.json
+    python -m repro.telemetry.atlas top-links  RUN.json [-n 10]
+    python -m repro.telemetry.atlas top-pages  RUN.json [-n 10]
+    python -m repro.telemetry.atlas blame      RUN.json
+    python -m repro.telemetry.atlas headroom   RUN.json
 
-``SNAP.json`` is an atlas snapshot (:meth:`Atlas.export_json`) or a
-telemetry run export that carries an ``atlas`` section
-(:meth:`TelemetryState.export_json` with an atlas attached).  All views
-are offline dict-walking — no simulator state needed.
+``RUN.json`` is a telemetry run export with an ``atlas`` section
+(:meth:`TelemetryState.export_json` with an atlas attached, e.g.
+``python examples/redis_rack.py --telemetry RUN.json``).  All views are
+offline dict-walking — no simulator state needed.
 """
 
 from __future__ import annotations

@@ -61,6 +61,8 @@ LINK_DOWN = "link.down"
 
 def check_schema(data: dict) -> dict:
     """``data`` if it is a :data:`FLIGHT_SCHEMA` dump, else ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"not a JSON object (a {type(data).__name__})")
     if data.get("schema") != FLIGHT_SCHEMA:
         raise ValueError(f"not a flight-recorder dump (schema={data.get('schema')!r})")
     return data
@@ -187,7 +189,9 @@ class FlightRecorder:
         }
 
     def _atlas_link_tail(self, machine, now_ns: float) -> List[dict]:
-        """Per-link fabric accounting at dump time (the atlas link tail).
+        """The fabric's link rows at dump time (the atlas link tail), cut to
+        what a dump keeps: a link's ``blame`` is its tenants that moved
+        bytes during saturated windows.
 
         Always populated when a machine is given — per-link charging is
         unconditional on the fabric, no atlas needs to be enabled — so
@@ -195,28 +199,22 @@ class FlightRecorder:
         """
         if machine is None:
             return []
-        fabric = machine.fabric
-        rows: List[dict] = []
-        table = fabric.links
-        for link in table.links():
-            s = table.get(link)
-            blame = [
-                {"vni": vni, "tenant": fabric.vnis.label_of(vni), "share": round(share, 6)}
-                for vni, share in sorted(table.saturated_share(link).items())
-            ]
-            rows.append(
-                {
-                    "link": link,
-                    "bytes": s.bytes,
-                    "requests": s.requests,
-                    "utilisation": round(table.utilisation(link, now_ns), 6),
-                    "saturated_bytes": s.saturated_bytes,
-                    "saturated_windows": s.saturated_windows,
-                    "downs": list(s.downs),
-                    "blame": blame,
-                }
-            )
-        return rows
+        return [
+            {
+                "link": row["link"],
+                "bytes": row["bytes"],
+                "requests": row["requests"],
+                "utilisation": row["utilisation"],
+                "saturated_bytes": row["saturated_bytes"],
+                "saturated_windows": row["saturated_windows"],
+                "downs": row["downs"],
+                "blame": [
+                    {"vni": t["vni"], "tenant": t["tenant"], "share": t["share"]}
+                    for t in row["tenants"] if t["saturated_bytes"]
+                ],
+            }
+            for row in machine.fabric.link_rows(now_ns)
+        ]
 
     def _atlas_page_tail(self, limit: int = 32) -> List[dict]:
         """Hot-page sketch rows when an atlas is enabled."""

@@ -5,11 +5,11 @@ cases are pinned here, next to the fabric they instrument:
 
 * stale-rate decay — a long-idle VNI (or link) must read ~0, not its
   last completed window's rate frozen forever;
-* the snapshot aggregate row round-trips;
+* the aggregate meter conserves the per-VNI ones;
 * weighted fair-share edges (single tenant, zero-rate tenant,
   registration-order VNI ids);
 * :class:`LinkTable` window rolls, saturation banking, bottleneck and
-  time-to-saturation;
+  time-to-saturation, read through :meth:`Interconnect.link_rows`;
 * routed charging and cache invalidation on topology changes.
 """
 
@@ -23,13 +23,20 @@ from repro.rack.interconnect import (
     InterconnectError,
     LinkTable,
     VniTable,
-    link_endpoints,
     link_id,
 )
 from repro.rack import topology
+from repro.telemetry.atlas.attribution import tenant_ledger
 
 
-MS = 1e6  # the default accounting window, in ns
+MS = 1e6  # the accounting window, in ns
+
+
+def _rows(table: LinkTable, now_ns=None) -> dict:
+    """``table``'s link rows by id, as the fabric holding it reports them."""
+    fab = Interconnect()
+    fab.links = table
+    return {row["link"]: row for row in fab.link_rows(now_ns)}
 
 
 class TestVniRateDecay:
@@ -80,31 +87,29 @@ class TestVniRateDecay:
 
 class TestVniSnapshotAggregate:
     def test_aggregate_row_totals(self):
+        """Conservation: the aggregate meter moved exactly what the VNIs did."""
         t = VniTable(capacity_bytes_per_s=1e9)
         a = t.register("a")
         b = t.register("b")
         t.charge(a, 1000, 2, 0.0)
         t.charge(b, 3000, 4, 0.0)
+        t.charge(a, 500, 1, 2 * MS)
         t.drop(a, 5)
-        snap = t.snapshot()
-        agg = snap["aggregate"]
-        assert agg["bytes"] == 4000
-        assert agg["requests"] == 6
-        assert agg["dropped"] == 5
-        assert agg["bytes"] == sum(row["bytes"] for row in snap["vnis"])
-        assert agg["requests"] == sum(row["requests"] for row in snap["vnis"])
-        assert agg["dropped"] == sum(row["dropped"] for row in snap["vnis"])
+        assert t._agg.bytes == sum(s.bytes for s in t.stats) == 4500
+        assert t._agg.requests == sum(s.requests for s in t.stats) == 7
+        assert [s.dropped for s in t.stats] == [5, 0]
 
     def test_snapshot_json_round_trip(self):
-        t = VniTable(capacity_bytes_per_s=2e9)
-        a = t.register("web", weight=3.0)
-        t.register("batch")
-        t.charge(a, 1 << 20, 64, 0.0)
-        t.charge(a, 1 << 20, 64, MS)
-        snap = t.snapshot(now_ns=2 * MS)
-        again = json.loads(json.dumps(snap, sort_keys=True))
-        assert again == snap
-        assert again["aggregate"]["utilisation"] == snap["aggregate"]["utilisation"]
+        fab = topology.build("dual_direct", 2, link_capacity_bytes_per_s=2e9)
+        a = fab.vnis.register("web", weight=3.0)
+        fab.vnis.register("batch")
+        fab.charge(a, 0, 1 << 20, 64, 0.0)
+        fab.charge(a, 0, 1 << 20, 64, MS)
+        rows = fab.link_rows(now_ns=2 * MS)
+        assert json.loads(json.dumps(rows, sort_keys=True)) == rows
+        (row,) = rows
+        assert row["utilisation"] == round(row["rate_bytes_per_s"] / 2e9, 6) > 0
+        assert [(t["tenant"], t["bytes"]) for t in row["tenants"]] == [("web", 2 << 20)]
 
 
 class TestFairShareEdges:
@@ -132,7 +137,7 @@ class TestFairShareEdges:
         ids2 = [t2.register(n) for n in names]
         assert ids1 == ids2 == [0, 1, 2]
         for vni, name in zip(ids1, names):
-            assert t1.name_of(vni) == name
+            assert t1.label_of(vni) == name
             assert t1._by_name[name] == vni
 
     def test_weighted_share_partitions_capacity(self):
@@ -147,7 +152,7 @@ class TestLinkIds:
     def test_canonical_order_and_inverse(self):
         assert link_id("node:0", "gmem") == link_id("gmem", "node:0")
         link = link_id("switch:1", "node:3")
-        u, v = link_endpoints(link)
+        u, v = link.split("|")
         assert {u, v} == {"switch:1", "node:3"}
         assert link_id(u, v) == link
 
@@ -166,7 +171,7 @@ class TestLinkTable:
         t = LinkTable()
         t.charge("a|b", 0, 5000, 1, 0.0)
         t.charge("a|b", 0, 1, 1, MS)
-        assert t.rate_bytes_per_s("a|b") == pytest.approx(5000 * 1e9 / MS)
+        assert _rows(t)["a|b"]["rate_bytes_per_s"] == pytest.approx(5000 * 1e9 / MS)
 
     def test_saturated_window_banks_blame_by_vni(self):
         t = LinkTable()
@@ -177,7 +182,7 @@ class TestLinkTable:
         s = t.get("a|b")
         assert s.saturated_windows == 1
         assert s.saturated_bytes == 1000
-        shares = t.saturated_share("a|b")
+        shares = {x["vni"]: x["share"] for x in _rows(t)["a|b"]["tenants"]}
         assert shares[0] == pytest.approx(0.9)
         assert shares[1] == pytest.approx(0.1)
 
@@ -186,15 +191,17 @@ class TestLinkTable:
         t.charge("a|b", 0, 10, 1, 0.0, capacity_bytes_per_s=1e9)
         t.charge("a|b", 0, 1, 1, MS, capacity_bytes_per_s=1e9)
         assert t.get("a|b").saturated_windows == 0
-        assert t.saturated_share("a|b") == {}
+        assert [x["share"] for x in _rows(t)["a|b"]["tenants"]] == [0.0]
 
     def test_bottleneck_is_max_saturated_bytes(self):
         t = LinkTable()
         cap = 1e6
-        for link, load in (("a|b", 2000), ("a|c", 5000)):
-            t.charge(link, 0, load, 1, 0.0, capacity_bytes_per_s=cap)
-            t.charge(link, 0, 1, 1, MS, capacity_bytes_per_s=cap)
-        assert t.bottleneck() == "a|c"
+        for vni, (link, load) in enumerate((("a|b", 2000), ("a|c", 5000))):
+            t.charge(link, vni, load, 1, 0.0, capacity_bytes_per_s=cap)
+            t.charge(link, vni, 1, 1, MS, capacity_bytes_per_s=cap)
+        snap = {"links": list(_rows(t).values()), "queue_delay_ns": {}}
+        shares = {r["tenant"]: r["bottleneck_share"] for r in tenant_ledger(snap)}
+        assert shares == {"vni:0": 0.0, "vni:1": 1.0}  # a|c is the bottleneck
 
     def test_time_to_saturation_under_rising_slope(self):
         t = LinkTable()
@@ -203,21 +210,21 @@ class TestLinkTable:
         t.charge("a|b", 0, 1000, 1, 0.0, capacity_bytes_per_s=cap)
         t.charge("a|b", 0, 2000, 1, MS, capacity_bytes_per_s=cap)
         t.charge("a|b", 0, 1, 1, 2 * MS, capacity_bytes_per_s=cap)
-        tts = t.time_to_saturation_s("a|b")
+        tts = _rows(t)["a|b"]["time_to_saturation_s"]
         assert tts is not None and tts > 0
         # saturated link: zero headroom time
         t2 = LinkTable()
         t2.charge("x|y", 0, 2000, 1, 0.0, capacity_bytes_per_s=1e6)
         t2.charge("x|y", 0, 2500, 1, MS, capacity_bytes_per_s=1e6)
         t2.charge("x|y", 0, 1, 1, 2 * MS, capacity_bytes_per_s=1e6)
-        assert t2.time_to_saturation_s("x|y") == 0.0
+        assert _rows(t2)["x|y"]["time_to_saturation_s"] == 0.0
 
     def test_link_rate_decays_when_idle(self):
         t = LinkTable()
         t.charge("a|b", 0, 5000, 1, 0.0)
         t.charge("a|b", 0, 5000, 1, MS)
-        stale = t.rate_bytes_per_s("a|b")
-        decayed = t.rate_bytes_per_s("a|b", now_ns=MS + 1e9)
+        stale = _rows(t)["a|b"]["rate_bytes_per_s"]
+        decayed = _rows(t, now_ns=MS + 1e9)["a|b"]["rate_bytes_per_s"]
         assert decayed < stale / 100
 
     def test_note_state_records_down_timestamps(self):
@@ -232,12 +239,13 @@ class TestLinkTable:
         t.charge("a|b", 0, 2000, 2, 0.0, capacity_bytes_per_s=1e6)
         t.charge("a|b", 1, 500, 1, MS, capacity_bytes_per_s=1e6)
         t.note_state("a|b", up=False, now_ns=MS)
-        snap = t.snapshot(now_ns=2 * MS)
-        assert json.loads(json.dumps(snap, sort_keys=True)) == snap
-        row = snap["links"][0]
+        rows = list(_rows(t, now_ns=2 * MS).values())
+        assert json.loads(json.dumps(rows, sort_keys=True)) == rows
+        row = rows[0]
         assert row["link"] == "a|b"
         assert row["capacity_bytes_per_s"] == 1e6
-        assert row["vnis"][0]["vni"] == 0
+        assert row["downs"] == [MS]
+        assert [x["vni"] for x in row["tenants"]] == [0, 1]
 
 
 class TestRoutedCharging:
@@ -260,7 +268,7 @@ class TestRoutedCharging:
         vni = fab.vnis.register("t")
         fab.set_link_state("node:0", "gmem", False, now_ns=5.0)
         fab.charge(vni, 0, 999, 1, 10.0)
-        assert fab.vnis.snapshot()["aggregate"]["bytes"] == 999
+        assert fab.vnis._agg.bytes == fab.vnis.stats[vni].bytes == 999
         s = fab.links.get(link_id("node:0", "gmem"))
         # note_state recorded the flap, but no bytes ever landed on the
         # severed port (aggregate accounting still saw them)

@@ -60,12 +60,6 @@ class TestLinkHealth:
         with pytest.raises(InterconnectError):
             fabric.path_to_gmem(0)
 
-    def test_describe_mentions_unreachable(self):
-        fabric = topology.dual_direct(2)
-        fabric.set_link_state(node_vertex(1), GMEM_VERTEX, up=False)
-        text = fabric.describe()
-        assert "UNREACHABLE" in text and "node:0" in text
-
 
 class TestEmptyFabric:
     def test_missing_gmem_raises(self):

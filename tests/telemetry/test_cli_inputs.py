@@ -1,5 +1,8 @@
 """Every telemetry CLI refuses a bad input file with one ``error:`` line
-and exit status 2 -- never a traceback, never a score of nothing."""
+and exit status 2 -- never a traceback, never a score of nothing.
+
+Each input builder takes ``bad``: ``None`` for a good file, ``"key"`` for a
+row missing a key, ``"type"`` for a row with a wrongly typed field."""
 
 import json
 
@@ -14,36 +17,51 @@ from repro.telemetry.health.recorder import FLIGHT_SCHEMA, FlightRecorder
 from repro.telemetry.incidents.__main__ import main as incidents_main
 
 
-def _dump(row_missing_key: bool) -> dict:
+def _dump(bad=None) -> dict:
     dump = FlightRecorder().snapshot("incident:ue-storm:on", 0.0)
     row = {"index": 0, "start_ns": 0.0, "end_ns": 1e6, "windows": 1,
            "counters": [[0, "traffic/web", "resilience.lost", 5.0]]}
-    if row_missing_key:
+    if bad == "key":
         del row["end_ns"]  # scored as a quiet window: "recovered: True", exit 0
+    elif bad == "type":
+        row["end_ns"] = "x"
     dump["windows"].append(row)
     return dump
 
 
-def _run(row_missing_key: bool) -> dict:
+def _run(bad=None) -> dict:
     event = {"name": "op", "ph": "X", "pid": 0, "tid": 0, "ts": 0.0, "dur": 1.0}
-    if row_missing_key:
+    if bad == "key":
         del event["name"]
+    elif bad == "type":
+        event["ts"] = "x"
     return {"schema": RUN_SCHEMA, "metrics": {}, "trace": {"traceEvents": [event]}}
 
 
-def _atlas(row_missing_key: bool) -> dict:
-    row = {"link": "gmem|node:0", "bytes": 64.0, "rate_bytes_per_s": 0.0,
-           "capacity_bytes_per_s": 1e9, "utilisation": 0.0, "saturated_windows": 0}
-    if row_missing_key:
-        del row["bytes"]
-    return {"schema": ATLAS_SCHEMA, "links": {"links": [row]}}
+def _atlas(bad=None) -> dict:
+    """A run export carrying a one-link, one-page, one-node atlas."""
+    tenant = {"vni": 0, "tenant": "web", "bytes": 64, "saturated_bytes": 0, "share": 0.0}
+    link = {"link": "gmem|node:0", "capacity_bytes_per_s": 1e9, "bytes": 64,
+            "requests": 1, "rate_bytes_per_s": 0.0, "utilisation": 0.0,
+            "saturated_bytes": 0, "saturated_windows": 0,
+            "time_to_saturation_s": None, "downs": [], "tenants": [tenant]}
+    atlas = {"schema": ATLAS_SCHEMA, "at_ns": 0.0, "queue_delay_ns": {"web": 5.0},
+             "sketch": {"page_k": 64, "page_coverage": 1.0, "total_bytes": 64.0},
+             "pages": [{"page": 4096, "addr": "0x1000", "bytes": 64.0, "error": 0.0}],
+             "links": [link], "nodes": [{"node": 0, "port": "gmem|node:0"}]}
+    if bad == "key":
+        del atlas["links"][0]["bytes"]
+    elif bad == "type":
+        atlas["links"][0]["bytes"] = "x"  # was: bad operand type for unary -
+    return {"schema": RUN_SCHEMA, "metrics": {}, "atlas": atlas}
 
 
 #: (main, argv before the file, a good file's content, its schema tag)
 CLIS = {
     "dashboard": (dashboard_main, [], _run, RUN_SCHEMA),
-    "atlas": (atlas_main, ["top-links"], _atlas, ATLAS_SCHEMA),
+    "atlas": (atlas_main, ["top-links"], _atlas, RUN_SCHEMA),
     "postmortem": (health_main, ["postmortem"], _dump, FLIGHT_SCHEMA),
+    "replay": (incidents_main, ["replay"], _dump, FLIGHT_SCHEMA),
     "score": (incidents_main, ["score"], _dump, FLIGHT_SCHEMA),
 }
 
@@ -51,20 +69,25 @@ CLIS = {
 def _bad_file(tmp_path, kind, build, schema):
     path = tmp_path / "input.json"
     if kind == "truncated":
-        path.write_text(json.dumps(build(False))[:40])
+        path.write_text(json.dumps(build())[:40])
     elif kind == "schema":
-        path.write_text(json.dumps(dict(build(False), schema=schema + "x")))
+        path.write_text(json.dumps(dict(build(), schema=schema + "x")))
     elif kind == "row":
-        path.write_text(json.dumps(build(True)))
+        path.write_text(json.dumps(build("key")))
+    elif kind == "not_object":
+        path.write_text("[1, 2]")  # was: an AttributeError traceback, exit 1
+    elif kind == "wrong_type":
+        path.write_text(json.dumps(build("type")))
     return path  # "missing": never written
 
 
-@pytest.mark.parametrize("kind", ["missing", "truncated", "schema", "row"])
+@pytest.mark.parametrize(
+    "kind", ["missing", "truncated", "schema", "row", "not_object", "wrong_type"])
 @pytest.mark.parametrize("cli", sorted(CLIS))
 def test_bad_input_is_one_error_line_and_exit_2(cli, kind, tmp_path, capsys):
     main, argv, build, schema = CLIS[cli]
     good = tmp_path / "good.json"
-    good.write_text(json.dumps(build(False)))
+    good.write_text(json.dumps(build()))
     assert main(argv + [str(good)]) == 0
     capsys.readouterr()
 
@@ -73,9 +96,24 @@ def test_bad_input_is_one_error_line_and_exit_2(cli, kind, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
 
 
+@pytest.mark.parametrize("view, spoil", [  # each crashed its view before
+    ("top-pages", lambda a: a["pages"][0].update(bytes="many")),  # ... __round__
+    ("blame", lambda a: a["links"][0].update(tenants=None)),
+    ("top-pages", lambda a: a.update(pages={"0": a["pages"][0]})),
+    ("headroom", lambda a: a["queue_delay_ns"].update(web=None)),
+])
+def test_atlas_view_refuses_a_wrongly_typed_field(view, spoil, tmp_path, capsys):
+    run = _atlas()
+    spoil(run["atlas"])
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    assert atlas_main([view, str(tmp_path / "run.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and " must be " in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("traced", [True, False])
 def test_dashboard_trace_out_writes_the_trace_or_refuses(traced, tmp_path, capsys):
-    run = _run(False)
+    run = _run()
     if not traced:
         del run["trace"]
     path, out = tmp_path / "run.json", tmp_path / "trace.json"
@@ -99,7 +137,7 @@ def test_dashboard_trace_out_writes_the_trace_or_refuses(traced, tmp_path, capsy
 def test_hostile_argument_is_one_argparse_error(cli, argv, tmp_path, capsys):
     main, command, build, _schema = CLIS[cli]
     path = tmp_path / "good.json"
-    path.write_text(json.dumps(build(False)))
+    path.write_text(json.dumps(build()))
     with pytest.raises(SystemExit) as exit_:
         main(command + [str(path)] + argv)
     assert exit_.value.code == 2

@@ -124,8 +124,7 @@ class TestAdmission:
         # survivor latency = bounded wait + one service time
         assert t["p99_ns"] <= bound + 10_000.0
         # and the drops are visible on the fabric's VNI accounting
-        snap = rig.machine.fabric.vnis.snapshot()
-        assert snap["vnis"][t["vni"]]["dropped"] == t["dropped"]
+        assert rig.machine.fabric.vnis.stats[t["vni"]].dropped == t["dropped"]
 
     def test_link_guard_polices_only_over_share_tenants(self):
         rig = build_rig()
