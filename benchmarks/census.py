@@ -4,8 +4,9 @@ Roots: the ``E<n>`` tables of ``benchmarks/bench_*.py``, ``benchmarks/perf/*.py`
 CLIs and ``boot`` (module-level code, ``FlacOS.boot``).  Reach follows, by name, the identifiers a
 reached body uses, string literals and ``getattr`` f-string heads included; ``X.attr`` with ``X`` a
 class of ``src/`` reaches that class's ``attr`` only.  Tests, examples, re-exports, docstrings and
-return annotations reach nothing.  ``pytest benchmarks/census.py``
-writes ``results/census.txt``, failing on an unreached public name or a stale kept one.
+return annotations reach nothing.  ``pytest benchmarks/census.py`` writes ``results/census.txt``
+(per module: §, knobs no root sets, roots, kept names; the knob total), failing on an unreached
+public name or a stale kept one.
 """
 
 import ast
@@ -99,24 +100,69 @@ def reach(seed, defs) -> set:
     return seen
 
 
+def knobs(src, bench, base) -> dict:
+    """module -> ``callee(name)`` of each defaulted parameter or dataclass field no root sets: no call of
+    its def's (method's, class's) name in a root or a def the roots reach (``base``) passes it by keyword,
+    by position or through ``*args`` / ``**kw`` (a def's own ``**kwargs`` passes on its callers')."""
+    scope = [ast.parse(p.read_text()) for p in [*bench.glob("bench_*.py"), *(bench / "perf").glob("*.py")]]
+    params = {}  # module -> [(callee, name, position or None)]
+    for path in sorted(src.rglob("*.py")):
+        mine = params.setdefault(".".join(path.relative_to(src.parent).with_suffix("").parts), [])
+        for stmt in ast.parse(path.read_text()).body:  # fns: (called as, def, names reaching it)
+            fns = [(stmt.name, stmt, {stmt.name})] if isinstance(stmt, ast.FunctionDef) else []
+            if isinstance(stmt, ast.ClassDef):  # the class's name calls its __init__
+                fns = [(n, f, {n, f"{stmt.name}.{f.name}"}) for f in stmt.body if isinstance(f, ast.FunctionDef)
+                       for n in [stmt.name if f.name == "__init__" else f.name] if n[:2] != "__"]
+                if any("dataclass" in ast.unparse(d) for d in stmt.decorator_list):
+                    fields = enumerate(f for f in stmt.body if isinstance(f, ast.AnnAssign))
+                    mine += [(stmt.name, f.target.id, i) for i, f in fields if f.value is not None]
+            elif not fns:
+                scope.append(stmt)
+            for callee, f, names in fns:
+                scope += [f] if names & base else []
+                pos = [a for a in f.args.args if a.arg not in ("self", "cls")]
+                mine += [(callee, a.arg, i) for i, a in enumerate(pos) if i >= len(pos) - len(f.args.defaults)]
+                mine += [(callee, a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d]
+    passed, forwards = {}, []  # callee -> {names, positions, "*", "**"}; (callee, def forwarding to it)
+    for node in scope:
+        fwd = getattr(getattr(node, "args", None), "kwarg", None)
+        for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", "")
+            got = passed.setdefault(callee, set())
+            got |= {"*" if isinstance(a, ast.Starred) else i for i, a in enumerate(call.args)}
+            for k in call.keywords:
+                if not k.arg and fwd and getattr(k.value, "id", "") == fwd.arg:
+                    forwards.append((callee, node.name))
+                else:
+                    got.add(k.arg or "**")
+    for _ in forwards:  # one round per forwarding call reaches the fixed point
+        for callee, via in forwards:
+            passed[callee] |= {k for k in passed.get(via, ()) if isinstance(k, str) and k != "*"}
+    return {mod: [f"{c}({n})" for c, n, i in ps if not {n, i, "**"} & passed.get(c, set())
+                  and not (i is not None and "*" in passed.get(c, ()))] for mod, ps in params.items()}
+
+
 def census(src=ROOT / "src" / "repro", bench=ROOT / "benchmarks"):
-    """(a row per module: §, roots using it beyond what boot touches, kept names; orphans)."""
+    """(a row per module: §, unset knobs, roots using it beyond what boot touches, kept names; orphans)."""
     defs, roots, modules = scan(src, bench)
     seen = {label: reach(seed, defs) for label, seed in roots.items()}
     base = reach(set().union(*roots.values()), defs)
+    unset = knobs(src, bench, base)
     kept = {n: n.split(".")[-1] for _, ns in modules.values() for n in ns if {n, n.split(".")[0]} & KEPT.keys()}
     anywhere = reach(base | set(kept.values()), defs)
-    rows, orphans = [("module", "§", "reached by", "kept")], []
+    rows, orphans = [("module", "§", "knobs", "reached by", "kept")], []
     for mod, (sec, names) in modules.items():
         last = {n.split(".")[-1] for n in names} | set(names)
         by = [label for label in roots if last & (seen[label] - (seen["boot"] if label != "boot" else set()))]
         orphans += [f"{mod}.{n}" for n in names if not {n, n.split(".")[-1]} & anywhere and "._" not in f".{n}"]
-        rows.append((mod, sec, " ".join(by) or "-", " ".join(f"{n} ({KEPT[n]})" for n in names if n in KEPT)))
+        rows.append((mod, sec, str(len(unset[mod])), " ".join(by) or "-",
+                     " ".join(f"{n} ({KEPT[n]})" for n in names if n in KEPT)))
     orphans += [f"kept but reached or gone: {k}" for k in KEPT
                 if all({n, kept[n]} & base for n in kept if k in (n, n.split(".")[0]))]
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
+    widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths + [0])).rstrip() for r in rows]
     lines.append(f"\n{len(modules)} modules, {len(KEPT)} kept names; unreached public names: {len(orphans)}")
+    lines.append(f"knobs, defaulted parameters and dataclass fields no root sets: {sum(map(len, unset.values()))}")
     return "\n".join(lines + [f"  {o}" for o in orphans]), orphans
 
 

@@ -169,20 +169,18 @@ class FlacOS:
         return cls(machine, costs=costs)
 
     def attach_health(self, **kwargs):
-        """Build, wire, and install a :class:`HealthEngine` for this rack.
+        """Build and install a :class:`HealthEngine` for this rack
+        (``kwargs``: its options).
 
-        Connects the engine to the kernel's own monitor/predictor/recovery
-        so burn alerts and anomalies feed the existing self-healing
-        pipeline (predictor-driven evacuation) and fault-box incidents
-        land in the flight recorder.  Idempotent per kernel.
+        The engine reads the kernel's own monitor/predictor/recovery, so
+        burn alerts and anomalies feed the existing self-healing pipeline
+        (predictor-driven evacuation) and fault-box incidents land in the
+        flight recorder.  Idempotent per kernel.
         """
         from ..telemetry.health import HealthEngine
 
         if self.health is None:
-            kwargs.setdefault("monitor", self.monitor)
-            kwargs.setdefault("predictor", self.predictor)
-            kwargs.setdefault("recovery", self.recovery)
-            self.health = HealthEngine(self.machine, **kwargs).install()
+            self.health = HealthEngine(self, **kwargs).install()
         return self.health
 
     def start_patrols(self, period_ns: float, sink=None) -> list:

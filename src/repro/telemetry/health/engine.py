@@ -27,7 +27,6 @@ import pathlib
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import TELEMETRY
-from ..registry import MetricsRegistry
 from .anomaly import AnomalyDetector, CeSlopeDetector, RepairStreakDetector, ScrubTrendDetector
 from .recorder import FlightRecorder
 from .slo import Alert, Objective, SLOEngine
@@ -42,33 +41,34 @@ BOOST_PAGES = 8
 
 
 class HealthEngine:
-    """Continuous health tracking for one rack machine."""
+    """Continuous health tracking for one booted rack.
+
+    The engine windows the telemetry registry and feeds the kernel's own
+    fault monitor, failure predictor and fault-box recovery log;
+    :meth:`FlacOS.attach_health <repro.core.kernel.FlacOS.attach_health>`
+    builds it.
+    """
 
     def __init__(
         self,
-        machine,
+        kernel,
         *,
-        registry: Optional[MetricsRegistry] = None,
         window_ns: float = 1e6,
         objectives: Optional[Tuple[Objective, ...]] = None,
         detectors: Optional[List[AnomalyDetector]] = None,
-        monitor=None,
-        predictor=None,
-        recovery=None,
         recorder: Optional[FlightRecorder] = None,
         dump_path: Optional[Union[str, pathlib.Path]] = None,
     ) -> None:
-        self.machine = machine
-        self.registry = registry if registry is not None else TELEMETRY.registry
-        self.windows = WindowAggregator(self.registry, window_ns=window_ns)
+        self.machine = kernel.machine
+        self.windows = WindowAggregator(TELEMETRY.registry, window_ns=window_ns)
         self.slo = SLOEngine(objectives)
         self.detectors: List[AnomalyDetector] = (
             detectors if detectors is not None
             else [CeSlopeDetector(), ScrubTrendDetector(), RepairStreakDetector()]
         )
-        self.monitor = monitor
-        self.predictor = predictor
-        self.recovery = recovery
+        self.monitor = kernel.monitor
+        self.predictor = kernel.predictor
+        self.recovery = kernel.recovery
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.dump_path = pathlib.Path(dump_path) if dump_path is not None else None
         #: every snapshot taken, in trigger order (reason, snapshot dict).
@@ -156,8 +156,6 @@ class HealthEngine:
         scrub step moves it via the existing repair pipeline.
         """
         predictor = self.predictor
-        if predictor is None:
-            return []
         pages = self._suspect_pages(frame)
         fresh = [p for p in pages if p not in self.boosted]
         if not fresh:
@@ -187,17 +185,14 @@ class HealthEngine:
                 page = event.addr & ~(_PAGE - 1)
                 if self.machine.is_global_addr(page):
                     counts[page] = counts.get(page, 0) + weight
-        if self.monitor is not None:
-            for page, n in self.monitor.ce_count_by_page(frame.end_ns).items():
-                if self.machine.is_global_addr(page):
-                    counts[page] = counts.get(page, 0) + n
+        for page, n in self.monitor.ce_count_by_page(frame.end_ns).items():
+            if self.machine.is_global_addr(page):
+                counts[page] = counts.get(page, 0) + n
         return [page for page, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
 
     # -- fault-box incidents ---------------------------------------------------
 
     def _drain_incidents(self) -> List[str]:
-        if self.recovery is None:
-            return []
         lines = []
         incidents = self.recovery.incidents
         for report in incidents[self._seen_incidents :]:

@@ -9,10 +9,9 @@ histories and runs the classic multi-window burn-rate rule: an alert
 exceed their thresholds, and *resolves* once both drop back below.
 
 Scopes: every objective is evaluated rack-wide (counters summed across
-nodes); objectives with ``per_node=True`` additionally get one scope per
-observing node.  Alert identifiers are deterministic — a digest of
-``(objective, scope, fired window index)`` — so two same-seed runs fire
-byte-identical alerts.
+nodes) and once per observing node.  Alert identifiers are deterministic —
+a digest of ``(objective, scope, fired window index)`` — so two same-seed
+runs fire byte-identical alerts.
 
 Three objective kinds:
 
@@ -60,7 +59,6 @@ class Objective:
     threshold_ns: float = 0.0
     #: ``rate``: allowed events per window (burn = observed / budget).
     budget_per_window: float = 1.0
-    per_node: bool = True
     #: Burn-rate windows (in closed frames) and thresholds.
     fast_windows: int = 1
     slow_windows: int = 6
@@ -211,18 +209,17 @@ class SLOEngine:
             nodes = set(good) | set(bad)
             for node in nodes:
                 g, b = good.get(node, 0.0), bad.get(node, 0.0)
-                if g + b > 0 and node != RACK_WIDE and obj.per_node:
+                if g + b > 0 and node != RACK_WIDE:
                     samples[node] = (b / (g + b)) / obj.budget
             g, b = sum(good.values()), sum(bad.values())
             if g + b > 0:
                 samples[RACK_WIDE] = (b / (g + b)) / obj.budget
         elif obj.kind == "latency":
-            if obj.per_node:
-                for (node, sub, name), hist in frame.hists.items():
-                    if sub != obj.subsystem or name != obj.metric or node == RACK_WIDE:
-                        continue
-                    if hist.count:
-                        samples[node] = hist.fraction_above(obj.threshold_ns) / obj.budget
+            for (node, sub, name), hist in frame.hists.items():
+                if sub != obj.subsystem or name != obj.metric or node == RACK_WIDE:
+                    continue
+                if hist.count:
+                    samples[node] = hist.fraction_above(obj.threshold_ns) / obj.budget
             merged = merged_histogram(frame.hists, obj.subsystem, obj.metric)
             if merged is not None and merged.count:
                 samples[RACK_WIDE] = merged.fraction_above(obj.threshold_ns) / obj.budget
@@ -231,10 +228,9 @@ class SLOEngine:
             if per_node:
                 # a scope starts being tracked on its first nonzero delta;
                 # a calm run never pays for idle rate objectives
-                if obj.per_node:
-                    for node, delta in per_node.items():
-                        if node != RACK_WIDE:
-                            samples[node] = (delta / frame.windows) / obj.budget_per_window
+                for node, delta in per_node.items():
+                    if node != RACK_WIDE:
+                        samples[node] = (delta / frame.windows) / obj.budget_per_window
                 samples[RACK_WIDE] = (
                     sum(per_node.values()) / frame.windows
                 ) / obj.budget_per_window

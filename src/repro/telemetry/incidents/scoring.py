@@ -6,7 +6,8 @@ repro.telemetry.incidents score DUMP.json`` works offline, on a dump
 from any run.  Four scores, per the AIOpsLab-style ops loop:
 
 * **MTTD** — injection to the first *correct* SLO alert or anomaly
-  (rack-wide, or scoped to a ground-truth node);
+  (rack-wide, or scoped to a ground-truth node; one stamped just before
+  injection, in the same health window, counts at that window's end);
 * **localization** — precision/recall/F1 of the blame set (scoped
   alerts + anomalies, breaker opens, predictor boost pages, failed
   request-path spans, and the atlas link tail's
@@ -91,13 +92,32 @@ def blame_set(dump: dict, t0: float) -> Set[str]:
     return blame
 
 
-def _detection_times(dump: dict, t0: float, truth: Set[str]) -> List[float]:
-    """Times of *correct* detections: rack-wide or truth-scoped."""
-    return [
+def _first_detection(
+    dump: dict, t0: float, truth: Set[str], frames: List[WindowFrame]
+) -> Optional[float]:
+    """When the first *correct* detection (rack-wide or truth-scoped) at
+    or after ``t0`` landed.
+
+    A detection is stamped with its window's end, and a fault stamped by a
+    node clock running ahead of the health tick is counted in a window that
+    ends before it.  So when nothing follows ``t0``, a correct detection
+    stamped inside the health window holding ``t0`` counts at that window's
+    end: conservative, and never before ``t0``.
+    """
+    times = [
         event.t_ns for event in rec.dump_events(dump)
-        if event.kind in (rec.ALERT_FIRED, rec.ANOMALY) and event.t_ns >= t0
+        if event.kind in (rec.ALERT_FIRED, rec.ANOMALY)
         and (event.node < 0 or f"node:{event.node}" in truth)
     ]
+    later = [t for t in times if t >= t0]
+    if later:
+        return min(later)
+    if frames:
+        window = (frames[0].end_ns - frames[0].start_ns) / frames[0].windows
+        start = t0 // window * window
+        if any(start <= t for t in times):
+            return start + window
+    return None
 
 
 def _availability_by_window(frames: List[WindowFrame]) -> List[Tuple[float, float, float]]:
@@ -152,8 +172,9 @@ def score_dump(
             "availability_target": availability_target,
         }
 
-    detections = _detection_times(dump, t0, truth)
-    mttd = min(detections) - t0 if detections else None
+    frames = rec.dump_frames(dump)
+    detected = _first_detection(dump, t0, truth, frames)
+    mttd = detected - t0 if detected is not None else None
 
     blame = blame_set(dump, t0)
     hits = len(blame & truth)
@@ -164,7 +185,6 @@ def score_dump(
         if precision + recall > 0 else 0.0
     )
 
-    frames = rec.dump_frames(dump)
     rows = _availability_by_window(frames)
     degraded = [
         (end_ns, avail) for end_ns, avail, _lost in rows

@@ -18,28 +18,22 @@ from .traffic import (
 )
 from .resilience import (
     DISABLED,
-    BreakerPolicy,
     ChaosLoadReport,
     ChaosUnderLoad,
     CircuitBreaker,
-    HedgePolicy,
     ResilienceSpec,
     ResilientTrafficEngine,
-    RetryPolicy,
     default_spec,
 )
 
 __all__ = [
     "AdmissionError",
-    "BreakerPolicy",
     "ChaosLoadReport",
     "ChaosUnderLoad",
     "CircuitBreaker",
     "DISABLED",
-    "HedgePolicy",
     "ResilienceSpec",
     "ResilientTrafficEngine",
-    "RetryPolicy",
     "default_spec",
     "ArrivalProcess",
     "DataPlaneBackend",

@@ -136,9 +136,6 @@ class Outcome(NamedTuple):
     series: Tuple[str, ...]
     #: the fabric refused or lost the request: one VNI drop per count
     drop: bool = False
-    #: a sub-count: also bumps this row's *counter* (not its series) — a
-    #: timed-out request is a failed request that says why
-    within: Optional["Outcome"] = None
 
 
 OFFERED = Outcome("offered", "offered", ("requests",))
@@ -146,8 +143,8 @@ ADMITTED = Outcome("admitted", "admitted", ("admitted",))
 BACKLOG = Outcome("backlog", "dropped_backlog", ("dropped.backlog",), drop=True)
 LINK = Outcome("link", "dropped_link", ("dropped.link",), drop=True)
 FAILED = Outcome("failed", "failed", ("resilience.failed", LOST_SERIES), drop=True)
-TIMED_OUT = Outcome("timed_out", "timed_out", ("resilience.timed_out", LOST_SERIES),
-                    drop=True, within=FAILED)
+#: no step counts it; the digest, recorder samples, dashboard, postmortem and benchmark carry it
+TIMED_OUT = Outcome("timed_out", "timed_out", ("resilience.timed_out", LOST_SERIES), drop=True)
 RETRIES = Outcome("retries", "retries", ("resilience.retries",))
 HEDGES = Outcome("hedges", "hedges", ("resilience.hedges",))
 HEDGE_WINS = Outcome("hedge_wins", "hedge_wins", ("resilience.hedge_wins",))
@@ -214,8 +211,8 @@ class TrafficReport:
 
         Admission drops (backlog/link) are policy, not failures; a
         request counts against availability only when it entered the
-        request path and came back empty — terminal execution failure,
-        deadline exhaustion, or breaker-degraded shedding.
+        request path and came back empty — terminal execution failure
+        or breaker-degraded shedding.
         """
         served = self.total_admitted
         lost = self.total_failed
@@ -317,7 +314,6 @@ class TrafficEngine:
         tenants: List[TenantSpec],
         seed: int = 0,
         batch_window_ns: float = 200_000.0,
-        link_capacity_bytes_per_s: Optional[float] = None,
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
@@ -328,8 +324,6 @@ class TrafficEngine:
         self.backend = DataPlaneBackend(kernel)
         self.fabric = self.machine.fabric
         self.vnis = self.machine.fabric.vnis
-        if link_capacity_bytes_per_s is not None:
-            self.vnis.capacity_bytes_per_s = float(link_capacity_bytes_per_s)
         self.tenants: Dict[str, _TenantState] = {}
         #: Σ tenant ``offered``, kept running (``run`` stops on it per event)
         self.total_offered = 0
@@ -400,8 +394,6 @@ class TrafficEngine:
         """The ledger's one writer: ``n`` requests of ``st`` met ``outcome``."""
         counts = st.counts
         counts[outcome.counter] += n
-        if outcome.within is not None:
-            counts[outcome.within.counter] += n
         if outcome.drop:
             self.vnis.drop(st.vni, n)
         if _TEL.enabled:
@@ -503,11 +495,10 @@ class TrafficEngine:
         """Execute one admitted batch and record its outcomes: attempt on
         the tenant's node → queue model → record.
 
-        The fault-tolerant engine's override is this sequence with its
-        policies' steps in between — everything upstream (arrival
-        bookkeeping, link guard, backlog bound, RNG draws) is shared, so
-        with every policy off the two engines produce bit-identical
-        reports on a healthy rack (a fault unwinds this one).
+        The fault-tolerant engine's reference arm runs this very sequence
+        (counting a fault as lost where this one unwinds) and its on arm
+        puts its policies' steps in between — everything upstream (arrival
+        bookkeeping, link guard, backlog bound, RNG draws) is shared.
         """
         n_bytes, charged = self._attempt(st, key_idx, is_get, st.spec.node, attempt=0)
         latency = self._queue_model(st, arrivals, charged, st.busy_until_ns)

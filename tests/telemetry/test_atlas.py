@@ -308,9 +308,9 @@ def _saturate():
         TenantSpec(name="meek", rate_rps=20_000.0, node=0, value_size=1024,
                    n_keys=16),
     ]
+    rig.machine.fabric.vnis.capacity_bytes_per_s = 200e6
     engine = TrafficEngine(rig.kernel, tenants, seed=21,
-                           batch_window_ns=500_000.0,
-                           link_capacity_bytes_per_s=200e6)
+                           batch_window_ns=500_000.0)
     engine.run(duration_ns=40e6)
     TELEMETRY.atlas = None
     return rig, engine, atlas

@@ -6,6 +6,7 @@ end-to-end; scoring-unit tests work on small hand-built dumps so the
 metric math is pinned independently of the simulator.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -82,6 +83,18 @@ class TestDeterminism:
         loc = score["localization"]
         assert loc["recall"] == 1.0
         assert loc["f1"] == 1.0
+
+    def test_an_alert_stamped_just_before_t0_in_its_window_detects(self):
+        """Campaign seed 150 (the benchmark's seed-49 shift): the one correct
+        alert is stamped with the start of the health window the first UE
+        lands in, so it counts as detected at that window's end."""
+        base = get_scenario("ue-storm")
+        shifted = dataclasses.replace(
+            base, campaign=dataclasses.replace(base.campaign, seed=150))
+        score = run_scenario(shifted, detection=True).score
+        t0, window = score["t0_ns"], base.window_ns
+        assert score["mttd_ns"] == (t0 // window + 1) * window - t0
+        assert 0.0 < score["mttd_ns"] < window
 
     def test_scoring_a_dump_offline_matches_the_live_score(self, ue_storm_on):
         rescored = score_dump(

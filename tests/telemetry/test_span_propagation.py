@@ -14,8 +14,8 @@ from repro.core.backoff import BackoffPolicy
 from repro.core.ipc import IpcSystem, NameRegistry, RpcSystem
 from repro.flacdk.sync import OperationLog
 from repro.telemetry import TELEMETRY, STACK_PARENT, TraceBuffer
-from repro.workloads import TenantSpec
-from repro.workloads.resilience import HedgePolicy, ResilienceSpec, ResilientTrafficEngine
+from repro.workloads import TenantSpec, resilience
+from repro.workloads.resilience import ResilienceSpec, ResilientTrafficEngine
 
 pytestmark = pytest.mark.telemetry
 
@@ -87,17 +87,17 @@ class TestExplicitParent:
 
 def _hedging_run(seed=11, tracing=False):
     rig = build_rig(n_nodes=2)
-    spec = ResilienceSpec(
-        hedge=HedgePolicy(min_delay_ns=2_000.0, max_fraction=0.1),
-        replica_node=1,
-    )
     tenants = [TenantSpec(name="web", rate_rps=5e6, node=0, n_keys=256,
                           max_backlog_ns=1e9)]
     if tracing:
         telemetry.enable(tracing=True)
-    eng = ResilientTrafficEngine(rig.kernel, tenants, resilience=spec, seed=seed)
-    rep = eng.run(max_requests=30_000)
-    eng.finalize()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resilience, "HEDGE_MIN_DELAY_NS", 2_000.0)
+        mp.setattr(resilience, "HEDGE_MAX_FRACTION", 0.1)
+        eng = ResilientTrafficEngine(rig.kernel, tenants,
+                                     resilience=ResilienceSpec(replica_node=1), seed=seed)
+        rep = eng.run(max_requests=30_000)
+        eng.finalize()
     return eng, rep
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import build_rig
 from repro.workloads import TenantSpec
-from repro.workloads import traffic
-from repro.workloads.resilience import HedgePolicy, ResilienceSpec, ResilientTrafficEngine
+from repro.workloads import resilience, traffic
+from repro.workloads.resilience import ResilienceSpec, ResilientTrafficEngine
 from repro.workloads.traffic import TrafficEngine
 
 pytestmark = pytest.mark.traffic
@@ -141,8 +141,10 @@ def test_completions_rounds_like_the_plain_formula(n):
 
 # -- (c) the slow sides replay the parent commit ---------------------------------
 
-HEDGED = ResilienceSpec(hedge=HedgePolicy(min_delay_ns=2_000.0, max_fraction=0.1),
-                        replica_node=1)
+#: the on arm hedging eagerly to node 1; on a healthy rack its retry bucket
+#: only refills and its breakers only record successes
+HEDGED = ResilienceSpec(replica_node=1)
+EAGER_HEDGES = {"HEDGE_MIN_DELAY_NS": 2_000.0, "HEDGE_MAX_FRACTION": 0.1}
 
 #: (tenant, seed, engine kwargs) -> (digest, backlog drops, hedges, hedge wins)
 #: at commit 0543b2c, the parent of the admission proof and the hedge trigger
@@ -170,8 +172,10 @@ PARENT = {
 
 
 @pytest.mark.parametrize("scenario", sorted(PARENT))
-def test_shedding_and_hedging_runs_replay_the_parent_commit(scenario):
+def test_shedding_and_hedging_runs_replay_the_parent_commit(scenario, monkeypatch):
     tenant, seed, kwargs, expected = PARENT[scenario]
+    for name, value in EAGER_HEDGES.items():
+        monkeypatch.setattr(resilience, name, value)
     for _ in range(2):  # same seed, same everything
         rig = build_rig(n_nodes=2)
         eng = ResilientTrafficEngine(rig.kernel, [tenant], resilience=HEDGED,

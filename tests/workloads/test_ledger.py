@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 import repro.telemetry as tel
 from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
-from repro.workloads import TenantSpec, TrafficEngine
+from repro.workloads import TenantSpec, TrafficEngine, resilience
 from repro.workloads.resilience import (
     DISABLED,
     FAILURES,
-    BreakerPolicy,
     ChaosUnderLoad,
     CircuitBreaker,
     ResilienceSpec,
     ResilientTrafficEngine,
-    RetryPolicy,
     default_spec,
     render_transition,
 )
@@ -36,15 +34,14 @@ from repro.workloads.traffic import (
 
 pytestmark = pytest.mark.resilience
 
+#: engine -> (resilience=, the policy constants its run patches); "base" is
+#: the plain TrafficEngine
 ENGINES = {
     "base": None,
-    "disabled": DISABLED,
-    "default": default_spec(replica_node=1),
-    # tight enough that a share of every batch blows its budget
-    "deadline-only": ResilienceSpec(deadline_ns=600.0),
+    "disabled": (DISABLED, {}),
+    "default": (default_spec(replica_node=1), {}),
     # nowhere to fail over to: once the breaker opens, batches are shed
-    "no-replica": ResilienceSpec(breaker=BreakerPolicy(cooldown_ns=1e15),
-                                 retry=RetryPolicy()),
+    "no-replica": (ResilienceSpec(), {"BREAKER_COOLDOWN_NS": 1e15}),
 }
 # a run is ~3 simulated ms, so these land mid-run
 FAULTS = {
@@ -68,17 +65,21 @@ def _run(engine, fault, seed):
     """(engine, report or None when a fault unwound the base engine, recorder)"""
     rig = build_rig(n_nodes=2)
     rig.kernel.attach_health()
-    spec = ENGINES[engine]
-    if spec is None:
-        eng = TrafficEngine(rig.kernel, _tenants(), seed=seed)
-    else:
-        eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=spec, seed=seed)
-    campaign = ChaosCampaign(name=fault, seed=seed, events=FAULTS[fault])
-    try:
-        report = ChaosUnderLoad(rig.kernel, eng, campaign).run(max_requests=12_000).traffic
-    except FAILURES:
-        assert spec is None and fault != "healthy"  # only the base engine unwinds
-        report = None
+    arm = ENGINES[engine]
+    with pytest.MonkeyPatch.context() as mp:
+        if arm is None:
+            eng = TrafficEngine(rig.kernel, _tenants(), seed=seed)
+        else:
+            spec, constants = arm
+            for name, value in constants.items():
+                mp.setattr(resilience, name, value)
+            eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=spec, seed=seed)
+        campaign = ChaosCampaign(name=fault, seed=seed, events=FAULTS[fault])
+        try:
+            report = ChaosUnderLoad(rig.kernel, eng, campaign).run(max_requests=12_000).traffic
+        except FAILURES:
+            assert arm is None and fault != "healthy"  # only the base engine unwinds
+            report = None
     return eng, report, rig.kernel.health.recorder
 
 
@@ -90,8 +91,7 @@ def _expected_series(t):
         "admitted": t["admitted"],
         "dropped.backlog": t["dropped_backlog"],
         "dropped.link": t["dropped_link"],
-        # a timed-out request is inside `failed` but has its own series
-        "resilience.failed": t["failed"] - t["timed_out"],
+        "resilience.failed": t["failed"],
         "resilience.timed_out": t["timed_out"],
         "resilience.retries": t["retries"],
         "resilience.hedges": t["hedges"],
@@ -123,7 +123,7 @@ def test_every_sink_agrees_with_the_report(engine, fault, seed):
         ended = t["admitted"] + t["dropped"] + t["failed"] + t["dropped_shed"]
         assert t["offered"] >= ended if unwound else t["offered"] == ended
         assert t["dropped"] == t["dropped_backlog"] + t["dropped_link"]
-        assert t["timed_out"] <= t["failed"]
+        assert t["timed_out"] == 0  # a kept column no request-path step counts
 
         # (ii) every registry series reads what the report reads, and the
         # ledger's rows name exactly these series for exactly these counters
@@ -133,8 +133,7 @@ def test_every_sink_agrees_with_the_report(engine, fault, seed):
             assert series.get((node, sub, metric), 0) == value, metric
         assert {s for o in LEDGER for s in o.series} == set(expected)
         for row in LEDGER:
-            inner = sum(t[o.counter] for o in LEDGER if o.within is row)
-            assert expected[row.series[0]] == t[row.counter] - inner
+            assert expected[row.series[0]] == t[row.counter]
             assert (LOST_SERIES in row.series) == (row in (FAILED, TIMED_OUT, SHED))
 
         # (iii) the fabric's drop count: every refusal and loss, once
@@ -159,14 +158,14 @@ def test_every_sink_agrees_with_the_report(engine, fault, seed):
         assert eng.total_offered >= 12_000  # the run stopped on it
         # every breaker transition reached the recorder, as is
         assert list(recorder.breaker_events) == eng.breaker_events
-    if engine == "deadline-only":
-        assert sum(t["timed_out"] for t in tenants.values()) > 0
     assert sum(t["dropped_backlog"] for t in tenants.values()) > 0
 
 
-def test_transition_record_renders_to_the_journal_line():
-    br = CircuitBreaker(BreakerPolicy(window=4, min_volume=2, failure_threshold=0.5,
-                                      cooldown_ns=1_000.0), "web", 0)
+def test_transition_record_renders_to_the_journal_line(monkeypatch):
+    for name, value in (("BREAKER_WINDOW", 4), ("BREAKER_MIN_VOLUME", 2),
+                        ("BREAKER_COOLDOWN_NS", 1_000.0)):
+        monkeypatch.setattr(resilience, name, value)
+    br = CircuitBreaker("web", 0)
     br.record(0.0, ok=False)
     opened = br.record(310_000.04, ok=False)
     assert opened == {"tenant": "web", "target": 0, "from": "closed", "to": "open",

@@ -128,6 +128,10 @@ class TestAdmission:
 
     def test_link_guard_polices_only_over_share_tenants(self):
         rig = build_rig()
+        # hog offers ~64 MB/s, meek ~3.2 MB/s; capacity 40 MB/s with
+        # equal weights -> fair share 20 MB/s each: the fabric
+        # saturates, hog runs over share, meek stays under
+        rig.machine.fabric.vnis.capacity_bytes_per_s = 40e6
         eng = TrafficEngine(
             rig.kernel,
             [
@@ -138,10 +142,6 @@ class TestAdmission:
             ],
             seed=6,
             batch_window_ns=500_000.0,
-            # hog offers ~64 MB/s, meek ~3.2 MB/s; capacity 40 MB/s with
-            # equal weights -> fair share 20 MB/s each: the fabric
-            # saturates, hog runs over share, meek stays under
-            link_capacity_bytes_per_s=40e6,
         )
         rep = eng.run(duration_ns=50e6)
         assert rep.tenants["hog"]["dropped_link"] > 0
