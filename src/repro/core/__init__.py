@@ -5,7 +5,7 @@ IPC/RPC (§3.5), and fault boxes with adaptive redundancy (§3.6) over a
 simulated rack.
 """
 
-from . import boot, devices, fault, fs, interrupts, ipc, memory, sched
+from . import boot, fault, fs, interrupts, ipc, memory, sched
 from .kernel import FlacOS
 from .params import OsCosts
 
@@ -13,7 +13,6 @@ __all__ = [
     "FlacOS",
     "OsCosts",
     "boot",
-    "devices",
     "fault",
     "fs",
     "interrupts",

@@ -25,18 +25,6 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 
-class BackoffExhausted(Exception):
-    """Every attempt the policy allows has been consumed."""
-
-    def __init__(self, attempts: int, waited_ns: float) -> None:
-        super().__init__(
-            f"backoff budget exhausted after {attempts} attempts "
-            f"({waited_ns:.0f}ns waited)"
-        )
-        self.attempts = attempts
-        self.waited_ns = waited_ns
-
-
 def jitter_fraction(*key: object) -> float:
     """A deterministic pseudo-random fraction in ``[0, 1)`` from ``key``.
 

@@ -2,10 +2,10 @@
 
 The paper: hardware-description structures (memory topology, bus
 hierarchy) should live in shared memory so every node discovers the
-rack's resources from one place, FDT/ACPI style.  This module is a
-small flattened-device-tree implementation: node 0's "BIOS" builds the
-rack description, flattens it to bytes at a well-known global address,
-and every other node parses the same bytes at boot.
+rack's resources from one place, FDT/ACPI style.  This module is the
+publishing half of a small flattened device tree: node 0's "BIOS" builds
+the rack description and flattens it to bytes at a well-known global
+address.  No node parses it back yet (ROADMAP item 14(c)).
 
 Format (all little-endian)::
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from ..rack.machine import NodeContext, RackMachine
 
@@ -54,29 +54,10 @@ class DtNode:
             self.properties[name] = bytes(value)
         return self
 
-    def get_u64(self, name: str) -> int:
-        return struct.unpack("<Q", self.properties[name])[0]
-
-    def get_str(self, name: str) -> str:
-        return self.properties[name].rstrip(b"\x00").decode()
-
     def add_child(self, name: str) -> "DtNode":
         child = DtNode(name)
         self.children.append(child)
         return child
-
-    def child(self, name: str) -> "DtNode":
-        for child in self.children:
-            if child.name == name:
-                return child
-        raise KeyError(f"no child {name!r} under {self.name!r}")
-
-    def find(self, path: str) -> "DtNode":
-        """Resolve a /-separated path from this node."""
-        node = self
-        for part in (p for p in path.split("/") if p):
-            node = node.child(part)
-        return node
 
 
 def flatten(root: DtNode) -> bytes:
@@ -98,49 +79,6 @@ def flatten(root: DtNode) -> bytes:
     emit(root)
     body.append(_END_TREE)
     return struct.pack("<II", _MAGIC, 8 + len(body)) + bytes(body)
-
-
-def unflatten(blob: bytes) -> DtNode:
-    """Parse a flattened tree back into :class:`DtNode` form."""
-    if len(blob) < 8:
-        raise DeviceTreeError("blob too small for a header")
-    magic, total = struct.unpack("<II", blob[:8])
-    if magic != _MAGIC:
-        raise DeviceTreeError(f"bad magic {magic:#x}")
-    if total > len(blob):
-        raise DeviceTreeError("truncated blob")
-    pos = 8
-    stack: List[DtNode] = []
-    root: Optional[DtNode] = None
-    while pos < total:
-        token = blob[pos]
-        pos += 1
-        if token == _BEGIN_NODE:
-            end = blob.index(b"\x00", pos)
-            node = DtNode(blob[pos:end].decode())
-            pos = end + 1
-            if stack:
-                stack[-1].children.append(node)
-            else:
-                root = node
-            stack.append(node)
-        elif token == _PROP:
-            end = blob.index(b"\x00", pos)
-            name = blob[pos:end].decode()
-            pos = end + 1
-            (length,) = struct.unpack("<I", blob[pos : pos + 4])
-            pos += 4
-            stack[-1].properties[name] = blob[pos : pos + length]
-            pos += length
-        elif token == _END_NODE:
-            stack.pop()
-        elif token == _END_TREE:
-            break
-        else:
-            raise DeviceTreeError(f"unknown token {token:#x} at {pos - 1}")
-    if root is None or stack:
-        raise DeviceTreeError("unbalanced tree")
-    return root
 
 
 def rack_description(machine: RackMachine) -> DtNode:
@@ -176,11 +114,11 @@ def rack_description(machine: RackMachine) -> DtNode:
 
 
 class BootRom:
-    """Publishes / discovers the rack description through global memory.
+    """Publishes the rack description through global memory.
 
-    Node 0 calls :meth:`publish` once ("BIOS"); every node then calls
-    :meth:`discover` and parses the same shared bytes — no per-node
-    configuration files, the §5 bootstrapping story.
+    Node 0 calls :meth:`publish` once ("BIOS"): the §5 bootstrapping
+    story, where every node would read the same shared bytes instead of
+    per-node configuration files.
     """
 
     def __init__(self, base: int, capacity: int = 1 << 16) -> None:
@@ -195,11 +133,3 @@ class BootRom:
             )
         ctx.store(self.base, blob, bypass_cache=True)
         return len(blob)
-
-    def discover(self, ctx: NodeContext) -> DtNode:
-        header = ctx.load(self.base, 8, bypass_cache=True)
-        magic, total = struct.unpack("<II", header)
-        if magic != _MAGIC:
-            raise DeviceTreeError("no description published yet")
-        blob = ctx.load(self.base, total, bypass_cache=True)
-        return unflatten(blob)

@@ -11,7 +11,6 @@ from .nmodular import NModularExecutor, VoteResult, VotingFailure
 from .recovery import BoxRecovery, FaultRecoveryCoordinator, IncidentReport
 from .redundancy import (
     AdaptiveRedundancyPolicy,
-    CheckpointSchedule,
     RedundancyDecision,
     RedundancyMode,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "AdaptiveRedundancyPolicy",
     "BoxRecovery",
     "BoxSnapshot",
-    "CheckpointSchedule",
     "FaultBox",
     "FaultBoxManager",
     "FaultRecoveryCoordinator",

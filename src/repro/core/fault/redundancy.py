@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Optional
 
 from ...flacdk.reliability import FailurePredictor
-from ...rack.machine import NodeContext
-from .fault_box import BoxSnapshot, FaultBox, FaultBoxManager
+from .fault_box import FaultBox
 
 
 class RedundancyMode(Enum):
@@ -66,25 +65,3 @@ class AdaptiveRedundancyPolicy:
         return RedundancyDecision(
             RedundancyMode.NMODULAR, reason="critical task under predicted risk: vote n ways"
         )
-
-
-class CheckpointSchedule:
-    """Drives periodic box snapshots per the policy's period."""
-
-    def __init__(self, manager: FaultBoxManager) -> None:
-        self.manager = manager
-        self._last_taken: Dict[int, float] = {}
-        self.taken = 0
-
-    def maybe_checkpoint(
-        self, ctx: NodeContext, box: FaultBox, decision: RedundancyDecision
-    ) -> Optional[BoxSnapshot]:
-        if decision.mode is not RedundancyMode.CHECKPOINT:
-            return None
-        last = self._last_taken.get(box.box_id, -float("inf"))
-        if ctx.now() - last < decision.checkpoint_period_ns:
-            return None
-        snapshot = self.manager.snapshot(ctx, box)
-        self._last_taken[box.box_id] = ctx.now()
-        self.taken += 1
-        return snapshot

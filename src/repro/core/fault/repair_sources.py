@@ -8,11 +8,9 @@ FlacOS already maintains, in the kernel's priority order:
    :class:`~repro.core.fault.replication.PartialReplicator` at the last
    sync barrier.  Freshest copy that exists without the application's
    cooperation.
-2. **N-modular mirror** — handled by the layer-neutral
-   :class:`~repro.flacdk.reliability.repair.MirrorSource`.
-3. **Checkpoint page** — the page's bytes in the box's latest snapshot
+2. **Checkpoint page** — the page's bytes in the box's latest snapshot
    (:class:`~repro.core.fault.fault_box.FaultBoxManager`).
-4. **FlacFS block layer** — a *clean* page-cache frame is byte-identical
+3. **FlacFS block layer** — a *clean* page-cache frame is byte-identical
    to its on-device block, so the block device (journal-protected) can
    regenerate it; dirty frames would resurrect stale data and abstain.
 

@@ -99,10 +99,6 @@ class FlacFS:
         self._charge_path(ctx, path)
         return self.metadata.lookup(ctx, path)
 
-    def rename(self, ctx: NodeContext, src: str, dst: str) -> None:
-        self._charge_path(ctx, src)
-        self.metadata.rename(ctx, src, dst)
-
     def exists(self, ctx: NodeContext, path: str) -> bool:
         return self.metadata.exists(ctx, path)
 
@@ -200,23 +196,6 @@ class FlacFS:
         """Synchronous write-back of dirty pages (all files when fd=None)."""
         ctx.advance(self.costs.syscall_ns)
         return self.page_cache.writeback(ctx, self._store_page)
-
-    def remount(self, ctx: NodeContext) -> int:
-        """Rebuild this node's metadata replica from the shared log.
-
-        The recovery path after a node restart (or a rack power cycle on
-        persistent global memory): node-local replicas are gone, but the
-        metadata op log lives in the global pool, so one bulk replay
-        restores the namespace.  Returns ops replayed.
-        """
-        from .metadata import _Namespace
-
-        replica = self.metadata.nr.replica(ctx)
-        replica.state = _Namespace()
-        replica.applied = 0
-        before = replica.applied
-        replica.read(ctx, lambda ns: None)
-        return replica.applied - before
 
     # -- internals -----------------------------------------------------------------------------------
 

@@ -2,21 +2,20 @@
 
 The paper's point: FlacFS does not need a separate journal for
 metadata, because the replication op log *is* a redo log.  Journaling
-therefore reduces to (a) checkpointing a metadata replica together with
-its log watermark and (b) replaying the committed suffix after a crash.
-This module packages that as a recoverable unit and adds crash-recovery
-bookkeeping (a superblock-style commit record in global memory).
+therefore reduces to checkpointing a metadata replica together with its
+log watermark; a recovery would restore the snapshot and replay the
+committed suffix.  This module takes the checkpoint and mirrors its
+watermark into a superblock-style word in global memory.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Optional
 
 from ...rack.machine import NodeContext
 from ...telemetry import TELEMETRY as _TEL, span as _span
-from .metadata import MetadataStore, _Namespace
+from .metadata import MetadataStore
 
 
 @dataclass
@@ -29,18 +28,16 @@ class JournalRecord:
 
 
 class MetadataJournal:
-    """Checkpoint/replay wrapper around a MetadataStore.
+    """Checkpoint wrapper around a MetadataStore.
 
     The commit record's watermark is mirrored into a global-memory word
-    so any surviving node can discover how far the dead node had
-    checkpointed (the blob itself is stored host-side, standing in for a
-    checkpoint region on persistent global memory).
+    (the blob itself stays host-side, standing in for a checkpoint
+    region on persistent global memory).
     """
 
     def __init__(self, store: MetadataStore, watermark_addr: int) -> None:
         self.store = store
         self.watermark_addr = watermark_addr
-        self._record: Optional[JournalRecord] = None
 
     def format(self, ctx: NodeContext) -> "MetadataJournal":
         ctx.atomic_store(self.watermark_addr, 0)
@@ -58,30 +55,8 @@ class MetadataJournal:
             # checkpoint write cost ~ blob size at global-memory bandwidth
             ctx.advance(len(blob) / 10.0)
             ctx.atomic_store(self.watermark_addr, record.watermark)
-            self._record = record
         if _TEL.enabled:
             reg = _TEL.registry
             reg.inc(ctx.node_id, "core.fs", "journal.commit")
             reg.observe(ctx.node_id, "core.fs", "journal.blob_bytes", len(blob))
         return record
-
-    def recover(self, ctx: NodeContext) -> int:
-        """Rebuild this node's replica: restore the snapshot, replay the
-        suffix.  Returns the number of ops replayed."""
-        record = self._record
-        if record is None:
-            fresh: _Namespace = _Namespace()
-            watermark = 0
-        else:
-            fresh = pickle.loads(record.state_blob)
-            watermark = record.watermark
-            ctx.advance(len(record.state_blob) / 10.0)
-        replica = self.store.nr.replica(ctx)
-        replica.state = fresh
-        replica.applied = watermark
-        before = replica.applied
-        replica.read(ctx, lambda ns: None)  # replay committed suffix
-        return replica.applied - before
-
-    def committed_watermark(self, ctx: NodeContext) -> int:
-        return ctx.atomic_load(self.watermark_addr)

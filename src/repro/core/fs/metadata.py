@@ -133,17 +133,6 @@ class _Namespace:
     def _op_map_block(self, ino: int, page_idx: int, block_no: int) -> None:
         self.inodes[ino].blocks[page_idx] = block_no
 
-    def _op_rename(self, src: str, dst: str) -> None:
-        src_parent, src_name = self.parent_of(src)
-        ino = src_parent.children.get(src_name)
-        if ino is None:
-            raise FileNotFound(src)
-        dst_parent, dst_name = self.parent_of(dst)
-        if dst_name in dst_parent.children:
-            raise FileExists(dst)
-        del src_parent.children[src_name]
-        dst_parent.children[dst_name] = ino
-
 
 class MetadataStore:
     """Replicated namespace: local reads, logged mutations."""
@@ -183,9 +172,6 @@ class MetadataStore:
 
     def map_block(self, ctx: NodeContext, ino: int, page_idx: int, block_no: int) -> None:
         self.nr.replica(ctx).execute(ctx, ("map_block", ino, page_idx, block_no))
-
-    def rename(self, ctx: NodeContext, src: str, dst: str) -> None:
-        self.nr.replica(ctx).execute(ctx, ("rename", src, dst))
 
 
 def _parts(path: str) -> List[str]:

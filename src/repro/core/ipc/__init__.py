@@ -1,11 +1,9 @@
 """FlacOS communication subsystem (§3.5).
 
 Zero-copy shared-buffer sockets (domain-socket API), the replicated
-name registry, migration-based RPC with shared code contexts, and
-process migration over shared state.
+name registry, and migration-based RPC with shared code contexts.
 """
 
-from .migration import MigrationReport, ProcessMigrator
 from .registry import Endpoint, NameInUse, NameRegistry, RegistryError, UnknownName
 from .rpc import RpcDeadlineExceeded, RpcError, RpcStats, RpcSystem, RpcTimeout
 from .shared_buffer import PACKED_SIZE, BufferPool, BufferRef
@@ -30,11 +28,9 @@ __all__ = [
     "IpcError",
     "IpcSystem",
     "ListenSocket",
-    "MigrationReport",
     "NameInUse",
     "NameRegistry",
     "PACKED_SIZE",
-    "ProcessMigrator",
     "RegistryError",
     "RpcDeadlineExceeded",
     "RpcError",

@@ -72,6 +72,3 @@ class NameRegistry:
         if endpoint is None:
             raise UnknownName(name)
         return endpoint
-
-    def names(self, ctx: NodeContext):
-        return self.nr.replica(ctx).read(ctx, lambda state: sorted(state))

@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, Optional
 
 from ...rack.machine import NodeContext, RackMachine
 from ...telemetry import TELEMETRY as _TEL, span as _span
-from ..backoff import BackoffPolicy
 from ..params import OsCosts
 
 _SUB = "core.ipc"
@@ -78,7 +77,6 @@ class RpcStats:
     local_cache_hits: int = 0
     timeouts: int = 0
     deadline_rejects: int = 0
-    retries: int = 0
 
 
 class RpcSystem:
@@ -123,10 +121,6 @@ class RpcSystem:
                 meta=ref.pack(),
             ),
         )
-
-    def unregister(self, ctx: NodeContext, name: str) -> bool:
-        self._code_cache.pop(ctx.node_id, {}).pop(name, None)
-        return self.registry.unbind(ctx, f"rpc:{name}")
 
     # -- caller side ----------------------------------------------------------------------
 
@@ -204,65 +198,6 @@ class RpcSystem:
                 _TEL.count(ctx.node_id, _SUB, "rpc.timeouts")
             raise RpcTimeout(name, deadline_ns, ctx.now())
         return result
-
-    def call_with_retry(
-        self,
-        ctx: NodeContext,
-        name: str,
-        *args: Any,
-        backoff: Optional[BackoffPolicy] = None,
-        deadline_ns: Optional[float] = None,
-        retry_on: tuple = (RpcTimeout,),
-        **kwargs: Any,
-    ) -> Any:
-        """Call with bounded, clock-charged retries on retryable errors.
-
-        Each failed attempt charges its backoff delay to the caller's
-        simulated clock (the spin a real retry loop pays) before the
-        next try; the deadline, when given, bounds the *whole* budget —
-        once it passes, the last error propagates.
-
-        With tracing on, the whole loop runs under one ``ipc.rpc.retry``
-        span so every attempt's ``ipc.rpc.call`` span chains to the same
-        parent — the retry sequence survives in the trace instead of
-        scattering as siblings of whatever else was open.
-        """
-        policy = backoff if backoff is not None else BackoffPolicy()
-        if not _TEL.tracing:
-            return self._retry_loop(
-                ctx, name, args, kwargs, policy, deadline_ns, retry_on
-            )
-        with _span("ipc.rpc.retry", ctx=ctx, service=name):
-            return self._retry_loop(
-                ctx, name, args, kwargs, policy, deadline_ns, retry_on
-            )
-
-    def _retry_loop(
-        self,
-        ctx: NodeContext,
-        name: str,
-        args: tuple,
-        kwargs: dict,
-        policy: BackoffPolicy,
-        deadline_ns: Optional[float],
-        retry_on: tuple,
-    ) -> Any:
-        attempt = 0
-        while True:
-            try:
-                return self.call(ctx, name, *args, deadline_ns=deadline_ns, **kwargs)
-            except retry_on as exc:
-                if attempt >= policy.max_attempts:
-                    raise
-                if deadline_ns is not None and ctx.now() >= deadline_ns:
-                    raise
-                delay = policy.delay_ns(attempt, name, ctx.node_id)
-                ctx.advance(delay)
-                attempt += 1
-                self.stats.retries += 1
-                if _TEL.enabled:
-                    _TEL.count(ctx.node_id, _SUB, "rpc.retries")
-                del exc
 
     def _resolve_code(self, ctx: NodeContext, name: str) -> Callable:
         node_cache = self._code_cache.setdefault(ctx.node_id, {})

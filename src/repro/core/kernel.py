@@ -6,8 +6,7 @@ attributes mirror Figure 2:
 
 * ``memory``  — §3.3 memory system (shared page tables, TLBs, dedup)
 * ``fs``      — §3.4 FlacFS (shared page cache, local metadata, journal)
-* ``ipc``     — §3.5 sockets; ``rpc`` — migration-based RPC;
-  ``migrator`` — process migration
+* ``ipc``     — §3.5 sockets; ``rpc`` — migration-based RPC
 * ``boxes``   — §3.6 fault boxes; ``recovery`` — the coordinator;
   plus monitor/predictor from FlacDK
 
@@ -24,18 +23,15 @@ from typing import Dict, Optional
 from ..flacdk.alloc import FrameAllocator
 from ..flacdk.arena import Arena
 from ..flacdk.reliability import (
-    ChecksumDetector,
     FailurePredictor,
     HealthMonitor,
     HeartbeatDetector,
     MemoryScrubber,
-    MirrorSource,
     RepairCoordinator,
 )
 from ..flacdk.sync import OperationLog
 from ..rack.machine import NodeContext, RackMachine
 from .boot import BootRom, rack_description
-from .devices import DeviceRegistry
 from .fault import (
     AdaptiveRedundancyPolicy,
     CheckpointPageSource,
@@ -48,7 +44,7 @@ from .fault import (
 )
 from .fs import FlacFS
 from .interrupts import InterruptController, IrqBalancer
-from .ipc import IpcSystem, NameRegistry, ProcessMigrator, RpcSystem
+from .ipc import IpcSystem, NameRegistry, RpcSystem
 from .memory import MemorySystem, PAGE_SIZE
 from .events import EventCore
 from .params import OsCosts
@@ -94,16 +90,13 @@ class FlacOS:
             heap_bytes=max(1 << 22, budget // 16),
         )
         self.rpc = RpcSystem(machine, self.registry, self.ipc.buffers, costs=self.costs)
-        self.migrator = ProcessMigrator(self.memory, costs=self.costs)
 
         # §3.6 reliability
         self.monitor = HealthMonitor(machine.faults.log, page_size=PAGE_SIZE)
         self.predictor = FailurePredictor(self.monitor)
-        self.checksums = ChecksumDetector()
         self.heartbeats = HeartbeatDetector(
             self.arena.take(HeartbeatDetector.region_size(len(machine.nodes)), align=8),
             len(machine.nodes),
-            timeout_ns=1e7,
         ).format(boot_ctx)
         self.boxes = FaultBoxManager(self.memory, costs=self.costs)
         standby_bytes = max(1 << 22, budget // 16)
@@ -118,14 +111,12 @@ class FlacOS:
         self.nmodular = NModularExecutor()
 
         # self-healing: detect -> contain -> repair -> prevent.  Source
-        # order is freshest-first: standby replica, n-modular mirror,
-        # latest checkpoint page, FlacFS block layer.
-        self.mirrors = MirrorSource()
+        # order is freshest-first: standby replica, latest checkpoint
+        # page, FlacFS block layer.
         self.repair = RepairCoordinator(
             machine,
             sources=[
                 ReplicaPageSource(self.boxes, self.replicator),
-                self.mirrors,
                 CheckpointPageSource(self.boxes),
                 FsBlockSource(self.fs),
             ],
@@ -137,7 +128,7 @@ class FlacOS:
             evacuate=self.memory.migrate_global_page,
         )
 
-        # §5 extensions: rack-wide interrupts, shared devices, boot rom
+        # §5 extensions: rack-wide interrupt state, boot rom
         self.interrupts = InterruptController(
             self.arena.take(InterruptController.region_size(len(machine.nodes)), align=8),
             len(machine.nodes),
@@ -145,7 +136,6 @@ class FlacOS:
         self.irqs = IrqBalancer(
             self.arena.take(IrqBalancer.region_size(64), align=8), 64, self.interrupts
         ).format(boot_ctx)
-        self.devices = DeviceRegistry(self.registry, self.ipc.buffers)
         self.bootrom = BootRom(self.arena.take(1 << 16, align=64))
         self.bootrom.publish(boot_ctx, rack_description(machine))
         #: rack-wide discrete-event core; subsystems register wake-ups

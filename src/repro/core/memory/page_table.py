@@ -122,17 +122,6 @@ class SharedPageTable:
             return None
         return _decode(pte)
 
-    def set_flags(self, ctx: NodeContext, vaddr: int, set_bits: int = 0, clear_bits: int = 0) -> bool:
-        """CAS-update the flag bits of an existing entry."""
-        key = vpn_of(vaddr)
-        while True:
-            pte = self.tree.lookup(ctx, key)
-            if pte is None:
-                return False
-            new = (pte | set_bits) & ~clear_bits
-            if new == pte or self.tree.update(ctx, key, pte, new):
-                return True
-
     def entries(self, ctx: NodeContext) -> Iterator[Tuple[int, Translation]]:
         """All (vpn, translation) pairs — diagnostics and fault-box capture."""
         for vpn, pte in self.tree.items(ctx):
@@ -140,9 +129,6 @@ class SharedPageTable:
                 yield vpn, _decode(pte)
 
     # -- shootdown generation ---------------------------------------------------------
-
-    def bump_generation(self, ctx: NodeContext) -> int:
-        return ctx.fetch_add(self.generation_addr, 1) + 1
 
     def generation(self, ctx: NodeContext) -> int:
         return ctx.atomic_load(self.generation_addr)

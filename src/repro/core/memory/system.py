@@ -123,17 +123,6 @@ class MemorySystem:
         """Run an existing address space on another node (rack threading)."""
         aspace.install(ctx, self.tlbs[ctx.node_id])
 
-    def destroy_address_space(self, ctx: NodeContext, aspace: AddressSpace) -> None:
-        for vma in list(self._vma_snapshot(ctx, aspace)):
-            aspace.munmap(ctx, vma.start, vma.length)
-        self.address_spaces.pop(aspace.asid, None)
-        self._page_tables.pop(aspace.asid, None)
-
-    def _vma_snapshot(self, ctx: NodeContext, aspace: AddressSpace):
-        replica = aspace._vmas.replica(ctx)
-        replica.read(ctx, lambda s: None)
-        return list(replica.state)
-
     # -- shootdown ---------------------------------------------------------------------
 
     def unmap_range(

@@ -4,10 +4,9 @@ The serverless case study assumes FlacOS provides rack-level
 scheduling.  This is it: per-node load counters in global memory
 (atomic, so placement decisions read fresh rack-wide load) and
 per-(submitter, executor) task rings, also in global memory — so a
-task queued to a node *survives that node's crash* and can be drained
-by whichever node takes over the queue.  Task bodies are node-local
-callables registered in a table; what crosses nodes is the task id and
-a payload descriptor.
+task queued to a node *survives that node's crash* in the shared pool.
+Task bodies are node-local callables registered in a table; what
+crosses nodes is the task id and a payload descriptor.
 
 Placement policy: least-loaded live node, with a home-node affinity
 bonus (tasks prefer where their state lives — boxes, page-cache
@@ -22,10 +21,10 @@ Two scale-out behaviours layered on the original design:
   submitter observes saturation as latency first and an explicit
   signal second, never a bare crash;
 * **event-driven drains** — every submission schedules a drain
-  wake-up for the destination's queue owner on the kernel's
+  wake-up for the destination node on the kernel's
   :class:`~repro.core.events.EventCore`, :data:`DISPATCH_NS` after the
-  later of the core's and the owner's clocks (the IPI delivery cost),
-  instead of each node polling ``run_pending``.
+  later of the core's and the destination's clocks (the IPI delivery
+  cost), instead of each node polling ``run_pending``.
 """
 
 from __future__ import annotations
@@ -130,8 +129,6 @@ class RackScheduler:
         #: task table (node-local bodies; ids are rack-global)
         self._tasks: Dict[int, TaskRecord] = {}
         self._next_task = 1
-        #: dst -> node currently draining dst's queues (normally dst itself)
-        self._queue_owner: Dict[int, int] = {n: n for n in range(self.n_nodes)}
         #: destinations with a drain wake-up already on the heap
         self._drain_pending: Set[int] = set()
 
@@ -145,18 +142,16 @@ class RackScheduler:
         """Schedule (at most one pending) drain of ``target``'s queues."""
         if target in self._drain_pending:
             return
-        owner = self._queue_owner[target]
-        when = max(self._events.now_ns, self.machine.now(owner)) + DISPATCH_NS
+        when = max(self._events.now_ns, self.machine.now(target)) + DISPATCH_NS
         self._drain_pending.add(target)
-        self._events.at(when, lambda t=target: self._drain_event(t), node=owner)
+        self._events.at(when, lambda t=target: self._drain_event(t), node=target)
 
     def _drain_event(self, target: int) -> None:
         self._drain_pending.discard(target)
-        owner = self._queue_owner[target]
-        node = self.machine.nodes.get(owner)
+        node = self.machine.nodes.get(target)
         if node is None or not node.alive:
-            return  # queues outlive the owner; adoption re-notifies
-        ctx = self.machine.context(owner)
+            return  # the queued tasks stay in the shared rings
+        ctx = self.machine.context(target)
         self.run_pending(ctx, max_tasks=64)
         if self.load_of(ctx, target) > 0:
             self._notify(target)  # more queued than one drain's budget
@@ -233,48 +228,25 @@ class RackScheduler:
     # -- execution ---------------------------------------------------------------------
 
     def run_pending(self, ctx: NodeContext, max_tasks: int = 64) -> int:
-        """Drain and execute tasks queued to the node ``ctx`` serves."""
+        """Drain and execute tasks queued to ``ctx``'s node."""
         executed = 0
-        for served_for in self._served_queues(ctx.node_id):
-            for src in range(self.n_nodes):
-                ring = self._rings[src][served_for]
-                while executed < max_tasks:
-                    raw = ring.try_pop(ctx)
-                    if raw is None:
-                        break
-                    task_id, _, _ = struct.unpack("<QQQ", raw)
-                    record = self._tasks.get(task_id)
-                    if record is None:
-                        raise SchedulerError(f"unknown task {task_id} in queue")
-                    ctx.advance(self.costs.context_switch_ns + record.cost_ns)
-                    record.result = record.fn(ctx, record.payload)
-                    record.done = True
-                    record.executed_on = ctx.node_id
-                    self._dec_load(ctx, served_for)
-                    executed += 1
+        for src in range(self.n_nodes):
+            ring = self._rings[src][ctx.node_id]
+            while executed < max_tasks:
+                raw = ring.try_pop(ctx)
+                if raw is None:
+                    break
+                task_id, _, _ = struct.unpack("<QQQ", raw)
+                record = self._tasks.get(task_id)
+                if record is None:
+                    raise SchedulerError(f"unknown task {task_id} in queue")
+                ctx.advance(self.costs.context_switch_ns + record.cost_ns)
+                record.result = record.fn(ctx, record.payload)
+                record.done = True
+                record.executed_on = ctx.node_id
+                self._dec_load(ctx, ctx.node_id)
+                executed += 1
         return executed
-
-    # -- failover --------------------------------------------------------------------------
-
-    def adopt_queues(self, ctx: NodeContext, dead_node: int) -> None:
-        """Take over a crashed node's queues.
-
-        The rings live in global memory, so their contents outlive the
-        node; the adopter simply becomes their consumer.
-        """
-        if self.machine.nodes[dead_node].alive:
-            raise SchedulerError(f"node {dead_node} is alive; nothing to adopt")
-        self._queue_owner[dead_node] = ctx.node_id
-        # re-arm the event-driven drain under the new owner: the old
-        # owner's pending wake-up (if any) died with it
-        self._drain_pending.discard(dead_node)
-        if self.load_of(ctx, dead_node) > 0:
-            self._notify(dead_node)
-
-    def _served_queues(self, node_id: int) -> List[int]:
-        """The destination queues this node drains: its own plus any it
-        adopted from crashed nodes."""
-        return [dst for dst, owner in self._queue_owner.items() if owner == node_id]
 
     # -- internals -----------------------------------------------------------------------------
 

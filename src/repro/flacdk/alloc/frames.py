@@ -91,11 +91,6 @@ class FrameAllocator:
             if swapped:
                 return
 
-    def is_allocated(self, ctx: NodeContext, frame_addr: int) -> bool:
-        frame_idx = self._frame_index(frame_addr)
-        word = ctx.atomic_load(self.bitmap_base + (frame_idx // _WORD_BITS) * 8)
-        return bool(word & (1 << (frame_idx % _WORD_BITS)))
-
     def free_frames(self, ctx: NodeContext) -> int:
         """Count free frames (bitmap scan; diagnostics only)."""
         free = 0

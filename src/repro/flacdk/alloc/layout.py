@@ -73,17 +73,6 @@ class HotColdPacker:
             offset += _align(obj.size, 8)
         return PackingPlan(placements, total_bytes=offset, line_size=self.line_size)
 
-    def hot_line_count(self, plan: PackingPlan, objects: Sequence[ObjectInfo]) -> int:
-        """Lines that contain at least one hot object under this plan."""
-        hotness = {o.obj_id: o.hotness for o in objects}
-        hot_lines = set()
-        for p in plan.placements:
-            if hotness[p.obj_id] >= self.hot_threshold:
-                first = p.offset // self.line_size
-                last = (p.offset + p.size - 1) // self.line_size
-                hot_lines.update(range(first, last + 1))
-        return len(hot_lines)
-
 
 def address_order_plan(objects: Iterable[ObjectInfo]) -> PackingPlan:
     """Baseline: objects laid out in id order, ignoring hotness."""

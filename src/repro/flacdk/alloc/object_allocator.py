@@ -22,8 +22,6 @@ the payload address.  Size classes are powers of two from 16 B to 1 MiB.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ...rack.machine import NodeContext
 
 _MAGIC = 0xF1AC05EA9  # "flacos heap"
@@ -96,10 +94,6 @@ class SharedHeap:
         ctx.atomic_store(self.base, _MAGIC)
         return self
 
-    def check_formatted(self, ctx: NodeContext) -> None:
-        if ctx.atomic_load(self.base) != _MAGIC:
-            raise SharedHeapError(f"no heap formatted at {self.base:#x}")
-
     # -- allocation ------------------------------------------------------------
 
     def alloc(self, ctx: NodeContext, payload_size: int) -> int:
@@ -146,19 +140,6 @@ class SharedHeap:
 
     def bytes_bumped(self, ctx: NodeContext) -> int:
         return ctx.atomic_load(self.base + 8)
-
-    def free_blocks(self, ctx: NodeContext) -> Dict[int, int]:
-        """Number of blocks on each size-class free list (walks the stacks)."""
-        counts: Dict[int, int] = {}
-        for cls in range(_N_CLASSES):
-            n = 0
-            cursor = ctx.atomic_load(self._head_addr(cls))
-            while cursor and n < 1_000_000:
-                n += 1
-                cursor = ctx.atomic_load(cursor + _HEADER)
-            if n:
-                counts[cls] = n
-        return counts
 
     # -- internals -----------------------------------------------------------------------
 

@@ -24,6 +24,8 @@ from ...rack.machine import NodeContext
 IDLE = (1 << 64) - 1
 #: Pin slot value meaning "unused".
 UNPINNED = 0
+#: Checkpoint pin cells laid out after the announcements.
+PIN_SLOTS = 8
 
 
 @dataclass
@@ -43,17 +45,16 @@ class EpochReclaimer:
         then              pin cells (UNPINNED when free)
     """
 
-    def __init__(self, base: int, n_nodes: int, n_pin_slots: int = 8) -> None:
+    def __init__(self, base: int, n_nodes: int) -> None:
         self.base = base
         self.n_nodes = n_nodes
-        self.n_pin_slots = n_pin_slots
         self._retired: Dict[int, List[_Retired]] = {}
         self.freed_count = 0
 
     def format(self, ctx: NodeContext) -> "EpochReclaimer":
         ctx.atomic_store(self.base, 1)
         ctx.atomic_store_many([self._announce_addr(n) for n in range(self.n_nodes)], IDLE)
-        ctx.atomic_store_many([self._pin_addr(s) for s in range(self.n_pin_slots)], UNPINNED)
+        ctx.atomic_store_many([self._pin_addr(s) for s in range(PIN_SLOTS)], UNPINNED)
         return self
 
     # -- read-side ------------------------------------------------------------
@@ -88,7 +89,7 @@ class EpochReclaimer:
             announced = ctx.atomic_load(self._announce_addr(node))
             if announced != IDLE:
                 horizon = min(horizon, announced)
-        for slot in range(self.n_pin_slots):
+        for slot in range(PIN_SLOTS):
             pinned = ctx.atomic_load(self._pin_addr(slot))
             if pinned != UNPINNED:
                 horizon = min(horizon, pinned)
@@ -119,29 +120,11 @@ class EpochReclaimer:
             return len(self._retired.get(node_id, []))
         return sum(len(v) for v in self._retired.values())
 
-    # -- checkpoint integration -----------------------------------------------------
-
-    def pin(self, ctx: NodeContext, epoch: Optional[int] = None) -> int:
-        """Hold reclamation at ``epoch`` (default: now).  Returns a slot id.
-
-        The checkpoint machinery pins before walking multi-version state
-        so the versions it references cannot be freed mid-checkpoint.
-        """
-        epoch = epoch if epoch is not None else ctx.atomic_load(self.base)
-        for slot in range(self.n_pin_slots):
-            swapped, _ = ctx.cas(self._pin_addr(slot), UNPINNED, epoch)
-            if swapped:
-                return slot
-        raise RuntimeError("no free pin slots")
-
-    def unpin(self, ctx: NodeContext, slot: int) -> None:
-        ctx.atomic_store(self._pin_addr(slot), UNPINNED)
-
     # -- layout -------------------------------------------------------------------------
 
     @staticmethod
-    def region_size(n_nodes: int, n_pin_slots: int = 8) -> int:
-        return 8 * (1 + n_nodes + n_pin_slots)
+    def region_size(n_nodes: int) -> int:
+        return 8 * (1 + n_nodes + PIN_SLOTS)
 
     def _announce_addr(self, node_id: int) -> int:
         if not 0 <= node_id < self.n_nodes:
@@ -149,6 +132,4 @@ class EpochReclaimer:
         return self.base + 8 * (1 + node_id)
 
     def _pin_addr(self, slot: int) -> int:
-        if not 0 <= slot < self.n_pin_slots:
-            raise ValueError(f"pin slot {slot} out of range")
         return self.base + 8 * (1 + self.n_nodes + slot)

@@ -56,10 +56,6 @@ class HandleTable:
         swapped, _ = ctx.cas(self._slot(handle), old_addr, new_addr)
         return swapped
 
-    def destroy(self, ctx: NodeContext, handle: int) -> int:
-        """Kill the handle; returns the last address it held."""
-        return ctx.swap(self._slot(handle), 0)
-
     def _slot(self, handle: int) -> int:
         if not 1 <= handle <= self.capacity:
             raise HandleError(f"handle {handle} out of range")

@@ -15,14 +15,11 @@ Sources are duck-typed: anything with a ``name`` and
 ``recover_page(ctx, page_addr) -> Optional[bytes]``.  The concrete
 sources that understand fault boxes, partial replicas, checkpoints and
 FlacFS live in :mod:`repro.core.fault.repair_sources` (they sit above
-FlacDK in the layering); this module provides the coordinator plus the
-layer-neutral :class:`MirrorSource` — N-modular *data* redundancy,
-voting among explicitly mirrored peer copies.
+FlacDK in the layering); this module provides the coordinator.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -45,48 +42,6 @@ class RepairSource:
     def recover_page(self, ctx: NodeContext, page_addr: int) -> Optional[bytes]:
         """Known-good content of the page at ``page_addr``, or None."""
         raise NotImplementedError
-
-
-class MirrorSource(RepairSource):
-    """N-modular peer copies: vote among explicitly mirrored pages.
-
-    Critical data can be mirrored across fault domains by registering the
-    peer page addresses as one group.  Recovery reads every *healthy*
-    peer and takes the majority content — the data-plane analogue of
-    n-modular execution's output voting: a silently corrupted peer is
-    outvoted, a poisoned one abstains.
-    """
-
-    name = "nmodular-mirror"
-
-    def __init__(self) -> None:
-        #: page addr -> the other pages in its mirror group
-        self._peers: Dict[int, List[int]] = {}
-
-    def register_group(self, page_addrs: List[int]) -> None:
-        """Declare ``page_addrs`` (page-aligned) as mirrors of one another."""
-        for addr in page_addrs:
-            if addr % REPAIR_PAGE:
-                raise ValueError(f"mirror page {addr:#x} is not page aligned")
-        for addr in page_addrs:
-            self._peers[addr] = [a for a in page_addrs if a != addr]
-
-    def recover_page(self, ctx: NodeContext, page_addr: int) -> Optional[bytes]:
-        peers = self._peers.get(page_addr)
-        if not peers:
-            return None
-        ballots: List[bytes] = []
-        for peer in peers:
-            try:
-                ballots.append(ctx.load(peer, REPAIR_PAGE, bypass_cache=True))
-            except UncorrectableMemoryError:
-                continue  # poisoned peer abstains
-        if not ballots:
-            return None
-        content, votes = Counter(ballots).most_common(1)[0]
-        if votes * 2 <= len(ballots):
-            return None  # no strict majority: refuse to guess
-        return content
 
 
 @dataclass
@@ -113,8 +68,8 @@ class RepairCoordinator:
     """Consults redundancy sources in priority order and rewrites poison.
 
     ``sources`` are ordered most- to least-preferred; the paper's
-    ordering (wired by the kernel) is partial replica, n-modular peer,
-    latest checkpoint page, FlacFS block layer.  Install
+    ordering (wired by the kernel) is partial replica, latest
+    checkpoint page, FlacFS block layer.  Install
     :attr:`handler` on the machine to activate retry-after-repair at
     every access site.
     """

@@ -108,14 +108,6 @@ class MemoryScrubber:
             reg.set_gauge(ctx.node_id, _SUB, "scrub.evacuated", self.stats.evacuated)
         return pages
 
-    def full_pass(self, ctx: NodeContext) -> List[int]:
-        """Patrol the whole global region once (tests / recovery drills)."""
-        found: List[int] = []
-        start_passes = self.stats.passes
-        while self.stats.passes == start_passes:
-            found.extend(self.step(ctx))
-        return found
-
     # -- prevention --------------------------------------------------------------------
 
     def _feed_predictor_and_evacuate(self, ctx: NodeContext) -> None:

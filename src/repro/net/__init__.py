@@ -7,7 +7,7 @@ model beneath both, and serialization cost accounting.
 
 from .ethernet import EthernetLink
 from .params import EthernetSpec, RdmaCosts, SerializationCosts, TcpCosts
-from .rdma import RdmaError, RdmaNetwork, RdmaQueuePair, RdmaStats
+from .rdma import RdmaNetwork, RdmaQueuePair, RdmaStats
 from .serialization import Serializer, SerializerStats
 from .tcp import TcpConnection, TcpError, TcpNetwork, TcpStats
 
@@ -15,7 +15,6 @@ __all__ = [
     "EthernetLink",
     "EthernetSpec",
     "RdmaCosts",
-    "RdmaError",
     "RdmaNetwork",
     "RdmaQueuePair",
     "RdmaStats",

@@ -41,23 +41,6 @@ class EthernetLink:
         total = payload_bytes + self.spec.header_bytes
         return self.spec.propagation_ns + total / self.spec.bandwidth_bytes_per_ns
 
-    def carry(self, payload_bytes: int) -> float:
-        """Account one packet; returns its wire time."""
-        if self.down:
-            raise ConnectionError("link is down")
-        self.packets_carried += 1
-        self.bytes_carried += payload_bytes
-        return self.wire_ns(payload_bytes)
-
-    def transfer_ns(self, size: int) -> float:
-        """Total wire time of a payload (packets pipelined back-to-back:
-        propagation once, serialisation per packet)."""
-        packets = self.packetise(size)
-        serialisation = sum(
-            (p + self.spec.header_bytes) / self.spec.bandwidth_bytes_per_ns for p in packets
-        )
-        return self.spec.propagation_ns + serialisation
-
     def schedule(self, now_ns: float, size: int) -> float:
         """Queue a payload on the transmitter; returns its arrival time.
 

@@ -17,14 +17,9 @@ from .ethernet import EthernetLink
 from .params import RdmaCosts
 
 
-class RdmaError(Exception):
-    pass
-
-
 @dataclass
 class RdmaStats:
     sends: int = 0
-    writes: int = 0
     bytes_transferred: int = 0
 
 
@@ -38,8 +33,6 @@ class RdmaQueuePair:
             b_node: deque(),
         }
         self._peer = {a_node: b_node, b_node: a_node}
-        #: remote-key'd memory windows for one-sided writes: node -> bytearray
-        self._windows: Dict[int, bytearray] = {}
 
     # -- two-sided ----------------------------------------------------------------
 
@@ -63,35 +56,6 @@ class RdmaQueuePair:
         ctx.node.clock.sync_to(arrival)
         ctx.advance(len(data) * costs.pcie_ns_per_byte)
         return data
-
-    # -- one-sided -------------------------------------------------------------------
-
-    def register_window(self, node_id: int, size: int) -> None:
-        self._windows[node_id] = bytearray(size)
-
-    def rdma_write(self, ctx: NodeContext, remote_node: int, offset: int, data: bytes) -> None:
-        """One-sided write into the peer's registered window — the remote
-        CPU is not involved (no rx cost on the peer's clock)."""
-        window = self._windows.get(remote_node)
-        if window is None:
-            raise RdmaError(f"node {remote_node} has no registered window")
-        if offset + len(data) > len(window):
-            raise RdmaError("write outside the registered window")
-        costs = self.network.costs
-        link = self.network.link_between(ctx.node_id, remote_node)
-        ctx.advance(costs.post_ns + costs.nic_ns)
-        ctx.advance(len(data) * costs.pcie_ns_per_byte)
-        arrival = link.schedule(ctx.now(), len(data)) + costs.nic_ns
-        ctx.node.clock.sync_to(arrival)  # flushed write completes on arrival
-        window[offset : offset + len(data)] = data
-        self.network.stats.writes += 1
-        self.network.stats.bytes_transferred += len(data)
-
-    def read_window(self, node_id: int, offset: int, size: int) -> bytes:
-        window = self._windows.get(node_id)
-        if window is None:
-            raise RdmaError(f"node {node_id} has no registered window")
-        return bytes(window[offset : offset + size])
 
 
 class RdmaNetwork:

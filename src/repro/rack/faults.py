@@ -259,10 +259,6 @@ class FaultInjector:
             )
         )
 
-    def inject_bitflip(self, device: PhysicalMemory, offset: int, bit: int = 0) -> None:
-        """Silent single-bit corruption (no ECC event — SDC scenario)."""
-        device.flip_bit(offset, bit)
-
     def record_link_change(self, u: str, v: str, up: bool, now_ns: float = 0.0) -> None:
         self.log.record(
             FaultEvent(

@@ -434,7 +434,8 @@ class Interconnect:
         self, u: str, v: str, capacity_bytes_per_s: Optional[float] = None
     ) -> None:
         """Cable ``u`` to ``v``; ``capacity_bytes_per_s=None`` inherits the
-        fabric-wide capacity (see :meth:`link_capacity`)."""
+        fabric-wide capacity the VNI table polices against; re-cabling an
+        existing link with a capacity overrides its own."""
         for end in (u, v):
             if end not in self.graph.kinds:
                 raise InterconnectError(
@@ -447,18 +448,6 @@ class Interconnect:
             self.graph.add_edge(u, v)["capacity_bytes_per_s"] = capacity
         self._routes.clear()
         self.generation += 1
-
-    def set_link_capacity(self, u: str, v: str, bytes_per_s: float) -> None:
-        """Override one link's capacity (defaults to the VNI table's)."""
-        self.graph.edge(u, v)["capacity_bytes_per_s"] = _checked_capacity(
-            u, v, bytes_per_s
-        )
-
-    def link_capacity(self, u: str, v: str) -> float:
-        """A link's effective capacity: its own override, else the
-        fabric-wide capacity the VNI table polices against."""
-        cap = self.graph.edge(u, v).get("capacity_bytes_per_s")
-        return cap if cap is not None else self.vnis.capacity_bytes_per_s
 
     # -- health ---------------------------------------------------------------
 
@@ -480,9 +469,8 @@ class Interconnect:
         Computed once per node and dropped on any topology/health change.
         Routing is :meth:`FabricGraph.shortest_path` — a stated rule over
         cabling order, so seeded runs charge identical paths.  The
-        attribute dicts are the graph's own, which
-        :meth:`set_link_capacity` writes into: a cached route always
-        charges against the capacity in force.
+        attribute dicts are the graph's own, which :meth:`link` writes
+        into: a cached route always charges against the capacity in force.
         """
         src = node_vertex(node_id)
         cached = self._routes.get(src)
@@ -528,7 +516,7 @@ class Interconnect:
         charge = self.links.charge
         fabric_cap = self.vnis.capacity_bytes_per_s
         for link, attrs in zip(links, edges):
-            cap = attrs.get("capacity_bytes_per_s")  # as :meth:`link_capacity`
+            cap = attrs.get("capacity_bytes_per_s")  # else the fabric-wide one
             charge(link, vni, n_bytes, requests, now_ns,
                    fabric_cap if cap is None else float(cap))
 

@@ -582,24 +582,6 @@ class RackMachine:
         node = self._node(node_id)
         node.restart(at_ns=self.max_time())
 
-    def power_cycle(self) -> None:
-        """Power the whole rack off and on.
-
-        Every node restarts with a cold cache and zeroed local DRAM.
-        The global pool keeps its bytes only when it is persistent
-        memory (``global_kind="pmem"``) — the paper's simulated
-        platform; a DRAM pool comes back zeroed.  Clocks keep running
-        (wall time does not reset).
-        """
-        latest = self.max_time()
-        for node in self.nodes.values():
-            node.restart(at_ns=latest)
-            node.local_mem.write(0, bytes(node.local_mem.size))
-            node.local_mem.poisoned.clear()
-        if self.global_mem.kind is not MemoryKind.PMEM:
-            self.global_mem.write(0, bytes(self.global_mem.size))
-            self.global_mem.poisoned.clear()
-
     def set_repair_handler(self, handler: Optional[Callable[[int, int], bool]]) -> None:
         """Install the self-healing hook: ``handler(rack_addr, node_id) -> repaired``.
 

@@ -95,11 +95,6 @@ class PhysicalMemory:
         self._check(offset, len(data))
         self._buf[offset : offset + len(data)] = data
 
-    def flip_bit(self, offset: int, bit: int) -> None:
-        """Corrupt one bit in place (fault injection)."""
-        self._check(offset, 1)
-        self._buf[offset] ^= 1 << (bit & 7)
-
     def poison(self, offset: int, size: int = 1) -> None:
         """Mark a range as uncorrectable; accesses raise until cleared."""
         self._check(offset, size)

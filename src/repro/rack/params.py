@@ -149,9 +149,9 @@ class RackConfig:
     cache_lines: int = 4096
     #: Name of a builder in :mod:`repro.rack.topology`.
     topology: str = "dual_direct"
-    #: Media of the shared global pool: "dram" (volatile) or "pmem"
-    #: (persistent across :meth:`RackMachine.power_cycle`, slower) — the
-    #: paper's simulated platform shares persistent memory between VMs.
+    #: Media of the shared global pool: "dram" or "pmem" (persistent
+    #: memory, slower) — the paper's simulated platform shares persistent
+    #: memory between VMs.
     global_kind: str = "dram"
     latency: LatencyModel = field(default_factory=LatencyModel)
     faults: FaultModel = field(default_factory=FaultModel)

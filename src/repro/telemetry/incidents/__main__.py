@@ -55,6 +55,16 @@ def _target(text: str) -> float:
     return value
 
 
+def _refuse_outputs(*paths: Optional[pathlib.Path]) -> Optional[int]:
+    """Exit status 2 after one ``error:`` line for the first output path
+    whose directory does not exist; ``None`` when every one is writable."""
+    for path in paths:
+        if path is not None and not path.parent.is_dir():
+            print(f"error: {path}: no directory {path.parent}", file=sys.stderr)
+            return 2
+    return None
+
+
 def _write_json(path: pathlib.Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
@@ -68,6 +78,9 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args) -> int:
+    refused = _refuse_outputs(args.dump, args.trace_out, args.json)
+    if refused is not None:
+        return refused
     names = list(scenarios()) if args.scenario == "all" else [args.scenario]
     arms = {"on": [True], "off": [False], "both": [True, False]}[args.detection]
     all_scores: List[dict] = []
@@ -115,6 +128,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_offline(args) -> int:
     """``replay`` / ``score``: a bad dump is one ``error:`` line, exit 2."""
+    refused = _refuse_outputs(getattr(args, "json", None))
+    if refused is not None:
+        return refused
     try:
         dump = load_dump(args.dump)
         target = args.target if args.target is not None else _infer_target(dump)
@@ -141,7 +157,8 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list the scenario catalogue")
 
     p_run = sub.add_parser("run", help="run scenarios live and score them")
-    p_run.add_argument("scenario", help="scenario name, or 'all'")
+    p_run.add_argument("scenario", choices=[*scenarios(), "all"],
+                       help="scenario name, or 'all'")
     p_run.add_argument("--detection", choices=("on", "off", "both"),
                        default="on", help="which detection arm(s) to run")
     p_run.add_argument("--dump", type=pathlib.Path, default=None,

@@ -3,12 +3,7 @@ traffic engine for the benchmarks."""
 
 from .ycsb import WORKLOADS, YcsbConfig, YcsbWorkload
 from .arrivals import ArrivalProcess, DiurnalProcess, PoissonProcess, make_process
-from .generators import (
-    KeyGenerator,
-    Request,
-    RequestStream,
-    ValueGenerator,
-)
+from .generators import KeyGenerator, ValueGenerator
 from .traffic import (
     AdmissionError,
     DataPlaneBackend,
@@ -40,8 +35,6 @@ __all__ = [
     "DiurnalProcess",
     "KeyGenerator",
     "PoissonProcess",
-    "Request",
-    "RequestStream",
     "TenantSpec",
     "TrafficEngine",
     "TrafficReport",

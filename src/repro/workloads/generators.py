@@ -11,22 +11,12 @@ from __future__ import annotations
 import hashlib
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
 #: every key is this prefix and its 12-digit index
 KEY_PREFIX = b"key:"
-
-
-@dataclass(frozen=True)
-class Request:
-    """One KV operation."""
-
-    op: str  # "get" | "set"
-    key: bytes
-    value: bytes = b""
 
 
 class KeyGenerator:
@@ -71,8 +61,8 @@ class ValueGenerator:
     derived from the key's hash (hash -> uniform -> inverse normal CDF),
     not from a sequential RNG.  That makes the same logical request
     carry the same bytes no matter how many values were generated
-    before it — in particular, ``RequestStream.preload()`` writes
-    exactly what a later ``generate()`` SET would.
+    before it — in particular, a preload writes exactly what a later
+    SET of the same key would.
     """
 
     def __init__(self, size: int = 64, sigma: float = 0.0, seed: int = 0) -> None:
@@ -95,36 +85,3 @@ class ValueGenerator:
             size = self.size
         reps = (size + len(seed) - 1) // len(seed)
         return (seed * reps)[:size]
-
-
-class RequestStream:
-    """A reproducible GET/SET mix over a keyspace."""
-
-    def __init__(
-        self,
-        keys: KeyGenerator,
-        values: ValueGenerator,
-        get_ratio: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 <= get_ratio <= 1.0:
-            raise ValueError("get_ratio must be within [0, 1]")
-        self.keys = keys
-        self.values = values
-        self.get_ratio = get_ratio
-        self.rng = np.random.default_rng(seed)
-
-    def generate(self, count: int) -> Iterator[Request]:
-        keys = self.keys.draw(count)
-        ops = self.rng.random(count)
-        for key, roll in zip(keys, ops):
-            if roll < self.get_ratio:
-                yield Request(op="get", key=key)
-            else:
-                yield Request(op="set", key=key, value=self.values.value_for(key))
-
-    def preload(self) -> Iterator[Request]:
-        """SETs covering the whole keyspace (so GETs always hit)."""
-        for index in range(self.keys.n_keys):
-            key = self.keys.key(index)
-            yield Request(op="set", key=key, value=self.values.value_for(key))

@@ -13,7 +13,7 @@ set.  Each workload is a reproducible stream of RESP commands:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -60,37 +60,6 @@ class YcsbWorkload:
     def run_phase(self, n_ops: int) -> Iterator[Command]:
         for _ in range(n_ops):
             yield from self._one_op()
-
-    def run_phase_batched(self, n_ops: int, max_batch: int = 16) -> Iterator[Command]:
-        """Run phase with runs of consecutive GETs coalesced into MGETs.
-
-        The multi-get optimisation every YCSB client grows eventually:
-        up to ``max_batch`` adjacent reads become one ``MGET`` command
-        (one server dispatch, one reply), writes flush the pending run
-        so the read/write interleaving is preserved.  A run of one stays
-        a plain ``GET`` so single-read reply shapes are unchanged.
-        """
-        pending: List[bytes] = []
-
-        def flush() -> Command:
-            if len(pending) == 1:
-                command = (b"GET", pending[0])
-            else:
-                command = (b"MGET", *pending)
-            pending.clear()
-            return command
-
-        for command in self.run_phase(n_ops):
-            if command[0] == b"GET":
-                pending.append(command[1])
-                if len(pending) >= max_batch:
-                    yield flush()
-                continue
-            if pending:
-                yield flush()
-            yield command
-        if pending:
-            yield flush()
 
     def _one_op(self) -> Iterator[Command]:
         roll = self.rng.random()

@@ -3,11 +3,9 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bench import Table, build_rig, check_ratio
-from repro.workloads import KeyGenerator, RequestStream, ValueGenerator
+from repro.workloads import KeyGenerator, ValueGenerator
 
 
 class TestKeyGenerator:
@@ -51,46 +49,6 @@ class TestValueGenerator:
         gen = ValueGenerator(size=100, sigma=1.0, seed=5)
         sizes = {len(gen.value_for(b"k%d" % i)) for i in range(50)}
         assert len(sizes) > 10
-
-
-class TestRequestStream:
-    def test_mix_ratio_roughly_respected(self):
-        stream = RequestStream(
-            KeyGenerator(100, seed=1), ValueGenerator(32), get_ratio=0.8, seed=1
-        )
-        requests = list(stream.generate(1000))
-        gets = sum(1 for r in requests if r.op == "get")
-        assert 700 < gets < 900
-
-    def test_sets_carry_values_gets_do_not(self):
-        stream = RequestStream(KeyGenerator(10, seed=2), ValueGenerator(16), seed=2)
-        for request in stream.generate(100):
-            if request.op == "set":
-                assert len(request.value) == 16
-            else:
-                assert request.value == b""
-
-    def test_preload_covers_keyspace(self):
-        stream = RequestStream(KeyGenerator(25, seed=0), ValueGenerator(8))
-        preload = list(stream.preload())
-        assert len(preload) == 25
-        assert len({r.key for r in preload}) == 25
-
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            RequestStream(KeyGenerator(10), ValueGenerator(8), get_ratio=1.5)
-
-
-@settings(max_examples=20, deadline=None)
-@given(n_keys=st.integers(1, 50), count=st.integers(0, 100), seed=st.integers(0, 10))
-def test_stream_is_reproducible(n_keys, count, seed):
-    def run():
-        stream = RequestStream(
-            KeyGenerator(n_keys, seed=seed), ValueGenerator(16, seed=seed), seed=seed
-        )
-        return [(r.op, r.key, r.value) for r in stream.generate(count)]
-
-    assert run() == run()
 
 
 class TestHarness:

@@ -90,47 +90,3 @@ class TestEndToEnd:
                 client.request(*command)
             for command in workload.run_phase(30):
                 client.request(*command)  # raises on any server error
-
-
-class TestBatchedPhase:
-    def test_batched_stream_flattens_to_unbatched(self):
-        """Coalescing is a pure transport optimisation: expanding every
-        MGET back to GETs must reproduce the unbatched stream exactly."""
-        for letter in WORKLOADS:
-            plain = list(
-                YcsbWorkload(letter, YcsbConfig(seed=11)).run_phase(200)
-            )
-            batched = list(
-                YcsbWorkload(letter, YcsbConfig(seed=11)).run_phase_batched(
-                    200, max_batch=7
-                )
-            )
-            flat = []
-            for command in batched:
-                if command[0] == b"MGET":
-                    flat.extend((b"GET", key) for key in command[1:])
-                else:
-                    flat.append(command)
-            assert flat == plain, letter
-
-    def test_batch_bounds_and_single_gets_stay_gets(self):
-        workload = YcsbWorkload("B", YcsbConfig(seed=3))
-        batched = list(workload.run_phase_batched(300, max_batch=5))
-        assert any(cmd[0] == b"MGET" for cmd in batched)  # B is read-mostly
-        for command in batched:
-            if command[0] == b"MGET":
-                assert 2 <= len(command) - 1 <= 5
-            elif command[0] == b"GET":
-                assert len(command) == 2
-
-    def test_batched_runs_clean_on_miniredis(self):
-        from repro.apps.redis import connect_over_flacos
-        from repro.bench import build_rig
-
-        rig = build_rig()
-        client, _ = connect_over_flacos(rig.kernel.ipc, rig.c0, rig.c1)
-        workload = YcsbWorkload("B", YcsbConfig(n_keys=25, seed=8))
-        for command in workload.load_phase():
-            client.request(*command)
-        replies = client.pipeline(list(workload.run_phase_batched(60)))
-        assert replies  # raises on any server error

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.backoff import BackoffExhausted, BackoffPolicy, jitter_fraction
+from repro.core.backoff import BackoffPolicy, jitter_fraction
 
 
 class TestJitterFraction:
@@ -53,11 +53,6 @@ class TestBackoffPolicy:
             BackoffPolicy(jitter=1.5)
         with pytest.raises(ValueError):
             BackoffPolicy(max_attempts=-1)
-
-    def test_exhausted_carries_accounting(self):
-        exc = BackoffExhausted(attempts=3, waited_ns=700.0)
-        assert exc.attempts == 3
-        assert exc.waited_ns == 700.0
 
 
 class TestSchedulerUsesSharedBackoff:

@@ -13,6 +13,7 @@ from repro.apps.redis import connect_over_flacos
 from repro.apps.serverless import FunctionSpec, ServerlessPlatform
 from repro.apps.shuffle import FlacShuffle
 from repro.bench import build_rig
+from repro.core.boot import flatten, rack_description
 from repro.core.memory import PAGE_SIZE
 from repro.net import TcpNetwork
 from repro.rack import rendezvous
@@ -27,9 +28,9 @@ def test_a_day_in_the_rack():
     kernel = rig.kernel
 
     # --- morning: boot & discovery -------------------------------------------
+    rom = flatten(rack_description(rig.machine))
     for node in (0, 1):
-        desc = kernel.bootrom.discover(kernel.context(node))
-        assert desc.get_u64("#nodes") == 2
+        assert kernel.context(node).load(kernel.bootrom.base, len(rom), bypass_cache=True) == rom
 
     # --- a Redis cache comes up ------------------------------------------------
     redis_client, redis_server = connect_over_flacos(kernel.ipc, rig.c0, rig.c1)

@@ -110,28 +110,27 @@ class TestLinkFlap:
 
 class TestUncorrectableOnKernelState:
     def test_poisoned_page_cache_frame_detected_and_repaired(self):
-        """A UE lands in a cached file page: reads raise, the checksum
-        detector localises it, and rewriting the page repairs it."""
+        """A UE lands in a cached file page: reads raise, the poison sits
+        in that frame, and rewriting the whole page repairs it."""
         rig = build_rig()
         kernel = rig.kernel
         fd = kernel.fs.open(rig.c0, "/victim", create=True)
         kernel.fs.write(rig.c0, fd, 0, b"healthy bytes" * 100)
         ino = kernel.fs.stat(rig.c0, "/victim").ino
         frame = kernel.fs.page_cache.get_page(rig.c0, ino, 0)
-        kernel.checksums.protect(rig.c0, frame, PAGE_SIZE)
         rig.machine.faults.inject_ue(
             kernel.machine.global_mem, frame - rig.machine.global_base, rack_addr=frame
         )
         with pytest.raises(UncorrectableMemoryError):
             kernel.fs.read(rig.c1, kernel.fs.open(rig.c1, "/victim"), 0, 13)
-        report = kernel.checksums.verify(rig.c0, frame)
-        assert report is not None and report.observed_crc is None
+        assert rig.machine.poisoned_addrs(frame, PAGE_SIZE) == [frame]
         # repair: a FULL-page multi-version write replaces the poisoned
         # frame without ever reading it
         fd1 = kernel.fs.open(rig.c1, "/victim")
         restored = (b"healthy bytes" * 100).ljust(PAGE_SIZE, b"\x00")
         kernel.fs.write(rig.c1, fd1, 0, restored)
         assert kernel.fs.read(rig.c1, fd1, 0, 13) == b"healthy bytes"
+        assert kernel.fs.page_cache.get_page(rig.c1, ino, 0) != frame  # a new version
 
 
 class TestDeterminism:

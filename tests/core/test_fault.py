@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.fault import (
     AdaptiveRedundancyPolicy,
-    CheckpointSchedule,
     FaultBoxManager,
     FaultRecoveryCoordinator,
     NModularExecutor,
@@ -128,17 +127,6 @@ class TestAdaptivePolicy:
         calm = policy.decide(box, at_risk_pages=0)
         risky = policy.decide(box, at_risk_pages=3)
         assert risky.checkpoint_period_ns < calm.checkpoint_period_ns
-
-    def test_checkpoint_schedule_obeys_period(self, rack2, boxes):
-        _, c0, _, _ = rack2
-        policy = AdaptiveRedundancyPolicy()
-        schedule = CheckpointSchedule(boxes)
-        box, _ = _box_with_state(boxes, c0)
-        decision = policy.decide(box, at_risk_pages=0)
-        assert schedule.maybe_checkpoint(c0, box, decision) is not None
-        assert schedule.maybe_checkpoint(c0, box, decision) is None  # too soon
-        c0.advance(decision.checkpoint_period_ns + 1)
-        assert schedule.maybe_checkpoint(c0, box, decision) is not None
 
 
 class TestNModular:

@@ -1,4 +1,4 @@
-"""Tests for FlacOS IPC: sockets, buffers, registry, RPC, migration."""
+"""Tests for FlacOS IPC: sockets, buffers, registry, RPC."""
 
 import pytest
 
@@ -9,11 +9,10 @@ from repro.core.ipc import (
     IpcSystem,
     NameInUse,
     NameRegistry,
-    ProcessMigrator,
     RpcSystem,
     UnknownName,
 )
-from repro.core.memory import MemorySystem, Placement
+from repro.core.memory import MemorySystem
 from repro.flacdk.sync import OperationLog
 
 
@@ -137,12 +136,6 @@ class TestRegistry:
         assert registry.nr.replica(c1).read_local(lambda s: s.get("late")) is None  # stale ok
         assert registry.resolve(c1, "late") is not None  # synced
 
-    def test_names_listing(self, ipc_rig):
-        _, c0, _, _, registry, ipc = ipc_rig
-        ipc.listen(c0, "b")
-        ipc.listen(c0, "a")
-        assert registry.names(c0) == ["a", "b"]
-
 
 def _echo_service(ctx, payload):
     return payload
@@ -186,14 +179,6 @@ class TestRpc:
         rpc.call(c0, "echo", b"x")
         assert rpc.stats.context_fetches == 1
 
-    def test_unregister(self, ipc_rig):
-        _, c0, c1, _, registry, ipc = ipc_rig
-        rpc = RpcSystem(ipc.machine, registry, ipc.buffers)
-        rpc.register(c1, "gone", _echo_service)
-        assert rpc.unregister(c1, "gone")
-        with pytest.raises(UnknownName):
-            rpc.call(c0, "gone", b"x")
-
 
 class TestBufferPool:
     def test_round_trip_and_free(self, rack2):
@@ -215,35 +200,3 @@ class TestBufferPool:
         pool = BufferPool(heap)
         ref = pool.put(c0, b"")
         assert pool.get(c0, ref) == b""
-
-
-class TestMigration:
-    def test_process_moves_with_state(self, rack2, memsys):
-        _, c0, c1, _ = rack2
-        aspace = memsys.create_address_space(c0)
-        va_g = aspace.mmap(c0, 4096, placement=Placement.GLOBAL)
-        va_l = aspace.mmap(c0, 4096, placement=Placement.LOCAL)
-        aspace.write(c0, va_g, b"global")
-        aspace.write(c0, va_l, b"local!")
-        report = ProcessMigrator(memsys).migrate(c0, c1, aspace)
-        assert report.local_pages_copied == 1
-        assert report.global_pages_shared == 1
-        aspace.refresh(c1, va_g, 6)
-        assert aspace.read(c1, va_g, 6) == b"global"
-        assert aspace.read(c1, va_l, 6) == b"local!"
-
-    def test_migration_mostly_global_is_cheap(self, rack2, memsys):
-        _, c0, c1, _ = rack2
-        aspace_global = memsys.create_address_space(c0)
-        va = aspace_global.mmap(c0, 16 * 4096, placement=Placement.GLOBAL)
-        aspace_global.write(c0, va, b"g" * (16 * 4096))
-        rep_global = ProcessMigrator(memsys).migrate(c0, c1, aspace_global)
-
-        aspace_local = memsys.create_address_space(c0)
-        va2 = aspace_local.mmap(c0, 16 * 4096, placement=Placement.LOCAL)
-        aspace_local.write(c0, va2, b"l" * (16 * 4096))
-        rep_local = ProcessMigrator(memsys).migrate(c0, c1, aspace_local)
-
-        assert rep_global.duration_ns < rep_local.duration_ns
-        assert rep_global.local_pages_copied == 0
-        assert rep_local.local_pages_copied == 16

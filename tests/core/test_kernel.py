@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import build_rig
 from repro.core.memory import PAGE_SIZE, Placement
-from repro.rack import FaultKind, rendezvous
+from repro.rack import FaultKind
 
 
 @pytest.fixture
@@ -16,9 +16,9 @@ class TestBootShape:
     def test_all_subsystems_present(self, rig):
         kernel = rig.kernel
         for attribute in (
-            "memory", "fs", "ipc", "rpc", "migrator", "boxes", "recovery",
+            "memory", "fs", "ipc", "rpc", "boxes", "recovery",
             "monitor", "predictor", "heartbeats", "replicator", "interrupts",
-            "irqs", "devices", "bootrom",
+            "irqs", "bootrom",
         ):
             assert hasattr(kernel, attribute), attribute
 
@@ -63,8 +63,10 @@ class TestCrossSubsystem:
         box = kernel.boxes.create_box(rig.c0, "svc")
         va = box.aspace.mmap(rig.c0, PAGE_SIZE, placement=Placement.GLOBAL)
         box.aspace.write(rig.c0, va, b"live state")
-        report = kernel.migrator.migrate(rig.c0, rig.c1, box.aspace)
-        assert report.to_node == 1
+        # the page table and GLOBAL pages are shared: publish node 0's
+        # cached lines, then run the same address space on node 1
+        rig.machine.flush_all(0)
+        kernel.memory.install(rig.c1, box.aspace)
         box.aspace.refresh(rig.c1, va, 10)
         assert box.aspace.read(rig.c1, va, 10) == b"live state"
 
@@ -75,17 +77,6 @@ class TestCrossSubsystem:
             rig.machine.faults.inject_ce(g + 128, now_ns=rig.c0.now())
         kernel.predictor.observe(rig.c0.now() + 1)
         assert kernel.monitor.total(FaultKind.CORRECTABLE) == 5
-
-    def test_heartbeats_through_idle_ticks(self, rig):
-        kernel = rig.kernel
-        for ctx in (rig.c0, rig.c1):
-            kernel.heartbeats.beat(ctx)
-        rendezvous(rig.c0.node.clock, rig.c1.node.clock)
-        assert kernel.heartbeats.suspected_dead(rig.c0) == []
-        rig.machine.crash_node(1)
-        rig.c0.advance(2e7)
-        assert 1 in kernel.heartbeats.suspected_dead(rig.c0)
-        assert kernel.heartbeats.confirm_dead(rig.c0, 1)
 
 
 class TestWholeRackStory:

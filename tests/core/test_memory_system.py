@@ -60,13 +60,6 @@ class TestSharedPageTable:
         with pytest.raises(PageTableError):
             table.map(c0, 0x1000, 0x3001, flags=0)
 
-    def test_set_flags(self, rack2, table):
-        _, c0, c1, _ = rack2
-        table.map(c0, 0x1000, 0x3000, flags=0)
-        assert table.set_flags(c1, 0x1000, set_bits=PTE_COW)
-        assert table.translate(c0, 0x1000).flags & PTE_COW
-        assert not table.set_flags(c0, 0x9999000, set_bits=PTE_COW)
-
     def test_entries_enumeration(self, rack2, table):
         _, c0, _, _ = rack2
         table.map(c0, 0x1000, 0x3000, flags=0)
@@ -76,8 +69,9 @@ class TestSharedPageTable:
 
     def test_generation_counter(self, rack2, table):
         _, c0, c1, _ = rack2
-        g0 = table.generation(c0)
-        assert table.bump_generation(c1) == g0 + 1
+        assert table.generation(c0) == 0
+        c1.fetch_add(table.generation_addr, 1)  # what a shootdown publishes
+        assert table.generation(c0) == 1
 
 
 class TestTlb:
@@ -233,16 +227,6 @@ class TestAddressSpace:
         aspace.read(c1, va, 4)  # node 1 caches the translation
         memsys.unmap_range(c0, aspace, va, PAGE_SIZE, responders=[c1])
         assert memsys.tlbs[1].lookup(c1, aspace.asid, va) is None
-
-    def test_destroy_releases_everything(self, rack2, memsys):
-        _, c0, _, _ = rack2
-        aspace = memsys.create_address_space(c0)
-        va = aspace.mmap(c0, 4 * PAGE_SIZE)
-        aspace.write(c0, va, b"z" * PAGE_SIZE)
-        before = memsys.frames_in_use(c0)["global"]
-        memsys.destroy_address_space(c0, aspace)
-        assert memsys.frames_in_use(c0)["global"] == before - 1
-        assert aspace.asid not in memsys.address_spaces
 
 
 class TestDedupAndCow:

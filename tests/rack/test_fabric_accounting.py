@@ -287,7 +287,7 @@ class TestRoutedCharging:
 
     def test_topology_capacity_kwarg_sets_edge_capacity(self):
         fab = topology.build("dual_direct", 2, link_capacity_bytes_per_s=5e9)
-        assert fab.link_capacity("node:0", "gmem") == 5e9
+        assert fab.graph.edge("node:0", "gmem")["capacity_bytes_per_s"] == 5e9
         vni = fab.vnis.register("t")
         fab.charge(vni, 0, 100, 1, 0.0)
         link = fab.path_links(0)[0]
@@ -295,11 +295,15 @@ class TestRoutedCharging:
 
     def test_set_link_capacity_after_build(self):
         fab = self._fabric()
-        fab.set_link_capacity("node:1", "gmem", 7e9)
-        assert fab.link_capacity("node:1", "gmem") == 7e9
+        fab.link("node:1", "gmem", capacity_bytes_per_s=7e9)  # re-cabling overrides it
+        assert fab.graph.edge("node:1", "gmem")["capacity_bytes_per_s"] == 7e9
         # unset links fall back to the rack-wide VNI capacity
         fab.vnis.capacity_bytes_per_s = 3e9
-        assert fab.link_capacity("node:0", "gmem") == 3e9
+        vni = fab.vnis.register("t")
+        for node in (0, 1):
+            fab.charge(vni, node, 100, 1, 0.0)
+        caps = {n: fab.links.get(fab.path_links(n)[0]).capacity_bytes_per_s for n in (0, 1)}
+        assert caps == {0: 3e9, 1: 7e9}
 
     def _charged_route(self, fab, vni):
         """Charge node 0 once at t=0 (which caches its route); its links."""
@@ -308,19 +312,19 @@ class TestRoutedCharging:
 
     def test_cached_route_charges_against_the_capacity_in_force(self):
         """The charge plan caches each link's edge attributes, not a
-        capacity: a ``set_link_capacity`` after the route was cached is
-        what the next window is banked against."""
+        capacity: a link re-cabled with a capacity after the route was
+        cached is what the next window is banked against."""
         fab = topology.build("single_switch", 2)
         vni = fab.vnis.register("t")
         port, trunk = (fab.links.get(link) for link in self._charged_route(fab, vni))
         assert port.capacity_bytes_per_s == trunk.capacity_bytes_per_s == float("inf")
         # 1000 B in the first 1 ms window is 1e6 B/s: exactly the port's new capacity
-        fab.set_link_capacity("node:0", "switch:0", 1e6)
+        fab.link("node:0", "switch:0", capacity_bytes_per_s=1e6)
         fab.charge(vni, 0, 1000, 1, MS)
         assert (port.saturated_windows, trunk.saturated_windows) == (1, 0)
         assert port.saturated_bytes == 1000
         # raised again: the same load no longer saturates it
-        fab.set_link_capacity("node:0", "switch:0", 1e9)
+        fab.link("node:0", "switch:0", capacity_bytes_per_s=1e9)
         fab.charge(vni, 0, 1, 1, 2 * MS)
         assert port.saturated_windows == 1 and port.capacity_bytes_per_s == 1e9
         # and the fabric-wide default stays live for links without their own

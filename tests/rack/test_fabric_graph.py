@@ -212,7 +212,6 @@ def test_every_fabric_we_build_is_a_tree():
 def test_a_capacity_that_is_not_a_positive_finite_rate_is_refused(bad):
     fabric = topology.single_switch(2, link_capacity_bytes_per_s=2e9)
     for refused in (
-        lambda: fabric.set_link_capacity("node:0", "switch:0", bad),
         lambda: fabric.link("node:0", "switch:0", capacity_bytes_per_s=bad),
         lambda: topology.build("two_tier", 2, link_capacity_bytes_per_s=bad),
     ):
@@ -220,14 +219,16 @@ def test_a_capacity_that_is_not_a_positive_finite_rate_is_refused(bad):
             refused()
         assert "switch:0" in str(err.value) and repr(bad) in str(err.value)
     # a refused value changed nothing: capacity, generation and routes stand
-    assert fabric.link_capacity("node:0", "switch:0") == 2e9
+    assert fabric.graph.edge("node:0", "switch:0")["capacity_bytes_per_s"] == 2e9
     assert fabric.generation == topology.single_switch(2).generation
 
 
 def test_no_capacity_still_inherits_the_fabric_wide_one():
     fabric = topology.single_switch(2)
     fabric.vnis.capacity_bytes_per_s = 3e9
-    assert fabric.link_capacity("node:0", "switch:0") == 3e9
+    fabric.charge(fabric.vnis.register("t"), 0, 100, 1, 0.0)
+    assert "capacity_bytes_per_s" not in fabric.graph.edge("node:0", "switch:0")
+    assert {fabric.links.get(link).capacity_bytes_per_s for link in fabric.path_links(0)} == {3e9}
 
 
 def test_linking_a_vertex_that_was_never_added_is_refused():

@@ -50,14 +50,6 @@ class TestPhysicalMemory:
         with pytest.raises(ValueError):
             PhysicalMemory(-4096, MemoryKind.GLOBAL)
 
-    def test_flip_bit_corrupts_exactly_one_bit(self):
-        mem = PhysicalMemory(8, MemoryKind.GLOBAL)
-        mem.write(0, b"\x00")
-        mem.flip_bit(0, 3)
-        assert mem.read(0, 1) == b"\x08"
-        mem.flip_bit(0, 3)
-        assert mem.read(0, 1) == b"\x00"
-
     def test_poison_tracking(self):
         mem = PhysicalMemory(128, MemoryKind.GLOBAL)
         mem.poison(10, 4)
@@ -89,12 +81,11 @@ class TestBacking:
         mem.slab[64:68] = np.frombuffer(b"slab", np.uint8)
         mem.slab[12000:12016].view("V8")[:] = np.frombuffer(b"slotted!SLOTTED?", "V8")
         mem.slab[13000:13004] = (1, 2, 3, 4)
-        mem.flip_bit(13000, 7)
         expect = {
             (end, 16): b"0123456789abcdef",
             (64, 4): b"slab",
             (12000, 16): b"slotted!SLOTTED?",
-            (13000, 4): b"\x81\x02\x03\x04",
+            (13000, 4): b"\x01\x02\x03\x04",
         }
         for (off, n), want in expect.items():
             assert self._readers(mem, off, n) == dict.fromkeys(("read", "slab"), want)

@@ -144,3 +144,28 @@ def test_hostile_argument_is_one_argparse_error(cli, argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("error:") == 1
     assert f"error: argument {argv[0]}: must be" in err
+
+
+def test_unknown_scenario_is_one_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exit_:  # was: a KeyError traceback, exit 1
+        incidents_main(["run", "no-such-scenario"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1
+    assert "error: argument scenario: invalid choice: 'no-such-scenario'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "ue-storm", "--dump"],       # was: the whole scenario, then FileNotFoundError
+    ["run", "ue-storm", "--trace-out"],
+    ["run", "all", "--json"],
+    ["score", "{good}", "--json"],       # was: a FileNotFoundError traceback, exit 1
+])
+def test_output_in_a_missing_directory_is_refused_before_any_work(argv, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_dump()))
+    out_path = tmp_path / "nonexistent" / "out.json"
+    argv = [str(good) if a == "{good}" else a for a in argv] + [str(out_path)]
+    assert incidents_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {out_path}: no directory {out_path.parent}\n"

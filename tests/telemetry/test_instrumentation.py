@@ -152,7 +152,8 @@ class TestReliabilityCounters:
         kernel.fs.fsync(rig.c0, fd)
         target = m.global_base + (1 << 21)
         m.faults.inject_ue(m.global_mem, target - m.global_base, rack_addr=target)
-        kernel.scrubber.full_pass(rig.c0)
+        while kernel.scrubber.stats.passes == 0:  # one patrol of the whole region
+            kernel.scrubber.step(rig.c0)
         reg = TELEMETRY.registry
         assert reg.counter_total("reliability", "scrub.windows") > 0
         assert reg.gauges[(0, "reliability", "scrub.passes")] >= 1

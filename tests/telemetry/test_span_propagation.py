@@ -1,35 +1,20 @@
 """Span-context propagation through the resilient request path.
 
 The regression this file pins: spans opened from the event heap (hedge
-duplicates) or across a retry loop must chain to their *causal* parent
-— the batch or retry span that launched them — not to whatever happens
-to sit on the open-span stack at dispatch time.
+duplicates) must chain to their *causal* parent — the batch span that
+launched them — not to whatever happens to sit on the open-span stack
+at dispatch time.
 """
 
 import pytest
 
 from repro import telemetry
 from repro.bench.harness import build_rig
-from repro.core.backoff import BackoffPolicy
-from repro.core.ipc import IpcSystem, NameRegistry, RpcSystem
-from repro.flacdk.sync import OperationLog
 from repro.telemetry import TELEMETRY, STACK_PARENT, TraceBuffer
 from repro.workloads import TenantSpec, resilience
 from repro.workloads.resilience import ResilienceSpec, ResilientTrafficEngine
 
 pytestmark = pytest.mark.telemetry
-
-
-# module-level so the handler stays picklable (shared code contexts are
-# pickled into global memory)
-_FLAKY = {"failures_left": 0}
-
-
-def _flaky(ctx):
-    if _FLAKY["failures_left"] > 0:
-        _FLAKY["failures_left"] -= 1
-        raise RuntimeError("transient")
-    return b"ok"
 
 
 class TestExplicitParent:
@@ -137,40 +122,3 @@ class TestHedgeSpanPropagation:
         telemetry.disable()
         _, traced = _hedging_run(tracing=True)
         assert plain.digest() == traced.digest()
-
-
-class TestRetrySpanChain:
-    @pytest.fixture
-    def rpc(self, rack2):
-        machine, c0, c1, arena = rack2
-        log = OperationLog(arena.take(OperationLog.region_size(256)), 256).format(c0)
-        registry = NameRegistry(log)
-        ipc = IpcSystem(machine, arena, registry)
-        rpc = RpcSystem(machine, registry, ipc.buffers)
-        rpc.register(c1, "flaky", _flaky)
-        return c0, rpc
-
-    def test_attempts_chain_under_one_retry_span(self, rpc):
-        c0, rpc = rpc
-        telemetry.enable(tracing=True)
-        _FLAKY["failures_left"] = 2
-        policy = BackoffPolicy(base_ns=1_000.0, multiplier=2.0, max_attempts=4)
-        assert rpc.call_with_retry(
-            c0, "flaky", backoff=policy, retry_on=(RuntimeError,)
-        ) == b"ok"
-        spans = TELEMETRY.trace.spans
-        retries = [s for s in spans if s.name == "ipc.rpc.retry"]
-        calls = [s for s in spans if s.name == "ipc.rpc.call"]
-        assert len(retries) == 1
-        assert len(calls) == 3  # two failures + the success
-        assert all(c.parent_id == retries[0].span_id for c in calls)
-        assert dict(retries[0].args)["service"] == "flaky"
-
-    def test_no_tracing_no_spans_same_result(self, rpc):
-        c0, rpc = rpc
-        _FLAKY["failures_left"] = 1
-        policy = BackoffPolicy(base_ns=1_000.0, multiplier=2.0, max_attempts=4)
-        assert rpc.call_with_retry(
-            c0, "flaky", backoff=policy, retry_on=(RuntimeError,)
-        ) == b"ok"
-        assert not TELEMETRY.trace.spans
