@@ -32,8 +32,8 @@ class BlockDeviceError(Exception):
 class BlockDevice:
     """One node-local SSD."""
 
-    def __init__(self, spec: BlockDeviceSpec = BlockDeviceSpec()) -> None:
-        self.spec = spec
+    def __init__(self) -> None:
+        self.spec = BlockDeviceSpec()
         self._blocks: Dict[int, bytes] = {}
         self.reads = 0
         self.writes = 0
