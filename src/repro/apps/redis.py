@@ -54,6 +54,12 @@ class TcpTransport:
         return self.connection.recv(ctx)
 
 
+def _integer(raw: bytes) -> Optional[int]:
+    """``raw`` as Redis reads an integer argument (``-``?, ASCII digits, 64 bits), or None."""
+    digits = (raw[1:] if raw[:1] == b"-" else raw).isdigit()
+    return int(raw) if digits and -(2**63) <= int(raw) < 2**63 else None
+
+
 @dataclass
 class _Entry:
     value: bytes
@@ -137,9 +143,12 @@ class MiniRedisServer:
         self._data[key] = _Entry(value)
         return "OK"
 
-    def _cmd_setex(self, key: bytes, seconds: bytes, value: bytes) -> str:
-        ttl_ns = float(seconds) * 1e9
-        self._data[key] = _Entry(value, expires_at_ns=self.ctx.now() + ttl_ns)
+    def _cmd_setex(self, key: bytes, seconds: bytes, value: bytes) -> Any:
+        ttl = _integer(seconds)
+        if ttl is None or ttl <= 0:
+            return Exception("value is not an integer or out of range" if ttl is None
+                             else "invalid expire time in 'setex' command")
+        self._data[key] = _Entry(value, expires_at_ns=self.ctx.now() + ttl * 1e9)
         return "OK"
 
     def _cmd_get(self, key: bytes) -> Optional[bytes]:
@@ -190,11 +199,14 @@ class MiniRedisServer:
     def _cmd_mget(self, *keys: bytes) -> List[Optional[bytes]]:
         return [entry.value if (entry := self._live(key)) else None for key in keys]
 
-    def _cmd_expire(self, key: bytes, seconds: bytes) -> int:
+    def _cmd_expire(self, key: bytes, seconds: bytes) -> Any:
+        ttl = _integer(seconds)
+        if ttl is None:
+            return Exception("value is not an integer or out of range")
         entry = self._live(key)
         if entry is None:
             return 0
-        entry.expires_at_ns = self.ctx.now() + float(seconds) * 1e9
+        entry.expires_at_ns = self.ctx.now() + ttl * 1e9
         return 1
 
     def _cmd_ttl(self, key: bytes) -> int:

@@ -7,7 +7,7 @@ as simple strings, errors, integers, bulk strings, or arrays.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 CRLF = b"\r\n"
 #: the type byte that opens each kind of value
@@ -38,9 +38,7 @@ def encode_reply(value: Any) -> bytes:
     """
     if value is None:
         return b"$-1" + CRLF
-    if isinstance(value, bool):
-        return b":%d" % int(value) + CRLF
-    if isinstance(value, int):
+    if isinstance(value, int):  # bool included: b":%d" % True is b":1"
         return b":%d" % value + CRLF
     if isinstance(value, bytes):
         return b"$%d" % len(value) + CRLF + value + CRLF
@@ -104,12 +102,6 @@ def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
     raise RespError(f"unknown RESP type {data[pos : pos + 1]!r}")
 
 
-def _command(value: Any) -> List[bytes]:
-    if not isinstance(value, list) or not all(isinstance(v, bytes) for v in value):
-        raise RespError("commands must be arrays of bulk strings")
-    return value
-
-
 def encode_commands(commands: Iterable[Sequence[bytes]]) -> bytes:
     """Pack many commands into one pipelined frame (RESP concatenation)."""
     return b"".join(encode_command(*command) for command in commands)
@@ -117,19 +109,38 @@ def encode_commands(commands: Iterable[Sequence[bytes]]) -> bytes:
 
 def decode_commands(data: bytes) -> List[List[bytes]]:
     """Decode every command in a pipelined frame, in order (an unbatched
-    client's frame holds one)."""
-    return [_command(value) for value in _values(data)]
+    client's frame holds one): one loop per command over its bulk strings,
+    each header parsed where it stands, only the strings sliced out."""
+    commands: List[List[bytes]] = []
+    pos, end, find = 0, len(data), data.find
+    while pos < end:
+        idx = find(CRLF, pos + 1)
+        if idx < 0 or data[pos] != _ARRAY:
+            raise RespError("commands must be arrays of bulk strings")
+        command: List[bytes] = []
+        try:
+            count, pos = int(data[pos + 1 : idx]), idx + 2
+            for _ in range(count):
+                idx = find(CRLF, pos + 1)
+                if idx < 0 or data[pos] != _BULK:
+                    raise RespError("commands must be arrays of bulk strings")
+                start = idx + 2
+                pos = start + int(data[pos + 1 : idx])
+                if pos < start or data[pos : pos + 2] != CRLF:
+                    raise RespError("a command string is null, truncated or unterminated")
+                command.append(data[start:pos])
+                pos += 2
+        except ValueError:
+            raise RespError("a command length is not an integer") from None
+        commands.append(command)
+    return commands
 
 
 def decode_replies(data: bytes) -> List[Any]:
     """Decode every reply in a frame (the server batches one frame per
     request frame, so replies arrive concatenated)."""
-    return list(_values(data))
-
-
-def _values(data: bytes) -> Iterator[Any]:
-    """Every value of a frame, decoded one at a time as it is asked for."""
-    pos, end = 0, len(data)
+    replies, pos, end = [], 0, len(data)
     while pos < end:
         value, pos = _decode_at(data, pos)
-        yield value
+        replies.append(value)
+    return replies

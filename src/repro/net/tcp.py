@@ -11,7 +11,7 @@ use rack shared memory; that is exactly what FlacOS removes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 from ..rack.machine import NodeContext
@@ -21,13 +21,6 @@ from .params import TcpCosts
 
 class TcpError(Exception):
     pass
-
-
-@dataclass
-class _SocketBuffer:
-    """Receive queue of one endpoint: reassembled messages."""
-
-    messages: Deque[Tuple[bytes, float]] = field(default_factory=deque)
 
 
 @dataclass
@@ -43,14 +36,14 @@ class TcpConnection:
 
     def __init__(self, network: "TcpNetwork", a_node: int, b_node: int) -> None:
         self.network = network
-        self._ends: Dict[int, _SocketBuffer] = {a_node: _SocketBuffer(), b_node: _SocketBuffer()}
+        # each endpoint's receive queue: (reassembled message, arrival ns)
+        self._ends: Dict[int, Deque[Tuple[bytes, float]]] = {a_node: deque(), b_node: deque()}
         self._peer = {a_node: b_node, b_node: a_node}
+        self._link = network.link_between(a_node, b_node)  # one per pair, for good
 
     def send(self, ctx: NodeContext, data: bytes) -> None:
         """Blocking send: charges the full TX path and enqueues at the peer."""
-        costs = self.network.costs
-        link = self.network.link_between(ctx.node_id, self._peer[ctx.node_id])
-        stats = self.network.stats
+        costs, link, stats = self.network.costs, self._link, self.network.stats
         ctx.advance(costs.syscall_ns)
         ctx.advance(len(data) * costs.copy_ns_per_byte)  # user -> kernel
         stats.bytes_copied += len(data)
@@ -61,7 +54,7 @@ class TcpConnection:
         stats.skbs_allocated += packets
         stats.packets_sent += packets
         arrival = link.schedule(ctx.now(), len(data))
-        self._ends[self._peer[ctx.node_id]].messages.append((bytes(data), arrival))
+        self._ends[self._peer[ctx.node_id]].append((bytes(data), arrival))
         stats.messages_sent += 1
 
     def recv(self, ctx: NodeContext) -> Optional[bytes]:
@@ -71,13 +64,12 @@ class TcpConnection:
         wakeup, and the kernel -> user copy.
         """
         costs = self.network.costs
-        buffer = self._ends[ctx.node_id]
-        if not buffer.messages:
+        messages = self._ends[ctx.node_id]
+        if not messages:
             return None
-        data, arrival = buffer.messages.popleft()
+        data, arrival = messages.popleft()
         ctx.node.clock.sync_to(arrival)
-        link = self.network.link_between(ctx.node_id, self._peer[ctx.node_id])
-        for _ in range(link.packet_count(len(data))):
+        for _ in range(self._link.packet_count(len(data))):
             ctx.advance(costs.rx_stack_ns)
         ctx.advance(costs.wakeup_ns)
         ctx.advance(costs.syscall_ns)
@@ -86,7 +78,7 @@ class TcpConnection:
         return data
 
     def pending(self, ctx: NodeContext) -> int:
-        return len(self._ends[ctx.node_id].messages)
+        return len(self._ends[ctx.node_id])
 
 
 class TcpNetwork:

@@ -38,7 +38,7 @@ class _Line:
     __slots__ = ("data", "dirty")
 
 
-_DATA = attrgetter("data")
+_DATA, _DIRTY = attrgetter("data"), attrgetter("dirty")
 
 
 class NodeCache:
@@ -48,11 +48,11 @@ class NodeCache:
     the cache itself stays ignorant of the address map; they take rack
     physical addresses aligned to the line size.
 
-    Maintenance is run-granular (DESIGN.md §3): a run of consecutive
-    non-resident lines is one ``read_backing`` call, a run of consecutive
-    dirty lines one ``write_backing`` call; lines are still inserted one at
-    a time, in order.  ``read_backing`` may answer a multi-line read with
-    ``None`` to have that run fetched line by line.
+    Maintenance is run-granular (DESIGN.md §3): a load run wholly absent is
+    one ``read_backing`` call, a run of consecutive dirty lines one
+    ``write_backing`` call; lines are still inserted one at a time, in
+    order.  ``read_backing`` may answer a multi-line read with ``None`` to
+    have that run fetched line by line.
     """
 
     def __init__(
@@ -73,58 +73,64 @@ class NodeCache:
         self._lines: "OrderedDict[int, _Line]" = OrderedDict()
         self.stats = CacheStats()
 
-    # -- address helpers ---------------------------------------------------
-
-    def line_base(self, addr: int) -> int:
-        return addr & ~(self.line_size - 1)
-
     # -- core operations ---------------------------------------------------
 
     def load(self, addr: int, size: int) -> Tuple[bytes, int, int]:
         """Read through the cache.  Returns ``(data, hits, misses)``.
 
-        A resident line is a hit (and becomes most recently used); a run of
-        absent lines is one backing read, or — when the reader answers
-        ``None`` — one read per line, installed in address order."""
+        A resident line is a hit (and becomes most recently used), an absent
+        one is read and installed.  A run wholly absent is one backing read —
+        or, when the reader answers ``None``, one read per line — and one pass
+        of installs in address order, inline while there is room."""
         if size <= 0:
             return b"", 0, 0
         lines, line_size = self._lines, self.line_size
         read, insert = self._read_backing, self._insert
         base = addr & ~(line_size - 1)
         end = addr + size
-        line = lines.get(base)
-        if line is not None and end <= base + line_size:  # a hit on one line: the common case
-            lines.move_to_end(base)
-            self.stats.hits += 1
-            return bytes(line.data[addr - base : end - base]), 1, 0
-        out = bytearray()
-        hits = misses = 0
-        while base < end:
+        lo = addr - base
+        if end <= base + line_size:  # one line: the common case
             line = lines.get(base)
             if line is not None:
                 lines.move_to_end(base)
+                self.stats.hits += 1
+                return bytes(line.data[lo : end - base]), 1, 0
+            buf = read(base, line_size)
+            if len(lines) < self.capacity_lines:  # room: no victim, no frame
+                line = lines[base] = _Line()
+                line.data, line.dirty = bytearray(buf), False
+            else:
+                insert(base, bytearray(buf), False)
+            self.stats.misses += 1
+            return buf[lo : end - base], 0, 1
+        run = range(base, end, line_size)
+        n = len(run)
+        if lines.keys().isdisjoint(run):
+            buf = read(base, n * line_size)  # wholly absent: one read, one pass of installs
+            if buf is not None:
+                for pos in range(0, n * line_size, line_size):
+                    if len(lines) < self.capacity_lines:  # room: no victim, no frame
+                        line = lines[base + pos] = _Line()
+                        line.data, line.dirty = bytearray(buf[pos : pos + line_size]), False
+                    else:
+                        insert(base + pos, bytearray(buf[pos : pos + line_size]), False)
+                self.stats.misses += n
+                return buf[lo : lo + size], 0, n
+        out = bytearray()
+        hits = misses = 0
+        for base in run:  # anything else: line by line, in address order
+            line = lines.get(base)
+            if line is None:
+                buf = read(base, line_size)
+                insert(base, bytearray(buf), False)
+                misses += 1
+                out += buf
+            else:
+                lines.move_to_end(base)
                 hits += 1
                 out += line.data
-                base += line_size
-                continue
-            stop = base + line_size
-            while stop < end and stop not in lines:
-                stop += line_size
-            misses += (stop - base) // line_size
-            buf = read(base, stop - base) if stop - base > line_size else None
-            if buf is None:
-                for base in range(base, stop, line_size):
-                    buf = read(base, line_size)
-                    insert(base, bytearray(buf), False)
-                    out += buf
-            else:
-                for pos in range(0, stop - base, line_size):
-                    insert(base + pos, bytearray(buf[pos : pos + line_size]), False)
-                out += buf
-            base = stop
         self.stats.hits += hits
         self.stats.misses += misses
-        lo = addr & (line_size - 1)
         return bytes(out[lo : lo + size]), hits, misses
 
     def store(self, addr: int, data: bytes) -> Tuple[int, int, int]:
@@ -151,12 +157,10 @@ class NodeCache:
             return 1, 0, 0
         hits = misses = allocs = 0
         src = memoryview(data)
-        pos = 0
         for base in range(base, end, line_size):
             lo = addr - base if base < addr else 0
             hi = end - base if end - base < line_size else line_size
-            chunk = src[pos : pos + hi - lo]
-            pos += hi - lo
+            chunk = src[base - addr + lo : base - addr + hi]
             line = lines.get(base)
             if line is not None:
                 lines.move_to_end(base)
@@ -195,11 +199,17 @@ class NodeCache:
             line.dirty = False
             self.stats.writebacks += 1
             return 1
+        span = list(map(lines.get, range(first, end, line_size)))
+        if None not in span and all(map(_DIRTY, span)):  # wholly dirty: one pass
+            self._write_backing(first, b"".join(map(_DATA, span)))
+            for line in span:
+                line.dirty = False
+            self.stats.writebacks += len(span)
+            return len(span)
         written = 0
         run: List[_Line] = []
         # one base past the span closes the last run
-        for base in range(first, end + line_size, line_size):
-            line = lines.get(base) if base < end else None
+        for base, line in zip(range(first, end + line_size, line_size), span + [None]):
             if line is not None and line.dirty:
                 run.append(line)
             elif run:
@@ -221,11 +231,16 @@ class NodeCache:
         if size <= 0:
             return 0
         lines = self._lines
-        pop = lines.pop
         line_size = self.line_size
+        base = addr & ~(line_size - 1)
+        if addr + size <= base + line_size:  # one line: the common case
+            if lines.pop(base, None) is None:
+                return 0
+            self.stats.invalidations += 1
+            return 1
         resident = len(lines)
-        for base in range(addr & ~(line_size - 1), addr + size, line_size):
-            pop(base, None)
+        for base in filter(lines.__contains__, range(base, addr + size, line_size)):
+            del lines[base]  # only resident lines reach Python code
         dropped = resident - len(lines)
         self.stats.invalidations += dropped
         return dropped
@@ -256,7 +271,7 @@ class NodeCache:
     # -- introspection (tests) ----------------------------------------------
 
     def contains(self, addr: int) -> bool:
-        return self.line_base(addr) in self._lines
+        return addr & ~(self.line_size - 1) in self._lines
 
     def holds_any(self, addrs) -> bool:
         """Whether the line of any address in ``addrs`` (an int64 array) is

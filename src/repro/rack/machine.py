@@ -51,13 +51,14 @@ _INT = {
     for width, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))
 }
 _INT_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
+_U64, _MASK64 = _INT[8]
 
 #: Telemetry subsystem for the data plane (metric naming convention:
 #: DESIGN.md §8); each op kind records in one place (DESIGN.md §3).
 _SUB = "rack.machine"
 
-#: What a node's TLB slot reads as before its first resolve: covers nothing.
-_TLB_EMPTY = (0, 0, None)
+#: A node's TLB slot before its first resolve: covers nothing, node unread.
+_TLB_EMPTY = (None, 0, 0, None)
 #: The batch clock fold of :meth:`RackMachine._charge`, reused across
 #: batches and regrown for one that would not fit.
 _fold = np.empty(4_097, dtype=np.float64)
@@ -145,9 +146,9 @@ class RackMachine:
         self.line_size = cfg.cache_line_size
         # -- data-plane state (see DESIGN.md §3) ----------------------------
         self._line_mask = cfg.cache_line_size - 1
-        # Software TLB: per-node memo of the last region resolved, dropped
-        # when the address map's generation moves.
-        self._tlb: Dict[int, Tuple[int, int, Region]] = {}
+        # Software TLB: per-node (node, base, end, region) of the last region
+        # resolved, dropped when the address map's generation moves.
+        self._tlb: Dict[int, Tuple[Node, int, int, Region]] = {}
         self._tlb_gen = self.address_map.generation
         # (region, clean) from the gate of the op now calling a node's cache:
         # its backing reader and writer act under it instead of gating again.
@@ -233,8 +234,15 @@ class RackMachine:
 
         Its record is the atlas touch right after the gate (an op that
         raises later, on poison, has touched) and the counters once the
-        op has completed; the cached charge comes after both."""
-        node, region, offset, clean = self._access(node_id, addr, size)
+        op has completed; the cached charge comes after both.  The gate's
+        hit verdict is read from the node's TLB entry (DESIGN.md §3)."""
+        node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
+        if (base <= addr and addr + size <= end and 0 < size and node.alive
+                and self.address_map.generation == self._tlb_gen):  # _access, inline
+            offset = addr - base
+            clean = not (region.device.poisoned or self.faults.armed[region.owner is None])
+        else:
+            node, region, offset, clean = self._access(node_id, addr, size)
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, size)
         loading = data is None
@@ -306,12 +314,35 @@ class RackMachine:
         return current
 
     def atomic_load(self, node_id: int, addr: int, width: int = 8) -> int:
-        """Coherent (cache-bypassing) integer load."""
+        """Coherent (cache-bypassing) integer load; a word the hit verdict passes stays here."""
+        node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
+        if (width == 8 and not addr & 7 and base <= addr and addr + 8 <= end and node.alive
+                and self.address_map.generation == self._tlb_gen and not (region.device.poisoned
+                or self.faults.armed[region.owner is None])):
+            lat = self.latency
+            self._charge(node, 1, lat.local_atomic_ns if region.owner is not None else lat.global_atomic_ns)
+            if _TEL.enabled or _TEL.atlas is not None:
+                self._atomic_record(node_id, addr, 8, region.owner is None)
+            if node.cache._lines.pop(addr & ~self._line_mask, None) is not None:
+                node.cache.stats.invalidations += 1
+            return _U64.unpack_from(region.device.slab, addr - base)[0]
         slab, offset, codec, _ = self._atomic_prologue(node_id, addr, width)
         return codec.unpack_from(slab, offset)[0]
 
     def atomic_store(self, node_id: int, addr: int, value: int, width: int = 8) -> None:
-        """Coherent (cache-bypassing) integer store."""
+        """Coherent (cache-bypassing) integer store; the hit path is :meth:`atomic_load`'s."""
+        node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
+        if (width == 8 and not addr & 7 and base <= addr and addr + 8 <= end and node.alive
+                and self.address_map.generation == self._tlb_gen and not (region.device.poisoned
+                or self.faults.armed[region.owner is None])):
+            lat = self.latency
+            self._charge(node, 1, lat.local_atomic_ns if region.owner is not None else lat.global_atomic_ns)
+            if _TEL.enabled or _TEL.atlas is not None:
+                self._atomic_record(node_id, addr, 8, region.owner is None)
+            if node.cache._lines.pop(addr & ~self._line_mask, None) is not None:
+                node.cache.stats.invalidations += 1
+            _U64.pack_into(region.device.slab, addr - base, value & _MASK64)
+            return
         slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
         codec.pack_into(slab, offset, value & mask)
 
@@ -519,7 +550,9 @@ class RackMachine:
 
     def invalidate(self, node_id: int, addr: int, size: int) -> int:
         """Drop cached lines without write-back (``dc ivac``)."""
-        node = self._live(node_id)
+        node = self.nodes.get(node_id)
+        if node is None or not node.alive:
+            self._node(node_id).check_alive()
         dropped = node.cache.invalidate(addr, size)
         self._charge(node, dropped, self.latency.invalidate_line_ns)
         return dropped
@@ -533,7 +566,8 @@ class RackMachine:
         and migration path).  Charged as a DRAM global-memory write burst
         whatever the victims' media — conservative when some are local,
         cheap when the pool is PMEM (DESIGN.md §3)."""
-        node = self._live(node_id)
+        node = self._node(node_id)
+        node.check_alive()
         written = node.cache.flush_all()
         if written:
             lat = self.latency
@@ -545,7 +579,10 @@ class RackMachine:
 
     def fence(self, node_id: int) -> None:
         """Full memory barrier (ordering is already strict here; cost only)."""
-        self._charge(self._live(node_id), 1, self.latency.fence_ns)
+        node = self.nodes.get(node_id)
+        if node is None or not node.alive:
+            self._node(node_id).check_alive()
+        self._charge(node, 1, self.latency.fence_ns)
 
     def _write_back(self, node_id: int, addr: int, size: int, drop: bool) -> Tuple[int, int]:
         """``flush`` (``drop`` false) or ``flush_invalidate``: the gate, the
@@ -559,7 +596,8 @@ class RackMachine:
             written, dropped = cache.flush(addr, size), 0
         lat = self.latency
         if written:
-            self._tally(node_id, "cache.writeback_lines", written)
+            if _TEL.enabled:
+                _TEL.count(node_id, _SUB, "cache.writeback_lines", written)
             self._charge(node, 0, 0.0, region, written, lat.writeback_line_ns)
         if drop:
             self._charge(node, dropped, lat.invalidate_line_ns)
@@ -637,13 +675,6 @@ class RackMachine:
         except KeyError:
             raise KeyError(f"no node {node_id} in rack of {len(self.nodes)}") from None
 
-    def _live(self, node_id: int) -> Node:
-        """The node, once it is known to exist and be up."""
-        node = self.nodes.get(node_id)
-        if node is None or not node.alive:
-            self._node(node_id).check_alive()
-        return node
-
     def _access(self, node_id: int, addr: int, size: int) -> Tuple[Node, Region, int, bool]:
         """The one gate every single op passes (DESIGN.md §3).
 
@@ -654,18 +685,13 @@ class RackMachine:
         effect (a fault armed for the region kind, or any poison on the
         device); callers enter them, in that order, only when not clean.
         """
-        node = self.nodes.get(node_id)
-        if node is None or not node.alive:  # == _live, minus its frame
-            self._node(node_id).check_alive()
-        base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
-        if (
-            base <= addr
-            and 0 < size
-            and addr + size <= end
-            and self.address_map.generation == self._tlb_gen
-        ):
+        node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
+        if (base <= addr and addr + size <= end and 0 < size and node.alive
+                and self.address_map.generation == self._tlb_gen):
             offset = addr - base
         else:
+            node = self._node(node_id)
+            node.check_alive()
             region, offset = self._resolve_fast(node_id, addr, size if size > 0 else 1)
         clean = not (region.device.poisoned or self.faults.armed[region.owner is None])
         return node, region, offset, clean
@@ -687,7 +713,7 @@ class RackMachine:
             raise ProtectionError(
                 f"node {node_id} cannot access node {region.owner}'s local memory at {addr:#x}"
             )
-        self._tlb[node_id] = (region.base, region.base + region.size, region)
+        self._tlb[node_id] = (self.nodes[node_id], region.base, region.base + region.size, region)
         return region, offset
 
     def _atomic_prologue(self, node_id: int, addr: int, width: int):
@@ -703,10 +729,7 @@ class RackMachine:
         is_global = region.owner is None
         lat = self.latency
         self._charge(node, 1, lat.global_atomic_ns if is_global else lat.local_atomic_ns)
-        if _TEL.enabled:
-            _TEL.count(node_id, _SUB, "atomic.global" if is_global else "atomic.local")
-        if _TEL.atlas is not None:
-            _TEL.atlas.touch(addr, width)
+        self._atomic_record(node_id, addr, width, is_global)
         # an aligned access of at most 8 bytes lies in exactly one line; the
         # drop is the one cache-line touch the machine makes itself (a
         # NodeCache call here would be a frame on every atomic)
@@ -717,6 +740,13 @@ class RackMachine:
             self._maybe_fault(region, offset, width, node_id)
             self._check_poison(region, offset, width, node_id)
         return region.device.slab, offset, codec[0], codec[1]
+
+    def _atomic_record(self, node_id: int, addr: int, width: int, is_global: bool) -> None:
+        """An atomic's record, wherever it was gated: its counter, then its atlas touch."""
+        if _TEL.enabled:
+            _TEL.count(node_id, _SUB, "atomic.global" if is_global else "atomic.local")
+        if _TEL.atlas is not None:
+            _TEL.atlas.touch(addr, width)
 
     def _path_cost(self, node_id: int, region: Region) -> Tuple[int, int]:
         if not region.is_global:
@@ -749,8 +779,7 @@ class RackMachine:
             if fabric.generation != self._charge_gen:
                 memo.clear()
                 self._charge_gen = fabric.generation
-            key = (node.node_id, region.base)
-            pair = memo.get(key)
+            pair = memo.get((node.node_id, region.base))
             if pair is None:
                 lat, is_global = self.latency, region.owner is None
                 hops, switches = self._path_cost(node.node_id, region)
@@ -759,15 +788,15 @@ class RackMachine:
                     pair = (first + lat.pmem_extra_ns, self.line_size / lat.pmem_bw_bytes_per_ns)
                 else:
                     pair = (first, lat.pipelined_line_ns(self.line_size, is_global=is_global))
-                memo[key] = pair
+                memo[node.node_id, region.base] = pair
             first, rest = pair
             ns += first
             ns += (lines - 1) * rest
             ns += lines * extra
-        clock = node.clock
         if ops == 1:
-            clock._now_ns += ns
+            node.clock._now_ns += ns
             return
+        clock = node.clock
         global _fold
         if ops >= len(_fold):
             _fold = np.empty(2 * ops, dtype=np.float64)
@@ -776,11 +805,6 @@ class RackMachine:
         acc[0] = clock._now_ns
         np.add.accumulate(acc, out=acc)
         clock._now_ns = float(acc[-1])
-
-    def _tally(self, node_id: int, name: str, n: int = 1) -> None:
-        """The record of an op off the hot path — a write-back, a fault."""
-        if _TEL.enabled:
-            _TEL.count(node_id, _SUB, name, n)
 
     # -- bulk internals ----------------------------------------------------------------
 
@@ -960,7 +984,8 @@ class RackMachine:
                 victims = device.poisoned_in(offset, size)
                 if not victims:
                     return
-                self._tally(node_id, "fault.retry")
+                if _TEL.enabled:
+                    _TEL.count(node_id, _SUB, "fault.retry")
                 self._in_repair = True
                 try:
                     repaired = handler(region.base + victims[0], node_id)
@@ -972,7 +997,8 @@ class RackMachine:
                     break
             if not device.is_poisoned(offset, size):
                 return
-        self._tally(node_id, "fault.ue_raised")
+        if _TEL.enabled:
+            _TEL.count(node_id, _SUB, "fault.ue_raised")
         raise UncorrectableMemoryError(region.base + offset, node_id)
 
     def _read_backing(self, node_id: int, addr: int, size: int) -> Optional[bytes]:
@@ -1021,14 +1047,15 @@ class RackMachine:
 class NodeContext:
     """All machine operations bound to one node — the handle software holds."""
 
-    __slots__ = ("machine", "node_id", "_clock")
+    __slots__ = ("machine", "node_id", "node", "_clock")
 
     def __init__(self, machine: RackMachine, node_id: int) -> None:
         self.machine = machine
         self.node_id = node_id
         # a Node and its clock live as long as the machine (crash and
         # restart keep both), so time goes to the clock directly
-        self._clock = machine.nodes[node_id].clock
+        self.node: Node = machine.nodes[node_id]
+        self._clock = self.node.clock
 
     # data path
     def load(self, addr: int, size: int, *, bypass_cache: bool = False) -> bytes:
@@ -1110,11 +1137,11 @@ class NodeContext:
         return self._clock._now_ns
 
     def advance(self, ns: float) -> float:
-        return self._clock.advance(ns)
-
-    @property
-    def node(self) -> Node:
-        return self.machine.nodes[self.node_id]
+        clock = self._clock
+        if ns < 0:
+            return clock.advance(ns)  # which refuses it: SimClock.advance in one frame
+        clock._now_ns += ns
+        return clock._now_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeContext(node={self.node_id})"

@@ -88,7 +88,8 @@ class PhysicalMemory:
         self._pmax = -1
 
     def read(self, offset: int, size: int) -> bytes:
-        self._check(offset, size)
+        if offset < 0 or size < 0 or offset + size > self.size:  # out of range: raise there
+            self._check(offset, size)
         return self._buf[offset : offset + size]  # slicing an mmap copies out bytes
 
     def write(self, offset: int, data: bytes) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 
 #: every key is this prefix and its 12-digit index
 KEY_PREFIX = b"key:"
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 class KeyGenerator:
@@ -71,6 +72,7 @@ class ValueGenerator:
         self.size = size
         self.sigma = sigma
         self.rng = np.random.default_rng(seed)  # kept for API compatibility
+        self._log_size = math.log(size)
 
     def value_for(self, key: bytes) -> bytes:
         """Deterministic content for a key, at the configured size."""
@@ -79,8 +81,8 @@ class ValueGenerator:
             # key-hash-derived lognormal: uniform from the first 8 hash
             # bytes (offset half a ulp so u is strictly inside (0, 1))
             u = (int.from_bytes(seed[:8], "little") + 0.5) / 2.0**64
-            z = statistics.NormalDist().inv_cdf(u)
-            size = max(1, int(math.exp(math.log(self.size) + self.sigma * z)))
+            z = _STANDARD_NORMAL.inv_cdf(u)
+            size = max(1, int(math.exp(self._log_size + self.sigma * z)))
         else:
             size = self.size
         reps = (size + len(seed) - 1) // len(seed)

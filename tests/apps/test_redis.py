@@ -1,5 +1,7 @@
 """Tests for RESP and MiniRedis over both transports."""
 
+import re
+
 import pytest
 
 from repro.apps import resp
@@ -127,6 +129,51 @@ class TestCommands:
         value = bytes(range(256)) * 64  # 16 KiB, forces the buffer path
         client.set(b"big", value)
         assert client.get(b"big") == value
+
+
+@pytest.fixture(params=["flacos", "tcp"])
+def either_pair(request, rack2):
+    """A client and server over each transport in turn."""
+    if request.param == "tcp":
+        return connect_over_tcp(TcpNetwork(), rack2[1], rack2[2])
+    return request.getfixturevalue("flacos_pair")
+
+
+_NOT_INTEGER = "value is not an integer or out of range"
+_BAD_TTLS = [
+    ((b"SETEX", b"k", b"abc", b"v"), _NOT_INTEGER),
+    ((b"SETEX", b"k", b"nan", b"v"), _NOT_INTEGER),
+    ((b"SETEX", b"k", b"1.5", b"v"), _NOT_INTEGER),
+    ((b"SETEX", b"k", b" 5", b"v"), _NOT_INTEGER),
+    ((b"SETEX", b"k", b"9223372036854775808", b"v"), _NOT_INTEGER),
+    ((b"SETEX", b"k", b"-5", b"v"), "invalid expire time in 'setex' command"),
+    ((b"SETEX", b"k", b"0", b"v"), "invalid expire time in 'setex' command"),
+    ((b"EXPIRE", b"kept", b"xyz"), _NOT_INTEGER),
+    ((b"EXPIRE", b"kept", b"2.5"), _NOT_INTEGER),
+]
+
+
+class TestExpiryArguments:
+    """A bad TTL is an error reply, as Redis words it — never an exception
+    out of the server loop into the client, and never a silent ``OK``."""
+
+    @pytest.mark.parametrize("command, message", _BAD_TTLS, ids=[b" ".join(c).decode() for c, _ in _BAD_TTLS])
+    def test_a_bad_ttl_is_an_error_reply_on_either_transport(self, either_pair, command, message):
+        client, _ = either_pair
+        client.set(b"kept", b"v")
+        with pytest.raises(resp.RedisError, match=re.escape(message)):
+            client.request(*command)
+        assert client.get(b"k") is None  # nothing was stored
+        assert client.request(b"TTL", b"kept") == -1  # nor any expiry set
+        assert client.request(b"PING") == "PONG"  # the server still serves
+
+    def test_integer_ttls_still_expire_on_either_transport(self, either_pair):
+        client, server = either_pair
+        assert client.request(b"SETEX", b"k", b"3", b"v") == "OK"
+        assert client.request(b"EXPIRE", b"kept", b"-1") == 0  # no such key yet
+        assert client.request(b"TTL", b"k") in (2, 3)
+        server.ctx.advance(4e9)
+        assert client.get(b"k") is None
 
 
 class TestTransportParity:

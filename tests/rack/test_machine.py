@@ -273,3 +273,49 @@ class TestConfigValidation:
     def test_unknown_topology_rejected(self):
         with pytest.raises(KeyError):
             RackMachine(RackConfig(topology="nope"))
+
+
+#: Every NodeContext op that issues a machine op: (context method, the
+#: RackMachine op it reaches, arguments after the address base ``g``).
+_DISPATCH = [
+    ("load", "load", lambda g: (g, 8)),
+    ("store", "store", lambda g: (g, b"x" * 8)),
+    ("load_many", "load_many", lambda g: ([g], 8)),
+    ("store_many", "store_many", lambda g: ([g], [b"x" * 8])),
+    ("copy", "copy", lambda g: (g + 64, g, 8)),
+    ("fill", "fill", lambda g: (g, 8, 7)),
+    ("atomic_load_many", "atomic_load_many", lambda g: ([g],)),
+    ("atomic_store_many", "atomic_store_many", lambda g: ([g], 1)),
+    ("cas", "atomic_cas", lambda g: (g, 0, 1)),
+    ("fetch_add", "atomic_fetch_add", lambda g: (g, 1)),
+    ("swap", "atomic_swap", lambda g: (g, 1)),
+    ("atomic_load", "atomic_load", lambda g: (g,)),
+    ("atomic_store", "atomic_store", lambda g: (g, 1)),
+    ("flush", "flush", lambda g: (g, 8)),
+    ("invalidate", "invalidate", lambda g: (g, 8)),
+    ("flush_invalidate", "flush_invalidate", lambda g: (g, 8)),
+    ("fence", "fence", lambda g: ()),
+]
+
+
+class TestDispatch:
+    """A context reaches ``RackMachine.<op>`` when it is called, not when it
+    is built: the perf tracer and the spies of the bulk-plane and resilience
+    tests patch the class on a machine whose contexts already exist.  A
+    context that bound its ops at construction (``functools.partial``) would
+    keep calling the unpatched op and fail here."""
+
+    @pytest.mark.parametrize("method, op, args", _DISPATCH, ids=[m for m, _, _ in _DISPATCH])
+    def test_an_op_patched_after_the_context_is_built_is_what_it_calls(
+        self, machine, monkeypatch, method, op, args
+    ):
+        ctx = machine.context(1)
+        real, seen = getattr(RackMachine, op), []
+
+        def spy(self, node_id, *rest, **kw):
+            seen.append(node_id)
+            return real(self, node_id, *rest, **kw)
+
+        monkeypatch.setattr(RackMachine, op, spy)
+        getattr(ctx, method)(*args(machine.global_base))
+        assert seen[:1] == [1], f"NodeContext.{method} did not reach the patched RackMachine.{op}"

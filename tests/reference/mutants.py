@@ -24,12 +24,13 @@ from tests.reference.test_reference_rack import RackVsReference  # noqa: E402
 
 M, C = RackMachine, NodeCache
 #: (what it breaks, class, method, source text, replacement); each is caught
-#: under at least 9 of 10 random seeds at this budget (the last nine under 10
-#: of 10), and by the test's own run.
+#: under at least 9 of 10 random seeds at this budget (all but two under 10 of
+#: 10: skip move_to_end on a store hit, the atomic hit path's line drop), and
+#: by the test's own run.
 MUTANTS = [
     ("drop the write-back charge", M, "_write_back", "written, lat.writeback_line_ns)", "written, 0.0)"),
     ("skip move_to_end on a load hit", C, "load",
-     "lines.move_to_end(base)\n        self.stats.hits += 1", "self.stats.hits += 1"),
+     "lines.move_to_end(base)\n            self.stats.hits += 1", "self.stats.hits += 1"),
     ("skip move_to_end on a store hit", C, "store", "lines.move_to_end(base)\n        line", "line"),
     ("skip the atomic's line drop", M, "_atomic_prologue",
      "cache._lines.pop(addr & ~self._line_mask, None)", "None"),
@@ -42,7 +43,7 @@ MUTANTS = [
     ("fill a node's TLB before its protection check", M, "_resolve_fast",
      "region, offset = amap.resolve(addr, size)\n",
      "region, offset = amap.resolve(addr, size)\n"
-     "    self._tlb[node_id] = (region.base, region.base + region.size, region)\n"),
+     "    self._tlb[node_id] = (self.nodes[node_id], region.base, region.base + region.size, region)\n"),
     ("evict the most recent line", C, "_insert", "popitem(last=False)", "popitem(last=True)"),
     ("vectorize a batch over poison", M, "_bulk_plan",
      "device.poisoned and device.is_poisoned(offset, span)", "False"),
@@ -63,11 +64,21 @@ MUTANTS = [
      "        if not clean:\n"),
     ("an atomic rolls no dice", M, "_atomic_prologue",
      "self._maybe_fault(region, offset, width, node_id)", "None"),
-    ("drop an atomic's atlas touch", M, "_atomic_prologue", "_TEL.atlas.touch(addr, width)", "None"),
+    ("drop an atomic's atlas touch", M, "_atomic_record", "_TEL.atlas.touch(addr, width)", "None"),
     ("drop the write-back count", M, "_write_back",
-     'self._tally(node_id, "cache.writeback_lines", written)', "None"),
+     '_TEL.count(node_id, _SUB, "cache.writeback_lines", written)', "None"),
     ("vectorize a batch whose issuer's port is severed", M, "_bulk_plan",
      "is_global and not self.fabric.reachable(node_id)", "False"),
+    ("the one-line miss skips stats.misses", C, "load",
+     "self.stats.misses += 1\n        return buf", "return buf"),
+    ("the resident-run store leaves a line clean", C, "store",
+     "lines.move_to_end(base)\n            hits += 1\n",
+     "lines.move_to_end(base)\n            hits += 1\n"
+     "            line.data[lo:hi] = chunk\n            continue\n"),
+    ("the atomic hit path skips the alive check", M, "atomic_load",
+     "addr + 8 <= end and node.alive", "addr + 8 <= end"),
+    ("the atomic hit path skips its line drop", M, "atomic_load",
+     "node.cache._lines.pop(addr & ~self._line_mask, None)", "None"),
 ]
 
 

@@ -20,8 +20,24 @@ exactly from run to run, and counting only frames whose code lives under
 * ``redis-closed`` (the Fig. 4 path, 1,200 closed-loop requests, single ops
   only): 212,302 while a cached miss passed the gate twice and a line burst
   was priced by a chain of charge helpers, 209,465 with one gate and one
-  charge (E29); a re-gate costs ~2,700 calls here, a returning charge helper
+  charge (E29), 142,865 with the hit verdict read inline and one-pass line
+  runs (E37); a re-gate costs ~2,700 calls here, a returning charge helper
   ~4,000.
+
+**Bytecodes.**  Python opcode events (``sys.settrace`` with
+``f_trace_opcodes``) per Fig. 4 request, over 100 warm ``SET`` + ``GET``
+requests per transport (keys ``slice:000010``-``slice:000059``, values from
+``ValueGenerator(512, sigma=1.0)``; ``slice:000000``-``slice:000009`` warm
+the rig untraced).  This is the yardstick of the single-op plane, not calls:
+on CPython 3.11 a Python-to-Python call is cheap, and a copy of the rack
+that bound ``NodeContext``'s ops as ``functools.partial`` cut the smoke
+calls of ``redis-closed`` from 209,465 to 178,187 without moving its wall
+beyond the noise — the work was inside the frames.  Counted by this test on
+CPython 3.11 (other versions skip it): 10,308.08 (FlacOS) and 2,039.4 (TCP)
+per request while every single op re-derived node, TLB entry and codec
+through its gate and every cache run walked its lines one by one; 7,874.46
+and 1,670.24 with the hit verdict read straight from the TLB entry, one-pass
+line runs and a one-loop RESP command decoder (EXPERIMENTS E37).
 
 **numpy passes.**  The same profile, read for C-level numpy calls, on
 one smoke ``traffic-read`` rep (4 tenants, 100,257 offered requests in 245
@@ -47,6 +63,10 @@ import sys
 import pytest
 
 import repro
+from repro.apps.redis import connect_over_flacos, connect_over_tcp
+from repro.bench.harness import build_rig
+from repro.net.tcp import TcpNetwork
+from repro.workloads.generators import ValueGenerator
 
 pytestmark = pytest.mark.resilience
 
@@ -107,9 +127,58 @@ def test_incidents_observed_rep_stays_inside_its_call_budget():
 def test_redis_closed_rep_stays_inside_its_call_budget():
     outcome, calls = _one_smoke_rep("redis-closed")
     assert outcome.offered == 1_200
-    assert calls <= 211_500, (
+    assert calls <= 144_294, (
         f"{calls:,} Python calls under src/repro for one redis-closed smoke rep "
-        f"(ceiling 211,500): a second gate or a charge helper came back"
+        f"(ceiling 144,294): a second gate or a charge helper came back"
+    )
+
+
+#: (wiring, ceiling) per transport: the count on CPython 3.11 when written
+#: (7,874.46 and 1,670.24) + 1%.
+_FIG4 = {
+    "flacos": (lambda rig: connect_over_flacos(rig.kernel.ipc, rig.c0, rig.c1)[0], 7_953.20),
+    "tcp": (lambda rig: connect_over_tcp(TcpNetwork(), rig.c0, rig.c1)[0], 1_686.94),
+}
+
+
+def _opcodes_per_request(transport):
+    """Opcode events per request of 100 warm ``SET`` + ``GET`` requests."""
+    client = _FIG4[transport][0](build_rig())
+    values = ValueGenerator(512, sigma=1.0)
+    requests = []
+    for key in (b"slice:%06d" % i for i in range(60)):
+        requests += [(b"SET", key, values.value_for(key)), (b"GET", key)]
+    for parts in requests[:20]:
+        client.request(*parts)
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            events += 1
+        return count
+
+    sys.settrace(count)
+    try:
+        for parts in requests[20:]:  # this frame is not traced: only the requests count
+            client.request(*parts)
+    finally:
+        sys.settrace(None)
+    return events / 100
+
+
+@pytest.mark.parametrize("transport", sorted(_FIG4))
+def test_fig4_request_stays_inside_its_bytecode_budget(transport):
+    if sys.gettrace() is not None:
+        pytest.skip("another tracer (coverage, a debugger) owns sys.settrace")
+    if sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11):
+        pytest.skip("opcode counts are those of the CPython 3.11 the ceilings were taken on")
+    per_request = _opcodes_per_request(transport)
+    ceiling = _FIG4[transport][1]
+    assert per_request <= ceiling, (
+        f"{per_request:,.2f} opcodes per {transport} request (ceiling {ceiling:,}): "
+        f"a hit path went back through the gate or a line run back to one line at a time"
     )
 
 
