@@ -1,129 +1,290 @@
-"""Caller census of ``src/repro``, by :mod:`ast` and never importing ``repro`` (DESIGN §1).
+"""Execution census of ``src/repro``: which defs the CI roots run (DESIGN §1).
 
-Roots: the ``E<n>`` tables of ``benchmarks/bench_*.py``, ``benchmarks/perf/*.py``, the ``__main__``
-CLIs and ``boot`` (module-level code, ``FlacOS.boot``).  Reach follows, by name, the identifiers a
-reached body uses, string literals and ``getattr`` f-string heads included; ``X.attr`` with ``X`` a
-class of ``src/`` reaches that class's ``attr`` only.  Tests, examples, re-exports, docstrings and
-return annotations reach nothing.  ``pytest benchmarks/census.py`` writes ``results/census.txt``
-(per module: §, knobs no root sets, roots, kept names; the knob total), failing on an unreached
-public name, a stale kept one, or a kept one whose label is not an open ROADMAP item.  It also
-checks that every backticked ``Class.member`` in DESIGN.md and README.md names a member of that
-class of ``src/``, every ``tests/…py`` / ``benchmarks/…py`` path exists and every ``test_*`` /
-``Test*`` name is defined under ``tests/`` or ``benchmarks/``.
+Record: ``python benchmarks/census.py --run`` runs every root of :func:`roots` (the ``E<n>`` tables of
+``benchmarks/bench_*.py``, the perf smoke, the dump and run-export CLIs, ``examples/*.py`` and a bare boot),
+each in fresh interpreters under a ``sys.setprofile`` hook: a temporary ``sitecustomize.py`` on
+``PYTHONPATH``, so the interpreters ``perf/run.py`` starts per workload are traced too.  It writes
+``results/executed.txt`` (per module: its def count, the roots that executed a def there beyond what boot
+executes, each def no root executed) and fails on a never-executed def without a label.  A def whose body
+is only a docstring or ``...`` is not counted.
+
+Check: ``pytest benchmarks/census.py`` runs no root.  It joins ``executed.txt`` with ``src/``'s ast and
+writes ``results/census.txt`` (per module: §, knobs, roots, labelled never-executed defs), failing on a
+module whose def count or names differ from ``executed.txt``, a never-executed def without a label, a label
+outside :data:`KINDS`, a label on a def that executed or does not exist, and a ``branch`` label whose caller
+did not execute.  A knob is a defaulted parameter or dataclass field that no root source and no executed
+def sets.  The second test checks that every backticked ``Class.member`` in DESIGN.md and README.md names
+a member of that class of ``src/``, every ``tests/…py`` / ``benchmarks/…py`` path exists and every
+``test_*`` / ``Test*`` name is defined under ``tests/`` or ``benchmarks/``.
 """
 
 import ast
+import gc
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-#: Names no root reaches, kept (a kept class keeps its methods), by the open ROADMAP item ("item N")
-#: whose subject they are; any other label fails the census.
-_KEPT = {
-    "item 2": "RackMachine.flush_all", "item 6": "ReplicatedDict DelegatedDict",
+SRC = ROOT / "src" / "repro"
+EXECUTED = ROOT / "benchmarks" / "results" / "executed.txt"
+#: The labels a never-executed def may carry: the open ROADMAP item whose subject it is, ``branch
+#: <Class.def>`` for code an executed def calls on an input no root generates, ``guard`` for typed
+#: errors, input refusals and repair sources, and ``repr``.
+KINDS = r"item \d+|branch [\w.]+|guard|repr"
+_LABELS = {
+    # the tracer's TABLE binds these (item 1's debts); 1(d)'s overload workload will launch hedges
+    "item 1": "RackMachine.copy RackMachine.fill RackMachine.flush_invalidate RackMachine.atomic_load_many "
+              "RackMachine.atomic_fetch_add_many RackMachine.atomic_cas_many VniTable.over_share "
+              "ResilientTrafficEngine._launch_hedge _HedgeOp _batch_p99",
+    "item 2": "RackMachine.flush_all NodeCache.flush_all",
+    "item 3": "SimClock.reset",  # the reference rack's rules rewind clocks
     "item 5": "OperationLog SpscRing LockedHashMap SharedVector GlobalSpinLock BoundedStaleCell VersionChain",
-    "item 7": "disable TelemetryState.export_json",
+    "item 6": "ReplicatedDict DelegatedDict NodeReplication.compact",
+    "item 7": "reset",  # the enable surface: telemetry.reset
+    # boot lays these out; deleting them moves simulated ns (item 12's table first)
+    "item 12": "RackScheduler SchedulerBackpressure NodeContext.atomic_load_many MetadataJournal.checkpoint",
+    "guard": "refuse refuse_input validate_chrome_trace _checked_capacity _rows _target SimClock.advance "
+             "ChaosEvent.trigger_str SegmentationFault _FailedOp RepairSource CheckpointPageSource "
+             "FsBlockSource AnomalyDetector.observe ArrivalProcess.next_chunk",
+    "repr": "Event.__repr__ EventCore.__repr__ Arena.__repr__ Node.__repr__ NodeContext.__repr__ SimClock.__repr__",
+    "branch MiniRedisServer.execute": " ".join(f"MiniRedisServer._cmd_{c}" for c in (
+        "append decr del exists expire flushdb keys ping setex strlen ttl".split())) + " _integer",
+    "branch CampaignRunner._apply": "CampaignRunner._do_ue CampaignRunner._do_compact_log FaultLog.compact",
+    "branch CampaignRunner.run": "HealthEngine.invariant_failed",
+    "branch SharedPageCache.get_pages": "SharedPageCache.get_page",  # a cold miss
+    "branch AddressSpace.handle_fault": "AddressSpace._fault_local FlacOS._file_reader",  # a local page fault
+    "branch MemoryScrubber._feed_predictor_and_evacuate": "FailurePredictor.reset_page",
+    "branch MemorySystem.migrate_global_page": "ReverseMap.refcount",
+    "branch HealthEngine.tick": "FlightRecorder.record_anomaly",
+    "branch HealthEngine._drain_incidents": "FlightRecorder.record_incident",
+    "branch SLOEngine._burn_samples": "Histogram.fraction_above",
+    "branch span": "TraceBuffer.current",
+    "branch render_dashboard": "TraceBuffer.flame_summary TraceBuffer._paths",  # a traced run given to --flame
+    "branch RackMachine.load_many": "_split",
+    "branch main": "_cmd_list",
 }
-KEPT = {name: item for item, names in _KEPT.items() for name in names.split()}
+LABELS = {name: label for label, names in _LABELS.items() for name in names.split()}
+
+_HOOK = '''\
+import atexit, os, sys, threading
+_seen = set()
+def _hook(frame, event, arg, _add=_seen.add):
+    if event == "call":
+        _add(frame.f_code)
+sys.setprofile(_hook)
+threading.setprofile(_hook)
+@atexit.register
+def _write():
+    sys.setprofile(None)
+    src = os.environ["CENSUS_SRC"]
+    with open(os.path.join(os.environ["CENSUS_OUT"], "%d.txt" % os.getpid()), "w") as fh:
+        fh.writelines("%s:%d\\n" % (c.co_filename, c.co_firstlineno) for c in _seen if c.co_filename.startswith(src))
+'''
 
 
-def _uses(nodes, classes=frozenset()) -> set:
-    out, todo = set(), list(nodes)
-    while todo:
-        n = todo.pop()
-        if not isinstance(n, ast.AST) or isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant):
-            continue  # a docstring
-        todo += [v for f, value in ast.iter_fields(n) if f != "returns"
-                 for v in (value if isinstance(value, list) else [value])]
-        if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in classes:
-            out.add(f"{n.value.id}.{n.attr}")
-        elif isinstance(n, (ast.Name, ast.Attribute)):
-            out.add(getattr(n, "id", None) or n.attr)
-        elif isinstance(n, ast.Constant) and all(p.isidentifier() for p in str(n.value).split(".")):
-            out.update(str(n.value).split("."))
-        elif isinstance(n, ast.Call) and getattr(n.func, "id", "") == "getattr" and len(n.args) > 1:
-            head = getattr(n.args[1], "values", [None])[0]  # getattr(self, f"_do_{x}") -> "_do_*"
-            if isinstance(head, ast.Constant) and head.value.isidentifier():
-                out.add(head.value + "*")
-    return out
+def roots(out: str = "OUT"):
+    """(label, argv) of every root: what CI runs, less the tests; ``out`` is a scratch directory."""
+    py, tel = sys.executable, "repro.telemetry"
+    benches = []
+    for path in sorted(ROOT.glob("benchmarks/bench_*.py")):
+        exp = re.search(r'emit\(\s*"(E\d+)', path.read_text())
+        benches.append((exp.group(1), [py, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", str(path)]))
+    benches.sort(key=lambda root: int(root[0][1:]))
+    dump, run = f"{out}/d.json", f"{out}/run.json"
+    return benches + [
+        ("perf", [py, "benchmarks/perf/run.py", "--smoke"]),
+        ("perf", [py, "benchmarks/perf/run.py", "--smoke", "--trace"]),
+        ("cli", [py, "-m", f"{tel}.incidents", "run", "ue-storm", "--dump", dump, "--trace-out", f"{out}/t.json"]),
+        ("cli", [py, "-m", f"{tel}.incidents", "replay", dump]),
+        ("cli", [py, "-m", f"{tel}.incidents", "score", dump]),
+        ("cli", [py, "-m", f"{tel}.health", "postmortem", dump]),
+        ("cli", [py, "examples/redis_rack.py", "--telemetry", run]),
+        ("cli", [py, "-m", tel, run, "--flame"]),
+        *(("cli", [py, "-m", f"{tel}.atlas", view, run]) for view in ("top-links", "top-pages", "blame", "headroom")),
+        *(("examples", [py, str(path)]) for path in sorted(ROOT.glob("examples/*.py"))),
+        ("boot", [py, "-c", "import pkgutil, importlib, repro\n"
+                  "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+                  "    m.name.endswith('__main__') or importlib.import_module(m.name)\n"
+                  "repro.FlacOS.boot(repro.RackMachine(repro.RackConfig()))"]),
+    ]
+
+
+def record(src: pathlib.Path = SRC) -> dict:
+    """Run every root under the hook: label -> {(absolute path, first line)} of the code it executed."""
+    ran = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        hook, out = pathlib.Path(tmp, "hook"), pathlib.Path(tmp, "out")
+        hook.mkdir()
+        out.mkdir()
+        (hook / "sitecustomize.py").write_text(_HOOK)
+        for label, argv in roots(str(out)):
+            trace = pathlib.Path(tmp, "trace")
+            trace.mkdir()
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hook), str(src.parent)]),
+                       PYTHONHASHSEED="0", CENSUS_SRC=str(src), CENSUS_OUT=str(trace))
+            print(f"== {label}: {' '.join(argv[1:]).splitlines()[0][:100]}", flush=True)
+            done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
+            if done.returncode:
+                sys.exit(f"root {label} failed: {argv}")
+            for path in trace.iterdir():
+                for line in path.read_text().split():
+                    file, first = line.rsplit(":", 1)
+                    ran.setdefault(label, set()).add((file, int(first)))
+                path.unlink()
+            trace.rmdir()
+    return ran
 
 
 def parse(src: pathlib.Path) -> dict:
     """Dotted module name -> parsed source, for every module under ``src``, in path order."""
-    return {".".join(path.relative_to(src.parent).with_suffix("").parts): ast.parse(path.read_text())
-            for path in sorted(src.rglob("*.py"))}
+    gc.disable()  # an ast is many small objects and no cycles: collecting while parsing is all cost
+    try:
+        return {".".join(path.relative_to(src.parent).with_suffix("").parts): ast.parse(path.read_text())
+                for path in sorted(src.rglob("*.py"))}
+    finally:
+        gc.enable()
 
 
-def scan(trees: dict, bench: pathlib.Path):
-    """(name -> [uses of each def so named], root -> names used, module -> (§, [its defs])) of ``parse``'s
-    ``trees``."""
-    defs, roots, modules = {}, {}, {}
-    classes = {s.name for tree in trees.values() for s in tree.body if isinstance(s, ast.ClassDef)}
-    for path in sorted(bench.glob("bench_*.py")):
-        for exp in set(re.findall(r'emit\(\s*"(E\d+)', path.read_text())):
-            roots.setdefault(exp, set()).update(_uses([ast.parse(path.read_text())], classes))
-    roots = {e: roots[e] for e in sorted(roots, key=lambda e: int(e[1:]))}
-    roots["perf"] = _uses((ast.parse(p.read_text()) for p in sorted((bench / "perf").glob("*.py"))), classes)
-    roots["cli"], roots["boot"] = set(), {"FlacOS", "boot", "FlacOS.boot"}
+def _stub(f) -> bool:
+    return all(isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant)
+               and (s.value.value is Ellipsis or isinstance(s.value.value, str)) for s in f.body)
+
+
+def defs(tree) -> dict:
+    """First line (a decorator's, if any) -> qualified name of each counted def: ``Class.method``,
+    ``outer.inner`` for a nested one, ``Class.prop.setter`` for a property's setter."""
+    out = {}
+
+    def visit(body, prefix):  # defs sit in statement lists only
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                visit(stmt.body, f"{prefix}{stmt.name}.")
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + stmt.name
+                name += "".join(f".{d.attr}" for d in stmt.decorator_list
+                                if isinstance(d, ast.Attribute) and getattr(d.value, "id", "") == stmt.name)
+                if not _stub(stmt):
+                    out[min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])] = name
+                visit(stmt.body, f"{name}.")
+            else:  # if / for / while / with / try and its handlers
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    visit(getattr(stmt, field, ()), prefix)
+
+    visit(tree.body, "")
+    return out
+
+
+def section(tree) -> str:
+    sec = re.search(r"§\s*\d+(\.\d+)*", ast.get_docstring(tree) or "")
+    return sec.group(0).replace(" ", "") if sec else "—"
+
+
+def executed_text(trees: dict, ran: dict, src: pathlib.Path = SRC) -> str:
+    """``executed.txt`` from ``record``'s traces: per module its def count, the roots that executed a def
+    there beyond boot, and an indented line per def no root executed."""
+    lines, total, never = [], 0, 0
     for mod, tree in trees.items():
-        sec = re.search(r"§\s*\d+(\.\d+)*", ast.get_docstring(tree) or "")
-        entries = []  # (name, the nodes its definition uses)
-        top = "cli" if mod.endswith(".__main__") else "boot"  # whose module-level code this is
-        for stmt in tree.body:
-            if isinstance(stmt, ast.FunctionDef):
-                entries.append((stmt.name, [stmt]))
-            elif isinstance(stmt, ast.ClassDef):  # a class's own uses: all but its plain methods
-                methods = [s for s in stmt.body if isinstance(s, ast.FunctionDef) and not s.name.endswith("__")]
-                own = [s for s in stmt.bases + stmt.keywords + stmt.decorator_list + stmt.body if s not in methods]
-                entries += [(stmt.name, own)] + [(f"{stmt.name}.{s.name}", [s]) for s in methods]
-            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):  # an __all__ list uses nothing
-                roots[top] |= set() if "__all__" in _uses(getattr(stmt, "targets", [])) else _uses([stmt], classes)
-        for name, nodes in entries:
-            uses = _uses(nodes, classes)
-            for key in {name, name.split(".")[-1]}:  # a method is reached by name or as Class.name
-                defs.setdefault(key, []).append(uses)
-        modules[mod] = (sec.group(0).replace(" ", "") if sec else "—", [name for name, _ in entries])
-    return defs, roots, modules
+        path = str(src.parent.joinpath(*mod.split(".")).with_suffix(".py"))
+        mine = defs(tree)
+        hit = {label: {line for file, line in got if file == path} & mine.keys() for label, got in ran.items()}
+        boot = hit.get("boot", set())
+        by = [label for label in dict.fromkeys(ran) if hit[label] - (boot if label != "boot" else set())]
+        missed = sorted(mine[line] for line in mine.keys() - set().union(*hit.values()))
+        lines += [" ".join([mod, str(len(mine))] + by)] + [f"  {name}" for name in missed]
+        total, never = total + len(mine), never + len(missed)
+    return "\n".join(lines + [f"never executed: {never} of {total} defs"])
 
 
-def reach(seed, defs) -> set:
-    seen, todo = set(), list(seed)
+def read_executed(text: str) -> dict:
+    """module -> (def count, [roots], [never-executed defs]) of an ``executed.txt``."""
+    out = {}
+    for line in text.splitlines()[:-1]:
+        if line.startswith("  "):
+            out[mod][2].append(line.strip())
+        else:
+            mod, count, *by = line.split()
+            out[mod] = (int(count), by, [])
+    return out
+
+
+def problems(trees: dict, executed: dict, labels: dict = None) -> list:
+    """One line per way ``src``'s ast, ``executed.txt`` and the labels disagree."""
+    labels = LABELS if labels is None else labels
+    out, never, ran = [], {}, set()
+    for mod, tree in trees.items():
+        names = set(defs(tree).values())
+        count, _, missed = executed.get(mod, (None, (), ()))
+        if count != len(names) or not names >= set(missed):
+            out.append(f"{mod}: {len(names)} defs, executed.txt has {count} - re-run `census.py --run`")
+        never.update((name, mod) for name in missed)
+        ran |= names - set(missed)
+    out += [f"not a label: {label!r} on {name}" for name, label in labels.items()
+            if not re.fullmatch(KINDS, label)]
+    out += [f"never executed and not labelled: {mod}.{name}" for name, mod in sorted(never.items())
+            if not any(name == key or name.startswith(key + ".") for key in labels)]
+    for name, label in labels.items():
+        covered = [n for n in never if n == name or n.startswith(name + ".")]
+        if name in ran or not covered:
+            out.append(f"labelled {label!r} but {'executed' if name in ran else 'gone'}: {name}")
+        caller = label[len("branch "):] if label.startswith("branch ") else None
+        if caller and caller not in ran:
+            out.append(f"{name} labelled {label!r}, but {caller} did not execute")
+    return out
+
+
+_LEAVES = (ast.Name, ast.Constant, ast.expr_context, ast.operator, ast.cmpop, ast.unaryop, ast.boolop, ast.arg)
+
+
+def _calls(node) -> list:
+    """Every ``ast.Call`` under ``node``: ``ast.walk`` less the leaves no call is under."""
+    out, todo = [], [node]
     while todo:
-        name = todo.pop()
-        if name not in seen:
-            seen.add(name)
-            todo += [n for n in defs if n.startswith(name[:-1])] if name.endswith("*") else []
-            todo += [u for uses in defs.get(name, ()) for u in uses]
-    return seen
+        n = todo.pop()
+        if n.__class__ is ast.Call:
+            out.append(n)
+        for value in map(n.__getattribute__, n._fields):
+            if value.__class__ is list:
+                todo += [v for v in value if isinstance(v, ast.AST) and not isinstance(v, _LEAVES)]
+            elif isinstance(value, ast.AST) and not isinstance(value, _LEAVES):
+                todo.append(value)
+    return out
 
 
-def knobs(trees, bench, base) -> dict:
-    """module -> ``callee(name)`` of each defaulted parameter or dataclass field no root sets: no call of
-    its def's (method's, class's) name in a root or a def the roots reach (``base``) passes it by keyword,
-    by position or through ``*args`` / ``**kw`` (a def's own ``**kwargs`` passes on its callers')."""
-    scope = [ast.parse(p.read_text()) for p in [*bench.glob("bench_*.py"), *(bench / "perf").glob("*.py")]]
+def knobs(trees, ran, scope=()) -> dict:
+    """module -> ``callee(name)`` of each defaulted parameter or dataclass field nothing in scope sets: no
+    call of its def's (method's, class's) name in the roots' own files (``scope``), module-level code or an
+    executed def (``ran``: (module, qualified name)) passes it by keyword, by position or through ``*args`` /
+    ``**kw`` (a def's own ``**kwargs`` passes on its callers')."""
+    gc.disable()
+    try:
+        scope = [ast.parse(p.read_text()) for p in scope]
+    finally:
+        gc.enable()
     params = {}  # module -> [(callee, name, position or None)]
     for mod, tree in trees.items():
         mine = params.setdefault(mod, [])
-        for stmt in tree.body:  # fns: (called as, def, names reaching it)
-            fns = [(stmt.name, stmt, {stmt.name})] if isinstance(stmt, ast.FunctionDef) else []
+        for stmt in tree.body:  # fns: (called as, def, qualified name)
+            fns = [(stmt.name, stmt, stmt.name)] if isinstance(stmt, ast.FunctionDef) else []
             if isinstance(stmt, ast.ClassDef):  # the class's name calls its __init__
-                fns = [(n, f, {n, f"{stmt.name}.{f.name}"}) for f in stmt.body if isinstance(f, ast.FunctionDef)
+                fns = [(n, f, f"{stmt.name}.{f.name}") for f in stmt.body if isinstance(f, ast.FunctionDef)
                        for n in [stmt.name if f.name == "__init__" else f.name] if n[:2] != "__"]
                 if any("dataclass" in ast.unparse(d) for d in stmt.decorator_list):
                     fields = enumerate(f for f in stmt.body if isinstance(f, ast.AnnAssign))
                     mine += [(stmt.name, f.target.id, i) for i, f in fields if f.value is not None]
             elif not fns:
                 scope.append(stmt)
-            for callee, f, names in fns:
-                scope += [f] if names & base else []
+            for callee, f, name in fns:
+                scope += [f] if (mod, name) in ran else []
                 pos = [a for a in f.args.args if a.arg not in ("self", "cls")]
                 mine += [(callee, a.arg, i) for i, a in enumerate(pos) if i >= len(pos) - len(f.args.defaults)]
                 mine += [(callee, a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d]
     passed, forwards = {}, []  # callee -> {names, positions, "*", "**"}; (callee, def forwarding to it)
     for node in scope:
         fwd = getattr(getattr(node, "args", None), "kwarg", None)
-        for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
+        for call in _calls(node):
             callee = getattr(call.func, "id", None) or getattr(call.func, "attr", "")
             got = passed.setdefault(callee, set())
             got |= {"*" if isinstance(a, ast.Starred) else i for i, a in enumerate(call.args)}
@@ -139,42 +300,36 @@ def knobs(trees, bench, base) -> dict:
                   and not (i is not None and "*" in passed.get(c, ()))] for mod, ps in params.items()}
 
 
-def stale_labels(kept) -> list:
-    """One line per ``_KEPT``-shaped label that is not an open ROADMAP item's (``item <n>``)."""
-    return [f"kept under a label that is not a ROADMAP item: {label!r}"
-            for label in kept if not re.fullmatch(r"item \d+", label)]
-
-
-def census(src=ROOT / "src" / "repro", bench=ROOT / "benchmarks"):
-    """(a row per module: §, unset knobs, roots using it beyond what boot touches, kept names; orphans)."""
-    trees = parse(src)
-    defs, roots, modules = scan(trees, bench)
-    seen = {label: reach(seed, defs) for label, seed in roots.items()}
-    base = reach(set().union(*roots.values()), defs)
-    unset = knobs(trees, bench, base)
-    kept = {n: n.split(".")[-1] for _, ns in modules.values() for n in ns if {n, n.split(".")[0]} & KEPT.keys()}
-    anywhere = reach(base | set(kept.values()), defs)
-    rows, orphans = [("module", "§", "knobs", "reached by", "kept")], []
-    for mod, (sec, names) in modules.items():
-        last = {n.split(".")[-1] for n in names} | set(names)
-        by = [label for label in roots if last & (seen[label] - (seen["boot"] if label != "boot" else set()))]
-        orphans += [f"{mod}.{n}" for n in names if not {n, n.split(".")[-1]} & anywhere and "._" not in f".{n}"]
-        rows.append((mod, sec, str(len(unset[mod])), " ".join(by) or "-",
-                     " ".join(f"{n} ({KEPT[n]})" for n in names if n in KEPT)))
-    orphans += [f"kept but reached or gone: {k}" for k in KEPT
-                if all({n, kept[n]} & base for n in kept if k in (n, n.split(".")[0]))]
+def census(src=SRC, executed=EXECUTED):
+    """(a row per module: §, knobs, roots beyond boot, labelled never-executed defs; the problems)."""
+    trees, table = parse(src), read_executed(executed.read_text())
+    ran = {(mod, name) for mod, tree in trees.items() for name in defs(tree).values()
+           if name not in table.get(mod, (0, (), ()))[2]}
+    scope = [*ROOT.glob("benchmarks/bench_*.py"), *ROOT.glob("benchmarks/perf/*.py"), *ROOT.glob("examples/*.py")]
+    unset = knobs(trees, ran, sorted(scope))
+    rows, counts = [("module", "§", "knobs", "executed by", "never executed (label)")], {}
+    for mod, tree in trees.items():
+        _, by, missed = table.get(mod, (0, (), ()))
+        kept = {}  # label -> the never-executed defs it covers
+        for name in missed:
+            label = next((LABELS[k] for k in LABELS if name == k or name.startswith(k + ".")), "-")
+            counts[label.split()[0]] = counts.get(label.split()[0], 0) + 1
+            kept.setdefault(label, []).append(name)
+        rows.append((mod, section(tree), str(len(unset[mod])), " ".join(by) or "-",
+                     "; ".join(f"{label}: {' '.join(names)}" for label, names in kept.items())))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths + [0])).rstrip() for r in rows]
-    lines.append(f"\n{len(modules)} modules, {len(KEPT)} kept names; unreached public names: {len(orphans)}")
-    lines.append(f"knobs, defaulted parameters and dataclass fields no root sets: {sum(map(len, unset.values()))}")
-    return "\n".join(lines + [f"  {o}" for o in orphans]), orphans
+    lines.append(f"\n{len(trees)} modules, {len(ran) + sum(counts.values())} defs; never executed: "
+                 + ", ".join(f"{n} {label}" for label, n in sorted(counts.items())))
+    lines.append(f"knobs, defaulted parameters and dataclass fields nothing executed sets: "
+                 f"{sum(map(len, unset.values()))}")
+    return "\n".join(lines), problems(trees, table)
 
 
 def test_census(emit):
-    text, orphans = census()
+    text, bad = census()
     emit("census", text)
-    assert not orphans, f"public names nothing reaches: {orphans}"
-    assert not stale_labels(_KEPT), stale_labels(_KEPT)
+    assert not bad, bad
 
 
 def class_members(trees) -> dict:
@@ -209,7 +364,7 @@ def class_members(trees) -> dict:
     return members
 
 
-def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=ROOT / "src" / "repro") -> list:
+def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=SRC) -> list:
     """``file:line: name`` for each name in a code span or fenced block that is stale: a ``Class.member``
     whose ``Class`` is a class of ``src`` that defines no ``member``, a ``tests/…py`` or ``benchmarks/…py``
     path (a glob) that matches no file, or a ``test_*`` / ``Test*`` name nothing under ``tests/`` or
@@ -237,3 +392,13 @@ def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=ROOT / "s
 def test_docs_name_members_that_exist():
     stale = stale_doc_names()
     assert not stale, f"backticked names that do not exist: {stale}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--run"]:
+        sys.exit("usage: python benchmarks/census.py --run")
+    trees = parse(SRC)
+    EXECUTED.write_text(executed_text(trees, record()) + "\n")
+    bad = problems(trees, read_executed(EXECUTED.read_text()))
+    print("\n".join(bad) or f"wrote {EXECUTED.relative_to(ROOT)}")
+    sys.exit(1 if bad else 0)

@@ -37,10 +37,6 @@ class ImageSpec:
     layers: List[LayerSpec]
     manifest_bytes: int = 8192
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(layer.size_bytes for layer in self.layers)
-
 
 def pytorch_image(total_bytes: int = 4 << 30) -> ImageSpec:
     """The paper's 4 GB PyTorch image, split into realistic layers."""

@@ -286,11 +286,6 @@ class MiniRedisClient:
         return reply
 
     # sugar for the common commands
-    def set(self, key: bytes, value: bytes) -> str:
-        return self.request(b"SET", key, value)
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self.request(b"GET", key)
 
     def timed_request(self, *parts: bytes) -> Tuple[Any, float]:
         """(reply, client-observed latency in ns)."""

@@ -75,16 +75,12 @@ class ServerlessPlatform:
         ipc: Optional[IpcSystem] = None,
         tcp: Optional[TcpNetwork] = None,
         schedule_cost_ns: float = 15_000.0,
-        scheduler=None,
     ) -> None:
         self.machine = machine
         self.runtime = runtime
         self.ipc = ipc
         self.tcp = tcp
         self.schedule_cost_ns = schedule_cost_ns
-        #: optional FlacOS RackScheduler — Figure 3's control plane uses
-        #: the kernel's rack-wide load view instead of platform-local state
-        self.scheduler = scheduler
         self._functions: Dict[str, FunctionSpec] = {}
         #: (fn, node) -> warm sandboxes
         self._pools: Dict[Tuple[str, int], List[Sandbox]] = {}
@@ -97,28 +93,10 @@ class ServerlessPlatform:
             raise ValueError(f"function {fn.name!r} already deployed")
         self._functions[fn.name] = fn
 
-    # -- scheduling --------------------------------------------------------------------
-
-    def pick_node(self, fn_name: str) -> int:
-        """Prefer a node with a warm sandbox, else the least-loaded node
-        (by the kernel scheduler's rack-wide load view when wired)."""
-        for (name, node_id), pool in self._pools.items():
-            if name == fn_name and pool and self.machine.nodes[node_id].alive:
-                return node_id
-        if self.scheduler is not None:
-            live = [n for n, node in self.machine.nodes.items() if node.alive]
-            return self.scheduler.pick_node(self.machine.context(live[0]))
-        loads = {
-            node_id: sum(len(p) for (n, nid), p in self._pools.items() if nid == node_id)
-            for node_id, node in self.machine.nodes.items()
-            if node.alive
-        }
-        return min(loads, key=lambda nid: (loads[nid], nid))
-
     # -- invocation -------------------------------------------------------------------------
 
     def invoke(self, ctx: NodeContext, fn_name: str, payload: bytes) -> Tuple[bytes, InvokeReport]:
-        """Run one invocation on ``ctx``'s node (scheduler already chose it)."""
+        """Run one invocation on ``ctx``'s node (the caller chose it)."""
         fn = self._lookup(fn_name)
         ctx.advance(self.schedule_cost_ns)
         start = ctx.now()

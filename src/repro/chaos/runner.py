@@ -11,7 +11,6 @@ time/randomness sources, so there is nothing host-dependent to leak in.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -48,15 +47,6 @@ class CampaignReport:
     fired: List[FiredEvent] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
     journal: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def digest(self) -> str:
-        """SHA-256 of the journal — the byte-identity witness."""
-        return hashlib.sha256(self.journal.encode("utf-8")).hexdigest()
 
 
 def render_fault_log(log: FaultLog) -> str:

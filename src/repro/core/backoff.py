@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Tuple
 
 
 def jitter_fraction(*key: object) -> float:
@@ -77,12 +76,3 @@ class BackoffPolicy:
             frac = jitter_fraction(attempt, *key)
             delay *= 1.0 - self.jitter * frac
         return delay
-
-    def schedule(self, *key: object) -> Iterator[Tuple[int, float]]:
-        """Yield ``(attempt, delay_ns)`` for every allowed retry."""
-        for attempt in range(self.max_attempts):
-            yield attempt, self.delay_ns(attempt, *key)
-
-    def total_ns(self, *key: object) -> float:
-        """Worst-case simulated wait if every allowed retry is taken."""
-        return sum(delay for _, delay in self.schedule(*key))

@@ -126,12 +126,6 @@ class EventCore:
         heapq.heappush(self._heap, ev)
         return ev
 
-    def after(self, delay_ns: float, fn: Callable[[], None], node: Optional[int] = None) -> Event:
-        """Schedule ``fn`` ``delay_ns`` after the core's current time."""
-        if delay_ns < 0:
-            raise EventCoreError(f"negative delay {delay_ns}")
-        return self.at(self.now_ns + delay_ns, fn, node)
-
     @staticmethod
     def cancel(ev: Event) -> None:
         """Mark an event dead; it is skipped (and freed) when it surfaces."""
@@ -162,9 +156,6 @@ class EventCore:
         return rec
 
     # -- introspection ---------------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(1 for ev in self._heap if not ev.cancelled)
 
     def peek_ns(self) -> Optional[float]:
         """Time of the next live event, or ``None`` when idle."""
@@ -215,4 +206,4 @@ class EventCore:
         return ran
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EventCore(now={self.now_ns:.0f}ns, pending={len(self)})"
+        return f"EventCore(now={self.now_ns:.0f}ns, pending={sum(not ev.cancelled for ev in self._heap)})"

@@ -41,14 +41,6 @@ class BoxSnapshot:
     #: ipc buffer payloads owned by the box: list of (tag, bytes)
     ipc_payloads: List[Tuple[str, bytes]]
 
-    def total_bytes(self) -> int:
-        return (
-            sum(len(p) for p in self.pages.values())
-            + len(self.vma_blob)
-            + len(self.context)
-            + sum(len(b) for _, b in self.ipc_payloads)
-        )
-
 
 @dataclass
 class FaultBox:

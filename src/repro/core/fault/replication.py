@@ -84,9 +84,5 @@ class PartialReplicator:
         )
         return self.manager.restore(ctx, box, snapshot)
 
-    def standby_bytes(self, box: FaultBox) -> int:
-        state = self._replicas.get(box.box_id)
-        return len(state.standby_frames) * PAGE_SIZE if state else 0
-
     def state_of(self, box: FaultBox) -> Optional[ReplicaState]:
         return self._replicas.get(box.box_id)

@@ -10,7 +10,6 @@ from .block import BlockAllocator, BlockDevice, BlockDeviceError, BlockDeviceSpe
 from .filesystem import FlacFS, OpenFile, PrivateCacheFS
 from .journal import JournalRecord, MetadataJournal
 from .metadata import (
-    DirectoryNotEmpty,
     FileExists,
     FileNotFound,
     FsError,
@@ -27,7 +26,6 @@ __all__ = [
     "BlockDevice",
     "BlockDeviceError",
     "BlockDeviceSpec",
-    "DirectoryNotEmpty",
     "FileExists",
     "FileNotFound",
     "FlacFS",

@@ -79,21 +79,9 @@ class FlacFS:
 
     # -- namespace ---------------------------------------------------------------------
 
-    def create(self, ctx: NodeContext, path: str) -> int:
-        self._charge_path(ctx, path)
-        return self.metadata.create(ctx, path, is_dir=False)
-
     def mkdir(self, ctx: NodeContext, path: str) -> int:
         self._charge_path(ctx, path)
         return self.metadata.create(ctx, path, is_dir=True)
-
-    def unlink(self, ctx: NodeContext, path: str) -> None:
-        self._charge_path(ctx, path)
-        inode = self.metadata.lookup(ctx, path)
-        if not inode.is_dir:
-            n_pages = (inode.size + PAGE_SIZE - 1) // PAGE_SIZE
-            self.page_cache.evict_file(ctx, inode.ino, n_pages)
-        self.metadata.unlink(ctx, path)
 
     def stat(self, ctx: NodeContext, path: str) -> Inode:
         self._charge_path(ctx, path)

@@ -40,10 +40,6 @@ class IsADirectory(FsError):
     pass
 
 
-class DirectoryNotEmpty(FsError):
-    pass
-
-
 @dataclass
 class Inode:
     ino: int
@@ -112,19 +108,6 @@ class _Namespace:
         parent.children[name] = ino
         return ino
 
-    def _op_unlink(self, path: str) -> int:
-        parent, name = self.parent_of(path)
-        ino = parent.children.get(name)
-        if ino is None:
-            raise FileNotFound(path)
-        inode = self.inodes[ino]
-        if inode.is_dir:
-            if inode.children:
-                raise DirectoryNotEmpty(path)
-        del parent.children[name]
-        del self.inodes[ino]
-        return ino
-
     def _op_set_size(self, ino: int, size: int, mtime_ns: float) -> None:
         inode = self.inodes[ino]
         inode.size = size
@@ -163,9 +146,6 @@ class MetadataStore:
 
     def create(self, ctx: NodeContext, path: str, is_dir: bool = False) -> int:
         return self.nr.replica(ctx).execute(ctx, ("create", path, is_dir, ctx.now()))
-
-    def unlink(self, ctx: NodeContext, path: str) -> int:
-        return self.nr.replica(ctx).execute(ctx, ("unlink", path))
 
     def set_size(self, ctx: NodeContext, ino: int, size: int) -> None:
         self.nr.replica(ctx).execute(ctx, ("set_size", ino, size, ctx.now()))

@@ -153,24 +153,6 @@ class SharedPageCache:
                 frames.append(None)
         return frames
 
-    def read(
-        self,
-        ctx: NodeContext,
-        file_id: int,
-        page_idx: int,
-        offset: int,
-        size: int,
-        loader: Optional[Callable[[NodeContext], bytes]] = None,
-    ) -> bytes:
-        """Read within one cached page (invalidating stale local lines)."""
-        if offset + size > PAGE_SIZE:
-            raise PageCacheError("read crosses a page boundary")
-        frame = self.get_page(ctx, file_id, page_idx, loader)
-        if frame is None:
-            return b""
-        ctx.invalidate(frame + offset, size)
-        return ctx.load(frame + offset, size)
-
     # -- write path -------------------------------------------------------------------
 
     def write(
@@ -293,24 +275,6 @@ class SharedPageCache:
         self._dirty_hint.append((file_id, page_idx))
 
     # -- eviction & teardown -----------------------------------------------------------------
-
-    def evict_file(self, ctx: NodeContext, file_id: int, n_pages: int) -> int:
-        """Drop a file's clean pages (dirty ones must be written back first)."""
-        evicted = 0
-        for page_idx in range(n_pages):
-            key = cache_key(file_id, page_idx)
-            value = self.tree.lookup(ctx, key)
-            if value is None or value & _DIRTY:
-                continue
-            removed = self.tree.remove(ctx, key)
-            if removed is None:
-                continue
-            self.reclaimer.retire(
-                ctx, removed & ~_DIRTY, lambda addr: self.frames.free(ctx, addr)
-            )
-            evicted += 1
-            self.stats.evictions += 1
-        return evicted
 
     def cached_pages(self, ctx: NodeContext) -> int:
         return sum(1 for _ in self.tree.items(ctx))

@@ -5,11 +5,10 @@ name registry, and migration-based RPC with shared code contexts.
 """
 
 from .registry import Endpoint, NameInUse, NameRegistry, RegistryError, UnknownName
-from .rpc import RpcDeadlineExceeded, RpcError, RpcStats, RpcSystem, RpcTimeout
+from .rpc import RpcError, RpcStats, RpcSystem
 from .shared_buffer import PACKED_SIZE, BufferPool, BufferRef
 from .socket import (
     Connection,
-    ConnectionClosed,
     ConnectionGeometry,
     INLINE_MAX,
     IpcError,
@@ -21,7 +20,6 @@ __all__ = [
     "BufferPool",
     "BufferRef",
     "Connection",
-    "ConnectionClosed",
     "ConnectionGeometry",
     "Endpoint",
     "INLINE_MAX",
@@ -32,10 +30,8 @@ __all__ = [
     "NameRegistry",
     "PACKED_SIZE",
     "RegistryError",
-    "RpcDeadlineExceeded",
     "RpcError",
     "RpcStats",
     "RpcSystem",
-    "RpcTimeout",
     "UnknownName",
 ]

@@ -48,8 +48,6 @@ def _apply(state: Dict[str, Endpoint], op: Any) -> Any:
             raise NameInUse(endpoint.name)
         state[endpoint.name] = endpoint
         return None
-    if verb == "unbind":
-        return state.pop(op[1], None) is not None
     raise RegistryError(f"unknown registry op {verb!r}")
 
 
@@ -63,9 +61,6 @@ class NameRegistry:
 
     def bind(self, ctx: NodeContext, endpoint: Endpoint) -> None:
         self.nr.replica(ctx).execute(ctx, ("bind", pickle.dumps(endpoint)))
-
-    def unbind(self, ctx: NodeContext, name: str) -> bool:
-        return bool(self.nr.replica(ctx).execute(ctx, ("unbind", name)))
 
     def resolve(self, ctx: NodeContext, name: str) -> Endpoint:
         endpoint = self.nr.replica(ctx).read(ctx, lambda state: state.get(name))

@@ -44,10 +44,6 @@ class IpcError(Exception):
     pass
 
 
-class ConnectionClosed(IpcError):
-    pass
-
-
 @dataclass
 class ConnectionGeometry:
     """Shared-memory layout of one connection (what accept receives)."""
@@ -77,13 +73,11 @@ class Connection:
         self._send = send_ring
         self._recv = recv_ring
         self.is_server = is_server
-        self.closed = False
 
     # -- byte-message API -----------------------------------------------------------
 
     def send(self, ctx: NodeContext, data: bytes) -> bool:
         """Send one message; False when the ring is full (try again)."""
-        self._check_open()
         ctx.advance(self.ipc.costs.syscall_ns)
         if len(data) <= INLINE_MAX:
             ok = self._send.try_push(ctx, _INLINE + data)
@@ -103,7 +97,6 @@ class Connection:
 
     def recv(self, ctx: NodeContext) -> Optional[bytes]:
         """Receive one message; None when nothing is pending."""
-        self._check_open()
         ctx.advance(self.ipc.costs.syscall_ns)
         raw = self._recv.try_pop(ctx)
         if raw is None:
@@ -119,7 +112,6 @@ class Connection:
 
     def send_buffer(self, ctx: NodeContext, ref: BufferRef) -> bool:
         """Hand an already-shared buffer to the peer (ownership moves)."""
-        self._check_open()
         ctx.advance(self.ipc.costs.syscall_ns)
         before = ctx.now() if _TEL.enabled else 0.0
         ok = self._send.try_push(ctx, _BUFFER + ref.pack())
@@ -131,7 +123,6 @@ class Connection:
 
     def recv_buffer(self, ctx: NodeContext) -> Optional[BufferRef]:
         """Receive a descriptor without copying the payload anywhere."""
-        self._check_open()
         ctx.advance(self.ipc.costs.syscall_ns)
         raw = self._recv.try_pop(ctx)
         if raw is None:
@@ -139,16 +130,6 @@ class Connection:
         if raw[0] != _TAG_BUFFER:
             raise IpcError("peer sent an inline message; use recv()")
         return BufferRef.unpack(raw[1 : 1 + PACKED_SIZE])
-
-    def pending(self, ctx: NodeContext) -> int:
-        return self._recv.size(ctx)
-
-    def close(self) -> None:
-        self.closed = True
-
-    def _check_open(self) -> None:
-        if self.closed:
-            raise ConnectionClosed("connection is closed")
 
 
 class ListenSocket:
@@ -169,9 +150,6 @@ class ListenSocket:
         c2s = SpscRing(geometry.c2s_addr, _RING_SLOTS, INLINE_MAX + 1 + PACKED_SIZE)
         s2c = SpscRing(geometry.s2c_addr, _RING_SLOTS, INLINE_MAX + 1 + PACKED_SIZE)
         return Connection(self.ipc, send_ring=s2c, recv_ring=c2s, is_server=True)
-
-    def close(self, ctx: NodeContext) -> None:
-        self.ipc.registry.unbind(ctx, self.name)
 
 
 class IpcSystem:

@@ -18,7 +18,7 @@ off one heap, ``events``, and nothing polls.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..flacdk.alloc import FrameAllocator
 from ..flacdk.arena import Arena
@@ -217,73 +217,13 @@ class FlacOS:
     def context(self, node_id: int) -> NodeContext:
         return self.machine.context(node_id)
 
-    # -- observability -----------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        """One snapshot of every subsystem's counters (operator view)."""
-        ctx = self.machine.context(0)
-        from ..rack.faults import FaultKind
-
-        return {
-            "page_cache": {
-                "hits": self.fs.page_cache.stats.hits,
-                "misses": self.fs.page_cache.stats.misses,
-                "hit_rate": round(self.fs.page_cache.stats.hit_rate(), 4),
-                "cached_bytes": self.fs.cache_footprint_bytes(ctx),
-                "writebacks": self.fs.page_cache.stats.writebacks,
-                "version_swaps": self.fs.page_cache.stats.version_swaps,
-            },
-            "cpu_caches": {
-                node_id: {
-                    "hit_rate": round(node.cache.stats.hit_rate(), 4),
-                    "writebacks": node.cache.stats.writebacks,
-                    "invalidations": node.cache.stats.invalidations,
-                }
-                for node_id, node in self.machine.nodes.items()
-            },
-            "faults": {
-                "correctable": self.monitor.total(FaultKind.CORRECTABLE),
-                "uncorrectable": self.monitor.total(FaultKind.UNCORRECTABLE),
-                "node_crashes": self.monitor.total(FaultKind.NODE_CRASH),
-            },
-            "ipc": {
-                "live_buffers": self.ipc.buffers.live_buffers,
-                "buffer_bytes_written": self.ipc.buffers.bytes_written,
-            },
-            "rpc": {
-                "calls": self.rpc.stats.calls,
-                "context_fetches": self.rpc.stats.context_fetches,
-            },
-            "scheduler": {
-                node_id: self.scheduler.load_of(ctx, node_id)
-                for node_id in self.machine.nodes
-            },
-            "fault_boxes": {
-                "total": len(self.boxes.boxes),
-                "failed": len(self.boxes.failed_boxes()),
-            },
-            "self_healing": {
-                "repairs_attempted": self.repair.stats.attempted,
-                "repaired": self.repair.stats.repaired,
-                "unrepairable": self.repair.stats.unrepairable,
-                "by_source": dict(self.repair.stats.by_source),
-                "scrub_passes": self.scrubber.stats.passes,
-                "latent_pages_found": self.scrubber.stats.latent_pages_found,
-                "evacuated": self.scrubber.stats.evacuated,
-            },
-            "clocks_us": {
-                node_id: round(self.machine.now(node_id) / 1000, 1)
-                for node_id in self.machine.nodes
-            },
-        }
-
     # -- cross-subsystem glue ---------------------------------------------------------
 
     def _file_reader(self, ctx: NodeContext, file_id: int, offset: int, size: int) -> bytes:
         """mmap-file backing: pull pages from FlacFS's shared cache."""
         page_idx = offset // PAGE_SIZE
         page_off = offset % PAGE_SIZE
-        return self.fs.page_cache.read(
-            ctx, file_id, page_idx, page_off, min(size, PAGE_SIZE - page_off),
-            self.fs._loader(file_id, page_idx),
-        )
+        size = min(size, PAGE_SIZE - page_off)
+        frame = self.fs.page_cache.get_page(ctx, file_id, page_idx, self.fs._loader(file_id, page_idx))
+        ctx.invalidate(frame + page_off, size)  # stale local lines
+        return ctx.load(frame + page_off, size)

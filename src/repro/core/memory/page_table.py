@@ -63,10 +63,6 @@ class Translation:
     flags: int
 
     @property
-    def is_global(self) -> bool:
-        return bool(self.flags & PTE_GLOBAL)
-
-    @property
     def writable(self) -> bool:
         return bool(self.flags & PTE_WRITE)
 
@@ -129,9 +125,6 @@ class SharedPageTable:
                 yield vpn, _decode(pte)
 
     # -- shootdown generation ---------------------------------------------------------
-
-    def generation(self, ctx: NodeContext) -> int:
-        return ctx.atomic_load(self.generation_addr)
 
 
 def _decode(pte: int) -> Translation:

@@ -19,6 +19,7 @@ from ...flacdk.alloc import FrameAllocator, SharedHeap
 from ...flacdk.arena import Arena
 from ...flacdk.sync import OperationLog
 from ...rack.machine import NodeContext, RackMachine
+from ...rack.params import LOCAL_STRIDE
 from ..params import OsCosts
 from .address_space import AddressSpace
 from .dedup import PageDeduper
@@ -155,29 +156,21 @@ class MemorySystem:
     def _alloc_frame(self, ctx: NodeContext, placement: Placement) -> int:
         if placement is Placement.GLOBAL:
             return self.global_frames.alloc(ctx)
-        self._drain_deferred(ctx)
-        return self.local_frames[ctx.node_id].alloc(ctx)
+        frames, pending = self.local_frames[ctx.node_id], self._deferred_local_frees[ctx.node_id]
+        while pending:  # frees other nodes delegated to this one
+            frames.free(ctx, pending.pop())
+        return frames.alloc(ctx)
 
     def _free_frame(self, ctx: NodeContext, frame: int, placement: Placement) -> None:
         if placement is Placement.GLOBAL or self.machine.is_global_addr(frame):
             self.global_frames.free(ctx, frame)
             return
-        owner = self._local_owner(frame)
+        owner = frame // LOCAL_STRIDE
         if owner == ctx.node_id:
             self.local_frames[owner].free(ctx, frame)
         else:
             # cannot touch another node's bitmap: delegate to the owner
             self._deferred_local_frees[owner].append(frame)
-
-    def _drain_deferred(self, ctx: NodeContext) -> None:
-        pending = self._deferred_local_frees[ctx.node_id]
-        while pending:
-            self.local_frames[ctx.node_id].free(ctx, pending.pop())
-
-    def _local_owner(self, frame: int) -> int:
-        from ...rack.params import LOCAL_STRIDE
-
-        return frame // LOCAL_STRIDE
 
     # -- proactive evacuation -----------------------------------------------------------
 

@@ -83,16 +83,6 @@ class Tlb:
         ctx.advance(self.costs.tlb_invalidate_ns * max(1, len(victims)))
         return len(victims)
 
-    def flush_all(self, ctx: NodeContext) -> int:
-        n = len(self._entries)
-        self._entries.clear()
-        self.stats.invalidations += n
-        ctx.advance(self.costs.tlb_invalidate_ns * max(1, n))
-        return n
-
-    def resident(self) -> int:
-        return len(self._entries)
-
 
 class TlbShootdown:
     """Shared-memory shootdown doorbell.

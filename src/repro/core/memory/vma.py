@@ -46,10 +46,6 @@ class VMA:
     def contains(self, vaddr: int) -> bool:
         return self.start <= vaddr < self.end
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 class VmaSet:
     """A node's local view of one address space's VMAs."""

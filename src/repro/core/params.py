@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..rack.params import refuse_bad_costs
+
 
 @dataclass
 class OsCosts:
@@ -41,3 +43,5 @@ class OsCosts:
     skb_alloc_ns: float = 350.0
     #: Kernel/user copy, per byte (both stacks pay it when they copy).
     copy_ns_per_byte: float = 0.05
+
+    __post_init__ = refuse_bad_costs

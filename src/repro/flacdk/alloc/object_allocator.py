@@ -129,13 +129,6 @@ class SharedHeap:
             if swapped:
                 return
 
-    def payload_capacity(self, payload_addr: int, ctx: NodeContext) -> int:
-        """Usable bytes of a live allocation (class size minus header)."""
-        cls = ctx.atomic_load(payload_addr - _HEADER)
-        if cls >= _N_CLASSES:
-            raise BadFreeError(f"not a live block: {payload_addr:#x}")
-        return _class_size(cls) - _HEADER
-
     # -- introspection ---------------------------------------------------------------
 
     def bytes_bumped(self, ctx: NodeContext) -> int:

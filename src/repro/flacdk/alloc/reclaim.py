@@ -16,7 +16,7 @@ made from globally visible facts, not Python-side convenience state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ...rack.machine import NodeContext
 
@@ -70,9 +70,6 @@ class EpochReclaimer:
 
     # -- write-side -------------------------------------------------------------
 
-    def current_epoch(self, ctx: NodeContext) -> int:
-        return ctx.atomic_load(self.base)
-
     def retire(self, ctx: NodeContext, addr: int, free_fn: Callable[[int], None]) -> None:
         """Schedule ``addr`` for freeing once its epoch is safe."""
         epoch = ctx.atomic_load(self.base)
@@ -114,11 +111,6 @@ class EpochReclaimer:
     def advance_and_reclaim(self, ctx: NodeContext) -> int:
         self.advance(ctx)
         return self.reclaim(ctx)
-
-    def pending(self, node_id: Optional[int] = None) -> int:
-        if node_id is not None:
-            return len(self._retired.get(node_id, []))
-        return sum(len(v) for v in self._retired.values())
 
     # -- layout -------------------------------------------------------------------------
 

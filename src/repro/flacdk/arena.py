@@ -38,9 +38,5 @@ class Arena:
         self._cursor = start + size
         return start
 
-    @property
-    def remaining(self) -> int:
-        return self.base + self.size - self._cursor
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Arena({self.base:#x}+{self.size:#x}, used={self._cursor - self.base:#x})"

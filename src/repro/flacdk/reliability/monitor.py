@@ -1,8 +1,7 @@
 """System health monitoring (§3.2): the front of the fault pipeline.
 
 The monitor subscribes to the rack's fault log and aggregates events
-into per-page counters over a sliding window and all-time totals per
-fault kind.  Downstream, the predictor consumes these series and the
+into per-page counters over a sliding window.  Downstream, the predictor consumes these series and the
 detectors cross-check data integrity and liveness.
 """
 
@@ -21,12 +20,7 @@ class HealthMonitor:
         self.page_size = page_size
         self.window_ns = window_ns
         self._events: Deque[FaultEvent] = deque()
-        self._total_by_kind: Dict[FaultKind, int] = defaultdict(int)
-        fault_log.subscribe(self._on_event)
-
-    def _on_event(self, event: FaultEvent) -> None:
-        self._events.append(event)
-        self._total_by_kind[event.kind] += 1
+        fault_log.subscribe(self._events.append)
 
     def _trim(self, now_ns: float) -> None:
         horizon = now_ns - self.window_ns
@@ -43,7 +37,3 @@ class HealthMonitor:
             if event.kind is FaultKind.CORRECTABLE and event.addr is not None:
                 counts[event.addr & ~(self.page_size - 1)] += 1
         return dict(counts)
-
-    def total(self, kind: FaultKind) -> int:
-        """All-time count, regardless of window."""
-        return self._total_by_kind.get(kind, 0)

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional
 
 from ...rack.machine import NodeContext
 from ..sync.delegation import DelegationService
-from ..sync.oplog import OperationLog
+from ..sync.oplog import OperationLog, _align8
 from ..sync.replication import NodeReplication
 from ..sync.spinlock import GlobalSpinLock
 
@@ -263,7 +263,3 @@ class DelegatedDict:
 
     def delete(self, ctx: NodeContext, owner_ctx: NodeContext, key: bytes) -> bool:
         return bool(self._invoke(ctx, owner_ctx, key, ("del", key)))
-
-
-def _align8(value: int) -> int:
-    return (value + 7) & ~7

@@ -116,9 +116,6 @@ class SpscRing:
     def size(self, ctx: NodeContext) -> int:
         return ctx.atomic_load(self.base + 8) - ctx.atomic_load(self.base)
 
-    def is_empty(self, ctx: NodeContext) -> bool:
-        return self.size(ctx) == 0
-
     def is_full(self, ctx: NodeContext) -> bool:
         return self.size(ctx) >= self.capacity
 

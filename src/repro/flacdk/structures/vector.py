@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Tuple
 
 from ...rack.machine import NodeContext
+from ..sync.oplog import _align8
 
 _HEADER = 64
 _REC_META = 8
@@ -114,7 +115,3 @@ class SharedVector:
 
     def _slot(self, idx: int) -> int:
         return self.base + _HEADER + idx * self.slot_size
-
-
-def _align8(value: int) -> int:
-    return (value + 7) & ~7

@@ -96,12 +96,9 @@ class BoundedStaleCell:
         last = self._last_refresh.get(ctx.node_id)
         return last[1] if last else 0
 
-    def current_version(self, ctx: NodeContext) -> int:
-        return ctx.atomic_load(self.base)
-
     def version_lag(self, ctx: NodeContext) -> int:
         """How many writes behind this node's view may be right now."""
-        return self.current_version(ctx) - self.observed_version(ctx)
+        return ctx.atomic_load(self.base) - self.observed_version(ctx)
 
     def _refresh(self, ctx: NodeContext, size: int) -> bytes:
         previous = self.observed_version(ctx)

@@ -127,7 +127,7 @@ class VersionChain:
 
     def publish(self, ctx: NodeContext, payload: bytes) -> int:
         head = ctx.atomic_load(self.ptr_addr)
-        epoch = self.reclaimer.current_epoch(ctx)
+        epoch = ctx.atomic_load(self.reclaimer.base)  # the current epoch
         block = self.heap.alloc(ctx, self._HDR + len(payload))
         header = struct.pack("<QQI4x", head, epoch, len(payload))
         ctx.store(block, header + payload)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..rack.params import refuse_bad_costs
+
 
 @dataclass
 class EthernetSpec:
@@ -43,6 +45,8 @@ class TcpCosts:
     rx_stack_ns: float = 2400.0
     #: waking the blocked receiver process (scheduler + context switch).
     wakeup_ns: float = 1900.0
+
+    __post_init__ = refuse_bad_costs
 
 
 @dataclass

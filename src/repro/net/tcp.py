@@ -77,9 +77,6 @@ class TcpConnection:
         self.network.stats.bytes_copied += len(data)
         return data
 
-    def pending(self, ctx: NodeContext) -> int:
-        return len(self._ends[ctx.node_id])
-
 
 class TcpNetwork:
     """Direct-connected Ethernet between every node pair (the testbed)."""

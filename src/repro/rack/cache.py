@@ -26,10 +26,6 @@ class CacheStats:
     invalidations: int = 0
     evictions: int = 0
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class _Line:
     """One resident line: ``data`` (a bytearray) and ``dirty``; built by
@@ -225,8 +221,8 @@ class NodeCache:
         """Drop lines in range *without* writing them back (``dc ivac``).
 
         Dirty data in the range is lost — exactly like the hardware
-        instruction.  Protocols that must not lose writes use
-        :meth:`flush_invalidate`.
+        instruction.  Protocols that must not lose writes :meth:`flush`
+        first.
         """
         if size <= 0:
             return 0
@@ -244,12 +240,6 @@ class NodeCache:
         dropped = resident - len(lines)
         self.stats.invalidations += dropped
         return dropped
-
-    def flush_invalidate(self, addr: int, size: int) -> Tuple[int, int]:
-        """Write back then drop (``dc civac``).  Returns ``(written, dropped)``."""
-        written = self.flush(addr, size)
-        dropped = self.invalidate(addr, size)
-        return written, dropped
 
     def flush_all(self) -> int:
         """Write back every dirty line (context switch / checkpoint path)."""
@@ -269,9 +259,6 @@ class NodeCache:
         return dropped
 
     # -- introspection (tests) ----------------------------------------------
-
-    def contains(self, addr: int) -> bool:
-        return addr & ~(self.line_size - 1) in self._lines
 
     def holds_any(self, addrs) -> bool:
         """Whether the line of any address in ``addrs`` (an int64 array) is

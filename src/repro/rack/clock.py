@@ -26,8 +26,8 @@ class SimClock:
 
     def advance(self, ns: float) -> float:
         """Charge ``ns`` nanoseconds and return the new time."""
-        if ns < 0:
-            raise ValueError(f"cannot advance clock by negative time: {ns}")
+        if not ns >= 0:  # NaN too: it would poison every later reading
+            raise ValueError(f"cannot advance clock by negative or NaN time: {ns}")
         self._now_ns += ns
         return self._now_ns
 

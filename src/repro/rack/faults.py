@@ -101,16 +101,6 @@ class FaultLog:
             return list(events)
         return events[bisect_left(times, since_ns) :]
 
-    def count(self, kind: Optional[FaultKind] = None, since_ns: float = 0.0) -> int:
-        """Event count without materialising the list."""
-        if kind is None:
-            times = self._times
-        else:
-            times = self._times_by_kind.get(kind, [])
-        if since_ns <= 0.0:
-            return len(times)
-        return len(times) - bisect_left(times, since_ns)
-
     def compact(self, before_ns: float) -> int:
         """Drop events older than ``before_ns``; returns how many went.
 

@@ -161,9 +161,6 @@ class VniTable:
         names = self._names
         return names[vni] if 0 <= vni < len(names) else f"vni:{vni}"
 
-    def __len__(self) -> int:
-        return len(self._names)
-
     # -- accounting ------------------------------------------------------------
 
     def charge(self, vni: int, n_bytes: int, requests: int, now_ns: float) -> None:
@@ -186,16 +183,6 @@ class VniTable:
 
     # -- policy queries --------------------------------------------------------
 
-    def rate_bytes_per_s(
-        self, vni: Optional[int] = None, now_ns: Optional[float] = None
-    ) -> float:
-        """Current byte rate for one VNI (or aggregate); pass ``now_ns``
-        to decay stale windows (see :meth:`_Meter.rate`)."""
-        if vni is None:
-            return self._agg.rate(now_ns)
-        self._check(vni)
-        return self.stats[vni].rate(now_ns)
-
     def utilisation(self, now_ns: Optional[float] = None) -> float:
         """Aggregate windowed rate over fabric capacity (inf capacity -> 0)."""
         if self.capacity_bytes_per_s == float("inf"):
@@ -205,17 +192,11 @@ class VniTable:
     def saturated(self, now_ns: Optional[float] = None) -> bool:
         return self.utilisation(now_ns) >= 1.0
 
-    def fair_share_bytes_per_s(self, vni: int) -> float:
-        """``vni``'s weighted share of fabric capacity."""
-        self._check(vni)
-        total = sum(self._weights)
-        if total <= 0 or self.capacity_bytes_per_s == float("inf"):
-            return float("inf")
-        return self.capacity_bytes_per_s * self._weights[vni] / total
-
     def over_share(self, vni: int, now_ns: Optional[float] = None) -> bool:
-        """Is ``vni`` running past its weighted share of the fabric?"""
-        return self.rate_bytes_per_s(vni, now_ns) > self.fair_share_bytes_per_s(vni)
+        """Is ``vni``'s windowed rate (decayed to ``now_ns``) past its
+        weighted share of fabric capacity?"""
+        self._check(vni)
+        return self.stats[vni].rate(now_ns) * sum(self._weights) > self.capacity_bytes_per_s * self._weights[vni]
 
     def _check(self, vni: int) -> None:
         if not 0 <= vni < len(self._names):
@@ -261,9 +242,6 @@ class LinkTable:
 
     def __init__(self) -> None:
         self._links: Dict[str, _LinkState] = {}
-
-    def __len__(self) -> int:
-        return len(self._links)
 
     def get(self, link: str) -> Optional[_LinkState]:
         return self._links.get(link)
@@ -354,14 +332,6 @@ class FabricGraph:
     def neighbors(self, vertex: str) -> List[str]:
         """``vertex``'s neighbours, earliest-cabled first (down links too)."""
         return list(self.adj[vertex])
-
-    def edges(self) -> List[Tuple[str, str, dict]]:
-        """Every link once, as ``(u, v, attrs)`` with ``u < v`` (a link
-        sits under both its endpoints; keep the copy under the smaller)."""
-        return [
-            (u, v, attrs)
-            for u, nbrs in self.adj.items() for v, attrs in nbrs.items() if u < v
-        ]
 
     def shortest_path(self, src: str, dst: str) -> Optional[List[str]]:
         """The route from ``src`` to ``dst`` over links that are up, or

@@ -201,10 +201,6 @@ class RackMachine:
     def now(self, node_id: int) -> float:
         return self._node(node_id).clock.now_ns
 
-    def advance(self, node_id: int, ns: float) -> float:
-        """Charge computation time unrelated to memory (software overhead)."""
-        return self._node(node_id).clock.advance(ns)
-
     def max_time(self) -> float:
         return max(n.clock.now_ns for n in self.nodes.values())
 
@@ -591,7 +587,7 @@ class RackMachine:
         self._verdict = region, clean  # what the cache's write-backs act under
         cache = node.cache
         if drop:
-            written, dropped = cache.flush_invalidate(addr, size)
+            written, dropped = cache.flush(addr, size), cache.invalidate(addr, size)
         else:
             written, dropped = cache.flush(addr, size), 0
         lat = self.latency
@@ -1089,12 +1085,6 @@ class NodeContext:
             self.node_id, addrs, data, bypass_cache=bypass_cache, size=size
         )
 
-    def copy(self, dst: int, src: int, size: int, *, bypass_cache: bool = False) -> None:
-        self.machine.copy(self.node_id, dst, src, size, bypass_cache=bypass_cache)
-
-    def fill(self, addr: int, size: int, value: int, *, bypass_cache: bool = False) -> None:
-        self.machine.fill(self.node_id, addr, size, value, bypass_cache=bypass_cache)
-
     def atomic_load_many(self, addrs: Sequence[int], width: int = 8) -> List[int]:
         return self.machine.atomic_load_many(self.node_id, addrs, width)
 
@@ -1126,9 +1116,6 @@ class NodeContext:
     def invalidate(self, addr: int, size: int) -> int:
         return self.machine.invalidate(self.node_id, addr, size)
 
-    def flush_invalidate(self, addr: int, size: int) -> Tuple[int, int]:
-        return self.machine.flush_invalidate(self.node_id, addr, size)
-
     def fence(self) -> None:
         self.machine.fence(self.node_id)
 
@@ -1138,8 +1125,8 @@ class NodeContext:
 
     def advance(self, ns: float) -> float:
         clock = self._clock
-        if ns < 0:
-            return clock.advance(ns)  # which refuses it: SimClock.advance in one frame
+        if not ns >= 0:  # negative or NaN: SimClock.advance refuses it, in one frame
+            return clock.advance(ns)
         clock._now_ns += ns
         return clock._now_ns
 

@@ -152,9 +152,6 @@ class PhysicalMemory:
                 f"access [{offset}, {offset + size}) outside device {self.name!r} of size {self.size}"
             )
 
-    def __len__(self) -> int:
-        return self.size
-
 
 @dataclass(frozen=True)
 class Region:
@@ -173,9 +170,6 @@ class Region:
     @property
     def is_global(self) -> bool:
         return self.owner is None
-
-    def contains(self, addr: int, size: int = 1) -> bool:
-        return self.base <= addr and addr + size <= self.end
 
 
 class AddressMap:

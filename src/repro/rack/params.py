@@ -25,6 +25,16 @@ def finite(value: object) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def refuse_bad_costs(owner: object) -> None:
+    """``__post_init__`` of a cost model every field of which a clock adds as
+    it is: refuse one that is not a finite number >= 0 (NaN would poison the
+    clock, a negative one run it backwards)."""
+    for f in fields(owner):
+        value = getattr(owner, f.name)
+        if not (finite(value) and value >= 0):
+            refuse(owner, f.name, "a finite number >= 0")
+
+
 def whole(value: object) -> bool:
     """An integer >= 0 (``True`` is not a count)."""
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= 0

@@ -204,13 +204,21 @@ def refuse_outputs(*paths: Optional[pathlib.Path]) -> Optional[int]:
 
 
 def load_run(path: Union[str, pathlib.Path]) -> dict:
-    """Read an exported run, validating schema and (if present) trace and
-    atlas section."""
+    """Read an exported run, validating schema, metrics section and (if
+    present) trace and atlas section."""
     data = json.loads(pathlib.Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"not a JSON object (a {type(data).__name__})")
     if data.get("schema") != RUN_SCHEMA:
         raise ValueError(f"not a telemetry run export (schema={data.get('schema')!r})")
+    metrics = data.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise ValueError(f"metrics is not an object (a {type(metrics).__name__})")
+    for section in ("counters", "gauges", "histograms"):
+        rows, value = metrics.get(section, []), dict if section == "histograms" else (int, float)
+        if not (isinstance(rows, list) and all(
+                isinstance(r, list) and len(r) == 4 and isinstance(r[3], value) for r in rows)):
+            raise ValueError(f"metrics.{section} must be a list of [node, subsystem, name, value] rows")
     if data.get("trace") is not None:
         validate_chrome_trace(data["trace"])
     if data.get("atlas") is not None:

@@ -18,7 +18,6 @@ from typing import Deque, Optional
 
 from collections import deque
 
-from .slo import scope_label
 from .windows import WindowFrame
 
 _REL = "reliability"
@@ -34,20 +33,6 @@ class Anomaly:
     at_ns: float
     severity: float
     detail: str = ""
-
-    @property
-    def scope(self) -> str:
-        return scope_label(self.node)
-
-    def to_dict(self) -> dict:
-        return {
-            "detector": self.detector,
-            "node": self.node,
-            "window": self.window,
-            "at_ns": self.at_ns,
-            "severity": self.severity,
-            "detail": self.detail,
-        }
 
 
 class AnomalyDetector:

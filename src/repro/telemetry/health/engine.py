@@ -23,13 +23,14 @@ Dump triggers:
 
 from __future__ import annotations
 
+import json
 import pathlib
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import TELEMETRY
 from .anomaly import AnomalyDetector, CeSlopeDetector, RepairStreakDetector, ScrubTrendDetector
 from .recorder import FlightRecorder
-from .slo import Alert, Objective, SLOEngine
+from .slo import Objective, SLOEngine, scope_label
 from .windows import WindowAggregator, WindowFrame
 
 _REL = "reliability"
@@ -124,7 +125,7 @@ class HealthEngine:
             if anomaly is not None:
                 self.recorder.record_anomaly(anomaly)
                 lines.append(
-                    f"health anomaly={anomaly.detector} scope={anomaly.scope} "
+                    f"health anomaly={anomaly.detector} scope={scope_label(anomaly.node)} "
                     f"severity={anomaly.severity:.2f}"
                 )
                 lines.extend(self._feed_predictor(frame, cause=anomaly.detector))
@@ -239,13 +240,8 @@ class HealthEngine:
         )
         self.dumps.append(snapshot)
         if self.dump_path is not None:
-            self.recorder.dump(
-                self.dump_path, reason, now_ns, machine=self.machine, trace=trace
-            )
+            text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+            pathlib.Path(self.dump_path).write_text(text)
         return f"health dump reason={reason} windows={len(snapshot['windows'])}"
 
     # -- queries (chaos invariants, tests) -------------------------------------
-
-    @property
-    def alerts(self) -> List[Alert]:
-        return self.slo.alerts

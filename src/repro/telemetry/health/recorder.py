@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import pathlib
 from collections import deque
+from dataclasses import asdict
 from operator import itemgetter
 from typing import Deque, Dict, List, NamedTuple, Union
 
@@ -133,7 +134,7 @@ class FlightRecorder:
             "at_ns": now_ns,
             "windows": [f.to_dict() for f in self.frames],
             "alerts": list(self.alert_events),
-            "anomalies": [a.to_dict() for a in self.anomalies],
+            "anomalies": [asdict(a) for a in self.anomalies],
             "incidents": list(self.incidents),
             "breakers": list(self.breaker_events),
             "resilience": list(self.resilience_samples),
@@ -143,19 +144,6 @@ class FlightRecorder:
             "atlas_links": self._atlas_link_tail(machine, now_ns),
             "atlas_pages": self._atlas_page_tail(),
         }
-
-    def dump(
-        self,
-        path: Union[str, pathlib.Path],
-        reason: str,
-        now_ns: float,
-        machine=None,
-        trace=None,
-    ) -> pathlib.Path:
-        path = pathlib.Path(path)
-        snap = self.snapshot(reason, now_ns, machine=machine, trace=trace)
-        path.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-        return path
 
     # -- tails -----------------------------------------------------------------
 

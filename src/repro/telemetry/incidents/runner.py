@@ -51,10 +51,6 @@ class IncidentResult:
     chrome_trace: dict
     critical_path: str
 
-    @property
-    def journal(self) -> str:
-        return self.report.journal
-
 
 def run_scenario(
     scenario: IncidentScenario, detection: bool = True

@@ -253,9 +253,6 @@ class MetricsRegistry:
 
     # -- read side -------------------------------------------------------------
 
-    def counter(self, node: int, subsystem: str, name: str) -> float:
-        return self.counters.get((node, subsystem, name), 0.0)
-
     def counter_total(self, subsystem: str, name: str) -> float:
         """Sum of one counter across every node."""
         return sum(
@@ -280,12 +277,6 @@ class MetricsRegistry:
         seen = {k[1] for k in self.counters}
         seen.update(k[1] for k in self.gauges)
         seen.update(k[1] for k in self.histograms)
-        return sorted(seen)
-
-    def nodes(self) -> List[int]:
-        seen = {k[0] for k in self.counters}
-        seen.update(k[0] for k in self.gauges)
-        seen.update(k[0] for k in self.histograms)
         return sorted(seen)
 
     # -- export ----------------------------------------------------------------

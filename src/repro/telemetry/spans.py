@@ -100,10 +100,6 @@ class TraceBuffer:
         self._stack.clear()
         self._next_id = 1
 
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
 
@@ -250,22 +246,12 @@ class TraceBuffer:
         return roots
 
     def _paths(self) -> Dict[int, Tuple[str, ...]]:
-        by_id = self._by_id()
+        """Span id -> the span names from its root down.  A parent begins,
+        so is numbered, before its children; one whose parent was not
+        recorded is a root."""
         paths: Dict[int, Tuple[str, ...]] = {}
-
-        def resolve(span: Span) -> Tuple[str, ...]:
-            cached = paths.get(span.span_id)
-            if cached is not None:
-                return cached
-            if span.parent_id is None or span.parent_id not in by_id:
-                path: Tuple[str, ...] = (span.name,)
-            else:
-                path = resolve(by_id[span.parent_id]) + (span.name,)
-            paths[span.span_id] = path
-            return path
-
-        for span in self.spans:
-            resolve(span)
+        for span in sorted(self.spans, key=lambda s: s.span_id):
+            paths[span.span_id] = paths.get(span.parent_id, ()) + (span.name,)
         return paths
 
 

@@ -681,7 +681,8 @@ class ChaosUnderLoad:
             self.kernel.stop_patrols()
             for ev in chaos_events:
                 EventCore.cancel(ev)
-        self.engine.finalize()
+        if isinstance(self.engine, ResilientTrafficEngine):  # the base engine leaves nothing in flight
+            self.engine.finalize()
         self.sync_recorder()
         unfired = len(self.campaign.events) - len(fired)
         if unfired:
@@ -702,8 +703,9 @@ class ChaosUnderLoad:
         )
 
     def _control_tick(self) -> None:
-        """Feed health alerts into the engine's breakers each period."""
-        self.engine.feed_health_alerts(self.health)
+        """Feed health alerts into the engine's breakers (if it has any) each period."""
+        if isinstance(self.engine, ResilientTrafficEngine):
+            self.engine.feed_health_alerts(self.health)
         self.sync_recorder()
 
     def sync_recorder(self) -> None:

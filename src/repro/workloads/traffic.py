@@ -194,30 +194,6 @@ class TrafficReport:
     events_dispatched: int
     tenants: Dict[str, dict]
 
-    def _total(self, key: str) -> int:
-        return sum(t[key] for t in self.tenants.values())
-
-    @property
-    def total_admitted(self) -> int:
-        return self._total(ADMITTED.counter)
-
-    @property
-    def total_failed(self) -> int:
-        return self._total(FAILED.counter) + self._total(SHED.counter)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of executed-or-shed requests that got an answer.
-
-        Admission drops (backlog/link) are policy, not failures; a
-        request counts against availability only when it entered the
-        request path and came back empty — terminal execution failure
-        or breaker-degraded shedding.
-        """
-        served = self.total_admitted
-        lost = self.total_failed
-        return served / max(1, served + lost)
-
     def digest(self) -> str:
         """SHA-256 over every deterministic per-tenant outcome."""
         lines = []
@@ -582,15 +558,6 @@ class TrafficEngine:
         atlas = _TEL.atlas
         if atlas is not None:
             atlas.note_queue_delay(spec.name, wait)
-
-    # -- what a fault-tolerant engine fills in ----------------------------------
-
-    def feed_health_alerts(self, health) -> None:
-        """Out-of-band evidence for breakers; the base engine has none."""
-
-    def finalize(self) -> None:
-        """Resolve in-flight work before a report is treated as final;
-        the base engine leaves nothing in flight."""
 
     # -- driving ----------------------------------------------------------------
 

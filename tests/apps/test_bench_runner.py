@@ -1,9 +1,11 @@
-"""Tests for the experiment tooling under ``benchmarks/``: the E-id census,
-its docs-name check, and the drift guard the experiments emit their tables
-through."""
+"""Tests for the experiment tooling under ``benchmarks/``: the execution
+census's check (on synthetic traces, never running a root), its docs-name
+check, and the drift guard the experiments emit their tables through."""
 
+import ast
 import importlib.util
 import pathlib
+import re
 import shutil
 
 import pytest
@@ -21,34 +23,53 @@ def _benchmarks_module(name: str):
 def test_list_enumerates_experiments():
     """Experiment ids come from the tables ``benchmarks/bench_*.py`` emit."""
     census = _benchmarks_module("census")
-    _, roots, _ = census.scan({}, BENCHMARKS)
-    assert [r for r in roots if r.startswith("E")] == [f"E{i}" for i in range(1, 15)]
+    labels = dict.fromkeys(label for label, _ in census.roots())
+    assert [r for r in labels if r.startswith("E")] == [f"E{i}" for i in range(1, 15)]
+
+
+def _synthetic(census, missed=("b",)):
+    """A one-module tree (``a`` calls ``b``, ``c`` is a docstring-only stub) and the
+    ``executed.txt`` of a trace that never ran ``missed``."""
+    tree = ast.parse('def a():\n    return b()\n\n\ndef b():\n    return 2\n\n\ndef c():\n    """stub"""\n')
+    return {"m": tree}, census.read_executed(f"m 2 E1\n" + "".join(f"  {n}\n" for n in missed) + "never executed")
 
 
 def test_census_names_a_planted_orphan(tmp_path):
+    """A def planted in a copy of ``src/`` fails the count check: ``executed.txt`` is stale."""
     census = _benchmarks_module("census")
-    src = tmp_path / "repro"
-    shutil.copytree(census.ROOT / "src" / "repro", src)
-    before = set(census.census(src=src, bench=BENCHMARKS)[1])
-    with open(src / "core" / "sched.py", "a") as fh:
-        fh.write("\n\ndef planted_orphan():\n    return RackScheduler\n"
-                 # Class.attr reaches that class's attr, not a same-named method elsewhere
-                 "\n\nclass Planted:\n    def twin(self):\n        pass\n\n\n"
-                 "class PlantedTwin:\n    def twin(self):\n        pass\n\n\n"
-                 "_PLANTED = (Planted.twin, PlantedTwin)\n")
-    text, orphans = census.census(src=src, bench=BENCHMARKS)
-    planted = {"repro.core.sched.planted_orphan", "repro.core.sched.PlantedTwin.twin"}
-    assert set(orphans) - before == planted
-    assert {f"  {name}" for name in planted} <= set(text.splitlines())
+    shutil.copytree(census.SRC / "core", tmp_path / "repro" / "core", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "repro" / "core" / "sched.py", "a") as fh:
+        fh.write("\n\ndef planted():\n    return 1\n")
+    trees = census.parse(tmp_path / "repro")
+    table = census.read_executed(census.EXECUTED.read_text())
+    bad = [p for p in census.problems(trees, table) if "re-run" in p]
+    assert bad == [f"repro.core.sched: {table['repro.core.sched'][0] + 1} defs, executed.txt has "
+                   f"{table['repro.core.sched'][0]} - re-run `census.py --run`"]
+
+
+def test_census_refuses_an_unlabelled_never_executed_def():
+    census = _benchmarks_module("census")
+    trees, table = _synthetic(census)
+    assert census.problems(trees, table, {}) == ["never executed and not labelled: m.b"]
+    assert census.problems(trees, table, {"b": "branch a"}) == []
+    assert census.problems(trees, _synthetic(census, ())[1], {}) == []
+
+
+def test_census_refuses_a_label_on_an_executed_or_gone_def():
+    census = _benchmarks_module("census")
+    trees, table = _synthetic(census)
+    assert census.problems(trees, table, {"b": "guard", "a": "repr", "z": "guard"}) == [
+        "labelled 'repr' but executed: a", "labelled 'guard' but gone: z"]
+    assert census.problems(trees, _synthetic(census, ("a", "b"))[1], {"a": "guard", "b": "branch a"}) == [
+        "b labelled 'branch a', but a did not execute"]
 
 
 def test_census_refuses_a_kept_label_that_is_not_a_roadmap_item():
     census = _benchmarks_module("census")
-    assert census.stale_labels(census._KEPT) == []
-    assert census.stale_labels({"item 2": "a", "pending deletion": "b", "item": "c"}) == [
-        "kept under a label that is not a ROADMAP item: 'pending deletion'",
-        "kept under a label that is not a ROADMAP item: 'item'",
-    ]
+    assert all(re.fullmatch(census.KINDS, label) for label in census.LABELS.values())
+    trees, table = _synthetic(census)
+    assert census.problems(trees, table, {"b": "pending deletion"}) == ["not a label: 'pending deletion' on b"]
+    assert census.problems(trees, table, {"b": "item"}) == ["not a label: 'item' on b"]
 
 
 def test_docs_check_names_a_planted_stale_member(tmp_path):

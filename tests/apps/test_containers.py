@@ -40,7 +40,7 @@ class TestRegistry:
         _, c0, _, _, registry, _ = rig
         before = c0.now()
         image = registry.fetch_manifest(c0, "tiny:1")
-        assert image.total_bytes == 1 << 22
+        assert sum(layer.size_bytes for layer in image.layers) == 1 << 22
         assert c0.now() - before > 1e8  # several WAN round trips
 
     def test_unknown_image(self, rig):
@@ -57,7 +57,7 @@ class TestRegistry:
 
     def test_pytorch_image_shape(self):
         image = pytorch_image()
-        assert image.total_bytes == pytest.approx(4 << 30, rel=0.01)
+        assert sum(layer.size_bytes for layer in image.layers) == pytest.approx(4 << 30, rel=0.01)
         assert len(image.layers) == 5
 
 

@@ -61,14 +61,14 @@ def tcp_pair(rack2):
 class TestCommands:
     def test_set_get(self, flacos_pair):
         client, _ = flacos_pair
-        assert client.set(b"k", b"v") == "OK"
-        assert client.get(b"k") == b"v"
-        assert client.get(b"missing") is None
+        assert client.request(b"SET", b"k", b"v") == "OK"
+        assert client.request(b"GET", b"k") == b"v"
+        assert client.request(b"GET", b"missing") is None
 
     def test_del_exists(self, flacos_pair):
         client, _ = flacos_pair
-        client.set(b"a", b"1")
-        client.set(b"b", b"2")
+        client.request(b"SET", b"a", b"1")
+        client.request(b"SET", b"b", b"2")
         assert client.request(b"EXISTS", b"a", b"b", b"c") == 2
         assert client.request(b"DEL", b"a", b"c") == 1
         assert client.request(b"EXISTS", b"a") == 0
@@ -81,7 +81,7 @@ class TestCommands:
 
     def test_incr_non_integer_errors(self, flacos_pair):
         client, _ = flacos_pair
-        client.set(b"s", b"not-a-number")
+        client.request(b"SET", b"s", b"not-a-number")
         with pytest.raises(resp.RedisError):
             client.request(b"INCR", b"s")
 
@@ -98,17 +98,17 @@ class TestCommands:
 
     def test_expire_ttl(self, flacos_pair):
         client, server = flacos_pair
-        client.set(b"tmp", b"v")
+        client.request(b"SET", b"tmp", b"v")
         assert client.request(b"EXPIRE", b"tmp", b"1") == 1
         assert client.request(b"TTL", b"tmp") >= 0
         server.ctx.advance(2e9)  # two simulated seconds pass on the server
-        assert client.get(b"tmp") is None
+        assert client.request(b"GET", b"tmp") is None
         assert client.request(b"TTL", b"tmp") == -2
 
     def test_keys_dbsize_flush(self, flacos_pair):
         client, _ = flacos_pair
-        client.set(b"a", b"1")
-        client.set(b"b", b"2")
+        client.request(b"SET", b"a", b"1")
+        client.request(b"SET", b"b", b"2")
         assert client.request(b"DBSIZE") == 2
         assert client.request(b"KEYS", b"*") == [b"a", b"b"]
         assert client.request(b"FLUSHDB") == "OK"
@@ -127,8 +127,8 @@ class TestCommands:
     def test_large_values(self, flacos_pair):
         client, _ = flacos_pair
         value = bytes(range(256)) * 64  # 16 KiB, forces the buffer path
-        client.set(b"big", value)
-        assert client.get(b"big") == value
+        client.request(b"SET", b"big", value)
+        assert client.request(b"GET", b"big") == value
 
 
 @pytest.fixture(params=["flacos", "tcp"])
@@ -160,10 +160,10 @@ class TestExpiryArguments:
     @pytest.mark.parametrize("command, message", _BAD_TTLS, ids=[b" ".join(c).decode() for c, _ in _BAD_TTLS])
     def test_a_bad_ttl_is_an_error_reply_on_either_transport(self, either_pair, command, message):
         client, _ = either_pair
-        client.set(b"kept", b"v")
+        client.request(b"SET", b"kept", b"v")
         with pytest.raises(resp.RedisError, match=re.escape(message)):
             client.request(*command)
-        assert client.get(b"k") is None  # nothing was stored
+        assert client.request(b"GET", b"k") is None  # nothing was stored
         assert client.request(b"TTL", b"kept") == -1  # nor any expiry set
         assert client.request(b"PING") == "PONG"  # the server still serves
 
@@ -173,7 +173,7 @@ class TestExpiryArguments:
         assert client.request(b"EXPIRE", b"kept", b"-1") == 0  # no such key yet
         assert client.request(b"TTL", b"k") in (2, 3)
         server.ctx.advance(4e9)
-        assert client.get(b"k") is None
+        assert client.request(b"GET", b"k") is None
 
 
 class TestTransportParity:
@@ -181,8 +181,8 @@ class TestTransportParity:
 
     def test_same_semantics_over_tcp(self, tcp_pair):
         client, _ = tcp_pair
-        client.set(b"k", b"v")
-        assert client.get(b"k") == b"v"
+        client.request(b"SET", b"k", b"v")
+        assert client.request(b"GET", b"k") == b"v"
         assert client.request(b"INCR", b"n") == 1
 
     def test_flacos_is_faster(self, rack2):
@@ -190,12 +190,12 @@ class TestTransportParity:
         log = OperationLog(arena.take(OperationLog.region_size(256)), 256).format(c0)
         ipc = IpcSystem(machine, arena, NameRegistry(log))
         fclient, _ = connect_over_flacos(ipc, c0, c1)
-        fclient.set(b"warm", b"x")
+        fclient.request(b"SET", b"warm", b"x")
         _, flacos_ns = fclient.timed_request(b"GET", b"warm")
 
         machine2 = type(machine)(machine.config)
         tclient, _ = connect_over_tcp(TcpNetwork(), machine2.context(0), machine2.context(1))
-        tclient.set(b"warm", b"x")
+        tclient.request(b"SET", b"warm", b"x")
         _, tcp_ns = tclient.timed_request(b"GET", b"warm")
         assert tcp_ns > flacos_ns
 

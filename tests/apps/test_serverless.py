@@ -77,23 +77,6 @@ class TestInvocation:
         assert report.exec_ns >= 250_000
 
 
-class TestScheduling:
-    def test_prefers_warm_node(self, platform):
-        _, c0, c1, plat = platform
-        plat.invoke(c1, "upper", b"x")  # warm pool on node 1
-        assert plat.pick_node("upper") == 1
-
-    def test_balances_when_no_warm_pool(self, platform):
-        _, _, _, plat = platform
-        assert plat.pick_node("upper") in (0, 1)
-
-    def test_skips_dead_nodes(self, platform):
-        machine, c0, c1, plat = platform
-        plat.invoke(c0, "upper", b"x")
-        machine.crash_node(0)
-        assert plat.pick_node("upper") == 1
-
-
 class TestChains:
     def test_chain_composes_functions(self, platform):
         _, c0, c1, plat = platform

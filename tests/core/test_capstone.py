@@ -16,7 +16,7 @@ from repro.bench import build_rig
 from repro.core.boot import flatten, rack_description
 from repro.core.memory import PAGE_SIZE
 from repro.net import TcpNetwork
-from repro.rack import rendezvous
+from repro.rack import FaultKind, rendezvous
 
 
 def _stage(ctx, payload: bytes) -> bytes:
@@ -35,7 +35,7 @@ def test_a_day_in_the_rack():
     # --- a Redis cache comes up ------------------------------------------------
     redis_client, redis_server = connect_over_flacos(kernel.ipc, rig.c0, rig.c1)
     for i in range(20):
-        redis_client.set(b"user:%d" % i, b"profile-%d" % i)
+        redis_client.request(b"SET", b"user:%d" % i, b"profile-%d" % i)
     assert redis_client.request(b"DBSIZE") == 20
 
     # --- a container image lands, then starts warm on the other node ------------
@@ -52,7 +52,6 @@ def test_a_day_in_the_rack():
     # --- a serverless chain built on the same image ------------------------------
     platform = ServerlessPlatform(
         rig.machine, runtime, ipc=kernel.ipc, tcp=TcpNetwork(),
-        scheduler=kernel.scheduler,
     )
     platform.deploy(FunctionSpec("stage", "svc:1", _stage, exec_ns=50_000))
     result, chain = platform.invoke_chain(
@@ -100,8 +99,8 @@ def test_a_day_in_the_rack():
     assert len(kernel.fs.read(c0_new, fd, 0, PAGE_SIZE)) == PAGE_SIZE
     assert kernel.fs.page_cache.stats.loads_from_device == loads_before
 
-    stats = kernel.stats()
-    assert stats["faults"]["correctable"] == 4
-    assert stats["faults"]["node_crashes"] == 1
-    assert stats["fault_boxes"]["total"] >= 1
-    assert stats["page_cache"]["hits"] > 0
+    log = rig.machine.faults.log
+    assert len(log.events(FaultKind.CORRECTABLE)) == 4
+    assert len(log.events(FaultKind.NODE_CRASH)) == 1
+    assert len(kernel.boxes.boxes) >= 1
+    assert kernel.fs.page_cache.stats.hits > 0

@@ -37,7 +37,7 @@ class TestCorrectableErrorStorm:
         fd1 = kernel.fs.open(c1, "/under-fire")
         for i in range(20):
             assert kernel.fs.read(c1, fd1, i * len(payload), len(payload)) == payload
-        assert kernel.monitor.total(FaultKind.CORRECTABLE) > 0
+        assert len(kernel.machine.faults.log.events(FaultKind.CORRECTABLE)) > 0
         kernel.predictor.observe(machine.max_time())
         # the storm is uniform, so scores exist even if below threshold
         assert kernel.predictor._scores
@@ -104,8 +104,8 @@ class TestLinkFlap:
         rig.machine.sever_node_link(0, up=True)
         assert kernel.fs.read(rig.c0, fd, 0, 8) == b"pre-flap"
         # both transitions are in the fault log for the monitor
-        assert kernel.monitor.total(FaultKind.LINK_DOWN) == 1
-        assert kernel.monitor.total(FaultKind.LINK_UP) == 1
+        assert len(kernel.machine.faults.log.events(FaultKind.LINK_DOWN)) == 1
+        assert len(kernel.machine.faults.log.events(FaultKind.LINK_UP)) == 1
 
 
 class TestUncorrectableOnKernelState:

@@ -84,9 +84,9 @@ class TestActions:
         )
         assert report.violations == []
         log = rig.machine.faults.log
-        assert log.count(FaultKind.LINK_DOWN) == 1
-        assert log.count(FaultKind.LINK_UP) == 1
-        assert log.count(FaultKind.NODE_CRASH) == 1
+        assert len(log.events(FaultKind.LINK_DOWN)) == 1
+        assert len(log.events(FaultKind.LINK_UP)) == 1
+        assert len(log.events(FaultKind.NODE_CRASH)) == 1
         assert rig.machine.nodes[1].alive
 
     def test_correlated_lines_hit_strided_pages(self):
@@ -168,7 +168,7 @@ class TestDeterminism:
     def test_same_seed_same_schedule_byte_identical_journal(self):
         a, b = self._run_once(), self._run_once()
         assert a.journal == b.journal
-        assert a.digest == b.digest
+        assert a.journal == b.journal
         # the journal embeds the full fault+repair event log, so identical
         # digests mean injection AND self-healing replayed identically
         assert "-- fault log --" in a.journal
@@ -182,7 +182,7 @@ class TestDeterminism:
             events=(event("ue_storm", at_step=1, count=4),),
         )
         b = CampaignRunner(rig.kernel).run(campaign, steps=6)
-        assert a.digest != b.digest
+        assert a.journal != b.journal
 
     def test_fault_log_render_is_stable(self):
         rig = build_rig()
@@ -207,7 +207,7 @@ class TestDeterminism:
             telemetry.reset()
         assert "telemetry digest=" in a.journal
         assert a.journal == b.journal
-        assert a.digest == b.digest
+        assert a.journal == b.journal
 
     def test_journal_identical_with_and_without_telemetry_modulo_digest(self):
         """Telemetry must not perturb the run itself: stripping the digest

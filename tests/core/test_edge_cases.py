@@ -1,9 +1,11 @@
 """Edge-case tests for kernel behaviours not covered elsewhere."""
 
+import pickle
+
 import pytest
 
 from repro.bench import build_rig
-from repro.core.ipc import IpcError
+from repro.core.ipc import BufferRef, IpcError
 from repro.core.memory import PAGE_SIZE, Placement
 
 
@@ -68,8 +70,10 @@ class TestIpcCorners:
         rpc = rig.kernel.rpc
         rpc.register(rig.c0, "svc", _one)
         assert rpc.call(rig.c1, "svc") == 1  # node 1 caches version one
-        rpc.registry.unbind(rig.c0, "rpc:svc")
-        rpc.register(rig.c0, "svc", _two)
+        ref = BufferRef.unpack(rpc.registry.resolve(rig.c0, "rpc:svc").meta)
+        blob = pickle.dumps(_two, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) == ref.length  # names of one length: republish in place
+        rig.c0.store(ref.addr, blob, bypass_cache=True)  # the shared code is now version two
         assert rpc.call(rig.c1, "svc") == 1  # stale, served from cache
         rpc._code_cache[1].pop("svc")  # explicit invalidation
         assert rpc.call(rig.c1, "svc") == 2
@@ -111,26 +115,3 @@ class TestMemoryCorners:
         rig.c1.invalidate(g + 4096, 3)
         assert rig.c1.load(g, 3) == b"one"
         assert rig.c1.load(g + 4096, 3) == b"two"
-
-
-class TestSchedulerWiredServerless:
-    def test_platform_uses_kernel_scheduler(self, rig):
-        from repro.apps.containers import ContainerRuntime, ImageSpec, LayerSpec, Registry, RuntimeSpec
-        from repro.apps.serverless import FunctionSpec, ServerlessPlatform
-
-        registry = Registry()
-        registry.push(ImageSpec("img:1", [LayerSpec("sha256:aa" * 16, 1 << 20)]))
-        platform = ServerlessPlatform(
-            rig.machine,
-            ContainerRuntime(rig.kernel.fs, registry, RuntimeSpec(runtime_init_ns=1e6)),
-            ipc=rig.kernel.ipc,
-            scheduler=rig.kernel.scheduler,
-        )
-        platform.deploy(FunctionSpec("f", "img:1", lambda ctx, p: p))
-        # no warm pools: placement goes through the kernel scheduler
-        node = platform.pick_node("f")
-        assert node in (0, 1)
-        # load the kernel scheduler asymmetrically; placement follows
-        for _ in range(4):
-            rig.kernel.scheduler.submit(rig.c0, lambda ctx, p: None, b"", affinity=0)
-        assert platform.pick_node("f") == 1

@@ -44,19 +44,13 @@ def test_nan_time_rejected():
         core.at(float("nan"), lambda: None)
 
 
-def test_negative_delay_rejected():
-    core = EventCore()
-    with pytest.raises(EventCoreError):
-        core.after(-1.0, lambda: None)
-
-
 def test_cancelled_events_are_skipped():
     core = EventCore()
     seen = []
     ev = core.at(100.0, lambda: seen.append("dead"))
     core.at(200.0, lambda: seen.append("live"))
     EventCore.cancel(ev)
-    assert len(core) == 1
+    assert sum(not ev.cancelled for ev in core._heap) == 1
     assert core.run() == 1
     assert seen == ["live"]
 
@@ -76,7 +70,7 @@ def test_handlers_can_schedule_more_events():
     def chain(n):
         seen.append(n)
         if n < 5:
-            core.after(10.0, lambda: chain(n + 1))
+            core.at(core.now_ns + 10.0, lambda: chain(n + 1))
 
     core.at(0.0, lambda: chain(0))
     assert core.run() == 6
@@ -102,7 +96,7 @@ def test_max_events_bound():
     for t in range(10):
         core.at(float(t), lambda: None)
     assert core.run(max_events=4) == 4
-    assert len(core) == 6
+    assert sum(not ev.cancelled for ev in core._heap) == 6
 
 
 def test_node_bound_events_rendezvous_the_node_clock():

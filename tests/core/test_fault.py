@@ -209,7 +209,7 @@ class TestPartialReplication:
         box, _ = _box_with_state(boxes, c0, pages=3)
         replicator.enable(box)
         replicator.sync(c0, box)
-        assert replicator.standby_bytes(box) == 3 * PAGE_SIZE
+        assert len(replicator._replicas[box.box_id].standby_frames) * PAGE_SIZE == 3 * PAGE_SIZE
 
 
 class TestRecoveryCoordinator:

@@ -1,8 +1,8 @@
 """Property-based tests: FlacFS against a model filesystem.
 
 Hypothesis drives random operation sequences — creates, writes at
-arbitrary offsets from alternating nodes, reads, fsyncs, evictions,
-renames, unlinks — against both FlacFS and a trivial in-memory model.
+arbitrary offsets from alternating nodes, reads, fsyncs, evictions —
+against both FlacFS and a trivial in-memory model.
 Every read must agree, from every node, including after write-back +
 eviction forces the data through the block device.
 """
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.fs import FlacFS, PAGE_SIZE
 from repro.flacdk.arena import Arena
 from repro.rack import RackConfig, RackMachine
+from tests.core.test_fs import evict_file
 
 
 class ModelFS:
@@ -82,7 +83,7 @@ def test_flacfs_matches_model(ops):
             fs.fsync(ctx)  # dirty pages must be written back first
             inode = fs.stat(ctx, path)
             n_pages = (inode.size + PAGE_SIZE - 1) // PAGE_SIZE
-            fs.page_cache.evict_file(ctx, inode.ino, n_pages)
+            evict_file(fs, ctx, inode.ino, n_pages)
             fs.reclaimer.advance_and_reclaim(ctx)
 
     # final audit: every byte of every file agrees, from both nodes
@@ -119,7 +120,7 @@ def test_data_survives_full_eviction_cycle(writes):
     fs.fsync(c0)
     ino = fs.stat(c0, "/cycle").ino
     n_pages = (len(shadow) + PAGE_SIZE - 1) // PAGE_SIZE
-    assert fs.page_cache.evict_file(c0, ino, n_pages) >= 1  # holes were never cached
+    assert evict_file(fs, c0, ino, n_pages) >= 1  # holes were never cached
     fd1 = fs.open(c1, "/cycle")
     assert fs.read(c1, fd1, 0, len(shadow)) == bytes(shadow)
 
@@ -136,11 +137,5 @@ def test_namespace_operations_consistent_across_nodes(names):
     fs = FlacFS(machine, arena)
     c0, c1 = machine.context(0), machine.context(1)
     for i, name in enumerate(names):
-        (c0, c1)[i % 2]
-        fs.create((c0, c1)[i % 2], f"/{name}")
+        fs.open((c0, c1)[i % 2], f"/{name}", create=True)
     assert all(fs.exists(c, f"/{n}") for c in (c0, c1) for n in names)
-    for name in names[: len(names) // 2]:
-        fs.unlink(c1, f"/{name}")
-    assert [fs.exists(c0, f"/{n}") for n in names] == [
-        i >= len(names) // 2 for i in range(len(names))
-    ]

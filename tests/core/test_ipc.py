@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.ipc import (
     BufferPool,
-    ConnectionClosed,
     INLINE_MAX,
     IpcSystem,
     NameInUse,
@@ -85,13 +84,6 @@ class TestSockets:
         with pytest.raises(UnknownName):
             ipc.connect(c0, "nope")
 
-    def test_closed_connection_rejects_io(self, ipc_rig):
-        _, c0, c1, _, _, ipc = ipc_rig
-        client, _ = _connect(ipc, c0, c1)
-        client.close()
-        with pytest.raises(ConnectionClosed):
-            client.send(c0, b"x")
-
     def test_zero_copy_descriptor_path(self, ipc_rig):
         _, c0, c1, _, _, ipc = ipc_rig
         client, server = _connect(ipc, c0, c1)
@@ -121,13 +113,6 @@ class TestRegistry:
         ipc.listen(c0, "name")
         with pytest.raises(NameInUse):
             ipc.listen(c1, "name")
-
-    def test_unbind_allows_rebind(self, ipc_rig):
-        _, c0, c1, _, registry, ipc = ipc_rig
-        listener = ipc.listen(c0, "name")
-        listener.close(c0)
-        ipc.listen(c1, "name")
-        assert registry.resolve(c0, "name").node_id == 1
 
     def test_local_resolve_can_be_stale(self, ipc_rig):
         _, c0, c1, _, registry, ipc = ipc_rig
@@ -169,15 +154,6 @@ class TestRpc:
         rpc.register(c0, "count", _stateful_counter)
         assert rpc.call(c0, "count", cell, 1) == 1
         assert rpc.call(c1, "count", cell, 1) == 2  # both nodes share state
-
-    def test_warm_prefetches(self, ipc_rig):
-        _, c0, c1, _, registry, ipc = ipc_rig
-        rpc = RpcSystem(ipc.machine, registry, ipc.buffers)
-        rpc.register(c1, "echo", _echo_service)
-        rpc.warm(c0, "echo")
-        assert rpc.stats.context_fetches == 1
-        rpc.call(c0, "echo", b"x")
-        assert rpc.stats.context_fetches == 1
 
 
 class TestBufferPool:

@@ -113,6 +113,6 @@ class TestEventDrivenDrains:
         for _ in range(5):
             sched.submit(rig.c1, _noop)
         # submissions coalesce onto one wake-up for the destination
-        assert len(events) == 1
+        assert sum(not ev.cancelled for ev in events._heap) == 1
         events.run()
         assert all(sched._tasks[t].done for t in range(1, 6))

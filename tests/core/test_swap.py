@@ -136,8 +136,8 @@ class TestRdmaRedisTransport:
 
         _, c0, c1, _ = rack2
         client, _ = connect_over_rdma(RdmaNetwork(), c0, c1)
-        assert client.set(b"k", b"v") == "OK"
-        assert client.get(b"k") == b"v"
+        assert client.request(b"SET", b"k", b"v") == "OK"
+        assert client.request(b"GET", b"k") == b"v"
 
     def test_rdma_between_tcp_and_flacos(self, rack2):
         """Latency ordering for small requests: RDMA < FlacOS < TCP —
@@ -152,7 +152,7 @@ class TestRdmaRedisTransport:
             machine = RackMachine(RackConfig(n_nodes=2, global_mem_size=1 << 26))
             c0, c1 = machine.context(0), machine.context(1)
             client, _ = factory(machine, c0, c1)
-            client.set(b"warm", b"x")
+            client.request(b"SET", b"warm", b"x")
             _, ns = client.timed_request(b"GET", b"warm")
             return ns
 

@@ -32,9 +32,9 @@ class TestArena:
 
     def test_remaining_decreases(self):
         arena = Arena(0, 1024)
-        before = arena.remaining
+        before = arena.base + arena.size - arena._cursor
         arena.take(64)
-        assert arena.remaining < before
+        assert arena.base + arena.size - arena._cursor < before
 
 
 class TestHwOps:

@@ -4,7 +4,12 @@ import pytest
 
 from repro.flacdk.alloc import FrameAllocator, SharedHeap, SharedHeapExhausted
 from repro.flacdk.sync import DelegationError, DelegationService, OperationLog, RcuCell
-from repro.flacdk.alloc import EpochReclaimer
+from repro.flacdk.alloc import EpochReclaimer, object_allocator
+
+
+def payload_capacity(heap, addr: int, ctx) -> int:
+    """Usable bytes of a live allocation: its size class minus the header."""
+    return object_allocator._class_size(ctx.atomic_load(addr - object_allocator._HEADER)) - object_allocator._HEADER
 
 
 class TestHeapBoundaries:
@@ -12,15 +17,15 @@ class TestHeapBoundaries:
         _, ctxs, _ = rig
         # a 16-byte class holds 8 B of payload; 24 B needs the 32 class
         a = heap.alloc(ctxs[0], 8)
-        assert heap.payload_capacity(a, ctxs[0]) == 8
+        assert payload_capacity(heap, a, ctxs[0]) == 8
         b = heap.alloc(ctxs[0], 9)
-        assert heap.payload_capacity(b, ctxs[0]) == 24
+        assert payload_capacity(heap, b, ctxs[0]) == 24
 
     def test_one_mib_block_when_region_allows(self, rig):
         _, ctxs, arena = rig
         big_heap = SharedHeap(arena.take(1 << 22), 1 << 22).format(ctxs[0])
         addr = big_heap.alloc(ctxs[0], (1 << 20) - 8)
-        assert big_heap.payload_capacity(addr, ctxs[0]) == (1 << 20) - 8
+        assert payload_capacity(big_heap, addr, ctxs[0]) == (1 << 20) - 8
         with pytest.raises(SharedHeapExhausted):
             big_heap.alloc(ctxs[0], 1 << 20)  # payload > largest class
 
@@ -97,7 +102,7 @@ class TestHwOpsMaintenance:
         _, ctxs, arena = rig
         addr = arena.take(64)
         ctxs[0].store(addr, b"payload")
-        written, dropped = ctxs[0].flush_invalidate(addr, 7)
+        written, dropped = ctxs[0].machine.flush_invalidate(0, addr, 7)
         assert written == 1 and dropped == 1
         ctxs[1].invalidate(addr, 7)
         assert ctxs[1].load(addr, 7) == b"payload"

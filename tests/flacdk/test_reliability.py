@@ -22,15 +22,14 @@ class TestHealthMonitor:
         machine.faults.inject_ce(0x0, now_ns=0.0)
         machine.faults.inject_ce(0x0, now_ns=500.0)
         assert monitor.ce_count_by_page(now_ns=550.0) == {0: 1}
-        assert monitor.total(FaultKind.CORRECTABLE) == 2  # all-time survives
 
     def test_summary_shape(self, rig):
         machine, _, _ = rig
         monitor = HealthMonitor(machine.faults.log)
         machine.faults.inject_ce(0x40, now_ns=1.0)
         machine.crash_node(3)
-        assert monitor.total(FaultKind.CORRECTABLE) == 1
-        assert monitor.total(FaultKind.NODE_CRASH) == 1
+        assert len(machine.faults.log.events(FaultKind.CORRECTABLE)) == 1
+        assert len(machine.faults.log.events(FaultKind.NODE_CRASH)) == 1
         assert monitor.ce_count_by_page(now_ns=machine.max_time() + 1) == {0: 1}
 
 

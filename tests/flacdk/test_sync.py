@@ -290,4 +290,4 @@ class TestVersionChain:
         for i in range(6):
             chain.publish(ctxs[0], bytes([i]))
         assert chain.chain_length(ctxs[0]) == 2
-        assert reclaimer.pending(0) == 4  # trimmed versions awaiting quiescence
+        assert len(reclaimer._retired[0]) == 4  # trimmed versions awaiting quiescence

@@ -45,7 +45,7 @@ class TestVniRateDecay:
         v = t.register("a")
         t.charge(v, 1000, 1, 0.0)
         t.charge(v, 1000, 1, MS)  # rolls the first window
-        assert t.rate_bytes_per_s(v) == pytest.approx(1000 * 1e9 / MS)
+        assert t.stats[v].rate(None) == pytest.approx(1000 * 1e9 / MS)
 
     def test_long_idle_gap_decays_to_zero(self):
         """Regression: a tenant that bursts then goes silent must not be
@@ -58,10 +58,10 @@ class TestVniRateDecay:
         assert t.saturated()  # stale view: still "saturated"
         # ... but one second of silence later the decayed view is ~0
         idle = MS + 1e9
-        assert t.rate_bytes_per_s(v, now_ns=idle) == pytest.approx(
+        assert t.stats[v].rate(idle) == pytest.approx(
             1000 * 1e9 / (idle - MS)
         )
-        assert t.rate_bytes_per_s(v, now_ns=idle) < 1e4
+        assert t.stats[v].rate(idle) < 1e4
         assert not t.saturated(now_ns=idle)
         assert not t.over_share(v, now_ns=idle)
         assert t.utilisation(now_ns=idle) < 0.01
@@ -71,7 +71,7 @@ class TestVniRateDecay:
         v = t.register("a")
         t.charge(v, 4096, 1, 0.0)
         t.charge(v, 4096, 1, MS)
-        rates = [t.rate_bytes_per_s(v, now_ns=MS + k * 10 * MS) for k in range(1, 6)]
+        rates = [t.stats[v].rate(MS + k * 10 * MS) for k in range(1, 6)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_now_inside_open_window_keeps_last_rate(self):
@@ -81,8 +81,8 @@ class TestVniRateDecay:
         v = t.register("a")
         t.charge(v, 1000, 1, 0.0)
         t.charge(v, 1000, 1, MS)
-        stale = t.rate_bytes_per_s(v)
-        assert t.rate_bytes_per_s(v, now_ns=MS + 0.5 * MS) == stale
+        stale = t.stats[v].rate(None)
+        assert t.stats[v].rate(MS + 0.5 * MS) == stale
 
 
 class TestVniSnapshotAggregate:
@@ -114,9 +114,12 @@ class TestVniSnapshotAggregate:
 
 class TestFairShareEdges:
     def test_single_tenant_share_is_full_capacity(self):
-        t = VniTable(capacity_bytes_per_s=1e9)
-        v = t.register("only")
-        assert t.fair_share_bytes_per_s(v) == pytest.approx(1e9)
+        for rate, over in ((1.5e9, True), (0.5e9, False)):
+            t = VniTable(capacity_bytes_per_s=1e9)
+            v = t.register("only")
+            t.charge(v, int(rate * MS / 1e9), 1, 0.0)
+            t.charge(v, 0, 0, MS)  # closes the window: the rate is ``rate``
+            assert t.over_share(v) is over
 
     def test_zero_rate_tenant_never_over_share(self):
         t = VniTable(capacity_bytes_per_s=1e6)
@@ -144,8 +147,12 @@ class TestFairShareEdges:
         t = VniTable(capacity_bytes_per_s=4e9)
         heavy = t.register("heavy", weight=3.0)
         light = t.register("light", weight=1.0)
-        assert t.fair_share_bytes_per_s(heavy) == pytest.approx(3e9)
-        assert t.fair_share_bytes_per_s(light) == pytest.approx(1e9)
+        # both run at 2e9 B/s: above light's 1e9 share, below heavy's 3e9
+        for vni in (heavy, light):
+            t.charge(vni, int(2e9 * MS / 1e9), 1, 0.0)
+            t.charge(vni, 0, 0, MS)
+        assert not t.over_share(heavy)
+        assert t.over_share(light)
 
 
 class TestLinkIds:

@@ -98,15 +98,6 @@ class TestFaultLogIndex:
         assert [e.addr for e in log.events(FaultKind.CORRECTABLE, since_ns=7.0)] == [7, 8, 9]
         assert [e.addr for e in log.events(since_ns=4.5)] == [5, 6, 7, 8, 9, 99]
 
-    def test_count_matches_events(self):
-        log = FaultLog()
-        for t in range(100):
-            kind = FaultKind.CORRECTABLE if t % 3 else FaultKind.UNCORRECTABLE
-            log.record(_ev(kind, float(t)))
-        for kind in (None, FaultKind.CORRECTABLE, FaultKind.UNCORRECTABLE):
-            for since in (0.0, 33.0, 99.5):
-                assert log.count(kind, since_ns=since) == len(log.events(kind, since_ns=since))
-
     def test_since_equal_timestamp_is_inclusive(self):
         log = FaultLog()
         log.record(_ev(FaultKind.CORRECTABLE, 5.0, addr=1))
@@ -125,9 +116,9 @@ class TestFaultLogIndex:
         assert [e.time_ns for e in log.events()] == [float(t) for t in range(10, 20)]
         # per-kind views were compacted consistently
         assert all(e.time_ns >= 10.0 for e in log.events(FaultKind.CORRECTABLE))
-        assert log.count(FaultKind.LINK_DOWN) == 5
+        assert len(log.events(FaultKind.LINK_DOWN)) == 5
         # queries still work after compaction
-        assert log.count(FaultKind.CORRECTABLE, since_ns=15.0) == 3
+        assert len(log.events(FaultKind.CORRECTABLE, since_ns=15.0)) == 3
 
     def test_compact_noop_when_nothing_older(self):
         log = FaultLog()

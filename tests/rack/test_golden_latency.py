@@ -498,8 +498,8 @@ def test_telemetry_cache_counters_match_cache_stats():
         reg = telemetry.TELEMETRY.registry
         for nid in (0, 1):
             hits, misses = stats[f"node{nid}"][0], stats[f"node{nid}"][1]
-            assert reg.counter(nid, "rack.machine", "cache.hit") == hits
-            assert reg.counter(nid, "rack.machine", "cache.miss") == misses
+            assert reg.counters.get((nid, "rack.machine", "cache.hit"), 0.0) == hits
+            assert reg.counters.get((nid, "rack.machine", "cache.miss"), 0.0) == misses
     finally:
         telemetry.disable()
         telemetry.reset()

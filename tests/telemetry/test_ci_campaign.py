@@ -51,7 +51,7 @@ def _campaign_run(tmp_path, name="run.json"):
 
 def test_campaign_exports_schema_valid_trace_and_dashboard(tmp_path):
     report, path = _campaign_run(tmp_path)
-    assert report.ok, report.violations
+    assert not report.violations, report.violations
     assert "telemetry digest=" in report.journal
 
     run = load_run(path)  # raises if the schema or trace is invalid

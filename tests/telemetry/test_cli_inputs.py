@@ -111,6 +111,21 @@ def test_atlas_view_refuses_a_wrongly_typed_field(view, spoil, tmp_path, capsys)
     assert err.startswith("error: ") and " must be " in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("metrics", [
+    [],                                                  # was: an AttributeError traceback
+    {"counters": [[0, "core.fs", 5.0]]},                 # was: "not enough values to unpack"
+    {"gauges": {"0": 1.0}},
+    {"counters": [[0, "core.fs", "hits", "many"]]},
+    {"histograms": [[0, "core.ipc", "rpc.migration_ns", 5.0]]},
+])
+def test_dashboard_refuses_a_malformed_metrics_section(metrics, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(_run(), metrics=metrics)))
+    assert dashboard_main([str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "metrics" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("traced", [True, False])
 def test_dashboard_trace_out_writes_the_trace_or_refuses(traced, tmp_path, capsys):
     run = _run()

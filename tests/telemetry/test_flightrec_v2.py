@@ -57,11 +57,11 @@ def _dump(seed=7, path=None):
         cul.run(duration_ns=25e6)
         health.tick(rig.machine.max_time())
         cul.sync_recorder()
-        if path is not None:
-            recorder.dump(path, "test:v2", rig.machine.max_time(),
-                          machine=rig.machine, trace=TELEMETRY.trace)
-        return recorder.snapshot("test:v2", rig.machine.max_time(),
+        snap = recorder.snapshot("test:v2", rig.machine.max_time(),
                                  machine=rig.machine, trace=TELEMETRY.trace)
+        if path is not None:
+            path.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
+        return snap
     finally:
         telemetry.disable()
         telemetry.reset()

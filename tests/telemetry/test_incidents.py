@@ -56,7 +56,7 @@ class TestCatalogue:
 class TestDeterminism:
     def test_two_runs_byte_identical(self, ue_storm_on):
         again = run_scenario(get_scenario("ue-storm"), detection=True)
-        assert ue_storm_on.journal == again.journal
+        assert ue_storm_on.report.journal == again.report.journal
         assert ue_storm_on.report.digest == again.report.digest
         assert (json.dumps(ue_storm_on.dump, sort_keys=True)
                 == json.dumps(again.dump, sort_keys=True))
@@ -215,7 +215,7 @@ class TestEveryScenario:
         off = run_scenario(scenario, detection=False)
         assert on.score["mttd_ns"] is not None
         assert on.score["localization"]["recall"] > 0.0
-        assert on.journal == replay.journal
+        assert on.report.journal == replay.report.journal
         assert on.report.digest == replay.report.digest
         assert (json.dumps(on.dump, sort_keys=True)
                 == json.dumps(replay.dump, sort_keys=True))

@@ -34,8 +34,8 @@ class TestMachineCounters:
         rig.machine.store(0, g, b"\x01" * 8)
         reg = TELEMETRY.registry
         s = rig.machine.nodes[0].cache.stats
-        assert reg.counter(0, "rack.machine", "cache.hit") == s.hits
-        assert reg.counter(0, "rack.machine", "cache.miss") == s.misses
+        assert reg.counters.get((0, "rack.machine", "cache.hit"), 0.0) == s.hits
+        assert reg.counters.get((0, "rack.machine", "cache.miss"), 0.0) == s.misses
 
     def test_remote_fetch_counts_global_misses_only(self):
         telemetry.enable()
@@ -43,8 +43,8 @@ class TestMachineCounters:
         rig.machine.load(0, rig.machine.global_base + (1 << 20), 8)  # global miss
         rig.machine.load(0, rig.machine.local_base(0) + 4096, 8)  # local miss
         reg = TELEMETRY.registry
-        assert reg.counter(0, "rack.machine", "cache.remote_fetch") == 1
-        assert reg.counter(0, "rack.machine", "cache.miss") == 2
+        assert reg.counters.get((0, "rack.machine", "cache.remote_fetch"), 0.0) == 1
+        assert reg.counters.get((0, "rack.machine", "cache.miss"), 0.0) == 2
 
     def test_bypass_and_atomic_counters(self):
         rig = build_rig()
@@ -55,10 +55,10 @@ class TestMachineCounters:
         rig.machine.atomic_fetch_add(0, g + 8192, 1)
         rig.machine.atomic_fetch_add(0, rig.machine.local_base(0), 1)
         reg = TELEMETRY.registry
-        assert reg.counter(0, "rack.machine", "bypass.load") == 1
-        assert reg.counter(0, "rack.machine", "bypass.store") == 1
-        assert reg.counter(0, "rack.machine", "atomic.global") == 1
-        assert reg.counter(0, "rack.machine", "atomic.local") == 1
+        assert reg.counters.get((0, "rack.machine", "bypass.load"), 0.0) == 1
+        assert reg.counters.get((0, "rack.machine", "bypass.store"), 0.0) == 1
+        assert reg.counters.get((0, "rack.machine", "atomic.global"), 0.0) == 1
+        assert reg.counters.get((0, "rack.machine", "atomic.local"), 0.0) == 1
 
 
 class TestMemoryCounters:
@@ -72,9 +72,9 @@ class TestMemoryCounters:
         aspace.read(rig.c0, addr, 5)  # walk succeeds, fills the TLB
         aspace.read(rig.c0, addr, 5)  # TLB hit
         reg = TELEMETRY.registry
-        assert reg.counter(0, "core.memory", "tlb.hit") >= 1
-        assert reg.counter(0, "core.memory", "tlb.miss") >= 1
-        assert reg.counter(0, "core.memory", "ptwalk") >= 1
+        assert reg.counters.get((0, "core.memory", "tlb.hit"), 0.0) >= 1
+        assert reg.counters.get((0, "core.memory", "tlb.miss"), 0.0) >= 1
+        assert reg.counters.get((0, "core.memory", "ptwalk"), 0.0) >= 1
         hist = reg.histogram(0, "core.memory", "ptwalk_ns")
         assert hist is not None and hist.count >= 1
         assert hist.min_value > 0
@@ -106,7 +106,7 @@ class TestIpcCounters:
         for _ in range(4):
             assert kernel.rpc.call(rig.c1, "noop") == "ok"
         reg = TELEMETRY.registry
-        assert reg.counter(1, "core.ipc", "rpc.calls") == 4
+        assert reg.counters.get((1, "core.ipc", "rpc.calls"), 0.0) == 4
         hist = reg.histogram(1, "core.ipc", "rpc.migration_ns")
         assert hist.count == 4
         # each call charges at least two address-space switches
@@ -124,8 +124,8 @@ class TestIpcCounters:
         assert server.recv(rig.c1) == b"small"
         assert server.recv(rig.c1) == b"B" * 4096
         reg = TELEMETRY.registry
-        assert reg.counter(0, "core.ipc", "ipc.send.inline") == 1
-        assert reg.counter(0, "core.ipc", "ipc.send.zero_copy") == 1
+        assert reg.counters.get((0, "core.ipc", "ipc.send.inline"), 0.0) == 1
+        assert reg.counters.get((0, "core.ipc", "ipc.send.zero_copy"), 0.0) == 1
         assert reg.histogram(0, "core.ipc", "ipc.zero_copy_send_ns").count == 1
 
 
@@ -138,8 +138,8 @@ class TestReliabilityCounters:
         m.faults.inject_ce(m.global_base + 128, node_id=1, now_ns=6.0)
         m.faults.inject_ue(m.global_mem, 4096, node_id=0, now_ns=7.0)
         reg = TELEMETRY.registry
-        assert reg.counter(1, "reliability", "fault.ce") == 2
-        assert reg.counter(0, "reliability", "fault.ue") == 1
+        assert reg.counters.get((1, "reliability", "fault.ce"), 0.0) == 2
+        assert reg.counters.get((0, "reliability", "fault.ue"), 0.0) == 1
 
     def test_scrub_repair_pipeline_counters(self):
         telemetry.enable(tracing=True)

@@ -28,7 +28,7 @@ class TestTraceBuffer:
         a = buf.begin("outer", 0, 0.0)
         buf.begin("leaked", 0, 5.0)
         buf.end(a, 50.0)
-        assert buf.depth == 0
+        assert len(buf._stack) == 0
         leaked = next(s for s in buf.spans if s.name == "leaked")
         assert leaked.end_ns == 50.0
 
@@ -142,7 +142,7 @@ class TestSpanContextManager:
         with pytest.raises(RuntimeError):
             with span("boom", node=1):
                 raise RuntimeError("x")
-        assert telemetry.TELEMETRY.trace.depth == 0
+        assert len(telemetry.TELEMETRY.trace._stack) == 0
         assert telemetry.TELEMETRY.trace.spans[-1].name == "boom"
 
     def test_deterministic_trace_across_identical_runs(self):
