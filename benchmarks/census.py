@@ -1,7 +1,7 @@
 """Execution census of ``src/repro``: which defs the CI roots run (DESIGN §1).
 
 Record: ``python benchmarks/census.py --run`` runs every root of :func:`roots` (the ``E<n>`` tables of
-``benchmarks/bench_*.py``, the perf smoke, the dump and run-export CLIs, ``examples/*.py`` and a bare boot),
+``benchmarks/bench_*.py``, the perf smoke, the telemetry CLI's file commands, ``examples/*.py`` and a bare boot),
 each in fresh interpreters under a ``sys.setprofile`` hook: a temporary ``sitecustomize.py`` on
 ``PYTHONPATH``, so the interpreters ``perf/run.py`` starts per workload are traced too.  It writes
 ``results/executed.txt`` (per module: its def count, the roots that executed a def there beyond what boot
@@ -14,8 +14,9 @@ module whose def count or names differ from ``executed.txt``, a never-executed d
 outside :data:`KINDS`, a label on a def that executed or does not exist, and a ``branch`` label whose caller
 did not execute.  A knob is a defaulted parameter or dataclass field that no root source and no executed
 def sets.  The second test checks that every backticked ``Class.member`` in DESIGN.md and README.md names
-a member of that class of ``src/``, every ``tests/…py`` / ``benchmarks/…py`` path exists and every
-``test_*`` / ``Test*`` name is defined under ``tests/`` or ``benchmarks/``.
+a member of that class of ``src/``, every ``tests/…py`` / ``benchmarks/…py`` path exists, every
+``test_*`` / ``Test*`` name is defined under ``tests/`` or ``benchmarks/``, every ``python -m repro.…``
+is runnable and every other dotted ``repro.…`` names a module or package of ``src/``.
 """
 
 import ast
@@ -97,13 +98,13 @@ def roots(out: str = "OUT"):
     return benches + [
         ("perf", [py, "benchmarks/perf/run.py", "--smoke"]),
         ("perf", [py, "benchmarks/perf/run.py", "--smoke", "--trace"]),
-        ("cli", [py, "-m", f"{tel}.incidents", "run", "ue-storm", "--dump", dump, "--trace-out", f"{out}/t.json"]),
-        ("cli", [py, "-m", f"{tel}.incidents", "replay", dump]),
-        ("cli", [py, "-m", f"{tel}.incidents", "score", dump]),
-        ("cli", [py, "-m", f"{tel}.health", "postmortem", dump]),
+        ("cli", [py, "-m", tel, "run", "ue-storm", "--dump", dump, "--trace-out", f"{out}/t.json"]),
+        ("cli", [py, "-m", tel, "replay", dump]),
+        ("cli", [py, "-m", tel, "score", dump]),
+        ("cli", [py, "-m", tel, "postmortem", dump]),
         ("cli", [py, "examples/redis_rack.py", "--telemetry", run]),
-        ("cli", [py, "-m", tel, run, "--flame"]),
-        *(("cli", [py, "-m", f"{tel}.atlas", view, run]) for view in ("top-links", "top-pages", "blame", "headroom")),
+        ("cli", [py, "-m", tel, "dashboard", run, "--flame"]),
+        *(("cli", [py, "-m", tel, view, run]) for view in ("top-links", "top-pages", "blame", "headroom")),
         *(("examples", [py, str(path)]) for path in sorted(ROOT.glob("examples/*.py"))),
         ("boot", [py, "-c", "import pkgutil, importlib, repro\n"
                   "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
@@ -367,8 +368,15 @@ def class_members(trees) -> dict:
 def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=SRC) -> list:
     """``file:line: name`` for each name in a code span or fenced block that is stale: a ``Class.member``
     whose ``Class`` is a class of ``src`` that defines no ``member``, a ``tests/…py`` or ``benchmarks/…py``
-    path (a glob) that matches no file, or a ``test_*`` / ``Test*`` name nothing under ``tests/`` or
-    ``benchmarks/`` defines."""
+    path (a glob) that matches no file, a ``test_*`` / ``Test*`` name nothing under ``tests/`` or
+    ``benchmarks/`` defines, a ``python -m repro.…`` that names no ``.py`` file and no package with a
+    ``__main__.py``, or another dotted ``repro.a.b`` (lower-case parts; a schema tag's ``/N`` ends it) that
+    names no module or package."""
+
+    def module(dotted, package_file):  # a .py file, or a package directory holding package_file
+        path = src.parent.joinpath(*dotted.split("."))
+        return path.with_suffix(".py").is_file() or (path / package_file).is_file()
+
     members = class_members(parse(src))
     defined = {name for top in ("tests", "benchmarks") for path in (ROOT / top).rglob("*.py")
                for name in re.findall(r"^\s*(?:def|class) (\w+)", path.read_text(), re.M)}
@@ -376,6 +384,8 @@ def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=SRC) -> l
         (r"(?<!\w)([A-Z]\w*)\.([A-Za-z_]\w*)", lambda m: m.group(2) in members.get(m.group(1), {m.group(2)})),
         (r"(?<![\w/.])(?:tests|benchmarks)/[\w/*.-]*\.py\b", lambda m: any(ROOT.glob(m.group(0)))),
         (r"(?<![\w/.])(?:test_|Test)\w*(?![\w.])", lambda m: m.group(0) in defined),
+        (r"python -m (repro(?:\.\w+)*)", lambda m: module(m.group(1), "__main__.py")),
+        (r"(?<![\w.])(?<!-m )repro(?:\.[a-z_]\w*)+(?![\w/])", lambda m: module(m.group(0), "__init__.py")),
     )
     fence, stale = re.compile(r"^```.*?^```", re.S | re.M), []
     for doc in docs:

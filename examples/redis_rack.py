@@ -7,8 +7,8 @@ TCP stack, and prints the per-request latencies side by side.
 
 Run:  python examples/redis_rack.py
       python examples/redis_rack.py --telemetry run.json   # then:
-      python -m repro.telemetry run.json
-      python -m repro.telemetry.atlas top-pages run.json
+      python -m repro.telemetry dashboard run.json
+      python -m repro.telemetry top-pages run.json
 """
 
 import argparse
@@ -46,7 +46,7 @@ def main() -> None:
         "--telemetry",
         metavar="PATH",
         help="record metrics + spans and export a telemetry run JSON to PATH "
-        "(view with: python -m repro.telemetry PATH)",
+        "(view with: python -m repro.telemetry dashboard PATH)",
     )
     opts = parser.parse_args()
     if opts.telemetry:
@@ -81,7 +81,7 @@ def main() -> None:
         )
         telemetry.disable()
         print(f"\ntelemetry run written to {out}")
-        print(f"view it with: python -m repro.telemetry {out}")
+        print(f"view it with: python -m repro.telemetry dashboard {out}")
 
 
 if __name__ == "__main__":

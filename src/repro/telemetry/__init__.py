@@ -9,7 +9,7 @@ single node's counters explain a latency.  This package is that layer:
   name)``;
 * :func:`span` tracing that records cause-linked trees and exports
   Chrome ``trace_event`` JSON plus a flamegraph-style text summary;
-* a dashboard renderer (``python -m repro.telemetry run.json``).
+* a dashboard renderer (``python -m repro.telemetry dashboard run.json``).
 
 Instrumentation contract
 ------------------------
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import sys
 from contextlib import contextmanager
 from typing import Optional, Union
 
@@ -174,35 +173,6 @@ def reset() -> TelemetryState:
     return TELEMETRY.reset()
 
 
-#: what reading a dump, snapshot or run file from outside can raise: missing,
-#: not JSON or of another schema (OSError, ValueError), or a row lacking a key
-INPUT_ERRORS = (OSError, ValueError, KeyError)
-
-
-def refuse_input(path, exc: Exception) -> int:
-    """Print the one ``error:`` line for a bad input file; the CLI exit status."""
-    if isinstance(exc, OSError):
-        detail = exc.strerror or str(exc)
-    elif isinstance(exc, KeyError):
-        detail = f"a row lacks the key {exc}"
-    elif isinstance(exc, json.JSONDecodeError):
-        detail = f"not JSON ({exc})"
-    else:
-        detail = str(exc)
-    print(f"error: {path}: {detail}", file=sys.stderr)
-    return 2
-
-
-def refuse_outputs(*paths: Optional[pathlib.Path]) -> Optional[int]:
-    """Exit status 2 after one ``error:`` line for the first output path
-    whose directory does not exist; ``None`` when every one is writable."""
-    for path in paths:
-        if path is not None and not path.parent.is_dir():
-            print(f"error: {path}: no directory {path.parent}", file=sys.stderr)
-            return 2
-    return None
-
-
 def load_run(path: Union[str, pathlib.Path]) -> dict:
     """Read an exported run, validating schema, metrics section and (if
     present) trace and atlas section."""
@@ -280,9 +250,7 @@ __all__ = [
     "bucket_index",
     "disable",
     "enable",
-    "INPUT_ERRORS",
     "load_run",
-    "refuse_input",
     "rate",
     "reset",
     "span",

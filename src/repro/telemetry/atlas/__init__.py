@@ -23,8 +23,8 @@ Four pieces:
   saturated links, the per-tenant contention ledger, node ports.
 * **surfaces** — :meth:`Atlas.snapshot`, exported as the ``atlas``
   section of a telemetry run (:meth:`TelemetryState.export_json`);
-  dashboard panels (:mod:`.render`), ``python -m repro.telemetry.atlas``
-  CLI, and flight-recorder tails.
+  dashboard panels (:mod:`.render`), the atlas views of
+  ``python -m repro.telemetry``, and flight-recorder tails.
 
 Determinism contract: the atlas never advances a simulated clock, never
 touches the metrics registry (so registry digests are identical with

@@ -7,7 +7,7 @@ package closes the loop — it decides when what happened is *bad*
 those calls into the self-healing pipeline's failure predictor so pages
 are evacuated before they kill a workload, and keeps a bounded black box
 (:mod:`.recorder`) that dumps on node crash, UE storm, or invariant
-failure for ``python -m repro.telemetry.health postmortem``.
+failure for ``python -m repro.telemetry postmortem``.
 
 Everything is simulated-time driven and observation-only: a
 :meth:`HealthEngine.tick` never advances a clock, so enabling health

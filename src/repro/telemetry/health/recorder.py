@@ -5,7 +5,7 @@ you *in what order*.  It keeps a bounded ring of recent window frames,
 alert/anomaly transitions, the tail of the traced spans, and the tail of
 each node's fault log.  When a node crashes, a UE storm lands, or a
 chaos invariant fails, the whole ring is snapshotted to JSON — the
-black box an operator (or ``python -m repro.telemetry.health
+black box an operator (or ``python -m repro.telemetry
 postmortem``) reads after the fact.
 
 Snapshots are deterministic: every field is simulated-time data, keys

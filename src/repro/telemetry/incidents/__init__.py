@@ -17,10 +17,10 @@ alert (``repro.telemetry.health``), survive (``repro.workloads
 
 CLI::
 
-    python -m repro.telemetry.incidents list
-    python -m repro.telemetry.incidents run ue-storm --detection both
-    python -m repro.telemetry.incidents replay DUMP.json
-    python -m repro.telemetry.incidents score DUMP.json
+    python -m repro.telemetry list
+    python -m repro.telemetry run ue-storm --detection both
+    python -m repro.telemetry replay DUMP.json
+    python -m repro.telemetry score DUMP.json
 
 Everything runs on simulated time: same scenario, same seed —
 byte-identical journal, dump, and scores.

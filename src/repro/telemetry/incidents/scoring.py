@@ -2,7 +2,7 @@
 
 The scorer reads a ``repro.telemetry.flightrec/3`` snapshot through the
 recorder's frame and event views — no simulator imports — so ``python -m
-repro.telemetry.incidents score DUMP.json`` works offline, on a dump
+repro.telemetry score DUMP.json`` works offline, on a dump
 from any run.  Four scores, per the AIOpsLab-style ops loop:
 
 * **MTTD** — injection to the first *correct* SLO alert or anomaly

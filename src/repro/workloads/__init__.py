@@ -12,7 +12,6 @@ from .traffic import (
     TrafficReport,
 )
 from .resilience import (
-    DISABLED,
     ChaosLoadReport,
     ChaosUnderLoad,
     CircuitBreaker,
@@ -26,7 +25,6 @@ __all__ = [
     "ChaosLoadReport",
     "ChaosUnderLoad",
     "CircuitBreaker",
-    "DISABLED",
     "ResilienceSpec",
     "ResilientTrafficEngine",
     "default_spec",

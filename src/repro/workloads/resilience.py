@@ -4,16 +4,10 @@ The base :class:`~repro.workloads.traffic.TrafficEngine` assumes the
 rack cooperates: a tenant's node is alive, its fabric port is up, and
 every admitted batch executes.  Under the chaos schedules of
 :mod:`repro.chaos` that assumption dies mid-run — and an open-loop
-fleet does not stop arriving because a node crashed.  This module is
-the request path that survives, and it runs one of two arms:
-
-* **the reference arm** (``resilience=None``, :data:`DISABLED`) — the base
-  engine's sequence, with an execution fault counted ``failed`` instead
-  of unwinding the run;
-* **the on arm** (:class:`ResilienceSpec`) — all of the policies below,
-  at the module constants every root runs.
-
-The on arm's policies:
+fleet does not stop arriving because a node crashed.  The base engine
+counts a batch that meets a fault as ``failed`` and goes on; this module
+is the request path that survives it, running every policy below at the
+module constants every root runs (:class:`ResilienceSpec`):
 
 * **retries** — batch attempts that die on a crashed node or severed
   link are retried on a seeded exponential-backoff schedule
@@ -35,8 +29,7 @@ The on arm's policies:
 
 Determinism contract: every resilience decision is a pure function of
 simulated state (clocks, seeded RNG streams, deterministic jitter
-hashes), so on a healthy rack the reference arm reproduces the base
-engine's report bit-for-bit, and either arm replays byte-identically.
+hashes), so a run replays byte-identically.
 """
 
 from __future__ import annotations
@@ -52,14 +45,13 @@ import numpy as np
 from ..chaos.runner import CampaignRunner, JournalTail
 from ..core.backoff import BackoffPolicy
 from ..core.events import EventCore
-from ..rack.interconnect import InterconnectError
-from ..rack.node import NodeCrashedError
 from ..rack.params import finite, refuse, whole
 from ..telemetry import TELEMETRY as _TEL
 from .traffic import (
     ARRIVAL,
     FAILED,
     FAILOVERS,
+    FAILURES,
     HEDGE_WINS,
     HEDGES,
     REQUEST_PATH,
@@ -70,11 +62,7 @@ from .traffic import (
     _TenantState,
 )
 
-#: exceptions that mean "the target cannot serve" (retryable/failover)
-FAILURES = (NodeCrashedError, InterconnectError)
-
-
-# -- the on arm's policy constants ---------------------------------------------
+# -- the policy constants ------------------------------------------------------
 #
 # Every root runs these values; a test that needs another monkeypatches the
 # constant.  The code reads each one where it decides, so a patch takes effect
@@ -110,8 +98,9 @@ FAILURE_DETECT_NS = 20_000.0
 
 @dataclass(frozen=True)
 class ResilienceSpec:
-    """The on arm: retry, hedge and breaker for every tenant, at the module
-    constants.  The other arm is ``resilience=None`` (:data:`DISABLED`)."""
+    """Retry, hedge and breaker for every tenant, at the module constants;
+    the base :class:`~repro.workloads.traffic.TrafficEngine` is the run
+    without them."""
 
     #: alternate node for failover and hedging (the tenant's slab is in
     #: global memory, so any live node can serve it); ``None``: neither, so
@@ -122,11 +111,6 @@ class ResilienceSpec:
         node = self.replica_node
         if not (node is None or whole(node)):
             refuse(self, "replica_node", "None or a node id (an integer >= 0)")
-
-
-#: the reference arm: the base engine's sequence, an execution fault counted
-#: as lost requests instead of unwinding the run
-DISABLED = None
 
 
 def default_spec(replica_node: Optional[int] = None) -> ResilienceSpec:
@@ -339,11 +323,7 @@ class _HedgeOp:
 class ResilientTrafficEngine(TrafficEngine):
     """The traffic engine with the fault-tolerant request path wired in.
 
-    ``resilience`` picks the arm for every tenant: ``None``
-    (:data:`DISABLED`) is bit-identical to
-    :class:`~repro.workloads.traffic.TrafficEngine` on a healthy rack and
-    merely *counts* losses on a faulty one; a :class:`ResilienceSpec`
-    runs retry, hedge and breaker.
+    ``resilience`` runs retry, hedge and breaker for every tenant.
 
     ``crash_detection`` wires the machine's crash hook into the
     breakers (fail-fast on out-of-band evidence).  Turning it off — the
@@ -356,14 +336,13 @@ class ResilientTrafficEngine(TrafficEngine):
         self,
         kernel,
         tenants,
-        resilience: Optional[ResilienceSpec] = None,
+        resilience: ResilienceSpec,
         crash_detection: bool = True,
         **kwargs,
     ) -> None:
         super().__init__(kernel, tenants, **kwargs)
-        self.resilience = resilience
-        #: per-tenant on-arm state; the reference arm keeps none
-        self._rstate: Dict[str, _ResilienceState] = {} if resilience is None else {
+        #: per-tenant policy state
+        self._rstate: Dict[str, _ResilienceState] = {
             name: self._build_state(st, resilience.replica_node)
             for name, st in self.tenants.items()
         }
@@ -438,15 +417,8 @@ class ResilientTrafficEngine(TrafficEngine):
     # -- the overridden seam ---------------------------------------------------
 
     def _run_admitted(self, st, arrivals, key_idx, is_get) -> None:
-        """The reference arm runs the base sequence, a fault counted as
-        lost.  The on arm runs it with each policy's step in place:
+        """The base sequence with each policy's step in place:
         route → attempt loop → queue model → record → hedge."""
-        if self.resilience is None:
-            try:
-                super()._run_admitted(st, arrivals, key_idx, is_get)
-            except FAILURES:
-                self._count(st, FAILED, len(arrivals))
-            return
         rs = self._rstate[st.spec.name]
         n = len(arrivals)
         now = self.events.now_ns

@@ -50,7 +50,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..flacdk.arena import ArenaExhausted
+from ..rack.interconnect import InterconnectError
 from ..rack.machine import NodeContext, SlotWindow
+from ..rack.node import NodeCrashedError
+from ..rack.params import finite, whole
 from ..telemetry import STACK_PARENT, TELEMETRY as _TEL
 from .arrivals import ArrivalProcess, make_process
 
@@ -157,6 +160,10 @@ ARRIVAL = (OFFERED, ADMITTED)
 ADMISSION = (BACKLOG, LINK)
 REQUEST_PATH = (FAILED, TIMED_OUT, RETRIES, HEDGES, HEDGE_WINS, FAILOVERS, SHED)
 LEDGER = ARRIVAL + ADMISSION + REQUEST_PATH
+
+#: what the substrate raises when a batch's target cannot serve it (a crashed
+#: node, a severed link): the request path counts the batch :data:`FAILED`
+FAILURES = (NodeCrashedError, InterconnectError)
 
 
 @dataclass
@@ -469,14 +476,19 @@ class TrafficEngine:
         is_get: np.ndarray,
     ) -> None:
         """Execute one admitted batch and record its outcomes: attempt on
-        the tenant's node → queue model → record.
+        the tenant's node → queue model → record.  A batch the substrate
+        refuses (:data:`FAILURES`) is counted lost; the run goes on, as
+        open-loop arrivals do.
 
-        The fault-tolerant engine's reference arm runs this very sequence
-        (counting a fault as lost where this one unwinds) and its on arm
-        puts its policies' steps in between — everything upstream (arrival
-        bookkeeping, link guard, backlog bound, RNG draws) is shared.
+        The fault-tolerant engine puts its policies' steps in between —
+        everything upstream (arrival bookkeeping, link guard, backlog
+        bound, RNG draws) is shared.
         """
-        n_bytes, charged = self._attempt(st, key_idx, is_get, st.spec.node, attempt=0)
+        try:
+            n_bytes, charged = self._attempt(st, key_idx, is_get, st.spec.node, attempt=0)
+        except FAILURES:
+            self._count(st, FAILED, len(arrivals))
+            return
         latency = self._queue_model(st, arrivals, charged, st.busy_until_ns)
         self._record(st, arrivals, latency, n_bytes)
 
@@ -575,6 +587,16 @@ class TrafficEngine:
         """
         if duration_ns is None and max_requests is None:
             raise ValueError("open-loop run needs duration_ns and/or max_requests")
+        # refused here, by name: NaN never ends an open loop, inf stamps the
+        # event clock with it, and a negative bound is an empty report
+        for name, value, legal, ok in (
+            ("duration_ns", duration_ns, "a finite number >= 0",
+             duration_ns is None or (finite(duration_ns) and duration_ns >= 0)),
+            ("max_requests", max_requests, "an integer >= 0",
+             max_requests is None or whole(max_requests)),
+        ):
+            if not ok:
+                raise ValueError(f"run: {name} must be {legal}, got {value!r}")
         start = self.events.now_ns
         started = self.events.dispatched
         deadline = start + duration_ns if duration_ns is not None else None

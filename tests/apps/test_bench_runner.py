@@ -86,6 +86,19 @@ def test_docs_check_names_a_planted_stale_member(tmp_path):
         "DESIGN.md:3: FlacOS.devices", "DESIGN.md:5: tests/apps/test_planted.py", "DESIGN.md:5: test_planted_id"]
 
 
+def test_docs_check_names_a_planted_module_path(tmp_path):
+    census = _benchmarks_module("census")
+    doc = tmp_path / "README.md"
+    doc.write_text(
+        "`python -m repro.telemetry dashboard run.json` runs; `repro.telemetry.atlas` and\n"
+        "`repro.rack.machine.NodeContext` resolve, as does the schema tag `repro.telemetry.flightrec/3`.\n"
+        "```\npython -m repro.telemetry.atlas top-links run.json\n```\n"
+        "`repro.nosuch` is planted.\n"
+    )
+    assert census.stale_doc_names(docs=[doc]) == [
+        "README.md:4: python -m repro.telemetry.atlas", "README.md:6: repro.nosuch"]
+
+
 def test_emit_passes_on_identical_text_and_regenerates_then_fails_on_drift(tmp_path):
     emit_into = _benchmarks_module("conftest").emit_into
     table = tmp_path / "E0_demo.txt"

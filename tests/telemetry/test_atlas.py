@@ -31,7 +31,7 @@ from repro.telemetry.atlas import (
     saturated_links,
     tenant_ledger,
 )
-from repro.telemetry.atlas.__main__ import main as atlas_main
+from repro.telemetry.__main__ import main as telemetry_main
 from repro.telemetry.health.recorder import (
     FLIGHT_SCHEMA,
     FlightRecorder,
@@ -395,13 +395,13 @@ class TestSurfaces:
             (["blame", str(path)], "hog"),
             (["headroom", str(path)], "t-to-sat"),
         ]:
-            assert atlas_main(command) == 0
+            assert telemetry_main(command) == 0
             assert expect in capsys.readouterr().out
 
     def test_cli_rejects_a_non_atlas_file(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         path.write_text(json.dumps({"schema": tel.RUN_SCHEMA}))
-        assert atlas_main(["blame", str(path)]) == 2
+        assert telemetry_main(["blame", str(path)]) == 2
         assert "no atlas section" in capsys.readouterr().err
 
     def test_load_atlas_accepts_run_exports(self, tmp_path):
@@ -445,14 +445,12 @@ class TestPinnedOutputs:
     def test_cli_views_and_dashboard_panels_match_the_golden(
         self, severed_export, capsys
     ):
-        from repro.telemetry.__main__ import main as dashboard_main
-
         _, _, path = severed_export
         parts = []
         for argv in (["top-links"], ["top-pages", "-n", "4"], ["blame"], ["headroom"]):
-            assert atlas_main(argv[:1] + [str(path)] + argv[1:]) == 0
+            assert telemetry_main(argv[:1] + [str(path)] + argv[1:]) == 0
             parts.append(f"$ atlas {' '.join(argv)}\n{capsys.readouterr().out}")
-        assert dashboard_main([str(path)]) == 0
+        assert telemetry_main(["dashboard", str(path)]) == 0
         dashboard = capsys.readouterr().out
         parts.append("$ dashboard (atlas panels)\n"
                      + dashboard[dashboard.index("-- fabric links --"):])

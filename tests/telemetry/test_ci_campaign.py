@@ -99,7 +99,7 @@ def test_dashboard_cli_renders_export(tmp_path, capsys):
     _, path = _campaign_run(tmp_path)
     from repro.telemetry.__main__ import main
 
-    assert main([str(path), "--flame"]) == 0
+    assert main(["dashboard", str(path), "--flame"]) == 0
     out = capsys.readouterr().out
     assert "rack telemetry dashboard" in out
     assert "per-node health" in out

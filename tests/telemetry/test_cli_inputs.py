@@ -1,5 +1,6 @@
-"""Every telemetry CLI refuses a bad input file with one ``error:`` line
-and exit status 2 -- never a traceback, never a score of nothing.
+"""Every subcommand of the telemetry CLI that reads a file refuses a bad
+one with one ``error:`` line and exit status 2 -- never a traceback, never
+a score of nothing.
 
 Each input builder takes ``bad``: ``None`` for a good file, ``"key"`` for a
 row missing a key, ``"type"`` for a row with a wrongly typed field."""
@@ -9,12 +10,9 @@ import json
 import pytest
 
 from repro.telemetry import RUN_SCHEMA
-from repro.telemetry.__main__ import main as dashboard_main
+from repro.telemetry.__main__ import main
 from repro.telemetry.atlas import ATLAS_SCHEMA
-from repro.telemetry.atlas.__main__ import main as atlas_main
-from repro.telemetry.health.__main__ import main as health_main
 from repro.telemetry.health.recorder import FLIGHT_SCHEMA, FlightRecorder
-from repro.telemetry.incidents.__main__ import main as incidents_main
 
 
 def _dump(bad=None) -> dict:
@@ -56,13 +54,17 @@ def _atlas(bad=None) -> dict:
     return {"schema": RUN_SCHEMA, "metrics": {}, "atlas": atlas}
 
 
-#: (main, argv before the file, a good file's content, its schema tag)
+#: (argv before the file, a good file's content, its schema tag) of every
+#: subcommand that reads a file; "atlas" is the top-links view
 CLIS = {
-    "dashboard": (dashboard_main, [], _run, RUN_SCHEMA),
-    "atlas": (atlas_main, ["top-links"], _atlas, RUN_SCHEMA),
-    "postmortem": (health_main, ["postmortem"], _dump, FLIGHT_SCHEMA),
-    "replay": (incidents_main, ["replay"], _dump, FLIGHT_SCHEMA),
-    "score": (incidents_main, ["score"], _dump, FLIGHT_SCHEMA),
+    "dashboard": (["dashboard"], _run, RUN_SCHEMA),
+    "atlas": (["top-links"], _atlas, RUN_SCHEMA),
+    "top-pages": (["top-pages"], _atlas, RUN_SCHEMA),
+    "blame": (["blame"], _atlas, RUN_SCHEMA),
+    "headroom": (["headroom"], _atlas, RUN_SCHEMA),
+    "postmortem": (["postmortem"], _dump, FLIGHT_SCHEMA),
+    "replay": (["replay"], _dump, FLIGHT_SCHEMA),
+    "score": (["score"], _dump, FLIGHT_SCHEMA),
 }
 
 
@@ -85,7 +87,7 @@ def _bad_file(tmp_path, kind, build, schema):
     "kind", ["missing", "truncated", "schema", "row", "not_object", "wrong_type"])
 @pytest.mark.parametrize("cli", sorted(CLIS))
 def test_bad_input_is_one_error_line_and_exit_2(cli, kind, tmp_path, capsys):
-    main, argv, build, schema = CLIS[cli]
+    argv, build, schema = CLIS[cli]
     good = tmp_path / "good.json"
     good.write_text(json.dumps(build()))
     assert main(argv + [str(good)]) == 0
@@ -106,7 +108,7 @@ def test_atlas_view_refuses_a_wrongly_typed_field(view, spoil, tmp_path, capsys)
     run = _atlas()
     spoil(run["atlas"])
     (tmp_path / "run.json").write_text(json.dumps(run))
-    assert atlas_main([view, str(tmp_path / "run.json")]) == 2
+    assert main([view, str(tmp_path / "run.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and " must be " in err and err.count("\n") == 1
 
@@ -121,7 +123,7 @@ def test_atlas_view_refuses_a_wrongly_typed_field(view, spoil, tmp_path, capsys)
 def test_dashboard_refuses_a_malformed_metrics_section(metrics, tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(_run(), metrics=metrics)))
-    assert dashboard_main([str(path)]) == 2
+    assert main(["dashboard", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "metrics" in err and err.count("\n") == 1
 
@@ -133,12 +135,14 @@ def test_dashboard_trace_out_writes_the_trace_or_refuses(traced, tmp_path, capsy
         del run["trace"]
     path, out = tmp_path / "run.json", tmp_path / "trace.json"
     path.write_text(json.dumps(run))
-    assert dashboard_main([str(path), "--trace-out", str(out)]) == (0 if traced else 2)
+    assert main(["dashboard", str(path), "--trace-out", str(out)]) == (0 if traced else 2)
     if traced:
         assert json.loads(out.read_text()) == run["trace"]
     else:
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: run has no trace")
+        stdout, err = capsys.readouterr()
+        assert stdout == ""  # was: the whole dashboard, then the error
+        assert err.startswith("error: run has no trace") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cli, argv", [
@@ -150,7 +154,7 @@ def test_dashboard_trace_out_writes_the_trace_or_refuses(traced, tmp_path, capsy
     ("atlas", ["-n", "0"]),
 ])
 def test_hostile_argument_is_one_argparse_error(cli, argv, tmp_path, capsys):
-    main, command, build, _schema = CLIS[cli]
+    command, build, _schema = CLIS[cli]
     path = tmp_path / "good.json"
     path.write_text(json.dumps(build()))
     with pytest.raises(SystemExit) as exit_:
@@ -163,7 +167,7 @@ def test_hostile_argument_is_one_argparse_error(cli, argv, tmp_path, capsys):
 
 def test_unknown_scenario_is_one_argparse_error(capsys):
     with pytest.raises(SystemExit) as exit_:  # was: a KeyError traceback, exit 1
-        incidents_main(["run", "no-such-scenario"])
+        main(["run", "no-such-scenario"])
     assert exit_.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("error:") == 1
@@ -175,14 +179,14 @@ def test_unknown_scenario_is_one_argparse_error(capsys):
     ["run", "ue-storm", "--trace-out"],
     ["run", "all", "--json"],
     ["score", "{good}", "--json"],       # was: a FileNotFoundError traceback, exit 1
-    ["{run}", "--trace-out"],            # was: the whole dashboard, then FileNotFoundError
+    ["dashboard", "{run}", "--trace-out"],  # was: the whole dashboard, then FileNotFoundError
 ])
 def test_output_in_a_missing_directory_is_refused_before_any_work(argv, tmp_path, capsys):
-    dashboard = argv[0] == "{run}"
+    dashboard = argv[0] == "dashboard"
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_run() if dashboard else _dump()))
     out_path = tmp_path / "nonexistent" / "out.json"
     argv = [str(good) if a in ("{good}", "{run}") else a for a in argv] + [str(out_path)]
-    assert (dashboard_main if dashboard else incidents_main)(argv) == 2
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {out_path}: no directory {out_path.parent}\n"

@@ -15,7 +15,7 @@ from repro.chaos import CampaignRunner, ChaosCampaign, event, survivor_liveness
 from repro.core.memory import PAGE_SIZE
 from repro.telemetry.health import FlightRecorder, load_dump, render_postmortem
 from repro.telemetry.health.recorder import check_schema
-from repro.telemetry.health.__main__ import main as health_cli
+from repro.telemetry.__main__ import main as health_cli
 
 pytestmark = pytest.mark.health
 

@@ -24,7 +24,7 @@ from repro.telemetry.incidents import (
     scenarios,
     score_dump,
 )
-from repro.telemetry.incidents.__main__ import main as incidents_main
+from repro.telemetry.__main__ import main as incidents_main
 from repro.telemetry.spans import validate_chrome_trace
 
 pytestmark = pytest.mark.incidents

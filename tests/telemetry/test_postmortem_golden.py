@@ -1,5 +1,5 @@
 """Golden-output tests for the postmortem renderer and the
-``python -m repro.telemetry.health`` CLI.
+``python -m repro.telemetry postmortem`` CLI.
 
 The postmortem view is an operator contract: scripts grep it, runbooks
 quote it.  These tests pin the exact window-table and timeline text for
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.telemetry.health.__main__ import main as health_main
+from repro.telemetry.__main__ import main as health_main
 from repro.telemetry.health.postmortem import render_postmortem
 from repro.telemetry.health.recorder import FLIGHT_SCHEMA
 

@@ -1,6 +1,7 @@
-"""Pins over the resilient request path's reference arm and its no-replica
-runs: the traffic report digest and every breaker transition of each run,
-taken at the commit before the policy toggles became module constants.
+"""Pins over the request path's reference runs (the base engine, which
+counts a fault as lost) and the resilient engine's no-replica runs: the
+traffic report digest and every breaker transition of each run, taken at
+the commit before the policy toggles became module constants.
 
 Each run is built by the helper of the test that owns it, so a change in
 *how* a configuration is spelled lands there and this file stays as is.
@@ -9,18 +10,17 @@ The hedged runs are pinned by ``test_batch_kernels.PARENT``.
 
 import pytest
 
-from repro.workloads.resilience import DISABLED
 from tests.workloads import test_chaos_under_load, test_ledger, test_resilience
 
 pytestmark = pytest.mark.resilience
 
 #: (test_ledger engine, fault) at seed 0 -> (report digest, breaker log)
 LEDGER = {
-    ("disabled", "healthy"): (
+    ("base", "healthy"): (
         "25d2d55602fae86fdd2d3b1077b922007d1d73e796e5a18c7c14d30dd570d2a0", []),
-    ("disabled", "link-flap"): (
+    ("base", "link-flap"): (
         "f9291f54ac87f5d8626f873af55b4be0ed8aa6805d50d03dd17086169efb9dd6", []),
-    ("disabled", "node-crash"): (
+    ("base", "node-crash"): (
         "30f4f02907db7757be6a7310542f045ef157e9833eb355dbc7462e8ae1b15385", []),
     ("no-replica", "healthy"): (
         "25d2d55602fae86fdd2d3b1077b922007d1d73e796e5a18c7c14d30dd570d2a0", []),
@@ -59,7 +59,7 @@ def test_degraded_mode_run_replays():
 
 
 def test_reference_arm_crash_storm_journal_replays():
-    rep = test_chaos_under_load._run(DISABLED)
+    rep = test_chaos_under_load._run(None)
     assert rep.breaker_transitions == []
     assert rep.traffic.digest() == (
         "a4f16ada2e4128d40ea1bc0ad40655b2318256824afcfb7655f2a01c8bc0d661")

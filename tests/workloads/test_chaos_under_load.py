@@ -8,7 +8,6 @@ from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
 from repro.workloads import TenantSpec, TrafficEngine
 from repro.workloads.resilience import (
-    DISABLED,
     ChaosUnderLoad,
     ResilientTrafficEngine,
     default_spec,
@@ -40,11 +39,15 @@ def _crash_campaign(seed=3):
 
 
 def _run(spec, seed=7, max_requests=40_000, campaign=None, health=False):
+    """One crash-storm run; ``spec`` ``None`` runs the base engine."""
     rig = build_rig(n_nodes=2)
     if health:
         rig.kernel.attach_health()
-    eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=spec,
-                                 seed=seed)
+    if spec is None:
+        eng = TrafficEngine(rig.kernel, _tenants(), seed=seed)
+    else:
+        eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=spec,
+                                     seed=seed)
     cul = ChaosUnderLoad(rig.kernel, eng, campaign or _crash_campaign())
     return cul.run(max_requests=max_requests)
 
@@ -104,7 +107,7 @@ class TestCampaignMechanics:
 
     def test_resilience_on_survives_where_off_loses(self):
         on = _run(default_spec(replica_node=1))
-        off = _run(DISABLED)
+        off = _run(None)
         assert _availability(on.traffic) >= 0.99
         assert _availability(off.traffic) < _availability(on.traffic)
         assert sum(t["failed"] + t["dropped_shed"] for t in off.traffic.tenants.values()) > 0
@@ -118,8 +121,7 @@ class TestCampaignMechanics:
 
     def test_requires_at_ns_triggers(self):
         rig = build_rig(n_nodes=2)
-        eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=DISABLED,
-                                     seed=1)
+        eng = TrafficEngine(rig.kernel, _tenants(), seed=1)
         camp = ChaosCampaign(name="step", seed=1, events=(
             event("node_crash", at_step=3, node=0),
         ))
@@ -135,6 +137,14 @@ class TestCampaignMechanics:
                                                  rf"must be .*, got {period!r}"):
                 ChaosUnderLoad(rig.kernel, eng, _crash_campaign(), control_period_ns=period)
         assert rig.kernel.events.dispatched == 0
+
+    def test_hostile_run_bound_is_refused_and_cleaned_up(self):
+        rig = build_rig(n_nodes=2)
+        eng = TrafficEngine(rig.kernel, _tenants(), seed=1)
+        cul = ChaosUnderLoad(rig.kernel, eng, _crash_campaign())
+        with pytest.raises(ValueError, match=r"run: duration_ns must be a finite number >= 0, got nan"):
+            cul.run(duration_ns=float("nan"))  # was: never returned
+        assert rig.kernel.patrols == [] and rig.kernel.events.now_ns == 0.0
 
     def test_works_with_base_engine_too(self):
         """The runner composes with the plain engine (no resilience

@@ -11,8 +11,6 @@ from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
 from repro.workloads import TenantSpec, TrafficEngine, resilience
 from repro.workloads.resilience import (
-    DISABLED,
-    FAILURES,
     ChaosUnderLoad,
     CircuitBreaker,
     ResilienceSpec,
@@ -38,7 +36,6 @@ pytestmark = pytest.mark.resilience
 #: the plain TrafficEngine
 ENGINES = {
     "base": None,
-    "disabled": (DISABLED, {}),
     "default": (default_spec(replica_node=1), {}),
     # nowhere to fail over to: once the breaker opens, batches are shed
     "no-replica": (ResilienceSpec(), {"BREAKER_COOLDOWN_NS": 1e15}),
@@ -62,7 +59,7 @@ def _tenants():
 
 
 def _run(engine, fault, seed):
-    """(engine, report or None when a fault unwound the base engine, recorder)"""
+    """(engine, report, recorder)"""
     rig = build_rig(n_nodes=2)
     rig.kernel.attach_health()
     arm = ENGINES[engine]
@@ -75,11 +72,7 @@ def _run(engine, fault, seed):
                 mp.setattr(resilience, name, value)
             eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=spec, seed=seed)
         campaign = ChaosCampaign(name=fault, seed=seed, events=FAULTS[fault])
-        try:
-            report = ChaosUnderLoad(rig.kernel, eng, campaign).run(max_requests=12_000).traffic
-        except FAILURES:
-            assert arm is None and fault != "healthy"  # only the base engine unwinds
-            report = None
+        report = ChaosUnderLoad(rig.kernel, eng, campaign).run(max_requests=12_000).traffic
     return eng, report, rig.kernel.health.recorder
 
 
@@ -115,13 +108,11 @@ def test_every_sink_agrees_with_the_report(engine, fault, seed):
     finally:
         tel.reset()
         tel.disable()
-    unwound = report is None
-    tenants = (report or eng.report()).tenants
+    tenants = report.tenants
     for name, t in tenants.items():
-        # (i) conservation: an offered request ends in exactly one place —
-        # bar the one batch in flight when a fault unwinds the base engine
+        # (i) conservation: an offered request ends in exactly one place
         ended = t["admitted"] + t["dropped"] + t["failed"] + t["dropped_shed"]
-        assert t["offered"] >= ended if unwound else t["offered"] == ended
+        assert t["offered"] == ended
         assert t["dropped"] == t["dropped_backlog"] + t["dropped_link"]
         assert t["timed_out"] == 0  # a kept column no request-path step counts
 
@@ -143,21 +134,19 @@ def test_every_sink_agrees_with_the_report(engine, fault, seed):
         assert [o for o in LEDGER if o.drop] == [BACKLOG, LINK, FAILED, TIMED_OUT, SHED]
 
         # (iv) the last flight-recorder sample is the report
-        if not unwound:
-            last = [s for s in recorder.resilience_samples if s["tenant"] == name][-1]
-            assert {k: v for k, v in last.items() if k not in ("t_ns", "tenant")} == {
-                o.name: t[o.counter] for o in ARRIVAL + REQUEST_PATH
-            }
-            assert list(last) == ["t_ns", "tenant", "offered", "admitted", "failed",
-                                  "timed_out", "retries", "hedges", "hedge_wins",
-                                  "failovers", "shed"]
+        last = [s for s in recorder.resilience_samples if s["tenant"] == name][-1]
+        assert {k: v for k, v in last.items() if k not in ("t_ns", "tenant")} == {
+            o.name: t[o.counter] for o in ARRIVAL + REQUEST_PATH
+        }
+        assert list(last) == ["t_ns", "tenant", "offered", "admitted", "failed",
+                              "timed_out", "retries", "hedges", "hedge_wins",
+                              "failovers", "shed"]
     # (v) the engine's running total — what run(max_requests=) stops on —
     # has one writer beside the OFFERED count, so it is the tenants' sum
     assert eng.total_offered == sum(t["offered"] for t in tenants.values())
-    if not unwound:
-        assert eng.total_offered >= 12_000  # the run stopped on it
-        # every breaker transition reached the recorder, as is
-        assert list(recorder.breaker_events) == eng.breaker_events
+    assert eng.total_offered >= 12_000  # the run stopped on it
+    # every breaker transition reached the recorder, as is
+    assert list(recorder.breaker_events) == eng.breaker_events
     assert sum(t["dropped_backlog"] for t in tenants.values()) > 0
 
 

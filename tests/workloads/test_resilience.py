@@ -12,7 +12,6 @@ from repro.bench.harness import build_rig
 from repro.telemetry.dashboard import render_resilience
 from repro.workloads import TenantSpec, TrafficEngine, resilience
 from repro.workloads.resilience import (
-    DISABLED,
     CircuitBreaker,
     ResilienceSpec,
     ResilientTrafficEngine,
@@ -52,38 +51,17 @@ def _availability(rep) -> float:
 
 
 class TestDisabledSpec:
-    def test_bit_identical_to_base_engine_when_healthy(self):
-        rig = build_rig(n_nodes=2)
-        base = TrafficEngine(rig.kernel, _tenants(), seed=7)
-        r_base = base.run(max_requests=15_000)
-        rig2 = build_rig(n_nodes=2)
-        dis = ResilientTrafficEngine(rig2.kernel, _tenants(), resilience=DISABLED,
-                                     seed=7)
-        r_dis = dis.run(max_requests=15_000)
-        assert r_base.digest() == r_dis.digest()
-        for name in r_base.tenants:
-            assert r_base.tenants[name] == r_dis.tenants[name]
+    """The base engine: no policy, a fault counted as lost."""
 
     def test_faults_become_counted_losses_not_crashes(self):
         rig = build_rig(n_nodes=2)
-        eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=DISABLED,
-                                     seed=7)
+        eng = TrafficEngine(rig.kernel, _tenants(), seed=7)
         eng.run(max_requests=2_000)
         rig.machine.crash_node(0)
         rep = eng.run(max_requests=8_000)
         failed = sum(t["failed"] for t in rep.tenants.values())
         assert failed > 0  # open-loop arrivals kept coming and were lost
         assert _availability(rep) < 1.0
-
-    def test_base_engine_still_raises_on_faults(self):
-        from repro.rack.node import NodeCrashedError
-
-        rig = build_rig(n_nodes=2)
-        eng = TrafficEngine(rig.kernel, _tenants(), seed=7)
-        eng.run(max_requests=2_000)
-        rig.machine.crash_node(0)
-        with pytest.raises(NodeCrashedError):
-            eng.run(max_requests=8_000)
 
 
 def _breaker_of_four(monkeypatch, min_volume):
@@ -252,8 +230,7 @@ class TestHedging:
         rig2 = build_rig(n_nodes=2)
         tenants = [TenantSpec(name="web", rate_rps=5e6, node=0, n_keys=256,
                               max_backlog_ns=1e9)]
-        base = ResilientTrafficEngine(rig2.kernel, tenants, resilience=DISABLED,
-                                      seed=11)
+        base = TrafficEngine(rig2.kernel, tenants, seed=11)
         rep_base = base.run(max_requests=30_000)
         assert rep.tenants["web"]["latency_sum_ns"] < rep_base.tenants["web"]["latency_sum_ns"]
 

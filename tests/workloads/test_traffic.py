@@ -1,5 +1,7 @@
 """The open-loop traffic engine: determinism, admission, tenancy."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,22 @@ class TestAdmission:
     def test_hostile_spec_is_refused_naming_tenant_and_field(self, field, value):
         with pytest.raises(ValueError, match=rf"tenant 'evil': {field} "):
             TenantSpec(**{"name": "evil", "rate_rps": 1_000.0, field: value})
+
+    @pytest.mark.parametrize("bound, value, other", [
+        ("duration_ns", float("nan"), None),    # never returned: an open loop never drains
+        ("duration_ns", float("inf"), 1_000),   # returned duration_ns=inf, the clock at inf
+        ("duration_ns", -1.0, None),            # an empty report
+        ("duration_ns", "1e6", None),
+        ("max_requests", -1, None),             # an empty report
+        ("max_requests", 1.5, None),
+        ("max_requests", True, None),
+    ])
+    def test_hostile_run_bound_is_refused_naming_the_argument(self, bound, value, other):
+        rig, eng = _two_tenant_engine()
+        kwargs = {bound: value, ("max_requests" if bound == "duration_ns" else "duration_ns"): other}
+        with pytest.raises(ValueError, match=rf"run: {bound} must be .*, got {re.escape(repr(value))}"):
+            eng.run(**kwargs)
+        assert rig.kernel.events.now_ns == 0.0 and eng.total_offered == 0
 
     def test_infinite_backlog_bound_is_legal_and_never_sheds(self):
         rig = build_rig()
