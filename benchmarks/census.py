@@ -45,8 +45,6 @@ _LABELS = {
     "item 5": "OperationLog SpscRing LockedHashMap SharedVector GlobalSpinLock BoundedStaleCell VersionChain",
     "item 6": "ReplicatedDict DelegatedDict NodeReplication.compact",
     "item 7": "reset",  # the enable surface: telemetry.reset
-    # boot lays these out; deleting them moves simulated ns (item 12's table first)
-    "item 12": "RackScheduler SchedulerBackpressure NodeContext.atomic_load_many MetadataJournal.checkpoint",
     "guard": "refuse refuse_input validate_chrome_trace _checked_capacity _rows _target SimClock.advance "
              "ChaosEvent.trigger_str SegmentationFault _FailedOp RepairSource CheckpointPageSource "
              "FsBlockSource AnomalyDetector.observe ArrivalProcess.next_chunk",
@@ -254,19 +252,25 @@ def _calls(node) -> list:
     return out
 
 
+def _aliases(tree) -> dict:
+    """``as`` name -> imported name, for each module-level ``from … import … as …`` of ``tree``."""
+    return {a.asname: a.name for stmt in tree.body if isinstance(stmt, ast.ImportFrom) for a in stmt.names if a.asname}
+
+
 def knobs(trees, ran, scope=()) -> dict:
     """module -> ``callee(name)`` of each defaulted parameter or dataclass field nothing in scope sets: no
     call of its def's (method's, class's) name in the roots' own files (``scope``), module-level code or an
     executed def (``ran``: (module, qualified name)) passes it by keyword, by position or through ``*args`` /
-    ``**kw`` (a def's own ``**kwargs`` passes on its callers')."""
+    ``**kw`` (a def's own ``**kwargs`` passes on its callers').  A call through a name imported ``as`` another
+    calls the imported name."""
     gc.disable()
     try:
-        scope = [ast.parse(p.read_text()) for p in scope]
+        scope = [(tree, _aliases(tree)) for tree in (ast.parse(p.read_text()) for p in scope)]
     finally:
         gc.enable()
     params = {}  # module -> [(callee, name, position or None)]
     for mod, tree in trees.items():
-        mine = params.setdefault(mod, [])
+        mine, aliases = params.setdefault(mod, []), _aliases(tree)
         for stmt in tree.body:  # fns: (called as, def, qualified name)
             fns = [(stmt.name, stmt, stmt.name)] if isinstance(stmt, ast.FunctionDef) else []
             if isinstance(stmt, ast.ClassDef):  # the class's name calls its __init__
@@ -276,17 +280,18 @@ def knobs(trees, ran, scope=()) -> dict:
                     fields = enumerate(f for f in stmt.body if isinstance(f, ast.AnnAssign))
                     mine += [(stmt.name, f.target.id, i) for i, f in fields if f.value is not None]
             elif not fns:
-                scope.append(stmt)
+                scope.append((stmt, aliases))
             for callee, f, name in fns:
-                scope += [f] if (mod, name) in ran else []
+                scope += [(f, aliases)] if (mod, name) in ran else []
                 pos = [a for a in f.args.args if a.arg not in ("self", "cls")]
                 mine += [(callee, a.arg, i) for i, a in enumerate(pos) if i >= len(pos) - len(f.args.defaults)]
                 mine += [(callee, a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d]
     passed, forwards = {}, []  # callee -> {names, positions, "*", "**"}; (callee, def forwarding to it)
-    for node in scope:
+    for node, aliases in scope:
         fwd = getattr(getattr(node, "args", None), "kwarg", None)
         for call in _calls(node):
-            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", "")
+            callee = getattr(call.func, "id", None)
+            callee = aliases.get(callee, callee) if callee else getattr(call.func, "attr", "")
             got = passed.setdefault(callee, set())
             got |= {"*" if isinstance(a, ast.Starred) else i for i, a in enumerate(call.args)}
             for k in call.keywords:

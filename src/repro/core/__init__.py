@@ -5,7 +5,7 @@ IPC/RPC (§3.5), and fault boxes with adaptive redundancy (§3.6) over a
 simulated rack.
 """
 
-from . import boot, fault, fs, interrupts, ipc, memory, sched
+from . import boot, fault, fs, interrupts, ipc, memory
 from .kernel import FlacOS
 from .params import OsCosts
 
@@ -18,5 +18,4 @@ __all__ = [
     "interrupts",
     "ipc",
     "memory",
-    "sched",
 ]

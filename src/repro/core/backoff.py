@@ -1,10 +1,9 @@
 """Shared exponential backoff with deterministic jitter.
 
-Every bounded-retry loop in the kernel used to grow its own backoff
-arithmetic (``RackScheduler.submit`` hard-coded ``base << attempt``;
-request retries would have duplicated it again).  This module is the
-one copy: a :class:`BackoffPolicy` names the base delay, growth factor,
-cap, and attempt budget, and computes each attempt's charged delay.
+A :class:`BackoffPolicy` names the base delay, growth factor and
+attempt budget of a bounded-retry loop, and computes each attempt's
+charged delay; the request path's retries
+(``repro.workloads.resilience.RETRY_BACKOFF``) are its caller.
 
 Jitter is *deterministic*: real systems randomise backoff so a thundering
 herd decorrelates, but the simulator must replay byte-identically per
@@ -37,18 +36,16 @@ def jitter_fraction(*key: object) -> float:
 
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """Exponential backoff: ``base * multiplier^attempt``, jittered, capped.
+    """Exponential backoff: ``base * multiplier^attempt``, jittered.
 
     ``jitter`` is the fraction of each delay that floats: ``0.0`` means
-    exact exponential (the scheduler's historical behaviour), ``0.5``
-    means the delay lands deterministically in ``[0.5x, 1.0x]`` of the
-    exponential value, keyed by whatever the caller passes to
-    :meth:`delay_ns`.
+    exact exponential, ``0.5`` means the delay lands deterministically in
+    ``[0.5x, 1.0x]`` of the exponential value, keyed by whatever the
+    caller passes to :meth:`delay_ns`.
     """
 
     base_ns: float = 800.0
     multiplier: float = 2.0
-    max_delay_ns: float = float("inf")
     max_attempts: int = 4
     jitter: float = 0.0
 
@@ -64,14 +61,11 @@ class BackoffPolicy:
         """The charged delay before retry number ``attempt`` (0-based).
 
         ``key`` feeds the deterministic jitter; with ``jitter=0`` it is
-        ignored and the delay is exactly ``base * multiplier^attempt``
-        (capped).
+        ignored and the delay is exactly ``base * multiplier^attempt``.
         """
         if attempt < 0:
             raise ValueError(f"attempt must be >= 0, got {attempt}")
         delay = self.base_ns * (self.multiplier ** attempt)
-        if delay > self.max_delay_ns:
-            delay = self.max_delay_ns
         if self.jitter:
             frac = jitter_fraction(attempt, *key)
             delay *= 1.0 - self.jitter * frac

@@ -1,7 +1,7 @@
 """Discrete-event scheduling core for the rack simulator.
 
 Everything above the substrate used to be driven by *polling loops*:
-each logical actor (a client, a scheduler queue, a daemon) was visited
+each logical actor (a client, a patrol, a health tick) was visited
 every tick whether or not it had work, so N actors cost O(N) Python per
 tick regardless of activity.  The event core inverts that: actors are
 woken only when their next event fires, so a run costs O(events

@@ -1,14 +1,13 @@
 """FlacFS — the FlacOS file system (§3.4).
 
 Shared page cache in global memory (multi-version updates, async
-write-back), node-local replicated metadata with bulk sync, op-log
-journaling, and a node-local block layer.  ``PrivateCacheFS`` is the
+write-back), node-local replicated metadata with bulk sync (its op log is the
+journal), and a node-local block layer.  ``PrivateCacheFS`` is the
 per-node-cache baseline for the E4 ablation.
 """
 
 from .block import BlockAllocator, BlockDevice, BlockDeviceError, BlockDeviceSpec
 from .filesystem import FlacFS, OpenFile, PrivateCacheFS
-from .journal import JournalRecord, MetadataJournal
 from .metadata import (
     FileExists,
     FileNotFound,
@@ -32,8 +31,6 @@ __all__ = [
     "FsError",
     "Inode",
     "IsADirectory",
-    "JournalRecord",
-    "MetadataJournal",
     "MetadataStore",
     "NotADirectory",
     "OpenFile",

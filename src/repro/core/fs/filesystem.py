@@ -24,7 +24,6 @@ from ...flacdk.sync import OperationLog
 from ...rack.machine import NodeContext, RackMachine
 from ..params import OsCosts
 from .block import BlockAllocator, BlockDevice
-from .journal import MetadataJournal
 from .metadata import FileNotFound, FsError, Inode, IsADirectory, MetadataStore
 from .page_cache import PAGE_SIZE, SharedPageCache
 
@@ -68,7 +67,6 @@ class FlacFS:
             METADATA_LOG_ENTRIES,
         ).format(boot)
         self.metadata = MetadataStore(log)
-        self.journal = MetadataJournal(self.metadata, arena.take(8, align=8)).format(boot)
         #: the rack's backing store.  The block *software* layer is
         #: node-local (each node issues its own I/O), but the device is
         #: one pool — file blocks written by any node are readable by all.

@@ -5,15 +5,15 @@ subsystem in dependency order, and returns the kernel handle whose
 attributes mirror Figure 2:
 
 * ``memory``  — §3.3 memory system (shared page tables, TLBs, dedup)
-* ``fs``      — §3.4 FlacFS (shared page cache, local metadata, journal)
+* ``fs``      — §3.4 FlacFS (shared page cache, local metadata whose op log is the journal)
 * ``ipc``     — §3.5 sockets; ``rpc`` — migration-based RPC
 * ``boxes``   — §3.6 fault boxes; ``recovery`` — the coordinator;
   plus monitor/predictor from FlacDK
 
 The per-node half of the design lives where each subsystem keeps it
 (``memory.tlbs[node]``, FlacFS's metadata replicas, the node caches).
-Background work — scrub patrols, health ticks, scheduler drains — runs
-off one heap, ``events``, and nothing polls.
+Background work — scrub patrols, health ticks — runs off one heap,
+``events``, and nothing polls.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .ipc import IpcSystem, NameRegistry, RpcSystem
 from .memory import MemorySystem, PAGE_SIZE
 from .events import EventCore
 from .params import OsCosts
-from .sched import RackScheduler
 
 #: bytes the scrub patrol walks per period
 SCRUB_BYTES = 1 << 18
@@ -141,13 +140,6 @@ class FlacOS:
         #: rack-wide discrete-event core; subsystems register wake-ups
         #: instead of being polled every tick
         self.events = EventCore(machine)
-        self.scheduler = RackScheduler(
-            machine,
-            self.events,
-            self.arena.take(RackScheduler.ctrl_size(len(machine.nodes)), align=8),
-            ring_alloc=self.ipc.heap.alloc,
-            costs=self.costs,
-        )
 
         # active health (repro.telemetry.health); opt-in via attach_health
         self.health = None

@@ -30,11 +30,6 @@ class OsCosts:
     context_switch_ns: float = 1500.0
     #: Address-space switch without a thread switch (migrating RPC).
     addr_space_switch_ns: float = 600.0
-    #: Scheduling decision.
-    schedule_ns: float = 400.0
-    #: Base backoff after finding a destination task ring full; doubles
-    #: per retry (see ``RackScheduler.submit``).
-    submit_backoff_ns: float = 800.0
     #: VFS path resolution per component.
     path_component_ns: float = 150.0
     #: Directory entry / inode metadata operation.

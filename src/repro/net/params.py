@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..rack.params import refuse_bad_costs
+from ..rack.params import finite, refuse, refuse_bad_costs, whole
 
 
 @dataclass
@@ -27,6 +27,17 @@ class EthernetSpec:
     mtu: int = 1500
     #: Per-packet header overhead on the wire (Ethernet+IP+TCP).
     header_bytes: int = 66
+
+    def __post_init__(self) -> None:
+        # packet_count divides by the mtu and wire_ns by the bandwidth
+        if not (finite(self.bandwidth_bytes_per_ns) and self.bandwidth_bytes_per_ns > 0):
+            refuse(self, "bandwidth_bytes_per_ns", "a finite number > 0")
+        if not (finite(self.propagation_ns) and self.propagation_ns >= 0):
+            refuse(self, "propagation_ns", "a finite number >= 0")
+        if not (whole(self.mtu) and self.mtu >= 1):
+            refuse(self, "mtu", "an integer >= 1")
+        if not whole(self.header_bytes):
+            refuse(self, "header_bytes", "an integer >= 0")
 
 
 @dataclass
@@ -62,6 +73,8 @@ class RdmaCosts:
     #: registered-memory copy avoided: payload still crosses PCIe once.
     pcie_ns_per_byte: float = 0.03
 
+    __post_init__ = refuse_bad_costs
+
 
 @dataclass
 class SerializationCosts:
@@ -69,3 +82,5 @@ class SerializationCosts:
 
     fixed_ns: float = 400.0
     per_byte_ns: float = 0.25
+
+    __post_init__ = refuse_bad_costs

@@ -1085,9 +1085,6 @@ class NodeContext:
             self.node_id, addrs, data, bypass_cache=bypass_cache, size=size
         )
 
-    def atomic_load_many(self, addrs: Sequence[int], width: int = 8) -> List[int]:
-        return self.machine.atomic_load_many(self.node_id, addrs, width)
-
     def atomic_store_many(
         self, addrs: Sequence[int], values: Union[int, Sequence[int]], width: int = 8
     ) -> None:

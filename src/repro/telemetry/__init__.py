@@ -199,17 +199,17 @@ def load_run(path: Union[str, pathlib.Path]) -> dict:
 
 
 @contextmanager
-def span(name: str, ctx=None, node: int = RACK_WIDE, parent=STACK_PARENT, **args):
+def span(name: str, ctx=None, node: int = RACK_WIDE, **args):
     """Trace one operation: ``with span("fs.read", ctx=ctx, file=fid): ...``
 
     ``ctx`` is a :class:`~repro.rack.machine.NodeContext`; its simulated
     clock stamps the span and its node becomes the span's node.  Without
     a context the span is rack-wide and timestamped with the parent's
-    clock position (or zero at top level) — still deterministic.
-    ``parent`` overrides the stack-derived parent span id (pass a span
-    id, or ``None`` to force a root span) for operations whose causal
-    parent has already closed — retries, hedges, deferred event-heap
-    work.  When tracing is off this is a no-op that yields ``None``.
+    clock position (or zero at top level) — still deterministic.  Its
+    parent is the span on top of the stack; an operation whose causal
+    parent has already closed (a retry, a hedge) calls
+    ``TraceBuffer.begin(parent_id=)`` itself.  When tracing is off this
+    is a no-op that yields ``None``.
     """
     t = TELEMETRY
     if not t.tracing:
@@ -221,7 +221,7 @@ def span(name: str, ctx=None, node: int = RACK_WIDE, parent=STACK_PARENT, **args
     else:
         current = t.trace.current()
         start = current.start_ns if current is not None else 0.0
-    s = t.trace.begin(name, node, start, parent_id=parent, **args)
+    s = t.trace.begin(name, node, start, **args)
     try:
         yield s
     finally:

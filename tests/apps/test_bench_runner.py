@@ -38,13 +38,13 @@ def test_census_names_a_planted_orphan(tmp_path):
     """A def planted in a copy of ``src/`` fails the count check: ``executed.txt`` is stale."""
     census = _benchmarks_module("census")
     shutil.copytree(census.SRC / "core", tmp_path / "repro" / "core", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "repro" / "core" / "sched.py", "a") as fh:
+    with open(tmp_path / "repro" / "core" / "backoff.py", "a") as fh:
         fh.write("\n\ndef planted():\n    return 1\n")
     trees = census.parse(tmp_path / "repro")
     table = census.read_executed(census.EXECUTED.read_text())
     bad = [p for p in census.problems(trees, table) if "re-run" in p]
-    assert bad == [f"repro.core.sched: {table['repro.core.sched'][0] + 1} defs, executed.txt has "
-                   f"{table['repro.core.sched'][0]} - re-run `census.py --run`"]
+    assert bad == [f"repro.core.backoff: {table['repro.core.backoff'][0] + 1} defs, executed.txt has "
+                   f"{table['repro.core.backoff'][0]} - re-run `census.py --run`"]
 
 
 def test_census_refuses_an_unlabelled_never_executed_def():
@@ -112,3 +112,11 @@ def test_emit_passes_on_identical_text_and_regenerates_then_fails_on_drift(tmp_p
     with pytest.raises(pytest.fail.Exception, match="E0_demo.txt"):
         emit_into(tmp_path, "E0_demo", "a  b\n1  2")
     assert table.read_text() == "a  b\n1  2\n"
+
+
+def test_knobs_resolve_a_callee_imported_under_another_name():
+    """``span(ctx)`` is set by a def that calls it as ``_span(..., ctx=ctx)``."""
+    census = _benchmarks_module("census")
+    trees = {"t": ast.parse("def span(name, ctx=None, node=-1):\n    return name\n"),
+             "m": ast.parse("from t import span as _span\n\n\ndef f(ctx):\n    return _span('x', ctx=ctx)\n")}
+    assert census.knobs(trees, {("m", "f")}) == {"t": ["span(node)"], "m": []}

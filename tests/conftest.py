@@ -1,8 +1,22 @@
 """Shared fixtures for the test suite."""
 
+import functools
+
 import pytest
 
 from repro.rack import RackConfig, RackMachine
+from tests import pins
+
+
+def pytest_collectreport(report):
+    if report.passed:
+        pins.COLLECTED[report.nodeid] = {node.nodeid for node in report.result}
+
+
+@pytest.fixture
+def pin(request):
+    """``pin(value)``: hold this test's run to its entry in ``tests/pins.json``."""
+    return functools.partial(pins.check, pins.PINS, request.node.nodeid)
 
 
 @pytest.fixture

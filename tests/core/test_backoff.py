@@ -22,11 +22,6 @@ class TestBackoffPolicy:
         p = BackoffPolicy(base_ns=100.0, multiplier=2.0, max_attempts=5)
         assert [p.delay_ns(a) for a in range(4)] == [100.0, 200.0, 400.0, 800.0]
 
-    def test_cap(self):
-        p = BackoffPolicy(base_ns=100.0, multiplier=2.0, max_delay_ns=250.0,
-                          max_attempts=8)
-        assert p.delay_ns(5) == 250.0
-
     def test_jitter_shrinks_deterministically(self):
         p = BackoffPolicy(base_ns=1000.0, multiplier=2.0, jitter=0.5,
                           max_attempts=4)
@@ -47,19 +42,3 @@ class TestBackoffPolicy:
         with pytest.raises(ValueError):
             BackoffPolicy(max_attempts=-1)
 
-
-class TestSchedulerUsesSharedBackoff:
-    def test_submit_backoff_matches_legacy_doubling(self, rack2):
-        """The scheduler's extracted policy reproduces the original
-        ``base * 2**attempt`` waits float-for-float."""
-        from repro.core.kernel import FlacOS
-
-        machine, c0, _, _ = rack2
-        kernel = FlacOS.boot(machine)
-        sched = kernel.scheduler
-        legacy = [
-            sched.costs.submit_backoff_ns * (1 << a)
-            for a in range(sched.max_submit_retries)
-        ]
-        got = [sched.backoff.delay_ns(a) for a in range(sched.max_submit_retries)]
-        assert got == legacy

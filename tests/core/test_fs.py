@@ -181,18 +181,6 @@ class TestPageCacheMechanics:
             cache_key(0, 1 << 28)
 
 
-class TestJournal:
-    def test_checkpoint_and_recover(self, rack2, fs):
-        _, c0, c1, _ = rack2
-        fs.metadata.create(c0, "/before", is_dir=False)
-        record = fs.journal.checkpoint(c0)
-        fs.metadata.create(c1, "/after", is_dir=False)
-        assert record.watermark == fs.metadata.nr.replica(c0).applied
-        # the watermark is published in global memory for any node to read
-        assert c1.atomic_load(fs.journal.watermark_addr) == record.watermark
-        assert fs.journal.checkpoint(c1).watermark == record.watermark + 1
-
-
 class TestBlockDevice:
     def test_read_write_round_trip(self, rack2):
         _, c0, _, _ = rack2

@@ -77,17 +77,6 @@ class TestEightNodeKernel:
         for ctx in ctxs:
             assert memsys.tlbs[ctx.node_id].lookup(ctx, aspace.asid, va) is None
 
-    def test_scheduler_spreads_across_eight(self, rig8):
-        sched = rig8.kernel.scheduler
-        ctxs = _ctxs(rig8)
-        for _ in range(16):
-            sched.submit(ctxs[0], lambda ctx, p: ctx.node_id, b"")
-        loads = [sched.load_of(ctxs[0], n) for n in range(8)]
-        assert all(load == 2 for load in loads)
-        for node in range(8):
-            sched.run_pending(ctxs[node])
-        assert all(sched.load_of(ctxs[0], n) == 0 for n in range(8))
-
     def test_crash_two_recover_elsewhere(self, rig8):
         ctxs = _ctxs(rig8)
         kernel = rig8.kernel

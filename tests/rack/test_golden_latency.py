@@ -4,8 +4,8 @@ The fast path (bisect resolve + software TLB, single-line cache fast
 path, zero-fault short-circuit, precomputed charge tables) must not
 change a single observable: charged simulated nanoseconds, cache-stat
 counters, or the seeded fault-event sequence.  These tests pin all three
-against values recorded by running the *pre-optimization* data plane
-over a scripted access pattern.
+over a scripted access pattern, in ``tests/pins.json``: the values the
+*pre-optimization* data plane charged.
 
 Bypass (non-temporal) stores charge symmetrically with bypass loads
 (ISSUE 6 satellite): the interim write-flag adjustment double-counted
@@ -13,9 +13,7 @@ Bypass (non-temporal) stores charge symmetrically with bypass loads
 ``bypass_store_*`` values — equal to their ``bypass_load_*`` twins — are
 exact again and every step must match the recording bit for bit.
 
-Regenerate (only if the latency *model* intentionally changes)::
-
-    PYTHONPATH=src:tests python -c "from rack.test_golden_latency import _dump; _dump()"
+Only an intended change to the latency *model* re-pins them (``tests/pins.py``).
 """
 
 from __future__ import annotations
@@ -161,163 +159,6 @@ def _run_fault_pattern() -> List[Tuple[str, int, int, float]]:
     ]
 
 
-# -- golden recordings (pre-optimization data plane) -------------------------
-
-_GOLDEN = {'dual_direct_1hop': {'stats': {'node0': (12, 8, 8, 8, 0), 'node1': (1, 1, 1, 0, 0)},
-                      'steps': [('load_miss_1line', 0, 322.0),
-                                ('load_hit_1line', 0, 2.0),
-                                ('load_cross_2line', 0, 324.0),
-                                ('load_burst_4line', 0, 336.0),
-                                ('load_unaligned_tail', 0, 2.0),
-                                ('store_hit_1line', 0, 2.0),
-                                ('store_partial_miss', 0, 322.0),
-                                ('store_full_alloc', 0, 2.0),
-                                ('store_burst_alloc_4line', 0, 8.0),
-                                ('bypass_load_4k', 0, 488.0),
-                                ('bypass_load_local', 0, 251.2800000000002),
-                                ('atomic_fa_global', 0, 450.0),
-                                ('atomic_cas_global', 0, 450.0),
-                                ('atomic_swap_local', 0, 20.0),
-                                ('atomic_load_global', 0, 450.0),
-                                ('atomic_store_local', 0, 20.0),
-                                ('flush_dirty_range', 0, 326.6666666666665),
-                                ('flush_clean_range', 0, 0.0),
-                                ('invalidate_range', 0, 10.5),
-                                ('flush_invalidate_line', 0, 323.5),
-                                ('fence', 0, 8.0),
-                                ('store_then_flush_all', 0, 342.66666666666697),
-                                ('local_load_miss', 0, 92.0),
-                                ('local_load_hit', 0, 2.0),
-                                ('local_store_hit', 0, 2.0),
-                                ('bypass_store_4k', 0, 488.0),
-                                ('bypass_store_1line', 0, 320.0),
-                                ('bypass_store_local', 0, 251.27999999999975),
-                                ('n1_load_miss', 1, 322.0),
-                                ('n1_store_hit', 1, 2.0),
-                                ('n1_atomic_fa', 1, 450.0),
-                                ('n1_flush', 1, 322.0)]},
- 'eviction_4line': {'stats': {'node0': (1, 10, 1, 0, 6)},
-                    'steps': [('fill_0', 0, 322.0),
-                              ('fill_1', 0, 322.0),
-                              ('fill_2', 0, 322.0),
-                              ('fill_3', 0, 322.0),
-                              ('fill_4', 0, 322.0),
-                              ('fill_5', 0, 322.0),
-                              ('dirty_all', 0, 2.0),
-                              ('evict_6', 0, 322.0),
-                              ('evict_7', 0, 322.0),
-                              ('evict_8', 0, 322.0),
-                              ('evict_9', 0, 322.0)]},
- 'fault_sequence': [('ue', 1099511627844, 0, 322.0),
-                    ('ce', 1099511628286, 0, 2506.0),
-                    ('ce', 1099511632957, 0, 28418.0),
-                    ('ce', 1099511628420, 0, 37448.0),
-                    ('ce', 1099511636021, 0, 40502.0),
-                    ('ce', 1099511631257, 0, 49758.0),
-                    ('ce', 1099511632628, 0, 55320.0),
-                    ('ce', 1099511630259, 0, 72098.0),
-                    ('ce', 1099511632822, 0, 83314.0)],
- 'pmem_pool': {'stats': {'node0': (12, 8, 8, 8, 0), 'node1': (1, 1, 1, 0, 0)},
-               'steps': [('load_miss_1line', 0, 442.0),
-                         ('load_hit_1line', 0, 2.0),
-                         ('load_cross_2line', 0, 444.0),
-                         ('load_burst_4line', 0, 472.0),
-                         ('load_unaligned_tail', 0, 2.0),
-                         ('store_hit_1line', 0, 2.0),
-                         ('store_partial_miss', 0, 442.0),
-                         ('store_full_alloc', 0, 2.0),
-                         ('store_burst_alloc_4line', 0, 8.0),
-                         ('bypass_load_4k', 0, 944.0),
-                         ('bypass_load_local', 0, 251.2800000000002),
-                         ('atomic_fa_global', 0, 450.0),
-                         ('atomic_cas_global', 0, 450.0),
-                         ('atomic_swap_local', 0, 20.0),
-                         ('atomic_load_global', 0, 450.00000000000045),
-                         ('atomic_store_local', 0, 20.0),
-                         ('flush_dirty_range', 0, 452.0),
-                         ('flush_clean_range', 0, 0.0),
-                         ('invalidate_range', 0, 10.5),
-                         ('flush_invalidate_line', 0, 443.5),
-                         ('fence', 0, 8.0),
-                         ('store_then_flush_all', 0, 342.66666666666697),
-                         ('local_load_miss', 0, 92.0),
-                         ('local_load_hit', 0, 2.0),
-                         ('local_store_hit', 0, 2.0),
-                         ('bypass_store_4k', 0, 944.0),
-                         ('bypass_store_1line', 0, 440.0),
-                         ('bypass_store_local', 0, 251.27999999999975),
-                         ('n1_load_miss', 1, 442.0),
-                         ('n1_store_hit', 1, 2.0),
-                         ('n1_atomic_fa', 1, 450.0),
-                         ('n1_flush', 1, 442.0)]},
- 'single_switch': {'stats': {'node0': (12, 8, 8, 8, 0), 'node1': (1, 1, 1, 0, 0)},
-                   'steps': [('load_miss_1line', 0, 432.0),
-                             ('load_hit_1line', 0, 2.0),
-                             ('load_cross_2line', 0, 434.0),
-                             ('load_burst_4line', 0, 446.0),
-                             ('load_unaligned_tail', 0, 2.0),
-                             ('store_hit_1line', 0, 2.0),
-                             ('store_partial_miss', 0, 432.0),
-                             ('store_full_alloc', 0, 2.0),
-                             ('store_burst_alloc_4line', 0, 8.0),
-                             ('bypass_load_4k', 0, 598.0),
-                             ('bypass_load_local', 0, 251.2800000000002),
-                             ('atomic_fa_global', 0, 450.0),
-                             ('atomic_cas_global', 0, 450.0),
-                             ('atomic_swap_local', 0, 20.0),
-                             ('atomic_load_global', 0, 450.0),
-                             ('atomic_store_local', 0, 20.0),
-                             ('flush_dirty_range', 0, 436.6666666666665),
-                             ('flush_clean_range', 0, 0.0),
-                             ('invalidate_range', 0, 10.5),
-                             ('flush_invalidate_line', 0, 433.5),
-                             ('fence', 0, 8.0),
-                             ('store_then_flush_all', 0, 452.66666666666697),
-                             ('local_load_miss', 0, 92.0),
-                             ('local_load_hit', 0, 2.0),
-                             ('local_store_hit', 0, 2.0),
-                             ('bypass_store_4k', 0, 598.0),
-                             ('bypass_store_1line', 0, 430.0),
-                             ('bypass_store_local', 0, 251.27999999999975),
-                             ('n1_load_miss', 1, 432.0),
-                             ('n1_store_hit', 1, 2.0),
-                             ('n1_atomic_fa', 1, 450.0),
-                             ('n1_flush', 1, 432.0)]},
- 'two_tier_2switch': {'stats': {'node0': (12, 8, 8, 8, 0), 'node1': (1, 1, 1, 0, 0)},
-                      'steps': [('load_miss_1line', 0, 542.0),
-                                ('load_hit_1line', 0, 2.0),
-                                ('load_cross_2line', 0, 544.0),
-                                ('load_burst_4line', 0, 556.0),
-                                ('load_unaligned_tail', 0, 2.0),
-                                ('store_hit_1line', 0, 2.0),
-                                ('store_partial_miss', 0, 542.0),
-                                ('store_full_alloc', 0, 2.0),
-                                ('store_burst_alloc_4line', 0, 8.0),
-                                ('bypass_load_4k', 0, 708.0),
-                                ('bypass_load_local', 0, 251.2800000000002),
-                                ('atomic_fa_global', 0, 450.0),
-                                ('atomic_cas_global', 0, 450.0),
-                                ('atomic_swap_local', 0, 20.0),
-                                ('atomic_load_global', 0, 450.00000000000045),
-                                ('atomic_store_local', 0, 20.0),
-                                ('flush_dirty_range', 0, 546.666666666667),
-                                ('flush_clean_range', 0, 0.0),
-                                ('invalidate_range', 0, 10.5),
-                                ('flush_invalidate_line', 0, 543.5),
-                                ('fence', 0, 8.0),
-                                ('store_then_flush_all', 0, 562.666666666667),
-                                ('local_load_miss', 0, 92.0),
-                                ('local_load_hit', 0, 2.0),
-                                ('local_store_hit', 0, 2.0),
-                                ('bypass_store_4k', 0, 708.0),
-                                ('bypass_store_1line', 0, 540.0),
-                                ('bypass_store_local', 0, 251.27999999999975),
-                                ('n1_load_miss', 1, 542.0),
-                                ('n1_store_hit', 1, 2.0),
-                                ('n1_atomic_fa', 1, 450.0),
-                                ('n1_flush', 1, 542.0)]}}
-
-
 def _topologies():
     return {
         "dual_direct_1hop": RackConfig(n_nodes=2, topology="dual_direct"),
@@ -327,44 +168,20 @@ def _topologies():
     }
 
 
-def _dump() -> None:  # pragma: no cover - regeneration helper
-    import pprint
-
-    golden = {}
-    for name, cfg in _topologies().items():
-        steps, stats = _run_latency_pattern(cfg)
-        golden[name] = {"steps": steps, "stats": stats}
-    ev_steps, ev_stats = _run_eviction_pattern()
-    golden["eviction_4line"] = {"steps": ev_steps, "stats": ev_stats}
-    golden["fault_sequence"] = _run_fault_pattern()
-    print("_GOLDEN = ", end="")
-    pprint.pprint(golden, width=100, sort_dicts=True)
-
-
 # -- tests -------------------------------------------------------------------
 
 
-def _assert_steps_match(recorded, live):
-    assert len(recorded) == len(live)
-    for (glabel, gnode, gdelta), (label, node, delta) in zip(recorded, live):
-        assert label == glabel and node == gnode
-        # bit-identical to the pre-optimization data plane
-        assert delta == gdelta, f"{label}: charged {delta} ns, golden {gdelta} ns"
+def _latency_runs() -> dict:
+    return {name: dict(zip(("steps", "stats"), _run_latency_pattern(cfg)))
+            for name, cfg in _topologies().items()}
 
 
-def test_golden_latency_all_topologies():
-    for name, cfg in _topologies().items():
-        steps, stats = _run_latency_pattern(cfg)
-        golden = _GOLDEN[name]
-        _assert_steps_match(golden["steps"], steps)
-        assert stats == golden["stats"], f"{name}: cache counters diverged"
+def test_golden_latency_all_topologies(pin):
+    pin(_latency_runs())
 
 
-def test_golden_eviction_charges():
-    steps, stats = _run_eviction_pattern()
-    golden = _GOLDEN["eviction_4line"]
-    _assert_steps_match(golden["steps"], steps)
-    assert stats == golden["stats"]
+def test_golden_eviction_charges(pin):
+    pin(dict(zip(("steps", "stats"), _run_eviction_pattern())))
 
 
 def test_bypass_store_load_charge_symmetry():
@@ -382,8 +199,8 @@ def test_bypass_store_load_charge_symmetry():
             m.store(1, g, b"\x5a" * size, bypass_cache=True)
             store_ns = m.now(1) - before
             assert store_ns == load_ns, (name, size)
-        # the golden recording pins the same equality
-        steps = dict((lbl, d) for lbl, _n, d in _GOLDEN[name]["steps"])
+        # the pinned access pattern holds the same equality
+        steps = {lbl: d for lbl, _n, d in _run_latency_pattern(cfg)[0]}
         assert steps["bypass_store_4k"] == steps["bypass_load_4k"]
 
 
@@ -431,10 +248,10 @@ def test_golden_bulk_charges_bit_identical_to_loop():
         assert ma.now(1) == mb.now(1), (name, "cas batch")
 
 
-def test_seeded_fault_sequence_identical():
+def test_seeded_fault_sequence_identical(pin):
     """The zero-fault short-circuit must leave injecting configs untouched:
     identical event kinds, addresses, nodes, and timestamps."""
-    assert _run_fault_pattern() == _GOLDEN["fault_sequence"]
+    pin(_run_fault_pattern())
 
 
 def test_zero_rate_config_produces_no_events():
@@ -463,19 +280,16 @@ def test_telemetry_disabled_by_default():
 
 
 def test_golden_latency_with_telemetry_enabled():
-    """Recording metrics must add zero simulated time: the golden charged
-    ns and cache counters hold bit for bit with telemetry (and tracing)
-    on — instrumentation costs host CPU only."""
+    """Recording metrics must add zero simulated time: the pinned charged
+    ns and cache counters of the untraced run hold bit for bit with
+    telemetry (and tracing) on — instrumentation costs host CPU only."""
     from repro import telemetry
 
+    untraced = _latency_runs()
     telemetry.reset()
     telemetry.enable(tracing=True)
     try:
-        for name, cfg in _topologies().items():
-            steps, stats = _run_latency_pattern(cfg)
-            golden = _GOLDEN[name]
-            _assert_steps_match(golden["steps"], steps)
-            assert stats == golden["stats"], f"{name}: cache counters diverged"
+        assert _latency_runs() == untraced
         # and the registry actually saw the traffic
         reg = telemetry.TELEMETRY.registry
         assert reg.counter_total("rack.machine", "cache.hit") > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.params import OsCosts
-from repro.net.params import TcpCosts
+from repro.net.params import EthernetSpec, RdmaCosts, SerializationCosts, TcpCosts
 from repro.rack import (
     FaultInjector,
     FaultModel,
@@ -271,6 +271,19 @@ class TestConfigValidation:
         (TcpCosts, "syscall_ns", NAN),
         (TcpCosts, "wakeup_ns", -1.0),
         (TcpCosts, "tx_stack_ns", "1600"),
+        (RdmaCosts, "nic_ns", NAN),
+        (RdmaCosts, "pcie_ns_per_byte", -0.03),
+        (SerializationCosts, "per_byte_ns", INF),
+        (SerializationCosts, "fixed_ns", "400"),
+        # a ZeroDivisionError at the first packet_count / wire_ns before
+        (EthernetSpec, "mtu", 0),
+        (EthernetSpec, "bandwidth_bytes_per_ns", 0.0),
+        (EthernetSpec, "bandwidth_bytes_per_ns", INF),
+        (EthernetSpec, "propagation_ns", NAN),
+        (EthernetSpec, "propagation_ns", -600.0),
+        (EthernetSpec, "mtu", 1500.5),
+        (EthernetSpec, "header_bytes", -1),
+        (EthernetSpec, "header_bytes", True),
     ])
     def test_hostile_field_is_a_value_error_naming_it(self, cls, field, value):
         with pytest.raises(ValueError, match=rf"{cls.__name__}\.{field} must be .*, got {value!r}"):
@@ -298,7 +311,6 @@ _DISPATCH = [
     ("store", "store", lambda g: (g, b"x" * 8)),
     ("load_many", "load_many", lambda g: ([g], 8)),
     ("store_many", "store_many", lambda g: ([g], [b"x" * 8])),
-    ("atomic_load_many", "atomic_load_many", lambda g: ([g],)),
     ("atomic_store_many", "atomic_store_many", lambda g: ([g], 1)),
     ("cas", "atomic_cas", lambda g: (g, 0, 1)),
     ("fetch_add", "atomic_fetch_add", lambda g: (g, 1)),

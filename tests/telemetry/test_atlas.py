@@ -41,6 +41,7 @@ from repro.telemetry.health.recorder import (
 from repro.telemetry.incidents import blame_set, get_scenario, ground_truth, run_scenario
 from repro.telemetry.registry import RACK_WIDE, MetricsRegistry
 from repro.workloads.traffic import TenantSpec, TrafficEngine
+from tests import pins
 
 pytestmark = pytest.mark.atlas
 
@@ -282,14 +283,11 @@ class TestDigestEquality:
         assert r_off.digest() == r_on.digest()
         assert clocks_off == clocks_on  # zero simulated ns from attribution
 
-    def test_chaos_journal_digest_with_atlas_matches_pin(self):
+    def test_chaos_journal_digest_with_atlas_matches_pin(self, pin):
         """The ue-storm pinned digest (test_incidents) must hold with the
         atlas fully enabled — attribution is invisible to the journal."""
         TELEMETRY.atlas = Atlas()  # machine-less: hooks still feed it
-        result = run_scenario(get_scenario("ue-storm"), detection=True)
-        assert result.report.digest == (
-            "a58aadff35b2177adcb51ff5123352c95812ba23068671d0696b39b571cd90f0"
-        )
+        pin(run_scenario(get_scenario("ue-storm"), detection=True).report.digest)
 
 
 # -- blame and headroom --------------------------------------------------------
@@ -432,11 +430,6 @@ class TestSurfaces:
 
 GOLDEN_VIEWS = pathlib.Path(__file__).with_name("golden_atlas_views.txt")
 
-#: sha256 of ``severed_export``'s ``atlas_links`` dump tail (sorted-key JSON)
-ATLAS_LINK_TAIL_SHA256 = (
-    "5b5892257696c50b1585fa565c2c59bb1c2ab5d1107fb0118ae93e73f0944185"
-)
-
 
 class TestPinnedOutputs:
     """Byte pins over a saturated, partly severed run: the four atlas views,
@@ -454,13 +447,13 @@ class TestPinnedOutputs:
         dashboard = capsys.readouterr().out
         parts.append("$ dashboard (atlas panels)\n"
                      + dashboard[dashboard.index("-- fabric links --"):])
-        assert "".join(parts) == GOLDEN_VIEWS.read_text()
+        pins.regenerate(GOLDEN_VIEWS, "".join(parts).encode("utf-8"), str(GOLDEN_VIEWS))
 
-    def test_recorder_link_tail_digest(self, severed_export):
+    def test_recorder_link_tail_digest(self, severed_export, pin):
+        """sha256 of ``severed_export``'s ``atlas_links`` dump tail (sorted-key JSON)."""
         rig, now_ns, _ = severed_export
         tail = FlightRecorder().snapshot("pin", now_ns, machine=rig.machine)["atlas_links"]
-        digest = hashlib.sha256(json.dumps(tail, sort_keys=True).encode()).hexdigest()
-        assert digest == ATLAS_LINK_TAIL_SHA256
+        pin(hashlib.sha256(json.dumps(tail, sort_keys=True).encode()).hexdigest())
 
 
 class TestFlightRecorderV3:

@@ -62,15 +62,10 @@ class TestDeterminism:
                 == json.dumps(again.dump, sort_keys=True))
         assert ue_storm_on.score == again.score
 
-    def test_pinned_journal_digest(self, ue_storm_on):
+    def test_pinned_journal_digest(self, ue_storm_on, pin):
         # the whole pipeline (traffic, chaos, breakers, telemetry) in
         # one number: drift here means simulated behaviour changed
-        # re-pinned when the engine grew the queue_delay_ns tenant
-        # counter (atlas PR): simulated times are unchanged — see the
-        # pinned t0/MTTD below — only the registry digest line moved
-        assert ue_storm_on.report.digest == (
-            "a58aadff35b2177adcb51ff5123352c95812ba23068671d0696b39b571cd90f0"
-        )
+        pin(ue_storm_on.report.digest)
 
     def test_pinned_scores(self, ue_storm_on):
         score = ue_storm_on.score
@@ -124,83 +119,17 @@ class TestDetectionArms:
         assert truth_on == truth_off
 
 
-#: sha256 of (the sorted-key dump, its postmortem, its scored incident
-#: timeline, the sorted-key score) per scenario arm, pinned at 551308a:
-#: reading a dump differently must not move a byte of any of them
-_ARM_PINS = {
-    ("ue-storm", "on"): (
-        "0cc764812f26a5d115062d02154301516a634bddb2ea43f83e04f6e63737ecc7",
-        "7fb698c0d82bc4b5ab6a2676ed83f0bf198cfa68710a8497207447b2273950e5",
-        "0166f526406b8329cc317cf201d4f129017b9cb50b27e8eaaa7349f3b861511e",
-        "e5a7dd86e6f7623817859a49646d6e2b154333d3bf372a51a7913d481b292b8e",
-    ),
-    ("ue-storm", "off"): (
-        "5f4436ef7b228c2d2aa309c2c15f2cb117eb8b0b9b920e3ad9fd14caedc25f97",
-        "5d053741d86e8c8ac5240a0df93c1d242b806088d29b9fc0dc2cc9936f816360",
-        "e2383ed99700e04ed7d12713888e7444146093879a8572f74590f268a6ce6ed7",
-        "61238cd68b2ac4e06fd8b75ba4248421557e39b045e1ed78bfca348555c54160",
-    ),
-    ("link-flap", "on"): (
-        "a56e0fb87912bdef9948515a449952e85922c750e0f4e1de28830403e21f0516",
-        "905712b40409aa861471cb5e88dc851024a329144c56532463de651198725779",
-        "3bbc402674479979c7edd0504d2bc436a69efc67df4f5bbe6e70dd6374438759",
-        "32f2fe1234efb661490a0b786bd6ad5594ff67e802e731b7dac888c7774aef9a",
-    ),
-    ("link-flap", "off"): (
-        "024b6cf30d5ad0d1f50d856abd92dd5cf3a27d460edfce3069a5e7501ce09d4f",
-        "c3e864fab45e55d19150bad5c0094d4a75439ad552b0e01770472704d46fae5d",
-        "ee7e01bda367d096cb6991d45c600a6ba9e4be8b85a8d5ce286d355d0aa75df1",
-        "1bea1bdd326e019466dff51e10bdf0e7c500d4ed934eb36d175b51006ed58059",
-    ),
-    ("crash-cascade", "on"): (
-        "903428a68538fdc452843d9c86ba8a46c04d6054aa06cc46959f851310482212",
-        "15fc04564e71f24d750b8f45711adb1761219980cccfb9f2b62997c809b8c2b8",
-        "9a5c669a3809f16af13d64c045a372e297ffa27d47b39d643ddb2b8429ee6668",
-        "b45c35979bc6723e81afb2ccfcb72486d24e3b37d97e9511b0a34bfa5f001eed",
-    ),
-    ("crash-cascade", "off"): (
-        "af46323629371ed7dc5f4b255b98a2855d1d90d6ff4f5f7eef0bc3ab0b333642",
-        "775f962c1e4a4ce6ca24526cba426042833b914aaa9ead18232526a87a7660ff",
-        "e5b2f8ad1eb272d29d92ce4fe3bb06b191b8e6171c6e392c40d8fd307d1a9eb7",
-        "840ac96b87e516d6f92fcd5d9bd3fb3b6995e590c9a76c2efc95e203df06eef0",
-    ),
-    ("ce-slow-leak", "on"): (
-        "48e3b53bc7783012cd9e072079adfc22841e7a5eb3451fcef277fac0c2f0c5b3",
-        "d79810e8e3deaeddcce095b9e57c5948f06dea4b86c19e21af4b54570634cfe1",
-        "1f06054faf81965226555b32ebda112c6431ff765b0b9ace81e21fc6020454a4",
-        "65e147423143ecdf0fc5b2de0e440d653e81c7d3ee6b8d8676b17fce63ce5235",
-    ),
-    ("ce-slow-leak", "off"): (
-        "86d51082383b475589c301d4e5023ec39db551b7a33af43baecd1d821f641561",
-        "b165748eec822a167cec3d2811d605a60150f4f42fb075e72a497c02d2b9e715",
-        "2cd17803c2a5395d867ac2cc2ba2a077090182b144f3d951d9b4c1459d7e4be5",
-        "1f2bc190220039b67d7127fc5202936309d15b1e4f31ec062b93a71a4ba065cd",
-    ),
-    ("breaker-storm", "on"): (
-        "98a2112e5dbfd6ed0863607e34fd028432071649b775ad25394c2b0d056c3e5b",
-        "d78b600606d589e3bd802ce5d65f3ad5095ece4b2da68eac389f506ae8553264",
-        "64502243e63c08e965d78ea22fb898f276395ffb81648c12d96bf53f63c00f0b",
-        "70e71d23ff307d95fde3a9676d905ce70c78aecb6f48bdcfe1058e646c866402",
-    ),
-    ("breaker-storm", "off"): (
-        "8fc70883ccc3656161ef0cd8a921ead9650fdbce7997d87873b40a0a1499c2eb",
-        "a9b37918db6d4256df9730109f5662c86ae0a0ea9030663ef2a66d9433d69817",
-        "b58e0d74a788693b4457c93ba98fa8d646f28ee57afe06945654bc3466fca614",
-        "50a835c7a54eb463e0d3598b5d532377d081c224db48acb6331370c00f9c2b29",
-    ),
-}
-
-
-def _arm_digests(result) -> tuple:
-    return tuple(
-        hashlib.sha256(text.encode()).hexdigest()
-        for text in (
-            json.dumps(result.dump, sort_keys=True),
-            render_postmortem(result.dump),
-            render_incident_timeline(result.dump, result.score),
-            json.dumps(result.score, sort_keys=True),
-        )
-    )
+def _arm_digests(result) -> dict:
+    """sha256 of the sorted-key dump, its postmortem, its scored incident
+    timeline and the sorted-key score: reading a dump differently must not
+    move a byte of any of them."""
+    texts = {
+        "dump": json.dumps(result.dump, sort_keys=True),
+        "postmortem": render_postmortem(result.dump),
+        "timeline": render_incident_timeline(result.dump, result.score),
+        "score": json.dumps(result.score, sort_keys=True),
+    }
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
 
 
 class TestEveryScenario:
@@ -208,7 +137,7 @@ class TestEveryScenario:
     ``bench_incidents`` full mode gated and CI never ran."""
 
     @pytest.mark.parametrize("name", list(scenarios()))
-    def test_detection_detects_localises_replays_and_beats_off(self, name):
+    def test_detection_detects_localises_replays_and_beats_off(self, name, pin):
         scenario = get_scenario(name)
         on = run_scenario(scenario, detection=True)
         replay = run_scenario(scenario, detection=True)
@@ -222,8 +151,7 @@ class TestEveryScenario:
         assert on.score == replay.score
         assert off.score["mttm_ns"] > on.score["mttm_ns"]
         assert off.score["blast_radius"]["requests_lost"] > 0
-        assert _arm_digests(on) == _ARM_PINS[(name, "on")]
-        assert _arm_digests(off) == _ARM_PINS[(name, "off")]
+        pin({"on": _arm_digests(on), "off": _arm_digests(off)})
 
 
 class TestTracing:
