@@ -35,14 +35,14 @@ class ImageSpec:
 
     name: str
     layers: List[LayerSpec]
-    manifest_bytes: int = 8192
+    MANIFEST_BYTES = 8192
 
 
-def pytorch_image(total_bytes: int = 4 << 30) -> ImageSpec:
+def pytorch_image() -> ImageSpec:
     """The paper's 4 GB PyTorch image, split into realistic layers."""
     fractions = [0.55, 0.25, 0.12, 0.05, 0.03]
     layers = [
-        LayerSpec(digest=f"sha256:{i:02d}{'ab' * 15}", size_bytes=int(total_bytes * f))
+        LayerSpec(digest=f"sha256:{i:02d}{'ab' * 15}", size_bytes=int((4 << 30) * f))
         for i, f in enumerate(fractions)
     ]
     return ImageSpec(name="pytorch:2.1", layers=layers)
@@ -77,7 +77,7 @@ class Registry:
         if image is None:
             raise KeyError(f"image {name!r} not in registry")
         ctx.advance(self.spec.metadata_requests * self.spec.rtt_ns)
-        ctx.advance(image.manifest_bytes / self.spec.bandwidth_bytes_per_ns)
+        ctx.advance(image.MANIFEST_BYTES / self.spec.bandwidth_bytes_per_ns)
         self.manifest_requests += 1
         return image
 
@@ -126,10 +126,10 @@ class RuntimeSpec:
     runtime_init_ns: float = 3.02e9
     #: pages per layer exercised through the real FlacFS path; the rest
     #: of the layer's bytes are charged at the measured per-byte rate.
-    sample_pages: int = 64
+    SAMPLE_PAGES = 64
     #: pages per read/write call (image IO is chunked, like a real
     #: runtime streaming layers — syscall and metadata costs amortise).
-    chunk_pages: int = 16
+    CHUNK_PAGES = 16
 
 
 class ContainerRuntime:
@@ -225,10 +225,10 @@ class ContainerRuntime:
         # metadata size update per chunk
         self.fs.truncate(ctx, fd, layer.size_bytes)
         n_pages = max(1, layer.size_bytes // PAGE_SIZE)
-        sample = min(self.spec.sample_pages, n_pages)
+        sample = min(self.spec.SAMPLE_PAGES, n_pages)
         t0 = ctx.now()
-        for base in range(0, sample, self.spec.chunk_pages):
-            pages = range(base, min(base + self.spec.chunk_pages, sample))
+        for base in range(0, sample, self.spec.CHUNK_PAGES):
+            pages = range(base, min(base + self.spec.CHUNK_PAGES, sample))
             chunk = b"".join(self.registry.layer_page(layer, p) for p in pages)
             self.fs.write(ctx, fd, base * PAGE_SIZE, chunk)
         per_page = (ctx.now() - t0) / sample
@@ -241,10 +241,10 @@ class ContainerRuntime:
         path = self._layer_path(layer)
         fd = self.fs.open(ctx, path)
         n_pages = max(1, layer.size_bytes // PAGE_SIZE)
-        sample = min(self.spec.sample_pages, n_pages)
+        sample = min(self.spec.SAMPLE_PAGES, n_pages)
         t0 = ctx.now()
-        for base in range(0, sample, self.spec.chunk_pages):
-            count = min(self.spec.chunk_pages, sample - base)
+        for base in range(0, sample, self.spec.CHUNK_PAGES):
+            count = min(self.spec.CHUNK_PAGES, sample - base)
             content = self.fs.read(ctx, fd, base * PAGE_SIZE, count * PAGE_SIZE)
             expected = b"".join(
                 self.registry.layer_page(layer, base + i) for i in range(count)

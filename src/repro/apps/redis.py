@@ -1,7 +1,8 @@
 """MiniRedis: the Redis workload of the paper's evaluation (§4.2).
 
-A RESP-speaking key-value server with the command subset the evaluation
-exercises (plus the usual suspects), running over *pluggable
+A RESP-speaking key-value server with the commands the evaluation and
+the benchmarks send (SET, GET, MSET, MGET, INCR, INCRBY, DBSIZE; any
+other verb gets the unknown-command error reply), running over *pluggable
 transports*: FlacOS IPC (shared memory, Figure 4's winner) or the
 simulated kernel TCP stack (the networking baseline).  The server and
 client run on different nodes and are driven cooperatively, exactly
@@ -10,7 +11,6 @@ like the paper's two-node setup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Protocol, Tuple
 
 from ..core.ipc import Connection, IpcSystem
@@ -54,18 +54,6 @@ class TcpTransport:
         return self.connection.recv(ctx)
 
 
-def _integer(raw: bytes) -> Optional[int]:
-    """``raw`` as Redis reads an integer argument (``-``?, ASCII digits, 64 bits), or None."""
-    digits = (raw[1:] if raw[:1] == b"-" else raw).isdigit()
-    return int(raw) if digits and -(2**63) <= int(raw) < 2**63 else None
-
-
-@dataclass
-class _Entry:
-    value: bytes
-    expires_at_ns: Optional[float] = None
-
-
 class MiniRedisServer:
     """The server: a command table over an in-memory keyspace.
 
@@ -77,7 +65,7 @@ class MiniRedisServer:
     def __init__(self, node_ctx: NodeContext, command_cost_ns: float = 1200.0) -> None:
         self.ctx = node_ctx
         self.command_cost_ns = command_cost_ns
-        self._data: Dict[bytes, _Entry] = {}
+        self._data: Dict[bytes, bytes] = {}
         self._transports: List[Transport] = []
         self.commands_served = 0
 
@@ -125,131 +113,49 @@ class MiniRedisServer:
         except TypeError:
             return Exception(f"wrong number of arguments for '{verb.decode()}'")
 
-    def _live(self, key: bytes) -> Optional[_Entry]:
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        if entry.expires_at_ns is not None and self.ctx.now() >= entry.expires_at_ns:
-            del self._data[key]
-            return None
-        return entry
-
     # -- commands ----------------------------------------------------------------------------
 
-    def _cmd_ping(self, *args: bytes) -> Any:
-        return args[0] if args else "PONG"
-
     def _cmd_set(self, key: bytes, value: bytes) -> str:
-        self._data[key] = _Entry(value)
-        return "OK"
-
-    def _cmd_setex(self, key: bytes, seconds: bytes, value: bytes) -> Any:
-        ttl = _integer(seconds)
-        if ttl is None or ttl <= 0:
-            return Exception("value is not an integer or out of range" if ttl is None
-                             else "invalid expire time in 'setex' command")
-        self._data[key] = _Entry(value, expires_at_ns=self.ctx.now() + ttl * 1e9)
+        self._data[key] = value
         return "OK"
 
     def _cmd_get(self, key: bytes) -> Optional[bytes]:
-        entry = self._live(key)
-        return entry.value if entry else None
-
-    def _cmd_del(self, *keys: bytes) -> int:
-        return sum(1 for key in keys if self._data.pop(key, None) is not None)
-
-    def _cmd_exists(self, *keys: bytes) -> int:
-        return sum(1 for key in keys if self._live(key) is not None)
-
-    def _cmd_strlen(self, key: bytes) -> int:
-        entry = self._live(key)
-        return len(entry.value) if entry else 0
-
-    def _cmd_append(self, key: bytes, suffix: bytes) -> int:
-        entry = self._live(key)
-        if entry is None:
-            self._data[key] = _Entry(suffix)
-            return len(suffix)
-        entry.value += suffix
-        return len(entry.value)
+        return self._data.get(key)
 
     def _cmd_incr(self, key: bytes) -> Any:
         return self._cmd_incrby(key, b"1")
 
-    def _cmd_decr(self, key: bytes) -> Any:
-        return self._cmd_incrby(key, b"-1")
-
     def _cmd_incrby(self, key: bytes, delta: bytes) -> Any:
-        entry = self._live(key)
         try:
-            current = int(entry.value) if entry else 0
-            new = current + int(delta)
+            new = int(self._data.get(key, b"0")) + int(delta)
         except ValueError:
             return Exception("value is not an integer or out of range")
-        self._data[key] = _Entry(str(new).encode())
+        self._data[key] = str(new).encode()
         return new
 
     def _cmd_mset(self, *pairs: bytes) -> Any:
         if len(pairs) % 2:
             return Exception("wrong number of arguments for 'MSET'")
         for key, value in zip(pairs[::2], pairs[1::2]):
-            self._data[key] = _Entry(value)
+            self._data[key] = value
         return "OK"
 
     def _cmd_mget(self, *keys: bytes) -> List[Optional[bytes]]:
-        return [entry.value if (entry := self._live(key)) else None for key in keys]
-
-    def _cmd_expire(self, key: bytes, seconds: bytes) -> Any:
-        ttl = _integer(seconds)
-        if ttl is None:
-            return Exception("value is not an integer or out of range")
-        entry = self._live(key)
-        if entry is None:
-            return 0
-        entry.expires_at_ns = self.ctx.now() + ttl * 1e9
-        return 1
-
-    def _cmd_ttl(self, key: bytes) -> int:
-        entry = self._live(key)
-        if entry is None:
-            return -2
-        if entry.expires_at_ns is None:
-            return -1
-        return max(0, int((entry.expires_at_ns - self.ctx.now()) / 1e9))
+        return [self._data.get(key) for key in keys]
 
     def _cmd_dbsize(self) -> int:
-        return sum(1 for key in list(self._data) if self._live(key) is not None)
-
-    def _cmd_keys(self, pattern: bytes) -> List[bytes]:
-        if pattern != b"*":
-            return Exception("only '*' is supported")
-        return sorted(key for key in list(self._data) if self._live(key) is not None)
-
-    def _cmd_flushdb(self) -> str:
-        self._data.clear()
-        return "OK"
+        return len(self._data)
 
     #: The whole command set, by upper-case verb.  ``execute`` looks verbs
     #: up here and nowhere else, so no verb can reach another attribute.
     _COMMANDS = {
-        b"PING": _cmd_ping,
         b"SET": _cmd_set,
-        b"SETEX": _cmd_setex,
         b"GET": _cmd_get,
-        b"DEL": _cmd_del,
-        b"EXISTS": _cmd_exists,
-        b"STRLEN": _cmd_strlen,
-        b"APPEND": _cmd_append,
         b"INCR": _cmd_incr,
-        b"DECR": _cmd_decr,
         b"INCRBY": _cmd_incrby,
         b"MSET": _cmd_mset,
         b"MGET": _cmd_mget,
-        b"EXPIRE": _cmd_expire,
-        b"TTL": _cmd_ttl,
         b"DBSIZE": _cmd_dbsize,
-        b"KEYS": _cmd_keys,
-        b"FLUSHDB": _cmd_flushdb,
     }
 
 
@@ -339,11 +245,11 @@ class MiniRedisClient:
 
 
 def connect_over_flacos(
-    ipc: IpcSystem, client_ctx: NodeContext, server_ctx: NodeContext, name: str = "redis"
+    ipc: IpcSystem, client_ctx: NodeContext, server_ctx: NodeContext
 ) -> Tuple[MiniRedisClient, MiniRedisServer]:
     """Wire a client and server over FlacOS IPC (paper configuration)."""
-    listener = ipc.listen(server_ctx, name)
-    client_conn = ipc.connect(client_ctx, name)
+    listener = ipc.listen(server_ctx, "redis")
+    client_conn = ipc.connect(client_ctx, "redis")
     server_conn = listener.accept(server_ctx)
     server = MiniRedisServer(server_ctx)
     server.attach(FlacTransport(server_conn))
@@ -352,11 +258,11 @@ def connect_over_flacos(
 
 
 def connect_over_tcp(
-    network: TcpNetwork, client_ctx: NodeContext, server_ctx: NodeContext, name: str = "redis-tcp"
+    network: TcpNetwork, client_ctx: NodeContext, server_ctx: NodeContext
 ) -> Tuple[MiniRedisClient, MiniRedisServer]:
     """Wire a client and server over the kernel TCP baseline."""
-    network.listen(server_ctx, name)
-    connection = network.connect(client_ctx, name)
+    network.listen(server_ctx, "redis-tcp")
+    connection = network.connect(client_ctx, "redis-tcp")
     server = MiniRedisServer(server_ctx)
     server.attach(TcpTransport(connection))
     client = MiniRedisClient(client_ctx, TcpTransport(connection), server)

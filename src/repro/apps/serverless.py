@@ -35,16 +35,15 @@ class FunctionSpec:
     #: handler CPU time per invocation.
     exec_ns: float = 250_000.0
     #: state unique to one sandbox (cannot be shared).
-    private_bytes: int = 32 << 20
+    PRIVATE_BYTES = 32 << 20
     #: language runtime + libraries (shareable rack-wide under FlacOS).
-    runtime_bytes: int = 256 << 20
+    RUNTIME_BYTES = 256 << 20
 
 
 @dataclass
 class Sandbox:
     fn: FunctionSpec
     node_id: int
-    warm: bool = True
     invocations: int = 0
 
 
@@ -195,11 +194,11 @@ class ServerlessPlatform:
         """
         fn = self._lookup(fn_name)
         if shared_runtime:
-            available = memory_budget_bytes - fn.runtime_bytes
+            available = memory_budget_bytes - fn.RUNTIME_BYTES
             if available < 0:
                 return 0
-            return available // fn.private_bytes
-        return memory_budget_bytes // (fn.runtime_bytes + fn.private_bytes)
+            return available // fn.PRIVATE_BYTES
+        return memory_budget_bytes // (fn.RUNTIME_BYTES + fn.PRIVATE_BYTES)
 
     def _lookup(self, fn_name: str) -> FunctionSpec:
         fn = self._functions.get(fn_name)

@@ -154,8 +154,8 @@ class FlacShuffle:
 class NetworkShuffle:
     """The baseline: spills private to mappers, fetched over TCP."""
 
-    def __init__(self, network: Optional[TcpNetwork] = None) -> None:
-        self.network = network or TcpNetwork()
+    def __init__(self) -> None:
+        self.network = TcpNetwork()
         self.serializer = Serializer()
         #: (mapper, partition) -> (home node, blob) — mapper-private spills
         self._spills: Dict[Tuple[int, int], Tuple[int, bytes]] = {}

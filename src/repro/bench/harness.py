@@ -46,17 +46,9 @@ def build_rig(
     n_nodes: int = 2,
     topology: str = "dual_direct",
     global_mem: int = 1 << 26,
-    local_mem: int = 1 << 23,
-    seed: int = 0,
 ) -> Rig:
     machine = RackMachine(
-        RackConfig(
-            n_nodes=n_nodes,
-            topology=topology,
-            global_mem_size=global_mem,
-            local_mem_size=local_mem,
-            seed=seed,
-        )
+        RackConfig(n_nodes=n_nodes, topology=topology, global_mem_size=global_mem, local_mem_size=1 << 23)
     )
     return Rig(machine=machine, kernel=FlacOS.boot(machine))
 

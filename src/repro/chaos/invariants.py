@@ -29,7 +29,7 @@ def boxes_recovered() -> Invariant:
     return check
 
 
-def survivor_liveness(min_alive: int = 1, probe_addr: Optional[int] = None) -> Invariant:
+def survivor_liveness(min_alive: int = 1) -> Invariant:
     """At least ``min_alive`` nodes are up and can still reach global memory."""
 
     def check(runner) -> Optional[str]:
@@ -37,7 +37,7 @@ def survivor_liveness(min_alive: int = 1, probe_addr: Optional[int] = None) -> I
         alive = [n for n, node in sorted(machine.nodes.items()) if node.alive]
         if len(alive) < min_alive:
             return f"only {len(alive)} nodes alive, need {min_alive}"
-        addr = probe_addr if probe_addr is not None else machine.global_base
+        addr = machine.global_base
         for node_id in alive:
             try:
                 machine.load(node_id, addr, 8, bypass_cache=True)

@@ -260,8 +260,3 @@ class CampaignRunner:
             node = dead[0]
         self.machine.restart_node(node)
         return f"node={node}"
-
-    def _do_compact_log(self, ev, rng) -> str:
-        before = ev.param("before_ns", self.machine.max_time())
-        dropped = self.machine.faults.log.compact(before)
-        return f"before={before:.1f} dropped={dropped}"

@@ -16,7 +16,6 @@ Actions understood by the runner:
 ``link_up``           restore ``node``'s fabric port
 ``node_crash``        kill ``node`` (cache contents lost)
 ``node_restart``      bring ``node`` back (cold cache)
-``compact_log``       drop fault-log entries older than ``before_ns``
 
 Targets for memory actions are rack addresses.  ``targets=(a, b, ...)``
 confines random picks to those pages; without targets the whole global
@@ -40,7 +39,6 @@ ACTIONS = frozenset(
         "link_up",
         "node_crash",
         "node_restart",
-        "compact_log",
     }
 )
 

@@ -30,6 +30,9 @@ _END_NODE = 0x02
 _PROP = 0x03
 _END_TREE = 0x09
 
+#: Bytes of global memory the boot ROM holds the flattened description in.
+ROM_BYTES = 1 << 16
+
 PropertyValue = Union[int, str, bytes]
 
 
@@ -121,15 +124,12 @@ class BootRom:
     per-node configuration files.
     """
 
-    def __init__(self, base: int, capacity: int = 1 << 16) -> None:
+    def __init__(self, base: int) -> None:
         self.base = base
-        self.capacity = capacity
 
     def publish(self, ctx: NodeContext, root: DtNode) -> int:
         blob = flatten(root)
-        if len(blob) > self.capacity:
-            raise DeviceTreeError(
-                f"description of {len(blob)} B exceeds rom capacity {self.capacity}"
-            )
+        if len(blob) > ROM_BYTES:
+            raise DeviceTreeError(f"description of {len(blob)} B exceeds rom capacity {ROM_BYTES}")
         ctx.store(self.base, blob, bypass_cache=True)
         return len(blob)

@@ -63,14 +63,12 @@ class Event:
 class RecurringEvent:
     """A self-rescheduling event; returned by :meth:`EventCore.every`."""
 
-    __slots__ = ("core", "period_ns", "fn", "node", "_ev", "cancelled", "fired")
+    __slots__ = ("core", "period_ns", "fn", "_ev", "cancelled", "fired")
 
-    def __init__(self, core: "EventCore", period_ns: float,
-                 fn: Callable[[], None], node: Optional[int]) -> None:
+    def __init__(self, core: "EventCore", period_ns: float, fn: Callable[[], None]) -> None:
         self.core = core
         self.period_ns = period_ns
         self.fn = fn
-        self.node = node
         self._ev: Optional[Event] = None
         self.cancelled = False
         #: dispatch count (tests/telemetry)
@@ -82,9 +80,7 @@ class RecurringEvent:
         self.fired += 1
         self.fn()
         if not self.cancelled:  # fn may cancel its own recurrence
-            self._ev = self.core.at(
-                self.core.now_ns + self.period_ns, self._fire, node=self.node
-            )
+            self._ev = self.core.at(self.core.now_ns + self.period_ns, self._fire)
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -100,9 +96,9 @@ class EventCore:
     forward to the event time at dispatch.
     """
 
-    def __init__(self, machine: Optional[RackMachine] = None, start_ns: float = 0.0) -> None:
+    def __init__(self, machine: Optional[RackMachine] = None) -> None:
         self.machine = machine
-        self.now_ns = float(start_ns)
+        self.now_ns = 0.0
         self._heap: List[Event] = []
         self._seq = 0
         #: events dispatched over the core's lifetime (telemetry/benches)
@@ -135,7 +131,6 @@ class EventCore:
         self,
         period_ns: float,
         fn: Callable[[], None],
-        node: Optional[int] = None,
         first_ns: Optional[float] = None,
     ) -> "RecurringEvent":
         """Schedule ``fn`` every ``period_ns``, starting at ``first_ns``
@@ -150,9 +145,9 @@ class EventCore:
             raise EventCoreError(
                 f"recurring period must be finite and positive, got {period_ns}"
             )
-        rec = RecurringEvent(self, float(period_ns), fn, node)
+        rec = RecurringEvent(self, float(period_ns), fn)
         start = first_ns if first_ns is not None else self.now_ns + period_ns
-        rec._ev = self.at(start, rec._fire, node=node)
+        rec._ev = self.at(start, rec._fire)
         return rec
 
     # -- introspection ---------------------------------------------------------

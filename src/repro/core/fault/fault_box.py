@@ -76,14 +76,11 @@ class FaultBoxManager:
 
     # -- lifecycle --------------------------------------------------------------------
 
-    def create_box(
-        self, ctx: NodeContext, name: str, aspace: Optional[AddressSpace] = None, criticality: int = 1
-    ) -> FaultBox:
-        aspace = aspace or self.memsys.create_address_space(ctx)
+    def create_box(self, ctx: NodeContext, name: str, criticality: int = 1) -> FaultBox:
         box = FaultBox(
             box_id=self._next_id,
             name=name,
-            aspace=aspace,
+            aspace=self.memsys.create_address_space(ctx),
             home_node=ctx.node_id,
             criticality=criticality,
         )

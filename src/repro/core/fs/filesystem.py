@@ -226,8 +226,8 @@ class PrivateCacheFS:
     copies and a node's first access never benefits from its neighbour.
     """
 
-    def __init__(self, flacfs_like_device: Optional[BlockDevice] = None) -> None:
-        self.device = flacfs_like_device or BlockDevice()
+    def __init__(self) -> None:
+        self.device = BlockDevice()
         self.blocks = BlockAllocator(self.device.spec.n_blocks)
         #: file blobs by path (authoritative store, behind the caches)
         self._files: Dict[str, Dict[int, int]] = {}

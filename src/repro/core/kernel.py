@@ -31,7 +31,7 @@ from ..flacdk.reliability import (
 )
 from ..flacdk.sync import OperationLog
 from ..rack.machine import NodeContext, RackMachine
-from .boot import BootRom, rack_description
+from .boot import ROM_BYTES, BootRom, rack_description
 from .fault import (
     AdaptiveRedundancyPolicy,
     CheckpointPageSource,
@@ -135,7 +135,7 @@ class FlacOS:
         self.irqs = IrqBalancer(
             self.arena.take(IrqBalancer.region_size(64), align=8), 64, self.interrupts
         ).format(boot_ctx)
-        self.bootrom = BootRom(self.arena.take(1 << 16, align=64))
+        self.bootrom = BootRom(self.arena.take(ROM_BYTES, align=64))
         self.bootrom.publish(boot_ctx, rack_description(machine))
         #: rack-wide discrete-event core; subsystems register wake-ups
         #: instead of being polled every tick

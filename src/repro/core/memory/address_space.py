@@ -41,8 +41,8 @@ from .page_table import (
 from .tlb import CachedWalker, Tlb
 from .vma import VMA, Placement, Protection, ReverseMap, VmaSet
 
-#: Default user address-space ceiling.
-USER_LIMIT = 1 << 47
+#: The user range: mmap places a mapping in its first gap at or after the base.
+USER_BASE, USER_LIMIT = 1 << 20, 1 << 47
 
 
 class SegmentationFault(Exception):
@@ -115,14 +115,13 @@ class AddressSpace:
         prot: int = Protection.READ | Protection.WRITE,
         placement: Placement = Placement.GLOBAL,
         backing: Optional[tuple] = None,
-        addr_hint: int = 1 << 20,
     ) -> int:
         """Reserve a range; frames are faulted in on first touch."""
         ctx.advance(self.costs.syscall_ns)
         length = (length + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
         replica = self._vmas.replica(ctx)
         replica.read(ctx, lambda s: None)  # sync before choosing a gap
-        start = replica.state.gap_after(addr_hint, length, USER_LIMIT)
+        start = replica.state.gap_after(USER_BASE, length, USER_LIMIT)
         replica.execute(ctx, ("insert", (start, start + length, prot, placement, backing)))
         return start
 

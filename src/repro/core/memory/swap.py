@@ -15,7 +15,7 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ...rack.machine import NodeContext
 from ...telemetry import TELEMETRY as _TEL
@@ -46,7 +46,6 @@ class SwapBackedMemory:
     def __init__(
         self,
         resident_budget_pages: int,
-        device: Optional[BlockDevice] = None,
         zswap_pages: int = 0,
         local_touch_ns: float = 0.12 * PAGE_SIZE,
         compress_ns: float = 2_500.0,
@@ -55,7 +54,7 @@ class SwapBackedMemory:
         if resident_budget_pages < 1:
             raise ValueError("need at least one resident page")
         self.budget = resident_budget_pages
-        self.device = device or BlockDevice()
+        self.device = BlockDevice()
         self.blocks = BlockAllocator(self.device.spec.n_blocks)
         self.zswap_budget = zswap_pages
         self.local_touch_ns = local_touch_ns

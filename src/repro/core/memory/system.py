@@ -227,9 +227,7 @@ class MemorySystem:
 
     # -- dedup ------------------------------------------------------------------------------
 
-    def dedup_global_frames(
-        self, ctx: NodeContext, responders: Optional[List[NodeContext]] = None
-    ) -> int:
+    def dedup_global_frames(self, ctx: NodeContext) -> int:
         """Run one dedup pass over every mapped global frame.
 
         PTE rewrites make cached translations (including writable ones)
@@ -243,7 +241,7 @@ class MemorySystem:
         for asid in touched:
             self.tlbs[ctx.node_id].invalidate_asid(ctx, asid)
             self.shootdown.request(ctx, asid)
-            for responder in responders or self._other_contexts(ctx):
+            for responder in self._other_contexts(ctx):
                 self.shootdown.service(responder, self.tlbs[responder.node_id])
         return merged
 

@@ -54,11 +54,10 @@ class HotColdPacker:
     pushed to a fresh line so a hot line never shares with cold data.
     """
 
-    def __init__(self, line_size: int = 64, hot_threshold: float = 1.0) -> None:
-        if line_size & (line_size - 1):
-            raise ValueError("line size must be a power of two")
-        self.line_size = line_size
-        self.hot_threshold = hot_threshold
+    #: the cache line the seam is aligned to
+    LINE_SIZE = 64
+    #: hotness at and above which an object is hot
+    HOT_THRESHOLD = 1.0
 
     def pack(self, objects: Iterable[ObjectInfo]) -> PackingPlan:
         ordered = sorted(objects, key=lambda o: (-o.hotness, o.obj_id))
@@ -66,12 +65,12 @@ class HotColdPacker:
         offset = 0
         crossed_seam = False
         for obj in ordered:
-            if not crossed_seam and obj.hotness < self.hot_threshold:
-                offset = _align(offset, self.line_size)
+            if not crossed_seam and obj.hotness < self.HOT_THRESHOLD:
+                offset = _align(offset, self.LINE_SIZE)
                 crossed_seam = True
             placements.append(Placement(obj.obj_id, offset, obj.size))
             offset += _align(obj.size, 8)
-        return PackingPlan(placements, total_bytes=offset, line_size=self.line_size)
+        return PackingPlan(placements, total_bytes=offset, line_size=self.LINE_SIZE)
 
 
 def address_order_plan(objects: Iterable[ObjectInfo]) -> PackingPlan:

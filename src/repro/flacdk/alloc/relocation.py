@@ -11,7 +11,7 @@ heaps to global memory and promote hot ones back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ...rack.machine import NodeContext
 from .object_allocator import SharedHeap
@@ -83,12 +83,10 @@ class Relocator:
         size: int,
         dst_heap: SharedHeap,
         src_heap: Optional[SharedHeap] = None,
-        retire: Optional[Callable[[int], None]] = None,
     ) -> int:
         """Copy the object behind ``handle`` into ``dst_heap``.
 
-        Returns the new address.  The old allocation is retired via
-        ``retire`` (epoch reclamation) when given, freed immediately when
+        Returns the new address.  The old allocation is freed when
         ``src_heap`` is given, or left to the caller otherwise.
         """
         old_addr = self.handles.resolve(ctx, handle)
@@ -103,9 +101,7 @@ class Relocator:
             return self.handles.resolve(ctx, handle)
         self.stats.moved += 1
         self.stats.bytes_copied += size
-        if retire is not None:
-            retire(old_addr)
-        elif src_heap is not None:
+        if src_heap is not None:
             src_heap.free(ctx, old_addr)
         return new_addr
 
@@ -135,11 +131,11 @@ class MemoryTierer:
     def track(self, handle: int, size: int, hot: bool) -> None:
         self._tracked[handle] = [size, 0.0, hot]
 
-    def record_access(self, handle: int, weight: float = 1.0) -> None:
+    def record_access(self, handle: int) -> None:
         entry = self._tracked.get(handle)
         if entry is None:
             raise HandleError(f"handle {handle} not tracked")
-        entry[1] = 0.8 * entry[1] + weight
+        entry[1] = 0.8 * entry[1] + 1.0
 
     def rebalance(self, ctx: NodeContext) -> Dict[str, int]:
         """Apply promotions/demotions; returns counts of each."""

@@ -12,18 +12,20 @@ from typing import Deque, Dict
 
 from ...rack.faults import FaultEvent, FaultKind, FaultLog
 
+#: The sliding window's length (simulated ns); a test needing another monkeypatches it.
+WINDOW_NS = 1e9
+
 
 class HealthMonitor:
     """Sliding-window aggregation of injected fault events."""
 
-    def __init__(self, fault_log: FaultLog, page_size: int = 4096, window_ns: float = 1e9) -> None:
+    def __init__(self, fault_log: FaultLog, page_size: int = 4096) -> None:
         self.page_size = page_size
-        self.window_ns = window_ns
         self._events: Deque[FaultEvent] = deque()
         fault_log.subscribe(self._events.append)
 
     def _trim(self, now_ns: float) -> None:
-        horizon = now_ns - self.window_ns
+        horizon = now_ns - WINDOW_NS
         while self._events and self._events[0].time_ns < horizon:
             self._events.popleft()
 

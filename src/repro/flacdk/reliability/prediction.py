@@ -14,6 +14,11 @@ from typing import Dict, List
 
 from .monitor import HealthMonitor
 
+#: EWMA smoothing factor: weight of the newest observation.
+ALPHA = 0.4
+#: Score above which a page is declared at risk.
+THRESHOLD = 2.0
+
 
 @dataclass
 class PageRisk:
@@ -27,10 +32,6 @@ class FailurePredictor:
     """EWMA-scored per-page failure risk."""
 
     monitor: HealthMonitor
-    #: EWMA smoothing factor: weight of the newest observation.
-    alpha: float = 0.4
-    #: Score above which a page is declared at risk.
-    threshold: float = 2.0
     _scores: Dict[int, float] = field(default_factory=dict)
 
     def observe(self, now_ns: float) -> None:
@@ -39,14 +40,14 @@ class FailurePredictor:
         for page in set(self._scores) | set(window_counts):
             fresh = window_counts.get(page, 0)
             prior = self._scores.get(page, 0.0)
-            self._scores[page] = self.alpha * fresh + (1 - self.alpha) * prior
+            self._scores[page] = ALPHA * fresh + (1 - ALPHA) * prior
 
     def at_risk_pages(self) -> List[PageRisk]:
         """Pages currently above the threshold, riskiest first."""
         risks = [
             PageRisk(page, score, True)
             for page, score in self._scores.items()
-            if score >= self.threshold
+            if score >= THRESHOLD
         ]
         return sorted(risks, key=lambda r: -r.score)
 

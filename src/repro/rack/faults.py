@@ -59,9 +59,7 @@ class FaultLog:
     only move forward), so a per-kind index plus a parallel timestamp
     list turns ``since_ns`` queries into a bisect + slice instead of a
     full scan — CE storms append millions of events and the monitor
-    polls constantly.  Long campaigns call :meth:`compact` to drop the
-    prefix they no longer query; ``total_recorded`` keeps the all-time
-    count across compactions.
+    polls constantly.
     """
 
     def __init__(self) -> None:
@@ -70,15 +68,12 @@ class FaultLog:
         self._by_kind: Dict[FaultKind, List[FaultEvent]] = {}
         self._times_by_kind: Dict[FaultKind, List[float]] = {}
         self._listeners: List[Callable[[FaultEvent], None]] = []
-        #: All-time count, unaffected by :meth:`compact`.
-        self.total_recorded = 0
 
     def record(self, event: FaultEvent) -> None:
         self._events.append(event)
         self._times.append(event.time_ns)
         self._by_kind.setdefault(event.kind, []).append(event)
         self._times_by_kind.setdefault(event.kind, []).append(event.time_ns)
-        self.total_recorded += 1
         if _TEL.enabled:
             _TEL.registry.inc(
                 event.node_id if event.node_id is not None else -1,
@@ -100,25 +95,6 @@ class FaultLog:
         if since_ns <= 0.0 or not events:
             return list(events)
         return events[bisect_left(times, since_ns) :]
-
-    def compact(self, before_ns: float) -> int:
-        """Drop events older than ``before_ns``; returns how many went.
-
-        Bounded-memory operation for long chaos campaigns: the retained
-        suffix keeps its order, listeners are unaffected (they already
-        saw the dropped events), and ``total_recorded`` still counts them.
-        """
-        cut = bisect_left(self._times, before_ns)
-        if cut == 0:
-            return 0
-        del self._events[:cut]
-        del self._times[:cut]
-        for k, times in self._times_by_kind.items():
-            kcut = bisect_left(times, before_ns)
-            if kcut:
-                del times[:kcut]
-                del self._by_kind[k][:kcut]
-        return cut
 
     def __len__(self) -> int:
         return len(self._events)

@@ -45,13 +45,8 @@ from . import topology as topo
 from ..telemetry import TELEMETRY as _TEL
 
 
-#: Atomic widths: (precompiled little-endian codec, wrap mask) per byte width.
-_INT = {
-    width: (struct.Struct(fmt), (1 << (8 * width)) - 1)
-    for width, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))
-}
-_INT_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
-_U64, _MASK64 = _INT[8]
+#: Atomics act on aligned little-endian 8-byte words: their codec and wrap mask.
+_U64, _MASK64 = struct.Struct("<Q"), (1 << 64) - 1
 
 #: Telemetry subsystem for the data plane (metric naming convention:
 #: DESIGN.md §8); each op kind records in one place (DESIGN.md §3).
@@ -279,68 +274,64 @@ class RackMachine:
 
     # -- atomics ---------------------------------------------------------------------
 
-    def atomic_cas(
-        self, node_id: int, addr: int, expected: int, new: int, width: int = 8
-    ) -> Tuple[bool, int]:
+    def atomic_cas(self, node_id: int, addr: int, expected: int, new: int) -> Tuple[bool, int]:
         """Compare-and-swap directly on backing memory.
 
         Returns ``(swapped, observed_value)``.  The issuing node's cached
         copy of the line is invalidated so subsequent cached loads observe
         the device value.
         """
-        slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
-        current = codec.unpack_from(slab, offset)[0]
+        slab, offset = self._atomic_prologue(node_id, addr)
+        current = _U64.unpack_from(slab, offset)[0]
         swapped = current == expected
         if swapped:
-            codec.pack_into(slab, offset, new & mask)
+            _U64.pack_into(slab, offset, new & _MASK64)
         return swapped, current
 
-    def atomic_fetch_add(self, node_id: int, addr: int, delta: int, width: int = 8) -> int:
-        """Atomically add ``delta`` (wrapping); returns the *old* value."""
-        slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
-        current = codec.unpack_from(slab, offset)[0]
-        codec.pack_into(slab, offset, (current + delta) & mask)
+    def atomic_fetch_add(self, node_id: int, addr: int, delta: int) -> int:
+        """Atomically add ``delta`` (wrapping at 2**64); returns the *old* value."""
+        slab, offset = self._atomic_prologue(node_id, addr)
+        current = _U64.unpack_from(slab, offset)[0]
+        _U64.pack_into(slab, offset, (current + delta) & _MASK64)
         return current
 
-    def atomic_swap(self, node_id: int, addr: int, new: int, width: int = 8) -> int:
+    def atomic_swap(self, node_id: int, addr: int, new: int) -> int:
         """Atomically exchange; returns the old value."""
-        slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
-        current = codec.unpack_from(slab, offset)[0]
-        codec.pack_into(slab, offset, new & mask)
+        slab, offset = self._atomic_prologue(node_id, addr)
+        current = _U64.unpack_from(slab, offset)[0]
+        _U64.pack_into(slab, offset, new & _MASK64)
         return current
 
-    def atomic_load(self, node_id: int, addr: int, width: int = 8) -> int:
-        """Coherent (cache-bypassing) integer load; a word the hit verdict passes stays here."""
+    def atomic_load(self, node_id: int, addr: int) -> int:
+        """Coherent (cache-bypassing) word load; a word the hit verdict passes stays here."""
         node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
-        if (width == 8 and not addr & 7 and base <= addr and addr + 8 <= end and node.alive
+        if (not addr & 7 and base <= addr and addr + 8 <= end and node.alive
                 and self.address_map.generation == self._tlb_gen and not (region.device.poisoned
                 or self.faults.armed[region.owner is None])):
             lat = self.latency
             self._charge(node, 1, lat.local_atomic_ns if region.owner is not None else lat.global_atomic_ns)
             if _TEL.enabled or _TEL.atlas is not None:
-                self._atomic_record(node_id, addr, 8, region.owner is None)
+                self._atomic_record(node_id, addr, region.owner is None)
             if node.cache._lines.pop(addr & ~self._line_mask, None) is not None:
                 node.cache.stats.invalidations += 1
             return _U64.unpack_from(region.device.slab, addr - base)[0]
-        slab, offset, codec, _ = self._atomic_prologue(node_id, addr, width)
-        return codec.unpack_from(slab, offset)[0]
+        return _U64.unpack_from(*self._atomic_prologue(node_id, addr))[0]
 
-    def atomic_store(self, node_id: int, addr: int, value: int, width: int = 8) -> None:
-        """Coherent (cache-bypassing) integer store; the hit path is :meth:`atomic_load`'s."""
+    def atomic_store(self, node_id: int, addr: int, value: int) -> None:
+        """Coherent (cache-bypassing) word store; the hit path is :meth:`atomic_load`'s."""
         node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
-        if (width == 8 and not addr & 7 and base <= addr and addr + 8 <= end and node.alive
+        if (not addr & 7 and base <= addr and addr + 8 <= end and node.alive
                 and self.address_map.generation == self._tlb_gen and not (region.device.poisoned
                 or self.faults.armed[region.owner is None])):
             lat = self.latency
             self._charge(node, 1, lat.local_atomic_ns if region.owner is not None else lat.global_atomic_ns)
             if _TEL.enabled or _TEL.atlas is not None:
-                self._atomic_record(node_id, addr, 8, region.owner is None)
+                self._atomic_record(node_id, addr, region.owner is None)
             if node.cache._lines.pop(addr & ~self._line_mask, None) is not None:
                 node.cache.stats.invalidations += 1
             _U64.pack_into(region.device.slab, addr - base, value & _MASK64)
             return
-        slab, offset, codec, mask = self._atomic_prologue(node_id, addr, width)
-        codec.pack_into(slab, offset, value & mask)
+        _U64.pack_into(*self._atomic_prologue(node_id, addr), value & _MASK64)
 
     # -- bulk data plane (DESIGN.md §10) -----------------------------------------------
     #
@@ -450,7 +441,6 @@ class RackMachine:
         node_id: int,
         addrs: Sequence[int],
         deltas: Union[int, Sequence[int]] = 1,
-        width: int = 8,
     ) -> List[int]:
         """Batched :meth:`atomic_fetch_add`; returns the old values.
 
@@ -461,11 +451,9 @@ class RackMachine:
             deltas = [deltas] * n
         elif len(deltas) != n:
             raise ValueError(f"{n} addresses but {len(deltas)} deltas")
-        return [self.atomic_fetch_add(node_id, a, d, width) for a, d in zip(addrs, deltas)]
+        return [self.atomic_fetch_add(node_id, a, d) for a, d in zip(addrs, deltas)]
 
-    def atomic_load_many(
-        self, node_id: int, addrs: Sequence[int], width: int = 8
-    ) -> List[int]:
+    def atomic_load_many(self, node_id: int, addrs: Sequence[int]) -> List[int]:
         """Batched :meth:`atomic_load` (coherent scatter-gather read).
 
         One gather when :meth:`_bulk_atomic_plan` accepts the batch —
@@ -475,12 +463,12 @@ class RackMachine:
         """
         if len(addrs) == 0:
             return []
-        plan = self._bulk_atomic_plan(node_id, addrs, width)
+        plan = self._bulk_atomic_plan(node_id, addrs)
         if plan is None:
-            return [self.atomic_load(node_id, a, width) for a in addrs]
+            return [self.atomic_load(node_id, a) for a in addrs]
         region, slots, idx = plan
-        out = slots.take(idx).view(_INT_DTYPE[width]).tolist()
-        self._bulk_epilogue(node_id, addrs, width, region)
+        out = slots.take(idx).view("<u8").tolist()
+        self._bulk_epilogue(node_id, addrs, 8, region)
         return out
 
     def atomic_store_many(
@@ -488,7 +476,6 @@ class RackMachine:
         node_id: int,
         addrs: Sequence[int],
         values: Union[int, Sequence[int]],
-        width: int = 8,
     ) -> None:
         """Batched :meth:`atomic_store` (coherent scatter write).
 
@@ -503,25 +490,23 @@ class RackMachine:
         scalar = isinstance(values, int)
         if not scalar and len(values) != n:
             raise ValueError(f"{n} addresses but {len(values)} values")
-        plan = self._bulk_atomic_plan(node_id, addrs, width)
+        plan = self._bulk_atomic_plan(node_id, addrs)
         if plan is not None:
-            mask = _INT[width][1]
-            dtype = _INT_DTYPE[width]
             try:
                 # masked in Python: sentinels like 2**64 - 1 overflow int64
                 if scalar:
-                    v_arr = np.full(n, values & mask, dtype=dtype)
+                    v_arr = np.full(n, values & _MASK64, dtype="<u8")
                 else:
-                    v_arr = np.array([v & mask for v in values], dtype=dtype)
+                    v_arr = np.array([v & _MASK64 for v in values], dtype="<u8")
             except TypeError:
                 plan = None  # the single op raises at that value's index
         if plan is None:
             for a, v in zip(addrs, [values] * n if scalar else values):
-                self.atomic_store(node_id, a, v, width)
+                self.atomic_store(node_id, a, v)
             return
         region, slots, idx = plan
         slots[idx] = v_arr.view(slots.dtype)  # the plan proved idx unique
-        self._bulk_epilogue(node_id, addrs, width, region)
+        self._bulk_epilogue(node_id, addrs, 8, region)
 
     def atomic_cas_many(
         self,
@@ -529,14 +514,11 @@ class RackMachine:
         addrs: Sequence[int],
         expected: Sequence[int],
         new: Sequence[int],
-        width: int = 8,
     ) -> List[Tuple[bool, int]]:
         """Batched :meth:`atomic_cas`; returns ``(swapped, observed)`` pairs."""
         if len(expected) != len(addrs) or len(new) != len(addrs):
             raise ValueError("atomic_cas_many needs parallel addrs/expected/new")
-        return [
-            self.atomic_cas(node_id, a, e, v, width) for a, e, v in zip(addrs, expected, new)
-        ]
+        return [self.atomic_cas(node_id, a, e, v) for a, e, v in zip(addrs, expected, new)]
 
     # -- cache maintenance -------------------------------------------------------------
 
@@ -712,37 +694,33 @@ class RackMachine:
         self._tlb[node_id] = (self.nodes[node_id], region.base, region.base + region.size, region)
         return region, offset
 
-    def _atomic_prologue(self, node_id: int, addr: int, width: int):
-        """Gate, charge, record and cache-drop of one atomic; returns
-        ``(device slab, offset, codec, wrap mask)`` for the caller's
-        read-modify-write."""
-        codec = _INT.get(width)
-        if codec is None:
-            raise ValueError(f"atomic width must be one of {sorted(_INT)}, got {width}")
-        if addr % width:
-            raise ValueError(f"atomic access at {addr:#x} not {width}-byte aligned")
-        node, region, offset, clean = self._access(node_id, addr, width)
+    def _atomic_prologue(self, node_id: int, addr: int):
+        """Gate, charge, record and cache-drop of one atomic; returns the
+        word's ``(device slab, offset)`` for the caller's read-modify-write."""
+        if addr % 8:
+            raise ValueError(f"atomic access at {addr:#x} not 8-byte aligned")
+        node, region, offset, clean = self._access(node_id, addr, 8)
         is_global = region.owner is None
         lat = self.latency
         self._charge(node, 1, lat.global_atomic_ns if is_global else lat.local_atomic_ns)
-        self._atomic_record(node_id, addr, width, is_global)
-        # an aligned access of at most 8 bytes lies in exactly one line; the
-        # drop is the one cache-line touch the machine makes itself (a
-        # NodeCache call here would be a frame on every atomic)
+        self._atomic_record(node_id, addr, is_global)
+        # an aligned word lies in exactly one line; the drop is the one
+        # cache-line touch the machine makes itself (a NodeCache call here
+        # would be a frame on every atomic)
         cache = node.cache
         if cache._lines.pop(addr & ~self._line_mask, None) is not None:
             cache.stats.invalidations += 1
         if not clean:
-            self._maybe_fault(region, offset, width, node_id)
-            self._check_poison(region, offset, width, node_id)
-        return region.device.slab, offset, codec[0], codec[1]
+            self._maybe_fault(region, offset, 8, node_id)
+            self._check_poison(region, offset, 8, node_id)
+        return region.device.slab, offset
 
-    def _atomic_record(self, node_id: int, addr: int, width: int, is_global: bool) -> None:
+    def _atomic_record(self, node_id: int, addr: int, is_global: bool) -> None:
         """An atomic's record, wherever it was gated: its counter, then its atlas touch."""
         if _TEL.enabled:
             _TEL.count(node_id, _SUB, "atomic.global" if is_global else "atomic.local")
         if _TEL.atlas is not None:
-            _TEL.atlas.touch(addr, width)
+            _TEL.atlas.touch(addr, 8)
 
     def _path_cost(self, node_id: int, region: Region) -> Tuple[int, int]:
         if not region.is_global:
@@ -925,7 +903,7 @@ class RackMachine:
         return True
 
     def _bulk_atomic_plan(
-        self, node_id: int, addrs: Sequence[int], width: int
+        self, node_id: int, addrs: Sequence[int]
     ) -> Optional[Tuple[Region, np.ndarray, np.ndarray]]:
         """Plan a batched atomic; ``None`` means go sequential.
 
@@ -935,19 +913,15 @@ class RackMachine:
         resident in the issuing node's cache (the per-op invalidate is
         observable in eviction order).
         """
-        if width not in _INT_DTYPE:
-            raise ValueError(
-                f"atomic width must be one of {sorted(_INT)}, got {width}"
-            )
         try:
             arr = np.asarray(addrs, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
             return None
-        plan = self._bulk_plan(node_id, arr, width)
+        plan = self._bulk_plan(node_id, arr, 8)
         if plan is None:
             return None
-        if int(arr[0]) % width:
-            return None  # the plan's slots are whole widths apart: one misaligned, all are
+        if int(arr[0]) % 8:
+            return None  # the plan's slots are whole words apart: one misaligned, all are
         srt = np.sort(arr)
         if srt.shape[0] > 1 and bool(np.any(srt[1:] == srt[:-1])):
             return None  # duplicates: chained read-modify-writes
@@ -1085,26 +1059,24 @@ class NodeContext:
             self.node_id, addrs, data, bypass_cache=bypass_cache, size=size
         )
 
-    def atomic_store_many(
-        self, addrs: Sequence[int], values: Union[int, Sequence[int]], width: int = 8
-    ) -> None:
-        self.machine.atomic_store_many(self.node_id, addrs, values, width)
+    def atomic_store_many(self, addrs: Sequence[int], values: Union[int, Sequence[int]]) -> None:
+        self.machine.atomic_store_many(self.node_id, addrs, values)
 
     # atomics
-    def cas(self, addr: int, expected: int, new: int, width: int = 8) -> Tuple[bool, int]:
-        return self.machine.atomic_cas(self.node_id, addr, expected, new, width)
+    def cas(self, addr: int, expected: int, new: int) -> Tuple[bool, int]:
+        return self.machine.atomic_cas(self.node_id, addr, expected, new)
 
-    def fetch_add(self, addr: int, delta: int, width: int = 8) -> int:
-        return self.machine.atomic_fetch_add(self.node_id, addr, delta, width)
+    def fetch_add(self, addr: int, delta: int) -> int:
+        return self.machine.atomic_fetch_add(self.node_id, addr, delta)
 
-    def swap(self, addr: int, new: int, width: int = 8) -> int:
-        return self.machine.atomic_swap(self.node_id, addr, new, width)
+    def swap(self, addr: int, new: int) -> int:
+        return self.machine.atomic_swap(self.node_id, addr, new)
 
-    def atomic_load(self, addr: int, width: int = 8) -> int:
-        return self.machine.atomic_load(self.node_id, addr, width)
+    def atomic_load(self, addr: int) -> int:
+        return self.machine.atomic_load(self.node_id, addr)
 
-    def atomic_store(self, addr: int, value: int, width: int = 8) -> None:
-        self.machine.atomic_store(self.node_id, addr, value, width)
+    def atomic_store(self, addr: int, value: int) -> None:
+        self.machine.atomic_store(self.node_id, addr, value)
 
     # maintenance
     def flush(self, addr: int, size: int) -> int:

@@ -27,6 +27,7 @@ import json
 import pathlib
 from typing import Dict, List, Optional, Tuple, Union
 
+from ...flacdk.reliability import prediction
 from .. import TELEMETRY
 from .anomaly import AnomalyDetector, CeSlopeDetector, RepairStreakDetector, ScrubTrendDetector
 from .recorder import FlightRecorder
@@ -161,7 +162,7 @@ class HealthEngine:
         fresh = [p for p in pages if p not in self.boosted]
         if not fresh:
             return []
-        margin = predictor.threshold / max(1e-9, 1.0 - predictor.alpha) * 1.25
+        margin = prediction.THRESHOLD / max(1e-9, 1.0 - prediction.ALPHA) * 1.25
         for page in fresh[:BOOST_PAGES]:
             predictor.boost_page(page, margin)
             self.boosted[page] = cause

@@ -46,6 +46,8 @@ FAULT_TAIL = 64
 BREAKER_TAIL = 128
 RESILIENCE_TAIL = 256
 BOOST_TAIL = 64
+#: hot pages of the atlas sketch in a dump
+ATLAS_PAGE_TAIL = 32
 
 #: :attr:`DumpEvent.kind` values, one per dated dump row
 ALERT_FIRED = "alert.fired"
@@ -204,12 +206,12 @@ class FlightRecorder:
             for row in machine.fabric.link_rows(now_ns)
         ]
 
-    def _atlas_page_tail(self, limit: int = 32) -> List[dict]:
+    def _atlas_page_tail(self) -> List[dict]:
         """Hot-page sketch rows when an atlas is enabled."""
         from .. import TELEMETRY
 
         atlas = TELEMETRY.atlas
-        return [] if atlas is None else atlas.hot_pages(limit)
+        return [] if atlas is None else atlas.hot_pages(ATLAS_PAGE_TAIL)
 
 
 def load_dump(path: Union[str, pathlib.Path]) -> dict:

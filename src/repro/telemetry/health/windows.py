@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ...rack.params import finite, refuse
 from ..registry import Histogram, MetricKey, MetricsRegistry, N_BUCKETS
 
 #: A window delta's sample bounds: exact per-window min/max cannot be
@@ -120,10 +121,11 @@ class WindowAggregator:
     """
 
     def __init__(self, registry: MetricsRegistry, window_ns: float = 1e6) -> None:
-        if window_ns <= 0:
-            raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.registry = registry
         self.window_ns = window_ns
+        # NaN passes a `<= 0` test and inf never closes a window
+        if not (finite(window_ns) and window_ns > 0):
+            refuse(self, "window_ns", "a finite number > 0")
         self._open_index: Optional[int] = None
         self._base_counters: Dict[MetricKey, float] = {}
         self._base_hists: Dict[MetricKey, Tuple[int, float, Tuple[int, ...]]] = {}

@@ -87,10 +87,11 @@ class IncidentScenario:
     campaign: ChaosCampaign
     tenants: Tuple[TenantSpec, ...]
     horizon_ns: float
-    availability_target: float = 0.999
-    n_nodes: int = 2
-    window_ns: float = 250_000.0
-    replica_node: int = 1
+    #: the same for every scenario: class attributes, not fields
+    availability_target = 0.999
+    n_nodes = 2
+    window_ns = 250_000.0
+    replica_node = 1
 
 
 def _tenants() -> Tuple[TenantSpec, ...]:

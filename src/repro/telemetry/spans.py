@@ -28,6 +28,8 @@ from typing import Dict, List, Optional, Tuple
 #: "use the open-span stack" (default) from an explicit parent — which
 #: may legitimately be ``None`` (force a root span).
 STACK_PARENT = object()
+#: Paths :meth:`TraceBuffer.flame_summary` lists before it folds the rest into a count.
+FLAME_ROWS = 40
 
 
 @dataclass
@@ -140,7 +142,7 @@ class TraceBuffer:
             )
         return {"traceEvents": events, "displayTimeUnit": "ns"}
 
-    def flame_summary(self, max_rows: int = 40) -> str:
+    def flame_summary(self) -> str:
         """Flamegraph-style folded-stack summary, hottest paths first."""
         totals: Dict[Tuple[str, ...], List[float]] = {}
         paths = self._paths()
@@ -152,12 +154,12 @@ class TraceBuffer:
         if not totals:
             return "(no spans recorded)"
         rows = sorted(totals.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        width = max(len(";".join(p)) for p, _ in rows[:max_rows])
+        width = max(len(";".join(p)) for p, _ in rows[:FLAME_ROWS])
         lines = [f"{'path':<{width}}  {'total_ns':>14}  {'count':>7}"]
-        for path, (total, count) in rows[:max_rows]:
+        for path, (total, count) in rows[:FLAME_ROWS]:
             lines.append(f"{';'.join(path):<{width}}  {total:>14,.1f}  {count:>7}")
-        if len(rows) > max_rows:
-            lines.append(f"... {len(rows) - max_rows} more paths")
+        if len(rows) > FLAME_ROWS:
+            lines.append(f"... {len(rows) - FLAME_ROWS} more paths")
         return "\n".join(lines)
 
     # -- critical path ---------------------------------------------------------

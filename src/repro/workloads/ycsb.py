@@ -28,8 +28,9 @@ WORKLOADS = ("A", "B", "C", "D", "F")
 class YcsbConfig:
     n_keys: int = 1000
     value_size: int = 256
-    zipf_s: float = 1.2
     seed: int = 0
+    #: the key popularity's Zipf exponent
+    ZIPF_S = 1.2
 
 
 class YcsbWorkload:
@@ -42,7 +43,7 @@ class YcsbWorkload:
         self.letter = letter
         self.config = config
         self.keys = KeyGenerator(
-            config.n_keys, "zipf", zipf_s=config.zipf_s, seed=config.seed
+            config.n_keys, "zipf", zipf_s=config.ZIPF_S, seed=config.seed
         )
         self.values = ValueGenerator(config.value_size, seed=config.seed)
         self.rng = np.random.default_rng(config.seed + 17)

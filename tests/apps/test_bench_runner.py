@@ -120,3 +120,35 @@ def test_knobs_resolve_a_callee_imported_under_another_name():
     trees = {"t": ast.parse("def span(name, ctx=None, node=-1):\n    return name\n"),
              "m": ast.parse("from t import span as _span\n\n\ndef f(ctx):\n    return _span('x', ctx=ctx)\n")}
     assert census.knobs(trees, {("m", "f")}) == {"t": ["span(node)"], "m": []}
+
+
+def test_knobs_that_src_assigns_after_construction_are_state():
+    """``hits`` is bumped on the object after construction (state); ``limit``
+    is only read (an option); ``self.cap = …`` in ``__init__`` is construction."""
+    census = _benchmarks_module("census")
+    trees = {"t": ast.parse("from dataclasses import dataclass\n\n\n@dataclass\nclass Stats:\n"
+                            "    hits: int = 0\n    limit: int = 8\n\n\n"
+                            "class Box:\n    def __init__(self, cap=4):\n        self.cap = cap\n\n\n"
+                            "def bump(stats):\n    stats.hits += 1\n    return stats.limit\n")}
+    options, state = census.split_knobs(trees, census.knobs(trees, {("t", "bump")}))
+    assert (options, state) == ({"t": ["Stats(limit)", "Box(cap)"]}, {"t": ["Stats(hits)"]})
+
+
+def test_knobs_credit_a_subclass_call_to_its_base():
+    """``Poisson(rate, seed=…)`` calls ``Arrivals.__init__``: it sets ``seed``."""
+    census = _benchmarks_module("census")
+    trees = {"t": ast.parse("class Arrivals:\n    def __init__(self, rate, seed=0, start_ns=0.0):\n"
+                            "        self.rate = rate\n\n\nclass Poisson(Arrivals):\n"
+                            "    def next_chunk(self, n):\n        return n\n"),
+             "m": ast.parse("from t import Poisson\n\n\ndef f():\n    return Poisson(1.0, seed=3)\n")}
+    assert census.knobs(trees, {("m", "f")}) == {"t": ["Arrivals(start_ns)"], "m": []}
+
+
+def test_knobs_credit_super_init_to_the_base():
+    """``Diurnal.__init__`` passes ``seed`` on through ``super().__init__``."""
+    census = _benchmarks_module("census")
+    trees = {"t": ast.parse("class Arrivals:\n    def __init__(self, rate, seed=0, start_ns=0.0):\n"
+                            "        self.rate = rate\n\n\nclass Diurnal(Arrivals):\n"
+                            "    def __init__(self, base, seed=0):\n        super().__init__(base, seed=seed)\n"),
+             "m": ast.parse("from t import Diurnal\n\n\ndef f():\n    return Diurnal(1.0, seed=3)\n")}
+    assert census.knobs(trees, {("m", "f"), ("t", "Diurnal.__init__")}) == {"t": ["Arrivals(start_ns)"], "m": []}

@@ -1,7 +1,5 @@
 """Tests for RESP and MiniRedis over both transports."""
 
-import re
-
 import pytest
 
 from repro.apps import resp
@@ -65,19 +63,11 @@ class TestCommands:
         assert client.request(b"GET", b"k") == b"v"
         assert client.request(b"GET", b"missing") is None
 
-    def test_del_exists(self, flacos_pair):
-        client, _ = flacos_pair
-        client.request(b"SET", b"a", b"1")
-        client.request(b"SET", b"b", b"2")
-        assert client.request(b"EXISTS", b"a", b"b", b"c") == 2
-        assert client.request(b"DEL", b"a", b"c") == 1
-        assert client.request(b"EXISTS", b"a") == 0
-
     def test_incr_decr(self, flacos_pair):
         client, _ = flacos_pair
         assert client.request(b"INCR", b"n") == 1
         assert client.request(b"INCRBY", b"n", b"10") == 11
-        assert client.request(b"DECR", b"n") == 10
+        assert client.request(b"INCRBY", b"n", b"-1") == 10
 
     def test_incr_non_integer_errors(self, flacos_pair):
         client, _ = flacos_pair
@@ -85,39 +75,17 @@ class TestCommands:
         with pytest.raises(resp.RedisError):
             client.request(b"INCR", b"s")
 
-    def test_append_strlen(self, flacos_pair):
-        client, _ = flacos_pair
-        assert client.request(b"APPEND", b"s", b"abc") == 3
-        assert client.request(b"APPEND", b"s", b"def") == 6
-        assert client.request(b"STRLEN", b"s") == 6
-
     def test_mset_mget(self, flacos_pair):
         client, _ = flacos_pair
         client.request(b"MSET", b"x", b"1", b"y", b"2")
         assert client.request(b"MGET", b"x", b"y", b"z") == [b"1", b"2", None]
 
-    def test_expire_ttl(self, flacos_pair):
-        client, server = flacos_pair
-        client.request(b"SET", b"tmp", b"v")
-        assert client.request(b"EXPIRE", b"tmp", b"1") == 1
-        assert client.request(b"TTL", b"tmp") >= 0
-        server.ctx.advance(2e9)  # two simulated seconds pass on the server
-        assert client.request(b"GET", b"tmp") is None
-        assert client.request(b"TTL", b"tmp") == -2
-
     def test_keys_dbsize_flush(self, flacos_pair):
         client, _ = flacos_pair
+        assert client.request(b"DBSIZE") == 0
         client.request(b"SET", b"a", b"1")
         client.request(b"SET", b"b", b"2")
         assert client.request(b"DBSIZE") == 2
-        assert client.request(b"KEYS", b"*") == [b"a", b"b"]
-        assert client.request(b"FLUSHDB") == "OK"
-        assert client.request(b"DBSIZE") == 0
-
-    def test_ping(self, flacos_pair):
-        client, _ = flacos_pair
-        assert client.request(b"PING") == "PONG"
-        assert client.request(b"PING", b"echo") == b"echo"
 
     def test_unknown_command(self, flacos_pair):
         client, _ = flacos_pair
@@ -129,51 +97,6 @@ class TestCommands:
         value = bytes(range(256)) * 64  # 16 KiB, forces the buffer path
         client.request(b"SET", b"big", value)
         assert client.request(b"GET", b"big") == value
-
-
-@pytest.fixture(params=["flacos", "tcp"])
-def either_pair(request, rack2):
-    """A client and server over each transport in turn."""
-    if request.param == "tcp":
-        return connect_over_tcp(TcpNetwork(), rack2[1], rack2[2])
-    return request.getfixturevalue("flacos_pair")
-
-
-_NOT_INTEGER = "value is not an integer or out of range"
-_BAD_TTLS = [
-    ((b"SETEX", b"k", b"abc", b"v"), _NOT_INTEGER),
-    ((b"SETEX", b"k", b"nan", b"v"), _NOT_INTEGER),
-    ((b"SETEX", b"k", b"1.5", b"v"), _NOT_INTEGER),
-    ((b"SETEX", b"k", b" 5", b"v"), _NOT_INTEGER),
-    ((b"SETEX", b"k", b"9223372036854775808", b"v"), _NOT_INTEGER),
-    ((b"SETEX", b"k", b"-5", b"v"), "invalid expire time in 'setex' command"),
-    ((b"SETEX", b"k", b"0", b"v"), "invalid expire time in 'setex' command"),
-    ((b"EXPIRE", b"kept", b"xyz"), _NOT_INTEGER),
-    ((b"EXPIRE", b"kept", b"2.5"), _NOT_INTEGER),
-]
-
-
-class TestExpiryArguments:
-    """A bad TTL is an error reply, as Redis words it — never an exception
-    out of the server loop into the client, and never a silent ``OK``."""
-
-    @pytest.mark.parametrize("command, message", _BAD_TTLS, ids=[b" ".join(c).decode() for c, _ in _BAD_TTLS])
-    def test_a_bad_ttl_is_an_error_reply_on_either_transport(self, either_pair, command, message):
-        client, _ = either_pair
-        client.request(b"SET", b"kept", b"v")
-        with pytest.raises(resp.RedisError, match=re.escape(message)):
-            client.request(*command)
-        assert client.request(b"GET", b"k") is None  # nothing was stored
-        assert client.request(b"TTL", b"kept") == -1  # nor any expiry set
-        assert client.request(b"PING") == "PONG"  # the server still serves
-
-    def test_integer_ttls_still_expire_on_either_transport(self, either_pair):
-        client, server = either_pair
-        assert client.request(b"SETEX", b"k", b"3", b"v") == "OK"
-        assert client.request(b"EXPIRE", b"kept", b"-1") == 0  # no such key yet
-        assert client.request(b"TTL", b"k") in (2, 3)
-        server.ctx.advance(4e9)
-        assert client.request(b"GET", b"k") is None
 
 
 class TestTransportParity:
@@ -236,7 +159,8 @@ class TestServerInternals:
     def test_hostile_verbs_get_the_unknown_command_reply(self, rack2):
         _, c0, _, _ = rack2
         server = MiniRedisServer(c0)
-        for verb in (b"\xff\xfe", b"", b"init__", b"_live", b"cmd_get", b"COMMANDS"):
+        removed = b"PING DEL EXISTS STRLEN APPEND DECR SETEX EXPIRE TTL KEYS FLUSHDB".split()
+        for verb in (b"\xff\xfe", b"", b"init__", b"_live", b"cmd_get", b"COMMANDS", *removed):
             reply = server.execute([verb, b"k"])
             assert type(reply) is Exception and "unknown command" in str(reply), verb
 
@@ -253,7 +177,7 @@ class TestServerInternals:
         _, c0, _, _ = rack2
         server = MiniRedisServer(c0, command_cost_ns=5000)
         before = c0.now()
-        server.execute([b"PING"])
+        server.execute([b"DBSIZE"])
         assert c0.now() - before >= 5000
 
 

@@ -101,17 +101,6 @@ class TestActions:
         for i in range(3):
             assert rig.machine.poisoned_addrs(base + i * PAGE_SIZE, PAGE_SIZE)
 
-    def test_compact_log_action(self):
-        rig = build_rig()
-        for i in range(10):
-            rig.machine.faults.inject_ce(rig.machine.global_base + i, now_ns=float(i))
-        campaign = ChaosCampaign(
-            name="compact", seed=5, events=(event("compact_log", at_step=0, before_ns=5.0),)
-        )
-        CampaignRunner(rig.kernel).run(campaign, steps=1, heal=False)
-        assert len(rig.machine.faults.log) == 5
-        assert rig.machine.faults.log.total_recorded == 10
-
 
 class TestInvariants:
     def test_no_survivors_halts_and_violates_liveness(self):

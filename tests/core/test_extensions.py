@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from repro.bench import build_rig
+from repro.core import boot
 from repro.core.boot import BootRom, DeviceTreeError, DtNode, flatten, rack_description
 
 
@@ -46,8 +47,9 @@ class TestBootRom:
         for ctx in (rig.c0, rig.c1):
             assert ctx.load(base, len(blob), bypass_cache=True) == blob
 
-    def test_capacity_enforced(self, rig):
-        tiny = BootRom(rig.kernel.arena.take(64, align=64), capacity=64)
+    def test_capacity_enforced(self, rig, monkeypatch):
+        monkeypatch.setattr(boot, "ROM_BYTES", 64)
+        tiny = BootRom(rig.kernel.arena.take(64, align=64))
         big = DtNode("rack")
         big.set_prop("blob", b"x" * 100)
         with pytest.raises(DeviceTreeError):

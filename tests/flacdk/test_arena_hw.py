@@ -86,11 +86,6 @@ class TestCells:
         assert ctxs[1].fetch_add(addr, 2) == 5
         assert ctxs[2].atomic_load(addr) == 7
 
-    def test_cell_width_validation(self, rig):
-        _, ctxs, arena = rig
-        with pytest.raises(ValueError):
-            ctxs[0].atomic_load(arena.take(8, align=8), width=5)
-
     def test_sequence_bump_returns_new(self, rig):
         _, ctxs, arena = rig
         addr = arena.take(8, align=8)

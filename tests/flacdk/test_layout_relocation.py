@@ -36,7 +36,7 @@ class TestHotColdPacker:
         assert _offset(plan, 2) < _offset(plan, 1)
 
     def test_cold_seam_line_aligned(self):
-        plan = HotColdPacker(line_size=64).pack(_objects())
+        plan = HotColdPacker().pack(_objects())
         first_cold = _offset(plan, 1)
         assert first_cold % 64 == 0
 
@@ -45,7 +45,7 @@ class TestHotColdPacker:
         packer = HotColdPacker()
         packed = packer.pack(objs)
         naive = address_order_plan(objs)
-        hot = [o.obj_id for o in objs if o.hotness >= packer.hot_threshold]
+        hot = [o.obj_id for o in objs if o.hotness >= packer.HOT_THRESHOLD]
         assert expected_lines_touched(packed, hot, objs) <= expected_lines_touched(naive, hot, objs)
 
     def test_trace_touches_fewer_lines_when_packed(self):
@@ -68,8 +68,6 @@ class TestHotColdPacker:
             ObjectInfo(0, size=0, hotness=1.0)
         with pytest.raises(ValueError):
             ObjectInfo(0, size=8, hotness=-1.0)
-        with pytest.raises(ValueError):
-            HotColdPacker(line_size=40)
         with pytest.raises(KeyError):
             _offset(HotColdPacker().pack(_objects()), 99)
 

@@ -1,6 +1,6 @@
 """Tests for the FlacDK reliability pipeline: monitor and predictor."""
 
-from repro.flacdk.reliability import FailurePredictor, HealthMonitor
+from repro.flacdk.reliability import FailurePredictor, HealthMonitor, monitor, prediction
 from repro.rack import FaultKind
 
 
@@ -16,12 +16,13 @@ class TestHealthMonitor:
         assert by_page[g & ~4095] == 3
         assert by_page[(g + 5000) & ~4095] == 1
 
-    def test_window_expires_old_events(self, rig):
+    def test_window_expires_old_events(self, rig, monkeypatch):
         machine, _, _ = rig
-        monitor = HealthMonitor(machine.faults.log, window_ns=100.0)
+        monkeypatch.setattr(monitor, "WINDOW_NS", 100.0)
+        health = HealthMonitor(machine.faults.log)
         machine.faults.inject_ce(0x0, now_ns=0.0)
         machine.faults.inject_ce(0x0, now_ns=500.0)
-        assert monitor.ce_count_by_page(now_ns=550.0) == {0: 1}
+        assert health.ce_count_by_page(now_ns=550.0) == {0: 1}
 
     def test_summary_shape(self, rig):
         machine, _, _ = rig
@@ -34,10 +35,11 @@ class TestHealthMonitor:
 
 
 class TestFailurePredictor:
-    def test_hot_page_flagged(self, rig):
+    def test_hot_page_flagged(self, rig, monkeypatch):
         machine, _, _ = rig
-        monitor = HealthMonitor(machine.faults.log)
-        predictor = FailurePredictor(monitor, alpha=0.5, threshold=2.0)
+        monkeypatch.setattr(prediction, "ALPHA", 0.5)
+        monkeypatch.setattr(prediction, "THRESHOLD", 2.0)
+        predictor = FailurePredictor(HealthMonitor(machine.faults.log))
         page = machine.global_base
         for _ in range(10):
             machine.faults.inject_ce(page + 8, now_ns=1.0)
@@ -51,10 +53,12 @@ class TestFailurePredictor:
         predictor.observe(now_ns=1.0)
         assert predictor.at_risk_pages() == []
 
-    def test_scores_decay(self, rig):
+    def test_scores_decay(self, rig, monkeypatch):
         machine, _, _ = rig
-        monitor = HealthMonitor(machine.faults.log, window_ns=10.0)
-        predictor = FailurePredictor(monitor, alpha=0.5, threshold=1.0)
+        monkeypatch.setattr(monitor, "WINDOW_NS", 10.0)
+        monkeypatch.setattr(prediction, "ALPHA", 0.5)
+        monkeypatch.setattr(prediction, "THRESHOLD", 1.0)
+        predictor = FailurePredictor(HealthMonitor(machine.faults.log))
         for _ in range(8):
             machine.faults.inject_ce(machine.global_base, now_ns=1.0)
         predictor.observe(now_ns=2.0)

@@ -62,7 +62,7 @@ class TestSpscRing:
         """A length field over the slot capacity is never read past the slot."""
         _, ctxs, _ = rig
         ring.try_push(ctxs[0], b"fine")
-        ctxs[0].atomic_store(ring._slot(0) + 8, 257, width=4)  # capacity is 256
+        ctxs[0].store(ring._slot(0) + 8, (257).to_bytes(4, "little"), bypass_cache=True)  # capacity is 256
         with pytest.raises(RingError, match="over the slot capacity"):
             ring.try_pop(ctxs[1])
 

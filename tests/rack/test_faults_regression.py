@@ -104,37 +104,6 @@ class TestFaultLogIndex:
         log.record(_ev(FaultKind.CORRECTABLE, 6.0, addr=2))
         assert [e.addr for e in log.events(since_ns=5.0)] == [1, 2]
 
-    def test_compact_drops_prefix_only(self):
-        log = FaultLog()
-        for t in range(20):
-            kind = FaultKind.CORRECTABLE if t % 2 else FaultKind.LINK_DOWN
-            log.record(_ev(kind, float(t)))
-        dropped = log.compact(before_ns=10.0)
-        assert dropped == 10
-        assert len(log) == 10
-        assert log.total_recorded == 20
-        assert [e.time_ns for e in log.events()] == [float(t) for t in range(10, 20)]
-        # per-kind views were compacted consistently
-        assert all(e.time_ns >= 10.0 for e in log.events(FaultKind.CORRECTABLE))
-        assert len(log.events(FaultKind.LINK_DOWN)) == 5
-        # queries still work after compaction
-        assert len(log.events(FaultKind.CORRECTABLE, since_ns=15.0)) == 3
-
-    def test_compact_noop_when_nothing_older(self):
-        log = FaultLog()
-        log.record(_ev(FaultKind.CORRECTABLE, 10.0))
-        assert log.compact(before_ns=5.0) == 0
-        assert len(log) == 1
-
-    def test_listeners_survive_compaction(self):
-        log = FaultLog()
-        seen = []
-        log.subscribe(seen.append)
-        log.record(_ev(FaultKind.CORRECTABLE, 1.0))
-        log.compact(before_ns=2.0)
-        log.record(_ev(FaultKind.CORRECTABLE, 3.0))
-        assert len(seen) == 2
-
     def test_repair_events_are_logged(self):
         log = FaultLog()
         inj = _injector(0.0)

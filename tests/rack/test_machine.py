@@ -86,10 +86,10 @@ class TestAtomics:
 
     def test_fetch_add_wraps_at_width(self, machine):
         g = machine.global_base
-        machine.atomic_store(0, g, 0xFF, width=1)
-        old = machine.atomic_fetch_add(0, g, 1, width=1)
-        assert old == 0xFF
-        assert machine.atomic_load(0, g, width=1) == 0
+        machine.atomic_store(0, g, 2**64 - 1)
+        old = machine.atomic_fetch_add(0, g, 1)
+        assert old == 2**64 - 1
+        assert machine.atomic_load(0, g) == 0
 
     def test_swap_returns_old(self, machine):
         g = machine.global_base
@@ -107,10 +107,6 @@ class TestAtomics:
     def test_misaligned_atomic_rejected(self, machine):
         with pytest.raises(ValueError):
             machine.atomic_load(0, machine.global_base + 3)
-
-    def test_bad_width_rejected(self, machine):
-        with pytest.raises(ValueError):
-            machine.atomic_load(0, machine.global_base, width=3)
 
 
 class TestLatency:

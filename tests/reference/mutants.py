@@ -63,8 +63,8 @@ MUTANTS = [
      "        self._charge(node, 0, 0.0, region, -(-size // self.line_size) or 1)\n"
      "        if not clean:\n"),
     ("an atomic rolls no dice", M, "_atomic_prologue",
-     "self._maybe_fault(region, offset, width, node_id)", "None"),
-    ("drop an atomic's atlas touch", M, "_atomic_record", "_TEL.atlas.touch(addr, width)", "None"),
+     "self._maybe_fault(region, offset, 8, node_id)", "None"),
+    ("drop an atomic's atlas touch", M, "_atomic_record", "_TEL.atlas.touch(addr, 8)", "None"),
     ("drop the write-back count", M, "_write_back",
      '_TEL.count(node_id, _SUB, "cache.writeback_lines", written)', "None"),
     ("vectorize a batch whose issuer's port is severed", M, "_bulk_plan",

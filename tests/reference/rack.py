@@ -302,44 +302,42 @@ class ReferenceRack:
 
     # -- atomics -------------------------------------------------------------
 
-    def _atomic(self, node_id, addr, width):
-        if width not in (1, 2, 4, 8):
-            raise ValueError(f"atomic width {width}")
-        if addr % width:
-            raise ValueError(f"atomic at {addr:#x} not {width}-byte aligned")
-        node, region = self._gate(node_id, addr, width)
+    def _atomic(self, node_id, addr):
+        if addr % 8:
+            raise ValueError(f"atomic at {addr:#x} not 8-byte aligned")
+        node, region = self._gate(node_id, addr, 8)
         node.clock += self.lat.global_atomic_ns if region.owner is None else self.lat.local_atomic_ns
         self._count(node_id, "atomic.global" if region.owner is None else "atomic.local")
-        self._touch(addr, width)
+        self._touch(addr, 8)
         if node.lines.pop(addr & -self.line, None) is not None:
             node.stats["invalidations"] += 1
         offset = addr - region.base
-        self._roll(node_id, region, offset, width)
-        self._check_poison(region, offset, width, node_id)
-        word = slice(offset, offset + width)
-        return region.bytes, word, int.from_bytes(region.bytes[word], "little"), (1 << 8 * width) - 1
+        self._roll(node_id, region, offset, 8)
+        self._check_poison(region, offset, 8, node_id)
+        word = slice(offset, offset + 8)
+        return region.bytes, word, int.from_bytes(region.bytes[word], "little")
 
-    def atomic_load(self, node_id, addr, width=8):
-        return self._atomic(node_id, addr, width)[2]
+    def atomic_load(self, node_id, addr):
+        return self._atomic(node_id, addr)[2]
 
-    def atomic_store(self, node_id, addr, value, width=8):
-        mem, word, _, mask = self._atomic(node_id, addr, width)
-        mem[word] = (value & mask).to_bytes(width, "little")
+    def atomic_store(self, node_id, addr, value):
+        mem, word, _ = self._atomic(node_id, addr)
+        mem[word] = (value % 2**64).to_bytes(8, "little")
 
-    def atomic_swap(self, node_id, addr, new, width=8):
-        mem, word, old, mask = self._atomic(node_id, addr, width)
-        mem[word] = (new & mask).to_bytes(width, "little")
+    def atomic_swap(self, node_id, addr, new):
+        mem, word, old = self._atomic(node_id, addr)
+        mem[word] = (new % 2**64).to_bytes(8, "little")
         return old
 
-    def atomic_fetch_add(self, node_id, addr, delta, width=8):
-        mem, word, old, mask = self._atomic(node_id, addr, width)
-        mem[word] = ((old + delta) & mask).to_bytes(width, "little")
+    def atomic_fetch_add(self, node_id, addr, delta):
+        mem, word, old = self._atomic(node_id, addr)
+        mem[word] = ((old + delta) % 2**64).to_bytes(8, "little")
         return old
 
-    def atomic_cas(self, node_id, addr, expected, new, width=8):
-        mem, word, old, mask = self._atomic(node_id, addr, width)
+    def atomic_cas(self, node_id, addr, expected, new):
+        mem, word, old = self._atomic(node_id, addr)
         if old == expected:
-            mem[word] = (new & mask).to_bytes(width, "little")
+            mem[word] = (new % 2**64).to_bytes(8, "little")
         return old == expected, old
 
     # -- bulk calls: the loop ------------------------------------------------
@@ -367,10 +365,10 @@ class ReferenceRack:
         if size > 0:
             self.store(node_id, addr, bytes([value & 0xFF]) * size, bypass_cache=bypass_cache)
 
-    def atomic_load_many(self, node_id, addrs, width=8):
-        return [self.atomic_load(node_id, a, width) for a in addrs]
+    def atomic_load_many(self, node_id, addrs):
+        return [self.atomic_load(node_id, a) for a in addrs]
 
-    def atomic_store_many(self, node_id, addrs, values, width=8):
+    def atomic_store_many(self, node_id, addrs, values):
         if not addrs:
             return
         if isinstance(values, int):
@@ -378,19 +376,19 @@ class ReferenceRack:
         elif len(values) != len(addrs):
             raise ValueError("one value per address")
         for a, v in zip(addrs, values):
-            self.atomic_store(node_id, a, v, width)
+            self.atomic_store(node_id, a, v)
 
-    def atomic_fetch_add_many(self, node_id, addrs, deltas=1, width=8):
+    def atomic_fetch_add_many(self, node_id, addrs, deltas=1):
         if isinstance(deltas, int):
             deltas = [deltas] * len(addrs)
         elif len(deltas) != len(addrs):
             raise ValueError("one delta per address")
-        return [self.atomic_fetch_add(node_id, a, d, width) for a, d in zip(addrs, deltas)]
+        return [self.atomic_fetch_add(node_id, a, d) for a, d in zip(addrs, deltas)]
 
-    def atomic_cas_many(self, node_id, addrs, expected, new, width=8):
+    def atomic_cas_many(self, node_id, addrs, expected, new):
         if not len(expected) == len(new) == len(addrs):
             raise ValueError("one expected and one new value per address")
-        return [self.atomic_cas(node_id, a, e, v, width) for a, e, v in zip(addrs, expected, new)]
+        return [self.atomic_cas(node_id, a, e, v) for a, e, v in zip(addrs, expected, new)]
 
     # -- maintenance ---------------------------------------------------------
 

@@ -4,8 +4,8 @@ A Hypothesis state machine drives one random sequence of operations through
 a :class:`RackMachine` and through :class:`~tests.reference.rack.ReferenceRack`
 (2-3 nodes, caches of 1, 2 or 8 lines, DRAM or PMEM pool, direct or switched
 fabric, round, awkward or decimal latencies): cached and bypass loads and stores over
-one to three unaligned lines, the five atomics at every width on local and
-global memory, flush / invalidate / flush_invalidate / flush_all / fence, the
+one to three unaligned lines, the five word atomics (aligned or not) on local
+and global memory, flush / invalidate / flush_invalidate / flush_all / fence, the
 bulk calls on a held slot window and by address vector (repeats included),
 the batched atomics (duplicates included), bursts of cached ops over a few
 hot lines, poison and ``repair_write``, crash and restart, clocks reset to
@@ -73,7 +73,6 @@ nodes = st.sampled_from([0, 0, 1, 2])  # node 0 most: its cache sees the interpl
 places = st.tuples(st.integers(0, 13), st.one_of(st.integers(0, 2 * LINE), st.integers(0, 4095)),
                    st.integers(0, 7))
 spans = st.one_of(st.integers(1, 16), st.integers(1, 3 * LINE))
-widths = st.sampled_from([1, 2, 4, 8])
 words = st.integers(0, (1 << 64) - 1)
 slots = st.lists(st.integers(0, 7), max_size=6)
 counts = st.integers(1, 10)  # a batch of slots i * 5 % n, i < count (DESIGN §10's repeats)
@@ -157,17 +156,17 @@ class RackVsReference(RuleBasedStateMachine):
         self._both(lambda: self.m.store(node, addr, data, bypass_cache=bypass),
                    lambda: self.ref.store(node, addr, data, bypass_cache=bypass))
 
-    @rule(node=nodes, place=places, width=widths, misaligned=st.integers(0, 7),
+    @rule(node=nodes, place=places, misaligned=st.integers(0, 7),
           op=st.sampled_from(["atomic_load", "atomic_store", "atomic_swap",
                               "atomic_fetch_add", "atomic_cas"]),
           a=words, b=words)
-    def atomic(self, node, place, width, misaligned, op, a, b):
+    def atomic(self, node, place, misaligned, op, a, b):
         node = self._node(node)
         addr = self._addr(node, place, 8) + (misaligned == 7)
         # a CAS expecting 0 swaps on untouched memory; a random expectation mostly fails
         args = {"atomic_load": (), "atomic_cas": (a if b % 2 else 0, b)}.get(op, (a,))
-        self._both(lambda: getattr(self.m, op)(node, addr, *args, width=width),
-                   lambda: getattr(self.ref, op)(node, addr, *args, width=width))
+        self._both(lambda: getattr(self.m, op)(node, addr, *args),
+                   lambda: getattr(self.ref, op)(node, addr, *args))
 
     @rule(node=nodes, place=places, size=spans,
           op=st.sampled_from(["flush", "invalidate", "flush_invalidate"]))
@@ -241,19 +240,18 @@ class RackVsReference(RuleBasedStateMachine):
             self._both(lambda: self.m.load_many(node, window.at(idx), size, bypass_cache=True, concat=concat),
                        lambda: self.ref.load_many(node, addrs, size, bypass_cache=True, concat=concat))
 
-    @rule(node=nodes, place=places, width=widths, idx=slots, store=st.booleans(),
-          broadcast=st.booleans(), value=words)
-    def atomic_many(self, node, place, width, idx, store, broadcast, value):
+    @rule(node=nodes, place=places, idx=slots, store=st.booleans(), broadcast=st.booleans(), value=words)
+    def atomic_many(self, node, place, idx, store, broadcast, value):
         node = self._node(node)
         base = self._addr(node, place, 8)
-        addrs = [base + i * width for i in idx]
+        addrs = [base + i * 8 for i in idx]
         if store:
             values = value if broadcast else [value + i for i in range(len(addrs))]
-            self._both(lambda: self.m.atomic_store_many(node, addrs, values, width),
-                       lambda: self.ref.atomic_store_many(node, addrs, values, width))
+            self._both(lambda: self.m.atomic_store_many(node, addrs, values),
+                       lambda: self.ref.atomic_store_many(node, addrs, values))
         else:
-            self._both(lambda: self.m.atomic_load_many(node, addrs, width),
-                       lambda: self.ref.atomic_load_many(node, addrs, width))
+            self._both(lambda: self.m.atomic_load_many(node, addrs),
+                       lambda: self.ref.atomic_load_many(node, addrs))
 
     # -- poison, repair, crashes, regions ------------------------------------
 
@@ -363,12 +361,12 @@ class RackVsReference(RuleBasedStateMachine):
         read-modify-write of ``size % 10`` words (repeats chain)."""
         node = self._node(node)
         src = self.recent[0] if self.recent else GLOBAL_BASE
-        addr, count, width = self._addr(node, place, 8), size % 10, 1 << size % 4
-        batch = [addr + i * 5 % 8 * width for i in range(count)]
+        addr, count = self._addr(node, place, 8), size % 10
+        batch = [addr + i * 5 % 8 * 8 for i in range(count)]
         args = {"copy": (addr, src, size), "fill": (addr, size, value),
                 "atomic_cas_many": (batch, [0 if i % 2 else value for i in range(count)],  # 0: untouched
-                                    [value + i for i in range(count)], width),
-                "atomic_fetch_add_many": (batch, value if bypass else [value + i for i in range(count)], width),
+                                    [value + i for i in range(count)]),
+                "atomic_fetch_add_many": (batch, value if bypass else [value + i for i in range(count)]),
                 }[op]
         self._same(node, op, *args, **{"bypass_cache": bypass} if op in ("copy", "fill") else {})
 
@@ -405,16 +403,16 @@ class RackVsReference(RuleBasedStateMachine):
         hit = poison >= 0 and self._poison_at(base + poison % n * slot + poison % slot)
         self._through(node, count, store, [poison % n] if hit else [])
 
-    @rule(node=nodes, place=places, width=widths, count=counts, store=st.booleans(), value=words)
-    def atomics_on_resident(self, node, place, width, count, store, value):
+    @rule(node=nodes, place=places, count=counts, store=st.booleans(), value=words)
+    def atomics_on_resident(self, node, place, count, store, value):
         """Cache a line on the issuer, then a batched atomic over distinct
         words of it: each op drops the line, as the loop does."""
         node = self._node(node)
         base = self._addr(node, place, LINE)
-        addrs = [base + i * width for i in range(count)]
+        addrs = [base + i * 8 for i in range(count)]
         self._same(node, "load", base, 8)
         op, *args = ("atomic_store_many", addrs, value) if store else ("atomic_load_many", addrs)
-        self._same(node, op, *args, width)
+        self._same(node, op, *args)
 
     @rule(node=nodes, place=places, at=st.integers(0, 3 * LINE - 1))
     def heal(self, node, place, at):

@@ -65,8 +65,9 @@ class TestAggregator:
         assert frame2.hists[(0, "s", "lat")].count == 1
 
     def test_rejects_nonpositive_window(self, reg):
-        with pytest.raises(ValueError, match="window_ns"):
-            WindowAggregator(reg, window_ns=0.0)
+        for bad in (0.0, float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="WindowAggregator.window_ns must be a finite number > 0"):
+                WindowAggregator(reg, window_ns=bad)
 
     def test_aggregation_never_touches_clocks(self):
         from repro.bench import build_rig
