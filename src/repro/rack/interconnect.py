@@ -147,8 +147,8 @@ class VniTable:
         registration, so a seeded run assigns identical tags."""
         if name in self._by_name:
             raise VniError(f"tenant {name!r} already holds VNI {self._by_name[name]}")
-        if weight <= 0:
-            raise VniError(f"VNI weight must be positive, got {weight}")
+        if not 0 < weight < math.inf:  # NaN would make every over_share False
+            raise VniError(f"VNI weight must be finite and positive, got {weight}")
         vni = len(self._names)
         self._by_name[name] = vni
         self._names.append(name)

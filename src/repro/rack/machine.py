@@ -77,17 +77,14 @@ class SlotWindow:
     """``n`` consecutive ``size``-byte slots at physical ``base``, resolved
     once per ``AddressMap.generation`` to ``region``, device ``offset`` and
     ``slots`` (:func:`_slots` of exactly those bytes); ``region`` is ``None``
-    while the span is not one mapped window.  ``stamp`` is the scatter's
-    last-writer scratch, all -1 between calls.  (DESIGN.md §10)"""
+    while the span is not one mapped window.  (DESIGN.md §10)"""
 
-    __slots__ = ("address_map", "base", "n", "size", "stamp",
-                 "generation", "region", "offset", "slots")
+    __slots__ = ("address_map", "base", "n", "size", "generation", "region", "offset", "slots")
 
     def __init__(self, address_map: AddressMap, base: int, n: int, size: int) -> None:
         if n < 1 or size < 1:
             raise ValueError(f"a slot window needs n >= 1 and size >= 1, got n={n} size={size}")
         self.address_map, self.base, self.n, self.size = address_map, base, n, size
-        self.stamp = np.full(n, -1, dtype=np.int64)
         self.resolve()
 
     def resolve(self) -> None:
@@ -338,8 +335,8 @@ class RackMachine:
     # Every bulk API *is* a loop of single ops: returned bytes, charged
     # simulated ns, cache state, fault-log contents and telemetry
     # counters are those of issuing each access alone.  The entry points
-    # with traffic — bypass ``load_many``, packed bypass ``store_many`` on a
-    # held :class:`SlotWindow`, ``atomic_load_many`` / ``atomic_store_many``
+    # with traffic — bypass ``load_many``, bypass ``store_many`` of a held
+    # :class:`SlotWindow`'s row table, ``atomic_load_many`` / ``atomic_store_many``
     # — amortise host CPU when :meth:`_bulk_plan` finds the batch to be
     # slots of one clean window: one gather/scatter of slots, one uniform
     # charge vector (``np.add.accumulate`` is a strict left fold, so the
@@ -392,14 +389,37 @@ class RackMachine:
 
         ``data`` is one payload per address, or — when ``size`` is given
         — a single packed buffer of ``len(addrs) * size`` bytes (``bytes``
-        or a flat uint8 array, e.g. ``rows.reshape(-1)``; the
-        write-side twin of ``load_many(..., concat=True)``).  Equivalent
-        to a loop of :meth:`store`; a packed bypass batch on a
-        :class:`SlotRef` whose window is clean is one scatter.  Per-payload
-        batches need not share one size.
+        or a flat uint8 array; the write-side twin of
+        ``load_many(..., concat=True)``).  Given a :class:`SlotRef`, ``data``
+        is the window's row table instead: ``n * size`` bytes, ``size`` the
+        slot size, and op ``i`` writes row ``idx[i]`` into slot ``idx[i]``.
+        Equivalent to a loop of :meth:`store`; a bypass batch on a clean
+        window is one scatter.  Per-payload batches need not share one size.
         """
         n = len(addrs)
-        if size is None:
+        if type(addrs) is SlotRef:
+            window = addrs.window
+            if size != window.size or len(data) != window.n * size:
+                raise ValueError(
+                    f"store_many on a window of {window.n} x {window.size}B slots got size "
+                    f"{size} and a row table of {len(data)} bytes"
+                )
+            plan = self._bulk_plan(node_id, addrs, size) if bypass_cache else None
+            try:  # a table numpy cannot view as rows in place goes to the loop
+                rows = None if plan is None else np.frombuffer(data, dtype=plan[1].dtype)
+            except (TypeError, ValueError, BufferError):
+                rows = None
+            if rows is not None:
+                # a slot's writers all write its one row, so the order numpy
+                # assigns repeats in cannot matter; the plan proved no poison
+                # in the window, so skipping per-op clear_poison is exact
+                region, slots, idx = plan
+                slots[idx] = rows.take(idx)
+                self._bulk_epilogue(node_id, addrs, size, region, "bypass.store")
+                return
+            table = bytes(data)
+            data = [table[k * size : (k + 1) * size] for k in addrs.idx.tolist()]
+        elif size is None:
             if len(data) != n:
                 raise ValueError(f"store_many got {n} addresses but {len(data)} payloads")
         else:
@@ -410,9 +430,6 @@ class RackMachine:
                     f"store_many got {n} addresses but a packed buffer of "
                     f"{len(data)} bytes (need {n * size})"
                 )
-            held = bypass_cache and type(addrs) is SlotRef
-            if held and self._bulk_bypass_store(node_id, addrs, data, size):
-                return
             data = _split(bytes(data), size)
         for a, d in zip(_ints(addrs), data):
             self.store(node_id, a, d, bypass_cache=bypass_cache)
@@ -869,38 +886,6 @@ class RackMachine:
         if is_global and not self.fabric.reachable(node_id):
             return None
         return region, slots, idx
-
-    def _bulk_bypass_store(self, node_id: int, ref: SlotRef, packed, size: int) -> bool:
-        """Vectorized non-temporal scatter of a packed buffer into slots of
-        a held window; False means go sequential (the plan refused).
-
-        Every op charges, counts and touches the atlas; only the last
-        writer of each slot reaches the device.  Slots coincide or are
-        disjoint, so that is the highest op index stamped on the slot:
-        ``np.maximum.at`` is specified for repeated indices, and every
-        writer of a slot then writes that op's payload, so the order numpy
-        assigns repeats in cannot matter.
-        """
-        plan = self._bulk_plan(node_id, ref, size)
-        if plan is None:
-            return False
-        region, slots, idx = plan
-        try:
-            payload = np.frombuffer(packed, dtype=slots.dtype)
-        except (TypeError, ValueError, BufferError):
-            return False
-        stamp = ref.window.stamp
-        order = np.arange(len(idx))
-        np.maximum.at(stamp, idx, order)
-        last = stamp.take(idx)
-        stamp[idx] = -1
-        if np.count_nonzero(last != order):  # no repeat (a preload): no copy either
-            payload = payload.take(last)
-        # plan proved no poison in the window: per-op clear_poison would be
-        # a no-op, so skipping it is exact
-        slots[idx] = payload
-        self._bulk_epilogue(node_id, ref, size, region, "bypass.store")
-        return True
 
     def _bulk_atomic_plan(
         self, node_id: int, addrs: Sequence[int]

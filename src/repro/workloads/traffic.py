@@ -102,6 +102,7 @@ class TenantSpec:
         # event time, a mix no draw can produce, or 100% silent shedding
         for name, legal, ok in (
             ("rate_rps", "finite and > 0", 0 < self.rate_rps < math.inf),
+            ("weight", "finite and > 0", 0 < self.weight < math.inf),
             ("get_ratio", "in [0,1]", 0.0 <= self.get_ratio <= 1.0),
             ("max_backlog_ns", ">= 0 (inf: never shed)", self.max_backlog_ns >= 0.0),
             ("n_keys", "an integer >= 1", _whole(self.n_keys)),
@@ -226,9 +227,10 @@ class DataPlaneBackend:
     (its namespace); key ``k`` lives at ``slab + k*value_size``.  The
     slab is mapped once and never moves, so the tenant holds it as one
     resolved :class:`~repro.rack.machine.SlotWindow`: the preload and
-    every batch — one ``load_many`` for the GETs, one packed
-    ``store_many`` for the SETs — name slots of it, and nothing is
-    looked up per batch.
+    every batch — one ``load_many`` for the GETs, one ``store_many`` for
+    the SETs — name slots of it, and nothing is looked up per batch.  A
+    SET rewrites its key's own value, so every ``store_many`` hands over
+    the same row table (the preloaded values) and nothing is assembled.
     """
 
     def __init__(self, kernel) -> None:
@@ -272,9 +274,8 @@ class DataPlaneBackend:
         if len(gets):
             ctx.load_many(window.at(gets), size, bypass_cache=True, concat=True)
         if len(gets) < len(key_idx):
-            sets = key_idx[~is_get]
-            payload = st.backend_state[1].take(sets, axis=0).reshape(-1)
-            ctx.store_many(window.at(sets), payload, size=size, bypass_cache=True)
+            table = st.backend_state[1].reshape(-1)
+            ctx.store_many(window.at(key_idx[~is_get]), table, size=size, bypass_cache=True)
         return len(key_idx) * size
 
 
@@ -300,6 +301,11 @@ class TrafficEngine:
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
+        # refused here, by name: a negative window re-arms every wake at its
+        # own instant, NaN breaks the event heap, inf refills arrivals forever
+        if not (finite(batch_window_ns) and batch_window_ns >= 0):
+            raise ValueError(f"{type(self).__name__}.batch_window_ns must be a finite "
+                             f"number >= 0, got {batch_window_ns!r}")
         self.kernel = kernel
         self.machine = kernel.machine
         self.events = kernel.events

@@ -265,18 +265,20 @@ def _payload(seed: int, n: int, size: int) -> np.ndarray:
 
 def _slot_call(m, window, op, idx, seed, slot_form, node=0, size=None):
     """One bypass batch on slots ``idx``: through the held window, or as the
-    loop of single ops it stands for."""
+    loop of single ops it stands for.  A store writes rows of the table
+    ``_payload(seed, n, size)``: op ``i`` writes row ``idx[i]`` into slot
+    ``idx[i]``."""
     size = window.size if size is None else size
+    rows = _payload(seed, window.n, size)
     if slot_form:
         if op == "load":
             return m.load_many(node, window.at(idx), size, bypass_cache=True, concat=True)
-        packed = _payload(seed, len(idx), size).reshape(-1)
-        return m.store_many(node, window.at(idx), packed, size=size, bypass_cache=True)
+        return m.store_many(node, window.at(idx), rows.reshape(-1), size=size, bypass_cache=True)
     addrs = [window.base + i * window.size for i in idx]
     if op == "load":
         return b"".join(m.load(node, a, size, bypass_cache=True) for a in addrs)
-    for a, row in zip(addrs, _payload(seed, len(idx), size)):
-        m.store(node, a, row.tobytes(), bypass_cache=True)
+    for a, k in zip(addrs, idx):
+        m.store(node, a, rows[k].tobytes(), bypass_cache=True)
 
 
 def _poison_slot(k):
@@ -293,7 +295,7 @@ class _Held(NamedTuple):
     single_loads: int  # single ops a load batch on slots _IDX issues
     single_stores: int  # ... and a store batch
     error: Optional[str] = None  # what the load batch raises
-    store_error: Optional[str] = None
+    store_error: Optional[str] = None  # "ValueError": refused before any op
     prepare: Callable = lambda m, w: None
     faults: Optional[FaultModel] = None
     owner: Optional[int] = None  # the window's region: global, or a node's local memory
@@ -315,7 +317,8 @@ _HELD = {
     # each op's charge raises: at op 0, before its write
     "severed_port": _Held(1, 1, "InterconnectError", "InterconnectError",
                           prepare=lambda m, w: m.sever_node_link(0)),
-    "size_other_than_the_slot_size": _Held(7, 7, size=4),
+    # a load replays as the loop; a store's row table names slots, so it is refused
+    "size_other_than_the_slot_size": _Held(7, 0, store_error="ValueError", size=4),
     "empty_batch": _Held(0, 0, idx=()),
     "clean": _Held(0, 0),
     "clean_node_local": _Held(0, 0, owner=0),
@@ -329,8 +332,8 @@ _HELD = {
 def test_held_window_or_the_loop(name):
     """The held window's refusals, counted: each replays as the loop of
     single ops with the same ops reached, outcome and state; a clean window
-    issues none — also right after the address map's generation moved — and
-    leaves the window's last-writer stamp all -1."""
+    issues none — also right after the address map's generation moved.  A
+    refused store issues nothing and leaves everything as it was."""
     row = _HELD[name]
     for op, n_singles, error in (("load", row.single_loads, row.error),
                                  ("store", row.single_stores, row.store_error)):
@@ -341,15 +344,12 @@ def test_held_window_or_the_loop(name):
             return window
 
         def issue(slot_form):
-            def run(m, w):
-                out = _slot_call(m, w, op, row.idx, 11, slot_form, size=row.size)
-                assert (w.stamp == -1).all()
-                return out
-            return run
+            return lambda m, w: _slot_call(m, w, op, row.idx, 11, slot_form, size=row.size)
 
+        refused = error == "ValueError"
         singles, slot = _watched(prepare, issue(True), row.faults)
-        looped, loop = _watched(prepare, issue(False), row.faults)
-        assert slot == loop, op
+        looped, loop = _watched(prepare, (lambda m, w: None) if refused else issue(False), row.faults)
+        assert slot[1:] == loop[1:] and (refused or slot == loop), op
         assert len(singles) == n_singles and singles == (looped if n_singles else []), op
         assert slot[0][0] == (error or "ok"), op
         if row.faults is not None:
@@ -361,10 +361,10 @@ def test_moved_address_map_re_resolves_the_held_window():
     window = _window(m, 16, 64)
     generation, slots = window.generation, window.slots
     _map_another_region(m, window)
-    m.store_many(0, window.at([3, 3]), _payload(1, 2, 64).reshape(-1), size=64, bypass_cache=True)
+    m.store_many(0, window.at([3, 3]), _payload(1, 16, 64).reshape(-1), size=64, bypass_cache=True)
     assert window.generation == m.address_map.generation == generation + 1
     assert window.slots is not slots and window.slots.tobytes() == slots.tobytes()
-    assert m.load(0, window.base + 3 * 64, 64, bypass_cache=True) == _payload(1, 2, 64)[1].tobytes()
+    assert m.load(0, window.base + 3 * 64, 64, bypass_cache=True) == _payload(1, 16, 64)[3].tobytes()
 
 
 def test_unmapped_window_is_the_loop_that_raises():
@@ -387,10 +387,45 @@ def test_slot_index_outside_the_window_is_an_index_error(bad):
     with pytest.raises(IndexError):
         m.load_many(0, window.at([0, bad, 1]), 8, bypass_cache=True)
     with pytest.raises(IndexError):
-        m.store_many(0, window.at([bad]), b"\xff" * 8, size=8, bypass_cache=True)
+        m.store_many(0, window.at([bad]), b"\xff" * 256, size=8, bypass_cache=True)
     assert _state(m) == before
     with pytest.raises(ValueError):
         window.at([[0, 1], [2, 3]])
+
+
+@pytest.mark.parametrize("table, size", [
+    (bytes(255), 8), (bytes(264), 8),  # one byte short, one row long
+    (bytes(16), 8),                    # the batch's rows packed: the old meaning of ``data``
+    (bytes(128), 4), (bytes(256), None),
+])
+def test_a_slot_store_of_anything_but_the_row_table_is_refused(table, size):
+    """A slot-form store takes the window's whole row table at its slot size:
+    anything else is a ``ValueError`` before any op, cached or bypass."""
+    m = RackMachine(_config())
+    window = _window(m, 32, 8)
+    _slot_call(m, window, "store", range(32), 5, True)
+    before = _state(m)
+    for bypass in (True, False):
+        with pytest.raises(ValueError, match="row table"):
+            m.store_many(0, window.at([0, 3]), table, size=size, bypass_cache=bypass)
+    assert _state(m) == before
+
+
+def test_a_cached_slot_store_is_the_loop_of_its_rows():
+    """Through the cache the slot form is the loop: op ``i`` stores row
+    ``idx[i]`` of the table into slot ``idx[i]``, once per op, in op order."""
+    idx, rows = [4, 1, 7, 1, 9, 4, 4], _payload(3, 32, 8)
+
+    def slot(m, w):
+        m.store_many(0, w.at(idx), rows.reshape(-1), size=8)
+
+    def loop(m, w):
+        for k in idx:
+            m.store(0, w.base + 8 * k, rows[k].tobytes())
+
+    singles, slotted = _watched(lambda m: _window(m, 32, 8), slot)
+    looped, loop_state = _watched(lambda m: _window(m, 32, 8), loop)
+    assert slotted == loop_state and singles == looped and len(singles) == len(idx)
 
 
 @pytest.mark.parametrize("n, size", [(0, 8), (-4, 8), (4, 0), (-4, -64)])
@@ -423,7 +458,7 @@ def test_empty_slot_batch_leaves_no_trace():
     try:
         m = RackMachine(_config())
         window = _window(m, 4, 8)
-        m.store_many(0, window.at([]), b"", size=8, bypass_cache=True)
+        m.store_many(0, window.at([]), bytes(32), size=8, bypass_cache=True)
         assert m.load_many(0, window.at([]), 8, bypass_cache=True, concat=True) == b""
         assert not telemetry.TELEMETRY.registry.counters and m.now(0) == 0.0
     finally:

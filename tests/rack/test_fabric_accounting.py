@@ -22,6 +22,7 @@ from repro.rack.interconnect import (
     Interconnect,
     InterconnectError,
     LinkTable,
+    VniError,
     VniTable,
     link_id,
 )
@@ -131,6 +132,16 @@ class TestFairShareEdges:
         assert t.saturated()
         assert not t.over_share(quiet)
         assert t.over_share(loud)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_weight_that_is_not_finite_and_positive_is_refused(self, weight):
+        """A NaN weight made ``rate * sum(weights)`` NaN for every VNI, so a
+        saturating neighbour read ``over_share`` False: refused at register."""
+        t = VniTable(capacity_bytes_per_s=1e6)
+        t.register("loud")
+        with pytest.raises(VniError, match="finite and positive"):
+            t.register("odd", weight=weight)
+        assert t._weights == [1.0]
 
     def test_registration_order_gives_dense_deterministic_ids(self):
         names = ["c", "a", "b"]

@@ -79,6 +79,14 @@ MUTANTS = [
      "addr + 8 <= end and node.alive", "addr + 8 <= end"),
     ("the atomic hit path skips its line drop", M, "atomic_load",
      "node.cache._lines.pop(addr & ~self._line_mask, None)", "None"),
+    ("a held store writes its rows in sorted-slot order", M, "store_many",
+     "slots[idx] = rows.take(idx)", "slots[np.sort(idx)] = rows.take(idx)"),
+    ("a held store reads the row table as the batch's packed rows", M, "store_many",
+     "slots[idx] = rows.take(idx)", "slots[idx] = rows[: len(idx)]"),
+    ("a held store's fold charges one op fewer", M, "store_many",
+     '_bulk_epilogue(node_id, addrs, size,', '_bulk_epilogue(node_id, addrs.window.at(addrs.idx[1:]), size,'),
+    ("a held store's loop writes its rows in sorted-slot order", M, "store_many",
+     "for k in addrs.idx.tolist()]", "for k in sorted(addrs.idx.tolist())]"),
 ]
 
 

@@ -231,10 +231,11 @@ class RackVsReference(RuleBasedStateMachine):
         window, base, slot = self.windows[pick % len(self.windows)]
         idx = [i % window.n for i in idx]
         addrs = [base + i * slot for i in idx]
-        if store:
-            data = self._payload(slot * len(idx))
-            self._both(lambda: self.m.store_many(node, window.at(idx), data, bypass_cache=True, size=slot),
-                       lambda: self.ref.store_many(node, addrs, data, bypass_cache=True, size=slot))
+        if store:  # the rack gets the window's row table, the reference the rows it names
+            table = self._payload(slot * window.n)
+            rows = b"".join(table[i * slot : (i + 1) * slot] for i in idx)
+            self._both(lambda: self.m.store_many(node, window.at(idx), table, bypass_cache=True, size=slot),
+                       lambda: self.ref.store_many(node, addrs, rows, bypass_cache=True, size=slot))
         else:
             size = slot if same_size else slot // 2
             self._both(lambda: self.m.load_many(node, window.at(idx), size, bypass_cache=True, concat=concat),

@@ -44,7 +44,10 @@ one smoke ``traffic-read`` rep (4 tenants, 100,257 offered requests in 245
 batches): a tenant's slab is a window resolved once (EXPERIMENTS E28), so
 a batch sorts nothing — ``ndarray.argsort`` 245 → 0 — and reduces only
 its index bound and the engine's own sums — ``ufunc.reduce`` 1,968 → 996.
-A per-batch min/max or last-writer sort coming back is +245 or more.
+A per-batch min/max or last-writer sort coming back is +245 or more.  On
+one smoke ``traffic-write`` rep (2 tenants, 40,094 offered requests), a SET
+batch hands over its tenant's row table and runs no last-writer pass
+(EXPERIMENTS E42): ``ufunc.at`` 318 → 0, ``ndarray.take`` 1,053 → 477.
 
 **Imports.**  A benchmark process must not load ``networkx`` or ``scipy``:
 the fabric graph is ours (E27: 15 MB of every workload's resident set and
@@ -182,19 +185,31 @@ def test_fig4_request_stays_inside_its_bytecode_budget(transport):
     )
 
 
+def _builtin(stats, method):
+    """C-level calls of ``method``: cProfile files them under "~"."""
+    return sum(n_calls for (filename, _line, name), (_prim, n_calls, *_) in stats.items()
+               if filename == "~" and method in name)
+
+
 def test_traffic_read_rep_sorts_nothing_and_reduces_once_per_reference():
     outcome, stats = _profiled_smoke_rep("traffic-read")
     assert outcome.offered == 100_257
-
-    def builtin(method):  # C-level calls: cProfile files them under "~"
-        return sum(n_calls for (filename, _line, name), (_prim, n_calls, *_) in stats.items()
-                   if filename == "~" and method in name)
-
-    assert builtin("'argsort' of 'numpy.ndarray'") == 0, "a per-batch sort came back"
-    reduces = builtin("'reduce' of 'numpy.ufunc'")
+    assert _builtin(stats, "'argsort' of 'numpy.ndarray'") == 0, "a per-batch sort came back"
+    reduces = _builtin(stats, "'reduce' of 'numpy.ufunc'")
     assert reduces <= 1_045, (
         f"{reduces:,} ufunc.reduce calls for one traffic-read smoke rep (996 when "
         f"written, 1,968 before the held window): a per-batch min/max came back"
+    )
+
+
+def test_traffic_write_rep_runs_no_last_writer_pass():
+    outcome, stats = _profiled_smoke_rep("traffic-write")
+    assert outcome.offered == 40_094
+    assert _builtin(stats, "'at' of 'numpy.ufunc'") == 0, "a last-writer pass came back"
+    takes = _builtin(stats, "'take' of 'numpy.ndarray'")
+    assert takes <= 481, (
+        f"{takes:,} ndarray.take calls for one traffic-write smoke rep (477 when "
+        f"written, 1,053 with per-batch payload assembly): a per-batch row copy came back"
     )
 
 

@@ -172,6 +172,9 @@ class TestAdmission:
         ("rate_rps", float("inf")),
         ("rate_rps", 0.0),
         ("rate_rps", -5.0),
+        ("weight", float("nan")),           # used to switch the link guard off: over_share NaN
+        ("weight", float("inf")),
+        ("weight", 0.0),                    # used to be the VNI table's error, at engine build
         ("n_keys", 0),                      # used to be the arena's "region size must be positive"
         ("n_keys", -4),
         ("n_keys", 1.5),                    # used to be a bare TypeError inside prepare
@@ -198,6 +201,27 @@ class TestAdmission:
         with pytest.raises(ValueError, match=rf"run: {bound} must be .*, got {re.escape(repr(value))}"):
             eng.run(**kwargs)
         assert rig.kernel.events.now_ns == 0.0 and eng.total_offered == 0
+
+    @pytest.mark.parametrize("window", [
+        -1.0,            # run() never returned: every wake re-armed at its own instant
+        float("nan"),    # EventCoreError out of _arm
+        float("inf"),    # refilled arrivals forever
+        "2e5",
+    ])
+    def test_hostile_batch_window_is_refused_naming_it(self, window):
+        rig = build_rig()
+        with pytest.raises(ValueError, match=rf"TrafficEngine.batch_window_ns must be .*, "
+                                             rf"got {re.escape(repr(window))}"):
+            TrafficEngine(rig.kernel, [TenantSpec(name="web", rate_rps=1_000.0)],
+                          batch_window_ns=window)
+        assert not rig.machine.fabric.vnis._names  # before any tenant is registered
+
+    def test_zero_batch_window_is_legal_and_serves(self):
+        rig = build_rig()
+        eng = TrafficEngine(rig.kernel, [TenantSpec(name="web", rate_rps=100_000.0)],
+                            seed=3, batch_window_ns=0)
+        t = eng.run(max_requests=500).tenants["web"]
+        assert t["offered"] >= 500 and t["admitted"] > 0
 
     def test_infinite_backlog_bound_is_legal_and_never_sheds(self):
         rig = build_rig()
