@@ -37,10 +37,9 @@ EXECUTED = ROOT / "benchmarks" / "results" / "executed.txt"
 #: errors, input refusals and repair sources, and ``repr``.
 KINDS = r"item \d+|branch [\w.]+|guard|repr"
 _LABELS = {
-    # the tracer's TABLE binds these (item 1's debts); 1(d)'s overload workload will launch hedges
+    # the tracer's TABLE binds these (item 1's debts)
     "item 1": "RackMachine.copy RackMachine.fill RackMachine.flush_invalidate RackMachine.atomic_load_many "
-              "RackMachine.atomic_fetch_add_many RackMachine.atomic_cas_many VniTable.over_share "
-              "ResilientTrafficEngine._launch_hedge _HedgeOp _batch_p99",
+              "RackMachine.atomic_fetch_add_many RackMachine.atomic_cas_many VniTable.over_share",
     "item 2": "RackMachine.flush_all NodeCache.flush_all",
     "item 3": "SimClock.reset",  # the reference rack's rules rewind clocks
     "item 5": "OperationLog SpscRing LockedHashMap SharedVector GlobalSpinLock BoundedStaleCell VersionChain",
@@ -66,7 +65,7 @@ _LABELS = {
 }
 LABELS = {name: label for label, names in _LABELS.items() for name in names.split()}
 #: The most options (knobs that are not state) ``src`` may hold: a new one needs a caller, or a constant.
-OPTIONS_BOUND = 121
+OPTIONS_BOUND = 118
 
 _HOOK = '''\
 import atexit, os, sys, threading

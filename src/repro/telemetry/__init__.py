@@ -47,7 +47,7 @@ from .registry import (
     bucket_index,
     rate,
 )
-from .spans import STACK_PARENT, Span, TraceBuffer, validate_chrome_trace
+from .spans import Span, TraceBuffer, validate_chrome_trace
 
 RUN_SCHEMA = "repro.telemetry.run/1"
 
@@ -206,10 +206,8 @@ def span(name: str, ctx=None, node: int = RACK_WIDE, **args):
     clock stamps the span and its node becomes the span's node.  Without
     a context the span is rack-wide and timestamped with the parent's
     clock position (or zero at top level) — still deterministic.  Its
-    parent is the span on top of the stack; an operation whose causal
-    parent has already closed (a retry, a hedge) calls
-    ``TraceBuffer.begin(parent_id=)`` itself.  When tracing is off this
-    is a no-op that yields ``None``.
+    parent is the span on top of the stack.  When tracing is off this is
+    a no-op that yields ``None``.
     """
     t = TELEMETRY
     if not t.tracing:
@@ -240,7 +238,6 @@ __all__ = [
     "N_BUCKETS",
     "RACK_WIDE",
     "RUN_SCHEMA",
-    "STACK_PARENT",
     "Span",
     "TELEMETRY",
     "TENANT_PREFIX",

@@ -42,8 +42,8 @@ _GOOD = "admitted"
 _BAD = "resilience.lost"
 _TENANT_PREFIX = "traffic/"
 
-#: request-path spans whose failed outcome blames their target node
-_ATTEMPTS = ("traffic.attempt", "traffic.hedge")
+#: the request-path span whose failed outcome blames its target node
+_ATTEMPT = "traffic.attempt"
 
 
 def ground_truth(dump: dict) -> Tuple[Optional[float], Set[str]]:
@@ -85,7 +85,7 @@ def blame_set(dump: dict, t0: float) -> Set[str]:
             blame.add(f"node:{event.node}")
         elif kind == rec.BOOST:
             blame.update(f"page:{int(page):#x}" for page in row.get("pages", []))
-        elif (kind == rec.SPAN and row["name"] in _ATTEMPTS
+        elif (kind == rec.SPAN and row["name"] == _ATTEMPT
               and row["args"].get("outcome") == "failed"
               and row["args"].get("target") is not None):
             blame.add(f"node:{int(row['args']['target'])}")

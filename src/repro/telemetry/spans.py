@@ -2,8 +2,8 @@
 
 A *span* is one timed operation (``fs.read``, ``ipc.rpc.call``,
 ``chaos.step``) with a begin/end timestamp read from the issuing node's
-simulated clock.  Spans opened while another span is active are linked
-to it as children, so a run produces cause-linked trees: a chaos step
+simulated clock.  A span's parent is the span on top of the open-span
+stack when it begins, so a run produces cause-linked trees: a chaos step
 contains the repair it triggered contains the source reads the repair
 issued.
 
@@ -24,10 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-#: Sentinel for :meth:`TraceBuffer.begin`'s ``parent_id``: distinguishes
-#: "use the open-span stack" (default) from an explicit parent — which
-#: may legitimately be ``None`` (force a root span).
-STACK_PARENT = object()
 #: Paths :meth:`TraceBuffer.flame_summary` lists before it folds the rest into a count.
 FLAME_ROWS = 40
 
@@ -59,22 +55,15 @@ class TraceBuffer:
 
     # -- recording -------------------------------------------------------------
 
-    def begin(
-        self, name: str, node: int, start_ns: float, parent_id=STACK_PARENT, **args
-    ) -> Span:
-        """Open a span.  ``parent_id`` defaults to the top of the open-span
-        stack; pass an explicit span id (or ``None`` for a root) when the
-        causal parent is *not* the enclosing span — e.g. a hedge duplicate
-        fired later from the event heap, which must chain to the batch
-        span that launched it, not to whatever happens to be open."""
-        if parent_id is STACK_PARENT:
-            parent_id = self._stack[-1].span_id if self._stack else None
+    def begin(self, name: str, node: int, start_ns: float, **args) -> Span:
+        """Open a span; its parent is the top of the open-span stack (none:
+        a root)."""
         span = Span(
             span_id=self._next_id,
             name=name,
             node=node,
             start_ns=start_ns,
-            parent_id=parent_id,
+            parent_id=self._stack[-1].span_id if self._stack else None,
             args=tuple(sorted(args.items())),
         )
         self._next_id += 1

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..rack.params import finite
+
 
 def _fold_times(last_ns: float, gaps_ns: np.ndarray) -> np.ndarray:
     """Absolute times from gaps by a strict left fold seeded at ``last_ns``.
@@ -95,10 +97,14 @@ class DiurnalProcess(ArrivalProcess):
         seed: int = 0,
         start_ns: float = 0.0,
     ) -> None:
-        if not 0.0 <= amplitude < 1.0:
+        # NaN-proof: a NaN period or a non-finite phase makes the rate NaN,
+        # every thinning draw rejects, and a caller looping for arrivals hangs
+        if not (finite(amplitude) and 0.0 <= amplitude < 1.0):
             raise ValueError("amplitude must be in [0, 1) so the rate stays positive")
-        if period_s <= 0:
-            raise ValueError("period must be positive")
+        if not (finite(period_s) and period_s > 0):
+            raise ValueError("period must be finite and positive")
+        if not finite(phase):
+            raise ValueError("phase must be finite")
         super().__init__(base_rps, seed=seed, start_ns=start_ns)
         self.amplitude = float(amplitude)
         self.period_ns = float(period_s) * 1e9

@@ -14,9 +14,6 @@ module constants every root runs (:class:`ResilienceSpec`):
   (:class:`~repro.core.backoff.BackoffPolicy`, deterministic jitter),
   budget-capped by a per-tenant token bucket so retry storms cannot
   amplify an outage;
-* **hedging** — requests predicted to land past a p99-derived delay are
-  duplicated to a replica node; first response wins, the loser is
-  cancelled via :meth:`EventCore.cancel <repro.core.events.EventCore.cancel>`;
 * **circuit breakers** — per (tenant, target-node) closed→open→half-open
   state machines over an error-rate window, tripped instantly by the
   machine's crash hook and by health-engine SLO burn alerts, routing
@@ -40,8 +37,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..chaos.runner import CampaignRunner, JournalTail
 from ..core.backoff import BackoffPolicy
 from ..core.events import EventCore
@@ -52,8 +47,6 @@ from .traffic import (
     FAILED,
     FAILOVERS,
     FAILURES,
-    HEDGE_WINS,
-    HEDGES,
     REQUEST_PATH,
     RETRIES,
     SHED,
@@ -76,14 +69,6 @@ RETRY_BACKOFF = BackoffPolicy(base_ns=50_000.0, multiplier=2.0, max_attempts=3, 
 #: that may be retried, the standard guard against retry amplification
 RETRY_BUDGET_RATIO = 0.2
 RETRY_BURST = 4_096
-#: the hedge delay is ``max(HEDGE_MIN_DELAY_NS, p99_ewma * HEDGE_MULTIPLIER)``,
-#: ``p99_ewma`` tracking the tenant's batch p99 with the newest batch weighted
-#: :data:`HEDGE_ALPHA`; at most :data:`HEDGE_MAX_FRACTION` of a batch is hedged
-#: (worst predicted latencies first), so hedging cost is bounded by construction
-HEDGE_MULTIPLIER = 1.0
-HEDGE_MIN_DELAY_NS = 100_000.0
-HEDGE_MAX_FRACTION = 0.05
-HEDGE_ALPHA = 0.2
 #: the error-rate breaker per (tenant, target node): outcomes in its window,
 #: the failure share that opens it once the window holds the minimum volume,
 #: and how long it stays open before a half-open probe
@@ -98,13 +83,13 @@ FAILURE_DETECT_NS = 20_000.0
 
 @dataclass(frozen=True)
 class ResilienceSpec:
-    """Retry, hedge and breaker for every tenant, at the module constants;
+    """Retry, breaker and failover for every tenant, at the module constants;
     the base :class:`~repro.workloads.traffic.TrafficEngine` is the run
     without them."""
 
-    #: alternate node for failover and hedging (the tenant's slab is in
-    #: global memory, so any live node can serve it); ``None``: neither, so
-    #: once the primary's breaker opens its batches are shed
+    #: alternate node for failover (the tenant's slab is in global memory,
+    #: so any live node can serve it); ``None``: none, so once the
+    #: primary's breaker opens its batches are shed
     replica_node: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -114,7 +99,7 @@ class ResilienceSpec:
 
 
 def default_spec(replica_node: Optional[int] = None) -> ResilienceSpec:
-    """The on arm, failing over and hedging to ``replica_node``."""
+    """The on arm, failing over to ``replica_node``."""
     return ResilienceSpec(replica_node=replica_node)
 
 
@@ -227,7 +212,7 @@ class _ResilienceState:
     """One tenant's on-arm state."""
 
     #: candidate targets in routing preference order: the primary, then the
-    #: replica when there is one — so ``targets[-1]`` is the hedge target
+    #: replica when there is one
     targets: Tuple[int, ...]
     #: one breaker per target
     breakers: Dict[int, CircuitBreaker]
@@ -236,85 +221,6 @@ class _ResilienceState:
     #: per-target single-server model (the primary mirrors
     #: ``_TenantState.busy_until_ns``)
     busy_by_node: Dict[int, float] = field(default_factory=dict)
-    #: EWMA of observed batch p99 latency, feeds the hedge delay
-    p99_ewma: float = 0.0
-
-
-@dataclass(eq=False)
-class _HedgeOp:
-    """One in-flight hedge: a primary result racing a replica duplicate.
-
-    Two events sit on the heap — ``primary done`` at the predicted
-    primary completion and ``hedge fire`` at arrival + hedge delay.
-    Whichever dispatches first resolves the op and cancels the loser
-    (the issue's first-response-wins contract).  On a hedge firing, the
-    duplicate batch really executes on the replica (charged, VNI
-    accounted) and each request keeps the *earlier* of its two
-    completions; recorded latencies are patched in place.
-    """
-
-    engine: "ResilientTrafficEngine"
-    st: _TenantState
-    rs: "_ResilienceState"
-    #: the batch's recorded latencies — patched in place where the hedge wins
-    latency_arr: np.ndarray
-    #: the hedged requests: their positions in ``latency_arr``, arrivals, draws
-    idx: np.ndarray
-    arrivals: np.ndarray
-    key_idx: np.ndarray
-    is_get: np.ndarray
-    fire_ns: float
-    #: span id of the batch that launched the hedge (see ``_attempt``)
-    parent_span: Optional[int]
-    ev_primary: Optional[object] = None
-    ev_hedge: Optional[object] = None
-    done: bool = False
-
-    def _finish(self) -> None:
-        self.done = True
-        EventCore.cancel(self.ev_primary)
-        EventCore.cancel(self.ev_hedge)
-        self.engine._hedge_ops.discard(self)
-
-    def primary_wins(self) -> None:
-        """Primary completed before the hedge delay elapsed."""
-        if self.done:
-            return
-        self._finish()  # recorded latencies already hold the primary result
-
-    def fire(self) -> None:
-        """Hedge delay elapsed first: launch the replica duplicate."""
-        if self.done:
-            return
-        self._finish()
-        engine, st, rs = self.engine, self.st, self.rs
-        replica = rs.targets[-1]
-        now = engine.events.now_ns
-        k = len(self.idx)
-        try:
-            n_bytes, charged = engine._attempt(
-                st, self.key_idx, self.is_get, replica, span="traffic.hedge",
-                parent=self.parent_span, not_before_ns=self.fire_ns, n=k,
-            )
-        except FAILURES:
-            engine._breaker_outcome(rs, replica, now, ok=False)
-            return  # primary result stands
-        engine._breaker_outcome(rs, replica, now, ok=True)
-        svc = max(1.0, charged / k)
-        start = max(self.fire_ns, rs.busy_by_node.get(replica, 0.0))
-        completion = start + svc * np.arange(1, k + 1, dtype=np.float64)
-        rs.busy_by_node[replica] = float(completion[-1])
-        hedge_latency = completion - self.arrivals
-        wins = hedge_latency < self.latency_arr[self.idx]
-        n_wins = int(wins.sum())
-        # hedge traffic rides the replica's fabric path, not the primary's
-        engine.fabric.charge(st.vni, replica, n_bytes, 0, now)
-        if n_wins:
-            won_idx = self.idx[wins]
-            delta = hedge_latency[wins] - self.latency_arr[won_idx]
-            self.latency_arr[won_idx] = hedge_latency[wins]
-            st.latency_sum_ns += float(delta.sum())
-            engine._count(st, HEDGE_WINS, n_wins)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -323,7 +229,7 @@ class _HedgeOp:
 class ResilientTrafficEngine(TrafficEngine):
     """The traffic engine with the fault-tolerant request path wired in.
 
-    ``resilience`` runs retry, hedge and breaker for every tenant.
+    ``resilience`` runs retry, breaker and failover for every tenant.
 
     ``crash_detection`` wires the machine's crash hook into the
     breakers (fail-fast on out-of-band evidence).  Turning it off — the
@@ -346,7 +252,6 @@ class ResilientTrafficEngine(TrafficEngine):
             name: self._build_state(st, resilience.replica_node)
             for name, st in self.tenants.items()
         }
-        self._hedge_ops: set = set()
         self.crash_detection = bool(crash_detection)
         if self.crash_detection:
             self.machine.on_crash(self._on_node_crash)
@@ -377,7 +282,6 @@ class ResilientTrafficEngine(TrafficEngine):
         if record is None:
             return
         self.breaker_events.append(record)
-        self.breaker_log.append(render_transition(record))
         if _TEL.enabled and record["to"] == CircuitBreaker.OPEN:
             _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.breaker_opens")
 
@@ -418,7 +322,7 @@ class ResilientTrafficEngine(TrafficEngine):
 
     def _run_admitted(self, st, arrivals, key_idx, is_get) -> None:
         """The base sequence with each policy's step in place:
-        route → attempt loop → queue model → record → hedge."""
+        route → attempt loop → queue model → record."""
         rs = self._rstate[st.spec.name]
         n = len(arrivals)
         now = self.events.now_ns
@@ -444,7 +348,6 @@ class ResilientTrafficEngine(TrafficEngine):
         latency = self._queue_model(st, arrivals, charged, busy)
         rs.busy_by_node[target] = st.busy_until_ns
         self._record(st, arrivals, latency, n_bytes)
-        self._hedge(st, rs, arrivals, key_idx, is_get, target, now)
 
     def _attempt_loop(self, st, rs, key_idx, is_get, target, now):
         """Attempt the batch on ``target``, then — while retries are left,
@@ -483,71 +386,10 @@ class ResilientTrafficEngine(TrafficEngine):
                     self._count(st, FAILOVERS, n)
                 return target, n_bytes, charged, penalty
 
-    def _hedge(self, st, rs, arrivals, key_idx, is_get, target, now) -> None:
-        """Duplicate the batch's predicted tail to the replica (when there
-        is one that did not just serve it), then fold the batch's p99
-        into the EWMA that sets the *next* batch's hedge delay."""
-        recorded = st.latencies[-1]
-        # one sort serves both questions: its maximum says whether any
-        # request is past the hedge delay at all, its tail is the p99
-        ranked = recorded.copy()
-        ranked.sort()
-        # with no replica, targets[-1] is the primary, which served the batch
-        if rs.targets[-1] != target:
-            delay = max(HEDGE_MIN_DELAY_NS, rs.p99_ewma * HEDGE_MULTIPLIER)
-            if ranked[-1] > delay:
-                self._launch_hedge(st, rs, recorded, arrivals, key_idx, is_get, now, delay)
-        batch_p99 = _ranked_p99(ranked)
-        if rs.p99_ewma == 0.0:
-            rs.p99_ewma = batch_p99
-        else:
-            rs.p99_ewma += HEDGE_ALPHA * (batch_p99 - rs.p99_ewma)
-
-    def _launch_hedge(self, st, rs, recorded, arrivals, key_idx, is_get, now, delay) -> None:
-        # only requests still queued are worth duplicating: a batch wake
-        # serves a window retroactively, so predicted completions in the
-        # past already "responded" and the primary wins by definition
-        over = np.flatnonzero((recorded > delay) & (arrivals + recorded > now))
-        if len(over) == 0:
-            return
-        cap = max(1, int(HEDGE_MAX_FRACTION * len(recorded)))
-        if len(over) > cap:
-            # worst predicted latencies first; stable sort keeps ties
-            # in arrival order so the pick is deterministic
-            order = np.argsort(recorded[over], kind="stable")[::-1]
-            over = over[order[:cap]]
-            over.sort()
-        k = len(over)
-        self._count(st, HEDGES, k)
-        arr_sub = arrivals[over]
-        parent = None
-        if _TEL.tracing:
-            cur = _TEL.trace.current()
-            parent = cur.span_id if cur is not None else None
-        op = _HedgeOp(
-            engine=self,
-            st=st,
-            rs=rs,
-            latency_arr=recorded,
-            idx=over,
-            arrivals=arr_sub,
-            key_idx=key_idx[over],
-            is_get=is_get[over],
-            fire_ns=max(now, float(arr_sub[0]) + delay),
-            parent_span=parent,
-        )
-        primary_done = float(np.max(arr_sub + recorded[over]))
-        # primary scheduled first: on a tie the response already in
-        # hand wins and the duplicate is never sent
-        op.ev_primary = self.events.at(primary_done, op.primary_wins)
-        op.ev_hedge = self.events.at(op.fire_ns, op.fire, node=rs.targets[-1])
-        self._hedge_ops.add(op)
-
     def finalize(self) -> None:
-        """Resolve in-flight hedges (primary stands) and cancel their
-        events — call before treating a report as final."""
-        for op in list(self._hedge_ops):
-            op.primary_wins()
+        """Nothing to settle: :meth:`run` returns with no batch in flight
+        (every attempt runs inside its batch's wake), so a report is final
+        as it stands.  The perf tracer's ``TABLE`` binds this name."""
 
 
 # -- chaos under load ----------------------------------------------------------
@@ -627,7 +469,7 @@ class ChaosUnderLoad:
         ]
         fired: List[str] = []
         tail = JournalTail(self.kernel.machine)
-        breaker_mark = len(self.engine.breaker_log)
+        breaker_mark = len(self.engine.breaker_events)
 
         def _sink(line: str) -> None:
             lines.append(f"t={self.events.now_ns:.1f} {line}")
@@ -653,13 +495,11 @@ class ChaosUnderLoad:
             self.kernel.stop_patrols()
             for ev in chaos_events:
                 EventCore.cancel(ev)
-        if isinstance(self.engine, ResilientTrafficEngine):  # the base engine leaves nothing in flight
-            self.engine.finalize()
         self.sync_recorder()
         unfired = len(self.campaign.events) - len(fired)
         if unfired:
             lines.append(f"unfired={unfired}")
-        breakers = self.engine.breaker_log[breaker_mark:]
+        breakers = [render_transition(r) for r in self.engine.breaker_events[breaker_mark:]]
         if breakers:
             lines.append("-- breaker transitions --")
             lines.extend(breakers)
@@ -705,26 +545,3 @@ class ChaosUnderLoad:
             self._res_last[name] = sample
             rec.record_resilience({"t_ns": now, "tenant": name, **sample})
 
-
-def _batch_p99(latencies: np.ndarray) -> float:
-    """``float(np.percentile(latencies, 99))`` of a non-empty finite batch
-    — the same double, which the tests hold it to: it feeds the hedge delay."""
-    return _ranked_p99(np.sort(latencies))
-
-
-def _ranked_p99(s: np.ndarray) -> float:
-    """:func:`_batch_p99` of latencies already sorted ascending.
-
-    numpy's own linear-interpolation arithmetic (virtual index
-    ``(n - 1) * 0.99``; the upper form of the lerp from the midpoint on),
-    without ``np.percentile``'s per-call set-up, which dominated on the few
-    dozen latencies a batch holds.
-    """
-    virtual = (s.shape[0] - 1) * 0.99
-    lo = int(virtual)
-    below = s[lo]
-    above = s[min(lo + 1, s.shape[0] - 1)]
-    gamma = virtual - lo
-    if gamma >= 0.5:
-        return float(above - (above - below) * (1 - gamma))
-    return float(below + (above - below) * gamma)

@@ -54,7 +54,7 @@ from ..rack.interconnect import InterconnectError
 from ..rack.machine import NodeContext, SlotWindow
 from ..rack.node import NodeCrashedError
 from ..rack.params import finite, whole
-from ..telemetry import STACK_PARENT, TELEMETRY as _TEL
+from ..telemetry import TELEMETRY as _TEL
 from .arrivals import ArrivalProcess, make_process
 
 #: Arrival timestamps pre-sampled per refill of a tenant's queue.
@@ -99,9 +99,14 @@ class TenantSpec:
 
     def __post_init__(self) -> None:
         # refused here, by name, instead of surfacing batches later as a NaN
-        # event time, a mix no draw can produce, or 100% silent shedding
+        # event time, a mix no draw can produce, 100% silent shedding, or a
+        # diurnal rate of NaN that thins away every arrival (a run that hangs)
         for name, legal, ok in (
             ("rate_rps", "finite and > 0", 0 < self.rate_rps < math.inf),
+            ("arrival", "'poisson' or 'diurnal'", self.arrival in ("poisson", "diurnal")),
+            ("amplitude", "in [0,1)", 0.0 <= self.amplitude < 1.0),
+            ("period_s", "finite and > 0", 0 < self.period_s < math.inf),
+            ("phase", "finite", finite(self.phase)),
             ("weight", "finite and > 0", 0 < self.weight < math.inf),
             ("get_ratio", "in [0,1]", 0.0 <= self.get_ratio <= 1.0),
             ("max_backlog_ns", ">= 0 (inf: never shed)", self.max_backlog_ns >= 0.0),
@@ -150,6 +155,7 @@ FAILED = Outcome("failed", "failed", ("resilience.failed", LOST_SERIES), drop=Tr
 #: no step counts it; the digest, recorder samples, dashboard, postmortem and benchmark carry it
 TIMED_OUT = Outcome("timed_out", "timed_out", ("resilience.timed_out", LOST_SERIES), drop=True)
 RETRIES = Outcome("retries", "retries", ("resilience.retries",))
+#: no step counts these two either (the request path does not hedge); the same readers carry them
 HEDGES = Outcome("hedges", "hedges", ("resilience.hedges",))
 HEDGE_WINS = Outcome("hedge_wins", "hedge_wins", ("resilience.hedge_wins",))
 FAILOVERS = Outcome("failovers", "failovers", ("resilience.failovers",))
@@ -316,9 +322,9 @@ class TrafficEngine:
         self.tenants: Dict[str, _TenantState] = {}
         #: Σ tenant ``offered``, kept running (``run`` stops on it per event)
         self.total_offered = 0
-        #: breaker transitions in occurrence order, as journal lines and as
-        #: records; the base engine has no breakers, so both stay empty
-        self.breaker_log: List[str] = []
+        #: breaker transition records in occurrence order
+        #: (:func:`~repro.workloads.resilience.render_transition` makes one a
+        #: journal line); the base engine has no breakers, so it stays empty
         self.breaker_events: List[dict] = []
         start_ns = self.events.now_ns
         for idx, spec in enumerate(tenants):
@@ -420,8 +426,8 @@ class TrafficEngine:
         if not _TEL.tracing:
             self._run_admitted(st, arrivals, key_idx, is_get)
         else:
-            # root of the batch's causal tree: attempts, retries, hedges
-            # and data-plane spans all chain under it, so a failed
+            # root of the batch's causal tree: attempts, retries and
+            # data-plane spans all chain under it, so a failed
             # request walks back to the node that dropped it.  Tracing
             # reads clocks, never advances them — simulated outcomes
             # are bit-identical either way.
@@ -504,20 +510,15 @@ class TrafficEngine:
         key_idx: np.ndarray,
         is_get: np.ndarray,
         target: int,
-        span: str = "traffic.attempt",
-        parent=STACK_PARENT,
-        not_before_ns: float = 0.0,
-        **span_args,
+        attempt: int,
     ) -> Tuple[int, float]:
         """Run the batch on ``target`` once: ``(n_bytes, charged_ns)``, or
         whatever the substrate raised (a crashed node, a severed link).
 
-        With tracing on the attempt is one span carrying the target node
-        and the outcome, so a trace walks a failed request back to the
-        node (or link) that refused it.  ``parent`` is for an attempt
-        whose causal parent has already closed: a hedge duplicate fires
-        from the event heap with an empty span stack and must chain to
-        the batch that launched it, not orphan into its own root.
+        With tracing on the attempt is one ``traffic.attempt`` span under
+        its batch's, carrying the target node, the attempt number and the
+        outcome, so a trace walks a failed request back to the node (or
+        link) that refused it.
         """
         ctx = self.machine.context(target)
         before = ctx.now()
@@ -526,8 +527,8 @@ class TrafficEngine:
             return n_bytes, ctx.now() - before
         trace = _TEL.trace
         sp = trace.begin(
-            span, target, max(before, not_before_ns), parent_id=parent,
-            tenant=st.spec.name, target=target, outcome="failed", **span_args,
+            "traffic.attempt", target, before, tenant=st.spec.name, target=target,
+            outcome="failed", attempt=attempt,
         )
         try:
             n_bytes = self.backend.run_batch(ctx, st, key_idx, is_get)

@@ -5,11 +5,11 @@ the commit before the policy toggles became module constants.
 
 Each run is built by the helper of the test that owns it, so a change in
 *how* a configuration is spelled lands there and this file stays as is.
-The hedged runs are pinned by ``test_batch_kernels``.
 """
 
 import pytest
 
+from repro.workloads.resilience import render_transition
 from tests.workloads import test_chaos_under_load, test_ledger, test_resilience
 
 pytestmark = pytest.mark.resilience
@@ -20,9 +20,8 @@ RUNS = [(engine, fault) for engine in ("base", "no-replica")
 
 
 def _breaker_lines(eng):
-    """The engine's transitions as journal lines, checked against its records."""
-    assert len(eng.breaker_events) == len(eng.breaker_log)
-    return eng.breaker_log
+    """The engine's transitions as journal lines."""
+    return [render_transition(r) for r in eng.breaker_events]
 
 
 @pytest.mark.parametrize("engine, fault", RUNS)

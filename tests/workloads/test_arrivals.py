@@ -70,6 +70,18 @@ def test_diurnal_amplitude_bounds():
         DiurnalProcess(1_000.0, amplitude=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("amplitude", float("nan")),
+    ("period_s", float("nan")),
+    ("period_s", float("inf")),
+    ("phase", float("nan")),
+    ("phase", float("inf")),
+])
+def test_diurnal_refuses_a_non_finite_shape(field, value):
+    with pytest.raises(ValueError):
+        DiurnalProcess(1_000.0, **{field: value})
+
+
 def test_rate_must_be_positive():
     with pytest.raises(ValueError):
         PoissonProcess(0.0)

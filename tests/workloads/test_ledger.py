@@ -50,8 +50,7 @@ FAULTS = {
 
 
 def _tenants():
-    # "batch" offers more than its server clears, so the backlog bound
-    # sheds and the survivors queue long enough to be hedged
+    # "batch" offers more than its server clears, so the backlog bound sheds
     return [TenantSpec(name="web", rate_rps=200_000.0, node=0, n_keys=256,
                        max_backlog_ns=5e6),
             TenantSpec(name="batch", rate_rps=4_000_000.0, node=0, n_keys=256,

@@ -1,10 +1,9 @@
-"""The fault-tolerant request path: retries, hedging, circuit breakers,
+"""The fault-tolerant request path: retries, circuit breakers, failover,
 and failure semantics under injected faults.  A test that needs a policy
 value other than the one every root runs monkeypatches its constant."""
 
 import re
 
-import numpy as np
 import pytest
 
 import repro.telemetry as tel
@@ -15,8 +14,8 @@ from repro.workloads.resilience import (
     CircuitBreaker,
     ResilienceSpec,
     ResilientTrafficEngine,
-    _batch_p99,
     default_spec,
+    render_transition,
 )
 
 pytestmark = pytest.mark.resilience
@@ -129,7 +128,7 @@ class TestFailover:
         assert _availability(rep) >= 0.99
         assert failed < failovers
         # the crash hook tripped the primary's breakers immediately
-        assert any("node-crash" in line for line in eng.breaker_log)
+        assert any("node-crash" in render_transition(r) for r in eng.breaker_events)
 
     def test_replica_serves_batches_through_the_tenants_own_window(self, monkeypatch):
         """The slab is global memory, so the replica's attempts name slots of
@@ -172,6 +171,29 @@ class TestFailover:
             slab, values = st.backend_state
             assert windows[name].slots.tobytes() == values.tobytes()
 
+    def test_run_returns_with_nothing_in_flight(self):
+        """Every attempt runs inside its batch's wake, so a report is final
+        when ``run`` returns: the heap holds each tenant's next wake and no
+        other live event, before and after a crash sends batches to the replica."""
+        rig = build_rig(n_nodes=2)
+        tenants = [TenantSpec(name="web", rate_rps=5e6, node=0, n_keys=256,
+                              max_backlog_ns=1e9), *_tenants()[1:]]
+        eng = ResilientTrafficEngine(rig.kernel, tenants,
+                                     resilience=ResilienceSpec(replica_node=1), seed=11)
+
+        def pending():
+            live = [ev for ev in rig.kernel.events._heap if not ev.cancelled]
+            assert all(ev.fn.__qualname__ == "TrafficEngine._arm.<locals>.<lambda>"
+                       for ev in live)
+            return sorted(ev.fn.__defaults__[0].spec.name for ev in live)
+
+        eng.run(max_requests=10_000)
+        assert pending() == ["batch", "web"]
+        rig.machine.crash_node(0)
+        rep = eng.run(max_requests=20_000)
+        assert sum(t["failovers"] for t in rep.tenants.values()) > 0
+        assert pending() == ["batch", "web"]
+
     def test_degraded_mode_sheds_when_no_target_routable(self):
         _, rep = _degraded_run()
         shed = sum(t["dropped_shed"] for t in rep.tenants.values())
@@ -190,65 +212,9 @@ class TestFailover:
         eng.run(max_requests=2_000)
         rig.machine.crash_node(0)
         rep = eng.run(max_requests=8_000)
-        assert eng.breaker_log == []
+        assert eng.breaker_events == []
         retries = sum(t["retries"] for t in rep.tenants.values())
         assert 0 < retries <= 2 * 64  # per-tenant bucket never refills at ratio 0
-
-
-class TestHedging:
-    @pytest.fixture(autouse=True)
-    def _eager_hedges(self, monkeypatch):
-        monkeypatch.setattr(resilience, "HEDGE_MIN_DELAY_NS", 2_000.0)
-        monkeypatch.setattr(resilience, "HEDGE_MAX_FRACTION", 0.1)
-
-    def _overloaded(self, seed=11):
-        rig = build_rig(n_nodes=2)
-        tenants = [TenantSpec(name="web", rate_rps=5e6, node=0, n_keys=256,
-                              max_backlog_ns=1e9)]
-        eng = ResilientTrafficEngine(rig.kernel, tenants,
-                                     resilience=ResilienceSpec(replica_node=1), seed=seed)
-        rep = eng.run(max_requests=30_000)
-        eng.finalize()
-        return eng, rep
-
-    def test_tail_requests_hedge_and_win(self):
-        eng, rep = self._overloaded()
-        t = rep.tenants["web"]
-        assert t["hedges"] > 0
-        assert t["hedge_wins"] > 0
-        assert t["hedge_wins"] <= t["hedges"]
-        # hedged fraction respects the cap (per batch, so aggregate holds)
-        assert t["hedges"] <= 0.1 * t["admitted"] + 64
-
-    def test_hedging_is_deterministic(self):
-        _, a = self._overloaded()
-        _, b = self._overloaded()
-        assert a.digest() == b.digest()
-
-    def test_hedging_improves_recorded_tail(self):
-        eng, rep = self._overloaded()
-        rig2 = build_rig(n_nodes=2)
-        tenants = [TenantSpec(name="web", rate_rps=5e6, node=0, n_keys=256,
-                              max_backlog_ns=1e9)]
-        base = TrafficEngine(rig2.kernel, tenants, seed=11)
-        rep_base = base.run(max_requests=30_000)
-        assert rep.tenants["web"]["latency_sum_ns"] < rep_base.tenants["web"]["latency_sum_ns"]
-
-    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e6, 1e9])
-    def test_batch_p99_is_numpy_percentile_bit_for_bit(self, magnitude):
-        """The hedge EWMA feeds simulated delays, so the cheap p99 must be
-        the *same double* ``np.percentile`` returns, for every batch size."""
-        rng = np.random.default_rng(int(magnitude))
-        for n in range(1, 201):
-            batches = [
-                rng.random(n) * magnitude,
-                np.round(rng.random(n) * 4) * magnitude,  # heavy ties
-                np.full(n, magnitude / 3),  # all equal
-            ]
-            for x in batches:
-                kept = x.copy()
-                assert _batch_p99(x) == float(np.percentile(x, 99)), (n, magnitude)
-                assert np.array_equal(x, kept)  # the recorded latencies stay in place
 
 
 class TestTelemetry:
@@ -261,9 +227,7 @@ class TestTelemetry:
             )
             eng.run(max_requests=2_000)
             rig.machine.crash_node(0)
-            rep = eng.run(max_requests=8_000)
-            eng.finalize()
-            return rep
+            return eng.run(max_requests=8_000)
 
         r_off = run()
         tel.enable()

@@ -181,6 +181,15 @@ class TestAdmission:
         ("value_size", 0),
         ("value_size", -64),                # with n_keys=-4 the product was positive: accepted
         ("value_size", 64.0),
+        ("arrival", "bursty"),              # used to be make_process's error, at engine build
+        ("amplitude", 1.0),
+        ("amplitude", -0.1),
+        ("amplitude", float("nan")),
+        ("period_s", float("nan")),         # a diurnal run never returned: every draw thinned away
+        ("period_s", float("inf")),
+        ("period_s", 0.0),
+        ("phase", float("nan")),            # never returned, as period_s=nan
+        ("phase", float("inf")),
     ])
     def test_hostile_spec_is_refused_naming_tenant_and_field(self, field, value):
         with pytest.raises(ValueError, match=rf"tenant 'evil': {field} "):
