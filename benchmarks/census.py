@@ -13,8 +13,8 @@ writes ``results/census.txt`` (per module: §, options, state, roots, labelled n
 on a module whose def count or names differ from ``executed.txt``, a never-executed def without a label, a
 label outside :data:`KINDS`, a label on a def that executed or does not exist, a ``branch`` label whose
 caller did not execute, and more options than :data:`OPTIONS_BOUND`.  A knob is a defaulted parameter or
-dataclass field that no root source and no executed def sets; it is state when ``src`` assigns its name as
-an attribute after construction, an option otherwise.  The second test checks that every backticked
+dataclass field (not ``init=False``) that no root source and no executed def sets; it is state when ``src``
+assigns its name as an attribute after construction, an option otherwise.  The second test checks that every backticked
 ``Class.member`` in DESIGN.md and README.md names a member of that class of ``src/``, every ``tests/…py`` / ``benchmarks/…py`` path exists, every
 ``test_*`` / ``Test*`` name is defined under ``tests/`` or ``benchmarks/``, every ``python -m repro.…``
 is runnable and every other dotted ``repro.…`` names a module or package of ``src/``.
@@ -47,7 +47,7 @@ _LABELS = {
     "item 7": "reset",  # the enable surface: telemetry.reset
     "guard": "refuse refuse_input validate_chrome_trace _checked_capacity _rows _target SimClock.advance "
              "ChaosEvent.trigger_str SegmentationFault _FailedOp RepairSource CheckpointPageSource "
-             "FsBlockSource AnomalyDetector.observe ArrivalProcess.next_chunk",
+             "FsBlockSource ArrivalProcess.next_chunk",
     "repr": "Event.__repr__ EventCore.__repr__ Arena.__repr__ Node.__repr__ NodeContext.__repr__ SimClock.__repr__",
     "branch CampaignRunner._apply": "CampaignRunner._do_ue",
     "branch CampaignRunner.run": "HealthEngine.invariant_failed",
@@ -55,9 +55,6 @@ _LABELS = {
     "branch AddressSpace.handle_fault": "AddressSpace._fault_local FlacOS._file_reader",  # a local page fault
     "branch MemoryScrubber._feed_predictor_and_evacuate": "FailurePredictor.reset_page",
     "branch MemorySystem.migrate_global_page": "ReverseMap.refcount",
-    "branch HealthEngine.tick": "FlightRecorder.record_anomaly",
-    "branch HealthEngine._drain_incidents": "FlightRecorder.record_incident",
-    "branch SLOEngine._burn_samples": "Histogram.fraction_above",
     "branch span": "TraceBuffer.current",
     "branch render_dashboard": "TraceBuffer.flame_summary TraceBuffer._paths",  # a traced run given to --flame
     "branch RackMachine.load_many": "_split",
@@ -65,7 +62,7 @@ _LABELS = {
 }
 LABELS = {name: label for label, names in _LABELS.items() for name in names.split()}
 #: The most options (knobs that are not state) ``src`` may hold: a new one needs a caller, or a constant.
-OPTIONS_BOUND = 118
+OPTIONS_BOUND = 117
 
 _HOOK = '''\
 import atexit, os, sys, threading
@@ -281,7 +278,9 @@ def knobs(trees, ran, scope=()) -> dict:
                 if stmt.name not in (callee for callee, _, _ in fns):
                     inherits[stmt.name] = bases
                 if any("dataclass" in ast.unparse(d) for d in stmt.decorator_list):
-                    fields = enumerate(f for f in stmt.body if isinstance(f, ast.AnnAssign))
+                    # a field(init=False) is no parameter of the class: nothing can pass it
+                    fields = enumerate(f for f in stmt.body if isinstance(f, ast.AnnAssign)
+                                       and "init=False" not in ast.unparse(f))
                     mine += [(stmt.name, f.target.id, i) for i, f in fields if f.value is not None]
             elif not fns:
                 scope.append((stmt, aliases, None, ()))

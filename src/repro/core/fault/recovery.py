@@ -59,7 +59,6 @@ class FaultRecoveryCoordinator:
         self.policy = policy
         self.replicator = replicator
         self.monitor = monitor
-        self.incidents: List[IncidentReport] = []
 
     def handle_memory_fault(self, ctx: NodeContext, event: FaultEvent) -> IncidentReport:
         """React to an uncorrectable memory error at ``event.addr``."""
@@ -75,7 +74,6 @@ class FaultRecoveryCoordinator:
         for box in hit:
             self.manager.mark_failed(box)
             report.recoveries.append(self._recover_box(ctx, box))
-        self.incidents.append(report)
         self._count_incident(ctx, report)
         return report
 
@@ -92,7 +90,6 @@ class FaultRecoveryCoordinator:
         for box in hit:
             self.manager.mark_failed(box)
             report.recoveries.append(self._recover_box(ctx, box))
-        self.incidents.append(report)
         self._count_incident(ctx, report)
         return report
 

@@ -154,10 +154,10 @@ class FlacOS:
         """Build and install a :class:`HealthEngine` for this rack
         (``kwargs``: its options).
 
-        The engine reads the kernel's own monitor/predictor/recovery, so
-        burn alerts and anomalies feed the existing self-healing pipeline
-        (predictor-driven evacuation) and fault-box incidents land in the
-        flight recorder.  Idempotent per kernel.
+        The engine reads the kernel's own fault monitor and failure
+        predictor, so a firing CE/UE burn alert feeds the existing
+        self-healing pipeline (predictor-driven evacuation).  Idempotent
+        per kernel.
         """
         from ..telemetry.health import HealthEngine
 

@@ -52,8 +52,8 @@ class FailurePredictor:
         return sorted(risks, key=lambda r: -r.score)
 
     def boost_page(self, page_addr: int, score: float) -> None:
-        """External evidence (a burn-rate alert, an anomaly detector)
-        marks a page at risk directly.
+        """External evidence (a firing CE/UE burn-rate alert) marks a
+        page at risk directly.
 
         The score only ratchets upward — a boost never erases organic
         CE history — and still decays through :meth:`observe` like any

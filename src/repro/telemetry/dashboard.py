@@ -159,7 +159,7 @@ def render_tenants(reg: MetricsRegistry) -> str:
 
 
 def render_resilience(reg: MetricsRegistry) -> str:
-    """Per-tenant fault-tolerance breakout: retries, hedges, breaker
+    """Per-tenant fault-tolerance breakout: retries, failovers, breaker
     trips and lost requests from the ``traffic/<name>`` subsystems.
     Empty when no tenant recorded any resilience activity."""
     tenants = reg.tenants(TENANT_PREFIX)
@@ -170,8 +170,7 @@ def render_resilience(reg: MetricsRegistry) -> str:
         sub = TENANT_PREFIX + tenant
         cells = {
             name: reg.counter_total(sub, "resilience." + name)
-            for name in ("retries", "hedges", "hedge_wins", "failovers",
-                         "timed_out", "failed", "shed", "breaker_opens")
+            for name in ("retries", "failovers", "failed", "shed", "breaker_opens")
         }
         if any(cells.values()):
             rows.append((tenant, cells))
@@ -179,16 +178,13 @@ def render_resilience(reg: MetricsRegistry) -> str:
         return ""
     grid = _Grid(
         "per-tenant resilience",
-        ["tenant", "retries", "hedges (wins)", "failovers",
-         "timed out", "failed", "shed", "breaker opens"],
+        ["tenant", "retries", "failovers", "failed", "shed", "breaker opens"],
     )
     for tenant, c in rows:
         grid.add(
             tenant,
             _fmt(c["retries"]),
-            f"{_fmt(c['hedges'])} ({_fmt(c['hedge_wins'])})",
             _fmt(c["failovers"]),
-            _fmt(c["timed_out"]),
             _fmt(c["failed"]),
             _fmt(c["shed"]),
             _fmt(c["breaker_opens"]),

@@ -1,26 +1,19 @@
-"""Active health: windowed SLOs, burn-rate alerts, anomaly detection,
-and a crash flight recorder over the rack's passive telemetry.
+"""Active health: windowed SLOs, burn-rate alerts, and a crash flight
+recorder over the rack's passive telemetry.
 
 The passive layer (:mod:`repro.telemetry`) records what happened; this
 package closes the loop — it decides when what happened is *bad*
-(:mod:`.slo`), when it is *about to get worse* (:mod:`.anomaly`), feeds
-those calls into the self-healing pipeline's failure predictor so pages
-are evacuated before they kill a workload, and keeps a bounded black box
-(:mod:`.recorder`) that dumps on node crash, UE storm, or invariant
-failure for ``python -m repro.telemetry postmortem``.
+(:mod:`.slo`), feeds the CE/UE burn alerts into the self-healing
+pipeline's failure predictor so pages are evacuated before they kill a
+workload, and keeps a bounded black box (:mod:`.recorder`) that dumps on
+node crash, UE storm, or invariant failure for ``python -m
+repro.telemetry postmortem``.
 
 Everything is simulated-time driven and observation-only: a
 :meth:`HealthEngine.tick` never advances a clock, so enabling health
 changes no golden latency by even one nanosecond.
 """
 
-from .anomaly import (
-    Anomaly,
-    AnomalyDetector,
-    CeSlopeDetector,
-    RepairStreakDetector,
-    ScrubTrendDetector,
-)
 from .engine import HealthEngine
 from .postmortem import render_postmortem
 from .recorder import FLIGHT_SCHEMA, FlightRecorder, load_dump
@@ -35,11 +28,6 @@ from .slo import (
 from .windows import WindowAggregator, WindowFrame
 
 __all__ = [
-    "Anomaly",
-    "AnomalyDetector",
-    "CeSlopeDetector",
-    "RepairStreakDetector",
-    "ScrubTrendDetector",
     "HealthEngine",
     "render_postmortem",
     "FLIGHT_SCHEMA",

@@ -1,11 +1,11 @@
-"""The health engine: windows -> SLO burn -> anomalies -> flight recorder.
+"""The health engine: windows -> SLO burn -> predictor -> flight recorder.
 
 One :class:`HealthEngine` owns the whole active-observability loop for a
 rack.  ``tick(now_ns)`` is the only heartbeat: it closes elapsed metric
-windows, evaluates every SLO's burn rate, runs the anomaly detectors,
-feeds detections to the failure predictor (so the scrubber evacuates
-suspect pages while they are still readable), folds fault-box recovery
-incidents into the record, and arms the flight recorder's dump triggers.
+windows, evaluates every SLO's burn rate, feeds a firing CE/UE burn
+alert to the failure predictor (so the scrubber evacuates suspect pages
+while they are still readable), and arms the flight recorder's dump
+triggers.
 
 The engine *observes* — a tick never advances a simulated clock, so
 golden latencies are bit-identical with health enabled.  The *actions*
@@ -29,24 +29,23 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ...flacdk.reliability import prediction
 from .. import TELEMETRY
-from .anomaly import AnomalyDetector, CeSlopeDetector, RepairStreakDetector, ScrubTrendDetector
 from .recorder import FlightRecorder
-from .slo import Objective, SLOEngine, scope_label
+from .slo import Objective, SLOEngine
 from .windows import WindowAggregator, WindowFrame
 
 _REL = "reliability"
 _PAGE = 4096
 #: rack-wide UEs in one window that trigger a storm dump
 UE_STORM_DUMP = 4.0
-#: most pages one detection hands the predictor
+#: most pages one firing alert hands the predictor per tick
 BOOST_PAGES = 8
 
 
 class HealthEngine:
     """Continuous health tracking for one booted rack.
 
-    The engine windows the telemetry registry and feeds the kernel's own
-    fault monitor, failure predictor and fault-box recovery log;
+    The engine windows the telemetry registry, reads the kernel's fault
+    monitor and feeds its failure predictor;
     :meth:`FlacOS.attach_health <repro.core.kernel.FlacOS.attach_health>`
     builds it.
     """
@@ -57,20 +56,14 @@ class HealthEngine:
         *,
         window_ns: float = 1e6,
         objectives: Optional[Tuple[Objective, ...]] = None,
-        detectors: Optional[List[AnomalyDetector]] = None,
         recorder: Optional[FlightRecorder] = None,
         dump_path: Optional[Union[str, pathlib.Path]] = None,
     ) -> None:
         self.machine = kernel.machine
         self.windows = WindowAggregator(TELEMETRY.registry, window_ns=window_ns)
         self.slo = SLOEngine(objectives)
-        self.detectors: List[AnomalyDetector] = (
-            detectors if detectors is not None
-            else [CeSlopeDetector(), ScrubTrendDetector(), RepairStreakDetector()]
-        )
         self.monitor = kernel.monitor
         self.predictor = kernel.predictor
-        self.recovery = kernel.recovery
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.dump_path = pathlib.Path(dump_path) if dump_path is not None else None
         #: every snapshot taken, in trigger order (reason, snapshot dict).
@@ -78,7 +71,6 @@ class HealthEngine:
         #: pages handed to the predictor, page addr -> cause.
         self.boosted: Dict[int, str] = {}
         self._storm_armed = True
-        self._seen_incidents = 0
         self._installed = False
 
     # -- wiring ----------------------------------------------------------------
@@ -96,9 +88,8 @@ class HealthEngine:
         """Advance the health loop to ``now_ns`` (default: rack max time).
 
         Returns deterministic one-line descriptions of every state
-        transition this tick produced (alerts fired/resolved, anomalies,
-        predictor boosts, incidents, dumps) — the chaos runner journals
-        them verbatim.
+        transition this tick produced (alerts fired/resolved, predictor
+        boosts, dumps) — the chaos runner journals them verbatim.
         """
         if now_ns is None:
             now_ns = self.machine.max_time()
@@ -121,24 +112,12 @@ class HealthEngine:
                     f"objective={alert.objective} scope={alert.scope}"
                 )
 
-        for detector in self.detectors:
-            anomaly = detector.observe(frame)
-            if anomaly is not None:
-                self.recorder.record_anomaly(anomaly)
-                lines.append(
-                    f"health anomaly={anomaly.detector} scope={scope_label(anomaly.node)} "
-                    f"severity={anomaly.severity:.2f}"
-                )
-                lines.extend(self._feed_predictor(frame, cause=anomaly.detector))
-
         # a firing UE/CE burn alert keeps marking the culprit pages at
         # risk until it resolves: evacuation is idempotent per page
         for (objective, _node), _alert in sorted(self.slo.active.items()):
             if objective in ("ue.rate", "ce.rate"):
                 lines.extend(self._feed_predictor(frame, cause=objective))
                 break
-
-        lines.extend(self._drain_incidents())
 
         ue_delta = frame.delta_total(_REL, "fault.ue")
         if ue_delta >= UE_STORM_DUMP and self._storm_armed:
@@ -192,37 +171,6 @@ class HealthEngine:
                 counts[page] = counts.get(page, 0) + n
         return [page for page, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
 
-    # -- fault-box incidents ---------------------------------------------------
-
-    def _drain_incidents(self) -> List[str]:
-        lines = []
-        incidents = self.recovery.incidents
-        for report in incidents[self._seen_incidents :]:
-            entry = {
-                "kind": report.event.kind.value,
-                "at_ns": report.event.time_ns,
-                "blast_radius": report.blast_radius_boxes,
-                "total_boxes": report.total_boxes,
-                "recoveries": [
-                    {
-                        "box_id": r.box_id,
-                        "box": r.box_name,
-                        "mode": r.mode.name,
-                        "pages": r.pages_restored,
-                        "duration_ns": r.duration_ns,
-                    }
-                    for r in report.recoveries
-                ],
-            }
-            self.recorder.record_incident(entry)
-            boxes = ",".join(str(r.box_id) for r in report.recoveries) or "-"
-            lines.append(
-                f"health incident kind={entry['kind']} blast={entry['blast_radius']}"
-                f"/{entry['total_boxes']} boxes={boxes}"
-            )
-        self._seen_incidents = len(incidents)
-        return lines
-
     # -- dump triggers ---------------------------------------------------------
 
     def _on_node_crash(self, node_id: int, now_ns: float) -> None:
@@ -244,5 +192,3 @@ class HealthEngine:
             text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
             pathlib.Path(self.dump_path).write_text(text)
         return f"health dump reason={reason} windows={len(snapshot['windows'])}"
-
-    # -- queries (chaos invariants, tests) -------------------------------------

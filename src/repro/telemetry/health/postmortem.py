@@ -1,10 +1,10 @@
 """Render a flight-recorder dump as a human-readable degradation timeline.
 
-The dump is a black box: window frames, alert transitions, anomalies,
-incidents, span and fault-log tails.  The postmortem view merges all of
-it into one chronological story — "CE rate started climbing at 2.1 ms,
-the burn alert fired at 2.4 ms, evacuation began, the node crashed at
-3.0 ms" — which is what an operator actually wants after a crash.
+The dump is a black box: window frames, alert transitions, breaker
+transitions, predictor boosts, span and fault-log tails.  The postmortem
+view merges all of it into one chronological story — "the CE burn alert
+fired at 2.4 ms, evacuation began, the node crashed at 3.0 ms" — which
+is what an operator actually wants after a crash.
 
 Pure string building over the recorder's two views of the dump; no
 simulator imports, so the CLI works on a dump file alone.
@@ -38,13 +38,6 @@ def _timeline_line(event: rec.DumpEvent):
                    f"slow={row['slow_burn']:.2f}")
     if event.kind == rec.ALERT_RESOLVED:
         return 2, f"ALERT resolved {row['objective']} [{scope}] id={row['alert_id']}"
-    if event.kind == rec.ANOMALY:
-        return 0, (f"ANOMALY        {row['detector']} [{scope}] "
-                   f"severity={row['severity']:.2f} {row.get('detail', '')}".rstrip())
-    if event.kind == rec.INCIDENT:
-        boxes = ",".join(str(r["box_id"]) for r in row.get("recoveries", [])) or "-"
-        return 3, (f"INCIDENT       kind={row['kind']} "
-                   f"blast={row['blast_radius']}/{row['total_boxes']} boxes={boxes}")
     if event.kind == rec.FAULT and row["kind"] in _TIMELINE_FAULTS:
         return 4, (f"FAULT          {row['kind']} [node{event.node}] "
                    f"{row.get('detail', '')}".rstrip())
@@ -147,8 +140,7 @@ def render_postmortem(data: dict) -> str:
             out.append(
                 f"{_fmt_ns(sample.t_ns)}  {s['tenant']}: "
                 f"offered={s['offered']} admitted={s['admitted']} "
-                f"failed={s['failed']} timed_out={s['timed_out']} "
-                f"retries={s['retries']} hedges={s['hedges']} "
+                f"failed={s['failed']} retries={s['retries']} "
                 f"failovers={s['failovers']} shed={s['shed']}"
             )
 

@@ -2,8 +2,8 @@
 
 Counters tell you *that* the rack degraded; the flight recorder tells
 you *in what order*.  It keeps a bounded ring of recent window frames,
-alert/anomaly transitions, the tail of the traced spans, and the tail of
-each node's fault log.  When a node crashes, a UE storm lands, or a
+alert transitions, the tail of the traced spans, and the tail of each
+node's fault log.  When a node crashes, a UE storm lands, or a
 chaos invariant fails, the whole ring is snapshotted to JSON — the
 black box an operator (or ``python -m repro.telemetry
 postmortem``) reads after the fact.
@@ -23,25 +23,24 @@ from __future__ import annotations
 import json
 import pathlib
 from collections import deque
-from dataclasses import asdict
 from operator import itemgetter
 from typing import Deque, Dict, List, NamedTuple, Union
 
+from ...rack.params import whole
 from ..registry import RACK_WIDE
-from .anomaly import Anomaly
 from .slo import Alert
 from .windows import WindowFrame
 
 #: Schema tag for flight-recorder dumps, and the only one that loads:
-#: health history, the mitigation-side black box (breaker transitions,
-#: resilience-counter samples, predictor boosts) and the attribution-atlas
-#: tails (per-link fabric accounting with down stamps, hot pages).
-FLIGHT_SCHEMA = "repro.telemetry.flightrec/3"
+#: health history (counter-delta windows, alert transitions), the
+#: mitigation-side black box (breaker transitions, resilience-counter
+#: samples, predictor boosts) and the attribution-atlas tails (per-link
+#: fabric accounting with down stamps, hot pages).
+FLIGHT_SCHEMA = "repro.telemetry.flightrec/4"
 
 #: Ring sizes of the recorder's event tails; each node keeps its last
 #: :data:`FAULT_TAIL` fault-log events in a dump.
 ALERT_TAIL = 256
-ANOMALY_TAIL = 256
 FAULT_TAIL = 64
 BREAKER_TAIL = 128
 RESILIENCE_TAIL = 256
@@ -52,8 +51,6 @@ ATLAS_PAGE_TAIL = 32
 #: :attr:`DumpEvent.kind` values, one per dated dump row
 ALERT_FIRED = "alert.fired"
 ALERT_RESOLVED = "alert.resolved"
-ANOMALY = "anomaly"
-INCIDENT = "incident"
 FAULT = "fault"
 BREAKER = "breaker"
 BOOST = "boost"
@@ -75,11 +72,15 @@ class FlightRecorder:
     """Bounded ring buffers of recent health history."""
 
     def __init__(self, capacity_windows: int = 64, span_tail: int = 128) -> None:
+        # 0 would keep every span (``spans[-0:]``), a negative tail drop
+        # the oldest ones instead
+        for name, value in (("capacity_windows", capacity_windows), ("span_tail", span_tail)):
+            if not (whole(value) and value >= 1):
+                raise ValueError(
+                    f"FlightRecorder.{name} must be an integer >= 1, got {value!r}")
         self.span_tail = span_tail
         self.frames: Deque[WindowFrame] = deque(maxlen=capacity_windows)
         self.alert_events: Deque[dict] = deque(maxlen=ALERT_TAIL)
-        self.anomalies: Deque[Anomaly] = deque(maxlen=ANOMALY_TAIL)
-        self.incidents: Deque[dict] = deque(maxlen=ANOMALY_TAIL)
         #: circuit-breaker transitions (tenant/target/from/to/t_ns/reason)
         self.breaker_events: Deque[dict] = deque(maxlen=BREAKER_TAIL)
         #: per-tenant resilience counter samples, recorded on change
@@ -95,13 +96,6 @@ class FlightRecorder:
     def record_alert(self, alert: Alert) -> None:
         """Record one alert *transition* (fire and resolve are two entries)."""
         self.alert_events.append(dict(alert.to_dict(), event=alert.state))
-
-    def record_anomaly(self, anomaly: Anomaly) -> None:
-        self.anomalies.append(anomaly)
-
-    def record_incident(self, incident: dict) -> None:
-        """A fault-box recovery incident (blast radius + recoveries)."""
-        self.incidents.append(incident)
 
     def record_breaker(self, event: dict) -> None:
         """One circuit-breaker transition (already structured)."""
@@ -136,8 +130,6 @@ class FlightRecorder:
             "at_ns": now_ns,
             "windows": [f.to_dict() for f in self.frames],
             "alerts": list(self.alert_events),
-            "anomalies": [asdict(a) for a in self.anomalies],
-            "incidents": list(self.incidents),
             "breakers": list(self.breaker_events),
             "resilience": list(self.resilience_samples),
             "boosts": list(self.boosts),
@@ -264,10 +256,6 @@ def dump_events(dump: dict) -> List[DumpEvent]:
         else:
             t_ns = row.get("resolved_ns") or row["fired_ns"]
             add(DumpEvent(float(t_ns), ALERT_RESOLVED, row["node"], row))
-    for row in dump.get("anomalies", []):
-        add(DumpEvent(float(row["at_ns"]), ANOMALY, row["node"], row))
-    for row in dump.get("incidents", []):
-        add(DumpEvent(float(row["at_ns"]), INCIDENT, RACK_WIDE, row))
     for node, tail in dump.get("fault_tail", {}).items():
         for row in tail:
             add(DumpEvent(float(row["time_ns"]), FAULT, int(node), row))

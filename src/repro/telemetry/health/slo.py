@@ -1,8 +1,8 @@
 """Declarative service-level objectives with burn-rate alerting.
 
-An :class:`Objective` names what "good" means for one signal — a hit
-ratio, a latency ceiling, an event-rate budget — and how aggressively
-to page on budget burn.  The :class:`SLOEngine` folds every closed
+An :class:`Objective` names what "good" means for one signal — a
+success ratio or an event-rate budget — and how aggressively to page on
+budget burn.  The :class:`SLOEngine` folds every closed
 :class:`~repro.telemetry.health.windows.WindowFrame` into per-scope burn
 histories and runs the classic multi-window burn-rate rule: an alert
 *fires* when both the fast (short) and slow (long) window averages
@@ -13,13 +13,11 @@ nodes) and once per observing node.  Alert identifiers are deterministic —
 a digest of ``(objective, scope, fired window index)`` — so two same-seed
 runs fire byte-identical alerts.
 
-Three objective kinds:
+Two objective kinds:
 
-* ``ratio``   — ``good`` / (``good`` + ``bad``) counters; the error
+* ``ratio`` — ``good`` / (``good`` + ``bad``) counters; the error
   fraction per window is the bad share, the budget is ``1 - target``.
-* ``latency`` — a histogram; the error fraction is the share of window
-  samples at or above ``threshold_ns``, budget is ``1 - target``.
-* ``rate``    — a counter; burn is events-per-window over
+* ``rate``  — a counter; burn is events-per-window over
   ``budget_per_window`` directly (no target fraction).
 """
 
@@ -31,10 +29,11 @@ from hashlib import sha256
 from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..registry import RACK_WIDE, merged_histogram
+from ...rack.params import finite, refuse, whole
+from ..registry import RACK_WIDE
 from .windows import WindowFrame
 
-KINDS = ("ratio", "latency", "rate")
+KINDS = ("ratio", "rate")
 
 
 def scope_label(node: int) -> str:
@@ -51,12 +50,10 @@ class Objective:
     #: ``ratio``: the success / failure counters.
     good: str = ""
     bad: str = ""
-    #: ``latency``: histogram name; ``rate``: counter name.
+    #: ``rate``: the counter.
     metric: str = ""
-    #: ``ratio`` / ``latency``: the good-fraction target (budget = 1 - target).
+    #: ``ratio``: the good-fraction target (budget = 1 - target).
     target: float = 0.999
-    #: ``latency``: samples at/above this are budget burn.
-    threshold_ns: float = 0.0
     #: ``rate``: allowed events per window (burn = observed / budget).
     budget_per_window: float = 1.0
     #: Burn-rate windows (in closed frames) and thresholds.
@@ -70,16 +67,25 @@ class Objective:
             raise ValueError(f"unknown objective kind {self.kind!r}; know {KINDS}")
         if self.kind == "ratio" and not (self.good and self.bad):
             raise ValueError(f"ratio objective {self.name!r} needs good and bad counters")
-        if self.kind in ("latency", "rate") and not self.metric:
-            raise ValueError(f"{self.kind} objective {self.name!r} needs a metric")
-        if self.kind in ("ratio", "latency") and not 0.0 < self.target < 1.0:
+        if self.kind == "rate" and not self.metric:
+            raise ValueError(f"rate objective {self.name!r} needs a metric")
+        if self.kind == "ratio" and not 0.0 < self.target < 1.0:
             raise ValueError(f"objective {self.name!r} target must be in (0, 1)")
-        if self.kind == "rate" and self.budget_per_window <= 0:
-            raise ValueError(f"objective {self.name!r} budget_per_window must be positive")
+        # a NaN threshold fails every comparison and never pages; a
+        # negative one pages on a quiet window
+        for name in ("budget_per_window", "fast_burn", "slow_burn"):
+            value = getattr(self, name)
+            if not (finite(value) and value > 0):
+                refuse(self, name, "a finite number > 0")
+        # a burn mean needs at least one window of evidence
+        for name in ("fast_windows", "slow_windows"):
+            value = getattr(self, name)
+            if not (whole(value) and value >= 1):
+                refuse(self, name, "an integer >= 1")
 
     @property
     def budget(self) -> float:
-        """Error budget as a fraction (ratio/latency kinds)."""
+        """Error budget as a fraction (ratio kind)."""
         return 1.0 - self.target
 
 
@@ -123,24 +129,9 @@ def alert_id(objective: str, node: int, fired_window: int) -> str:
 
 
 def default_objectives() -> Tuple[Objective, ...]:
-    """The rack's stock SLO set: the headline dashboard panels, as alerts."""
+    """The rack's stock SLO set: the CE and UE burn alerts that feed the
+    failure predictor (the incident scenarios fire both)."""
     return (
-        Objective(
-            name="cache.hit_ratio", kind="ratio", subsystem="rack.machine",
-            good="cache.hit", bad="cache.miss", target=0.90,
-        ),
-        Objective(
-            name="tlb.hit_ratio", kind="ratio", subsystem="core.memory",
-            good="tlb.hit", bad="tlb.miss", target=0.90,
-        ),
-        Objective(
-            name="page_cache.hit_ratio", kind="ratio", subsystem="core.fs",
-            good="page_cache.hit", bad="page_cache.miss", target=0.90,
-        ),
-        Objective(
-            name="rpc.p99", kind="latency", subsystem="core.ipc",
-            metric="rpc.migration_ns", target=0.99, threshold_ns=1e6,
-        ),
         # rate thresholds assume the zero-padded slow mean: a burst must
         # carry slow_burn * slow_windows budgets of events to page, so a
         # lone CE/UE never does and a storm always does
@@ -153,11 +144,6 @@ def default_objectives() -> Tuple[Objective, ...]:
             name="ue.rate", kind="rate", subsystem="reliability",
             metric="fault.ue", budget_per_window=0.5,
             fast_burn=2.0, slow_burn=1.0,
-        ),
-        Objective(
-            name="repair.fail_rate", kind="rate", subsystem="reliability",
-            metric="repair.fail", budget_per_window=0.5,
-            fast_burn=2.0, slow_burn=0.5,
         ),
     )
 
@@ -198,7 +184,7 @@ class SLOEngine:
     def _burn_samples(self, obj: Objective, frame: WindowFrame) -> Dict[int, float]:
         """Burn sample per scope node for this frame (RACK_WIDE = aggregate).
 
-        Scopes with no traffic this frame contribute no ratio/latency
+        Scopes with no traffic this frame contribute no ratio
         sample (no information) but always contribute a zero rate sample
         once tracked, so rate alerts resolve when the storm passes.
         """
@@ -214,15 +200,6 @@ class SLOEngine:
             g, b = sum(good.values()), sum(bad.values())
             if g + b > 0:
                 samples[RACK_WIDE] = (b / (g + b)) / obj.budget
-        elif obj.kind == "latency":
-            for (node, sub, name), hist in frame.hists.items():
-                if sub != obj.subsystem or name != obj.metric or node == RACK_WIDE:
-                    continue
-                if hist.count:
-                    samples[node] = hist.fraction_above(obj.threshold_ns) / obj.budget
-            merged = merged_histogram(frame.hists, obj.subsystem, obj.metric)
-            if merged is not None and merged.count:
-                samples[RACK_WIDE] = merged.fraction_above(obj.threshold_ns) / obj.budget
         else:  # rate
             per_node = frame.per_node(obj.subsystem, obj.metric)
             if per_node:
@@ -279,6 +256,4 @@ def _tail_mean(history: Deque[float], n: int) -> float:
     so the divisor is always ``n`` — the slow average genuinely needs
     ``n`` windows of evidence to cross its threshold.
     """
-    if n <= 0:
-        return 0.0
     return sum(islice(reversed(history), n)) / n

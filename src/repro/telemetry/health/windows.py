@@ -1,11 +1,13 @@
 """Windowed aggregation of the metrics registry.
 
-The PR-4 :class:`~repro.telemetry.registry.MetricsRegistry` is cumulative
-— counters only grow, histograms only accumulate.  Health evaluation
-needs *rates*: "how many UEs in the last window", "what was p99 this
-window".  The :class:`WindowAggregator` rolls the cumulative registry
-into fixed simulated-time windows by capturing a monotone baseline at
-every window close and emitting the deltas as a :class:`WindowFrame`.
+The :class:`~repro.telemetry.registry.MetricsRegistry` is cumulative —
+counters only grow.  Health evaluation needs *rates*: "how many UEs in
+the last window", "how many requests were lost".  The
+:class:`WindowAggregator` rolls the cumulative counters into fixed
+simulated-time windows by capturing a baseline at every window close
+and emitting the deltas as a :class:`WindowFrame`, with the gauges as
+they stand at the close.  Histograms stay in the registry: no window
+reader asks for a per-window distribution.
 
 Everything here is pure observation: the aggregator reads the simulated
 clock (the caller passes ``now_ns``) and never calls ``clock.advance`` —
@@ -19,24 +21,18 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ...rack.params import finite, refuse
-from ..registry import Histogram, MetricKey, MetricsRegistry, N_BUCKETS
-
-#: A window delta's sample bounds: exact per-window min/max cannot be
-#: recovered from cumulative state, so quantiles are bucket midpoints —
-#: the same one-power-of-two accuracy the registry histograms give.
-_UNBOUNDED = {"min_value": float("-inf"), "max_value": float("inf")}
+from ..registry import MetricKey, MetricsRegistry
 
 
 @dataclass
 class WindowFrame:
-    """Metric deltas over one closed window span.
+    """Counter deltas and gauges over one closed window span.
 
     ``index`` is the fixed window grid slot the frame *starts* at
     (``start_ns = index * window_ns``); ``windows`` is how many grid
     slots the frame spans (> 1 when the clock jumped several windows
-    between ticks).  Rates are normalised per single window so a long
-    frame does not masquerade as a burst.  A row of ``hists`` keeps the
-    delta as ``[count, total, {bucket: n}]``.
+    between ticks); a reader normalises a rate by it, so a long frame
+    does not masquerade as a burst.
     """
 
     index: int
@@ -45,13 +41,12 @@ class WindowFrame:
     windows: int
     counters: Dict[MetricKey, float] = field(default_factory=dict)
     gauges: Dict[MetricKey, float] = field(default_factory=dict)
-    hists: Dict[MetricKey, Histogram] = field(default_factory=dict)
 
     # -- per-window queries ----------------------------------------------------
     #
     # A closed frame is immutable; the first metric query builds a
-    # (subsystem, name) -> {node: delta} index so the SLO engine's seven
-    # objectives cost one counter scan per frame, not seven.
+    # (subsystem, name) -> {node: delta} index so the SLO engine's
+    # objectives cost one counter scan per frame, not one each.
 
     def _by_metric(self) -> Dict[Tuple[str, str], Dict[int, float]]:
         index = getattr(self, "_metric_index", None)
@@ -65,9 +60,6 @@ class WindowFrame:
     def delta_total(self, subsystem: str, name: str) -> float:
         """Sum of one counter's delta across every node."""
         return sum(self.per_node(subsystem, name).values())
-
-    def rate_total(self, subsystem: str, name: str) -> float:
-        return self.delta_total(subsystem, name) / self.windows
 
     def per_node(self, subsystem: str, name: str) -> Dict[int, float]:
         """Node -> delta for one counter (shared index dict: treat as read-only)."""
@@ -83,11 +75,6 @@ class WindowFrame:
             "windows": self.windows,
             "counters": [[k[0], k[1], k[2], v] for k, v in sorted(self.counters.items())],
             "gauges": [[k[0], k[1], k[2], v] for k, v in sorted(self.gauges.items())],
-            "hists": [
-                [k[0], k[1], k[2],
-                 [h.count, h.total, {str(i): n for i, n in enumerate(h.buckets) if n}]]
-                for k, h in sorted(self.hists.items())
-            ],
         }
 
     @classmethod
@@ -102,12 +89,6 @@ class WindowFrame:
             frame.counters[(node, sub, name)] = v
         for node, sub, name, v in data.get("gauges", []):
             frame.gauges[(node, sub, name)] = v
-        for node, sub, name, (count, total, sparse) in data.get("hists", []):
-            buckets = [0] * N_BUCKETS
-            for idx, n in (sparse or {}).items():
-                buckets[int(idx)] = int(n)
-            frame.hists[(node, sub, name)] = Histogram(
-                count=int(count), total=float(total), buckets=buckets, **_UNBOUNDED)
         return frame
 
 
@@ -128,7 +109,6 @@ class WindowAggregator:
             refuse(self, "window_ns", "a finite number > 0")
         self._open_index: Optional[int] = None
         self._base_counters: Dict[MetricKey, float] = {}
-        self._base_hists: Dict[MetricKey, Tuple[int, float, Tuple[int, ...]]] = {}
 
     def window_index(self, now_ns: float) -> int:
         return int(now_ns // self.window_ns)
@@ -150,11 +130,7 @@ class WindowAggregator:
     # -- internals -------------------------------------------------------------
 
     def _capture_baseline(self) -> None:
-        reg = self.registry
-        self._base_counters = dict(reg.counters)
-        self._base_hists = {
-            k: (h.count, h.total, tuple(h.buckets)) for k, h in reg.histograms.items()
-        }
+        self._base_counters = dict(self.registry.counters)
 
     def _close(self, start_index: int, end_index: int) -> WindowFrame:
         reg = self.registry
@@ -170,16 +146,4 @@ class WindowAggregator:
             if delta:
                 frame.counters[key] = delta
         frame.gauges = dict(reg.gauges)
-        base_h = self._base_hists
-        for key, hist in reg.histograms.items():
-            b_count, b_total, b_buckets = base_h.get(key, (0, 0.0, None))
-            d_count = hist.count - b_count
-            if not d_count:
-                continue
-            if b_buckets is None:
-                buckets = list(hist.buckets)
-            else:
-                buckets = [n - b_buckets[i] for i, n in enumerate(hist.buckets)]
-            frame.hists[key] = Histogram(
-                count=d_count, total=hist.total - b_total, buckets=buckets, **_UNBOUNDED)
         return frame

@@ -11,10 +11,10 @@ caller's process.
 
 The two arms differ *only* in detection wiring:
 
-* **detection on** — stock SLO objectives plus one availability SLO per
-  tenant, anomaly detectors, and the machine crash hook wired into the
+* **detection on** — the stock CE/UE burn objectives plus one
+  availability SLO per tenant, and the machine crash hook wired into the
   circuit breakers (fail fast on out-of-band evidence);
-* **detection off** — no objectives, no detectors, no crash hook: the
+* **detection off** — no objectives and no crash hook: the
   breakers see only inline evidence (failed attempts), so every fault
   costs the full retry ladder before failover.
 
@@ -62,20 +62,14 @@ def run_scenario(
     try:
         rig = build_rig(n_nodes=scenario.n_nodes)
         recorder = FlightRecorder(capacity_windows=256, span_tail=256)
+        objectives = ()
         if detection:
             objectives = default_objectives() + tuple(
                 availability_objective(t.name, scenario.availability_target)
                 for t in scenario.tenants
             )
-            detectors = None  # HealthEngine default set
-        else:
-            objectives = ()
-            detectors = []
         health = rig.kernel.attach_health(
-            window_ns=scenario.window_ns,
-            objectives=objectives,
-            detectors=detectors,
-            recorder=recorder,
+            window_ns=scenario.window_ns, objectives=objectives, recorder=recorder,
         )
         engine = ResilientTrafficEngine(
             rig.kernel,

@@ -1,15 +1,15 @@
 """Score one incident from its flight-recorder dump alone.
 
-The scorer reads a ``repro.telemetry.flightrec/3`` snapshot through the
+The scorer reads a ``repro.telemetry.flightrec/4`` snapshot through the
 recorder's frame and event views — no simulator imports — so ``python -m
 repro.telemetry score DUMP.json`` works offline, on a dump
 from any run.  Four scores, per the AIOpsLab-style ops loop:
 
-* **MTTD** — injection to the first *correct* SLO alert or anomaly
-  (rack-wide, or scoped to a ground-truth node; one stamped just before
-  injection, in the same health window, counts at that window's end);
+* **MTTD** — injection to the first *correct* SLO alert (rack-wide, or
+  scoped to a ground-truth node; one stamped just before injection, in
+  the same health window, counts at that window's end);
 * **localization** — precision/recall/F1 of the blame set (scoped
-  alerts + anomalies, breaker opens, predictor boost pages, failed
+  alerts, breaker opens, predictor boost pages, failed
   request-path spans, and the atlas link tail's
   down-stamped links, resolved to their node endpoints) against the
   injected fault sites;
@@ -70,7 +70,7 @@ def ground_truth(dump: dict) -> Tuple[Optional[float], Set[str]]:
 
 def blame_set(dump: dict, t0: float) -> Set[str]:
     """Everything the detection/mitigation stack pointed at after ``t0``:
-    scoped alerts and anomalies, breaker opens, boosted pages, failed
+    scoped alerts, breaker opens, boosted pages, failed
     request attempts' targets, and the endpoints of links that went down
     (``link_down`` faults carry no node id, so this is what localises a
     severed port)."""
@@ -79,7 +79,7 @@ def blame_set(dump: dict, t0: float) -> Set[str]:
         if event.t_ns < t0:
             continue
         kind, row = event.kind, event.fields
-        if kind in (rec.ALERT_FIRED, rec.ANOMALY, rec.LINK_DOWN) and event.node >= 0:
+        if kind in (rec.ALERT_FIRED, rec.LINK_DOWN) and event.node >= 0:
             blame.add(f"node:{event.node}")
         elif kind == rec.BREAKER and row["to"] == "open":
             blame.add(f"node:{event.node}")
@@ -95,8 +95,8 @@ def blame_set(dump: dict, t0: float) -> Set[str]:
 def _first_detection(
     dump: dict, t0: float, truth: Set[str], frames: List[WindowFrame]
 ) -> Optional[float]:
-    """When the first *correct* detection (rack-wide or truth-scoped) at
-    or after ``t0`` landed.
+    """When the first *correct* alert (rack-wide or truth-scoped) at or
+    after ``t0`` fired.
 
     A detection is stamped with its window's end, and a fault stamped by a
     node clock running ahead of the health tick is counted in a window that
@@ -106,7 +106,7 @@ def _first_detection(
     """
     times = [
         event.t_ns for event in rec.dump_events(dump)
-        if event.kind in (rec.ALERT_FIRED, rec.ANOMALY)
+        if event.kind == rec.ALERT_FIRED
         and (event.node < 0 or f"node:{event.node}" in truth)
     ]
     later = [t for t in times if t >= t0]

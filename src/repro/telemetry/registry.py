@@ -61,11 +61,11 @@ def bucket_index(value: float) -> int:
 class Histogram:
     """Fixed-bucket log-scale histogram with exact count/sum/min/max."""
 
-    count: int = 0
-    total: float = 0.0
-    min_value: float = float("inf")
-    max_value: float = float("-inf")
-    buckets: List[int] = field(default_factory=lambda: [0] * N_BUCKETS)
+    count: int = field(default=0, init=False)
+    total: float = field(default=0.0, init=False)
+    min_value: float = field(default=float("inf"), init=False)
+    max_value: float = field(default=float("-inf"), init=False)
+    buckets: List[int] = field(default_factory=lambda: [0] * N_BUCKETS, init=False)
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -128,24 +128,6 @@ class Histogram:
                 rep = self._bucket_midpoint(idx)
                 return min(max(rep, self.min_value), self.max_value)
         return self.max_value
-
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples whose bucket lies above ``threshold``.
-
-        A bucket counts as "above" when its lower bound is >= the
-        threshold, so the answer is conservative (never over-reports
-        violations) and deterministic.
-        """
-        if not self.count:
-            return 0.0
-        above = 0
-        for idx, n in enumerate(self.buckets):
-            if not n:
-                continue
-            lower = 0.0 if idx == 0 else float(1 << (idx - 1))
-            if lower >= threshold:
-                above += n
-        return above / self.count
 
     @staticmethod
     def _bucket_midpoint(idx: int) -> float:

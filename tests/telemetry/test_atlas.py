@@ -461,7 +461,7 @@ class TestFlightRecorderV3:
         rig, _, _ = saturated_run
         rec = FlightRecorder()
         dump = rec.snapshot("test", rig.machine.max_time(), machine=rig.machine)
-        assert dump["schema"] == FLIGHT_SCHEMA == "repro.telemetry.flightrec/3"
+        assert dump["schema"] == FLIGHT_SCHEMA == "repro.telemetry.flightrec/4"
         links = {r["link"]: r for r in dump["atlas_links"]}
         assert links["gmem|node:0"]["saturated_bytes"] > 0
         assert links["gmem|node:0"]["blame"][0]["tenant"] in ("hog", "meek")
@@ -478,7 +478,7 @@ class TestFlightRecorderV3:
 class TestLinkBlameScoring:
     def test_blame_set_resolves_flapped_links_to_nodes(self):
         """The atlas link tail alone localises a severed port — no
-        alert, anomaly, breaker, or span needed."""
+        alert, breaker, or span needed."""
         dump = {
             "fault_tail": {
                 "3": [{"kind": "link_down", "time_ns": 100.0,

@@ -81,8 +81,11 @@ def dump(written):
 
 class TestV2Content:
     def test_schema_and_new_sections(self, dump):
-        # schema moved to /3 (atlas tails) — the v2 sections must survive
-        assert dump["schema"] == FLIGHT_SCHEMA == "repro.telemetry.flightrec/3"
+        # schema moved to /3 (atlas tails), then /4 (no anomaly, incident or
+        # window-histogram rows) — the v2 sections must survive
+        assert dump["schema"] == FLIGHT_SCHEMA == "repro.telemetry.flightrec/4"
+        assert not {"anomalies", "incidents"} & set(dump)
+        assert all("hists" not in row for row in dump["windows"])
         assert dump["breakers"], "crash campaign tripped no breakers"
         assert dump["resilience"], "no resilience counter samples recorded"
         for ev in dump["breakers"]:
@@ -134,8 +137,6 @@ class TestBackwardCompat:
             "at_ns": 1000.0,
             "windows": [],
             "alerts": [],
-            "anomalies": [],
-            "incidents": [],
             "spans": [["chaos.step", 0, 0.0, 10.0, None]],
             "fault_tail": {},
         }
@@ -149,7 +150,7 @@ class TestBackwardCompat:
         assert [(e.kind, e.fields["args"]) for e in events] == [(rec.SPAN, {})]
 
     def test_older_schema_tag_refused(self, tmp_path):
-        old = dict(self._v1(), schema="repro.telemetry.flightrec/2")
+        old = dict(self._v1(), schema="repro.telemetry.flightrec/3")
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
             check_schema(old)
         path = tmp_path / "v2.json"
@@ -182,16 +183,12 @@ class TestReadSide:
                           "to": "open", "t_ns": 500.0, "reason": "node-crash"}],
             "fault_tail": {"1": [{"kind": "node_crash", "time_ns": 400.0,
                                   "addr": None, "detail": ""}]},
-            "incidents": [{"at_ns": 300.0, "kind": "ue"}],
-            "anomalies": [{"detector": "ce_slope", "node": -1, "at_ns": 200.0}],
             "alerts": [{"objective": "ue.rate", "node": -1, "fired_ns": 100.0,
                         "event": "firing"}],
         }
         events = dump_events(dump)
         assert [(e.t_ns, e.kind, e.node) for e in events] == [
             (100.0, rec.ALERT_FIRED, -1),
-            (200.0, rec.ANOMALY, -1),
-            (300.0, rec.INCIDENT, -1),
             (400.0, rec.FAULT, 1),
             (500.0, rec.BREAKER, 1),
             (600.0, rec.BOOST, -1),

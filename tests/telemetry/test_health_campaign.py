@@ -222,6 +222,16 @@ class TestFlightRecorder:
         assert len(rec.frames) == 4
         assert rec.frames[0].index == 6
 
+    @pytest.mark.parametrize("field, bad", [
+        ("span_tail", 0), ("span_tail", -2), ("span_tail", 1.5), ("span_tail", None),
+        ("capacity_windows", 0), ("capacity_windows", -1), ("capacity_windows", True),
+    ])
+    def test_sizes_below_one_are_refused_by_name(self, field, bad):
+        """``span_tail=0`` would dump every span (``spans[-0:]``), a negative
+        tail drop the oldest ones, a negative capacity fail inside ``deque``."""
+        with pytest.raises(ValueError, match=f"FlightRecorder.{field} must be an integer >= 1"):
+            FlightRecorder(**{field: bad})
+
 
 class TestPostmortem:
     def test_render_shows_degradation_timeline(self, tmp_path):

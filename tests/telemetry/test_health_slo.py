@@ -1,13 +1,10 @@
 """SLO engine: objective validation, burn-rate fire/resolve lifecycle,
-deterministic alert identity, and the anomaly detectors."""
+and deterministic alert identity."""
 
 import pytest
 
 from repro.telemetry.health import (
-    CeSlopeDetector,
     Objective,
-    RepairStreakDetector,
-    ScrubTrendDetector,
     SLOEngine,
     WindowAggregator,
     alert_id,
@@ -44,6 +41,31 @@ class TestObjectiveValidation:
             Objective(
                 name="x", kind="rate", subsystem="s", metric="m", budget_per_window=0.0
             )
+
+    @pytest.mark.parametrize("field, bad", [
+        ("budget_per_window", float("nan")),
+        ("budget_per_window", float("inf")),
+        ("budget_per_window", -1.0),
+        ("fast_burn", float("nan")),
+        ("fast_burn", 0.0),
+        ("fast_burn", -2.0),
+        ("slow_burn", float("nan")),
+        ("slow_burn", -1.0),
+        ("slow_burn", float("inf")),
+        ("fast_windows", 0),
+        ("fast_windows", -1),
+        ("fast_windows", 1.5),
+        ("fast_windows", True),
+        ("slow_windows", 0),
+        ("slow_windows", -3),
+        ("slow_windows", 2.0),
+    ])
+    def test_hostile_burn_settings_refused_by_name(self, field, bad):
+        """A NaN burn never pages, a zero window count never pages, a
+        negative window count breaks the first evaluate and a negative burn
+        pages on a quiet window: each is refused when the objective is built."""
+        with pytest.raises(ValueError, match=f"Objective.{field} must be"):
+            Objective(name="x", kind="rate", subsystem="s", metric="m", **{field: bad})
 
     def test_duplicate_objective_names_rejected(self):
         obj = Objective(name="x", kind="rate", subsystem="s", metric="m")
@@ -133,35 +155,3 @@ class TestRatioObjective:
             fired.extend(a for a in slo.evaluate(frame) if a.state == "firing")
         assert any(a.scope == "rack" for a in fired)
         assert any(a.scope == "node0" for a in fired)
-
-
-class TestAnomalyDetectors:
-    def test_ce_slope_fires_on_sustained_growth_only(self):
-        det = CeSlopeDetector()
-        results = [
-            det.observe(f) for f in _frames([1, 3, 6, 6, 2], name="fault.ce")
-        ]
-        assert results[0] is None and results[1] is None
-        assert results[2] is not None and results[2].detector == "ce_slope"
-        assert results[3] is None  # plateau is not growth
-        assert results[4] is None
-
-    def test_repair_streak_counts_consecutive_failures(self):
-        det = RepairStreakDetector()
-        anomalies = [
-            det.observe(f) for f in _frames([1, 1, 0, 1], name="repair.fail")
-        ]
-        assert anomalies[0] is None
-        assert anomalies[1] is not None
-        assert anomalies[1].severity == 2.0
-        assert anomalies[2] is None  # calm window resets the streak
-        assert anomalies[3] is None
-
-    def test_scrub_trend_needs_growth(self):
-        det = ScrubTrendDetector()
-        results = [
-            det.observe(f)
-            for f in _frames([1, 2, 4, 4], name="scrub.latent_pages")
-        ]
-        assert results[2] is not None
-        assert results[2].detector == "scrub_latent_trend"

@@ -48,21 +48,8 @@ class TestAggregator:
         frame = agg.tick(5500.0)  # jumped 5 windows
         assert frame.windows == 5
         assert frame.delta_total("s", "c") == 10
-        assert frame.rate_total("s", "c") == pytest.approx(2.0)
-
-    def test_histogram_window_delta(self, reg):
-        agg = WindowAggregator(reg, window_ns=1000.0)
-        agg.tick(0.0)
-        for v in (4.0, 4.0, 1000.0):
-            reg.observe(0, "s", "lat", v)
-        frame = agg.tick(1500.0)
-        h = frame.hists[(0, "s", "lat")]
-        assert h.count == 3
-        assert h.total == 1008.0
-        # only this window's samples appear in the next frame
-        reg.observe(0, "s", "lat", 2.0)
-        frame2 = agg.tick(2500.0)
-        assert frame2.hists[(0, "s", "lat")].count == 1
+        # the rate a reader normalises: per single window, not per frame
+        assert frame.delta_total("s", "c") / frame.windows == pytest.approx(2.0)
 
     def test_rejects_nonpositive_window(self, reg):
         for bad in (0.0, float("nan"), float("inf"), -1.0):
@@ -90,8 +77,9 @@ class TestAggregator:
 
 
 class TestWindowHist:
-    """A frame's histogram deltas are registry histograms without sample
-    bounds: quantiles are bucket midpoints."""
+    """Histograms are not windowed: a frame carries counter deltas and
+    gauges only, and a latency distribution is read off the registry's
+    own histogram, whose exact sample bounds clamp its quantiles."""
 
     def _hist(self, values):
         reg = MetricsRegistry()
@@ -99,7 +87,9 @@ class TestWindowHist:
         agg.tick(0.0)
         for v in values:
             reg.observe(0, "s", "lat", v)
-        return agg.tick(1000.0).hists[(0, "s", "lat")]
+        frame = agg.tick(1000.0)
+        assert not hasattr(frame, "hists") and "hists" not in frame.to_dict()
+        return reg.histogram(0, "s", "lat")
 
     def test_percentile_validates_quantile(self):
         h = self._hist([4.0])
@@ -109,26 +99,18 @@ class TestWindowHist:
 
     def test_percentile_empty_is_zero(self):
         assert Histogram().percentile(0.99) == 0.0
-        # a window delta's quantile is its bucket's midpoint, unclamped
-        assert self._hist([300.0]).percentile(0.5) == (256.0 * 512.0) ** 0.5
-
-    def test_fraction_above_is_conservative(self):
-        h = self._hist([2.0, 2.0, 1024.0, 4096.0])
-        # bucket lower bounds decide: 1024 and 4096 land in buckets
-        # whose lower bounds (512, 2048) are >= the 512 threshold
-        assert h.fraction_above(512.0) == pytest.approx(0.5)
-        assert h.fraction_above(2048.0) == pytest.approx(0.25)
-        assert h.fraction_above(1e9) == 0.0
-        assert h.fraction_above(0.0) == 1.0
+        # one sample's quantile is the sample, not its bucket's midpoint
+        assert self._hist([300.0]).percentile(0.5) == 300.0
 
     def test_list_round_trip(self):
-        h = self._hist([2.0, 300.0, 300.0])
-        frame = WindowFrame(index=0, start_ns=0.0, end_ns=1.0, windows=1,
-                            hists={(0, "s", "lat"): h})
-        row = json.loads(json.dumps(frame.to_dict()))["hists"][0]
-        assert row == [0, "s", "lat", [3, 602.0, {"1": 1, "9": 2}]]
-        h2 = WindowFrame.from_dict({**frame.to_dict(), "hists": [row]}).hists[(0, "s", "lat")]
-        assert h2 == h
+        reg = MetricsRegistry()
+        for v in (2.0, 300.0, 300.0):
+            reg.observe(0, "s", "lat", v)
+        row = json.loads(json.dumps(reg.snapshot()))["histograms"][0]
+        assert row == [0, "s", "lat", {"count": 3, "sum": 602.0, "min": 2.0,
+                                       "max": 300.0, "buckets": {"1": 1, "9": 2}}]
+        again = MetricsRegistry.from_snapshot({"histograms": [row]})
+        assert again.histogram(0, "s", "lat") == reg.histogram(0, "s", "lat")
 
 
 class TestFrameRoundTrip:
@@ -138,11 +120,9 @@ class TestFrameRoundTrip:
         reg.inc(0, "s", "c", 3)
         reg.inc(RACK_WIDE, "s", "c", 1)
         reg.set_gauge(1, "s", "g", 7.5)
-        reg.observe(0, "s", "lat", 128.0)
         frame = agg.tick(1500.0)
         frame2 = WindowFrame.from_dict(json.loads(json.dumps(frame.to_dict())))
         assert frame2.index == frame.index
         assert frame2.counters == frame.counters
         assert frame2.gauges == frame.gauges
-        assert frame2.hists[(0, "s", "lat")].count == 1
         assert frame2.to_dict() == frame.to_dict()

@@ -15,6 +15,7 @@ import pytest
 from repro.telemetry.dashboard import render_incident_timeline
 from repro.telemetry.health.postmortem import render_postmortem
 from repro.telemetry.health.recorder import FLIGHT_SCHEMA
+from repro.telemetry.health.slo import default_objectives
 from repro.telemetry.incidents import (
     blame_set,
     get_scenario,
@@ -31,8 +32,20 @@ pytestmark = pytest.mark.incidents
 
 
 @pytest.fixture(scope="module")
-def ue_storm_on():
-    return run_scenario(get_scenario("ue-storm"), detection=True)
+def detection_on():
+    """Scenario name -> its detection-on arm, each run once per module."""
+    runs = {}
+
+    def arm(name):
+        if name not in runs:
+            runs[name] = run_scenario(get_scenario(name), detection=True)
+        return runs[name]
+    return arm
+
+
+@pytest.fixture(scope="module")
+def ue_storm_on(detection_on):
+    return detection_on("ue-storm")
 
 
 @pytest.fixture(scope="module")
@@ -137,9 +150,9 @@ class TestEveryScenario:
     ``bench_incidents`` full mode gated and CI never ran."""
 
     @pytest.mark.parametrize("name", list(scenarios()))
-    def test_detection_detects_localises_replays_and_beats_off(self, name, pin):
+    def test_detection_detects_localises_replays_and_beats_off(self, name, pin, detection_on):
         scenario = get_scenario(name)
-        on = run_scenario(scenario, detection=True)
+        on = detection_on(name)
         replay = run_scenario(scenario, detection=True)
         off = run_scenario(scenario, detection=False)
         assert on.score["mttd_ns"] is not None
@@ -152,6 +165,14 @@ class TestEveryScenario:
         assert off.score["mttm_ns"] > on.score["mttm_ns"]
         assert off.score["blast_radius"]["requests_lost"] > 0
         pin({"on": _arm_digests(on), "off": _arm_digests(off)})
+
+    def test_every_stock_objective_fires_in_some_scenario(self, detection_on):
+        """A stock objective no scenario can sample is evaluated on every
+        window close and never pages: the catalogue must fire each one."""
+        fired = {row["objective"] for name in scenarios()
+                 for row in detection_on(name).dump["alerts"] if row["event"] == "firing"}
+        stock = {objective.name for objective in default_objectives()}
+        assert stock <= fired, f"never fired: {sorted(stock - fired)}"
 
 
 class TestTracing:
@@ -179,14 +200,14 @@ class TestScoringUnits:
             "windows": [
                 {"index": 0, "start_ns": 0.0, "end_ns": 1e6, "windows": 1,
                  "counters": [[0, "traffic/web", "admitted", 100.0]],
-                 "gauges": [], "hists": []},
+                 "gauges": []},
                 {"index": 1, "start_ns": 1e6, "end_ns": 2e6, "windows": 1,
                  "counters": [[0, "traffic/web", "admitted", 80.0],
                               [0, "traffic/web", "resilience.lost", 20.0]],
-                 "gauges": [], "hists": []},
+                 "gauges": []},
                 {"index": 2, "start_ns": 2e6, "end_ns": 3e6, "windows": 1,
                  "counters": [[0, "traffic/web", "admitted", 100.0]],
-                 "gauges": [], "hists": []},
+                 "gauges": []},
             ],
             "alerts": [
                 {"objective": "availability:web", "node": 0, "alert_id": 1,
@@ -196,8 +217,6 @@ class TestScoringUnits:
                  "fired_ns": 0.1e6, "fast_burn": 9.0, "slow_burn": 2.0,
                  "event": "firing"},  # pre-injection: ignored
             ],
-            "anomalies": [],
-            "incidents": [],
             "breakers": [
                 {"tenant": "web", "target": 0, "from": "closed", "to": "open",
                  "t_ns": 1.1e6, "reason": "node-crash"},

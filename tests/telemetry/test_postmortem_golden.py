@@ -26,13 +26,12 @@ def _dump() -> dict:
         "windows": [
             {"index": 0, "start_ns": 0.0, "end_ns": 250_000.0, "windows": 1,
              "counters": [[0, "reliability", "fault.ce", 3.0]],
-             "gauges": [[0, "reliability", "scrub.evacuated", 1.0]],
-             "hists": []},
+             "gauges": [[0, "reliability", "scrub.evacuated", 1.0]]},
             {"index": 1, "start_ns": 250_000.0, "end_ns": 500_000.0,
              "windows": 1,
              "counters": [[0, "reliability", "fault.ue", 1.0],
                           [0, "reliability", "repair.ok", 2.0]],
-             "gauges": [], "hists": []},
+             "gauges": []},
         ],
         "alerts": [
             {"objective": "ce.rate", "node": 0, "alert_id": 1,
@@ -42,14 +41,6 @@ def _dump() -> dict:
              "fired_ns": 300_000.0, "resolved_ns": 900_000.0,
              "event": "resolved"},
         ],
-        "anomalies": [
-            {"detector": "ce.slope", "node": 0, "window": 4,
-             "at_ns": 280_000.0, "severity": 2.5, "detail": "slope=+3/win"},
-        ],
-        "incidents": [
-            {"at_ns": 700_000.0, "kind": "ue", "blast_radius": 2,
-             "total_boxes": 8, "recoveries": [{"box_id": 5}]},
-        ],
         "breakers": [
             {"tenant": "web", "target": 0, "from": "closed", "to": "open",
              "t_ns": 310_000.0, "reason": "error-rate"},
@@ -57,7 +48,7 @@ def _dump() -> dict:
              "t_ns": 810_000.0, "reason": "probe-ok"},
         ],
         "boosts": [
-            {"t_ns": 260_000.0, "cause": "ce-slope", "pages": [4096, 8192]},
+            {"t_ns": 260_000.0, "cause": "ce.rate", "pages": [4096, 8192]},
         ],
         "resilience": [
             {"t_ns": 500_000.0, "tenant": "web", "offered": 100,
@@ -89,13 +80,11 @@ GOLDEN_WINDOW_TABLE = [
 ]
 
 GOLDEN_TIMELINE = [
-    "-- degradation timeline (9 events) --",
-    "     260.000us  BOOST          cause=ce-slope pages=0x1000,0x2000",
-    "     280.000us  ANOMALY        ce.slope [node0] severity=2.50 slope=+3/win",
+    "-- degradation timeline (7 events) --",
+    "     260.000us  BOOST          cause=ce.rate pages=0x1000,0x2000",
     "     300.000us  ALERT fired    ce.rate [node0] id=1 fast=3.50 slow=1.25",
     "     310.000us  BREAKER        web@node0 closed->open reason=error-rate",
     "     400.000us  FAULT          node_crash [node0] chaos",
-    "     700.000us  INCIDENT       kind=ue blast=2/8 boxes=5",
     "     810.000us  BREAKER        web@node0 open->closed reason=probe-ok",
     "     900.000us  ALERT resolved ce.rate [node0] id=1",
     "    2500.000us  DUMP           reason=test:golden",
@@ -110,8 +99,8 @@ GOLDEN_SPAN_TAIL = [
 
 GOLDEN_RESILIENCE_TAIL = [
     "-- resilience tail (1 samples) --",
-    "     500.000us  web: offered=100 admitted=98 failed=2 timed_out=0 "
-    "retries=3 hedges=1 failovers=1 shed=0",
+    "     500.000us  web: offered=100 admitted=98 failed=2 retries=3 "
+    "failovers=1 shed=0",
 ]
 
 
@@ -167,7 +156,7 @@ class TestV1Dump:
         assert "BREAKER" not in report
         assert "BOOST" not in report
         # timeline shrinks to the non-breaker events
-        assert "-- degradation timeline (6 events) --" in report
+        assert "-- degradation timeline (4 events) --" in report
 
     def test_unknown_schema_rejected(self):
         dump = _dump()

@@ -14,7 +14,7 @@ from repro.workloads.resilience import ResilienceSpec, ResilientTrafficEngine
 pytestmark = pytest.mark.telemetry
 
 
-class TestExplicitParent:
+class TestTraceBuffer:
     def test_stack_parent_is_the_default(self):
         buf = TraceBuffer()
         a = buf.begin("outer", 0, 0.0)
@@ -58,7 +58,7 @@ def _overloaded_run(tracing=False):
     return eng.run(max_requests=30_000)
 
 
-class TestHedgeSpanPropagation:
+class TestRequestPathSpans:
     def test_attempt_spans_nest_under_batches(self):
         _overloaded_run(tracing=True)
         spans = TELEMETRY.trace.spans

@@ -16,7 +16,8 @@ exactly from run to run, and counting only frames whose code lives under
   while each atlas drain folded the line sketch nobody read (7,191 evicting
   ``SpaceSaving.offer`` calls), 65,534 with lines folded on read (E27),
   60,582 after E28, 60,236 after E29, 57,944 with one reader of the dump
-  (E31).
+  (E31), 53,461 with no anomaly detectors and no per-window histogram
+  deltas (E44).
 * ``redis-closed`` (the Fig. 4 path, 1,200 closed-loop requests, single ops
   only): 212,302 while a cached miss passed the gate twice and a line burst
   was priced by a chain of charge helpers, 209,465 with one gate and one

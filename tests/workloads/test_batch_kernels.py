@@ -159,7 +159,7 @@ PARENT = {
 
 
 @pytest.mark.parametrize("scenario", sorted(PARENT))
-def test_shedding_and_hedging_runs_replay_the_parent_commit(scenario, pin):
+def test_shedding_runs_replay_the_parent_commit(scenario, pin):
     tenant, seed, kwargs = PARENT[scenario]
     runs = []
     for _ in range(2):  # same seed, same everything
