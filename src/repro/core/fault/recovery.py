@@ -16,12 +16,9 @@ from typing import List, Optional
 from ...flacdk.reliability import HealthMonitor
 from ...rack.faults import FaultEvent, FaultKind
 from ...rack.machine import NodeContext
-from ...telemetry import TELEMETRY as _TEL
 from .fault_box import FaultBox, FaultBoxManager
 from .redundancy import AdaptiveRedundancyPolicy, RedundancyMode
 from .replication import PartialReplicator
-
-_SUB = "core.fault"
 
 
 @dataclass
@@ -74,7 +71,6 @@ class FaultRecoveryCoordinator:
         for box in hit:
             self.manager.mark_failed(box)
             report.recoveries.append(self._recover_box(ctx, box))
-        self._count_incident(ctx, report)
         return report
 
     def handle_node_crash(self, ctx: NodeContext, dead_node: int) -> IncidentReport:
@@ -90,21 +86,7 @@ class FaultRecoveryCoordinator:
         for box in hit:
             self.manager.mark_failed(box)
             report.recoveries.append(self._recover_box(ctx, box))
-        self._count_incident(ctx, report)
         return report
-
-    def _count_incident(self, ctx: NodeContext, report: IncidentReport) -> None:
-        if not _TEL.enabled:
-            return
-        reg = _TEL.registry
-        reg.inc(ctx.node_id, _SUB, "box.incident")
-        reg.inc(ctx.node_id, _SUB, "box.recovered", len(report.recoveries))
-        reg.inc(
-            ctx.node_id, _SUB, "box.pages_restored",
-            sum(r.pages_restored for r in report.recoveries),
-        )
-        for recovery in report.recoveries:
-            reg.observe(ctx.node_id, _SUB, "box.recovery_ns", recovery.duration_ns)
 
     def _recover_box(self, ctx: NodeContext, box: FaultBox) -> BoxRecovery:
         start = ctx.now()

@@ -27,9 +27,6 @@ from typing import Callable, List, Optional, Tuple
 from ...flacdk.alloc import EpochReclaimer, FrameAllocator
 from ...flacdk.structures import SharedRadixTree
 from ...rack.machine import NodeContext
-from ...telemetry import TELEMETRY as _TEL
-
-_SUB = "core.fs"
 
 PAGE_SIZE = 4096
 _DIRTY = 1
@@ -97,12 +94,8 @@ class SharedPageCache:
         value = self.tree.lookup(ctx, key)
         if value is not None:
             self.stats.hits += 1
-            if _TEL.enabled:
-                _TEL.registry.inc(ctx.node_id, _SUB, "page_cache.hit")
             return value & ~_DIRTY
         self.stats.misses += 1
-        if _TEL.enabled:
-            _TEL.registry.inc(ctx.node_id, _SUB, "page_cache.miss")
         if loader is None:
             return None
         content = loader(ctx)
@@ -111,8 +104,6 @@ class SharedPageCache:
         frame = self.frames.alloc(ctx)
         ctx.store(frame, content.ljust(PAGE_SIZE, b"\x00"), bypass_cache=True)
         self.stats.loads_from_device += 1
-        if _TEL.enabled:
-            _TEL.registry.inc(ctx.node_id, _SUB, "page_cache.device_load")
         winner = self.tree.insert_if_absent(ctx, key, frame)
         if winner != frame:
             self.frames.free(ctx, frame)  # racer cached it first
@@ -140,16 +131,12 @@ class SharedPageCache:
         for i, value in enumerate(values):
             if value is not None:
                 self.stats.hits += 1
-                if _TEL.enabled:
-                    _TEL.registry.inc(ctx.node_id, _SUB, "page_cache.hit")
                 frames.append(value & ~_DIRTY)
             elif loader_factory is not None:
-                # get_page counts the miss (stats and telemetry)
+                # get_page counts the miss
                 frames.append(self.get_page(ctx, file_id, start_page + i, loader_factory(start_page + i)))
             else:
                 self.stats.misses += 1
-                if _TEL.enabled:
-                    _TEL.registry.inc(ctx.node_id, _SUB, "page_cache.miss")
                 frames.append(None)
         return frames
 
@@ -265,10 +252,6 @@ class SharedPageCache:
                 self.stats.writebacks += 1
             else:
                 self._dirty_hint.append((file_id, page_idx))  # re-dirtied meanwhile
-        if _TEL.enabled:
-            reg = _TEL.registry
-            reg.inc(ctx.node_id, _SUB, "page_cache.writeback_pages", cleaned)
-            reg.observe(ctx.node_id, _SUB, "page_cache.writeback_batch", cleaned)
         return cleaned
 
     def _note_dirty(self, file_id: int, page_idx: int) -> None:

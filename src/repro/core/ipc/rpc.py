@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ...rack.machine import NodeContext, RackMachine
-from ...telemetry import TELEMETRY as _TEL, span as _span
+from ...telemetry import span as _span
 from ..params import OsCosts
-
-_SUB = "core.ipc"
 from .registry import Endpoint, NameRegistry
 from .shared_buffer import BufferPool, BufferRef
 
@@ -85,7 +83,6 @@ class RpcSystem:
         """Invoke ``name`` by thread migration from ``ctx``'s node: the
         caller's clock pays the two address-space switches and whatever
         the handler touches."""
-        before = ctx.now()
         with _span("ipc.rpc.call", ctx=ctx, service=name):
             handler = self._resolve_code(ctx, name)
             self.stats.calls += 1
@@ -94,9 +91,6 @@ class RpcSystem:
                 return handler(ctx, *args, **kwargs)
             finally:
                 ctx.advance(self.costs.addr_space_switch_ns)  # migrate back
-                if _TEL.enabled:
-                    _TEL.registry.inc(ctx.node_id, _SUB, "rpc.calls")
-                    _TEL.registry.observe(ctx.node_id, _SUB, "rpc.migration_ns", ctx.now() - before)
 
     def _resolve_code(self, ctx: NodeContext, name: str) -> Callable:
         node_cache = self._code_cache.setdefault(ctx.node_id, {})

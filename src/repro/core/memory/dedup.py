@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from ...rack.machine import NodeContext
-from ...telemetry import TELEMETRY as _TEL
 from .page_table import PAGE_SIZE, PTE_COW, PTE_GLOBAL, PTE_PRESENT
 from .vma import ReverseMap
 
@@ -67,11 +66,6 @@ class PageDeduper:
             merged += 1
         self.stats.merged_frames += merged
         self.stats.bytes_saved += merged * PAGE_SIZE
-        if _TEL.enabled:
-            reg = _TEL.registry
-            reg.inc(ctx.node_id, "core.memory", "dedup.scans")
-            reg.inc(ctx.node_id, "core.memory", "dedup.merged", merged)
-            reg.inc(ctx.node_id, "core.memory", "dedup.bytes_saved", merged * PAGE_SIZE)
         return merged
 
     def _merge(self, ctx: NodeContext, duplicate: int, canonical: int) -> None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ...rack.machine import NodeContext
-from ...telemetry import TELEMETRY as _TEL
 from ..fs.block import BlockAllocator, BlockDevice
 
 PAGE_SIZE = 4096
@@ -75,19 +74,8 @@ class SwapBackedMemory:
             self._resident.move_to_end(vpn)
             ctx.advance(self.local_touch_ns)
             self.stats.hits += 1
-            if _TEL.enabled:
-                _TEL.registry.inc(ctx.node_id, "core.memory", "swap.hit")
         else:
-            if _TEL.enabled:
-                before = ctx.now()
-                page = self._fault_in(ctx, vpn, fill)
-                reg = _TEL.registry
-                reg.inc(ctx.node_id, "core.memory", "swap.major_fault")
-                reg.observe(
-                    ctx.node_id, "core.memory", "swap.fault_ns", ctx.now() - before
-                )
-            else:
-                page = self._fault_in(ctx, vpn, fill)
+            page = self._fault_in(ctx, vpn, fill)
         if write:
             page = (fill or b"w").ljust(PAGE_SIZE, b"\x00")[:PAGE_SIZE]
             self._resident[vpn] = page
@@ -134,5 +122,3 @@ class SwapBackedMemory:
                 self.device.write_block(ctx, block, victim)
                 self._swapped[victim_vpn] = block
             self.stats.swap_outs += 1
-            if _TEL.enabled:
-                _TEL.registry.inc(ctx.node_id, "core.memory", "swap.out")

@@ -63,7 +63,7 @@ class MemorySystem:
             self._deferred_local_frees[node_id] = []
 
         self.tlbs: Dict[int, Tlb] = {
-            node_id: Tlb(node_id, costs=self.costs)
+            node_id: Tlb(costs=self.costs)
             for node_id in machine.nodes
         }
         self.shootdown = TlbShootdown(

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...rack.machine import NodeContext
-from ...telemetry import TELEMETRY as _TEL
 from ..params import OsCosts
 from .page_table import SharedPageTable, Translation, vpn_of
 
-_SUB = "core.memory"
 #: translations one node's TLB holds before evicting the least recent
 TLB_CAPACITY = 1024
 
@@ -40,8 +38,7 @@ class Tlb:
     Entries are keyed by (asid, vpn); an LRU of :data:`TLB_CAPACITY` entries.
     """
 
-    def __init__(self, node_id: int, costs: Optional[OsCosts] = None) -> None:
-        self.node_id = node_id
+    def __init__(self, costs: Optional[OsCosts] = None) -> None:
         self.costs = costs or OsCosts()
         self._entries: "OrderedDict[tuple, Translation]" = OrderedDict()
         self.stats = TlbStats()
@@ -52,13 +49,9 @@ class Tlb:
         if entry is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            if _TEL.enabled:
-                _TEL.registry.inc(self.node_id, _SUB, "tlb.hit")
             ctx.advance(self.costs.tlb_hit_ns)
             return entry
         self.stats.misses += 1
-        if _TEL.enabled:
-            _TEL.registry.inc(self.node_id, _SUB, "tlb.miss")
         return None
 
     def fill(self, asid: int, vaddr: int, translation: Translation) -> None:
@@ -123,8 +116,6 @@ class TlbShootdown:
         gen = ctx.fetch_add(self.base, 1) + 1
         # the initiator acks itself immediately (it flushes its own TLB)
         ctx.atomic_store(self._ack_addr(ctx.node_id), gen)
-        if _TEL.enabled:
-            _TEL.registry.inc(ctx.node_id, _SUB, "tlb.shootdown.requested")
         return gen
 
     def acked_by_all(self, ctx: NodeContext, gen: int, alive_nodes: Optional[List[int]] = None) -> bool:
@@ -150,8 +141,6 @@ class TlbShootdown:
             for vpn in range(start_vpn, end_vpn):
                 tlb.invalidate(ctx, asid, vpn << 12)
         tlb.stats.shootdowns_served += 1
-        if _TEL.enabled:
-            _TEL.registry.inc(ctx.node_id, _SUB, "tlb.shootdown.served")
         ctx.atomic_store(self._ack_addr(ctx.node_id), gen)
         return True
 
@@ -173,14 +162,6 @@ class CachedWalker:
         cached = self.tlb.lookup(ctx, self.asid, vaddr)
         if cached is not None and (not write or cached.writable):
             return cached
-        if _TEL.enabled:
-            before = ctx.now()
-            translation = self.page_table.translate(ctx, vaddr, write=write)
-            _TEL.registry.inc(ctx.node_id, _SUB, "ptwalk")
-            _TEL.registry.observe(
-                ctx.node_id, _SUB, "ptwalk_ns", ctx.now() - before
-            )
-        else:
-            translation = self.page_table.translate(ctx, vaddr, write=write)
+        translation = self.page_table.translate(ctx, vaddr, write=write)
         self.tlb.fill(self.asid, vaddr, translation)
         return translation

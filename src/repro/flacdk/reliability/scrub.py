@@ -100,11 +100,8 @@ class MemoryScrubber:
             self._feed_predictor_and_evacuate(ctx)
         if _TEL.enabled:
             reg = _TEL.registry
-            reg.inc(ctx.node_id, _SUB, "scrub.windows")
             if pages:
                 reg.inc(ctx.node_id, _SUB, "scrub.latent_pages", len(pages))
-            reg.set_gauge(ctx.node_id, _SUB, "scrub.bytes_scanned", self.stats.bytes_scanned)
-            reg.set_gauge(ctx.node_id, _SUB, "scrub.passes", self.stats.passes)
             reg.set_gauge(ctx.node_id, _SUB, "scrub.evacuated", self.stats.evacuated)
         return pages
 

@@ -14,12 +14,14 @@ single node's counters explain a latency.  This package is that layer:
 Instrumentation contract
 ------------------------
 
-The substrate's data plane is instrumented at its load-bearing paths
-(``rack.machine`` cache hits/misses, ``core.memory`` walks and
-shootdowns, ``core.fs`` page-cache and journal, ``core.ipc`` RPC,
-``flacdk.reliability`` repair/scrub, chaos).  Every hook is guarded by
-**one attribute check** on the module-level :data:`TELEMETRY` state, as
-the machine records a cached access once it completes::
+A series is recorded only where a reader reads it: ``rack.machine``
+cache and fault counts, ``core.ipc`` socket sends, ``fabric`` links,
+``reliability`` faults, repairs, latent pages and evacuations, and per
+tenant the availability pair (:data:`ADMITTED_SERIES`,
+:data:`LOST_SERIES`) plus ``latency_ns``.  TLB, swap, dedup, page cache,
+RPC and fault boxes keep only their own ``*Stats``.  Every hook is
+guarded by **one attribute check** on the module-level :data:`TELEMETRY`
+state, as the machine records a cached access once it completes::
 
     if _TEL.enabled:
         _TEL.count(node_id, "rack.machine", "cache.hit", hits)
@@ -33,6 +35,7 @@ free in simulated time.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from contextlib import contextmanager
 from typing import Optional, Union
@@ -54,6 +57,10 @@ RUN_SCHEMA = "repro.telemetry.run/1"
 #: Subsystem prefix for tenant-scoped metrics (one subsystem per tenant,
 #: so existing keying/export/digest machinery applies unchanged).
 TENANT_PREFIX = "traffic/"
+#: the availability pair, the only tenant counters any reader reads: the
+#: requests a tenant's server completed, and those the request path lost
+ADMITTED_SERIES = "admitted"
+LOST_SERIES = "resilience.lost"
 
 
 def tenant_subsystem(tenant: str) -> str:
@@ -173,6 +180,43 @@ def reset() -> TelemetryState:
     return TELEMETRY.reset()
 
 
+#: the keys an exported histogram's sparse ``buckets`` object may carry
+_BUCKET_KEYS = frozenset(str(i) for i in range(N_BUCKETS))
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _row_fault(section: str, row) -> Optional[str]:
+    """What is wrong with one ``metrics.<section>`` row, or None: every
+    reader (dashboard, ``from_snapshot``) then takes the row as it is."""
+    if not (isinstance(row, list) and len(row) == 4):
+        return "must be a [node, subsystem, name, value] row"
+    node, subsystem, name, value = row
+    if type(node) is not int:
+        return f"node must be an int, got {node!r}"
+    for field, text in (("subsystem", subsystem), ("name", name)):
+        if not (isinstance(text, str) and text):
+            return f"{field} must be a non-empty string, got {text!r}"
+    if section != "histograms":
+        return None if _finite(value) else f"value must be a finite number, got {value!r}"
+    if not isinstance(value, dict):
+        return f"value must be a histogram object, got {value!r}"
+    count, buckets = value.get("count", 0), value.get("buckets") or {}
+    if not (type(count) is int and count >= 0):
+        return f"count must be an int >= 0, got {count!r}"
+    if not _finite(value.get("sum", 0.0)):
+        return f"sum must be a finite number, got {value.get('sum')!r}"
+    for key in ("min", "max"):
+        if value.get(key) is not None and not _finite(value[key]):
+            return f"{key} must be a finite number or null, got {value[key]!r}"
+    if not (isinstance(buckets, dict) and all(
+            k in _BUCKET_KEYS and type(n) is int and n >= 0 for k, n in buckets.items())):
+        return f'buckets must map "0".."{N_BUCKETS - 1}" to ints >= 0, got {buckets!r}'
+    return None
+
+
 def load_run(path: Union[str, pathlib.Path]) -> dict:
     """Read an exported run, validating schema, metrics section and (if
     present) trace and atlas section."""
@@ -185,10 +229,13 @@ def load_run(path: Union[str, pathlib.Path]) -> dict:
     if not isinstance(metrics, dict):
         raise ValueError(f"metrics is not an object (a {type(metrics).__name__})")
     for section in ("counters", "gauges", "histograms"):
-        rows, value = metrics.get(section, []), dict if section == "histograms" else (int, float)
-        if not (isinstance(rows, list) and all(
-                isinstance(r, list) and len(r) == 4 and isinstance(r[3], value) for r in rows)):
+        rows = metrics.get(section, [])
+        if not isinstance(rows, list):
             raise ValueError(f"metrics.{section} must be a list of [node, subsystem, name, value] rows")
+        for i, row in enumerate(rows):
+            fault = _row_fault(section, row)
+            if fault is not None:
+                raise ValueError(f"metrics.{section}[{i}] {fault}")
     if data.get("trace") is not None:
         validate_chrome_trace(data["trace"])
     if data.get("atlas") is not None:
@@ -231,8 +278,10 @@ def span(name: str, ctx=None, node: int = RACK_WIDE, **args):
 
 
 __all__ = [
+    "ADMITTED_SERIES",
     "BUCKET_BOUNDS",
     "Histogram",
+    "LOST_SERIES",
     "MetricKey",
     "MetricsRegistry",
     "N_BUCKETS",

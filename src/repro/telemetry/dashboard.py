@@ -1,9 +1,8 @@
 """Latency-breakdown dashboard: a terminal snapshot of one exported run.
 
 Renders the headline health panel the paper's evaluation reads off —
-per-node cache hit ratio, TLB activity (hits/misses/shootdowns),
-page-cache hit ratio, RPC latency p50/p99, CE/UE/repair counts — then a
-per-subsystem breakdown of every other metric, and (when the run was
+per-node cache hit ratio, CE/UE/repair counts, socket IPC latency — then
+a per-subsystem breakdown of every other metric, and (when the run was
 traced) the flamegraph-style hottest-paths summary.
 """
 
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from . import TENANT_PREFIX
 from .health import recorder as rec
 from .health.slo import scope_label
 from .registry import MetricsRegistry, merged_histogram, rate
@@ -70,38 +68,11 @@ def render_headline(reg: MetricsRegistry) -> str:
     """The acceptance panel: one row per node, the load-bearing ratios."""
     cache_hits = _per_node(reg, "rack.machine", "cache.hit")
     cache_misses = _per_node(reg, "rack.machine", "cache.miss")
-    tlb_hits = _per_node(reg, "core.memory", "tlb.hit")
-    tlb_misses = _per_node(reg, "core.memory", "tlb.miss")
-    shootdowns = _per_node(reg, "core.memory", "tlb.shootdown.served")
-    pc_hits = _per_node(reg, "core.fs", "page_cache.hit")
-    pc_misses = _per_node(reg, "core.fs", "page_cache.miss")
-    nodes = sorted(
-        set(cache_hits) | set(cache_misses) | set(tlb_hits) | set(tlb_misses)
-        | set(shootdowns) | set(pc_hits) | set(pc_misses)
-    )
-    grid = _Grid(
-        "per-node health",
-        ["node", "cache hit%", "tlb hit%", "tlb shootdowns", "pgcache hit%", "rpc p50/p99 (ns)"],
-    )
-    for node in nodes:
-        rpc = reg.histogram(node, "core.ipc", "rpc.migration_ns")
-        rpc_cell = (
-            f"{_fmt(rpc.percentile(0.5))} / {_fmt(rpc.percentile(0.99))}"
-            if rpc is not None and rpc.count
-            else "-"
-        )
-        grid.add(
-            scope_label(node),
-            _pct(rate(cache_hits.get(node, 0.0), cache_misses.get(node, 0.0))
-                 if (node in cache_hits or node in cache_misses) else float("nan")),
-            _pct(rate(tlb_hits.get(node, 0.0), tlb_misses.get(node, 0.0))
-                 if (node in tlb_hits or node in tlb_misses) else float("nan")),
-            _fmt(shootdowns.get(node, 0.0)),
-            _pct(rate(pc_hits.get(node, 0.0), pc_misses.get(node, 0.0))
-                 if (node in pc_hits or node in pc_misses) else float("nan")),
-            rpc_cell,
-        )
-    lines = [grid.render()] if nodes else []
+    grid = _Grid("per-node health", ["node", "cache hit%"])
+    for node in sorted(set(cache_hits) | set(cache_misses)):
+        grid.add(scope_label(node),
+                 _pct(rate(cache_hits.get(node, 0.0), cache_misses.get(node, 0.0))))
+    lines = [grid.render()] if grid.rows else []
 
     # rack-wide reliability summary
     ce = reg.counter_total("reliability", "fault.ce")
@@ -112,84 +83,15 @@ def render_headline(reg: MetricsRegistry) -> str:
     rel.add(_fmt(ce), _fmt(ue), _fmt(repairs), _fmt(failed))
     lines.append(rel.render())
 
-    rpc_all = merged_histogram(reg.histograms, "core.ipc", "rpc.migration_ns")
-    zc_all = merged_histogram(reg.histograms, "core.ipc", "ipc.zero_copy_send_ns")
-    if rpc_all or zc_all:
+    zc = merged_histogram(reg.histograms, "core.ipc", "ipc.zero_copy_send_ns")
+    if zc is not None and zc.count:
         ipc = _Grid("ipc latency (simulated ns)",
                     ["path", "count", "mean", "p50", "p99", "max"])
-        for label, h in (("rpc (migration)", rpc_all), ("socket (zero-copy)", zc_all)):
-            if h is None or not h.count:
-                continue
-            ipc.add(label, _fmt(h.count), _fmt(h.mean),
-                    _fmt(h.percentile(0.5)), _fmt(h.percentile(0.99)),
-                    _fmt(h.max_value))
+        ipc.add("socket (zero-copy)", _fmt(zc.count), _fmt(zc.mean),
+                _fmt(zc.percentile(0.5)), _fmt(zc.percentile(0.99)),
+                _fmt(zc.max_value))
         lines.append(ipc.render())
     return "\n\n".join(lines)
-
-
-def render_tenants(reg: MetricsRegistry) -> str:
-    """Per-tenant traffic breakout: request/drop counts and latency
-    percentiles from the tenant-scoped ``traffic/<name>`` subsystems."""
-    tenants = reg.tenants(TENANT_PREFIX)
-    if not tenants:
-        return ""
-    grid = _Grid(
-        "per-tenant traffic",
-        ["tenant", "requests", "admitted", "dropped (backlog/link)",
-         "bytes", "lat p50 (ns)", "lat p99 (ns)"],
-    )
-    for tenant in tenants:
-        sub = TENANT_PREFIX + tenant
-        requests = reg.counter_total(sub, "requests")
-        admitted = reg.counter_total(sub, "admitted")
-        d_backlog = reg.counter_total(sub, "dropped.backlog")
-        d_link = reg.counter_total(sub, "dropped.link")
-        n_bytes = reg.counter_total(sub, "bytes")
-        lat = merged_histogram(reg.histograms, sub, "latency_ns")
-        grid.add(
-            tenant,
-            _fmt(requests),
-            _fmt(admitted),
-            f"{_fmt(d_backlog + d_link)} ({_fmt(d_backlog)}/{_fmt(d_link)})",
-            _fmt(n_bytes),
-            _fmt(lat.percentile(0.5)) if lat and lat.count else "-",
-            _fmt(lat.percentile(0.99)) if lat and lat.count else "-",
-        )
-    return grid.render()
-
-
-def render_resilience(reg: MetricsRegistry) -> str:
-    """Per-tenant fault-tolerance breakout: retries, failovers, breaker
-    trips and lost requests from the ``traffic/<name>`` subsystems.
-    Empty when no tenant recorded any resilience activity."""
-    tenants = reg.tenants(TENANT_PREFIX)
-    if not tenants:
-        return ""
-    rows = []
-    for tenant in tenants:
-        sub = TENANT_PREFIX + tenant
-        cells = {
-            name: reg.counter_total(sub, "resilience." + name)
-            for name in ("retries", "failovers", "failed", "shed", "breaker_opens")
-        }
-        if any(cells.values()):
-            rows.append((tenant, cells))
-    if not rows:
-        return ""
-    grid = _Grid(
-        "per-tenant resilience",
-        ["tenant", "retries", "failovers", "failed", "shed", "breaker opens"],
-    )
-    for tenant, c in rows:
-        grid.add(
-            tenant,
-            _fmt(c["retries"]),
-            _fmt(c["failovers"]),
-            _fmt(c["failed"]),
-            _fmt(c["shed"]),
-            _fmt(c["breaker_opens"]),
-        )
-    return grid.render()
 
 
 def render_subsystems(reg: MetricsRegistry) -> str:
@@ -278,12 +180,6 @@ def render_dashboard(run: dict, flame: bool = True) -> str:
     headline = render_headline(reg)
     if headline:
         parts.append(headline)
-    tenants = render_tenants(reg)
-    if tenants:
-        parts.append(tenants)
-    resilience = render_resilience(reg)
-    if resilience:
-        parts.append(resilience)
     parts.append(render_subsystems(reg))
     if run.get("atlas"):
         # lazy import: atlas.render imports this module's grid helpers

@@ -35,7 +35,7 @@ from typing import Dict, Tuple
 from ...chaos.schedule import ChaosCampaign, event
 from ...rack.params import GLOBAL_BASE
 from ...workloads.traffic import TenantSpec
-from .. import tenant_subsystem
+from .. import ADMITTED_SERIES, LOST_SERIES, tenant_subsystem
 from ..health.slo import Objective
 
 _PAGE = 4096
@@ -58,18 +58,18 @@ def spare_pages(count: int, lane: int = 0) -> Tuple[int, ...]:
 def availability_objective(tenant: str, target: float = 0.999) -> Objective:
     """Per-tenant availability SLO: admitted vs lost-by-the-request-path.
 
-    ``resilience.lost`` aggregates every loss class (failed, timed out,
-    shed); admission-policy drops are not failures and stay out.  The
-    burn thresholds fire within one window of a lost batch (a whole
-    batch lost in one window burns hundreds of budgets) and resolve
-    after six calm windows.
+    :data:`~repro.telemetry.LOST_SERIES` aggregates every loss class
+    (failed, timed out, shed); admission-policy drops are not failures and
+    stay out.  The burn thresholds fire within one window of a lost batch
+    (a whole batch lost in one window burns hundreds of budgets) and
+    resolve after six calm windows.
     """
     return Objective(
         name=f"availability.{tenant}",
         kind="ratio",
         subsystem=tenant_subsystem(tenant),
-        good="admitted",
-        bad="resilience.lost",
+        good=ADMITTED_SERIES,
+        bad=LOST_SERIES,
         target=target,
         fast_windows=1,
         slow_windows=6,

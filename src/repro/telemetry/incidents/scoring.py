@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
+from .. import ADMITTED_SERIES, LOST_SERIES, TENANT_PREFIX
 from ..health import recorder as rec
 from ..health.windows import WindowFrame
 
@@ -36,11 +37,6 @@ _PAGE = 4096
 #: fault kinds that constitute an injected incident (repairs and link
 #: restorations are consequences, not causes)
 GROUND_TRUTH_KINDS = ("ce", "link_down", "node_crash", "ue")
-
-#: tenant-scoped counter names the availability ratio reads
-_GOOD = "admitted"
-_BAD = "resilience.lost"
-_TENANT_PREFIX = "traffic/"
 
 #: the request-path span whose failed outcome blames its target node
 _ATTEMPT = "traffic.attempt"
@@ -126,11 +122,11 @@ def _availability_by_window(frames: List[WindowFrame]) -> List[Tuple[float, floa
     for frame in frames:
         good = bad = 0.0
         for (_node, sub, name), value in frame.counters.items():
-            if not sub.startswith(_TENANT_PREFIX):
+            if not sub.startswith(TENANT_PREFIX):
                 continue
-            if name == _GOOD:
+            if name == ADMITTED_SERIES:
                 good += value
-            elif name == _BAD:
+            elif name == LOST_SERIES:
                 bad += value
         if good + bad <= 0:
             continue
@@ -145,8 +141,8 @@ def _blast_radius(frames: List[WindowFrame], t0: float) -> dict:
         if frame.end_ns <= t0:
             continue
         for (_node, sub, name), value in frame.counters.items():
-            if sub.startswith(_TENANT_PREFIX) and name == _BAD and value > 0:
-                tenants.add(sub[len(_TENANT_PREFIX):])
+            if sub.startswith(TENANT_PREFIX) and name == LOST_SERIES and value > 0:
+                tenants.add(sub[len(TENANT_PREFIX):])
                 lost += value
     return {"tenants": sorted(tenants), "requests_lost": lost}
 

@@ -2,13 +2,13 @@
 
 Every metric is keyed ``(node, subsystem, name)``: the node observing it
 (``-1`` for rack-wide events with no single observer), the subsystem
-that owns it (``"rack.machine"``, ``"core.memory"``, ``"core.fs"``,
-``"core.ipc"``, ``"reliability"``, ``"chaos"``, ...), and a dotted
-metric name (``"cache.hit"``, ``"rpc.migration_ns"``).  Three metric
-kinds cover the substrate:
+that owns it (``"rack.machine"``, ``"core.ipc"``, ``"reliability"``,
+``"fabric"``, ``"traffic/<tenant>"``, ...), and a dotted metric name
+(``"cache.hit"``, ``"ipc.zero_copy_send_ns"``).  Three metric kinds
+cover the substrate:
 
-* **counters** — monotone event counts (cache hits, TLB shootdowns);
-* **gauges** — last-written values (scrub cursor, resident pages);
+* **counters** — monotone event counts (cache hits, UEs, repairs);
+* **gauges** — last-written values (pages evacuated);
 * **histograms** — value distributions over *fixed log-scale buckets*
   (operation latencies in simulated ns), so two runs that observe the
   same values produce bit-identical bucket arrays.
@@ -239,20 +239,6 @@ class MetricsRegistry:
         """Sum of one counter across every node."""
         return sum(
             v for (n, s, m), v in self.counters.items() if s == subsystem and m == name
-        )
-
-    def histogram(self, node: int, subsystem: str, name: str) -> Optional[Histogram]:
-        return self.histograms.get((node, subsystem, name))
-
-    def tenants(self, prefix: str = "traffic/") -> List[str]:
-        """Tenant names seen under the per-tenant subsystem convention.
-
-        Tenant-scoped metrics live in subsystems named
-        ``"<prefix><tenant>"`` (the traffic engine's convention), so the
-        tenant set is derivable from the key space with no side table.
-        """
-        return sorted(
-            {s[len(prefix):] for s in self.subsystems() if s.startswith(prefix)}
         )
 
     def subsystems(self) -> List[str]:

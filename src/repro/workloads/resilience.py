@@ -41,7 +41,6 @@ from ..chaos.runner import CampaignRunner, JournalTail
 from ..core.backoff import BackoffPolicy
 from ..core.events import EventCore
 from ..rack.params import finite, refuse, whole
-from ..telemetry import TELEMETRY as _TEL
 from .traffic import (
     ARRIVAL,
     FAILED,
@@ -277,26 +276,23 @@ class ResilientTrafficEngine(TrafficEngine):
 
     # -- breaker plumbing ------------------------------------------------------
 
-    def _note_transition(self, st: _TenantState, record: Optional[dict]) -> None:
+    def _note_transition(self, record: Optional[dict]) -> None:
         """Keep a breaker's transition record (``None``: it did not move)."""
-        if record is None:
-            return
-        self.breaker_events.append(record)
-        if _TEL.enabled and record["to"] == CircuitBreaker.OPEN:
-            _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.breaker_opens")
+        if record is not None:
+            self.breaker_events.append(record)
 
     def _breaker_outcome(
         self, rs: _ResilienceState, target: int, now_ns: float, ok: bool
     ) -> None:
         br = rs.breakers[target]
-        self._note_transition(self.tenants[br.tenant], br.record(now_ns, ok))
+        self._note_transition(br.record(now_ns, ok))
 
     def _trip(self, node: int, now_ns: float, reason: str, names) -> None:
         """Force open the breaker each of ``names`` holds on ``node``."""
         for name in names:
             br = self._rstate[name].breakers.get(node)
             if br is not None:
-                self._note_transition(self.tenants[name], br.trip(now_ns, reason))
+                self._note_transition(br.trip(now_ns, reason))
 
     def _on_node_crash(self, node_id: int, now_ns: float) -> None:
         """Machine crash hook: fail fast — open the breakers immediately

@@ -54,7 +54,7 @@ from ..rack.interconnect import InterconnectError
 from ..rack.machine import NodeContext, SlotWindow
 from ..rack.node import NodeCrashedError
 from ..rack.params import finite, whole
-from ..telemetry import TELEMETRY as _TEL
+from ..telemetry import ADMITTED_SERIES, LOST_SERIES, TELEMETRY as _TEL
 from .arrivals import ArrivalProcess, make_process
 
 #: Arrival timestamps pre-sampled per refill of a tenant's queue.
@@ -124,11 +124,6 @@ def _whole(value) -> bool:
 
 # -- the outcome ledger ----------------------------------------------------------
 
-#: the one "bad" series per tenant: every request-path loss feeds it, and
-#: the availability SLO and the incident scorer read nothing else
-LOST_SERIES = "resilience.lost"
-
-
 class Outcome(NamedTuple):
     """One row of the per-tenant outcome ledger (DESIGN §11).
 
@@ -141,25 +136,26 @@ class Outcome(NamedTuple):
     name: str
     #: key in ``_TenantState.counts`` and in ``TrafficReport.tenants[...]``
     counter: str
-    #: every ``traffic/<tenant>`` registry series one count feeds
-    series: Tuple[str, ...]
+    #: the ``traffic/<tenant>`` registry series one count feeds, if a
+    #: reader reads one: the availability pair, nothing else
+    series: Optional[str] = None
     #: the fabric refused or lost the request: one VNI drop per count
     drop: bool = False
 
 
-OFFERED = Outcome("offered", "offered", ("requests",))
-ADMITTED = Outcome("admitted", "admitted", ("admitted",))
-BACKLOG = Outcome("backlog", "dropped_backlog", ("dropped.backlog",), drop=True)
-LINK = Outcome("link", "dropped_link", ("dropped.link",), drop=True)
-FAILED = Outcome("failed", "failed", ("resilience.failed", LOST_SERIES), drop=True)
-#: no step counts it; the digest, recorder samples, dashboard, postmortem and benchmark carry it
-TIMED_OUT = Outcome("timed_out", "timed_out", ("resilience.timed_out", LOST_SERIES), drop=True)
-RETRIES = Outcome("retries", "retries", ("resilience.retries",))
+OFFERED = Outcome("offered", "offered")
+ADMITTED = Outcome("admitted", "admitted", ADMITTED_SERIES)
+BACKLOG = Outcome("backlog", "dropped_backlog", drop=True)
+LINK = Outcome("link", "dropped_link", drop=True)
+FAILED = Outcome("failed", "failed", LOST_SERIES, drop=True)
+#: no step counts it; the digest, recorder samples, postmortem and benchmark carry it
+TIMED_OUT = Outcome("timed_out", "timed_out", LOST_SERIES, drop=True)
+RETRIES = Outcome("retries", "retries")
 #: no step counts these two either (the request path does not hedge); the same readers carry them
-HEDGES = Outcome("hedges", "hedges", ("resilience.hedges",))
-HEDGE_WINS = Outcome("hedge_wins", "hedge_wins", ("resilience.hedge_wins",))
-FAILOVERS = Outcome("failovers", "failovers", ("resilience.failovers",))
-SHED = Outcome("shed", "dropped_shed", ("resilience.shed", LOST_SERIES), drop=True)
+HEDGES = Outcome("hedges", "hedges")
+HEDGE_WINS = Outcome("hedge_wins", "hedge_wins")
+FAILOVERS = Outcome("failovers", "failovers")
+SHED = Outcome("shed", "dropped_shed", LOST_SERIES, drop=True)
 
 #: arrival bookkeeping; admission refusals (their sum is the report's
 #: derived ``dropped``); what the request path did with an admitted batch
@@ -391,10 +387,8 @@ class TrafficEngine:
         counts[outcome.counter] += n
         if outcome.drop:
             self.vnis.drop(st.vni, n)
-        if _TEL.enabled:
-            spec = st.spec
-            for series in outcome.series:
-                _TEL.tenant_add(spec.node, spec.name, series, n)
+        if outcome.series is not None and _TEL.enabled:
+            _TEL.tenant_add(st.spec.node, st.spec.name, outcome.series, n)
 
     def _serve(self, st: _TenantState, arrivals: np.ndarray) -> None:
         spec = st.spec
@@ -571,8 +565,6 @@ class TrafficEngine:
         st.queue_delay_ns += wait
         self._count(st, ADMITTED, n)
         if _TEL.enabled:
-            _TEL.tenant_add(spec.node, spec.name, "bytes", n_bytes)
-            _TEL.tenant_add(spec.node, spec.name, "queue_delay_ns", wait)
             _TEL.tenant_observe_batch(spec.node, spec.name, "latency_ns", latency)
         atlas = _TEL.atlas
         if atlas is not None:

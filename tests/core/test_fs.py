@@ -172,6 +172,19 @@ class TestPageCacheMechanics:
         fs.reclaimer.advance_and_reclaim(c1)
         assert fs.read(c0, fd, 0, 2) == b"v2"
 
+    def test_hits_and_misses_are_counted(self, rack2, fs):
+        _, c0, _, _ = rack2
+        fd = fs.open(c0, "/hits", create=True)
+        fs.write(c0, fd, 0, b"x" * PAGE_SIZE)
+        stats = fs.page_cache.stats
+        hits, misses = stats.hits, stats.misses
+        for _ in range(3):
+            fs.read(c0, fd, 0, 512)
+        assert (stats.hits, stats.misses) == (hits + 3, misses)
+        ino = fs.stat(c0, "/hits").ino
+        assert fs.page_cache.get_page(c0, ino, 7) is None  # absent, no loader
+        assert (stats.hits, stats.misses) == (hits + 3, misses + 1)
+
     def test_cache_key_bounds(self):
         from repro.core.fs import PageCacheError
 

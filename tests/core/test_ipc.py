@@ -146,6 +146,17 @@ class TestRpc:
         assert rpc.stats.context_fetches == 1
         assert rpc.stats.local_cache_hits == 4
 
+    def test_calls_are_counted_and_each_pays_two_switches(self, ipc_rig):
+        _, c0, c1, _, registry, ipc = ipc_rig
+        rpc = RpcSystem(ipc.machine, registry, ipc.buffers)
+        rpc.register(c1, "echo", _echo_service)
+        rpc.call(c0, "echo", b"warm")  # fetches the code context
+        for _ in range(4):
+            before = c0.now()
+            rpc.call(c0, "echo", b"x")  # touches nothing: the switches are all it pays
+            assert c0.now() - before == pytest.approx(2 * rpc.costs.addr_space_switch_ns)
+        assert rpc.stats.calls == 5
+
     def test_service_state_in_global_memory(self, ipc_rig):
         machine, c0, c1, arena, registry, ipc = ipc_rig
         cell = arena.take(8, align=8)

@@ -77,7 +77,7 @@ class TestSharedPageTable:
 class TestTlb:
     def test_hit_after_fill(self, rack2, table):
         _, c0, _, _ = rack2
-        tlb = Tlb(0)
+        tlb = Tlb()
         table.map(c0, 0x1000, 0x3000, flags=2)
         t = table.translate(c0, 0x1000)
         tlb.fill(1, 0x1000, t)
@@ -87,7 +87,7 @@ class TestTlb:
     def test_capacity_bounded(self, rack2, table, monkeypatch):
         _, c0, _, _ = rack2
         monkeypatch.setattr(tlb_module, "TLB_CAPACITY", 2)
-        tlb = Tlb(0)
+        tlb = Tlb()
         table.map(c0, 0x1000, 0x3000, flags=0)
         t = table.translate(c0, 0x1000)
         for vpn in range(5):
@@ -96,14 +96,14 @@ class TestTlb:
 
     def test_asid_isolation(self, rack2, table):
         _, c0, _, _ = rack2
-        tlb = Tlb(0)
+        tlb = Tlb()
         table.map(c0, 0x1000, 0x3000, flags=0)
         tlb.fill(1, 0x1000, table.translate(c0, 0x1000))
         assert tlb.lookup(c0, 2, 0x1000) is None
 
     def test_invalidate_asid(self, rack2, table):
         _, c0, _, _ = rack2
-        tlb = Tlb(0)
+        tlb = Tlb()
         table.map(c0, 0x1000, 0x3000, flags=0)
         t = table.translate(c0, 0x1000)
         tlb.fill(1, 0x1000, t)
@@ -116,7 +116,7 @@ class TestTlbShootdown:
     def test_doorbell_round(self, rack2):
         _, c0, c1, arena = rack2
         sd = TlbShootdown(arena.take(TlbShootdown.region_size(2), align=8), 2).format(c0)
-        tlb1 = Tlb(1)
+        tlb1 = Tlb()
         from repro.core.memory import Translation
 
         tlb1.fill(7, 0x1000, Translation(0x3000, 1))
@@ -129,14 +129,14 @@ class TestTlbShootdown:
     def test_service_without_pending_is_noop(self, rack2):
         _, c0, c1, arena = rack2
         sd = TlbShootdown(arena.take(TlbShootdown.region_size(2), align=8), 2).format(c0)
-        assert not sd.service(c1, Tlb(1))
+        assert not sd.service(c1, Tlb())
 
     def test_ranged_shootdown_spares_other_pages(self, rack2):
         _, c0, c1, arena = rack2
         from repro.core.memory import Translation
 
         sd = TlbShootdown(arena.take(TlbShootdown.region_size(2), align=8), 2).format(c0)
-        tlb1 = Tlb(1)
+        tlb1 = Tlb()
         tlb1.fill(7, 0x1000, Translation(0x3000, 1))
         tlb1.fill(7, 0x9000, Translation(0x4000, 1))
         sd.request(c0, asid=7, start_vpn=1, end_vpn=2)
@@ -227,6 +227,19 @@ class TestAddressSpace:
         aspace.read(c1, va, 4)  # node 1 caches the translation
         memsys.unmap_range(c0, aspace, va, PAGE_SIZE, responders=[c1])
         assert memsys.tlbs[1].lookup(c1, aspace.asid, va) is None
+
+    def test_tlb_miss_walks_then_the_next_read_hits(self, rack2, memsys):
+        _, c0, _, _ = rack2
+        aspace = memsys.create_address_space(c0)
+        va = aspace.mmap(c0, 3 * PAGE_SIZE)
+        aspace.write(c0, va, b"hello")
+        stats = memsys.tlbs[0].stats
+        misses, before = stats.misses, c0.now()
+        aspace.read(c0, va, 5)  # walks the shared table, fills the TLB
+        walked, before = c0.now() - before, c0.now()
+        aspace.read(c0, va, 5)
+        assert stats.hits == 1 and stats.misses == misses + 1
+        assert c0.now() - before < walked  # the hit skips the walk
 
 
 class TestDedupAndCow:

@@ -70,9 +70,6 @@ def test_campaign_exports_schema_valid_trace_and_dashboard(tmp_path):
     dash = render_dashboard(run)
     assert "per-node health" in dash
     assert "cache hit%" in dash
-    assert "tlb shootdowns" in dash
-    assert "pgcache hit%" in dash
-    assert "rpc p50/p99" in dash
     assert "-- reliability --" in dash
     assert "fault.ce" in dash  # CE storm landed in the registry
     assert "hottest traced paths" in dash
@@ -85,7 +82,6 @@ def test_campaign_exports_schema_valid_trace_and_dashboard(tmp_path):
         "rack.machine", "cache.miss"
     )
     assert machine_traffic > 0
-    assert reg.counter_total("core.fs", "page_cache.hit") > 0
     assert reg.counter_total("reliability", "fault.ce") >= 8
 
 

@@ -113,12 +113,28 @@ def test_atlas_view_refuses_a_wrongly_typed_field(view, spoil, tmp_path, capsys)
     assert err.startswith("error: ") and " must be " in err and err.count("\n") == 1
 
 
+#: one well-formed exported histogram: two samples of 3 ns
+_HIST = {"count": 2, "sum": 6.0, "min": 3.0, "max": 3.0, "buckets": {"2": 2}}
+
+
 @pytest.mark.parametrize("metrics", [
     [],                                                  # was: an AttributeError traceback
     {"counters": [[0, "core.fs", 5.0]]},                 # was: "not enough values to unpack"
     {"gauges": {"0": 1.0}},
     {"counters": [[0, "core.fs", "hits", "many"]]},
-    {"histograms": [[0, "core.ipc", "rpc.migration_ns", 5.0]]},
+    {"histograms": [[0, "core.ipc", "ipc.zero_copy_send_ns", 5.0]]},
+    {"counters": [[0, "rack.machine", "cache.hit", float("inf")]]},  # was: OverflowError in _fmt
+    {"histograms": [[0, "core.ipc", "ipc.zero_copy_send_ns", _HIST | {"buckets": {"99": 2}}]]},  # IndexError
+    {"counters": [[0, 5, "cache.hit", 3]]},              # was: AttributeError
+    {"counters": [[0, "rack.machine", "cache.hit", float("nan")]]},  # was: shown as "-"
+    {"counters": [[0, "rack.machine", "cache.hit", True]]},         # was: shown as 1
+    {"gauges": [["x", "reliability", "scrub.evacuated", 1.0]]},     # was: shown as "nodex"
+    {"gauges": [[True, "reliability", "scrub.evacuated", 1.0]]},
+    {"counters": [[0, "rack.machine", "", 1.0]]},
+    {"histograms": [[0, "core.ipc", "ipc.zero_copy_send_ns", _HIST | {"count": -1}]]},
+    {"histograms": [[0, "core.ipc", "ipc.zero_copy_send_ns", _HIST | {"sum": float("inf")}]]},
+    {"histograms": [[0, "core.ipc", "ipc.zero_copy_send_ns", _HIST | {"max": "big"}]]},
+    {"histograms": [[0, "core.ipc", "ipc.zero_copy_send_ns", _HIST | {"buckets": {"3": 1.5}}]]},
 ])
 def test_dashboard_refuses_a_malformed_metrics_section(metrics, tmp_path, capsys):
     path = tmp_path / "run.json"

@@ -89,7 +89,7 @@ class TestWindowHist:
             reg.observe(0, "s", "lat", v)
         frame = agg.tick(1000.0)
         assert not hasattr(frame, "hists") and "hists" not in frame.to_dict()
-        return reg.histogram(0, "s", "lat")
+        return reg.histograms[(0, "s", "lat")]
 
     def test_percentile_validates_quantile(self):
         h = self._hist([4.0])
@@ -110,7 +110,7 @@ class TestWindowHist:
         assert row == [0, "s", "lat", {"count": 3, "sum": 602.0, "min": 2.0,
                                        "max": 300.0, "buckets": {"1": 1, "9": 2}}]
         again = MetricsRegistry.from_snapshot({"histograms": [row]})
-        assert again.histogram(0, "s", "lat") == reg.histogram(0, "s", "lat")
+        assert again.histograms[(0, "s", "lat")] == reg.histograms[(0, "s", "lat")]
 
 
 class TestFrameRoundTrip:

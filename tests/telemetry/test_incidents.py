@@ -12,9 +12,10 @@ import json
 
 import pytest
 
+from repro.telemetry import ADMITTED_SERIES, LOST_SERIES, TENANT_PREFIX
 from repro.telemetry.dashboard import render_incident_timeline
 from repro.telemetry.health.postmortem import render_postmortem
-from repro.telemetry.health.recorder import FLIGHT_SCHEMA
+from repro.telemetry.health.recorder import FLIGHT_SCHEMA, dump_frames
 from repro.telemetry.health.slo import default_objectives
 from repro.telemetry.incidents import (
     blame_set,
@@ -173,6 +174,16 @@ class TestEveryScenario:
                  for row in detection_on(name).dump["alerts"] if row["event"] == "firing"}
         stock = {objective.name for objective in default_objectives()}
         assert stock <= fired, f"never fired: {sorted(stock - fired)}"
+
+    def test_windows_carry_only_the_series_a_reader_reads(self, detection_on):
+        """The windows' tenant counters are the availability pair the SLO and
+        the scorer read, and the one reliability gauge is the postmortem's."""
+        tenant, gauges = set(), set()
+        for frame in (f for name in scenarios() for f in dump_frames(detection_on(name).dump)):
+            tenant.update(m for (_n, s, m) in frame.counters if s.startswith(TENANT_PREFIX))
+            gauges.update(m for (_n, s, m) in frame.gauges if s == "reliability")
+        assert tenant == {ADMITTED_SERIES, LOST_SERIES}
+        assert gauges == {"scrub.evacuated"}
 
 
 class TestTracing:

@@ -1,14 +1,10 @@
-"""End-to-end instrumentation tests: drive each subsystem with telemetry
-enabled and check the expected ``(node, subsystem, name)`` keys fill in —
-and that nothing records while telemetry is off."""
+"""End-to-end instrumentation tests: drive each instrumented subsystem
+with telemetry enabled and check the expected ``(node, subsystem, name)``
+keys fill in — and that nothing records while telemetry is off."""
 
 from repro import telemetry
 from repro.bench import build_rig
 from repro.telemetry import TELEMETRY
-
-
-def _noop_service(ctx):
-    return "ok"
 
 
 class TestDisabled:
@@ -61,57 +57,7 @@ class TestMachineCounters:
         assert reg.counters.get((0, "rack.machine", "atomic.local"), 0.0) == 1
 
 
-class TestMemoryCounters:
-    def test_tlb_and_ptwalk(self):
-        telemetry.enable()
-        rig = build_rig()
-        kernel = rig.kernel
-        aspace = kernel.memory.create_address_space(rig.c0)
-        addr = aspace.mmap(rig.c0, 3 * 4096)
-        aspace.write(rig.c0, addr, b"hello")
-        aspace.read(rig.c0, addr, 5)  # walk succeeds, fills the TLB
-        aspace.read(rig.c0, addr, 5)  # TLB hit
-        reg = TELEMETRY.registry
-        assert reg.counters.get((0, "core.memory", "tlb.hit"), 0.0) >= 1
-        assert reg.counters.get((0, "core.memory", "tlb.miss"), 0.0) >= 1
-        assert reg.counters.get((0, "core.memory", "ptwalk"), 0.0) >= 1
-        hist = reg.histogram(0, "core.memory", "ptwalk_ns")
-        assert hist is not None and hist.count >= 1
-        assert hist.min_value > 0
-
-
-class TestFsCounters:
-    def test_page_cache_hit_ratio_counts(self):
-        telemetry.enable()
-        rig = build_rig()
-        kernel = rig.kernel
-        fd = kernel.fs.open(rig.c0, "/t", create=True)
-        kernel.fs.write(rig.c0, fd, 0, b"x" * 4096)
-        for _ in range(3):
-            kernel.fs.read(rig.c0, fd, 0, 512)
-        reg = TELEMETRY.registry
-        hits = reg.counter_total("core.fs", "page_cache.hit")
-        misses = reg.counter_total("core.fs", "page_cache.miss")
-        s = kernel.fs.page_cache.stats
-        assert hits == s.hits and misses == s.misses
-        assert hits > 0
-
-
 class TestIpcCounters:
-    def test_rpc_call_histogram(self):
-        telemetry.enable()
-        rig = build_rig()
-        kernel = rig.kernel
-        kernel.rpc.register(rig.c0, "noop", _noop_service)
-        for _ in range(4):
-            assert kernel.rpc.call(rig.c1, "noop") == "ok"
-        reg = TELEMETRY.registry
-        assert reg.counters.get((1, "core.ipc", "rpc.calls"), 0.0) == 4
-        hist = reg.histogram(1, "core.ipc", "rpc.migration_ns")
-        assert hist.count == 4
-        # each call charges at least two address-space switches
-        assert hist.min_value >= 2 * kernel.costs.addr_space_switch_ns
-
     def test_inline_vs_zero_copy_sends(self):
         telemetry.enable()
         rig = build_rig()
@@ -126,7 +72,7 @@ class TestIpcCounters:
         reg = TELEMETRY.registry
         assert reg.counters.get((0, "core.ipc", "ipc.send.inline"), 0.0) == 1
         assert reg.counters.get((0, "core.ipc", "ipc.send.zero_copy"), 0.0) == 1
-        assert reg.histogram(0, "core.ipc", "ipc.zero_copy_send_ns").count == 1
+        assert reg.histograms[(0, "core.ipc", "ipc.zero_copy_send_ns")].count == 1
 
 
 class TestReliabilityCounters:
@@ -155,9 +101,8 @@ class TestReliabilityCounters:
         while kernel.scrubber.stats.passes == 0:  # one patrol of the whole region
             kernel.scrubber.step(rig.c0)
         reg = TELEMETRY.registry
-        assert reg.counter_total("reliability", "scrub.windows") > 0
-        assert reg.gauges[(0, "reliability", "scrub.passes")] >= 1
         assert reg.counter_total("reliability", "scrub.latent_pages") >= 1
+        assert reg.gauges[(0, "reliability", "scrub.evacuated")] == kernel.scrubber.stats.evacuated
         assert reg.counter_total("reliability", "repair.attempt") >= 1
         ok = reg.counter_total("reliability", "repair.ok")
         fail = reg.counter_total("reliability", "repair.fail")

@@ -94,14 +94,14 @@ class TestHistogram:
 class TestRegistry:
     def test_counters_gauges_histograms(self):
         reg = MetricsRegistry()
-        reg.inc(0, "core.fs", "page_cache.hit")
-        reg.inc(0, "core.fs", "page_cache.hit", 4)
-        reg.set_gauge(1, "reliability", "scrub.passes", 3)
-        reg.observe(0, "core.ipc", "rpc.migration_ns", 123.0)
-        assert reg.counters.get((0, "core.fs", "page_cache.hit"), 0.0) == 5
-        assert reg.counters.get((9, "core.fs", "page_cache.hit"), 0.0) == 0
-        assert reg.gauges[(1, "reliability", "scrub.passes")] == 3
-        assert reg.histogram(0, "core.ipc", "rpc.migration_ns").count == 1
+        reg.inc(0, "rack.machine", "cache.hit")
+        reg.inc(0, "rack.machine", "cache.hit", 4)
+        reg.set_gauge(1, "reliability", "scrub.evacuated", 3)
+        reg.observe(0, "core.ipc", "ipc.zero_copy_send_ns", 123.0)
+        assert reg.counters.get((0, "rack.machine", "cache.hit"), 0.0) == 5
+        assert reg.counters.get((9, "rack.machine", "cache.hit"), 0.0) == 0
+        assert reg.gauges[(1, "reliability", "scrub.evacuated")] == 3
+        assert reg.histograms[(0, "core.ipc", "ipc.zero_copy_send_ns")].count == 1
 
     def test_counter_total_sums_across_nodes(self):
         reg = MetricsRegistry()

@@ -18,13 +18,14 @@ from repro.workloads.resilience import (
     default_spec,
     render_transition,
 )
+from repro.telemetry import ADMITTED_SERIES, LOST_SERIES, TENANT_PREFIX
 from repro.workloads.traffic import (
+    ADMITTED,
     ARRIVAL,
     BACKLOG,
     FAILED,
     LEDGER,
     LINK,
-    LOST_SERIES,
     REQUEST_PATH,
     SHED,
     TIMED_OUT,
@@ -75,25 +76,6 @@ def _run(engine, fault, seed):
     return eng, report, rig.kernel.health.recorder
 
 
-def _expected_series(t):
-    """Today's series, spelled out: what each ``traffic/<tenant>`` counter
-    must read for the report row ``t`` (absent and 0 are the same)."""
-    return {
-        "requests": t["offered"],
-        "admitted": t["admitted"],
-        "dropped.backlog": t["dropped_backlog"],
-        "dropped.link": t["dropped_link"],
-        "resilience.failed": t["failed"],
-        "resilience.timed_out": t["timed_out"],
-        "resilience.retries": t["retries"],
-        "resilience.hedges": t["hedges"],
-        "resilience.hedge_wins": t["hedge_wins"],
-        "resilience.failovers": t["failovers"],
-        "resilience.shed": t["dropped_shed"],
-        "resilience.lost": t["failed"] + t["dropped_shed"],
-    }
-
-
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @settings(max_examples=3, deadline=None)
@@ -115,16 +97,14 @@ def test_every_sink_agrees_with_the_report(engine, fault, seed):
         assert t["dropped"] == t["dropped_backlog"] + t["dropped_link"]
         assert t["timed_out"] == 0  # a kept column no request-path step counts
 
-        # (ii) every registry series reads what the report reads, and the
-        # ledger's rows name exactly these series for exactly these counters
+        # (ii) the availability pair reads what the report reads (absent
+        # and 0 are the same), and only the rows that feed it name a series
         node, sub = eng.tenants[name].spec.node, tel.tenant_subsystem(name)
-        expected = _expected_series(t)
-        for metric, value in expected.items():
-            assert series.get((node, sub, metric), 0) == value, metric
-        assert {s for o in LEDGER for s in o.series} == set(expected)
+        assert series.get((node, sub, ADMITTED_SERIES), 0) == t["admitted"]
+        assert series.get((node, sub, LOST_SERIES), 0) == t["failed"] + t["dropped_shed"]
         for row in LEDGER:
-            assert expected[row.series[0]] == t[row.counter]
-            assert (LOST_SERIES in row.series) == (row in (FAILED, TIMED_OUT, SHED))
+            lost = row in (FAILED, TIMED_OUT, SHED)
+            assert row.series == (ADMITTED_SERIES if row is ADMITTED else LOST_SERIES if lost else None)
 
         # (iii) the fabric's drop count: every refusal and loss, once
         assert eng.vnis.stats[t["vni"]].dropped == (
@@ -140,6 +120,8 @@ def test_every_sink_agrees_with_the_report(engine, fault, seed):
         assert list(last) == ["t_ns", "tenant", "offered", "admitted", "failed",
                               "timed_out", "retries", "hedges", "hedge_wins",
                               "failovers", "shed"]
+    # ... and no other tenant counter exists
+    assert {m for (_n, s, m) in series if s.startswith(TENANT_PREFIX)} <= {ADMITTED_SERIES, LOST_SERIES}
     # (v) the engine's running total — what run(max_requests=) stops on —
     # has one writer beside the OFFERED count, so it is the tenants' sum
     assert eng.total_offered == sum(t["offered"] for t in tenants.values())

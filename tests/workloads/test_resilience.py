@@ -8,7 +8,6 @@ import pytest
 
 import repro.telemetry as tel
 from repro.bench.harness import build_rig
-from repro.telemetry.dashboard import render_resilience
 from repro.workloads import TenantSpec, TrafficEngine, resilience
 from repro.workloads.resilience import (
     CircuitBreaker,
@@ -235,11 +234,11 @@ class TestTelemetry:
         try:
             r_on = run()
             reg = tel.TELEMETRY.registry
-            assert reg.counter_total("traffic/web", "resilience.failovers") > 0
-            assert reg.counter_total("traffic/web", "resilience.breaker_opens") > 0
-            panel = render_resilience(reg)
-            assert "per-tenant resilience" in panel
-            assert "web" in panel
+            assert r_on.tenants["web"]["failovers"] > 0
+            for name, t in r_on.tenants.items():
+                sub = tel.tenant_subsystem(name)
+                assert reg.counter_total(sub, tel.ADMITTED_SERIES) == t["admitted"]
+                assert reg.counter_total(sub, tel.LOST_SERIES) == t["failed"] + t["dropped_shed"]
         finally:
             tel.reset()
             tel.disable()
