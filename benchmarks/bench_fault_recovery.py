@@ -15,7 +15,6 @@ from repro.bench import Table, build_rig
 from repro.chaos import CampaignRunner, ChaosCampaign, boxes_recovered, event, survivor_liveness
 from repro.core.fault import (
     AdaptiveRedundancyPolicy,
-    FaultBoxManager,
     FaultRecoveryCoordinator,
     PartialReplicator,
     RedundancyMode,

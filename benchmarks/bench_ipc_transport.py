@@ -10,7 +10,6 @@ and migrates into a service that gets it there, so every nanosecond is
 the caller's.
 """
 
-from repro.apps.redis import connect_over_flacos  # noqa: F401 (documented sibling)
 from repro.bench import Table, build_rig
 from repro.net import RdmaNetwork, TcpNetwork
 

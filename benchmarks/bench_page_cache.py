@@ -7,8 +7,7 @@ pages and always misses on a node's first touch.
 """
 
 from repro.bench import Table, build_rig
-from repro.core.fs import FlacFS, PAGE_SIZE, PrivateCacheFS
-from repro.flacdk.arena import Arena
+from repro.core.fs import PAGE_SIZE, PrivateCacheFS
 
 N_FILES = 4
 PAGES_PER_FILE = 8

@@ -359,10 +359,48 @@ def census(src=SRC, executed=EXECUTED):
     n_options = sum(map(len, options.values()))
     lines.append(f"defaulted parameters and dataclass fields nothing executed sets: {n_options} options, "
                  f"{sum(map(len, state.values()))} state (src assigns them after construction)")
-    bad = problems(trees, table)
+    bad = problems(trees, table) + [f"unused import: {hit}" for hit in unused_imports()]
     if n_options > OPTIONS_BOUND:
         bad.append(f"{n_options} options, over the bound of {OPTIONS_BOUND}: set, delete or make a constant")
     return "\n".join(lines), bad
+
+
+def _loads(tree) -> set:
+    """The name of every ``ast.Name`` that ``tree`` loads (``ast.walk`` costs twice this)."""
+    out, todo = set(), [tree]
+    while todo:
+        n = todo.pop()
+        if n.__class__ is ast.Name:
+            if n.ctx.__class__ is ast.Load:
+                out.add(n.id)
+            continue
+        for value in map(n.__getattribute__, n._fields):
+            if value.__class__ is list:
+                todo += [v for v in value if isinstance(v, ast.AST)]
+            elif isinstance(value, ast.AST):
+                todo.append(value)
+    return out
+
+
+def unused_imports(root: pathlib.Path = ROOT) -> list:
+    """``path:line: name`` of each top-level import under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``
+    whose name its module never loads; an ``__init__.py`` (it re-exports) and a name in ``__all__`` are exempt."""
+    out = []
+    gc.disable()
+    try:
+        for path in sorted(p for top in ("src", "tests", "benchmarks", "examples") for p in (root / top).rglob("*.py")
+                           if p.name != "__init__.py"):
+            tree = ast.parse(path.read_text())
+            used = _loads(tree)
+            used |= {c.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                     and any(getattr(t, "id", "") == "__all__" for t in stmt.targets)
+                     for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+            out += [f"{path.relative_to(root)}:{stmt.lineno}: {name}" for stmt in tree.body
+                    if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", "") != "__future__"
+                    for name in (a.asname or a.name.split(".")[0] for a in stmt.names) if name not in used]
+    finally:
+        gc.enable()
+    return out
 
 
 def test_census(emit):

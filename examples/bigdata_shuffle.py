@@ -10,7 +10,7 @@ Run:  python examples/bigdata_shuffle.py
 
 from collections import Counter
 
-from repro.apps.shuffle import FlacShuffle, partition_of, run_shuffle_job
+from repro.apps.shuffle import FlacShuffle, run_shuffle_job
 from repro.bench import build_rig
 from repro.workloads import KeyGenerator, ValueGenerator
 

@@ -35,7 +35,6 @@ free in simulated time.
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 from contextlib import contextmanager
 from typing import Optional, Union
@@ -50,9 +49,8 @@ from .registry import (
     bucket_index,
     rate,
 )
+from .schema import RUN, RUN_SCHEMA, load
 from .spans import Span, TraceBuffer, validate_chrome_trace
-
-RUN_SCHEMA = "repro.telemetry.run/1"
 
 #: Subsystem prefix for tenant-scoped metrics (one subsystem per tenant,
 #: so existing keying/export/digest machinery applies unchanged).
@@ -180,69 +178,9 @@ def reset() -> TelemetryState:
     return TELEMETRY.reset()
 
 
-#: the keys an exported histogram's sparse ``buckets`` object may carry
-_BUCKET_KEYS = frozenset(str(i) for i in range(N_BUCKETS))
-
-
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _row_fault(section: str, row) -> Optional[str]:
-    """What is wrong with one ``metrics.<section>`` row, or None: every
-    reader (dashboard, ``from_snapshot``) then takes the row as it is."""
-    if not (isinstance(row, list) and len(row) == 4):
-        return "must be a [node, subsystem, name, value] row"
-    node, subsystem, name, value = row
-    if type(node) is not int:
-        return f"node must be an int, got {node!r}"
-    for field, text in (("subsystem", subsystem), ("name", name)):
-        if not (isinstance(text, str) and text):
-            return f"{field} must be a non-empty string, got {text!r}"
-    if section != "histograms":
-        return None if _finite(value) else f"value must be a finite number, got {value!r}"
-    if not isinstance(value, dict):
-        return f"value must be a histogram object, got {value!r}"
-    count, buckets = value.get("count", 0), value.get("buckets") or {}
-    if not (type(count) is int and count >= 0):
-        return f"count must be an int >= 0, got {count!r}"
-    if not _finite(value.get("sum", 0.0)):
-        return f"sum must be a finite number, got {value.get('sum')!r}"
-    for key in ("min", "max"):
-        if value.get(key) is not None and not _finite(value[key]):
-            return f"{key} must be a finite number or null, got {value[key]!r}"
-    if not (isinstance(buckets, dict) and all(
-            k in _BUCKET_KEYS and type(n) is int and n >= 0 for k, n in buckets.items())):
-        return f'buckets must map "0".."{N_BUCKETS - 1}" to ints >= 0, got {buckets!r}'
-    return None
-
-
 def load_run(path: Union[str, pathlib.Path]) -> dict:
-    """Read an exported run, validating schema, metrics section and (if
-    present) trace and atlas section."""
-    data = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"not a JSON object (a {type(data).__name__})")
-    if data.get("schema") != RUN_SCHEMA:
-        raise ValueError(f"not a telemetry run export (schema={data.get('schema')!r})")
-    metrics = data.get("metrics", {})
-    if not isinstance(metrics, dict):
-        raise ValueError(f"metrics is not an object (a {type(metrics).__name__})")
-    for section in ("counters", "gauges", "histograms"):
-        rows = metrics.get(section, [])
-        if not isinstance(rows, list):
-            raise ValueError(f"metrics.{section} must be a list of [node, subsystem, name, value] rows")
-        for i, row in enumerate(rows):
-            fault = _row_fault(section, row)
-            if fault is not None:
-                raise ValueError(f"metrics.{section}[{i}] {fault}")
-    if data.get("trace") is not None:
-        validate_chrome_trace(data["trace"])
-    if data.get("atlas") is not None:
-        from .atlas import check_atlas  # the atlas package imports this one
-
-        check_atlas(data["atlas"])
-    return data
+    """Read an exported run that :data:`~repro.telemetry.schema.RUN` holds all of."""
+    return load(path, RUN)
 
 
 @contextmanager

@@ -22,6 +22,7 @@ directory, is one ``error:`` line and exit status 2, before any work.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -37,17 +38,15 @@ from .incidents.runner import run_scenario
 from .incidents.scenarios import get_scenario, scenarios
 from .incidents.scoring import render_score, score_dump
 
-#: what reading a dump, snapshot or run file from outside can raise: missing,
-#: not JSON or of another schema (OSError, ValueError), or a row lacking a key
-INPUT_ERRORS = (OSError, ValueError, KeyError)
+#: what reading a dump or run file from outside can raise: missing (OSError),
+#: not JSON, or outside its :mod:`~repro.telemetry.schema` spec (ValueError)
+INPUT_ERRORS = (OSError, ValueError)
 
 
 def refuse_input(path, exc: Exception) -> int:
     """Print the one ``error:`` line for a bad input file; the CLI exit status."""
     if isinstance(exc, OSError):
         detail = exc.strerror or str(exc)
-    elif isinstance(exc, KeyError):
-        detail = f"a row lacks the key {exc}"
     elif isinstance(exc, json.JSONDecodeError):
         detail = f"not JSON ({exc})"
     else:
@@ -95,7 +94,7 @@ def _write_json(path: pathlib.Path, payload: dict) -> None:
 
 def _cmd_dashboard(args) -> int:
     run = load_run(args.path)
-    if args.trace_out is not None and run.get("trace") is None:
+    if args.trace_out is not None and run["trace"] is None:
         print("error: run has no trace (enable tracing before exporting)", file=sys.stderr)
         return 2
     print(render_dashboard(run, flame=args.flame))
@@ -179,12 +178,12 @@ def _cmd_offline(args) -> int:
     """``replay`` / ``score``: the scenario's target unless ``--target`` overrides."""
     dump = load_dump(args.path)
     target = args.target
-    reason = dump.get("reason", "")
+    reason = dump["reason"]
     if target is None and reason.startswith("incident:"):
         known = scenarios().get(reason.split(":")[1])  # None: not a catalogue scenario
         target = getattr(known, "availability_target", None)
     score = score_dump(dump, availability_target=0.999 if target is None else target,
-                       scenario=dump.get("reason"))
+                       scenario=reason)
     if args.command == "replay":
         print(render_incident_timeline(dump, score))
         print()
@@ -194,6 +193,7 @@ def _cmd_offline(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)  # main() may run many times in one process
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="python -m repro.telemetry",
                                  description=__doc__.splitlines()[0])

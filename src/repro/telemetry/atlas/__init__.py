@@ -40,10 +40,9 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from .. import TELEMETRY, load_run
+from ..schema import ATLAS_SCHEMA
 from .attribution import node_ports, saturated_links, tenant_ledger
 from .sketch import SpaceSaving, aggregate_addrs
-
-ATLAS_SCHEMA = "repro.telemetry.atlas/2"
 
 _PAGE_SHIFT = 12  # 4 KiB pages — the placement granule
 
@@ -239,54 +238,6 @@ def enable_atlas(machine=None) -> Atlas:
     return atlas
 
 
-#: What each field of a snapshot holds, as ``(types, their name)``: a dict
-#: spec is an object with those fields (``"*"``: any key), a list spec a list.
-_NUM = ((int, float), "a number")
-_NUM_OR_NULL = ((int, float, type(None)), "a number or null")
-_STR = ((str,), "a string")
-_SNAPSHOT = {
-    "at_ns": _NUM_OR_NULL,
-    "sketch": {"page_k": _NUM, "page_coverage": _NUM, "total_bytes": _NUM},
-    "pages": [{"addr": _STR, "bytes": _NUM, "error": _NUM}],
-    "queue_delay_ns": {"*": _NUM},
-    "links": [{
-        "link": _STR, "capacity_bytes_per_s": _NUM_OR_NULL, "bytes": _NUM,
-        "requests": _NUM, "rate_bytes_per_s": _NUM, "utilisation": _NUM,
-        "saturated_bytes": _NUM, "saturated_windows": _NUM,
-        "time_to_saturation_s": _NUM_OR_NULL, "downs": [_NUM],
-        "tenants": [{"vni": _NUM, "tenant": _STR, "bytes": _NUM,
-                     "saturated_bytes": _NUM, "share": _NUM}],
-    }],
-    "nodes": [{"node": _NUM, "port": ((str, type(None)), "a string or null")}],
-}
-
-
-def _check(value, spec, where: str) -> None:
-    if isinstance(spec, dict):
-        if not isinstance(value, dict):
-            raise ValueError(f"{where} must be an object, got {value!r}")
-        fields = [(key, spec["*"]) for key in value] if "*" in spec else spec.items()
-        for key, field in fields:
-            _check(value[key], field, f"{where}.{key}")
-    elif isinstance(spec, list):
-        if not isinstance(value, list):
-            raise ValueError(f"{where} must be a list, got {value!r}")
-        for i, item in enumerate(value):
-            _check(item, spec[0], f"{where}[{i}]")
-    elif not isinstance(value, spec[0]):
-        raise ValueError(f"{where} must be {spec[1]}, got {value!r}")
-
-
-def check_atlas(snap) -> dict:
-    """``snap`` if it is an :data:`ATLAS_SCHEMA` snapshot with every field
-    of its type, else ``ValueError`` (``KeyError`` for a missing field)."""
-    schema = snap.get("schema") if isinstance(snap, dict) else None
-    if schema != ATLAS_SCHEMA:
-        raise ValueError(f"no atlas section (schema={schema!r})")
-    _check(snap, _SNAPSHOT, "atlas")
-    return snap
-
-
 def load_atlas(path: Union[str, pathlib.Path]) -> dict:
     """The atlas section of a telemetry run export (:func:`load_run` checks it)."""
     atlas = load_run(path).get("atlas")
@@ -300,7 +251,6 @@ __all__ = [
     "Atlas",
     "SpaceSaving",
     "aggregate_addrs",
-    "check_atlas",
     "enable_atlas",
     "load_atlas",
     "node_ports",

@@ -137,7 +137,7 @@ def render_incident_timeline(dump: dict, score: Optional[dict] = None) -> str:
         row = event.fields
         if event.kind == rec.FAULT and row["kind"] in _INJECTIONS:
             rows.append((event.t_ns, 0, f"INJECT {row['kind']}",
-                         f"[{scope_label(event.node)}] {row.get('detail') or ''}".rstrip()))
+                         f"[{scope_label(event.node)}] {row['detail']}".rstrip()))
         elif event.kind == rec.ALERT_FIRED:
             rows.append((event.t_ns, 1, "ALERT fired",
                          f"{row['objective']} [{scope_label(event.node)}]"))
@@ -148,7 +148,7 @@ def render_incident_timeline(dump: dict, score: Optional[dict] = None) -> str:
             rows.append((event.t_ns, 3, f"BREAKER {row['from']}->{row['to']}",
                          f"{row['tenant']}@node{row['target']} reason={row['reason']}"))
         elif event.kind == rec.BOOST:
-            pages = ",".join(f"{p:#x}" for p in row.get("pages", []))
+            pages = ",".join(f"{p:#x}" for p in row["pages"])
             rows.append((event.t_ns, 4, "BOOST", f"cause={row['cause']} pages={pages}"))
     if score is not None and score.get("t0_ns") is not None:
         t0 = score["t0_ns"]
@@ -161,7 +161,7 @@ def render_incident_timeline(dump: dict, score: Optional[dict] = None) -> str:
                          f"target={score['availability_target']}"))
     rows.sort()
     grid = _Grid(
-        f"incident timeline — {dump.get('reason', '?')}",
+        f"incident timeline — {dump['reason']}",
         ["t (us)", "event", "detail"],
     )
     for t_ns, _rank, kind, detail in rows:
@@ -171,8 +171,8 @@ def render_incident_timeline(dump: dict, score: Optional[dict] = None) -> str:
 
 def render_dashboard(run: dict, flame: bool = True) -> str:
     """Full dashboard text for one exported run dict (see ``load_run``)."""
-    reg = MetricsRegistry.from_snapshot(run.get("metrics", {}))
-    meta = run.get("meta") or {}
+    reg = MetricsRegistry.from_snapshot(run["metrics"])
+    meta = run["meta"]
     header = "== rack telemetry dashboard =="
     if meta:
         header += "  (" + ", ".join(f"{k}={v}" for k, v in sorted(meta.items())) + ")"
@@ -186,21 +186,21 @@ def render_dashboard(run: dict, flame: bool = True) -> str:
         from .atlas.render import render_atlas
 
         parts.append(render_atlas(run["atlas"]))
-    if flame and run.get("trace"):
+    if flame and run["trace"]:
         from .spans import TraceBuffer, Span
 
         buf = TraceBuffer()
-        for ev in run["trace"].get("traceEvents", []):
-            if ev.get("ph") != "X":
+        for ev in run["trace"]["traceEvents"]:
+            if ev["ph"] != "X":
                 continue
-            args = ev.get("args") or {}
+            args = ev.get("args", {})
             buf.spans.append(
                 Span(
-                    span_id=int(args.get("span_id", len(buf.spans) + 1)),
+                    span_id=args.get("span_id", len(buf.spans) + 1),
                     name=ev["name"],
                     node=ev["pid"],
-                    start_ns=float(ev["ts"]) * 1000.0,
-                    end_ns=(float(ev["ts"]) + float(ev.get("dur", 0.0))) * 1000.0,
+                    start_ns=ev["ts"] * 1000.0,
+                    end_ns=(ev["ts"] + ev["dur"]) * 1000.0,
                     parent_id=args.get("parent_id"),
                 )
             )

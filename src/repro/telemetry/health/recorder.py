@@ -12,15 +12,15 @@ Snapshots are deterministic: every field is simulated-time data, keys
 are sorted, and serialisation uses ``sort_keys`` — two same-seed runs
 produce byte-identical dumps.
 
-This module is the only one that knows the dump's layout.  Readers (the
-postmortem, the incident scorer, the dashboard's incident timeline) see a
-dump through two views: :func:`dump_frames` parses its window rows, and
+This module writes the dump's layout, and :data:`~repro.telemetry.schema.DUMP`
+is what :func:`load_dump` checks a file against.  Readers (the postmortem,
+the incident scorer, the dashboard's incident timeline) see a dump through
+two views: :func:`dump_frames` parses its window rows, and
 :func:`dump_events` lists every other dated row, oldest first.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 from collections import deque
 from operator import itemgetter
@@ -28,15 +28,9 @@ from typing import Deque, Dict, List, NamedTuple, Union
 
 from ...rack.params import whole
 from ..registry import RACK_WIDE
+from ..schema import DUMP, FLIGHT_SCHEMA, load
 from .slo import Alert
 from .windows import WindowFrame
-
-#: Schema tag for flight-recorder dumps, and the only one that loads:
-#: health history (counter-delta windows, alert transitions), the
-#: mitigation-side black box (breaker transitions, resilience-counter
-#: samples, predictor boosts) and the attribution-atlas tails (per-link
-#: fabric accounting with down stamps, hot pages).
-FLIGHT_SCHEMA = "repro.telemetry.flightrec/4"
 
 #: Ring sizes of the recorder's event tails; each node keeps its last
 #: :data:`FAULT_TAIL` fault-log events in a dump.
@@ -57,15 +51,6 @@ BOOST = "boost"
 RESILIENCE = "resilience"
 SPAN = "span"
 LINK_DOWN = "link.down"
-
-
-def check_schema(data: dict) -> dict:
-    """``data`` if it is a :data:`FLIGHT_SCHEMA` dump, else ``ValueError``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"not a JSON object (a {type(data).__name__})")
-    if data.get("schema") != FLIGHT_SCHEMA:
-        raise ValueError(f"not a flight-recorder dump (schema={data.get('schema')!r})")
-    return data
 
 
 class FlightRecorder:
@@ -207,11 +192,9 @@ class FlightRecorder:
 
 
 def load_dump(path: Union[str, pathlib.Path]) -> dict:
-    """Read and schema-check a flight-recorder dump file whose every window
-    row parses."""
-    data = check_schema(json.loads(pathlib.Path(path).read_text()))
-    dump_frames(data)
-    return data
+    """Read a flight-recorder dump that :data:`~repro.telemetry.schema.DUMP`
+    holds all of: the layout :meth:`FlightRecorder.snapshot` writes."""
+    return load(path, DUMP)
 
 
 # -- the read side -------------------------------------------------------------
@@ -229,15 +212,8 @@ class DumpEvent(NamedTuple):
 
 
 def dump_frames(dump: dict) -> List[WindowFrame]:
-    """The dump's window rows, oldest first.  A malformed row is a
-    ``ValueError`` naming it: the scorer would count it as a quiet window."""
-    frames = []
-    for i, row in enumerate(dump.get("windows", [])):
-        try:
-            frames.append(WindowFrame.from_dict(row))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"window row {i} is malformed ({exc!r})") from None
-    return frames
+    """The dump's window rows, oldest first."""
+    return list(map(WindowFrame.from_dict, dump["windows"]))
 
 
 def dump_events(dump: dict) -> List[DumpEvent]:
@@ -250,33 +226,29 @@ def dump_events(dump: dict) -> List[DumpEvent]:
     """
     events: List[DumpEvent] = []
     add = events.append
-    for row in dump.get("alerts", []):
-        if row.get("event") == "firing":
-            add(DumpEvent(float(row["fired_ns"]), ALERT_FIRED, row["node"], row))
+    for row in dump["alerts"]:
+        if row["event"] == "firing":
+            add(DumpEvent(row["fired_ns"], ALERT_FIRED, row["node"], row))
         else:
-            t_ns = row.get("resolved_ns") or row["fired_ns"]
-            add(DumpEvent(float(t_ns), ALERT_RESOLVED, row["node"], row))
-    for node, tail in dump.get("fault_tail", {}).items():
+            add(DumpEvent(row["resolved_ns"] or row["fired_ns"], ALERT_RESOLVED, row["node"], row))
+    for node, tail in dump["fault_tail"].items():
         for row in tail:
-            add(DumpEvent(float(row["time_ns"]), FAULT, int(node), row))
-    for row in dump.get("breakers", []):
-        add(DumpEvent(float(row["t_ns"]), BREAKER, int(row["target"]), row))
-    for row in dump.get("boosts", []):
-        add(DumpEvent(float(row["t_ns"]), BOOST, RACK_WIDE, row))
-    for row in dump.get("resilience", []):
-        add(DumpEvent(float(row["t_ns"]), RESILIENCE, RACK_WIDE, row))
-    for seq, row in enumerate(dump.get("spans", [])):
-        name, node, start_ns, end_ns, parent_id = row[:5]
-        args = row[5] if len(row) > 5 else {}  # a row may end without its args
-        add(DumpEvent(float(start_ns), SPAN, node, {
+            add(DumpEvent(row["time_ns"], FAULT, int(node), row))
+    for row in dump["breakers"]:
+        add(DumpEvent(row["t_ns"], BREAKER, row["target"], row))
+    for row in dump["boosts"]:
+        add(DumpEvent(row["t_ns"], BOOST, RACK_WIDE, row))
+    for row in dump["resilience"]:
+        add(DumpEvent(row["t_ns"], RESILIENCE, RACK_WIDE, row))
+    for seq, (name, node, start_ns, end_ns, parent_id, args) in enumerate(dump["spans"]):
+        add(DumpEvent(start_ns, SPAN, node, {
             "name": name, "end_ns": end_ns, "parent_id": parent_id,
             "args": args, "seq": seq,
         }))
-    for row in dump.get("atlas_links", []):
-        ends = [int(v[5:]) for v in str(row.get("link", "")).split("|")
-                if v.startswith("node:")]
-        for down in row.get("downs", []):
+    for row in dump["atlas_links"]:
+        ends = [int(v[5:]) for v in row["link"].split("|") if v.startswith("node:")]
+        for down in row["downs"]:
             for node in ends:
-                add(DumpEvent(float(down), LINK_DOWN, node, row))
+                add(DumpEvent(down, LINK_DOWN, node, row))
     events.sort(key=itemgetter(0))
     return events

@@ -79,15 +79,10 @@ class WindowFrame:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WindowFrame":
-        frame = cls(
-            index=int(data["index"]),
-            start_ns=float(data["start_ns"]),
-            end_ns=float(data["end_ns"]),
-            windows=int(data["windows"]),
-        )
-        for node, sub, name, v in data.get("counters", []):
+        frame = cls(data["index"], data["start_ns"], data["end_ns"], data["windows"])
+        for node, sub, name, v in data["counters"]:
             frame.counters[(node, sub, name)] = v
-        for node, sub, name, v in data.get("gauges", []):
+        for node, sub, name, v in data["gauges"]:
             frame.gauges[(node, sub, name)] = v
         return frame
 

@@ -57,8 +57,8 @@ def ground_truth(dump: dict) -> Tuple[Optional[float], Set[str]]:
         if event.kind != rec.FAULT or row["kind"] not in GROUND_TRUTH_KINDS:
             continue
         t0 = event.t_ns if t0 is None else min(t0, event.t_ns)
-        if row["kind"] not in ("link_down", "node_crash") and row.get("addr") is not None:
-            sites.add(f"page:{int(row['addr']) & ~(_PAGE - 1):#x}")
+        if row["kind"] not in ("link_down", "node_crash") and row["addr"] is not None:
+            sites.add(f"page:{row['addr'] & ~(_PAGE - 1):#x}")
         if event.node >= 0:
             sites.add(f"node:{event.node}")
     return t0, sites
@@ -80,11 +80,11 @@ def blame_set(dump: dict, t0: float) -> Set[str]:
         elif kind == rec.BREAKER and row["to"] == "open":
             blame.add(f"node:{event.node}")
         elif kind == rec.BOOST:
-            blame.update(f"page:{int(page):#x}" for page in row.get("pages", []))
+            blame.update(f"page:{page:#x}" for page in row["pages"])
         elif (kind == rec.SPAN and row["name"] == _ATTEMPT
               and row["args"].get("outcome") == "failed"
               and row["args"].get("target") is not None):
-            blame.add(f"node:{int(row['args']['target'])}")
+            blame.add(f"node:{row['args']['target']}")
     return blame
 
 

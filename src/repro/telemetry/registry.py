@@ -153,12 +153,11 @@ class Histogram:
     @classmethod
     def from_dict(cls, data: dict) -> "Histogram":
         h = cls()
-        h.count = int(data.get("count", 0))
-        h.total = float(data.get("sum", 0.0))
-        h.min_value = float(data["min"]) if data.get("min") is not None else float("inf")
-        h.max_value = float(data["max"]) if data.get("max") is not None else float("-inf")
-        for idx, n in (data.get("buckets") or {}).items():
-            h.buckets[int(idx)] = int(n)
+        h.count, h.total = data["count"], data["sum"]
+        if h.count:
+            h.min_value, h.max_value = data["min"], data["max"]
+        for idx, n in data["buckets"].items():
+            h.buckets[int(idx)] = n
         return h
 
 
@@ -265,11 +264,11 @@ class MetricsRegistry:
     @classmethod
     def from_snapshot(cls, data: dict) -> "MetricsRegistry":
         reg = cls()
-        for node, subsystem, name, value in data.get("counters", []):
+        for node, subsystem, name, value in data["counters"]:
             reg.counters[(node, subsystem, name)] = value
-        for node, subsystem, name, value in data.get("gauges", []):
+        for node, subsystem, name, value in data["gauges"]:
             reg.gauges[(node, subsystem, name)] = value
-        for node, subsystem, name, hdict in data.get("histograms", []):
+        for node, subsystem, name, hdict in data["histograms"]:
             reg.histograms[(node, subsystem, name)] = Histogram.from_dict(hdict)
         return reg
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .schema import TRACE, check
+
 #: Paths :meth:`TraceBuffer.flame_summary` lists before it folds the rest into a count.
 FLAME_ROWS = 40
 
@@ -246,42 +248,8 @@ class TraceBuffer:
         return paths
 
 
-# -- trace_event schema validation (CI lane + tests) ----------------------------
-
-_VALID_PHASES = {"X", "B", "E", "M", "i", "I", "C", "b", "e", "n", "s", "t", "f"}
-
-
 def validate_chrome_trace(trace: dict) -> int:
-    """Validate a Chrome ``trace_event`` JSON object; returns event count.
-
-    Checks the JSON Object Format contract the viewers rely on: a
-    ``traceEvents`` list of dict events, each with a string ``name``, a
-    known ``ph``, integer ``pid``/``tid``, and (for non-metadata events)
-    a non-negative numeric ``ts``; complete events additionally need a
-    non-negative ``dur``.  Raises ``ValueError`` on the first violation.
-    """
-    if not isinstance(trace, dict):
-        raise ValueError("trace must be a JSON object")
-    events = trace.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError("trace.traceEvents must be a list")
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            raise ValueError(f"traceEvents[{i}] is not an object")
-        if not isinstance(ev.get("name"), str) or not ev["name"]:
-            raise ValueError(f"traceEvents[{i}].name missing or empty")
-        ph = ev.get("ph")
-        if ph not in _VALID_PHASES:
-            raise ValueError(f"traceEvents[{i}].ph {ph!r} is not a known phase")
-        for field_name in ("pid", "tid"):
-            if not isinstance(ev.get(field_name), int):
-                raise ValueError(f"traceEvents[{i}].{field_name} must be an int")
-        if ph != "M":
-            ts = ev.get("ts")
-            if not isinstance(ts, (int, float)) or ts < 0:
-                raise ValueError(f"traceEvents[{i}].ts must be a number >= 0")
-        if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                raise ValueError(f"traceEvents[{i}].dur must be a number >= 0")
-    return len(events)
+    """The event count of a Chrome ``trace_event`` JSON object that
+    :data:`~repro.telemetry.schema.TRACE` holds all of, else ``ValueError``."""
+    check(trace, TRACE, "trace")
+    return len(trace["traceEvents"])

@@ -72,6 +72,18 @@ def test_census_refuses_a_kept_label_that_is_not_a_roadmap_item():
     assert census.problems(trees, table, {"b": "item"}) == ["not a label: 'item' on b"]
 
 
+def test_census_names_a_planted_unused_import(tmp_path):
+    """A top-level import nothing loads fails the rule; a re-export is exempt: an
+    ``__init__.py``'s imports, and a name ``__all__`` lists."""
+    census = _benchmarks_module("census")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "__init__.py").write_text("import os\n")
+    (tmp_path / "tests" / "test_planted.py").write_text(
+        "import os\nimport sys\nfrom typing import Dict, List\n__all__ = ['List']\n"
+        "def f(x: Dict) -> int:\n    return sys.maxsize  # os\n")
+    assert census.unused_imports(tmp_path) == ["tests/test_planted.py:1: os"]
+
+
 def test_docs_check_names_a_planted_stale_member(tmp_path):
     census = _benchmarks_module("census")
     doc = tmp_path / "DESIGN.md"

@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.shuffle import (
     FlacShuffle,
-    NetworkShuffle,
     decode_records,
     encode_records,
     partition_of,

@@ -6,8 +6,6 @@ serverless chain, a shuffle job, background faults, a node crash with
 recovery, and a final audit — all state exactly right at the end.
 """
 
-import pytest
-
 from repro.apps.containers import ContainerRuntime, ImageSpec, LayerSpec, Registry, RuntimeSpec
 from repro.apps.redis import connect_over_flacos
 from repro.apps.serverless import FunctionSpec, ServerlessPlatform

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench import build_rig
 from repro.core.memory import PAGE_SIZE
-from repro.rack import FaultKind, FaultModel, RackConfig, RackMachine, rendezvous
+from repro.rack import FaultKind, FaultModel, RackConfig, RackMachine
 from repro.core.kernel import FlacOS
 from repro.rack.memory import UncorrectableMemoryError
 

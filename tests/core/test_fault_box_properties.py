@@ -6,7 +6,6 @@ which pages were written, in what order, from which node, or how badly
 the state was mangled in between.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -9,7 +9,6 @@ eviction forces the data through the block device.
 
 from typing import Dict
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -11,7 +11,6 @@ from repro.core.ipc import (
     RpcSystem,
     UnknownName,
 )
-from repro.core.memory import MemorySystem
 from repro.flacdk.sync import OperationLog
 
 

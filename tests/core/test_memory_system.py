@@ -15,7 +15,6 @@ from repro.core.memory import (
     SharedPageTable,
     Tlb,
     TlbShootdown,
-    vpn_of,
 )
 from repro.core.memory import tlb as tlb_module
 from repro.flacdk.alloc import SharedHeap

@@ -13,7 +13,6 @@ import pytest
 from repro.bench import build_rig
 from repro.core.boot import flatten, rack_description
 from repro.core.memory import PAGE_SIZE, Placement
-from repro.rack import rendezvous
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.memory.swap import PAGE_SIZE, SwapBackedMemory
+from repro.core.memory.swap import SwapBackedMemory
 
 
 def _tier(memory: SwapBackedMemory, vpn: int) -> str:

@@ -12,7 +12,6 @@ from repro.flacdk.alloc import (
     SharedHeap,
     SharedHeapExhausted,
 )
-from repro.flacdk.arena import Arena
 from repro.rack import RackConfig, RackMachine
 from tests.flacdk.test_edge_cases import payload_capacity
 

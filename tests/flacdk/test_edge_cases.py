@@ -4,7 +4,7 @@ import pytest
 
 from repro.flacdk.alloc import FrameAllocator, SharedHeap, SharedHeapExhausted
 from repro.flacdk.sync import DelegationError, DelegationService, OperationLog, RcuCell
-from repro.flacdk.alloc import EpochReclaimer, object_allocator
+from repro.flacdk.alloc import object_allocator
 
 
 def payload_capacity(heap, addr: int, ctx) -> int:

@@ -7,8 +7,6 @@ flushed, flushed but not committed, crashed mid-operation — and assert
 that no reader ever observes torn or phantom state.
 """
 
-import pytest
-
 from repro.flacdk.structures import SpscRing
 from repro.flacdk.sync import GlobalSpinLock, NodeReplication, OperationLog
 

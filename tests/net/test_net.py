@@ -4,7 +4,6 @@ import pytest
 
 from repro.net import (
     EthernetLink,
-    EthernetSpec,
     RdmaNetwork,
     Serializer,
     TcpError,

@@ -7,7 +7,6 @@ skips either step, staleness is possible.  These properties are what
 every FlacDK protocol is built on.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -35,7 +35,6 @@ from repro.telemetry.__main__ import main as telemetry_main
 from repro.telemetry.health.recorder import (
     FLIGHT_SCHEMA,
     FlightRecorder,
-    check_schema,
     load_dump,
 )
 from repro.telemetry.incidents import blame_set, get_scenario, ground_truth, run_scenario
@@ -386,7 +385,8 @@ class TestSurfaces:
     def test_cli_views_over_an_exported_snapshot(self, saturated_run, tmp_path, capsys):
         _, _, snap = saturated_run
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"schema": tel.RUN_SCHEMA, "atlas": snap}))
+        path.write_text(json.dumps({"schema": tel.RUN_SCHEMA, "meta": {}, "trace": None,
+                                    "metrics": MetricsRegistry().snapshot(), "atlas": snap}))
         for command, expect in [
             (["top-links", str(path)], "gmem|node:0"),
             (["top-pages", str(path), "-n", "4"], "hot pages"),
@@ -398,7 +398,7 @@ class TestSurfaces:
 
     def test_cli_rejects_a_non_atlas_file(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
-        path.write_text(json.dumps({"schema": tel.RUN_SCHEMA}))
+        path.write_text(json.dumps(TELEMETRY.export_run()))  # no atlas attached
         assert telemetry_main(["blame", str(path)]) == 2
         assert "no atlas section" in capsys.readouterr().err
 
@@ -421,7 +421,7 @@ class TestSurfaces:
         from repro.telemetry.dashboard import render_dashboard
 
         _, _, snap = saturated_run
-        run = {"metrics": MetricsRegistry().snapshot(), "atlas": snap}
+        run = {"meta": {}, "metrics": MetricsRegistry().snapshot(), "trace": None, "atlas": snap}
         text = render_dashboard(run, flame=False)
         assert "fabric links" in text
         assert "hot pages" in text
@@ -472,24 +472,25 @@ class TestFlightRecorderV3:
         dump = rec.snapshot("rt", 123.0, machine=rig.machine)
         path = tmp_path / "rt.json"
         path.write_text(json.dumps(rec.snapshot("rt", 123.0, machine=rig.machine), indent=2, sort_keys=True))
-        assert check_schema(load_dump(path)) == json.loads(json.dumps(dump))
+        assert load_dump(path) == json.loads(json.dumps(dump))
 
 
 class TestLinkBlameScoring:
     def test_blame_set_resolves_flapped_links_to_nodes(self):
         """The atlas link tail alone localises a severed port — no
         alert, breaker, or span needed."""
-        dump = {
-            "fault_tail": {
+        dump = dict(
+            FlightRecorder().snapshot("unit", 0.0),
+            fault_tail={
                 "3": [{"kind": "link_down", "time_ns": 100.0,
                        "addr": None, "detail": "chaos"}],
             },
-            "atlas_links": [
+            atlas_links=[
                 {"link": "gmem|node:3", "downs": [100.0]},
                 {"link": "gmem|node:1", "downs": []},       # healthy port
                 {"link": "gmem|node:2", "downs": [5.0]},    # pre-incident flap
             ],
-        }
+        )
         t0, truth = ground_truth(dump)
         assert truth == {"node:3"}
         assert blame_set(dump, t0) == {"node:3"}
@@ -503,8 +504,7 @@ class TestLinkBlameScoring:
         t0, _ = ground_truth(dump)
         port = {r["link"]: r for r in dump["atlas_links"]}["gmem|node:0"]
         assert len(port["downs"]) >= 2  # both chaos flaps stamped
-        stripped = {"fault_tail": dump["fault_tail"],
-                    "atlas_links": dump["atlas_links"]}
+        stripped = dict(dump, alerts=[], breakers=[], boosts=[], spans=[])
         assert "node:0" in blame_set(stripped, t0)
         assert result.score["localization"]["f1"] > 0
 

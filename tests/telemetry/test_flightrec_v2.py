@@ -9,15 +9,14 @@ from repro import telemetry
 from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
 from repro.telemetry import TELEMETRY
-from repro.telemetry.health.postmortem import render_postmortem
 from repro.telemetry.health import recorder as rec
 from repro.telemetry.health.recorder import (
     FLIGHT_SCHEMA,
     FlightRecorder,
-    check_schema,
     dump_events,
     load_dump,
 )
+from repro.telemetry.schema import DUMP, check
 from repro.workloads import TenantSpec
 from repro.workloads.resilience import ChaosUnderLoad, ResilientTrafficEngine, default_spec
 
@@ -126,43 +125,22 @@ class TestDeterminism:
 
     def test_load_dump_round_trip(self, written):
         dump, path = written
-        assert check_schema(load_dump(path)) == dump
+        assert load_dump(path) == dump
 
 
 class TestBackwardCompat:
-    def _v1(self):
-        return {
-            "schema": FLIGHT_SCHEMA,
-            "reason": "old",
-            "at_ns": 1000.0,
-            "windows": [],
-            "alerts": [],
-            "spans": [["chaos.step", 0, 0.0, 10.0, None]],
-            "fault_tail": {},
-        }
-
-    def test_v1_accepted_with_empty_new_tails(self, tmp_path):
-        """A dump carrying only the original sections loads; the tag decides,
-        and a missing section reads as an empty one."""
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(self._v1()))
-        events = dump_events(load_dump(path))
-        assert [(e.kind, e.fields["args"]) for e in events] == [(rec.SPAN, {})]
-
-    def test_older_schema_tag_refused(self, tmp_path):
-        old = dict(self._v1(), schema="repro.telemetry.flightrec/3")
+    def test_older_schema_tag_refused(self, tmp_path, dump):
+        old = dict(dump, schema="repro.telemetry.flightrec/3")
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
-            check_schema(old)
+            check(old, DUMP)
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(old))
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
             load_dump(path)
-        with pytest.raises(ValueError, match="not a flight-recorder dump"):
-            render_postmortem(old)
 
     def test_unknown_schema_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
-            check_schema({"schema": "repro.telemetry.flightrec/99"})
+            check({"schema": "repro.telemetry.flightrec/99"}, DUMP)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "nope"}))
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
@@ -205,11 +183,3 @@ class TestReadSide:
                        key=lambda e: e.fields["seq"])
         assert [[e.fields["name"], e.node, e.t_ns, e.fields["end_ns"],
                  e.fields["parent_id"], e.fields["args"]] for e in spans] == dump["spans"]
-
-    def test_a_malformed_window_row_is_named(self):
-        dump = {"schema": FLIGHT_SCHEMA, "windows": [
-            {"index": 0, "start_ns": 0.0, "end_ns": 1.0, "windows": 1},
-            {"index": 1, "start_ns": 1.0, "windows": 1},
-        ]}
-        with pytest.raises(ValueError, match="window row 1 is malformed"):
-            rec.dump_frames(dump)

@@ -14,7 +14,7 @@ from repro.bench import build_rig
 from repro.chaos import CampaignRunner, ChaosCampaign, event, survivor_liveness
 from repro.core.memory import PAGE_SIZE
 from repro.telemetry.health import FlightRecorder, load_dump, render_postmortem
-from repro.telemetry.health.recorder import check_schema
+from repro.telemetry.schema import DUMP, check
 from repro.telemetry.__main__ import main as health_cli
 
 pytestmark = pytest.mark.health
@@ -201,7 +201,7 @@ class TestFlightRecorder:
     def test_snapshot_from_snapshot_round_trip(self, tmp_path):
         """The storm dump on disk is the in-memory snapshot, byte for byte."""
         _, _, health, _, dump_path, _ = _run_ue_burn(tmp_path, "rt")
-        data = check_schema(load_dump(dump_path))
+        data = load_dump(dump_path)
         assert dump_path.read_text() == json.dumps(
             health.dumps[0], indent=2, sort_keys=True
         ) + "\n"
@@ -209,7 +209,7 @@ class TestFlightRecorder:
 
     def test_from_snapshot_rejects_wrong_schema(self):
         with pytest.raises(ValueError, match="schema"):
-            check_schema({"schema": "something/else"})
+            check({"schema": "something/else"}, DUMP)
 
     def test_ring_is_bounded(self):
         from repro.telemetry.health import WindowFrame
@@ -262,7 +262,3 @@ class TestPostmortem:
         bad.write_text(json.dumps({"schema": "nope"}))
         assert health_cli(["postmortem", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_render_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            render_postmortem({"schema": "nope"})

@@ -109,7 +109,7 @@ class TestWindowHist:
         row = json.loads(json.dumps(reg.snapshot()))["histograms"][0]
         assert row == [0, "s", "lat", {"count": 3, "sum": 602.0, "min": 2.0,
                                        "max": 300.0, "buckets": {"1": 1, "9": 2}}]
-        again = MetricsRegistry.from_snapshot({"histograms": [row]})
+        again = MetricsRegistry.from_snapshot({"counters": [], "gauges": [], "histograms": [row]})
         assert again.histograms[(0, "s", "lat")] == reg.histograms[(0, "s", "lat")]
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro.telemetry import ADMITTED_SERIES, LOST_SERIES, TENANT_PREFIX
 from repro.telemetry.dashboard import render_incident_timeline
 from repro.telemetry.health.postmortem import render_postmortem
-from repro.telemetry.health.recorder import FLIGHT_SCHEMA, dump_frames
+from repro.telemetry.health.recorder import FLIGHT_SCHEMA, FlightRecorder, dump_frames
 from repro.telemetry.health.slo import default_objectives
 from repro.telemetry.incidents import (
     blame_set,
@@ -27,6 +27,7 @@ from repro.telemetry.incidents import (
     score_dump,
 )
 from repro.telemetry.__main__ import main as incidents_main
+from repro.telemetry.schema import DUMP, check
 from repro.telemetry.spans import validate_chrome_trace
 
 pytestmark = pytest.mark.incidents
@@ -165,6 +166,8 @@ class TestEveryScenario:
         assert on.score == replay.score
         assert off.score["mttm_ns"] > on.score["mttm_ns"]
         assert off.score["blast_radius"]["requests_lost"] > 0
+        for arm in (on, off):  # the spec the loader checks holds all the writer writes
+            check(json.loads(json.dumps(arm.dump)), DUMP)
         pin({"on": _arm_digests(on), "off": _arm_digests(off)})
 
     def test_every_stock_objective_fires_in_some_scenario(self, detection_on):
@@ -238,7 +241,7 @@ class TestScoringUnits:
             "spans": [
                 ["traffic.attempt", 0, 1.05e6, 1.06e6, 1,
                  {"outcome": "failed", "target": 1, "tenant": "web"}],
-                ["old.row", 0, 1.0e6, 1.1e6, None],  # v1 row: skipped
+                ["old.row", 0, 1.0e6, 1.1e6, None, {}],  # not an attempt: skipped
             ],
             "fault_tail": {
                 "0": [{"kind": "node_crash", "time_ns": 1e6, "addr": None,
@@ -246,6 +249,9 @@ class TestScoringUnits:
                 "-1": [{"kind": "ue", "time_ns": 1.5e6, "addr": 0x2abc,
                         "detail": ""}],
             },
+            "resilience": [],
+            "atlas_links": [],
+            "atlas_pages": [],
         }
 
     def test_ground_truth_sites_and_t0(self):
@@ -274,8 +280,7 @@ class TestScoringUnits:
         assert blast["degraded_windows"] == 1
 
     def test_empty_dump_scores_clean(self):
-        score = score_dump({"schema": FLIGHT_SCHEMA,
-                            "reason": "x", "at_ns": 0.0})
+        score = score_dump(FlightRecorder().snapshot("x", 0.0))
         assert score["t0_ns"] is None
         assert score["mttd_ns"] is None
         assert score["recovered"] is True

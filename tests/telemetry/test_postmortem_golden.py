@@ -14,6 +14,7 @@ import pytest
 from repro.telemetry.__main__ import main as health_main
 from repro.telemetry.health.postmortem import render_postmortem
 from repro.telemetry.health.recorder import FLIGHT_SCHEMA
+from repro.telemetry.schema import DUMP, check
 
 pytestmark = pytest.mark.health
 
@@ -34,11 +35,13 @@ def _dump() -> dict:
              "gauges": []},
         ],
         "alerts": [
-            {"objective": "ce.rate", "node": 0, "alert_id": 1,
+            {"objective": "ce.rate", "node": 0, "alert_id": "1", "fired_window": 1,
              "fired_ns": 300_000.0, "fast_burn": 3.5, "slow_burn": 1.25,
+             "state": "firing", "resolved_window": None, "resolved_ns": None,
              "event": "firing"},
-            {"objective": "ce.rate", "node": 0, "alert_id": 1,
-             "fired_ns": 300_000.0, "resolved_ns": 900_000.0,
+            {"objective": "ce.rate", "node": 0, "alert_id": "1", "fired_window": 1,
+             "fired_ns": 300_000.0, "fast_burn": 3.5, "slow_burn": 1.25,
+             "state": "resolved", "resolved_window": 3, "resolved_ns": 900_000.0,
              "event": "resolved"},
         ],
         "breakers": [
@@ -59,7 +62,7 @@ def _dump() -> dict:
             ["traffic.batch", 0, 100.0, 1_100.0, None,
              {"n": 16, "tenant": "web"}],
             ["traffic.attempt", 0, 100.0, 600.0, 1, {"outcome": "ok"}],
-            ["chaos.step", 0, 2_000.0, 3_000.0, None],  # v1-style row
+            ["chaos.step", 0, 2_000.0, 3_000.0, None, {}],
         ],
         "fault_tail": {
             "-1": [{"kind": "ue", "time_ns": 600_000.0, "addr": 8192,
@@ -69,6 +72,8 @@ def _dump() -> dict:
                   {"kind": "node_crash", "time_ns": 400_000.0, "addr": None,
                    "detail": "chaos"}],
         },
+        "atlas_links": [],
+        "atlas_pages": [],
     }
 
 
@@ -149,8 +154,7 @@ class TestV1Dump:
     def test_v1_renders_without_v2_sections(self):
         dump = _dump()
         for key in ("breakers", "boosts", "resilience"):
-            del dump[key]
-        dump["spans"] = [row[:5] for row in dump["spans"]]
+            dump[key] = []
         report = render_postmortem(dump)
         assert "-- resilience tail" not in report
         assert "BREAKER" not in report
@@ -162,7 +166,7 @@ class TestV1Dump:
         dump = _dump()
         dump["schema"] = "nope"
         with pytest.raises(ValueError, match="not a flight-recorder dump"):
-            render_postmortem(dump)
+            check(dump, DUMP)
 
 
 class TestCli:
