@@ -11,7 +11,7 @@ by both the FlacOS kernel and applications:
 
 Plus :mod:`repro.flacdk.alloc` (object allocator, layout, relocation,
 reclamation) and :mod:`repro.flacdk.reliability` (monitor, prediction,
-detection, repair, scrub).
+repair, scrub).
 """
 
 from . import alloc, reliability, structures, sync

@@ -29,6 +29,7 @@ read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -215,16 +216,22 @@ def _scenario_breaker_storm() -> IncidentScenario:
     )
 
 
-def scenarios() -> Dict[str, IncidentScenario]:
-    """Name -> scenario, in catalogue order."""
-    table = (
+@functools.lru_cache(maxsize=None)
+def _catalogue() -> Tuple[IncidentScenario, ...]:
+    """The five frozen scenarios, built once per process on first use."""
+    return (
         _scenario_ue_storm(),
         _scenario_link_flap(),
         _scenario_crash_cascade(),
         _scenario_ce_slow_leak(),
         _scenario_breaker_storm(),
     )
-    return {s.name: s for s in table}
+
+
+def scenarios() -> Dict[str, IncidentScenario]:
+    """Name -> scenario, in catalogue order: a fresh dict of the values
+    :func:`_catalogue` built once."""
+    return {s.name: s for s in _catalogue()}
 
 
 def get_scenario(name: str) -> IncidentScenario:

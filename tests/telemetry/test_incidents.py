@@ -63,6 +63,11 @@ class TestCatalogue:
         seeds = [s.campaign.seed for s in table.values()]
         assert len(set(seeds)) == len(seeds)  # each seed distinct
 
+    def test_the_catalogue_is_built_once(self):
+        """Each call returns a fresh dict over the same frozen values."""
+        assert scenarios()["ue-storm"] is scenarios()["ue-storm"]
+        assert scenarios() is not scenarios()
+
     def test_unknown_scenario_lists_the_catalogue(self):
         with pytest.raises(KeyError, match="ue-storm"):
             get_scenario("nope")
