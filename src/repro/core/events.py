@@ -12,9 +12,10 @@ the rack without 100k Python loops per tick.
 
 Determinism rules (the same contract the chaos journals pin):
 
-* the heap is keyed ``(when_ns, seq)`` — ``seq`` is the insertion
-  order, so simultaneous events dispatch in the order they were
-  scheduled, never in hash or heap-internal order;
+* the heap holds ``(when_ns, seq, event)`` tuples — ``seq`` is the
+  insertion order (unique, so ``heapq`` compares a float and an int in C,
+  never an :class:`Event`): simultaneous events dispatch in the order they
+  were scheduled, never in hash or heap-internal order;
 * dispatch time is monotone: an event scheduled in the past (a handler
   reacting "immediately") is clamped to the core's current time;
 * when an event is bound to a node, that node's simulated clock is
@@ -30,7 +31,7 @@ replays event-for-event.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..rack.machine import RackMachine
 
@@ -51,9 +52,6 @@ class Event:
         self.fn = fn
         self.node = node
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.when_ns, self.seq) < (other.when_ns, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -99,7 +97,7 @@ class EventCore:
     def __init__(self, machine: Optional[RackMachine] = None) -> None:
         self.machine = machine
         self.now_ns = 0.0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         #: events dispatched over the core's lifetime (telemetry/benches)
         self.dispatched = 0
@@ -118,8 +116,8 @@ class EventCore:
         if when < self.now_ns:
             when = self.now_ns
         ev = Event(when, self._seq, fn, node)
+        heapq.heappush(self._heap, (when, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     @staticmethod
@@ -155,26 +153,28 @@ class EventCore:
     def peek_ns(self) -> Optional[float]:
         """Time of the next live event, or ``None`` when idle."""
         self._drop_cancelled()
-        return self._heap[0].when_ns if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
 
     # -- dispatch --------------------------------------------------------------
 
     def step(self) -> bool:
         """Dispatch the next live event; False when the heap is empty."""
-        self._drop_cancelled()
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:  # :meth:`_drop_cancelled`, inline
+            heapq.heappop(heap)
+        if not heap:
             return False
-        ev = heapq.heappop(self._heap)
-        self.now_ns = ev.when_ns  # heap order makes this monotone
+        when, _, ev = heapq.heappop(heap)
+        self.now_ns = when  # heap order makes this monotone
         if ev.node is not None and self.machine is not None:
             node = self.machine.nodes.get(ev.node)
             if node is not None:
-                node.clock.sync_to(ev.when_ns)
+                node.clock.sync_to(when)
         self.dispatched += 1
         ev.fn()
         return True
@@ -194,11 +194,11 @@ class EventCore:
             self._drop_cancelled()
             if not self._heap:
                 break
-            if until_ns is not None and self._heap[0].when_ns > until_ns:
+            if until_ns is not None and self._heap[0][0] > until_ns:
                 break
             self.step()
             ran += 1
         return ran
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EventCore(now={self.now_ns:.0f}ns, pending={sum(not ev.cancelled for ev in self._heap)})"
+        return f"EventCore(now={self.now_ns:.0f}ns, pending={sum(not ev.cancelled for _, _, ev in self._heap)})"

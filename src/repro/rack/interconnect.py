@@ -379,8 +379,8 @@ class Interconnect:
 
     def __init__(self) -> None:
         self.graph = FabricGraph()
-        #: per node vertex: its live route to gmem (see :meth:`_route`)
-        self._routes: Dict[str, Tuple[PathCost, Tuple[str, ...], Tuple[dict, ...]]] = {}
+        #: per node id: its live route to gmem (see :meth:`_route`)
+        self._routes: Dict[int, Tuple[PathCost, Tuple[str, ...], Tuple[dict, ...]]] = {}
         #: Bumped whenever topology or link health changes; holders of
         #: path-derived memos (the machine's charge tables) compare-and-drop.
         self.generation = 0
@@ -436,17 +436,17 @@ class Interconnect:
         """``node_id``'s live route to global memory: its cost, its link
         ids, and each link's edge-attribute dict.
 
-        Computed once per node and dropped on any topology/health change.
+        Computed once per node (keyed by id: a cached route formats no
+        vertex name) and dropped on any topology/health change.
         Routing is :meth:`FabricGraph.shortest_path` — a stated rule over
         cabling order, so seeded runs charge identical paths.  The
         attribute dicts are the graph's own, which :meth:`link` writes
         into: a cached route always charges against the capacity in force.
         """
-        src = node_vertex(node_id)
-        cached = self._routes.get(src)
+        cached = self._routes.get(node_id)
         if cached is not None:
             return cached
-        graph = self.graph
+        src, graph = node_vertex(node_id), self.graph
         if src not in graph.kinds or GMEM_VERTEX not in graph.kinds:
             raise InterconnectError(f"{src} or gmem not in fabric")
         path = graph.shortest_path(src, GMEM_VERTEX)
@@ -457,7 +457,7 @@ class Interconnect:
         links = tuple(link_id(u, v) for u, v in hops)
         edges = tuple(graph.adj[u][v] for u, v in hops)
         cost = PathCost(hops=len(links), switches=switches)
-        route = self._routes[src] = (cost, links, edges)
+        route = self._routes[node_id] = (cost, links, edges)
         return route
 
     def path_to_gmem(self, node_id: int) -> PathCost:

@@ -21,7 +21,9 @@ Hardware contract reproduced from the paper (§2.1):
 from __future__ import annotations
 
 import struct
-from functools import partial
+from functools import partial, reduce
+from itertools import repeat
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,6 +59,11 @@ _TLB_EMPTY = (None, 0, 0, None)
 #: The batch clock fold of :meth:`RackMachine._charge`, reused across
 #: batches and regrown for one that would not fit.
 _fold = np.empty(4_097, dtype=np.float64)
+#: Batches of fewer ops fold their clock by Python float adds, longer ones by
+#: ``np.add.accumulate``: the two cost the same at 48 on CPython 3.11 (DESIGN.md §3).
+_SHORT_FOLD = 48
+#: The int64 dtype object, compared by identity with a vector's own.
+_INT64 = np.dtype(np.int64)
 
 
 class SlotRef:
@@ -101,13 +108,14 @@ class SlotWindow:
         numpy would wrap a negative index into the window's last slots, so
         the bounds check is the *unsigned* maximum: an index outside
         ``[0, n)`` is an ``IndexError`` here, before any op is issued."""
-        ref = SlotRef()
-        ref.window = self
-        ref.idx = idx = np.asarray(idx, dtype=np.int64)
+        if type(idx) is not np.ndarray or idx.dtype is not _INT64:
+            idx = np.asarray(idx, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("slot indices must be one vector")
-        if len(idx) and int(idx.view(np.uint64).max()) >= self.n:
+        if len(idx) and int(np.maximum.reduce(idx.view(np.uint64))) >= self.n:
             raise IndexError(f"slot index outside window of {self.n} slots at {self.base:#x}")
+        ref = SlotRef()
+        ref.window, ref.idx = self, idx
         return ref
 
 
@@ -131,6 +139,8 @@ class RackMachine:
                 write_backing=self._write_backing,
             )
             self.nodes[node_id] = Node(node_id, cfg.cores_per_node, dev, cache)
+        # a Node and its clock outlive crashes and restarts, so one context each
+        self._contexts = {node_id: NodeContext(self, node_id) for node_id in self.nodes}
         self.address_map: AddressMap = build_address_map(local_devices, self.global_mem)
         self.fabric: Interconnect = topo.build(cfg.topology, cfg.n_nodes)
         self.faults = FaultInjector(cfg.faults, seed=cfg.seed)
@@ -184,9 +194,11 @@ class RackMachine:
         return addr >= GLOBAL_BASE
 
     def context(self, node_id: int) -> "NodeContext":
-        """A view of the machine bound to one node (the common handle)."""
-        self._node(node_id)
-        return NodeContext(self, node_id)
+        """The node's one view of the machine (the common handle)."""
+        ctx = self._contexts.get(node_id)
+        if ctx is None:
+            self._node(node_id)  # raises, naming the rack
+        return ctx
 
     # -- time -------------------------------------------------------------------
 
@@ -339,8 +351,8 @@ class RackMachine:
     # :class:`SlotWindow`'s row table, ``atomic_load_many`` / ``atomic_store_many``
     # — amortise host CPU when :meth:`_bulk_plan` finds the batch to be
     # slots of one clean window: one gather/scatter of slots, one uniform
-    # charge vector (``np.add.accumulate`` is a strict left fold, so the
-    # float rounding matches the sequential clock adds) and one aggregated
+    # charge folded strictly left to right (so the float rounding matches
+    # the sequential clock adds) and one aggregated
     # telemetry record.  Everything else, and every batch the plan refuses,
     # is the loop itself, which reproduces every observable including the
     # op index at which an error surfaces.
@@ -362,7 +374,7 @@ class RackMachine:
         ``addrs`` may be an int64 array (used as is, no list round trip)
         or a :class:`SlotRef` into a held window (nothing to resolve).
         """
-        n = len(addrs)
+        n = len(addrs.idx if type(addrs) is SlotRef else addrs)
         if n == 0:
             return b"" if concat else []
         plan = self._bulk_plan(node_id, addrs, size) if bypass_cache else None
@@ -396,7 +408,6 @@ class RackMachine:
         Equivalent to a loop of :meth:`store`; a bypass batch on a clean
         window is one scatter.  Per-payload batches need not share one size.
         """
-        n = len(addrs)
         if type(addrs) is SlotRef:
             window = addrs.window
             if size != window.size or len(data) != window.n * size:
@@ -420,9 +431,10 @@ class RackMachine:
             table = bytes(data)
             data = [table[k * size : (k + 1) * size] for k in addrs.idx.tolist()]
         elif size is None:
-            if len(data) != n:
-                raise ValueError(f"store_many got {n} addresses but {len(data)} payloads")
+            if len(data) != len(addrs):
+                raise ValueError(f"store_many got {len(addrs)} addresses but {len(data)} payloads")
         else:
+            n = len(addrs)
             if size <= 0:
                 raise ValueError("packed store_many needs a positive size")
             if len(data) != n * size:
@@ -757,9 +769,10 @@ class RackMachine:
     ) -> None:
         """The machine's one clock door (DESIGN.md §3): ``ops`` times
         ``hits·hit_ns + first + (lines−1)·rest + lines·extra``, added left to
-        right in that order and, for a batch, folded by ``np.add.accumulate``
-        (a strict left fold), so clocks are bit for bit the single adds the
-        goldens pin.  ``first`` / ``rest`` are one line's device latency and
+        right in that order and, for a batch, folded by Python float adds
+        below :data:`_SHORT_FOLD` ops and by ``np.add.accumulate`` from there
+        (both strict left folds), so clocks are bit for bit the single adds
+        the goldens pin.  ``first`` / ``rest`` are one line's device latency and
         each further line's bandwidth cost for ``node`` reaching ``region``,
         memoized until the fabric's generation moves.  No negative check:
         every term is a validated :class:`LatencyModel` field or a count.
@@ -788,6 +801,9 @@ class RackMachine:
             node.clock._now_ns += ns
             return
         clock = node.clock
+        if ops < _SHORT_FOLD:
+            clock._now_ns = reduce(add, repeat(ns, ops), clock._now_ns)
+            return
         global _fold
         if ops >= len(_fold):
             _fold = np.empty(2 * ops, dtype=np.float64)
@@ -811,7 +827,7 @@ class RackMachine:
         ops of ``size`` bytes in ``region``: bypass bursts named ``counter``,
         or atomics (``counter`` None).  The plan proved no fault, poison or
         error is involved, so only the final clock value is observable."""
-        n, lat, node = len(addrs), self.latency, self.nodes[node_id]
+        n, lat, node = len(addrs.idx if type(addrs) is SlotRef else addrs), self.latency, self.nodes[node_id]
         if counter is None:
             is_global = region.owner is None
             counter = "atomic.global" if is_global else "atomic.local"

@@ -34,6 +34,7 @@ in deterministic order — same seed, byte-identical snapshot.
 
 from __future__ import annotations
 
+import numbers
 import pathlib
 from typing import Dict, Optional, Union
 
@@ -114,10 +115,10 @@ class Atlas:
             arr = arr.reshape(1)
         if arr.size == 0:
             return
-        if not (np.isscalar(sizes) or getattr(sizes, "ndim", 1) == 0):
-            sizes = np.array(sizes, dtype=np.float64)
-        else:
+        if isinstance(sizes, numbers.Number) or getattr(sizes, "ndim", 1) == 0:
             sizes = float(sizes)
+        else:
+            sizes = np.array(sizes, dtype=np.float64)
         self._pending.append((arr, sizes))
         self._pending_elems += arr.size
         if self._pending_elems > self._DRAIN_ELEMS:
@@ -145,8 +146,9 @@ class Atlas:
                 continue
             chunks.append(addrs)
             if isinstance(sizes, float):
-                weight_chunks.append(
-                    np.full(addrs.size, sizes, dtype=np.float64))
+                chunk = np.empty(addrs.size, dtype=np.float64)
+                chunk.fill(sizes)  # ``np.full``, without its Python frames
+                weight_chunks.append(chunk)
             else:
                 weight_chunks.append(sizes)
         if single_addrs:
@@ -155,7 +157,7 @@ class Atlas:
         arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         weights = (weight_chunks[0] if len(weight_chunks) == 1
                    else np.concatenate(weight_chunks))
-        if int(arr.min()) < self._global_base:  # any local addrs to drop?
+        if int(np.minimum.reduce(arr)) < self._global_base:  # any local addrs to drop?
             mask = arr >= self._global_base
             arr, weights = arr[mask], weights[mask]
             if not len(arr):

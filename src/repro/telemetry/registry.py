@@ -90,16 +90,17 @@ class Histogram:
             return
         self.count += int(values.size)
         self.total += float(np.add.accumulate(values)[-1])
-        lo = float(values.min())
-        hi = float(values.max())
+        # ufunc reductions and ndarray methods: numpy's Python wrappers cost frames
+        lo = float(np.minimum.reduce(values))
+        hi = float(np.maximum.reduce(values))
         if lo < self.min_value:
             self.min_value = lo
         if hi > self.max_value:
             self.max_value = hi
-        idx = np.searchsorted(_BOUNDS_ARR, values, side="left")
+        idx = _BOUNDS_ARR.searchsorted(values, side="left")
         per_bucket = np.bincount(idx, minlength=N_BUCKETS)
         buckets = self.buckets
-        for i in np.nonzero(per_bucket)[0]:
+        for i in per_bucket.nonzero()[0]:
             buckets[int(i)] += int(per_bucket[i])
 
     @property

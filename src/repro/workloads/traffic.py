@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -316,6 +316,8 @@ class TrafficEngine:
         self.fabric = self.machine.fabric
         self.vnis = self.machine.fabric.vnis
         self.tenants: Dict[str, _TenantState] = {}
+        #: tenant name -> its one wake callable (:meth:`_waker`)
+        self._wakes: Dict[str, Callable[[], None]] = {}
         #: Σ tenant ``offered``, kept running (``run`` stops on it per event)
         self.total_offered = 0
         #: breaker transition records in occurrence order
@@ -345,6 +347,7 @@ class TrafficEngine:
             )
             self.backend.prepare(st)
             self.tenants[spec.name] = st
+            self._wakes[spec.name] = self._waker(st)
             self._arm(st)
 
     # -- event plumbing --------------------------------------------------------
@@ -364,7 +367,14 @@ class TrafficEngine:
         if st.pos >= len(st.queue):
             self._refill(st)
         when = float(st.queue[st.pos]) + self.batch_window_ns
-        self.events.at(when, lambda s=st: self._wake(s), node=st.spec.node)
+        self.events.at(when, self._wakes[st.spec.name], node=st.spec.node)
+
+    def _waker(self, st: _TenantState) -> Callable[[], None]:
+        """The tenant's one wake: a closure, which Python calls (C calls a
+        ``partial``), looking ``_wake`` up at call time (a patched one applies)."""
+        def wake() -> None:
+            self._wake(st)
+        return wake
 
     def _wake(self, st: _TenantState) -> None:
         now = self.events.now_ns
@@ -415,7 +425,7 @@ class TrafficEngine:
 
         # the admitted batch's key/op draws happen exactly once, here,
         # so resilient and base engines replay the same RNG stream
-        key_idx = st.rng.integers(0, spec.n_keys, size=n)
+        key_idx = st.rng.integers(spec.n_keys, size=n)  # the stream of integers(0, n_keys)
         is_get = st.rng.random(n) < spec.get_ratio
         if not _TEL.tracing:
             self._run_admitted(st, arrivals, key_idx, is_get)

@@ -9,15 +9,17 @@ exactly from run to run, and counting only frames whose code lives under
   20,020 offered requests in 738 events — small batches, so the fixed cost
   of a batch is the whole cost): 55,243 before the batch path was trimmed
   to what a batch uses (EXPERIMENTS E26), 48,353 after, 46,478 with a tenant's
-  slab held as one resolved window (E28); a change that re-adds
-  a per-batch pass fails here instead of waiting for a ±7% wall-clock
-  number to notice.
+  slab held as one resolved window (E28), 47,136 before a batch stopped
+  calling back into Python and 37,814 after (E49: a tuple-keyed event heap,
+  one context per node, a slot count read from its index vector, a fabric
+  route cached by node id); a change that re-adds a per-batch pass fails
+  here instead of waiting for a ±7% wall-clock number to notice.
 * ``incidents-observed`` (first scenario, every telemetry sink on): 72,348
   while each atlas drain folded the line sketch nobody read (7,191 evicting
   ``SpaceSaving.offer`` calls), 65,534 with lines folded on read (E27),
   60,582 after E28, 60,236 after E29, 57,944 with one reader of the dump
   (E31), 53,461 with no anomaly detectors and no per-window histogram
-  deltas (E44).
+  deltas (E44), 49,817 before E49 and 43,790 after.
 * ``redis-closed`` (the Fig. 4 path, 1,200 closed-loop requests, single ops
   only): 212,302 while a cached miss passed the gate twice and a line burst
   was priced by a chain of charge helpers, 209,465 with one gate and one
@@ -50,6 +52,16 @@ one smoke ``traffic-write`` rep (2 tenants, 40,094 offered requests), a SET
 batch hands over its tenant's row table and runs no last-writer pass
 (EXPERIMENTS E42): ``ufunc.at`` 318 → 0, ``ndarray.take`` 1,053 → 477.
 
+**Callbacks into Python.**  On one smoke ``chaos-quiet`` rep, C code
+calling back into Python: ``heapq`` ordered events through
+``Event.__lt__`` (2,637 calls) until the heap held ``(when_ns, seq,
+event)`` tuples, and frames in numpy's own ``.py`` files numbered 4,022
+(1,319 of them ``ndarray.max``'s ``_amax`` in a slot bound check) before
+E49 and 2,703 after — nearly all of them ``np.prod`` inside
+``Generator.integers``, which no caller avoids.  Counted on CPython 3.11
+only, as the bytecodes are: another interpreter nests numpy's wrappers
+in other frames.
+
 **Imports.**  A benchmark process must not load ``networkx`` or ``scipy``:
 the fabric graph is ours (E27: 15 MB of every workload's resident set and
 0.1+ s of start-up when it was not), and a transitive import would bring
@@ -64,6 +76,7 @@ import pstats
 import subprocess
 import sys
 
+import numpy
 import pytest
 
 import repro
@@ -76,6 +89,7 @@ pytestmark = pytest.mark.resilience
 
 PERF = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 SRC = str(pathlib.Path(repro.__file__).resolve().parent) + "/"
+NUMPY = str(pathlib.Path(numpy.__file__).resolve().parent) + "/"
 SMOKE_SCALE = 10  # benchmarks/perf/run.py --smoke
 
 
@@ -113,18 +127,35 @@ def _profiled_smoke_rep(name):
 def test_chaos_quiet_rep_stays_inside_its_call_budget():
     outcome, calls = _one_smoke_rep("chaos-quiet")
     assert (outcome.offered, outcome.detail["events_dispatched"]) == (20_020, 738)
-    assert calls <= 50_000, (
+    assert calls <= 38_192, (
         f"{calls:,} Python calls under src/repro for one chaos-quiet smoke rep "
-        f"(ceiling 50,000): a per-batch pass came back"
+        f"(ceiling 38,192): a per-batch pass came back"
     )
 
 
 def test_incidents_observed_rep_stays_inside_its_call_budget():
     outcome, calls = _one_smoke_rep("incidents-observed")
     assert outcome.offered == 6_065
-    assert calls <= 68_800, (
+    assert calls <= 44_227, (
         f"{calls:,} Python calls under src/repro for one incidents-observed smoke "
-        f"rep (ceiling 68,800): an observation cost nobody reads came back"
+        f"rep (ceiling 44,227): an observation cost nobody reads came back"
+    )
+
+
+def test_chaos_quiet_rep_calls_back_into_python_only_where_numpy_must():
+    if sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11):
+        pytest.skip("frame counts are those of the CPython 3.11 the ceiling was taken on")
+    outcome, stats = _profiled_smoke_rep("chaos-quiet")
+    assert outcome.offered == 20_020
+    lt = sum(n_calls for (filename, _line, name), (_prim, n_calls, *_) in stats.items()
+             if filename.startswith(SRC) and name == "__lt__")
+    assert lt == 0, f"{lt:,} __lt__ calls: the event heap compares objects again"
+    frames = sum(n_calls for (filename, _line, _name), (_prim, n_calls, *_) in stats.items()
+                 if filename.startswith(NUMPY) and filename.endswith(".py"))
+    assert frames <= 2_730, (
+        f"{frames:,} frames in numpy's Python files for one chaos-quiet smoke rep "
+        f"(2,703 when written, 4,022 with ndarray.max in the slot bound check): "
+        f"a per-batch numpy wrapper came back"
     )
 
 

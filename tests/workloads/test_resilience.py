@@ -181,10 +181,10 @@ class TestFailover:
                                      resilience=ResilienceSpec(replica_node=1), seed=11)
 
         def pending():
-            live = [ev for ev in rig.kernel.events._heap if not ev.cancelled]
-            assert all(ev.fn.__qualname__ == "TrafficEngine._arm.<locals>.<lambda>"
-                       for ev in live)
-            return sorted(ev.fn.__defaults__[0].spec.name for ev in live)
+            tenant_of = {wake: name for name, wake in eng._wakes.items()}
+            live = [ev for _, _, ev in rig.kernel.events._heap if not ev.cancelled]
+            assert all(ev.fn in tenant_of for ev in live)
+            return sorted(tenant_of[ev.fn] for ev in live)
 
         eng.run(max_requests=10_000)
         assert pending() == ["batch", "web"]
