@@ -46,7 +46,7 @@ _LABELS = {
     "item 5": "OperationLog SpscRing LockedHashMap SharedVector GlobalSpinLock BoundedStaleCell VersionChain",
     "item 6": "ReplicatedDict DelegatedDict NodeReplication.compact",
     "item 7": "reset",  # the enable surface: telemetry.reset
-    "guard": "refuse refuse_input validate_chrome_trace _checked_capacity _rows _target SimClock.advance "
+    "guard": "refuse refuse_input validate_chrome_trace _rows _target SimClock.advance "
              "ChaosEvent.trigger_str SegmentationFault _FailedOp RepairSource CheckpointPageSource "
              "FsBlockSource ArrivalProcess.next_chunk",
     "repr": "Event.__repr__ EventCore.__repr__ Arena.__repr__ Node.__repr__ NodeContext.__repr__ SimClock.__repr__",
@@ -59,11 +59,12 @@ _LABELS = {
     "branch span": "TraceBuffer.current",
     "branch render_dashboard": "TraceBuffer.flame_summary TraceBuffer._paths",  # a traced run given to --flame
     "branch RackMachine.load_many": "_split",
+    "branch render_links": "_rate",  # a link row: no CLI root's run charges the fabric
     "branch main": "_cmd_list",
 }
 LABELS = {name: label for label, names in _LABELS.items() for name in names.split()}
 #: The most options (knobs that are not state) ``src`` may hold: a new one needs a caller, or a constant.
-OPTIONS_BOUND = 117
+OPTIONS_BOUND = 114
 
 _HOOK = '''\
 import atexit, os, sys, threading
@@ -100,7 +101,7 @@ def roots(out: str = "OUT"):
         ("cli", [py, "-m", tel, "postmortem", dump]),
         ("cli", [py, "examples/redis_rack.py", "--telemetry", run]),
         ("cli", [py, "-m", tel, "dashboard", run, "--flame"]),
-        *(("cli", [py, "-m", tel, view, run]) for view in ("top-links", "top-pages", "blame", "headroom")),
+        *(("cli", [py, "-m", tel, view, run]) for view in ("top-links", "top-pages")),
         *(("examples", [py, str(path)]) for path in sorted(ROOT.glob("examples/*.py"))),
         ("boot", [py, "-c", "import pkgutil, importlib, repro\n"
                   "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"

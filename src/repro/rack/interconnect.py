@@ -10,11 +10,8 @@ access.  Paths are recomputed lazily when topology changes.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from dataclasses import dataclass
-
-from ..telemetry import RACK_WIDE, TELEMETRY as _TEL
 
 
 class InterconnectError(Exception):
@@ -73,21 +70,17 @@ class _Meter:
         #: rate of the last *completed* window
         self.rate_bytes_per_s = 0.0
 
-    def add(self, n_bytes: int, requests: int, now_ns: float) -> Optional[int]:
-        """Account traffic at ``now_ns``.  When that closes a window,
-        returns the closed window's bytes (else ``None``), so an owner
-        can bank per-window state before the next window fills."""
-        closed = None
+    def add(self, n_bytes: int, requests: int, now_ns: float) -> None:
+        """Account traffic at ``now_ns``, closing the open window first
+        when a window's worth of time has elapsed since it opened."""
         elapsed = now_ns - self.window_start_ns
         if elapsed >= WINDOW_NS and elapsed > 0:
-            closed = self.window_bytes
-            self.rate_bytes_per_s = closed * 1e9 / elapsed
+            self.rate_bytes_per_s = self.window_bytes * 1e9 / elapsed
             self.window_start_ns = now_ns
             self.window_bytes = 0
         self.bytes += n_bytes
         self.window_bytes += n_bytes
         self.requests += requests
-        return closed
 
     def rate(self, now_ns: Optional[float]) -> float:
         """The current byte rate, decayed against ``now_ns``.
@@ -98,7 +91,7 @@ class _Meter:
         window opened, the completed rate is stale and the *open*
         window's own bytes-over-elapsed becomes the estimate: still the
         true rate mid-burst, and decaying smoothly to zero through a
-        silence — so headroom and admission never police ghosts.
+        silence — so admission never polices ghosts.
         """
         if now_ns is None:
             return self.rate_bytes_per_s
@@ -204,26 +197,12 @@ class VniTable:
 
 
 class _LinkState(_Meter):
-    """One fabric link's meter, plus what is link-specific: bytes *per
-    VNI* (lifetime and in the open window) and saturation banking — when
-    a completed window's rate met or exceeded the link's capacity, every
-    VNI's bytes in that window are banked as *saturated bytes*, the raw
-    material of contention blame ("of the bytes moved while this link
-    was saturated, whose were they?").
-    """
+    """One fabric link's meter, plus what is link-specific: its lifetime
+    bytes per VNI and the simulated times it went down."""
 
-    def __init__(self, link: str, window_start_ns: float = 0.0) -> None:
+    def __init__(self, window_start_ns: float = 0.0) -> None:
         super().__init__(window_start_ns)
-        self.link = link
-        self.capacity_bytes_per_s = float("inf")
         self.vni_bytes: Dict[int, int] = {}
-        self.vni_window_bytes: Dict[int, int] = {}
-        self.vni_saturated_bytes: Dict[int, int] = {}
-        self.saturated_bytes = 0
-        self.saturated_windows = 0
-        #: recent completed windows as ``(end_ns, rate)`` — the slope
-        #: input for time-to-saturation forecasting
-        self.rates: Deque[Tuple[float, float]] = deque(maxlen=8)
         #: simulated times this link went down (flap forensics)
         self.downs: List[float] = []
 
@@ -249,46 +228,18 @@ class LinkTable:
     def links(self) -> List[str]:
         return sorted(self._links)
 
-    def charge(
-        self,
-        link: str,
-        vni: int,
-        n_bytes: int,
-        requests: int,
-        now_ns: float,
-        capacity_bytes_per_s: float = float("inf"),
-    ) -> None:
+    def charge(self, link: str, vni: int, n_bytes: int, requests: int, now_ns: float) -> None:
         """Account one batch's traffic on one link for one VNI."""
         s = self._links.get(link)
         if s is None:
-            s = self._links[link] = _LinkState(link, window_start_ns=now_ns)
-        s.capacity_bytes_per_s = capacity_bytes_per_s
-        closed = s.add(n_bytes, requests, now_ns)
-        if closed is not None:
-            self._bank(s, closed, now_ns)
+            s = self._links[link] = _LinkState(window_start_ns=now_ns)
+        s.add(n_bytes, requests, now_ns)
         s.vni_bytes[vni] = s.vni_bytes.get(vni, 0) + n_bytes
-        s.vni_window_bytes[vni] = s.vni_window_bytes.get(vni, 0) + n_bytes
-
-    def _bank(self, s: _LinkState, closed_bytes: int, now_ns: float) -> None:
-        """One window just closed: keep its rate for the slope, and bank
-        its bytes per VNI as saturated if it ran at/over capacity."""
-        rate = s.rate_bytes_per_s
-        s.rates.append((now_ns, rate))
-        if rate >= s.capacity_bytes_per_s:
-            s.saturated_bytes += closed_bytes
-            s.saturated_windows += 1
-            for vni in sorted(s.vni_window_bytes):
-                s.vni_saturated_bytes[vni] = (
-                    s.vni_saturated_bytes.get(vni, 0) + s.vni_window_bytes[vni]
-                )
-            if _TEL.enabled:
-                _TEL.add(RACK_WIDE, "fabric", "link.saturated_window", 1.0)
-        s.vni_window_bytes.clear()
 
     def note_state(self, link: str, up: bool, now_ns: float) -> None:
         """Record a link health transition (downs feed flap forensics)."""
         if not up:
-            s = self._links.setdefault(link, _LinkState(link, window_start_ns=now_ns))
+            s = self._links.setdefault(link, _LinkState(window_start_ns=now_ns))
             s.downs.append(now_ns)
 
 
@@ -296,10 +247,8 @@ class FabricGraph:
     """The fabric's own graph: vertices in the order they were added,
     links in the order they were cabled.
 
-    ``adj[u][v]`` and ``adj[v][u]`` are *one* attribute dict (``up``, and
-    ``capacity_bytes_per_s`` where the link overrides the fabric's), so a
-    write through either direction reaches every holder of that dict —
-    the routes :meth:`Interconnect._route` caches included.
+    ``adj[u][v]`` and ``adj[v][u]`` are *one* attribute dict (``up``), so
+    a write through either direction reaches both.
     """
 
     __slots__ = ("kinds", "adj")
@@ -364,23 +313,13 @@ class FabricGraph:
         return path
 
 
-def _checked_capacity(u: str, v: str, bytes_per_s: float) -> float:
-    capacity = float(bytes_per_s)
-    if not (math.isfinite(capacity) and capacity > 0.0):
-        raise ValueError(
-            f"link {link_id(u, v)}: capacity must be a finite number of "
-            f"bytes/s above zero, got {bytes_per_s!r}"
-        )
-    return capacity
-
-
 class Interconnect:
     """A fabric graph with per-link health and cached path costs."""
 
     def __init__(self) -> None:
         self.graph = FabricGraph()
         #: per node id: its live route to gmem (see :meth:`_route`)
-        self._routes: Dict[int, Tuple[PathCost, Tuple[str, ...], Tuple[dict, ...]]] = {}
+        self._routes: Dict[int, Tuple[PathCost, Tuple[str, ...]]] = {}
         #: Bumped whenever topology or link health changes; holders of
         #: path-derived memos (the machine's charge tables) compare-and-drop.
         self.generation = 0
@@ -400,22 +339,14 @@ class Interconnect:
     def add_gmem(self) -> None:
         self.graph.add_vertex(GMEM_VERTEX, "gmem")
 
-    def link(
-        self, u: str, v: str, capacity_bytes_per_s: Optional[float] = None
-    ) -> None:
-        """Cable ``u`` to ``v``; ``capacity_bytes_per_s=None`` inherits the
-        fabric-wide capacity the VNI table polices against; re-cabling an
-        existing link with a capacity overrides its own."""
+    def link(self, u: str, v: str) -> None:
+        """Cable ``u`` to ``v`` (re-cabling an existing link marks it up)."""
         for end in (u, v):
             if end not in self.graph.kinds:
                 raise InterconnectError(
                     f"cannot link {u} <-> {v}: {end!r} was never added to the fabric"
                 )
-        if capacity_bytes_per_s is None:
-            self.graph.add_edge(u, v)
-        else:  # checked before the link exists: a refused spec changes nothing
-            capacity = _checked_capacity(u, v, capacity_bytes_per_s)
-            self.graph.add_edge(u, v)["capacity_bytes_per_s"] = capacity
+        self.graph.add_edge(u, v)
         self._routes.clear()
         self.generation += 1
 
@@ -432,16 +363,14 @@ class Interconnect:
 
     # -- queries ---------------------------------------------------------------
 
-    def _route(self, node_id: int) -> Tuple[PathCost, Tuple[str, ...], Tuple[dict, ...]]:
-        """``node_id``'s live route to global memory: its cost, its link
-        ids, and each link's edge-attribute dict.
+    def _route(self, node_id: int) -> Tuple[PathCost, Tuple[str, ...]]:
+        """``node_id``'s live route to global memory: its cost and its
+        link ids.
 
         Computed once per node (keyed by id: a cached route formats no
         vertex name) and dropped on any topology/health change.
         Routing is :meth:`FabricGraph.shortest_path` — a stated rule over
-        cabling order, so seeded runs charge identical paths.  The
-        attribute dicts are the graph's own, which :meth:`link` writes
-        into: a cached route always charges against the capacity in force.
+        cabling order, so seeded runs charge identical paths.
         """
         cached = self._routes.get(node_id)
         if cached is not None:
@@ -453,20 +382,13 @@ class Interconnect:
         if path is None:
             raise InterconnectError(f"node {node_id} cannot reach global memory")
         switches = sum(1 for v in path if graph.kinds[v] == "switch")
-        hops = list(zip(path, path[1:]))
-        links = tuple(link_id(u, v) for u, v in hops)
-        edges = tuple(graph.adj[u][v] for u, v in hops)
-        cost = PathCost(hops=len(links), switches=switches)
-        route = self._routes[node_id] = (cost, links, edges)
+        links = tuple(link_id(u, v) for u, v in zip(path, path[1:]))
+        route = self._routes[node_id] = (PathCost(hops=len(links), switches=switches), links)
         return route
 
     def path_to_gmem(self, node_id: int) -> PathCost:
         """Hops/switches from ``node_id`` to global memory over live links."""
         return self._route(node_id)[0]
-
-    def path_links(self, node_id: int) -> Tuple[str, ...]:
-        """Canonical link ids along ``node_id``'s live route to gmem."""
-        return self._route(node_id)[1]
 
     def charge(
         self, vni: int, node_id: int, n_bytes: int, requests: int, now_ns: float
@@ -480,15 +402,12 @@ class Interconnect:
         """
         self.vnis.charge(vni, n_bytes, requests, now_ns)
         try:
-            _, links, edges = self._route(node_id)
+            links = self._route(node_id)[1]
         except InterconnectError:
             return
         charge = self.links.charge
-        fabric_cap = self.vnis.capacity_bytes_per_s
-        for link, attrs in zip(links, edges):
-            cap = attrs.get("capacity_bytes_per_s")  # else the fabric-wide one
-            charge(link, vni, n_bytes, requests, now_ns,
-                   fabric_cap if cap is None else float(cap))
+        for link in links:
+            charge(link, vni, n_bytes, requests, now_ns)
 
     def reachable(self, node_id: int) -> bool:
         try:
@@ -501,46 +420,21 @@ class Interconnect:
         """Every per-link fact at ``now_ns``, one JSON-ready row per link
         sorted by id — the one place they are computed and rounded.  The
         flight recorder's link tail, the atlas export and the atlas views
-        are projections of these rows.
-
-        The rate is :meth:`_Meter.rate` (decayed against ``now_ns``); an
-        infinite capacity reads ``None``, as does a time to saturation that
-        never comes on the current slope (``0.0``: saturated now).  Each
-        tenant's ``share`` is its part of the bytes the link moved during
-        saturated windows.
+        are projections of these rows.  The rate is :meth:`_Meter.rate`,
+        decayed against ``now_ns``.
         """
         label = self.vnis.label_of
         rows = []
         for link in self.links.links():
             s = self.links.get(link)
-            cap = s.capacity_bytes_per_s
-            rate = s.rate(now_ns)
-            util, tts = 0.0, None
-            if cap != float("inf"):
-                util = rate / cap
-                if rate >= cap:
-                    tts = 0.0
-                elif len(s.rates) >= 2:
-                    (t0, r0), (t1, r1) = s.rates[0], s.rates[-1]
-                    slope = (r1 - r0) * 1e9 / (t1 - t0) if t1 > t0 else 0.0
-                    if slope > 0:
-                        tts = round((cap - rate) / slope, 6)
-            sat, vni_sat = s.saturated_bytes, s.vni_saturated_bytes
             rows.append({
                 "link": link,
-                "capacity_bytes_per_s": None if cap == float("inf") else cap,
                 "bytes": s.bytes,
                 "requests": s.requests,
-                "rate_bytes_per_s": round(rate, 3),
-                "utilisation": round(util, 6),
-                "saturated_bytes": sat,
-                "saturated_windows": s.saturated_windows,
-                "time_to_saturation_s": tts,
+                "rate_bytes_per_s": round(s.rate(now_ns), 3),
                 "downs": list(s.downs),
                 "tenants": [
-                    {"vni": vni, "tenant": label(vni), "bytes": n_bytes,
-                     "saturated_bytes": vni_sat.get(vni, 0),
-                     "share": round(vni_sat.get(vni, 0) / sat, 6) if sat else 0.0}
+                    {"vni": vni, "tenant": label(vni), "bytes": n_bytes}
                     for vni, n_bytes in sorted(s.vni_bytes.items())
                 ],
             })

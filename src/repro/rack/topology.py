@@ -5,56 +5,38 @@ wired for ``n_nodes``.  ``dual_direct`` reproduces the paper's physical
 testbed (two Kunpeng nodes joined by HCCS with directly attached shared
 memory); the switched variants model larger CXL 3.x style racks where
 accesses traverse one or two switch levels.
-
-Every builder takes an optional ``link_capacity_bytes_per_s``: when
-given, each created link carries that capacity as an edge attribute, so
-the per-link accounting (:class:`~repro.rack.interconnect.LinkTable`)
-can tell a saturated port from a loafing one.  Without it, links
-inherit the fabric-wide capacity of the VNI table (the historical
-behaviour — one aggregate pipe).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from .interconnect import GMEM_VERTEX, Interconnect, node_vertex, switch_vertex
 
 
-def dual_direct(
-    n_nodes: int, link_capacity_bytes_per_s: Optional[float] = None
-) -> Interconnect:
+def dual_direct(n_nodes: int) -> Interconnect:
     """Every node port is cabled straight to the global memory device."""
     fabric = Interconnect()
     fabric.add_gmem()
     for node_id in range(n_nodes):
         fabric.add_node_port(node_id)
-        fabric.link(node_vertex(node_id), GMEM_VERTEX,
-                    capacity_bytes_per_s=link_capacity_bytes_per_s)
+        fabric.link(node_vertex(node_id), GMEM_VERTEX)
     return fabric
 
 
-def single_switch(
-    n_nodes: int, link_capacity_bytes_per_s: Optional[float] = None
-) -> Interconnect:
+def single_switch(n_nodes: int) -> Interconnect:
     """All nodes reach global memory through one shared switch."""
     fabric = Interconnect()
     fabric.add_gmem()
     fabric.add_switch(0)
-    fabric.link(switch_vertex(0), GMEM_VERTEX,
-                capacity_bytes_per_s=link_capacity_bytes_per_s)
+    fabric.link(switch_vertex(0), GMEM_VERTEX)
     for node_id in range(n_nodes):
         fabric.add_node_port(node_id)
-        fabric.link(node_vertex(node_id), switch_vertex(0),
-                    capacity_bytes_per_s=link_capacity_bytes_per_s)
+        fabric.link(node_vertex(node_id), switch_vertex(0))
     return fabric
 
 
-def two_tier(
-    n_nodes: int,
-    nodes_per_leaf: int = 4,
-    link_capacity_bytes_per_s: Optional[float] = None,
-) -> Interconnect:
+def two_tier(n_nodes: int, nodes_per_leaf: int = 4) -> Interconnect:
     """Leaf switches per group of nodes, a spine switch in front of gmem.
 
     Leaf switches also interconnect through the spine, so losing the
@@ -64,18 +46,15 @@ def two_tier(
     fabric.add_gmem()
     spine = 0
     fabric.add_switch(spine)
-    fabric.link(switch_vertex(spine), GMEM_VERTEX,
-                capacity_bytes_per_s=link_capacity_bytes_per_s)
+    fabric.link(switch_vertex(spine), GMEM_VERTEX)
     n_leaves = max(1, (n_nodes + nodes_per_leaf - 1) // nodes_per_leaf)
     for leaf in range(1, n_leaves + 1):
         fabric.add_switch(leaf)
-        fabric.link(switch_vertex(leaf), switch_vertex(spine),
-                    capacity_bytes_per_s=link_capacity_bytes_per_s)
+        fabric.link(switch_vertex(leaf), switch_vertex(spine))
     for node_id in range(n_nodes):
         leaf = 1 + node_id // nodes_per_leaf
         fabric.add_node_port(node_id)
-        fabric.link(node_vertex(node_id), switch_vertex(leaf),
-                    capacity_bytes_per_s=link_capacity_bytes_per_s)
+        fabric.link(node_vertex(node_id), switch_vertex(leaf))
     return fabric
 
 
@@ -86,14 +65,10 @@ BUILDERS: Dict[str, Callable[..., Interconnect]] = {
 }
 
 
-def build(
-    name: str,
-    n_nodes: int,
-    link_capacity_bytes_per_s: Optional[float] = None,
-) -> Interconnect:
+def build(name: str, n_nodes: int) -> Interconnect:
     """Look up a topology builder by name and run it."""
     try:
         builder = BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown topology {name!r}; choose from {sorted(BUILDERS)}") from None
-    return builder(n_nodes, link_capacity_bytes_per_s=link_capacity_bytes_per_s)
+    return builder(n_nodes)

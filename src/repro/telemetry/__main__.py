@@ -4,7 +4,6 @@
 
     python -m repro.telemetry dashboard RUN.json [--flame] [--trace-out T.json]
     python -m repro.telemetry top-links|top-pages RUN.json [-n 10]
-    python -m repro.telemetry blame|headroom RUN.json
     python -m repro.telemetry postmortem DUMP.json
     python -m repro.telemetry list
     python -m repro.telemetry run ue-storm|all [--detection both] [--dump DUMP.json]
@@ -30,7 +29,7 @@ from typing import List, Optional
 
 from . import load_run
 from .atlas import load_atlas
-from .atlas.render import render_blame, render_headroom, render_links, render_pages
+from .atlas.render import render_links, render_pages
 from .dashboard import render_dashboard, render_incident_timeline
 from .health.postmortem import render_postmortem
 from .health.recorder import load_dump
@@ -109,12 +108,8 @@ def _cmd_atlas(args) -> int:
     snap = load_atlas(args.path)
     if args.command == "top-links":
         print(render_links(snap, n=args.n))
-    elif args.command == "top-pages":
-        print(render_pages(snap, n=args.n))
-    elif args.command == "blame":
-        print(render_blame(snap))
     else:
-        print(render_headroom(snap))
+        print(render_pages(snap, n=args.n))
     return 0
 
 
@@ -216,8 +211,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_rows, default=None, help="row limit")
     p = command("top-pages", _cmd_atlas, "hottest global pages", "snapshot")
     p.add_argument("-n", type=_rows, default=16, help="row limit")
-    command("blame", _cmd_atlas, "contention attribution", "snapshot")
-    command("headroom", _cmd_atlas, "capacity headroom / t-to-sat", "snapshot")
     command("postmortem", _cmd_postmortem, "render a dump as a degradation timeline", "dump")
     command("list", _cmd_list, "list the scenario catalogue")
 

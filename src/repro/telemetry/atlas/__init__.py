@@ -1,13 +1,12 @@
 """``repro.telemetry.atlas`` — rack-wide resource attribution.
 
-The telemetry stack through PR 9 can say *that* the rack is slow (SLO
-burns, incident scores); this layer says *which tenant* is consuming
+The rest of the telemetry stack can say *that* the rack is slow (SLO
+burns, incident scores); this layer says *which tenant* moved bytes over
 *which link* and *which global pages* are hot — the per-fabric-port
 signals DRackSim exposes and the PCC-index guidelines exploit for
-placement, and the prerequisite for locality-aware page placement and
-multi-rack federation (ROADMAP).
+placement.
 
-Four pieces:
+Three pieces:
 
 * **per-link accounting** — lives in the fabric itself
   (:class:`~repro.rack.interconnect.LinkTable`); the traffic engine
@@ -19,8 +18,6 @@ Four pieces:
   global pages, fed from the machine's single-op and bulk data paths behind
   one ``_TEL.atlas is not None`` check (the ``TelemetryState.add``
   convention: bulk paths offer one aggregated call per batch).
-* **blame / headroom** — :mod:`.attribution`: views over the snapshot —
-  saturated links, the per-tenant contention ledger, node ports.
 * **surfaces** — :meth:`Atlas.snapshot`, exported as the ``atlas``
   section of a telemetry run (:meth:`TelemetryState.export_json`);
   dashboard panels (:mod:`.render`), the atlas views of
@@ -42,7 +39,6 @@ import numpy as np
 
 from .. import TELEMETRY, load_run
 from ..schema import ATLAS_SCHEMA
-from .attribution import node_ports, saturated_links, tenant_ledger
 from .sketch import SpaceSaving, aggregate_addrs
 
 _PAGE_SHIFT = 12  # 4 KiB pages — the placement granule
@@ -197,12 +193,10 @@ class Atlas:
 
     def snapshot(self, now_ns: Optional[float] = None) -> dict:
         """The whole attribution picture as one JSON-ready dict: the page
-        sketch, the queue-delay ledger, the fabric's link rows
-        (:meth:`~repro.rack.interconnect.Interconnect.link_rows`) and each
-        node's port — its first routed link, ``None`` when severed."""
+        sketch, the queue-delay ledger and the fabric's link rows
+        (:meth:`~repro.rack.interconnect.Interconnect.link_rows`)."""
         if now_ns is None and self.machine is not None:
             now_ns = self.machine.max_time()
-        fabric = self.fabric
         return {
             "schema": ATLAS_SCHEMA,
             "at_ns": now_ns,
@@ -215,12 +209,7 @@ class Atlas:
             "queue_delay_ns": {
                 t: round(v, 3) for t, v in sorted(self.queue_delay_ns.items())
             },
-            "links": [] if fabric is None else fabric.link_rows(now_ns),
-            "nodes": [] if fabric is None else [
-                {"node": node,
-                 "port": fabric.path_links(node)[0] if fabric.reachable(node) else None}
-                for node in sorted(self.machine.nodes)
-            ],
+            "links": [] if self.fabric is None else self.fabric.link_rows(now_ns),
         }
 
 
@@ -255,7 +244,4 @@ __all__ = [
     "aggregate_addrs",
     "enable_atlas",
     "load_atlas",
-    "node_ports",
-    "saturated_links",
-    "tenant_ledger",
 ]

@@ -157,29 +157,17 @@ class FlightRecorder:
 
     def _atlas_link_tail(self, machine, now_ns: float) -> List[dict]:
         """The fabric's link rows at dump time (the atlas link tail), cut to
-        what a dump keeps: a link's ``blame`` is its tenants that moved
-        bytes during saturated windows.
+        what a dump keeps: each link's bytes, requests and down stamps.
 
         Always populated when a machine is given — per-link charging is
         unconditional on the fabric, no atlas needs to be enabled — so
-        every dump carries link-level blame raw material.
+        every dump carries the link downs that localize a flap.
         """
         if machine is None:
             return []
         return [
-            {
-                "link": row["link"],
-                "bytes": row["bytes"],
-                "requests": row["requests"],
-                "utilisation": row["utilisation"],
-                "saturated_bytes": row["saturated_bytes"],
-                "saturated_windows": row["saturated_windows"],
-                "downs": row["downs"],
-                "blame": [
-                    {"vni": t["vni"], "tenant": t["tenant"], "share": t["share"]}
-                    for t in row["tenants"] if t["saturated_bytes"]
-                ],
-            }
+            {"link": row["link"], "bytes": row["bytes"], "requests": row["requests"],
+             "downs": row["downs"]}
             for row in machine.fabric.link_rows(now_ns)
         ]
 

@@ -1,6 +1,6 @@
 """Score one incident from its flight-recorder dump alone.
 
-The scorer reads a ``repro.telemetry.flightrec/4`` snapshot through the
+The scorer reads a flight-recorder snapshot through the
 recorder's frame and event views — no simulator imports — so ``python -m
 repro.telemetry score DUMP.json`` works offline, on a dump
 from any run.  Four scores, per the AIOpsLab-style ops loop:

@@ -79,29 +79,37 @@ class Histogram:
     def observe_batch(self, values) -> None:
         """Observe many values in one vectorized pass.
 
-        Exactly equivalent to a loop of :meth:`observe`: the bucket
-        search (``searchsorted`` against the fixed bounds, side="left")
-        lands every value in the same bucket ``bucket_index`` would, and
-        the running sum uses a strict left fold (``np.add.accumulate``)
-        so the float total is bit-identical to sequential adds.
+        Exactly equivalent to a loop of :meth:`observe`: the total is a
+        strict left fold (``np.add.accumulate``) seeded with the running
+        total, so it is bit-identical to sequential adds, and bucket ``i``
+        gains the values in ``(2^(i-1), 2^i]`` — the bucket
+        :func:`bucket_index` picks — counted off the sorted batch.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
+        ordered = np.array(values, dtype=np.float64)  # a copy: sorted below
+        n = ordered.size
+        if n == 0:
             return
-        self.count += int(values.size)
-        self.total += float(np.add.accumulate(values)[-1])
-        # ufunc reductions and ndarray methods: numpy's Python wrappers cost frames
-        lo = float(np.minimum.reduce(values))
-        hi = float(np.maximum.reduce(values))
-        if lo < self.min_value:
-            self.min_value = lo
-        if hi > self.max_value:
-            self.max_value = hi
-        idx = _BOUNDS_ARR.searchsorted(values, side="left")
-        per_bucket = np.bincount(idx, minlength=N_BUCKETS)
+        fold = np.empty(n + 1, dtype=np.float64)
+        fold[0] = self.total
+        fold[1:] = ordered
+        np.add.accumulate(fold, out=fold)
+        self.count += n
+        self.total = float(fold[-1])
+        # ndarray methods and ufuncs: numpy's Python wrappers cost frames
+        ordered.sort()
+        if ordered[0] < self.min_value:
+            self.min_value = float(ordered[0])
+        if ordered[-1] > self.max_value:
+            self.max_value = float(ordered[-1])
+        # how many values are at most each bound; the overflow bucket takes the rest
+        at_most = np.empty(N_BUCKETS, dtype=np.int64)
+        at_most[:-1] = ordered.searchsorted(_BOUNDS_ARR, side="right")
+        at_most[-1] = n
+        per_bucket = np.subtract(at_most[1:], at_most[:-1])
         buckets = self.buckets
-        for i in per_bucket.nonzero()[0]:
-            buckets[int(i)] += int(per_bucket[i])
+        buckets[0] += int(at_most[0])
+        for i in per_bucket.nonzero()[0].tolist():
+            buckets[i + 1] += int(per_bucket[i])
 
     @property
     def mean(self) -> float:

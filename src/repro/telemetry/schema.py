@@ -23,8 +23,8 @@ from typing import Union
 from .registry import N_BUCKETS
 
 RUN_SCHEMA = "repro.telemetry.run/1"
-ATLAS_SCHEMA = "repro.telemetry.atlas/2"
-FLIGHT_SCHEMA = "repro.telemetry.flightrec/4"
+ATLAS_SCHEMA = "repro.telemetry.atlas/3"
+FLIGHT_SCHEMA = "repro.telemetry.flightrec/5"
 
 Leaf = namedtuple("Leaf", "test what")
 Nullable = namedtuple("Nullable", "spec")
@@ -76,20 +76,14 @@ TRACE_EVENT = Rule(
     "must carry a ts, and a complete (X) event a dur")
 TRACE = {"traceEvents": [TRACE_EVENT]}
 
-_TENANT = {"vni": INT, "tenant": STR, "bytes": NUM, "saturated_bytes": NUM, "share": NUM}
 _PAGE = {"page": COUNT, "addr": STR, "bytes": NUM, "error": NUM}
 ATLAS = Document(ATLAS_SCHEMA, "atlas snapshot", {
     "at_ns": Nullable(NUM),
     "sketch": {"page_k": COUNT, "page_coverage": NUM, "total_bytes": NUM},
     "pages": [_PAGE],
     "queue_delay_ns": Map(NUM, STR),
-    "links": [{
-        "link": LINK, "capacity_bytes_per_s": Nullable(NUM), "bytes": NUM, "requests": COUNT,
-        "rate_bytes_per_s": NUM, "utilisation": NUM, "saturated_bytes": NUM,
-        "saturated_windows": COUNT, "time_to_saturation_s": Nullable(NUM), "downs": [NUM],
-        "tenants": [_TENANT],
-    }],
-    "nodes": [{"node": INT, "port": Nullable(LINK)}],
+    "links": [{"link": LINK, "bytes": NUM, "requests": COUNT, "rate_bytes_per_s": NUM,
+               "downs": [NUM], "tenants": [{"vni": INT, "tenant": STR, "bytes": NUM}]}],
 })
 RUN = Document(RUN_SCHEMA, "telemetry run export", {
     "meta": {}, "metrics": METRICS, "trace": Nullable(TRACE), "atlas?": ATLAS})
@@ -115,9 +109,7 @@ DUMP = Document(FLIGHT_SCHEMA, "flight-recorder dump", {
     "spans": [(NAME, INT, NUM, NUM, Nullable(INT), {"target?": INT})],
     "fault_tail": Map([{"kind": STR, "time_ns": NUM, "addr": Nullable(COUNT), "detail": STR}],
                       NODE_KEY),
-    "atlas_links": [{"link": LINK, "bytes": NUM, "requests": COUNT, "utilisation": NUM,
-                     "saturated_bytes": NUM, "saturated_windows": COUNT, "downs": [NUM],
-                     "blame": [{"vni": INT, "tenant": STR, "share": NUM}]}],
+    "atlas_links": [{"link": LINK, "bytes": NUM, "requests": COUNT, "downs": [NUM]}],
     "atlas_pages": [_PAGE],
 })
 

@@ -189,8 +189,7 @@ class _TenantState:
         default_factory=lambda: {o.counter: 0 for o in LEDGER}
     )
     latency_sum_ns: float = 0.0
-    #: total queueing delay suffered (latency beyond pure service time) —
-    #: the victim side of the atlas's contention-blame ledger
+    #: total queueing delay suffered (latency beyond pure service time)
     queue_delay_ns: float = 0.0
     latencies: List[np.ndarray] = field(default_factory=list)
     backend_state: object = None
@@ -568,7 +567,7 @@ class TrafficEngine:
         # plus every link between the tenant's node and global memory
         self.fabric.charge(st.vni, spec.node, n_bytes, n, self.events.now_ns)
         # queueing delay = latency beyond the batch's measured service
-        # time: the contention signal the atlas attributes to culprits
+        # time, which the atlas banks per tenant
         over = latency - st.svc_est_ns
         np.maximum(over, 0.0, out=over)
         wait = float(np.add.reduce(over))

@@ -8,8 +8,8 @@ cases are pinned here, next to the fabric they instrument:
 * the aggregate meter conserves the per-VNI ones;
 * weighted fair-share edges (single tenant, zero-rate tenant,
   registration-order VNI ids);
-* :class:`LinkTable` window rolls, saturation banking, bottleneck and
-  time-to-saturation, read through :meth:`Interconnect.link_rows`;
+* :class:`LinkTable` window rolls, per-VNI bytes and down stamps, read
+  through :meth:`Interconnect.link_rows`;
 * routed charging and cache invalidation on topology changes.
 """
 
@@ -27,7 +27,6 @@ from repro.rack.interconnect import (
     link_id,
 )
 from repro.rack import topology
-from repro.telemetry.atlas.attribution import tenant_ledger
 
 
 MS = 1e6  # the accounting window, in ns
@@ -38,6 +37,11 @@ def _rows(table: LinkTable, now_ns=None) -> dict:
     fab = Interconnect()
     fab.links = table
     return {row["link"]: row for row in fab.link_rows(now_ns)}
+
+
+def _route_links(fab: Interconnect, node_id: int) -> tuple:
+    """The link ids along ``node_id``'s live route to global memory."""
+    return fab._route(node_id)[1]
 
 
 class TestVniRateDecay:
@@ -101,7 +105,7 @@ class TestVniSnapshotAggregate:
         assert [s.dropped for s in t.stats] == [5, 0]
 
     def test_snapshot_json_round_trip(self):
-        fab = topology.build("dual_direct", 2, link_capacity_bytes_per_s=2e9)
+        fab = topology.build("dual_direct", 2)
         a = fab.vnis.register("web", weight=3.0)
         fab.vnis.register("batch")
         fab.charge(a, 0, 1 << 20, 64, 0.0)
@@ -109,7 +113,7 @@ class TestVniSnapshotAggregate:
         rows = fab.link_rows(now_ns=2 * MS)
         assert json.loads(json.dumps(rows, sort_keys=True)) == rows
         (row,) = rows
-        assert row["utilisation"] == round(row["rate_bytes_per_s"] / 2e9, 6) > 0
+        assert row["rate_bytes_per_s"] == round((1 << 20) * 1e9 / MS, 3)
         assert [(t["tenant"], t["bytes"]) for t in row["tenants"]] == [("web", 2 << 20)]
 
 
@@ -191,52 +195,6 @@ class TestLinkTable:
         t.charge("a|b", 0, 1, 1, MS)
         assert _rows(t)["a|b"]["rate_bytes_per_s"] == pytest.approx(5000 * 1e9 / MS)
 
-    def test_saturated_window_banks_blame_by_vni(self):
-        t = LinkTable()
-        cap = 1e6  # 1 MB/s -> 1000 bytes per 1 ms window saturates
-        t.charge("a|b", 0, 900, 1, 0.0, capacity_bytes_per_s=cap)
-        t.charge("a|b", 1, 100, 1, 0.0, capacity_bytes_per_s=cap)
-        t.charge("a|b", 0, 1, 1, MS, capacity_bytes_per_s=cap)  # roll: saturated
-        s = t.get("a|b")
-        assert s.saturated_windows == 1
-        assert s.saturated_bytes == 1000
-        shares = {x["vni"]: x["share"] for x in _rows(t)["a|b"]["tenants"]}
-        assert shares[0] == pytest.approx(0.9)
-        assert shares[1] == pytest.approx(0.1)
-
-    def test_unsaturated_roll_banks_nothing(self):
-        t = LinkTable()
-        t.charge("a|b", 0, 10, 1, 0.0, capacity_bytes_per_s=1e9)
-        t.charge("a|b", 0, 1, 1, MS, capacity_bytes_per_s=1e9)
-        assert t.get("a|b").saturated_windows == 0
-        assert [x["share"] for x in _rows(t)["a|b"]["tenants"]] == [0.0]
-
-    def test_bottleneck_is_max_saturated_bytes(self):
-        t = LinkTable()
-        cap = 1e6
-        for vni, (link, load) in enumerate((("a|b", 2000), ("a|c", 5000))):
-            t.charge(link, vni, load, 1, 0.0, capacity_bytes_per_s=cap)
-            t.charge(link, vni, 1, 1, MS, capacity_bytes_per_s=cap)
-        snap = {"links": list(_rows(t).values()), "queue_delay_ns": {}}
-        shares = {r["tenant"]: r["bottleneck_share"] for r in tenant_ledger(snap)}
-        assert shares == {"vni:0": 0.0, "vni:1": 1.0}  # a|c is the bottleneck
-
-    def test_time_to_saturation_under_rising_slope(self):
-        t = LinkTable()
-        cap = 1e7
-        # windows at 1k, then 2k bytes/ms: rising rate, finite t-to-sat
-        t.charge("a|b", 0, 1000, 1, 0.0, capacity_bytes_per_s=cap)
-        t.charge("a|b", 0, 2000, 1, MS, capacity_bytes_per_s=cap)
-        t.charge("a|b", 0, 1, 1, 2 * MS, capacity_bytes_per_s=cap)
-        tts = _rows(t)["a|b"]["time_to_saturation_s"]
-        assert tts is not None and tts > 0
-        # saturated link: zero headroom time
-        t2 = LinkTable()
-        t2.charge("x|y", 0, 2000, 1, 0.0, capacity_bytes_per_s=1e6)
-        t2.charge("x|y", 0, 2500, 1, MS, capacity_bytes_per_s=1e6)
-        t2.charge("x|y", 0, 1, 1, 2 * MS, capacity_bytes_per_s=1e6)
-        assert _rows(t2)["x|y"]["time_to_saturation_s"] == 0.0
-
     def test_link_rate_decays_when_idle(self):
         t = LinkTable()
         t.charge("a|b", 0, 5000, 1, 0.0)
@@ -254,14 +212,14 @@ class TestLinkTable:
 
     def test_snapshot_round_trips_through_json(self):
         t = LinkTable()
-        t.charge("a|b", 0, 2000, 2, 0.0, capacity_bytes_per_s=1e6)
-        t.charge("a|b", 1, 500, 1, MS, capacity_bytes_per_s=1e6)
+        t.charge("a|b", 0, 2000, 2, 0.0)
+        t.charge("a|b", 1, 500, 1, MS)
         t.note_state("a|b", up=False, now_ns=MS)
         rows = list(_rows(t, now_ns=2 * MS).values())
         assert json.loads(json.dumps(rows, sort_keys=True)) == rows
         row = rows[0]
         assert row["link"] == "a|b"
-        assert row["capacity_bytes_per_s"] == 1e6
+        assert (row["bytes"], row["requests"]) == (2500, 3)
         assert row["downs"] == [MS]
         assert [x["vni"] for x in row["tenants"]] == [0, 1]
 
@@ -274,7 +232,7 @@ class TestRoutedCharging:
         fab = self._fabric()
         vni = fab.vnis.register("t")
         fab.charge(vni, 0, 1234, 1, 0.0)
-        route = fab.path_links(0)
+        route = _route_links(fab, 0)
         assert route  # dual_direct: node:0 -> gmem directly
         for link in route:
             assert fab.links.get(link).bytes == 1234
@@ -295,77 +253,33 @@ class TestRoutedCharging:
 
     def test_path_cache_invalidated_on_link_change(self):
         fab = topology.build("single_switch", 2)
-        first = fab.path_links(0)
+        first = _route_links(fab, 0)
         assert len(first) == 2  # node -> switch -> gmem
         fab.set_link_state("node:0", "switch:0", False)
         with pytest.raises(InterconnectError):
-            fab.path_links(0)
+            _route_links(fab, 0)
         fab.set_link_state("node:0", "switch:0", True)
-        assert fab.path_links(0) == first
-
-    def test_topology_capacity_kwarg_sets_edge_capacity(self):
-        fab = topology.build("dual_direct", 2, link_capacity_bytes_per_s=5e9)
-        assert fab.graph.edge("node:0", "gmem")["capacity_bytes_per_s"] == 5e9
-        vni = fab.vnis.register("t")
-        fab.charge(vni, 0, 100, 1, 0.0)
-        link = fab.path_links(0)[0]
-        assert fab.links.get(link).capacity_bytes_per_s == 5e9
-
-    def test_set_link_capacity_after_build(self):
-        fab = self._fabric()
-        fab.link("node:1", "gmem", capacity_bytes_per_s=7e9)  # re-cabling overrides it
-        assert fab.graph.edge("node:1", "gmem")["capacity_bytes_per_s"] == 7e9
-        # unset links fall back to the rack-wide VNI capacity
-        fab.vnis.capacity_bytes_per_s = 3e9
-        vni = fab.vnis.register("t")
-        for node in (0, 1):
-            fab.charge(vni, node, 100, 1, 0.0)
-        caps = {n: fab.links.get(fab.path_links(n)[0]).capacity_bytes_per_s for n in (0, 1)}
-        assert caps == {0: 3e9, 1: 7e9}
+        assert _route_links(fab, 0) == first
 
     def _charged_route(self, fab, vni):
         """Charge node 0 once at t=0 (which caches its route); its links."""
         fab.charge(vni, 0, 1000, 1, 0.0)
-        return fab.path_links(0)
-
-    def test_cached_route_charges_against_the_capacity_in_force(self):
-        """The charge plan caches each link's edge attributes, not a
-        capacity: a link re-cabled with a capacity after the route was
-        cached is what the next window is banked against."""
-        fab = topology.build("single_switch", 2)
-        vni = fab.vnis.register("t")
-        port, trunk = (fab.links.get(link) for link in self._charged_route(fab, vni))
-        assert port.capacity_bytes_per_s == trunk.capacity_bytes_per_s == float("inf")
-        # 1000 B in the first 1 ms window is 1e6 B/s: exactly the port's new capacity
-        fab.link("node:0", "switch:0", capacity_bytes_per_s=1e6)
-        fab.charge(vni, 0, 1000, 1, MS)
-        assert (port.saturated_windows, trunk.saturated_windows) == (1, 0)
-        assert port.saturated_bytes == 1000
-        # raised again: the same load no longer saturates it
-        fab.link("node:0", "switch:0", capacity_bytes_per_s=1e9)
-        fab.charge(vni, 0, 1, 1, 2 * MS)
-        assert port.saturated_windows == 1 and port.capacity_bytes_per_s == 1e9
-        # and the fabric-wide default stays live for links without their own
-        fab.vnis.capacity_bytes_per_s = 1.0
-        fab.charge(vni, 0, 1, 1, 3 * MS)
-        assert (port.saturated_windows, trunk.saturated_windows) == (1, 1)
+        return _route_links(fab, 0)
 
     def test_link_flap_rebuilds_the_charge_plan(self):
-        fab = topology.build("single_switch", 2, link_capacity_bytes_per_s=2e9)
-        fab.link("node:0", GMEM_VERTEX, capacity_bytes_per_s=5e9)  # a one-hop shortcut
+        fab = topology.build("single_switch", 2)
+        fab.link("node:0", GMEM_VERTEX)  # a one-hop shortcut
         vni = fab.vnis.register("t")
         direct = link_id("node:0", GMEM_VERTEX)
         assert self._charged_route(fab, vni) == (direct,)
         fab.set_link_state("node:0", GMEM_VERTEX, False, now_ns=1.0)
         fab.charge(vni, 0, 10, 1, 2.0)
-        detour = fab.path_links(0)
+        detour = _route_links(fab, 0)
         assert detour == (link_id("node:0", "switch:0"), link_id("switch:0", GMEM_VERTEX))
         assert fab.links.get(direct).bytes == 1000
         for link in detour:
             assert fab.links.get(link).bytes == 10
-            assert fab.links.get(link).capacity_bytes_per_s == 2e9
         fab.set_link_state("node:0", GMEM_VERTEX, True, now_ns=3.0)
         fab.charge(vni, 0, 5, 1, 4.0)
         assert fab.links.get(direct).bytes == 1005
-        assert fab.links.get(direct).capacity_bytes_per_s == 5e9
         assert [fab.links.get(link).bytes for link in detour] == [10, 10]

@@ -1,11 +1,11 @@
-"""The resource-attribution atlas: sketches, blame, headroom, surfaces.
+"""The resource-attribution atlas: sketches, link rows, surfaces.
 
 Covers the determinism contract end to end — attribution fully enabled
 changes zero simulated nanoseconds (report digests and per-node clocks
 are bit-identical with the atlas on or off) — plus the Space-Saving
-sketch guarantees, contention-blame math on a seeded saturation run,
-the CLI/dashboard/flight-recorder surfaces, and the link-level blame
-the incident scorer now consumes.
+sketch guarantees, the snapshot of a seeded run that saturates the
+fabric, the CLI/dashboard/flight-recorder surfaces, and the link downs
+the incident scorer consumes.
 """
 
 import hashlib
@@ -27,9 +27,6 @@ from repro.telemetry.atlas import (
     aggregate_addrs,
     enable_atlas,
     load_atlas,
-    node_ports,
-    saturated_links,
-    tenant_ledger,
 )
 from repro.telemetry.__main__ import main as telemetry_main
 from repro.telemetry.health.recorder import (
@@ -38,7 +35,7 @@ from repro.telemetry.health.recorder import (
     load_dump,
 )
 from repro.telemetry.incidents import blame_set, get_scenario, ground_truth, run_scenario
-from repro.telemetry.registry import RACK_WIDE, MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.traffic import TenantSpec, TrafficEngine
 from tests import pins
 
@@ -289,11 +286,12 @@ class TestDigestEquality:
         pin(run_scenario(get_scenario("ue-storm"), detection=True).report.digest)
 
 
-# -- blame and headroom --------------------------------------------------------
+# -- a run that saturates the fabric --------------------------------------------
 
 
 def _saturate():
-    """Two tenants on the same port; the hog saturates it 20:1."""
+    """Two tenants on the same port; the hog outsends the meek 20:1 and
+    drives the fabric past its 200 MB/s capacity."""
     TELEMETRY.atlas = None
     rig = build_rig()
     atlas = enable_atlas(rig.kernel.machine)
@@ -322,8 +320,7 @@ def saturated_run():
 @pytest.fixture(scope="module")
 def severed_export(tmp_path_factory):
     """``saturated_run``'s traffic, then node 1's port cut, exported as a
-    run file: every atlas view has a saturated row, a ``downs`` stamp and
-    a severed node to render."""
+    run file: the link views have a ``downs`` stamp to render."""
     rig, _, atlas = _saturate()
     now_ns = rig.machine.max_time()
     rig.machine.fabric.set_link_state("node:1", "gmem", False, now_ns=now_ns)
@@ -336,38 +333,7 @@ def severed_export(tmp_path_factory):
     return rig, now_ns, path
 
 
-class TestBlameAndHeadroom:
-    def test_saturated_windows_banked_on_the_shared_port(self, saturated_run):
-        _, _, snap = saturated_run
-        rows = {r["link"]: r for r in snap["links"]}
-        port = rows["gmem|node:0"]
-        assert port["saturated_windows"] > 0
-        assert port["saturated_bytes"] > 0
-
-    def test_hog_owns_at_least_ninety_percent_of_blame(self, saturated_run):
-        _, _, snap = saturated_run
-        blame = {r["link"]: r for r in saturated_links(snap)}
-        shares = {t["tenant"]: t["share"] for t in blame["gmem|node:0"]["tenants"]}
-        assert shares["hog"] >= 0.90
-        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-6)
-
-    def test_tenant_ledger_blames_the_hog_for_queue_delay(self, saturated_run):
-        _, _, snap = saturated_run
-        tenants = {t["tenant"]: t for t in tenant_ledger(snap)}
-        assert tenants["hog"]["bottleneck_share"] >= 0.90
-        assert tenants["hog"]["queue_blame_ns"] > tenants["meek"]["queue_blame_ns"]
-        total_delay = sum(snap["queue_delay_ns"].values())
-        assert total_delay > 0
-
-    def test_headroom_reports_the_port_as_saturated(self, saturated_run):
-        _, _, snap = saturated_run
-        links = {r["link"]: r for r in snap["links"]}
-        port = links["gmem|node:0"]
-        assert port["capacity_bytes_per_s"] == 200e6
-        assert port["time_to_saturation_s"] == 0.0
-        nodes = {node["node"]: (node, row) for node, row in node_ports(snap)}
-        assert nodes[0] == ({"node": 0, "port": "gmem|node:0"}, port)
-
+class TestSaturatedRun:
     def test_page_sketch_covers_the_hot_traffic(self, saturated_run):
         _, _, snap = saturated_run
         assert snap["sketch"]["page_coverage"] >= 0.95
@@ -390,8 +356,6 @@ class TestSurfaces:
         for command, expect in [
             (["top-links", str(path)], "gmem|node:0"),
             (["top-pages", str(path), "-n", "4"], "hot pages"),
-            (["blame", str(path)], "hog"),
-            (["headroom", str(path)], "t-to-sat"),
         ]:
             assert telemetry_main(command) == 0
             assert expect in capsys.readouterr().out
@@ -399,7 +363,7 @@ class TestSurfaces:
     def test_cli_rejects_a_non_atlas_file(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         path.write_text(json.dumps(TELEMETRY.export_run()))  # no atlas attached
-        assert telemetry_main(["blame", str(path)]) == 2
+        assert telemetry_main(["top-links", str(path)]) == 2
         assert "no atlas section" in capsys.readouterr().err
 
     def test_load_atlas_accepts_run_exports(self, tmp_path):
@@ -425,14 +389,13 @@ class TestSurfaces:
         text = render_dashboard(run, flame=False)
         assert "fabric links" in text
         assert "hot pages" in text
-        assert "saturated-link blame" in text
 
 
 GOLDEN_VIEWS = pathlib.Path(__file__).with_name("golden_atlas_views.txt")
 
 
 class TestPinnedOutputs:
-    """Byte pins over a saturated, partly severed run: the four atlas views,
+    """Byte pins over a saturated, partly severed run: the two atlas views,
     the dashboard's atlas panels and the recorder's link tail."""
 
     def test_cli_views_and_dashboard_panels_match_the_golden(
@@ -440,7 +403,7 @@ class TestPinnedOutputs:
     ):
         _, _, path = severed_export
         parts = []
-        for argv in (["top-links"], ["top-pages", "-n", "4"], ["blame"], ["headroom"]):
+        for argv in (["top-links"], ["top-pages", "-n", "4"]):
             assert telemetry_main(argv[:1] + [str(path)] + argv[1:]) == 0
             parts.append(f"$ atlas {' '.join(argv)}\n{capsys.readouterr().out}")
         assert telemetry_main(["dashboard", str(path)]) == 0
@@ -461,10 +424,12 @@ class TestFlightRecorderV3:
         rig, _, _ = saturated_run
         rec = FlightRecorder()
         dump = rec.snapshot("test", rig.machine.max_time(), machine=rig.machine)
-        assert dump["schema"] == FLIGHT_SCHEMA == "repro.telemetry.flightrec/4"
+        assert dump["schema"] == FLIGHT_SCHEMA == "repro.telemetry.flightrec/5"
         links = {r["link"]: r for r in dump["atlas_links"]}
-        assert links["gmem|node:0"]["saturated_bytes"] > 0
-        assert links["gmem|node:0"]["blame"][0]["tenant"] in ("hog", "meek")
+        port = links["gmem|node:0"]
+        assert port == {"link": "gmem|node:0", "bytes": port["bytes"],
+                        "requests": port["requests"], "downs": []}
+        assert port["bytes"] > port["requests"] > 0
 
     def test_round_trip_re_snapshots_identically(self, saturated_run, tmp_path):
         rig, _, _ = saturated_run
@@ -507,20 +472,3 @@ class TestLinkBlameScoring:
         stripped = dict(dump, alerts=[], breakers=[], boosts=[], spans=[])
         assert "node:0" in blame_set(stripped, t0)
         assert result.score["localization"]["f1"] > 0
-
-
-class TestSaturationSLO:
-    def test_saturated_roll_counts_into_the_registry(self):
-        from repro.rack.interconnect import LinkTable
-
-        tel.enable()
-        tel.reset()
-        try:
-            t = LinkTable()
-            t.charge("a|b", 0, 5000, 1, 0.0, capacity_bytes_per_s=1e6)
-            t.charge("a|b", 0, 1, 1, 1e6, capacity_bytes_per_s=1e6)
-            count = TELEMETRY.registry.counters.get((RACK_WIDE, "fabric", "link.saturated_window"), 0.0)
-            assert count == 1.0
-        finally:
-            tel.reset()
-            tel.disable()

@@ -62,16 +62,13 @@ def _run(bad=None) -> dict:
 
 
 def _atlas(bad=None) -> dict:
-    """A run export carrying a one-link, one-page, one-node atlas."""
-    tenant = {"vni": 0, "tenant": "web", "bytes": 64, "saturated_bytes": 0, "share": 0.0}
-    link = {"link": "gmem|node:0", "capacity_bytes_per_s": 1e9, "bytes": 64,
-            "requests": 1, "rate_bytes_per_s": 0.0, "utilisation": 0.0,
-            "saturated_bytes": 0, "saturated_windows": 0,
-            "time_to_saturation_s": None, "downs": [], "tenants": [tenant]}
+    """A run export carrying a one-link, one-page atlas."""
+    link = {"link": "gmem|node:0", "bytes": 64, "requests": 1, "rate_bytes_per_s": 0.0,
+            "downs": [], "tenants": [{"vni": 0, "tenant": "web", "bytes": 64}]}
     atlas = {"schema": ATLAS_SCHEMA, "at_ns": 0.0, "queue_delay_ns": {"web": 5.0},
              "sketch": {"page_k": 64, "page_coverage": 1.0, "total_bytes": 64.0},
              "pages": [{"page": 4096, "addr": "0x1000", "bytes": 64.0, "error": 0.0}],
-             "links": [link], "nodes": [{"node": 0, "port": "gmem|node:0"}]}
+             "links": [link]}
     if bad == "key":
         del atlas["links"][0]["bytes"]
     elif bad == "type":
@@ -86,12 +83,15 @@ CLIS = {
     "dashboard": (["dashboard"], _run, RUN_SCHEMA),
     "atlas": (["top-links"], _atlas, RUN_SCHEMA),
     "top-pages": (["top-pages"], _atlas, RUN_SCHEMA),
-    "blame": (["blame"], _atlas, RUN_SCHEMA),
-    "headroom": (["headroom"], _atlas, RUN_SCHEMA),
     "postmortem": (["postmortem"], _dump, FLIGHT_SCHEMA),
     "replay": (["replay"], _dump, FLIGHT_SCHEMA),
     "score": (["score"], _dump, FLIGHT_SCHEMA),
 }
+
+
+#: per file kind, the tag of its layout from when fabric links had capacities
+#: (a run file's is its atlas section's)
+STALE_TAGS = {RUN_SCHEMA: "repro.telemetry.atlas/2", FLIGHT_SCHEMA: "repro.telemetry.flightrec/4"}
 
 
 def _bad_file(tmp_path, kind, build, schema):
@@ -106,11 +106,18 @@ def _bad_file(tmp_path, kind, build, schema):
         path.write_text("[1, 2]")  # was: an AttributeError traceback, exit 1
     elif kind == "wrong_type":
         path.write_text(json.dumps(build("type")))
+    elif kind == "stale_tag":
+        data = build()
+        if schema == RUN_SCHEMA:
+            data["atlas"] = dict(_atlas()["atlas"], schema=STALE_TAGS[schema])
+        else:
+            data["schema"] = STALE_TAGS[schema]
+        path.write_text(json.dumps(data))
     return path  # "missing": never written
 
 
 @pytest.mark.parametrize(
-    "kind", ["missing", "truncated", "schema", "row", "not_object", "wrong_type"])
+    "kind", ["missing", "truncated", "schema", "row", "not_object", "wrong_type", "stale_tag"])
 @pytest.mark.parametrize("cli", sorted(CLIS))
 def test_bad_input_is_one_error_line_and_exit_2(cli, kind, tmp_path, capsys):
     argv, build, schema = CLIS[cli]
@@ -122,13 +129,12 @@ def test_bad_input_is_one_error_line_and_exit_2(cli, kind, tmp_path, capsys):
     assert main(argv + [str(_bad_file(tmp_path, kind, build, schema))]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+    assert kind != "stale_tag" or repr(STALE_TAGS[schema]) in err
 
 
 @pytest.mark.parametrize("view, spoil", [  # each crashed its view before
     ("top-pages", lambda a: a["pages"][0].update(bytes="many")),  # ... __round__
-    ("blame", lambda a: a["links"][0].update(tenants=None)),
     ("top-pages", lambda a: a.update(pages={"0": a["pages"][0]})),
-    ("headroom", lambda a: a["queue_delay_ns"].update(web=None)),
 ])
 def test_atlas_view_refuses_a_wrongly_typed_field(view, spoil, tmp_path, capsys):
     run = _atlas()
@@ -210,8 +216,7 @@ def _spoil(doc: dict, path: str, value) -> None:
     ("dashboard", "trace.traceEvents[0].ts", _NAN),
     ("dashboard", "trace.traceEvents[0].pid", True),
     ("atlas", "atlas.links[0].bytes", _INF),                 # OverflowError
-    ("blame", "atlas.links[0].tenants[0].vni", True),
-    ("headroom", "atlas.nodes[0].node", 0.5),
+    ("atlas", "atlas.links[0].tenants[0].vni", True),
     ("top-pages", "atlas.sketch.page_coverage", _NAN),
 ], ids=lambda v: "drop" if v is _DROP else v if isinstance(v, str) else json.dumps(v))
 def test_refused_by_its_path(cli, path, value, tmp_path, capsys):
@@ -297,7 +302,7 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(argv, tmp_path
 _ROWS = 6
 #: the file commands over each live file
 _COMMANDS = {"dump": ("postmortem", "replay", "score"),
-             "run": ("dashboard", "top-links", "top-pages", "blame", "headroom")}
+             "run": ("dashboard", "top-links", "top-pages")}
 _MUTATIONS = ("drop", "type", "nan", "inf", "-inf", "bool", "negative", "truncate")
 
 

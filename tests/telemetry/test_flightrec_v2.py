@@ -81,8 +81,9 @@ def dump(written):
 class TestV2Content:
     def test_schema_and_new_sections(self, dump):
         # schema moved to /3 (atlas tails), then /4 (no anomaly, incident or
-        # window-histogram rows) — the v2 sections must survive
-        assert dump["schema"] == FLIGHT_SCHEMA == "repro.telemetry.flightrec/4"
+        # window-histogram rows), then /5 (link tail rows without capacity,
+        # saturation or blame) — the v2 sections must survive
+        assert dump["schema"] == FLIGHT_SCHEMA == "repro.telemetry.flightrec/5"
         assert not {"anomalies", "incidents"} & set(dump)
         assert all("hists" not in row for row in dump["windows"])
         assert dump["breakers"], "crash campaign tripped no breakers"

@@ -3,6 +3,7 @@ the monotone delta digest the chaos journal depends on."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.telemetry import (
@@ -43,14 +44,29 @@ class TestBucketIndex:
 
 class TestHistogram:
     def test_count_sum_min_max_exact(self):
+        values = (3.0, 17.0, 1.0, 250.0)
         h = Histogram()
-        for v in (3.0, 17.0, 1.0, 250.0):
+        for v in values:
             h.observe(v)
         assert h.count == 4
         assert h.total == 271.0
         assert h.min_value == 1.0
         assert h.max_value == 250.0
         assert h.mean == pytest.approx(67.75)
+        # observe_batch is the loop of observe bit for bit, split anywhere: a
+        # later batch folds into the running total (2^53 + 1 + 1 is 2^53 added
+        # one at a time, 2^53 + 2 summed first), bucket edges included
+        values += (2.0 ** 53, 1.0, 1.0, 2.0 ** 40, 2.0 ** 40 + 1, 0.5, 2.0)
+        loop = Histogram()
+        for v in values:
+            loop.observe(v)
+        want = (loop.count, loop.total.hex(), loop.buckets, loop.min_value, loop.max_value)
+        for split in range(len(values) + 1):
+            batched = Histogram()
+            batched.observe_batch(np.array(values[:split]))
+            batched.observe_batch(list(values[split:]))
+            assert (batched.count, batched.total.hex(), batched.buckets,
+                    batched.min_value, batched.max_value) == want, split
 
     def test_percentile_monotone_and_clamped(self):
         h = Histogram()

@@ -12,14 +12,16 @@ exactly from run to run, and counting only frames whose code lives under
   slab held as one resolved window (E28), 47,136 before a batch stopped
   calling back into Python and 37,814 after (E49: a tuple-keyed event heap,
   one context per node, a slot count read from its index vector, a fabric
-  route cached by node id); a change that re-adds a per-batch pass fails
+  route cached by node id), 37,767 with links that bank no saturated
+  windows (E51); a change that re-adds a per-batch pass fails
   here instead of waiting for a ±7% wall-clock number to notice.
 * ``incidents-observed`` (first scenario, every telemetry sink on): 72,348
   while each atlas drain folded the line sketch nobody read (7,191 evicting
   ``SpaceSaving.offer`` calls), 65,534 with lines folded on read (E27),
   60,582 after E28, 60,236 after E29, 57,944 with one reader of the dump
   (E31), 53,461 with no anomaly detectors and no per-window histogram
-  deltas (E44), 49,817 before E49 and 43,790 after.
+  deltas (E44), 49,817 before E49, 43,790 after and 43,754 with links
+  that bank no saturated windows (E51).
 * ``redis-closed`` (the Fig. 4 path, 1,200 closed-loop requests, single ops
   only): 212,302 while a cached miss passed the gate twice and a line burst
   was priced by a chain of charge helpers, 209,465 with one gate and one
@@ -127,18 +129,18 @@ def _profiled_smoke_rep(name):
 def test_chaos_quiet_rep_stays_inside_its_call_budget():
     outcome, calls = _one_smoke_rep("chaos-quiet")
     assert (outcome.offered, outcome.detail["events_dispatched"]) == (20_020, 738)
-    assert calls <= 38_192, (
+    assert calls <= 38_145, (
         f"{calls:,} Python calls under src/repro for one chaos-quiet smoke rep "
-        f"(ceiling 38,192): a per-batch pass came back"
+        f"(ceiling 38,145): a per-batch pass came back"
     )
 
 
 def test_incidents_observed_rep_stays_inside_its_call_budget():
     outcome, calls = _one_smoke_rep("incidents-observed")
     assert outcome.offered == 6_065
-    assert calls <= 44_227, (
+    assert calls <= 44_192, (
         f"{calls:,} Python calls under src/repro for one incidents-observed smoke "
-        f"rep (ceiling 44,227): an observation cost nobody reads came back"
+        f"rep (ceiling 44,192): an observation cost nobody reads came back"
     )
 
 
