@@ -21,6 +21,7 @@ from repro.flacdk.sync import (
     OperationLog,
     RcuCell,
 )
+from repro.flacdk.sync.delegation import HANDLER_COST_NS
 from repro.rack.clock import rendezvous
 
 OPS = 100
@@ -112,7 +113,7 @@ def run_delegation(n_nodes):
     def op(ctx, is_read):
         request = b"get" if is_read else b"inc"
         if ctx.node_id == 0:  # owner fast path
-            ctx.advance(svc.handler_cost_ns)
+            ctx.advance(HANDLER_COST_NS)
             handler(request)
         else:
             svc.call(ctx, ctxs[0], request)

@@ -22,6 +22,7 @@ item N`` citation in the two docs or ``src/``, and every ``item N`` label, names
 """
 
 import ast
+import builtins
 import gc
 import os
 import pathlib
@@ -43,8 +44,8 @@ _LABELS = {
               "RackMachine.atomic_fetch_add_many RackMachine.atomic_cas_many VniTable.over_share",
     "item 2": "RackMachine.flush_all NodeCache.flush_all",
     "item 3": "SimClock.reset",  # the reference rack's rules rewind clocks
-    "item 5": "OperationLog SpscRing LockedHashMap SharedVector GlobalSpinLock BoundedStaleCell VersionChain",
-    "item 6": "ReplicatedDict DelegatedDict NodeReplication.compact",
+    "item 5": "OperationLog SpscRing GlobalSpinLock BoundedStaleCell",
+    "item 6": "NodeReplication.compact",
     "item 7": "reset",  # the enable surface: telemetry.reset
     "guard": "refuse refuse_input validate_chrome_trace _rows _target SimClock.advance "
              "ChaosEvent.trigger_str SegmentationFault _FailedOp RepairSource CheckpointPageSource "
@@ -64,7 +65,7 @@ _LABELS = {
 }
 LABELS = {name: label for label, names in _LABELS.items() for name in names.split()}
 #: The most options (knobs that are not state) ``src`` may hold: a new one needs a caller, or a constant.
-OPTIONS_BOUND = 114
+OPTIONS_BOUND = 105
 
 _HOOK = '''\
 import atexit, os, sys, threading
@@ -446,7 +447,9 @@ def class_members(trees) -> dict:
 def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=SRC, roadmap=ROOT / "ROADMAP.md",
                     labels=None) -> list:
     """``file:line: name`` for each name in a code span or fenced block that is stale: a ``Class.member``
-    whose ``Class`` is a class of ``src`` that defines no ``member``, a ``tests/…py`` or ``benchmarks/…py``
+    whose ``Class`` is a class of ``src`` that defines no ``member``, a bare capitalised name in a code span
+    (not after a ``.``) that no ``src`` / ``tests`` / ``benchmarks`` / ``examples`` file defines as a class,
+    def or constant and that is no builtin, a ``tests/…py`` or ``benchmarks/…py``
     path (a glob) that matches no file, a ``test_*`` / ``Test*`` name nothing under ``tests/`` or
     ``benchmarks/`` defines, a ``python -m repro.…`` that names no ``.py`` file and no package with a
     ``__main__.py``, or another dotted ``repro.a.b`` (lower-case parts; a schema tag's ``/N`` ends it) that
@@ -460,8 +463,15 @@ def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=SRC, road
         return path.with_suffix(".py").is_file() or (path / package_file).is_file()
 
     members = class_members(parse(src))
-    defined = {name for top in ("tests", "benchmarks") for path in (ROOT / top).rglob("*.py")
-               for name in re.findall(r"^\s*(?:def|class) (\w+)", path.read_text(), re.M)}
+    texts = {top: [path.read_text() for path in (src if top == "src" else ROOT / top).rglob("*.py")]
+             for top in ("src", "tests", "benchmarks", "examples")}
+    defined = {name for top in ("tests", "benchmarks") for text in texts[top]
+               for name in re.findall(r"^\s*(?:def|class) (\w+)", text, re.M)}
+    known = set(dir(builtins)) | {  # a class, def or capitalised constant
+        name for text in (t for ts in texts.values() for t in ts)
+        for pair in re.findall(r"^\s*(?:(?:def|class) (\w+)|([A-Z]\w*)\s*(?::[^=\n]*)?=(?!=))", text, re.M)
+        for name in pair if name}
+    bare = (r"(?<![\w.])[A-Z][A-Za-z0-9]*[a-z]\w*", lambda m: m.group(0) in known)  # code spans only
     checks = (  # (pattern, is the match a name that exists)
         (r"(?<!\w)([A-Z]\w*)\.([A-Za-z_]\w*)", lambda m: m.group(2) in members.get(m.group(1), {m.group(2)})),
         (r"(?<![\w/.])(?:tests|benchmarks)/[\w/*.-]*\.py\b", lambda m: any(ROOT.glob(m.group(0)))),
@@ -473,10 +483,11 @@ def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=SRC, road
     for doc in docs:
         text = doc.read_text()
         blanked = fence.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)  # offsets kept
-        refs = sorted((span.start() + ref.start(), ref.group(0))
-                      for span in [*fence.finditer(text), *re.finditer(r"`[^`\n]+`", blanked)]
-                      for pattern, exists in checks
-                      for ref in re.finditer(pattern, span.group(0)) if not exists(ref))
+        spans = [(span, checks) for span in fence.finditer(text)]
+        spans += [(span, checks + (bare,)) for span in re.finditer(r"`[^`\n]+`", blanked)]
+        refs = sorted({(span.start() + ref.start(), ref.group(0)) for span, kinds in spans
+                       for pattern, exists in kinds
+                       for ref in re.finditer(pattern, span.group(0)) if not exists(ref)})
         stale += [f"{doc.name}:{text.count(chr(10), 0, at) + 1}: {ref}" for at, ref in refs]
     section = re.search(r"^## Open items\n(.*?)(?=^## |\Z)", roadmap.read_text(), re.S | re.M).group(1)
     items, item = set(), None  # open "N" and "N(x)": an N(x) heading, or an (x) sub-bullet under N

@@ -18,6 +18,7 @@ Records are (key, value) byte pairs; partitioning is by key hash.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.fs import FlacFS
-from ..flacdk.structures import stable_hash
 from ..net.serialization import Serializer
 from ..net.tcp import TcpNetwork
 from ..rack.machine import NodeContext
@@ -79,6 +79,11 @@ def decode_records(data: bytes) -> List[Record]:
         (data[ks[i] : ks[i + 1]], data[vs[i] : vs[i + 1]])
         for i in range(count)
     ]
+
+
+def stable_hash(key: bytes) -> int:
+    """Deterministic 64-bit key hash (Python's hash() is salted per run)."""
+    return struct.unpack("<Q", hashlib.blake2b(key, digest_size=8).digest())[0]
 
 
 def partition_of(key: bytes, n_partitions: int) -> int:

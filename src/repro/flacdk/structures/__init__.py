@@ -1,34 +1,15 @@
 """FlacDK level 3: high-level concurrent shared data structures (§3.2).
 
-Ring buffer (IPC data plane), shared vector, hash tables under the three
-synchronisation disciplines, and the radix tree that indexes page tables
-and the page cache.
+The SPSC ring buffer (the IPC data plane) and the radix tree that
+indexes page tables and the page cache.
 """
 
-from .hashmap import (
-    DelegatedDict,
-    HashMapError,
-    LockedHashMap,
-    MapFullError,
-    ReplicatedDict,
-    stable_hash,
-)
 from .radixtree import RadixError, SharedRadixTree
 from .ringbuffer import RingError, SpscRing
-from .vector import SharedVector, VectorError, VectorFullError
 
 __all__ = [
-    "DelegatedDict",
-    "HashMapError",
-    "LockedHashMap",
-    "MapFullError",
     "RadixError",
-    "ReplicatedDict",
     "RingError",
     "SharedRadixTree",
-    "SharedVector",
     "SpscRing",
-    "VectorError",
-    "VectorFullError",
-    "stable_hash",
 ]

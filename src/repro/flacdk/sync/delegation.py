@@ -26,11 +26,13 @@ Mailbox layout per client node::
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ...rack.machine import NodeContext
 
 _SLOT_META = 48
+#: Software cost the owner charges per request it serves.
+HANDLER_COST_NS = 50.0
 
 
 class DelegationError(Exception):
@@ -47,17 +49,13 @@ class DelegationService:
         n_nodes: int,
         handler: Callable[[bytes], bytes],
         payload_capacity: int = 1024,
-        handler_cost_ns: float = 50.0,
     ) -> None:
         self.base = base
         self.owner_node = owner_node
         self.n_nodes = n_nodes
         self.handler = handler
         self.payload_capacity = payload_capacity
-        self.handler_cost_ns = handler_cost_ns
         self.slot_size = _align64(_SLOT_META + 2 * payload_capacity)
-        self.served = 0
-        self._last_seen: Dict[int, int] = {}
 
     @staticmethod
     def region_size(n_nodes: int, payload_capacity: int = 1024) -> int:
@@ -129,7 +127,7 @@ class DelegationService:
             owner_ctx.invalidate(slot + 48, length)
             request = owner_ctx.load(slot + 48, length)
             owner_ctx.node.clock.sync_to(req_ts)
-            owner_ctx.advance(self.handler_cost_ns)
+            owner_ctx.advance(HANDLER_COST_NS)
             response = self.handler(request)
             if len(response) > self.payload_capacity:
                 raise DelegationError("handler response exceeds slot capacity")
@@ -142,7 +140,6 @@ class DelegationService:
             owner_ctx.fence()
             owner_ctx.atomic_store(slot + 8, req_seq)
             served += 1
-        self.served += served
         return served
 
     # -- synchronous convenience --------------------------------------------------------

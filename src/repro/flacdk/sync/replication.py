@@ -21,17 +21,8 @@ from .oplog import OperationLog
 
 S = TypeVar("S")
 
-
-class Codec:
-    """Pluggable op serialisation; the default is pickle."""
-
-    @staticmethod
-    def dumps(op: Any) -> bytes:
-        return pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def loads(data: bytes) -> Any:
-        return pickle.loads(data)
+#: Software cost charged per op replayed (models the replay CPU time).
+APPLY_COST_NS = 30.0
 
 
 class NodeReplication(Generic[S]):
@@ -48,15 +39,10 @@ class NodeReplication(Generic[S]):
         log: OperationLog,
         factory: Callable[[], S],
         apply_fn: Callable[[S, Any], Any],
-        codec: Codec = Codec(),
-        apply_cost_ns: float = 30.0,
     ) -> None:
         self.log = log
         self.factory = factory
         self.apply_fn = apply_fn
-        self.codec = codec
-        #: Software cost charged per op replayed (models the replay CPU time).
-        self.apply_cost_ns = apply_cost_ns
         self._replicas: Dict[int, "Replica[S]"] = {}
 
     def replica(self, ctx: NodeContext) -> "Replica[S]":
@@ -110,7 +96,7 @@ class Replica(Generic[S]):
     def execute(self, ctx: NodeContext, op: Any) -> Any:
         """Linearisable mutation: append to the shared log, then replay
         the committed prefix (including our own op) locally."""
-        payload = self.nr.codec.dumps(op)
+        payload = pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
         idx = self.nr.log.append(ctx, payload)
         self._catch_up(ctx, through=idx)
         # our op's result was produced during catch-up (it replayed last)
@@ -138,8 +124,8 @@ class Replica(Generic[S]):
                         f"log gap at {self.applied} while replaying through {through}"
                     )
                 return
-            op = self.nr.codec.loads(payload)
-            ctx.advance(self.nr.apply_cost_ns)
+            op = pickle.loads(payload)
+            ctx.advance(APPLY_COST_NS)
             try:
                 self._last_result = self.nr.apply_fn(self.state, op)
             except Exception as exc:  # deterministic op failure: same on all replicas

@@ -98,6 +98,19 @@ def test_docs_check_names_a_planted_stale_member(tmp_path):
         "DESIGN.md:3: FlacOS.devices", "DESIGN.md:5: tests/apps/test_planted.py", "DESIGN.md:5: test_planted_id"]
 
 
+def test_docs_check_names_a_planted_stale_bare_name(tmp_path):
+    """A capitalised name alone in a code span must be a class, def or constant
+    of the code, or a builtin; a dotted tail and a fenced block are not read."""
+    census = _benchmarks_module("census")
+    doc = tmp_path / "DESIGN.md"
+    doc.write_text(
+        "`RackMachine`, `Record` (a constant), `ValueError` and `np.random.Generator` resolve;\n"
+        "`PlantedMap` is planted, and so is `Absent.member`.\n"
+        "```\nProse in a fenced block is not a name.\n```\n"
+    )
+    assert census.stale_doc_names(docs=[doc]) == ["DESIGN.md:2: PlantedMap", "DESIGN.md:2: Absent"]
+
+
 def test_docs_check_names_a_planted_stale_roadmap_citation(tmp_path):
     """A citation of an item that is not under ``## Open items``, or is marked
     done there, is stale, in prose as in a ``src`` docstring, and so is an

@@ -1,14 +1,10 @@
-"""Property/fuzz tests for the RESP codec and the replicated dicts."""
+"""Property/fuzz tests for the RESP codec."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import resp
-from repro.flacdk.arena import Arena
-from repro.flacdk.structures import DelegatedDict, ReplicatedDict
-from repro.flacdk.sync import OperationLog
-from repro.rack import RackConfig, RackMachine
 
 # RESP values a server can legally emit
 _reply_values = st.recursive(
@@ -144,64 +140,3 @@ def test_by_offset_decoder_reads_recorded_frames_as_before(frame, expected):
     first, rest = resp.decode(frame + b"+tail\r\n")
     assert _plain(first) == expected[0]
     assert _plain(resp.decode_replies(rest)) == expected[1:] + ["tail"]
-
-
-_dict_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["put", "get", "del"]),
-        st.binary(min_size=1, max_size=12),
-        st.binary(max_size=24),
-        st.integers(min_value=0, max_value=3),
-    ),
-    max_size=30,
-)
-
-
-@settings(max_examples=25, deadline=None)
-@given(ops=_dict_ops)
-def test_replicated_dict_matches_model_across_nodes(ops):
-    machine = RackMachine(RackConfig(n_nodes=4, topology="single_switch", global_mem_size=1 << 24))
-    ctxs = [machine.context(i) for i in range(4)]
-    arena = Arena(machine.global_base, machine.global_size)
-    log = OperationLog(arena.take(OperationLog.region_size(64)), 64).format(ctxs[0])
-    rd = ReplicatedDict(log)
-    model = {}
-    for verb, key, value, node in ops:
-        ctx = ctxs[node]
-        if verb == "put":
-            rd.put(ctx, key, value)
-            model[key] = value
-        elif verb == "get":
-            assert rd.get(ctx, key) == model.get(key)
-        else:
-            assert rd.delete(ctx, key) == (key in model)
-            model.pop(key, None)
-    for key, value in model.items():
-        for ctx in ctxs:
-            assert rd.get(ctx, key) == value
-
-
-@settings(max_examples=20, deadline=None)
-@given(ops=_dict_ops)
-def test_delegated_dict_matches_model_across_nodes(ops):
-    machine = RackMachine(RackConfig(n_nodes=4, topology="single_switch", global_mem_size=1 << 24))
-    ctxs = [machine.context(i) for i in range(4)]
-    arena = Arena(machine.global_base, machine.global_size)
-    dd = DelegatedDict(
-        arena.take(DelegatedDict.region_size(2, 4)), owners=[0, 2], n_nodes=4
-    ).format(ctxs[0])
-    model = {}
-    for verb, key, value, node in ops:
-        ctx = ctxs[node]
-        owner_ctx = ctxs[dd.owners[dd.partition_of(key)]]
-        if verb == "put":
-            dd.put(ctx, owner_ctx, key, value)
-            model[key] = value
-        elif verb == "get":
-            assert dd.get(ctx, owner_ctx, key) == model.get(key)
-        else:
-            assert dd.delete(ctx, owner_ctx, key) == (key in model)
-            model.pop(key, None)
-    for key, value in model.items():
-        owner_ctx = ctxs[dd.owners[dd.partition_of(key)]]
-        assert dd.get(ctxs[1], owner_ctx, key) == value

@@ -8,6 +8,7 @@ from repro.apps.shuffle import (
     encode_records,
     partition_of,
     run_shuffle_job,
+    stable_hash,
 )
 from repro.bench import build_rig
 from repro.workloads import KeyGenerator, ValueGenerator
@@ -38,6 +39,10 @@ class TestEncoding:
             p = partition_of(key, 7)
             assert 0 <= p < 7
             assert partition_of(key, 7) == p
+
+    def test_stable_hash_is_stable(self):
+        assert stable_hash(b"abc") == stable_hash(b"abc")
+        assert stable_hash(b"abc") != stable_hash(b"abd")
 
 
 class TestFlacShuffle:

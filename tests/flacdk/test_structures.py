@@ -1,4 +1,4 @@
-"""Tests for shared data structures: ring, vector, hash maps, radix tree."""
+"""Tests for shared data structures: SPSC ring and radix tree."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,20 +6,7 @@ from hypothesis import strategies as st
 
 from repro.flacdk.arena import Arena
 from repro.flacdk.alloc import SharedHeap
-from repro.flacdk.structures import (
-    DelegatedDict,
-    LockedHashMap,
-    MapFullError,
-    ReplicatedDict,
-    RingError,
-    SharedRadixTree,
-    SharedVector,
-    SpscRing,
-    VectorError,
-    VectorFullError,
-    stable_hash,
-)
-from repro.flacdk.sync import OperationLog
+from repro.flacdk.structures import RingError, SharedRadixTree, SpscRing
 from repro.rack import RackConfig, RackMachine
 
 
@@ -96,188 +83,6 @@ def test_ring_delivers_exactly_in_order(messages):
         if msg is not None:
             received.append(msg)
     assert received == list(messages)
-
-
-class TestSharedVector:
-    @pytest.fixture
-    def vector(self, rig):
-        _, ctxs, arena = rig
-        base = arena.take(SharedVector.region_size(16, 32))
-        return SharedVector(base, 16, 32).format(ctxs[0])
-
-    def test_append_get_across_nodes(self, rig, vector):
-        _, ctxs, _ = rig
-        idx = vector.append(ctxs[0], b"A" * 32)
-        assert vector.get(ctxs[3], idx) == b"A" * 32
-
-    def test_indices_sequential(self, rig, vector):
-        _, ctxs, _ = rig
-        assert [vector.append(ctxs[i % 4], bytes([i]) * 32) for i in range(5)] == list(range(5))
-
-    def test_wrong_record_size_rejected(self, rig, vector):
-        _, ctxs, _ = rig
-        with pytest.raises(VectorError):
-            vector.append(ctxs[0], b"short")
-
-    def test_capacity_enforced(self, rig):
-        _, ctxs, arena = rig
-        v = SharedVector(arena.take(SharedVector.region_size(2, 8)), 2, 8).format(ctxs[0])
-        v.append(ctxs[0], b"12345678")
-        v.append(ctxs[0], b"12345678")
-        with pytest.raises(VectorFullError):
-            v.append(ctxs[0], b"12345678")
-
-    def test_update_in_place(self, rig, vector):
-        _, ctxs, _ = rig
-        idx = vector.append(ctxs[0], b"B" * 32)
-        vector.update(ctxs[1], idx, b"C" * 32)
-        assert vector.get(ctxs[2], idx) == b"C" * 32
-
-    def test_update_uncommitted_rejected(self, rig, vector):
-        _, ctxs, _ = rig
-        with pytest.raises(VectorError):
-            vector.update(ctxs[0], 3, b"D" * 32)
-
-    def test_scan_yields_committed(self, rig, vector):
-        _, ctxs, _ = rig
-        for i in range(3):
-            vector.append(ctxs[0], bytes([i]) * 32)
-        assert [idx for idx, _ in vector.scan(ctxs[1])] == [0, 1, 2]
-
-    def test_len_redirects_to_count(self, rig, vector):
-        _, ctxs, _ = rig
-        with pytest.raises(TypeError):
-            len(vector)
-        assert vector.count(ctxs[0]) == 0
-
-
-class TestLockedHashMap:
-    @pytest.fixture
-    def hmap(self, rig):
-        _, ctxs, arena = rig
-        base = arena.take(LockedHashMap.region_size(32))
-        return LockedHashMap(base, 32).format(ctxs[0])
-
-    def test_put_get_across_nodes(self, rig, hmap):
-        _, ctxs, _ = rig
-        hmap.put(ctxs[0], b"key", b"value")
-        assert hmap.get(ctxs[3], b"key") == b"value"
-
-    def test_missing_key(self, rig, hmap):
-        _, ctxs, _ = rig
-        assert hmap.get(ctxs[0], b"nope") is None
-
-    def test_overwrite(self, rig, hmap):
-        _, ctxs, _ = rig
-        hmap.put(ctxs[0], b"k", b"v1")
-        hmap.put(ctxs[1], b"k", b"v2")
-        assert hmap.get(ctxs[2], b"k") == b"v2"
-
-    def test_delete_and_tombstone_reuse(self, rig, hmap):
-        _, ctxs, _ = rig
-        hmap.put(ctxs[0], b"k", b"v")
-        assert hmap.delete(ctxs[1], b"k")
-        assert hmap.get(ctxs[2], b"k") is None
-        assert not hmap.delete(ctxs[2], b"k")
-        hmap.put(ctxs[3], b"k", b"v2")  # reuses tombstone
-        assert hmap.get(ctxs[0], b"k") == b"v2"
-
-    def test_fills_to_capacity_then_raises(self, rig):
-        _, ctxs, arena = rig
-        small = LockedHashMap(arena.take(LockedHashMap.region_size(4)), 4).format(ctxs[0])
-        for i in range(4):
-            small.put(ctxs[0], bytes([i]), b"v")
-        with pytest.raises(MapFullError):
-            small.put(ctxs[0], b"\x09", b"v")
-
-    def test_size_limits(self, rig, hmap):
-        _, ctxs, _ = rig
-        with pytest.raises(Exception):
-            hmap.put(ctxs[0], b"k" * 100, b"v")
-        with pytest.raises(Exception):
-            hmap.put(ctxs[0], b"k", b"v" * 1000)
-
-    def test_stable_hash_is_stable(self):
-        assert stable_hash(b"abc") == stable_hash(b"abc")
-        assert stable_hash(b"abc") != stable_hash(b"abd")
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.sampled_from(["put", "get", "del"]),
-            st.binary(min_size=1, max_size=8),
-            st.binary(max_size=16),
-        ),
-        max_size=40,
-    )
-)
-def test_locked_hashmap_matches_model_dict(ops):
-    machine = RackMachine(RackConfig(n_nodes=2, global_mem_size=1 << 24))
-    ctxs = [machine.context(0), machine.context(1)]
-    hmap = LockedHashMap(
-        machine.global_base, capacity=128, key_capacity=8, value_capacity=16
-    ).format(ctxs[0])
-    model = {}
-    for i, (verb, key, value) in enumerate(ops):
-        ctx = ctxs[i % 2]
-        if verb == "put":
-            hmap.put(ctx, key, value)
-            model[key] = value
-        elif verb == "get":
-            assert hmap.get(ctx, key) == model.get(key)
-        else:
-            assert hmap.delete(ctx, key) == (key in model)
-            model.pop(key, None)
-    for key, value in model.items():
-        assert hmap.get(ctxs[0], key) == value
-
-
-class TestReplicatedDict:
-    def test_basic_semantics(self, rig):
-        _, ctxs, arena = rig
-        log = OperationLog(arena.take(OperationLog.region_size(64)), 64).format(ctxs[0])
-        rd = ReplicatedDict(log)
-        rd.put(ctxs[0], b"a", b"1")
-        assert rd.get(ctxs[3], b"a") == b"1"
-        assert rd.delete(ctxs[1], b"a")
-        assert rd.get(ctxs[2], b"a") is None
-        assert not rd.delete(ctxs[0], b"a")
-
-    def test_local_get_avoids_log_traffic(self, rig):
-        _, ctxs, arena = rig
-        log = OperationLog(arena.take(OperationLog.region_size(64)), 64).format(ctxs[0])
-        rd = ReplicatedDict(log)
-        rd.put(ctxs[0], b"a", b"1")
-        rd.get(ctxs[1], b"a")  # sync node 1
-        before = ctxs[1].now()
-        for _ in range(10):
-            assert rd.get_local(ctxs[1], b"a") == b"1"
-        assert ctxs[1].now() == before  # purely local
-
-
-class TestDelegatedDict:
-    def test_partitioned_semantics(self, rig):
-        _, ctxs, arena = rig
-        base = arena.take(DelegatedDict.region_size(2, 4))
-        dd = DelegatedDict(base, owners=[0, 1], n_nodes=4).format(ctxs[0])
-        for key in (b"alpha", b"beta", b"gamma", b"delta"):
-            owner = dd.owners[dd.partition_of(key)]
-            client = ctxs[(owner + 1) % 4]
-            dd.put(client, ctxs[owner], key, key.upper())
-        for key in (b"alpha", b"beta", b"gamma", b"delta"):
-            owner = dd.owners[dd.partition_of(key)]
-            client = ctxs[(owner + 2) % 4]
-            assert dd.get(client, ctxs[owner], key) == key.upper()
-
-    def test_owner_local_fast_path(self, rig):
-        _, ctxs, arena = rig
-        base = arena.take(DelegatedDict.region_size(1, 4))
-        dd = DelegatedDict(base, owners=[2], n_nodes=4).format(ctxs[0])
-        dd.put(ctxs[2], ctxs[2], b"k", b"v")  # owner operating on own partition
-        assert dd.get(ctxs[2], ctxs[2], b"k") == b"v"
-        assert dd.delete(ctxs[2], ctxs[2], b"k")
 
 
 class TestSharedRadixTree:

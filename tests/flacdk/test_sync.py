@@ -1,7 +1,11 @@
 """Tests for the synchronisation layer: oplog, spinlock, replication,
 delegation, and RCU/quiescence."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flacdk.sync import (
     DelegationError,
@@ -12,9 +16,10 @@ from repro.flacdk.sync import (
     NodeReplication,
     OperationLog,
     RcuCell,
-    VersionChain,
 )
+from repro.flacdk.arena import Arena
 from repro.flacdk.sync import spinlock
+from repro.rack import RackConfig, RackMachine
 
 
 @pytest.fixture
@@ -185,6 +190,97 @@ class TestNodeReplication:
         assert nr.replica(ctxs[0]).read(ctxs[0], lambda s: s[0]) == 5
 
 
+_dict_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "get", "del"]),
+        st.binary(min_size=1, max_size=12),
+        st.binary(max_size=24),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=30,
+)
+
+
+def _four_nodes():
+    machine = RackMachine(RackConfig(n_nodes=4, topology="single_switch", global_mem_size=1 << 24))
+    return [machine.context(i) for i in range(4)], Arena(machine.global_base, machine.global_size)
+
+
+def _apply_dict(state, op):
+    if op[0] == "put":
+        state[op[1]] = op[2]
+        return None
+    return state.pop(op[1], None) is not None
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=_dict_ops)
+def test_replicated_dict_matches_model_across_nodes(ops):
+    """Every node's linearisable read sees every node's earlier writes."""
+    ctxs, arena = _four_nodes()
+    log = OperationLog(arena.take(OperationLog.region_size(64)), 64).format(ctxs[0])
+    nr = NodeReplication(log, factory=dict, apply_fn=_apply_dict)
+    model = {}
+    for verb, key, value, node in ops:
+        ctx = ctxs[node]
+        if verb == "put":
+            nr.replica(ctx).execute(ctx, ("put", key, value))
+            model[key] = value
+        elif verb == "get":
+            assert nr.replica(ctx).read(ctx, lambda s: s.get(key)) == model.get(key)
+        else:
+            assert nr.replica(ctx).execute(ctx, ("del", key)) == (key in model)
+            model.pop(key, None)
+    for key, value in model.items():
+        for ctx in ctxs:
+            assert nr.replica(ctx).read(ctx, lambda s: s.get(key)) == value
+
+
+@settings(max_examples=20, deadline=None)
+@given(ops=_dict_ops)
+def test_delegated_dict_matches_model_across_nodes(ops):
+    """A dict partitioned over two owners (nodes 0 and 2), each partition
+    reached through its owner's mailboxes from all four nodes."""
+    ctxs, arena = _four_nodes()
+    parts = [{}, {}]
+
+    def handler(part):
+        def serve(request):
+            verb, key, value = pickle.loads(request)
+            if verb == "put":
+                part[key] = value
+                return pickle.dumps(None)
+            if verb == "get":
+                return pickle.dumps(part.get(key))
+            return pickle.dumps(part.pop(key, None) is not None)
+
+        return serve
+
+    services = [
+        DelegationService(arena.take(DelegationService.region_size(4)), owner, 4, handler(part)).format(ctxs[0])
+        for owner, part in zip((0, 2), parts)
+    ]
+
+    def call(ctx, verb, key, value=b""):
+        svc = services[key[0] % 2]
+        return pickle.loads(svc.call(ctx, ctxs[svc.owner_node], pickle.dumps((verb, key, value))))
+
+    model = {}
+    for verb, key, value, node in ops:
+        ctx = ctxs[node]
+        if verb == "put":
+            call(ctx, "put", key, value)
+            model[key] = value
+        elif verb == "get":
+            assert call(ctx, "get", key) == model.get(key)
+        else:
+            assert call(ctx, "del", key) == (key in model)
+            model.pop(key, None)
+    for key, value in model.items():
+        assert call(ctxs[1], "get", key) == value
+    assert sorted(parts[0].items() | parts[1].items()) == sorted(model.items())
+
+
 class TestDelegation:
     @pytest.fixture
     def service(self, rig):
@@ -265,29 +361,3 @@ class TestRcu:
         _, ctxs, arena = rig
         cell = RcuCell(arena.take(8, align=8), heap, reclaimer).format(ctxs[0])
         assert cell.update(ctxs[0], lambda cur: b"init" if cur is None else cur) == b"init"
-
-
-class TestVersionChain:
-    def test_latest_and_epoch_reads(self, rig, heap, reclaimer):
-        _, ctxs, arena = rig
-        chain = VersionChain(arena.take(8, align=8), heap, reclaimer, depth=4).format(ctxs[0])
-        chain.publish(ctxs[0], b"e1")  # epoch 1
-        reclaimer.advance(ctxs[0])  # epoch 2
-        chain.publish(ctxs[0], b"e2")
-        assert chain.read_latest(ctxs[1]) == b"e2"
-        assert chain.read_at_epoch(ctxs[1], 1) == b"e1"
-        assert chain.read_at_epoch(ctxs[1], 99) == b"e2"
-
-    def test_read_before_any_version(self, rig, heap, reclaimer):
-        _, ctxs, arena = rig
-        chain = VersionChain(arena.take(8, align=8), heap, reclaimer).format(ctxs[0])
-        assert chain.read_latest(ctxs[0]) is None
-        assert chain.read_at_epoch(ctxs[0], 5) is None
-
-    def test_chain_trimmed_to_depth(self, rig, heap, reclaimer):
-        _, ctxs, arena = rig
-        chain = VersionChain(arena.take(8, align=8), heap, reclaimer, depth=2).format(ctxs[0])
-        for i in range(6):
-            chain.publish(ctxs[0], bytes([i]))
-        assert chain.chain_length(ctxs[0]) == 2
-        assert len(reclaimer._retired[0]) == 4  # trimmed versions awaiting quiescence
