@@ -17,8 +17,9 @@ dataclass field (not ``init=False``) that no root source and no executed def set
 assigns its name as an attribute after construction, an option otherwise.  The second test checks that every backticked
 ``Class.member`` in DESIGN.md and README.md names a member of that class of ``src/``, every ``tests/…py`` / ``benchmarks/…py`` path exists, every
 ``test_*`` / ``Test*`` name is defined under ``tests/`` or ``benchmarks/``, every ``python -m repro.…``
-is runnable and every other dotted ``repro.…`` names a module or package of ``src/``, and that every ``ROADMAP
-item N`` citation in the two docs or ``src/``, and every ``item N`` label, names an open ROADMAP item.
+is runnable, every other dotted ``repro.…`` names a module or package of ``src/`` and a capitalised name
+after a module path (``apps.redis.X``) a top-level name of that module, and that every ``ROADMAP item N``
+citation in the two docs or ``src/``, and every ``item N`` label, names an open ROADMAP item.
 """
 
 import ast
@@ -452,17 +453,36 @@ def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=SRC, road
     def or constant and that is no builtin, a ``tests/…py`` or ``benchmarks/…py``
     path (a glob) that matches no file, a ``test_*`` / ``Test*`` name nothing under ``tests/`` or
     ``benchmarks/`` defines, a ``python -m repro.…`` that names no ``.py`` file and no package with a
-    ``__main__.py``, or another dotted ``repro.a.b`` (lower-case parts; a schema tag's ``/N`` ends it) that
-    names no module or package.  Then each ``ROADMAP item N`` / ``ROADMAP N`` citation anywhere in ``docs``
-    or a ``src`` module, and each ``item N`` label (``census.LABELS: item N``), whose ``N`` is no item under
-    ``roadmap``'s ``## Open items`` (a ``- **N.`` or ``- **N(`` heading not marked ``(**done**``); an
-    ``N(x)`` citation needs an ``N(x)`` heading or an ``(x)`` sub-bullet under item ``N``."""
+    ``__main__.py``, another dotted ``repro.a.b`` (lower-case parts; a schema tag's ``/N`` ends it) that
+    names no module or package, or a capitalised name after a module path of ``src`` (``apps.redis.X`` or
+    ``repro.apps.redis.X``) that the path does not name or the module does not define at top level (a
+    lower-case tail is read as a tracer layer or metric name, which share those spellings).  A code span is
+    a run of backticks closed by a run as long, and may wrap over one line break, never over a blank line.
+    Then each ``ROADMAP item N`` / ``ROADMAP N`` citation anywhere in ``docs`` or a ``src`` module, and each
+    ``item N`` label (``census.LABELS: item N``), whose ``N`` is no item under ``roadmap``'s ``## Open items``
+    (a ``- **N.`` or ``- **N(`` heading not marked ``(**done**``); an ``N(x)`` citation needs an ``N(x)``
+    heading or an ``(x)`` sub-bullet under item ``N``."""
 
     def module(dotted, package_file):  # a .py file, or a package directory holding package_file
         path = src.parent.joinpath(*dotted.split("."))
         return path.with_suffix(".py").is_file() or (path / package_file).is_file()
 
-    members = class_members(parse(src))
+    trees = parse(src)
+    members = class_members(trees)
+    tops = {}  # package-relative module ("apps.redis", "rack") -> the names it defines or imports at top level
+    for dotted, tree in trees.items():
+        names = tops.setdefault(dotted.split(".", 1)[-1].removesuffix("__init__").rstrip("."), set())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                names.update((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+            else:
+                names.update(n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+
+    def top_level(m):  # a path that does not start at a package of src is not ours to check
+        parts = m.group(1).removeprefix("repro.").split(".")
+        return parts[0] not in tops or m.group(2) in tops.get(".".join(parts), ())
     texts = {top: [path.read_text() for path in (src if top == "src" else ROOT / top).rglob("*.py")]
              for top in ("src", "tests", "benchmarks", "examples")}
     defined = {name for top in ("tests", "benchmarks") for text in texts[top]
@@ -478,13 +498,15 @@ def stale_doc_names(docs=(ROOT / "DESIGN.md", ROOT / "README.md"), src=SRC, road
         (r"(?<![\w/.])(?:test_|Test)\w*(?![\w.])", lambda m: m.group(0) in defined),
         (r"python -m (repro(?:\.\w+)*)", lambda m: module(m.group(1), "__main__.py")),
         (r"(?<![\w.])(?<!-m )repro(?:\.[a-z_]\w*)+(?![\w/])", lambda m: module(m.group(0), "__init__.py")),
+        (r"(?<![\w.])([a-z_]\w*(?:\.[a-z_]\w*)*)\.([A-Z]\w*)", top_level),
     )
     fence, stale = re.compile(r"^```.*?^```", re.S | re.M), []
     for doc in docs:
         text = doc.read_text()
         blanked = fence.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)  # offsets kept
         spans = [(span, checks) for span in fence.finditer(text)]
-        spans += [(span, checks + (bare,)) for span in re.finditer(r"`[^`\n]+`", blanked)]
+        spans += [(span, checks + (bare,))  # a run of backticks closes on a run as long
+                  for span in re.finditer(r"(?<!`)(`+)(?!`)([^`\n]+(?:\n(?![ \t]*\n)[^`\n]+)?)\1(?!`)", blanked)]
         refs = sorted({(span.start() + ref.start(), ref.group(0)) for span, kinds in spans
                        for pattern, exists in kinds
                        for ref in re.finditer(pattern, span.group(0)) if not exists(ref)})

@@ -10,6 +10,51 @@ in simulated time.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
+from math import inf, ulp
+from operator import add
+
+#: 2**53: a binade holds this many steps of its spacing (its ulp).
+_BINADE = 9007199254740992.0
+
+
+def fold_adds(clock: float, ns: float, n: int) -> float:
+    """``n`` adds of ``ns`` to ``clock``, left to right — bit for bit
+    ``reduce(add, repeat(ns, n), clock)`` — in a few float operations per
+    binade the sum crosses.
+
+    In a binade of spacing ``u`` the clock is ``m`` whole ``u`` and one add
+    rounds ``m + ns/u`` to an integer: the same step ``d`` every time while
+    the exact sum stays below the binade's top, ``2**53 u``.  So the fold
+    takes every such step at once, and one real add where the sum would
+    cross that top or, at a round-half-even tie, while ``m`` is odd (from an
+    even ``m`` a tie steps to the even neighbour, so ``m`` stays even).
+    Every quantity below is a whole number of at most ``2**53`` or ``ns``
+    scaled by a power of two, so each float operation is exact.  A negative
+    or non-finite operand is folded add by add.
+    """
+    if not (0.0 <= clock < inf and 0.0 <= ns < inf):
+        return reduce(add, repeat(ns, n), clock)
+    while n > 0:
+        u = ulp(clock)
+        q = ns / u
+        if q < _BINADE:
+            k, m = q // 1.0, clock / u
+            frac, room = q - k, _BINADE - 1.0 - m - k  # room: further adds below the top
+            if room >= 0.0 and (frac != 0.5 or not m % 2.0):
+                d = k + 1.0 if frac > 0.5 or frac == 0.5 and k % 2.0 else k
+                if d == 0.0:
+                    return clock + ns  # rounds back to clock (-0.0 + 0.0 is +0.0)
+                steps = room // d + 1.0
+                if steps >= n:
+                    return (m + n * d) * u
+                clock, n = (m + steps * d) * u, n - int(steps)
+                continue
+        clock += ns
+        n -= 1
+    return clock
+
 
 class SimClock:
     """A monotonically increasing nanosecond counter for one node."""

@@ -21,14 +21,13 @@ Hardware contract reproduced from the paper (§2.1):
 from __future__ import annotations
 
 import struct
-from functools import partial, reduce
-from itertools import repeat
-from operator import add
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cache import NodeCache
+from .clock import fold_adds
 from .faults import FaultInjector
 from .interconnect import Interconnect, node_vertex
 from .memory import (
@@ -56,19 +55,14 @@ _SUB = "rack.machine"
 
 #: A node's TLB slot before its first resolve: covers nothing, node unread.
 _TLB_EMPTY = (None, 0, 0, None)
-#: The batch clock fold of :meth:`RackMachine._charge`, reused across
-#: batches and regrown for one that would not fit.
-_fold = np.empty(4_097, dtype=np.float64)
-#: Batches of fewer ops fold their clock by Python float adds, longer ones by
-#: ``np.add.accumulate``: the two cost the same at 48 on CPython 3.11 (DESIGN.md §3).
-_SHORT_FOLD = 48
 #: The int64 dtype object, compared by identity with a vector's own.
 _INT64 = np.dtype(np.int64)
 
 
 class SlotRef:
-    """Slots ``idx`` of ``window``: made by :meth:`SlotWindow.at`, accepted
-    wherever ``load_many`` / ``store_many`` take addresses."""
+    """Slots ``idx`` of ``window``: made by :meth:`SlotWindow.at` (or from an
+    address vector by :meth:`RackMachine._as_window`), accepted wherever
+    ``load_many`` / ``store_many`` take addresses."""
 
     __slots__ = ("window", "idx")
 
@@ -83,20 +77,25 @@ class SlotRef:
 class SlotWindow:
     """``n`` consecutive ``size``-byte slots at physical ``base``, resolved
     once per ``AddressMap.generation`` to ``region``, device ``offset`` and
-    ``slots`` (:func:`_slots` of exactly those bytes); ``region`` is ``None``
-    while the span is not one mapped window.  (DESIGN.md §10)"""
+    ``slots`` (:func:`_slots` of exactly those bytes, items of dtype
+    ``item``); ``region`` is ``None`` while the span is not one mapped
+    window.  ``prices`` holds one bypass op's charge per issuing node
+    (``None``: the loop), for one resolve and one ``fabric_gen``.
+    (DESIGN.md §10)"""
 
-    __slots__ = ("address_map", "base", "n", "size", "generation", "region", "offset", "slots")
+    __slots__ = ("address_map", "base", "n", "size", "item", "generation", "region", "offset",
+                 "slots", "fabric_gen", "prices")
 
     def __init__(self, address_map: AddressMap, base: int, n: int, size: int) -> None:
         if n < 1 or size < 1:
             raise ValueError(f"a slot window needs n >= 1 and size >= 1, got n={n} size={size}")
         self.address_map, self.base, self.n, self.size = address_map, base, n, size
+        self.item = np.dtype((np.void, size))
         self.resolve()
 
     def resolve(self) -> None:
         amap, span = self.address_map, self.n * self.size
-        self.generation = amap.generation
+        self.generation, self.fabric_gen, self.prices = amap.generation, None, {}
         try:
             self.region, self.offset = amap.resolve(self.base, span)
             self.slots = _slots(self.region.device, self.offset, span, self.size)
@@ -344,18 +343,12 @@ class RackMachine:
 
     # -- bulk data plane (DESIGN.md §10) -----------------------------------------------
     #
-    # Every bulk API *is* a loop of single ops: returned bytes, charged
-    # simulated ns, cache state, fault-log contents and telemetry
-    # counters are those of issuing each access alone.  The entry points
-    # with traffic — bypass ``load_many``, bypass ``store_many`` of a held
-    # :class:`SlotWindow`'s row table, ``atomic_load_many`` / ``atomic_store_many``
-    # — amortise host CPU when :meth:`_bulk_plan` finds the batch to be
-    # slots of one clean window: one gather/scatter of slots, one uniform
-    # charge folded strictly left to right (so the float rounding matches
-    # the sequential clock adds) and one aggregated
-    # telemetry record.  Everything else, and every batch the plan refuses,
-    # is the loop itself, which reproduces every observable including the
-    # op index at which an error surfaces.
+    # Every bulk API *is* a loop of single ops, every observable included.
+    # A bypass batch or a batched atomic that is slots of one clean window —
+    # a held one, or an address vector's (:meth:`_as_window`) — is one
+    # gather/scatter, one charge of ``n`` equal adds (:func:`fold_adds`) and
+    # one aggregated record (:meth:`_held`); every batch refused is the loop
+    # itself, down to the op index an error surfaces at.
 
     def load_many(
         self,
@@ -374,18 +367,17 @@ class RackMachine:
         ``addrs`` may be an int64 array (used as is, no list round trip)
         or a :class:`SlotRef` into a held window (nothing to resolve).
         """
-        n = len(addrs.idx if type(addrs) is SlotRef else addrs)
-        if n == 0:
+        held = type(addrs) is SlotRef
+        if len(addrs.idx if held else addrs) == 0:
             return b"" if concat else []
-        plan = self._bulk_plan(node_id, addrs, size) if bypass_cache else None
-        if plan is None:
+        ref = (addrs if held else self._as_window(addrs, size)) if bypass_cache else None
+        slots = None if ref is None else self._held(node_id, ref, size, "bypass.load")
+        if slots is None:
             parts = [
                 self.load(node_id, a, size, bypass_cache=bypass_cache) for a in _ints(addrs)
             ]
             return b"".join(parts) if concat else parts
-        region, slots, idx = plan
-        buf = slots.take(idx).tobytes()
-        self._bulk_epilogue(node_id, addrs, size, region, "bypass.load")
+        buf = slots.take(ref.idx).tobytes()
         return buf if concat else _split(buf, size)
 
     def store_many(
@@ -415,18 +407,17 @@ class RackMachine:
                     f"store_many on a window of {window.n} x {window.size}B slots got size "
                     f"{size} and a row table of {len(data)} bytes"
                 )
-            plan = self._bulk_plan(node_id, addrs, size) if bypass_cache else None
             try:  # a table numpy cannot view as rows in place goes to the loop
-                rows = None if plan is None else np.frombuffer(data, dtype=plan[1].dtype)
+                rows = np.frombuffer(data, dtype=window.item) if bypass_cache else None
             except (TypeError, ValueError, BufferError):
                 rows = None
-            if rows is not None:
+            slots = None if rows is None else self._held(node_id, addrs, size, "bypass.store")
+            if slots is not None:
                 # a slot's writers all write its one row, so the order numpy
-                # assigns repeats in cannot matter; the plan proved no poison
-                # in the window, so skipping per-op clear_poison is exact
-                region, slots, idx = plan
+                # assigns repeats in cannot matter; the window proved no poison
+                # in it, so skipping per-op clear_poison is exact
+                idx = addrs.idx
                 slots[idx] = rows.take(idx)
-                self._bulk_epilogue(node_id, addrs, size, region, "bypass.store")
                 return
             table = bytes(data)
             data = [table[k * size : (k + 1) * size] for k in addrs.idx.tolist()]
@@ -485,20 +476,18 @@ class RackMachine:
     def atomic_load_many(self, node_id: int, addrs: Sequence[int]) -> List[int]:
         """Batched :meth:`atomic_load` (coherent scatter-gather read).
 
-        One gather when :meth:`_bulk_atomic_plan` accepts the batch —
-        identical observables to a loop of single ``atomic_load`` calls,
-        which is what a refused batch (duplicates, cached lines, armed
-        faults, ...) is issued as.
+        One gather when :meth:`_atomic_window` and :meth:`_held` accept the
+        batch — identical observables to a loop of single ``atomic_load``
+        calls, which is what a refused batch (duplicates, cached lines,
+        armed faults, ...) is issued as.
         """
         if len(addrs) == 0:
             return []
-        plan = self._bulk_atomic_plan(node_id, addrs)
-        if plan is None:
+        ref = self._atomic_window(node_id, addrs)
+        slots = None if ref is None else self._held(node_id, ref, 8, None)
+        if slots is None:
             return [self.atomic_load(node_id, a) for a in addrs]
-        region, slots, idx = plan
-        out = slots.take(idx).view("<u8").tolist()
-        self._bulk_epilogue(node_id, addrs, 8, region)
-        return out
+        return slots.take(ref.idx).view("<u8").tolist()
 
     def atomic_store_many(
         self,
@@ -509,9 +498,9 @@ class RackMachine:
         """Batched :meth:`atomic_store` (coherent scatter write).
 
         ``values`` may be one int (broadcast — the shape of every region
-        format loop) or a parallel sequence.  Same plan, fallbacks and
-        epilogue as :meth:`atomic_load_many`; a batch the plan rejects
-        is issued as the loop of single stores it stands for.
+        format loop) or a parallel sequence.  Same window and fallbacks as
+        :meth:`atomic_load_many`; a batch refused is issued as the loop of
+        single stores it stands for.
         """
         n = len(addrs)
         if n == 0:
@@ -519,8 +508,8 @@ class RackMachine:
         scalar = isinstance(values, int)
         if not scalar and len(values) != n:
             raise ValueError(f"{n} addresses but {len(values)} values")
-        plan = self._bulk_atomic_plan(node_id, addrs)
-        if plan is not None:
+        ref = self._atomic_window(node_id, addrs)
+        if ref is not None:
             try:
                 # masked in Python: sentinels like 2**64 - 1 overflow int64
                 if scalar:
@@ -528,14 +517,13 @@ class RackMachine:
                 else:
                     v_arr = np.array([v & _MASK64 for v in values], dtype="<u8")
             except TypeError:
-                plan = None  # the single op raises at that value's index
-        if plan is None:
+                ref = None  # the single op raises at that value's index
+        slots = None if ref is None else self._held(node_id, ref, 8, None)
+        if slots is None:
             for a, v in zip(addrs, [values] * n if scalar else values):
                 self.atomic_store(node_id, a, v)
             return
-        region, slots, idx = plan
-        slots[idx] = v_arr.view(slots.dtype)  # the plan proved idx unique
-        self._bulk_epilogue(node_id, addrs, 8, region)
+        slots[ref.idx] = v_arr.view(slots.dtype)  # _atomic_window proved idx unique
 
     def atomic_cas_many(
         self,
@@ -765,17 +753,13 @@ class RackMachine:
         region: Optional[Region] = None,
         lines: int = 0,
         extra: float = 0.0,
-        ops: int = 1,
     ) -> None:
-        """The machine's one clock door (DESIGN.md §3): ``ops`` times
+        """The clock door of every single op (DESIGN.md §3):
         ``hits·hit_ns + first + (lines−1)·rest + lines·extra``, added left to
-        right in that order and, for a batch, folded by Python float adds
-        below :data:`_SHORT_FOLD` ops and by ``np.add.accumulate`` from there
-        (both strict left folds), so clocks are bit for bit the single adds
-        the goldens pin.  ``first`` / ``rest`` are one line's device latency and
-        each further line's bandwidth cost for ``node`` reaching ``region``,
-        memoized until the fabric's generation moves.  No negative check:
-        every term is a validated :class:`LatencyModel` field or a count.
+        right in that order, so clocks are bit for bit the adds the goldens
+        pin.  ``first`` / ``rest`` are :meth:`_line_cost`'s, memoized until
+        the fabric's generation moves.  No negative check: every term is a
+        validated :class:`LatencyModel` field or a count.
         """
         ns = hits * hit_ns
         if lines:
@@ -785,150 +769,111 @@ class RackMachine:
                 self._charge_gen = fabric.generation
             pair = memo.get((node.node_id, region.base))
             if pair is None:
-                lat, is_global = self.latency, region.owner is None
-                hops, switches = self._path_cost(node.node_id, region)
-                first = lat.device_ns(is_global=is_global, hops=hops, switches=switches)
-                if region.device.kind is MemoryKind.PMEM:
-                    pair = (first + lat.pmem_extra_ns, self.line_size / lat.pmem_bw_bytes_per_ns)
-                else:
-                    pair = (first, lat.pipelined_line_ns(self.line_size, is_global=is_global))
-                memo[node.node_id, region.base] = pair
+                pair = memo[node.node_id, region.base] = self._line_cost(node.node_id, region)
             first, rest = pair
             ns += first
             ns += (lines - 1) * rest
             ns += lines * extra
-        if ops == 1:
-            node.clock._now_ns += ns
-            return
-        clock = node.clock
-        if ops < _SHORT_FOLD:
-            clock._now_ns = reduce(add, repeat(ns, ops), clock._now_ns)
-            return
-        global _fold
-        if ops >= len(_fold):
-            _fold = np.empty(2 * ops, dtype=np.float64)
-        acc = _fold[: ops + 1]
-        acc.fill(ns)
-        acc[0] = clock._now_ns
-        np.add.accumulate(acc, out=acc)
-        clock._now_ns = float(acc[-1])
+        node.clock._now_ns += ns
+
+    def _line_cost(self, node_id: int, region: Region) -> Tuple[float, float]:
+        """``(first, rest)``: one line's device latency and each further
+        line's bandwidth cost for ``node_id`` reaching ``region``."""
+        lat, is_global = self.latency, region.owner is None
+        hops, switches = self._path_cost(node_id, region)
+        first = lat.device_ns(is_global=is_global, hops=hops, switches=switches)
+        if region.device.kind is MemoryKind.PMEM:
+            return first + lat.pmem_extra_ns, self.line_size / lat.pmem_bw_bytes_per_ns
+        return first, lat.pipelined_line_ns(self.line_size, is_global=is_global)
 
     # -- bulk internals ----------------------------------------------------------------
 
-    def _bulk_epilogue(
-        self,
-        node_id: int,
-        addrs: Sequence[int],
-        size: int,
-        region: Region,
-        counter: Optional[str] = None,
-    ) -> None:
-        """Charge, count and atlas-touch a vectorized batch of ``len(addrs)``
-        ops of ``size`` bytes in ``region``: bypass bursts named ``counter``,
-        or atomics (``counter`` None).  The plan proved no fault, poison or
-        error is involved, so only the final clock value is observable."""
-        n, lat, node = len(addrs.idx if type(addrs) is SlotRef else addrs), self.latency, self.nodes[node_id]
+    def _held(self, node_id: int, ref: SlotRef, size: int, counter: Optional[str]) -> Optional[np.ndarray]:
+        """The window is the plan: its slots, with the batch of ``n`` ops
+        charged and counted as ``counter`` — bypass bursts at the window's
+        price, or atomics (``counter`` None) — or ``None`` for the loop of
+        single ops (DESIGN.md §10).  What moves only with the address map
+        or the fabric sits in the window's per-node price, so a batch checks
+        only what can change between two: its size and length, the issuer
+        alive, no fault armed for the region kind, no poison in the window."""
+        window, n = ref.window, len(ref.idx)
+        if window.generation != window.address_map.generation:
+            window.resolve()
+        fabric = self.fabric
+        if window.fabric_gen != fabric.generation:
+            window.fabric_gen, window.prices = fabric.generation, {}
+        prices = window.prices
+        if node_id not in prices:
+            prices[node_id] = self._price(node_id, window)
+        price = prices[node_id]
+        if price is None or size != window.size or n == 0:
+            return None
+        node, region = self.nodes[node_id], window.region
+        device, is_global = region.device, region.owner is None
+        if not node.alive or self.faults.armed[is_global] or (
+            device.poisoned and device.is_poisoned(window.offset, window.slots.nbytes)
+        ):
+            return None
         if counter is None:
-            is_global = region.owner is None
+            lat = self.latency
+            price = lat.global_atomic_ns if is_global else lat.local_atomic_ns
             counter = "atomic.global" if is_global else "atomic.local"
-            self._charge(node, 1, lat.global_atomic_ns if is_global else lat.local_atomic_ns, ops=n)
-        else:
-            self._charge(node, 0, 0.0, region, -(-size // self.line_size), 0.0, n)
+        clock = node.clock
+        clock._now_ns = fold_adds(clock._now_ns, price, n)
         if _TEL.enabled:
             _TEL.add(node_id, _SUB, counter, float(n))
         if _TEL.atlas is not None:
-            _TEL.atlas.touch_many(addrs.addrs() if type(addrs) is SlotRef else addrs, size)
+            _TEL.atlas.touch_many(ref.addrs(), size)
+        return window.slots
 
-    def _bulk_plan(
-        self, node_id: int, addrs: Union[Sequence[int], SlotRef], size: int
-    ) -> Optional[Tuple[Region, np.ndarray, np.ndarray]]:
-        """One window or the loop: ``(region, slots, idx)``, or ``None``.
-
-        A batch vectorizes when it is items ``idx`` of ``slots`` (device
-        bytes as ``size``-byte items) in one region the live issuing node
-        may access and reach, with no fault armed for that region kind and
-        no poisoned byte in the window.  A :class:`SlotRef` carries its window:
-        nothing is looked up, and the poison query covers the whole held
-        window (a superset of the batch's span: it can only choose the loop
-        more often).  An address vector goes through the gate: the span its
-        min/max bound, every address whole slots above the lowest.
-
-        ``None`` means only the loop of single ops preserves exact
-        semantics: a dead node (the raise), not one region the node may
-        touch (each op pays its own region's charge; an error must surface
-        at its op index, after the prior ops' side effects), an armed fault
-        (RNG draws and timestamps interleave per op), poison in the window
-        (the raise happens mid-batch with the clock mid-way), a global region
-        the issuer's severed port cannot reach (each op's charge raises
-        ``InterconnectError``: at op 0, before its write), not slots of
-        one table (a size other than the window's, addresses a fraction of
-        a slot apart), or addresses numpy cannot hold as an int64 vector.
-        """
-        node = self.nodes.get(node_id)
-        if node is None or not node.alive or size <= 0:
+    def _price(self, node_id: int, window: SlotWindow) -> Optional[float]:
+        """One bypass op's charge on a slot of ``window`` for ``node_id``, in
+        :meth:`_charge`'s float operations and order; ``None`` where each
+        bypass op must raise: no such node, no one region, another node's
+        memory, or a region out of the node's reach."""
+        region = window.region
+        if node_id not in self.nodes or region is None or region.owner not in (None, node_id):
             return None
-        if type(addrs) is SlotRef:
-            window, idx = addrs.window, addrs.idx
-            if window.generation != window.address_map.generation:
-                window.resolve()
-            region, offset, slots = window.region, window.offset, window.slots
-            if region is None or size != window.size or len(idx) == 0:
-                return None
-            if region.owner is not None and region.owner != node_id:
-                return None  # ProtectionError belongs to one op index
-            span = slots.nbytes
-        else:
-            try:
-                arr = np.asarray(addrs, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                return None
-            if arr.ndim != 1 or arr.shape[0] == 0:
-                return None
-            lo = int(arr.min())
-            span = int(arr.max()) + size - lo
-            try:
-                _, region, offset, _ = self._access(node_id, lo, span)
-            except MemoryError_:
-                return None  # the raise belongs to one op index
-            idx, within = np.divmod(arr - lo, size)
-            if within.any():
-                return None
-            slots = _slots(region.device, offset, span, size)
-        device, is_global = region.device, region.owner is None
-        if self.faults.armed[is_global] or (
-            device.poisoned and device.is_poisoned(offset, span)
-        ):
+        if region.owner is None and not self.fabric.reachable(node_id):
             return None
-        if is_global and not self.fabric.reachable(node_id):
-            return None
-        return region, slots, idx
+        first, rest = self._line_cost(node_id, region)
+        return first + (-(-window.size // self.line_size) - 1) * rest
 
-    def _bulk_atomic_plan(
-        self, node_id: int, addrs: Sequence[int]
-    ) -> Optional[Tuple[Region, np.ndarray, np.ndarray]]:
-        """Plan a batched atomic; ``None`` means go sequential.
-
-        On top of :meth:`_bulk_plan`'s rules, atomics also go sequential
-        on a misaligned address (the raise at its index), duplicate
-        addresses (chained read-modify-writes), or any touched line
-        resident in the issuing node's cache (the per-op invalidate is
-        observable in eviction order).
-        """
+    def _as_window(self, addrs: Sequence[int], size: int) -> Optional[SlotRef]:
+        """An address vector as slots of one window: every address whole
+        ``size``-byte slots above the lowest, the window the span they
+        cover.  ``None`` where they are not (addresses a fraction of a slot
+        apart) or numpy cannot hold them as an int64 vector."""
         try:
             arr = np.asarray(addrs, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
             return None
-        plan = self._bulk_plan(node_id, arr, 8)
-        if plan is None:
+        if arr.ndim != 1 or arr.shape[0] == 0 or size <= 0:
             return None
-        if int(arr[0]) % 8:
-            return None  # the plan's slots are whole words apart: one misaligned, all are
-        srt = np.sort(arr)
+        lo = int(arr.min())
+        idx, within = np.divmod(arr - lo, size)
+        if within.any():
+            return None
+        ref = SlotRef()
+        ref.window, ref.idx = SlotWindow(self.address_map, lo, (int(arr.max()) - lo) // size + 1, size), idx
+        return ref
+
+    def _atomic_window(self, node_id: int, addrs: Sequence[int]) -> Optional[SlotRef]:
+        """A batched atomic's words as slots of one window, or ``None`` to go
+        sequential: on top of :meth:`_held`'s rules, atomics also go
+        sequential on a misaligned address (the raise at its index),
+        duplicate addresses (chained read-modify-writes), or any touched
+        line resident in the issuing node's cache (the per-op invalidate is
+        observable in eviction order)."""
+        ref, node = self._as_window(addrs, 8), self.nodes.get(node_id)
+        if ref is None or node is None or ref.window.base % 8:
+            return None  # the slots are whole words apart: one misaligned, all are
+        srt = np.sort(ref.idx)
         if srt.shape[0] > 1 and bool(np.any(srt[1:] == srt[:-1])):
             return None  # duplicates: chained read-modify-writes
-        if self.nodes[node_id].cache.holds_any(arr):
+        if node.cache.holds_any(ref.addrs()):
             return None
-        return plan
+        return ref
 
     def _maybe_fault(self, region: Region, offset: int, size: int, node_id: int) -> None:
         faults = self.faults

@@ -111,6 +111,37 @@ def test_docs_check_names_a_planted_stale_bare_name(tmp_path):
     assert census.stale_doc_names(docs=[doc]) == ["DESIGN.md:2: PlantedMap", "DESIGN.md:2: Absent"]
 
 
+def test_docs_check_reads_a_code_span_wrapped_over_one_line_break(tmp_path):
+    """A span wrapped over one line break is one span, and the prose after
+    it is not code; no span crosses a blank line.  A run of backticks
+    closes on a run as long, so prose between two ``double`` spans is prose."""
+    census = _benchmarks_module("census")
+    doc = tmp_path / "DESIGN.md"
+    doc.write_text(
+        "A list `tenants: [{vni,\n"
+        "PlantedWrapped}]` then The prose, ``RackMachine`` and Prose, ``FlacOS``.\n"
+        "A `Stray\n"
+        "\n"
+        "Across` is nothing.\n"
+    )
+    assert census.stale_doc_names(docs=[doc]) == ["DESIGN.md:2: PlantedWrapped"]
+
+
+def test_docs_check_resolves_a_package_relative_path(tmp_path):
+    """``apps.redis.X`` is a path from ``src/repro``: ``X`` must be defined or
+    imported at the top of that module; a lower-case tail is a layer name,
+    and a path that does not start at a package of ours is not checked."""
+    census = _benchmarks_module("census")
+    doc = tmp_path / "DESIGN.md"
+    doc.write_text(
+        "`apps.redis.MiniRedisServer`, `repro.rack.machine.SlotWindow`, `rack.SimClock` resolve;\n"
+        "`rack.machine.bulk.calls` is a layer and `np.random.Generator` is not ours;\n"
+        "`apps.redis.MiniRedis` is planted, and so is `rack.nosuch.Thing`.\n"
+    )
+    assert census.stale_doc_names(docs=[doc]) == [
+        "DESIGN.md:3: apps.redis.MiniRedis", "DESIGN.md:3: rack.nosuch.Thing"]
+
+
 def test_docs_check_names_a_planted_stale_roadmap_citation(tmp_path):
     """A citation of an item that is not under ``## Open items``, or is marked
     done there, is stale, in prose as in a ``src`` docstring, and so is an

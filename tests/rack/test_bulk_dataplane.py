@@ -18,7 +18,7 @@ import pytest
 
 from repro import telemetry
 from repro.rack import InterconnectError, NodeCrashedError, RackConfig, RackMachine
-from repro.rack import machine as machine_module
+from repro.rack.clock import fold_adds
 from repro.rack.machine import SlotWindow
 from repro.rack.memory import MemoryError_, MemoryKind, PhysicalMemory, Region
 from repro.rack.params import FaultModel
@@ -437,26 +437,19 @@ def test_slot_window_refuses_an_empty_or_negative_shape(n, size):
         SlotWindow(m.address_map, m.global_base, n, size)
 
 
-_SPLIT = machine_module._SHORT_FOLD
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 22, _SPLIT - 1, _SPLIT, _SPLIT + 1, 4095, 4096, 10_000])
-def test_reused_fold_buffer_is_the_fresh_left_fold(n, monkeypatch):
-    """The charge's batch fold — Python float adds below ``_SHORT_FOLD``
-    ops, the module's reused buffer (regrown past 4,096 ops) from there — is
-    ``np.full`` + ``np.add.accumulate`` and ``n`` single charges, float for
-    float, at charges and clocks where rounding moves the sum."""
-    monkeypatch.setattr(machine_module, "_fold", np.empty(4_097, dtype=np.float64))
+@pytest.mark.parametrize("n", [1, 2, 3, 22, 47, 48, 49, 4095, 4096, 10_000])
+def test_reused_fold_buffer_is_the_fresh_left_fold(n):
+    """The batch charge's fold (:func:`fold_adds`, which replaced the
+    reused numpy buffer) is ``np.full`` + ``np.add.accumulate`` and ``n``
+    single charges, float for float, at charges and clocks where rounding
+    moves the sum."""
     m = RackMachine(_config())
     node = m.nodes[0]
     for ns, start in ((340.0 + 1.0 / 3.0, 2439678.6666666665), (1.0 / 3.0, 2.0 ** 40 + 0.1)):
-        for _ in range(2):  # the second call folds over the first call's leftovers
-            node.clock._now_ns = start
-            m._charge(node, 1, ns, ops=n)
-            fresh = np.full(n + 1, ns, dtype=np.float64)
-            fresh[0] = start
-            assert m.now(0) == float(np.add.accumulate(fresh)[-1])
-        folded = m.now(0)
+        folded = fold_adds(start, ns, n)
+        fresh = np.full(n + 1, ns, dtype=np.float64)
+        fresh[0] = start
+        assert folded == float(np.add.accumulate(fresh)[-1])
         node.clock._now_ns = start
         for _ in range(n):
             m._charge(node, 1, ns)

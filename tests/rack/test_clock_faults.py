@@ -1,6 +1,14 @@
 """Tests for simulated clocks and the fault injector."""
 
+import functools
+import itertools
+import math
+import operator
+import struct
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.rack import (
     FaultKind,
@@ -13,6 +21,7 @@ from repro.rack import (
     UncorrectableMemoryError,
     rendezvous,
 )
+from repro.rack.clock import fold_adds
 from repro.rack.faults import FaultInjector
 from repro.rack.memory import Region
 
@@ -44,6 +53,29 @@ class TestSimClock:
     def test_rendezvous_needs_a_clock(self):
         with pytest.raises(ValueError):
             rendezvous()
+
+
+@settings(max_examples=2_000, deadline=None)
+@given(st.floats(0.0, 1e18), st.floats(0.0, 1e9) | st.integers(0, 9), st.integers(0, 300))
+@example(0.0, 5e-324, 300)                        # clock 0, subnormal steps
+@example(0.0, 2.0 ** -1060 / 3, 200)
+@example(2439678.6666666665, 64 / 24, 379)       # non-dyadic line costs
+@example(0.0, 64 / 24, 300)
+@example(1.0, 1, 64)                              # 0.5, 1.5 and 2.5 ulp: ties
+@example(1.0 + 2.0 ** -52, 3, 64)
+@example(1.0 + 2.0 ** -52, 5, 64)
+@example(2.0 ** 53 - 2.0, 1, 10)
+@example(1.0, 0.3, 300)                           # across several binades
+@example(2.0 ** 40 + 0.1, 2.0 ** 38 / 3, 40)
+@example(-1.0, 0.1, 30)                           # a negative clock: folded add by add
+def test_closed_form_fold_is_the_left_fold_of_single_adds(clock, ns, n):
+    """``fold_adds`` (the machine's batch charge) is, bit for bit, ``n``
+    float adds of ``ns`` to ``clock`` made one at a time, left to right.
+    An int ``ns`` is that many half ulps of the clock: the odd ones tie."""
+    if isinstance(ns, int):
+        ns = ns * math.ulp(clock) / 2
+    single = functools.reduce(operator.add, itertools.repeat(ns, n), clock)
+    assert struct.pack("<d", fold_adds(clock, ns, n)) == struct.pack("<d", single)
 
 
 class TestFaultInjector:

@@ -4,8 +4,9 @@ caught by ``tests/reference/test_reference_rack.py`` within its tier-1 budget.
     PYTHONPATH=src python tests/reference/mutants.py
 
 A mutant is one source edit of one method, patched into the imported class
-in memory; the state machine then runs with the test's own settings, minus
-shrinking.  Exits non-zero if any survive: an oracle gone blind fails here.
+(or of one function, into the module that calls it) in memory; the state
+machine then runs with the test's own settings, minus shrinking.  Exits
+non-zero if any survive: an oracle gone blind fails here.
 """
 
 import inspect
@@ -18,6 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 from hypothesis import Phase, settings  # noqa: E402
 from hypothesis.stateful import run_state_machine_as_test  # noqa: E402
 
+from repro.rack import machine as machine_module  # noqa: E402
 from repro.rack.cache import NodeCache  # noqa: E402
 from repro.rack.machine import RackMachine  # noqa: E402
 from tests.reference.test_reference_rack import RackVsReference  # noqa: E402
@@ -45,10 +47,10 @@ MUTANTS = [
      "region, offset = amap.resolve(addr, size)\n"
      "    self._tlb[node_id] = (self.nodes[node_id], region.base, region.base + region.size, region)\n"),
     ("evict the most recent line", C, "_insert", "popitem(last=False)", "popitem(last=True)"),
-    ("vectorize a batch over poison", M, "_bulk_plan",
-     "device.poisoned and device.is_poisoned(offset, span)", "False"),
-    ("vectorize atomics over a resident line", M, "_bulk_atomic_plan",
-     "self.nodes[node_id].cache.holds_any(arr)", "False"),
+    ("vectorize a batch over poison", M, "_held",
+     "device.poisoned and device.is_poisoned(window.offset, window.slots.nbytes)", "False"),
+    ("vectorize atomics over a resident line", M, "_atomic_window",
+     "node.cache.holds_any(ref.addrs())", "False"),
     ("write back without clearing poison", M, "_write_backing",
      "region.device.clear_poison(offset, size)", "None"),
     ("one read_backing call for a multi-line run under armed rates", M, "_read_backing",
@@ -67,8 +69,8 @@ MUTANTS = [
     ("drop an atomic's atlas touch", M, "_atomic_record", "_TEL.atlas.touch(addr, 8)", "None"),
     ("drop the write-back count", M, "_write_back",
      '_TEL.count(node_id, _SUB, "cache.writeback_lines", written)', "None"),
-    ("vectorize a batch whose issuer's port is severed", M, "_bulk_plan",
-     "is_global and not self.fabric.reachable(node_id)", "False"),
+    ("vectorize a batch whose issuer's port is severed", M, "_price",
+     "region.owner is None and not self.fabric.reachable(node_id)", "False"),
     ("the one-line miss skips stats.misses", C, "load",
      "self.stats.misses += 1\n        return buf", "return buf"),
     ("the resident-run store leaves a line clean", C, "store",
@@ -83,8 +85,12 @@ MUTANTS = [
      "slots[idx] = rows.take(idx)", "slots[np.sort(idx)] = rows.take(idx)"),
     ("a held store reads the row table as the batch's packed rows", M, "store_many",
      "slots[idx] = rows.take(idx)", "slots[idx] = rows[: len(idx)]"),
-    ("a held store's fold charges one op fewer", M, "store_many",
-     '_bulk_epilogue(node_id, addrs, size,', '_bulk_epilogue(node_id, addrs.window.at(addrs.idx[1:]), size,'),
+    ("a held batch's fold charges one op fewer", M, "_held",
+     "fold_adds(clock._now_ns, price, n)", "fold_adds(clock._now_ns, price, n - 1)"),
+    ("a window price reused across a fabric generation change", M, "_held",
+     "if window.fabric_gen != fabric.generation:", "if window.fabric_gen is None:"),
+    ("a fold that returns clock + n * ns", machine_module, "fold_adds",
+     "return (m + n * d) * u", "return clock + n * ns"),
     ("a held store's loop writes its rows in sorted-slot order", M, "store_many",
      "for k in addrs.idx.tolist()]", "for k in sorted(addrs.idx.tolist())]"),
 ]

@@ -319,12 +319,14 @@ class RackVsReference(RuleBasedStateMachine):
     @rule(node=nodes, place=places, n=st.integers(1, 8), slot=st.sampled_from([8, 64]), count=counts)
     def flap(self, node, place, n, slot, count):
         """Take a node's fabric port down, drive it — a bypass store and load
-        on a held window in the pool, a cached load and store of ``count``
-        lines, a flush, an atomic, ``flush_all`` — and bring the port back."""
+        on a window in the pool held (and loaded once) while the port was up,
+        a cached load and store of ``count`` lines, a flush, an atomic,
+        ``flush_all`` — and bring the port back."""
         node = self._node(node)
         addr, size = self._addr(node, place, 8), count * LINE // 2
-        self._same(node, "sever_node_link")
         self._held(GLOBAL_BASE + addr % POOL, n, slot)
+        self._through(node, 1, False)
+        self._same(node, "sever_node_link")
         self._through(node, count, True)
         self._through(node, count, False)
         for op, *args in (("load", addr, size), ("store", addr, self._payload(size)), ("flush", addr, size),

@@ -13,7 +13,8 @@ exactly from run to run, and counting only frames whose code lives under
   calling back into Python and 37,814 after (E49: a tuple-keyed event heap,
   one context per node, a slot count read from its index vector, a fabric
   route cached by node id), 37,767 with links that bank no saturated
-  windows (E51); a change that re-adds a per-batch pass fails
+  windows (E51), 33,975 with a held window's per-node price and a
+  closed-form clock fold (E53); a change that re-adds a per-batch pass fails
   here instead of waiting for a ±7% wall-clock number to notice.
 * ``incidents-observed`` (first scenario, every telemetry sink on): 72,348
   while each atlas drain folded the line sketch nobody read (7,191 evicting
@@ -21,13 +22,17 @@ exactly from run to run, and counting only frames whose code lives under
   60,582 after E28, 60,236 after E29, 57,944 with one reader of the dump
   (E31), 53,461 with no anomaly detectors and no per-window histogram
   deltas (E44), 49,817 before E49, 43,790 after and 43,754 with links
-  that bank no saturated windows (E51).
+  that bank no saturated windows (E51), 42,223 after E53.
 * ``redis-closed`` (the Fig. 4 path, 1,200 closed-loop requests, single ops
   only): 212,302 while a cached miss passed the gate twice and a line burst
   was priced by a chain of charge helpers, 209,465 with one gate and one
   charge (E29), 142,865 with the hit verdict read inline and one-pass line
-  runs (E37); a re-gate costs ~2,700 calls here, a returning charge helper
-  ~4,000.
+  runs (E37), 139,265 since; a re-gate costs ~2,700 calls here, a returning
+  charge helper ~4,000.
+* ``traffic-read`` (4 tenants, 100,257 offered requests in 245 batches):
+  11,417 while a held window's batch re-ran the bulk plan, its epilogue
+  and the charge memo, 9,947 with the window's per-node price and the
+  batch charge one closed-form fold (E53).
 
 **Bytecodes.**  Python opcode events (``sys.settrace`` with
 ``f_trace_opcodes``) per Fig. 4 request, over 100 warm ``SET`` + ``GET``
@@ -49,7 +54,9 @@ one smoke ``traffic-read`` rep (4 tenants, 100,257 offered requests in 245
 batches): a tenant's slab is a window resolved once (EXPERIMENTS E28), so
 a batch sorts nothing — ``ndarray.argsort`` 245 → 0 — and reduces only
 its index bound and the engine's own sums — ``ufunc.reduce`` 1,968 → 996.
-A per-batch min/max or last-writer sort coming back is +245 or more.  On
+A per-batch min/max or last-writer sort coming back is +245 or more.  The
+batch charge folds its clock in closed form, with no array (EXPERIMENTS
+E53): ``ufunc.accumulate`` 961 → 515, the arrivals' and the queue model's.  On
 one smoke ``traffic-write`` rep (2 tenants, 40,094 offered requests), a SET
 batch hands over its tenant's row table and runs no last-writer pass
 (EXPERIMENTS E42): ``ufunc.at`` 318 → 0, ``ndarray.take`` 1,053 → 477.
@@ -129,18 +136,18 @@ def _profiled_smoke_rep(name):
 def test_chaos_quiet_rep_stays_inside_its_call_budget():
     outcome, calls = _one_smoke_rep("chaos-quiet")
     assert (outcome.offered, outcome.detail["events_dispatched"]) == (20_020, 738)
-    assert calls <= 38_145, (
+    assert calls <= 34_315, (
         f"{calls:,} Python calls under src/repro for one chaos-quiet smoke rep "
-        f"(ceiling 38,145): a per-batch pass came back"
+        f"(ceiling 34,315): a per-batch pass came back"
     )
 
 
 def test_incidents_observed_rep_stays_inside_its_call_budget():
     outcome, calls = _one_smoke_rep("incidents-observed")
     assert outcome.offered == 6_065
-    assert calls <= 44_192, (
+    assert calls <= 42_645, (
         f"{calls:,} Python calls under src/repro for one incidents-observed smoke "
-        f"rep (ceiling 44,192): an observation cost nobody reads came back"
+        f"rep (ceiling 42,645): an observation cost nobody reads came back"
     )
 
 
@@ -164,9 +171,9 @@ def test_chaos_quiet_rep_calls_back_into_python_only_where_numpy_must():
 def test_redis_closed_rep_stays_inside_its_call_budget():
     outcome, calls = _one_smoke_rep("redis-closed")
     assert outcome.offered == 1_200
-    assert calls <= 144_294, (
+    assert calls <= 140_657, (
         f"{calls:,} Python calls under src/repro for one redis-closed smoke rep "
-        f"(ceiling 144,294): a second gate or a charge helper came back"
+        f"(ceiling 140,657): a second gate or a charge helper came back"
     )
 
 
@@ -228,6 +235,17 @@ def _builtin(stats, method):
 def test_traffic_read_rep_sorts_nothing_and_reduces_once_per_reference():
     outcome, stats = _profiled_smoke_rep("traffic-read")
     assert outcome.offered == 100_257
+    calls = sum(n_calls for (filename, _line, _name), (_prim, n_calls, *_) in stats.items()
+                if filename.startswith(SRC))
+    assert calls <= 10_046, (
+        f"{calls:,} Python calls under src/repro for one traffic-read smoke rep "
+        f"(ceiling 10,046): a held window's batch re-derives its plan again"
+    )
+    accumulates = _builtin(stats, "'accumulate' of 'numpy.ufunc'")
+    assert accumulates <= 540, (
+        f"{accumulates:,} ufunc.accumulate calls for one traffic-read smoke rep (515 "
+        f"when written, 961 with an array clock fold): the batch charge builds an array again"
+    )
     assert _builtin(stats, "'argsort' of 'numpy.ndarray'") == 0, "a per-batch sort came back"
     reduces = _builtin(stats, "'reduce' of 'numpy.ufunc'")
     assert reduces <= 1_045, (
