@@ -48,6 +48,9 @@ from ..telemetry import TELEMETRY as _TEL
 
 #: Atomics act on aligned little-endian 8-byte words: their codec and wrap mask.
 _U64, _MASK64 = struct.Struct("<Q"), (1 << 64) - 1
+#: A poisoned access retries after a claimed repair at most this many times,
+#: backing off ``attempt * REPAIR_BACKOFF_NS`` before each re-check.
+REPAIR_MAX_RETRIES, REPAIR_BACKOFF_NS = 3, 500.0
 
 #: Telemetry subsystem for the data plane (metric naming convention:
 #: DESIGN.md §8); each op kind records in one place (DESIGN.md §3).
@@ -61,8 +64,8 @@ _INT64 = np.dtype(np.int64)
 
 class SlotRef:
     """Slots ``idx`` of ``window``: made by :meth:`SlotWindow.at` (or from an
-    address vector by :meth:`RackMachine._as_window`), accepted wherever
-    ``load_many`` / ``store_many`` take addresses."""
+    address vector by :meth:`RackMachine._as_window`); ``store_many`` takes
+    one, and ``load_many`` takes one wherever it takes addresses."""
 
     __slots__ = ("window", "idx")
 
@@ -76,29 +79,23 @@ class SlotRef:
 
 class SlotWindow:
     """``n`` consecutive ``size``-byte slots at physical ``base``, resolved
-    once per ``AddressMap.generation`` to ``region``, device ``offset`` and
-    ``slots`` (:func:`_slots` of exactly those bytes, items of dtype
-    ``item``); ``region`` is ``None`` while the span is not one mapped
-    window.  ``prices`` holds one bypass op's charge per issuing node
-    (``None``: the loop), for one resolve and one ``fabric_gen``.
-    (DESIGN.md §10)"""
+    once, when it is made (the address map never changes), to ``region``,
+    device ``offset`` and ``slots`` (:func:`_slots` of exactly those bytes,
+    items of dtype ``item``); ``region`` is ``None`` when the span is not
+    one mapped window.  ``prices`` holds one bypass op's charge per issuing
+    node (``None``: the loop), for one ``fabric_gen``.  (DESIGN.md §10)"""
 
-    __slots__ = ("address_map", "base", "n", "size", "item", "generation", "region", "offset",
-                 "slots", "fabric_gen", "prices")
+    __slots__ = ("base", "n", "size", "item", "region", "offset", "slots", "fabric_gen", "prices")
 
     def __init__(self, address_map: AddressMap, base: int, n: int, size: int) -> None:
         if n < 1 or size < 1:
             raise ValueError(f"a slot window needs n >= 1 and size >= 1, got n={n} size={size}")
-        self.address_map, self.base, self.n, self.size = address_map, base, n, size
+        self.base, self.n, self.size, span = base, n, size, n * size
         self.item = np.dtype((np.void, size))
-        self.resolve()
-
-    def resolve(self) -> None:
-        amap, span = self.address_map, self.n * self.size
-        self.generation, self.fabric_gen, self.prices = amap.generation, None, {}
+        self.fabric_gen, self.prices = None, {}
         try:
-            self.region, self.offset = amap.resolve(self.base, span)
-            self.slots = _slots(self.region.device, self.offset, span, self.size)
+            self.region, self.offset = address_map.resolve(base, span)
+            self.slots = _slots(self.region.device, self.offset, span, size)
         except MemoryError_:
             self.region = self.offset = self.slots = None
 
@@ -148,9 +145,8 @@ class RackMachine:
         # -- data-plane state (see DESIGN.md §3) ----------------------------
         self._line_mask = cfg.cache_line_size - 1
         # Software TLB: per-node (node, base, end, region) of the last region
-        # resolved, dropped when the address map's generation moves.
+        # resolved; the address map is fixed, so an entry never goes stale.
         self._tlb: Dict[int, Tuple[Node, int, int, Region]] = {}
-        self._tlb_gen = self.address_map.generation
         # (region, clean) from the gate of the op now calling a node's cache:
         # its backing reader and writer act under it instead of gating again.
         self._verdict: Tuple[Region, bool] = (self.address_map.regions[-1], False)
@@ -165,8 +161,6 @@ class RackMachine:
         # memory traffic from recursing into another repair.
         self._repair_handler: Optional[Callable[[int, int], bool]] = None
         self._in_repair = False
-        self.repair_max_retries = 3
-        self.repair_backoff_ns = 500.0
         # -- crash hooks (flight recorder et al.) ---------------------------
         # Called as hook(node_id, now_ns) *after* the node is dead and the
         # crash is in the fault log, so observers see the final state.
@@ -236,8 +230,7 @@ class RackMachine:
         op has completed; the cached charge comes after both.  The gate's
         hit verdict is read from the node's TLB entry (DESIGN.md §3)."""
         node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
-        if (base <= addr and addr + size <= end and 0 < size and node.alive
-                and self.address_map.generation == self._tlb_gen):  # _access, inline
+        if base <= addr and addr + size <= end and 0 < size and node.alive:  # _access, inline
             offset = addr - base
             clean = not (region.device.poisoned or self.faults.armed[region.owner is None])
         else:
@@ -314,8 +307,7 @@ class RackMachine:
         """Coherent (cache-bypassing) word load; a word the hit verdict passes stays here."""
         node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
         if (not addr & 7 and base <= addr and addr + 8 <= end and node.alive
-                and self.address_map.generation == self._tlb_gen and not (region.device.poisoned
-                or self.faults.armed[region.owner is None])):
+                and not (region.device.poisoned or self.faults.armed[region.owner is None])):
             lat = self.latency
             self._charge(node, 1, lat.local_atomic_ns if region.owner is not None else lat.global_atomic_ns)
             if _TEL.enabled or _TEL.atlas is not None:
@@ -329,8 +321,7 @@ class RackMachine:
         """Coherent (cache-bypassing) word store; the hit path is :meth:`atomic_load`'s."""
         node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
         if (not addr & 7 and base <= addr and addr + 8 <= end and node.alive
-                and self.address_map.generation == self._tlb_gen and not (region.device.poisoned
-                or self.faults.armed[region.owner is None])):
+                and not (region.device.poisoned or self.faults.armed[region.owner is None])):
             lat = self.latency
             self._charge(node, 1, lat.local_atomic_ns if region.owner is not None else lat.global_atomic_ns)
             if _TEL.enabled or _TEL.atlas is not None:
@@ -380,62 +371,34 @@ class RackMachine:
         buf = slots.take(ref.idx).tobytes()
         return buf if concat else _split(buf, size)
 
-    def store_many(
-        self,
-        node_id: int,
-        addrs: Sequence[int],
-        data: Union[Sequence[bytes], bytes],
-        *,
-        bypass_cache: bool = False,
-        size: Optional[int] = None,
-    ) -> None:
-        """Write ``data[i]`` at ``addrs[i]`` (scatter write).
-
-        ``data`` is one payload per address, or — when ``size`` is given
-        — a single packed buffer of ``len(addrs) * size`` bytes (``bytes``
-        or a flat uint8 array; the write-side twin of
-        ``load_many(..., concat=True)``).  Given a :class:`SlotRef`, ``data``
-        is the window's row table instead: ``n * size`` bytes, ``size`` the
-        slot size, and op ``i`` writes row ``idx[i]`` into slot ``idx[i]``.
-        Equivalent to a loop of :meth:`store`; a bypass batch on a clean
-        window is one scatter.  Per-payload batches need not share one size.
+    def store_many(self, node_id: int, ref: SlotRef, table) -> None:
+        """Write slots ``ref.idx`` of a held window non-temporally (scatter
+        write) from the window's whole row table: ``n * size`` bytes (``bytes``
+        or a flat uint8 array), op ``i`` writing row ``idx[i]`` into slot
+        ``idx[i]``, so repeated slots need no last-writer pass.  Equivalent
+        to a loop of bypass :meth:`store`; a batch on a clean window is one
+        scatter, a table of any other length a ``ValueError`` before any op.
         """
-        if type(addrs) is SlotRef:
-            window = addrs.window
-            if size != window.size or len(data) != window.n * size:
-                raise ValueError(
-                    f"store_many on a window of {window.n} x {window.size}B slots got size "
-                    f"{size} and a row table of {len(data)} bytes"
-                )
-            try:  # a table numpy cannot view as rows in place goes to the loop
-                rows = np.frombuffer(data, dtype=window.item) if bypass_cache else None
-            except (TypeError, ValueError, BufferError):
-                rows = None
-            slots = None if rows is None else self._held(node_id, addrs, size, "bypass.store")
-            if slots is not None:
-                # a slot's writers all write its one row, so the order numpy
-                # assigns repeats in cannot matter; the window proved no poison
-                # in it, so skipping per-op clear_poison is exact
-                idx = addrs.idx
-                slots[idx] = rows.take(idx)
-                return
-            table = bytes(data)
-            data = [table[k * size : (k + 1) * size] for k in addrs.idx.tolist()]
-        elif size is None:
-            if len(data) != len(addrs):
-                raise ValueError(f"store_many got {len(addrs)} addresses but {len(data)} payloads")
-        else:
-            n = len(addrs)
-            if size <= 0:
-                raise ValueError("packed store_many needs a positive size")
-            if len(data) != n * size:
-                raise ValueError(
-                    f"store_many got {n} addresses but a packed buffer of "
-                    f"{len(data)} bytes (need {n * size})"
-                )
-            data = _split(bytes(data), size)
-        for a, d in zip(_ints(addrs), data):
-            self.store(node_id, a, d, bypass_cache=bypass_cache)
+        window = ref.window
+        size = window.size
+        if len(table) != window.n * size:
+            raise ValueError(f"store_many on a window of {window.n} x {size}B slots got "
+                             f"a row table of {len(table)} bytes")
+        try:  # a table numpy cannot view as rows in place goes to the loop
+            rows = np.frombuffer(table, dtype=window.item)
+        except (TypeError, ValueError, BufferError):
+            rows = None
+        slots = None if rows is None else self._held(node_id, ref, size, "bypass.store")
+        if slots is not None:
+            # a slot's writers all write its one row, so the order numpy
+            # assigns repeats in cannot matter; the window proved no poison
+            # in it, so skipping per-op clear_poison is exact
+            idx = ref.idx
+            slots[idx] = rows.take(idx)
+            return
+        table = bytes(table)
+        for a, k in zip(ref.addrs().tolist(), ref.idx.tolist()):
+            self.store(node_id, a, table[k * size : (k + 1) * size], bypass_cache=True)
 
     def copy(
         self, node_id: int, dst: int, src: int, size: int, *, bypass_cache: bool = False
@@ -489,41 +452,23 @@ class RackMachine:
             return [self.atomic_load(node_id, a) for a in addrs]
         return slots.take(ref.idx).view("<u8").tolist()
 
-    def atomic_store_many(
-        self,
-        node_id: int,
-        addrs: Sequence[int],
-        values: Union[int, Sequence[int]],
-    ) -> None:
-        """Batched :meth:`atomic_store` (coherent scatter write).
-
-        ``values`` may be one int (broadcast — the shape of every region
-        format loop) or a parallel sequence.  Same window and fallbacks as
-        :meth:`atomic_load_many`; a batch refused is issued as the loop of
-        single stores it stands for.
+    def atomic_store_many(self, node_id: int, addrs: Sequence[int], value: int) -> None:
+        """Batched :meth:`atomic_store` of one ``value`` to every word
+        (coherent broadcast write: the shape of every region format loop).
+        Same window and fallbacks as :meth:`atomic_load_many`; a batch
+        refused is issued as the loop of single stores it stands for.
         """
-        n = len(addrs)
-        if n == 0:
+        if len(addrs) == 0:
             return
-        scalar = isinstance(values, int)
-        if not scalar and len(values) != n:
-            raise ValueError(f"{n} addresses but {len(values)} values")
-        ref = self._atomic_window(node_id, addrs)
-        if ref is not None:
-            try:
-                # masked in Python: sentinels like 2**64 - 1 overflow int64
-                if scalar:
-                    v_arr = np.full(n, values & _MASK64, dtype="<u8")
-                else:
-                    v_arr = np.array([v & _MASK64 for v in values], dtype="<u8")
-            except TypeError:
-                ref = None  # the single op raises at that value's index
+        # a value that is no int goes to the loop, which raises at op 0
+        ref = self._atomic_window(node_id, addrs) if isinstance(value, int) else None
         slots = None if ref is None else self._held(node_id, ref, 8, None)
         if slots is None:
-            for a, v in zip(addrs, [values] * n if scalar else values):
-                self.atomic_store(node_id, a, v)
+            for a in addrs:
+                self.atomic_store(node_id, a, value)
             return
-        slots[ref.idx] = v_arr.view(slots.dtype)  # _atomic_window proved idx unique
+        # _atomic_window proved idx unique; masked in Python: 2**64 - 1 overflows int64
+        slots[ref.idx] = np.full(len(ref.idx), value & _MASK64, dtype="<u8").view(slots.dtype)
 
     def atomic_cas_many(
         self,
@@ -681,8 +626,7 @@ class RackMachine:
         device); callers enter them, in that order, only when not clean.
         """
         node, base, end, region = self._tlb.get(node_id, _TLB_EMPTY)
-        if (base <= addr and addr + size <= end and 0 < size and node.alive
-                and self.address_map.generation == self._tlb_gen):
+        if base <= addr and addr + size <= end and 0 < size and node.alive:
             offset = addr - base
         else:
             node = self._node(node_id)
@@ -696,14 +640,9 @@ class RackMachine:
 
         The TLB memoizes the last region each node touched; only regions
         the node may legally access are ever memoized, so a probe hit in
-        :meth:`_access` needs no protection re-check.  Every memo drops
-        when the address map changes.
+        :meth:`_access` needs no protection re-check.
         """
-        amap = self.address_map
-        if amap.generation != self._tlb_gen:
-            self._tlb.clear()
-            self._tlb_gen = amap.generation
-        region, offset = amap.resolve(addr, size)
+        region, offset = self.address_map.resolve(addr, size)
         if region.owner is not None and region.owner != node_id:
             raise ProtectionError(
                 f"node {node_id} cannot access node {region.owner}'s local memory at {addr:#x}"
@@ -792,13 +731,11 @@ class RackMachine:
         """The window is the plan: its slots, with the batch of ``n`` ops
         charged and counted as ``counter`` — bypass bursts at the window's
         price, or atomics (``counter`` None) — or ``None`` for the loop of
-        single ops (DESIGN.md §10).  What moves only with the address map
-        or the fabric sits in the window's per-node price, so a batch checks
-        only what can change between two: its size and length, the issuer
-        alive, no fault armed for the region kind, no poison in the window."""
+        single ops (DESIGN.md §10).  What moves only with the fabric sits in
+        the window's per-node price, so a batch checks only what can change
+        between two: its size and length, the issuer alive, no fault armed
+        for the region kind, no poison in the window."""
         window, n = ref.window, len(ref.idx)
-        if window.generation != window.address_map.generation:
-            window.resolve()
         fabric = self.fabric
         if window.fabric_gen != fabric.generation:
             window.fabric_gen, window.prices = fabric.generation, {}
@@ -896,7 +833,7 @@ class RackMachine:
             # self-healing pipeline, back off, and re-check.  The guard
             # stops the handler's own reads from re-entering this path.
             node = self.nodes.get(node_id)
-            for attempt in range(1, self.repair_max_retries + 1):
+            for attempt in range(1, REPAIR_MAX_RETRIES + 1):
                 victims = device.poisoned_in(offset, size)
                 if not victims:
                     return
@@ -908,7 +845,7 @@ class RackMachine:
                 finally:
                     self._in_repair = False
                 if node is not None:
-                    self._charge(node, attempt, self.repair_backoff_ns)
+                    self._charge(node, attempt, REPAIR_BACKOFF_NS)
                 if not repaired:
                     break
             if not device.is_poisoned(offset, size):
@@ -993,20 +930,11 @@ class NodeContext:
             self.node_id, addrs, size, bypass_cache=bypass_cache, concat=concat
         )
 
-    def store_many(
-        self,
-        addrs: Sequence[int],
-        data: Union[Sequence[bytes], bytes],
-        *,
-        bypass_cache: bool = False,
-        size: Optional[int] = None,
-    ) -> None:
-        self.machine.store_many(
-            self.node_id, addrs, data, bypass_cache=bypass_cache, size=size
-        )
+    def store_many(self, ref: SlotRef, table) -> None:
+        self.machine.store_many(self.node_id, ref, table)
 
-    def atomic_store_many(self, addrs: Sequence[int], values: Union[int, Sequence[int]]) -> None:
-        self.machine.atomic_store_many(self.node_id, addrs, values)
+    def atomic_store_many(self, addrs: Sequence[int], value: int) -> None:
+        self.machine.atomic_store_many(self.node_id, addrs, value)
 
     # atomics
     def cas(self, addr: int, expected: int, new: int) -> Tuple[bool, int]:

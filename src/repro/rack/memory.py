@@ -15,7 +15,7 @@ import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,34 +175,29 @@ class Region:
 class AddressMap:
     """Maps rack-wide physical addresses to (region, device offset).
 
-    Lookup is a binary search over the sorted region bases.  ``generation``
-    increments whenever the region set changes, so callers holding
-    resolution memos (the machine's software TLB) know when to drop them.
+    The regions are fixed when the map is built: the rack's layout is
+    hardware, described once at boot (§2.1, §5), so a resolution held
+    anywhere (the machine's software TLB, a slot window) never goes
+    stale.  Lookup is a binary search over the sorted region bases.
     """
 
-    def __init__(self) -> None:
-        self._regions: List[Region] = []
-        self._bases: List[int] = []
-        #: Bumped on every region change; memo holders compare-and-drop.
-        self.generation = 0
-
-    def add_region(self, region: Region) -> None:
-        if region.size > region.device.size:
-            # a resolved window must lie inside the device's buffer
-            raise ValueError(
-                f"region of {region.size} B is larger than its device "
-                f"{region.device.name!r} ({region.device.size} B)"
-            )
-        for existing in self._regions:
-            if region.base < existing.end and existing.base < region.end:
+    def __init__(self, regions: Sequence[Region]) -> None:
+        #: Every mapped region, sorted by base.
+        self.regions: Tuple[Region, ...] = tuple(sorted(regions, key=lambda r: r.base))
+        for region in self.regions:
+            if region.size > region.device.size:
+                # a resolved window must lie inside the device's buffer
                 raise ValueError(
-                    f"region [{region.base:#x},{region.end:#x}) overlaps "
-                    f"[{existing.base:#x},{existing.end:#x})"
+                    f"region of {region.size} B is larger than its device "
+                    f"{region.device.name!r} ({region.device.size} B)"
                 )
-        self._regions.append(region)
-        self._regions.sort(key=lambda r: r.base)
-        self._bases = [r.base for r in self._regions]
-        self.generation += 1
+        for below, above in zip(self.regions, self.regions[1:]):
+            if above.base < below.end:
+                raise ValueError(
+                    f"region [{above.base:#x},{above.end:#x}) overlaps "
+                    f"[{below.base:#x},{below.end:#x})"
+                )
+        self._bases = [r.base for r in self.regions]
 
     def resolve(self, addr: int, size: int = 1) -> Tuple[Region, int]:
         """Return the region containing ``[addr, addr+size)`` and its offset.
@@ -212,24 +207,20 @@ class AddressMap:
         """
         i = bisect_right(self._bases, addr) - 1
         if i >= 0:
-            region = self._regions[i]
+            region = self.regions[i]
             if addr + size <= region.base + region.size:
                 return region, addr - region.base
         raise OutOfRangeError(f"physical address {addr:#x} (+{size}) is unmapped")
-
-    @property
-    def regions(self) -> Tuple[Region, ...]:
-        return tuple(self._regions)
 
 
 def build_address_map(
     local_devices: Dict[int, PhysicalMemory], global_device: PhysicalMemory
 ) -> AddressMap:
     """Standard rack layout: node-local regions then the global pool."""
-    amap = AddressMap()
+    regions = []
     for node_id, dev in sorted(local_devices.items()):
         if dev.size > LOCAL_STRIDE:
             raise ValueError("local memory exceeds its address stride")
-        amap.add_region(Region(base=node_id * LOCAL_STRIDE, size=dev.size, device=dev, owner=node_id))
-    amap.add_region(Region(base=GLOBAL_BASE, size=global_device.size, device=global_device, owner=None))
-    return amap
+        regions.append(Region(base=node_id * LOCAL_STRIDE, size=dev.size, device=dev, owner=node_id))
+    regions.append(Region(base=GLOBAL_BASE, size=global_device.size, device=global_device, owner=None))
+    return AddressMap(regions)

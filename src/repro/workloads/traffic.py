@@ -258,12 +258,7 @@ class DataPlaneBackend:
         machine = self.kernel.machine
         window = SlotWindow(machine.address_map, slab, spec.n_keys, spec.value_size)
         self.windows[spec.name] = window
-        machine.context(spec.node).store_many(
-            window.at(np.arange(spec.n_keys)),
-            values.reshape(-1),
-            size=spec.value_size,
-            bypass_cache=True,
-        )
+        machine.context(spec.node).store_many(window.at(np.arange(spec.n_keys)), values.reshape(-1))
         st.backend_state = (slab, values)
 
     def run_batch(
@@ -275,8 +270,7 @@ class DataPlaneBackend:
         if len(gets):
             ctx.load_many(window.at(gets), size, bypass_cache=True, concat=True)
         if len(gets) < len(key_idx):
-            table = st.backend_state[1].reshape(-1)
-            ctx.store_many(window.at(key_idx[~is_get]), table, size=size, bypass_cache=True)
+            ctx.store_many(window.at(key_idx[~is_get]), st.backend_state[1].reshape(-1))
         return len(key_idx) * size
 
 

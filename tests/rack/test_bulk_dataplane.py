@@ -20,7 +20,7 @@ from repro import telemetry
 from repro.rack import InterconnectError, NodeCrashedError, RackConfig, RackMachine
 from repro.rack.clock import fold_adds
 from repro.rack.machine import SlotWindow
-from repro.rack.memory import MemoryError_, MemoryKind, PhysicalMemory, Region
+from repro.rack.memory import MemoryError_
 from repro.rack.params import FaultModel
 
 LINE = 64
@@ -49,16 +49,17 @@ def _state(m: RackMachine) -> dict:
     return out
 
 
-#: the address-form entry points of the bypass plane; a packed ``store`` given
-#: addresses is always the loop (DESIGN §10): the vector store is the slot form
-_KINDS = ("load", "store", "atomic_load", "atomic_store")
+#: the single ops a batch may reach, counted
+_SINGLES = ("load", "store", "atomic_load", "atomic_store")
+#: the address-form entry points of the bulk plane (the vector store is the slot form)
+_KINDS = ("load", "atomic_load", "atomic_store")
 
 
-def _issue(m, kind, batch, values, width, bulk):
+def _issue(m, kind, batch, value, width, bulk):
     """One node-0 batch through entry point ``kind``: its bulk form, or the
-    loop of single ops it stands for.  ``values`` feeds the atomic stores;
-    plain stores write payload ``i`` = byte ``i + 1`` repeated.  Atomics
-    act on 8-byte words whatever ``width`` the plain kinds are issued at."""
+    loop of single ops it stands for.  ``value`` is the atomic stores'
+    broadcast operand.  Atomics act on 8-byte words whatever ``width``
+    loads are issued at."""
     if kind == "load":
         if bulk:
             return m.load_many(0, batch, width, bypass_cache=True)
@@ -67,17 +68,9 @@ def _issue(m, kind, batch, values, width, bulk):
         if bulk:
             return m.atomic_load_many(0, batch)
         return [m.atomic_load(0, a) for a in batch]
-    if kind == "store":
-        payloads = [bytes([i + 1 & 0xFF]) * width for i in range(len(batch))]
-        if bulk:
-            return m.store_many(0, batch, b"".join(payloads), bypass_cache=True, size=width)
-        for a, payload in zip(batch, payloads):
-            m.store(0, a, payload, bypass_cache=True)
-        return None
     if bulk:
-        return m.atomic_store_many(0, batch, values)
-    per_op = [values] * len(batch) if isinstance(values, int) else values
-    for a, value in zip(batch, per_op):
+        return m.atomic_store_many(0, batch, value)
+    for a in batch:
         m.atomic_store(0, a, value)
 
 
@@ -89,7 +82,7 @@ def _watched(prepare, issue, faults=None):
     from repro.telemetry.atlas import enable_atlas
 
     singles = []
-    real = {op: getattr(RackMachine, op) for op in _KINDS}
+    real = {op: getattr(RackMachine, op) for op in _SINGLES}
 
     def counted(op):
         return lambda self, *a, **kw: (singles.append((op, a[1])), real[op](self, *a, **kw))[1]
@@ -100,7 +93,7 @@ def _watched(prepare, issue, faults=None):
         m = RackMachine(_config(faults))
         atlas = enable_atlas(m)
         prepared = prepare(m)
-        for op in _KINDS:
+        for op in _SINGLES:
             setattr(RackMachine, op, counted(op))
         try:
             outcome = ("ok", issue(m, prepared))
@@ -109,7 +102,7 @@ def _watched(prepare, issue, faults=None):
         counters = dict(telemetry.TELEMETRY.registry.counters)
         return singles, (outcome, counters, atlas.hot_pages(), atlas.pages.total, _state(m))
     finally:
-        for op in _KINDS:
+        for op in _SINGLES:
             setattr(RackMachine, op, real[op])
         telemetry.TELEMETRY.atlas = None
         telemetry.disable()
@@ -120,7 +113,6 @@ def _words(*slots):
     return lambda m: [m.global_base + 8 * i for i in slots]
 
 
-_PLAIN = ("load", "store")
 _ATOMIC = ("atomic_load", "atomic_store")
 
 
@@ -129,9 +121,9 @@ class _Row(NamedTuple):
     addrs: Callable  # machine -> batch addresses
     prepare: Callable = lambda m: None
     faults: Optional[FaultModel] = None
-    values: Optional[list] = None  # atomic-store operands (default: distinct ints)
+    value: object = 0x1100  # the atomic stores' broadcast operand
     loops: bool = True  # not one clean window: replays as the loop
-    widths: tuple = (8,)  # access sizes the plain kinds are issued at
+    widths: tuple = (8,)  # access sizes loads are issued at
 
 
 #: One row per reason a batch is not one clean window (DESIGN.md §10), then
@@ -143,23 +135,21 @@ _TAXONOMY = {
     "foreign_local": _Row(
         _KINDS, lambda m: [m.global_base, m.local_base(1) + 8, m.global_base + 16]),
     "unmapped": _Row(_KINDS, lambda m: [m.global_base, m.global_base + GSIZE, m.global_base + 8]),
-    "straddling": _Row(_PLAIN, lambda m: [m.global_base, m.global_base + GSIZE - 4]),
+    "straddling": _Row(("load",), lambda m: [m.global_base, m.global_base + GSIZE - 4]),
     "armed_fault": _Row(
         _KINDS, _words(*range(64)), faults=FaultModel(global_ce_rate=0.2, local_ce_rate=0.2)),
     "poison_in_span": _Row(_KINDS, _words(*range(12)), lambda m: m.global_mem.poison(8 * 5 + 3)),
     "address_numpy_cannot_hold": _Row(
         _KINDS, lambda m: [m.global_base, 1 << 70, m.global_base + 8]),
-    "partial_overlap": _Row(
-        ("store",), lambda m: [m.global_base, m.global_base + 64, m.global_base + 4]),
-    "value_numpy_cannot_hold": _Row(("atomic_store",), _words(0, 1, 2), values=[1, None, 3]),
+    "value_numpy_cannot_hold": _Row(("atomic_store",), _words(0, 1, 2), value=None),  # raises at op 0
     "duplicate": _Row(_ATOMIC, _words(0, 1, 2, 1, 3)),
     "misaligned": _Row(_ATOMIC, lambda m: [m.global_base, m.global_base + 17, m.global_base + 24]),
     "issuer_cached": _Row(_ATOMIC, _words(*range(12)), lambda m: m.load(0, m.global_base + 64, 8)),
-    "severed_port": _Row(_PLAIN, _words(*range(12)), lambda m: m.sever_node_link(0)),
-    "one_region_exact_duplicates": _Row(_PLAIN, _words(0, 1, 0, 2, 0), loops=False),
+    "severed_port": _Row(("load",), _words(*range(12)), lambda m: m.sever_node_link(0)),
+    "one_region_exact_duplicates": _Row(("load",), _words(0, 1, 0, 2, 0), loops=False),
     "a_fraction_of_a_slot_apart": _Row(("load",), lambda m: [m.global_base, m.global_base + 4]),
     "one_region_unique": _Row(_KINDS, _words(*range(12)), loops=False, widths=(1, 2, 4, 8)),
-    "value_past_int64_broadcast": _Row(("atomic_store",), _words(*range(12)), values=(1 << 64) - 1,
+    "value_past_int64_broadcast": _Row(("atomic_store",), _words(*range(12)), value=(1 << 64) - 1,
                                        loops=False),
     "one_region_unique_local": _Row(
         _KINDS, lambda m: [m.local_base(0) + 8 * i for i in range(12)], loops=False),
@@ -171,19 +161,16 @@ def test_one_window_or_the_loop(name):
     """Which path a batch takes, counted (not timed), for every address-form
     entry point: a batch that is not one clean window replays as the loop of
     single ops — same ops reached in the same order, same outcome, same
-    state — and a batch that is one issues no single op at all (the packed
-    store excepted: given addresses it is always the loop)."""
+    state — and a batch that is one issues no single op at all."""
     row = _TAXONOMY[name]
-    n = len(row.addrs(RackMachine(_config())))
-    values = row.values or list(range(0x1100, 0x1100 + n))
     for kind in row.kinds:
-        for width in row.widths if kind in _PLAIN else (8,):
+        for width in row.widths if kind == "load" else (8,):
             def issue(bulk):
-                return lambda m, batch: _issue(m, kind, batch, values, width, bulk)
+                return lambda m, batch: _issue(m, kind, batch, row.value, width, bulk)
             singles, bulk = _watched(lambda m: (row.prepare(m), row.addrs(m))[1], issue(True), row.faults)
             looped, loop = _watched(lambda m: (row.prepare(m), row.addrs(m))[1], issue(False), row.faults)
             assert bulk == loop, (kind, width)
-            assert looped and singles == (looped if row.loops or kind == "store" else []), (kind, width)
+            assert looped and singles == (looped if row.loops else []), (kind, width)
 
 
 def test_atomic_store_many_shapes():
@@ -191,10 +178,8 @@ def test_atomic_store_many_shapes():
     g = m.global_base
     m.atomic_store_many(0, [], 0)
     m.atomic_store_many(0, range(g, g + 64, 8), 7)  # any sized sequence of ints
-    m.context(0).atomic_store_many([g + 64, g + 72], [1, 2])
-    assert m.atomic_load_many(0, [g, g + 56, g + 64, g + 72]) == [7, 7, 1, 2]
-    with pytest.raises(ValueError):
-        m.atomic_store_many(0, [g, g + 8], [1])
+    m.context(0).atomic_store_many([g + 64, g + 72], 2)
+    assert m.atomic_load_many(0, [g, g + 56, g + 64, g + 72]) == [7, 7, 2, 2]
     with pytest.raises(ValueError, match="not 8-byte aligned"):
         m.atomic_store_many(0, [g + 4], 0)
 
@@ -236,15 +221,8 @@ def test_load_many_concat_and_empty():
     assert b"".join(parts) == packed == bytes(range(48))
     assert m.load_many(0, [], 8) == []
     assert m.load_many(0, [], 8, concat=True) == b""
-    m.store_many(0, [], [])
     assert m.atomic_fetch_add_many(0, [], 1) == []
     assert m.atomic_cas_many(0, [], [], []) == []
-    with pytest.raises(ValueError):
-        m.store_many(0, [g], [b"x", b"y"])
-    with pytest.raises(ValueError):
-        m.store_many(0, [g], b"\x00" * 7, size=8)
-    with pytest.raises(ValueError):
-        m.store_many(0, [g], b"", size=0)
     with pytest.raises(ValueError):
         m.atomic_fetch_add_many(0, [g], [1, 2])
     with pytest.raises(ValueError):
@@ -275,7 +253,7 @@ def _slot_call(m, window, op, idx, seed, slot_form, node=0, size=None):
     if slot_form:
         if op == "load":
             return m.load_many(node, window.at(idx), size, bypass_cache=True, concat=True)
-        return m.store_many(node, window.at(idx), rows.reshape(-1), size=size, bypass_cache=True)
+        return m.store_many(node, window.at(idx), rows.reshape(-1))
     addrs = [window.base + i * window.size for i in idx]
     if op == "load":
         return b"".join(m.load(node, a, size, bypass_cache=True) for a in addrs)
@@ -285,12 +263,6 @@ def _slot_call(m, window, op, idx, seed, slot_form, node=0, size=None):
 
 def _poison_slot(k):
     return lambda m, w: w.region.device.poison(w.offset + k * w.size + 3)
-
-
-def _map_another_region(m, w):
-    m.address_map.add_region(Region(
-        base=m.global_base + (1 << 38), size=4096,
-        device=PhysicalMemory(4096, MemoryKind.GLOBAL), owner=None))
 
 
 class _Held(NamedTuple):
@@ -319,14 +291,13 @@ _HELD = {
     # each op's charge raises: at op 0, before its write
     "severed_port": _Held(1, 1, "InterconnectError", "InterconnectError",
                           prepare=lambda m, w: m.sever_node_link(0)),
-    # a load replays as the loop; a store's row table names slots, so it is refused
+    # a load replays as the loop; a store's table of 4-byte rows is refused
     "size_other_than_the_slot_size": _Held(7, 0, store_error="ValueError", size=4),
     "empty_batch": _Held(0, 0, idx=()),
     "clean": _Held(0, 0),
     "clean_node_local": _Held(0, 0, owner=0),
     "poison_outside_the_window": _Held(
         0, 0, prepare=lambda m, w: w.region.device.poison(w.offset + w.n * w.size)),
-    "region_mapped_between_two_batches": _Held(0, 0, prepare=_map_another_region),
 }
 
 
@@ -334,8 +305,8 @@ _HELD = {
 def test_held_window_or_the_loop(name):
     """The held window's refusals, counted: each replays as the loop of
     single ops with the same ops reached, outcome and state; a clean window
-    issues none — also right after the address map's generation moved.  A
-    refused store issues nothing and leaves everything as it was."""
+    issues none.  A refused store issues nothing and leaves everything as
+    it was."""
     row = _HELD[name]
     for op, n_singles, error in (("load", row.single_loads, row.error),
                                  ("store", row.single_stores, row.store_error)):
@@ -358,17 +329,6 @@ def test_held_window_or_the_loop(name):
             assert slot[4]["faults"]  # the armed model did fire
 
 
-def test_moved_address_map_re_resolves_the_held_window():
-    m = RackMachine(_config())
-    window = _window(m, 16, 64)
-    generation, slots = window.generation, window.slots
-    _map_another_region(m, window)
-    m.store_many(0, window.at([3, 3]), _payload(1, 16, 64).reshape(-1), size=64, bypass_cache=True)
-    assert window.generation == m.address_map.generation == generation + 1
-    assert window.slots is not slots and window.slots.tobytes() == slots.tobytes()
-    assert m.load(0, window.base + 3 * 64, 64, bypass_cache=True) == _payload(1, 16, 64)[3].tobytes()
-
-
 def test_unmapped_window_is_the_loop_that_raises():
     m = RackMachine(_config())
     window = SlotWindow(m.address_map, m.global_base + GSIZE - 64, 16, 8)  # runs off the pool
@@ -389,45 +349,27 @@ def test_slot_index_outside_the_window_is_an_index_error(bad):
     with pytest.raises(IndexError):
         m.load_many(0, window.at([0, bad, 1]), 8, bypass_cache=True)
     with pytest.raises(IndexError):
-        m.store_many(0, window.at([bad]), b"\xff" * 256, size=8, bypass_cache=True)
+        m.store_many(0, window.at([bad]), b"\xff" * 256)
     assert _state(m) == before
     with pytest.raises(ValueError):
         window.at([[0, 1], [2, 3]])
 
 
-@pytest.mark.parametrize("table, size", [
-    (bytes(255), 8), (bytes(264), 8),  # one byte short, one row long
-    (bytes(16), 8),                    # the batch's rows packed: the old meaning of ``data``
-    (bytes(128), 4), (bytes(256), None),
+@pytest.mark.parametrize("table", [
+    bytes(255), bytes(264),  # one byte short, one row long
+    bytes(16),               # the batch's rows packed
+    bytes(128),              # a table of 4-byte rows
 ])
-def test_a_slot_store_of_anything_but_the_row_table_is_refused(table, size):
-    """A slot-form store takes the window's whole row table at its slot size:
-    anything else is a ``ValueError`` before any op, cached or bypass."""
+def test_a_slot_store_of_anything_but_the_row_table_is_refused(table):
+    """A slot-form store takes the window's whole row table at its slot
+    size: anything else is a ``ValueError`` before any op."""
     m = RackMachine(_config())
     window = _window(m, 32, 8)
     _slot_call(m, window, "store", range(32), 5, True)
     before = _state(m)
-    for bypass in (True, False):
-        with pytest.raises(ValueError, match="row table"):
-            m.store_many(0, window.at([0, 3]), table, size=size, bypass_cache=bypass)
+    with pytest.raises(ValueError, match="row table"):
+        m.store_many(0, window.at([0, 3]), table)
     assert _state(m) == before
-
-
-def test_a_cached_slot_store_is_the_loop_of_its_rows():
-    """Through the cache the slot form is the loop: op ``i`` stores row
-    ``idx[i]`` of the table into slot ``idx[i]``, once per op, in op order."""
-    idx, rows = [4, 1, 7, 1, 9, 4, 4], _payload(3, 32, 8)
-
-    def slot(m, w):
-        m.store_many(0, w.at(idx), rows.reshape(-1), size=8)
-
-    def loop(m, w):
-        for k in idx:
-            m.store(0, w.base + 8 * k, rows[k].tobytes())
-
-    singles, slotted = _watched(lambda m: _window(m, 32, 8), slot)
-    looped, loop_state = _watched(lambda m: _window(m, 32, 8), loop)
-    assert slotted == loop_state and singles == looped and len(singles) == len(idx)
 
 
 @pytest.mark.parametrize("n, size", [(0, 8), (-4, 8), (4, 0), (-4, -64)])
@@ -464,7 +406,7 @@ def test_empty_slot_batch_leaves_no_trace():
     try:
         m = RackMachine(_config())
         window = _window(m, 4, 8)
-        m.store_many(0, window.at([]), bytes(32), size=8, bypass_cache=True)
+        m.store_many(0, window.at([]), bytes(32))
         assert m.load_many(0, window.at([]), 8, bypass_cache=True, concat=True) == b""
         assert not telemetry.TELEMETRY.registry.counters and m.now(0) == 0.0
     finally:

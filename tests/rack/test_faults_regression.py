@@ -1,10 +1,8 @@
 """Regression tests for the fault injector and the indexed fault log."""
 
-import pytest
-
 from repro.rack import RackConfig, RackMachine
 from repro.rack.faults import FaultEvent, FaultInjector, FaultKind, FaultLog
-from repro.rack.memory import MemoryKind, OutOfRangeError, PhysicalMemory, Region
+from repro.rack.memory import MemoryKind, PhysicalMemory
 from repro.rack.params import FaultModel
 
 
@@ -111,39 +109,3 @@ class TestFaultLogIndex:
         inj.record_repair(0x1000, node_id=1, now_ns=5.0, detail="source=test")
         (event,) = log.events(FaultKind.REPAIR)
         assert event.addr == 0x1000 and event.detail == "source=test"
-
-
-def test_add_region_mid_run_drops_the_tlb_for_atomics_and_backing_closures(monkeypatch):
-    m = RackMachine(RackConfig(n_nodes=2))
-    g = m.global_base
-    resolves = []
-    resolve = m._resolve_fast
-    monkeypatch.setattr(m, "_resolve_fast", lambda *a: resolves.append(a) or resolve(*a))
-
-    def traffic():
-        m.atomic_fetch_add(0, g, 1)  # the atomic prologue
-        m.invalidate(0, g + 4096, 640)
-        m.load(0, g + 4096, 640)  # ten-line run: the backing reader
-        m.store(0, g + 8192, b"w" * 640)
-        m.flush(0, g + 8192, 640)  # ten-line run: the backing writer
-
-    traffic()
-    del resolves[:]
-    traffic()
-    assert resolves == []  # warm: every window comes out of the one-entry TLB
-    extra = PhysicalMemory(1 << 16, MemoryKind.GLOBAL, "extra")
-    late = g + m.global_size
-    with pytest.raises(OutOfRangeError):
-        m.atomic_load(0, late)
-    del resolves[:]
-    m.address_map.add_region(Region(base=late, size=extra.size, device=extra, owner=None))
-    traffic()
-    assert len(resolves) == 1 and m._tlb_gen == m.address_map.generation
-    # the new region is reachable through every path that resolves
-    m.atomic_store(0, late, 0xABCD)
-    assert extra.read(0, 2) == b"\xcd\xab"
-    m.store(0, late + 64, b"n" * 640)
-    m.flush(0, late + 64, 640)
-    assert extra.read(64, 640) == b"n" * 640
-    m.invalidate(0, late + 64, 640)
-    assert m.load(0, late + 64, 640) == b"n" * 640

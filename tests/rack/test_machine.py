@@ -14,6 +14,7 @@ from repro.rack import (
     RackMachine,
     UncorrectableMemoryError,
 )
+from repro.rack.machine import SlotWindow
 
 NAN, INF = float("nan"), float("inf")
 
@@ -301,21 +302,22 @@ class TestConfigValidation:
 
 
 #: Every NodeContext op that issues a machine op: (context method, the
-#: RackMachine op it reaches, arguments after the address base ``g``).
+#: RackMachine op it reaches, its arguments on machine ``m``).
 _DISPATCH = [
-    ("load", "load", lambda g: (g, 8)),
-    ("store", "store", lambda g: (g, b"x" * 8)),
-    ("load_many", "load_many", lambda g: ([g], 8)),
-    ("store_many", "store_many", lambda g: ([g], [b"x" * 8])),
-    ("atomic_store_many", "atomic_store_many", lambda g: ([g], 1)),
-    ("cas", "atomic_cas", lambda g: (g, 0, 1)),
-    ("fetch_add", "atomic_fetch_add", lambda g: (g, 1)),
-    ("swap", "atomic_swap", lambda g: (g, 1)),
-    ("atomic_load", "atomic_load", lambda g: (g,)),
-    ("atomic_store", "atomic_store", lambda g: (g, 1)),
-    ("flush", "flush", lambda g: (g, 8)),
-    ("invalidate", "invalidate", lambda g: (g, 8)),
-    ("fence", "fence", lambda g: ()),
+    ("load", "load", lambda m: (m.global_base, 8)),
+    ("store", "store", lambda m: (m.global_base, b"x" * 8)),
+    ("load_many", "load_many", lambda m: ([m.global_base], 8)),
+    ("store_many", "store_many",
+     lambda m: (SlotWindow(m.address_map, m.global_base, 1, 8).at([0]), b"x" * 8)),
+    ("atomic_store_many", "atomic_store_many", lambda m: ([m.global_base], 1)),
+    ("cas", "atomic_cas", lambda m: (m.global_base, 0, 1)),
+    ("fetch_add", "atomic_fetch_add", lambda m: (m.global_base, 1)),
+    ("swap", "atomic_swap", lambda m: (m.global_base, 1)),
+    ("atomic_load", "atomic_load", lambda m: (m.global_base,)),
+    ("atomic_store", "atomic_store", lambda m: (m.global_base, 1)),
+    ("flush", "flush", lambda m: (m.global_base, 8)),
+    ("invalidate", "invalidate", lambda m: (m.global_base, 8)),
+    ("fence", "fence", lambda m: ()),
 ]
 
 
@@ -338,5 +340,5 @@ class TestDispatch:
             return real(self, node_id, *rest, **kw)
 
         monkeypatch.setattr(RackMachine, op, spy)
-        getattr(ctx, method)(*args(machine.global_base))
+        getattr(ctx, method)(*args(machine))
         assert seen[:1] == [1], f"NodeContext.{method} did not reach the patched RackMachine.{op}"

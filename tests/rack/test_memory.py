@@ -192,16 +192,15 @@ class TestAddressMap:
             amap.resolve(4090, 16)
 
     def test_overlapping_regions_rejected(self):
-        amap = AddressMap()
         dev = PhysicalMemory(100, MemoryKind.GLOBAL)
-        amap.add_region(Region(base=0, size=100, device=dev, owner=None))
-        with pytest.raises(ValueError):
-            amap.add_region(Region(base=50, size=100, device=dev, owner=None))
+        with pytest.raises(ValueError, match="overlaps"):
+            AddressMap([Region(base=50, size=100, device=dev, owner=None),
+                        Region(base=0, size=100, device=dev, owner=None)])
 
     def test_region_larger_than_its_device_rejected(self):
         dev = PhysicalMemory(64, MemoryKind.GLOBAL)
         with pytest.raises(ValueError, match="larger than its device"):
-            AddressMap().add_region(Region(base=0, size=128, device=dev, owner=None))
+            AddressMap([Region(base=0, size=128, device=dev, owner=None)])
 
     def test_local_memory_larger_than_stride_rejected(self):
         dev = PhysicalMemory(64, MemoryKind.LOCAL_DRAM)

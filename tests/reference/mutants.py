@@ -43,8 +43,8 @@ MUTANTS = [
      "ns += (lines - 1) * rest\n        ns += lines * extra",
      "ns += lines * extra\n        ns += (lines - 1) * rest"),
     ("fill a node's TLB before its protection check", M, "_resolve_fast",
-     "region, offset = amap.resolve(addr, size)\n",
-     "region, offset = amap.resolve(addr, size)\n"
+     "region, offset = self.address_map.resolve(addr, size)\n",
+     "region, offset = self.address_map.resolve(addr, size)\n"
      "    self._tlb[node_id] = (self.nodes[node_id], region.base, region.base + region.size, region)\n"),
     ("evict the most recent line", C, "_insert", "popitem(last=False)", "popitem(last=True)"),
     ("vectorize a batch over poison", M, "_held",
@@ -92,7 +92,8 @@ MUTANTS = [
     ("a fold that returns clock + n * ns", machine_module, "fold_adds",
      "return (m + n * d) * u", "return clock + n * ns"),
     ("a held store's loop writes its rows in sorted-slot order", M, "store_many",
-     "for k in addrs.idx.tolist()]", "for k in sorted(addrs.idx.tolist())]"),
+     "for a, k in zip(ref.addrs().tolist(), ref.idx.tolist()):",
+     "for a, k in sorted(zip(ref.addrs().tolist(), ref.idx.tolist())):"),
 ]
 
 

@@ -52,9 +52,9 @@ from repro.telemetry.atlas import Atlas
 class RefRegion:
     """One mapped range and the bytes of the device behind it."""
 
-    def __init__(self, base, size, owner, pmem, device_size=None):
+    def __init__(self, base, size, owner, pmem):
         self.base, self.size, self.owner, self.pmem = base, size, owner, pmem
-        self.bytes = bytearray(device_size or size)
+        self.bytes = bytearray(size)
         self.poison = set()
 
 
@@ -84,9 +84,6 @@ class ReferenceRack:
 
     def observe(self):
         self.counters, self.atlas = {}, Atlas()
-
-    def add_region(self, base, size, owner, pmem, device_size=None):
-        self.regions.append(RefRegion(base, size, owner, pmem, device_size))
 
     def poison(self, addr, size):
         region = self._region(addr, size)
@@ -346,15 +343,11 @@ class ReferenceRack:
         parts = [self.load(node_id, a, size, bypass_cache=bypass_cache) for a in addrs]
         return b"".join(parts) if concat else parts
 
-    def store_many(self, node_id, addrs, data, *, bypass_cache=False, size=None):
-        if size is not None:
-            if size <= 0 or len(data) != len(addrs) * size:
-                raise ValueError("packed buffer does not match the addresses")
-            data = [bytes(data[i * size : (i + 1) * size]) for i in range(len(addrs))]
-        elif len(data) != len(addrs):
-            raise ValueError("one payload per address")
-        for a, d in zip(addrs, data):
-            self.store(node_id, a, d, bypass_cache=bypass_cache)
+    def store_many(self, node_id, base, size, idx, table):
+        """Slots ``idx`` of the ``size``-byte slots at ``base``: op ``i``
+        writes row ``idx[i]`` of ``table`` into slot ``idx[i]``, bypassing."""
+        for k in idx:
+            self.store(node_id, base + k * size, table[k * size : (k + 1) * size], bypass_cache=True)
 
     def copy(self, node_id, dst, src, size, *, bypass_cache=False):
         if size > 0:
@@ -368,15 +361,9 @@ class ReferenceRack:
     def atomic_load_many(self, node_id, addrs):
         return [self.atomic_load(node_id, a) for a in addrs]
 
-    def atomic_store_many(self, node_id, addrs, values):
-        if not addrs:
-            return
-        if isinstance(values, int):
-            values = [values] * len(addrs)
-        elif len(values) != len(addrs):
-            raise ValueError("one value per address")
-        for a, v in zip(addrs, values):
-            self.atomic_store(node_id, a, v)
+    def atomic_store_many(self, node_id, addrs, value):
+        for a in addrs:
+            self.atomic_store(node_id, a, value)
 
     def atomic_fetch_add_many(self, node_id, addrs, deltas=1):
         if isinstance(deltas, int):

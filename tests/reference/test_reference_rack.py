@@ -1,26 +1,26 @@
 """``RackMachine`` against the reference rack, step by step.
 
-A Hypothesis state machine drives one random sequence of operations through
-a :class:`RackMachine` and through :class:`~tests.reference.rack.ReferenceRack`
+A Hypothesis state machine drives one random sequence of operations through a
+:class:`RackMachine` and through :class:`~tests.reference.rack.ReferenceRack`
 (2-3 nodes, caches of 1, 2 or 8 lines, DRAM or PMEM pool, direct or switched
-fabric, round, awkward or decimal latencies): cached and bypass loads and stores over
-one to three unaligned lines, the five word atomics (aligned or not) on local
-and global memory, flush / invalidate / flush_invalidate / flush_all / fence, the
-bulk calls on a held slot window and by address vector (repeats included),
-the batched atomics (duplicates included), bursts of cached ops over a few
-hot lines, poison and ``repair_write``, crash and restart, clocks reset to
-zero (where a charge's last bit still shows), and regions added mid-run —
-one of them adjacent to the pool, so a span can cross from one region into
-the next — then armed CE/UE rates, a node's fabric port severed and
-restored, every op of a dead node, ``copy`` / ``fill`` / the batched
-read-modify-writes, held windows over bytes already in use, poison inside a
-held window, batched atomics over lines the issuer holds and a poisoned line
-healed by a write-back.  After every step both must have returned the same
-value or raised the same exception type, and agree on every device's bytes
-and poison, every node's resident lines (LRU order, dirty flags, bytes), its
-cache stats, its clock, the fault log and the fault RNG's state, compared
-with ``==`` — and, once a step turns observation on, on the ``rack.machine``
-/ ``reliability`` counters and the atlas page sketch.
+fabric, round, awkward or decimal latencies): cached and bypass loads and stores
+over one to three unaligned lines, the five word atomics (aligned or not) on
+local and global memory, flush / invalidate / flush_invalidate / flush_all /
+fence, the bulk loads and stores on a held slot window and bulk loads by address
+vector (repeats included), the batched atomics (duplicates included), bursts of
+cached ops over a few hot lines, poison and ``repair_write``, crash and restart,
+clocks reset to zero (where a charge's last bit still shows), and addresses no
+region maps (one range right past the pool, so a span can run off its region's
+end), then armed CE/UE rates, a node's fabric port severed and restored, every
+op of a dead node, ``copy`` / ``fill`` / the batched read-modify-writes, held
+windows over bytes already in use, poison inside a held window, batched atomics
+over lines the issuer holds and a poisoned line healed by a write-back. After
+every step both must have returned the same value or raised the same exception
+type, and agree on every device's bytes and poison, every node's resident lines
+(LRU order, dirty flags, bytes), its cache stats, its clock, the fault log and
+the fault RNG's state, compared with ``==`` — and, once a step turns observation
+on, on the ``rack.machine`` / ``reliability`` counters and the atlas page
+sketch.
 """
 
 import dataclasses
@@ -31,14 +31,13 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 import repro.rack.machine as machine_module
 from repro import telemetry
-from repro.rack import (GLOBAL_BASE, LOCAL_STRIDE, FaultModel, LatencyModel, MemoryKind,
-                        OutOfRangeError, PhysicalMemory, RackConfig, Region)
+from repro.rack import GLOBAL_BASE, LOCAL_STRIDE, FaultModel, LatencyModel, OutOfRangeError, RackConfig
 from repro.telemetry.atlas import enable_atlas
 
 from .rack import ReferenceRack
 
 LINE, LOCAL, POOL, EXTRA = 64, 512, 512, 256
-#: Bases a region may be added at: right after the pool, and past a gap.
+#: Ranges of ``EXTRA`` bytes no region maps: right after the pool, and past a gap.
 LATE_BASES = (GLOBAL_BASE + POOL, GLOBAL_BASE + 2 * POOL + 4096)
 LATENCIES = (
     LatencyModel(),
@@ -113,8 +112,8 @@ class RackVsReference(RuleBasedStateMachine):
 
     def _addr(self, node, place, align=1):
         """An address in the pool (4 in 14), the node's own memory (3), another
-        node's (1), where a region may be added (2; mapped or not yet), or one
-        of the last few addresses used (4)."""
+        node's (1), a range no region maps (2), or one of the last few
+        addresses used (4)."""
         pick, offset, edge = place
         if pick >= 10 and self.recent:
             addr = self.recent[pick % len(self.recent)] // align * align
@@ -200,23 +199,13 @@ class RackVsReference(RuleBasedStateMachine):
     # -- bulk calls ----------------------------------------------------------
 
     @rule(node=nodes, place=places, slot=st.sampled_from([8, 24, 64]), idx=slots,
-          bypass=st.booleans(), concat=st.booleans(), store=st.booleans(), packed=st.booleans())
-    def by_address(self, node, place, slot, idx, bypass, concat, store, packed):
+          bypass=st.booleans(), concat=st.booleans())
+    def by_address(self, node, place, slot, idx, bypass, concat):
         node = self._node(node)
         base = self._addr(node, place, 8)
         addrs = [base + i * slot for i in idx]
-        if store:
-            data = self._payload(slot * len(addrs))
-            if packed:
-                kw = dict(bypass_cache=bypass, size=slot)
-            else:
-                data = [data[i * slot : (i + 1) * slot] for i in range(len(addrs))]
-                kw = dict(bypass_cache=bypass)
-            self._both(lambda: self.m.store_many(node, addrs, data, **kw),
-                       lambda: self.ref.store_many(node, addrs, data, **kw))
-        else:
-            self._both(lambda: self.m.load_many(node, addrs, slot, bypass_cache=bypass, concat=concat),
-                       lambda: self.ref.load_many(node, addrs, slot, bypass_cache=bypass, concat=concat))
+        self._both(lambda: self.m.load_many(node, addrs, slot, bypass_cache=bypass, concat=concat),
+                   lambda: self.ref.load_many(node, addrs, slot, bypass_cache=bypass, concat=concat))
 
     @rule(place=places, n=st.integers(1, 8), slot=st.sampled_from([8, 64]))
     def hold_window(self, place, n, slot):
@@ -231,30 +220,28 @@ class RackVsReference(RuleBasedStateMachine):
         window, base, slot = self.windows[pick % len(self.windows)]
         idx = [i % window.n for i in idx]
         addrs = [base + i * slot for i in idx]
-        if store:  # the rack gets the window's row table, the reference the rows it names
+        if store:  # the window's row table: op i writes row idx[i] into slot idx[i]
             table = self._payload(slot * window.n)
-            rows = b"".join(table[i * slot : (i + 1) * slot] for i in idx)
-            self._both(lambda: self.m.store_many(node, window.at(idx), table, bypass_cache=True, size=slot),
-                       lambda: self.ref.store_many(node, addrs, rows, bypass_cache=True, size=slot))
+            self._both(lambda: self.m.store_many(node, window.at(idx), table),
+                       lambda: self.ref.store_many(node, base, slot, idx, table))
         else:
             size = slot if same_size else slot // 2
             self._both(lambda: self.m.load_many(node, window.at(idx), size, bypass_cache=True, concat=concat),
                        lambda: self.ref.load_many(node, addrs, size, bypass_cache=True, concat=concat))
 
-    @rule(node=nodes, place=places, idx=slots, store=st.booleans(), broadcast=st.booleans(), value=words)
-    def atomic_many(self, node, place, idx, store, broadcast, value):
+    @rule(node=nodes, place=places, idx=slots, store=st.booleans(), value=words)
+    def atomic_many(self, node, place, idx, store, value):
         node = self._node(node)
         base = self._addr(node, place, 8)
         addrs = [base + i * 8 for i in idx]
         if store:
-            values = value if broadcast else [value + i for i in range(len(addrs))]
-            self._both(lambda: self.m.atomic_store_many(node, addrs, values),
-                       lambda: self.ref.atomic_store_many(node, addrs, values))
+            self._both(lambda: self.m.atomic_store_many(node, addrs, value),
+                       lambda: self.ref.atomic_store_many(node, addrs, value))
         else:
             self._both(lambda: self.m.atomic_load_many(node, addrs),
                        lambda: self.ref.atomic_load_many(node, addrs))
 
-    # -- poison, repair, crashes, regions ------------------------------------
+    # -- poison, repair, crashes ---------------------------------------------
 
     @rule(pick=st.integers(0, 15), offset=st.integers(0, 4095), n=st.integers(1, 8))
     def poison(self, pick, offset, n):
@@ -293,18 +280,6 @@ class RackVsReference(RuleBasedStateMachine):
     def restart(self, node):  # a live node: its cache is dropped, its clock synced forward
         node = self._node(node)
         self._both(lambda: self.m.restart_node(node), lambda: self.ref.restart_node(node))
-
-    @precondition(lambda self: len(self.ref.regions) < len(self.ref.nodes) + 1 + len(LATE_BASES))
-    @rule(pick=st.integers(0, 1), owner=st.integers(-1, 2), pmem=st.booleans())
-    def add_region(self, pick, owner, pmem):
-        free = [b for b in LATE_BASES if b not in {r.base for r in self.ref.regions}]
-        base = free[pick % len(free)]
-        owner = None if owner < 0 else self._node(owner)
-        pmem = pmem and owner is None
-        kind = MemoryKind.PMEM if pmem else (MemoryKind.GLOBAL if owner is None else MemoryKind.LOCAL_DRAM)
-        device = PhysicalMemory(EXTRA, kind, f"late{base:#x}")
-        self.m.address_map.add_region(Region(base=base, size=EXTRA, device=device, owner=owner))
-        self.ref.add_region(base, EXTRA, owner, pmem)
 
     # -- armed faults, link flaps, dead nodes, the loops ----------------------
 
@@ -349,11 +324,13 @@ class RackVsReference(RuleBasedStateMachine):
                           ("atomic_cas", word, 0, 1), ("flush", addr, size), ("invalidate", addr, size),
                           ("flush_invalidate", addr, size), ("flush_all",), ("fence",), ("repair_write", addr, data),
                           ("copy", addr, word, size), ("fill", addr, size, 7), ("load_many", [addr], size),
-                          ("store_many", [addr], [data]), ("atomic_load_many", [word]),
-                          ("atomic_store_many", [word], 1), ("atomic_fetch_add_many", [word]),
-                          ("atomic_cas_many", [word], [0], [1])):
+                          ("atomic_load_many", [word]), ("atomic_store_many", [word], 1),
+                          ("atomic_fetch_add_many", [word]), ("atomic_cas_many", [word], [0], [1])):
             for kw in ({}, {"bypass_cache": True}) if op in ("load", "store", "copy", "fill") else ({},):
                 self._same(node, op, *args, **kw)
+        window = machine_module.SlotWindow(self.m.address_map, addr, 1, size)
+        self._both(lambda: self.m.store_many(node, window.at([0]), data),
+                   lambda: self.ref.store_many(node, addr, size, [0], data))
         self.agree()
         self._same(node, "restart_node")
 

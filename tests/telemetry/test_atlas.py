@@ -17,7 +17,7 @@ import pytest
 
 import repro.telemetry as tel
 from repro.bench.harness import build_rig
-from repro.rack.machine import RackMachine
+from repro.rack.machine import RackMachine, SlotWindow
 from repro.rack.params import GLOBAL_BASE, RackConfig
 from repro.telemetry import TELEMETRY
 from repro.telemetry.atlas import (
@@ -205,11 +205,10 @@ class TestAtlasIngestion:
         gb = m.global_base
         addrs = [gb + i * 64 for i in range(64)]
         m.load_many(0, addrs, 64, bypass_cache=True)
-        m.store_many(0, addrs, [b"z" * 64] * 64, bypass_cache=True)
-        m.store_many(0, addrs[:8], [b"w" * 64] * 8)          # cached store
-        m.load_many(0, addrs[:8], 64)                        # cached hits
+        m.store_many(0, SlotWindow(m.address_map, gb, 64, 64).at(range(64)), b"z" * 64 * 64)
+        m.load_many(0, addrs[:8], 64)                        # cached
         m.atomic_fetch_add_many(0, [gb + 65536 + i * 8 for i in range(16)], 1)
-        assert atlas.pages.total == 64 * 64 * 2 + 8 * 64 * 2 + 16 * 8
+        assert atlas.pages.total == 64 * 64 * 2 + 8 * 64 + 16 * 8
 
     def test_bulk_equals_singleop_sketch_totals(self):
         gb = GLOBAL_BASE
